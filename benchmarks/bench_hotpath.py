@@ -3,15 +3,12 @@
 Measures the two layers added by the fast-path work against the same
 build with the optimizations switched off:
 
-* **Tcl layer** — three backends on the same workloads: the bytecode
-  VM (``exec_mode="vm"``, the default), the compiled-AST walk
-  (``exec_mode="ast"``: literal argv, substitution closures,
-  epoch-guarded command-pointer caches, expr AST specialization, proc
-  tail-return elimination), and the plain interpreted walk
-  (``Interp(compile_enabled=False)``).
-* **Runtime layer** — a compute-bound Swift program run end-to-end
-  with ``tcl_compile``/``read_cache``/``batch_refcounts`` on versus
-  off, plus VM-vs-AST on the same program.
+* **Tcl layer** — the bytecode VM (``Interp()``, the product) against
+  the plain interpreted walk (``Interp(compile_enabled=False)``, the
+  differential-test oracle) on the same workloads.
+* **Runtime layer** — a dataflow Swift program run end-to-end with
+  ``tcl_compile``/``read_cache``/``batch_refcounts`` on versus off,
+  and a Tcl-compute Turbine program with ``tcl_compile`` on versus off.
 
 ``benchmarks/record.py`` reuses the ``measure_*`` functions here to
 write the committed ``BENCH_hotpath.json`` snapshot.
@@ -31,7 +28,7 @@ from repro import swift_run
 from repro.tcl.interp import Interp
 
 # Proc-dispatch-heavy: 16 proc calls per loop iteration, exercising
-# argument binding, tail returns, and [cmd] substitution closures.
+# argument binding, trailing returns, and [cmd] substitution.
 PROC_PRELUDE = """
 proc ping {x} { return $x }
 proc pong {a b} { return $b }
@@ -48,7 +45,7 @@ proc drive {n} {
 """
 PROC_CALL = "drive 50"
 
-# Loop/expr-heavy: compiled loop bodies and specialized literal exprs.
+# Loop/expr-heavy: inlined loop bodies and lowered literal exprs.
 EXPR_PRELUDE = """
 proc sumsq {n} {
     set total 0
@@ -108,13 +105,9 @@ TASK_COMPUTE_EXPECTED = sorted(
 
 
 def _time_tcl(
-    prelude: str,
-    call: str,
-    compile_enabled: bool,
-    iters: int,
-    exec_mode: str = "ast",
+    prelude: str, call: str, compile_enabled: bool, iters: int
 ) -> float:
-    interp = Interp(compile_enabled=compile_enabled, exec_mode=exec_mode)
+    interp = Interp(compile_enabled=compile_enabled)
     interp.echo = False
     interp.eval(prelude)
     interp.eval(call)  # warm parse/compile caches
@@ -127,24 +120,14 @@ def _time_tcl(
 def measure_tcl(
     prelude: str, call: str, iters: int = 60, rounds: int = 3
 ) -> dict:
-    """Best-of-rounds vm vs compiled-AST vs interpreted timing.
-
-    ``speedup`` is the headline number (interpreted / vm, since the VM
-    is the default backend); ``speedup_ast`` tracks the compiled-AST
-    walk so a VM-era regression there stays visible.
-    """
-    vm = min(
-        _time_tcl(prelude, call, True, iters, "vm") for _ in range(rounds)
-    )
-    compiled = min(_time_tcl(prelude, call, True, iters) for _ in range(rounds))
+    """Best-of-rounds vm vs interpreted timing; ``speedup`` is
+    interpreted / vm."""
+    vm = min(_time_tcl(prelude, call, True, iters) for _ in range(rounds))
     interpreted = min(_time_tcl(prelude, call, False, iters) for _ in range(rounds))
     return {
         "vm_s": vm,
-        "compiled_s": compiled,
         "interpreted_s": interpreted,
         "speedup": interpreted / vm,
-        "speedup_ast": interpreted / compiled,
-        "speedup_vm_vs_ast": compiled / vm,
         "iters": iters,
     }
 
@@ -160,14 +143,12 @@ def measure_dataflow(rounds: int = 3, workers: int = 2) -> dict:
         return elapsed
 
     on = min(run() for _ in range(rounds))
-    ast = min(run(tcl_exec="ast") for _ in range(rounds))
     off = min(
         run(tcl_compile=False, read_cache=False, batch_refcounts=False)
         for _ in range(rounds)
     )
     return {
         "optimized_s": on,
-        "ast_s": ast,
         "unoptimized_s": off,
         "speedup": off / on,
         "workers": workers,
@@ -175,9 +156,8 @@ def measure_dataflow(rounds: int = 3, workers: int = 2) -> dict:
 
 
 def measure_end_to_end(rounds: int = 3, workers: int = 2) -> dict:
-    """Full-stack run of the task-compute Turbine program, three ways:
-    the VM backend (default), the compiled-AST backend, and with the
-    Tcl compile layer off entirely."""
+    """Full-stack run of the task-compute Turbine program on the VM
+    (default) and on the interpreted walk (``tcl_compile=False``)."""
     from repro.turbine import RuntimeConfig, run_turbine_program
 
     def run(**flags) -> float:
@@ -189,27 +169,21 @@ def measure_end_to_end(rounds: int = 3, workers: int = 2) -> dict:
         return elapsed
 
     vm = min(run() for _ in range(rounds))
-    ast = min(run(tcl_exec="ast") for _ in range(rounds))
     off = min(run(tcl_compile=False) for _ in range(rounds))
     return {
         "vm_s": vm,
-        "ast_s": ast,
         "interpreted_s": off,
         "speedup": off / vm,
-        "speedup_vm_vs_ast": ast / vm,
         "workers": workers,
     }
 
 
 def test_proc_dispatch_speedup(benchmark):
     """The headline criterion: the VM runs proc-heavy Tcl >= 4x faster
-    than interpretation (the AST walk managed ~2.3x)."""
+    than interpretation."""
     result = measure_tcl(PROC_PRELUDE, PROC_CALL)
     benchmark.pedantic(
-        _time_tcl,
-        args=(PROC_PRELUDE, PROC_CALL, True, 30, "vm"),
-        rounds=3,
-        iterations=1,
+        _time_tcl, args=(PROC_PRELUDE, PROC_CALL, True, 30), rounds=3, iterations=1
     )
     benchmark.extra_info.update(result)
     assert result["speedup"] >= 4.0, (
@@ -219,53 +193,31 @@ def test_proc_dispatch_speedup(benchmark):
     )
 
 
-def test_proc_dispatch_ast_no_regression(benchmark):
-    """tcl_exec="ast" keeps the pre-VM compiled-walk performance."""
-    result = measure_tcl(PROC_PRELUDE, PROC_CALL)
-    benchmark.pedantic(
-        _time_tcl, args=(PROC_PRELUDE, PROC_CALL, True, 30), rounds=3, iterations=1
-    )
-    benchmark.extra_info.update(result)
-    assert result["speedup_ast"] >= 2.0, (
-        "compiled proc dispatch only %.2fx faster than interpreted "
-        "(compiled %.4fs, interpreted %.4fs)"
-        % (result["speedup_ast"], result["compiled_s"], result["interpreted_s"])
-    )
-
-
 def test_expr_loop_speedup(benchmark):
-    """Compiled loop bodies + lowered exprs beat the interpreted walk."""
+    """Inlined loop bodies + lowered exprs beat the interpreted walk."""
     result = measure_tcl(EXPR_PRELUDE, EXPR_CALL)
     benchmark.pedantic(
-        _time_tcl,
-        args=(EXPR_PRELUDE, EXPR_CALL, True, 30, "vm"),
-        rounds=3,
-        iterations=1,
+        _time_tcl, args=(EXPR_PRELUDE, EXPR_CALL, True, 30), rounds=3, iterations=1
     )
     benchmark.extra_info.update(result)
     assert result["speedup"] >= 1.2, (
         "VM expr loop only %.2fx faster than interpreted"
         % result["speedup"]
     )
-    # The VM's typed arithmetic bins should not lose to the AST walk.
-    assert result["speedup_vm_vs_ast"] >= 0.9, (
-        "VM expr loop regressed vs the AST walk: %.2fx"
-        % result["speedup_vm_vs_ast"]
-    )
 
 
 def test_end_to_end_vm_speedup(benchmark):
-    """The VM must beat the compiled-AST backend >= 1.15x end-to-end on
-    the task-compute program (where worker tasks execute real Tcl)."""
+    """The VM must beat the interpreted walk >= 2x end-to-end on the
+    task-compute program (where worker tasks execute real Tcl)."""
     result = measure_end_to_end(rounds=2)
     benchmark.pedantic(
         lambda: measure_end_to_end(rounds=1), rounds=1, iterations=1
     )
     benchmark.extra_info.update(result)
-    assert result["speedup_vm_vs_ast"] >= 1.15, (
-        "VM end-to-end only %.2fx vs the AST backend "
-        "(vm %.4fs, ast %.4fs)"
-        % (result["speedup_vm_vs_ast"], result["vm_s"], result["ast_s"])
+    assert result["speedup"] >= 2.0, (
+        "VM end-to-end only %.2fx vs interpreted "
+        "(vm %.4fs, interpreted %.4fs)"
+        % (result["speedup"], result["vm_s"], result["interpreted_s"])
     )
 
 
@@ -274,9 +226,7 @@ def test_dataflow_hotpath(benchmark):
 
     The threshold is deliberately loose (>= 0.9x): this fan-out is
     dominated by thread scheduling, so it guards against a real
-    regression while record.py captures the typical improvement.  The
-    same bound is applied to the AST backend so `tcl_exec=ast` stays
-    within noise of its pre-VM behavior.
+    regression while record.py captures the typical improvement.
     """
     result = measure_dataflow(rounds=2)
     benchmark.pedantic(
@@ -287,18 +237,14 @@ def test_dataflow_hotpath(benchmark):
         "fast-path-on end-to-end run regressed: %.2fx vs off"
         % result["speedup"]
     )
-    assert result["unoptimized_s"] / result["ast_s"] >= 0.9, (
-        "tcl_exec=ast end-to-end run regressed: %.2fx vs off"
-        % (result["unoptimized_s"] / result["ast_s"])
-    )
 
 
 def test_cache_metrics_exposed():
-    """A traced run exposes the compile/read-cache/VM counters."""
+    """A traced run exposes the code-cache/read-cache/VM counters."""
     res = swift_run(E2E_PROGRAM, workers=2, trace=True)
     counters = res.trace.metrics["counters"]
-    assert counters.get("tcl.compile.hits", 0) > 0
-    assert counters.get("tcl.compile.misses", 0) > 0
+    assert counters.get("tcl.vm.code_hits", 0) > 0
+    assert counters.get("tcl.vm.code_misses", 0) > 0
     assert "adlb.retrieve_cache.hits" in counters
     assert counters.get("adlb.retrieve_cache.misses", 0) > 0
     assert counters.get("tcl.vm.frames", 0) > 0

@@ -61,12 +61,6 @@ def main() -> None:
         print("%-18s %.2fx" % (name, results[name]["speedup"]))
     print(
         "%-18s %.2fx" % (
-            "e2e_vm_vs_ast",
-            results["end_to_end"]["speedup_vm_vs_ast"],
-        )
-    )
-    print(
-        "%-18s %.2fx" % (
             "dataflow_fanout", results["dataflow_fanout"]["speedup"]
         )
     )

@@ -15,11 +15,12 @@ Quickstart::
 Every runtime knob lives on :class:`RuntimeConfig`; ``swift_run`` and
 :class:`SwiftRuntime` accept a ``config=`` plus keyword overrides that
 are validated by :meth:`RuntimeConfig.with_options` (unknown names
-raise ``TypeError``).  Notable hot-path knobs: ``tcl_compile`` (the
-compile-and-cache Tcl layer) and ``tcl_exec`` (``"vm"`` — the default
-bytecode VM — or ``"ast"`` for compiled-AST interpretation, e.g.
-``swift_run(src, tcl_exec="ast")``).  For repeated runs, use the session form — one
-compiled-program cache and one trace sink across runs::
+raise ``TypeError``).  The one Tcl-layer knob is ``tcl_compile``: on
+(the default) scripts run on the bytecode VM; ``swift_run(src,
+tcl_compile=False)`` selects the plain interpreted walk that the
+differential tests use as their oracle.  For repeated runs, use the
+session form — one compiled-program cache and one trace sink across
+runs::
 
     from repro import RuntimeConfig, SwiftRuntime
 

@@ -76,13 +76,6 @@ def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
         help="embedded interpreter state policy (paper III-C)",
     )
     p.add_argument(
-        "--tcl-exec",
-        choices=["vm", "ast"],
-        default="vm",
-        help="Tcl execution backend: bytecode VM (default) or compiled-AST "
-        "interpretation",
-    )
-    p.add_argument(
         "--on-error",
         choices=["retry", "fail_fast", "continue"],
         default="retry",
@@ -211,7 +204,6 @@ def _runtime_config(
         monitor_interval=ns.monitor_interval,
         monitor_out=_monitor_line if ns.monitor else None,
         interp_mode=ns.interp_mode,
-        tcl_exec=ns.tcl_exec,
         on_error=ns.on_error,
         max_retries=ns.max_retries,
         deadline=ns.deadline,

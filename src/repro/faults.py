@@ -296,7 +296,7 @@ class FaultPlan:
 
         What counts as a unit depends on the rank's role, and each is a
         fail-stop boundary so the kill is deterministic per seed across
-        backends (``tcl_exec=vm|ast``):
+        both Tcl execution paths (``tcl_compile=True|False``):
 
         * **workers** — leased work units received; the rank dies
           holding the lease, exercising requeue.
@@ -304,7 +304,7 @@ class FaultPlan:
           eval or WORK/CONTROL release) and every control task
           received.  Rule-count order is fixed by the dataflow, not by
           interpreter internals, so ``after_tasks=`` picks the same
-          boundary under either Tcl backend.
+          boundary under either Tcl path.
         * **servers** — dispatched messages; the server dies between
           receives, never mid-mutation.
 

@@ -1,16 +1,22 @@
 """A small bounded LRU cache shared by the hot-path caches.
 
 Used by the Tcl script parse cache, the ``expr`` AST cache, each
-interpreter's compiled-script cache, and the ADLB client's
-immutable-read cache.  Eviction is one-at-a-time least-recently-used —
-never a full clear, which would cause a thundering re-parse/re-fetch of
-every live entry (the bug this replaced in ``parse_cached``).
+interpreter's code cache, and the ADLB client's immutable-read cache.
+Eviction is one-at-a-time least-recently-used — never a full clear,
+which would cause a thundering re-parse/re-fetch of every live entry
+(the bug this replaced in ``parse_cached``).
 
 Plain dict preserves insertion order in CPython; ``get`` re-inserts the
 key to mark it most-recently-used, and ``put`` evicts from the front.
-Not thread-safe; every user owns its cache from a single thread (the
-module-level parse/AST caches are only mutated under the GIL with
-atomic dict ops, which is sufficient for their use).
+
+Concurrency: the module-level parse/expr-AST caches are shared by all
+rank threads with no lock.  Each individual dict operation is atomic
+under the GIL, but the multi-step sequences here (read-then-touch in
+``get``, pick-a-victim-then-delete in ``put``) are not, so every
+removal tolerates another thread having removed the same key first.
+A lost race costs at most a redundant re-parse or a slightly stale
+LRU order, never an exception.  The ``hits``/``misses``/``evictions``
+counters are best-effort under contention.
 """
 
 from __future__ import annotations
@@ -48,19 +54,24 @@ class LRUCache(Generic[K, V]):
             self.misses += 1
             return default
         self.hits += 1
-        # Move to most-recently-used position.
-        del data[key]
+        # Move to most-recently-used position (the key may already be
+        # gone if another thread just evicted it; re-insert regardless).
+        data.pop(key, None)
         data[key] = value
         return value
 
     def put(self, key: K, value: V) -> None:
         data = self._data
-        if key in data:
-            del data[key]
-        elif len(data) >= self.capacity:
-            # Evict exactly one entry: the least recently used.
-            del data[next(iter(data))]
-            self.evictions += 1
+        if data.pop(key, _MISSING) is _MISSING:
+            # Evict least-recently-used entries down to capacity:
+            # exactly one, unless racing threads overshot it.
+            while len(data) >= self.capacity:
+                try:
+                    victim = next(iter(data))
+                except (StopIteration, RuntimeError):
+                    continue  # another thread resized the dict; re-check
+                if data.pop(victim, _MISSING) is not _MISSING:
+                    self.evictions += 1
         data[key] = value
 
     def get_or_compute(self, key: K, compute: Callable[[], V]) -> V:

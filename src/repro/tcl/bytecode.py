@@ -5,8 +5,8 @@ A :class:`Code` object is the unit of execution: a flat ``ops`` array of
 ``ops[pc]``/``ops[pc + 1]`` and advances ``pc`` by 2), a constant pool,
 and a list of mutable inline-cache slots.  Code objects are owned by a
 single interpreter — the embedded command caches follow the interp's
-``cmd_epoch`` invalidation protocol, exactly like the AST layer's
-:class:`~repro.tcl.interp.CompiledCommand` pointer caches.
+``cmd_epoch`` invalidation protocol, exactly like the
+:class:`~repro.tcl.interp.CompiledCommand` pointer cache.
 
 The compiler (:mod:`repro.tcl.compile`) lowers parsed ``Command`` /
 ``Word`` / expr ASTs into this form; the VM (:mod:`repro.tcl.vm`) runs
@@ -36,9 +36,9 @@ OP_INCR_SLOT = 10   # consts[arg]=(slot, name, delta, line, text)
 OP_CONCAT = 11      # join top arg values into one string
 OP_CALL = 12        # caches[arg]; argv of caches[arg][0] words on stack
 OP_CALL_LIT = 13    # caches[arg]; literal argv, nothing on stack
-OP_EXEC = 14        # run consts[arg] (a CompiledCommand) via the AST path
+OP_EXEC = 14        # run consts[arg] (a parsed Command) via Interp._run_command
 OP_GUARD = 15       # caches[arg]; epoch-check an inlined builtin, else
-                    # jump to the AST fallback block
+                    # jump to the EXEC fallback block
 OP_JUMP = 16        # pc = arg
 OP_JUMP_IF_FALSE = 17  # pop; truthy() false -> pc = arg
 OP_JUMP_IF_TRUE = 18   # pop; truthy() true -> pc = arg
@@ -115,8 +115,10 @@ class VMStats:
     frames: int = 0          # VM proc frames pushed (inline + Python-entered)
     cache_hits: int = 0      # inline command-cache hits
     cache_misses: int = 0    # inline command-cache (re)resolutions
-    code_hits: int = 0       # bytecode-cache hits (scripts served compiled)
-    code_misses: int = 0     # scripts lowered to bytecode
+    code_hits: int = 0       # code-cache hits (scripts served compiled)
+    code_misses: int = 0     # scripts lowered (first sight or LRU-evicted)
+    expr_hits: int = 0       # expr AST cache hits
+    expr_misses: int = 0     # expr ASTs parsed
     peephole_ops: int = 0    # ops removed / constants folded by peephole
 
 
@@ -125,7 +127,7 @@ class Code:
 
     * ``ops`` — interleaved (opcode, arg) pairs.
     * ``consts`` — constant pool (strings, tuples, expr nodes,
-      CompiledCommand fallbacks, proc prototypes).
+      parsed-Command fallbacks, proc prototypes).
     * ``caches`` — mutable inline-cache entries for CALL/CALL_LIT/GUARD.
     * ``slot_names`` — local-variable slot table (proc bodies; empty for
       script-context code, which uses the NAME ops against the current
@@ -221,9 +223,8 @@ class Code:
         if op == OP_LOAD_SLOT or op == OP_ELOAD_SLOT:
             return "%d (%s)" % (arg, self.slot_names[arg])
         if op == OP_EXEC:
-            cc = self.consts[arg]
-            argv = getattr(cc, "argv", None)
-            what = " ".join(argv) if argv else "<dynamic>"
+            lits = [w.literal for w in self.consts[arg].words]
+            what = "<dynamic>" if None in lits else " ".join(lits)
             return "%d (%s)" % (arg, _trunc(what))
         if op in (OP_CONCAT,):
             return "%d" % arg

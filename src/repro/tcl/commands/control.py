@@ -6,7 +6,7 @@ from __future__ import annotations
 import time as _time
 
 from ..errors import TclBreak, TclContinue, TclError, TclReturn
-from ..expr import compile_expr, eval_expr, eval_node, to_string, truthy
+from ..expr import eval_expr, to_string, truthy
 from ..interp import TclProc
 from ..listutil import format_list, parse_list
 
@@ -22,10 +22,6 @@ def cmd_expr(interp, args):
     return to_string(eval_expr(interp, text))
 
 
-# Marks the builtin for call-site specialization: a compiled
-# `expr {literal}` command whose resolved fn carries this flag
-# evaluates a precompiled AST directly (see Interp._run_compiled).
-cmd_expr.expr_builtin = True  # type: ignore[attr-defined]
 # vm_builtin tags let the bytecode compiler inline a construct; the
 # VM's GUARD op re-checks the tag under cmd_epoch so redefining the
 # command (e.g. a test stubbing `if`) reroutes to the generic path.
@@ -68,22 +64,9 @@ def cmd_while(interp, args):
     if len(args) != 2:
         raise _wrong_args("while test command")
     cond, body = args
-    if not interp.compile_enabled:
-        while truthy(eval_expr(interp, cond)):
-            try:
-                interp.eval(body)
-            except TclBreak:
-                break
-            except TclContinue:
-                continue
-        return ""
-    # Compile the condition AST and body once; iterations re-run the
-    # compiled forms with no per-iteration cache lookups.
-    cnode = compile_expr(cond)
-    code = interp.compiled(body)
-    while truthy(eval_node(interp, cnode)):
+    while truthy(eval_expr(interp, cond)):
         try:
-            interp.eval_compiled(code)
+            interp.eval(body)
         except TclBreak:
             break
         except TclContinue:
@@ -99,27 +82,14 @@ def cmd_for(interp, args):
         raise _wrong_args("for start test next command")
     start, test, nxt, body = args
     interp.eval(start)
-    if not interp.compile_enabled:
-        while truthy(eval_expr(interp, test)):
-            try:
-                interp.eval(body)
-            except TclBreak:
-                break
-            except TclContinue:
-                pass
-            interp.eval(nxt)
-        return ""
-    tnode = compile_expr(test)
-    body_code = interp.compiled(body)
-    next_code = interp.compiled(nxt)
-    while truthy(eval_node(interp, tnode)):
+    while truthy(eval_expr(interp, test)):
         try:
-            interp.eval_compiled(body_code)
+            interp.eval(body)
         except TclBreak:
             break
         except TclContinue:
             pass
-        interp.eval_compiled(next_code)
+        interp.eval(nxt)
     return ""
 
 
@@ -141,7 +111,6 @@ def cmd_foreach(interp, args):
     for var_names, values in pairs:
         per = (len(values) + len(var_names) - 1) // len(var_names)
         n_iters = max(n_iters, per)
-    code = interp.compiled(body) if interp.compile_enabled else None
     for it in range(n_iters):
         for var_names, values in pairs:
             base = it * len(var_names)
@@ -149,10 +118,7 @@ def cmd_foreach(interp, args):
                 idx = base + k
                 interp.set_var(vn, values[idx] if idx < len(values) else "")
         try:
-            if code is not None:
-                interp.eval_compiled(code)
-            else:
-                interp.eval(body)
+            interp.eval(body)
         except TclBreak:
             break
         except TclContinue:
@@ -308,10 +274,6 @@ def cmd_return(interp, args):
     raise TclReturn(value, code)
 
 
-# Marks the builtin for the proc tail-return fast path (TclProc):
-# bodies ending in `return ?value?` skip the TclReturn exception only
-# while `return` still resolves to this function.
-cmd_return.return_builtin = True  # type: ignore[attr-defined]
 cmd_return.vm_builtin = "return"  # type: ignore[attr-defined]
 
 

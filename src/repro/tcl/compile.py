@@ -13,21 +13,20 @@ flat bytecode:
   ``for``/``return``/``break``/``continue`` with literal shapes lower
   to dedicated opcodes behind an epoch-checked ``GUARD``; if any of
   them is renamed or shadowed the guard diverts to an ``EXEC``
-  fallback that runs the original :class:`CompiledCommand` through the
-  AST path, preserving exact semantics.
+  fallback that runs the parsed :class:`Command` through the oracle's
+  own ``Interp._run_command``, preserving exact semantics.
 * **Expr lowering** — precompiled expression trees become stack ops
   with int/int fast paths; constant subtrees fold at compile time.
 * **Peephole pass** — jump threading, jump-to-next removal, and
-  dead-code elision after unconditional exits (which generalizes the
-  AST layer's tail-``return`` trick: ops after a ``RETURN`` are
-  deleted outright).
+  dead-code elision after unconditional exits (ops after a ``RETURN``
+  are deleted outright).
 
 Command substitutions, ``if``/loop bodies, and multi-command words are
 all inlined into the *same* code object — the VM never recurses into
 Python to run them.  Anything the compiler cannot prove safe (``{*}``
 expansion, dynamic command names for builtins, unparseable sub-scripts)
 falls back to ``EXEC``/generic-``CALL``, so behaviour is always the
-AST interpreter's.
+interpreted walk's.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .bytecode import (
 )
 from .errors import TclError
 from .expr import compile_expr, _eval_bin, eval_unary, parse_number
-from .interp import CompiledCommand, _abbrev
+from .interp import _abbrev
 from .parser import Command, TclParseError, Word, parse_cached
 
 # Ops after which control never falls through to the next instruction.
@@ -332,7 +331,7 @@ class Compiler:
 
     def _exec(self, cmd: Command) -> None:
         self.asm.line = cmd.line
-        self.asm.emit(OP_EXEC, self.asm.rconst(CompiledCommand(cmd)))
+        self.asm.emit(OP_EXEC, self.asm.rconst(cmd))
 
     def _command_fast(self, cmd: Command) -> None:
         words = cmd.words
@@ -342,7 +341,7 @@ class Compiler:
             asm.emit(OP_CONST, asm.const(""))
             return
         if any(w.expand for w in words):
-            raise _Fallback  # {*} expansion: AST path handles it exactly
+            raise _Fallback  # {*} expansion: _run_command handles it exactly
         name = words[0].literal
         if name is not None and "::" not in name:
             handler = _INLINE.get(name)
@@ -630,7 +629,7 @@ class Compiler:
             if a[0] == "num" and b[0] == "num":
                 # Constant folding — but only when evaluation cannot
                 # raise (a folded divide-by-zero would lose the runtime
-                # error the AST path reports on every execution).
+                # error the interpreted walk reports on every execution).
                 try:
                     v = _eval_bin(op, a[1], b[1])
                 except TclError:
@@ -672,13 +671,13 @@ class Compiler:
             try:
                 cmds = parse_cached(node[1])
             except TclParseError:
-                # Defer to the AST evaluator: the parse error (wrapped
+                # Defer to the expr evaluator: the parse error (wrapped
                 # as TclError) must surface at evaluation time.
                 asm.emit(OP_EVAL_NODE, asm.rconst(node))
                 return
             self.script_push(cmds)
             asm.emit(OP_COERCE, 0)
-        else:  # fn calls and anything else: AST-evaluate the subtree
+        else:  # fn calls and anything else: tree-evaluate the subtree
             asm.emit(OP_EVAL_NODE, asm.rconst(node))
 
     # -- entry ------------------------------------------------------------
@@ -722,7 +721,7 @@ def compile_script_code(interp, script: str, name: str = "<script>") -> Code:
 
 def compile_proc_code(interp, proc) -> Code | None:
     """Compile a proc body with local slots; None if the body won't parse
-    (the AST path then reports the parse error at call time)."""
+    (``interp.eval(body)`` then reports the parse error at call time)."""
     try:
         cmds = parse_cached(proc.body)
     except TclParseError:
@@ -730,9 +729,9 @@ def compile_proc_code(interp, proc) -> Code | None:
     c = Compiler(proc_mode=True)
     for pname, _default in proc.params:
         if c._slot(pname) is None:
-            return None  # qualified/empty param name: AST path
+            return None  # qualified/empty param name: generic binding
     if len(c.slots or {}) != len(proc.params):
-        return None  # duplicate param names: keep AST binding semantics
+        return None  # duplicate param names: generic binding semantics
     c.script_push(cmds)
     proto = (proc.name, proc.params, len(proc.params), proc._simple)
     code = c.finish("<proc %s>" % proc.name, proc.body, proto=proto)

@@ -357,11 +357,10 @@ _AST_CACHE: LRUCache[str, tuple] = LRUCache(4096)
 
 
 def compile_expr(s: str) -> tuple:
-    """Parse an expression into its cached AST (the compiled form).
+    """Parse an expression into its cached AST.
 
-    Loop commands call this once per loop and then evaluate the node
-    directly via :func:`eval_node`, skipping the per-iteration cache
-    lookup.
+    The bytecode compiler lowers the node to stack ops (or embeds it
+    for :func:`eval_node`), so compiled code never looks it up again.
     """
     node = _AST_CACHE.get(s)
     if node is None:
@@ -494,14 +493,12 @@ def eval_expr(interp, text: str) -> Any:
     command stringifies via :func:`to_string`.
     """
     node = _AST_CACHE.get(text)
-    stats = getattr(interp, "cache_stats", None)
     if node is None:
         node = _Parser(_tokenize(text)).parse()
         _AST_CACHE.put(text, node)
-        if stats is not None:
-            stats.expr_misses += 1
-    elif stats is not None:
-        stats.expr_hits += 1
+        interp.vm_stats.expr_misses += 1
+    else:
+        interp.vm_stats.expr_hits += 1
     return _eval_node(interp, node)
 
 

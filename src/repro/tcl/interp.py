@@ -10,153 +10,50 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..lru import LRUCache
 from .bytecode import VMStats
 from .errors import TclBreak, TclContinue, TclError, TclReturn
-from .expr import compile_expr, eval_node, to_string
+from .expr import to_string
 from .listutil import format_list, parse_list
 from .parser import Command, TclParseError, Word, parse_cached
 
 CommandFn = Callable[["Interp", list[str]], Any]
 
 
-@dataclass
-class InterpCacheStats:
-    """Per-interpreter compile-cache counters.
-
-    Folded into the run's :class:`repro.obs.Metrics` registry as
-    ``tcl.compile.*`` at the end of each engine/worker loop.
-    """
-
-    hits: int = 0  # compiled-script cache hits (evals served compiled)
-    misses: int = 0  # scripts compiled (first sight or LRU-evicted)
-    expr_hits: int = 0  # expr AST cache hits
-    expr_misses: int = 0  # expr ASTs parsed
-
-
-def _compile_cmd_subst(script: str) -> Callable[["Interp"], str]:
-    """Compile a ``[command]`` substitution into a direct closure.
-
-    The inner script is compiled lazily on first execution (via the
-    owning interp's compiled-script cache) and pinned in the closure,
-    so repeat substitutions skip the eval/cache-lookup chain entirely.
-    Single-command substitutions — essentially all of them in generated
-    code — also skip the per-eval depth guard: runaway recursion always
-    passes through a proc call or ``eval``, both of which are guarded.
-    """
-    cache: list = []
-
-    def run(interp: "Interp") -> str:
-        if not cache:
-            code = interp.compiled(script)
-            cache.append(code[0] if len(code) == 1 else None)
-            cache.append(code)
-        single = cache[0]
-        if single is not None:
-            return interp._run_compiled(single)
-        return interp.eval_compiled(cache[1])
-
-    return run
-
-
-def _compile_word(word: Word) -> Callable[["Interp"], str]:
-    """Specialize one non-literal word into a direct substitution closure.
-
-    Single-``$var`` and single-``[cmd]`` words — the overwhelming
-    majority in generated Turbine code — skip the segment walk
-    entirely.
-    """
-    segs = word.segments
-    if len(segs) == 1:
-        kind, text = segs[0]
-        if kind == "var":
-            return lambda interp: interp.get_var(text)
-        if kind == "cmd":
-            return _compile_cmd_subst(text)
-        return lambda interp: text
-    fns: list[Callable[["Interp"], str]] = []
-    for kind, text in segs:
-        if kind == "lit":
-            fns.append(lambda interp, t=text: t)
-        elif kind == "var":
-            fns.append(lambda interp, t=text: interp.get_var(t))
-        else:  # cmd
-            fns.append(_compile_cmd_subst(text))
-
-    def subst(interp: "Interp", fns: list = fns) -> str:
-        return "".join(f(interp) for f in fns)
-
-    return subst
-
-
 class CompiledCommand:
-    """The compiled form of one parsed :class:`Command`.
+    """A one-command script whose words are all literal — the shape of
+    every dataflow rule action.
 
-    Owned by a single interpreter (compiled forms live in the interp's
-    per-instance cache, never shared across interps/threads), which
-    makes the embedded command-pointer cache safe.
+    Owned by a single interpreter (it lives in the interp's code cache,
+    never shared across interps/threads), which makes the embedded
+    command-pointer cache safe.
 
-    * ``argv``/``argv_tail`` — precomputed argument vector when every
-      word is literal (no runtime substitution at all).
-    * ``words`` — substitution closures otherwise.
-    * ``_fn``/``_epoch``/``_ns``/``_name`` — the resolved-command
-      cache: valid only while the owning interp's ``cmd_epoch`` and
-      current namespace match, so ``proc`` redefinition, ``rename``,
-      and re-``register`` self-invalidate every compiled call site.
-    * ``_expr_node`` — when the resolved command is the built-in
-      ``expr`` and the argument is a single literal, the precompiled
-      AST; evaluated directly, skipping dispatch and the AST cache.
-      (Re)built together with the resolved-command cache, so it obeys
-      the same epoch invalidation.
+    * ``argv`` — the argument vector, fixed at parse time.
+    * ``_fn``/``_epoch``/``_ns`` — the resolved-command cache: valid
+      only while the owning interp's ``cmd_epoch`` and current namespace
+      match, so ``proc`` redefinition, ``rename``, and re-``register``
+      self-invalidate it.
     """
 
-    __slots__ = (
-        "line", "argv", "argv_tail", "words", "name_literal",
-        "_fn", "_epoch", "_ns", "_name", "_expr_node",
-    )
+    __slots__ = ("line", "argv", "_fn", "_epoch", "_ns")
 
-    def __init__(self, cmd: Command):
-        self.line = cmd.line
-        words = cmd.words
-        if all(w.literal is not None and not w.expand for w in words):
-            self.argv: list[str] | None = [w.literal for w in words]  # type: ignore[misc]
-            self.argv_tail: list[str] | None = self.argv[1:]
-            self.words: list[tuple[Callable, bool]] | None = None
-            self.name_literal: str | None = self.argv[0] if self.argv else None
-        else:
-            self.argv = None
-            self.argv_tail = None
-            self.words = [
-                (
-                    (lambda interp, lit=w.literal: lit)
-                    if w.literal is not None
-                    else _compile_word(w),
-                    w.expand,
-                )
-                for w in words
-            ]
-            self.name_literal = (
-                words[0].literal if words and not words[0].expand else None
-            )
+    def __init__(self, argv: list[str], line: int):
+        self.line = line
+        self.argv = argv
         self._fn: CommandFn | None = None
         self._epoch = -1
         self._ns: Namespace | None = None
-        self._name: str | None = None
-        self._expr_node: Any = None
 
 
-CompiledScript = list[CompiledCommand]
-
-# Builtins that evaluate a script argument through the AST-walk
-# internals (``compiled``/``eval_compiled``).  The VM's single-command
-# fast path must not dispatch these directly, or a top-level
-# ``for``/``while``/... would run its body on the AST walk instead of
-# the bytecode the VM inlines for it.  Name-based on purpose: if a user
-# rebinds one of these names the script just takes the (semantically
-# identical) full bytecode path.
+# Builtins that evaluate a script argument by calling ``interp.eval``
+# on it.  A one-command literal script naming one of these is not
+# dispatched as a :class:`CompiledCommand`: it takes the bytecode path,
+# where the compiler inlines ``if``/``for``/``while`` bodies into the
+# same code object instead of re-entering ``eval`` per iteration.
+# Name-based on purpose: if a user rebinds one of these names the
+# script just takes the (semantically identical) full bytecode path.
 _SCRIPT_BUILTINS = frozenset(
     (
         "if", "while", "for", "foreach", "switch", "eval", "catch",
@@ -202,9 +99,7 @@ class TclProc:
 
     __slots__ = (
         "name", "params", "body", "ns",
-        "_code", "_code_interp", "_names", "_simple",
-        "_tail", "_tail_prefix", "_tail_epoch", "_tail_ok",
-        "_vm_code", "_vm_code_interp",
+        "_names", "_simple", "_vm_code", "_vm_code_interp",
     )
 
     def __init__(
@@ -218,58 +113,45 @@ class TclProc:
         self.params = params  # (name, default|None); last may be "args"
         self.body = body
         self.ns = ns
-        # Compiled-commands slot: the body compiled for one interp.
-        # Procs are created per-interp (each rank evals the prelude
-        # itself), but guard on interp identity anyway.
-        self._code: CompiledScript | None = None
-        self._code_interp: "Interp" | None = None
         # Argument-binding fast path: plain positional params only.
         self._names = [p for p, _ in params]
         self._simple = all(d is None for _, d in params) and (
             not params or params[-1][0] != "args"
         )
-        # Tail-return fast path (see _analyze_tail): when the body ends
-        # in a plain `return ?value?`, the value is computed directly
-        # instead of threading a TclReturn exception through the stack.
-        self._tail: tuple | None = None
-        self._tail_prefix: CompiledScript | None = None
-        self._tail_epoch = -1
-        self._tail_ok = False
-        # Bytecode slot: the body lowered for one interp's VM; False
-        # marks a body the compiler declined (kept on the AST path).
+        # Bytecode slot: the body lowered for one interp's VM (procs are
+        # created per-interp, but guard on identity anyway); False marks
+        # a body the compiler declined, which runs via ``interp.eval``.
         self._vm_code: Any = None
         self._vm_code_interp: "Interp" | None = None
 
-    def _analyze_tail(self, code: CompiledScript) -> None:
-        """Detect a body ending in ``return`` / ``return <word>``.
+    def bind(self, fv: dict[str, "Var"], argv: list[str]) -> None:
+        """Bind ``argv`` to the parameters in ``fv``: positionals, then
+        defaults, then a trailing ``args`` list; arity errors raise."""
+        params = self.params
+        n_named = len(params)
+        has_varargs = bool(params) and params[-1][0] == "args"
+        if has_varargs:
+            n_named -= 1
+        if len(argv) > n_named and not has_varargs:
+            raise self._wrong_args()
+        for i in range(n_named):
+            pname, default = params[i]
+            if i < len(argv):
+                fv[pname] = Var(argv[i])
+            elif default is not None:
+                fv[pname] = Var(default)
+            else:
+                raise self._wrong_args()
+        if has_varargs:
+            fv["args"] = Var(format_list(argv[n_named:]))
 
-        Only the zero-or-one-argument form is eligible (option parsing
-        in ``cmd_return`` never triggers with a single argument, so the
-        value passes through verbatim).  Whether ``return`` still
-        resolves to the builtin is validated per call under the interp's
-        command epoch, mirroring the CompiledCommand pointer cache.
-        """
-        self._tail = None
-        self._tail_prefix = None
-        self._tail_epoch = -1
-        self._tail_ok = False
-        if not code:
-            return
-        last = code[-1]
-        if last.argv is not None:
-            if last.argv[0] == "return" and len(last.argv) <= 2:
-                self._tail = ("lit", last.argv[1] if len(last.argv) == 2 else "")
-        elif (
-            last.name_literal == "return"
-            and len(last.words) == 2  # type: ignore[arg-type]
-            and not last.words[1][1]  # type: ignore[index]
-        ):
-            self._tail = ("sub", last.words[1][0])  # type: ignore[index]
-        if self._tail is not None:
-            self._tail_prefix = code[:-1]
+    def _wrong_args(self) -> TclError:
+        return TclError(
+            'wrong # args: should be "%s %s"' % (self.name, " ".join(self._names))
+        )
 
     def __call__(self, interp: "Interp", argv: list[str]) -> str:
-        if interp.exec_vm:
+        if interp.compile_enabled:
             vcode = self._vm_code
             if vcode is None or self._vm_code_interp is not interp:
                 vcode = interp._vm_proc_code(interp, self)
@@ -277,70 +159,17 @@ class TclProc:
                 vcode = None
             if vcode is not None:
                 return interp._vm_call_proc(interp, self, vcode, argv)
-            # Body the bytecode compiler declined: AST path below.
         frame = Frame(self.ns, label=self.name)
-        params = self.params
-        if self._simple and len(argv) == len(params):
+        if self._simple and len(argv) == len(self.params):
             fv = frame.vars
             for pname, val in zip(self._names, argv):
                 fv[pname] = Var(val)
         else:
-            n_named = len(params)
-            has_varargs = bool(params) and params[-1][0] == "args"
-            if has_varargs:
-                n_named -= 1
-            if len(argv) > n_named and not has_varargs:
-                raise TclError(
-                    'wrong # args: should be "%s %s"'
-                    % (self.name, " ".join(p for p, _ in params))
-                )
-            for i in range(n_named):
-                pname, default = params[i]
-                if i < len(argv):
-                    frame.vars[pname] = Var(argv[i])
-                elif default is not None:
-                    frame.vars[pname] = Var(default)
-                else:
-                    raise TclError(
-                        'wrong # args: should be "%s %s"'
-                        % (self.name, " ".join(p for p, _ in params))
-                    )
-            if has_varargs:
-                frame.vars["args"] = Var(format_list(argv[n_named:]))
+            self.bind(frame.vars, argv)
         interp.frames.append(frame)
         saved_ns = interp.current_ns
         interp.current_ns = self.ns
         try:
-            if interp.compile_enabled:
-                code = self._code
-                if code is None or self._code_interp is not interp:
-                    code = interp.compiled(self.body)
-                    self._code = code
-                    self._code_interp = interp
-                    self._analyze_tail(code)
-                tail = self._tail
-                if tail is not None:
-                    if self._tail_epoch != interp.cmd_epoch:
-                        fn = interp.lookup_command("return")
-                        self._tail_ok = getattr(fn, "return_builtin", False)
-                        self._tail_epoch = interp.cmd_epoch
-                    if self._tail_ok:
-                        # Run the body inline: prefix commands, then the
-                        # return value — no TclReturn, no extra eval level.
-                        if interp._depth >= interp.MAX_DEPTH:
-                            raise TclError(
-                                "too many nested evaluations (infinite loop?)"
-                            )
-                        interp._depth += 1
-                        try:
-                            run = interp._run_compiled
-                            for cc in self._tail_prefix:  # type: ignore[union-attr]
-                                run(cc)
-                            kind, payload = tail
-                            return payload if kind == "lit" else payload(interp)
-                        finally:
-                            interp._depth -= 1
-                return interp.eval_compiled(code)
             return interp.eval(self.body)
         except TclReturn as r:
             if r.code == 1:
@@ -360,7 +189,7 @@ class Interp:
 
     MAX_DEPTH = 900
     # VM mode: Tcl proc calls stay inside one dispatch loop, so only
-    # nested *evaluations* (eval/catch/uplevel and AST fallbacks)
+    # nested *evaluations* (eval/catch/uplevel and EXEC fallbacks)
     # consume Python stack — a much lower eval-depth budget fits under
     # CPython's default recursion limit with no setrecursionlimit bump.
     VM_MAX_DEPTH = 128
@@ -368,21 +197,16 @@ class Interp:
     # raises a catchable TclError (replaces RecursionError entirely).
     FRAME_LIMIT = 4000
 
-    def __init__(
-        self,
-        register_core: bool = True,
-        compile_enabled: bool = True,
-        exec_mode: str = "vm",
-    ):
-        if exec_mode not in ("vm", "ast"):
-            raise ValueError("exec_mode must be 'vm' or 'ast'")
-        self.exec_vm = bool(compile_enabled) and exec_mode == "vm"
-        if not self.exec_vm:
+    def __init__(self, register_core: bool = True, compile_enabled: bool = True):
+        # The bytecode VM is the product; compile_enabled=False selects
+        # the plain interpreted walk, kept as the differential oracle.
+        self.compile_enabled = compile_enabled
+        if compile_enabled:
+            self.MAX_DEPTH = self.VM_MAX_DEPTH
+        else:
             # A Tcl evaluation level costs ~12 Python frames; make room
             # for the MAX_DEPTH guard to fire before CPython's.
             sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
-        else:
-            self.MAX_DEPTH = self.VM_MAX_DEPTH
         self.global_ns = Namespace("")
         self.namespaces: dict[str, Namespace] = {"": self.global_ns}
         self.commands: dict[str, CommandFn] = {}
@@ -400,18 +224,13 @@ class Interp:
         # Output sink for puts (tests capture this).
         self.stdout: list[str] = []
         self.echo = True  # also print to real stdout
-        # --- compilation fast path ---------------------------------------
         # cmd_epoch is bumped by register/unregister (and therefore by
-        # proc redefinition and rename); every CompiledCommand's
-        # resolved-command pointer is tagged with the epoch it was
-        # looked up under and re-resolves when they differ.
-        self.compile_enabled = compile_enabled
+        # proc redefinition and rename); every cached command pointer
+        # (CompiledCommand, the VM's inline call caches) is tagged with
+        # the epoch it was looked up under and re-resolves on mismatch.
         self.cmd_epoch = 0
-        self._code_cache: LRUCache[str, CompiledScript] = LRUCache(4096)
-        self.cache_stats = InterpCacheStats()
-        # --- bytecode VM ---------------------------------------------------
         self.vm_stats = VMStats()
-        if self.exec_vm:
+        if compile_enabled:
             from . import vm as _vm
             from .compile import compile_script_code as _vm_compile
 
@@ -562,30 +381,20 @@ class Interp:
 
     def eval(self, script: str) -> str:
         """Evaluate a script; returns the result of its last command."""
-        if self.exec_vm:
-            if self._depth >= self.MAX_DEPTH:
-                raise TclError("too many nested evaluations (infinite loop?)")
-            self._depth += 1
-            try:
-                code = self.vm_compiled(script)
-                if type(code) is CompiledCommand:
-                    # Single literal command (the shape of every
-                    # dataflow rule action): dispatch straight through
-                    # the shared per-command path — no script Code
-                    # object, no root VM frame.  Proc bodies still run
-                    # on the VM via TclProc.__call__.
-                    return self._run_compiled(code)
-                return self._vm_run_script(self, code)
-            finally:
-                self._depth -= 1
-        if self.compile_enabled:
-            return self.eval_compiled(self.compiled(script))
-        # Interpreted fallback (compile_enabled=False): walk the parsed
-        # representation directly, substituting per word per call.
         if self._depth >= self.MAX_DEPTH:
             raise TclError("too many nested evaluations (infinite loop?)")
         self._depth += 1
         try:
+            if self.compile_enabled:
+                code = self.vm_compiled(script)
+                if type(code) is CompiledCommand:
+                    # Single literal command: dispatch directly — no
+                    # script Code object, no root VM frame.  Proc bodies
+                    # still run on the VM via TclProc.__call__.
+                    return self._run_compiled(code)
+                return self._vm_run_script(self, code)
+            # Oracle: walk the parsed representation directly,
+            # substituting per word per call.
             try:
                 cmds = parse_cached(script)
             except TclParseError as e:
@@ -598,24 +407,18 @@ class Interp:
             self._depth -= 1
 
     def vm_compiled(self, script: str):
-        """Fetch (or lower) the bytecode form of a script, LRU-cached.
-
-        Mirrors :meth:`compiled`; hit/miss totals feed both the shared
-        ``tcl.compile.*`` counters and the VM's own ``tcl.vm.code_*``.
-        """
+        """Fetch (or lower) the VM form of a script, LRU-cached."""
         code = self._vm_code_cache.get(script)
         if code is None:
             code = self._vm_lower(script)
             self._vm_code_cache.put(script, code)
             self.vm_stats.code_misses += 1
-            self.cache_stats.misses += 1
         else:
             self.vm_stats.code_hits += 1
-            self.cache_stats.hits += 1
         return code
 
     def _vm_lower(self, script: str):
-        """Lower one script for the VM backend.
+        """Lower one script for the VM.
 
         One-command scripts whose words are all literal skip bytecode
         entirely: lowering them to a :class:`CompiledCommand` avoids
@@ -628,128 +431,42 @@ class Interp:
         except TclParseError as e:
             raise TclError(str(e)) from None
         if len(cmds) == 1:
-            cc = CompiledCommand(cmds[0])
-            if cc.argv is not None and cc.argv[0] not in _SCRIPT_BUILTINS:
-                return cc
+            words = cmds[0].words
+            if words and all(
+                w.literal is not None and not w.expand for w in words
+            ):
+                argv = [w.literal for w in words]
+                if argv[0] not in _SCRIPT_BUILTINS:
+                    return CompiledCommand(argv, cmds[0].line)  # type: ignore[arg-type]
         return self._vm_compile_script(self, script)
 
-    def compiled(self, script: str) -> CompiledScript:
-        """Fetch (or build) the compiled form of a script, LRU-cached.
-
-        Loop commands call this once per loop entry and re-run the
-        result via :meth:`eval_compiled` with no per-iteration lookups.
-        """
-        code = self._code_cache.get(script)
-        if code is None:
-            code = self.compile_script(script)
-            self._code_cache.put(script, code)
-        else:
-            self.cache_stats.hits += 1
-        return code
-
-    def compile_script(self, script: str) -> CompiledScript:
-        """Compile a script to its specialized per-command form (uncached).
-
-        The result is owned by this interpreter; prefer
-        :meth:`compiled` unless the caller caches the result itself.
-        """
-        self.cache_stats.misses += 1
-        try:
-            cmds = parse_cached(script)
-        except TclParseError as e:
-            raise TclError(str(e)) from None
-        return [CompiledCommand(cmd) for cmd in cmds]
-
-    def eval_compiled(self, code: CompiledScript) -> str:
-        """Run a compiled script (see :meth:`compile_script`)."""
-        if self._depth >= self.MAX_DEPTH:
-            raise TclError("too many nested evaluations (infinite loop?)")
-        self._depth += 1
-        try:
-            result = ""
-            for cc in code:
-                result = self._run_compiled(cc)
-            return result
-        finally:
-            self._depth -= 1
-
     def _run_compiled(self, cc: CompiledCommand) -> str:
-        if cc.argv is not None:
-            # Literal-only command: argv precomputed at compile time.
-            argv = cc.argv
-            tail = cc.argv_tail
-        else:
-            argv = []
-            for subst, expand in cc.words:  # type: ignore[union-attr]
-                val = subst(self)
-                if expand:
-                    argv.extend(parse_list(val))
-                else:
-                    argv.append(val)
-            if not argv:
-                return ""
-            tail = None
-        name = argv[0]
         fn = cc._fn
         if (
             fn is None
             or cc._epoch != self.cmd_epoch
             or cc._ns is not self.current_ns
-            or cc._name != name
         ):
-            fn = self.lookup_command(name)
-            if fn is not None:
-                cc._fn = fn
-                cc._epoch = self.cmd_epoch
-                cc._ns = self.current_ns
-                cc._name = name
-                # Specialize literal `expr {...}`: precompile the AST and
-                # evaluate it directly on later runs.  Tied to the fn
-                # cache, so re-registering `expr` rebuilds the spec.
-                if (
-                    tail is not None
-                    and len(argv) == 2
-                    and getattr(fn, "expr_builtin", False)
-                ):
-                    try:
-                        cc._expr_node = compile_expr(argv[1])
-                    except TclError:
-                        cc._expr_node = None
-                else:
-                    cc._expr_node = None
-        if fn is None:
-            fn = self.commands.get("unknown")
-            if fn is None:
-                raise TclError('invalid command name "%s"' % name)
-            return self._finish_command(fn, ["unknown"] + list(argv), cc.line, 1)
-        node = cc._expr_node
-        try:
-            if node is not None:
-                result = eval_node(self, node)
-            else:
-                result = fn(self, tail if tail is not None else argv[1:])
-        except (TclReturn, TclBreak, TclContinue):
-            raise
-        except TclError as e:
-            e.add_info('"%s" (line %d)' % (_abbrev(argv), cc.line))
-            raise
-        except RecursionError:
-            raise
-        except Exception as e:  # host (Python) error surfaces as Tcl error
-            err = TclError("%s: %s" % (type(e).__name__, e))
-            err.add_info('"%s" (line %d)' % (_abbrev(argv), cc.line))
-            err.__cause__ = e
-            raise err from e
-        if result is None:
-            return ""
-        return result if isinstance(result, str) else to_string(result)
+            fn = self.lookup_command(cc.argv[0])
+            if fn is None:  # never cached
+                return self._call_unknown(cc.argv, cc.line)
+            cc._fn = fn
+            cc._epoch = self.cmd_epoch
+            cc._ns = self.current_ns
+        return self._finish_command(fn, cc.argv, cc.line)
 
-    def _finish_command(
-        self, fn: CommandFn, argv: list[str], line: int, skip: int
-    ) -> str:
-        """Slow-path dispatch through ``unknown`` with error decoration."""
+    def _call_unknown(self, argv: list[str], line: int) -> str:
+        """Hand an unresolvable command to ``unknown``, if one is defined."""
+        fn = self.commands.get("unknown")
+        if fn is None:
+            raise TclError('invalid command name "%s"' % argv[0])
+        return self._finish_command(fn, ["unknown"] + argv, line)
+
+    def _finish_command(self, fn: CommandFn, argv: list[str], line: int) -> str:
+        """Call ``fn`` on an already-substituted ``argv``, decorating
+        errors with the command text and stringifying the result."""
         try:
-            result = fn(self, argv[skip:])
+            result = fn(self, argv[1:])
         except (TclReturn, TclBreak, TclContinue):
             raise
         except TclError as e:
@@ -789,30 +506,10 @@ class Interp:
                 argv.append(val)
         if not argv:
             return ""
-        name = argv[0]
-        fn = self.lookup_command(name)
+        fn = self.lookup_command(argv[0])
         if fn is None:
-            fn = self.commands.get("unknown")
-            if fn is None:
-                raise TclError('invalid command name "%s"' % name)
-            argv = ["unknown"] + argv
-        try:
-            result = fn(self, argv[1:])
-        except (TclReturn, TclBreak, TclContinue):
-            raise
-        except TclError as e:
-            e.add_info('"%s" (line %d)' % (_abbrev(argv), cmd.line))
-            raise
-        except RecursionError:
-            raise
-        except Exception as e:  # host (Python) error surfaces as Tcl error
-            err = TclError("%s: %s" % (type(e).__name__, e))
-            err.add_info('"%s" (line %d)' % (_abbrev(argv), cmd.line))
-            err.__cause__ = e
-            raise err from e
-        if result is None:
-            return ""
-        return result if isinstance(result, str) else to_string(result)
+            return self._call_unknown(argv, cmd.line)
+        return self._finish_command(fn, argv, cmd.line)
 
     # -- host conveniences ------------------------------------------------------
 

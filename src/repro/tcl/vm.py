@@ -7,21 +7,21 @@ bounded by ``Interp.FRAME_LIMIT`` (a catchable :class:`TclError`), not
 by CPython's recursion limit.
 
 Command resolution goes through per-site inline caches validated
-against the interp's ``cmd_epoch``/current-namespace, the same
-invalidation protocol as the AST layer's ``CompiledCommand`` pointer
-caches, so ``proc`` redefinition and ``rename`` take effect at every
-call site immediately.  Caches resolve to one of four modes:
+against the interp's ``cmd_epoch``/current-namespace (the same
+invalidation protocol as the ``CompiledCommand`` pointer cache), so
+``proc`` redefinition and ``rename`` take effect at every call site
+immediately.  Caches resolve to one of four modes:
 
-* 1 — plain command function (builtins, unparseable-body procs);
+* 1 — plain command function (builtins, procs whose body the
+  compiler declined);
 * 2 — VM-compiled proc, run as an inline frame;
 * 3 — *trivial* proc whose whole body is ``return $param`` or
   ``return <literal>``: the call site pushes the result directly with
-  no frame at all (the VM's generalization of the AST layer's
-  tail-return trick);
-* 0 — unresolved (unknown command; never cached, like the AST path).
+  no frame at all;
+* 0 — unresolved (unknown command; never cached).
 
-Error decoration mirrors the AST interpreter exactly: CALL sites wrap
-the callee like ``Interp._run_compiled``; inlined control constructs
+Error decoration mirrors the interpreted walk exactly: CALL sites wrap
+the callee like ``Interp._run_command``; inlined control constructs
 carry static ``(pc-range, text, line)`` regions applied innermost-first
 while unwinding; proc frames append their call-site line as they pop.
 """
@@ -43,14 +43,13 @@ from .expr import (
     truthy,
 )
 from .interp import Frame, TclProc, Var, _abbrev
-from .listutil import format_list
 
 
 class VMFrame(Frame):
     """One VM activation: a Tcl frame fused with its VM state.
 
     Subclassing :class:`Frame` lets proc activations go straight onto
-    ``interp.frames`` (upvar/uplevel and AST fallbacks see a normal
+    ``interp.frames`` (upvar/uplevel and EXEC fallbacks see a normal
     frame) without a second allocation.
 
     ``kind`` 0 = script root (entered via ``Interp.eval``; runs against
@@ -150,7 +149,7 @@ def _resolve(interp, c, name):
     """(Re)fill a CALL inline cache; returns the dispatch mode."""
     fn = interp.lookup_command(name)
     if fn is None:
-        return 0  # unknown command: never cached, like the AST path
+        return 0  # unknown command: never cached
     mode, payload = _classify(interp, fn)
     c[2] = interp.cmd_epoch
     c[3] = interp.current_ns
@@ -173,35 +172,11 @@ def _resolve_lit(interp, c):
 
 
 def _bind_slow(proc, frame, args, cells):
-    """Replicate TclProc.__call__'s default/varargs binding exactly."""
-    params = proc.params
-    n_named = len(params)
-    has_varargs = bool(params) and params[-1][0] == "args"
-    if has_varargs:
-        n_named -= 1
-    if len(args) > n_named and not has_varargs:
-        raise TclError(
-            'wrong # args: should be "%s %s"'
-            % (proc.name, " ".join(p for p, _ in params))
-        )
+    """Default/varargs binding: the oracle's, plus the slot cells."""
     fv = frame.vars
-    for i in range(n_named):
-        pname, default = params[i]
-        if i < len(args):
-            cell = Var(args[i])
-        elif default is not None:
-            cell = Var(default)
-        else:
-            raise TclError(
-                'wrong # args: should be "%s %s"'
-                % (proc.name, " ".join(p for p, _ in params))
-            )
-        fv[pname] = cell
-        cells[i] = cell
-    if has_varargs:
-        cell = Var(format_list(args[n_named:]))
-        fv["args"] = cell
-        cells[n_named] = cell
+    proc.bind(fv, args)
+    for i, pname in enumerate(proc._names):
+        cells[i] = fv[pname]
 
 
 def call_proc(interp, proc, code, args):
@@ -245,7 +220,7 @@ def run_script(interp, code):
 
 
 def _raise_unwound(interp, frames, f, epc, e):
-    """Decorate a TclError like the AST call chain would, popping any
+    """Decorate a TclError like the interpreted call chain would, popping any
     inline proc frames, then raise it."""
     while True:
         for s, t, text, line in f.code.regions:
@@ -429,16 +404,7 @@ def run(interp, root):
                             else:
                                 stack.append(to_string(result))
                         else:
-                            ufn = interp.commands.get("unknown")
-                            if ufn is None:
-                                raise TclError(
-                                    'invalid command name "%s"' % argv[0]
-                                )
-                            stack.append(
-                                interp._finish_command(
-                                    ufn, ["unknown"] + list(argv), line, 1
-                                )
-                            )
+                            stack.append(interp._call_unknown(argv, line))
                     elif op == OP_GUARD:
                         c = caches[arg]
                         if (
@@ -636,7 +602,18 @@ def run(interp, root):
                             raise
                         stack.append(value)
                     elif op == OP_EXEC:
-                        stack.append(interp._run_compiled(consts[arg]))
+                        # Counts as an evaluation level: recursion through
+                        # an EXEC site re-enters this loop from Python.
+                        if interp._depth >= interp.MAX_DEPTH:
+                            raise TclError(
+                                "too many nested evaluations "
+                                "(infinite loop?)"
+                            )
+                        interp._depth += 1
+                        try:
+                            stack.append(interp._run_command(consts[arg]))
+                        finally:
+                            interp._depth -= 1
                     elif op == OP_PUSH_BLOCK:
                         b = consts[arg]
                         f.blocks.append((b[0], b[1], len(stack)))

@@ -81,13 +81,10 @@ class RuntimeConfig:
     # reinitializes per task.
     interp_mode: str = "retain"
     # --- hot-path optimizations (all on by default) -----------------
-    # Compile-and-cache Tcl execution: per-command specialized forms
-    # with epoch-invalidated command-pointer caches.
+    # Tcl execution path: True runs scripts on the bytecode VM
+    # (explicit frame stack, inline command caches); False selects the
+    # plain interpreted walk, kept as the differential-test oracle.
     tcl_compile: bool = True
-    # Tcl execution backend: "vm" runs scripts on the bytecode VM
-    # (explicit frame stack, inline command caches), "ast" walks the
-    # compiled AST forms.  Ignored when tcl_compile is off.
-    tcl_exec: str = "vm"
     # Client-side memoization of closed (immutable) TD values.
     read_cache: bool = True
     # Coalesce refcount decrements per TD, flushed at task boundaries.
@@ -330,9 +327,7 @@ def make_client_interp(
         reliable=reliable,
         tracer=tracer,
     )
-    interp = Interp(
-        compile_enabled=config.tcl_compile, exec_mode=config.tcl_exec
-    )
+    interp = Interp(compile_enabled=config.tcl_compile)
     interp.echo = False
     if engine is not None:
         engine.client = client

@@ -318,17 +318,16 @@ class Worker:
         """Reset per-interpreter state a runaway task may have wedged:
         the persistent embedded Python/R sessions (``python_persist``
         globals survive tasks by design — a hung task's partial state
-        must not leak into retries) and the compiled-Tcl caches."""
+        must not leak into retries) and the interp's code cache (absent
+        in oracle mode)."""
         self.watchdog_stats.recycled += 1
         interp = self.interp
         for attr in ("_embedded_python", "_embedded_r"):
             state = getattr(interp, attr, None)
             if state is not None:
                 state["embedded"].reset()
-        for attr in ("_code_cache", "_vm_code_cache"):
-            cache = getattr(interp, attr, None)
-            if cache is not None:
-                cache.clear()
+        if interp.compile_enabled:
+            interp._vm_code_cache.clear()
 
     def _task_error(self, rank: int, payload: Any, e: BaseException) -> None:
         """Exception-safe task accounting: every failed task either
@@ -365,18 +364,13 @@ class Worker:
 
 
 def fold_cache_stats(tracer: Any, client: AdlbClient, interp, rank: int) -> None:
-    """Fold the rank's compile/read-cache counters into run metrics.
+    """Fold the rank's Tcl/read-cache counters into run metrics.
 
-    Exposes ``tcl.compile.{hits,misses,expr_hits,expr_misses}``,
-    ``tcl.vm.{frames,cache_hits,cache_misses,...}`` (when the bytecode
-    VM ran anything), and ``adlb.retrieve_cache.{hits,misses,...}``.
+    Exposes ``tcl.vm.{frames,cache_hits,cache_misses,code_hits,
+    code_misses,expr_hits,expr_misses,...}`` and
+    ``adlb.retrieve_cache.{hits,misses,...}``.
     """
-    cache_stats = getattr(interp, "cache_stats", None)
-    if cache_stats is not None:
-        tracer.metrics.fold_struct("tcl.compile", cache_stats, rank=rank)
-    vm_stats = getattr(interp, "vm_stats", None)
-    if vm_stats is not None and vm_stats.frames:
-        tracer.metrics.fold_struct("tcl.vm", vm_stats, rank=rank)
+    tracer.metrics.fold_struct("tcl.vm", interp.vm_stats, rank=rank)
     data_stats = getattr(client, "data_stats", None)
     if data_stats is not None:
         tracer.metrics.fold_struct("adlb.retrieve_cache", data_stats, rank=rank)

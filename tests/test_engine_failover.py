@@ -134,22 +134,22 @@ class TestEngineDeath:
     def test_kill_boundary_deterministic_across_backends(self):
         # Engine kills count rule fires, a dataflow property: the same
         # plan must pick the same boundary (and still recover) under
-        # the bytecode VM and the compiled-AST interpreter alike.
-        for backend in ("vm", "ast"):
+        # the bytecode VM and the interpreted walk alike.
+        for vm in (True, False):
             res = swift_run(
                 FANOUT,
                 workers=2,
                 servers=1,
                 engines=2,
                 trace=True,
-                tcl_exec=backend,
+                tcl_compile=vm,
                 faults=FaultPlan(seed=SEED).kill_rank(
                     PROGRAM_ENGINE, after_tasks=3
                 ),
             )
-            assert sorted(res.stdout_lines) == FANOUT_EXPECTED, backend
-            assert res.ok, backend
-            assert counters(res)["fault.kills"] == 1, backend
+            assert sorted(res.stdout_lines) == FANOUT_EXPECTED, vm
+            assert res.ok, vm
+            assert counters(res)["fault.kills"] == 1, vm
 
 
 class TestEngineLostDiagnostic:

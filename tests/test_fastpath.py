@@ -1,9 +1,9 @@
 """Invalidation behavior of the compile-and-cache fast paths.
 
-The compiled Tcl forms memoize resolved command pointers (and the expr
-AST / tail-return specializations built on top of them); the ADLB
-client memoizes closed TD values.  Every cache here must be *exactly*
-as fresh as the uncached path — these tests pin the invalidation rules.
+The Tcl VM memoizes resolved command pointers (and inlines ``expr`` /
+``return`` behind guards built on top of them); the ADLB client
+memoizes closed TD values.  Every cache here must be *exactly* as
+fresh as the uncached path — these tests pin the invalidation rules.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ class TestCompiledCallSiteInvalidation:
         assert out == "first second"
 
     def test_expr_redefinition_disables_ast_fast_path(self, interp):
-        # A literal [expr {...}] call site precompiles the AST and skips
-        # the command dispatch entirely — until expr stops being the
-        # builtin.
+        # A literal [expr {...}] call site is lowered to stack ops and
+        # skips the command dispatch entirely — until expr stops being
+        # the builtin.
         interp.eval("proc g {x} { return [expr {$x + 1}] }")
         assert interp.eval("g 4") == "5"
         interp.register("expr", lambda it, args: "hijacked")

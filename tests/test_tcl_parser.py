@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.tcl.expr import compile_expr
 from repro.tcl.parser import TclParseError, parse_cached, parse_script
 
 
@@ -120,6 +123,34 @@ class TestCache:
 
     def test_different_scripts_different_objects(self):
         assert parse_cached("set x 1") is not parse_cached("set x 2")
+
+    @pytest.mark.parametrize(
+        "fn,fmt",
+        [(parse_cached, "set x%d_%d 1"), (compile_expr, "%d + %d")],
+        ids=["parse_cached", "compile_expr"],
+    )
+    def test_concurrent_eviction_does_not_raise(self, fn, fmt):
+        # The parse and expr-AST caches are process-wide and lock-free;
+        # every rank thread inserts unique strings (rule actions), so at
+        # capacity several threads evict at once and may pick the same
+        # victim.  That used to escape as a KeyError.
+        errors = []
+
+        def insert_unique(k):
+            try:
+                for i in range(60_000):
+                    fn(fmt % (k, i))
+            except BaseException as e:
+                errors.append(e)
+
+        threads = [
+            threading.Thread(target=insert_unique, args=(k,)) for k in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
 
 
 @given(

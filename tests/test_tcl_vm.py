@@ -1,10 +1,12 @@
-"""Bytecode VM differential tests: vm vs ast execution must agree.
+"""Bytecode VM differential tests: the VM must agree with the oracle.
 
-The VM (`repro.tcl.vm`) and the compiled-AST interpreter are two
-backends for the same language, switched by ``Interp(exec_mode=...)``.
-Every script here runs under both and must produce identical results
-— including identical error messages *and* identical ``errorInfo``
-traces — plus VM-only properties: explicit frame-depth limiting
+The VM (`repro.tcl.vm`) is the product; the plain interpreted walk
+(``Interp(compile_enabled=False)``) is the oracle — the simplest
+statement of the language's semantics.  Every script here runs under
+both and must produce identical results — including identical error
+messages *and* identical ``errorInfo`` traces; on a divergence the
+oracle wins and the VM gets fixed.  Plus VM-only properties: explicit
+frame-depth limiting
 (deep Tcl recursion works without touching the Python recursion
 limit; runaway recursion raises a catchable TclError), inline-cache
 invalidation mid-run, and the ``tcl.vm.*`` counters.
@@ -24,9 +26,9 @@ from repro.tcl.interp import Interp
 from .test_swift_fuzz import Undefined, evaluate, exprs, to_swift
 
 
-def run_mode(script: str, mode: str):
+def run_mode(script: str, vm: bool):
     """('ok', result) or ('err', message, errorinfo-trace)."""
-    it = Interp(exec_mode=mode)
+    it = Interp(compile_enabled=vm)
     it.echo = False
     try:
         return ("ok", it.eval(script))
@@ -39,12 +41,11 @@ def run_mode(script: str, mode: str):
 
 
 def assert_same(script: str):
-    vm = run_mode(script, "vm")
-    ast = run_mode(script, "ast")
-    assert vm == ast, "vm/ast divergence on:\n%s\nvm:  %r\nast: %r" % (
-        script,
-        vm,
-        ast,
+    vm = run_mode(script, True)
+    oracle = run_mode(script, False)
+    assert vm == oracle, (
+        "vm/interpreted divergence on:\n%s\nvm:          %r\ninterpreted: %r"
+        % (script, vm, oracle)
     )
     return vm
 
@@ -79,7 +80,7 @@ DIFFERENTIAL_SCRIPTS = [
     "proc lv {} { uplevel 1 {set leaked 42} }\nlv; set leaked",
     "set g 1\nproc useg {} { global g; incr g; return $g }\nuseg; useg",
     # errors: undefined things, wrong arity, bad incr — messages and
-    # errorInfo decoration must match the AST interpreter exactly
+    # errorInfo decoration must match the interpreted walk exactly
     "nosuchcommand a b",
     "set x",
     "proc one {a} {return $a}\none",
@@ -111,13 +112,35 @@ DIFFERENTIAL_SCRIPTS = [
     "string toupper [string range abcdef 1 3]",
     "lsort -integer {5 3 10 1}",
     "llength [lrange {a b c d e} 1 3]",
+    # {*} expansion: never lowered, runs through the EXEC fallback
+    "set l {1 2 3}; list {*}$l x {*}{y z}",
+    "proc mk {} { return {a b} }\nlist {*}[mk] c",
+    "set l {1 2 3}; expr {[llength [list {*}$l 4]] * 2}",
+    "set l {a b}; nosuch {*}$l",
+    "proc f {args} { return [format %s-%s {*}$args] }\nf 1 2",
+    # proc bodies the bytecode compiler declines (generic binding +
+    # interp.eval of the body)
+    "proc f {a a} { return $a }\nf 1 2",
+    "namespace eval ns {}\nproc f {ns::a} { return [set ns::a] }\nf 7",
+    "proc f {} {set x \"unterminated}\nf",
+    "proc f {} {set x \"unterminated}\nlist [catch {f} m] $m",
+    # foreach is a plain command: its body re-enters eval per iteration
+    "proc f {} { set o {}; foreach {a b} {1 2 3 4 5} c {x y}"
+    " { lappend o $a$b$c }; return $o }\nf",
+    "proc f {} { set o {}; foreach x {1 2 3 4 5} { if {$x == 2} continue;"
+    " if {$x == 4} break; lappend o $x }; return $o }\nf",
+    "proc f {} { foreach x {1 2} { error boom$x } }\nproc g {} { f }\ng",
+    # while with a non-literal condition is not inlined
+    "set i 0; set c {$i < 3}; while $c { incr i }; set i",
+    "proc f {} { set i 0; set c {$i < 3}; while $c { incr i;"
+    " if {$i == 2} break }; return $i }\nf",
 ]
 
 
 @pytest.mark.parametrize(
     "script", DIFFERENTIAL_SCRIPTS, ids=range(len(DIFFERENTIAL_SCRIPTS))
 )
-def test_vm_matches_ast(script):
+def test_vm_matches_interpreted(script):
     assert_same(script)
 
 
@@ -130,7 +153,7 @@ def test_vm_matches_ast(script):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_property_swift_programs_agree_across_backends(tree):
+def test_property_swift_programs_agree_vm_vs_interpreted(tree):
     try:
         expected = evaluate(tree)
     except Undefined:
@@ -145,9 +168,9 @@ def test_property_swift_programs_agree_across_backends(tree):
         'printf("R=%%i", result);\n' % to_swift(tree)
     )
     expected_lines = ["R=%d" % expected]
-    for mode in ("vm", "ast"):
-        out = swift_run(src, workers=2, tcl_exec=mode)
-        assert out.stdout_lines == expected_lines, (to_swift(tree), mode)
+    for vm in (True, False):
+        out = swift_run(src, workers=2, tcl_compile=vm)
+        assert out.stdout_lines == expected_lines, (to_swift(tree), vm)
 
 
 # --- inline-cache invalidation under the VM ------------------------------
@@ -155,7 +178,7 @@ def test_property_swift_programs_agree_across_backends(tree):
 
 @pytest.fixture
 def vm_interp():
-    it = Interp(exec_mode="vm")
+    it = Interp()
     it.echo = False
     return it
 
@@ -228,14 +251,14 @@ class TestVMCacheInvalidation:
 class TestVMDepth:
     def test_vm_mode_leaves_python_recursion_limit_alone(self):
         before = sys.getrecursionlimit()
-        it = Interp(exec_mode="vm")
+        it = Interp()
         assert sys.getrecursionlimit() == before
         it.eval("proc f {} {return ok}")
         assert it.eval("f") == "ok"
 
     def test_deep_finite_recursion_succeeds(self, vm_interp):
         # Far deeper than Python's default recursion limit allows for
-        # the AST interpreter without its setrecursionlimit bump:
+        # the interpreted walk without its setrecursionlimit bump:
         # proc-to-proc calls are VM frames, not Python frames.
         vm_interp.eval(
             "proc count {n} { if {$n == 0} {return done};"
@@ -249,6 +272,17 @@ class TestVMDepth:
             vm_interp.eval("loop")
         # the interpreter survives and keeps working
         assert vm_interp.eval("expr {1 + 1}") == "2"
+
+    def test_infinite_recursion_through_exec_fallback_is_catchable(
+        self, vm_interp
+    ):
+        # `{*}` commands run through the EXEC fallback, which re-enters
+        # the dispatch loop from Python: the eval-depth guard must fire
+        # before CPython's recursion limit, as it does in the oracle.
+        vm_interp.eval("proc loop {args} { loop {*}$args }")
+        with pytest.raises(TclError, match="too many nested evaluations"):
+            vm_interp.eval("loop 1")
+        assert vm_interp.eval("catch {loop 1}") == "1"
 
     def test_infinite_recursion_caught_by_tcl_catch(self, vm_interp):
         vm_interp.eval("proc loop {} { loop }")
@@ -296,9 +330,10 @@ class TestVMStats:
         assert vm_interp.vm_stats.frames > before
 
     def test_script_builtins_not_direct_dispatched(self, vm_interp):
-        # Control builtins evaluate their bodies via the AST-walk
-        # internals when called as plain functions, so a top-level
-        # `for`/`while`/... must take the full bytecode path.
+        # Control builtins re-enter `interp.eval` per body evaluation
+        # when called as plain functions, so a top-level
+        # `for`/`while`/... must take the full bytecode path, which
+        # inlines the body.
         from repro.tcl.bytecode import Code
 
         assert type(
