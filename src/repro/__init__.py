@@ -35,7 +35,7 @@ from .faults import (
     TaskTimeout,
 )
 from .mpi import RankFailure
-from .obs import Profile, Trace, Tracer
+from .obs import Profile, Recorder, Trace
 from .turbine import RunResult, RuntimeConfig
 
 __version__ = "0.3.0"
@@ -49,7 +49,7 @@ __all__ = [
     "CompiledProgram",
     "SwiftError",
     "Trace",
-    "Tracer",
+    "Recorder",
     "Profile",
     "FaultPlan",
     "TaskError",

@@ -74,19 +74,19 @@ class AdlbClient:
         server_map: ServerMap | None = None,
         reliable: bool = False,
         resend_interval: float = 0.25,
-        tracer: Any | None = None,
     ):
         self.comm = comm
         self.layout = layout
         self.rank = comm.rank
+        # This rank's event ring / its level-1 alias (see Comm); the
+        # engine or worker on this rank shares both.
+        self.ring = comm.ring
+        self.tracer = comm.tracer
         # Provenance context: the id of the unit of work (task / fired
         # rule / control task / program) currently executing on this
         # rank.  Set by the engine/worker loops when tracing; every
         # store issued while it is set emits a ``prov.write`` lineage
         # edge (unit -> td) into the trace.
-        self.tracer = tracer
-        # Always-on flight recorder (may be None), shared via the world.
-        self.flightrec = comm.world.flightrec
         self.prov_unit: str | None = None
         # Optional poll hook invoked while blocked in recv_async; the
         # engine installs its journal heartbeat here so the anchor can
@@ -459,10 +459,7 @@ class AdlbClient:
                 self.data_stats.evictions += 1
         if self.tracer is not None:
             # Lineage edge: the current unit wrote this TD.
-            prov_payload: dict = {"td": id, "unit": self.prov_unit}
-            if subscript is not None:
-                prov_payload["sub"] = subscript
-            self.tracer.instant(self.rank, "prov", "write", prov_payload)
+            self.tracer.emit("write", id, self.prov_unit, subscript)
         self._rpc(
             self.layout.home_server(id),
             {
@@ -591,28 +588,22 @@ class AdlbClient:
             by_server.setdefault(self.layout.home_server(id), []).append(
                 {"id": id, "read_delta": read_delta, "write_delta": write_delta}
             )
-        if self.flightrec is not None:
-            self.flightrec.record(
-                self.rank,
-                "refcount_flush",
-                sum(len(v) for v in by_server.values()),
-            )
-        if self.tracer is not None:
+        if self.ring is not None:
             # Lineage: a deferred refcount batch belongs to the unit
             # whose boundary flushed it (decrements can close TDs and
             # fire downstream rules, so the edge matters causally).
-            self.tracer.instant(
-                self.rank,
-                "prov",
-                "refcount_flush",
-                {
-                    "unit": self.prov_unit,
-                    "ops": sum(len(v) for v in by_server.values()),
+            tds = None
+            if self.tracer is not None:
+                tds = {
                     "tds": sorted(
-                        id for ops in by_server.values() for id in
-                        (o["id"] for o in ops)
-                    ),
-                },
+                        o["id"] for ops in by_server.values() for o in ops
+                    )
+                }
+            self.ring.emit(
+                "refcount_flush",
+                sum(len(v) for v in by_server.values()),
+                self.prov_unit,
+                payload=tds,
             )
         for server, ops in by_server.items():
             reply = self._rpc(server, {"op": C.OP_REFCOUNT_BATCH, "ops": ops})

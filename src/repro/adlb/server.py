@@ -388,7 +388,6 @@ class Server:
         comm: Comm,
         layout: Layout,
         steal: bool = True,
-        tracer: Any | None = None,
         leases: bool = False,
         lease_timeout: float = 60.0,
         max_retries: int = 2,
@@ -409,7 +408,9 @@ class Server:
         self.layout = layout
         self.rank = comm.rank
         self.steal_enabled = steal and layout.n_servers > 1
-        self.tracer = tracer
+        # This rank's event ring / its level-1 alias (see Comm).
+        self.ring = comm.ring
+        self.tracer = comm.tracer
         # Reliable mode (re-sendable RPCs) and checkpoint restore can
         # replay a mutation that already landed; the store then treats
         # exact duplicates as no-ops instead of DoubleWriteError.
@@ -517,9 +518,6 @@ class Server:
         # Hang reports dump this server's lease table and replication
         # lag, so a stuck run is diagnosable from the exception alone.
         comm.register_diagnostic(self._diagnostic)
-        # Always-on flight recorder (may be None); single `is None`
-        # test per hook, same discipline as tracer/faults.
-        self.flightrec = comm.world.flightrec
 
     def _load_shard(self, shard: dict) -> None:
         """Adopt a checkpoint shard (``repro run --restore``)."""
@@ -569,24 +567,18 @@ class Server:
             # completed run even when shorter than one interval.
             self._next_status = 0.0
             self._status_tick()
-        if self.tracer is not None:
-            self.tracer.metrics.fold_struct("adlb", self.stats, rank=self.rank)
+        recorder = self.comm.world.recorder
+        if recorder is not None:
+            fold = recorder.metrics.fold_struct
+            fold("adlb", self.stats, rank=self.rank)
             if self._leases is not None:
-                self.tracer.metrics.fold_struct(
-                    "adlb.lease", self.lease_stats, rank=self.rank
-                )
+                fold("adlb.lease", self.lease_stats, rank=self.rank)
             if self.replicate or self.reliable:
-                self.tracer.metrics.fold_struct(
-                    "adlb.repl", self.repl_stats, rank=self.rank
-                )
+                fold("adlb.repl", self.repl_stats, rank=self.rank)
             if self.ckpt_path is not None:
-                self.tracer.metrics.fold_struct(
-                    "adlb.ckpt", self.ckpt_stats, rank=self.rank
-                )
+                fold("adlb.ckpt", self.ckpt_stats, rank=self.rank)
             if self.quarantined:
-                self.tracer.metrics.fold_struct(
-                    "adlb.quarantine", self.quarantine_stats, rank=self.rank
-                )
+                fold("adlb.quarantine", self.quarantine_stats, rank=self.rank)
         return self.stats
 
     def _done(self) -> bool:
@@ -757,9 +749,7 @@ class Server:
     def _client_op(self, op: str, msg: dict, source: int) -> Any:
         tracer = self.tracer
         if tracer is not None and op in _DATA_OPS:
-            tracer.instant(
-                self.rank, "adlb", "data:" + op.lower(), {"client": source}
-            )
+            tracer.emit("data", op.lower(), source)
         if op == C.OP_PUT:
             task = Task(
                 type=msg["type"],
@@ -769,12 +759,7 @@ class Server:
                 prov=msg.get("prov"),
             )
             if tracer is not None:
-                tracer.instant(
-                    self.rank,
-                    "adlb",
-                    "put",
-                    {"type": task.type, "targeted": task.target >= 0},
-                )
+                tracer.emit("put", task.type, task.target >= 0)
             self._accept_task(task)
             return None
         if op == C.OP_GET:
@@ -798,9 +783,7 @@ class Server:
                 self._send_grant(task, source, is_async=False, seq=seq)
             else:
                 if tracer is not None:
-                    tracer.instant(
-                        self.rank, "adlb", "get_park", {"client": source}
-                    )
+                    tracer.emit("get_park", source)
                 self._park(source, types, is_async=False, seq=seq)
                 self._maybe_steal()
             return _NO_REPLY
@@ -833,9 +816,7 @@ class Server:
                 self._send_grant(task, source, is_async=True, seq=seq)
             else:
                 if tracer is not None:
-                    tracer.instant(
-                        self.rank, "adlb", "get_park", {"client": source}
-                    )
+                    tracer.emit("get_park", source)
                 self._park(source, types, is_async=True, seq=seq)
                 self._maybe_steal()
             return _NO_REPLY
@@ -968,10 +949,8 @@ class Server:
             jr.apply(msg["entries"])
             jr.last_heard = time.monotonic()
             if msg["entries"]:
-                if self.flightrec is not None:
-                    self.flightrec.record(
-                        self.rank, "journal", len(msg["entries"]), rank
-                    )
+                if self.ring is not None:
+                    self.ring.emit("journal", len(msg["entries"]), rank)
                 self._repl(("journal", rank, msg["entries"]))
             return None
         if op == C.OP_STATS:
@@ -988,9 +967,7 @@ class Server:
             tasks = self.queue.steal(n) if self.queue.size else []
             self.stats.tasks_stolen_out += len(tasks)
             if self.tracer is not None:
-                self.tracer.instant(
-                    self.rank, "adlb", "steal_out", {"to": source, "n": len(tasks)}
-                )
+                self.tracer.emit("steal_out", source, len(tasks))
             self.comm.send(
                 {"op": C.SOP_STEAL_RESP, "tasks": tasks}, source, C.TAG_SERVER
             )
@@ -1000,9 +977,7 @@ class Server:
             tasks = msg["tasks"]
             self.stats.tasks_stolen_in += len(tasks)
             if self.tracer is not None:
-                self.tracer.instant(
-                    self.rank, "adlb", "steal_in", {"from": source, "n": len(tasks)}
-                )
+                self.tracer.emit("steal_in", source, len(tasks))
             for task in tasks:
                 self._accept_task(task)
             # Empty responses retry from the idle tick, not immediately,
@@ -1081,12 +1056,7 @@ class Server:
         if task.target >= 0:
             self.stats.tasks_matched_targeted += 1
         if self.tracer is not None:
-            self.tracer.instant(
-                self.rank,
-                "adlb",
-                "match",
-                {"type": task.type, "targeted": task.target >= 0},
-            )
+            self.tracer.emit("match", task.type, task.target >= 0)
 
     def _accept_task(self, task: Task) -> None:
         if task.uid < 0 and (self.replicate or self.tracer is not None):
@@ -1099,12 +1069,7 @@ class Server:
             if self.tracer is not None:
                 # Lineage node: a unit of queued work, linked back to
                 # the rule/unit that spawned it.
-                self.tracer.instant(
-                    self.rank,
-                    "prov",
-                    "task",
-                    {"uid": task.uid, "by": task.prov, "type": task.type},
-                )
+                self.tracer.emit("task", task.uid, task.prov, task.type)
         for i, parked in enumerate(self.parked):
             if task.type in parked.types and task.target in (-1, parked.rank):
                 del self.parked[i]
@@ -1134,19 +1099,16 @@ class Server:
             slot[source] = (seq, (tag, payload))
         if self._leases is not None:
             self._grant(task, source)
-        if self.flightrec is not None:
-            self.flightrec.record(
-                self.rank, "grant", source, task.type, task.attempts
-            )
-        if self.tracer is not None:
+        if self.ring is not None:
             # Lineage edge: the queued unit was handed to this client;
             # the k-th grant to a rank pairs with its k-th executed unit
             # (one outstanding task per client).
-            self.tracer.instant(
-                self.rank,
-                "prov",
+            self.ring.emit(
                 "grant",
-                {"uid": task.uid, "client": source, "attempts": task.attempts},
+                source,
+                task.type,
+                task.attempts,
+                {"uid": task.uid} if self.tracer is not None else None,
             )
         self.comm.send(payload, source, tag)
         self._repl(
@@ -1213,18 +1175,11 @@ class Server:
             self.repl_stats.max_lag = lag
         if heartbeat:
             self.repl_stats.heartbeats += 1
-        if buf and self.flightrec is not None:
-            self.flightrec.record(self.rank, "repl_flush", len(buf), lag)
-        if self.tracer is not None and buf:
+        if buf and self.ring is not None:
             # Replication lag is causal state: a promotion can only
             # recover what was flushed, so the analyzer links these to
             # promote/requeue events.
-            self.tracer.instant(
-                self.rank,
-                "repl",
-                "flush",
-                {"entries": len(buf), "seq": self._repl_seq, "lag": lag},
-            )
+            self.ring.emit("repl_flush", len(buf), lag, self._repl_seq)
         self.comm.send(
             {"op": C.SOP_REPLICATE, "entries": buf, "seq": self._repl_seq},
             self._buddy,
@@ -1274,12 +1229,8 @@ class Server:
             raise ServerLost(dead, reason)
         self._dead_servers.add(dead)
         self.repl_stats.server_deaths += 1
-        if self.flightrec is not None:
-            self.flightrec.record(self.rank, "server_dead", dead)
-        if self.tracer is not None:
-            self.tracer.instant(
-                self.rank, "adlb", "server_dead", {"rank": dead}
-            )
+        if self.ring is not None:
+            self.ring.emit("server_dead", dead)
         self.map.mark_dead(dead)
         if broadcast:
             # Heartbeat-detected death: the launcher sent no
@@ -1309,15 +1260,8 @@ class Server:
         """Absorb the dead server's replica shard into this server."""
         rep = self._replicas.pop(dead, None) or Replica()
         self.repl_stats.promotions += 1
-        if self.flightrec is not None:
-            self.flightrec.record(self.rank, "promote", dead)
-        if self.tracer is not None:
-            self.tracer.instant(
-                self.rank,
-                "adlb",
-                "promote",
-                {"from": dead, "tds": len(rep.store.tds), "tasks": len(rep.tasks)},
-            )
+        if self.ring is not None:
+            self.ring.emit("promote", dead, len(rep.store.tds), len(rep.tasks))
         self.store.absorb(rep.store)
         self.store.replay_ok = True  # scavenged re-sends may replay ops
         if not self.is_master and self.map.master == self.rank:
@@ -1421,15 +1365,8 @@ class Server:
         nxt = dataclasses.replace(task, attempts=attempts)
         delay = self.retry_backoff * (2 ** max(0, attempts - 1))
         self.lease_stats.requeued += 1
-        if self.flightrec is not None:
-            self.flightrec.record(self.rank, "requeue", task.type, attempts)
-        if self.tracer is not None:
-            self.tracer.instant(
-                self.rank,
-                "adlb",
-                "lease_requeue",
-                {"type": task.type, "attempts": attempts, "uid": task.uid},
-            )
+        if self.ring is not None:
+            self.ring.emit("requeue", task.type, attempts, task.uid)
         if delay <= 0:
             self._accept_task(nxt)
         else:
@@ -1513,10 +1450,8 @@ class Server:
         self._dead_ranks.add(rank)
         self._repl(("deadrank", rank))
         self.lease_stats.dead_ranks += 1
-        if self.flightrec is not None:
-            self.flightrec.record(self.rank, "rank_dead", rank)
-        if self.tracer is not None:
-            self.tracer.instant(self.rank, "adlb", "rank_dead", {"rank": rank})
+        if self.ring is not None:
+            self.ring.emit("rank_dead", rank)
         # The dead rank can never request work or ack shutdown again.
         self.attached_clients.discard(rank)
         self._shutdown_acked.discard(rank)
@@ -1587,19 +1522,15 @@ class Server:
         self.quarantined.append(record)
         self.quarantine_stats.quarantined += 1
         self.quarantine_stats.rank_kills += len(chain)
-        if self.flightrec is not None:
-            self.flightrec.record(self.rank, "quarantine", task.type, attempts)
-        if self.tracer is not None:
-            self.tracer.instant(
-                self.rank,
-                "adlb",
+        if self.ring is not None:
+            self.ring.emit(
                 "quarantine",
-                {
-                    "uid": task.uid,
-                    "type": task.type,
-                    "attempts": attempts,
-                    "ranks": [r for r, _ in chain],
-                },
+                task.type,
+                attempts,
+                task.uid,
+                {"ranks": [r for r, _ in chain]}
+                if self.tracer is not None
+                else None,
             )
         self.lease_stats.failed_permanent += 1
         self._decr_work(poison=True)
@@ -1649,21 +1580,13 @@ class Server:
                     rules_pending=len(rules),
                 )
             return jr.ctask_done
-        if self.flightrec is not None:
-            self.flightrec.record(
-                self.rank, "engine_adopt", rank, adopter, len(rules)
-            )
-        if self.tracer is not None:
-            self.tracer.instant(
-                self.rank,
-                "adlb",
+        if self.ring is not None:
+            self.ring.emit(
                 "engine_adopt",
-                {
-                    "dead": rank,
-                    "adopter": adopter,
-                    "rules": len(rules),
-                    "repair": repair,
-                },
+                rank,
+                adopter,
+                len(rules),
+                {"repair": repair} if self.tracer is not None else None,
             )
         self.comm.send(("adopt", rank, rules, repair), adopter, C.TAG_ASYNC)
         return jr.ctask_done
@@ -1680,17 +1603,8 @@ class Server:
         expired = [l for l in self._leases.values() if l.deadline <= now]
         for lease in expired:
             self.lease_stats.expired += 1
-            if self.flightrec is not None:
-                self.flightrec.record(
-                    self.rank, "lease_expired", lease.client, lease.task.type
-                )
-            if self.tracer is not None:
-                self.tracer.instant(
-                    self.rank,
-                    "adlb",
-                    "lease_expired",
-                    {"client": lease.client, "type": lease.task.type},
-                )
+            if self.ring is not None:
+                self.ring.emit("lease_expired", lease.client, lease.task.type)
             self._mark_rank_dead(
                 lease.client,
                 reason="lease expired after %.1fs (rank presumed dead)"
@@ -1712,7 +1626,7 @@ class Server:
         self._steal_inflight = True
         self.stats.steal_requests += 1
         if self.tracer is not None:
-            self.tracer.instant(self.rank, "adlb", "steal_req", {"victim": victim})
+            self.tracer.emit("steal_req", victim)
         self.comm.send({"op": C.SOP_STEAL_REQ}, victim, C.TAG_SERVER)
 
     def _status_tick(self) -> None:
@@ -1864,12 +1778,7 @@ class Server:
         if self.shutting_down:
             return
         if self.tracer is not None:
-            self.tracer.instant(
-                self.rank,
-                "adlb",
-                "drain_shutdown",
-                {"abandoned_units": self.work_count},
-            )
+            self.tracer.emit("drain_shutdown", self.work_count)
         self._initiate_shutdown()
 
     # ---------------------------------------------------------------- shutdown
@@ -1885,8 +1794,8 @@ class Server:
         if self.shutting_down:
             return
         self.shutting_down = True
-        if self.flightrec is not None:
-            self.flightrec.record(self.rank, "shutdown")
+        if self.ring is not None:
+            self.ring.emit("shutdown")
         for parked in self.parked:
             tag = C.TAG_ASYNC if parked.is_async else C.TAG_RESPONSE
             payload: tuple = ("shutdown",)
@@ -2023,12 +1932,7 @@ class Server:
         self._last_ckpt = time.monotonic()
         self._ckpt_phase = None
         if self.tracer is not None:
-            self.tracer.instant(
-                self.rank,
-                "adlb",
-                "checkpoint",
-                {"gen": self._ckpt_gen, "units": units},
-            )
+            self.tracer.emit("checkpoint", self._ckpt_gen, units)
 
     # ------------------------------------------------------------ diagnostics
 

@@ -41,6 +41,13 @@ from .turbine import RunResult, RuntimeConfig, run_turbine_program
 _UNSET = object()
 
 
+def _trace_recorder(cfg: RuntimeConfig):
+    """A fresh level-1 recorder for a traced run or session."""
+    from .obs import Recorder
+
+    return Recorder(level=1, capacity=cfg.trace_capacity)
+
+
 class SwiftRuntime:
     """A reusable, configurable handle for running Swift programs.
 
@@ -48,7 +55,7 @@ class SwiftRuntime:
     an explicit config via :meth:`from_config`.  Used as a context
     manager it becomes a *session*: compiled programs are cached by
     ``(source, opt)`` and — when tracing is enabled — all runs share a
-    single :class:`repro.obs.Tracer`, with the merged
+    single :class:`repro.obs.Recorder`, with the merged
     :class:`repro.obs.Trace` available as ``rt.trace`` after exit.
     """
 
@@ -80,7 +87,7 @@ class SwiftRuntime:
         self.setup = setup
         # session state (populated by __enter__)
         self._cache: dict[tuple[str, int], CompiledProgram] | None = None
-        self._session_tracer = None
+        self._session_recorder = None
         #: merged session trace, set on context-manager exit
         self.trace = None
 
@@ -98,17 +105,15 @@ class SwiftRuntime:
     def __enter__(self) -> "SwiftRuntime":
         self._cache = {}
         if self.config.tracer is not None:
-            self._session_tracer = self.config.tracer
+            self._session_recorder = self.config.tracer
         elif self.config.trace:
-            from .obs import Tracer
-
-            self._session_tracer = Tracer(capacity=self.config.trace_capacity)
+            self._session_recorder = _trace_recorder(self.config)
         return self
 
     def __exit__(self, *exc) -> bool:
-        if self._session_tracer is not None:
-            self.trace = self._session_tracer.freeze()
-            self._session_tracer = None
+        if self._session_recorder is not None:
+            self.trace = self._session_recorder.freeze()
+            self._session_recorder = None
         self._cache = None
         return False
 
@@ -128,8 +133,8 @@ class SwiftRuntime:
 
     def _run_config(self, overrides: dict) -> RuntimeConfig:
         cfg = self.config
-        if self._session_tracer is not None:
-            cfg = cfg.with_options(tracer=self._session_tracer)
+        if self._session_recorder is not None:
+            cfg = cfg.with_options(tracer=self._session_recorder)
         if overrides:
             cfg = cfg.with_options(**overrides)
         return cfg
@@ -141,7 +146,7 @@ class SwiftRuntime:
             if cached is not None:
                 return cached
         compiled = compile_swift(
-            source, opt=self.opt, tracer=_tracer or self._session_tracer
+            source, opt=self.opt, tracer=_tracer or self._session_recorder
         )
         if self._cache is not None:
             self._cache[key] = compiled
@@ -150,11 +155,9 @@ class SwiftRuntime:
     def run(self, source: str, **overrides) -> RunResult:
         cfg = self._run_config(overrides)
         if cfg.tracer is None and cfg.trace:
-            # Create the run's tracer up front so compile-phase spans
+            # Create the run's recorder up front so compile-phase spans
             # land in the same trace as the runtime events.
-            from .obs import Tracer
-
-            cfg = cfg.with_options(tracer=Tracer(capacity=cfg.trace_capacity))
+            cfg = cfg.with_options(tracer=_trace_recorder(cfg))
         compiled = self.compile(source, _tracer=cfg.tracer)
         return run_turbine_program(
             compiled.tcl_text,
@@ -189,13 +192,15 @@ def swift_run(
     overrides applied on top (``swift_run(src, config=cfg, trace=True)``).
     Unknown option names raise ``TypeError``.
 
-    The flight recorder (``RuntimeConfig.flightrec``, default True) is
-    always armed: on any failure path a black-box snapshot of every
-    rank's event ring lands on the raised exception (``e.blackbox``)
-    or on ``RunResult.blackbox`` for runs that drain past failures —
-    render it with :func:`repro.obs.render_postmortem`.  Pass
-    ``flightrec=False`` to disable, ``blackbox_dir=...`` to also dump
-    ``blackbox-*.json`` to disk.
+    Level 0 of the event spine (``RuntimeConfig.flightrec``, default
+    True) is always armed: every run's folded counters are on
+    ``RunResult.metrics``, and on any failure path a black-box snapshot
+    of every rank's event ring lands on the raised exception
+    (``e.blackbox``) or on ``RunResult.blackbox`` for runs that drain
+    past failures — render it with :func:`repro.obs.render_postmortem`.
+    Pass ``flightrec=False`` to disable, ``blackbox_dir=...`` to also
+    dump ``blackbox-*.json`` to disk, ``trace=True`` to record level 1
+    (spans and provenance: ``RunResult.trace`` / ``.profile``).
     """
     rt = SwiftRuntime(
         workers=workers,

@@ -572,6 +572,10 @@ def _dispatch(ns: argparse.Namespace) -> int:
             with open(ns.json, "w", encoding="utf-8") as f:
                 _json.dump(analysis.to_json(), f, indent=1)
             print("analysis JSON written to %s" % ns.json, file=sys.stderr)
+        if analysis.dropped:
+            # The report above covers only the surviving window (its
+            # first line says so): not a result to act on.
+            return 6
         return 0 if analysis.critical_path else 4
 
     if ns.command == "runtcl":

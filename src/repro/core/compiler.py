@@ -32,28 +32,28 @@ def compile_swift(
     compile-time branch elimination; 2 = additionally scalar constant
     propagation and spawn-time value arithmetic.
 
-    ``tracer`` (a :class:`repro.obs.Tracer`) records per-phase spans in
-    the ``compile`` category.
+    ``tracer`` (a level-1 :class:`repro.obs.Recorder`) records
+    per-phase spans in the ``compile`` category on the driver's ring.
     """
+    ring = None
+    if tracer is not None and tracer.level:
+        from ..obs import RANK_DRIVER
+
+        ring = tracer.ring(RANK_DRIVER)
     t0 = time.perf_counter()
     program = parse(source)
     t1 = time.perf_counter()
+    if ring is not None:
+        ring.emit("compile_parse", t0=t0)
     funcs = analyze(program)
     t2 = time.perf_counter()
+    if ring is not None:
+        ring.emit("compile_check", t0=t1)
     compiled = Codegen(program, funcs, opt=opt).generate()
     t3 = time.perf_counter()
-    if tracer is not None:
-        from ..obs import RANK_DRIVER
-
-        tracer.complete(RANK_DRIVER, "compile", "parse", t0, t1)
-        tracer.complete(RANK_DRIVER, "compile", "check", t1, t2)
-        tracer.complete(
-            RANK_DRIVER,
-            "compile",
-            "codegen",
-            t2,
-            t3,
-            {"opt": opt, "procs": compiled.n_procs, "lines": compiled.n_lines},
+    if ring is not None:
+        ring.emit(
+            "compile_codegen", opt, compiled.n_procs, compiled.n_lines, t0=t2
         )
     if not return_stats:
         return compiled

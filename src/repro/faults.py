@@ -48,7 +48,7 @@ class BlackboxCarrier:
     The launcher (and the Turbine runtime when it unwraps rank
     failures) stamps two attributes onto the surfaced exception:
     ``blackbox`` is the captured artifact dict (see
-    :mod:`repro.obs.flightrec`) and ``blackbox_path`` the path it was
+    :mod:`repro.obs.spine`) and ``blackbox_path`` the path it was
     written to, when the run configured a dump directory.  Both stay
     ``None`` on runs with the recorder disabled.
     """

@@ -7,8 +7,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..obs.flightrec import _SLOT_POOL
-
 _pc = time.perf_counter
 
 ANY_SOURCE = -1
@@ -76,8 +74,7 @@ class _Mailbox:
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
         # (source, tag, payload, clock) — the clock is the sender's
-        # Lamport stamp piggybacked for the flight recorder (0 when the
-        # recorder is off).
+        # Lamport stamp piggybacked for the recorder (0 when it is off).
         self.messages: list[tuple[int, int, Any, int]] = []
 
     def put(self, source: int, tag: int, payload: Any, clock: int = 0) -> None:
@@ -133,14 +130,12 @@ class _Mailbox:
 class World:
     """A set of ranks sharing an address space (one simulated MPI job).
 
-    ``tracer`` is an optional :class:`repro.obs.Tracer`; when set, every
-    Comm records send instants and recv-wait spans into it (category
-    ``mpi``).  ``faults`` is an optional :class:`repro.faults.FaultState`
-    whose message rules can drop or delay sends.  ``flightrec`` is an
-    optional :class:`repro.obs.FlightRecorder`; when set, every send
-    and recv lands a header event in the rank's black-box ring and the
-    sender's Lamport clock rides the message envelope.  When any is
-    ``None`` — the default for tracer/faults — the instrumentation is a
+    ``recorder`` is an optional :class:`repro.obs.Recorder`; when set,
+    every Comm stamps one ``send`` header and one ``recv`` wait span per
+    message into its rank's ring, and the sender's Lamport clock rides
+    the message envelope.  ``faults`` is an optional
+    :class:`repro.faults.FaultState` whose message rules can drop or
+    delay sends.  When either is ``None`` the instrumentation is a
     single pointer test per call.
     """
 
@@ -148,17 +143,15 @@ class World:
         self,
         size: int,
         recv_timeout: float | None = 120.0,
-        tracer: Any | None = None,
+        recorder: Any | None = None,
         faults: Any | None = None,
-        flightrec: Any | None = None,
     ):
         if size < 1:
             raise ValueError("world size must be >= 1")
         self.size = size
         self.recv_timeout = recv_timeout
-        self.tracer = tracer
+        self.recorder = recorder
         self.faults = faults
-        self.flightrec = flightrec
         self.mailboxes = [_Mailbox() for _ in range(size)]
         self.stats = [CommStats() for _ in range(size)]
         self.aborted = threading.Event()
@@ -194,22 +187,13 @@ class Comm:
             raise ValueError("rank %d out of range" % rank)
         self.world = world
         self.rank = rank
-        # Flight-recorder fast path: this rank's ring plus the two
-        # recorder constants, cached flat on the Comm so send/recv can
-        # stamp slots inline.  The stamp runs once per message on every
-        # rank, and at that volume the FlightRecorder method call is
-        # the dominant cost — inlining it is what keeps the recorder
-        # inside its 1.05x end-to-end budget
-        # (bench_obs_overhead.test_flightrec_overhead_guard).
-        fr = world.flightrec
-        if fr is not None:
-            self._fr_ring = fr._rings[rank]
-            self._fr_cap = fr.capacity
-            self._fr_epoch = fr.epoch
-        else:
-            self._fr_ring = None
-            self._fr_cap = 0
-            self._fr_epoch = 0.0
+        # This rank's event ring (None when the run has no recorder),
+        # and the same ring again for level-1-only events (None unless
+        # the run is traced).  The layers above share both, so every
+        # instrumented site is a single `is None` test, like faults.
+        rec = world.recorder
+        self.ring = rec.ring(rank) if rec is not None else None
+        self.tracer = self.ring if rec is not None and rec.level else None
 
     @property
     def size(self) -> int:
@@ -232,48 +216,9 @@ class Comm:
 
                 _time.sleep(directive[1])
         size = self.world.stats[self.rank].add_send(obj)
-        mailbox = self.world.mailboxes[dest]
-        ring = self._fr_ring
-        if ring is None:
-            clock = 0
-        else:
-            # Inlined FlightRecorder.note_send (see __init__ note).
-            clock = ring.clock + 1
-            ring.clock = clock
-            i = ring.idx
-            slots = ring.slots
-            if i == len(slots):
-                try:
-                    slot = _SLOT_POOL.pop()
-                except IndexError:
-                    slot = [0, 0.0, "", 0, 0, 0]
-                slots.append(slot)
-            else:
-                slot = slots[i]
-            slot[0] = clock
-            slot[1] = _pc() - self._fr_epoch
-            slot[2] = "send"
-            slot[3] = dest
-            slot[4] = tag
-            slot[5] = size
-            ring.idx = 0 if i + 1 == self._fr_cap else i + 1
-            ring.emitted += 1
-        tracer = self.world.tracer
-        if tracer is not None:
-            # racy read of the destination queue depth — fine for tracing
-            tracer.instant(
-                self.rank,
-                "mpi",
-                "send",
-                {
-                    "dest": dest,
-                    "tag": tag,
-                    "bytes": size,
-                    "qdepth": len(mailbox.messages),
-                    "lam": clock,
-                },
-            )
-        mailbox.put(self.rank, tag, obj, clock)
+        ring = self.ring
+        clock = 0 if ring is None else ring.emit("send", dest, tag, size)
+        self.world.mailboxes[dest].put(self.rank, tag, obj, clock)
 
     def recv(
         self,
@@ -283,61 +228,25 @@ class Comm:
     ) -> tuple[Any, Status]:
         if timeout is None:
             timeout = self.world.recv_timeout
-        tracer = self.world.tracer
+        t0 = _pc()
         try:
-            if tracer is None:
-                obj, status, clock = self.world.mailboxes[self.rank].get(
-                    source, tag, timeout, self.world.aborted
-                )
-            else:
-                t0 = tracer.now()
-                obj, status, clock = self.world.mailboxes[self.rank].get(
-                    source, tag, timeout, self.world.aborted
-                )
+            obj, status, clock = self.world.mailboxes[self.rank].get(
+                source, tag, timeout, self.world.aborted
+            )
         except DeadlockError:
             raise DeadlockError(
                 self._hang_report(source, tag, timeout)
             ) from None
-        ring = self._fr_ring
-        if ring is not None:
-            # Inlined FlightRecorder.note_recv (see __init__ note).
-            lam = ring.clock
-            if clock > lam:
-                lam = clock
-            lam += 1
-            ring.clock = lam
-            i = ring.idx
-            slots = ring.slots
-            if i == len(slots):
-                try:
-                    slot = _SLOT_POOL.pop()
-                except IndexError:
-                    slot = [0, 0.0, "", 0, 0, 0]
-                slots.append(slot)
-            else:
-                slot = slots[i]
-            slot[0] = lam
-            slot[1] = _pc() - self._fr_epoch
-            slot[2] = "recv"
-            slot[3] = status.source
-            slot[4] = status.tag
-            slot[5] = clock
-            ring.idx = 0 if i + 1 == self._fr_cap else i + 1
-            ring.emitted += 1
-        if tracer is not None:
-            tracer.complete(
-                self.rank,
-                "mpi",
-                "recv",
-                t0,
-                payload={
-                    "source": status.source,
-                    "tag": status.tag,
-                    "lam": clock,
-                },
-            )
-        self.world.stats[self.rank].recvs += 1
+        self._received(status.source, status.tag, clock, t0)
         return obj, status
+
+    def _received(self, source: int, tag: int, clock: int, t0: float) -> None:
+        """Account for one message taken out of a mailbox: count it and
+        stamp the wait span, merging the sender's piggybacked clock."""
+        self.world.stats[self.rank].recvs += 1
+        ring = self.ring
+        if ring is not None:
+            ring.emit("recv", source, tag, clock, None, t0, clock)
 
     def _hang_report(self, source: int, tag: int, timeout: float) -> str:
         """Actionable deadlock report: who is blocked on what, and the
@@ -380,16 +289,15 @@ class Comm:
         rank's shards) instead of being lost.  Must only be called for
         a rank known dead — the mailbox is emptied.
         """
+        t0 = _pc()
         mb = self.world.mailboxes[rank]
         with mb.cond:
             pending = mb.messages
             mb.messages = []
-        flightrec = self.world.flightrec
-        if flightrec is not None:
-            # The scavenger inherits the causal history of the messages
-            # it adopts: merge each piggybacked clock as a recv.
-            for src, tag, _, clock in pending:
-                flightrec.note_recv(self.rank, src, tag, clock)
+        # The scavenger inherits the causal history of the messages it
+        # adopts: each one is received here, clock merge included.
+        for src, tag, _, clock in pending:
+            self._received(src, tag, clock, t0)
         return [(payload, Status(src, tag)) for src, tag, payload, _ in pending]
 
     def recv_poll(
@@ -399,53 +307,14 @@ class Comm:
         timeout: float = 0.05,
     ) -> tuple[Any, Status] | None:
         """Like recv but returns None on timeout instead of raising."""
-        tracer = self.world.tracer
-        t0 = tracer.now() if tracer is not None else 0.0
+        t0 = _pc()
         try:
             obj, status, clock = self.world.mailboxes[self.rank].get(
                 source, tag, timeout, self.world.aborted
             )
         except DeadlockError:
             return None
-        ring = self._fr_ring
-        if ring is not None:
-            # Inlined FlightRecorder.note_recv (see __init__ note).
-            lam = ring.clock
-            if clock > lam:
-                lam = clock
-            lam += 1
-            ring.clock = lam
-            i = ring.idx
-            slots = ring.slots
-            if i == len(slots):
-                try:
-                    slot = _SLOT_POOL.pop()
-                except IndexError:
-                    slot = [0, 0.0, "", 0, 0, 0]
-                slots.append(slot)
-            else:
-                slot = slots[i]
-            slot[0] = lam
-            slot[1] = _pc() - self._fr_epoch
-            slot[2] = "recv"
-            slot[3] = status.source
-            slot[4] = status.tag
-            slot[5] = clock
-            ring.idx = 0 if i + 1 == self._fr_cap else i + 1
-            ring.emitted += 1
-        if tracer is not None:
-            tracer.complete(
-                self.rank,
-                "mpi",
-                "recv",
-                t0,
-                payload={
-                    "source": status.source,
-                    "tag": status.tag,
-                    "lam": clock,
-                },
-            )
-        self.world.stats[self.rank].recvs += 1
+        self._received(status.source, status.tag, clock, t0)
         return obj, status
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:

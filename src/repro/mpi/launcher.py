@@ -40,11 +40,11 @@ class RankFailure(RuntimeError):
     The message names every failed rank (with its role when the
     launcher was given ``rank_labels``) and attaches each failure's
     formatted traceback, so a run is debuggable from the message alone.
-    When the run kept a flight recorder, ``blackbox`` holds the
-    captured black-box dict (see :mod:`repro.obs.flightrec`).
+    When the run kept a recorder, ``blackbox`` holds the captured
+    black-box dict (see :mod:`repro.obs.spine`).
     """
 
-    #: Flight-recorder black box captured at failure time (dict), or None.
+    #: Black box captured at failure time (dict), or None.
     blackbox: dict | None = None
 
     def __init__(
@@ -72,10 +72,10 @@ def _capture_blackbox(
     detail: str,
     failed_ranks: Sequence[int],
 ) -> dict | None:
-    """Snapshot the flight-recorder rings plus live-rank stacks and
+    """Snapshot the recorder's rings plus live-rank stacks and
     registered server diagnostics at the moment of failure."""
-    flightrec = world.flightrec
-    if flightrec is None:
+    recorder = world.recorder
+    if recorder is None:
         return None
     stacks = {
         r: _thread_stack(t) for r, t in enumerate(threads) if t.is_alive()
@@ -86,7 +86,8 @@ def _capture_blackbox(
             diagnostics[rank] = world.diagnostics[rank]()
         except Exception as e:  # a broken callback must not mask the failure
             diagnostics[rank] = "<diagnostic failed: %s>" % e
-    return flightrec.blackbox(
+    return recorder.blackbox(
+        world.size,
         reason=reason,
         detail=detail,
         roles=list(rank_labels) if rank_labels is not None else None,
@@ -101,9 +102,8 @@ def run_world(
     main: Callable[[Comm], Any],
     recv_timeout: float | None = 120.0,
     join_timeout: float | None = 300.0,
-    tracer: Any | None = None,
+    recorder: Any | None = None,
     faults: Any | None = None,
-    flightrec: Any | None = None,
     rank_labels: Sequence[str] | None = None,
     deadline: float | None = None,
     shutdown_grace: float = 10.0,
@@ -114,14 +114,13 @@ def run_world(
     raises, the world is aborted (waking blocked receivers) and a
     :class:`RankFailure` summarizing all failures is raised.
 
-    ``tracer`` (a :class:`repro.obs.Tracer`) enables MPI-layer tracing;
-    per-rank traffic counters are folded into its metrics on exit.
-    ``faults`` (a :class:`repro.faults.FaultState`) enables
-    message-level fault injection.  ``flightrec`` (a
-    :class:`repro.obs.FlightRecorder`) keeps the always-on black-box
-    rings; on any failure raised here the rings, stuck-rank stacks, and
-    registered diagnostics are snapshotted onto the exception as its
-    ``blackbox`` attribute.  ``rank_labels`` names each rank's role in
+    ``recorder`` (a :class:`repro.obs.Recorder`) keeps the per-rank
+    event rings: per-rank traffic counters are folded into its metrics
+    on exit, and on any failure raised here the rings, stuck-rank
+    stacks, and registered diagnostics are snapshotted onto the
+    exception as its ``blackbox`` attribute.  ``faults`` (a
+    :class:`repro.faults.FaultState`) enables message-level fault
+    injection.  ``rank_labels`` names each rank's role in
     failure reports.  ``deadline`` is a wall-clock limit for the whole
     run: on expiry the world is aborted — an orderly shutdown that
     wakes every blocked receiver — and :class:`DeadlineExceeded` is
@@ -129,11 +128,7 @@ def run_world(
     ``shutdown_grace`` seconds.
     """
     world = World(
-        size,
-        recv_timeout=recv_timeout,
-        tracer=tracer,
-        faults=faults,
-        flightrec=flightrec,
+        size, recv_timeout=recv_timeout, recorder=recorder, faults=faults
     )
     results: list[Any] = [None] * size
     failures: list[tuple[int, BaseException]] = []
@@ -180,9 +175,9 @@ def run_world(
         t.join(timeout=shutdown_grace)
     stuck = [r for r, t in enumerate(threads) if t.is_alive()]
 
-    if tracer is not None:
+    if recorder is not None:
         for rank, stats in enumerate(world.stats):
-            tracer.metrics.fold_struct("mpi", stats, rank=rank)
+            recorder.metrics.fold_struct("mpi", stats, rank=rank)
 
     with failures_lock:
         recorded = sorted(failures, key=lambda p: p[0])

@@ -1,71 +1,53 @@
-"""repro.obs: the unified runtime tracing/metrics layer.
+"""repro.obs: the unified runtime observability layer.
 
-One substrate for every measurement in the repo: a low-overhead
-structured event tracer (:class:`Tracer` -> :class:`Trace`), a metrics
-registry (:class:`Metrics`), post-run aggregation (:class:`Profile`),
-causal dataflow analysis (:class:`Analysis`), live run monitoring
-(:class:`RunMonitor`), and a Chrome ``trace_event`` exporter.
+One spine for every measurement in the repo (:mod:`repro.obs.spine`):
+a :class:`Recorder` keeps one Lamport-clocked event ring per rank plus
+the run's metrics registry (:class:`Metrics`), every instrumented site
+makes one ``emit`` call into its rank's ring, and every view is a
+reader of those rings — the structured :class:`Trace` with its Chrome
+``trace_event`` exporter, post-run aggregation (:class:`Profile`),
+causal dataflow analysis (:class:`Analysis`), and the black-box
+artifact replayed offline by ``repro postmortem``
+(:mod:`repro.obs.postmortem`).  The event vocabulary — every kind, its
+level, its trace category/name and its fields — is the one table
+:data:`repro.obs.spine.KINDS`.
 
-Instrumented layers and their event categories:
+Two levels share the ring.  *Level 0* (lifecycle events and message
+headers) is ON by default (``flightrec=True``): 512 slots per rank,
+snapshotted into a ``blackbox-*.json`` artifact on any failure path,
+and the folded counters of every run on ``RunResult.metrics``.
+*Level 1* (spans, provenance, data-op instants) is recorded only with
+``swift_run(..., trace=True)``, ``RuntimeConfig(trace=True)``, or the
+``repro profile`` / ``repro trace`` / ``repro analyze`` CLI
+subcommands, into rings of ``trace_capacity`` slots per rank.  A ring
+that wraps drops its oldest events and says so: ``Trace.dropped``, and
+a ``WARNING: trace truncated`` first line on every report.  With both
+off no recorder is built and each site is a single ``is None`` test.
 
-========== =============================================================
-category   emitted by
-========== =============================================================
-``mpi``    :mod:`repro.mpi.comm` — send instants (bytes, queue depth),
-           recv wait spans
-``adlb``   :mod:`repro.adlb.server` — put/get/steal instants, data-op
-           instants (store/retrieve/refcount/...), lease requeues,
-           replica promotions
-``rule``   :mod:`repro.turbine.engine` — rule create/fire/release,
-           close notifications; ``create`` carries the waited-on TD
-           ids and the registering unit (lineage edges)
-``engine`` :mod:`repro.turbine.engine` — dataflow stall (wait) spans,
-           program/ctask unit spans (``unit``/``ok`` payloads)
-``task``   :mod:`repro.turbine.worker` — one span per leaf task
-           execution, failed attempts included
-``prov``   provenance instants: ``write`` (client stores: td <- unit),
-           ``task`` (server accepts: uid <- spawning rule/unit),
-           ``grant`` (server hands uid to a client; attempt counter),
-           ``refcount_flush`` (batched decrements <- unit)
-``repl``   :mod:`repro.adlb.server` — op-log flushes with current
-           replication lag
-``compile``:mod:`repro.core.compiler` — parse/check/codegen phases
-``run``    :mod:`repro.turbine.runtime` — whole-run span
-========== =============================================================
+Metric counter namespaces: ``mpi.*``, ``adlb.*``, ``engine.*``,
+``worker.*``, ``tcl.vm.*`` and ``adlb.retrieve_cache.*`` from the
+per-rank stats structs; ``adlb.lease.*``, ``adlb.repl.*``,
+``adlb.rpc.*``, ``engine.journal.*``, ``worker.watchdog.*`` and
+``fault.*`` when the corresponding machinery is enabled.  The latency
+histograms (``task.latency_s``, ``adlb.queue_wait_s``,
+``adlb.dispatch_s``) are derived from level-1 events, so they appear
+on traced runs only.
 
-Metric counter namespaces beyond the per-category event totals:
-``adlb.lease.*`` (granted/requeued/expired/dead_ranks/failed_permanent,
-from the server lease table), ``adlb.repl.*`` (batches/entries sent and
-applied, promotions, server deaths, peak ``max_lag``) and ``fault.*``
-(kills/task_errors/slow_tasks/dropped_msgs/delayed_msgs, from an
-attached :class:`repro.faults.FaultPlan`).  All appear only on traced
-runs with the corresponding machinery enabled.
-
-Tracing is off by default and zero-cost when off: call sites test a
-``tracer is None`` fast path.  Enable with ``swift_run(..., trace=True)``,
-``RuntimeConfig(trace=True)``, or the ``repro profile`` / ``repro trace``
-/ ``repro analyze`` CLI subcommands.  Live monitoring
-(``swift_run(..., monitor=True)`` / ``repro run --monitor``) is
-independent of tracing and costs one status dict per server per
-interval.
-
-Complementary to (and independent of) tracing, the *flight recorder*
-(:class:`FlightRecorder`, :mod:`repro.obs.flightrec`) is ON by default:
-bounded per-rank rings of Lamport-stamped lifecycle events that are
-snapshotted into a ``blackbox-*.json`` artifact on any failure path and
-replayed offline by ``repro postmortem`` (:mod:`repro.obs.postmortem`).
+Live monitoring (``swift_run(..., monitor=True)`` / ``repro run
+--monitor``, :class:`RunMonitor`) is still its own mechanism and costs
+one status dict per server per interval.
 """
 
 from .analyze import Analysis, Hop, Unit
-from .flightrec import FlightRecorder, write_blackbox
 from .metrics import HistogramSummary, Metrics
 from .monitor import MonitorSample, RunMonitor
 from .postmortem import load_blackbox, render_postmortem
 from .report import Profile, WorkerUtilization
-from .trace import RANK_DRIVER, CategoryTotal, Trace, TraceEvent, Tracer
+from .spine import Recorder, write_blackbox
+from .trace import RANK_DRIVER, CategoryTotal, Trace, TraceEvent
 
 __all__ = [
-    "Tracer",
+    "Recorder",
     "Trace",
     "TraceEvent",
     "CategoryTotal",
@@ -78,7 +60,6 @@ __all__ = [
     "Unit",
     "MonitorSample",
     "RunMonitor",
-    "FlightRecorder",
     "write_blackbox",
     "load_blackbox",
     "render_postmortem",

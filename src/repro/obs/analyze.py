@@ -3,7 +3,10 @@
 Reconstructs the run DAG from the provenance events the runtime emits
 when tracing is on (``prov/write``, ``prov/task``, ``prov/grant``,
 ``rule/create``, ``rule/release``, plus the executed-unit spans), then
-answers the questions a Chrome timeline cannot:
+answers the questions a Chrome timeline cannot.  A trace whose rings
+dropped events supports none of these answers for the whole run: the
+analysis still runs over the surviving window, but ``render()`` opens
+with the truncation banner and ``repro analyze`` exits non-zero.
 
 * **critical path** — the causal chain of units that determined the
   makespan, with a per-hop breakdown of where the time between one
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .trace import Trace, TraceEvent
+from .trace import Trace, TraceEvent, truncation_banner
 
 #: hop segment names, in causal order
 SEGMENTS = ("data_wait", "dispatch", "queue", "comm", "compute")
@@ -112,12 +115,14 @@ class Analysis:
     retries: list[list[str]] = field(default_factory=list)  # uid chains
     repl_max_lag: int = 0
     incomplete: bool = False  # backward walk hit a missing join
+    dropped: int = 0  # events the trace lost to ring wrap
+    ring_counts: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------ building
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "Analysis":
-        a = cls()
+        a = cls(dropped=trace.dropped, ring_counts=trace.ring_counts())
         a._collect(trace)
         if a.units:
             a._link(trace)
@@ -147,7 +152,8 @@ class Analysis:
                     rank=e.rank,
                     start=e.t,
                     end=e.end,
-                    ok=p.get("ok", True),
+                    # a unit span carrying an error is a failed attempt
+                    ok=p.get("ok", not p.get("error")),
                     rule=uid if kind == "rule" else None,
                 )
                 continue
@@ -375,15 +381,18 @@ class Analysis:
     # ------------------------------------------------------------ rendering
 
     def render(self) -> str:
+        banner = truncation_banner(self.dropped, self.ring_counts)
+        lines = [banner] if banner else []
         if not self.units:
-            return (
+            lines.append(
                 "analyze: no provenance events in trace (run with "
                 "trace=True on a runtime new enough to emit prov events)"
             )
+            return "\n".join(lines)
         kinds: dict[str, int] = {}
         for u in self.units.values():
             kinds[u.kind] = kinds.get(u.kind, 0) + 1
-        lines = [
+        lines.append(
             "analyze: makespan %.4fs, %d units (%s), %d ranks busy"
             % (
                 self.makespan,
@@ -393,7 +402,7 @@ class Analysis:
                 ),
                 len(self.busy_by_rank),
             )
-        ]
+        )
         path_total = sum(h.total for h in self.critical_path)
         pct = 100.0 * path_total / self.makespan if self.makespan else 0.0
         lines.append(
@@ -526,6 +535,7 @@ class Analysis:
             "retries": list(self.retries),
             "repl_max_lag": self.repl_max_lag,
             "incomplete": self.incomplete,
+            "dropped": self.dropped,
         }
 
     def to_dot(self) -> str:

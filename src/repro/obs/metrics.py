@@ -2,10 +2,11 @@
 
 Hot paths in the runtime keep their own per-rank stat structs (plain
 dataclass fields, no locks — each rank thread owns its struct).  At the
-end of a run those per-rank structs are *folded* into the tracer's
+end of a run those per-rank structs are *folded* into the recorder's
 Metrics registry, which is also available for direct use by cold paths.
-``snapshot()`` renders everything as plain dicts for reports and the
-Chrome export.
+Folding is deferred to the first read, so a run whose counters nobody
+looks at pays one list append per struct.  ``snapshot()`` renders
+everything as plain dicts for reports and the Chrome export.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ class Metrics:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._hists: dict[str, HistogramSummary] = {}
+        # (prefix, struct, rank) handed to fold_struct, not yet summed.
+        self._unfolded: list[tuple] = []
 
     # ------------------------------------------------------------- updates
 
@@ -122,25 +125,36 @@ class Metrics:
         Numeric fields become ``prefix.field`` counters (summed across
         ranks); when ``rank`` is given, per-rank gauges
         ``prefix.field[rank]`` are kept as well so imbalance is visible.
+        The struct is read at the next ``snapshot()``/``counter()``,
+        so hand it over once its owner has stopped updating it.
         """
+        self._unfolded.append((prefix, struct, rank))
+
+    def _fold(self) -> None:
+        """Sum the structs handed to fold_struct (caller holds the lock)."""
         from dataclasses import fields as dc_fields
 
-        for f in dc_fields(struct):
-            value = getattr(struct, f.name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                continue
-            self.count("%s.%s" % (prefix, f.name), value)
-            if rank is not None:
-                self.gauge("%s.%s[%d]" % (prefix, f.name, rank), value)
+        while self._unfolded:
+            prefix, struct, rank = self._unfolded.pop(0)
+            for f in dc_fields(struct):
+                value = getattr(struct, f.name)
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    continue
+                name = "%s.%s" % (prefix, f.name)
+                self._counters[name] = self._counters.get(name, 0) + value
+                if rank is not None:
+                    self._gauges["%s[%d]" % (name, rank)] = value
 
     # ------------------------------------------------------------ reading
 
     def counter(self, name: str) -> float:
         with self._lock:
+            self._fold()
             return self._counters.get(name, 0)
 
     def snapshot(self) -> dict:
         with self._lock:
+            self._fold()
             return {
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),

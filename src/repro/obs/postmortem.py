@@ -2,13 +2,13 @@
 
 ``repro postmortem <blackbox.json>`` answers the question a crashed
 distributed run always raises: *what was each rank doing, and what was
-the last thing the dead rank heard?*  The black box (written by
-:mod:`repro.obs.flightrec` on every failure path) holds one bounded
-event ring per rank, stamped with Lamport clocks that were piggybacked
-on every MPI envelope.  Sorting the merged rings by ``(lamport, t,
-rank)`` yields a timeline that never places a receive before its send,
-so the tool can walk cross-rank message edges without any wall-clock
-trust between threads.
+the last thing the dead rank heard?*  The black box (the level-0 view
+of the event spine, :mod:`repro.obs.spine`, captured on every failure
+path) holds one bounded event ring per rank, stamped with Lamport
+clocks that were piggybacked on every MPI envelope.  Sorting the
+merged rings by ``(lamport, t, rank)`` yields a timeline that never
+places a receive before its send, so the tool can walk cross-rank
+message edges without any wall-clock trust between threads.
 
 The report has four parts:
 
@@ -22,39 +22,8 @@ The report has four parts:
   that died mid-conversation);
 * the captured server diagnostics and live-rank stacks.
 
-Event-kind glossary (``a``/``b``/``c`` columns per kind):
-
-========== ============================================================
-kind       a, b, c
-========== ============================================================
-send       dest rank, MPI tag, payload size (bytes)
-recv       source rank, MPI tag, sender's piggybacked Lamport clock
-grant      client rank, task type, attempt counter
-requeue    task type, attempt counter
-lease_expired
-           lease-holder rank, task type
-rank_dead / server_dead / promote
-           subject rank
-engine_adopt
-           dead engine rank, adopter rank, journaled rule count
-adopt      (engine side) dead rank, rule count, repair decrement
-quarantine task type, attempt count
-journal    entry count, engine rank (server applying a batch)
-journal_flush
-           entry count (engine shipping a batch)
-repl_flush entry count, replication lag
-refcount_flush
-           batched decrement-op count
-task_start / task_done / task_abandon
-           payload size (bytes)
-task_fail  payload size (bytes), error class name
-rule_create
-           rule id, waited-on TD count
-rule_fire / rule_release
-           rule id (release also carries the rule type in ``b``)
-ctask      control-task payload size (bytes)
-shutdown   (server entered the shutdown protocol)
-========== ============================================================
+The event vocabulary — what each ``kind`` means and what its ``a`` /
+``b`` / ``c`` columns hold — is :data:`repro.obs.spine.KINDS`.
 """
 
 from __future__ import annotations
@@ -63,7 +32,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .flightrec import BLACKBOX_FORMAT
+from .spine import ABC, BLACKBOX_FORMAT, KINDS
 
 #: MPI tag numbers -> short names (mirrors repro.adlb.protocol).
 TAG_NAMES = {10: "req", 11: "resp", 12: "oneway", 13: "async", 14: "server"}
@@ -183,11 +152,11 @@ def _fmt_event(e: BoxEvent) -> str:
             TAG_NAMES.get(e.b, e.b),
             e.c,
         )
-    parts = [e.kind]
-    for label, v in (("a", e.a), ("b", e.b), ("c", e.c)):
-        if v not in (0, "", None):
-            parts.append("%s=%s" % (label, v))
-    return " ".join(parts)
+    fields = KINDS[e.kind][3] if e.kind in KINDS else ABC
+    return " ".join(
+        [e.kind]
+        + ["%s=%s" % (f, v) for f, v in zip(fields, (e.a, e.b, e.c)) if v is not None]
+    )
 
 
 def render_postmortem(box: dict, last: int = DEFAULT_LAST) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .trace import CategoryTotal, Trace
+from .trace import CategoryTotal, Trace, truncation_banner
 
 #: span category emitted by workers around each leaf task
 TASK = "task"
@@ -21,10 +21,10 @@ HIST_QUEUE_WAIT = "adlb.queue_wait_s"
 HIST_DISPATCH = "adlb.dispatch_s"
 
 
-def feed_latency_histograms(tracer, since: float = 0.0) -> None:
-    """Derive latency histograms from a run's trace events.
+def feed_latency_histograms(metrics, events) -> None:
+    """Derive latency histograms from one run's (time-ordered) events.
 
-    Observes three distributions into ``tracer.metrics`` so
+    Observes three distributions into ``metrics`` so
     :meth:`Profile.render` can show percentiles:
 
     * ``task.latency_s`` — duration of each leaf-task span;
@@ -34,15 +34,14 @@ def feed_latency_histograms(tracer, since: float = 0.0) -> None:
       grant to a client with its k-th task span (one outstanding task
       per client, the same alignment invariant ``repro analyze`` uses).
 
-    ``since`` is the tracer-relative start of the run being folded, so
-    session tracers never re-observe a previous run's events.  Pairing
-    degrades gracefully when the trace ring dropped early events.
+    A session recorder spans several runs; the caller passes only the
+    events of the run being folded.  Pairing degrades gracefully when
+    a ring dropped early events.
     """
-    metrics = tracer.metrics
     accepted_at: dict[int, float] = {}
     grants_by_client: dict[int, list[float]] = {}
     spans_by_rank: dict[int, list[float]] = {}
-    for e in tracer.events(since=since):
+    for e in events:
         payload = e.payload
         if e.category == "prov" and payload is not None:
             if e.name == "task":
@@ -121,12 +120,10 @@ class Profile:
 
     def render(self) -> str:
         lines: list[str] = []
+        banner = truncation_banner(self.trace.dropped, self.trace.ring_counts())
+        if banner:
+            lines.append(banner)
         lines.append("profile: %.3fs wall, %d events" % (self.wall, len(self.trace)))
-        if self.trace.dropped:
-            lines.append(
-                "  (ring buffer wrapped: %d oldest events dropped)"
-                % self.trace.dropped
-            )
         headline = self._critical_path_headline()
         if headline:
             lines.append(headline)

@@ -1,40 +1,33 @@
-"""The structured event tracer: a per-run ring buffer of timed events.
+"""The trace readers: what a frozen event spine looks like from outside.
 
-Every runtime layer emits into one :class:`Tracer` — the MPI substrate
-(send/recv latency and bytes), the ADLB servers (put/get/steal/data
-ops), the Turbine engines (rule firing, dataflow stalls) and workers
-(leaf-task spans), and the STC compiler (phase timings).  Events are
-``(t, dur, rank, category, name, payload)`` records; spans are events
-with ``dur > 0``, instants have ``dur == 0``.
+A :class:`Trace` is the immutable view of a traced run: every slot of
+every rank's ring (see :mod:`repro.obs.spine`) decoded into a
+:class:`TraceEvent` ``(t, dur, rank, category, name, payload, lam)``,
+plus the folded metrics snapshot and run-level ``meta``.  Spans are
+events with ``dur > 0``, instants have ``dur == 0``; ``lam`` is the
+rank's Lamport clock at the event, so sorting by ``(lam, t, rank)``
+never places a receive before its send.
 
-Tracing is strictly opt-in and zero-cost when disabled: every
-instrumented call site holds a ``tracer`` reference that is ``None``
-unless the run was started with ``trace=True``, so the fast path is a
-single attribute load and ``is None`` test.  When enabled, events go
-into a bounded :class:`collections.deque` (appends are atomic under the
-GIL, so rank threads never contend on a lock) and the oldest events are
-discarded once ``capacity`` is reached.
+A ring that wrapped lost its oldest events.  ``Trace.dropped`` counts
+them, ``Trace.emitted`` says how many each rank produced, and every
+report built from a truncated trace opens with
+:func:`truncation_banner` — a critical path over the surviving window
+is not the run's critical path.
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
-
-from .metrics import Metrics
-
-_clock = time.perf_counter
+from typing import NamedTuple
 
 #: rank id used for events that happen outside the rank world
 #: (e.g. compile phases run on the launching thread).
 RANK_DRIVER = -1
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One trace record.  ``t`` is seconds since the tracer's epoch."""
+class TraceEvent(NamedTuple):
+    """One trace record.  ``t`` is seconds since the recorder's epoch."""
 
     t: float
     dur: float
@@ -42,112 +35,39 @@ class TraceEvent:
     category: str
     name: str
     payload: dict | None = None
+    lam: int = 0
 
     @property
     def end(self) -> float:
         return self.t + self.dur
 
 
-class Tracer:
-    """Collects events from all rank threads of one (or more) runs.
+def truncation_banner(
+    dropped: int, ring_counts: dict[int, tuple[int, int]]
+) -> str | None:
+    """The first line of any report over a trace that lost events.
 
-    A single Tracer may outlive one run: the session API shares a
-    tracer across every ``rt.run(...)`` inside a ``with`` block so
-    traces compose.  :meth:`freeze` snapshots the current contents as
-    an immutable :class:`Trace`.
+    ``ring_counts`` maps rank -> (emitted, kept); it is empty for
+    traces saved before per-rank counts were exported, in which case
+    only the total is known.
     """
-
-    def __init__(self, capacity: int = 1 << 16):
-        self.capacity = capacity
-        self.epoch = _clock()
-        self.metrics = Metrics()
-        self._events: deque[TraceEvent] = deque(maxlen=capacity)
-        self._emitted = 0
-
-    # ----------------------------------------------------------- recording
-
-    def now(self) -> float:
-        """Timestamp for a span start (pass back to :meth:`complete`)."""
-        return _clock()
-
-    def instant(
-        self, rank: int, category: str, name: str, payload: dict | None = None
-    ) -> None:
-        self._emitted += 1
-        self._events.append(
-            TraceEvent(_clock() - self.epoch, 0.0, rank, category, name, payload)
-        )
-
-    def complete(
-        self,
-        rank: int,
-        category: str,
-        name: str,
-        t0: float,
-        t1: float | None = None,
-        payload: dict | None = None,
-    ) -> None:
-        """Record a finished span that started at ``t0`` (from :meth:`now`)."""
-        if t1 is None:
-            t1 = _clock()
-        self._emitted += 1
-        self._events.append(
-            TraceEvent(t0 - self.epoch, t1 - t0, rank, category, name, payload)
-        )
-
-    def span(
-        self, rank: int, category: str, name: str, payload: dict | None = None
-    ) -> "_Span":
-        """Context manager recording a span around a ``with`` block."""
-        return _Span(self, rank, category, name, payload)
-
-    # ----------------------------------------------------------- snapshots
-
-    @property
-    def dropped(self) -> int:
-        """Events discarded because the ring buffer wrapped."""
-        return self._emitted - len(self._events)
-
-    def events(self, since: float = 0.0) -> list[TraceEvent]:
-        """Time-ordered snapshot of the retained events.
-
-        ``since`` filters to events starting at or after that tracer
-        timestamp — session tracers span several runs, and post-run
-        passes (latency histograms) must only consume their own run.
-        """
-        return sorted(
-            (e for e in self._events if e.t >= since), key=lambda e: e.t
-        )
-
-    def freeze(self, meta: dict | None = None) -> "Trace":
-        """Snapshot current events + metrics as an immutable Trace."""
-        events = sorted(self._events, key=lambda e: e.t)
-        return Trace(
-            events=events,
-            metrics=self.metrics.snapshot(),
-            meta=dict(meta or {}),
-            dropped=self.dropped,
-        )
-
-
-class _Span:
-    __slots__ = ("tracer", "rank", "category", "name", "payload", "t0")
-
-    def __init__(self, tracer, rank, category, name, payload):
-        self.tracer = tracer
-        self.rank = rank
-        self.category = category
-        self.name = name
-        self.payload = payload
-
-    def __enter__(self) -> "_Span":
-        self.t0 = _clock()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.tracer.complete(
-            self.rank, self.category, self.name, self.t0, payload=self.payload
-        )
+    if not dropped:
+        return None
+    lost = [
+        (rank, emitted - kept, emitted)
+        for rank, (emitted, kept) in sorted(ring_counts.items())
+        if emitted > kept
+    ]
+    if lost:
+        who = ", ".join("rank %d dropped %d of %d events" % row for row in lost)
+        need = "trace_capacity >= %d" % max(emitted for _, _, emitted in lost)
+    else:
+        who = "%d events dropped" % dropped
+        need = "a larger trace_capacity"
+    return (
+        "WARNING: trace truncated — %s; counts, makespan and critical "
+        "path cover only the surviving window; re-run with %s" % (who, need)
+    )
 
 
 @dataclass
@@ -161,19 +81,27 @@ class CategoryTotal:
 
 @dataclass
 class Trace:
-    """An immutable snapshot of a tracer: the public trace object.
+    """An immutable snapshot of a recorder: the public trace object.
 
     ``meta`` carries run-level context (role layout, elapsed wall time);
-    ``metrics`` is the merged counter/gauge/histogram snapshot.
+    ``metrics`` is the merged counter/gauge/histogram snapshot;
+    ``dropped`` counts events lost to ring wrap and ``emitted`` maps
+    each rank to the number of events it produced.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     dropped: int = 0
+    emitted: dict[int, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.events)
+
+    def ring_counts(self) -> dict[int, tuple[int, int]]:
+        """rank -> (events emitted, events kept)."""
+        kept = Counter(e.rank for e in self.events)
+        return {r: (n, kept.get(r, 0)) for r, n in self.emitted.items()}
 
     def spans(
         self, category: str | None = None, name: str | None = None
@@ -207,50 +135,29 @@ class Trace:
     # ------------------------------------------------------------- export
 
     def _message_flows(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Pair each mpi ``send`` instant with its matching ``recv``.
+        """Pair each mpi ``send`` with its matching ``recv``.
 
         Returns ``(send_flows, recv_flows)`` mapping ``id(event)`` to a
-        shared flow id.  Pairing uses the piggybacked Lamport stamp
-        (``lam`` in both payloads) when the run kept a flight recorder
-        — exact, since send clocks are unique per rank — and falls back
-        to per-``(src, dest, tag)`` ordinal matching otherwise (one
-        channel is FIFO, and both endpoints are single-threaded, so the
-        k-th send matches the k-th recv).  Unmatched events (dropped by
-        the ring, or still in flight) get no flow.
+        shared flow id.  A recv records the sender's piggybacked
+        Lamport clock (``seen``), and send clocks are unique per rank,
+        so ``(src, dest, tag, clock)`` pairs them exactly.  Unmatched
+        events (dropped by the ring, or still in flight) get no flow.
         """
-        recv_by_lam: dict[tuple, TraceEvent] = {}
-        recv_ord: dict[tuple, list[TraceEvent]] = {}
+        recvs: dict[tuple, TraceEvent] = {}
         for e in self.events:
-            if e.category != "mpi" or e.name != "recv" or not e.payload:
-                continue
-            key = (e.payload.get("source"), e.rank, e.payload.get("tag"))
-            lam = e.payload.get("lam", 0)
-            if lam:
-                recv_by_lam[key + (lam,)] = e
-            else:
-                recv_ord.setdefault(key, []).append(e)
+            if e.category == "mpi" and e.name == "recv" and e.payload:
+                p = e.payload
+                recvs[(p.get("source"), e.rank, p.get("tag"), p.get("seen"))] = e
         send_flows: dict[int, int] = {}
         recv_flows: dict[int, int] = {}
-        ord_idx: dict[tuple, int] = {}
-        next_id = 0
         for e in self.events:
             if e.category != "mpi" or e.name != "send" or not e.payload:
                 continue
-            key = (e.rank, e.payload.get("dest"), e.payload.get("tag"))
-            lam = e.payload.get("lam", 0)
-            match = None
-            if lam:
-                match = recv_by_lam.get(key + (lam,))
-            else:
-                i = ord_idx.get(key, 0)
-                candidates = recv_ord.get(key)
-                if candidates and i < len(candidates):
-                    match = candidates[i]
-                    ord_idx[key] = i + 1
+            match = recvs.get(
+                (e.rank, e.payload.get("dest"), e.payload.get("tag"), e.lam)
+            )
             if match is not None:
-                next_id += 1
-                send_flows[id(e)] = next_id
-                recv_flows[id(match)] = next_id
+                send_flows[id(e)] = recv_flows[id(match)] = len(send_flows) + 1
         return send_flows, recv_flows
 
     def _chrome_records(self):
@@ -282,6 +189,8 @@ class Trace:
                 rec["s"] = "t"
             if e.payload:
                 rec["args"] = dict(e.payload)
+            if e.lam:
+                rec["lam"] = e.lam
             yield rec
             if e.category != "mpi":
                 continue
@@ -317,6 +226,7 @@ class Trace:
     def _chrome_other_data(self) -> dict:
         return {
             "dropped_events": self.dropped,
+            "emitted_by_rank": {str(k): v for k, v in self.emitted.items()},
             "metrics": self.metrics,
             "roles": {str(k): v for k, v in self.meta.get("roles", {}).items()},
             **{k: v for k, v in self.meta.items() if k != "roles"},
@@ -389,6 +299,7 @@ class Trace:
                     category=rec.get("cat", ""),
                     name=rec.get("name", ""),
                     payload=rec.get("args"),
+                    lam=rec.get("lam", 0),
                 )
             )
         events.sort(key=lambda e: e.t)
@@ -396,7 +307,7 @@ class Trace:
         meta = {
             k: v
             for k, v in other.items()
-            if k not in ("dropped_events", "metrics", "roles")
+            if k not in ("dropped_events", "emitted_by_rank", "metrics", "roles")
         }
         if "roles" in other:
             meta["roles"] = {int(k): v for k, v in other["roles"].items()}
@@ -405,4 +316,7 @@ class Trace:
             metrics=other.get("metrics", {}),
             meta=meta,
             dropped=other.get("dropped_events", 0),
+            emitted={
+                int(k): v for k, v in other.get("emitted_by_rank", {}).items()
+            },
         )

@@ -61,25 +61,16 @@ class Engine:
         self,
         client: AdlbClient,
         interp,
-        tracer: Any | None = None,
         on_error: str = "retry",
         retries_enabled: bool = False,
         faults: Any | None = None,
         journal: bool = False,
     ):
-        self.client = client
-        self.interp = interp
-        self.tracer = tracer
+        self.bind(client, interp)
         self.on_error = on_error
         self.retries_enabled = retries_enabled
         self.faults = faults
         self.journal = journal
-        # Always-on flight recorder (may be None), shared via the world.
-        # The runtime constructs the engine before its client exists
-        # and re-points this when it attaches one.
-        self.flightrec = (
-            client.comm.world.flightrec if client is not None else None
-        )
         # Buffered rule-lifecycle journal entries, streamed to the
         # anchor server at dispatch boundaries (always immediately
         # before a fault kill-point, so the journal is exact at death).
@@ -98,6 +89,15 @@ class Engine:
         # TDs with an outstanding subscription
         self.subscribed: set[int] = set()
         self.stats = EngineStats()
+
+    def bind(self, client: AdlbClient | None, interp) -> None:
+        """Attach the client and interpreter (the runtime constructs the
+        engine before either exists) and, through the client, this
+        rank's event ring; ``tracer`` is the ring on traced runs."""
+        self.client = client
+        self.interp = interp
+        self.ring = client.ring if client is not None else None
+        self.tracer = client.tracer if client is not None else None
 
     # ------------------------------------------------------------------ rules
 
@@ -122,24 +122,19 @@ class Engine:
             name=name,
         )
         self.stats.rules_created += 1
-        if self.flightrec is not None:
-            self.flightrec.record(
-                self.client.rank, "rule_create", rule.id, len(set(inputs))
-            )
-        if self.tracer is not None:
-            # Lineage: which TDs this rule waits on, and which unit of
-            # work registered it (the spawn edge of the run DAG).
-            self.tracer.instant(
-                self.client.rank,
-                "rule",
-                "create",
-                {
-                    "id": rule.id,
+        if self.ring is not None:
+            lineage = None
+            if self.tracer is not None:
+                # Lineage: which TDs this rule waits on, and which unit
+                # of work registered it (the spawn edge of the run DAG).
+                lineage = {
                     "type": rtype,
                     "name": name,
                     "inputs": sorted(set(inputs)),
                     "by": self.client.prov_unit,
-                },
+                }
+            self.ring.emit(
+                "rule_create", rule.id, len(set(inputs)), payload=lineage
             )
         pending: list[int] = []
         for td in set(inputs):
@@ -194,10 +189,8 @@ class Engine:
             return
         buf = self._jbuf
         self._jbuf = []
-        if self.flightrec is not None:
-            self.flightrec.record(
-                self.client.rank, "journal_flush", len(buf)
-            )
+        if self.ring is not None:
+            self.ring.emit("journal_flush", len(buf))
         self.client.journal(buf)
         self.journal_stats.flushes += 1
 
@@ -257,7 +250,7 @@ class Engine:
     def on_close(self, td: int) -> None:
         self.stats.notifications += 1
         if self.tracer is not None:
-            self.tracer.instant(self.client.rank, "rule", "notify", {"td": td})
+            self.tracer.emit("notify", td)
         self.closed.add(td)
         self.subscribed.discard(td)
         if self.journal:
@@ -305,10 +298,8 @@ class Engine:
                 self.journal_flush()
             if rule.type == "LOCAL":
                 self.stats.rules_fired_local += 1
-                if self.flightrec is not None:
-                    self.flightrec.record(
-                        self.client.rank, "rule_fire", rule.id
-                    )
+                if self.ring is not None:
+                    self.ring.emit("rule_fire", rule.id)
                 directive = None
                 if faults is not None:
                     directive = faults.on_task(self.client.rank, rule.action)
@@ -328,15 +319,9 @@ class Engine:
                             self.client.rank,
                             rule.id,
                         )
-                        t0 = tracer.now()
+                        t0 = time.perf_counter()
                         self.interp.eval(rule.action)
-                        tracer.complete(
-                            self.client.rank,
-                            "rule",
-                            "fire",
-                            t0,
-                            payload={"id": rule.id, "name": rule.name},
-                        )
+                        tracer.emit("rule_fired", rule.id, rule.name, t0=t0)
                 except (AbortError, DeadlockError):
                     # Transport-level failures are rank problems, not
                     # unit failures: never retried, always fatal.
@@ -369,17 +354,8 @@ class Engine:
                 # The rule's accounting unit transfers to the task; the
                 # executing rank decrements after running it.
                 self.stats.tasks_released += 1
-                if self.flightrec is not None:
-                    self.flightrec.record(
-                        self.client.rank, "rule_release", rule.id, rule.type
-                    )
-                if tracer is not None:
-                    tracer.instant(
-                        self.client.rank,
-                        "rule",
-                        "release",
-                        {"id": rule.id, "type": rule.type, "name": rule.name},
-                    )
+                if self.ring is not None:
+                    self.ring.emit("rule_release", rule.id, rule.type, rule.name)
                 self.client.put(
                     rule.action,
                     type=rule.type,
@@ -423,17 +399,8 @@ class Engine:
         """
         self.journal_stats.adoptions += 1
         self.journal_stats.adopted_rules += len(rules)
-        if self.flightrec is not None:
-            self.flightrec.record(
-                self.client.rank, "adopt", dead, len(rules), repair
-            )
-        if self.tracer is not None:
-            self.tracer.instant(
-                self.client.rank,
-                "engine",
-                "adopt",
-                {"dead": dead, "rules": len(rules), "repair": repair},
-            )
+        if self.ring is not None:
+            self.ring.emit("adopt", dead, len(rules), repair)
         for r in rules:
             self.add_rule(
                 list(r["inputs"]),
@@ -538,30 +505,14 @@ class Engine:
                     self.interp.eval(initial_script)
                 else:
                     self.client.prov_unit = "P%d" % rank
-                    t0 = tracer.now()
+                    t0 = time.perf_counter()
                     self.interp.eval(initial_script)
-                    tracer.complete(
-                        rank,
-                        "engine",
-                        "program",
-                        t0,
-                        payload={"unit": "P%d" % rank, "ok": True},
-                    )
+                    tracer.emit("program", "P%d" % rank, t0=t0)
             except (AbortError, DeadlockError):
                 raise
             except Exception as e:  # program failure
                 if tracer is not None:
-                    tracer.complete(
-                        rank,
-                        "engine",
-                        "program",
-                        t0,
-                        payload={
-                            "unit": "P%d" % rank,
-                            "ok": False,
-                            "error": type(e).__name__,
-                        },
-                    )
+                    tracer.emit("program", "P%d" % rank, type(e).__name__, t0=t0)
                 # The initial program cannot be retried (its partial
                 # effects are live); continue records and drains
                 # whatever dataflow it did set up.
@@ -587,18 +538,16 @@ class Engine:
             if tracer is None:
                 msg = self.client.recv_async()
             else:
-                t0 = tracer.now()
+                t0 = time.perf_counter()
                 msg = self.client.recv_async()
-                tracer.complete(
-                    rank, "engine", "stall", t0, payload={"kind": msg[0]}
-                )
+                tracer.emit("stall", msg[0], t0=t0)
             kind = msg[0]
             if kind == "notify":
                 self.on_close(msg[1])
             elif kind == "ctask":
                 self.stats.control_tasks_run += 1
-                if self.flightrec is not None:
-                    self.flightrec.record(rank, "ctask", len(msg[2]))
+                if self.ring is not None:
+                    self.ring.emit("ctask", len(msg[2]))
                 directive = None
                 if self.faults is not None:
                     directive = self.faults.on_task(rank, msg[2])
@@ -608,7 +557,7 @@ class Engine:
                 if tracer is not None:
                     unit = "C%d.%d" % (rank, next(self._unit_seq))
                     self.client.prov_unit = unit
-                    t0 = tracer.now()
+                    t0 = time.perf_counter()
                 try:
                     if directive is not None:
                         if directive[0] == "raise":
@@ -616,30 +565,14 @@ class Engine:
                         time.sleep(directive[1])
                     self.interp.eval(msg[2])
                     if tracer is not None:
-                        tracer.complete(
-                            rank,
-                            "engine",
-                            "ctask",
-                            t0,
-                            payload={"unit": unit, "ok": True},
-                        )
+                        tracer.emit("ctask_done", unit, t0=t0)
                 except (AbortError, DeadlockError):
                     raise
                 except Exception as e:  # control-task failure
                     if tracer is not None:
                         # Failed attempts keep their span so grant
                         # instants stay aligned 1:1 with unit spans.
-                        tracer.complete(
-                            rank,
-                            "engine",
-                            "ctask",
-                            t0,
-                            payload={
-                                "unit": unit,
-                                "ok": False,
-                                "error": type(e).__name__,
-                            },
-                        )
+                        tracer.emit("ctask_done", unit, type(e).__name__, t0=t0)
                     # Leased like worker tasks, so retry hands the unit
                     # back to the server; either way the engine re-parks
                     # and keeps serving its registered rules.
@@ -670,13 +603,13 @@ class Engine:
                 break
             else:
                 raise RuntimeError("engine: unexpected async message %r" % (msg,))
-        if tracer is not None:
+        recorder = self.client.comm.world.recorder
+        if recorder is not None:
             from .worker import fold_cache_stats
 
-            tracer.metrics.fold_struct("engine", self.stats, rank=rank)
+            metrics = recorder.metrics
+            metrics.fold_struct("engine", self.stats, rank=rank)
             if self.journal:
-                tracer.metrics.fold_struct(
-                    "engine.journal", self.journal_stats, rank=rank
-                )
-            fold_cache_stats(tracer, self.client, self.interp, rank)
+                metrics.fold_struct("engine.journal", self.journal_stats, rank=rank)
+            fold_cache_stats(metrics, self.client, self.interp, rank)
         return self.stats

@@ -40,7 +40,7 @@ from .worker import Worker, WorkerStats
 # maps to exactly one current option.  This is the documented old->new
 # migration table (see CHANGES.md).
 LEGACY_OPTIONS = {
-    "record_spans": "trace",  # worker task spans now ride the obs tracer
+    "record_spans": "trace",  # worker task spans now ride the obs spine
 }
 
 _ROLE_OPTIONS = ("workers", "servers", "engines")
@@ -60,11 +60,14 @@ class RuntimeConfig:
     n_servers: int = 1
     n_engines: int = 1
     steal: bool = True
-    # Enable the repro.obs tracer: structured events from the MPI,
-    # ADLB, Turbine, and compile layers; RunResult.trace/.profile.
+    # Record level 1 of the event spine (repro.obs.spine): spans,
+    # provenance and data-op events from the MPI, ADLB, Turbine, and
+    # compile layers; RunResult.trace/.profile.
     trace: bool = False
-    # Externally supplied tracer (session API); overrides ``trace``.
+    # Externally supplied repro.obs.Recorder (the session API's
+    # hand-off: one recorder across several runs); overrides ``trace``.
     tracer: Any | None = field(default=None, repr=False, compare=False)
+    # Events retained per rank on a traced run before its ring wraps.
     trace_capacity: int = 1 << 16
     echo: bool = False  # also print program output to real stdout
     # Live monitoring: servers piggyback per-rank status on heartbeats
@@ -107,14 +110,13 @@ class RuntimeConfig:
     # Seeded fault-injection plan (repro.faults.FaultPlan) or None.
     # The faults-off path costs a single `is None` test per hook.
     faults: Any | None = None
-    # Always-on flight recorder (repro.obs.flightrec): bounded per-rank
-    # rings of lifecycle events with Lamport clocks, snapshotted into a
-    # black-box artifact on any failure path.  Unlike trace, this is ON
-    # by default — the rings are preallocated and the per-event cost is
-    # a few index assignments, bounded by the bench_obs_overhead guard.
+    # Level 0 of the event spine, the always-on flight recorder: a
+    # 512-slot ring per rank of lifecycle events and message headers
+    # with Lamport clocks, snapshotted into a black-box artifact on any
+    # failure path, plus the run's folded counters (RunResult.metrics).
+    # Unlike trace, this is ON by default — one tuple per event,
+    # bounded by the bench_obs_overhead guard.
     flightrec: bool = True
-    # Events retained per rank before the ring wraps.
-    flightrec_capacity: int = 512
     # Directory for blackbox-*.json dumps on failure; None keeps the
     # black box in memory only (exception .blackbox / RunResult.blackbox).
     blackbox_dir: str | None = None
@@ -249,8 +251,11 @@ class RunResult:
     server_stats: list[ServerStats] = field(default_factory=list)
     engine_stats: list[EngineStats] = field(default_factory=list)
     worker_stats: list[WorkerStats] = field(default_factory=list)
-    # Populated when the run was traced (trace=True / a session tracer).
+    # Populated when the run was traced (trace=True / a session recorder).
     trace: Any | None = None
+    # The recorder's repro.obs.Metrics registry; None when the run had
+    # no recorder (flightrec=False, trace=False).  Read via ``metrics``.
+    registry: Any | None = field(default=None, repr=False)
     # MonitorSample rows from a monitor=True run (chronological).
     timeline: list = field(default_factory=list)
     # Units of work that failed permanently but did not abort the run
@@ -291,6 +296,15 @@ class RunResult:
         return sum(w.tasks_run for w in self.worker_stats)
 
     @property
+    def metrics(self) -> dict | None:
+        """Folded counters/gauges/histograms of the run — ``mpi.sends``,
+        ``adlb.data_ops``, ``engine.rules_created``, ... — as plain
+        dicts.  Available on untraced runs too; None without a recorder."""
+        if self.trace is not None:
+            return self.trace.metrics
+        return self.registry.snapshot() if self.registry is not None else None
+
+    @property
     def profile(self):
         """Aggregated :class:`repro.obs.Profile` of the traced run."""
         if self.trace is None:
@@ -314,7 +328,6 @@ def make_client_interp(
     setup: SetupFn | None,
     server_map: Any | None = None,
     reliable: bool = False,
-    tracer: Any | None = None,
 ) -> tuple[Interp, AdlbClient]:
     """Build the Tcl interpreter for an engine or worker rank."""
     config = ctx.config
@@ -325,14 +338,11 @@ def make_client_interp(
         batch_refcounts=config.batch_refcounts,
         server_map=server_map,
         reliable=reliable,
-        tracer=tracer,
     )
     interp = Interp(compile_enabled=config.tcl_compile)
     interp.echo = False
     if engine is not None:
-        engine.client = client
-        engine.interp = interp
-        engine.flightrec = client.comm.world.flightrec
+        engine.bind(client, interp)
     register_turbine(interp, client, ctx, engine=engine)
     interp.eval(TURBINE_TCL)
     if ctx.config.args:
@@ -371,11 +381,15 @@ def run_turbine_program(
             % (config.on_error,)
         )
     layout = config.layout()
-    tracer = config.tracer
-    if tracer is None and config.trace:
-        from ..obs import Tracer
+    recorder = config.tracer
+    if recorder is None and (config.trace or config.flightrec):
+        from ..obs import Recorder
 
-        tracer = Tracer(capacity=config.trace_capacity)
+        recorder = (
+            Recorder(level=1, capacity=config.trace_capacity)
+            if config.trace
+            else Recorder()
+        )
     replicate = config.replicate
     if replicate is None:
         replicate = config.on_error == "retry" and config.n_servers >= 2
@@ -404,13 +418,6 @@ def run_turbine_program(
         or config.task_timeout is not None
     )
     faults = FaultState(config.faults) if config.faults is not None else None
-    flightrec = None
-    if config.flightrec:
-        from ..obs.flightrec import FlightRecorder
-
-        flightrec = FlightRecorder(
-            config.size, capacity=config.flightrec_capacity
-        )
     # Reliable RPC (seq-stamped, re-sendable requests) is what lets
     # clients survive a lost server or a dropped message; it rides
     # along whenever either can actually happen.
@@ -468,7 +475,6 @@ def run_turbine_program(
                 comm,
                 layout,
                 steal=config.steal,
-                tracer=tracer,
                 leases=leases_enabled,
                 lease_timeout=config.lease_timeout,
                 max_retries=config.max_retries,
@@ -507,14 +513,13 @@ def run_turbine_program(
             engine = Engine(  # client/interp attached below
                 None,
                 None,
-                tracer=tracer,
                 on_error=config.on_error,
                 retries_enabled=leases_enabled,
                 faults=faults,
                 journal=journal,
             )
             interp, client = make_client_interp(
-                comm, layout, ctx, engine, setup, server_map, reliable, tracer
+                comm, layout, ctx, engine, setup, server_map, reliable
             )
             interp.eval(program)
             # On restore the dataflow state comes from the checkpoint's
@@ -547,13 +552,12 @@ def run_turbine_program(
             return
         # worker
         interp, client = make_client_interp(
-            comm, layout, ctx, None, setup, server_map, reliable, tracer
+            comm, layout, ctx, None, setup, server_map, reliable
         )
         interp.eval(program)
         worker = Worker(
             client,
             interp,
-            tracer=tracer,
             on_error=config.on_error,
             retries_enabled=leases_enabled,
             faults=faults,
@@ -589,7 +593,7 @@ def run_turbine_program(
     def _dump_blackbox(box: Any) -> str | None:
         if box is None or config.blackbox_dir is None:
             return None
-        from ..obs.flightrec import write_blackbox
+        from ..obs import write_blackbox
 
         return write_blackbox(box, config.blackbox_dir)
 
@@ -598,9 +602,8 @@ def run_turbine_program(
             config.size,
             main,
             recv_timeout=config.recv_timeout,
-            tracer=tracer,
+            recorder=recorder,
             faults=faults,
-            flightrec=flightrec,
             rank_labels=rank_labels,
             deadline=config.deadline,
         )
@@ -631,11 +634,12 @@ def run_turbine_program(
     elapsed = time.perf_counter() - t0
     blackbox = None
     blackbox_path = None
-    if flightrec is not None and (failures or quarantined):
+    if recorder is not None and (failures or quarantined):
         # The run drained to completion but carried failures or
         # quarantined units: snapshot the rings so the poisoned
         # dataflow is reconstructible after the fact.
-        blackbox = flightrec.blackbox(
+        blackbox = recorder.blackbox(
+            config.size,
             reason="quarantine" if quarantined else "task-failures",
             detail="%d failure(s), %d quarantined unit(s)"
             % (len(failures), len(quarantined)),
@@ -643,37 +647,25 @@ def run_turbine_program(
             failed_ranks=sorted({f.rank for f in failures}),
         )
         blackbox_path = _dump_blackbox(blackbox)
-    if flightrec is not None:
-        # Clean shutdown: run_world joined every rank, the rings are
-        # quiescent, and any snapshot above copied the rows it keeps —
-        # recycle the slots.  Aborting paths raised before this point
-        # and deliberately never release (stragglers may still stamp).
-        flightrec.release()
     trace = None
-    if tracer is not None:
-        from ..obs import RANK_DRIVER
-        from ..obs.report import feed_latency_histograms
-
+    if recorder is not None:
         if faults is not None:
-            tracer.metrics.fold_struct("fault", faults.stats)
-        tracer.complete(
-            RANK_DRIVER,
-            "run",
-            "run",
-            t0,
-            payload={"size": config.size, "entry": entry},
-        )
-        # Derive latency histograms (task latency, queue wait, dispatch
-        # delay) from the collected spans so Profile.render() has
-        # percentiles to show.
-        feed_latency_histograms(tracer, since=t0 - tracer.epoch)
-        trace = tracer.freeze(
-            meta={
-                "roles": {r: layout.role(r) for r in range(config.size)},
-                "elapsed": elapsed,
-                "size": config.size,
-            }
-        )
+            recorder.metrics.fold_struct("fault", faults.stats)
+        if recorder.level:
+            from ..obs import RANK_DRIVER
+
+            recorder.ring(RANK_DRIVER).emit("run", config.size, entry, t0=t0)
+            # ``since`` also derives this run's latency histograms (task
+            # latency, queue wait, dispatch delay) from its spans, so
+            # Profile.render() has percentiles to show.
+            trace = recorder.freeze(
+                meta={
+                    "roles": {r: layout.role(r) for r in range(config.size)},
+                    "elapsed": elapsed,
+                    "size": config.size,
+                },
+                since=t0 - recorder.epoch,
+            )
     audit = None
     if config.audit:
         from ..chaos.invariants import audit_run
@@ -691,6 +683,7 @@ def run_turbine_program(
         engine_stats=engine_stats,
         worker_stats=worker_stats,
         trace=trace,
+        registry=recorder.metrics if recorder is not None else None,
         timeline=monitor.samples if monitor is not None else [],
         failures=sorted(failures, key=lambda f: f.rank),
         quarantined=sorted(quarantined, key=lambda q: q.uid),

@@ -97,11 +97,9 @@ class _Watchdog:
 
 
 class Worker:
-    """Executes leaf tasks; per-task spans go to the run's tracer.
-
-    The old ``record_spans`` flag is gone: pass a
-    :class:`repro.obs.Tracer` instead and read spans back via
-    ``result.trace.spans("task")``.
+    """Executes leaf tasks; each one ends as a ``task`` span in this
+    rank's event ring (read back via ``result.trace.spans("task")`` on
+    traced runs).
 
     ``on_error`` selects what happens when a task raises: ``retry``
     (report the leased unit back via OP_TASK_FAIL so the server can
@@ -116,7 +114,6 @@ class Worker:
         self,
         client: AdlbClient,
         interp,
-        tracer: Any | None = None,
         on_error: str = "retry",
         retries_enabled: bool = False,
         faults: Any | None = None,
@@ -125,7 +122,6 @@ class Worker:
         self.client = client
         self.interp = interp
         self.stats = WorkerStats()
-        self.tracer = tracer
         self.on_error = on_error
         self.retries_enabled = retries_enabled
         self.faults = faults
@@ -137,8 +133,10 @@ class Worker:
             if task_timeout is not None
             else None
         )
-        # Always-on flight recorder (may be None), shared via the world.
-        self.flightrec = client.comm.world.flightrec
+        # This rank's event ring (None without a recorder); ``tracer``
+        # is the same ring on traced runs, else None.
+        self.ring = client.ring
+        self.tracer = client.tracer
         # Provenance unit ids for tasks run on this worker
         # ("T<rank>.<n>"); counts executions, including retries.
         self._unit_seq = 0
@@ -191,19 +189,21 @@ class Worker:
     def _serve(self) -> WorkerStats:
         tracer = self.tracer
         faults = self.faults
-        flightrec = self.flightrec
+        ring = self.ring
         rank = self.client.rank
         wd = self._watchdog
         while True:
             got = self.client.get((WORK,))
             if got is None:
-                if tracer is not None:
-                    tracer.metrics.fold_struct("worker", self.stats, rank=rank)
+                recorder = self.client.comm.world.recorder
+                if recorder is not None:
+                    metrics = recorder.metrics
+                    metrics.fold_struct("worker", self.stats, rank=rank)
                     if wd is not None:
-                        tracer.metrics.fold_struct(
+                        metrics.fold_struct(
                             "worker.watchdog", self.watchdog_stats, rank=rank
                         )
-                    fold_cache_stats(tracer, self.client, self.interp, rank)
+                    fold_cache_stats(metrics, self.client, self.interp, rank)
                 return self.stats
             _, payload = got
             unit = None
@@ -218,8 +218,8 @@ class Worker:
                     # Not a task failure: the whole rank dies holding
                     # its lease; recovery is the server's job.
                     raise RankKilled(rank, directive[1])
-            if flightrec is not None:
-                flightrec.record(rank, "task_start", len(payload))
+            if ring is not None:
+                ring.emit("task_start", len(payload))
             t0 = time.perf_counter()
             gen = wd.arm() if wd is not None else 0
             try:
@@ -238,55 +238,30 @@ class Worker:
                 raise
             except Exception as e:  # task failure — rank stays up
                 if wd is not None and wd.disarm(gen):
-                    self._abandon(rank, payload, tracer, unit, t0)
+                    self._abandon(payload, unit, t0)
                     continue
-                if flightrec is not None:
-                    flightrec.record(
-                        rank, "task_fail", len(payload), type(e).__name__
-                    )
-                if tracer is not None:
+                if ring is not None:
                     # Failed attempts keep their span so grant instants
                     # stay aligned 1:1 with unit spans on this rank.
-                    tracer.complete(
-                        rank,
-                        "task",
-                        "task",
-                        t0,
-                        payload={
-                            "bytes": len(payload),
-                            "unit": unit,
-                            "ok": False,
-                            "error": type(e).__name__,
-                        },
+                    ring.emit(
+                        "task_fail", len(payload), unit, type(e).__name__, t0=t0
                     )
                 self._task_error(rank, payload, e)
                 continue
             if wd is not None and wd.disarm(gen):
-                self._abandon(rank, payload, tracer, unit, t0)
+                self._abandon(payload, unit, t0)
                 continue
-            t1 = time.perf_counter()
             self.stats.tasks_run += 1
-            self.stats.busy_time += t1 - t0
-            if flightrec is not None:
-                flightrec.record(rank, "task_done", len(payload))
-            if tracer is not None:
-                tracer.complete(
-                    rank,
-                    "task",
-                    "task",
-                    t0,
-                    t1,
-                    {"bytes": len(payload), "unit": unit, "ok": True},
-                )
+            self.stats.busy_time += time.perf_counter() - t0
+            if ring is not None:
+                ring.emit("task_done", len(payload), unit, t0=t0)
             # Deferred refcount decrements must land before the task's
             # accounting unit: a batched write-decrement can close TDs
             # and fire rules, which the termination counter must see.
             self.client.flush_refcounts()
             self.client.decr_work()
 
-    def _abandon(
-        self, rank: int, payload: Any, tracer: Any, unit: str | None, t0: float
-    ) -> None:
+    def _abandon(self, payload: Any, unit: str | None, t0: float) -> None:
         """The watchdog expired while this task ran: its unit was
         already failed back to the server (and is being retried
         elsewhere), so this attempt's results are discarded — no
@@ -294,25 +269,10 @@ class Worker:
         interpreters are recycled in case the runaway task wedged them.
         """
         self.watchdog_stats.abandoned += 1
-        if self.flightrec is not None:
-            # The lone cross-thread ring write on this rank: the
-            # watchdog's failure oneway raced us, benign (see flightrec).
-            self.flightrec.record(rank, "task_abandon", len(payload))
         self.client.discard_pending_refcounts()
         self._recycle_interp()
-        if tracer is not None:
-            tracer.complete(
-                rank,
-                "task",
-                "task",
-                t0,
-                payload={
-                    "bytes": len(payload),
-                    "unit": unit,
-                    "ok": False,
-                    "error": "TaskTimeout",
-                },
-            )
+        if self.ring is not None:
+            self.ring.emit("task_abandon", len(payload), unit, "TaskTimeout", t0=t0)
 
     def _recycle_interp(self) -> None:
         """Reset per-interpreter state a runaway task may have wedged:
@@ -363,17 +323,17 @@ class Worker:
         raise TaskError(failure) from e
 
 
-def fold_cache_stats(tracer: Any, client: AdlbClient, interp, rank: int) -> None:
+def fold_cache_stats(metrics: Any, client: AdlbClient, interp, rank: int) -> None:
     """Fold the rank's Tcl/read-cache counters into run metrics.
 
     Exposes ``tcl.vm.{frames,cache_hits,cache_misses,code_hits,
     code_misses,expr_hits,expr_misses,...}`` and
     ``adlb.retrieve_cache.{hits,misses,...}``.
     """
-    tracer.metrics.fold_struct("tcl.vm", interp.vm_stats, rank=rank)
+    metrics.fold_struct("tcl.vm", interp.vm_stats, rank=rank)
     data_stats = getattr(client, "data_stats", None)
     if data_stats is not None:
-        tracer.metrics.fold_struct("adlb.retrieve_cache", data_stats, rank=rank)
+        metrics.fold_struct("adlb.retrieve_cache", data_stats, rank=rank)
     rpc_stats = getattr(client, "rpc_stats", None)
     if rpc_stats is not None and rpc_stats.sent:
-        tracer.metrics.fold_struct("adlb.rpc", rpc_stats, rank=rank)
+        metrics.fold_struct("adlb.rpc", rpc_stats, rank=rank)

@@ -1,7 +1,7 @@
-"""Flight recorder, black-box capture, and post-mortem forensics.
+"""Level 0 of the event spine: black-box capture and post-mortem forensics.
 
 Covers the always-on recorder end to end: ring mechanics (wrap, Lamport
-clocks, slot recycling), black-box capture on every failure class,
+clocks, the level-0 view), black-box capture on every failure class,
 ``repro postmortem`` rendering (including the acceptance scenario: a
 seeded engine kill with journaling off must yield a causally-ordered
 cross-rank timeline naming the dead rank and the last message edges
@@ -26,15 +26,14 @@ from repro import (
 )
 from repro.cli import main as cli_main
 from repro.obs import (
-    FlightRecorder,
+    Recorder,
     Trace,
     load_blackbox,
     render_postmortem,
     write_blackbox,
 )
-from repro.obs import flightrec as flightrec_mod
-from repro.obs.flightrec import BLACKBOX_FORMAT
 from repro.obs.postmortem import causal_frontier, merged_timeline
+from repro.obs.spine import BLACKBOX_FORMAT, LEVEL0_CAPACITY
 
 SEED = int(os.environ.get("FAULT_SEED", "0"))
 
@@ -66,10 +65,10 @@ def engine_kill_failure() -> EngineLost:
 
 class TestRing:
     def test_wrap_keeps_newest_events(self):
-        fr = FlightRecorder(1, capacity=4)
+        rec = Recorder(capacity=4)
         for k in range(10):
-            fr.record(0, "tick", k)
-        (ring,) = fr.snapshot()
+            rec.ring(0).emit("tick", k)
+        (ring,) = rec.snapshot(1)
         assert ring["dropped"] == 6
         assert ring["clock"] == 10
         # Oldest-first decode of the surviving tail, Lamport-monotone.
@@ -77,25 +76,32 @@ class TestRing:
         assert [e[0] for e in ring["events"]] == [7, 8, 9, 10]
 
     def test_recv_clock_merges_past_sender(self):
-        fr = FlightRecorder(2, capacity=8)
+        rec = Recorder()
         for _ in range(5):
-            fr.record(0, "tick")  # rank 0's clock races ahead
-        sent = fr.note_send(0, 1, 11, 64)
-        got = fr.note_recv(1, 0, 11, sent)
+            rec.ring(0).emit("tick")  # rank 0's clock races ahead
+        sent = rec.ring(0).emit("send", 1, 11, 64)
+        got = rec.ring(1).emit("recv", 0, 11, sent, seen=sent)
         assert got > sent  # a recv is strictly after its send
-        assert fr.clock(1) == got
+        assert rec.ring(1).clock == got
 
-    def test_release_recycles_slots(self):
-        fr = FlightRecorder(1, capacity=8)
-        for k in range(5):
-            fr.record(0, "tick", k)
-        before = len(flightrec_mod._SLOT_POOL)
-        fr.release()
-        assert len(flightrec_mod._SLOT_POOL) == before + 5
-        assert fr.snapshot()[0]["events"] == []
-        # A released ring may be stamped again without corruption.
-        fr.record(0, "tick", 99)
-        assert fr.snapshot()[0]["events"][0][3] == 99
+    def test_black_box_is_the_level_0_view(self):
+        """On a traced run the ring also holds level-1 events; the black
+        box keeps the level-0 rows, bounded, in the v1 row shape."""
+        rec = Recorder(level=1, capacity=1 << 16)
+        ring = rec.ring(0)
+        for k in range(LEVEL0_CAPACITY + 40):
+            ring.emit("notify", k)  # level 1
+            ring.emit("rule_fire", k, payload={"detail": k})
+        box = rec.blackbox(1, reason="test")
+        assert box["format"] == BLACKBOX_FORMAT
+        assert box["capacity"] == LEVEL0_CAPACITY
+        rows = box["rings"][0]["events"]
+        assert len(rows) == LEVEL0_CAPACITY
+        assert {row[2] for row in rows} == {"rule_fire"}
+        assert all(len(row) == 6 for row in rows)
+        assert rows[-1][3] == LEVEL0_CAPACITY + 39
+        assert box["rings"][0]["dropped"] == 0  # nothing wrapped
+        json.dumps(box)
 
 
 class TestBlackboxCapture:

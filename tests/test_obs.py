@@ -1,4 +1,4 @@
-"""The repro.obs tracing/metrics layer."""
+"""The repro.obs event spine, its Trace/Profile readers and the metrics."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-import repro
 from repro import RuntimeConfig, SwiftRuntime, swift_run
-from repro.obs import Metrics, Profile, Trace, TraceEvent, Tracer
+from repro.obs import Analysis, Metrics, Profile, Recorder, Trace, TraceEvent
+from repro.obs.spine import KINDS, LEVEL0_CAPACITY
 
 PROGRAM = """
 foreach i in [0:5] {
@@ -20,58 +20,96 @@ foreach i in [0:5] {
 
 SEQUENTIAL = 'printf("one line only");'
 
+FANOUT_200 = """
+foreach i in [0:199] {
+    string s = python(strcat("x=", fromint(i)), "x");
+    trace(s);
+}
+"""
 
-class TestTracer:
-    def test_instant_and_complete(self):
-        tr = Tracer()
-        tr.instant(0, "c", "i", {"k": 1})
-        t0 = tr.now()
+
+class TestRecorder:
+    def test_instant_and_span(self):
+        rec = Recorder(level=1)
+        rec.ring(0).emit("put", "WORK", False, payload={"k": 1})
+        t0 = time.perf_counter()
         time.sleep(0.002)
-        tr.complete(1, "c", "s", t0)
-        trace = tr.freeze()
+        rec.ring(1).emit("rule_fired", 7, "r", t0=t0)
+        trace = rec.freeze()
         assert len(trace) == 2
-        inst, span = trace.events
-        assert inst.dur == 0.0 and inst.payload == {"k": 1}
+        span, inst = sorted(trace.events, key=lambda e: e.rank, reverse=True)
+        assert inst.dur == 0.0 and (inst.category, inst.name) == ("adlb", "put")
+        # named fields first, then whatever did not fit a/b/c
+        assert inst.payload == {"type": "WORK", "targeted": False, "k": 1}
         assert span.dur >= 0.002 and span.rank == 1
+        assert (span.category, span.name) == ("rule", "fire")
 
-    def test_span_nesting(self):
-        tr = Tracer()
-        with tr.span(0, "c", "outer"):
-            with tr.span(0, "c", "inner"):
-                time.sleep(0.002)
-        trace = tr.freeze()
-        inner, outer = sorted(trace.spans(), key=lambda e: e.dur)
-        assert inner.name == "inner" and outer.name == "outer"
+    def test_spans_nest(self):
+        ring = Recorder(level=1).ring(0)
+        outer_t0 = time.perf_counter()
+        inner_t0 = time.perf_counter()
+        time.sleep(0.002)
+        ring.emit("rule_fired", 2, "inner", t0=inner_t0)
+        ring.emit("rule_fired", 1, "outer", t0=outer_t0)
+        rec = Recorder(level=1)
+        rec._rings[0] = ring
+        inner, outer = sorted(rec.freeze().spans(), key=lambda e: e.dur)
+        assert inner.payload["name"] == "inner" and outer.payload["name"] == "outer"
         # the outer span fully contains the inner one
         assert outer.t <= inner.t
         assert outer.end >= inner.end
 
-    def test_ring_buffer_drops_oldest(self):
-        tr = Tracer(capacity=8)
+    def test_ring_drops_oldest_per_rank(self):
+        rec = Recorder(level=1, capacity=8)
         for i in range(20):
-            tr.instant(0, "c", "e%d" % i)
-        trace = tr.freeze()
-        assert len(trace) == 8
+            rec.ring(0).emit("notify", i)
+        rec.ring(1).emit("notify", 99)  # another rank's ring is its own
+        trace = rec.freeze()
+        assert len(trace) == 9
         assert trace.dropped == 12
-        assert trace.events[-1].name == "e19"  # newest survive
+        assert trace.ring_counts() == {0: (20, 8), 1: (1, 1)}
+        mine = [e.payload["td"] for e in trace.events if e.rank == 0]
+        assert mine == list(range(12, 20))  # newest survive, oldest first
 
     def test_freeze_sorts_by_time(self):
-        tr = Tracer()
-        t0 = tr.now()
-        tr.instant(0, "c", "later")
-        tr.complete(0, "c", "earlier", t0)  # starts before the instant
-        names = [e.name for e in tr.freeze().events]
-        assert names == ["earlier", "later"]
+        rec = Recorder(level=1)
+        t0 = time.perf_counter()
+        rec.ring(0).emit("notify", 1)
+        rec.ring(0).emit("rule_fired", 1, "earlier", t0=t0)  # began first
+        names = [e.name for e in rec.freeze().events]
+        assert names == ["fire", "notify"]
+
+    def test_every_event_advances_the_lamport_clock(self):
+        ring = Recorder().ring(0)
+        assert [ring.emit("rule_fire", k) for k in range(3)] == [1, 2, 3]
+        assert ring.emit("recv", 1, 11, 40, seen=40) == 41  # merged, then +1
+
+    def test_unknown_kind_still_decodes(self):
+        rec = Recorder(level=1)
+        rec.ring(0).emit("tick", 5)
+        (e,) = rec.freeze().events
+        assert (e.category, e.name, e.payload["a"]) == ("?", "tick", 5)
+
+    def test_kind_table_is_well_formed(self):
+        for kind, (level, category, name, fields) in KINDS.items():
+            assert level in (0, 1) and category and name, kind
+            assert len(fields) <= 3, kind
+
+
+def _span(rank, category, name, t, dur):
+    return TraceEvent(t=t, dur=dur, rank=rank, category=category, name=name)
 
 
 class TestTrace:
     def _sample(self) -> Trace:
-        tr = Tracer()
-        tr.instant(0, "adlb", "put")
-        t0 = tr.now()
-        tr.complete(1, "task", "task", t0, t0 + 0.5)
-        tr.complete(2, "task", "task", t0, t0 + 0.25)
-        return tr.freeze(meta={"elapsed": 1.0, "roles": {1: "worker", 2: "worker"}})
+        return Trace(
+            events=[
+                TraceEvent(t=0.0, dur=0.0, rank=0, category="adlb", name="put"),
+                _span(1, "task", "task", 0.1, 0.5),
+                _span(2, "task", "task", 0.1, 0.25),
+            ],
+            meta={"elapsed": 1.0, "roles": {1: "worker", 2: "worker"}},
+        )
 
     def test_filters_and_totals(self):
         trace = self._sample()
@@ -165,16 +203,77 @@ class TestTracedRuns:
         assert on.stdout_lines == off.stdout_lines
         assert on.tasks_run == off.tasks_run
 
-    def test_no_tracer_constructed_when_disabled(self, monkeypatch):
-        """The disabled path must never even build a Tracer."""
+    def test_untraced_run_records_level_0_only(self):
+        """An untraced run's rings hold only level-0 kinds, at most 512
+        slots per rank, and no payload dicts."""
+        rec = Recorder()
+        res = swift_run(FANOUT_200, workers=2, tracer=rec)
+        assert res.trace is None
+        assert len(res.stdout_lines) == 200
+        assert sorted(rec._rings) == [0, 1, 2, 3]  # no driver ring either
+        for ring in rec._rings.values():
+            assert 0 < len(ring.slots) <= LEVEL0_CAPACITY
+            assert ring.emitted >= len(ring.slots)
+            for _, _, _, kind, _, _, _, payload in ring.slots:
+                assert KINDS[kind][0] == 0, kind
+                assert payload is None
+        assert max(r.emitted for r in rec._rings.values()) > LEVEL0_CAPACITY
+
+    def test_no_recorder_constructed_when_both_levels_off(self, monkeypatch):
+        """flightrec=False, trace=False must never even build one."""
+        import repro.obs
 
         def boom(*a, **k):
-            raise AssertionError("Tracer constructed on the disabled path")
+            raise AssertionError("Recorder constructed on the disabled path")
 
-        monkeypatch.setattr(repro.obs, "Tracer", boom)
-        res = swift_run(PROGRAM, workers=2)
-        assert res.trace is None
+        monkeypatch.setattr(repro.obs, "Recorder", boom)
+        res = swift_run(PROGRAM, workers=2, flightrec=False)
+        assert res.trace is None and res.metrics is None
         assert len(res.stdout_lines) == 6
+
+    def test_counters_on_untraced_runs(self):
+        """The deterministic counters are on every default run and equal
+        the traced run's."""
+        off = swift_run(PROGRAM, workers=2).metrics["counters"]
+        on = swift_run(PROGRAM, workers=2, trace=True).metrics["counters"]
+        for name in ("engine.rules_created", "adlb.data_ops", "adlb.tasks_matched"):
+            assert off[name] == on[name] > 0, name
+        assert off["mpi.sends"] == off["mpi.recvs"] > 0
+        assert "task.latency_s" not in swift_run(PROGRAM, workers=2).metrics[
+            "histograms"
+        ]  # derived from level-1 spans
+
+    def test_messages_are_recorded_once(self):
+        res = swift_run(PROGRAM, workers=2, trace=True)
+        counters = res.trace.metrics["counters"]
+        by_name = {"send": 0, "recv": 0}
+        for e in res.trace.events:
+            if e.category == "mpi":
+                by_name[e.name] += 1
+        assert by_name["send"] == counters["mpi.sends"]
+        assert by_name["recv"] == counters["mpi.recvs"]
+
+    def test_lamport_order_never_puts_recv_before_send(self):
+        """The black-box property, over the full trace of a
+        2-server/2-engine run."""
+        res = swift_run(PROGRAM, workers=2, servers=2, engines=2, trace=True)
+        assert res.trace.dropped == 0
+        events = sorted(res.trace.events, key=lambda e: (e.lam, e.t, e.rank))
+        sent_at = {
+            (e.rank, e.payload["dest"], e.payload["tag"], e.lam): i
+            for i, e in enumerate(events)
+            if e.category == "mpi" and e.name == "send"
+        }
+        recvs = [
+            (i, e)
+            for i, e in enumerate(events)
+            if e.category == "mpi" and e.name == "recv"
+        ]
+        # (a message still in a mailbox at shutdown has no recv)
+        assert 0 < len(recvs) <= len(sent_at)
+        for i, e in recvs:
+            p = e.payload
+            assert sent_at[(p["source"], e.rank, p["tag"], p["seen"])] < i
 
     def test_traced_run_covers_all_layers(self):
         res = swift_run(PROGRAM, workers=2, trace=True)
@@ -199,10 +298,40 @@ class TestTracedRuns:
             e.rules_created for e in res.engine_stats
         )
 
-    def test_trace_capacity_option(self):
+    def test_trace_capacity_is_per_rank(self):
         res = swift_run(PROGRAM, workers=2, trace=True, trace_capacity=64)
-        assert len(res.trace) == 64
+        counts = res.trace.ring_counts()
+        assert all(kept == min(emitted, 64) for emitted, kept in counts.values())
+        assert res.trace.dropped == sum(e - k for e, k in counts.values()) > 0
+
+    def test_truncated_trace_is_loud(self, tmp_path, capsys):
+        """A trace that lost events says so first, names the capacity
+        that would have kept them, and that capacity indeed does."""
+        res = swift_run(FANOUT_200, workers=2, trace=True, trace_capacity=256)
         assert res.trace.dropped > 0
+        a = Analysis.from_trace(res.trace)
+        need = max(res.trace.emitted.values())
+        for text in (a.render(), res.profile.render()):
+            first = text.splitlines()[0]
+            assert first.startswith("WARNING: trace truncated")
+            assert "trace_capacity >= %d" % need in first
+        assert a.to_json()["dropped"] == res.trace.dropped
+        # ... and so does a saved trace: `repro analyze` exits 6 on it.
+        from repro.cli import main as cli_main
+
+        path = str(tmp_path / "truncated.trace.json")
+        res.trace.save_chrome(path)
+        assert cli_main(["analyze", path]) == 6
+        assert capsys.readouterr().out.startswith("WARNING: trace truncated")
+        again = swift_run(FANOUT_200, workers=2, trace=True, trace_capacity=need)
+        assert again.trace.dropped == 0
+        whole = Analysis.from_trace(again.trace)
+        assert not whole.render().startswith("WARNING")
+        assert sum(1 for u in whole.units.values() if u.kind == "task") == 200
+        assert not whole.incomplete
+        assert sum(h.total for h in whole.critical_path) == pytest.approx(
+            whole.makespan
+        )
 
     def test_profile_worker_utilization_ranks(self):
         res = swift_run(PROGRAM, workers=3, trace=True)

@@ -96,6 +96,29 @@ class TestServerDeath:
         assert c["adlb.repl.server_deaths"] == 1
         assert c["adlb.repl.promotions"] == 1
 
+    def test_scavenged_messages_are_counted_as_received(self):
+        # drain_dead adopts what a dead rank never received; every such
+        # message is a recv of the scavenger, counted and stamped like
+        # any other (mpi.sends == mpi.recvs must survive a server death).
+        from repro.obs import Recorder
+
+        rec = Recorder(level=1)
+        world = World(3, recorder=rec)
+        sender, scavenger = world.comm(0), world.comm(2)
+        for k in range(4):
+            sender.send({"k": k}, dest=1, tag=C.TAG_SERVER)
+        adopted = scavenger.drain_dead(1)
+        assert [m["k"] for m, _ in adopted] == [0, 1, 2, 3]
+        assert world.stats[2].recvs == 4 == world.stats[0].sends
+        recvs = [
+            e
+            for e in rec.freeze().events
+            if (e.category, e.name, e.rank) == ("mpi", "recv", 2)
+        ]
+        assert [e.payload["source"] for e in recvs] == [0] * 4
+        # the scavenger inherited the senders' causal history
+        assert scavenger.ring.clock > sender.ring.clock
+
     def test_server_kill_replicate_off_raises_server_lost(self):
         # Replication explicitly off: the death is unrecoverable, and
         # it must surface as a prompt diagnostic naming the dead rank,
