@@ -1,8 +1,8 @@
 """Checkpoint images: atomic write, validation, and restore planning.
 
 A checkpoint is a single pickle produced by the master server's
-two-phase snapshot protocol (see :mod:`repro.adlb.server`): per-server
-shard images (data store + pending tasks) plus per-engine rule tables.
+two-phase snapshot protocol (:class:`Checkpointer`): per-server shard
+images (data store + pending tasks) plus per-engine rule tables.
 ``repro run --restore <ckpt>`` replays one into a fresh world of the
 same shape.
 
@@ -16,10 +16,14 @@ regardless of how many rules re-fire immediately.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
+import time
+from dataclasses import dataclass
 from typing import Any
 
+from . import constants as C
 from .layout import Layout
 from .workqueue import Task
 
@@ -95,3 +99,178 @@ def restore_plan(image: dict, layout: Layout) -> dict[str, Any]:
         "server_shards": server_shards,
         "engine_rules": dict(image.get("engines", {})),
     }
+
+
+def load_shard(server: Any, shard: dict) -> None:
+    """Adopt a checkpoint shard into a fresh server (``repro run --restore``)."""
+    server.store.load_snapshot(shard["store"])
+    for task in shard.get("tasks", ()):
+        server.accept_task(task)
+    if shard.get("next_id") is not None:
+        server.next_id = shard["next_id"]
+    if shard.get("work_count") is not None:
+        server.work_count = shard["work_count"]
+        server.work_started = True
+
+
+@dataclass
+class CkptStats:
+    """Checkpoint counters, folded into metrics as ``adlb.ckpt.*``."""
+
+    written: int = 0
+    abandoned: int = 0
+    units_captured: int = 0
+
+
+class Checkpointer:
+    """Master-driven periodic consistent snapshot (``checkpoint_path``).
+
+    Two phases: engines first snapshot their rule tables (counting
+    any put they already issued), then every server drains its
+    mailbox — capturing those in-flight puts — and snapshots its
+    shard.  The ordering closes the consistency window: a put an
+    engine counted is in some server's mailbox before that server
+    drains."""
+
+    def __init__(self, core: Any, path: str, interval: float | None) -> None:
+        self.core = core
+        self.path = path
+        self.interval = interval or 0.5
+        self.stats = CkptStats()
+        self._gen = 0
+        self._phase: str | None = None
+        self._started = 0.0
+        self._parts: dict[tuple[str, int], dict] = {}
+        self._waiting: set[int] = set()
+        self._last = time.monotonic()
+        core.ops[C.SOP_CKPT_REQ] = self.op_req
+        core.ops[C.SOP_CKPT_PART] = self.op_part
+
+    def tick(self) -> None:
+        core = self.core
+        if (
+            not core.is_master
+            or core.shutting_down
+            or not core.work_started
+            or core.work_count <= 0
+        ):
+            return
+        now = time.monotonic()
+        if self._phase is not None:
+            if now - self._started > 10.0:
+                self.stats.abandoned += 1
+                self._phase = None
+            return
+        if now - self._last < self.interval:
+            return
+        self._gen += 1
+        self._phase = "engines"
+        self._started = now
+        self._parts = {}
+        self._waiting = {
+            r for r in core.layout.engines if r not in core.dead_ranks
+        }
+        if not self._waiting:
+            self._engines_done()
+            return
+        for r in self._waiting:
+            core.comm.send(("ckpt", self._gen), r, C.TAG_ASYNC)
+
+    def op_req(self, msg: dict, source: int) -> None:
+        # Drain already-deposited messages first so in-flight puts
+        # land in the snapshot (the master's request was sent after
+        # every engine contributed, so anything an engine counted is
+        # already in our mailbox).
+        self._drain_mailbox()
+        part = dict(self._server_part(), op=C.SOP_CKPT_PART, gen=msg["gen"])
+        self.core.comm.send(part, source, C.TAG_SERVER)
+
+    def op_part(self, msg: dict, source: int) -> None:
+        if msg.get("gen") != self._gen or self._phase is None:
+            return  # straggler from an abandoned generation
+        self._parts[(msg["kind"], source)] = msg
+        self._waiting.discard(source)
+        self._advance()
+
+    def rank_dead(self, rank: int) -> None:
+        """A checkpoint round must not stall 10s waiting on a corpse."""
+        if self._phase is not None and rank in self._waiting:
+            self._waiting.discard(rank)
+            self._advance()
+
+    def _advance(self) -> None:
+        if self._waiting:
+            return
+        if self._phase == "engines":
+            self._engines_done()
+        else:
+            self._write()
+
+    def _engines_done(self) -> None:
+        core = self.core
+        self._phase = "servers"
+        self._drain_mailbox()
+        self._parts[("server", core.rank)] = self._server_part()
+        others = [s for s in core.alive_servers() if s != core.rank]
+        self._waiting = set(others)
+        if not others:
+            self._write()
+            return
+        for s in others:
+            core.comm.send(
+                {"op": C.SOP_CKPT_REQ, "gen": self._gen}, s, C.TAG_SERVER
+            )
+
+    def _drain_mailbox(self) -> None:
+        """Process every message already deposited for this rank."""
+        core = self.core
+        while True:
+            got = core.comm.recv_poll(timeout=0)
+            if got is None:
+                return
+            msg, status = got
+            core.dispatch(msg, status.source, status.tag)
+
+    def _server_part(self) -> dict:
+        core = self.core
+        tasks = core.queue.all_tasks()
+        if core.leases is not None:
+            tasks += core.leases.unfinished()
+        return {
+            "kind": "server",
+            "rank": core.rank,
+            "store": core.store.snapshot(),
+            "tasks": [dataclasses.asdict(t) for t in tasks],
+            "next_id": core.next_id,
+        }
+
+    def _write(self) -> None:
+        core = self.core
+        servers = {
+            rank: {k: part[k] for k in ("store", "tasks", "next_id")}
+            for (kind, rank), part in self._parts.items()
+            if kind == "server"
+        }
+        units = sum(len(shard["tasks"]) for shard in servers.values())
+        engines = {
+            rank: part["rules"]
+            for (kind, rank), part in self._parts.items()
+            if kind == "engine"
+        }
+        image = {
+            "version": 1,
+            "gen": self._gen,
+            "size": core.layout.size,
+            "n_servers": core.layout.n_servers,
+            "n_engines": len(core.layout.engines),
+            "work_count": core.work_count,
+            "servers": servers,
+            "engines": engines,
+        }
+        write_checkpoint(self.path, image)
+        self.stats.written += 1
+        self.stats.units_captured = units
+        self._last = time.monotonic()
+        self._phase = None
+        if core.tracer is not None:
+            core.tracer.emit("checkpoint", self._gen, units)

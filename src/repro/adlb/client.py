@@ -63,6 +63,18 @@ class ClientRpcStats:
     stale_replies: int = 0  # replies dropped by sequence mismatch
 
 
+@dataclass(slots=True)
+class _Pending:
+    """One outstanding seq-stamped request: what to re-send, and the
+    ServerMap epoch and time it last went out."""
+
+    msg: dict
+    anchor: int
+    seq: int
+    epoch: int
+    last_send: float
+
+
 class AdlbClient:
     def __init__(
         self,
@@ -115,16 +127,12 @@ class AdlbClient:
         self.resend_interval = resend_interval
         self.rpc_stats = ClientRpcStats()
         self._seq = 0
-        # outstanding split GET (get_send .. get_wait)
-        self._get_msg: dict | None = None
-        self._get_seq = -1
-        self._get_epoch = 0
-        self._get_last_send = 0.0
+        # outstanding split GET (get_send .. get_wait), and its reply
+        # if that landed while another RPC was being awaited
+        self._get: _Pending | None = None
         self._get_reply: tuple | None = None
-        # outstanding async park (park_async .. recv_async)
-        self._park_msg: dict | None = None
-        self._park_seq = -1
-        self._park_epoch = 0
+        # outstanding async park (park_async .. its grant in recv_async)
+        self._park: _Pending | None = None
 
     # ------------------------------------------------------------------- RPC
 
@@ -136,7 +144,7 @@ class AdlbClient:
 
     def _rpc(self, server: int, msg: dict) -> Any:
         if self.reliable:
-            reply = self._reliable_call(server, msg)
+            reply = self._await(self._post(server, msg))
         else:
             self.comm.send(msg, server, C.TAG_REQUEST)
             reply, _ = self.comm.recv(source=server, tag=C.TAG_RESPONSE)
@@ -149,36 +157,36 @@ class AdlbClient:
             # Fire-and-forget is unrecoverable after a failover or a
             # dropped message; reliable mode upgrades every oneway to an
             # acknowledged, idempotently re-sendable RPC.
-            self._reliable_call(server, msg)
+            self._await(self._post(server, msg))
             return
         self.comm.send(msg, server, C.TAG_ONEWAY)
 
-    def _reliable_call(self, anchor: int, msg: dict) -> tuple:
-        """At-least-once RPC with at-most-once server-side effects.
-
-        The request carries a per-client sequence number; servers dedup
-        on it and cache the reply, so re-sends (resend-interval expiry,
-        or a ServerMap epoch bump after a failover) are safe even for
-        mutating ops.  Replies echo the sequence; anything else in the
-        response stream is a stale duplicate and is dropped."""
+    def _post(self, anchor: int, msg: dict) -> _Pending:
+        """Issue a reliable request: stamp it with the next per-client
+        sequence number and send it to the anchor's current owner."""
         self._seq += 1
-        seq = self._seq
-        msg = dict(msg, seq=seq)
+        msg = dict(msg, seq=self._seq)
         self.rpc_stats.sent += 1
-        epoch = self._epoch()
+        pending = _Pending(msg, anchor, self._seq, self._epoch(), time.monotonic())
         self.comm.send(msg, self._resolve(anchor), C.TAG_REQUEST)
-        last_send = time.monotonic()
+        return pending
+
+    def _await(self, p: _Pending) -> tuple:
+        """Wait for the reply to ``p``: at-least-once delivery with
+        at-most-once server-side effects.
+
+        Servers dedup on the sequence number and cache the reply, so
+        re-sends (resend-interval expiry, or a ServerMap epoch bump
+        after a failover) are safe even for mutating ops.  Replies echo
+        the sequence; anything else in the response stream is a stale
+        duplicate and is dropped."""
         while True:
             got = self.comm.recv_poll(tag=C.TAG_RESPONSE, timeout=0.02)
             if got is not None:
                 reply, _ = got
-                if reply and reply[-1] == seq:
+                if reply and reply[-1] == p.seq:
                     return reply[:-1]
-                if (
-                    self._get_seq >= 0
-                    and reply
-                    and reply[-1] == self._get_seq
-                ):
+                if self._get is not None and reply and reply[-1] == self._get.seq:
                     # The reply to an outstanding split GET landed while
                     # another RPC was in flight (the worker protocol
                     # sends its counter decrement after get_send): hold
@@ -189,15 +197,15 @@ class AdlbClient:
                 continue
             now = time.monotonic()
             cur = self._epoch()
-            if cur != epoch:
-                epoch = cur
+            if cur != p.epoch:
+                p.epoch = cur
                 self.rpc_stats.failovers += 1
-                self.comm.send(msg, self._resolve(anchor), C.TAG_REQUEST)
-                last_send = now
-            elif now - last_send >= self.resend_interval:
+            elif now - p.last_send < self.resend_interval:
+                continue
+            else:
                 self.rpc_stats.resends += 1
-                self.comm.send(msg, self._resolve(anchor), C.TAG_REQUEST)
-                last_send = now
+            self.comm.send(p.msg, self._resolve(p.anchor), C.TAG_REQUEST)
+            p.last_send = now
 
     # ------------------------------------------------------------------ work
 
@@ -245,19 +253,15 @@ class AdlbClient:
         self.flush_refcounts()  # task boundary: land deferred decrements
         msg: dict = {"op": C.OP_GET, "types": list(types)}
         if self.reliable:
-            self._seq += 1
-            msg["seq"] = self._seq
-            self._get_msg = msg
-            self._get_seq = self._seq
-            self._get_epoch = self._epoch()
-            self._get_last_send = time.monotonic()
             self._get_reply = None
-            self.rpc_stats.sent += 1
-        self.comm.send(msg, self._resolve(self.my_server), C.TAG_REQUEST)
+            self._get = self._post(self.my_server, msg)
+        else:
+            self.comm.send(msg, self._resolve(self.my_server), C.TAG_REQUEST)
 
     def get_wait(self) -> tuple[str, Any] | None:
         if self.reliable:
-            reply = self._get_wait_reliable()
+            reply = self._get_reply or self._await(self._get)
+            self._get = self._get_reply = None
         else:
             reply, _ = self.comm.recv(source=self.my_server, tag=C.TAG_RESPONSE)
         if reply[0] == "shutdown":
@@ -266,122 +270,53 @@ class AdlbClient:
             return reply[1], reply[2]
         raise AdlbError("unexpected get reply %r" % (reply,))
 
-    def _get_wait_reliable(self) -> tuple:
-        reply = self._get_reply
-        self._get_reply = None
-        while reply is None:
-            got = self.comm.recv_poll(tag=C.TAG_RESPONSE, timeout=0.02)
-            if got is not None:
-                r, _ = got
-                if r and r[-1] == self._get_seq:
-                    reply = r[:-1]
-                else:
-                    self.rpc_stats.stale_replies += 1
-                continue
-            now = time.monotonic()
-            cur = self._epoch()
-            if cur != self._get_epoch:
-                self._get_epoch = cur
-                self.rpc_stats.failovers += 1
-            elif now - self._get_last_send < self.resend_interval:
-                continue
-            else:
-                self.rpc_stats.resends += 1
-            self.comm.send(
-                self._get_msg, self._resolve(self.my_server), C.TAG_REQUEST
-            )
-            self._get_last_send = now
-        self._get_seq = -1
-        self._get_msg = None
-        return reply
-
     def park_async(self, types: tuple[str, ...] = (C.CONTROL,)) -> None:
         """Engine-style parked get; delivery arrives on the async channel."""
         self.flush_refcounts()  # task boundary: land deferred decrements
+        msg = {"op": C.OP_GET_ASYNC, "types": list(types)}
         if not self.reliable:
-            self._oneway(
-                self.my_server, {"op": C.OP_GET_ASYNC, "types": list(types)}
-            )
+            self._oneway(self.my_server, msg)
             return
-        self._seq += 1
-        seq = self._seq
-        self._park_msg = {"op": C.OP_GET_ASYNC, "types": list(types), "seq": seq}
-        self._park_seq = seq
-        self._park_epoch = self._epoch()
-        self.rpc_stats.sent += 1
-        self.comm.send(
-            self._park_msg, self._resolve(self.my_server), C.TAG_REQUEST
-        )
         # Wait for the ("parked", seq) acknowledgement so "parked" is
         # distinguishable from "request lost"; the grant itself arrives
         # on the async channel whenever work shows up.
-        last_send = time.monotonic()
-        while True:
-            got = self.comm.recv_poll(tag=C.TAG_RESPONSE, timeout=0.02)
-            if got is not None:
-                reply, _ = got
-                if reply and reply[-1] == seq:
-                    return
-                self.rpc_stats.stale_replies += 1
-                continue
-            now = time.monotonic()
-            cur = self._epoch()
-            if cur != self._park_epoch:
-                self._park_epoch = cur
-                self.rpc_stats.failovers += 1
-            elif now - last_send < self.resend_interval:
-                continue
-            else:
-                self.rpc_stats.resends += 1
-            self.comm.send(
-                self._park_msg, self._resolve(self.my_server), C.TAG_REQUEST
-            )
-            last_send = now
+        self._park = self._post(self.my_server, msg)
+        self._await(self._park)
 
     def recv_async(self) -> tuple:
         """Receive the next async event: ('notify', id) |
         ('ctask', type, payload) | ('ckpt', gen) | ('adopt', rank,
         rules, repair) | ('shutdown',)."""
-        if not self.reliable:
-            if self.tick is None:
-                msg, _ = self.comm.recv(tag=C.TAG_ASYNC)
-                return msg
-            while True:
-                got = self.comm.recv_poll(tag=C.TAG_ASYNC, timeout=0.05)
-                if got is not None:
-                    msg, _ = got
-                    return msg
-                self.tick()
+        if not self.reliable and self.tick is None:
+            msg, _ = self.comm.recv(tag=C.TAG_ASYNC)
+            return msg
         while True:
             got = self.comm.recv_poll(tag=C.TAG_ASYNC, timeout=0.05)
             if got is not None:
                 msg, _ = got
                 if msg[0] == "ctask":
                     if len(msg) > 3:
-                        if msg[3] != self._park_seq:
+                        if self._park is None or msg[3] != self._park.seq:
                             # duplicate of an already-consumed grant
                             self.rpc_stats.stale_replies += 1
                             continue
                         # Consume the park: later copies of this grant
                         # (failover resends) no longer match.
-                        self._park_seq = -1
+                        self._park = None
                         return msg[:3]
                 return msg
             if self.tick is not None:
                 self.tick()
-            if self._park_seq >= 0:
-                cur = self._epoch()
-                if cur != self._park_epoch:
-                    # Our server died while we were parked: re-park at
-                    # the heir (same seq — its dedup table knows whether
-                    # the dead server already granted us something).
-                    self._park_epoch = cur
-                    self.rpc_stats.failovers += 1
-                    self.comm.send(
-                        self._park_msg,
-                        self._resolve(self.my_server),
-                        C.TAG_REQUEST,
-                    )
+            park, cur = self._park, self._epoch()
+            if park is not None and cur != park.epoch:
+                # Our server died while we were parked: re-park at
+                # the heir (same seq — its dedup table knows whether
+                # the dead server already granted us something).
+                park.epoch = cur
+                self.rpc_stats.failovers += 1
+                self.comm.send(
+                    park.msg, self._resolve(park.anchor), C.TAG_REQUEST
+                )
 
     def journal(self, entries: list) -> None:
         """Stream rule-lifecycle journal entries to the anchor server.
@@ -657,6 +592,3 @@ class AdlbClient:
         if poison:
             msg["poison"] = True
         self._oneway(self.layout.master_server, msg)
-
-    def server_stats(self) -> dict:
-        return self._rpc(self.my_server, {"op": C.OP_STATS})

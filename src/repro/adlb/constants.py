@@ -45,14 +45,11 @@ OP_INCR_WORK = "INCR_WORK"
 OP_DECR_WORK = "DECR_WORK"
 OP_TASK_FAIL = "TASK_FAIL"  # client reports a failed leased work unit
 OP_JOURNAL = "JOURNAL"  # engine streams rule-lifecycle journal entries
-OP_FINALIZE = "FINALIZE"
-OP_STATS = "STATS"
 
 # --- server <-> server ops ---------------------------------------------------
 SOP_STEAL_REQ = "STEAL_REQ"
 SOP_STEAL_RESP = "STEAL_RESP"
 SOP_SHUTDOWN = "SHUTDOWN"
-SOP_WORK_DELTA = "WORK_DELTA"
 SOP_RANK_DEAD = "RANK_DEAD"  # launcher-side notification: a rank died
 SOP_DRAIN_PROBE = "DRAIN_PROBE"  # master asks: are you quiescent?
 SOP_DRAIN_RESP = "DRAIN_RESP"

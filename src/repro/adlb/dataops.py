@@ -1,0 +1,111 @@
+"""The one function that applies a client data op to a ``DataStore``.
+
+Both the owning server (answering the client, emitting notifications,
+logging the mutation to its buddy) and the buddy's shadow replica
+(replaying that log) go through :func:`apply_data_op`, so the wire
+format of a data op is decoded in exactly one place.
+"""
+
+from __future__ import annotations
+
+from typing import Any
+
+from . import constants as C
+from .datastore import DataStore, Notification, RefStore
+
+#: the client ops :func:`apply_data_op` serves
+DATA_OPS = {
+    C.OP_CREATE,
+    C.OP_MULTICREATE,
+    C.OP_STORE,
+    C.OP_RETRIEVE,
+    C.OP_EXISTS,
+    C.OP_SUBSCRIBE,
+    C.OP_CONTAINER_REF,
+    C.OP_ENUMERATE,
+    C.OP_REFCOUNT,
+    C.OP_REFCOUNT_BATCH,
+    C.OP_TYPEOF,
+}
+
+
+def apply_data_op(
+    s: DataStore,
+    msg: dict,
+    source: int,
+    notes: list[Notification],
+    refs: list[RefStore],
+) -> tuple[Any, dict | None]:
+    """Apply one data op; returns ``(reply value, op-log form)``.
+
+    Close notifications and container-reference store-throughs the op
+    triggers are appended to ``notes`` / ``refs`` (also when the op
+    raises part-way) for the owner to emit; a replica discards them.
+    The op-log form is the message a shadow must replay to reach the
+    same state, ``None`` when the op mutated nothing.  ``source``
+    stands in for a SUBSCRIBE that names no rank.
+    """
+    op = msg["op"]
+    if op == C.OP_CREATE or op == C.OP_MULTICREATE:
+        specs = [msg] if op == C.OP_CREATE else msg["specs"]
+        for spec in specs:
+            s.create(
+                spec["id"],
+                spec["type"],
+                write_refcount=spec.get("write_refcount", 1),
+                read_refcount=spec.get("read_refcount", 1),
+            )
+        return (msg["id"] if op == C.OP_CREATE else len(specs)), msg
+    if op == C.OP_STORE:
+        closed, through = s.store(
+            msg["id"],
+            msg["value"],
+            subscript=msg.get("subscript"),
+            decr_write=msg.get("decr_write", 1),
+        )
+        notes += closed
+        refs += through
+        return None, msg
+    # Refcounts.  A batch carries the coalesced deltas of one client
+    # task (one entry per id), applied in order; if one fails, the
+    # preceding ops stay applied (their notifications are already in
+    # ``notes``) and the error is reported for the whole batch —
+    # matching the per-op RPC failure the client would have seen at its
+    # deferred call site.
+    if op == C.OP_REFCOUNT or op == C.OP_REFCOUNT_BATCH:
+        batch = op == C.OP_REFCOUNT_BATCH
+        freed: list[int] = []
+        for item in msg["ops"] if batch else [msg]:
+            notes += s.refcount(
+                item["id"],
+                read_delta=item.get("read_delta", 0),
+                write_delta=item.get("write_delta", 0),
+            )
+            # freed: the read refcount dropped the TD; clients evict
+            # it from their retrieve caches.
+            if item["id"] not in s.tds:
+                freed.append(item["id"])
+        return {"freed": freed if batch else bool(freed)}, msg
+    if op == C.OP_RETRIEVE:
+        # Reply is (value, closed): the closed bit marks the value
+        # immutable, licensing the client to cache it locally.
+        return s.retrieve_tagged(msg["id"], subscript=msg.get("subscript")), None
+    if op == C.OP_EXISTS:
+        return s.exists(msg["id"], subscript=msg.get("subscript")), None
+    if op == C.OP_TYPEOF:
+        return s.lookup(msg["id"]).type, None
+    if op == C.OP_ENUMERATE:
+        return s.enumerate(msg["id"]), None
+    if op == C.OP_SUBSCRIBE:
+        rank = msg.get("rank", source)
+        closed = s.subscribe(msg["id"], rank)
+        # Already closed: nothing was registered, nothing to replicate.
+        return closed, None if closed else dict(msg, rank=rank)
+    assert op == C.OP_CONTAINER_REF, op
+    ref = s.container_reference(msg["id"], msg["subscript"], msg["ref_id"])
+    if ref is None:
+        return None, msg
+    # Member already present: only the store-through happens (and is
+    # logged by whichever server owns the reference TD).
+    refs.append(ref)
+    return None, None

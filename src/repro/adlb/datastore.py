@@ -86,9 +86,6 @@ class DataStore:
     def __init__(self, replay_ok: bool = False) -> None:
         self.tds: dict[int, TD] = {}
         self.replay_ok = replay_ok
-        self.n_created = 0
-        self.n_stores = 0
-        self.n_retrieves = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -114,7 +111,6 @@ class DataStore:
             read_refcount=read_refcount,
         )
         self.tds[id] = td
-        self.n_created += 1
         return td
 
     def lookup(self, id: int) -> TD:
@@ -134,7 +130,6 @@ class DataStore:
     ) -> tuple[list[Notification], list[RefStore]]:
         """Store a value; returns (close notifications, ref store-throughs)."""
         td = self.lookup(id)
-        self.n_stores += 1
         refs: list[RefStore] = []
         if subscript is None:
             if td.type == T_CONTAINER:
@@ -194,7 +189,6 @@ class DataStore:
         whether the reply may be cached.
         """
         td = self.lookup(id)
-        self.n_retrieves += 1
         if subscript is None:
             if td.type == T_CONTAINER:
                 # whole-container retrieve: subscript -> value mapping

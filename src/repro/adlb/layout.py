@@ -132,37 +132,18 @@ class ServerMap:
     def alive(self) -> list[int]:
         return [s for s in self.layout.servers if s not in self._dead]
 
-    def is_dead(self, rank: int) -> bool:
-        return rank in self._dead
-
-    def owned_by(self, rank: int) -> list[int]:
-        """Shard anchors currently served by ``rank``."""
-        return [a for a, o in self._owner.items() if o == rank]
-
     # -- failover ----------------------------------------------------------
 
     def buddy(self, rank: int) -> int | None:
         """The replication partner of ``rank``: the next live server in
-        ring order.  ``None`` when no other server is alive."""
+        ring order — hence also the heir of its shards when it dies,
+        computable by every survivor independently.  ``None`` when no
+        other server is alive."""
         ring = self.layout.servers
         i = ring.index(rank)
         for step in range(1, len(ring)):
             cand = ring[(i + step) % len(ring)]
             if cand not in self._dead and cand != rank:
-                return cand
-        return None
-
-    def successor(self, dead: int) -> int | None:
-        """The rank that inherits a dead server's shards.
-
-        Deterministic and computable by every survivor independently:
-        the next live server after ``dead`` in ring order — which is
-        exactly the buddy ``dead`` was replicating to when it died."""
-        ring = self.layout.servers
-        i = ring.index(dead)
-        for step in range(1, len(ring)):
-            cand = ring[(i + step) % len(ring)]
-            if cand not in self._dead and cand != dead:
                 return cand
         return None
 
@@ -176,7 +157,7 @@ class ServerMap:
             if rank in self._dead:
                 return None
             self._dead.add(rank)
-            heir = self.successor(rank)
+            heir = self.buddy(rank)
             if heir is None:
                 self.epoch += 1
                 return None

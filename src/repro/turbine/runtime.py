@@ -100,7 +100,6 @@ class RuntimeConfig:
     # RunResult.failures and keep draining).
     on_error: str = "retry"
     max_retries: int = 2
-    retry_backoff: float = 0.05
     # Seconds a handed-out task may stay unacknowledged before its
     # rank is presumed dead and the task is requeued.
     lease_timeout: float = 60.0
@@ -478,7 +477,6 @@ def run_turbine_program(
                 leases=leases_enabled,
                 lease_timeout=config.lease_timeout,
                 max_retries=config.max_retries,
-                retry_backoff=config.retry_backoff,
                 on_error=config.on_error,
                 server_map=server_map,
                 replicate=replicate,

@@ -1,0 +1,243 @@
+"""The ADLB server core and its opt-in recovery collaborators.
+
+These drive a :class:`Server` synchronously through ``dispatch`` (no
+rank threads): what a plain server builds and refuses, how the one
+``(client, channel)`` dedup table behaves, and — end to end — that the
+canonical fan-out costs exactly the ops it did before the split.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import swift_run
+from repro.adlb import constants as C
+from repro.adlb.checkpoint import Checkpointer
+from repro.adlb.datastore import DataStoreError
+from repro.adlb.dedup import PARKED, DedupTable
+from repro.adlb.drain import Drain
+from repro.adlb.journal import Journals, RuleJournal
+from repro.adlb.layout import Layout
+from repro.adlb.leases import Leases
+from repro.adlb.replication import Replica, Replication
+from repro.adlb.server import Server
+from repro.adlb.status import Status
+from repro.adlb.workqueue import Task
+from repro.faults import TaskError
+from repro.mpi.comm import World
+
+# engine 0, workers 1-2, then the server rank(s)
+ENGINE, WORKER = 0, 1
+
+
+def make_server(n_servers: int = 1, **kwargs):
+    layout = Layout(size=3 + n_servers, n_servers=n_servers, n_engines=1)
+    world = World(layout.size, recv_timeout=None)
+    return Server(world.comm(layout.master_server), layout, **kwargs), world
+
+
+def replies(world: World, rank: int, tag: int) -> list:
+    comm, out = world.comm(rank), []
+    while (got := comm.recv_poll(tag=tag, timeout=0)) is not None:
+        out.append(got[0])
+    return out
+
+
+TASK_FAIL = {"op": C.OP_TASK_FAIL, "kind": "task", "error": "boom"}
+
+
+class TestRecoveryOffBuildsNothing:
+    def test_plain_server_has_no_collaborators_and_no_recovery_state(self):
+        server, _ = make_server()
+        for name in ("leases", "repl", "journals", "ckpt", "drain", "status"):
+            assert getattr(server, name) is None, name
+        recovery_types = (
+            Leases,
+            Replication,
+            Replica,
+            Journals,
+            RuleJournal,
+            Checkpointer,
+            Drain,
+            Status,
+        )
+        for name, value in vars(server).items():
+            held = value.values() if isinstance(value, dict) else [value]
+            assert not any(isinstance(v, recovery_types) for v in held), name
+        # ...and it can say so: the audit row and the hang diagnostic
+        # keep their shape without any of it.
+        row = server.audit_row()
+        assert row["leases"] == {} and row["journal_pending"] == {}
+        assert row["delayed_tasks"] == 0 and row["quarantined"] == 0
+        assert row["dedup_slots"] == {"rpc": 0, "get": 0, "async": 0}
+        assert server._diagnostic() == (
+            "server q=0 parked=0 delayed=0; leases=none; work_count=0"
+        )
+
+    def test_each_feature_builds_only_its_own_collaborator(self, tmp_path):
+        assert make_server(leases=True)[0].leases is not None
+        assert make_server(journal=True)[0].journals is not None
+        assert make_server(on_error="continue")[0].drain is not None
+        assert make_server(status_interval=0.5)[0].status is not None
+        ckpt = make_server(checkpoint_path=str(tmp_path / "c.ckpt"))[0]
+        assert ckpt.ckpt is not None and ckpt.leases is None
+        # a lone server has no buddy: replicate=True builds nothing
+        assert make_server(replicate=True)[0].repl is None
+        two = make_server(n_servers=2, replicate=True)[0]
+        assert two.repl is not None and two.map is not None
+        assert two.journals is None and two.leases is None
+
+    def test_ops_of_features_that_are_off_are_unknown_ops(self):
+        server, world = make_server()
+        for msg in (
+            {"op": C.SOP_REPLICATE, "entries": [], "seq": 0},
+            {"op": C.SOP_CKPT_REQ, "gen": 1},
+            {"op": C.SOP_DRAIN_PROBE},
+        ):
+            with pytest.raises(RuntimeError, match="unknown server op"):
+                server.dispatch(msg, ENGINE, C.TAG_SERVER)
+        journal = {"op": C.OP_JOURNAL, "rank": ENGINE, "entries": []}
+        server.dispatch(journal, ENGINE, C.TAG_REQUEST)
+        assert replies(world, ENGINE, C.TAG_RESPONSE) == [
+            ("error", "unknown ADLB op 'JOURNAL'")
+        ]
+        with pytest.raises(DataStoreError, match="unknown ADLB op 'JOURNAL'"):
+            server.dispatch(journal, ENGINE, C.TAG_ONEWAY)
+        assert server.journals is None and server.repl is None
+
+    def test_task_fail_without_leases_gives_up_at_once(self):
+        # The off path still serves OP_TASK_FAIL: no lease, so no retry.
+        server, _ = make_server(on_error="continue")
+        server.dispatch({"op": C.OP_INCR_WORK, "amount": 2}, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
+        (failure,) = server.failures
+        assert (failure.rank, failure.error, failure.attempts) == (WORKER, "boom", 1)
+        assert server.work_count == 1 and server.poisoned
+        with pytest.raises(TaskError, match="boom"):
+            make_server()[0].dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
+
+    def test_task_fail_with_leases_requeues_with_backoff(self):
+        server, world = make_server(leases=True, max_retries=1)
+        put = {"op": C.OP_PUT, "type": C.WORK, "payload": "leaf"}
+        server.dispatch(put, ENGINE, C.TAG_ONEWAY)
+        server.dispatch({"op": C.OP_GET, "types": [C.WORK]}, WORKER, C.TAG_REQUEST)
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
+        server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
+        assert server.leases.stats.requeued == 1 and not server.failures
+        assert server.audit_row()["delayed_tasks"] == 1
+
+
+class TestDedupTable:
+    def test_offer_and_merge_keep_the_higher_seq_per_client_and_channel(self):
+        ours, theirs = DedupTable(), DedupTable()
+        ours.slots[1, "rpc"] = (9, "ours-9")
+        ours.slots[1, "async"] = (4, "ours-4")
+        ours.slots[2, "get"] = (2, "ours-2")
+        theirs.slots[1, "rpc"] = (7, "theirs-7")  # older: dropped
+        theirs.slots[1, "async"] = (4, "theirs-4")  # tie: the heir's is newer
+        theirs.slots[2, "get"] = (3, "theirs-3")  # newer: adopted
+        theirs.slots[2, "rpc"] = (1, "theirs-1")  # unseen: adopted
+        ours.merge(theirs)
+        assert ours.slots == {
+            (1, "rpc"): (9, "ours-9"),
+            (1, "async"): (4, "ours-4"),
+            (2, "get"): (3, "theirs-3"),
+            (2, "rpc"): (1, "theirs-1"),
+        }
+        # op-log replay: a later entry with the same seq wins
+        ours.offer(1, "async", 4, "replayed", ties=True)
+        assert ours.slots[1, "async"] == (4, "replayed")
+        assert ours.counts() == {"rpc": 2, "get": 1, "async": 1}
+
+    def test_rpc_reply_does_not_evict_outstanding_split_get(self):
+        server, world = make_server(reliable=True)
+        get = {"op": C.OP_GET, "types": [C.WORK], "seq": 1}
+        server.dispatch(get, WORKER, C.TAG_REQUEST)  # nothing queued: parks
+        incr = {"op": C.OP_INCR_WORK, "amount": 1, "seq": 2}
+        server.dispatch(incr, WORKER, C.TAG_REQUEST)
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [("ok", None, 2)]
+        assert server.dedup.slots[WORKER, "get"] == (1, (C.TAG_RESPONSE, PARKED))
+        assert server.dedup.slots[WORKER, "rpc"][0] == 2
+        # a re-sent park re-parks (once), it is not answered or dropped
+        server.dispatch(get, WORKER, C.TAG_REQUEST)
+        assert [p.rank for p in server.parked] == [WORKER]
+        assert server.dedup.hits == 1
+        # work arrives: granted once; a duplicate GET resends the grant
+        put = {"op": C.OP_PUT, "type": C.WORK, "payload": "leaf", "seq": 3}
+        server.dispatch(put, WORKER, C.TAG_REQUEST)
+        server.dispatch(get, WORKER, C.TAG_REQUEST)
+        grant = ("task", C.WORK, "leaf", 1)
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [grant, ("ok", None, 3), grant]
+        assert server.stats.tasks_matched == 1 and not server.parked
+
+    def test_rpc_reply_does_not_evict_outstanding_async_park(self):
+        server, world = make_server(reliable=True)
+        park = {"op": C.OP_GET_ASYNC, "types": [C.CONTROL], "seq": 5}
+        server.dispatch(park, ENGINE, C.TAG_REQUEST)
+        create = {"op": C.OP_CREATE, "id": 1, "type": C.T_INTEGER, "seq": 6}
+        server.dispatch(create, ENGINE, C.TAG_REQUEST)
+        server.dispatch(park, ENGINE, C.TAG_REQUEST)  # resend timer fired
+        assert replies(world, ENGINE, C.TAG_RESPONSE) == [
+            ("parked", 5),
+            ("ok", 1, 6),
+            ("parked", 5),
+        ]
+        assert [p.rank for p in server.parked] == [ENGINE]
+        get = {"op": C.OP_GET, "types": [C.WORK], "seq": 1}
+        server.dispatch(get, WORKER, C.TAG_REQUEST)
+        # what chaos/invariants.py bounds by the client count
+        assert server.audit_row()["dedup_slots"] == {"rpc": 1, "get": 1, "async": 1}
+
+    def test_promotion_merges_the_wards_slots_replicate_on(self):
+        server, _ = make_server(n_servers=2, replicate=True, reliable=True)
+        ward = server.layout.servers[1]
+        task = Task(type=C.WORK, payload="leaf", uid=7)
+        grant = (C.TAG_RESPONSE, ("task", C.WORK, "leaf", 3))
+        entries = [
+            ("task+", task),
+            ("grant", task, WORKER, 3, grant),
+            ("dedup", WORKER, 7, (C.TAG_RESPONSE, ("ok", None, 7))),
+        ]
+        batch = {"op": C.SOP_REPLICATE, "entries": entries, "seq": 3}
+        server.dispatch(batch, ward, C.TAG_SERVER)
+        mine = (C.TAG_RESPONSE, ("ok", None, 9))
+        server.dedup.slots[WORKER, "rpc"] = (9, mine)
+        server.dedup.slots[WORKER, "get"] = (2, (C.TAG_RESPONSE, PARKED))
+        server.repl.server_dead(ward, "test")
+        assert server.repl.stats.promotions == 1
+        assert server.dedup.slots == {
+            (WORKER, "rpc"): (9, mine),
+            (WORKER, "get"): (3, grant),
+        }
+
+
+FANOUT = (
+    "foreach i in [0:%d] {\n"
+    '    string s = python(strcat("x=", fromint(i)), "x");\n'
+    "    trace(s);\n"
+    "}\n"
+)
+
+# What one leaf of the canonical python fan-out costs, measured at the
+# commit before the server split (and constant in N, with no per-run
+# remainder).  A protocol-shrinking PR is *meant* to fail this and
+# re-pin it; a refactor must not move it.
+PER_LEAF = {
+    "adlb.data_ops": 24,
+    "adlb.tasks_matched": 2,
+    "adlb.lease.granted": 2,
+    "engine.rules_created": 4,
+    "engine.notifications": 3,
+    "engine.control_tasks_run": 1,
+}
+
+
+class TestProtocolShape:
+    @pytest.mark.parametrize("n", [6, 15])
+    def test_fanout_costs_exactly_the_pinned_ops_per_leaf(self, n):
+        res = swift_run(FANOUT % (n - 1), workers=2, servers=1, engines=1)
+        assert sorted(res.stdout_lines) == sorted("trace: %d" % i for i in range(n))
+        counters = res.metrics["counters"]
+        assert {k: counters[k] for k in PER_LEAF} == {
+            k: per_leaf * n for k, per_leaf in PER_LEAF.items()
+        }

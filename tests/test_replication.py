@@ -18,7 +18,8 @@ from repro import DeadlineExceeded, FaultPlan, ServerLost, swift_run
 from repro.adlb import constants as C
 from repro.adlb.checkpoint import CheckpointError, read_checkpoint
 from repro.adlb.layout import Layout, ServerMap
-from repro.adlb.server import Server, _Lease
+from repro.adlb.leases import _Lease
+from repro.adlb.server import Server
 from repro.adlb.workqueue import Task
 from repro.mpi.comm import World
 
@@ -306,12 +307,12 @@ class TestHangDiagnostics:
             server_map=ServerMap(layout),
             replicate=True,
         )
-        server._leases[1] = _Lease(
+        server.leases.table[1] = _Lease(
             task=Task(payload="leaf-task-payload", type=C.WORK),
             client=1,
             deadline=time.monotonic() + 30.0,
         )
-        server._repl_seq, server._repl_acked = 7, 4
+        server.repl.seq, server.repl.acked = 7, 4
         line = server._diagnostic()
         assert "leaf-task-payload" in line
         assert "repl lag=3" in line
