@@ -36,7 +36,6 @@ from bench_hotpath import (  # noqa: E402
     EXPR_PRELUDE,
     PROC_CALL,
     PROC_PRELUDE,
-    measure_dataflow,
     measure_end_to_end,
     measure_tcl,
 )
@@ -48,7 +47,6 @@ ROWS = {
     "tcl_proc_dispatch": lambda: measure_tcl(PROC_PRELUDE, PROC_CALL),
     "tcl_expr_loop": lambda: measure_tcl(EXPR_PRELUDE, EXPR_CALL),
     "end_to_end": lambda: measure_end_to_end(rounds=5),
-    "dataflow_fanout": lambda: measure_dataflow(rounds=5),
     "bench_faults_overhead": lambda: measure_faults_overhead(rounds=5),
     "bench_journal_overhead": lambda: measure_journal_overhead(rounds=5),
     "bench_audit_overhead": lambda: measure_audit_overhead(rounds=5),

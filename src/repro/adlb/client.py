@@ -2,25 +2,8 @@
 
 Wraps the RPC protocol: work ops go to the rank's attached server, data
 ops are routed to each TD's home server, and termination-counter ops go
-to the master server.
-
-Two hot-path optimizations (both off by default; the runtime enables
-them via :class:`repro.turbine.runtime.RuntimeConfig`):
-
-* **Immutable-read cache** — servers tag every retrieve reply with a
-  ``closed`` bit; closed values are single-assignment and can never
-  change, so the client memoizes them in a bounded LRU and answers
-  repeat retrieves without a round trip.  Entries are evicted when the
-  client itself drops a read reference and when a (batched) refcount
-  reply reports the TD freed.  Safe because TD ids are allocated
-  monotonically and never reused.
-* **Batched refcounts** — read-refcount decrements and write-refcount
-  decrements are coalesced per TD id and flushed as one RPC per home
-  server at task boundaries (:meth:`flush_refcounts`), instead of one
-  blocking round trip per ``read_refcount_decr``.  Write-refcount
-  *increments* always apply immediately: generated code increments a
-  container's write count before handing out slots, and deferring that
-  would let the container close early.
+to the master server.  The client holds no data state: every call is
+one RPC (or one per home server), applied when it returns.
 """
 
 from __future__ import annotations
@@ -29,7 +12,6 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from ..lru import LRUCache
 from ..mpi import Comm
 from . import constants as C
 from .layout import Layout, ServerMap
@@ -37,20 +19,6 @@ from .layout import Layout, ServerMap
 
 class AdlbError(RuntimeError):
     pass
-
-
-_MISSING = object()
-
-
-@dataclass
-class ClientDataStats:
-    """Counters folded into metrics as ``adlb.retrieve_cache.*``."""
-
-    hits: int = 0  # retrieves answered from the local immutable cache
-    misses: int = 0  # retrieves that went to the server
-    evictions: int = 0  # entries dropped by refcount GC (not LRU pressure)
-    refcount_batches: int = 0  # flush RPCs sent
-    refcount_batched_ops: int = 0  # deltas coalesced into those batches
 
 
 @dataclass
@@ -80,9 +48,6 @@ class AdlbClient:
         self,
         comm: Comm,
         layout: Layout,
-        read_cache: bool = False,
-        batch_refcounts: bool = False,
-        cache_capacity: int = 4096,
         server_map: ServerMap | None = None,
         reliable: bool = False,
         resend_interval: float = 0.25,
@@ -96,7 +61,7 @@ class AdlbClient:
         self.tracer = comm.tracer
         # Provenance context: the id of the unit of work (task / fired
         # rule / control task / program) currently executing on this
-        # rank.  Set by the engine/worker loops when tracing; every
+        # rank.  Set by the rank's UnitRunner when tracing; every
         # store issued while it is set emits a ``prov.write`` lineage
         # edge (unit -> td) into the trace.
         self.prov_unit: str | None = None
@@ -110,27 +75,12 @@ class AdlbClient:
         self.my_server = layout.my_server(self.rank)
         self._id_next = 0
         self._id_limit = 0
-        self.read_cache_enabled = read_cache
-        self.batch_refcounts = batch_refcounts
-        # (id, subscript) -> immutable value
-        self._read_cache: LRUCache[tuple[int, str | None], Any] = LRUCache(
-            cache_capacity
-        )
-        # id -> [read_delta, write_delta] pending flush
-        self._pending_refcounts: dict[int, list[int]] = {}
-        # ids with cached container-member entries (eviction index)
-        self._sub_ids: set[int] = set()
-        self.data_stats = ClientDataStats()
         # ---- reliable RPC state ---------------------------------------
         self.map = server_map
         self.reliable = reliable
         self.resend_interval = resend_interval
         self.rpc_stats = ClientRpcStats()
         self._seq = 0
-        # outstanding split GET (get_send .. get_wait), and its reply
-        # if that landed while another RPC was being awaited
-        self._get: _Pending | None = None
-        self._get_reply: tuple | None = None
         # outstanding async park (park_async .. its grant in recv_async)
         self._park: _Pending | None = None
 
@@ -186,14 +136,7 @@ class AdlbClient:
                 reply, _ = got
                 if reply and reply[-1] == p.seq:
                     return reply[:-1]
-                if self._get is not None and reply and reply[-1] == self._get.seq:
-                    # The reply to an outstanding split GET landed while
-                    # another RPC was in flight (the worker protocol
-                    # sends its counter decrement after get_send): hold
-                    # it for get_wait instead of dropping it.
-                    self._get_reply = reply[:-1]
-                else:
-                    self.rpc_stats.stale_replies += 1
+                self.rpc_stats.stale_replies += 1
                 continue
             now = time.monotonic()
             cur = self._epoch()
@@ -238,31 +181,15 @@ class AdlbClient:
         self._oneway(server, msg)
 
     def get(self, types: tuple[str, ...] = (C.WORK,)) -> tuple[str, Any] | None:
-        """Blocking get; returns (type, payload) or None on shutdown."""
-        self.get_send(types)
-        return self.get_wait()
+        """Blocking get; returns (type, payload) or None on shutdown.
 
-    def get_send(self, types: tuple[str, ...] = (C.WORK,)) -> None:
-        """First half of get(): issue the request without waiting.
-
-        Splitting get lets a worker send its termination-counter
-        decrement *after* it is parked, which the shutdown protocol
-        requires (a server only exits once every attached client is
-        parked or has been told to shut down).
-        """
-        self.flush_refcounts()  # task boundary: land deferred decrements
+        Asking for the next task also completes the lease on the
+        previous one."""
         msg: dict = {"op": C.OP_GET, "types": list(types)}
         if self.reliable:
-            self._get_reply = None
-            self._get = self._post(self.my_server, msg)
+            reply = self._await(self._post(self.my_server, msg))
         else:
             self.comm.send(msg, self._resolve(self.my_server), C.TAG_REQUEST)
-
-    def get_wait(self) -> tuple[str, Any] | None:
-        if self.reliable:
-            reply = self._get_reply or self._await(self._get)
-            self._get = self._get_reply = None
-        else:
             reply, _ = self.comm.recv(source=self.my_server, tag=C.TAG_RESPONSE)
         if reply[0] == "shutdown":
             return None
@@ -272,7 +199,6 @@ class AdlbClient:
 
     def park_async(self, types: tuple[str, ...] = (C.CONTROL,)) -> None:
         """Engine-style parked get; delivery arrives on the async channel."""
-        self.flush_refcounts()  # task boundary: land deferred decrements
         msg = {"op": C.OP_GET_ASYNC, "types": list(types)}
         if not self.reliable:
             self._oneway(self.my_server, msg)
@@ -387,11 +313,6 @@ class AdlbClient:
         subscript: str | None = None,
         decr_write: int = 1,
     ) -> None:
-        if self.read_cache_enabled and subscript is not None:
-            # A member insert invalidates any cached whole-container
-            # snapshot (possible with decr_write=0 after a snapshot).
-            if self._read_cache.pop((id, None)) is not None:
-                self.data_stats.evictions += 1
         if self.tracer is not None:
             # Lineage edge: the current unit wrote this TD.
             self.tracer.emit("write", id, self.prov_unit, subscript)
@@ -407,29 +328,10 @@ class AdlbClient:
         )
 
     def retrieve(self, id: int, subscript: str | None = None) -> Any:
-        if self.read_cache_enabled:
-            key = (id, subscript)
-            cached = self._read_cache.get(key, _MISSING)
-            if cached is not _MISSING:
-                self.data_stats.hits += 1
-                # Containers are cached as dict snapshots; hand out a
-                # copy so callers can't mutate the cached entry.
-                return dict(cached) if type(cached) is dict else cached
-            value, closed = self._rpc(
-                self.layout.home_server(id),
-                {"op": C.OP_RETRIEVE, "id": id, "subscript": subscript},
-            )
-            self.data_stats.misses += 1
-            if closed:
-                self._read_cache.put(key, value)
-                if subscript is not None:
-                    self._sub_ids.add(id)
-            return value
-        value, _closed = self._rpc(
+        return self._rpc(
             self.layout.home_server(id),
             {"op": C.OP_RETRIEVE, "id": id, "subscript": subscript},
         )
-        return value
 
     def exists(self, id: int, subscript: str | None = None) -> bool:
         return self._rpc(
@@ -464,36 +366,7 @@ class AdlbClient:
         )
 
     def refcount(self, id: int, read_delta: int = 0, write_delta: int = 0) -> None:
-        if read_delta < 0:
-            # This client gave up a read reference: never serve the
-            # value from cache again, whether or not the TD survives.
-            self._evict_id(id)
-        if self.batch_refcounts:
-            # Defer decrements to the task-boundary flush.  Positive
-            # write deltas must go out immediately: generated code adds
-            # writer slots *before* handing them out, and a deferred
-            # increment could let the TD close under an in-flight slot.
-            if write_delta > 0:
-                self._rpc(
-                    self.layout.home_server(id),
-                    {
-                        "op": C.OP_REFCOUNT,
-                        "id": id,
-                        "read_delta": 0,
-                        "write_delta": write_delta,
-                    },
-                )
-                write_delta = 0
-            if read_delta == 0 and write_delta == 0:
-                return
-            pending = self._pending_refcounts.get(id)
-            if pending is None:
-                self._pending_refcounts[id] = [read_delta, write_delta]
-            else:
-                pending[0] += read_delta
-                pending[1] += write_delta
-            return
-        reply = self._rpc(
+        self._rpc(
             self.layout.home_server(id),
             {
                 "op": C.OP_REFCOUNT,
@@ -502,77 +375,17 @@ class AdlbClient:
                 "write_delta": write_delta,
             },
         )
-        if isinstance(reply, dict) and reply.get("freed"):
-            self._evict_id(id)
 
-    def flush_refcounts(self) -> None:
-        """Send pending refcount deltas, one batched RPC per home server.
-
-        Called at task boundaries (after a worker task, a fired LOCAL
-        rule, or a control task) so every deferred decrement lands
-        before the matching termination-counter decrement.
-        """
-        if not self._pending_refcounts:
-            return
-        pending = self._pending_refcounts
-        self._pending_refcounts = {}
+    def refcount_batch(self, deltas: dict[int, list[int]]) -> None:
+        """Apply ``{id: [read_delta, write_delta]}``, one RPC per home
+        server (the decrements a unit of work deferred to its commit)."""
         by_server: dict[int, list[dict]] = {}
-        for id, (read_delta, write_delta) in pending.items():
-            if read_delta == 0 and write_delta == 0:
-                continue
+        for id, (read_delta, write_delta) in deltas.items():
             by_server.setdefault(self.layout.home_server(id), []).append(
                 {"id": id, "read_delta": read_delta, "write_delta": write_delta}
             )
-        if self.ring is not None:
-            # Lineage: a deferred refcount batch belongs to the unit
-            # whose boundary flushed it (decrements can close TDs and
-            # fire downstream rules, so the edge matters causally).
-            tds = None
-            if self.tracer is not None:
-                tds = {
-                    "tds": sorted(
-                        o["id"] for ops in by_server.values() for o in ops
-                    )
-                }
-            self.ring.emit(
-                "refcount_flush",
-                sum(len(v) for v in by_server.values()),
-                self.prov_unit,
-                payload=tds,
-            )
         for server, ops in by_server.items():
-            reply = self._rpc(server, {"op": C.OP_REFCOUNT_BATCH, "ops": ops})
-            self.data_stats.refcount_batches += 1
-            self.data_stats.refcount_batched_ops += len(ops)
-            for id in reply.get("freed", ()):
-                self._evict_id(id)
-
-    def discard_pending_refcounts(self) -> None:
-        """Drop deferred refcount deltas without applying them.
-
-        Used when a task fails and will be *retried*: the re-execution
-        performs the same decrements again, so flushing the failed
-        attempt's deltas would double-apply them."""
-        self._pending_refcounts = {}
-
-    def _evict_id(self, id: int) -> None:
-        """Drop every cache entry belonging to a TD (scalar + members).
-
-        The subscript-id index keeps the common case (scalar TDs) a
-        single dict pop instead of a full cache scan.
-        """
-        if not self.read_cache_enabled:
-            return
-        n = 0
-        if self._read_cache.pop((id, None)) is not None:
-            n += 1
-        if id in self._sub_ids:
-            self._sub_ids.discard(id)
-            stale = [k for k in self._read_cache.keys() if k[0] == id]
-            for k in stale:
-                self._read_cache.pop(k)
-            n += len(stale)
-        self.data_stats.evictions += n
+            self._rpc(server, {"op": C.OP_REFCOUNT_BATCH, "ops": ops})
 
     # ----------------------------------------------------------- termination
 

@@ -39,7 +39,7 @@ OP_SUBSCRIBE = "SUBSCRIBE"
 OP_CONTAINER_REF = "CONTAINER_REF"
 OP_ENUMERATE = "ENUMERATE"
 OP_REFCOUNT = "REFCOUNT"
-OP_REFCOUNT_BATCH = "REFCOUNT_BATCH"  # coalesced per-task refcount deltas
+OP_REFCOUNT_BATCH = "REFCOUNT_BATCH"  # the decrements a unit deferred to its commit
 OP_TYPEOF = "TYPEOF"
 OP_INCR_WORK = "INCR_WORK"
 OP_DECR_WORK = "DECR_WORK"

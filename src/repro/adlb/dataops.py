@@ -66,30 +66,21 @@ def apply_data_op(
         notes += closed
         refs += through
         return None, msg
-    # Refcounts.  A batch carries the coalesced deltas of one client
-    # task (one entry per id), applied in order; if one fails, the
-    # preceding ops stay applied (their notifications are already in
-    # ``notes``) and the error is reported for the whole batch —
-    # matching the per-op RPC failure the client would have seen at its
-    # deferred call site.
+    # Refcounts.  A batch carries the decrements one unit of work
+    # deferred to its commit (one entry per id), applied in order; if
+    # one fails, the preceding ops stay applied (their notifications
+    # are already in ``notes``) and the error is reported for the
+    # whole batch.
     if op == C.OP_REFCOUNT or op == C.OP_REFCOUNT_BATCH:
-        batch = op == C.OP_REFCOUNT_BATCH
-        freed: list[int] = []
-        for item in msg["ops"] if batch else [msg]:
+        for item in msg["ops"] if op == C.OP_REFCOUNT_BATCH else [msg]:
             notes += s.refcount(
                 item["id"],
                 read_delta=item.get("read_delta", 0),
                 write_delta=item.get("write_delta", 0),
             )
-            # freed: the read refcount dropped the TD; clients evict
-            # it from their retrieve caches.
-            if item["id"] not in s.tds:
-                freed.append(item["id"])
-        return {"freed": freed if batch else bool(freed)}, msg
+        return None, msg
     if op == C.OP_RETRIEVE:
-        # Reply is (value, closed): the closed bit marks the value
-        # immutable, licensing the client to cache it locally.
-        return s.retrieve_tagged(msg["id"], subscript=msg.get("subscript")), None
+        return s.retrieve(msg["id"], subscript=msg.get("subscript")), None
     if op == C.OP_EXISTS:
         return s.exists(msg["id"], subscript=msg.get("subscript")), None
     if op == C.OP_TYPEOF:

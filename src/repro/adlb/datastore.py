@@ -175,32 +175,19 @@ class DataStore:
         return []
 
     def retrieve(self, id: int, subscript: str | None = None) -> Any:
-        return self.retrieve_tagged(id, subscript)[0]
-
-    def retrieve_tagged(
-        self, id: int, subscript: str | None = None
-    ) -> tuple[Any, bool]:
-        """Retrieve a value together with its immutability bit.
-
-        The second element is True when the value can never change
-        again: a closed scalar, a closed whole-container snapshot, or a
-        container member (single-assignment per subscript, so immutable
-        from the moment it exists).  Clients use the bit to decide
-        whether the reply may be cached.
-        """
         td = self.lookup(id)
         if subscript is None:
             if td.type == T_CONTAINER:
                 # whole-container retrieve: subscript -> value mapping
-                return dict(td.members), td.closed
+                return dict(td.members)
             if not td.is_set:
                 raise UnsetError("TD <%d> retrieved before set" % id)
-            return td.value, td.closed
+            return td.value
         if td.type != T_CONTAINER:
             raise DataStoreError("TD <%d> is not a container" % id)
         if subscript not in td.members:
             raise UnsetError("TD <%d>[%s] retrieved before insert" % (id, subscript))
-        return td.members[subscript], True
+        return td.members[subscript]
 
     def exists(self, id: int, subscript: str | None = None) -> bool:
         td = self.tds.get(id)

@@ -20,9 +20,10 @@ The laws, each cheap enough to hold on every run:
   buffer before blocking, so server-side journal mirrors are empty at
   quiescence (pending mirrors are legal only for a poisoned drain);
   a dead engine's mirror must have been popped by adoption.
-* **No unflushed refcount deltas** — clients flush coalesced refcount
-  decrements at every task boundary and discard them on retry, so the
-  pending map is empty whenever a rank exits cleanly.
+* **No unflushed refcount deltas** — every unit of work ends in a
+  commit (its deferred refcount decrements land) or a roll-back (they
+  are dropped), so the deferred map is empty whenever a rank exits
+  cleanly.
 * **Bounded dedup slots** — reliable-RPC reply caches hold at most one
   entry per attached client per channel.
 * **Consistent failure/quarantine accounting** — the run-level

@@ -1,10 +1,10 @@
 """A small bounded LRU cache shared by the hot-path caches.
 
-Used by the Tcl script parse cache, the ``expr`` AST cache, each
-interpreter's code cache, and the ADLB client's immutable-read cache.
-Eviction is one-at-a-time least-recently-used — never a full clear,
-which would cause a thundering re-parse/re-fetch of every live entry
-(the bug this replaced in ``parse_cached``).
+Used by the Tcl script parse cache, the ``expr`` AST cache and each
+interpreter's code cache.  Eviction is one-at-a-time
+least-recently-used — never a full clear, which would cause a
+thundering re-parse of every live entry (the bug this replaced in
+``parse_cached``).
 
 Plain dict preserves insertion order in CPython; ``get`` re-inserts the
 key to mark it most-recently-used, and ``put`` evicts from the front.
@@ -21,7 +21,7 @@ counters are best-effort under contention.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generic, Iterator, TypeVar
+from typing import Any, Callable, Generic, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -81,11 +81,5 @@ class LRUCache(Generic[K, V]):
             self.put(key, value)
         return value
 
-    def pop(self, key: K) -> V | None:
-        return self._data.pop(key, None)
-
     def clear(self) -> None:
         self._data.clear()
-
-    def keys(self) -> Iterator[K]:
-        return iter(self._data)

@@ -25,10 +25,10 @@ a ``WARNING: trace truncated`` first line on every report.  With both
 off no recorder is built and each site is a single ``is None`` test.
 
 Metric counter namespaces: ``mpi.*``, ``adlb.*``, ``engine.*``,
-``worker.*``, ``tcl.vm.*`` and ``adlb.retrieve_cache.*`` from the
-per-rank stats structs; ``adlb.lease.*``, ``adlb.repl.*``,
-``adlb.rpc.*``, ``engine.journal.*``, ``worker.watchdog.*`` and
-``fault.*`` when the corresponding machinery is enabled.  The latency
+``worker.*`` and ``tcl.vm.*`` from the per-rank stats structs;
+``adlb.lease.*``, ``adlb.repl.*``, ``adlb.rpc.*``,
+``engine.journal.*``, ``worker.watchdog.*`` and ``fault.*`` when the
+corresponding machinery is enabled.  The latency
 histograms (``task.latency_s``, ``adlb.queue_wait_s``,
 ``adlb.dispatch_s``) are derived from level-1 events, so they appear
 on traced runs only.

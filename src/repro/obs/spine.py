@@ -90,7 +90,7 @@ KINDS: dict[str, tuple[int, str, str, tuple[str, ...]]] = {
     "steal_in": (1, "adlb", "steal_in", ("from", "n")),
     "drain_shutdown": (1, "adlb", "drain_shutdown", ("abandoned_units",)),
     "checkpoint": (1, "adlb", "checkpoint", ("gen", "units")),
-    # -- adlb.client
+    # -- adlb.client (``refcount_flush``: turbine.unit, at a unit's commit)
     "refcount_flush": (0, "prov", "refcount_flush", ("ops", "unit")),  # + tds
     "write": (1, "prov", "write", ("td", "unit", "sub")),
     # -- turbine.engine

@@ -13,7 +13,6 @@ from ..faults import (
 )
 from .engine import Engine, EngineStats, Rule
 from .runtime import (
-    LEGACY_OPTIONS,
     Output,
     RankContext,
     RunResult,
@@ -21,16 +20,17 @@ from .runtime import (
     run_turbine_program,
 )
 from .tcllib import TURBINE_TCL
+from .unit import UnitRunner
 from .worker import Worker, WorkerStats
 
 __all__ = [
     "Engine",
     "EngineStats",
     "Rule",
+    "UnitRunner",
     "Worker",
     "WorkerStats",
     "RuntimeConfig",
-    "LEGACY_OPTIONS",
     "RunResult",
     "RankContext",
     "Output",

@@ -71,11 +71,18 @@ def register_turbine(
     interp: Interp,
     client: AdlbClient,
     runtime,
+    deferred: dict[int, list[int]],
     engine=None,
 ) -> None:
     """Register primitive turbine:: commands.
 
     ``runtime`` is the per-rank RankContext (output sink, config).
+    ``deferred`` is the table of the rank's
+    :class:`~repro.turbine.unit.UnitRunner` that holds refcount
+    decrements until the running unit commits — the table, not the
+    runner: commands that reached the runner would tie the interpreter
+    into a reference cycle, and a finished worker's interpreter would
+    wait for the cycle collector instead of being freed at thread exit.
     ``engine`` is the rule engine on engine ranks, None on workers.
     """
 
@@ -290,6 +297,9 @@ def register_turbine(
     # ---- refcounts ----------------------------------------------------------------
 
     def cmd_wrc_incr(it, args):
+        # Applies at once: generated code adds writer slots *before*
+        # handing them out, and a deferred increment could let the TD
+        # close under an in-flight slot.
         n = int(args[1]) if len(args) > 1 else 1
         if n:
             client.refcount(int(args[0]), write_delta=n)
@@ -298,13 +308,13 @@ def register_turbine(
     def cmd_wrc_decr(it, args):
         n = int(args[1]) if len(args) > 1 else 1
         if n:
-            client.refcount(int(args[0]), write_delta=-n)
+            deferred.setdefault(int(args[0]), [0, 0])[1] -= n
         return ""
 
     def cmd_rrc_decr(it, args):
         n = int(args[1]) if len(args) > 1 else 1
         if n:
-            client.refcount(int(args[0]), read_delta=-n)
+            deferred.setdefault(int(args[0]), [0, 0])[0] -= n
         return ""
 
     reg("write_refcount_incr", cmd_wrc_incr)

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import itertools
 import time
-import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..adlb.client import AdlbClient
 from ..adlb.constants import CONTROL, SOP_CKPT_PART, TAG_SERVER
-from ..faults import InjectedFault, RankKilled, TaskError, TaskFailure, snippet
-from ..mpi import AbortError, DeadlockError
+from ..faults import RankKilled
 from ..tcl.errors import TclError
+from .unit import UnitRunner
 
 
 @dataclass
@@ -33,6 +32,18 @@ class Rule:
     priority: int
     name: str
     remaining: int = 0
+
+    def spec(self, inputs: list[int]) -> dict:
+        """The rule as plain data, waiting on ``inputs`` (journal
+        entries, checkpoints); :meth:`Engine.add_rules` re-registers it."""
+        return {
+            "inputs": inputs,
+            "action": self.action,
+            "type": self.type,
+            "target": self.target,
+            "priority": self.priority,
+            "name": self.name,
+        }
 
 
 @dataclass
@@ -55,7 +66,12 @@ class JournalStats:
 
 
 class Engine:
-    """Dataflow rule bookkeeping + main event loop for one engine rank."""
+    """Dataflow rule bookkeeping + main event loop for one engine rank.
+
+    Running a fired rule, a control task or the program and accounting
+    for it (error policy, fault directives, spans, commit / roll-back)
+    is the rank's :class:`~repro.turbine.unit.UnitRunner`, ``unit``.
+    """
 
     def __init__(
         self,
@@ -66,9 +82,11 @@ class Engine:
         faults: Any | None = None,
         journal: bool = False,
     ):
-        self.bind(client, interp)
-        self.on_error = on_error
-        self.retries_enabled = retries_enabled
+        self.unit = UnitRunner(client, interp, on_error, retries_enabled, faults)
+        self.client = client
+        # This rank's event ring; ``tracer`` is the ring on traced runs.
+        self.ring = client.ring
+        self.tracer = client.tracer
         self.faults = faults
         self.journal = journal
         # Buffered rule-lifecycle journal entries, streamed to the
@@ -76,11 +94,7 @@ class Engine:
         # before a fault kill-point, so the journal is exact at death).
         self._jbuf: list[tuple] = []
         self.journal_stats = JournalStats()
-        self.failures: list[TaskFailure] = []
         self._seq = itertools.count(1)
-        # Provenance unit ids for control tasks run on this engine
-        # ("C<rank>.<n>"); counts executions, including retries.
-        self._unit_seq = itertools.count(1)
         self.ready: deque[Rule] = deque()
         # td id -> rules blocked on it
         self.blocked: dict[int, list[Rule]] = {}
@@ -89,15 +103,6 @@ class Engine:
         # TDs with an outstanding subscription
         self.subscribed: set[int] = set()
         self.stats = EngineStats()
-
-    def bind(self, client: AdlbClient | None, interp) -> None:
-        """Attach the client and interpreter (the runtime constructs the
-        engine before either exists) and, through the client, this
-        rank's event ring; ``tracer`` is the ring on traced runs."""
-        self.client = client
-        self.interp = interp
-        self.ring = client.ring if client is not None else None
-        self.tracer = client.tracer if client is not None else None
 
     # ------------------------------------------------------------------ rules
 
@@ -155,19 +160,19 @@ class Engine:
         if rule.remaining == 0:
             self.ready.append(rule)
         if self.journal:
-            self._jot(
-                (
-                    "create",
-                    {
-                        "id": rule.id,
-                        "inputs": pending,
-                        "action": action,
-                        "type": rtype,
-                        "target": target,
-                        "priority": priority,
-                        "name": name,
-                    },
-                )
+            self._jot(("create", dict(rule.spec(pending), id=rule.id)))
+
+    def add_rules(self, specs: list[dict]) -> None:
+        """Re-register :meth:`Rule.spec` dicts (a restored checkpoint,
+        an adopted journal); each counts as a new rule."""
+        for r in specs:
+            self.add_rule(
+                list(r["inputs"]),
+                r["action"],
+                rtype=r["type"],
+                target=r["target"],
+                priority=r["priority"],
+                name=r["name"],
             )
 
     # ---------------------------------------------------------------- journal
@@ -204,30 +209,8 @@ class Engine:
         for td, rules in self.blocked.items():
             for rule in rules:
                 by_id.setdefault(rule.id, (rule, []))[1].append(td)
-        out = []
-        for rule, tds in by_id.values():
-            out.append(
-                {
-                    "inputs": tds,
-                    "action": rule.action,
-                    "type": rule.type,
-                    "target": rule.target,
-                    "priority": rule.priority,
-                    "name": rule.name,
-                }
-            )
-        for rule in self.ready:
-            out.append(
-                {
-                    "inputs": [],
-                    "action": rule.action,
-                    "type": rule.type,
-                    "target": rule.target,
-                    "priority": rule.priority,
-                    "name": rule.name,
-                }
-            )
-        return out
+        out = [rule.spec(tds) for rule, tds in by_id.values()]
+        return out + [rule.spec([]) for rule in self.ready]
 
     def _ckpt_reply(self, gen: int) -> None:
         client = self.client
@@ -270,8 +253,8 @@ class Engine:
 
         Called once, after :meth:`serve` returns on a clean shutdown
         (never on a killed rank).  At quiescence an engine may hold no
-        pending rules, no unflushed journal entries, and no unflushed
-        refcount deltas — the conservation checks live in
+        pending rules, no unflushed journal entries, and no deferred
+        refcount decrements — the conservation checks live in
         :mod:`repro.chaos.invariants`.
         """
         return {
@@ -279,15 +262,14 @@ class Engine:
             "rank": self.client.rank,
             "pending_rules": self.pending_rule_count(),
             "unflushed_journal": len(self._jbuf),
-            "pending_refcounts": len(self.client._pending_refcounts),
+            "pending_refcounts": len(self.unit.deferred),
             "rules_created": self.stats.rules_created,
             "adoptions": self.journal_stats.adoptions,
-            "failures": len(self.failures),
+            "failures": len(self.unit.failures),
         }
 
     def drain(self) -> None:
         """Fire every ready rule (firing may enqueue more)."""
-        tracer = self.tracer
         faults = self.faults
         while self.ready:
             rule = self.ready.popleft()
@@ -298,48 +280,10 @@ class Engine:
                 self.journal_flush()
             if rule.type == "LOCAL":
                 self.stats.rules_fired_local += 1
-                if self.ring is not None:
-                    self.ring.emit("rule_fire", rule.id)
-                directive = None
-                if faults is not None:
-                    directive = faults.on_task(self.client.rank, rule.action)
-                    if directive is not None and directive[0] == "kill":
-                        raise RankKilled(self.client.rank, directive[1])
-                try:
-                    if directive is not None:
-                        if directive[0] == "raise":
-                            raise InjectedFault(directive[1])
-                        time.sleep(directive[1])
-                    if tracer is None:
-                        self.interp.eval(rule.action)
-                    else:
-                        # Stores and rule creations inside the fire are
-                        # attributed to this rule's unit id.
-                        self.client.prov_unit = "R%d.%d" % (
-                            self.client.rank,
-                            rule.id,
-                        )
-                        t0 = time.perf_counter()
-                        self.interp.eval(rule.action)
-                        tracer.emit("rule_fired", rule.id, rule.name, t0=t0)
-                except (AbortError, DeadlockError):
-                    # Transport-level failures are rank problems, not
-                    # unit failures: never retried, always fatal.
-                    raise
-                except Exception as e:  # rule failure — engine stays up
-                    # LOCAL rules mutate engine-local state, so they
-                    # are never retried: continue records, the other
-                    # modes surface a TaskError.
-                    if self.journal:
-                        self._jot(("done", rule.id))
-                    self._unit_error("rule", rule.action, e, retryable=False)
-                    continue
-                if self.journal:
-                    self._jot(("done", rule.id))
-                # Deferred refcount decrements land before the rule's
-                # accounting unit (they can close TDs and fire rules).
-                self.client.flush_refcounts()
-                self.client.decr_work()  # the rule's accounting unit
+                # (a failed fire is settled by the runner: the rule is
+                # done either way, and the engine stays up)
+                if self.unit.run("rule", rule.action, rule.id, rule.name):
+                    self.unit.commit()
             else:
                 # A release is a rule fire for kill accounting (so
                 # seeded engine kills land at deterministic dataflow
@@ -362,11 +306,11 @@ class Engine:
                     priority=rule.priority,
                     target=rule.target,
                     prov="R%d.%d" % (self.client.rank, rule.id)
-                    if tracer is not None
+                    if self.tracer is not None
                     else None,
                 )
-                if self.journal:
-                    self._jot(("done", rule.id))
+            if self.journal:
+                self._jot(("done", rule.id))
 
     def journal_heartbeat(self) -> None:
         """Client-poll hook: flush pending entries or an empty beat.
@@ -401,56 +345,13 @@ class Engine:
         self.journal_stats.adopted_rules += len(rules)
         if self.ring is not None:
             self.ring.emit("adopt", dead, len(rules), repair)
-        for r in rules:
-            self.add_rule(
-                list(r["inputs"]),
-                r["action"],
-                rtype=r["type"],
-                target=r["target"],
-                priority=r["priority"],
-                name=r["name"],
-            )
+        self.add_rules(rules)
         if repair:
             self.client.decr_work(amount=repair)
         # The adopted rules are journaled as our own creates, so a
         # chained death of this engine is recoverable too.
         self.journal_flush()
         self.drain()
-        self.client.flush_refcounts()
-
-    def _unit_error(
-        self, kind: str, payload: str, e: BaseException, retryable: bool
-    ) -> bool:
-        """Exception-safe accounting for a failed unit of engine work.
-
-        Returns True when the unit was handed back to the server for
-        retry; otherwise the unit is accounted here (recorded under
-        ``continue``, raised as :class:`TaskError` otherwise)."""
-        error = "%s: %s" % (type(e).__name__, e)
-        tb = "".join(traceback.format_exception(type(e), e, e.__traceback__))
-        if retryable and self.on_error == "retry" and self.retries_enabled:
-            # The retry re-executes the unit's refcount decrements;
-            # flushing this attempt's would double-apply them.
-            self.client.discard_pending_refcounts()
-            self.client.task_fail(kind, error, tb)
-            return True
-        self.client.flush_refcounts()
-        failure = TaskFailure(
-            rank=self.client.rank,
-            kind=kind,
-            payload=snippet(payload),
-            attempts=1,
-            error=error,
-            traceback=tb,
-        )
-        if self.on_error == "continue":
-            self.failures.append(failure)
-            # Poisoned: dataflow blocked on this unit's outputs will
-            # never resolve; the master drains the run at quiescence.
-            self.client.decr_work(poison=True)
-            return False
-        self.client.decr_work()
-        raise TaskError(failure) from e
 
     # ------------------------------------------------------------------ loop
 
@@ -470,7 +371,7 @@ class Engine:
         reserved for it, released once re-registration is done.
         """
         tracer = self.tracer
-        rank = self.client.rank
+        unit = self.unit
         if self.journal and self.faults is not None:
             # Heartbeat: lets the anchor detect a silently-dead idle
             # engine (no lease to sweep) by journal staleness.
@@ -482,17 +383,8 @@ class Engine:
             # before releasing it.
             if self.journal:
                 self._jot(("guard", 1))
-            for r in restore:
-                self.add_rule(
-                    list(r["inputs"]),
-                    r["action"],
-                    rtype=r["type"],
-                    target=r["target"],
-                    priority=r["priority"],
-                    name=r["name"],
-                )
+            self.add_rules(restore)
             self.drain()
-            self.client.flush_refcounts()
             self.client.decr_work()  # the restore guard
             if self.journal:
                 self._jot(("guard", 0))
@@ -500,30 +392,14 @@ class Engine:
             self.client.incr_work()
             if self.journal:
                 self._jot(("guard", 1))
-            try:
-                if tracer is None:
-                    self.interp.eval(initial_script)
-                else:
-                    self.client.prov_unit = "P%d" % rank
-                    t0 = time.perf_counter()
-                    self.interp.eval(initial_script)
-                    tracer.emit("program", "P%d" % rank, t0=t0)
-            except (AbortError, DeadlockError):
-                raise
-            except Exception as e:  # program failure
-                if tracer is not None:
-                    tracer.emit("program", "P%d" % rank, type(e).__name__, t0=t0)
-                # The initial program cannot be retried (its partial
-                # effects are live); continue records and drains
-                # whatever dataflow it did set up.
-                self._unit_error("program", initial_script, e, retryable=False)
-                if self.journal:
-                    self._jot(("guard", 0))  # _unit_error accounted it
-                self.drain()
-            else:
-                self.drain()
-                self.client.flush_refcounts()
-                self.client.decr_work()
+            done = unit.run("program", initial_script)
+            if not done and self.journal:
+                # The error policy accounted the guard; what dataflow
+                # the program did set up still drains.
+                self._jot(("guard", 0))
+            self.drain()
+            if done:
+                unit.commit()
                 if self.journal:
                     self._jot(("guard", 0))
         while True:
@@ -546,43 +422,11 @@ class Engine:
                 self.on_close(msg[1])
             elif kind == "ctask":
                 self.stats.control_tasks_run += 1
-                if self.ring is not None:
-                    self.ring.emit("ctask", len(msg[2]))
-                directive = None
-                if self.faults is not None:
-                    directive = self.faults.on_task(rank, msg[2])
-                    if directive is not None and directive[0] == "kill":
-                        raise RankKilled(rank, directive[1])
-                unit = None
-                if tracer is not None:
-                    unit = "C%d.%d" % (rank, next(self._unit_seq))
-                    self.client.prov_unit = unit
-                    t0 = time.perf_counter()
-                try:
-                    if directive is not None:
-                        if directive[0] == "raise":
-                            raise InjectedFault(directive[1])
-                        time.sleep(directive[1])
-                    self.interp.eval(msg[2])
-                    if tracer is not None:
-                        tracer.emit("ctask_done", unit, t0=t0)
-                except (AbortError, DeadlockError):
-                    raise
-                except Exception as e:  # control-task failure
-                    if tracer is not None:
-                        # Failed attempts keep their span so grant
-                        # instants stay aligned 1:1 with unit spans.
-                        tracer.emit("ctask_done", unit, type(e).__name__, t0=t0)
-                    # Leased like worker tasks, so retry hands the unit
-                    # back to the server; either way the engine re-parks
-                    # and keeps serving its registered rules.
-                    self._unit_error("ctask", msg[2], e, retryable=True)
-                    self.drain()
-                    if self.journal:
-                        self.journal_flush()
-                    self.client.park_async((CONTROL,))
-                    continue
-                if self.journal:
+                # Leased like worker tasks, so a failed one may have
+                # been handed back for retry; either way the engine
+                # re-parks and keeps serving its registered rules.
+                done = unit.run("ctask", msg[2])
+                if done and self.journal:
                     # The ctask's effects (rule creates) are journaled;
                     # flag it done so the anchor will not requeue the
                     # lease if we die in the drain below — requeueing
@@ -593,8 +437,11 @@ class Engine:
                 self.drain()
                 if self.journal:
                     self.journal_flush()
-                self.client.park_async((CONTROL,))  # also flushes refcounts
-                self.client.decr_work()
+                # Parked before the counter unit goes back: the next
+                # GET is what completes this unit's lease.
+                self.client.park_async((CONTROL,))
+                if done:
+                    unit.commit()
             elif kind == "ckpt":
                 self._ckpt_reply(msg[1])
             elif kind == "adopt":
@@ -603,13 +450,8 @@ class Engine:
                 break
             else:
                 raise RuntimeError("engine: unexpected async message %r" % (msg,))
-        recorder = self.client.comm.world.recorder
-        if recorder is not None:
-            from .worker import fold_cache_stats
-
-            metrics = recorder.metrics
-            metrics.fold_struct("engine", self.stats, rank=rank)
-            if self.journal:
-                metrics.fold_struct("engine.journal", self.journal_stats, rank=rank)
-            fold_cache_stats(metrics, self.client, self.interp, rank)
+        structs: dict[str, Any] = {"engine": self.stats}
+        if self.journal:
+            structs["engine.journal"] = self.journal_stats
+        unit.fold_stats(structs)
         return self.stats

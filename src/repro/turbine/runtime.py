@@ -36,13 +36,6 @@ from .tcllib import TURBINE_TCL
 from .worker import Worker, WorkerStats
 
 
-# Old option names still accepted by with_options()/swift_run(); each
-# maps to exactly one current option.  This is the documented old->new
-# migration table (see CHANGES.md).
-LEGACY_OPTIONS = {
-    "record_spans": "trace",  # worker task spans now ride the obs spine
-}
-
 _ROLE_OPTIONS = ("workers", "servers", "engines")
 
 
@@ -83,15 +76,10 @@ class RuntimeConfig:
     # (paper §III-C): "retain" keeps state across tasks, "reinit"
     # reinitializes per task.
     interp_mode: str = "retain"
-    # --- hot-path optimizations (all on by default) -----------------
     # Tcl execution path: True runs scripts on the bytecode VM
     # (explicit frame stack, inline command caches); False selects the
     # plain interpreted walk, kept as the differential-test oracle.
     tcl_compile: bool = True
-    # Client-side memoization of closed (immutable) TD values.
-    read_cache: bool = True
-    # Coalesce refcount decrements per TD, flushed at task boundaries.
-    batch_refcounts: bool = True
     # --- fault tolerance --------------------------------------------
     # What happens when a unit of work raises: "retry" (default; the
     # server leases tasks and requeues failures up to max_retries with
@@ -175,10 +163,9 @@ class RuntimeConfig:
     def with_options(self, **options) -> "RuntimeConfig":
         """Return a copy with the given options applied.
 
-        Accepts every field name, the role counts ``workers`` /
-        ``servers`` / ``engines`` (``size`` is recomputed), and the
-        legacy names in :data:`LEGACY_OPTIONS`.  Unknown names raise
-        ``TypeError`` — options never vanish silently.
+        Accepts every field name and the role counts ``workers`` /
+        ``servers`` / ``engines`` (``size`` is recomputed).  Unknown
+        names raise ``TypeError`` — options never vanish silently.
         """
         from dataclasses import fields as dc_fields
         from dataclasses import replace
@@ -187,7 +174,6 @@ class RuntimeConfig:
         updates: dict[str, Any] = {}
         roles: dict[str, int] = {}
         for key, value in options.items():
-            key = LEGACY_OPTIONS.get(key, key)
             if key in _ROLE_OPTIONS:
                 roles[key] = value
             elif key in valid:
@@ -319,30 +305,18 @@ class RunResult:
 SetupFn = Callable[[Interp, RankContext, AdlbClient], None]
 
 
-def make_client_interp(
-    comm: Comm,
-    layout: Layout,
+def load_rank(
+    interp: Interp,
+    client: AdlbClient,
     ctx: RankContext,
+    deferred: dict[int, list[int]],
     engine: Engine | None,
     setup: SetupFn | None,
-    server_map: Any | None = None,
-    reliable: bool = False,
-) -> tuple[Interp, AdlbClient]:
-    """Build the Tcl interpreter for an engine or worker rank."""
-    config = ctx.config
-    client = AdlbClient(
-        comm,
-        layout,
-        read_cache=config.read_cache,
-        batch_refcounts=config.batch_refcounts,
-        server_map=server_map,
-        reliable=reliable,
-    )
-    interp = Interp(compile_enabled=config.tcl_compile)
+) -> None:
+    """Load the Turbine library and the standard leaf-language
+    packages into an engine or worker rank's Tcl interpreter."""
     interp.echo = False
-    if engine is not None:
-        engine.bind(client, interp)
-    register_turbine(interp, client, ctx, engine=engine)
+    register_turbine(interp, client, ctx, deferred, engine=engine)
     interp.eval(TURBINE_TCL)
     if ctx.config.args:
         from ..tcl.listutil import format_list
@@ -359,7 +333,6 @@ def make_client_interp(
     register_standard_packages(interp, ctx)
     if setup is not None:
         setup(interp, ctx, client)
-    return interp, client
 
 
 def run_turbine_program(
@@ -507,18 +480,18 @@ def run_turbine_program(
                 if config.audit:
                     audit_rows.append(server.audit_row())
             return
+        client = AdlbClient(comm, layout, server_map=server_map, reliable=reliable)
+        interp = Interp(compile_enabled=config.tcl_compile)
         if role == "engine":
-            engine = Engine(  # client/interp attached below
-                None,
-                None,
+            engine = Engine(
+                client,
+                interp,
                 on_error=config.on_error,
                 retries_enabled=leases_enabled,
                 faults=faults,
                 journal=journal,
             )
-            interp, client = make_client_interp(
-                comm, layout, ctx, engine, setup, server_map, reliable
-            )
+            load_rank(interp, client, ctx, engine.unit.deferred, engine, setup)
             interp.eval(program)
             # On restore the dataflow state comes from the checkpoint's
             # rule tables; re-running the entry point would duplicate it.
@@ -544,15 +517,10 @@ def run_turbine_program(
                 return
             with stats_lock:
                 engine_stats.append(stats)
-                failures.extend(engine.failures)
+                failures.extend(engine.unit.failures)
                 if config.audit:
                     audit_rows.append(engine.audit_row())
             return
-        # worker
-        interp, client = make_client_interp(
-            comm, layout, ctx, None, setup, server_map, reliable
-        )
-        interp.eval(program)
         worker = Worker(
             client,
             interp,
@@ -561,6 +529,8 @@ def run_turbine_program(
             faults=faults,
             task_timeout=config.task_timeout,
         )
+        load_rank(interp, client, ctx, worker.unit.deferred, None, setup)
+        interp.eval(program)
         try:
             stats = worker.serve()
         except RankKilled as e:
@@ -568,7 +538,7 @@ def run_turbine_program(
             return
         with stats_lock:
             worker_stats.append(stats)
-            failures.extend(worker.failures)
+            failures.extend(worker.unit.failures)
             if config.audit:
                 audit_rows.append(worker.audit_row())
 

@@ -1,0 +1,231 @@
+"""The unit-of-work boundary: run a Tcl fragment, then commit or roll back.
+
+To ADLB a leaf task, a control task and a fired rule are the same
+thing — a unit that is handed out, runs a Tcl fragment, and gives back
+one termination-counter unit.  :class:`UnitRunner` is that boundary,
+once, for the four kinds of unit Turbine runs (``task`` on a worker;
+``rule``, ``ctask`` and the ``program`` on an engine); the engine and
+the worker each hold one and keep only their own loops.
+
+Refcount *decrements* a unit performs are deferred here until it
+commits.  That is not an optimisation: an attempt that will be retried
+(or, abandoned by the watchdog, already is being) re-executes them, so
+its own must be dropped for them to apply exactly once.
+"""
+
+from __future__ import annotations
+
+import time
+import traceback
+from typing import Any
+
+from ..adlb.client import AdlbClient
+from ..faults import InjectedFault, RankKilled, TaskError, TaskFailure, snippet
+from ..mpi import AbortError, DeadlockError
+
+#: kind -> (unit-id prefix, start marker, span when ok, span when it
+#: raised, retryable).  Only units a server hands out under a lease can
+#: be handed back for retry: a LOCAL rule mutates engine-local state
+#: and the program's partial effects are live.  The program is not
+#: dispatched by anything, so it has no start marker — and no fault
+#: directive: injected faults land at dispatch boundaries.
+KINDS = {
+    "task": ("T", "task_start", "task_done", "task_fail", True),
+    "rule": ("R", "rule_fire", "rule_fired", None, False),
+    "ctask": ("C", "ctask", "ctask_done", "ctask_done", True),
+    "program": ("P", None, "program", "program", False),
+}
+
+
+class UnitRunner:
+    """Runs units of work on one rank and owns their accounting.
+
+    ``on_error`` is the policy for a unit that raises (:meth:`_fail`).
+    ``faults`` is an optional :class:`repro.faults.FaultState`
+    consulted before each dispatched unit; when ``None`` the check is
+    one pointer test.
+    """
+
+    def __init__(
+        self,
+        client: AdlbClient,
+        interp,
+        on_error: str = "retry",
+        retries_enabled: bool = False,
+        faults: Any | None = None,
+    ):
+        self.client = client
+        self.interp = interp
+        self.on_error = on_error
+        self.retries_enabled = retries_enabled
+        self.faults = faults
+        # the rank's event ring / the same ring on traced runs, else None
+        self.ring = client.ring
+        self.tracer = client.tracer
+        self.failures: list[TaskFailure] = []
+        # td id -> [read_delta, write_delta] the running unit deferred;
+        # never rebound: the ``turbine::*_refcount_decr`` builtins
+        # write into this very dict
+        self.deferred: dict[int, list[int]] = {}
+        # numbers task / control-task unit ids; counts retries too
+        self._seq = 0
+
+    # -------------------------------------------------------------- the unit
+
+    def run(
+        self,
+        kind: str,
+        script: str,
+        ident: int = 0,
+        label: str = "",
+        guard: Any | None = None,
+    ) -> bool:
+        """Run one unit.  True: it ran to completion and still holds
+        its counter unit and its deferred decrements — the caller does
+        whatever must come first (drain, journal, re-park), then calls
+        :meth:`commit`.  False: it raised, or was abandoned, and is
+        settled.  ``ident`` / ``label`` are a rule's id and name;
+        ``guard`` is the worker's task watchdog, armed around the eval
+        and asked at the end whether the unit is still ours."""
+        prefix, start, span, fail_span, retryable = KINDS[kind]
+        client = self.client
+        rank = client.rank
+        directive = None
+        if self.faults is not None and start is not None:
+            directive = self.faults.on_task(rank, script)
+            if directive is not None and directive[0] == "kill":
+                # Not a unit failure: the whole rank dies holding its
+                # lease; recovery is the server's job.
+                raise RankKilled(rank, directive[1])
+        unit = None
+        if self.tracer is not None:
+            # Stores, puts and rule creations inside the eval are
+            # attributed to this unit id.
+            if kind == "program":
+                unit = "P%d" % rank
+            else:
+                if not ident:
+                    self._seq += 1
+                unit = "%s%d.%d" % (prefix, rank, ident or self._seq)
+            client.prov_unit = unit
+        # Fields the kind's events lead with (see obs.spine.KINDS).
+        if kind == "rule":
+            mark, head = ident, (ident, label)
+        elif kind == "task":
+            mark, head = len(script), (len(script), unit)
+        else:
+            mark, head = len(script), (unit,)
+        if start is not None and self.ring is not None:
+            self.ring.emit(start, mark)
+        # A task's endings are level-0 events; the other spans level 1.
+        sink = self.ring if kind == "task" else self.tracer
+        t0 = time.perf_counter()
+        if guard is not None:
+            guard.arm()
+        error = None
+        try:
+            if directive is not None:
+                if directive[0] == "raise":
+                    raise InjectedFault(directive[1])
+                time.sleep(directive[1])
+            if guard is None or not guard.expired():
+                # An expiry during the injected delay already handed the
+                # unit back; running it now would double-apply its stores.
+                self.interp.eval(script)
+        except (AbortError, DeadlockError):
+            # Transport-level failures are rank problems, not unit
+            # failures: never retried or recorded, always fatal.
+            raise
+        except Exception as e:  # unit failure — the rank stays up
+            error = e
+        if guard is not None and guard.disarm():
+            # Expired while the unit ran: it was already failed back to
+            # the server (and is being retried elsewhere), so this
+            # attempt's results are discarded — no counter decrement.
+            self.roll_back()
+            if sink is not None:
+                sink.emit("task_abandon", *head, "TaskTimeout", t0=t0)
+            return False
+        if error is None:
+            if sink is not None:
+                sink.emit(span, *head, t0=t0)
+            return True
+        if fail_span is not None and sink is not None:
+            # Failed attempts keep their span so grant instants stay
+            # aligned 1:1 with unit spans on this rank.
+            sink.emit(fail_span, *head, type(error).__name__, t0=t0)
+        self._fail(kind, script, error, retryable)
+        return False
+
+    def _fail(self, kind: str, script: str, e: BaseException, retryable: bool) -> None:
+        """The one error policy, per ``on_error``: ``retry`` hands a
+        leased unit back via OP_TASK_FAIL so the server can requeue it;
+        ``continue`` records a :class:`TaskFailure`, gives the counter
+        unit back poisoned and keeps serving; ``fail_fast`` (and a
+        ``retry`` nothing can re-run) gives it back, then raises a
+        :class:`TaskError`.  The unit is never leaked, so runs finish
+        or abort deterministically."""
+        error = "%s: %s" % (type(e).__name__, e)
+        tb = "".join(traceback.format_exception(type(e), e, e.__traceback__))
+        if retryable and self.on_error == "retry" and self.retries_enabled:
+            self.roll_back()
+            self.client.task_fail(kind, error, tb)
+            return
+        failure = TaskFailure(
+            rank=self.client.rank,
+            kind=kind,
+            payload=snippet(script),
+            attempts=1,
+            error=error,
+            traceback=tb,
+        )
+        # The unit completes (as a failure): land the decrements it
+        # already performed, then account for it.
+        if self.on_error == "continue":
+            self.failures.append(failure)
+            # Poisoned: dataflow blocked on this unit's outputs will
+            # never resolve; the master drains the run at quiescence.
+            self.commit(poison=True)
+            return
+        self.commit()
+        raise TaskError(failure) from e
+
+    # -------------------------------------------------- commit / roll back
+
+    def commit(self, poison: bool = False) -> None:
+        """The unit is finished: land its deferred decrements, then
+        give back its termination-counter unit — in that order, since a
+        write decrement can close TDs and fire rules the counter must
+        still see."""
+        if self.deferred:
+            deltas = dict(self.deferred)
+            self.deferred.clear()
+            if self.ring is not None:
+                # Lineage: the batch belongs to the unit whose commit
+                # landed it (decrements can close TDs and fire
+                # downstream rules, so the edge matters causally).
+                tds = {"tds": sorted(deltas)} if self.tracer is not None else None
+                self.ring.emit(
+                    "refcount_flush", len(deltas), self.client.prov_unit, payload=tds
+                )
+            self.client.refcount_batch(deltas)
+        self.client.decr_work(poison=poison)
+
+    def roll_back(self) -> None:
+        """The unit will run again (or already is, elsewhere): drop its
+        deferred decrements — the re-execution performs them again, so
+        landing these too would double-apply them."""
+        self.deferred.clear()
+
+    def fold_stats(self, structs: dict[str, Any]) -> None:
+        """Fold the caller's ``{prefix: stats struct}`` and the rank's
+        ``tcl.vm.*`` / ``adlb.rpc.*`` counters into the run's metrics
+        (a run without a recorder has none)."""
+        recorder = self.client.comm.world.recorder
+        if recorder is None:
+            return
+        structs["tcl.vm"] = self.interp.vm_stats
+        if self.client.rpc_stats.sent:
+            structs["adlb.rpc"] = self.client.rpc_stats
+        for prefix, struct in structs.items():
+            recorder.metrics.fold_struct(prefix, struct, rank=self.client.rank)

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import threading
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Any
 
 from ..adlb import constants as C
 from ..adlb.client import AdlbClient
 from ..adlb.constants import WORK
-from ..faults import InjectedFault, RankKilled, TaskError, TaskFailure, snippet
-from ..mpi import AbortError, DeadlockError
+from .unit import UnitRunner
 
 
 @dataclass
@@ -45,32 +43,30 @@ class _Watchdog:
         self.timeout = timeout
         self.on_expire = on_expire
         self._cond = threading.Condition()
-        self._gen = 0
         self._deadline: float | None = None
-        self._fired_gen = -1
+        self._expired = False  # the current arming fired
         self._stop = False
         self._thread = threading.Thread(
             target=self._run, name="task-watchdog", daemon=True
         )
         self._thread.start()
 
-    def arm(self) -> int:
+    def arm(self) -> None:
         with self._cond:
-            self._gen += 1
+            self._expired = False
             self._deadline = time.monotonic() + self.timeout
             self._cond.notify()
-            return self._gen
 
-    def disarm(self, gen: int) -> bool:
+    def expired(self) -> bool:
+        with self._cond:
+            return self._expired
+
+    def disarm(self) -> bool:
         """Stop the clock; True if this arming already fired (the task
         was abandoned while it ran — its unit is no longer ours)."""
         with self._cond:
             self._deadline = None
-            return self._fired_gen == gen
-
-    def fired(self, gen: int) -> bool:
-        with self._cond:
-            return self._fired_gen == gen
+            return self._expired
 
     def stop(self) -> None:
         with self._cond:
@@ -91,7 +87,7 @@ class _Watchdog:
                     continue
                 # Expired: fire under the lock so a concurrent disarm
                 # (task just finished) cannot race the abandonment.
-                self._fired_gen = self._gen
+                self._expired = True
                 self._deadline = None
                 self.on_expire()
 
@@ -101,13 +97,9 @@ class Worker:
     rank's event ring (read back via ``result.trace.spans("task")`` on
     traced runs).
 
-    ``on_error`` selects what happens when a task raises: ``retry``
-    (report the leased unit back via OP_TASK_FAIL so the server can
-    requeue it), ``continue`` (record a :class:`TaskFailure`, repair
-    the accounting, keep serving), or ``fail_fast`` (repair the
-    accounting, then raise a :class:`TaskError`).  ``faults`` is an
-    optional :class:`repro.faults.FaultState` consulted before each
-    task; when ``None`` — the default — the check is one pointer test.
+    Running a task and accounting for it (error policy, fault
+    directives, spans, commit / roll-back) is the rank's
+    :class:`~repro.turbine.unit.UnitRunner`, ``unit``.
     """
 
     def __init__(
@@ -119,27 +111,15 @@ class Worker:
         faults: Any | None = None,
         task_timeout: float | None = None,
     ):
+        self.unit = UnitRunner(client, interp, on_error, retries_enabled, faults)
         self.client = client
-        self.interp = interp
         self.stats = WorkerStats()
-        self.on_error = on_error
-        self.retries_enabled = retries_enabled
-        self.faults = faults
-        self.failures: list[TaskFailure] = []
-        self.task_timeout = task_timeout
         self.watchdog_stats = WatchdogStats()
         self._watchdog = (
             _Watchdog(task_timeout, self._watchdog_fire)
             if task_timeout is not None
             else None
         )
-        # This rank's event ring (None without a recorder); ``tracer``
-        # is the same ring on traced runs, else None.
-        self.ring = client.ring
-        self.tracer = client.tracer
-        # Provenance unit ids for tasks run on this worker
-        # ("T<rank>.<n>"); counts executions, including retries.
-        self._unit_seq = 0
 
     def _watchdog_fire(self) -> None:
         """Expiry callback (watchdog thread): hand the overdue unit
@@ -147,8 +127,8 @@ class Worker:
 
         Sent as a raw oneway — never through the reliable-RPC path,
         whose per-client sequence numbers belong to the main thread.
-        The main loop notices the abandonment at ``disarm`` and skips
-        the unit's accounting; the interpreter is recycled there.
+        The runner notices the abandonment at ``disarm`` and rolls the
+        unit back; the interpreter is recycled by the serve loop.
         """
         self.watchdog_stats.fired += 1
         self.client.comm.send(
@@ -156,123 +136,55 @@ class Worker:
                 "op": C.OP_TASK_FAIL,
                 "kind": "task",
                 "error": "TaskTimeout: task exceeded %.3gs watchdog"
-                % self.task_timeout,
+                % self._watchdog.timeout,
             },
             self.client.my_server,
             C.TAG_ONEWAY,
         )
 
-    def serve(self) -> WorkerStats:
-        try:
-            return self._serve()
-        finally:
-            if self._watchdog is not None:
-                self._watchdog.stop()
-
     def audit_row(self) -> dict:
         """Terminal bookkeeping snapshot for run-invariant auditing.
 
         Called once, after :meth:`serve` returns on a clean shutdown
-        (never on a killed rank).  A quiescent worker holds no
-        unflushed refcount deltas: ``flush_refcounts`` runs at every
-        task boundary and failed attempts discard theirs.
+        (never on a killed rank).  A quiescent worker holds no deferred
+        refcount decrements: every task ends in a commit or a
+        roll-back.
         """
         return {
             "role": "worker",
             "rank": self.client.rank,
-            "pending_refcounts": len(self.client._pending_refcounts),
+            "pending_refcounts": len(self.unit.deferred),
             "tasks_run": self.stats.tasks_run,
             "abandoned": self.watchdog_stats.abandoned,
-            "failures": len(self.failures),
+            "failures": len(self.unit.failures),
         }
 
-    def _serve(self) -> WorkerStats:
-        tracer = self.tracer
-        faults = self.faults
-        ring = self.ring
-        rank = self.client.rank
+    def serve(self) -> WorkerStats:
+        unit = self.unit
         wd = self._watchdog
-        while True:
-            got = self.client.get((WORK,))
-            if got is None:
-                recorder = self.client.comm.world.recorder
-                if recorder is not None:
-                    metrics = recorder.metrics
-                    metrics.fold_struct("worker", self.stats, rank=rank)
-                    if wd is not None:
-                        metrics.fold_struct(
-                            "worker.watchdog", self.watchdog_stats, rank=rank
-                        )
-                    fold_cache_stats(metrics, self.client, self.interp, rank)
-                return self.stats
-            _, payload = got
-            unit = None
-            if tracer is not None:
-                self._unit_seq += 1
-                unit = "T%d.%d" % (rank, self._unit_seq)
-                self.client.prov_unit = unit
-            directive = None
-            if faults is not None:
-                directive = faults.on_task(rank, payload)
-                if directive is not None and directive[0] == "kill":
-                    # Not a task failure: the whole rank dies holding
-                    # its lease; recovery is the server's job.
-                    raise RankKilled(rank, directive[1])
-            if ring is not None:
-                ring.emit("task_start", len(payload))
-            t0 = time.perf_counter()
-            gen = wd.arm() if wd is not None else 0
-            try:
-                if directive is not None:
-                    if directive[0] == "raise":
-                        raise InjectedFault(directive[1])
-                    time.sleep(directive[1])
-                if wd is None or not wd.fired(gen):
-                    # An expiry during the injected delay already handed
-                    # the unit back; running the payload now would
-                    # double-apply its stores.
-                    self.interp.eval(payload)
-            except (AbortError, DeadlockError):
-                # Transport-level failures are rank problems, not task
-                # failures: never retried or recorded, always fatal.
-                raise
-            except Exception as e:  # task failure — rank stays up
-                if wd is not None and wd.disarm(gen):
-                    self._abandon(payload, unit, t0)
-                    continue
-                if ring is not None:
-                    # Failed attempts keep their span so grant instants
-                    # stay aligned 1:1 with unit spans on this rank.
-                    ring.emit(
-                        "task_fail", len(payload), unit, type(e).__name__, t0=t0
-                    )
-                self._task_error(rank, payload, e)
-                continue
-            if wd is not None and wd.disarm(gen):
-                self._abandon(payload, unit, t0)
-                continue
-            self.stats.tasks_run += 1
-            self.stats.busy_time += time.perf_counter() - t0
-            if ring is not None:
-                ring.emit("task_done", len(payload), unit, t0=t0)
-            # Deferred refcount decrements must land before the task's
-            # accounting unit: a batched write-decrement can close TDs
-            # and fire rules, which the termination counter must see.
-            self.client.flush_refcounts()
-            self.client.decr_work()
-
-    def _abandon(self, payload: Any, unit: str | None, t0: float) -> None:
-        """The watchdog expired while this task ran: its unit was
-        already failed back to the server (and is being retried
-        elsewhere), so this attempt's results are discarded — no
-        counter decrement, no refcount flush — and the embedded
-        interpreters are recycled in case the runaway task wedged them.
-        """
-        self.watchdog_stats.abandoned += 1
-        self.client.discard_pending_refcounts()
-        self._recycle_interp()
-        if self.ring is not None:
-            self.ring.emit("task_abandon", len(payload), unit, "TaskTimeout", t0=t0)
+        try:
+            while True:
+                got = self.client.get((WORK,))
+                if got is None:
+                    break
+                t0 = time.perf_counter()
+                if unit.run("task", got[1], guard=wd):
+                    self.stats.tasks_run += 1
+                    self.stats.busy_time += time.perf_counter() - t0
+                    unit.commit()
+                elif wd is not None and wd.expired():
+                    # Abandoned, not failed: the embedded interpreters
+                    # are recycled in case the runaway task wedged them.
+                    self.watchdog_stats.abandoned += 1
+                    self._recycle_interp()
+        finally:
+            if wd is not None:
+                wd.stop()
+        structs: dict[str, Any] = {"worker": self.stats}
+        if wd is not None:
+            structs["worker.watchdog"] = self.watchdog_stats
+        unit.fold_stats(structs)
+        return self.stats
 
     def _recycle_interp(self) -> None:
         """Reset per-interpreter state a runaway task may have wedged:
@@ -281,59 +193,10 @@ class Worker:
         must not leak into retries) and the interp's code cache (absent
         in oracle mode)."""
         self.watchdog_stats.recycled += 1
-        interp = self.interp
+        interp = self.unit.interp
         for attr in ("_embedded_python", "_embedded_r"):
             state = getattr(interp, attr, None)
             if state is not None:
                 state["embedded"].reset()
         if interp.compile_enabled:
             interp._vm_code_cache.clear()
-
-    def _task_error(self, rank: int, payload: Any, e: BaseException) -> None:
-        """Exception-safe task accounting: every failed task either
-        hands its unit back to the server (retry) or decrements the
-        termination counter itself (continue / fail_fast) — never
-        leaks it, so runs finish or abort deterministically."""
-        error = "%s: %s" % (type(e).__name__, e)
-        tb = "".join(traceback.format_exception(type(e), e, e.__traceback__))
-        if self.on_error == "retry" and self.retries_enabled:
-            # The retry re-executes the task's refcount decrements;
-            # flushing this attempt's would double-apply them.
-            self.client.discard_pending_refcounts()
-            self.client.task_fail("task", error, tb)
-            return
-        # The unit completes (as a failure): land the decrements it
-        # already performed, then account for it.
-        self.client.flush_refcounts()
-        failure = TaskFailure(
-            rank=rank,
-            kind="task",
-            payload=snippet(payload),
-            attempts=1,
-            error=error,
-            traceback=tb,
-        )
-        if self.on_error == "continue":
-            self.failures.append(failure)
-            # Poisoned: dataflow blocked on this task's outputs will
-            # never resolve; the master drains the run at quiescence.
-            self.client.decr_work(poison=True)
-            return
-        self.client.decr_work()
-        raise TaskError(failure) from e
-
-
-def fold_cache_stats(metrics: Any, client: AdlbClient, interp, rank: int) -> None:
-    """Fold the rank's Tcl/read-cache counters into run metrics.
-
-    Exposes ``tcl.vm.{frames,cache_hits,cache_misses,code_hits,
-    code_misses,expr_hits,expr_misses,...}`` and
-    ``adlb.retrieve_cache.{hits,misses,...}``.
-    """
-    metrics.fold_struct("tcl.vm", interp.vm_stats, rank=rank)
-    data_stats = getattr(client, "data_stats", None)
-    if data_stats is not None:
-        metrics.fold_struct("adlb.retrieve_cache", data_stats, rank=rank)
-    rpc_stats = getattr(client, "rpc_stats", None)
-    if rpc_stats is not None and rpc_stats.sent:
-        metrics.fold_struct("adlb.rpc", rpc_stats, rank=rank)

@@ -102,6 +102,10 @@ class TestConfigPath:
     def test_unknown_option_raises(self):
         with pytest.raises(TypeError, match="recv_timout"):
             RuntimeConfig.of().with_options(recv_timout=3.0)
+        # names that were options once are unknown like any other
+        for gone in ("read_cache", "batch_refcounts", "record_spans"):
+            with pytest.raises(TypeError, match=gone):
+                RuntimeConfig.of().with_options(**{gone: True})
 
     def test_swift_run_unknown_kwarg_raises(self):
         # regression: typo'd kwargs must not vanish silently
@@ -120,10 +124,6 @@ class TestConfigPath:
         cfg = RuntimeConfig.of(workers=1)
         res = swift_run('printf("x");', config=cfg, workers=4)
         assert len(res.worker_stats) == 4
-
-    def test_legacy_record_spans_maps_to_trace(self):
-        res = swift_run('printf("x");', workers=2, record_spans=True)
-        assert res.trace is not None
 
     def test_from_config(self):
         rt = SwiftRuntime.from_config(RuntimeConfig.of(workers=3))

@@ -1,9 +1,12 @@
-"""Invalidation behavior of the compile-and-cache fast paths.
+"""Invalidation behavior of the Tcl VM's compile-and-cache fast path,
+and when a unit's refcount changes reach the server.
 
 The Tcl VM memoizes resolved command pointers (and inlines ``expr`` /
-``return`` behind guards built on top of them); the ADLB client
-memoizes closed TD values.  Every cache here must be *exactly* as
-fresh as the uncached path — these tests pin the invalidation rules.
+``return`` behind guards built on top of them); every cache must be
+*exactly* as fresh as the uncached path — these tests pin the
+invalidation rules.  The ADLB client caches nothing; refcount
+*decrements* are held by the rank's unit runner until the unit commits
+(the whole-stack reasons are in ``test_unit.py``).
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ import threading
 
 import pytest
 
-from repro.adlb import AdlbClient, AdlbError, Layout, Server
+from repro.adlb import AdlbClient, Layout, Server
 from repro.adlb.constants import CONTROL, WORK
 from repro.mpi import run_world
 from repro.tcl.errors import TclError
 from repro.tcl.interp import Interp
+from repro.turbine.builtins import register_turbine
+from repro.turbine.unit import UnitRunner
 
 
 # ---------------------------------------------------------------- Tcl layer
@@ -109,9 +114,11 @@ class TestCompiledCallSiteInvalidation:
 # --------------------------------------------------------------- ADLB layer
 
 
-def run_client(client_fn, **client_kw):
-    """Minimal world (server/engine/worker); runs client_fn on the
-    engine rank with an :class:`AdlbClient` built from ``client_kw``."""
+def run_unit(body):
+    """Minimal world (server/engine/worker); runs ``body(unit, tcl)`` on
+    the engine rank, where ``unit`` is a :class:`UnitRunner` over a
+    bare :class:`AdlbClient` and ``tcl`` evaluates ``turbine::``
+    commands bound to both."""
     layout = Layout(3, 1, 1)
     out: dict = {}
 
@@ -119,17 +126,19 @@ def run_client(client_fn, **client_kw):
         if layout.is_server(comm.rank):
             Server(comm, layout).run()
             return
+        client = AdlbClient(comm, layout)
         if not layout.is_engine(comm.rank):  # idle worker
-            client = AdlbClient(comm, layout)
             while client.get((WORK,)) is not None:
                 pass
             return
-        client = AdlbClient(comm, layout, **client_kw)
-        client.incr_work()
+        interp = Interp()
+        unit = UnitRunner(client, interp)
+        register_turbine(interp, client, None, unit.deferred)
+        client.incr_work()  # the unit of work ``body`` stands for
         try:
-            out["result"] = client_fn(client)
+            out["result"] = body(unit, interp.eval)
         finally:
-            client.decr_work()
+            unit.commit()
             client.park_async((CONTROL,))
             while client.recv_async()[0] != "shutdown":
                 pass
@@ -138,97 +147,53 @@ def run_client(client_fn, **client_kw):
     return out["result"]
 
 
+# (The class name predates the removal of the client's retrieve cache,
+# whose cases lived here too; the ids are pinned by the test floor.)
 class TestRetrieveCacheInvalidation:
-    def test_cache_hit_counted(self):
-        def body(client):
-            td = client.create("integer")
-            client.store(td, 42)
-            assert client.retrieve(td) == 42
-            assert client.retrieve(td) == 42
-            return client.data_stats
-
-        stats = run_client(body, read_cache=True)
-        assert stats.hits == 1
-        assert stats.misses == 1
-
-    def test_no_stale_value_after_read_refcount_drop(self):
-        # The regression this pins: once this client drops its read
-        # reference, a cached copy must never be served again.
-        def body(client):
-            td = client.create("integer", read_refcount=1)
-            client.store(td, 7)
-            assert client.retrieve(td) == 7  # now cached
-            client.refcount(td, read_delta=-1)  # TD freed server-side
-            with pytest.raises(AdlbError):
-                client.retrieve(td)
-            return client.data_stats
-
-        stats = run_client(body, read_cache=True)
-        assert stats.evictions == 1
-
-    def test_container_member_entries_evicted_with_container(self):
-        def body(client):
-            c = client.create("container", read_refcount=1)
-            client.store(c, "v0", subscript="0", decr_write=0)
-            client.store(c, "v1", subscript="1", decr_write=1)
-            assert client.retrieve(c, subscript="0") == "v0"  # cached
-            client.refcount(c, read_delta=-1)
-            with pytest.raises(AdlbError):
-                client.retrieve(c, subscript="0")
-            return None
-
-        run_client(body, read_cache=True)
-
     def test_batched_decrements_apply_at_flush(self):
-        def body(client):
+        def body(unit, tcl):
+            client = unit.client
             a = client.create("integer", read_refcount=1)
             b = client.create("integer", read_refcount=1)
             client.store(a, 1)
             client.store(b, 2)
-            assert client.retrieve(a) == 1
-            client.refcount(a, read_delta=-1)
-            client.refcount(b, read_delta=-1)
-            # Deferred: the server has not applied either decrement, so
-            # both TDs are still live — and retrieving `a` re-caches it.
-            assert client.exists(b)
-            assert client.retrieve(a) == 1
-            # The flush's freed-list reply must evict that re-cached
-            # entry, or the next retrieve would serve a freed TD.
-            client.flush_refcounts()
-            assert not client.exists(a)
-            assert not client.exists(b)
-            with pytest.raises(AdlbError):
-                client.retrieve(a)
-            return client.data_stats
+            tcl("turbine::read_refcount_decr %d" % a)
+            tcl("turbine::read_refcount_decr %d" % b)
+            # Deferred: the server has applied neither decrement, so
+            # both TDs are still live and readable.
+            assert unit.deferred == {a: [-1, 0], b: [-1, 0]}
+            assert client.exists(b) and client.retrieve(a) == 1
+            client.incr_work()
+            unit.commit()  # one batch, then the counter unit
+            assert not unit.deferred
+            return client.exists(a), client.exists(b)
 
-        stats = run_client(body, read_cache=True, batch_refcounts=True)
-        assert stats.refcount_batches == 1
-        assert stats.refcount_batched_ops == 2
+        assert run_unit(body) == (False, False)
 
     def test_write_increments_bypass_batching(self):
         # Positive write deltas must reach the server immediately:
         # generated code adds writer slots before handing them out.
-        def body(client):
+        def body(unit, tcl):
+            client = unit.client
             c = client.create("container", write_refcount=1)
-            client.refcount(c, write_delta=2)  # must apply now
+            tcl("turbine::write_refcount_incr %d 2" % c)  # must apply now
+            assert not unit.deferred
             client.store(c, "x", subscript="0", decr_write=1)
             client.store(c, "y", subscript="1", decr_write=1)
             client.store(c, "z", subscript="2", decr_write=1)  # closes
             return client.retrieve(c)
 
-        members = run_client(body, read_cache=True, batch_refcounts=True)
-        assert members == {"0": "x", "1": "y", "2": "z"}
+        assert run_unit(body) == {"0": "x", "1": "y", "2": "z"}
 
-    def test_defaults_off_for_bare_client(self):
-        def body(client):
-            assert not client.read_cache_enabled
-            assert not client.batch_refcounts
-            td = client.create("integer")
-            client.store(td, 5)
-            client.retrieve(td)
-            client.retrieve(td)
-            return client.data_stats
+    def test_deferred_decrements_dropped_on_roll_back(self):
+        def body(unit, tcl):
+            client = unit.client
+            c = client.create("container", write_refcount=1)
+            tcl("turbine::write_refcount_decr %d" % c)
+            unit.roll_back()  # the unit will run again
+            assert not unit.deferred
+            client.incr_work()
+            unit.commit()  # nothing to land
+            return client.subscribe(c)  # True once closed
 
-        stats = run_client(body)
-        assert stats.hits == 0
-        assert stats.misses == 0
+        assert run_unit(body) is False
