@@ -1,9 +1,11 @@
 """STC — compiler cost and the effect of optimization levels.
 
 Supporting benchmark for the DESIGN.md ablations: compile time per
-program, emitted-code size, and dynamic Turbine-operation count at
--O0 / -O1 / -O2 (folding, branch elimination, constant propagation,
-spawn-time arithmetic).
+program, emitted-code size, and static / dynamic Turbine-operation
+count at -O0 (no pass: every op a rule over TDs) vs -O1 (closed-value
+propagation, by-value leaves, single-consumer fusion).  -O2 is accepted
+and runs the same pass list as -O1, so it is checked equal to -O1 here
+and not reported as a third column.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ PROGRAMS = {"small": SMALL, "medium": MEDIUM, "large": LARGE}
 
 
 @pytest.mark.parametrize("name", list(PROGRAMS))
-@pytest.mark.parametrize("opt", [0, 1, 2])
+@pytest.mark.parametrize("opt", [0, 1])
 def test_stc_compile_time(benchmark, name, opt):
     src = PROGRAMS[name]
     compiled = benchmark(lambda: compile_swift(src, opt=opt))
@@ -56,6 +58,7 @@ def count_ops(text: str) -> int:
     return sum(text.count(op) for op in (
         "turbine::allocate",
         "turbine::rule",
+        "turbine::op ",  # the rule shim: one rule per call
         "turbine::store",
         "turbine::spawn",
     ))
@@ -71,17 +74,19 @@ def test_stc_optimization_reduces_ops(benchmark):
     )
 
     def measure():
-        return {opt: count_ops(compile_swift(src, opt=opt).tcl_text) for opt in (0, 1, 2)}
+        return {opt: count_ops(compile_swift(src, opt=opt).tcl_text) for opt in (0, 1)}
 
     ops = benchmark.pedantic(measure, rounds=2, iterations=1)
     benchmark.extra_info["ops_O0"] = ops[0]
     benchmark.extra_info["ops_O1"] = ops[1]
-    benchmark.extra_info["ops_O2"] = ops[2]
-    assert ops[2] <= ops[1] <= ops[0]
+    assert ops[1] < ops[0]
+    # -O2 is -O1: same text below the header line that names the level
+    o1, o2 = (compile_swift(src, opt=opt).tcl_text.split("\n", 1)[1] for opt in (1, 2))
+    assert o2 == o1
 
 
 def test_stc_runtime_effect_of_opt(benchmark):
-    """Dynamic effect: -O2 runs the same program with fewer engine rules."""
+    """Dynamic effect: -O1 runs the same program with fewer engine rules."""
     from repro import SwiftRuntime
 
     src = (
@@ -93,7 +98,7 @@ def test_stc_runtime_effect_of_opt(benchmark):
 
     def measure():
         rules = {}
-        for opt in (0, 2):
+        for opt in (0, 1):
             res = SwiftRuntime(workers=2, opt=opt).run(src)
             assert res.stdout_lines == ["330"]
             rules[opt] = sum(e.rules_created for e in res.engine_stats)
@@ -101,5 +106,5 @@ def test_stc_runtime_effect_of_opt(benchmark):
 
     rules = benchmark.pedantic(measure, rounds=1, iterations=1)
     benchmark.extra_info["rules_O0"] = rules[0]
-    benchmark.extra_info["rules_O2"] = rules[2]
-    assert rules[2] < rules[0]
+    benchmark.extra_info["rules_O1"] = rules[1]
+    assert rules[1] < rules[0]

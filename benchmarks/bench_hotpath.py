@@ -193,7 +193,9 @@ def test_end_to_end_vm_speedup(benchmark):
 
 def test_cache_metrics_exposed():
     """A traced run exposes the code-cache/VM counters."""
-    res = swift_run(E2E_PROGRAM, workers=2, trace=True)
+    # opt=0: a code-cache *hit* needs a script evaluated twice, and at
+    # the default level every control-task payload here is distinct
+    res = swift_run(E2E_PROGRAM, workers=2, trace=True, opt=0)
     counters = res.trace.metrics["counters"]
     assert counters.get("tcl.vm.code_hits", 0) > 0
     assert counters.get("tcl.vm.code_misses", 0) > 0

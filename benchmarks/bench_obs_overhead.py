@@ -11,7 +11,7 @@ Three claims guarded here:
    up the wall time (generous 10x bound — it is far lower in practice).
 3. **Bounded level-0 cost**: the always-on recorder
    (``flightrec=True``, the default) makes one ``emit`` call per
-   message send and recv, ~147 per leaf task of the fan-out; on that
+   message send and recv, ~20 per leaf task of the fan-out; on that
    dispatch-bound run, sized to last over a second, a recorder-on run
    must stay within ``RECORDER_BUDGET_X`` of a recorder-off run
    end-to-end (median of interleaved pairs, pinned to one CPU).
@@ -73,11 +73,13 @@ def measure_obs_overhead(rounds: int = 5) -> dict:
 
 # Guard workload for the recorder budget: the dispatch-bound fan-out of
 # benchmarks/e2e (zero-compute python() leaves at 2 workers / 1 server /
-# 1 engine), sized to run for over a second.  Every leaf is ~67
-# messages, each stamped on both ends, so this is the shape on which the
-# recorder's cost is largest relative to the run; a compute-bound or a
-# few-millisecond run cannot resolve it.
-RECORDER_LEAVES = 1000
+# 1 engine), sized to run for over a second.  Every leaf is ~10
+# messages (67 before STC shipped closed inputs by value: the leaf count
+# was 1000 then, and went up with the throughput so the run still lasts
+# over a second), each stamped on both ends, so this is the shape on
+# which the recorder's cost is largest relative to the run; a
+# compute-bound or a few-millisecond run cannot resolve it.
+RECORDER_LEAVES = 5000
 # ROADMAP's target is 1.05x.  It was set on ~60 ms CPU-bound runs, where
 # the stamps are invisible; on this run the median of paired ratios
 # measures 1.08-1.14x (quartiles ~1.04-1.20) at this commit and at its

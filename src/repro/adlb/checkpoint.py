@@ -211,7 +211,7 @@ class Checkpointer:
         self._phase = "servers"
         self._drain_mailbox()
         self._parts[("server", core.rank)] = self._server_part()
-        others = [s for s in core.alive_servers() if s != core.rank]
+        others = core.other_servers
         self._waiting = set(others)
         if not others:
             self._write()

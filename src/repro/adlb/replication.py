@@ -122,6 +122,8 @@ class Replication:
         self.buddy = core.map.buddy(core.rank)
         self.replicas: dict[int, Replica] = {}
         self.dead_servers: set[int] = set()
+        # wards whose own shutdown has begun (their last entry, "bye")
+        self.departed: set[int] = set()
         self.buf: list[tuple] = []
         self.seq = 0  # entries sent
         self.acked = 0  # entries the buddy confirmed applied
@@ -192,6 +194,8 @@ class Replication:
         for entry in msg["entries"]:
             if entry[0] == "reset":
                 rep = self.replicas[source] = Replica(entry[1])
+            elif entry[0] == "bye":
+                self.departed.add(source)
             else:
                 rep.apply(entry)
         rep.last_heard = time.monotonic()
@@ -324,6 +328,25 @@ class Replication:
         for dead in list(self.dead_servers):
             if core.map.resolve(dead) == core.rank:
                 self.scavenge(dead)
+
+    def goodbye(self) -> None:
+        """This server's shutdown has begun: the last op-log entry."""
+        if self.buddy is not None:
+            self.buf.append(("bye",))
+            self.flush()
+
+    def wards_settled(self) -> bool:
+        """No live ward is unaccounted for: each has said "bye".  One
+        that went quiet without it may have died silently, and if this
+        server left too nothing would ever release that ward's clients
+        — so it keeps ticking until the ward speaks or is declared dead
+        and promoted."""
+        core = self.core
+        return all(
+            ward in self.departed
+            for ward in core.map.alive
+            if ward != core.rank and core.map.buddy(ward) == core.rank
+        )
 
     # ------------------------------------------------------ status, diagnostic
 

@@ -234,6 +234,8 @@ class Server:
         return self.stats
 
     def _done(self) -> bool:
+        if self.repl is not None and not self.repl.wards_settled():
+            return False
         return self.shutting_down and self._shutdown_acked >= self.attached_clients
 
     def _idle_tick(self) -> None:
@@ -613,9 +615,6 @@ class Server:
     def master_rank(self) -> int:
         return self.map.master if self.map is not None else self.layout.master_server
 
-    def alive_servers(self) -> list[int]:
-        return self.map.alive if self.map is not None else self.layout.servers
-
     def _op_incr_work(self, msg: dict, source: int) -> None:
         assert self.is_master
         self.work_count += msg.get("amount", 1)
@@ -671,9 +670,8 @@ class Server:
     # ---------------------------------------------------------------- shutdown
 
     def initiate_shutdown(self) -> None:
-        for s in self.alive_servers():
-            if s != self.rank:
-                self.comm.send({"op": C.SOP_SHUTDOWN}, s, C.TAG_SERVER)
+        for s in self.other_servers:
+            self.comm.send({"op": C.SOP_SHUTDOWN}, s, C.TAG_SERVER)
         self._op_shutdown()
 
     def _op_shutdown(self, msg: dict | None = None, source: int = -1) -> None:
@@ -682,6 +680,8 @@ class Server:
         self.shutting_down = True
         if self.ring is not None:
             self.ring.emit("shutdown")
+        if self.repl is not None:
+            self.repl.goodbye()
         for parked in self.parked:
             self._tell_shutdown(parked.rank, parked.is_async, parked.seq)
         self.parked = []

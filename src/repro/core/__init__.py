@@ -1,7 +1,8 @@
 """The Swift language frontend and STC compiler (the paper's core).
 
-Pipeline: :func:`parse` -> :func:`analyze` -> :class:`Codegen` ->
-Turbine Tcl, executed by :mod:`repro.turbine`.
+Pipeline: :func:`parse` -> :func:`analyze` -> :class:`Codegen`
+(AST -> IR in :mod:`.lower`, the passes of :mod:`.passes`, IR -> Tcl in
+:mod:`.codegen`) -> Turbine Tcl, executed by :mod:`repro.turbine`.
 """
 
 from .codegen import Codegen, CompiledProgram

@@ -1,246 +1,102 @@
-"""Tcl code generation (the STC back end).
+"""IR -> Tcl (the second half of the STC back end) and its driver.
 
-Swift dataflow semantics compile onto the Turbine command set exactly
-as in real STC: every Swift variable becomes a Turbine datum (TD);
-statements become ``turbine::rule`` registrations; loop iterations are
-shipped as CONTROL tasks; leaf calls (extension functions, apps,
-python/r) become WORK tasks executed on workers; arrays are containers
-of member-TD references with compile-time write-refcount ("slot")
-accounting deciding when they close.
-
-Slot accounting invariant: every scope that can write an array holds
-exactly one slot per writer *statement* it contains; compound
-statements (if, foreach, wait, calls) hold one slot and rebalance on
-entry (``incr W-1``); a container is created with ``1 + W`` slots and
-the declaration slot is released at the end of its block.
+One printer serves every optimisation level; the level only picks the
+pass list run on the IR first.  What the printer decides by itself is
+the *escape rule*: a closed value (a Tcl value of the unit being
+printed) is used as such wherever the position takes a value — an
+inline value-proc call, a task payload, a subscript, a loop bound — and
+is materialised as a TD (``allocate`` + ``store``, once per proc) only
+where the position needs a TD id: an input of an op that still runs as
+a rule, a composite-function argument, an array member, a ``wait``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..tcl.listutil import format_element
+from ..tcl.expr import to_string
+from ..tcl.listutil import format_element, format_list
 from .errors import SwiftTypeError
+from .ir import Block, Const, Op, Operand, Var, free_vars
+from .lower import Lowering
+from .passes import PASSES
 from .semantics import FuncSig
-from .stdlib import INTRINSICS
-from .swift_ast import (
-    AppDef,
-    Assign,
-    BinOp,
-    Block,
-    Call,
-    Decl,
-    Expr,
-    ExprStmt,
-    ExtFuncDef,
-    Foreach,
-    FuncDef,
-    If,
-    Literal,
-    LValue,
-    Program,
-    RangeSpec,
-    Stmt,
-    Subscript,
-    UnOp,
-    VarRef,
-    Wait,
-)
-from .types import (
-    BOOLEAN,
-    FLOAT,
-    INT,
-    STORE_CMD,
-    STRING,
-    TD_TYPE,
-    VOID,
-    SwiftType,
-)
-
-# ---------------------------------------------------------------- write sets
-
-
-def writes_arrays(stmt: Stmt) -> set[str]:
-    """Array variable names (possibly outer-scope) written by stmt."""
-    if isinstance(stmt, Decl):
-        if stmt.swift_type.is_array and stmt.init is not None:
-            return {stmt.name}
-        return set()
-    if isinstance(stmt, Assign):
-        out: set[str] = set()
-        for target in stmt.targets:
-            if target.index is not None:
-                out.add(target.name)
-            elif target.type is not None and target.type.is_array:
-                out.add(target.name)
-        return out
-    if isinstance(stmt, If):
-        out = block_writes(stmt.then)
-        if stmt.els is not None:
-            out |= block_writes(stmt.els)
-        return out
-    if isinstance(stmt, Foreach):
-        return block_writes(stmt.body)
-    if isinstance(stmt, Wait):
-        return block_writes(stmt.body)
-    if isinstance(stmt, Block):
-        return block_writes(stmt)
-    return set()
-
-
-def block_writes(block: Block) -> set[str]:
-    declared = {
-        s.name for s in block.stmts if isinstance(s, Decl)
-    }
-    out: set[str] = set()
-    for s in block.stmts:
-        out |= writes_arrays(s)
-    return out - declared
-
-
-def writer_count(block: Block, name: str) -> int:
-    """Number of immediate writer statements of array ``name`` in block."""
-    return sum(1 for s in block.stmts if name in writes_arrays(s))
-
-
-# ---------------------------------------------------------------- values
-
-
-@dataclass
-class CgVal:
-    """A compiled expression value: constant, spawn-time value, or TD."""
-
-    type: SwiftType
-    kind: str  # 'const' | 'rtval' | 'td'
-    const: Any = None
-    expr: str = ""  # Tcl expression (an id for 'td', a value for 'rtval')
-    slot: Any = None  # backing Slot, so TD materialization is cached
+from .swift_ast import AppDef, ExtFuncDef, Literal, Program, VarRef
+from .types import BOOLEAN, FLOAT, INT, STORE_CMD, STRING, TD_TYPE, VOID, SwiftType
 
 
 def quote_const(value: Any, t: SwiftType) -> str:
-    """Tcl source representation of a Swift literal."""
+    """Tcl source word for a Swift literal, spelled the way a typed
+    store followed by a retrieve would give it back."""
     if t == BOOLEAN:
         return "1" if value else "0"
     if t == FLOAT:
-        v = float(value)
-        return repr(v)
+        return to_string(float(value))
     if t == INT:
         return str(int(value))
     return format_element(str(value))
 
 
-class Slot:
-    """A Swift variable during code generation."""
+def leaf_body(defn: ExtFuncDef | AppDef) -> str:
+    """The Tcl a leaf function runs, over ``<param>_val`` variables."""
+    if isinstance(defn, ExtFuncDef):
+        body = defn.template
+        for p in defn.inputs:
+            body = body.replace("<<%s>>" % p.name, "${%s_val}" % p.name)
+        for p in defn.outputs:
+            body = body.replace("<<%s>>" % p.name, "%s_val" % p.name)
+        # verbatim: leading whitespace may be significant inside
+        # multi-line embedded-language fragments
+        return body
+    words = ["shell::exec"]
+    for word in defn.command:
+        if isinstance(word, Literal):
+            words.append(format_element(str(word.value)))
+        elif isinstance(word, VarRef):
+            words.append("${%s_val}" % word.name)
+        else:
+            raise SwiftTypeError(
+                "app command words must be literals or parameters", word.line
+            )
+    call = " ".join(words)
+    if defn.outputs and defn.outputs[0].swift_type == STRING:
+        return "    set %s_val [ %s ]" % (defn.outputs[0].name, call)
+    return "    " + call
 
-    __slots__ = ("swift_name", "type", "kind", "expr", "const", "value_expr")
 
-    def __init__(self, swift_name: str, t: SwiftType, kind: str, expr: str = "", const: Any = None):
-        self.swift_name = swift_name
-        self.type = t
-        self.kind = kind  # 'td' | 'const' | 'rtval' | 'unmaterialized'
-        self.expr = expr
-        self.const = const
-        # spawn-time value expression, preserved across TD
-        # materialization so O2 can still compute with the value
-        self.value_expr: str | None = expr if kind == "rtval" else None
+class Proc:
+    """A Tcl proc being printed, and where each IR variable lives in it."""
 
-
-# ---------------------------------------------------------------- builders
-
-
-class ProcBuilder:
     def __init__(self, name: str, params: list[str]):
         self.name = name
-        self.params = params
+        self.params = list(params)
         self.lines: list[str] = []
+        self.depth = 1
+        self.val: dict[Operand, str] = {}  # closed variable -> word of its value
+        self.td: dict[Operand, str] = {}  # variable -> word of its TD id
         self._temp = itertools.count(1)
         self._locals: set[str] = set(params)
 
-    def emit(self, line: str, depth: int = 1) -> None:
-        self.lines.append("    " * depth + line)
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
 
     def temp(self) -> str:
         return "t%d" % next(self._temp)
 
-    def local_name(self, base: str) -> str:
-        name = "v_" + base
-        k = 1
+    def local(self, base: str) -> str:
+        name, k = base, 1
         while name in self._locals:
             k += 1
-            name = "v_%s_%d" % (base, k)
-        self._locals.add(name)
-        return name
-
-    def param_name(self, base: str) -> str:
-        name = "c_" + base
-        k = 1
-        while name in self._locals:
-            k += 1
-            name = "c_%s_%d" % (base, k)
+            name = "%s_%d" % (base, k)
         self._locals.add(name)
         return name
 
     def text(self) -> str:
-        header = "proc %s { %s } {" % (self.name, " ".join(self.params) or "")
+        header = "proc %s { %s } {" % (self.name, " ".join(self.params))
         return "\n".join([header, *self.lines, "}"])
-
-
-class Scope:
-    def __init__(
-        self,
-        gen: "Codegen",
-        proc: ProcBuilder,
-        parent: "Scope | None" = None,
-        boundary: bool = False,
-    ):
-        self.gen = gen
-        self.proc = proc
-        self.parent = parent
-        self.boundary = boundary
-        self.slots: dict[str, Slot] = {}
-        # capture order matters: it becomes the proc's trailing params
-        self.captures: list[tuple[str, str]] = []  # (swift name, param name)
-
-    def declare(self, name: str, slot: Slot) -> Slot:
-        self.slots[name] = slot
-        return slot
-
-    def resolve(self, name: str) -> Slot:
-        if name in self.slots:
-            return self.slots[name]
-        if self.parent is None:
-            raise SwiftTypeError("codegen: unresolved variable %r" % name)
-        outer = self.parent.resolve(name)
-        if not self.boundary:
-            return outer
-        # crossing a proc boundary: constants copy, TDs/values become params
-        if outer.kind == "const":
-            slot = Slot(name, outer.type, "const", const=outer.const)
-            return self.declare(name, slot)
-        if outer.kind == "unmaterialized":
-            # materialize in the outer proc so the id can be captured
-            self.gen.ensure_td_slot(self.parent, outer)
-        param = self.proc.param_name(name)
-        self.proc.params.append(param)
-        self.captures.append((name, param))
-        slot = Slot(name, outer.type, outer.kind if outer.kind != "unmaterialized" else "td", expr="$" + param)
-        return self.declare(name, slot)
-
-    def capture_args(self, call_scope: "Scope") -> list[str]:
-        """Arguments the parent passes for this boundary scope's captures."""
-        args = []
-        for name, _param in self.captures:
-            outer = call_scope.resolve(name)
-            if outer.kind == "unmaterialized":
-                self.gen.ensure_td_slot(call_scope, outer)
-            args.append(outer.expr)
-        return args
-
-
-# ---------------------------------------------------------------- result
 
 
 @dataclass
@@ -256,989 +112,378 @@ class CompiledProgram:
         return self.tcl_text.count("\n") + 1
 
 
-# ---------------------------------------------------------------- codegen
-
-
 class Codegen:
     def __init__(self, program: Program, funcs: dict[str, FuncSig], opt: int = 1):
         self.program = program
         self.funcs = funcs
-        self.opt = opt
-        self.procs: list[ProcBuilder] = []
+        self.level = opt  # recorded in the output; decides nothing below
+        self.passes = PASSES if opt else ()
+        self.procs: list[Proc] = []
         self._hoist = itertools.count(1)
-        self.packages: set[str] = set()
+        self._tasks: dict[tuple, str] = {}  # (params, body) -> task proc name
+        self._task_count: Counter = Counter()
 
     # -- entry ---------------------------------------------------------------
 
     def generate(self) -> CompiledProgram:
-        for ext in self.program.ext_funcs:
-            self.gen_extension(ext)
-        for app in self.program.app_funcs:
-            self.gen_app(app)
-        for fn in self.program.funcs:
-            self.gen_composite(fn)
-        main_proc = ProcBuilder("swift:main", [])
-        self.procs.append(main_proc)
-        scope = Scope(self, main_proc)
-        self.compile_block(self.program.main, scope)
-        prelude = ["# generated by repro-stc (opt level %d)" % self.opt]
-        for pkg in sorted(self.packages):
-            prelude.append("package require %s" % pkg)
+        """Print ``swift:main`` and every proc reachable from it."""
+        lowering = Lowering(self.funcs)
+        self.unit("swift:main", [], [], lowering.block(self.program.main, None))
+        done = 0
+        while done < len(lowering.called):
+            fn = self.funcs[lowering.called[done]].node
+            done += 1
+            body, params = lowering.function(fn)
+            names = ["o_" + p.name for p in fn.outputs] + ["i_" + p.name for p in fn.inputs]
+            self.unit("swift:f:" + fn.name, names, params, body)
+        packages = {e.package for e in self.program.ext_funcs if e.package}
+        if self.program.app_funcs:
+            packages.add("shell")
+        prelude = ["# generated by repro-stc (opt level %d)" % self.level]
+        prelude += ["package require %s" % pkg for pkg in sorted(packages)]
         body = "\n\n".join(p.text() for p in self.procs)
         return CompiledProgram(
             tcl_text="\n".join(prelude) + "\n\n" + body + "\n",
-            packages=sorted(self.packages),
-            opt_level=self.opt,
+            packages=sorted(packages),
+            opt_level=self.level,
             n_procs=len(self.procs),
         )
 
-    # -- helpers --------------------------------------------------------------
+    def unit(self, name: str, params: list[str], param_vars: list[Var], block: Block) -> None:
+        for run_pass in self.passes:
+            run_pass(block)
+        proc = self.new_proc(name, params)
+        for var, param in zip(param_vars, params):
+            proc.td[var] = "$" + param
+        self.block(block, proc)
 
-    def new_proc(self, kind: str, params: list[str]) -> ProcBuilder:
-        proc = ProcBuilder("swift:__%s%d" % (kind, next(self._hoist)), params)
+    def new_proc(self, name: str, params: list[str]) -> Proc:
+        proc = Proc(name, params)
         self.procs.append(proc)
         return proc
 
-    def ensure_td_slot(self, scope: Scope, slot: Slot) -> str:
-        """Materialize a slot as a TD id expression, allocating if needed."""
-        proc = scope.proc
-        if slot.kind == "td":
-            return slot.expr
-        if slot.kind == "unmaterialized":
-            local = proc.local_name(slot.swift_name)
+    def hoist(self, kind: str, params: list[str], blocks: list[Block], proc: Proc):
+        """A new proc for ``blocks``.  The variables they use from
+        outside become its trailing parameters (a value if closed, a TD
+        id if not); returns the proc and the words ``proc`` passes."""
+        child = self.new_proc("swift:__%s%d" % (kind, next(self._hoist)), params)
+        args = []
+        for var in free_vars(*blocks):
+            param = child.local("c_" + (var.name or "t"))
+            child.params.append(param)
+            if var.closed:
+                child.val[var] = "$" + param
+                args.append(self.val(var, proc))
+            else:
+                child.td[var] = "$" + param
+                args.append(self.td(var, proc))
+        return child, args
+
+    # -- operands ------------------------------------------------------------
+
+    def val(self, x: Operand, proc: Proc) -> str:
+        """Tcl word for the value of a closed operand."""
+        if isinstance(x, Const):
+            return quote_const(x.value, x.type)
+        return proc.val[x]
+
+    def td(self, x: Operand, proc: Proc) -> str:
+        """Tcl word for the operand's TD id: allocated on first use,
+        and for a closed operand stored at once — it escapes here."""
+        word = proc.td.get(x)
+        if word is not None:
+            return word
+        name = proc.local("v_" + x.name) if isinstance(x, Var) and x.name else proc.temp()
+        if x.type.is_array:
+            proc.emit("set %s [ turbine::allocate_container %d ]" % (name, x.wrc))
+        else:
+            proc.emit("set %s [ turbine::allocate %s ]" % (name, TD_TYPE[x.type.base]))
+        word = "$" + name
+        if x.closed:
+            proc.emit("%s %s %s" % (STORE_CMD[x.type.base], word, self.val(x, proc)))
+        if isinstance(x, Var):
+            proc.td[x] = word
+        return word
+
+    # -- blocks and simple ops -----------------------------------------------
+
+    def block(self, block: Block, proc: Proc) -> None:
+        for op in block.ops:
+            getattr(self, "op_" + op.kind)(op, proc)
+        for arr in block.arrays:
+            proc.emit("turbine::write_refcount_decr %s 1" % self.td(arr, proc))
+
+    def op_value(self, op: Op, proc: Proc) -> None:
+        out = op.outs[0] if op.outs else None
+        if op.inline:
+            call = " ".join([format_list(op.fn), *(self.val(x, proc) for x in op.ins)])
+            if out is None:
+                proc.emit(call)
+            else:
+                tmp = proc.temp()
+                proc.emit("set %s [ %s ]" % (tmp, call))
+                proc.val[out] = "$" + tmp
+            return
+        head = "none {}"
+        if out is not None:
+            head = "%s %s" % (TD_TYPE[out.type.base], self.td(out, proc))
+        ins = [self.td(x, proc) for x in op.ins]
+        proc.emit(" ".join(["turbine::op", head, format_element(format_list(op.fn)), *ins]))
+
+    def op_copy(self, op: Op, proc: Proc) -> None:
+        (dst,), (src,) = op.outs, op.ins
+        if op.inline:
+            proc.val[dst] = self.val(src, proc)
+        elif src.closed:
+            proc.emit("%s %s %s" % (STORE_CMD[dst.type.base], self.td(dst, proc), self.val(src, proc)))
+        else:
+            proc.emit("turbine::copy_td %s %s" % (self.td(dst, proc), self.td(src, proc)))
+
+    def op_rule(self, op: Op, proc: Proc) -> None:
+        tds = [self.td(x, proc) for x in op.outs + op.ins]
+        proc.emit(" ".join([format_list(op.fn), *tds]))
+
+    def op_subscript(self, op: Op, proc: Proc) -> None:
+        arr, idx = op.ins
+        ref = proc.temp()
+        proc.emit("set %s [ turbine::allocate ref ]" % ref)
+        if idx.closed:
             proc.emit(
-                "set %s [ turbine::allocate %s ]" % (local, TD_TYPE[slot.type.base])
+                "turbine::container_reference %s %s $%s"
+                % (self.td(arr, proc), self.val(idx, proc), ref)
             )
-            slot.kind = "td"
-            slot.expr = "$" + local
-            return slot.expr
-        if slot.kind == "const":
-            td = self.lit_td(proc, slot.const, slot.type)
-            slot.kind = "td"
-            slot.expr = td
-            return td
-        if slot.kind == "rtval":
-            td = self.value_td(proc, slot.expr, slot.type)
-            slot.kind = "td"
-            slot.expr = td
-            return td
-        raise SwiftTypeError("bad slot kind %r" % slot.kind)
+        else:
+            proc.emit(
+                "turbine::cref_when_ready %s %s $%s"
+                % (self.td(arr, proc), self.td(idx, proc), ref)
+            )
+        proc.emit("turbine::deref_store %s $%s" % (self.td(op.outs[0], proc), ref))
 
-    def lit_td(self, proc: ProcBuilder, value: Any, t: SwiftType) -> str:
-        tmp = proc.temp()
-        proc.emit("set %s [ turbine::allocate %s ]" % (tmp, TD_TYPE[t.base]))
-        proc.emit("%s $%s %s" % (STORE_CMD[t.base], tmp, quote_const(value, t)))
-        return "$" + tmp
+    def op_insert(self, op: Op, proc: Proc) -> None:
+        arr, idx, member = op.ins
+        if idx.closed:
+            proc.emit(
+                "turbine::container_insert %s %s %s 1"
+                % (self.td(arr, proc), self.val(idx, proc), self.td(member, proc))
+            )
+        else:
+            proc.emit(
+                "turbine::insert_when_ready %s %s %s"
+                % (self.td(arr, proc), self.td(idx, proc), self.td(member, proc))
+            )
 
-    def value_td(self, proc: ProcBuilder, value_expr: str, t: SwiftType) -> str:
-        tmp = proc.temp()
-        proc.emit("set %s [ turbine::allocate %s ]" % (tmp, TD_TYPE[t.base]))
-        proc.emit("%s $%s %s" % (STORE_CMD[t.base], tmp, value_expr))
-        return "$" + tmp
+    def op_refcount(self, op: Op, proc: Proc) -> None:
+        verb = "incr" if op.delta > 0 else "decr"
+        proc.emit(
+            "turbine::write_refcount_%s %s %d" % (verb, self.td(op.ins[0], proc), abs(op.delta))
+        )
 
-    def ensure_td(self, scope: Scope, val: CgVal) -> str:
-        if val.kind == "td":
-            return val.expr
-        if val.slot is not None:
-            # variable-backed: materialize once, cache on the slot
-            return self.ensure_td_slot(scope, val.slot)
-        if val.kind == "const":
-            return self.lit_td(scope.proc, val.const, val.type)
-        return self.value_td(scope.proc, val.expr, val.type)
+    def op_block(self, op: Op, proc: Proc) -> None:
+        self.block(op.blocks[0], proc)
+
+    # -- control flow --------------------------------------------------------
 
     @staticmethod
-    def spawn_value(val: CgVal) -> str | None:
-        """Spawn-time value string, or None if only known as a future."""
-        if val.kind == "const":
-            return quote_const(val.const, val.type)
-        if val.kind == "rtval":
-            return val.expr
-        return None
+    def local_rule(proc: Proc, deps: list[str], action: list[str]) -> None:
+        """Run ``action`` on this engine once every TD in ``deps`` closes."""
+        proc.emit(
+            "turbine::rule [ list %s ] [ list %s ] LOCAL" % (" ".join(deps), " ".join(action))
+        )
 
-    def alloc(self, proc: ProcBuilder, t: SwiftType, wrc: int = 1) -> str:
-        tmp = proc.temp()
-        if t.is_array:
-            proc.emit("set %s [ turbine::allocate_container %d ]" % (tmp, wrc))
-        else:
-            proc.emit("set %s [ turbine::allocate %s ]" % (tmp, TD_TYPE[t.base]))
-        return "$" + tmp
-
-    # -- blocks & statements --------------------------------------------------
-
-    def compile_block(self, block: Block, scope: Scope) -> None:
-        # Pre-scan: arrays declared in this block and their writer counts.
-        declared_arrays: list[str] = []
-        for stmt in block.stmts:
-            self.compile_stmt(stmt, scope, block)
-            if isinstance(stmt, Decl) and stmt.swift_type.is_array:
-                declared_arrays.append(stmt.name)
-        for name in declared_arrays:
-            slot = scope.resolve(name)
-            scope.proc.emit("turbine::write_refcount_decr %s 1" % slot.expr)
-
-    def rebalance(self, proc: ProcBuilder, td_expr: str, delta: int, depth: int = 1) -> None:
-        if delta > 0:
-            proc.emit("turbine::write_refcount_incr %s %d" % (td_expr, delta), depth)
-        elif delta < 0:
-            proc.emit("turbine::write_refcount_decr %s %d" % (td_expr, -delta), depth)
-
-    def compile_stmt(self, stmt: Stmt, scope: Scope, block: Block) -> None:
-        if isinstance(stmt, Decl):
-            self.compile_decl(stmt, scope, block)
-        elif isinstance(stmt, Assign):
-            self.compile_assign(stmt, scope)
-        elif isinstance(stmt, ExprStmt):
-            assert isinstance(stmt.expr, Call)
-            sig = self.funcs[stmt.expr.func]
-            self.emit_call(
-                sig,
-                [],
-                stmt.expr.args,
-                scope,
-                priority=self._priority_value(stmt, scope),
-                target=self._target_value(stmt, scope),
-            )
-        elif isinstance(stmt, If):
-            self.compile_if(stmt, scope)
-        elif isinstance(stmt, Foreach):
-            self.compile_foreach(stmt, scope)
-        elif isinstance(stmt, Wait):
-            self.compile_wait(stmt, scope)
-        elif isinstance(stmt, Block):
-            self.compile_block(stmt, Scope(self, scope.proc, scope))
-        else:
-            raise SwiftTypeError("codegen: unknown statement %r" % stmt)
-
-    def compile_decl(self, stmt: Decl, scope: Scope, block: Block) -> None:
-        t = stmt.swift_type
-        priority = self._priority_value(stmt, scope)
-        target = self._target_value(stmt, scope)
-        if t.is_array:
-            w = writer_count(block, stmt.name)
-            td = self.alloc(scope.proc, t, wrc=1 + w)
-            slot = Slot(stmt.name, t, "td", expr=td)
-            scope.declare(stmt.name, slot)
-            if stmt.init is not None:
-                # whole-array init from a call
-                assert isinstance(stmt.init, Call)
-                sig = self.funcs[stmt.init.func]
-                self.emit_call(
-                    sig, [td], stmt.init.args, scope,
-                    priority=priority, target=target,
-                )
+    def op_if(self, op: Op, proc: Proc) -> None:
+        cond = op.ins[0]
+        if op.inline:
+            self.branches(op, self.val(cond, proc), proc)
             return
-        # scalars are lazily materialized
-        slot = Slot(stmt.name, t, "unmaterialized")
-        scope.declare(stmt.name, slot)
-        if stmt.init is not None:
-            self.assign_into(
-                slot, stmt.init, scope, priority=priority, target=target
-            )
+        dep = self.td(cond, proc)
+        child, args = self.hoist("if", ["c"], op.blocks, proc)
+        self.branches(op, "[ turbine::retrieve $c ]", child)
+        self.local_rule(proc, [dep], [child.name, dep, *args])
 
-    def assign_into(
-        self,
-        slot: Slot,
-        expr: Expr,
-        scope: Scope,
-        priority: str | None = None,
-        target: str | None = None,
-    ) -> None:
-        """Compile ``slot = expr`` for a scalar slot."""
-        if (
-            self.opt >= 2
-            and isinstance(expr, Literal)
-            and slot.kind == "unmaterialized"
-        ):
-            slot.kind = "const"
-            slot.const = expr.value
-            return
-        if isinstance(expr, (BinOp, UnOp)):
-            folded = self.try_fold(expr, scope)
-            if folded is not None:
-                self._store_val(slot, folded, scope)
-                return
-            dst = self.ensure_td_slot(scope, slot)
-            self.emit_operator(expr, dst, scope)
-            return
-        if isinstance(expr, Call):
-            sig = self.funcs[expr.func]
-            dst = self.ensure_td_slot(scope, slot)
-            self.emit_call(
-                sig, [dst], expr.args, scope, priority=priority, target=target
-            )
-            return
-        if isinstance(expr, Subscript):
-            dst = self.ensure_td_slot(scope, slot)
-            self.emit_subscript_into(expr, dst, scope)
-            return
-        val = self.compile_expr(expr, scope)
-        self._store_val(slot, val, scope)
+    def branches(self, op: Op, cond: str, proc: Proc) -> None:
+        # a TD first needed inside one branch must exist on both paths
+        for var in free_vars(*op.blocks):
+            if not var.closed:
+                self.td(var, proc)
+        proc.emit("if { %s } {" % cond)
+        for branch, closer in zip(op.blocks, ("} else {", "}")):
+            # ... and one made inside a branch exists on that path only
+            saved = dict(proc.val), dict(proc.td)
+            proc.depth += 1
+            self.block(branch, proc)
+            proc.depth -= 1
+            proc.val, proc.td = saved
+            proc.emit(closer)
 
-    def _store_val(self, slot: Slot, val: CgVal, scope: Scope) -> None:
-        if val.kind == "const" and self.opt >= 2 and slot.kind == "unmaterialized":
-            slot.kind = "const"
-            slot.const = val.const
-            return
-        dst = self.ensure_td_slot(scope, slot)
-        if val.kind == "td":
-            scope.proc.emit("turbine::copy_td %s %s" % (dst, val.expr))
-        else:
-            value = self.spawn_value(val)
-            scope.proc.emit("%s %s %s" % (STORE_CMD[slot.type.base], dst, value))
+    def op_wait(self, op: Op, proc: Proc) -> None:
+        deps = [self.td(x, proc) for x in op.ins]
+        child, args = self.hoist("wait", [], op.blocks, proc)
+        self.block(op.blocks[0], child)
+        self.local_rule(proc, deps, [child.name, *args])
 
-    def _annotation_value(self, stmt, scope: Scope, attr: str) -> str | None:
-        expr = getattr(stmt, attr, None)
-        if expr is None:
-            return None
-        val = self.compile_expr(expr, scope)
-        value = self.spawn_value(val)
-        if value is None:
-            raise SwiftTypeError(
-                "@%s must be computable at spawn time (a constant or "
-                "loop-index expression), not a future"
-                % ("prio" if attr == "priority" else attr),
-                stmt.line,
-            )
-        return value
-
-    def _priority_value(self, stmt, scope: Scope) -> str | None:
-        return self._annotation_value(stmt, scope, "priority")
-
-    def _target_value(self, stmt, scope: Scope) -> str | None:
-        return self._annotation_value(stmt, scope, "target")
-
-    def compile_assign(self, stmt: Assign, scope: Scope) -> None:
-        priority = self._priority_value(stmt, scope)
-        target = self._target_value(stmt, scope)
-        if len(stmt.exprs) == 1 and isinstance(stmt.exprs[0], Call):
-            call = stmt.exprs[0]
-            sig = self.funcs[call.func]
-            if sig.kind != "intrinsic" and len(sig.outs) == len(stmt.targets) > 1:
-                out_tds = [self.target_td(t, scope) for t in stmt.targets]
-                self.emit_call(
-                    sig, out_tds, call.args, scope,
-                    priority=priority, target=target,
-                )
-                return
-        for lhs, expr in zip(stmt.targets, stmt.exprs):
-            if lhs.index is None:
-                slot = scope.resolve(lhs.name)
-                if slot.type.is_array:
-                    # whole-array assignment from a call
-                    assert isinstance(expr, Call)
-                    sig = self.funcs[expr.func]
-                    self.emit_call(
-                        sig, [slot.expr], expr.args, scope,
-                        priority=priority, target=target,
-                    )
-                elif (priority is not None or target is not None) and isinstance(expr, Call):
-                    sig = self.funcs[expr.func]
-                    dst = self.ensure_td_slot(scope, slot)
-                    self.emit_call(
-                        sig, [dst], expr.args, scope,
-                        priority=priority, target=target,
-                    )
+    def op_foreach(self, op: Op, proc: Proc) -> None:
+        """One CONTROL task per iteration, spawned by a start proc that
+        runs at once, or as a rule if a bound (or the container) is
+        still a future."""
+        ranged = len(op.ins) == 3
+        body, args = self.hoist("body", ["idx"] if ranged else ["idx", "elem"], op.blocks, proc)
+        body.val[op.vars[0]] = "$idx"
+        if not ranged:
+            body.td[op.vars[1]] = "$elem"
+        self.block(op.blocks[0], body)
+        # the start proc hands the body's captures through under the same names
+        passed = body.params[len(body.params) - len(args) :]
+        start = self.new_proc(
+            "swift:__loop%d" % next(self._hoist),
+            (["lo", "hi", "step"] if ranged else ["c"]) + passed,
+        )
+        deps, bounds = [], []
+        if ranged:
+            for label, x in zip(("lo", "hi", "step"), op.ins):
+                if x.closed:
+                    bounds.append(self.val(x, proc))
                 else:
-                    self.assign_into(slot, expr, scope)
-            else:
-                self.compile_array_store(lhs, expr, scope)
-
-    def target_td(self, target: LValue, scope: Scope) -> str:
-        """TD receiving one output of a multi-output call."""
-        if target.index is None:
-            slot = scope.resolve(target.name)
-            return self.ensure_td_slot(scope, slot)
-        # a[i], out = f(...): insert a fresh member, then fill it
-        member = self.alloc(scope.proc, target.type)
-        self.emit_insert(target, member, scope)
-        return member
-
-    def compile_array_store(self, target: LValue, expr: Expr, scope: Scope) -> None:
-        # a[i] = expr: compile expr to a member TD, insert the reference.
-        if isinstance(expr, VarRef):
-            member = self.ensure_td_slot(scope, scope.resolve(expr.name))
+                    start.emit("set %s [ turbine::retrieve $%s ]" % (label, label))
+                    deps.append(self.td(x, proc))
+                    bounds.append(deps[-1])
+            count = "expr { $hi >= $lo ? ( ( $hi - $lo ) / $step ) + 1 : 0 }"
+            loop, item = "for { set i $lo } { $i <= $hi } { incr i $step } {", "$i"
         else:
-            member = self.alloc(scope.proc, target.type)
-            self.compile_expr_into(expr, member, target.type, scope)
-        self.emit_insert(target, member, scope)
-
-    def emit_insert(self, target: LValue, member_td: str, scope: Scope) -> None:
-        arr = scope.resolve(target.name)
-        idx = self.compile_expr(target.index, scope)
-        idx_value = self.spawn_value(idx)
-        if idx_value is not None:
-            scope.proc.emit(
-                "turbine::container_insert %s %s %s 1"
-                % (arr.expr, idx_value, member_td)
-            )
-        else:
-            scope.proc.emit(
-                "turbine::insert_when_ready %s %s %s"
-                % (arr.expr, idx.expr, member_td)
-            )
-
-    # -- control flow ----------------------------------------------------------
-
-    def compile_if(self, stmt: If, scope: Scope) -> None:
-        cond = self.compile_expr(stmt.cond, scope)
-        if cond.kind == "const" and self.opt >= 1:
-            branch = stmt.then if cond.const else stmt.els
-            if branch is not None:
-                self.compile_block(branch, Scope(self, scope.proc, scope))
-            return
-        written = sorted(writes_arrays(stmt))
-        cond_td = self.ensure_td(scope, cond)
-        proc = self.new_proc("if", ["c"])
-        child = Scope(self, proc, scope, boundary=True)
-        # resolve written arrays up-front so they become captures
-        arr_slots = {name: child.resolve(name) for name in written}
-        proc.emit("if { [ turbine::retrieve $c ] } {", 1)
-        then_scope = Scope(self, proc, child)
-        for name in written:
-            self.rebalance(proc, arr_slots[name].expr, writer_count(stmt.then, name) - 1, 2)
-        self._compile_block_at(stmt.then, then_scope, 2)
-        proc.emit("} else {", 1)
-        else_scope = Scope(self, proc, child)
-        for name in written:
-            w = writer_count(stmt.els, name) if stmt.els is not None else 0
-            self.rebalance(proc, arr_slots[name].expr, w - 1, 2)
-        if stmt.els is not None:
-            self._compile_block_at(stmt.els, else_scope, 2)
-        proc.emit("}", 1)
-        args = " ".join([cond_td, *child.capture_args(scope)])
-        scope.proc.emit(
-            "turbine::rule [ list %s ] [ list %s %s ] LOCAL"
-            % (cond_td, proc.name, args)
-        )
-
-    def _compile_block_at(self, block: Block, scope: Scope, depth: int) -> None:
-        """Compile a block whose lines are emitted at a given indent."""
-        proc = scope.proc
-        mark = len(proc.lines)
-        self.compile_block(block, scope)
-        if depth != 1:
-            extra = "    " * (depth - 1)
-            for i in range(mark, len(proc.lines)):
-                proc.lines[i] = extra + proc.lines[i]
-
-    def compile_wait(self, stmt: Wait, scope: Scope) -> None:
-        deps = [self.ensure_td(scope, self.compile_expr(e, scope)) for e in stmt.exprs]
-        written = sorted(writes_arrays(stmt))
-        proc = self.new_proc("wait", [])
-        child = Scope(self, proc, scope, boundary=True)
-        arr_slots = {name: child.resolve(name) for name in written}
-        for name in written:
-            self.rebalance(proc, arr_slots[name].expr, writer_count(stmt.body, name) - 1, 1)
-        self.compile_block(stmt.body, Scope(self, proc, child))
-        args = " ".join(child.capture_args(scope))
-        scope.proc.emit(
-            "turbine::rule [ list %s ] [ list %s%s ] LOCAL"
-            % (" ".join(deps), proc.name, (" " + args) if args else "")
-        )
-
-    def compile_foreach(self, stmt: Foreach, scope: Scope) -> None:
-        written = sorted(writes_arrays(stmt))
-        body_w = {name: writer_count(stmt.body, name) for name in written}
-
-        if isinstance(stmt.iterable, RangeSpec):
-            self._foreach_range(stmt, scope, written, body_w)
-        else:
-            self._foreach_array(stmt, scope, written, body_w)
-
-    def _make_body_proc(
-        self, stmt: Foreach, scope: Scope, params: list[str]
-    ) -> tuple[ProcBuilder, Scope]:
-        proc = self.new_proc("body", params)
-        child = Scope(self, proc, scope, boundary=True)
-        body_scope = Scope(self, proc, child)
-        if isinstance(stmt.iterable, RangeSpec):
-            body_scope.declare(stmt.var, Slot(stmt.var, INT, "rtval", expr="$idx"))
-        else:
-            elem_t = stmt.iterable.type.element
-            body_scope.declare(stmt.var, Slot(stmt.var, elem_t, "td", expr="$elem"))
-            if stmt.index_var:
-                body_scope.declare(
-                    stmt.index_var, Slot(stmt.index_var, INT, "rtval", expr="$idx")
-                )
-        self.compile_block(stmt.body, body_scope)
-        return proc, child
-
-    def _foreach_range(self, stmt, scope, written, body_w) -> None:
-        rng: RangeSpec = stmt.iterable
-        lo = self.compile_expr(rng.lo, scope)
-        hi = self.compile_expr(rng.hi, scope)
-        step = (
-            self.compile_expr(rng.step, scope)
-            if rng.step is not None
-            else CgVal(INT, "const", const=1)
-        )
-        body_proc, body_child = self._make_body_proc(stmt, scope, ["idx"])
-
-        # The start proc takes the three bounds (values or TD ids to
-        # retrieve) followed by pass-through captures for the body.
-        start = self.new_proc("loop", ["p_lo", "p_hi", "p_step"])
-        start_scope = Scope(self, start, scope, boundary=True)
-        dep_tds: list[str] = []
-        bound_args: list[str] = []
-        for label, val in (("lo", lo), ("hi", hi), ("step", step)):
-            value = self.spawn_value(val)
-            if value is not None:
-                start.emit("set %s $p_%s" % (label, label))
-                bound_args.append(value)
-            else:
-                start.emit("set %s [ turbine::retrieve $p_%s ]" % (label, label))
-                dep_tds.append(val.expr)
-                bound_args.append(val.expr)
-        start.emit(
-            "set n [ expr { $hi >= $lo ? ( ( $hi - $lo ) / $step ) + 1 : 0 } ]"
-        )
-        arr_slots = {name: start_scope.resolve(name) for name in written}
-        for name in written:
-            w = body_w[name]
+            deps.append(self.td(op.ins[0], proc))
+            bounds.append(deps[-1])
+            start.emit("set subs [ turbine::enumerate $c ]")
+            count = "llength $subs"
+            loop, item = "foreach s $subs {", "$s [ turbine::container_lookup $c $s ]"
+        if op.written:
+            start.emit("set n [ %s ]" % count)
+        for arr, writers in op.written:
             start.emit(
-                "turbine::write_refcount_incr %s [ expr { $n * %d } ]"
-                % (arr_slots[name].expr, w)
+                "turbine::write_refcount_incr %s [ expr { $n * %d } ]" % (body.td[arr], writers)
             )
-            start.emit("turbine::write_refcount_decr %s 1" % arr_slots[name].expr)
-        body_args = " ".join(body_child.capture_args(start_scope))
-        start.emit("for { set i $lo } { $i <= $hi } { incr i $step } {")
+            start.emit("turbine::write_refcount_decr %s 1" % body.td[arr])
+        start.emit(loop)
         start.emit(
-            "    turbine::spawn CONTROL [ list %s $i%s ]"
-            % (body_proc.name, (" " + body_args) if body_args else "")
+            "    turbine::spawn CONTROL [ list %s ]"
+            % " ".join([body.name, item, *("$" + p for p in passed)])
         )
         start.emit("}")
-        call_args = bound_args + start_scope.capture_args(scope)
-        if dep_tds:
-            scope.proc.emit(
-                "turbine::rule [ list %s ] [ list %s %s ] LOCAL"
-                % (" ".join(dep_tds), start.name, " ".join(call_args))
-            )
+        if deps:
+            self.local_rule(proc, deps, [start.name, *bounds, *args])
         else:
-            scope.proc.emit("%s %s" % (start.name, " ".join(call_args)))
+            proc.emit(" ".join([start.name, *bounds, *args]))
 
-    def _foreach_array(self, stmt, scope, written, body_w) -> None:
-        arr = self.compile_expr(stmt.iterable, scope)
-        body_proc, body_child = self._make_body_proc(stmt, scope, ["idx", "elem"])
-        start = self.new_proc("loop", ["c"])
-        start_scope = Scope(self, start, scope, boundary=True)
-        start.emit("set subs [ turbine::enumerate $c ]")
-        start.emit("set n [ llength $subs ]")
-        arr_slots = {name: start_scope.resolve(name) for name in written}
-        for name in written:
-            w = body_w[name]
-            start.emit(
-                "turbine::write_refcount_incr %s [ expr { $n * %d } ]"
-                % (arr_slots[name].expr, w)
-            )
-            start.emit("turbine::write_refcount_decr %s 1" % arr_slots[name].expr)
-        body_args = " ".join(body_child.capture_args(start_scope))
-        start.emit("foreach s $subs {")
-        start.emit("    set m [ turbine::container_lookup $c $s ]")
-        start.emit(
-            "    turbine::spawn CONTROL [ list %s $s $m%s ]"
-            % (body_proc.name, (" " + body_args) if body_args else "")
-        )
-        start.emit("}")
-        args = " ".join([arr.expr, *start_scope.capture_args(scope)])
-        scope.proc.emit(
-            "turbine::rule [ list %s ] [ list %s %s ] LOCAL"
-            % (arr.expr, start.name, args)
-        )
+    # -- leaf tasks ----------------------------------------------------------
 
-    # -- expressions -----------------------------------------------------------
-
-    def try_fold(self, expr: Expr, scope: Scope) -> CgVal | None:
-        """Constant-fold an operator expression if possible (opt >= 1)."""
-        if self.opt < 1:
-            return None
-        if isinstance(expr, UnOp):
-            v = self.compile_expr_const(expr.operand, scope)
-            if v is None:
-                return None
-            if expr.op == "-":
-                return CgVal(expr.type, "const", const=-v.const)
-            return CgVal(BOOLEAN, "const", const=not v.const)
-        if isinstance(expr, BinOp):
-            a = self.compile_expr_const(expr.left, scope)
-            b = self.compile_expr_const(expr.right, scope)
-            if a is None or b is None:
-                return None
-            return CgVal(expr.type, "const", const=fold_binop(expr.op, a.const, b.const, expr.type))
-        return None
-
-    def compile_expr_const(self, expr: Expr, scope: Scope) -> CgVal | None:
-        """Compile only if the result is a compile-time constant."""
-        if isinstance(expr, Literal):
-            return CgVal(expr.type, "const", const=expr.value)
-        if isinstance(expr, VarRef):
-            slot = scope.resolve(expr.name)
-            if slot.kind == "const":
-                return CgVal(slot.type, "const", const=slot.const)
-            return None
-        if isinstance(expr, (BinOp, UnOp)):
-            return self.try_fold(expr, scope)
-        return None
-
-    def compile_expr(self, expr: Expr, scope: Scope) -> CgVal:
-        if isinstance(expr, Literal):
-            return CgVal(expr.type, "const", const=expr.value)
-        if isinstance(expr, VarRef):
-            slot = scope.resolve(expr.name)
-            if slot.kind == "const":
-                return CgVal(slot.type, "const", const=slot.const, slot=slot)
-            if slot.kind == "rtval":
-                return CgVal(slot.type, "rtval", expr=slot.expr, slot=slot)
-            if slot.kind == "td" and slot.value_expr is not None:
-                # the future is materialized, but the spawn-time value
-                # is still known — prefer it where a value suffices
-                return CgVal(slot.type, "rtval", expr=slot.value_expr, slot=slot)
-            td = self.ensure_td_slot(scope, slot)
-            return CgVal(slot.type, "td", expr=td, slot=slot)
-        if isinstance(expr, (BinOp, UnOp)):
-            folded = self.try_fold(expr, scope)
-            if folded is not None:
-                return folded
-            if self.opt >= 2:
-                rt = self.try_rtval(expr, scope)
-                if rt is not None:
-                    return rt
-            out = self.alloc(scope.proc, expr.type)
-            self.emit_operator(expr, out, scope)
-            return CgVal(expr.type, "td", expr=out)
-        if isinstance(expr, Subscript):
-            out = self.alloc(scope.proc, expr.type)
-            self.emit_subscript_into(expr, out, scope)
-            return CgVal(expr.type, "td", expr=out)
-        if isinstance(expr, Call):
-            sig = self.funcs[expr.func]
-            out = self.alloc(scope.proc, expr.type)
-            self.emit_call(sig, [out], expr.args, scope)
-            return CgVal(expr.type, "td", expr=out)
-        raise SwiftTypeError("codegen: cannot compile expression %r" % expr)
-
-    def try_rtval(self, expr: Expr, scope: Scope) -> CgVal | None:
-        """Spawn-time arithmetic over known values (opt >= 2)."""
-        text = self._rtval_text(expr, scope)
-        if text is None:
-            return None
-        tmp = scope.proc.temp()
-        scope.proc.emit("set %s [ expr { %s } ]" % (tmp, text))
-        return CgVal(expr.type, "rtval", expr="$" + tmp)
-
-    def _rtval_text(self, expr: Expr, scope: Scope) -> str | None:
-        if isinstance(expr, Literal):
-            if expr.type == STRING:
-                return None
-            return quote_const(expr.value, expr.type)
-        if isinstance(expr, VarRef):
-            slot = scope.resolve(expr.name)
-            if slot.kind == "const" and slot.type != STRING:
-                return quote_const(slot.const, slot.type)
-            if slot.kind == "rtval":
-                return slot.expr
-            if slot.kind == "td" and slot.value_expr is not None:
-                return slot.value_expr
-            return None
-        if isinstance(expr, UnOp):
-            inner = self._rtval_text(expr.operand, scope)
-            if inner is None:
-                return None
-            op = "!" if expr.op == "!" else "-"
-            return "%s ( %s )" % (op, inner)
-        if isinstance(expr, BinOp):
-            if expr.type == STRING or expr.op in ("==", "!=") and expr.left.type == STRING:
-                return None
-            a = self._rtval_text(expr.left, scope)
-            b = self._rtval_text(expr.right, scope)
-            if a is None or b is None:
-                return None
-            return "( %s ) %s ( %s )" % (a, expr.op, b)
-        return None
-
-    def compile_expr_into(self, expr: Expr, dst_td: str, t: SwiftType, scope: Scope) -> None:
-        """Compile an expression, writing its value into an existing TD."""
-        if isinstance(expr, (BinOp, UnOp)):
-            folded = self.try_fold(expr, scope)
-            if folded is not None:
-                scope.proc.emit(
-                    "%s %s %s"
-                    % (STORE_CMD[t.base], dst_td, quote_const(folded.const, t))
-                )
-                return
-            if self.opt >= 2:
-                rt = self.try_rtval(expr, scope)
-                if rt is not None:
-                    scope.proc.emit(
-                        "%s %s %s" % (STORE_CMD[t.base], dst_td, rt.expr)
-                    )
-                    return
-            self.emit_operator(expr, dst_td, scope)
-            return
-        if isinstance(expr, Call):
-            sig = self.funcs[expr.func]
-            self.emit_call(sig, [dst_td], expr.args, scope)
-            return
-        if isinstance(expr, Subscript):
-            self.emit_subscript_into(expr, dst_td, scope)
-            return
-        val = self.compile_expr(expr, scope)
-        if val.kind == "td":
-            scope.proc.emit("turbine::copy_td %s %s" % (dst_td, val.expr))
-        else:
-            scope.proc.emit(
-                "%s %s %s" % (STORE_CMD[t.base], dst_td, self.spawn_value(val))
-            )
-
-    def alloc_ref(self, proc: ProcBuilder) -> str:
-        tmp = proc.temp()
-        proc.emit("set %s [ turbine::allocate ref ]" % tmp)
-        return "$" + tmp
-
-    def emit_subscript_into(self, expr: Subscript, dst_td: str, scope: Scope) -> None:
-        arr = self.compile_expr(expr.array, scope)
-        idx = self.compile_expr(expr.index, scope)
-        ref = self.alloc_ref(scope.proc)
-        idx_value = self.spawn_value(idx)
-        if idx_value is not None:
-            scope.proc.emit(
-                "turbine::container_reference %s %s %s" % (arr.expr, idx_value, ref)
-            )
-        else:
-            scope.proc.emit(
-                "turbine::cref_when_ready %s %s %s" % (arr.expr, idx.expr, ref)
-            )
-        scope.proc.emit("turbine::deref_store %s %s" % (dst_td, ref))
-
-    # -- operators ----------------------------------------------------------------
-
-    def emit_operator(self, expr: Expr, out_td: str, scope: Scope) -> None:
-        if isinstance(expr, UnOp):
-            a = self.ensure_td(scope, self.compile_expr(expr.operand, scope))
-            if expr.op == "!":
-                kind = "not"
-            elif expr.operand.type == FLOAT:
-                kind = "neg_float"
-            else:
-                kind = "neg_integer"
-            scope.proc.emit("turbine::unop %s %s %s" % (kind, out_td, a))
-            return
-        assert isinstance(expr, BinOp)
-        lt, rt = expr.left.type, expr.right.type
-        a = self.ensure_td(scope, self.compile_expr(expr.left, scope))
-        b = self.ensure_td(scope, self.compile_expr(expr.right, scope))
-        op = expr.op
-        if op == "+" and lt == STRING:
-            scope.proc.emit("turbine::strcat_rule %s %s %s" % (out_td, a, b))
-            return
-        if op in ("+", "-", "*", "/", "%", "**"):
-            fam = "binop_float" if expr.type == FLOAT else "binop_integer"
-            scope.proc.emit("turbine::%s {%s} %s %s %s" % (fam, op, out_td, a, b))
-            return
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            if lt == STRING:
-                str_op = {"==": "eq", "!=": "ne"}.get(op, op)
-                scope.proc.emit(
-                    "turbine::binop_compare {%s} %s %s %s" % (str_op, out_td, a, b)
-                )
-            else:
-                scope.proc.emit(
-                    "turbine::binop_logic {%s} %s %s %s" % (op, out_td, a, b)
-                )
-            return
-        if op in ("&&", "||"):
-            scope.proc.emit(
-                "turbine::binop_logic {%s} %s %s %s" % (op, out_td, a, b)
-            )
-            return
-        raise SwiftTypeError("codegen: unknown operator %r" % op)
-
-    # -- calls ---------------------------------------------------------------------
-
-    def emit_call(
-        self,
-        sig: FuncSig,
-        out_tds: list[str],
-        args: list[Expr],
-        scope: Scope,
-        priority: str | None = None,
-        target: str | None = None,
-    ) -> None:
-        if sig.kind == "intrinsic":
-            self.emit_intrinsic(sig, out_tds, args, scope)
-            return
-        arg_tds = [
-            self.ensure_td(scope, self.compile_expr(a, scope)) for a in args
-        ]
-        call_args = [*out_tds, *arg_tds]
-        if priority is not None or target is not None:
-            if sig.kind == "composite":
+    def op_leaf(self, op: Op, proc: Proc) -> None:
+        """A WORK task: one task proc whose closed inputs (by-value
+        leaves only) are parameters carried in the payload and whose
+        future inputs are TD ids it retrieves; spawned directly if no
+        input is a future, else by one rule on exactly the futures."""
+        defn = self.funcs[op.fn].node
+        for x, name in ((op.prio, "prio"), (op.target, "target")):
+            if x is not None and not x.closed:
                 raise SwiftTypeError(
-                    "@prio/@target apply to leaf tasks (extension/app "
-                    "functions), not composite function %r" % sig.name
+                    "@%s must be computable at spawn time (a constant or "
+                    "loop-index expression), not a future" % name,
+                    op.line,
                 )
-            call_args.append(priority if priority is not None else "0")
-            if target is not None:
-                call_args.append(target)
-        scope.proc.emit(
-            "swift:f:%s %s" % (sig.name, " ".join(call_args))
+        out_params, out_args = [], []  # TDs the task stores into
+        params, args, deps = [], [], []  # what it reads; ``deps`` are futures
+        head, tail = [], []  # task body before / after the template
+        inside: dict[Operand, str] = {}  # value words valid in the task body
+        fresh = itertools.count(1)
+
+        def take(x: Operand, name: str | None = None) -> str:
+            """Word for the value of ``x`` in the task body.  ``name``
+            is the variable the leaf's template reads it from; an
+            operand of a fused op has none (and a literal stays one)."""
+            if x in inside:
+                return inside[x]
+            if name is None:
+                if isinstance(x, Const) and op.by_value:
+                    return quote_const(x.value, x.type)
+                name = "a%d" % next(fresh)
+            if x.closed and op.by_value:
+                params.append(name)
+                args.append(self.val(x, proc))
+            else:
+                deps.append(self.td(x, proc))
+                args.append(deps[-1])
+                if x.type.is_array:  # the container id is the value
+                    params.append(name)
+                else:
+                    params.append("i_" + name)
+                    head.append("set %s [ turbine::retrieve $i_%s ]" % (name, name))
+            if isinstance(x, Var):
+                inside[x] = "${%s}" % name
+            return "${%s}" % name
+
+        for p, x in zip(defn.inputs, op.ins):
+            if x not in op.elided:
+                word = take(x, p.name + "_val")
+                if word != "${%s_val}" % p.name:  # one variable, two parameters
+                    head.append("set %s_val %s" % (p.name, word))
+        for k, fused in enumerate(op.pre):
+            (out,) = fused.outs
+            name = next(
+                (p.name + "_val" for p, x in zip(defn.inputs, op.ins) if x is out), "q%d" % k
+            )
+            call = " ".join([format_list(fused.fn), *(take(x) for x in fused.ins)])
+            head.append("set %s [ %s ]" % (name, call))
+            inside[out] = "${%s}" % name
+        continued = {x for fused in op.post for x in fused.ins}
+        for p, out in zip(defn.outputs, op.outs):
+            if out in continued:
+                # a fused consumer reads what a store + retrieve would give
+                tail.append(
+                    "set %s_val [ turbine::norm %s ${%s_val} ]"
+                    % (p.name, TD_TYPE[out.type.base], p.name)
+                )
+                inside[out] = "${%s_val}" % p.name
+            if out not in op.elided:
+                out_params.append("o_" + p.name)
+                out_args.append(self.td(out, proc))
+                value = "" if out.type == VOID else " ${%s_val}" % p.name
+                tail.append("%s $o_%s%s" % (STORE_CMD[out.type.base], p.name, value))
+        for k, fused in enumerate(op.post):
+            call = " ".join([format_list(fused.fn), *(take(x) for x in fused.ins)])
+            if not fused.outs:
+                tail.append(call)
+                continue
+            (out,) = fused.outs
+            tail.append("set p%d [ %s ]" % (k, call))
+            inside[out] = "${p%d}" % k
+            if out not in op.elided:
+                out_params.append("o%d" % k)
+                out_args.append(self.td(out, proc))
+                tail.append("%s $o%d ${p%d}" % (STORE_CMD[out.type.base], k, k))
+        task = self.task(
+            op.fn,
+            out_params + params,
+            ["    " + line for line in head] + [leaf_body(defn)] + ["    " + line for line in tail],
         )
-
-    def emit_intrinsic(
-        self, sig: FuncSig, out_tds: list[str], args: list[Expr], scope: Scope
-    ) -> None:
-        name = sig.name
-        proc = scope.proc
-
-        def tds(exprs: list[Expr]) -> list[str]:
-            return [self.ensure_td(scope, self.compile_expr(e, scope)) for e in exprs]
-
-        if name == "printf":
-            fmt = self.compile_expr_const(args[0], scope)
-            if fmt is None or not isinstance(fmt.const, str):
-                raise SwiftTypeError("printf format must be a string literal", args[0].line)
-            fmt_text = fmt.const.replace("%i", "%d")
+        action = "[ list %s ]" % " ".join([task, *out_args, *args])
+        prio = self.val(op.prio, proc) if op.prio is not None else "0"
+        target = self.val(op.target, proc) if op.target is not None else "-1"
+        placed = op.prio is not None or op.target is not None
+        if deps:
+            opts = " priority %s target %s" % (prio, target) if placed else ""
             proc.emit(
-                "turbine::printf_rule %s %s"
-                % (format_element(fmt_text), " ".join(tds(args[1:])))
-            )
-            return
-        if name == "trace":
-            proc.emit("turbine::trace_rule %s" % " ".join(tds(args)))
-            return
-        if name == "assert":
-            cond, msg = tds(args)
-            proc.emit("turbine::assert_rule %s %s" % (cond, msg))
-            return
-        if name == "strcat":
-            proc.emit(
-                "turbine::strcat_rule %s %s" % (out_tds[0], " ".join(tds(args)))
-            )
-            return
-        if name == "sprintf":
-            fmt = self.compile_expr_const(args[0], scope)
-            if fmt is None or not isinstance(fmt.const, str):
-                raise SwiftTypeError("sprintf format must be a string literal", args[0].line)
-            fmt_text = fmt.const.replace("%i", "%d")
-            proc.emit(
-                "turbine::sprintf_rule %s %s %s"
-                % (out_tds[0], format_element(fmt_text), " ".join(tds(args[1:])))
-            )
-            return
-        if name in ("substring", "find", "replace_all", "toupper", "tolower", "trim"):
-            proc.emit(
-                "turbine::strop_rule %s %s %s"
-                % (name, out_tds[0], " ".join(tds(args)))
-            )
-            return
-        if name == "split":
-            proc.emit(
-                "turbine::split_rule %s %s" % (out_tds[0], " ".join(tds(args)))
-            )
-            return
-        if name == "join":
-            proc.emit(
-                "turbine::join_rule %s %s" % (out_tds[0], " ".join(tds(args)))
-            )
-            return
-        if name in ("argv", "argv_int"):
-            if len(args) not in (1, 2):
-                raise SwiftTypeError(
-                    "%s() takes a name and optional default" % name,
-                    args[0].line if args else 0,
-                )
-            kind = "int" if name == "argv_int" else "string"
-            proc.emit(
-                "turbine::argv_rule %s %s %s"
-                % (kind, out_tds[0], " ".join(tds(args)))
-            )
-            return
-        if name in ("toint", "tofloat", "fromint", "fromfloat", "parseint", "strlen"):
-            (a,) = tds(args)
-            proc.emit("turbine::convert_rule %s %s %s" % (name, out_tds[0], a))
-            return
-        if name in ("sqrt", "exp", "log", "log10", "sin", "cos", "tan", "floor", "ceil"):
-            (a,) = tds(args)
-            proc.emit("turbine::mathfn_rule %s %s %s" % (name, out_tds[0], a))
-            return
-        if name == "size":
-            (a,) = tds(args)
-            proc.emit("turbine::container_size_rule %s %s" % (out_tds[0], a))
-            return
-        if name in (
-            "sum_integer",
-            "sum_float",
-            "max_integer",
-            "min_integer",
-            "max_float",
-            "min_float",
-        ):
-            (a,) = tds(args)
-            proc.emit(
-                "turbine::container_reduce_rule %s %s %s" % (name, out_tds[0], a)
-            )
-            return
-        if name == "blob_from_string":
-            (a,) = tds(args)
-            proc.emit("turbine::blob_from_string_rule %s %s" % (out_tds[0], a))
-            return
-        if name == "string_from_blob":
-            (a,) = tds(args)
-            proc.emit("turbine::string_from_blob_rule %s %s" % (out_tds[0], a))
-            return
-        if name == "blob_size":
-            (a,) = tds(args)
-            proc.emit("turbine::blob_size_rule %s %s" % (out_tds[0], a))
-            return
-        raise SwiftTypeError("codegen: unimplemented intrinsic %r" % name)
-
-    # -- function definitions --------------------------------------------------------
-
-    def gen_composite(self, fn: FuncDef) -> None:
-        params = ["o_" + p.name for p in fn.outputs] + [
-            "i_" + p.name for p in fn.inputs
-        ]
-        proc = ProcBuilder("swift:f:" + fn.name, params)
-        self.procs.append(proc)
-        scope = Scope(self, proc)
-        for p, pname in zip(fn.outputs + fn.inputs, params):
-            scope.declare(p.name, Slot(p.name, p.swift_type, "td", expr="$" + pname))
-        # rebalance output-array slots: caller gave 1 per output array
-        for p, pname in zip(fn.outputs, params):
-            if p.swift_type.is_array:
-                w = writer_count(fn.body, p.name)
-                self.rebalance(proc, "$" + pname, w - 1)
-        self.compile_block(fn.body, Scope(self, proc, scope))
-
-    def gen_extension(self, ext: ExtFuncDef) -> None:
-        if ext.package:
-            self.packages.add(ext.package)
-        params = ["o_" + p.name for p in ext.outputs] + [
-            "i_" + p.name for p in ext.inputs
-        ]
-        # dispatch proc: one WORK rule waiting on all inputs; the
-        # trailing default parameter carries an optional @prio value
-        proc = ProcBuilder("swift:f:" + ext.name, params + ["{prio 0}", "{target -1}"])
-        self.procs.append(proc)
-        in_tds = " ".join("$i_" + p.name for p in ext.inputs)
-        all_args = " ".join("$" + p for p in params)
-        task = "task:" + ext.name
-        if ext.inputs:
-            proc.emit(
-                "turbine::rule [ list %s ] [ list %s %s ] WORK "
-                "priority $prio target $target" % (in_tds, task, all_args)
+                "turbine::rule [ list %s ] %s WORK%s"
+                % (" ".join(dict.fromkeys(deps)), action, opts)
             )
         else:
-            proc.emit(
-                "turbine::spawn WORK [ list %s %s ] $prio $target"
-                % (task, all_args)
-            )
-        # leaf task proc: retrieve inputs, run the template, store outputs
-        tproc = ProcBuilder(task, list(params))
-        self.procs.append(tproc)
-        for p in ext.inputs:
-            if p.swift_type.is_array:
-                # arrays pass as container ids; the template uses
-                # turbine::container_* / enumerate on them directly
-                tproc.emit("set %s_val $i_%s" % (p.name, p.name))
-            else:
-                tproc.emit(
-                    "set %s_val [ turbine::retrieve $i_%s ]" % (p.name, p.name)
-                )
-        body = ext.template
-        for p in ext.inputs:
-            body = body.replace("<<%s>>" % p.name, "${%s_val}" % p.name)
-        for p in ext.outputs:
-            body = body.replace("<<%s>>" % p.name, "%s_val" % p.name)
-        # Emit the template verbatim: leading whitespace may be
-        # significant inside multi-line embedded-language fragments.
-        tproc.lines.append(body)
-        for p in ext.outputs:
-            if p.swift_type == VOID:
-                tproc.emit("turbine::store_void $o_%s" % p.name)
-            else:
-                tproc.emit(
-                    "%s $o_%s $%s_val"
-                    % (STORE_CMD[p.swift_type.base], p.name, p.name)
-                )
+            opts = " %s %s" % (prio, target) if placed else ""
+            proc.emit("turbine::spawn WORK %s%s" % (action, opts))
 
-    def gen_app(self, app: AppDef) -> None:
-        self.packages.add("shell")
-        params = ["o_" + p.name for p in app.outputs] + [
-            "i_" + p.name for p in app.inputs
-        ]
-        proc = ProcBuilder("swift:f:" + app.name, params + ["{prio 0}", "{target -1}"])
-        self.procs.append(proc)
-        in_tds = " ".join("$i_" + p.name for p in app.inputs)
-        all_args = " ".join("$" + p for p in params)
-        task = "task:" + app.name
-        if app.inputs:
-            proc.emit(
-                "turbine::rule [ list %s ] [ list %s %s ] WORK "
-                "priority $prio target $target" % (in_tds, task, all_args)
-            )
-        else:
-            proc.emit(
-                "turbine::spawn WORK [ list %s %s ] $prio $target"
-                % (task, all_args)
-            )
-        tproc = ProcBuilder(task, list(params))
-        self.procs.append(tproc)
-        tproc.emit("set argv [ list ]")
-        for word in app.command:
-            if isinstance(word, Literal):
-                tproc.emit(
-                    "lappend argv %s" % format_element(str(word.value))
-                )
-            elif isinstance(word, VarRef):
-                tproc.emit("lappend argv [ turbine::retrieve $i_%s ]" % word.name)
-            else:
-                raise SwiftTypeError(
-                    "app command words must be literals or parameters", word.line
-                )
-        if app.outputs and app.outputs[0].swift_type == STRING:
-            tproc.emit("set out [ shell::exec {*}$argv ]")
-            tproc.emit("turbine::store_string $o_%s $out" % app.outputs[0].name)
-        else:
-            tproc.emit("shell::exec {*}$argv")
-            if app.outputs:
-                tproc.emit("turbine::store_void $o_%s" % app.outputs[0].name)
-
-
-def fold_binop(op: str, a: Any, b: Any, t: SwiftType) -> Any:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise SwiftTypeError("constant division by zero")
-        if t == INT:
-            return a // b
-        return a / b
-    if op == "%":
-        if b == 0:
-            raise SwiftTypeError("constant modulo by zero")
-        if isinstance(a, int) and isinstance(b, int):
-            return a % b
-        return math.fmod(a, b)
-    if op == "**":
-        return a**b
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == ">":
-        return a > b
-    if op == "<=":
-        return a <= b
-    if op == ">=":
-        return a >= b
-    if op == "&&":
-        return bool(a) and bool(b)
-    if op == "||":
-        return bool(a) or bool(b)
-    raise SwiftTypeError("cannot fold operator %r" % op)
+    def task(self, fn: str, params: list[str], lines: list[str]) -> str:
+        """The task proc with this exact signature and body: call sites
+        that need the same one share it."""
+        key = (tuple(params), tuple(lines))
+        name = self._tasks.get(key)
+        if name is None:
+            self._task_count[fn] += 1
+            n = self._task_count[fn]
+            name = self._tasks[key] = "task:" + fn if n == 1 else "task:%s:%d" % (fn, n)
+            self.new_proc(name, params).lines = lines
+        return name

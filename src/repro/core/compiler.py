@@ -28,9 +28,10 @@ def compile_swift(
 ) -> CompiledProgram | tuple[CompiledProgram, CompileStats]:
     """Compile Swift source text at the given optimization level.
 
-    Levels: 0 = straight translation; 1 = constant folding and
-    compile-time branch elimination; 2 = additionally scalar constant
-    propagation and spawn-time value arithmetic.
+    Levels: 0 = no pass — every op is a rule over TDs (the oracle the
+    differential test compares against); 1 = the pass list of
+    :mod:`repro.core.passes` (closed-value propagation, by-value
+    leaves, single-consumer fusion); 2 is accepted and equals 1.
 
     ``tracer`` (a level-1 :class:`repro.obs.Recorder`) records
     per-phase spans in the ``compile`` category on the driver's ring.

@@ -1,7 +1,7 @@
 """Builtin Swift function signatures.
 
-Two kinds: *intrinsics* handled specially by the code generator
-(printf, trace, size, reductions, conversions, math), and *predefined
+Two kinds: *intrinsics* — one table row each: the Swift signature, and
+the Turbine library command that implements it — and *predefined
 extension functions* — the interlanguage builtins of the paper
 (python, r, system) which are ordinary Tcl-template extension
 functions shipped with the compiler.
@@ -9,10 +9,10 @@ functions shipped with the compiler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .swift_ast import ExtFuncDef, Param
-from .types import BLOB, BOOLEAN, FLOAT, INT, STRING, VOID, SwiftType
+from .types import BLOB, BOOLEAN, FLOAT, INT, STRING, SwiftType
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,14 @@ class Intrinsic:
     ins: tuple[SwiftType, ...]
     outs: tuple[SwiftType, ...]
     variadic: bool = False  # extra scalar args allowed after fixed ins
-    kind: str = "intrinsic"
+    # "value": ``tcl`` is a pure value proc (values in, value out) that
+    # STC may call wherever the inputs are known; "rule": ``tcl`` takes
+    # TD ids and registers its own rules (containers, blobs).
+    kind: str = "value"
+    tcl: tuple[str, ...] = ()  # Tcl command prefix
+    # May run inside a leaf task on a worker.  False for assert: its
+    # failure is a program error and must not trigger a leaf retry.
+    fusable: bool = True
 
 
 INT_ARRAY = INT.array_of()
@@ -31,14 +38,15 @@ STRING_ARRAY = STRING.array_of()
 INTRINSICS: dict[str, Intrinsic] = {}
 
 
-def _add(name, ins, outs, variadic=False):
-    INTRINSICS[name] = Intrinsic(name, tuple(ins), tuple(outs), variadic)
+def _add(name, ins, outs, tcl=None, **kw):
+    tcl = tuple((tcl or "turbine::" + name).split())
+    INTRINSICS[name] = Intrinsic(name, tuple(ins), tuple(outs), tcl=tcl, **kw)
 
 
-# I/O
+# I/O (printf's literal format string becomes part of the command prefix)
 _add("printf", (STRING,), (), variadic=True)
 _add("trace", (), (), variadic=True)
-_add("assert", (BOOLEAN, STRING), ())
+_add("assert", (BOOLEAN, STRING), (), fusable=False)
 
 # strings
 _add("strcat", (), (STRING,), variadic=True)
@@ -50,12 +58,12 @@ _add("replace_all", (STRING, STRING, STRING), (STRING,))
 _add("toupper", (STRING,), (STRING,))
 _add("tolower", (STRING,), (STRING,))
 _add("trim", (STRING,), (STRING,))
-_add("split", (STRING, STRING), (STRING.array_of(),))
-_add("join", (STRING.array_of(), STRING), (STRING,))
+_add("split", (STRING, STRING), (STRING_ARRAY,), "turbine::split_rule", kind="rule")
+_add("join", (STRING_ARRAY, STRING), (STRING,), "turbine::join_rule", kind="rule")
 
-# program arguments (swift_run(..., args={...}))
-_add("argv", (STRING,), (STRING,), variadic=True)  # argv(name ?default?)
-_add("argv_int", (STRING,), (INT,), variadic=True)
+# program arguments (swift_run(..., args={...})): argv(name ?default?)
+_add("argv", (STRING,), (STRING,), "turbine::argv string", variadic=True)
+_add("argv_int", (STRING,), (INT,), "turbine::argv int", variadic=True)
 
 # conversions
 _add("toint", (FLOAT,), (INT,))
@@ -66,21 +74,19 @@ _add("parseint", (STRING,), (INT,))
 
 # float math
 for _fn in ("sqrt", "exp", "log", "log10", "sin", "cos", "tan", "floor", "ceil"):
-    _add(_fn, (FLOAT,), (FLOAT,))
+    _add(_fn, (FLOAT,), (FLOAT,), "turbine::mathfn " + _fn)
 
-# arrays
-_add("size", (), (INT,))  # polymorphic over arrays; checker special-cases
-_add("sum_integer", (INT_ARRAY,), (INT,))
-_add("sum_float", (FLOAT_ARRAY,), (FLOAT,))
-_add("max_integer", (INT_ARRAY,), (INT,))
-_add("min_integer", (INT_ARRAY,), (INT,))
-_add("max_float", (FLOAT_ARRAY,), (FLOAT,))
-_add("min_float", (FLOAT_ARRAY,), (FLOAT,))
+# arrays (size is polymorphic over arrays; the checker special-cases it)
+_add("size", (), (INT,), "turbine::container_size_rule", kind="rule")
+for _t, _arr, _elem in (("integer", INT_ARRAY, INT), ("float", FLOAT_ARRAY, FLOAT)):
+    for _fn in ("sum", "max", "min"):
+        _name = "%s_%s" % (_fn, _t)
+        _add(_name, (_arr,), (_elem,), "turbine::container_reduce_rule " + _name, kind="rule")
 
-# blobs
-_add("blob_from_string", (STRING,), (BLOB,))
-_add("string_from_blob", (BLOB,), (STRING,))
-_add("blob_size", (BLOB,), (INT,))
+# blobs (run on workers, where blobutils lives)
+_add("blob_from_string", (STRING,), (BLOB,), "turbine::blob_from_string_rule", kind="rule")
+_add("string_from_blob", (BLOB,), (STRING,), "turbine::string_from_blob_rule", kind="rule")
+_add("blob_size", (BLOB,), (INT,), "turbine::blob_size_rule", kind="rule")
 
 
 def predefined_extensions() -> list[ExtFuncDef]:

@@ -67,6 +67,17 @@ def _to_bool(s: str) -> int:
         raise TclError("expected boolean, got %r" % s) from None
 
 
+# What each typed store makes of a Tcl string (``turbine::norm`` applies
+# the same conversion without a TD).
+_CONV = {
+    T_INTEGER: _to_int,
+    T_FLOAT: _to_float,
+    T_STRING: str,
+    T_BOOLEAN: _to_bool,
+    T_REF: _to_int,
+}
+
+
 def register_turbine(
     interp: Interp,
     client: AdlbClient,
@@ -166,11 +177,19 @@ def register_turbine(
 
         return cmd
 
-    reg("store_integer", _mk_store(_to_int))
-    reg("store_float", _mk_store(_to_float))
-    reg("store_string", _mk_store(str))
-    reg("store_boolean", _mk_store(_to_bool))
-    reg("store_ref", _mk_store(_to_int))
+    for dtype, conv in _CONV.items():
+        reg("store_" + dtype, _mk_store(conv))
+
+    def cmd_norm(it, args):
+        # norm type value: the string a store_<type> of value followed
+        # by a retrieve gives back.  STC-generated code applies it where
+        # a value skips the TD, so closed, fused and stored evaluation
+        # of one expression agree.
+        if len(args) != 2 or args[0] not in _CONV:
+            raise TclError("usage: turbine::norm type value")
+        return to_string(_CONV[args[0]](args[1]))
+
+    reg("norm", cmd_norm)
 
     def cmd_store_void(it, args):
         if len(args) not in (1, 2):
@@ -198,15 +217,9 @@ def register_turbine(
         if len(args) not in (2, 3):
             raise TclError("usage: turbine::store_any id value ?decr?")
         dtype = client.typeof(int(args[0]))
-        conv = {
-            T_INTEGER: _to_int,
-            T_FLOAT: _to_float,
-            T_BOOLEAN: _to_bool,
-            T_REF: _to_int,
-            T_VOID: lambda s: "",
-        }.get(dtype, str)
         if dtype == T_BLOB:
             return cmd_store_blob(it, args)
+        conv = (lambda s: "") if dtype == T_VOID else _CONV.get(dtype, str)
         return _store(args[0], conv(args[1]), args[2] if len(args) > 2 else None)
 
     reg("store_any", cmd_store_any)

@@ -11,6 +11,94 @@ procs that STC-generated code calls.
 TURBINE_TCL = r'''
 namespace eval turbine {}
 
+# ---- value procs and the one rule shim ----------------------------------
+# Every pure stdlib op is a *value proc*: values in, value out, the
+# result normalised by turbine::norm to what a store_<type> followed by
+# a retrieve would give back.  STC calls a value proc directly where
+# its inputs are closed (in the spawning unit, or fused into a leaf
+# task on a worker); where an input is still a future it goes through
+# turbine::op, so every level computes with the same code.
+
+# op: once all input TDs are closed, retrieve them, apply the value
+# proc (a command prefix) and store the result into o as a <type> TD
+# ("none": a sink such as trace, nothing to store).
+proc turbine::op { type o fn args } {
+    turbine::rule $args [ list turbine::op_body $type $o $fn {*}$args ] LOCAL
+}
+proc turbine::op_body { type o fn args } {
+    set vals [ list ]
+    foreach td $args { lappend vals [ turbine::retrieve $td ] }
+    set v [ {*}$fn {*}$vals ]
+    if { $type ne "none" } { turbine::store_$type $o $v }
+}
+
+# arithmetic, comparison, logic
+proc turbine::binop_integer { oper x y } {
+    turbine::norm integer [ expr "\$x $oper \$y" ]
+}
+proc turbine::binop_float { oper x y } {
+    turbine::norm float [ expr "double(\$x) $oper double(\$y)" ]
+}
+proc turbine::binop_compare { oper x y } {
+    turbine::norm boolean [ expr "{$x} $oper {$y}" ]
+}
+proc turbine::binop_logic { oper x y } {
+    turbine::norm boolean [ expr "\$x $oper \$y" ]
+}
+proc turbine::neg_integer { x } { turbine::norm integer [ expr {- $x} ] }
+proc turbine::neg_float { x } { turbine::norm float [ expr {- double($x)} ] }
+proc turbine::not { x } { turbine::norm boolean [ expr {! $x} ] }
+
+# conversions and float math
+proc turbine::toint { x } { turbine::norm integer [ expr {int($x)} ] }
+proc turbine::tofloat { x } { turbine::norm float $x }
+proc turbine::fromint { x } { return $x }
+proc turbine::fromfloat { x } { return $x }
+proc turbine::parseint { x } { turbine::norm integer [ expr {int($x)} ] }
+proc turbine::strlen { x } { string length $x }
+proc turbine::mathfn { fn x } {
+    turbine::norm float [ expr "$fn\(double(\$x))" ]
+}
+
+# strings
+proc turbine::strcat { args } { join $args "" }
+proc turbine::sprintf { fmt args } { format $fmt {*}$args }
+proc turbine::substring { s start len } {
+    string range $s $start [ expr { $start + $len - 1 } ]
+}
+proc turbine::find { hay needle } { string first $needle $hay }
+proc turbine::replace_all { s from to } { string map [ list $from $to ] $s }
+proc turbine::toupper { s } { string toupper $s }
+proc turbine::tolower { s } { string tolower $s }
+proc turbine::trim { s } { string trim $s }
+
+# output sinks
+proc turbine::printf { fmt args } {
+    turbine::log_output [ format $fmt {*}$args ]
+}
+proc turbine::trace { args } {
+    if { [ llength $args ] == 0 } { turbine::log_output "trace:" ; return }
+    turbine::log_output "trace: [ join $args , ]"
+}
+proc turbine::assert { cond msg } {
+    if { ! $cond } { error "Swift assertion failed: $msg" }
+}
+
+# program arguments: values live in the ::swift_argv dict, installed by
+# the runtime on every engine and worker rank.
+proc turbine::argv { kind key args } {
+    global swift_argv
+    if { [ info exists swift_argv ] && [ dict exists $swift_argv $key ] } {
+        set val [ dict get $swift_argv $key ]
+    } elseif { [ llength $args ] == 1 } {
+        set val [ lindex $args 0 ]
+    } else {
+        error "missing program argument --$key (and no default given)"
+    }
+    if { $kind eq "int" } { return [ turbine::norm integer [ expr { int($val) } ] ] }
+    return $val
+}
+
 # ---- dereferencing -------------------------------------------------------
 # copy_td: once src is closed, copy its value into dst.
 proc turbine::copy_td { dst src } {
@@ -30,100 +118,6 @@ proc turbine::deref_store { dst r } {
 proc turbine::deref_store_body { dst r } {
     set m [ turbine::retrieve $r ]
     turbine::copy_td $dst $m
-}
-
-# ---- arithmetic builtins (engine-local leaf ops) ---------------------------
-proc turbine::binop_integer { oper o a b } {
-    turbine::rule [ list $a $b ] \
-        [ list turbine::binop_integer_body $oper $o $a $b ] LOCAL
-}
-proc turbine::binop_integer_body { oper o a b } {
-    set x [ turbine::retrieve $a ]
-    set y [ turbine::retrieve $b ]
-    turbine::store_integer $o [ expr "\$x $oper \$y" ]
-}
-proc turbine::binop_float { oper o a b } {
-    turbine::rule [ list $a $b ] \
-        [ list turbine::binop_float_body $oper $o $a $b ] LOCAL
-}
-proc turbine::binop_float_body { oper o a b } {
-    set x [ turbine::retrieve $a ]
-    set y [ turbine::retrieve $b ]
-    turbine::store_float $o [ expr "double(\$x) $oper double(\$y)" ]
-}
-proc turbine::binop_compare { oper o a b } {
-    turbine::rule [ list $a $b ] \
-        [ list turbine::binop_compare_body $oper $o $a $b ] LOCAL
-}
-proc turbine::binop_compare_body { oper o a b } {
-    set x [ turbine::retrieve $a ]
-    set y [ turbine::retrieve $b ]
-    turbine::store_boolean $o [ expr "{$x} $oper {$y}" ]
-}
-proc turbine::binop_logic { oper o a b } {
-    turbine::rule [ list $a $b ] \
-        [ list turbine::binop_logic_body $oper $o $a $b ] LOCAL
-}
-proc turbine::binop_logic_body { oper o a b } {
-    set x [ turbine::retrieve $a ]
-    set y [ turbine::retrieve $b ]
-    turbine::store_boolean $o [ expr "\$x $oper \$y" ]
-}
-proc turbine::unop { kind o a } {
-    turbine::rule [ list $a ] [ list turbine::unop_body $kind $o $a ] LOCAL
-}
-proc turbine::unop_body { kind o a } {
-    set x [ turbine::retrieve $a ]
-    switch $kind {
-        neg_integer { turbine::store_integer $o [ expr {- $x} ] }
-        neg_float   { turbine::store_float   $o [ expr {- double($x)} ] }
-        not         { turbine::store_boolean $o [ expr {! $x} ] }
-        int2float   { turbine::store_float   $o [ expr {double($x)} ] }
-        float2int   { turbine::store_integer $o [ expr {int($x)} ] }
-        default     { error "unop: unknown kind $kind" }
-    }
-}
-
-# string concatenation of N closed inputs
-proc turbine::strcat_rule { o args } {
-    turbine::rule $args [ concat turbine::strcat_body $o $args ] LOCAL
-}
-proc turbine::strcat_body { o args } {
-    set s ""
-    foreach td $args { append s [ turbine::retrieve $td ] }
-    turbine::store_string $o $s
-}
-
-# ---- output builtins --------------------------------------------------------
-proc turbine::printf_rule { fmt args } {
-    if { [ llength $args ] == 0 } {
-        turbine::log_output [ format $fmt ]
-        return
-    }
-    turbine::rule $args [ concat turbine::printf_body [ list $fmt ] $args ] LOCAL
-}
-proc turbine::printf_body { fmt args } {
-    set vals [ list ]
-    foreach td $args { lappend vals [ turbine::retrieve $td ] }
-    turbine::log_output [ format $fmt {*}$vals ]
-}
-proc turbine::trace_rule { args } {
-    if { [ llength $args ] == 0 } { turbine::log_output "trace:" ; return }
-    turbine::rule $args [ concat turbine::trace_body $args ] LOCAL
-}
-proc turbine::trace_body { args } {
-    set vals [ list ]
-    foreach td $args { lappend vals [ turbine::retrieve $td ] }
-    turbine::log_output "trace: [ join $vals , ]"
-}
-proc turbine::assert_rule { cond msg } {
-    turbine::rule [ list $cond $msg ] \
-        [ list turbine::assert_body $cond $msg ] LOCAL
-}
-proc turbine::assert_body { cond msg } {
-    if { ! [ turbine::retrieve $cond ] } {
-        error "Swift assertion failed: [ turbine::retrieve $msg ]"
-    }
 }
 
 # ---- container helpers -------------------------------------------------------
@@ -210,20 +204,6 @@ proc turbine::cref_when_ready_body { c idx ref } {
     turbine::container_reference $c [ turbine::retrieve $idx ] $ref
 }
 
-# ---- sprintf ------------------------------------------------------------------
-proc turbine::sprintf_rule { o fmt args } {
-    if { [ llength $args ] == 0 } {
-        turbine::store_string $o [ format $fmt ]
-        return
-    }
-    turbine::rule $args [ concat turbine::sprintf_body $o [ list $fmt ] $args ] LOCAL
-}
-proc turbine::sprintf_body { o fmt args } {
-    set vals [ list ]
-    foreach td $args { lappend vals [ turbine::retrieve $td ] }
-    turbine::store_string $o [ format $fmt {*}$vals ]
-}
-
 # ---- blob builtins (run on workers, where blobutils lives) ----------------------
 proc turbine::blob_from_string_rule { o s } {
     turbine::rule [ list $s ] \
@@ -252,34 +232,7 @@ proc turbine::blob_size_body { o b } {
     blobutils::free $h
 }
 
-# ---- string builtins --------------------------------------------------------------
-proc turbine::strop_rule { kind o args } {
-    turbine::rule $args [ concat turbine::strop_body $kind $o $args ] LOCAL
-}
-proc turbine::strop_body { kind o args } {
-    set vals [ list ]
-    foreach td $args { lappend vals [ turbine::retrieve $td ] }
-    switch $kind {
-        substring {
-            lassign $vals s start len
-            set end [ expr { $start + $len - 1 } ]
-            turbine::store_string $o [ string range $s $start $end ]
-        }
-        find {
-            lassign $vals hay needle
-            turbine::store_integer $o [ string first $needle $hay ]
-        }
-        replace_all {
-            lassign $vals s from to
-            turbine::store_string $o [ string map [ list $from $to ] $s ]
-        }
-        toupper { turbine::store_string $o [ string toupper [ lindex $vals 0 ] ] }
-        tolower { turbine::store_string $o [ string tolower [ lindex $vals 0 ] ] }
-        trim    { turbine::store_string $o [ string trim [ lindex $vals 0 ] ] }
-        default { error "unknown string op $kind" }
-    }
-}
-
+# ---- string <-> array builtins ----------------------------------------------
 # split(s, sep) -> string[]: fills the output container, consuming the
 # single writer slot the call statement holds.
 proc turbine::split_rule { c s sep } {
@@ -323,54 +276,5 @@ proc turbine::join_store { o sep args } {
     set vals [ list ]
     foreach td $args { lappend vals [ turbine::retrieve $td ] }
     turbine::store_string $o [ join $vals [ turbine::retrieve $sep ] ]
-}
-
-# ---- program arguments ----------------------------------------------------------
-# argv values live in the ::swift_argv dict, installed by the runtime.
-proc turbine::argv_rule { kind o name args } {
-    set deps [ concat [ list $name ] $args ]
-    turbine::rule $deps [ concat turbine::argv_body $kind $o $name $args ] LOCAL
-}
-proc turbine::argv_body { kind o name args } {
-    global swift_argv
-    set key [ turbine::retrieve $name ]
-    if { [ info exists swift_argv ] && [ dict exists $swift_argv $key ] } {
-        set val [ dict get $swift_argv $key ]
-    } elseif { [ llength $args ] == 1 } {
-        set val [ turbine::retrieve [ lindex $args 0 ] ]
-    } else {
-        error "missing program argument --$key (and no default given)"
-    }
-    if { $kind eq "int" } {
-        turbine::store_integer $o [ expr { int($val) } ]
-    } else {
-        turbine::store_string $o $val
-    }
-}
-
-# ---- conversion builtins -------------------------------------------------------
-proc turbine::convert_rule { kind o a } {
-    turbine::rule [ list $a ] [ list turbine::convert_body $kind $o $a ] LOCAL
-}
-proc turbine::convert_body { kind o a } {
-    set x [ turbine::retrieve $a ]
-    switch $kind {
-        toint     { turbine::store_integer $o [ expr {int($x)} ] }
-        tofloat   { turbine::store_float $o [ expr {double($x)} ] }
-        fromint   { turbine::store_string $o $x }
-        fromfloat { turbine::store_string $o $x }
-        parseint  { turbine::store_integer $o [ expr {int($x)} ] }
-        strlen    { turbine::store_integer $o [ string length $x ] }
-        default   { error "unknown conversion $kind" }
-    }
-}
-
-# math functions on floats
-proc turbine::mathfn_rule { fn o a } {
-    turbine::rule [ list $a ] [ list turbine::mathfn_body $fn $o $a ] LOCAL
-}
-proc turbine::mathfn_body { fn o a } {
-    set x [ turbine::retrieve $a ]
-    turbine::store_float $o [ expr "$fn\(double(\$x))" ]
 }
 '''

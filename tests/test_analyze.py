@@ -25,7 +25,9 @@ main {
 
 @pytest.fixture(scope="module")
 def diamond_result():
-    return swift_run(DIAMOND, workers=4, servers=2, engines=2, trace=True)
+    # opt=0: the lineage tests need every python() released by a rule;
+    # at the default level `a` has closed inputs and is spawned by value
+    return swift_run(DIAMOND, workers=4, servers=2, engines=2, trace=True, opt=0)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +127,28 @@ class TestCriticalPath:
         doc = diamond_analysis.to_json()
         json.dumps(doc)  # must be serializable
         assert doc["critical_path"] and doc["makespan"] > 0
+
+
+class TestZeroTdTrace:
+    def test_by_value_fanout_still_tiles(self):
+        """At the default level the fan-out has no TD and no rule: the
+        path runs program -> control task -> leaf on spawn edges alone."""
+        r = swift_run(
+            'foreach i in [0:11] { string s = python(strcat("x=", fromint(i)), "x");'
+            " trace(s); }",
+            workers=2,
+            trace=True,
+        )
+        assert r.trace.dropped == 0
+        assert r.trace.metrics["counters"]["engine.rules_created"] == 0
+        a = Analysis.from_trace(r.trace)
+        assert not a.incomplete and not a.rules and not a.writes
+        assert sum(1 for u in a.units.values() if u.kind == "task") == 12
+        assert [h.kind for h in a.critical_path] == ["program", "ctask", "task"]
+        assert sum(h.total for h in a.critical_path) == pytest.approx(a.makespan, rel=0.10)
+        assert sum(a.stalls.values()) == pytest.approx(
+            sum(h.total for h in a.critical_path)
+        )
 
 
 class TestTraceRoundTrip:

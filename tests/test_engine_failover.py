@@ -37,6 +37,12 @@ FANOUT_EXPECTED = sorted("trace: %d" % i for i in range(10))
 # split control tasks and stands by as the adopter.
 PROGRAM_ENGINE, SPARE_ENGINE = 0, 1
 
+# The engine-death tests count LOCAL rule fires to place the kill and
+# assert that a rule table was journalled, adopted and replayed.  At the
+# default level STC leaves this fan-out no rule at all, so they compile
+# it at -O0 (the all-TD shape); TestByValueFanout is the default level.
+RULES_IN_FLIGHT = 0
+
 
 def counters(res) -> dict:
     return res.trace.metrics["counters"]
@@ -49,6 +55,7 @@ class TestEngineDeath:
         # rules.  The output must be identical to a fault-free run.
         res = swift_run(
             FANOUT,
+            opt=RULES_IN_FLIGHT,
             workers=2,
             servers=1,
             engines=2,
@@ -68,6 +75,7 @@ class TestEngineDeath:
         # but few (or no) pending rules.  The run must still complete.
         res = swift_run(
             FANOUT,
+            opt=RULES_IN_FLIGHT,
             workers=2,
             servers=1,
             engines=2,
@@ -84,6 +92,7 @@ class TestEngineDeath:
         # a world that can also lose servers.
         res = swift_run(
             FANOUT,
+            opt=RULES_IN_FLIGHT,
             workers=2,
             servers=2,
             engines=2,
@@ -99,6 +108,7 @@ class TestEngineDeath:
         # inherits the replicated journal, then adopts the engine.
         res = swift_run(
             FANOUT,
+            opt=RULES_IN_FLIGHT,
             workers=2,
             servers=2,
             engines=2,
@@ -118,6 +128,7 @@ class TestEngineDeath:
         # must notice the missing journal heartbeat on its own.
         res = swift_run(
             FANOUT,
+            opt=RULES_IN_FLIGHT,
             workers=2,
             servers=1,
             engines=2,
@@ -138,6 +149,7 @@ class TestEngineDeath:
         for vm in (True, False):
             res = swift_run(
                 FANOUT,
+                opt=RULES_IN_FLIGHT,
                 workers=2,
                 servers=1,
                 engines=2,
@@ -152,11 +164,39 @@ class TestEngineDeath:
             assert counters(res)["fault.kills"] == 1, vm
 
 
+class TestByValueFanout:
+    """The default level: no TD, no rule — what an engine can lose is
+    the control task it holds a lease on, payload and all."""
+
+    def test_engine_kill_requeues_the_control_task_journal_on(self):
+        # While the program engine is busy running swift:main, the
+        # spare is the only engine parked for CONTROL work, so the
+        # first iteration is granted to it: it dies holding that lease.
+        res = swift_run(
+            FANOUT,
+            workers=2,
+            servers=1,
+            engines=2,
+            trace=True,
+            audit=True,
+            faults=FaultPlan(seed=SEED).kill_rank(SPARE_ENGINE, after_tasks=0),
+        )
+        # the requeued payload carried its closed inputs with it
+        assert sorted(res.stdout_lines) == FANOUT_EXPECTED
+        assert res.ok
+        c = counters(res)
+        assert c["fault.kills"] == 1
+        assert c["adlb.lease.requeued"] >= 1
+        assert c["engine.rules_created"] == 0
+        assert res.audit.ok, res.audit.render()
+
+
 class TestEngineLostDiagnostic:
     def test_engine_kill_journal_off_raises_engine_lost(self):
         with pytest.raises(EngineLost, match="journaling is disabled"):
             swift_run(
                 FANOUT,
+                opt=RULES_IN_FLIGHT,
                 workers=2,
                 servers=1,
                 engines=2,
@@ -172,6 +212,7 @@ class TestEngineLostDiagnostic:
         with pytest.raises(EngineLost) as info:
             swift_run(
                 FANOUT,
+                opt=RULES_IN_FLIGHT,
                 workers=2,
                 servers=1,
                 engines=1,
@@ -303,6 +344,7 @@ class TestCheckpointAcrossEngineDeath:
         with pytest.raises(DeadlineExceeded):
             swift_run(
                 program,
+                opt=RULES_IN_FLIGHT,
                 workers=2,
                 servers=1,
                 engines=2,
@@ -317,7 +359,7 @@ class TestCheckpointAcrossEngineDeath:
         done_before = {f for f in os.listdir(tmp_path) if f.startswith("out_")}
         assert len(done_before) < 10  # the run really was cut short
         res = swift_run(
-            program, workers=2, servers=1, engines=2, restore=ckpt
+            program, opt=RULES_IN_FLIGHT, workers=2, servers=1, engines=2, restore=ckpt
         )
         assert res.ok
         for i in range(10):

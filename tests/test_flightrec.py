@@ -54,6 +54,7 @@ def engine_kill_failure() -> EngineLost:
     with pytest.raises(EngineLost, match="journaling is disabled") as info:
         swift_run(
             FANOUT,
+            opt=0,  # the kill point counts LOCAL rule fires: -O1 leaves none
             workers=2,
             servers=1,
             engines=2,
@@ -179,6 +180,7 @@ class TestBlackboxCapture:
         with pytest.raises(EngineLost) as info:
             swift_run(
                 FANOUT,
+                opt=0,  # same scenario as engine_kill_failure
                 workers=2,
                 servers=1,
                 engines=2,
@@ -199,6 +201,7 @@ class TestRecorderOff:
         with pytest.raises(EngineLost) as info:
             swift_run(
                 FANOUT,
+                opt=0,  # same scenario as engine_kill_failure
                 workers=2,
                 servers=1,
                 engines=2,

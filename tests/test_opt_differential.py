@@ -1,0 +1,282 @@
+"""Differential test of the STC passes, with -O0 as the oracle.
+
+-O0 runs no pass: every op is a rule over TDs.  -O1 runs closed-value
+propagation, by-value leaves and single-consumer fusion; -O2 is accepted
+and equals -O1.  Every program must print the same multiset of lines
+and end in the same verdict (completed / failed) at all three levels.
+
+The corpus is every Swift source the end-to-end and stdlib suites and
+the shipped examples run, plus the cases the rewrites make newly
+reachable (a closed value used before its textual assignment, escapes,
+payload quoting, partial closedness, fusion boundaries, failures).
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+import os
+
+import pytest
+
+import repro
+from repro import SwiftRuntime, swift_run
+from repro.core import SwiftError
+
+LEVELS = (0, 1, 2)
+HERE = os.path.dirname(__file__)
+
+
+def verdict(src: str, opt: int, **kw) -> tuple:
+    """("ok", sorted lines) or ("failed",): which unit fails (a rule at
+    -O0; the control task or the leaf above) is allowed to differ, and
+    so is what was printed before the failure."""
+    kw.setdefault("workers", 2)
+    try:
+        res = swift_run(src, opt=opt, **kw)
+    except SwiftError:
+        return ("rejected",)
+    except Exception:
+        return ("failed",)
+    return ("ok", sorted(res.stdout_lines)) if res.ok else ("failed",)
+
+
+def agree(src: str, **kw) -> tuple:
+    oracle = verdict(src, 0, **kw)
+    for opt in LEVELS[1:]:
+        assert verdict(src, opt, **kw) == oracle, "-O%d differs from -O0 on:\n%s" % (opt, src)
+    return oracle
+
+
+# ---------------------------------------------------------------- the corpus
+
+
+def harvest(filename: str) -> list:
+    """Every ``run(...)`` / ``run_swift(...)`` / ``swift_run(...)`` call
+    in a test file whose program is a literal (or a module constant),
+    with its ``args=`` / ``workers=`` keywords."""
+    with open(os.path.join(HERE, filename)) as f:
+        tree = ast.parse(f.read())
+
+    def constants(body) -> dict:
+        return {
+            node.targets[0].id: node.value.value
+            for node in body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.targets[0], ast.Name)
+        }
+
+    found = []
+    module = constants(tree.body)
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        names = {**module, **constants(ast.walk(fn))}
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in ("run", "run_swift", "swift_run"):
+                continue
+            first = node.args[0]
+            src = names.get(first.id) if isinstance(first, ast.Name) else None
+            if isinstance(first, ast.Constant):
+                src = first.value
+            if not isinstance(src, str):
+                continue  # built at run time
+            kw = {
+                k.arg: k.value.value if k.arg == "workers" else ast.literal_eval(k.value)
+                for k in node.keywords
+                if k.arg == "args" or k.arg == "workers" and isinstance(k.value, ast.Constant)
+            }
+            found.append(pytest.param(src, kw, id="%s:%d" % (filename[5:-3], node.lineno)))
+    return found
+
+
+CORPUS = harvest("test_swift_e2e.py") + harvest("test_swift_stdlib.py")
+
+
+def test_corpus_is_harvested():
+    assert len(CORPUS) >= 70  # the harvester still sees the suites
+
+
+@pytest.mark.parametrize("src,kw", CORPUS)
+def test_suite_programs_agree(src, kw):
+    agree(src, **kw)
+
+
+EXAMPLES = sorted(
+    f for f in os.listdir(os.path.join(HERE, "..", "examples")) if f.endswith(".py")
+)
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_examples_agree(name, capsys):
+    """Each example's ``main()`` with its runtime pinned to each level."""
+    outputs = {}
+    for opt in LEVELS:
+        seen = outputs[opt] = []
+
+        class AtLevel(SwiftRuntime):
+            def __init__(self, *a, **kw):
+                kw["opt"] = opt
+                super().__init__(*a, **kw)
+
+            def run(self, *a, **kw):
+                res = super().run(*a, **kw)
+                seen.append((res.ok, sorted(res.stdout_lines)))
+                return res
+
+        def run_at_level(src, **kw):
+            res = swift_run(src, opt=opt, **kw)
+            seen.append((res.ok, sorted(res.stdout_lines)))
+            return res
+
+        spec = importlib.util.spec_from_file_location(
+            "example_" + name[:-3], os.path.join(HERE, "..", "examples", name)
+        )
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        mod.SwiftRuntime, mod.swift_run = AtLevel, run_at_level
+        mod.main()
+        assert seen, "example ran no Swift program"
+    capsys.readouterr()
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+# ------------------------------------------------- newly reachable cases
+
+ECHO = '(string o) echo(string s) "" "1.0" [ "set <<o>> <<s>>" ];\n'
+WHOAMI = '(string o) whoami(int i) "" "1.0" [ "set <<o>> [ turbine::rank ]" ];\n'
+# ; newline $x [cmd] # unbalanced braces, and a trailing backslash
+NASTY = 'a;b\nc $x [exit] # {{ } \\{ "q" \\'
+NASTY_SWIFT = NASTY.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+CASES = {
+    "closed value used before its textual assignment": (
+        "int x; int y = x + 1; trace(y); x = 5;",
+        ["trace: 6"],
+    ),
+    "closed input of a fused consumer assigned after the leaf": (
+        'foreach i in [0:2] { int k; string s = python("", fromint(i));\n'
+        '  printf("%s %i", s, k); k = i * 10; }',
+        ["0 0", "1 10", "2 20"],
+    ),
+    "closed if inside a foreach": (
+        "foreach i in [0:5] {\n"
+        '  if (i % 2 == 0) { trace(i); } else { printf("odd %i", i); }\n'
+        "}",
+        ["odd 1", "odd 3", "odd 5", "trace: 0", "trace: 2", "trace: 4"],
+    ),
+    "closed if rebalances the writer slots of each branch": (
+        "int a[];\n"
+        "foreach i in [0:5] { if (i % 2 == 0) { a[i] = i; a[i + 100] = 1; } else { } }\n"
+        "int b[]; if (1 < 2) { b[0] = 1; b[1] = 2; } else { }\n"
+        'printf("%i %i %i", size(a), sum_integer(a), size(b));',
+        ["6 9 2"],
+    ),
+    "a TD first needed inside one branch exists on both paths": (
+        "foreach i in [0:3] {\n"
+        '  string s; int k = i * 3;\n'
+        '  if (i % 2 == 0) { s = python("", fromint(k)); } else { s = "odd"; }\n'
+        '  printf("%i %s", k, s);\n'
+        "}",
+        ["0 0", "3 odd", "6 6", "9 odd"],
+    ),
+    "closed value escapes into a composite call, a member and a wait": (
+        "(int o) twice(int x) { o = x * 2; }\n"
+        "int a[];\n"
+        "foreach i in [0:3] {\n"
+        "  int k = i + 1;\n"
+        "  a[i] = k;\n"
+        "  int t = twice(k);\n"
+        '  wait (k) { printf("k=%i t=%i", k, t); }\n'
+        "}\n"
+        "trace(sum_integer(a));",
+        ["k=1 t=2", "k=2 t=4", "k=3 t=6", "k=4 t=8", "trace: 10"],
+    ),
+    "by-value payload with every special character": (
+        ECHO + 'string r = echo("%s"); printf("%%s", r);' % NASTY_SWIFT,
+        [NASTY],
+    ),
+    "closed computed payload with every special character": (
+        ECHO
+        + "foreach i in [7:7] {\n"
+        + '  string r = echo(strcat("%s", fromint(i), "\\\\")); trace(strlen(r)); printf("%%s", r);\n'
+        % NASTY_SWIFT
+        + "}",
+        [NASTY + "7\\", "trace: %d" % (len(NASTY) + 2)],
+    ),
+    "leaf with one closed and one future input": (
+        'string a = python("x = 2", "x");\n'
+        'foreach i in [0:2] { string b = python(strcat("y = ", a, " + ", fromint(i)), "y");\n'
+        "  trace(b); }",
+        ["trace: 2", "trace: 3", "trace: 4"],
+    ),
+    "leaf output with two consumers keeps its TD": (
+        'foreach i in [0:2] { string s = python("", fromint(i)); trace(s); printf("again %s", s); }',
+        ["again 0", "again 1", "again 2", "trace: 0", "trace: 1", "trace: 2"],
+    ),
+    "two outputs, each with a fused continuation": (
+        '(string a, int b) two(int i) "" "1.0" [ "set <<a>> x<<i>>; set <<b>> [ expr {<<i>> * 1.0} ]" ];\n'
+        "foreach i in [1:2] { string p; int q; p, q = two(i); trace(p); trace(q + 1); }",
+        ["trace: 2", "trace: 3", "trace: x1", "trace: x2"],
+    ),
+    "a chain of pure ops fuses through": (
+        'foreach i in [0:1] { trace(strlen(toupper(python("", strcat("\'ab\' * ", fromint(i + 1)))))); }',
+        ["trace: 2", "trace: 4"],
+    ),
+    "@prio and @target on an all-closed leaf": (
+        WHOAMI
+        + "foreach i in [0:3] { @prio=i @target=2 string r = whoami(i);\n"
+        + '  printf("%i ran on %s", i, r); }',
+        ["0 ran on 2", "1 ran on 2", "2 ran on 2", "3 ran on 2"],
+    ),
+    "float, boolean and big-int formatting": (
+        "foreach i in [1:2] { trace(tofloat(i) * 1.0, i > 1, i * 4611686018427387904); }\n"
+        "float f = 1 + 2; float g = 3; int n = 4; float h = n; trace(f, g, h, 7 / 2, 2 ** 10);",
+        [
+            "trace: 1.0,0,4611686018427387904",
+            "trace: 2.0,1,9223372036854775808",
+            "trace: 3.0,3.0,4.0,3,1024",
+        ],
+    ),
+    "argv in a closed position": (
+        'int n = argv_int("n", 2); foreach i in [1:n] { trace(python("", argv("s"))); }',
+        ["trace: 42", "trace: 42"],
+    ),
+}
+CASE_KW = {"argv in a closed position": {"args": {"s": "6 * 7"}}}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_new_cases_agree_and_are_right(name):
+    src, expected = CASES[name]
+    assert agree(src, **CASE_KW.get(name, {})) == ("ok", sorted(expected))
+
+
+FAILING = {
+    "closed division by zero": "int z = 0; trace(1 / z);",
+    "closed parseint of a non-number": 'trace(parseint("x"));',
+    "closed assertion": 'int x = 3; assert(x > 4, "too small");',
+    "error raised by an op fused into a leaf": (
+        'string s = python("", "\'x\'"); trace(parseint(s));'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAILING)
+def test_failures_fail_at_every_level(name):
+    assert agree(FAILING[name], max_retries=1) == ("failed",)
+
+
+def test_assert_is_not_retried_as_part_of_a_leaf():
+    """An assertion on a leaf's output fails the run once, on an
+    engine — not as max_retries + 1 attempts of the leaf."""
+    src = 'string s = python("", "1"); assert(s == "2", "leaf said 1");'
+    for opt in LEVELS:
+        with pytest.raises(repro.TaskError, match="leaf said 1") as info:
+            swift_run(src, workers=2, opt=opt)
+        assert info.value.failure.attempts == 1
+        assert info.value.failure.kind == "rule"

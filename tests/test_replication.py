@@ -64,6 +64,25 @@ class TestServerDeath:
         # Only the survivor reports server stats.
         assert len(res.server_stats) == 1
 
+    def test_server_kill_by_value_fanout_replicate_on(self):
+        # The default level gives this fan-out no TD: what the dead
+        # server's shard holds is queued and leased *tasks*, whose
+        # payloads carry their closed inputs through the requeue.
+        res = swift_run(
+            FANOUT,
+            workers=2,
+            servers=2,
+            trace=True,
+            audit=True,
+            faults=FaultPlan(seed=SEED).kill_rank(OTHER, after_tasks=5),
+        )
+        assert sorted(res.stdout_lines) == FANOUT_EXPECTED
+        assert res.ok
+        c = counters(res)
+        assert c["adlb.data_ops"] == 0 and c["engine.rules_created"] == 0
+        assert c["adlb.repl.promotions"] == 1
+        assert res.audit.ok, res.audit.render()
+
     def test_master_kill_recovery_replicate_on(self):
         # The master dies: besides the shard, the heir must reconstruct
         # the termination counter and the TD id-block cursor, or the

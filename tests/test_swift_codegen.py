@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import compile_swift
-from repro.core.codegen import block_writes, writer_count, writes_arrays
+from repro.core.lower import block_writes, writer_count, writes_arrays
 from repro.core.parser import parse
 from repro.core.semantics import analyze
 
@@ -14,39 +14,54 @@ def gen(src: str, opt: int = 1) -> str:
     return compile_swift(src, opt=opt).tcl_text
 
 
+def body(src: str, opt: int = 1) -> str:
+    """The generated Tcl without its header line (which names the level)."""
+    return gen(src, opt).split("\n", 1)[1]
+
+
+def proc_text(text: str, name: str) -> str:
+    return text[text.index("proc " + name) :].split("\n}\n")[0]
+
+
 class TestStructure:
     def test_main_proc_exists(self):
         text = gen("int x = 1;")
         assert "proc swift:main" in text
 
     def test_user_function_proc(self):
-        text = gen("(int o) f(int x) { o = x; }")
+        text = gen("(int o) f(int x) { o = x; } trace(f(1));")
         assert "proc swift:f:f" in text
 
     def test_extension_generates_dispatch_and_task(self):
         text = gen(
             '(int o) g(int i) "pkg" "1.0" [ "set <<o>> [ cmd <<i>> ]" ];'
+            "int y = g(1); trace(y, y);"
         )
-        assert "proc swift:f:g" in text
+        # the dispatch is printed at the call site: no swift:f: wrapper
+        assert "swift:f:g" not in text
         assert "proc task:g" in text
         assert "set o_val [ cmd ${i_val} ]" in text
         assert "package require pkg" in text
 
     def test_ext_rule_is_work_typed(self):
-        text = gen('(int o) g(int i) "p" "1.0" [ "set <<o>> <<i>>" ]; int y = g(1);')
-        assert "] WORK" in text
+        src = '(int o) g(int i) "p" "1.0" [ "set <<o>> <<i>>" ]; int y = g(1);'
+        assert "] WORK" in gen(src, opt=0)  # a rule on the input TD
+        # by value: every input is closed, so no rule at all
+        assert "turbine::spawn WORK [ list task:g" in gen(src)
+        assert "turbine::rule" not in gen(src)
 
     def test_app_generates_shell_call(self):
         text = gen('app (string o) e(string s) { "echo" s } string r = e("x"); trace(r);')
-        assert "shell::exec" in text
-        assert "lappend argv echo" in text
+        assert "shell::exec echo ${s_val}" in text
 
     def test_loop_spawns_control_tasks(self):
         text = gen("foreach i in [0:9] { trace(i); }")
         assert "turbine::spawn CONTROL" in text
 
     def test_if_hoisted_with_rule(self):
-        text = gen("int c = parseint(\"1\"); if (c == 1) { trace(1); } else { trace(2); }")
+        text = gen(
+            'int c = parseint(system("echo 1")); if (c == 1) { trace(1); } else { trace(2); }'
+        )
         assert "proc swift:__if" in text
         assert "turbine::retrieve $c" in text
 
@@ -107,34 +122,91 @@ class TestSlotAccounting:
 
 
 class TestOptimization:
+    """Each behaviour is checked against -O0, the oracle shape, and
+    named after the IR pass that owns it."""
+
     def test_o0_emits_rules_for_constants(self):
         text = gen("int x = 1 + 2; trace(x);", opt=0)
+        assert "turbine::op integer" in text
         assert "binop_integer" in text
 
     def test_o1_folds_constants(self):
-        text = gen("int x = 1 + 2; trace(x);", opt=1)
-        assert "binop_integer" not in text
-        assert "store_integer" in text
+        # closed-value propagation: the sum is a plain Tcl value of
+        # swift:main, computed by the same value proc -O0 runs in a rule
+        src = "int x = 1 + 2; trace(x);"
+        o0, o1 = gen(src, opt=0), gen(src, opt=1)
+        assert "turbine::op" in o0 and "turbine::allocate" in o0
+        assert "turbine::op" not in o1 and "turbine::allocate" not in o1
+        assert "[ turbine::binop_integer + 1 2 ]" in o1
 
     def test_o1_eliminates_constant_branch(self):
+        # closed-value propagation: a closed condition is a Tcl if in place
         text = gen("if (1 < 2) { trace(1); } else { trace(2); }", opt=1)
         assert "swift:__if" not in text
+        assert "if { $t1 } {" in text
 
     def test_o0_keeps_constant_branch(self):
         text = gen("if (1 < 2) { trace(1); } else { trace(2); }", opt=0)
         assert "swift:__if" in text
 
     def test_o2_propagates_scalar_constants(self):
-        o1 = gen("int x = 5; int y = x + 1; trace(y);", opt=1)
-        o2 = gen("int x = 5; int y = x + 1; trace(y);", opt=2)
-        assert "binop_integer" in o1
-        assert "binop_integer" not in o2
+        # a singly-assigned scalar with a closed right-hand side is
+        # closed: -O2's old special case of propagation, now at -O1
+        src = "int x = 5; int y = x + 1; trace(y);"
+        assert "turbine::op integer" in gen(src, opt=0)
+        assert "turbine::op" not in gen(src, opt=1)
+        assert "[ turbine::binop_integer + 5 1 ]" in gen(src, opt=1)
+        assert body(src, opt=2) == body(src, opt=1)
 
     def test_o2_spawn_time_arithmetic_in_loops(self):
-        o1 = gen("int a[]; foreach i in [0:3] { a[i+1] = i; }", opt=1)
-        o2 = gen("int a[]; foreach i in [0:3] { a[i+1] = i; }", opt=2)
-        # O2 computes the subscript at spawn time instead of a dataflow rule
-        assert o2.count("binop_integer") < o1.count("binop_integer")
+        src = "int a[]; foreach i in [0:3] { a[i+1] = i; }"
+        o0, o1 = gen(src, opt=0), gen(src, opt=1)
+        # the subscript is computed at spawn time instead of by a rule
+        assert "insert_when_ready" in o0 and "turbine::op" in o0
+        assert "insert_when_ready" not in o1 and "turbine::op" not in o1
+        assert body(src, opt=2) == body(src, opt=1)
+
+    def test_closed_value_escapes_once(self):
+        # an array member needs a TD: allocate + store, nothing else
+        o1 = gen("int a[]; foreach i in [0:3] { a[i] = i * 2; }")
+        assert o1.count("turbine::allocate integer") == 1
+        assert "turbine::store_integer $t2 $t1" in o1
+
+    def test_by_value_leaf_fuses_its_single_consumer(self):
+        text = gen('foreach i in [0:3] { string s = python("x=1", fromint(i)); trace(s); }')
+        task = proc_text(text, "task:python")
+        assert "turbine::trace ${out_val}" in task
+        assert "turbine::store_string" not in task
+        assert "turbine::allocate" not in text and "turbine::rule" not in text
+
+    def test_two_consumers_keep_the_td(self):
+        text = gen('string s = python("x=1", "x"); trace(s); trace(s);')
+        task = proc_text(text, "task:python")
+        assert "turbine::store_string $o_out" in task
+        assert "turbine::trace" not in task
+        assert text.count("turbine::op none {} turbine::trace $v_s") == 2
+
+    def test_assert_is_never_fused(self):
+        text = gen('string s = python("x=1", "x"); assert(s == "1", "no");')
+        task = proc_text(text, "task:python")
+        assert "assert" not in task
+        assert "turbine::op none {} turbine::assert" in text
+
+    def test_producer_with_future_input_runs_in_the_leaf(self):
+        text = gen(
+            "string a[];\n"
+            'foreach i in [0:3] { a[i+1] = python(strcat("x=", a[i], "*2"), "x"); }'
+        )
+        task = proc_text(text, "task:python")
+        assert "set code_val [ turbine::strcat x= ${a1} *2 ]" in task
+        assert "turbine::op" not in text
+
+    def test_only_reachable_procs_and_live_locals(self):
+        text = gen('foreach i in [0:3] { string s = python("x=1", fromint(i)); trace(s); }')
+        assert "task:r" not in text and "task:system" not in text
+        assert "swift:f:" not in text
+        assert "set n " not in text and "set lo " not in text
+        assert text.count("\nproc ") == 4  # main, loop, body, task:python
 
     def test_opt_levels_preserve_structure(self):
         src = "(int o) f(int x) { o = x * 2; } trace(f(4));"
@@ -150,7 +222,7 @@ class TestOptimization:
             "trace(sum_integer(a));\n"
         )
         sizes = {opt: len(gen(src, opt=opt)) for opt in (0, 1, 2)}
-        assert sizes[2] <= sizes[1] <= sizes[0]
+        assert sizes[2] == sizes[1] < sizes[0]
 
 
 class TestCompileStats:
