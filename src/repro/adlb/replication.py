@@ -185,6 +185,8 @@ class Replication:
         if core.journals is not None:
             state["journals"] = core.journals.image()
         self.buf = [("reset", state)]
+        if core.shutting_down:
+            self.buf.append(("bye",))  # the old buddy's copy of it is gone
         self.flush()
 
     def op_replicate(self, msg: dict, source: int) -> None:
@@ -310,9 +312,12 @@ class Replication:
             self.flush(heartbeat=True)
         # Wards: live servers whose buddy is this server.  A ward that
         # stops flushing (silent kill — no launcher notification) is
-        # declared dead and its replica promoted.
+        # declared dead and its replica promoted; one that said "bye"
+        # stopped on purpose and is never promoted.
         for ward in list(core.map.alive):
             if ward == core.rank or core.map.buddy(ward) != core.rank:
+                continue
+            if ward in self.departed:
                 continue
             rep = self.replicas.setdefault(ward, Replica())
             if now - rep.last_heard > self._ward_timeout:

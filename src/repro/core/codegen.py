@@ -22,7 +22,7 @@ from ..tcl.listutil import format_element, format_list
 from .errors import SwiftTypeError
 from .ir import Block, Const, Op, Operand, Var, free_vars
 from .lower import Lowering
-from .passes import PASSES
+from .passes import PASSES, annotation_slice, propagate_closed
 from .semantics import FuncSig
 from .swift_ast import AppDef, ExtFuncDef, Literal, Program, VarRef
 from .types import BOOLEAN, FLOAT, INT, STORE_CMD, STRING, TD_TYPE, VOID, SwiftType
@@ -150,6 +150,9 @@ class Codegen:
         )
 
     def unit(self, name: str, params: list[str], param_vars: list[Var], block: Block) -> None:
+        wanted = annotation_slice(block)
+        if wanted:
+            propagate_closed(block, wanted)
         for run_pass in self.passes:
             run_pass(block)
         proc = self.new_proc(name, params)
@@ -383,8 +386,8 @@ class Codegen:
         for x, name in ((op.prio, "prio"), (op.target, "target")):
             if x is not None and not x.closed:
                 raise SwiftTypeError(
-                    "@%s must be computable at spawn time (a constant or "
-                    "loop-index expression), not a future" % name,
+                    "@%s must be computable at spawn time (an expression "
+                    "over constants and loop indices), not a future" % name,
                     op.line,
                 )
         out_params, out_args = [], []  # TDs the task stores into

@@ -27,6 +27,25 @@ Op kinds and what their fields mean:
                ``vars`` the loop variables of ``blocks[0]``
 ``wait``       run ``blocks[0]`` once every one of ``ins`` is closed
 ``block``      a nested ``{ ... }``
+
+Every op has ``kind`` / ``outs`` / ``ins`` / ``line``; the other fields
+of :class:`Op` mean something for these kinds only:
+
+=============  ========================================================
+``fn``         value, rule (command prefix); leaf (function name)
+``blocks``     if (2), foreach, wait, block (1)
+``inline``     value, copy, if — set by closed-value propagation
+``fusable``    value — from the intrinsic table (``assert`` is not)
+``delta``      refcount
+``vars``       foreach
+``written``    foreach
+``prio``       leaf
+``target``     leaf
+``by_value``   leaf — set by the by-value pass
+``pre``        leaf — set by fusion
+``post``       leaf — set by fusion
+``elided``     leaf — set by fusion
+=============  ========================================================
 """
 
 from __future__ import annotations

@@ -58,17 +58,19 @@ def schedule(block: Block) -> None:
 # ---------------------------------------------------------------- (a)
 
 
-def propagate_closed(block: Block) -> None:
+def propagate_closed(block: Block, only: set[Op] | None = None) -> None:
     """Closed-value propagation: a value op (or copy) all of whose
     inputs are closed is computed in the spawning unit as plain Tcl and
     its output is closed too — least fixpoint, so a value assigned
     textually after its use still counts; an ``if`` on a closed
-    condition is decided in place."""
+    condition is decided in place.  ``only`` restricts it to those ops."""
     changed = True
     while changed:
         changed = False
         for op in block.ops:
             if op.inline or op.kind not in ("value", "copy", "if"):
+                continue
+            if only is not None and op not in only:
                 continue
             if all(x.closed for x in op.ins) and not any(
                 o.pinned or o.type.base not in _CLOSABLE for o in op.outs
@@ -78,7 +80,33 @@ def propagate_closed(block: Block) -> None:
                     o.closed = True
     schedule(block)
     for inner in nested(block):
-        propagate_closed(inner)
+        propagate_closed(inner, only)
+
+
+def annotation_slice(block: Block) -> set[Op]:
+    """The ops that compute a leaf's @prio / @target.  An annotation is
+    a word of the spawn command, never a TD, so these are propagated at
+    every level: whether ``@prio=p`` compiles does not depend on -O."""
+    made_by: dict[Var, Op] = {}
+    wanted: list = []
+
+    def walk(b: Block) -> None:
+        for op in b.ops:
+            if op.kind in ("value", "copy"):
+                made_by.update((o, op) for o in op.outs)
+            elif op.kind == "leaf":
+                wanted.extend(x for x in (op.prio, op.target) if x is not None)
+        for inner in nested(b):
+            walk(inner)
+
+    walk(block)
+    ops: set[Op] = set()
+    while wanted:
+        op = made_by.get(wanted.pop())
+        if op is not None and op not in ops:
+            ops.add(op)
+            wanted.extend(op.ins)
+    return ops
 
 
 # ---------------------------------------------------------------- (b)

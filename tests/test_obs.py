@@ -328,12 +328,7 @@ class TestTracedRuns:
         res.trace.save_chrome(path)
         assert cli_main(["analyze", path]) == 6
         assert capsys.readouterr().out.startswith("WARNING: trace truncated")
-        for _ in range(3):
-            # (under load the busiest ring's count moves by one event
-            # in a few runs out of a hundred, at any level)
-            again = swift_run(FANOUT_200, workers=2, trace=True, trace_capacity=need, opt=0)
-            if again.trace.dropped == 0:
-                break
+        again = swift_run(FANOUT_200, workers=2, trace=True, trace_capacity=need, opt=0)
         assert again.trace.dropped == 0
         whole = Analysis.from_trace(again.trace)
         assert not whole.render().startswith("WARNING")

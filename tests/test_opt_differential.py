@@ -233,6 +233,13 @@ CASES = {
         + '  printf("%i ran on %s", i, r); }',
         ["0 ran on 2", "1 ran on 2", "2 ran on 2", "3 ran on 2"],
     ),
+    "computed @prio and @target": (
+        WHOAMI
+        + "int base = parseint(\"10\");\n"
+        + "foreach i in [0:3] { @prio=(base-i) @target=(1+i%2) string r = whoami(i);\n"
+        + '  printf("%i ran on %s", i, r); }',
+        ["0 ran on 1", "1 ran on 2", "2 ran on 1", "3 ran on 2"],
+    ),
     "float, boolean and big-int formatting": (
         "foreach i in [1:2] { trace(tofloat(i) * 1.0, i > 1, i * 4611686018427387904); }\n"
         "float f = 1 + 2; float g = 3; int n = 4; float h = n; trace(f, g, h, 7 / 2, 2 ** 10);",
@@ -269,6 +276,14 @@ FAILING = {
 @pytest.mark.parametrize("name", FAILING)
 def test_failures_fail_at_every_level(name):
     assert agree(FAILING[name], max_retries=1) == ("failed",)
+
+
+def test_future_annotation_is_rejected_at_every_level():
+    """What may follow @prio / @target is the same language at every
+    level: the ops computing it are closed even at -O0."""
+    src = 'int p = parseint(system("echo 3"));\n@prio=p string s = system("echo x"); trace(s);'
+    assert agree(src) == ("rejected",)
+    assert agree(src.replace('system("echo 3")', '"3"')) == ("ok", ["trace: x"])
 
 
 def test_assert_is_not_retried_as_part_of_a_leaf():

@@ -19,6 +19,7 @@ from repro.adlb import constants as C
 from repro.adlb.checkpoint import CheckpointError, read_checkpoint
 from repro.adlb.layout import Layout, ServerMap
 from repro.adlb.leases import _Lease
+from repro.adlb.replication import Replica
 from repro.adlb.server import Server
 from repro.adlb.workqueue import Task
 from repro.mpi.comm import World
@@ -339,3 +340,62 @@ class TestHangDiagnostics:
         # The diagnostic is registered with the comm layer, so hang
         # reports (DeadlockError) pick it up automatically.
         assert world.diagnostics[MASTER]() == line
+
+
+class TestShutdownHandshake:
+    """A server's last op-log entry is "bye"; its buddy does not leave
+    (and does not promote it) while that is unsettled."""
+
+    def servers(self, n=3):
+        layout = Layout(size=n + 3, n_servers=n, n_engines=1)
+        world = World(layout.size, recv_timeout=None)
+        smap = ServerMap(layout)
+        made = [
+            Server(world.comm(r), layout, leases=True, server_map=smap, replicate=True)
+            for r in layout.servers
+        ]
+        return world, made
+
+    def deliver(self, world, server):
+        """Dispatch what sits in ``server``'s mailbox."""
+        for payload, status in world.comm(server.rank).drain_dead(server.rank):
+            server.dispatch(payload, status.source, status.tag)
+
+    def test_bye_settles_the_ward(self):
+        world, (ward, buddy, _other) = self.servers()
+        assert ward.repl.buddy == buddy.rank
+        assert not buddy.repl.wards_settled()
+        buddy.shutting_down = True
+        buddy._shutdown_acked = set(buddy.attached_clients)
+        assert not buddy._done()  # its ward has not spoken yet
+        ward._op_shutdown()
+        self.deliver(world, buddy)
+        assert buddy.repl.departed == {ward.rank}
+        assert buddy.repl.wards_settled() and buddy._done()
+
+    def test_departed_ward_is_never_promoted(self):
+        world, (ward, buddy, _other) = self.servers()
+        ward._op_shutdown()
+        self.deliver(world, buddy)
+        buddy.repl.replicas[ward.rank].last_heard -= 3600.0
+        buddy.repl.tick()
+        assert buddy.repl.stats.promotions == 0
+        assert ward.rank in buddy.map.alive
+
+    def test_silent_ward_is_promoted_then_settled(self):
+        world, (ward, buddy) = self.servers(2)
+        assert not buddy.repl.wards_settled()
+        buddy.repl.replicas.setdefault(ward.rank, Replica()).last_heard -= 3600.0
+        buddy.repl.tick()
+        assert buddy.repl.stats.promotions == 1
+        assert buddy.repl.wards_settled()  # a dead ward is not waited for
+
+    def test_bye_is_repeated_to_a_new_buddy(self):
+        world, (ward, buddy, heir) = self.servers()
+        ward._op_shutdown()  # this bye goes to a buddy that then dies
+        ward.repl.server_dead(buddy.rank, "killed")
+        assert ward.repl.buddy == heir.rank
+        heir.repl.server_dead(buddy.rank, "killed")
+        assert not heir.repl.wards_settled()
+        self.deliver(world, heir)
+        assert ward.rank in heir.repl.departed and heir.repl.wards_settled()

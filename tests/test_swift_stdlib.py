@@ -168,8 +168,8 @@ printf("H %s", high);
         from repro.core import SwiftError, compile_swift
 
         with pytest.raises(SwiftError, match="spawn time"):
-            # (parseint of a literal is a closed value since the IR:
-            # the priority has to come out of a leaf to be a future)
+            # (parseint of a literal is computed at spawn time, at every
+            # level: the priority has to come out of a leaf to be a future)
             compile_swift(
                 'int p = parseint(system("echo 3"));\n'
                 '@prio=p string s = system("echo x");\n'
