@@ -9,8 +9,9 @@ differential-test oracle):
 * **Runtime layer** — a Tcl-compute Turbine program run end-to-end
   with ``tcl_compile`` on versus off.
 
-``benchmarks/record.py`` reuses the ``measure_*`` functions here to
-write the committed ``BENCH_hotpath.json`` snapshot.
+The floors are asserted here and nowhere snapshotted; what a *feature*
+costs on or off is ``benchmarks/overhead.py``'s question, not this
+file's.
 
 Note on methodology: timings use best-of-rounds on a private
 interpreter per round; deep *binary* Tcl recursion (fib-style) is

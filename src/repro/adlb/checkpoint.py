@@ -115,7 +115,7 @@ def load_shard(server: Any, shard: dict) -> None:
 
 @dataclass
 class CkptStats:
-    """Checkpoint counters, folded into metrics as ``adlb.ckpt.*``."""
+    """Checkpoint counters, registered as ``adlb.ckpt.*``."""
 
     written: int = 0
     abandoned: int = 0
@@ -136,7 +136,9 @@ class Checkpointer:
         self.core = core
         self.path = path
         self.interval = interval or 0.5
-        self.stats = CkptStats()
+        self.stats = core.comm.world.metrics.register(
+            "adlb.ckpt", CkptStats(), core.rank
+        )
         self._gen = 0
         self._phase: str | None = None
         self._started = 0.0

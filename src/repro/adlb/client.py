@@ -23,7 +23,7 @@ class AdlbError(RuntimeError):
 
 @dataclass
 class ClientRpcStats:
-    """Reliable-RPC counters, folded into metrics as ``adlb.rpc.*``."""
+    """Reliable-RPC counters, registered as ``adlb.rpc.*``."""
 
     sent: int = 0  # seq-stamped requests issued
     resends: int = 0  # re-sends after the resend-interval expired
@@ -80,6 +80,8 @@ class AdlbClient:
         self.reliable = reliable
         self.resend_interval = resend_interval
         self.rpc_stats = ClientRpcStats()
+        if reliable:
+            comm.world.metrics.register("adlb.rpc", self.rpc_stats, self.rank)
         self._seq = 0
         # outstanding async park (park_async .. its grant in recv_async)
         self._park: _Pending | None = None

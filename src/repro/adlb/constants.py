@@ -57,7 +57,6 @@ SOP_REPLICATE = "REPLICATE"  # batched op-log entries to the buddy server
 SOP_REPL_ACK = "REPL_ACK"  # buddy acknowledges applied entries
 SOP_CKPT_REQ = "CKPT_REQ"  # master asks a server for its checkpoint shard
 SOP_CKPT_PART = "CKPT_PART"  # shard/engine contribution back to the master
-SOP_STATUS = "STATUS"  # periodic per-server status piggybacked to the master
 
 # id allocation block size handed to clients
 ID_BLOCK_SIZE = 256

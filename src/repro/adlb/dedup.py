@@ -48,7 +48,6 @@ class DedupTable:
         self.slots: dict[tuple[int, str], tuple[int, tuple[int, Any]]] = dict(
             slots or {}
         )
-        self.hits = 0  # duplicates answered from here (``adlb.repl.dedup_hits``)
 
     def offer(
         self, client: int, channel: str, seq: int, reply: tuple, ties: bool

@@ -34,7 +34,7 @@ class _Lease:
 
 @dataclass
 class LeaseStats:
-    """Lease-layer counters, folded into metrics as ``adlb.lease.*``."""
+    """Lease-layer counters, registered as ``adlb.lease.*``."""
 
     granted: int = 0
     requeued: int = 0
@@ -45,7 +45,7 @@ class LeaseStats:
 
 @dataclass
 class QuarantineStats:
-    """Poison-task counters, folded into metrics as ``adlb.quarantine.*``."""
+    """Poison-task counters, registered as ``adlb.quarantine.*``."""
 
     quarantined: int = 0
     rank_kills: int = 0  # total rank deaths across quarantined units' chains
@@ -57,11 +57,12 @@ class Leases:
         self.table: dict[int, _Lease] = {}  # client -> its outstanding unit
         self.timeout = timeout
         self.max_retries = max_retries
-        self.stats = LeaseStats()
+        register = core.comm.world.metrics.register
+        self.stats = register("adlb.lease", LeaseStats(), core.rank)
         # Units withdrawn as poisonous (their attempts kept killing
         # their host ranks); collected onto RunResult.quarantined.
         self.quarantined: list[QuarantinedTask] = []
-        self.quarantine_stats = QuarantineStats()
+        self.quarantine_stats = register("adlb.quarantine", QuarantineStats(), core.rank)
         # (release_at, seq, task) heap of backoff-delayed requeues
         self.delayed: list[tuple[float, int, Task]] = []
         self._delay_seq = 0
@@ -236,7 +237,7 @@ class Leases:
         tasks = [t for _, _, t in self.delayed]
         return tasks + [lease.task for lease in self.table.values()]
 
-    # -- replica slice, metrics, audit, diagnostic ---------------------------
+    # -- replica slice, audit, diagnostic -----------------------------------
 
     def image(self, state: dict) -> None:
         state["tasks"] += [t for _, _, t in self.delayed]
@@ -253,11 +254,6 @@ class Leases:
             else:
                 deadline = time.monotonic() + self.timeout
                 self.table[client] = _Lease(task, client, deadline)
-
-    def fold(self, fold: Any, rank: int) -> None:
-        fold("adlb.lease", self.stats, rank=rank)
-        if self.quarantined:
-            fold("adlb.quarantine", self.quarantine_stats, rank=rank)
 
     def audit_fields(self) -> dict:
         return {

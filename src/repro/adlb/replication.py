@@ -27,7 +27,8 @@ from .workqueue import Task
 
 @dataclass
 class ReplStats:
-    """Replication counters, folded into metrics as ``adlb.repl.*``."""
+    """Replication and reliable-RPC dedup counters, registered as
+    ``adlb.repl.*`` by the server that owns them."""
 
     batches_sent: int = 0
     entries_sent: int = 0
@@ -118,7 +119,7 @@ class Replication:
 
     def __init__(self, core: Any, lease_timeout: float) -> None:
         self.core = core
-        self.stats = ReplStats()
+        self.stats: ReplStats = core.repl_stats
         self.buddy = core.map.buddy(core.rank)
         self.replicas: dict[int, Replica] = {}
         self.dead_servers: set[int] = set()

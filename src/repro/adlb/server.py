@@ -12,7 +12,7 @@ probes the other servers round-robin for untargeted tasks, as in ADLB.
 
 That is all :class:`Server` itself does.  Each fault-tolerance feature
 is a collaborator object in its own module (``leases``, ``replication``,
-``journal``, ``checkpoint``, ``drain``, ``status``), constructed only
+``journal``, ``checkpoint``, ``drain``), constructed only
 when the feature is on — the attribute is ``None`` otherwise — and
 adding its ops to the server's op table (DESIGN.md has the map).
 """
@@ -35,7 +35,6 @@ from .journal import Journals
 from .layout import Layout, ServerMap
 from .leases import Leases
 from .replication import Replication, ReplStats
-from .status import Status
 from .workqueue import Task, WorkQueue
 
 
@@ -49,12 +48,8 @@ class ParkedGet:
 
 @dataclass
 class ServerStats:
-    """Per-server counter snapshot.
-
-    Kept as the stable ``RunResult.server_stats`` surface; the values
-    are folded into the run's :class:`repro.obs.Metrics` registry
-    (``adlb.*`` counters) when tracing is enabled.
-    """
+    """Per-server counters: ``adlb.*`` in the run's metrics, and the
+    ``RunResult.server_stats`` surface."""
 
     tasks_queued: int = 0
     tasks_matched: int = 0
@@ -87,8 +82,6 @@ class Server:
         checkpoint_path: str | None = None,
         checkpoint_interval: float | None = None,
         restore_shard: dict | None = None,
-        monitor: Any | None = None,
-        status_interval: float | None = None,
         journal: bool = False,
     ):
         self.comm = comm
@@ -101,10 +94,15 @@ class Server:
         # replay a mutation that already landed; the store then treats
         # exact duplicates as no-ops instead of DoubleWriteError.
         self.store = DataStore(replay_ok=reliable or restore_shard is not None)
-        self.reliable = reliable
         self.queue = WorkQueue()
         self.parked: list[ParkedGet] = []
-        self.stats = ServerStats()
+        metrics = comm.world.metrics
+        self.stats = metrics.register("adlb", ServerStats(), self.rank)
+        # Op-log and dedup counters share one struct: duplicates of
+        # seq-stamped requests are reliable-RPC traffic, replicated or not.
+        self.repl_stats: ReplStats | None = None
+        if reliable or (replicate and layout.n_servers >= 2):
+            self.repl_stats = metrics.register("adlb.repl", ReplStats(), self.rank)
         self.dedup = DedupTable()
         self.on_error = on_error
         self.failures: list[TaskFailure] = []
@@ -156,7 +154,6 @@ class Server:
         self.journals: Journals | None = None
         self.ckpt: Checkpointer | None = None
         self.drain: Drain | None = None
-        self.status: Status | None = None
         if replicate and layout.n_servers >= 2:
             # Replication routes through a shared epoch-stamped map.
             if self.map is None:
@@ -173,8 +170,6 @@ class Server:
             # Only a unit that failed for good poisons a run: a client's
             # under on_error="continue", or a quarantined one (leases).
             self.drain = Drain(self)
-        if status_interval is not None:
-            self.status = Status(self, monitor, status_interval)
         if restore_shard is not None:
             load_shard(self, restore_shard)
         # Hang reports dump this server's lease table and replication
@@ -189,13 +184,15 @@ class Server:
             # Establish the ward heartbeat immediately so buddies can
             # tell "never started" from "died silently".
             self.repl.flush(heartbeat=True)
+        # Live gauges for --monitor, for as long as this rank is alive
+        # (a clean exit leaves them: the run's last sample reads them).
+        sources = self.comm.world.metrics.sources
+        sources[self.rank] = self.gauges
         try:
             while not self._done():
                 got = self.comm.recv_poll(timeout=0.02)
                 if self.leases is not None:
                     self.leases.tick()
-                if self.status is not None:
-                    self.status.tick()
                 if got is None:
                     self.stats.idle_polls += 1
                     self._idle_tick()
@@ -203,6 +200,7 @@ class Server:
                 msg, status = got
                 self.dispatch(msg, status.source, status.tag)
         except RankKilled as e:
+            del sources[self.rank]
             if self.repl is not None and not e.silent:
                 # Final gasp: push any unflushed op-log tail to the
                 # buddy before dying (a silent kill models an abrupt
@@ -214,23 +212,6 @@ class Server:
             raise
         if self.journals is not None:
             self.journals.sweep()
-        if self.status is not None:
-            # Final status so the driver's last sample reflects the
-            # completed run even when shorter than one interval.
-            self.status.push()
-        recorder = self.comm.world.recorder
-        if recorder is not None:
-            fold = recorder.metrics.fold_struct
-            fold("adlb", self.stats, rank=self.rank)
-            if self.leases is not None:
-                self.leases.fold(fold, self.rank)
-            if self.repl is not None or self.reliable:
-                # dedup hits are reliable-RPC traffic, replicated or not
-                repl_stats = ReplStats() if self.repl is None else self.repl.stats
-                repl_stats.dedup_hits = self.dedup.hits
-                fold("adlb.repl", repl_stats, rank=self.rank)
-            if self.ckpt is not None:
-                fold("adlb.ckpt", self.ckpt.stats, rank=self.rank)
         return self.stats
 
     def _done(self) -> bool:
@@ -257,6 +238,23 @@ class Server:
     def quarantined(self) -> list:
         """Units withdrawn as poisonous (``RunResult.quarantined``)."""
         return self.leases.quarantined if self.leases is not None else []
+
+    def gauges(self) -> dict:
+        """What this server holds right now.  The driver's sampler
+        thread reads it while the loop runs: plain reads and ``len()``."""
+        gauges = {
+            "matched": self.stats.tasks_matched,
+            "queued": self.queue.size,
+            "parked": len(self.parked),
+            "clients": len(self.attached_clients),
+        }
+        if self.leases is not None:
+            gauges["leases"] = len(self.leases.table)
+        if self.repl is not None:
+            gauges["repl_lag"] = self.repl.lag()
+        if self.is_master:
+            gauges["outstanding"] = max(0, self.work_count)
+        return gauges
 
     def audit_row(self) -> dict:
         """Terminal bookkeeping snapshot for run-invariant auditing.
@@ -370,7 +368,7 @@ class Server:
             return False  # genuinely new request
         if seq < cseq:
             return True  # duplicate of an already-superseded request
-        self.dedup.hits += 1
+        self.repl_stats.dedup_hits += 1
         if cpayload is PARKED:
             # Re-sent park (failover or resend timer): reprocess so the
             # request parks — or is served — at the current owner.

@@ -193,7 +193,7 @@ def swift_run(
     Unknown option names raise ``TypeError``.
 
     Level 0 of the event spine (``RuntimeConfig.flightrec``, default
-    True) is always armed: every run's folded counters are on
+    True) is always armed: every run's counters are on
     ``RunResult.metrics``, and on any failure path a black-box snapshot
     of every rank's event ring lands on the raised exception
     (``e.blackbox``) or on ``RunResult.blackbox`` for runs that drain

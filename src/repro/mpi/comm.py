@@ -7,6 +7,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..obs.metrics import Metrics
+
 _pc = time.perf_counter
 
 ANY_SOURCE = -1
@@ -136,7 +138,9 @@ class World:
     the message envelope.  ``faults`` is an optional
     :class:`repro.faults.FaultState` whose message rules can drop or
     delay sends.  When either is ``None`` the instrumentation is a
-    single pointer test per call.
+    single pointer test per call.  ``metrics`` is the run's counter
+    table, where every layer of every rank registers its stats structs:
+    the recorder's by default, else a private one — there always is one.
     """
 
     def __init__(
@@ -145,6 +149,7 @@ class World:
         recv_timeout: float | None = 120.0,
         recorder: Any | None = None,
         faults: Any | None = None,
+        metrics: Any | None = None,
     ):
         if size < 1:
             raise ValueError("world size must be >= 1")
@@ -152,8 +157,13 @@ class World:
         self.recv_timeout = recv_timeout
         self.recorder = recorder
         self.faults = faults
+        if metrics is None:
+            metrics = recorder.metrics if recorder is not None else Metrics()
+        self.metrics = metrics
         self.mailboxes = [_Mailbox() for _ in range(size)]
-        self.stats = [CommStats() for _ in range(size)]
+        self.stats = [
+            metrics.register("mpi", CommStats(), rank=r) for r in range(size)
+        ]
         self.aborted = threading.Event()
         self.abort_reason: BaseException | None = None
         self._barrier = threading.Barrier(size)

@@ -107,6 +107,7 @@ def run_world(
     rank_labels: Sequence[str] | None = None,
     deadline: float | None = None,
     shutdown_grace: float = 10.0,
+    metrics: Any | None = None,
 ) -> list[Any]:
     """Launch ``main(comm)`` on ``size`` ranks; return per-rank results.
 
@@ -115,10 +116,10 @@ def run_world(
     :class:`RankFailure` summarizing all failures is raised.
 
     ``recorder`` (a :class:`repro.obs.Recorder`) keeps the per-rank
-    event rings: per-rank traffic counters are folded into its metrics
-    on exit, and on any failure raised here the rings, stuck-rank
+    event rings: on any failure raised here the rings, stuck-rank
     stacks, and registered diagnostics are snapshotted onto the
-    exception as its ``blackbox`` attribute.  ``faults`` (a
+    exception as its ``blackbox`` attribute.  ``metrics`` is the run's
+    counter table (see :class:`World`).  ``faults`` (a
     :class:`repro.faults.FaultState`) enables message-level fault
     injection.  ``rank_labels`` names each rank's role in
     failure reports.  ``deadline`` is a wall-clock limit for the whole
@@ -128,7 +129,11 @@ def run_world(
     ``shutdown_grace`` seconds.
     """
     world = World(
-        size, recv_timeout=recv_timeout, recorder=recorder, faults=faults
+        size,
+        recv_timeout=recv_timeout,
+        recorder=recorder,
+        faults=faults,
+        metrics=metrics,
     )
     results: list[Any] = [None] * size
     failures: list[tuple[int, BaseException]] = []
@@ -174,10 +179,6 @@ def run_world(
     for t in threads:
         t.join(timeout=shutdown_grace)
     stuck = [r for r, t in enumerate(threads) if t.is_alive()]
-
-    if recorder is not None:
-        for rank, stats in enumerate(world.stats):
-            recorder.metrics.fold_struct("mpi", stats, rank=rank)
 
     with failures_lock:
         recorded = sorted(failures, key=lambda p: p[0])

@@ -2,7 +2,7 @@
 
 One spine for every measurement in the repo (:mod:`repro.obs.spine`):
 a :class:`Recorder` keeps one Lamport-clocked event ring per rank plus
-the run's metrics registry (:class:`Metrics`), every instrumented site
+the run's counter table (:class:`Metrics`), every instrumented site
 makes one ``emit`` call into its rank's ring, and every view is a
 reader of those rings — the structured :class:`Trace` with its Chrome
 ``trace_event`` exporter, post-run aggregation (:class:`Profile`),
@@ -15,7 +15,7 @@ level, its trace category/name and its fields — is the one table
 Two levels share the ring.  *Level 0* (lifecycle events and message
 headers) is ON by default (``flightrec=True``): 512 slots per rank,
 snapshotted into a ``blackbox-*.json`` artifact on any failure path,
-and the folded counters of every run on ``RunResult.metrics``.
+and the counters of every run on ``RunResult.metrics``.
 *Level 1* (spans, provenance, data-op instants) is recorded only with
 ``swift_run(..., trace=True)``, ``RuntimeConfig(trace=True)``, or the
 ``repro profile`` / ``repro trace`` / ``repro analyze`` CLI
@@ -24,18 +24,18 @@ that wraps drops its oldest events and says so: ``Trace.dropped``, and
 a ``WARNING: trace truncated`` first line on every report.  With both
 off no recorder is built and each site is a single ``is None`` test.
 
-Metric counter namespaces: ``mpi.*``, ``adlb.*``, ``engine.*``,
-``worker.*`` and ``tcl.vm.*`` from the per-rank stats structs;
-``adlb.lease.*``, ``adlb.repl.*``, ``adlb.rpc.*``,
-``engine.journal.*``, ``worker.watchdog.*`` and ``fault.*`` when the
-corresponding machinery is enabled.  The latency
-histograms (``task.latency_s``, ``adlb.queue_wait_s``,
-``adlb.dispatch_s``) are derived from level-1 events, so they appear
-on traced runs only.
+Counters live in per-rank stats structs, registered with the table
+where they are built and summed live by its readers (a dead rank keeps
+what it counted): ``mpi.*``, ``adlb.*``, ``engine.*``, ``worker.*`` and
+``tcl.vm.*`` always; ``adlb.lease.*``, ``adlb.quarantine.*``,
+``adlb.repl.*``, ``adlb.rpc.*``, ``adlb.ckpt.*``, ``engine.journal.*``,
+``worker.watchdog.*`` and ``fault.*`` with the machinery they count.
+The latency histograms (``task.latency_s``, ``adlb.queue_wait_s``,
+``adlb.dispatch_s``) come from level-1 events: traced runs only.
 
 Live monitoring (``swift_run(..., monitor=True)`` / ``repro run
---monitor``, :class:`RunMonitor`) is still its own mechanism and costs
-one status dict per server per interval.
+--monitor``, :class:`RunMonitor`) is one more reader of that table: a
+driver thread samples it; the ranks push nothing.
 """
 
 from .analyze import Analysis, Hop, Unit

@@ -1,19 +1,20 @@
-"""The metrics registry: named counters, gauges, and histograms.
+"""The run's counter table: registered structs, read live.
 
-Hot paths in the runtime keep their own per-rank stat structs (plain
-dataclass fields, no locks — each rank thread owns its struct).  At the
-end of a run those per-rank structs are *folded* into the recorder's
-Metrics registry, which is also available for direct use by cold paths.
-Folding is deferred to the first read, so a run whose counters nobody
-looks at pays one list append per struct.  ``snapshot()`` renders
-everything as plain dicts for reports and the Chrome export.
+Every layer counts into its own typed stats dataclass (plain attribute
+increments, no locks — each rank thread owns its structs) and registers
+it with the run's :class:`Metrics` once, where it is constructed.  The
+table refers to the struct, it does not copy it: ``snapshot()`` /
+``counter()`` sum whatever is registered when they are called — mid-run
+for ``--monitor``, after a rank died (what it counted stays), or after
+the run for ``RunResult.metrics`` and the reports.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable
 
 #: Bounded sample pool per histogram; beyond this, reservoir sampling
 #: (Algorithm R with a fixed-seed RNG, so summaries are reproducible)
@@ -62,22 +63,11 @@ class HistogramSummary:
         return ordered[k] if p > 0 else ordered[0]
 
     def as_dict(self) -> dict:
-        if not self.count:
-            return {
-                "count": 0,
-                "total": 0.0,
-                "min": 0.0,
-                "max": 0.0,
-                "mean": 0.0,
-                "p50": 0.0,
-                "p95": 0.0,
-                "p99": 0.0,
-            }
         return {
             "count": self.count,
             "total": self.total,
-            "min": self.min,
-            "max": self.max,
+            "min": self.min if self.count else 0.0,
+            "max": self.max if self.count else 0.0,
             "mean": self.mean,
             "p50": self.percentile(50),
             "p95": self.percentile(95),
@@ -86,31 +76,31 @@ class HistogramSummary:
 
 
 class Metrics:
-    """Thread-safe registry of counters, gauges, and histograms."""
+    """Registered counter structs, gauge sources and histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
+        # (prefix, struct, rank) in registration order; a session's runs
+        # all register here, so sums span them.
+        self._structs: list[tuple[str, Any, int | None]] = []
         self._hists: dict[str, HistogramSummary] = {}
-        # (prefix, struct, rank) handed to fold_struct, not yet summed.
-        self._unfolded: list[tuple] = []
+        #: rank -> callable returning that rank's live gauges (a server's
+        #: queue depth, parked clients, ...): set by the rank when it
+        #: starts serving, deleted by it when it is killed.
+        self.sources: dict[int, Callable[[], dict]] = {}
 
-    # ------------------------------------------------------------- updates
+    def register(self, prefix: str, struct: Any, rank: int | None = None) -> Any:
+        """Make a stats dataclass part of the table; returns it.
 
-    def count(self, name: str, n: float = 1) -> None:
+        Its numeric fields read as ``prefix.field`` counters (summed
+        over everything registered under the prefix) and, when ``rank``
+        is given, as per-rank gauges ``prefix.field[rank]`` so imbalance
+        is visible.  Costs one list append; the fields are read when
+        a reader asks.
+        """
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + n
-
-    def gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self._gauges[name] = value
-
-    def gauge_max(self, name: str, value: float) -> None:
-        with self._lock:
-            cur = self._gauges.get(name)
-            if cur is None or value > cur:
-                self._gauges[name] = value
+            self._structs.append((prefix, struct, rank))
+        return struct
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
@@ -119,44 +109,30 @@ class Metrics:
                 hist = self._hists[name] = HistogramSummary()
             hist.observe(value)
 
-    def fold_struct(self, prefix: str, struct, rank: int | None = None) -> None:
-        """Fold a per-rank stats dataclass into the registry.
-
-        Numeric fields become ``prefix.field`` counters (summed across
-        ranks); when ``rank`` is given, per-rank gauges
-        ``prefix.field[rank]`` are kept as well so imbalance is visible.
-        The struct is read at the next ``snapshot()``/``counter()``,
-        so hand it over once its owner has stopped updating it.
-        """
-        self._unfolded.append((prefix, struct, rank))
-
-    def _fold(self) -> None:
-        """Sum the structs handed to fold_struct (caller holds the lock)."""
-        from dataclasses import fields as dc_fields
-
-        while self._unfolded:
-            prefix, struct, rank = self._unfolded.pop(0)
-            for f in dc_fields(struct):
-                value = getattr(struct, f.name)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    continue
-                name = "%s.%s" % (prefix, f.name)
-                self._counters[name] = self._counters.get(name, 0) + value
-                if rank is not None:
-                    self._gauges["%s[%d]" % (name, rank)] = value
-
     # ------------------------------------------------------------ reading
 
     def counter(self, name: str) -> float:
+        """The current sum of one ``prefix.field`` counter."""
+        prefix, _, attr = name.rpartition(".")
         with self._lock:
-            self._fold()
-            return self._counters.get(name, 0)
+            return sum(
+                getattr(struct, attr, 0)
+                for p, struct, _ in self._structs
+                if p == prefix
+            )
 
     def snapshot(self) -> dict:
+        counters: dict[str, float] = {}
+        gauges: dict[str, float] = {}
         with self._lock:
-            self._fold()
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {k: h.as_dict() for k, h in self._hists.items()},
-            }
+            for prefix, struct, rank in self._structs:
+                for f in fields(struct):
+                    value = getattr(struct, f.name)
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        continue
+                    name = "%s.%s" % (prefix, f.name)
+                    counters[name] = counters.get(name, 0) + value
+                    if rank is not None:
+                        gauges["%s[%d]" % (name, rank)] = value
+            hists = {k: h.as_dict() for k, h in self._hists.items()}
+        return {"counters": counters, "gauges": gauges, "histograms": hists}

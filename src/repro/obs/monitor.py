@@ -1,22 +1,20 @@
-"""Live run monitoring.
+"""Live run monitoring: a reader of the run's counter table.
 
-Servers periodically report a small status dict (tasks matched, queue
-depth, parked clients, lease and replication lag) to the master server,
-which feeds a shared :class:`RunMonitor`.  A driver-side sampler thread
-composes the per-rank statuses into :class:`MonitorSample` rows at a
-fixed cadence; ``repro run --monitor`` renders each sample as a
-one-line progress readout and the full timeline lands on
-``RunResult.timeline``.
-
-Everything here is thread-safe: server ranks (threads in the
-thread-backed world) update concurrently with the driver sampler.
+Nothing is pushed.  A driver-side sampler thread calls
+:meth:`RunMonitor.sample` at a fixed cadence; each call composes one
+:class:`MonitorSample` from the run's :class:`~repro.obs.Metrics` — the
+live ``adlb.tasks_matched`` counters plus the gauges of every server
+still alive (``Server.gauges``: plain reads, safe from another thread).
+``repro run --monitor`` renders each sample as a one-line progress
+readout and the full timeline lands on ``RunResult.timeline``.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
+
+from .metrics import Metrics
 
 
 @dataclass
@@ -30,7 +28,7 @@ class MonitorSample:
     clients: int = 0  # clients attached across all servers
     leases: int = 0  # tasks handed out, completion pending
     repl_lag: int = 0  # op-log entries sent but unacked (max over servers)
-    outstanding: int = -1  # termination-counter units (-1: master not seen)
+    outstanding: int = -1  # termination-counter units (-1: no live master)
     ranks: dict[int, dict] = field(default_factory=dict)
 
     @property
@@ -60,38 +58,30 @@ class MonitorSample:
 
 
 class RunMonitor:
-    """Shared sink for server status updates + composed timeline.
+    """Composes samples of one run from its counter table."""
 
-    ``update`` is called from server ranks (master directly, others via
-    ``SOP_STATUS`` relayed through the master); ``sample`` is called by
-    the driver's sampler thread.
-    """
-
-    def __init__(self, out: Callable[[str], None] | None = None):
-        self._lock = threading.Lock()
-        self._status: dict[int, dict] = {}
+    def __init__(self, metrics: Metrics, out: Callable[[str], None] | None = None):
+        self.metrics = metrics
+        # A session's earlier runs counted into the same table.
+        self._tasks_before = metrics.counter("adlb.tasks_matched")
         self.samples: list[MonitorSample] = []
         self.out = out
 
-    def update(self, rank: int, status: dict) -> None:
-        with self._lock:
-            self._status[rank] = dict(status)
-
     def sample(self, t: float) -> MonitorSample:
-        with self._lock:
-            ranks = {r: dict(s) for r, s in self._status.items()}
-        s = MonitorSample(t=t, ranks=ranks)
-        for status in ranks.values():
-            s.tasks += status.get("matched", 0)
-            s.queued += status.get("queued", 0)
-            s.parked += status.get("parked", 0)
-            s.clients += status.get("clients", 0)
-            s.leases += status.get("leases", 0)
-            s.repl_lag = max(s.repl_lag, status.get("repl_lag", 0))
-            if "outstanding" in status:
-                s.outstanding = status["outstanding"]
-        with self._lock:
-            self.samples.append(s)
+        # A dead server's gauges are gone but its matches still count,
+        # so ``tasks`` never steps back across a failover.
+        tasks = self.metrics.counter("adlb.tasks_matched") - self._tasks_before
+        ranks = {r: read() for r, read in list(self.metrics.sources.items())}
+        s = MonitorSample(t=t, tasks=int(tasks), ranks=ranks)
+        for gauges in ranks.values():
+            s.queued += gauges["queued"]
+            s.parked += gauges["parked"]
+            s.clients += gauges["clients"]
+            s.leases += gauges.get("leases", 0)
+            s.repl_lag = max(s.repl_lag, gauges.get("repl_lag", 0))
+            if "outstanding" in gauges:
+                s.outstanding = gauges["outstanding"]
+        self.samples.append(s)
         if self.out is not None:
             self.out(s.render())
         return s

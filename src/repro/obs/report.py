@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .postmortem import TAG_NAMES
 from .trace import CategoryTotal, Trace, truncation_banner
 
 #: span category emitted by workers around each leaf task
@@ -151,6 +152,20 @@ class Profile:
                     % (w.rank, w.tasks, w.busy, 100 * w.utilization, bar)
                 )
             lines.append("  mean utilization: %.1f%%" % (100 * self.efficiency))
+        by_tag = {tag: [0, 0] for tag in sorted(TAG_NAMES)}  # messages, bytes
+        for e in self.trace.events:
+            if e.category == "mpi" and e.name == "send":
+                row = by_tag.setdefault(e.payload["tag"], [0, 0])
+                row[0] += 1
+                row[1] += e.payload["bytes"]
+        if any(n for n, _ in by_tag.values()):
+            # Who talks to whom: server<->server traffic is the "server"
+            # row, what one client RPC costs is request + response.
+            lines.append("")
+            lines.append("messages by tag:")
+            lines.append("  %-12s %10s %12s" % ("tag", "messages", "bytes"))
+            for tag, (n, size) in by_tag.items():
+                lines.append("  %-12s %10d %12d" % (TAG_NAMES.get(tag, tag), n, size))
         hists = self.trace.metrics.get("histograms", {})
         populated = [
             (name, h) for name, h in sorted(hists.items()) if h.get("count")

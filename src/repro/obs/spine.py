@@ -3,7 +3,7 @@
 Everything the runtime records about a run goes through one class.
 A :class:`Recorder` owns one single-writer :class:`Ring` per rank
 (plus one for the driver pseudo-rank) and the run's :class:`Metrics`
-registry; every instrumented site makes one ``ring.emit(kind, a, b,
+counter table; every instrumented site makes one ``ring.emit(kind, a, b,
 c, ...)`` call, and every view — :class:`Trace`, ``Profile``,
 ``Analysis``, the ``repro-blackbox-v1`` artifact read by ``repro
 postmortem`` — is decoded from the rings afterwards.
@@ -214,7 +214,7 @@ class Recorder:
 
         With ``since`` (a recorder-relative timestamp) the latency
         histograms of the events from then on — one run of a session —
-        are folded into the metrics before they are snapshotted.
+        are observed into the metrics before they are snapshotted.
         """
         events: list[TraceEvent] = []
         for rank, ring in sorted(self._rings.items()):

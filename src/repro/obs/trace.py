@@ -3,7 +3,7 @@
 A :class:`Trace` is the immutable view of a traced run: every slot of
 every rank's ring (see :mod:`repro.obs.spine`) decoded into a
 :class:`TraceEvent` ``(t, dur, rank, category, name, payload, lam)``,
-plus the folded metrics snapshot and run-level ``meta``.  Spans are
+plus the metrics snapshot and run-level ``meta``.  Spans are
 events with ``dur > 0``, instants have ``dur == 0``; ``lam`` is the
 rank's Lamport clock at the event, so sorting by ``(lam, t, rank)``
 never places a receive before its send.

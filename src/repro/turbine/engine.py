@@ -57,7 +57,8 @@ class EngineStats:
 
 @dataclass
 class JournalStats:
-    """Rule-table journaling counters, folded as ``engine.journal.*``."""
+    """Rule-table journaling counters, registered as
+    ``engine.journal.*`` when journaling is on."""
 
     entries: int = 0
     flushes: int = 0
@@ -93,7 +94,10 @@ class Engine:
         # anchor server at dispatch boundaries (always immediately
         # before a fault kill-point, so the journal is exact at death).
         self._jbuf: list[tuple] = []
+        register = client.comm.world.metrics.register
         self.journal_stats = JournalStats()
+        if journal:
+            register("engine.journal", self.journal_stats, client.rank)
         self._seq = itertools.count(1)
         self.ready: deque[Rule] = deque()
         # td id -> rules blocked on it
@@ -102,7 +106,7 @@ class Engine:
         self.closed: set[int] = set()
         # TDs with an outstanding subscription
         self.subscribed: set[int] = set()
-        self.stats = EngineStats()
+        self.stats = register("engine", EngineStats(), client.rank)
 
     # ------------------------------------------------------------------ rules
 
@@ -359,7 +363,7 @@ class Engine:
         self,
         initial_script: str | None = None,
         restore: list[dict] | None = None,
-    ) -> EngineStats:
+    ) -> None:
         """Run the engine event loop until shutdown.
 
         ``initial_script`` is the program entry point (only the first
@@ -450,8 +454,3 @@ class Engine:
                 break
             else:
                 raise RuntimeError("engine: unexpected async message %r" % (msg,))
-        structs: dict[str, Any] = {"engine": self.stats}
-        if self.journal:
-            structs["engine.journal"] = self.journal_stats
-        unit.fold_stats(structs)
-        return self.stats

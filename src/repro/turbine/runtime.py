@@ -29,6 +29,8 @@ from ..faults import (
     TaskFailure,
 )
 from ..mpi import Comm, RankFailure, run_world
+from ..obs.metrics import Metrics
+from ..obs.monitor import RunMonitor
 from ..tcl.interp import Interp
 from .builtins import register_turbine
 from .engine import Engine, EngineStats
@@ -63,9 +65,9 @@ class RuntimeConfig:
     # Events retained per rank on a traced run before its ring wraps.
     trace_capacity: int = 1 << 16
     echo: bool = False  # also print program output to real stdout
-    # Live monitoring: servers piggyback per-rank status on heartbeats
-    # to the master; a driver-side sampler composes MonitorSample rows
-    # on RunResult.timeline every monitor_interval seconds.
+    # Live monitoring: a driver-side sampler reads the run's counter
+    # table (and the live servers' gauges) every monitor_interval
+    # seconds into MonitorSample rows on RunResult.timeline.
     monitor: bool = False
     monitor_interval: float = 0.25
     # Callable fed one rendered line per sample (the CLI passes print);
@@ -100,9 +102,9 @@ class RuntimeConfig:
     # Level 0 of the event spine, the always-on flight recorder: a
     # 512-slot ring per rank of lifecycle events and message headers
     # with Lamport clocks, snapshotted into a black-box artifact on any
-    # failure path, plus the run's folded counters (RunResult.metrics).
+    # failure path, plus the run's counter table (RunResult.metrics).
     # Unlike trace, this is ON by default — one tuple per event,
-    # bounded by the bench_obs_overhead guard.
+    # bounded by the benchmarks/overhead.py guard.
     flightrec: bool = True
     # Directory for blackbox-*.json dumps on failure; None keeps the
     # black box in memory only (exception .blackbox / RunResult.blackbox).
@@ -233,12 +235,14 @@ class RankContext:
 class RunResult:
     output: Output
     elapsed: float
+    # The stats structs of the ranks that exited cleanly (a killed rank
+    # hands nothing back; what it counted is in ``metrics`` all the same).
     server_stats: list[ServerStats] = field(default_factory=list)
     engine_stats: list[EngineStats] = field(default_factory=list)
     worker_stats: list[WorkerStats] = field(default_factory=list)
     # Populated when the run was traced (trace=True / a session recorder).
     trace: Any | None = None
-    # The recorder's repro.obs.Metrics registry; None when the run had
+    # The recorder's repro.obs.Metrics table; None when the run had
     # no recorder (flightrec=False, trace=False).  Read via ``metrics``.
     registry: Any | None = field(default=None, repr=False)
     # MonitorSample rows from a monitor=True run (chronological).
@@ -282,9 +286,10 @@ class RunResult:
 
     @property
     def metrics(self) -> dict | None:
-        """Folded counters/gauges/histograms of the run — ``mpi.sends``,
+        """Counters/gauges/histograms of the run — ``mpi.sends``,
         ``adlb.data_ops``, ``engine.rules_created``, ... — as plain
-        dicts.  Available on untraced runs too; None without a recorder."""
+        dicts, summed over every rank that counted, dead ones included.
+        Available on untraced runs too; None without a recorder."""
         if self.trace is not None:
             return self.trace.metrics
         return self.registry.snapshot() if self.registry is not None else None
@@ -389,7 +394,13 @@ def run_turbine_program(
         or config.restore is not None
         or config.task_timeout is not None
     )
-    faults = FaultState(config.faults) if config.faults is not None else None
+    # The run's counter table: every layer of every rank registers its
+    # stats struct here as it is built.
+    metrics = recorder.metrics if recorder is not None else Metrics()
+    faults = None
+    if config.faults is not None:
+        faults = FaultState(config.faults)
+        metrics.register("fault", faults.stats)
     # Reliable RPC (seq-stamped, re-sendable requests) is what lets
     # clients survive a lost server or a dropped message; it rides
     # along whenever either can actually happen.
@@ -410,19 +421,8 @@ def run_turbine_program(
         plan = restore_plan(read_checkpoint(config.restore), layout)
         restore_shards = plan["server_shards"]
         restore_rules = plan["engine_rules"]
-    monitor = None
-    if config.monitor:
-        from ..obs.monitor import RunMonitor
-
-        monitor = RunMonitor(out=config.monitor_out)
+    monitor = RunMonitor(metrics, config.monitor_out) if config.monitor else None
     output = Output(echo=config.echo, trace=config.trace)
-    server_stats: list[ServerStats] = []
-    engine_stats: list[EngineStats] = []
-    worker_stats: list[WorkerStats] = []
-    failures: list[TaskFailure] = []
-    quarantined: list = []
-    audit_rows: list = []
-    stats_lock = threading.Lock()
 
     def announce_death(comm: Comm, e: RankKilled) -> None:
         """Tell every server the rank is gone so its lease is swept.
@@ -438,7 +438,9 @@ def run_turbine_program(
                 C.TAG_SERVER,
             )
 
-    def main(comm: Comm) -> None:
+    def main(comm: Comm) -> Server | Engine | Worker | None:
+        """One rank's life.  Returns the rank's server / engine /
+        worker if it exited cleanly, None if it was killed."""
         rank = comm.rank
         role = layout.role(rank)
         ctx = RankContext(layout=layout, role=role, output=output, config=config)
@@ -459,11 +461,9 @@ def run_turbine_program(
                 checkpoint_path=config.checkpoint_path,
                 checkpoint_interval=config.checkpoint_interval,
                 restore_shard=restore_shards.get(rank),
-                monitor=monitor if rank == layout.master_server else None,
-                status_interval=config.monitor_interval if monitor else None,
             )
             try:
-                stats = server.run()
+                server.run()
             except RankKilled as e:
                 if not replicate:
                     # The shard and queued work died with this rank and
@@ -472,16 +472,11 @@ def run_turbine_program(
                     # client hang on a server that will never answer.
                     raise ServerLost(e.rank, str(e)) from e
                 announce_death(comm, e)
-                return
-            with stats_lock:
-                server_stats.append(stats)
-                failures.extend(server.failures)
-                quarantined.extend(server.quarantined)
-                if config.audit:
-                    audit_rows.append(server.audit_row())
-            return
+                return None
+            return server
         client = AdlbClient(comm, layout, server_map=server_map, reliable=reliable)
         interp = Interp(compile_enabled=config.tcl_compile)
+        metrics.register("tcl.vm", interp.vm_stats, rank)
         if role == "engine":
             engine = Engine(
                 client,
@@ -500,7 +495,7 @@ def run_turbine_program(
                 initial = entry
             restore = list(restore_rules.get(rank, [])) if restoring else None
             try:
-                stats = engine.serve(initial_script=initial, restore=restore)
+                engine.serve(initial_script=initial, restore=restore)
             except RankKilled as e:
                 if not journal:
                     # The dead engine's pending rules are unrecoverable:
@@ -514,13 +509,8 @@ def run_turbine_program(
                         units_registered=engine.stats.rules_created,
                     ) from e
                 announce_death(comm, e)
-                return
-            with stats_lock:
-                engine_stats.append(stats)
-                failures.extend(engine.unit.failures)
-                if config.audit:
-                    audit_rows.append(engine.audit_row())
-            return
+                return None
+            return engine
         worker = Worker(
             client,
             interp,
@@ -532,22 +522,18 @@ def run_turbine_program(
         load_rank(interp, client, ctx, worker.unit.deferred, None, setup)
         interp.eval(program)
         try:
-            stats = worker.serve()
+            worker.serve()
         except RankKilled as e:
             announce_death(comm, e)
-            return
-        with stats_lock:
-            worker_stats.append(stats)
-            failures.extend(worker.unit.failures)
-            if config.audit:
-                audit_rows.append(worker.audit_row())
+            return None
+        return worker
 
     rank_labels = [layout.role(r) for r in range(config.size)]
     t0 = time.perf_counter()
     sampler_stop = None
     if monitor is not None:
-        # Driver-side sampler: composes whatever statuses the master
-        # has relayed so far into one MonitorSample per interval.
+        # Driver-side sampler: one MonitorSample per interval, read
+        # from the counter table while the ranks run.
         sampler_stop = threading.Event()
 
         def _sampler() -> None:
@@ -566,7 +552,7 @@ def run_turbine_program(
         return write_blackbox(box, config.blackbox_dir)
 
     try:
-        run_world(
+        exited = run_world(
             config.size,
             main,
             recv_timeout=config.recv_timeout,
@@ -574,6 +560,7 @@ def run_turbine_program(
             faults=faults,
             rank_labels=rank_labels,
             deadline=config.deadline,
+            metrics=metrics,
         )
     except RankFailure as e:
         # A permanently failed unit of work is a *task* problem, not a
@@ -599,7 +586,16 @@ def run_turbine_program(
             sampler.join(timeout=2.0)
             # One final sample so short runs still land a timeline row.
             monitor.sample(time.perf_counter() - t0)
+        # The servers' gauge sources pin their whole state; the table
+        # outlives the run (RunResult.metrics, a session's next run).
+        metrics.sources.clear()
     elapsed = time.perf_counter() - t0
+    # What the ranks that exited cleanly hand back, in rank order.
+    servers = [r for r in exited if isinstance(r, Server)]
+    clients = [r for r in exited if isinstance(r, (Engine, Worker))]
+    failures = [f for s in servers for f in s.failures]
+    failures += [f for c in clients for f in c.unit.failures]
+    quarantined = [q for s in servers for q in s.quarantined]
     blackbox = None
     blackbox_path = None
     if recorder is not None and (failures or quarantined):
@@ -616,30 +612,27 @@ def run_turbine_program(
         )
         blackbox_path = _dump_blackbox(blackbox)
     trace = None
-    if recorder is not None:
-        if faults is not None:
-            recorder.metrics.fold_struct("fault", faults.stats)
-        if recorder.level:
-            from ..obs import RANK_DRIVER
+    if recorder is not None and recorder.level:
+        from ..obs import RANK_DRIVER
 
-            recorder.ring(RANK_DRIVER).emit("run", config.size, entry, t0=t0)
-            # ``since`` also derives this run's latency histograms (task
-            # latency, queue wait, dispatch delay) from its spans, so
-            # Profile.render() has percentiles to show.
-            trace = recorder.freeze(
-                meta={
-                    "roles": {r: layout.role(r) for r in range(config.size)},
-                    "elapsed": elapsed,
-                    "size": config.size,
-                },
-                since=t0 - recorder.epoch,
-            )
+        recorder.ring(RANK_DRIVER).emit("run", config.size, entry, t0=t0)
+        # ``since`` also derives this run's latency histograms (task
+        # latency, queue wait, dispatch delay) from its spans, so
+        # Profile.render() has percentiles to show.
+        trace = recorder.freeze(
+            meta={
+                "roles": {r: layout.role(r) for r in range(config.size)},
+                "elapsed": elapsed,
+                "size": config.size,
+            },
+            since=t0 - recorder.epoch,
+        )
     audit = None
     if config.audit:
         from ..chaos.invariants import audit_run
 
         audit = audit_run(
-            audit_rows,
+            [r.audit_row() for r in servers + clients],
             layout=layout,
             failures=failures,
             quarantined=quarantined,
@@ -647,9 +640,9 @@ def run_turbine_program(
     return RunResult(
         output=output,
         elapsed=elapsed,
-        server_stats=server_stats,
-        engine_stats=engine_stats,
-        worker_stats=worker_stats,
+        server_stats=[s.stats for s in servers],
+        engine_stats=[c.stats for c in clients if isinstance(c, Engine)],
+        worker_stats=[c.stats for c in clients if isinstance(c, Worker)],
         trace=trace,
         registry=recorder.metrics if recorder is not None else None,
         timeline=monitor.samples if monitor is not None else [],

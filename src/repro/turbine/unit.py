@@ -216,16 +216,3 @@ class UnitRunner:
         deferred decrements — the re-execution performs them again, so
         landing these too would double-apply them."""
         self.deferred.clear()
-
-    def fold_stats(self, structs: dict[str, Any]) -> None:
-        """Fold the caller's ``{prefix: stats struct}`` and the rank's
-        ``tcl.vm.*`` / ``adlb.rpc.*`` counters into the run's metrics
-        (a run without a recorder has none)."""
-        recorder = self.client.comm.world.recorder
-        if recorder is None:
-            return
-        structs["tcl.vm"] = self.interp.vm_stats
-        if self.client.rpc_stats.sent:
-            structs["adlb.rpc"] = self.client.rpc_stats
-        for prefix, struct in structs.items():
-            recorder.metrics.fold_struct(prefix, struct, rank=self.client.rank)

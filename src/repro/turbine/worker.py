@@ -21,7 +21,7 @@ class WorkerStats:
 
 @dataclass
 class WatchdogStats:
-    """Folded into run metrics as ``worker.watchdog.*``."""
+    """Registered as ``worker.watchdog.*`` when a watchdog is armed."""
 
     fired: int = 0  # deadlines that expired with the task still running
     abandoned: int = 0  # tasks whose results were discarded after expiry
@@ -113,13 +113,13 @@ class Worker:
     ):
         self.unit = UnitRunner(client, interp, on_error, retries_enabled, faults)
         self.client = client
-        self.stats = WorkerStats()
+        register = client.comm.world.metrics.register
+        self.stats = register("worker", WorkerStats(), client.rank)
         self.watchdog_stats = WatchdogStats()
-        self._watchdog = (
-            _Watchdog(task_timeout, self._watchdog_fire)
-            if task_timeout is not None
-            else None
-        )
+        self._watchdog = None
+        if task_timeout is not None:
+            register("worker.watchdog", self.watchdog_stats, client.rank)
+            self._watchdog = _Watchdog(task_timeout, self._watchdog_fire)
 
     def _watchdog_fire(self) -> None:
         """Expiry callback (watchdog thread): hand the overdue unit
@@ -159,7 +159,7 @@ class Worker:
             "failures": len(self.unit.failures),
         }
 
-    def serve(self) -> WorkerStats:
+    def serve(self) -> None:
         unit = self.unit
         wd = self._watchdog
         try:
@@ -180,11 +180,6 @@ class Worker:
         finally:
             if wd is not None:
                 wd.stop()
-        structs: dict[str, Any] = {"worker": self.stats}
-        if wd is not None:
-            structs["worker.watchdog"] = self.watchdog_stats
-        unit.fold_stats(structs)
-        return self.stats
 
     def _recycle_interp(self) -> None:
         """Reset per-interpreter state a runaway task may have wedged:

@@ -21,7 +21,6 @@ from repro.adlb.layout import Layout
 from repro.adlb.leases import Leases
 from repro.adlb.replication import Replica, Replication
 from repro.adlb.server import Server
-from repro.adlb.status import Status
 from repro.adlb.workqueue import Task
 from repro.faults import TaskError
 from repro.mpi.comm import World
@@ -49,7 +48,7 @@ TASK_FAIL = {"op": C.OP_TASK_FAIL, "kind": "task", "error": "boom"}
 class TestRecoveryOffBuildsNothing:
     def test_plain_server_has_no_collaborators_and_no_recovery_state(self):
         server, _ = make_server()
-        for name in ("leases", "repl", "journals", "ckpt", "drain", "status"):
+        for name in ("leases", "repl", "journals", "ckpt", "drain"):
             assert getattr(server, name) is None, name
         recovery_types = (
             Leases,
@@ -59,7 +58,6 @@ class TestRecoveryOffBuildsNothing:
             RuleJournal,
             Checkpointer,
             Drain,
-            Status,
         )
         for name, value in vars(server).items():
             held = value.values() if isinstance(value, dict) else [value]
@@ -78,7 +76,6 @@ class TestRecoveryOffBuildsNothing:
         assert make_server(leases=True)[0].leases is not None
         assert make_server(journal=True)[0].journals is not None
         assert make_server(on_error="continue")[0].drain is not None
-        assert make_server(status_interval=0.5)[0].status is not None
         ckpt = make_server(checkpoint_path=str(tmp_path / "c.ckpt"))[0]
         assert ckpt.ckpt is not None and ckpt.leases is None
         # a lone server has no buddy: replicate=True builds nothing
@@ -161,7 +158,7 @@ class TestDedupTable:
         # a re-sent park re-parks (once), it is not answered or dropped
         server.dispatch(get, WORKER, C.TAG_REQUEST)
         assert [p.rank for p in server.parked] == [WORKER]
-        assert server.dedup.hits == 1
+        assert server.repl_stats.dedup_hits == 1
         # work arrives: granted once; a duplicate GET resends the grant
         put = {"op": C.OP_PUT, "type": C.WORK, "payload": "leaf", "seq": 3}
         server.dispatch(put, WORKER, C.TAG_REQUEST)

@@ -90,6 +90,35 @@ class TestWorkerDeath:
         assert len(res.worker_stats) == 2
         assert sum(w.tasks_run for w in res.worker_stats) == 9
 
+    def test_a_dead_ranks_counters_stay_in_the_table(self):
+        # Counter structs are registered where they are built and read
+        # live, so what a rank counted before it died is not lost with
+        # it.  Layout: engines 0-1, workers 2-3, servers 4 (master), 5.
+        fanout = (
+            "foreach i in [0:39] {\n"
+            '    string s = python(strcat("x=", fromint(i)), "x");\n'
+            "    trace(s);\n"
+            "}\n"
+        )
+        expected = sorted("trace: %d" % i for i in range(40))
+        layout = dict(workers=2, servers=2, engines=2)
+        res = swift_run(
+            fanout, **layout, faults=FaultPlan().kill_rank(2, after_tasks=5)
+        )
+        assert sorted(res.stdout_lines) == expected
+        # 5 by the dead worker + 35 by the survivor (who alone hands
+        # its struct back: worker_stats is the clean exits)
+        assert res.metrics["counters"]["worker.tasks_run"] == 40
+        assert res.metrics["gauges"]["worker.tasks_run[2]"] == 5
+        assert [w.tasks_run for w in res.worker_stats] == [35]
+        res = swift_run(
+            fanout, **layout, faults=FaultPlan().kill_rank(5, after_tasks=30)
+        )
+        assert sorted(res.stdout_lines) == expected
+        assert len(res.server_stats) == 1
+        matched = [res.metrics["gauges"]["adlb.tasks_matched[%d]" % r] for r in (4, 5)]
+        assert sum(matched) == res.metrics["counters"]["adlb.tasks_matched"] >= 80
+
     def test_targeted_unit_outstanding_on_killed_rank(self):
         # A WORK task targeted at the doomed rank is queued while that
         # rank dies: the dead-rank sweep must strip the target and let

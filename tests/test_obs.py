@@ -156,16 +156,20 @@ class TestTrace:
 
 class TestMetrics:
     def test_counters_gauges_histograms(self):
+        from repro.turbine.worker import WorkerStats
+
         m = Metrics()
-        m.count("a", 2)
-        m.count("a")
-        m.gauge_max("g", 5)
-        m.gauge_max("g", 3)
+        stats = m.register("worker", WorkerStats(tasks_run=1), rank=1)
+        # the table refers to the struct: what its owner counts after
+        # registering is what the next reader sees
+        stats.tasks_run += 2
         m.observe("h", 1.0)
         m.observe("h", 3.0)
         snap = m.snapshot()
-        assert snap["counters"]["a"] == 3
-        assert snap["gauges"]["g"] == 5
+        assert snap["counters"]["worker.tasks_run"] == 3
+        assert snap["gauges"]["worker.tasks_run[1]"] == 3
+        assert m.counter("worker.tasks_run") == 3
+        assert m.counter("worker.no_such_field") == 0
         assert snap["histograms"]["h"] == {
             "count": 2,
             "total": 4.0,
@@ -176,13 +180,17 @@ class TestMetrics:
             "p95": 3.0,
             "p99": 3.0,
         }
+        # reading changes nothing
+        assert m.snapshot() == snap
+        stats.tasks_run += 1
+        assert m.snapshot()["counters"]["worker.tasks_run"] == 4
 
     def test_fold_struct_sums_across_ranks(self):
         from repro.turbine.worker import WorkerStats
 
         m = Metrics()
-        m.fold_struct("worker", WorkerStats(tasks_run=3, busy_time=0.5), rank=1)
-        m.fold_struct("worker", WorkerStats(tasks_run=2, busy_time=0.25), rank=2)
+        m.register("worker", WorkerStats(tasks_run=3, busy_time=0.5), rank=1)
+        m.register("worker", WorkerStats(tasks_run=2, busy_time=0.25), rank=2)
         snap = m.snapshot()
         assert snap["counters"]["worker.tasks_run"] == 5
         assert snap["gauges"]["worker.tasks_run[1]"] == 3
@@ -253,6 +261,12 @@ class TestTracedRuns:
                 by_name[e.name] += 1
         assert by_name["send"] == counters["mpi.sends"]
         assert by_name["recv"] == counters["mpi.recvs"]
+        # ...and the profile's "messages by tag" table is those same
+        # sends split five ways (req / resp / oneway / async / server)
+        rows = res.profile.render().split("messages by tag:\n")[1].splitlines()[1:6]
+        assert [r.split()[0] for r in rows][::4] == ["req", "server"]
+        assert sum(int(r.split()[1]) for r in rows) == counters["mpi.sends"]
+        assert sum(int(r.split()[2]) for r in rows) == counters["mpi.bytes_sent"]
 
     def test_lamport_order_never_puts_recv_before_send(self):
         """The black-box property, over the full trace of a
@@ -367,6 +381,11 @@ class TestSessionTracing:
         assert rt.trace is not None and len(rt.trace) >= n2
         # two run spans in the merged session trace
         assert len(rt.trace.spans("run")) == 2
+        # ...and one counter table: the second run's ranks registered
+        # their structs next to the first's, nothing is counted twice
+        c1, c2 = r1.metrics["counters"], r2.metrics["counters"]
+        assert c2["mpi.sends"] == c2["mpi.recvs"] > c1["mpi.sends"] > 0
+        assert rt.trace.metrics["counters"] == c2
 
     def test_session_compile_cache(self):
         calls = []

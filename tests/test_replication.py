@@ -117,6 +117,38 @@ class TestServerDeath:
         assert c["adlb.repl.server_deaths"] == 1
         assert c["adlb.repl.promotions"] == 1
 
+    @pytest.mark.parametrize("dead", ["master", "other"])
+    def test_monitor_reads_across_server_death_replicate_on(self, dead):
+        # --monitor reads the counter table and the gauges of whichever
+        # servers are alive: a dead server's matches still count, its
+        # gauges leave the sample, and the heir (adopted clients, the
+        # termination counter if the master died) is read like any other.
+        # Four clients: engines 0-1, workers 2-3; servers 4 (master), 5.
+        n = 200
+        res = swift_run(
+            "foreach i in [0:%d] {\n"
+            '    string s = python(strcat("x=", fromint(i)), "x");\n'
+            "    trace(s);\n"
+            "}\n" % (n - 1),
+            workers=2,
+            servers=2,
+            engines=2,
+            monitor=True,
+            monitor_interval=0.01,
+            faults=FaultPlan(seed=SEED).kill_rank(
+                4 if dead == "master" else 5, after_tasks=30
+            ),
+        )
+        assert sorted(res.stdout_lines) == sorted("trace: %d" % i for i in range(n))
+        assert res.metrics["counters"]["adlb.repl.promotions"] == 1
+        final = res.timeline[-1]
+        assert final.tasks >= 2 * n  # one control task + one leaf per iteration
+        assert final.tasks == res.metrics["counters"]["adlb.tasks_matched"]
+        assert (final.clients, final.outstanding) == (4, 0)
+        assert sorted(final.ranks) == [5 if dead == "master" else 4]
+        tasks = [s.tasks for s in res.timeline]
+        assert tasks == sorted(tasks)
+
     def test_scavenged_messages_are_counted_as_received(self):
         # drain_dead adopts what a dead rank never received; every such
         # message is a recv of the scavenger, counted and stamped like
