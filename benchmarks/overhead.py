@@ -1,6 +1,6 @@
 """What each switchable feature costs end to end: on/off, paired.
 
-    python3 benchmarks/overhead.py [--pairs N] [--seed S] [FEATURE ...]
+    python3 benchmarks/overhead.py [FEATURE ...]
 
 One table, ``FEATURES``: feature -> (workload, leaves, overrides that
 turn it off, overrides that turn it on).  Each row is measured through
@@ -38,6 +38,8 @@ from estimator import Pace, summary  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 RECORDER_BUDGET_X = 1.25
+SEED = 700
+PAIRS = 10  # alternating (off, on) / (on, off)
 # ~4 500 leaves/s on the reference machine: over a second a rep.
 RECORDER_LEAVES = 6000
 TRACED = {"trace": True, "trace_capacity": harness.TRACE_CAPACITY}
@@ -59,13 +61,13 @@ ROW = (
 )
 
 
-def measure(feature: str, pairs: int, seed: int, pace: Pace) -> dict:
-    """``pairs`` alternating off/on pairs of one feature's row."""
+def measure(feature: str, pace: Pace) -> dict:
+    """``PAIRS`` alternating off/on pairs of one feature's row."""
     name, leaves, off, on = FEATURES[feature]
     workload = WORKLOADS[name]
     if leaves is not None:
         workload = dataclasses.replace(workload, peak_size=leaves)
-    session = harness.Session(workload, seed)
+    session = harness.Session(workload, SEED)
     n = workload.peak_size
 
     def nominal_rep(overrides: dict) -> tuple[float, int]:
@@ -75,7 +77,7 @@ def measure(feature: str, pairs: int, seed: int, pace: Pace) -> dict:
 
     failed = nominal_rep(off)[1] + nominal_rep(on)[1]  # warm both sides
     ratios, off_s = [], []
-    for i in range(pairs):
+    for i in range(PAIRS):
         pace.slowdown()  # the pair starts at a fresh calibration
         sides = [(off, "off"), (on, "on")]
         took = {}
@@ -93,7 +95,7 @@ def measure(feature: str, pairs: int, seed: int, pace: Pace) -> dict:
         "ratio": ratio["median"],
         "q25": ratio["q25"],
         "q75": ratio["q25"] + ratio["iqr"],
-        "pairs": pairs,
+        "pairs": PAIRS,
         "failed_leaves": failed,
     }
 
@@ -101,8 +103,6 @@ def measure(feature: str, pairs: int, seed: int, pace: Pace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("features", nargs="*", metavar="FEATURE", help="default: all")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=700)
     args = parser.parse_args(argv)
     unknown = [f for f in args.features if f not in FEATURES]
     if unknown:
@@ -112,9 +112,9 @@ def main(argv: list[str] | None = None) -> int:
     print(HEADER)
     rows = []
     for feature in args.features or FEATURES:
-        rows.append(measure(feature, args.pairs, args.seed, pace))
+        rows.append(measure(feature, pace))
         print(ROW.format(**rows[-1]), flush=True)
-    print(json.dumps({"seed": args.seed, "rows": rows}))
+    print(json.dumps({"seed": SEED, "rows": rows}))
     problems = [
         "%s: %d failed leaves" % (r["feature"], r["failed_leaves"])
         for r in rows

@@ -243,7 +243,6 @@ class Server:
         """What this server holds right now.  The driver's sampler
         thread reads it while the loop runs: plain reads and ``len()``."""
         gauges = {
-            "matched": self.stats.tasks_matched,
             "queued": self.queue.size,
             "parked": len(self.parked),
             "clients": len(self.attached_clients),

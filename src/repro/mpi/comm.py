@@ -139,8 +139,8 @@ class World:
     :class:`repro.faults.FaultState` whose message rules can drop or
     delay sends.  When either is ``None`` the instrumentation is a
     single pointer test per call.  ``metrics`` is the run's counter
-    table, where every layer of every rank registers its stats structs:
-    the recorder's by default, else a private one — there always is one.
+    table, where every layer of every rank registers its stats structs;
+    a world built without one (a probe, a unit test) gets a private one.
     """
 
     def __init__(
@@ -158,7 +158,7 @@ class World:
         self.recorder = recorder
         self.faults = faults
         if metrics is None:
-            metrics = recorder.metrics if recorder is not None else Metrics()
+            metrics = Metrics()
         self.metrics = metrics
         self.mailboxes = [_Mailbox() for _ in range(size)]
         self.stats = [

@@ -63,11 +63,22 @@ class HistogramSummary:
         return ordered[k] if p > 0 else ordered[0]
 
     def as_dict(self) -> dict:
+        if not self.count:
+            return {
+                "count": 0,
+                "total": 0.0,
+                "min": 0.0,
+                "max": 0.0,
+                "mean": 0.0,
+                "p50": 0.0,
+                "p95": 0.0,
+                "p99": 0.0,
+            }
         return {
             "count": self.count,
             "total": self.total,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
+            "min": self.min,
+            "max": self.max,
             "mean": self.mean,
             "p50": self.percentile(50),
             "p95": self.percentile(95),
@@ -80,9 +91,10 @@ class Metrics:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # (prefix, struct, rank) in registration order; a session's runs
-        # all register here, so sums span them.
+        # (prefix, struct, rank) of the run in progress, in registration
+        # order, on top of what a session's finished runs counted.
         self._structs: list[tuple[str, Any, int | None]] = []
+        self._settled: dict = {"counters": {}, "gauges": {}}
         self._hists: dict[str, HistogramSummary] = {}
         #: rank -> callable returning that rank's live gauges (a server's
         #: queue depth, parked clients, ...): set by the rank when it
@@ -102,6 +114,17 @@ class Metrics:
             self._structs.append((prefix, struct, rank))
         return struct
 
+    def settle(self) -> None:
+        """The run is over (no rank thread is left to count): keep the
+        sums, let go of its structs and gauge sources — the latter pin
+        the servers' whole state, and a session's table must not grow
+        with every run."""
+        done = self.snapshot()
+        with self._lock:
+            self._settled = done
+            self._structs.clear()
+            self.sources.clear()
+
     def observe(self, name: str, value: float) -> None:
         with self._lock:
             hist = self._hists.get(name)
@@ -115,16 +138,16 @@ class Metrics:
         """The current sum of one ``prefix.field`` counter."""
         prefix, _, attr = name.rpartition(".")
         with self._lock:
-            return sum(
+            return self._settled["counters"].get(name, 0) + sum(
                 getattr(struct, attr, 0)
                 for p, struct, _ in self._structs
                 if p == prefix
             )
 
     def snapshot(self) -> dict:
-        counters: dict[str, float] = {}
-        gauges: dict[str, float] = {}
         with self._lock:
+            counters: dict[str, float] = dict(self._settled["counters"])
+            gauges: dict[str, float] = dict(self._settled["gauges"])
             for prefix, struct, rank in self._structs:
                 for f in fields(struct):
                     value = getattr(struct, f.name)

@@ -586,9 +586,9 @@ def run_turbine_program(
             sampler.join(timeout=2.0)
             # One final sample so short runs still land a timeline row.
             monitor.sample(time.perf_counter() - t0)
-        # The servers' gauge sources pin their whole state; the table
-        # outlives the run (RunResult.metrics, a session's next run).
-        metrics.sources.clear()
+        # The table outlives the run (RunResult.metrics, a session's
+        # next run); the run's structs and gauge sources need not.
+        metrics.settle()
     elapsed = time.perf_counter() - t0
     # What the ranks that exited cleanly hand back, in rank order.
     servers = [r for r in exited if isinstance(r, Server)]

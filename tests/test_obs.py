@@ -195,6 +195,14 @@ class TestMetrics:
         assert snap["counters"]["worker.tasks_run"] == 5
         assert snap["gauges"]["worker.tasks_run[1]"] == 3
         assert snap["gauges"]["worker.tasks_run[2]"] == 2
+        # end of run: the sums stay, the structs go; the next run's
+        # structs add to the counters and overwrite the per-rank gauges
+        m.settle()
+        assert m._structs == [] and m.snapshot() == snap
+        m.register("worker", WorkerStats(tasks_run=4), rank=1)
+        assert m.counter("worker.tasks_run") == 9
+        assert m.snapshot()["gauges"]["worker.tasks_run[1]"] == 4
+        assert m.snapshot()["gauges"]["worker.tasks_run[2]"] == 2
 
 
 class TestTracedRuns:
@@ -386,6 +394,9 @@ class TestSessionTracing:
         c1, c2 = r1.metrics["counters"], r2.metrics["counters"]
         assert c2["mpi.sends"] == c2["mpi.recvs"] > c1["mpi.sends"] > 0
         assert rt.trace.metrics["counters"] == c2
+        # a finished run leaves its sums behind, not its structs: the
+        # table does not grow with the session
+        assert r2.registry._structs == [] and r2.registry.sources == {}
 
     def test_session_compile_cache(self):
         calls = []
