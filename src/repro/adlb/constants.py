@@ -31,7 +31,6 @@ OP_GET = "GET"  # blocking get (worker)
 OP_GET_ASYNC = "GET_ASYNC"  # parked get with async delivery (engine)
 OP_ID_BLOCK = "ID_BLOCK"
 OP_CREATE = "CREATE"
-OP_MULTICREATE = "MULTICREATE"
 OP_STORE = "STORE"
 OP_RETRIEVE = "RETRIEVE"
 OP_EXISTS = "EXISTS"

@@ -16,7 +16,6 @@ from .datastore import DataStore, Notification, RefStore
 #: the client ops :func:`apply_data_op` serves
 DATA_OPS = {
     C.OP_CREATE,
-    C.OP_MULTICREATE,
     C.OP_STORE,
     C.OP_RETRIEVE,
     C.OP_EXISTS,
@@ -46,16 +45,14 @@ def apply_data_op(
     stands in for a SUBSCRIBE that names no rank.
     """
     op = msg["op"]
-    if op == C.OP_CREATE or op == C.OP_MULTICREATE:
-        specs = [msg] if op == C.OP_CREATE else msg["specs"]
-        for spec in specs:
-            s.create(
-                spec["id"],
-                spec["type"],
-                write_refcount=spec.get("write_refcount", 1),
-                read_refcount=spec.get("read_refcount", 1),
-            )
-        return (msg["id"] if op == C.OP_CREATE else len(specs)), msg
+    if op == C.OP_CREATE:
+        s.create(
+            msg["id"],
+            msg["type"],
+            write_refcount=msg.get("write_refcount", 1),
+            read_refcount=msg.get("read_refcount", 1),
+        )
+        return msg["id"], msg
     if op == C.OP_STORE:
         closed, through = s.store(
             msg["id"],

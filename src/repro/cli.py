@@ -56,7 +56,11 @@ def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
         metavar="NAME=VALUE",
         help="program argument readable via argv()",
     )
-    p.add_argument("--trace", action="store_true", help="collect runtime logs")
+    p.add_argument(
+        "--trace",
+        action="store_true",
+        help="run traced and print the profile report on stderr",
+    )
     p.add_argument(
         "--monitor",
         action="store_true",

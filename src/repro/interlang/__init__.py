@@ -10,6 +10,7 @@ from .r_bridge import EmbeddedR, RTaskError
 from .shell import ShellTaskError, python_exec_baseline, run_command, run_line
 from .tclcmds import (
     register_blobutils,
+    register_embedded,
     register_python,
     register_r,
     register_shell,
@@ -24,6 +25,7 @@ __all__ = [
     "run_command",
     "run_line",
     "python_exec_baseline",
+    "register_embedded",
     "register_python",
     "register_r",
     "register_shell",

@@ -3,74 +3,63 @@
 Real Swift/T loads libpython into each worker and evaluates code
 fragments in-process; here each worker rank hosts an
 :class:`EmbeddedPython` — an isolated namespace in the already-running
-CPython — with the same two state policies the paper describes:
-
-* **retain**: the namespace persists across tasks (fast, but old state
-  is visible — usable as a cache "if the programmer is careful");
-* **reinit**: the namespace is torn down and rebuilt per task (clean
-  state, pays re-initialization every time).
+CPython — under the retain / reinit policy of :class:`Embedded`.
 """
 
 from __future__ import annotations
 
+import functools
 import io
-import contextlib
 from typing import Any
+
+from .embedded import Embedded
 
 
 class PythonTaskError(RuntimeError):
     """An exception raised by embedded user code."""
 
 
-class EmbeddedPython:
+class EmbeddedPython(Embedded):
+    error = PythonTaskError
+
     def __init__(self, mode: str = "retain", preamble: str = ""):
-        if mode not in ("retain", "reinit"):
-            raise ValueError("mode must be 'retain' or 'reinit'")
-        self.mode = mode
-        self.preamble = preamble
-        self.init_count = 0
-        self.task_count = 0
         self.stdout: list[str] = []
-        self._globals: dict[str, Any] = {}
-        self._initialize()
+        super().__init__(mode, preamble)
 
     def _initialize(self) -> None:
-        self._globals = {"__name__": "__swift_task__"}
-        self.init_count += 1
+        # A task's ``print`` goes to this namespace's buffer.  Worker
+        # ranks are threads of one process, so ``sys.stdout`` is never
+        # swapped: that would capture every other rank's prints too.
+        self._printed = io.StringIO()
+        self._globals: dict[str, Any] = {
+            "__name__": "__swift_task__",
+            "print": functools.partial(print, file=self._printed),
+        }
         if self.preamble:
             exec(compile(self.preamble, "<preamble>", "exec"), self._globals)
 
-    def reset(self) -> None:
-        """Finalize-and-reinitialize, clearing all interpreter state."""
-        self._initialize()
+    def _take_printed(self) -> str:
+        printed = self._printed.getvalue()
+        self._printed.seek(0)
+        self._printed.truncate()
+        return printed
 
-    def eval(self, code: str, expr: str = "") -> str:
-        """Run a code fragment, then evaluate ``expr`` for the result.
-
-        This is the signature of Swift/T's ``python(code, expr)``
-        builtin: the code block does the work, the expression string
-        produces the (string-converted) value handed back to Swift.
-        """
-        self.task_count += 1
-        if self.mode == "reinit":
-            self._initialize()
-        buf = io.StringIO()
+    def _eval(self, code: str, expr: str) -> str:
         try:
-            with contextlib.redirect_stdout(buf):
-                if code:
-                    exec(compile(code, "<swift-python-task>", "exec"), self._globals)
-                result: Any = ""
-                if expr:
-                    result = eval(  # noqa: S307 - embedded eval is the feature
-                        compile(expr, "<swift-python-expr>", "eval"), self._globals
-                    )
+            if code:
+                exec(compile(code, "<swift-python-task>", "exec"), self._globals)
+            result: Any = ""
+            if expr:
+                result = eval(  # noqa: S307 - embedded eval is the feature
+                    compile(expr, "<swift-python-expr>", "eval"), self._globals
+                )
         except Exception as e:
+            self._take_printed()  # a failed task's output is dropped
             raise PythonTaskError(
                 "python task failed: %s: %s" % (type(e).__name__, e)
             ) from e
-        printed = buf.getvalue()
-        if printed:
-            self.stdout.extend(printed.rstrip("\n").split("\n"))
+        if self._printed.tell():
+            self.stdout.extend(self._take_printed().rstrip("\n").split("\n"))
         return _to_swift_string(result)
 
     def get(self, name: str) -> Any:

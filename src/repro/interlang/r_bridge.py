@@ -4,43 +4,30 @@ from __future__ import annotations
 
 from ..rlang import RError, RInterp
 from ..rlang.values import r_repr
+from .embedded import Embedded
 
 
 class RTaskError(RuntimeError):
     pass
 
 
-class EmbeddedR:
-    """Same retain/reinit state policy as :class:`EmbeddedPython`."""
+class EmbeddedR(Embedded):
+    error = RTaskError
 
     def __init__(self, mode: str = "retain", preamble: str = ""):
-        if mode not in ("retain", "reinit"):
-            raise ValueError("mode must be 'retain' or 'reinit'")
-        self.mode = mode
-        self.preamble = preamble
-        self.init_count = 0
-        self.task_count = 0
         self.interp = RInterp()
-        self._initialize()
+        super().__init__(mode, preamble)
 
     def _initialize(self) -> None:
         self.interp.reset()
-        self.init_count += 1
         if self.preamble:
             self.interp.eval_code(self.preamble)
-
-    def reset(self) -> None:
-        self._initialize()
 
     @property
     def stdout(self) -> list[str]:
         return self.interp.output
 
-    def eval(self, code: str, expr: str = "") -> str:
-        """Swift/T's ``r(code, expr)``: run code, stringify expr."""
-        self.task_count += 1
-        if self.mode == "reinit":
-            self._initialize()
+    def _eval(self, code: str, expr: str) -> str:
         try:
             if code:
                 self.interp.eval_code(code)

@@ -12,8 +12,9 @@ from ..blob import Blob, FortranArray
 from ..blob.convert import blob_from_string, blob_to_string
 from ..tcl.errors import TclError
 from ..tcl.interp import Interp
-from .python_interp import EmbeddedPython, PythonTaskError
-from .r_bridge import EmbeddedR, RTaskError
+from .embedded import Embedded
+from .python_interp import EmbeddedPython
+from .r_bridge import EmbeddedR
 from .shell import ShellTaskError, run_command, run_line
 
 
@@ -21,92 +22,66 @@ def _usage(msg: str) -> TclError:
     return TclError('wrong # args: should be "%s"' % msg)
 
 
-# --------------------------------------------------------------------- python
+# ------------------------------------------------------- embedded interpreters
 
 
-def register_python(interp: Interp, mode: str = "retain", output=None) -> None:
-    state = {"embedded": EmbeddedPython(mode=mode)}
-    interp._embedded_python = state  # type: ignore[attr-defined]
+def register_embedded(interp: Interp, name: str, embedded: Embedded, output=None):
+    """Bind one embedded interpreter as the Tcl package ``name``
+    (``NAME::eval``, ``NAME::reset``, ``NAME::stats``) and record it in
+    ``interp.embedded``.  Lines its tasks print go to ``output``.
+    Returns the task runner, for language-specific commands."""
+    interp.embedded[name] = embedded
 
-    def _run(emb: EmbeddedPython, code: str, expr: str) -> str:
+    def run(code: str, expr: str = "") -> str:
         try:
-            result = emb.eval(code, expr)
-        except PythonTaskError as e:
+            result = embedded.eval(code, expr)
+        except embedded.error as e:
             raise TclError(str(e)) from e
-        if output is not None and emb.stdout:
-            for line in emb.stdout:
+        if output is not None and embedded.stdout:
+            for line in embedded.stdout:
                 output(line)
-            emb.stdout.clear()
+            embedded.stdout.clear()
         return result
 
     def cmd_eval(it, args):
         if len(args) not in (1, 2):
-            raise _usage("python::eval code ?expr?")
-        return _run(state["embedded"], args[0], args[1] if len(args) > 1 else "")
+            raise _usage("%s::eval code ?expr?" % name)
+        return run(*args)
+
+    def cmd_reset(it, args):
+        embedded.reset()
+        return ""
+
+    def cmd_stats(it, args):
+        return "inits %d tasks %d" % (embedded.init_count, embedded.task_count)
+
+    interp.register(name + "::eval", cmd_eval)
+    interp.register(name + "::reset", cmd_reset)
+    interp.register(name + "::stats", cmd_stats)
+    interp.packages_provided.setdefault(name, "1.0")
+    return run
+
+
+def register_python(interp: Interp, mode: str = "retain", output=None) -> None:
+    embedded = EmbeddedPython(mode=mode)
+    run = register_embedded(interp, "python", embedded, output)
 
     def cmd_persist(it, args):
         # Force-retain evaluation regardless of the configured mode.
         if len(args) not in (1, 2):
             raise _usage("python::persist code ?expr?")
-        emb = state["embedded"]
-        saved = emb.mode
-        emb.mode = "retain"
+        saved = embedded.mode
+        embedded.mode = "retain"
         try:
-            return _run(emb, args[0], args[1] if len(args) > 1 else "")
+            return run(*args)
         finally:
-            emb.mode = saved
+            embedded.mode = saved
 
-    def cmd_reset(it, args):
-        state["embedded"].reset()
-        return ""
-
-    def cmd_stats(it, args):
-        emb = state["embedded"]
-        return "inits %d tasks %d" % (emb.init_count, emb.task_count)
-
-    interp.register("python::eval", cmd_eval)
     interp.register("python::persist", cmd_persist)
-    interp.register("python::reset", cmd_reset)
-    interp.register("python::stats", cmd_stats)
-    interp.packages_provided.setdefault("python", "1.0")
-
-
-# ------------------------------------------------------------------------- R
 
 
 def register_r(interp: Interp, mode: str = "retain", output=None) -> None:
-    state = {"embedded": EmbeddedR(mode=mode)}
-    interp._embedded_r = state  # type: ignore[attr-defined]
-
-    def _run(code: str, expr: str) -> str:
-        emb = state["embedded"]
-        try:
-            result = emb.eval(code, expr)
-        except RTaskError as e:
-            raise TclError(str(e)) from e
-        if output is not None and emb.stdout:
-            for line in emb.stdout:
-                output(line)
-            emb.stdout.clear()
-        return result
-
-    def cmd_eval(it, args):
-        if len(args) not in (1, 2):
-            raise _usage("r::eval code ?expr?")
-        return _run(args[0], args[1] if len(args) > 1 else "")
-
-    def cmd_reset(it, args):
-        state["embedded"].reset()
-        return ""
-
-    def cmd_stats(it, args):
-        emb = state["embedded"]
-        return "inits %d tasks %d" % (emb.init_count, emb.task_count)
-
-    interp.register("r::eval", cmd_eval)
-    interp.register("r::reset", cmd_reset)
-    interp.register("r::stats", cmd_stats)
-    interp.packages_provided.setdefault("r", "1.0")
+    register_embedded(interp, "r", EmbeddedR(mode=mode), output)
 
 
 # ---------------------------------------------------------------------- shell

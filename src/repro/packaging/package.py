@@ -17,6 +17,7 @@ import zipfile
 from dataclasses import dataclass
 from typing import Iterable
 
+from ..tcl.errors import TclError
 from ..tcl.interp import Interp
 
 _LANGS = ("tcl", "python", "r", "data")
@@ -123,28 +124,19 @@ class StaticPackage:
 
         interp.source_resolver = resolver  # type: ignore[attr-defined]
 
-        def cmd_python_require(it, args):
-            emb = getattr(it, "_embedded_python", None)
-            if emb is None:
-                from ..tcl.errors import TclError
+        def require(lang: str):
+            def cmd_require(it, args):
+                embedded = it.embedded.get(lang)
+                if embedded is None:
+                    raise TclError("%s package not registered" % lang)
+                for name in args:
+                    embedded.eval(self.get(name, lang).source, "")
+                return ""
 
-                raise TclError("python package not registered")
-            for name in args:
-                emb["embedded"].eval(self.get(name, "python").source, "")
-            return ""
+            return cmd_require
 
-        def cmd_r_require(it, args):
-            emb = getattr(it, "_embedded_r", None)
-            if emb is None:
-                from ..tcl.errors import TclError
-
-                raise TclError("r package not registered")
-            for name in args:
-                emb["embedded"].eval(self.get(name, "r").source, "")
-            return ""
-
-        interp.register("python::require", cmd_python_require)
-        interp.register("r::require", cmd_r_require)
+        interp.register("python::require", require("python"))
+        interp.register("r::require", require("r"))
 
 
 def load_loose_modules(

@@ -221,6 +221,9 @@ class Interp:
         # Provided / loadable packages: name -> (version, loader)
         self.package_loaders: dict[str, tuple[str, Callable[["Interp"], None]]] = {}
         self.packages_provided: dict[str, str] = {}
+        # Embedded language interpreters bound into this one, by
+        # package name (repro.interlang.register_embedded).
+        self.embedded: dict[str, Any] = {}
         # Output sink for puts (tests capture this).
         self.stdout: list[str] = []
         self.echo = True  # also print to real stdout

@@ -346,10 +346,5 @@ def register_turbine(
         runtime.output.emit(client.rank, " ".join(args))
         return ""
 
-    def cmd_log(it, args):
-        runtime.output.log(client.rank, " ".join(args))
-        return ""
-
     reg("log_output", cmd_log_output)
-    reg("log", cmd_log)
     reg("noop", lambda it, args: "")

@@ -199,23 +199,16 @@ class RuntimeConfig:
 class Output:
     """Thread-safe collector of program output across ranks."""
 
-    def __init__(self, echo: bool = False, trace: bool = False):
+    def __init__(self, echo: bool = False):
         self._lock = threading.Lock()
         self.lines: list[tuple[int, str]] = []
-        self.logs: list[tuple[int, str]] = []
         self.echo = echo
-        self.trace = trace
 
     def emit(self, rank: int, line: str) -> None:
         with self._lock:
             self.lines.append((rank, line))
         if self.echo:
             print(line)
-
-    def log(self, rank: int, line: str) -> None:
-        if self.trace:
-            with self._lock:
-                self.logs.append((rank, line))
 
     def text(self) -> str:
         return "\n".join(line for _, line in self.lines)
@@ -422,7 +415,7 @@ def run_turbine_program(
         restore_shards = plan["server_shards"]
         restore_rules = plan["engine_rules"]
     monitor = RunMonitor(metrics, config.monitor_out) if config.monitor else None
-    output = Output(echo=config.echo, trace=config.trace)
+    output = Output(echo=config.echo)
 
     def announce_death(comm: Comm, e: RankKilled) -> None:
         """Tell every server the rank is gone so its lease is swept.

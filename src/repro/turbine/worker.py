@@ -189,9 +189,7 @@ class Worker:
         in oracle mode)."""
         self.watchdog_stats.recycled += 1
         interp = self.unit.interp
-        for attr in ("_embedded_python", "_embedded_r"):
-            state = getattr(interp, attr, None)
-            if state is not None:
-                state["embedded"].reset()
+        for embedded in interp.embedded.values():
+            embedded.reset()
         if interp.compile_enabled:
             interp._vm_code_cache.clear()

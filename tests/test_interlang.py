@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 
 import pytest
 
@@ -66,6 +67,48 @@ class TestEmbeddedPython:
         emb = EmbeddedPython()
         emb.eval("print('from task')", "")
         assert emb.stdout == ["from task"]
+
+    def test_concurrent_prints_stay_with_their_rank(self, capsys):
+        """Worker ranks are threads: capturing a task's output must not
+        swap the process-wide ``sys.stdout`` (it used to, so concurrent
+        printing leaves cross-attributed lines, leaked one to the
+        terminal and could leave ``sys.stdout`` a dead buffer)."""
+        before = sys.stdout
+        ranks = [EmbeddedPython() for _ in range(3)]
+
+        def serve(r):
+            for i in range(3000):
+                ranks[r].eval("print('rank %d line %d')" % (r, i), "")
+
+        threads = [threading.Thread(target=serve, args=(r,)) for r in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+            after, sys.stdout = sys.stdout, before
+        assert not any(t.is_alive() for t in threads)
+        assert after is before
+        for r, emb in enumerate(ranks):
+            assert emb.stdout == ["rank %d line %d" % (r, i) for i in range(3000)]
+        assert capsys.readouterr().out == ""
+
+    def test_failed_task_output_dropped(self):
+        emb = EmbeddedPython()
+        with pytest.raises(PythonTaskError):
+            emb.eval("print('lost'); 1 / 0", "")
+        emb.eval("print('kept')", "")
+        assert emb.stdout == ["kept"]
+
+    def test_print_to_explicit_file_not_captured(self, capsys):
+        emb = EmbeddedPython()
+        emb.eval("import sys; print('aside', file=sys.stderr)", "")
+        assert emb.stdout == []
+        assert capsys.readouterr().err == "aside\n"
 
     def test_exception_wrapped(self):
         emb = EmbeddedPython()

@@ -19,14 +19,6 @@ class TestOutput:
         assert out.lines == [(0, "first"), (1, "second")]
         assert out.text() == "first\nsecond"
 
-    def test_log_gated_by_trace(self):
-        out = Output(trace=False)
-        out.log(0, "dropped")
-        assert out.logs == []
-        out = Output(trace=True)
-        out.log(0, "kept")
-        assert out.logs == [(0, "kept")]
-
     def test_trace_collects_runtime_logs(self):
         res = swift_run("trace(1);", workers=2, echo=False)
         assert res.output.lines
@@ -82,15 +74,6 @@ class TestRlangParseErrors:
 
 
 class TestEngineCoverage:
-    def test_trace_mode_collects_logs(self):
-        from repro.turbine import run_turbine_program
-
-        res = run_turbine_program(
-            'proc swift:main {} { turbine::log "debug line" }',
-            RuntimeConfig(size=3, trace=True),
-        )
-        assert res.output.logs == [(0, "debug line")]
-
     def test_environment_introspection_commands(self):
         from repro.turbine import run_turbine_program
 
