@@ -147,6 +147,7 @@ class Journals:
                     rank,
                     reason + "; no surviving engine to adopt",
                     rules_pending=len(rules),
+                    journaled=True,
                 )
             return jr.ctask_done
         if core.ring is not None:

@@ -66,9 +66,6 @@ class Layout:
     def is_engine(self, rank: int) -> bool:
         return rank < self.n_engines
 
-    def is_worker(self, rank: int) -> bool:
-        return not self.is_server(rank) and not self.is_engine(rank)
-
     def role(self, rank: int) -> str:
         if self.is_server(rank):
             return "server"

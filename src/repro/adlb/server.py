@@ -101,7 +101,7 @@ class Server:
         # Op-log and dedup counters share one struct: duplicates of
         # seq-stamped requests are reliable-RPC traffic, replicated or not.
         self.repl_stats: ReplStats | None = None
-        if reliable or (replicate and layout.n_servers >= 2):
+        if reliable or replicate:
             self.repl_stats = metrics.register("adlb.repl", ReplStats(), self.rank)
         self.dedup = DedupTable()
         self.on_error = on_error
@@ -154,7 +154,7 @@ class Server:
         self.journals: Journals | None = None
         self.ckpt: Checkpointer | None = None
         self.drain: Drain | None = None
-        if replicate and layout.n_servers >= 2:
+        if replicate:
             # Replication routes through a shared epoch-stamped map.
             if self.map is None:
                 self.map = ServerMap(layout)

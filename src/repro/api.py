@@ -38,15 +38,6 @@ from typing import Any, Callable
 from .core import CompiledProgram, compile_swift
 from .turbine import RunResult, RuntimeConfig, run_turbine_program
 
-_UNSET = object()
-
-
-def _trace_recorder(cfg: RuntimeConfig):
-    """A fresh level-1 recorder for a traced run or session."""
-    from .obs import Recorder
-
-    return Recorder(level=1, capacity=cfg.trace_capacity)
-
 
 class SwiftRuntime:
     """A reusable, configurable handle for running Swift programs.
@@ -71,18 +62,11 @@ class SwiftRuntime:
         **overrides,
     ):
         cfg = config if config is not None else RuntimeConfig.of()
-        roles = {}
-        if workers is not None:
-            roles["workers"] = workers
-        if servers is not None:
-            roles["servers"] = servers
-        if engines is not None:
-            roles["engines"] = engines
+        given = {"workers": workers, "servers": servers, "engines": engines}
         if args is not None:
-            overrides["args"] = dict(args)
-        if roles or overrides:
-            cfg = cfg.with_options(**roles, **overrides)
-        self.config = cfg
+            given["args"] = dict(args)
+        overrides.update((k, v) for k, v in given.items() if v is not None)
+        self.config = cfg.with_options(**overrides) if overrides else cfg
         self.opt = opt
         self.setup = setup
         # session state (populated by __enter__)
@@ -104,10 +88,8 @@ class SwiftRuntime:
 
     def __enter__(self) -> "SwiftRuntime":
         self._cache = {}
-        if self.config.tracer is not None:
-            self._session_recorder = self.config.tracer
-        elif self.config.trace:
-            self._session_recorder = _trace_recorder(self.config)
+        if self.config.tracer is not None or self.config.trace:
+            self._session_recorder = self.config.recorder()
         return self
 
     def __exit__(self, *exc) -> bool:
@@ -157,7 +139,7 @@ class SwiftRuntime:
         if cfg.tracer is None and cfg.trace:
             # Create the run's recorder up front so compile-phase spans
             # land in the same trace as the runtime events.
-            cfg = cfg.with_options(tracer=_trace_recorder(cfg))
+            cfg = cfg.with_options(tracer=cfg.recorder())
         compiled = self.compile(source, _tracer=cfg.tracer)
         return run_turbine_program(
             compiled.tcl_text,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from ..faults import DeadlineExceeded, FaultPlan
+from ..faults import BlackboxCarrier, DeadlineExceeded, FaultPlan
 from .invariants import compare_outputs
 from .schedule import generate_plan
 
@@ -55,15 +55,6 @@ class Workload:
     workers: int = 4
     servers: int = 2
     engines: int = 2
-
-    def layout(self):
-        from ..adlb.layout import Layout
-
-        return Layout(
-            self.workers + self.servers + self.engines,
-            self.servers,
-            self.engines,
-        )
 
 
 @dataclass
@@ -213,34 +204,34 @@ def _wl_powergrid() -> Workload:
 # ------------------------------------------------------------------- trials
 
 
-def _runtime(workload: Workload):
-    from ..api import SwiftRuntime
+def trial_config(workload: Workload, deadline: float):
+    """The configuration every run of ``workload`` gets, less the
+    trial's fault plan — which :func:`generate_plan` samples from it."""
+    from ..turbine import RuntimeConfig
 
-    return SwiftRuntime(
+    return RuntimeConfig.of(
         workers=workload.workers,
         servers=workload.servers,
         engines=workload.engines,
-        setup=workload.setup,
+        on_error="retry",
+        max_retries=TRIAL_MAX_RETRIES,
+        lease_timeout=TRIAL_LEASE_TIMEOUT,
+        deadline=deadline,
+        recv_timeout=deadline + 60.0,
+        audit=True,
     )
 
 
-def _run_options(deadline: float, plan: FaultPlan | None) -> dict:
-    return {
-        "on_error": "retry",
-        "max_retries": TRIAL_MAX_RETRIES,
-        "lease_timeout": TRIAL_LEASE_TIMEOUT,
-        "deadline": deadline,
-        "recv_timeout": deadline + 60.0,
-        "audit": True,
-        "faults": plan,
-    }
+def _run(workload: Workload, deadline: float, plan: FaultPlan | None):
+    from ..api import SwiftRuntime
+
+    rt = SwiftRuntime(setup=workload.setup, config=trial_config(workload, deadline))
+    return rt.run(workload.program, faults=plan)
 
 
 def golden_run(workload: Workload, deadline: float = 120.0) -> list[str]:
     """The fault-free reference: sorted output lines of a clean run."""
-    res = _runtime(workload).run(
-        workload.program, **_run_options(deadline, None)
-    )
+    res = _run(workload, deadline, None)
     if not res.ok:
         raise RuntimeError(
             "golden run of %r failed: %d failure(s), %d quarantined"
@@ -264,34 +255,29 @@ def run_trial(
 ) -> Trial:
     """Execute one plan against one workload and classify the outcome."""
     t0 = time.perf_counter()
+
+    def trial(outcome: str, detail: str, violations: list[str], blackbox) -> Trial:
+        return Trial(
+            workload=workload.name,
+            seed=seed,
+            intensity=intensity,
+            outcome=outcome,
+            detail=detail,
+            elapsed=time.perf_counter() - t0,
+            plan=plan.to_dict(),
+            violations=violations,
+            blackbox=blackbox,
+        )
+
     try:
-        res = _runtime(workload).run(
-            workload.program, **_run_options(deadline, plan)
+        res = _run(workload, deadline, plan)
+    except BlackboxCarrier as e:
+        if isinstance(e, DeadlineExceeded):
+            return trial("hang", "deadline caught a wedged run: %s" % e, [], e.blackbox)
+        crash = "%s: %s" % (type(e).__name__, e)
+        return trial(
+            "violation", "unclassified crash: " + crash, ["crash: " + crash], e.blackbox
         )
-    except DeadlineExceeded as e:
-        return Trial(
-            workload=workload.name,
-            seed=seed,
-            intensity=intensity,
-            outcome="hang",
-            detail="deadline caught a wedged run: %s" % e,
-            elapsed=time.perf_counter() - t0,
-            plan=plan.to_dict(),
-            blackbox=getattr(e, "blackbox", None),
-        )
-    except Exception as e:
-        return Trial(
-            workload=workload.name,
-            seed=seed,
-            intensity=intensity,
-            outcome="violation",
-            detail="unclassified crash: %s: %s" % (type(e).__name__, e),
-            elapsed=time.perf_counter() - t0,
-            plan=plan.to_dict(),
-            violations=["crash: %s: %s" % (type(e).__name__, e)],
-            blackbox=getattr(e, "blackbox", None),
-        )
-    elapsed = time.perf_counter() - t0
     violations: list[str] = []
     if res.audit is not None:
         violations.extend(res.audit.violations)
@@ -326,17 +312,7 @@ def run_trial(
     if violations:
         outcome = "violation"
         detail = "%d invariant/output violation(s)" % len(violations)
-    return Trial(
-        workload=workload.name,
-        seed=seed,
-        intensity=intensity,
-        outcome=outcome,
-        detail=detail,
-        elapsed=elapsed,
-        plan=plan.to_dict(),
-        violations=violations,
-        blackbox=res.blackbox,
-    )
+    return trial(outcome, detail, violations, res.blackbox)
 
 
 # ----------------------------------------------------------------- shrinking
@@ -418,11 +394,11 @@ def run_chaos(
 ) -> ChaosReport:
     """Run a chaos campaign: ``trials`` seeded trials per workload.
 
-    Trial ``k`` of a workload uses the plan
-    ``generate_plan(layout, seed + k, intensity)`` — fully
-    reproducible from (workload, seed, intensity) alone.  Violating
-    trials are shrunk to a minimal plan and written as replayable JSON
-    repro artifacts under ``out_dir``.
+    Trial ``k`` of a workload uses the plan ``generate_plan(config,
+    seed + k, intensity)`` over the workload's :func:`trial_config` —
+    fully reproducible from (workload, seed, intensity) alone.
+    Violating trials are shrunk to a minimal plan and written as
+    replayable JSON repro artifacts under ``out_dir``.
     """
     say = log or (lambda line: None)
     workloads = load_workloads(workload_names)
@@ -437,10 +413,10 @@ def run_chaos(
         t0 = time.perf_counter()
         golden = golden_run(wl, deadline=max(deadline, 120.0))
         report.golden_elapsed[wl.name] = time.perf_counter() - t0
-        layout = wl.layout()
+        config = trial_config(wl, deadline)
         for k in range(trials):
             trial_seed = seed + k
-            plan = generate_plan(layout, trial_seed, intensity)
+            plan = generate_plan(config, trial_seed, intensity)
             trial = run_trial(
                 wl,
                 plan,
@@ -510,10 +486,10 @@ def run_chaos(
                         "engines": wl.engines,
                     },
                     "options": {
-                        "on_error": "retry",
-                        "max_retries": TRIAL_MAX_RETRIES,
-                        "lease_timeout": TRIAL_LEASE_TIMEOUT,
-                        "deadline": deadline,
+                        name: getattr(config, name)
+                        for name in (
+                            "on_error", "max_retries", "lease_timeout", "deadline"
+                        )
                     },
                     "original_plan": plan.to_dict(),
                     "plan": shrunk_plan.to_dict(),

@@ -1,19 +1,19 @@
 """Seeded randomized fault-schedule generation.
 
 :func:`generate_plan` samples a :class:`repro.faults.FaultPlan` for a
-given rank layout and intensity.  Unlike the hand-written matrices in
+given run configuration and intensity.  Unlike the hand-written matrices in
 ``tests/test_replication.py`` / ``tests/test_engine_failover.py``, the
 generator explores fault *timing and combination* — but stays inside a
 survivability envelope so a violation means a real bug, not an
 impossible configuration:
 
 * **worker kills** always leave at least one worker alive;
-* **engine kills** are sampled only when ``n_engines >= 2`` (so
-  rule-table journaling and engine adoption are in play) and leave at
-  least one engine;
-* **server kills** are sampled only when ``n_servers >= 2`` (so buddy
-  replication and promotion are in play) and leave at least one
-  server;
+* **engine kills** are sampled only when the resolved config
+  (``RuntimeConfig.resolve()``) has journaling on, so engine adoption
+  is in play, and leave at least one engine;
+* **server kills** are sampled only when the resolved config has
+  replication on, so buddy promotion is in play, and leave at least
+  one server;
 * **silent kills** (no dead-rank announcement — recovery must come
   from the lease sweep / journal-staleness detection) are sampled with
   bounded probability;
@@ -35,7 +35,7 @@ impossible configuration:
   ``max_retries`` rules are emitted, so even if every injection lands
   on retries of the same task the attempt allowance absorbs them.
 
-Determinism: ``generate_plan(layout, seed, intensity)`` is a pure
+Determinism: ``generate_plan(config, seed, intensity)`` is a pure
 function of its arguments — the chaos runner and a replayed repro
 artifact sample the identical plan.
 """
@@ -109,16 +109,18 @@ INTENSITIES: dict[str, Intensity] = {
 }
 
 
-def _kill_targets(layout: Any, rng: random.Random, count: int) -> list[int]:
-    """Sample up to ``count`` distinct kill targets, never exhausting a
-    role: at least one worker, one engine, and one server survive."""
+def _kill_targets(config: Any, rng: random.Random, count: int) -> list[int]:
+    """Sample up to ``count`` distinct kill targets among the roles the
+    resolved ``config`` can lose, never exhausting a role: at least one
+    worker, one engine, and one server survive."""
+    layout = config.layout()
     pools: list[tuple[str, list[int]]] = []
     workers = list(layout.workers)
     if len(workers) > 1:
         pools.append(("worker", workers))
-    if layout.n_engines >= 2:
+    if config.journal:
         pools.append(("engine", list(layout.engines)))
-    if layout.n_servers >= 2:
+    if config.replicate:
         pools.append(("server", list(layout.servers)))
     targets: list[int] = []
     budget = {role: len(ranks) - 1 for role, ranks in pools}
@@ -138,17 +140,14 @@ def _kill_targets(layout: Any, rng: random.Random, count: int) -> list[int]:
     return targets
 
 
-def generate_plan(
-    layout: Any,
-    seed: int,
-    intensity: str = "medium",
-    max_retries: int = 3,
-) -> FaultPlan:
-    """Sample one randomized, survivable FaultPlan for ``layout``.
+def generate_plan(config: Any, seed: int, intensity: str = "medium") -> FaultPlan:
+    """Sample one randomized FaultPlan that a run under ``config`` (a
+    :class:`repro.RuntimeConfig`, less the plan itself) can survive.
 
-    ``max_retries`` is the run's retry allowance; fail-rule budgets
-    stay strictly below it so injected task faults are absorbed by
-    retries instead of aborting the run.
+    What may be killed follows the recovery features the resolved
+    config has on; fail-rule budgets stay within ``config.max_retries``
+    so injected task faults are absorbed by retries instead of aborting
+    the run.
     """
     if intensity not in INTENSITIES:
         raise ValueError(
@@ -156,6 +155,8 @@ def generate_plan(
             % (intensity, ", ".join(sorted(INTENSITIES)))
         )
     spec = INTENSITIES[intensity]
+    config = config.resolve()
+    layout = config.layout()
     # A stable derivation (no hash(): it is salted per process) so the
     # same (seed, intensity) always yields the same plan and rule
     # probabilities draw from a distinct stream per intensity.
@@ -163,7 +164,7 @@ def generate_plan(
     rng = random.Random(seed * 1000003 + level)
     plan = FaultPlan(seed=seed * 1000003 + level)
 
-    for rank in _kill_targets(layout, rng, rng.randint(*spec.kills)):
+    for rank in _kill_targets(config, rng, rng.randint(*spec.kills)):
         silent = rng.random() < spec.silent_p
         if layout.is_server(rank):
             # Server units are dispatched messages; let the run build
@@ -178,16 +179,12 @@ def generate_plan(
         plan.kill_rank(rank, after_tasks=after, silent=silent)
 
     engine_killed = any(kill.rank in layout.engines for kill in plan.kills)
-    if (
-        layout.n_engines >= 2
-        and not engine_killed
-        and rng.random() < spec.poison_p
-    ):
+    if config.journal and not engine_killed and rng.random() < spec.poison_p:
         # Match-anything poison: the first unit(s) executed anywhere
         # kill their host.  Budget 1 keeps it a transient (requeue
-        # recovers); the engine pool must be >= 2 and untouched by the
-        # sampled kills because the poisoned unit may be a LOCAL rule
-        # on an engine — poison plus an engine kill could leave no
+        # recovers); adoption must be live and the engine pool untouched
+        # by the sampled kills because the poisoned unit may be a LOCAL
+        # rule on an engine — poison plus an engine kill could leave no
         # surviving engine to adopt the orphaned rule table.
         plan.poison_task("", times=1, silent=rng.random() < spec.silent_p)
 
@@ -198,7 +195,7 @@ def generate_plan(
     # budget per rule, at most max_retries rules: even if every
     # injection lands on the same task's successive attempts, the
     # 1 + max_retries attempt allowance absorbs them.
-    for _ in range(min(rng.randint(*spec.fail_rules), max_retries)):
+    for _ in range(min(rng.randint(*spec.fail_rules), config.max_retries)):
         plan.fail_task(
             "",
             times=1,

@@ -1,242 +1,79 @@
 """Command-line interface: the ``stc`` + ``turbine`` analog.
 
-Usage::
-
-    python -m repro compile program.swift [-O2] [-o program.tic]
-    python -m repro run program.swift [--workers N] [--servers N]
-        [--engines N] [-O2] [--arg name=value ...] [--trace] [--monitor]
-    python -m repro runtcl program.tic [--workers N]
-    python -m repro profile program.swift [--chrome trace.json]
-    python -m repro trace program.swift [-o trace.json]
-    python -m repro analyze program.swift [--dot run.dot] [--json out.json]
-    python -m repro analyze saved.trace.json
-    python -m repro chaos [--trials N] [--intensity light|medium|brutal]
-        [--workloads NAME ...] [--out DIR]
-    python -m repro postmortem blackbox-engine-lost-1234-1.json [--last N]
-    python -m repro submit program.swift --scheduler slurm --nodes 512
-
-``compile`` writes the generated Turbine Tcl (a ``.tic`` file, as real
-STC calls them); ``run`` compiles and executes on the thread-backed
-runtime (``--monitor`` adds a live one-line progress readout); ``runtcl``
-executes an already-compiled program; ``profile`` runs with the
-:mod:`repro.obs` tracer enabled and prints the per-category/per-worker
-breakdown; ``trace`` runs traced and writes a Chrome ``trace_event``
-JSON (load in chrome://tracing or Perfetto); ``analyze`` reconstructs
-the run DAG from provenance events and prints the critical path with
-per-hop stall attribution (accepts either a Swift source to run traced
-or a ``.trace.json`` saved earlier); ``chaos`` runs the randomized
-fault-injection campaign of :mod:`repro.chaos` (every ``run``-style
-command also accepts ``--audit`` for run-invariant checking and
-``--fault-plan`` to replay a chaos repro artifact); ``postmortem``
-merges the per-rank flight-recorder rings of a ``blackbox-*.json``
-failure artifact into one causally-ordered cross-rank timeline (every
-``run``-style command dumps one on failure unless ``--no-flightrec``);
-``submit`` renders the batch submission script for a real machine.
+``python -m repro COMMAND --help`` is the reference for every command
+and flag, and README.md shows each in use; neither is restated here.
+``run``, ``runtcl``, ``profile``, ``trace`` and ``analyze`` execute a
+program on the thread-backed runtime: five rows of one table
+(``_RUN_STYLES``) over one run path (``_run_program``).  Their shared
+runtime flags are not written in this file — ``_add_runtime_flags``
+derives them from the :class:`repro.RuntimeConfig` declaration.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import fields
+from typing import Callable, NamedTuple
 
 from .api import SwiftRuntime
 from .core import SwiftError, compile_swift
+from .faults import BlackboxCarrier
 from .launch import JobSpec, render
-from .turbine import RuntimeConfig, run_turbine_program
+from .obs import Analysis, Trace, load_blackbox, render_postmortem
+from .turbine import RunResult, RuntimeConfig, run_turbine_program
+
+# with_options keyword -> field, of every RuntimeConfig field with a CLI flag
+_FLAGGED = {
+    f.metadata.get("dest", f.name): f
+    for f in fields(RuntimeConfig)
+    if f.metadata.get("flag")
+}
 
 
 def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--servers", type=int, default=1)
-    p.add_argument("--engines", type=int, default=1)
-    p.add_argument(
-        "--arg",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="program argument readable via argv()",
-    )
-    p.add_argument(
-        "--trace",
-        action="store_true",
-        help="run traced and print the profile report on stderr",
-    )
-    p.add_argument(
-        "--monitor",
-        action="store_true",
-        help="print a live one-line progress/utilization readout",
-    )
-    p.add_argument(
-        "--monitor-interval",
-        type=float,
-        default=0.25,
-        metavar="SECONDS",
-        help="seconds between monitor samples (with --monitor)",
-    )
-    p.add_argument(
-        "--interp-mode",
-        choices=["retain", "reinit"],
-        default="retain",
-        help="embedded interpreter state policy (paper III-C)",
-    )
-    p.add_argument(
-        "--on-error",
-        choices=["retry", "fail_fast", "continue"],
-        default="retry",
-        help="task-failure policy: retry (default), fail_fast, or continue",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="re-executions allowed per failed task (with --on-error retry)",
-    )
-    p.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock limit; the run shuts down in an orderly way on expiry",
-    )
-    p.add_argument(
-        "--replicate",
-        dest="replicate",
-        action="store_true",
-        default=None,
-        help="replicate server state to a buddy server (survives server "
-        "death; needs --servers >= 2)",
-    )
-    p.add_argument(
-        "--no-replicate",
-        dest="replicate",
-        action="store_false",
-        help="disable server replication even when it would default on",
-    )
-    p.add_argument(
-        "--journal",
-        dest="journal",
-        action="store_true",
-        default=None,
-        help="journal engine rule tables to their anchor server (survives "
-        "engine death; needs --engines >= 2)",
-    )
-    p.add_argument(
-        "--no-journal",
-        dest="journal",
-        action="store_false",
-        help="disable rule-table journaling even when it would default on",
-    )
-    p.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task watchdog: a task running longer than this is "
-        "abandoned (TaskTimeout) and retried elsewhere",
-    )
-    p.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="write periodic consistent checkpoints to PATH",
-    )
-    p.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds between checkpoints (with --checkpoint)",
-    )
-    p.add_argument(
-        "--restore",
-        default=None,
-        metavar="PATH",
-        help="resume from a checkpoint instead of running the program "
-        "entry point (world shape must match the checkpointed run)",
-    )
-    p.add_argument(
-        "--audit",
-        action="store_true",
-        help="check run invariants at shutdown (termination-counter "
-        "conservation, no leaked leases/journals/refcounts) and report "
-        "violations",
-    )
-    p.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="PATH",
-        help="inject faults from a FaultPlan JSON (a chaos repro "
-        "artifact or a bare plan image) — replays a chaos trial",
-    )
-    p.add_argument(
-        "--no-flightrec",
-        dest="flightrec",
-        action="store_false",
-        default=True,
-        help="disable the always-on flight recorder (no black-box "
-        "artifact on failure)",
-    )
-    p.add_argument(
-        "--blackbox-dir",
-        default=".",
-        metavar="DIR",
-        help="where to dump blackbox-*.json on failure (default: "
-        "current directory; needs the flight recorder on)",
-    )
+    """Derive the runtime flags from the RuntimeConfig declaration:
+    spelling, help, metavar and choices from the field's metadata, the
+    default from the dataclass, the argument kind from the annotation."""
+    defaults = RuntimeConfig()
+    for dest, f in _FLAGGED.items():
+        m = f.metadata
+        default = getattr(defaults, dest)
+        kind, _, rest = f.type.partition(" | ")
+        if kind == "bool" and rest == "None":
+            # --x / --no-x; unset it stays None, for resolve() to decide
+            kw = {"action": argparse.BooleanOptionalAction}
+        elif kind == "bool":
+            kw = {"action": "store_false" if default else "store_true"}
+        else:
+            kw = {
+                "type": {"int": int, "float": float}.get(kind, str),
+                "metavar": m.get("metavar"),
+                "choices": m.get("choices"),
+            }
+            if kind == "dict":  # repeatable; _runtime_config builds the dict
+                default, kw["action"] = [], "append"
+        p.add_argument(m["flag"], dest=dest, default=default, help=m["help"], **kw)
 
 
-def _runtime_config(
-    ns: argparse.Namespace, echo: bool, trace: bool
-) -> RuntimeConfig:
-    """One funnel from parsed CLI flags to a RuntimeConfig."""
-
-    def _monitor_line(line: str) -> None:
-        print(line, file=sys.stderr)
-
-    faults = None
-    if getattr(ns, "fault_plan", None):
+def _runtime_config(ns: argparse.Namespace, report: bool) -> RuntimeConfig:
+    """One funnel from parsed CLI flags to a RuntimeConfig: each
+    derived flag's value as parsed, except the four whose option is
+    not what was typed.  ``report`` is the run style's column."""
+    options = {dest: getattr(ns, dest) for dest in _FLAGGED}
+    options["args"] = _parse_args_list(ns.args)
+    if ns.faults:
         from .chaos.runner import load_fault_plan
 
-        faults = load_fault_plan(ns.fault_plan)
-    return RuntimeConfig.of(
-        workers=ns.workers,
-        servers=ns.servers,
-        engines=ns.engines,
-        echo=echo,
-        trace=trace,
-        monitor=ns.monitor,
-        monitor_interval=ns.monitor_interval,
-        monitor_out=_monitor_line if ns.monitor else None,
-        interp_mode=ns.interp_mode,
-        on_error=ns.on_error,
-        max_retries=ns.max_retries,
-        deadline=ns.deadline,
-        replicate=ns.replicate,
-        journal=ns.journal,
-        task_timeout=ns.task_timeout,
-        checkpoint_path=ns.checkpoint,
-        checkpoint_interval=ns.checkpoint_interval,
-        restore=ns.restore,
-        audit=ns.audit,
-        faults=faults,
-        flightrec=ns.flightrec,
-        blackbox_dir=ns.blackbox_dir if ns.flightrec else None,
-        args=_parse_args_list(ns.arg),
-    )
-
-
-def _report_run_failure(e) -> int:
-    """Print a failed run's diagnostic plus, when the flight recorder
-    dumped a black box, the `repro postmortem` pointer."""
-    print("run failed: %s" % e, file=sys.stderr)
-    path = getattr(e, "blackbox_path", None)
-    if path:
-        print(
-            "black box written to %s (inspect with `repro postmortem %s`)"
-            % (path, path),
-            file=sys.stderr,
-        )
-    return 3
+        options["faults"] = load_fault_plan(ns.faults)
+    if ns.monitor:
+        options["monitor"] = lambda line: print(line, file=sys.stderr)
+    # CLI-only default: a failed run leaves its black box where it was
+    # launched.  Without the flight recorder there is none to write.
+    options["blackbox_dir"] = (ns.blackbox_dir or ".") if ns.flightrec else None
+    options.update(echo=not report, trace=report or ns.trace)
+    return RuntimeConfig().with_options(**options)
 
 
 def _report_failures(result) -> int:
@@ -271,15 +108,6 @@ def _report_failures(result) -> int:
     return 3
 
 
-def _report_audit(result) -> int:
-    """Exit status contribution of ``--audit``: a run that completes
-    but violates a run invariant must fail loudly."""
-    if result.audit is None or result.audit.ok:
-        return 0
-    print(result.audit.render(), file=sys.stderr)
-    return 5
-
-
 def _parse_args_list(pairs: list[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     for pair in pairs:
@@ -290,100 +118,144 @@ def _parse_args_list(pairs: list[str]) -> dict[str, str]:
     return out
 
 
+def _finish_run(ns: argparse.Namespace, result: RunResult) -> int:
+    if ns.trace:
+        print(result.profile.render(), file=sys.stderr)
+    status = _report_failures(result)
+    if not status and result.audit is not None and not result.audit.ok:
+        # --audit: a completed run that violates an invariant fails loudly
+        print(result.audit.render(), file=sys.stderr)
+        status = 5
+    return status
+
+
+def _finish_profile(ns: argparse.Namespace, result: RunResult) -> int:
+    print(result.profile.render())
+    if ns.chrome:
+        result.trace.save_chrome(ns.chrome)
+        print("\nchrome trace written to %s" % ns.chrome)
+    return 0
+
+
+def _finish_trace(ns: argparse.Namespace, result: RunResult) -> int:
+    out = ns.output or (ns.program.rsplit(".", 1)[0] + ".trace.json")
+    result.trace.save_chrome(out)
+    print(
+        "trace written to %s (%d events, %d dropped); load in "
+        "chrome://tracing or https://ui.perfetto.dev"
+        % (out, len(result.trace), result.trace.dropped)
+    )
+    return 0
+
+
+def _analyze(ns: argparse.Namespace, trace: Trace) -> int:
+    analysis = Analysis.from_trace(trace)
+    print(analysis.render())
+    if ns.dot:
+        with open(ns.dot, "w", encoding="utf-8") as f:
+            f.write(analysis.to_dot() + "\n")
+        print("dot graph written to %s" % ns.dot, file=sys.stderr)
+    if ns.json:
+        with open(ns.json, "w", encoding="utf-8") as f:
+            json.dump(analysis.to_json(), f, indent=1)
+        print("analysis JSON written to %s" % ns.json, file=sys.stderr)
+    if analysis.dropped:
+        # The report above covers only the surviving window (its
+        # first line says so): not a result to act on.
+        return 6
+    return 0 if analysis.critical_path else 4
+
+
+class _RunStyle(NamedTuple):
+    """One run-style subcommand: a row of the table that
+    :func:`build_parser` and :func:`_run_program` read."""
+
+    help: str
+    # what is printed or written once the run is over; returns the status
+    finish: Callable[[argparse.Namespace, RunResult], int]
+    swift: bool = True  # PROGRAM is Swift source (else compiled Turbine Tcl)
+    # stdout carries the command's report on an always-traced run (else the
+    # program's output as it is produced, and --trace decides)
+    report: bool = True
+    flags: dict = {}  # the command's own PATH flags: spelling(s) -> help
+
+
+_RUN_STYLES = {
+    "run": _RunStyle("compile and run a Swift program", _finish_run, report=False),
+    "runtcl": _RunStyle(
+        "run a compiled .tic program", _finish_run, swift=False, report=False
+    ),
+    "profile": _RunStyle(
+        "run a Swift program traced and print a profile",
+        _finish_profile,
+        flags={"--chrome": "also write a Chrome trace_event JSON to PATH"},
+    ),
+    "trace": _RunStyle(
+        "run a Swift program traced and write Chrome JSON",
+        _finish_trace,
+        flags={"-o --output": "default: PROGRAM with .trace.json suffix"},
+    ),
+    "analyze": _RunStyle(
+        "critical-path / stall analysis of a traced run: PROGRAM is Swift to run "
+        "traced or, by its .json suffix, a trace saved by `repro trace`",
+        lambda ns, result: _analyze(ns, result.trace),
+        flags={
+            "--dot": "also write the run DAG as Graphviz DOT (critical path in red)",
+            "--json": "also write the analysis as JSON",
+        },
+    ),
+}
+
+
+def _run_program(ns: argparse.Namespace) -> int:
+    """The run path of every run-style subcommand."""
+    style = _RUN_STYLES[ns.command]
+    with open(ns.program, "r", encoding="utf-8") as f:
+        text = f.read()
+    config = _runtime_config(ns, style.report)
+    try:
+        if style.swift:
+            result = SwiftRuntime(opt=ns.opt, config=config).run(text)
+        else:
+            result = run_turbine_program(text, config)
+    except BlackboxCarrier as e:
+        print("run failed: %s" % e, file=sys.stderr)
+        if e.blackbox_path:
+            print(
+                "black box written to %s (inspect with `repro postmortem %s`)"
+                % (e.blackbox_path, e.blackbox_path),
+                file=sys.stderr,
+            )
+        return 3
+    return style.finish(ns, result)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Swift/T-style interlanguage parallel scripting",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    opt_flags = argparse.ArgumentParser(add_help=False)
+    for level in (0, 1, 2):
+        opt_flags.add_argument(
+            "-O%d" % level, dest="opt", action="store_const", const=level, default=1
+        )
+    runtime_flags = argparse.ArgumentParser(add_help=False)
+    _add_runtime_flags(runtime_flags)
 
-    p_compile = sub.add_parser("compile", help="compile Swift to Turbine Tcl")
+    p_compile = sub.add_parser(
+        "compile", parents=[opt_flags], help="compile Swift to Turbine Tcl"
+    )
     p_compile.add_argument("source")
     p_compile.add_argument("-o", "--output", default=None)
-    for level in (0, 1, 2):
-        p_compile.add_argument(
-            "-O%d" % level,
-            dest="opt",
-            action="store_const",
-            const=level,
-        )
-    p_compile.set_defaults(opt=1)
 
-    p_run = sub.add_parser("run", help="compile and run a Swift program")
-    p_run.add_argument("source")
-    for level in (0, 1, 2):
-        p_run.add_argument(
-            "-O%d" % level, dest="opt", action="store_const", const=level
-        )
-    p_run.set_defaults(opt=1)
-    _add_runtime_flags(p_run)
-
-    p_runtcl = sub.add_parser("runtcl", help="run a compiled .tic program")
-    p_runtcl.add_argument("program")
-    _add_runtime_flags(p_runtcl)
-
-    p_profile = sub.add_parser(
-        "profile", help="run a Swift program traced and print a profile"
-    )
-    p_profile.add_argument("source")
-    for level in (0, 1, 2):
-        p_profile.add_argument(
-            "-O%d" % level, dest="opt", action="store_const", const=level
-        )
-    p_profile.set_defaults(opt=1)
-    _add_runtime_flags(p_profile)
-    p_profile.add_argument(
-        "--chrome",
-        metavar="PATH",
-        default=None,
-        help="also write a Chrome trace_event JSON to PATH",
-    )
-
-    p_trace = sub.add_parser(
-        "trace", help="run a Swift program traced and write Chrome JSON"
-    )
-    p_trace.add_argument("source")
-    for level in (0, 1, 2):
-        p_trace.add_argument(
-            "-O%d" % level, dest="opt", action="store_const", const=level
-        )
-    p_trace.set_defaults(opt=1)
-    _add_runtime_flags(p_trace)
-    p_trace.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="trace JSON path (default: SOURCE with .trace.json suffix)",
-    )
-
-    p_analyze = sub.add_parser(
-        "analyze",
-        help="critical-path / stall analysis of a traced run "
-        "(Swift source, or a saved .trace.json)",
-    )
-    p_analyze.add_argument(
-        "source",
-        help="Swift program to run traced, or a Chrome trace JSON "
-        "written by `repro trace` (detected by .json suffix)",
-    )
-    for level in (0, 1, 2):
-        p_analyze.add_argument(
-            "-O%d" % level, dest="opt", action="store_const", const=level
-        )
-    p_analyze.set_defaults(opt=1)
-    _add_runtime_flags(p_analyze)
-    p_analyze.add_argument(
-        "--dot",
-        metavar="PATH",
-        default=None,
-        help="also write the run DAG as Graphviz DOT (critical path in red)",
-    )
-    p_analyze.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the analysis as JSON",
-    )
+    for name, style in _RUN_STYLES.items():
+        parents = [opt_flags, runtime_flags] if style.swift else [runtime_flags]
+        p_run = sub.add_parser(name, parents=parents, help=style.help)
+        p_run.add_argument("program")
+        for spellings, flag_help in style.flags.items():
+            p_run.add_argument(*spellings.split(), metavar="PATH", help=flag_help)
 
     p_disasm = sub.add_parser(
         "disasm",
@@ -509,93 +381,11 @@ def _dispatch(ns: argparse.Namespace) -> int:
         )
         return 0
 
-    if ns.command in ("run", "profile", "trace"):
-        with open(ns.source, "r", encoding="utf-8") as f:
-            source = f.read()
-        traced = ns.command != "run" or ns.trace
-        rt = SwiftRuntime(
-            opt=ns.opt,
-            config=_runtime_config(ns, echo=ns.command == "run", trace=traced),
-        )
-        from .faults import DeadlineExceeded, EngineLost, TaskError
-        from .mpi.launcher import RankFailure
+    if ns.command == "analyze" and ns.program.endswith(".json"):
+        return _analyze(ns, Trace.from_chrome(ns.program))
 
-        try:
-            result = rt.run(source)
-        except (RankFailure, TaskError, DeadlineExceeded, EngineLost) as e:
-            return _report_run_failure(e)
-        if ns.command == "run":
-            if traced:
-                print(result.profile.render(), file=sys.stderr)
-            return _report_failures(result) or _report_audit(result)
-        if ns.command == "profile":
-            print(result.profile.render())
-            if ns.chrome:
-                result.trace.save_chrome(ns.chrome)
-                print("\nchrome trace written to %s" % ns.chrome)
-            return 0
-        # trace
-        out = ns.output or (ns.source.rsplit(".", 1)[0] + ".trace.json")
-        result.trace.save_chrome(out)
-        print(
-            "trace written to %s (%d events, %d dropped); load in "
-            "chrome://tracing or https://ui.perfetto.dev"
-            % (out, len(result.trace), result.trace.dropped)
-        )
-        return 0
-
-    if ns.command == "analyze":
-        from .obs import Analysis, Trace
-
-        if ns.source.endswith(".json"):
-            trace = Trace.from_chrome(ns.source)
-        else:
-            with open(ns.source, "r", encoding="utf-8") as f:
-                source = f.read()
-            rt = SwiftRuntime(
-                opt=ns.opt,
-                config=_runtime_config(ns, echo=False, trace=True),
-            )
-            from .faults import DeadlineExceeded, EngineLost, TaskError
-            from .mpi.launcher import RankFailure
-
-            try:
-                result = rt.run(source)
-            except (RankFailure, TaskError, DeadlineExceeded, EngineLost) as e:
-                return _report_run_failure(e)
-            trace = result.trace
-        analysis = Analysis.from_trace(trace)
-        print(analysis.render())
-        if ns.dot:
-            with open(ns.dot, "w", encoding="utf-8") as f:
-                f.write(analysis.to_dot() + "\n")
-            print("dot graph written to %s" % ns.dot, file=sys.stderr)
-        if ns.json:
-            import json as _json
-
-            with open(ns.json, "w", encoding="utf-8") as f:
-                _json.dump(analysis.to_json(), f, indent=1)
-            print("analysis JSON written to %s" % ns.json, file=sys.stderr)
-        if analysis.dropped:
-            # The report above covers only the surviving window (its
-            # first line says so): not a result to act on.
-            return 6
-        return 0 if analysis.critical_path else 4
-
-    if ns.command == "runtcl":
-        with open(ns.program, "r", encoding="utf-8") as f:
-            program = f.read()
-        config = _runtime_config(ns, echo=True, trace=ns.trace)
-        from .faults import DeadlineExceeded, EngineLost, TaskError
-        from .mpi.launcher import RankFailure
-
-        try:
-            result = run_turbine_program(program, config)
-        except (RankFailure, TaskError, DeadlineExceeded, EngineLost) as e:
-            return _report_run_failure(e)
-        if ns.trace:
-            print(result.profile.render(), file=sys.stderr)
-        return _report_failures(result) or _report_audit(result)
+    if ns.command in _RUN_STYLES:
+        return _run_program(ns)
 
     if ns.command == "disasm":
         with open(ns.source, "r", encoding="utf-8") as f:
@@ -627,8 +417,6 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return 0 if report.ok else 5
 
     if ns.command == "postmortem":
-        from .obs.postmortem import load_blackbox, render_postmortem
-
         try:
             box = load_blackbox(ns.blackbox)
         except ValueError as e:
@@ -687,6 +475,3 @@ def _default_output(source_path: str) -> str:
     base = source_path.rsplit(".", 1)[0]
     return base + ".tic"
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

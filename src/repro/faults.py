@@ -4,7 +4,7 @@ This module is the dependency-free core of the fault layer that spans
 every runtime tier (see DESIGN.md "Failure model"):
 
 * :class:`FaultPlan` — a seeded, declarative injection plan attached to
-  :class:`repro.turbine.runtime.RuntimeConfig`.  It can kill a rank
+  :class:`repro.turbine.config.RuntimeConfig`.  It can kill a rank
   after its Nth task, make matching tasks raise or run slow, and delay
   or drop messages inside :mod:`repro.mpi.comm` — so every recovery
   path (leases, retries, dead-rank sweeps, deadlines) is testable and
@@ -42,8 +42,11 @@ def snippet(payload: object, limit: int = 200) -> str:
 # --------------------------------------------------------------- failures
 
 
-class BlackboxCarrier:
-    """Mixin for failures that can carry a flight-recorder black box.
+class BlackboxCarrier(RuntimeError):
+    """Base of every exception that ends a run — :class:`TaskError`,
+    :class:`DeadlineExceeded`, :class:`ServerLost`, :class:`EngineLost`
+    and :class:`repro.mpi.RankFailure` — so a caller that reports failed
+    runs (the CLI, the chaos runner) catches this one class.
 
     The launcher (and the Turbine runtime when it unwraps rank
     failures) stamps two attributes onto the surfaced exception:
@@ -77,7 +80,7 @@ class TaskFailure:
     traceback: str = ""
 
 
-class TaskError(BlackboxCarrier, RuntimeError):
+class TaskError(BlackboxCarrier):
     """A unit of work failed permanently (fail-fast, or retries exhausted).
 
     Carries the :class:`TaskFailure`; the message embeds the original
@@ -122,7 +125,7 @@ class RankKilled(Exception):
         )
 
 
-class DeadlineExceeded(BlackboxCarrier, RuntimeError):
+class DeadlineExceeded(BlackboxCarrier):
     """The run's wall-clock deadline expired before completion."""
 
 
@@ -137,38 +140,45 @@ class TaskTimeout(RuntimeError):
     """
 
 
-class ServerLost(BlackboxCarrier, RuntimeError):
-    """An ADLB server rank died and replication was not enabled.
+class ServerLost(BlackboxCarrier):
+    """An ADLB server rank died and nothing held a replica of it.
 
     The dead server took its data-store shard, work queue, and (if it
     was the master) the termination counter with it, so the run cannot
     complete.  Raised by the surviving servers as a diagnostic instead
-    of letting the run hang; enable ``replicate=True`` (automatic under
-    ``on_error="retry"`` with at least two servers) to make server
-    death recoverable.
+    of letting the run hang.  ``replicated`` is what the run's
+    ``RuntimeConfig.resolve()`` said (it also decides when replication
+    is on by default): only with it off is replication the remedy.
     """
 
-    def __init__(self, rank: int, reason: str = "server died"):
+    def __init__(
+        self, rank: int, reason: str = "server died", replicated: bool = False
+    ):
         self.rank = rank
-        super().__init__(
-            "ADLB server rank %d lost (%s) and replication is disabled; "
-            "its data shard and queued work are gone. Run with "
-            "replicate=True and n_servers >= 2 to survive server death."
-            % (rank, reason)
-        )
+        msg = "ADLB server rank %d lost (%s)" % (rank, reason)
+        if replicated:
+            msg += "; its data shard and queued work are gone."
+        else:
+            msg += (
+                " and replication is disabled; its data shard and queued "
+                "work are gone. Run with replicate=True on at least two "
+                "servers to survive server death."
+            )
+        super().__init__(msg)
 
 
-class EngineLost(BlackboxCarrier, RuntimeError):
-    """A Turbine engine rank died and rule-table journaling was off.
+class EngineLost(BlackboxCarrier):
+    """A Turbine engine rank died and its rule table could not be adopted.
 
     The dead engine took its pending dataflow rules with it, so the
     TDs those rules would have produced can never close and the run
     cannot complete.  Raised promptly as a diagnostic — by the dying
     rank itself for announced kills, or by the server lease sweep for
     silent ones — instead of letting the run hang until a recv
-    timeout.  Enable ``journal=True`` (automatic under
-    ``on_error="retry"`` with at least two engines) to make engine
-    death recoverable via journal replay and engine adoption.
+    timeout.  ``journaled`` is what the run's ``RuntimeConfig.resolve()``
+    said (it also decides when journaling is on by default): only with
+    it off are journal replay and engine adoption the remedy; with it
+    on, ``reason`` says why adoption failed.
     """
 
     def __init__(
@@ -177,6 +187,7 @@ class EngineLost(BlackboxCarrier, RuntimeError):
         reason: str = "engine died",
         rules_pending: int | None = None,
         units_registered: int | None = None,
+        journaled: bool = False,
     ):
         self.rank = rank
         self.rules_pending = rules_pending
@@ -189,12 +200,16 @@ class EngineLost(BlackboxCarrier, RuntimeError):
                     units_registered
                 )
             detail += "."
-        super().__init__(
-            "Turbine engine rank %d lost (%s) and rule-table journaling "
-            "is disabled; its pending dataflow rules are gone.%s Run "
-            "with journal=True and n_engines >= 2 to survive engine "
-            "death." % (rank, reason, detail)
-        )
+        msg = "Turbine engine rank %d lost (%s)" % (rank, reason)
+        if journaled:
+            msg += "; its pending dataflow rules are gone.%s" % detail
+        else:
+            msg += (
+                " and rule-table journaling is disabled; its pending "
+                "dataflow rules are gone.%s Run with journal=True on at "
+                "least two engines to survive engine death." % detail
+            )
+        super().__init__(msg)
 
 
 @dataclass

@@ -21,7 +21,7 @@ counters are best-effort under contention.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generic, TypeVar
+from typing import Any, Generic, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -73,13 +73,6 @@ class LRUCache(Generic[K, V]):
                 if data.pop(victim, _MISSING) is not _MISSING:
                     self.evictions += 1
         data[key] = value
-
-    def get_or_compute(self, key: K, compute: Callable[[], V]) -> V:
-        value = self.get(key, _MISSING)
-        if value is _MISSING:
-            value = compute()
-            self.put(key, value)
-        return value
 
     def clear(self) -> None:
         self._data.clear()

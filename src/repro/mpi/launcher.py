@@ -8,7 +8,7 @@ import time
 import traceback
 from typing import Any, Callable, Sequence
 
-from ..faults import DeadlineExceeded
+from ..faults import BlackboxCarrier, DeadlineExceeded
 from .comm import AbortError, Comm, World
 
 
@@ -34,7 +34,7 @@ def _thread_stack(thread: threading.Thread) -> str:
     return "".join(traceback.format_stack(frame))
 
 
-class RankFailure(RuntimeError):
+class RankFailure(BlackboxCarrier):
     """One or more ranks raised; carries (rank, exception) pairs.
 
     The message names every failed rank (with its role when the
@@ -43,9 +43,6 @@ class RankFailure(RuntimeError):
     When the run kept a recorder, ``blackbox`` holds the captured
     black-box dict (see :mod:`repro.obs.spine`).
     """
-
-    #: Black box captured at failure time (dict), or None.
-    blackbox: dict | None = None
 
     def __init__(
         self,

@@ -18,7 +18,6 @@ from .values import (
     is_character,
     is_numeric,
     r_length,
-    r_repr,
     scalar_bool,
 )
 
@@ -122,9 +121,6 @@ class RInterp:
             return self._eval(node, env or self.global_env)
         except ReturnSignal as r:
             return r.value
-
-    def eval_to_string(self, src: str) -> str:
-        return r_repr(self.eval_code(src))
 
     def get(self, name: str) -> Any:
         return self.global_env.get(name)

@@ -58,10 +58,6 @@ def mk_num(*values: float) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def mk_int(*values: int) -> np.ndarray:
-    return np.array(values, dtype=np.int64)
-
-
 def mk_bool(*values: bool) -> np.ndarray:
     return np.array(values, dtype=bool)
 

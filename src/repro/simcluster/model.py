@@ -32,10 +32,6 @@ class ClusterParams:
     steal: bool = True
     steal_retry: float = 200e-6
 
-    @property
-    def total_ranks(self) -> int:
-        return self.n_workers + self.n_servers + self.n_engines
-
 
 @dataclass
 class ClusterResult:

@@ -45,10 +45,6 @@ class CType:
         return self.base == "char" and self.pointers == 1
 
     @property
-    def is_pointer(self) -> bool:
-        return self.pointers > 0 and not self.is_string
-
-    @property
     def is_void(self) -> bool:
         return self.base == "void" and self.pointers == 0
 

@@ -186,10 +186,6 @@ def cmd_source(interp, args):
     return interp.eval(text)
 
 
-def cmd_unknown(interp, args):
-    raise TclError('invalid command name "%s"' % (args[0] if args else ""))
-
-
 def register(interp) -> None:
     interp.register("puts", cmd_puts)
     interp.register("namespace", cmd_namespace)

@@ -11,14 +11,9 @@ from ..faults import (
     TaskError,
     TaskFailure,
 )
+from .config import RuntimeConfig
 from .engine import Engine, EngineStats, Rule
-from .runtime import (
-    Output,
-    RankContext,
-    RunResult,
-    RuntimeConfig,
-    run_turbine_program,
-)
+from .runtime import Output, RankContext, RunResult, run_turbine_program
 from .tcllib import TURBINE_TCL
 from .unit import UnitRunner
 from .worker import Worker, WorkerStats

@@ -33,167 +33,10 @@ from ..obs.metrics import Metrics
 from ..obs.monitor import RunMonitor
 from ..tcl.interp import Interp
 from .builtins import register_turbine
+from .config import RuntimeConfig
 from .engine import Engine, EngineStats
 from .tcllib import TURBINE_TCL
 from .worker import Worker, WorkerStats
-
-
-_ROLE_OPTIONS = ("workers", "servers", "engines")
-
-
-@dataclass
-class RuntimeConfig:
-    """Process layout and runtime options (Fig. 2 of the paper).
-
-    This is the single home of every runtime knob: the public API
-    (:func:`repro.swift_run`, :class:`repro.SwiftRuntime`) and the CLI
-    both funnel options through :meth:`with_options`, so adding a field
-    here is all it takes to expose a new option everywhere.
-    """
-
-    size: int = 4
-    n_servers: int = 1
-    n_engines: int = 1
-    steal: bool = True
-    # Record level 1 of the event spine (repro.obs.spine): spans,
-    # provenance and data-op events from the MPI, ADLB, Turbine, and
-    # compile layers; RunResult.trace/.profile.
-    trace: bool = False
-    # Externally supplied repro.obs.Recorder (the session API's
-    # hand-off: one recorder across several runs); overrides ``trace``.
-    tracer: Any | None = field(default=None, repr=False, compare=False)
-    # Events retained per rank on a traced run before its ring wraps.
-    trace_capacity: int = 1 << 16
-    echo: bool = False  # also print program output to real stdout
-    # Live monitoring: a driver-side sampler reads the run's counter
-    # table (and the live servers' gauges) every monitor_interval
-    # seconds into MonitorSample rows on RunResult.timeline.
-    monitor: bool = False
-    monitor_interval: float = 0.25
-    # Callable fed one rendered line per sample (the CLI passes print);
-    # None keeps monitoring silent (timeline only).
-    monitor_out: Any | None = field(default=None, repr=False, compare=False)
-    recv_timeout: float = 120.0
-    # Interpreter state policy for embedded Python/R interpreters
-    # (paper §III-C): "retain" keeps state across tasks, "reinit"
-    # reinitializes per task.
-    interp_mode: str = "retain"
-    # Tcl execution path: True runs scripts on the bytecode VM
-    # (explicit frame stack, inline command caches); False selects the
-    # plain interpreted walk, kept as the differential-test oracle.
-    tcl_compile: bool = True
-    # --- fault tolerance --------------------------------------------
-    # What happens when a unit of work raises: "retry" (default; the
-    # server leases tasks and requeues failures up to max_retries with
-    # backoff), "fail_fast" (abort promptly with a traceback-bearing
-    # TaskError), or "continue" (record a TaskFailure on
-    # RunResult.failures and keep draining).
-    on_error: str = "retry"
-    max_retries: int = 2
-    # Seconds a handed-out task may stay unacknowledged before its
-    # rank is presumed dead and the task is requeued.
-    lease_timeout: float = 60.0
-    # Wall-clock limit for the whole run; on expiry the world is shut
-    # down in an orderly way and DeadlineExceeded is raised.
-    deadline: float | None = None
-    # Seeded fault-injection plan (repro.faults.FaultPlan) or None.
-    # The faults-off path costs a single `is None` test per hook.
-    faults: Any | None = None
-    # Level 0 of the event spine, the always-on flight recorder: a
-    # 512-slot ring per rank of lifecycle events and message headers
-    # with Lamport clocks, snapshotted into a black-box artifact on any
-    # failure path, plus the run's counter table (RunResult.metrics).
-    # Unlike trace, this is ON by default — one tuple per event,
-    # bounded by the benchmarks/overhead.py guard.
-    flightrec: bool = True
-    # Directory for blackbox-*.json dumps on failure; None keeps the
-    # black box in memory only (exception .blackbox / RunResult.blackbox).
-    blackbox_dir: str | None = None
-    # Run-invariant auditing (repro.chaos.invariants): each rank
-    # snapshots its terminal bookkeeping state (leases, journals,
-    # dedup slots, pending refcounts, termination counter) once at
-    # shutdown and the driver checks conservation laws over the rows.
-    # Off by default; the audit-off path is a single flag test per
-    # rank at teardown, so it stays within seed noise.
-    audit: bool = False
-    # Buddy replication of server state (survives server death).
-    # None = auto: on when on_error == "retry" and there are at least
-    # two servers (a lone server has no buddy).  Explicitly True with
-    # n_servers < 2 is a configuration error.
-    replicate: bool | None = None
-    # Rule-table journaling: engines stream rule-lifecycle entries to
-    # their anchor server so a dead engine's pending rules can be
-    # replayed into a surviving engine (engine adoption).  None = auto:
-    # on when on_error == "retry" and there are at least two engines
-    # (a lone engine has no adopter).  Explicitly True with
-    # n_engines < 2 is a configuration error.
-    journal: bool | None = None
-    # Per-task watchdog: a worker-side deadline (seconds) per unit of
-    # work.  Overdue tasks are abandoned with a TaskTimeout fed into
-    # the normal retry/lease path, and the worker recycles embedded
-    # interpreter state before taking new work.  None disables.
-    task_timeout: float | None = None
-    # Periodic consistent checkpoints to this path (master-driven
-    # two-phase snapshot), every checkpoint_interval seconds.
-    checkpoint_path: str | None = None
-    checkpoint_interval: float | None = None
-    # Resume from a checkpoint written by a previous (same-shaped) run
-    # instead of executing the program entry point.
-    restore: str | None = None
-    # Program arguments, readable from Swift via argv("name")
-    args: dict = field(default_factory=dict)
-
-    def layout(self) -> Layout:
-        return Layout(self.size, self.n_servers, self.n_engines)
-
-    @property
-    def workers(self) -> int:
-        return self.size - self.n_servers - self.n_engines
-
-    @classmethod
-    def of(
-        cls, workers: int = 2, servers: int = 1, engines: int = 1, **options
-    ) -> "RuntimeConfig":
-        """Build a config from role counts instead of a total size."""
-        cfg = cls(
-            size=workers + servers + engines,
-            n_servers=servers,
-            n_engines=engines,
-        )
-        return cfg.with_options(**options) if options else cfg
-
-    def with_options(self, **options) -> "RuntimeConfig":
-        """Return a copy with the given options applied.
-
-        Accepts every field name and the role counts ``workers`` /
-        ``servers`` / ``engines`` (``size`` is recomputed).  Unknown
-        names raise ``TypeError`` — options never vanish silently.
-        """
-        from dataclasses import fields as dc_fields
-        from dataclasses import replace
-
-        valid = {f.name for f in dc_fields(self)}
-        updates: dict[str, Any] = {}
-        roles: dict[str, int] = {}
-        for key, value in options.items():
-            if key in _ROLE_OPTIONS:
-                roles[key] = value
-            elif key in valid:
-                updates[key] = value
-            else:
-                raise TypeError(
-                    "unknown runtime option %r; valid options: %s"
-                    % (key, ", ".join(sorted(valid | set(_ROLE_OPTIONS))))
-                )
-        cfg = replace(self, **updates)
-        if roles:
-            workers = roles.get("workers", self.workers)
-            servers = roles.get("servers", cfg.n_servers)
-            engines = roles.get("engines", cfg.n_engines)
-            cfg.size = workers + servers + engines
-            cfg.n_servers = servers
-            cfg.n_engines = engines
-        return cfg
 
 
 class Output:
@@ -344,49 +187,11 @@ def run_turbine_program(
     ``program`` is loaded on every engine and worker rank; ``entry`` is
     invoked on the first engine rank only.
     """
-    config = config or RuntimeConfig()
-    if config.on_error not in ("retry", "fail_fast", "continue"):
-        raise ValueError(
-            "on_error must be 'retry', 'fail_fast', or 'continue', not %r"
-            % (config.on_error,)
-        )
+    config = (config or RuntimeConfig()).resolve()
+    replicate, journal = config.replicate, config.journal
+    leases_enabled, reliable = config.leases, config.reliable
     layout = config.layout()
-    recorder = config.tracer
-    if recorder is None and (config.trace or config.flightrec):
-        from ..obs import Recorder
-
-        recorder = (
-            Recorder(level=1, capacity=config.trace_capacity)
-            if config.trace
-            else Recorder()
-        )
-    replicate = config.replicate
-    if replicate is None:
-        replicate = config.on_error == "retry" and config.n_servers >= 2
-    elif replicate and config.n_servers < 2:
-        raise ValueError(
-            "replicate=True needs n_servers >= 2: a lone server has "
-            "no buddy to hold its replica"
-        )
-    journal = config.journal
-    if journal is None:
-        journal = config.on_error == "retry" and config.n_engines >= 2
-    elif journal and config.n_engines < 2:
-        raise ValueError(
-            "journal=True needs n_engines >= 2: a lone engine has "
-            "no surviving engine to adopt its rules"
-        )
-    # Leases cost a dict insert/pop per task handout, so they are only
-    # switched on when something can actually use them: retries, a
-    # fault plan that may kill ranks, or checkpoint/restore (the
-    # snapshot must capture leased units to re-run them).
-    leases_enabled = (
-        (config.on_error == "retry" and config.max_retries > 0)
-        or config.faults is not None
-        or config.checkpoint_path is not None
-        or config.restore is not None
-        or config.task_timeout is not None
-    )
+    recorder = config.recorder()
     # The run's counter table: every layer of every rank registers its
     # stats struct here as it is built.
     metrics = recorder.metrics if recorder is not None else Metrics()
@@ -394,12 +199,6 @@ def run_turbine_program(
     if config.faults is not None:
         faults = FaultState(config.faults)
         metrics.register("fault", faults.stats)
-    # Reliable RPC (seq-stamped, re-sendable requests) is what lets
-    # clients survive a lost server or a dropped message; it rides
-    # along whenever either can actually happen.
-    reliable = replicate or (
-        config.faults is not None and bool(config.faults.msg_rules)
-    )
     server_map = None
     if replicate:
         from ..adlb.layout import ServerMap
@@ -414,7 +213,10 @@ def run_turbine_program(
         plan = restore_plan(read_checkpoint(config.restore), layout)
         restore_shards = plan["server_shards"]
         restore_rules = plan["engine_rules"]
-    monitor = RunMonitor(metrics, config.monitor_out) if config.monitor else None
+    monitor = None
+    if config.monitor:
+        out = config.monitor if callable(config.monitor) else None
+        monitor = RunMonitor(metrics, out)
     output = Output(echo=config.echo)
 
     def announce_death(comm: Comm, e: RankKilled) -> None:
@@ -561,7 +363,7 @@ def run_turbine_program(
         # instead of the rank-failure wrapper.  A lost server likewise
         # surfaces as its own diagnostic (ServerLost).  Either way the
         # launcher's black box rides along on the surfaced exception.
-        box = getattr(e, "blackbox", None)
+        box = e.blackbox
         path = _dump_blackbox(box)
         e.blackbox_path = path
         for _, exc in e.failures:
@@ -571,7 +373,7 @@ def run_turbine_program(
                 raise exc from None
         raise
     except DeadlineExceeded as e:
-        e.blackbox_path = _dump_blackbox(getattr(e, "blackbox", None))
+        e.blackbox_path = _dump_blackbox(e.blackbox)
         raise
     finally:
         if sampler_stop is not None:

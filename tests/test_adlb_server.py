@@ -22,7 +22,7 @@ from repro.adlb.leases import Leases
 from repro.adlb.replication import Replica, Replication
 from repro.adlb.server import Server
 from repro.adlb.workqueue import Task
-from repro.faults import TaskError
+from repro.faults import EngineLost, TaskError
 from repro.mpi.comm import World
 
 # engine 0, workers 1-2, then the server rank(s)
@@ -78,11 +78,25 @@ class TestRecoveryOffBuildsNothing:
         assert make_server(on_error="continue")[0].drain is not None
         ckpt = make_server(checkpoint_path=str(tmp_path / "c.ckpt"))[0]
         assert ckpt.ckpt is not None and ckpt.leases is None
-        # a lone server has no buddy: replicate=True builds nothing
-        assert make_server(replicate=True)[0].repl is None
+        # (whether a layout can replicate is RuntimeConfig.resolve()'s
+        # rule; the server builds what it is told to)
         two = make_server(n_servers=2, replicate=True)[0]
         assert two.repl is not None and two.map is not None
         assert two.journals is None and two.leases is None
+
+    def test_engine_lost_with_journaling_on_does_not_blame_journaling(self):
+        # The one engine dies holding a journaled rule: adoption fails
+        # for want of a survivor, not because journaling was off.
+        server, _ = make_server(journal=True, leases=True)
+        rule = {"id": 1, "inputs": [7], "action": "x", "type": "LOCAL"}
+        rule.update(target=-1, priority=0, name="r")
+        entries = [("create", rule)]
+        journal = {"op": C.OP_JOURNAL, "rank": ENGINE, "entries": entries}
+        server.dispatch(journal, ENGINE, C.TAG_ONEWAY)
+        with pytest.raises(EngineLost, match="no surviving engine") as info:
+            server.leases.rank_dead(ENGINE, "lease expired")
+        assert "disabled" not in str(info.value)
+        assert "journal=True" not in str(info.value)
 
     def test_ops_of_features_that_are_off_are_unknown_ops(self):
         server, world = make_server()

@@ -225,9 +225,8 @@ class TestMonitor:
             workers=2,
             servers=1,
             engines=1,
-            monitor=True,
+            monitor=lines.append,
             monitor_interval=0.01,
-            monitor_out=lines.append,
         )
         assert lines and all(line.startswith("[monitor]") for line in lines)
 

@@ -10,6 +10,7 @@ import pytest
 import repro
 from repro import (
     CompiledProgram,
+    FaultPlan,
     RuntimeConfig,
     SwiftRuntime,
     compile_swift,
@@ -103,7 +104,8 @@ class TestConfigPath:
         with pytest.raises(TypeError, match="recv_timout"):
             RuntimeConfig.of().with_options(recv_timout=3.0)
         # names that were options once are unknown like any other
-        for gone in ("read_cache", "batch_refcounts", "record_spans"):
+        # (monitor_out folded into monitor=callable)
+        for gone in ("read_cache", "batch_refcounts", "record_spans", "monitor_out"):
             with pytest.raises(TypeError, match=gone):
                 RuntimeConfig.of().with_options(**{gone: True})
 
@@ -134,6 +136,79 @@ class TestConfigPath:
     def test_runtime_options_flow_through_swift_run(self):
         res = swift_run('printf("x");', workers=2, recv_timeout=60.0)
         assert res.stdout_lines == ["x"]
+
+
+KILLS = FaultPlan(seed=1).kill_rank(2, after_tasks=1)
+DROPS = FaultPlan(seed=1).drop_messages(tag=10, times=1)
+
+# options -> what RuntimeConfig.resolve() turns on:
+# (replicate, journal, leases, reliable), or the ValueError it raises
+RESOLVED = [
+    # the auto-rule: under retry, whatever the layout can recover
+    (dict(), (False, False, True, False)),
+    (dict(servers=2), (True, False, True, True)),
+    (dict(engines=2), (False, True, True, False)),
+    (dict(servers=2, engines=2), (True, True, True, True)),
+    (dict(servers=3, engines=3, max_retries=0), (True, True, False, True)),
+    # no recovery is wanted under the other two policies
+    (dict(servers=2, engines=2, on_error="fail_fast"), (False, False, False, False)),
+    (dict(servers=2, engines=2, on_error="continue"), (False, False, False, False)),
+    # an explicit choice wins over the auto-rule, either way
+    (dict(servers=2, engines=2, replicate=False), (False, True, True, False)),
+    (dict(servers=2, engines=2, journal=False), (True, False, True, True)),
+    (dict(servers=2, on_error="continue", replicate=True), (True, False, False, True)),
+    (dict(engines=2, on_error="fail_fast", journal=True), (False, True, False, False)),
+    # leases: anything that can use them arms them
+    (dict(on_error="continue", faults=KILLS), (False, False, True, False)),
+    (dict(on_error="continue", checkpoint_path="c"), (False, False, True, False)),
+    (dict(on_error="continue", restore="c"), (False, False, True, False)),
+    (dict(on_error="fail_fast", task_timeout=1.0), (False, False, True, False)),
+    # reliable RPC: replication, or a plan that can lose a message
+    (dict(faults=DROPS), (False, False, True, True)),
+    (dict(faults=KILLS), (False, False, True, False)),
+    (dict(servers=2, replicate=False, faults=DROPS), (False, False, True, True)),
+    # the three configuration errors
+    (dict(on_error="ignore"), "on_error must be"),
+    (dict(servers=1, replicate=True), "n_servers >= 2"),
+    (dict(engines=1, journal=True), "n_engines >= 2"),
+]
+
+
+class TestResolve:
+    """RuntimeConfig.resolve(): the one home of what a run turns on."""
+
+    @pytest.mark.parametrize("options, expected", RESOLVED)
+    def test_resolved_features(self, options, expected):
+        cfg = RuntimeConfig.of(**options)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                cfg.resolve()
+            return
+        done = cfg.resolve()
+        got = (done.replicate, done.journal, done.leases, done.reliable)
+        assert got == expected
+        assert all(isinstance(flag, bool) for flag in got)
+        # read-only derived values, the same before and after resolving
+        assert (cfg.leases, cfg.reliable) == expected[2:]
+        with pytest.raises(AttributeError):
+            done.leases = False
+
+    def test_resolve_is_idempotent_and_leaves_the_original_unset(self):
+        cfg = RuntimeConfig.of(servers=2, engines=2)
+        once = cfg.resolve()
+        assert once.resolve() == once
+        assert (cfg.replicate, cfg.journal) == (None, None)
+        assert len(RuntimeConfig.__dataclass_fields__) == 28
+
+    def test_the_run_is_what_resolve_said(self):
+        res = swift_run('printf("x");', workers=2, servers=2, engines=2)
+        counters = res.metrics["counters"]
+        assert counters["adlb.repl.batches_sent"] > 0
+        assert counters["engine.journal.flushes"] > 0
+        off = swift_run(
+            'printf("x");', workers=2, servers=2, engines=2, on_error="continue"
+        )
+        assert "adlb.repl.batches_sent" not in off.metrics["counters"]
 
 
 class TestSession:

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from repro import FaultPlan, swift_run
+from repro import FaultPlan, RuntimeConfig, swift_run
 from repro.adlb.layout import Layout
 from repro.chaos import (
     INTENSITIES,
@@ -18,9 +18,11 @@ from repro.chaos import (
     load_fault_plan,
     shrink_plan,
 )
-from repro.chaos.runner import Workload, golden_run, run_trial
+from repro.chaos.runner import Workload, golden_run, run_trial, trial_config
 
 SEED = int(os.environ.get("FAULT_SEED", "0"))
+# generate_plan(...).to_dict() for seeds 0-9 x light / medium / brutal
+PLANS = "chaos_plans_4w2s2e.json"
 
 FANOUT = """
 foreach i in [0:9] {
@@ -30,8 +32,10 @@ foreach i in [0:9] {
 """
 
 
-def layout(workers=4, servers=2, engines=2) -> Layout:
-    return Layout(workers + servers + engines, servers, engines)
+def config(workers=4, servers=2, engines=2) -> RuntimeConfig:
+    return RuntimeConfig.of(
+        workers=workers, servers=servers, engines=engines, max_retries=3
+    )
 
 
 # ---------------------------------------------------------------- schedule
@@ -39,25 +43,48 @@ def layout(workers=4, servers=2, engines=2) -> Layout:
 
 class TestSchedule:
     def test_deterministic_per_seed_and_intensity(self):
-        lay = layout()
-        a = generate_plan(lay, seed=SEED + 7, intensity="medium")
-        b = generate_plan(lay, seed=SEED + 7, intensity="medium")
+        cfg = config()
+        a = generate_plan(cfg, seed=SEED + 7, intensity="medium")
+        b = generate_plan(cfg, seed=SEED + 7, intensity="medium")
         assert a.to_dict() == b.to_dict()
-        c = generate_plan(lay, seed=SEED + 7, intensity="brutal")
+        c = generate_plan(cfg, seed=SEED + 7, intensity="brutal")
         assert c.to_dict() != a.to_dict()
 
     def test_seeds_explore_distinct_plans(self):
-        lay = layout()
+        cfg = config()
         plans = {
-            json.dumps(generate_plan(lay, seed=s, intensity="medium").to_dict())
+            json.dumps(generate_plan(cfg, seed=s, intensity="medium").to_dict())
             for s in range(20)
         }
         assert len(plans) > 10
 
+    def test_plans_of_the_ci_seeds_are_the_parents(self):
+        # Snapshot taken at the commit before the envelope started
+        # reading RuntimeConfig.resolve() instead of the layout: CI's
+        # chaos seeds must keep sampling the same plans.
+        with open(os.path.join(os.path.dirname(__file__), PLANS)) as f:
+            parent = json.load(f)
+        cfg = trial_config(Workload(name="4w/2s/2e", program=""), 60.0)
+        for key, plan in parent.items():
+            intensity, seed = key.split("/")
+            assert generate_plan(cfg, int(seed), intensity).to_dict() == plan, key
+        assert len(parent) == 30
+
+    def test_envelope_follows_the_resolved_config(self):
+        # What may be killed is what the run can survive losing — the
+        # resolved recovery features, not the rank counts.
+        off = config().with_options(replicate=False, journal=False)
+        lay = off.layout()
+        for s in range(40):
+            plan = generate_plan(off, seed=s, intensity="brutal")
+            assert {k.rank for k in plan.kills} <= set(lay.workers)
+            assert not plan.poison_rules
+
     def test_survivability_envelope(self):
-        lay = layout(workers=4, servers=2, engines=2)
+        cfg = config(workers=4, servers=2, engines=2)
+        lay = cfg.layout()
         for s in range(60):
-            plan = generate_plan(lay, seed=s, intensity="brutal")
+            plan = generate_plan(cfg, seed=s, intensity="brutal")
             killed = {k.rank for k in plan.kills}
             assert len(killed & set(lay.workers)) < len(lay.workers)
             assert len(killed & set(lay.engines)) < lay.n_engines
@@ -83,15 +110,15 @@ class TestSchedule:
                 assert not killed & set(lay.engines)
 
     def test_solo_roles_are_never_killed(self):
-        lay = layout(workers=1, servers=1, engines=1)
+        cfg = config(workers=1, servers=1, engines=1)
         for s in range(40):
-            plan = generate_plan(lay, seed=s, intensity="brutal")
+            plan = generate_plan(cfg, seed=s, intensity="brutal")
             assert not plan.kills
             assert not plan.poison_rules  # needs >= 2 engines
 
     def test_unknown_intensity_rejected(self):
         with pytest.raises(ValueError, match="intensity"):
-            generate_plan(layout(), seed=0, intensity="apocalyptic")
+            generate_plan(config(), seed=0, intensity="apocalyptic")
 
     def test_intensity_registry_levels(self):
         assert set(INTENSITIES) == {"light", "medium", "brutal"}

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import json
 import os
+from dataclasses import fields
 
 import pytest
 
-from repro.cli import main
+from repro import (
+    DeadlineExceeded,
+    EngineLost,
+    RankFailure,
+    RuntimeConfig,
+    ServerLost,
+    TaskError,
+)
+from repro.cli import _runtime_config, build_parser, main
+from repro.faults import BlackboxCarrier
 
 
 @pytest.fixture()
@@ -146,3 +157,177 @@ class TestArgv:
         src.write_text('printf("hi %s", argv("who"));')
         assert main(["run", str(src), "--arg", "who=world"]) == 0
         assert "hi world" in capsys.readouterr().out
+
+
+# ------------------------------------------------- one configuration pipeline
+
+# Today's flags, written out: the pin that proves deriving them from the
+# RuntimeConfig declaration changed nothing a user can type.
+RUNTIME_FLAGS = {
+    "--workers", "--servers", "--engines", "--arg", "--trace", "--monitor",
+    "--monitor-interval", "--interp-mode", "--on-error", "--max-retries",
+    "--deadline", "--replicate", "--no-replicate", "--journal", "--no-journal",
+    "--task-timeout", "--checkpoint", "--checkpoint-interval", "--restore",
+    "--audit", "--fault-plan", "--no-flightrec", "--blackbox-dir",
+}  # fmt: skip
+OPT_FLAGS = {"-O0", "-O1", "-O2"}
+RUN_STYLE_FLAGS = {
+    "run": RUNTIME_FLAGS | OPT_FLAGS,
+    "runtcl": RUNTIME_FLAGS,
+    "profile": RUNTIME_FLAGS | OPT_FLAGS | {"--chrome"},
+    "trace": RUNTIME_FLAGS | OPT_FLAGS | {"-o", "--output"},
+    "analyze": RUNTIME_FLAGS | OPT_FLAGS | {"--dot", "--json"},
+}
+
+
+def subparser(command: str):
+    (action,) = build_parser()._subparsers._group_actions
+    return action.choices[command]
+
+
+def flagged_fields():
+    return [f for f in fields(RuntimeConfig) if f.metadata.get("flag")]
+
+
+class TestDerivedFlags:
+    @pytest.mark.parametrize("command", sorted(RUN_STYLE_FLAGS))
+    def test_accepted_flags_are_todays(self, command):
+        accepted = set()
+        for action in subparser(command)._actions:
+            accepted.update(action.option_strings)
+        assert accepted - {"-h", "--help"} == RUN_STYLE_FLAGS[command]
+        # and the declarations' help strings survive argparse's % formatting
+        assert "--workers N" in subparser(command).format_help()
+
+    @pytest.mark.parametrize("command", sorted(RUN_STYLE_FLAGS))
+    def test_parsed_defaults_are_the_dataclass_defaults(self, command):
+        ns = build_parser().parse_args([command, "p.swift"])
+        defaults = RuntimeConfig()
+        for f in flagged_fields():
+            dest = f.metadata.get("dest", f.name)
+            want = [] if f.name == "args" else getattr(defaults, dest)
+            assert getattr(ns, dest) == want, f.name
+        assert ns.workers == 2 and getattr(ns, "opt", 1) == 1
+        # The one default that is the CLI's own (_runtime_config): a
+        # failed run leaves its black box where it was launched —
+        # --blackbox-dir parses to the dataclass's None like the rest.
+        assert _runtime_config(ns, report=False).blackbox_dir == "."
+        ns.flightrec = False
+        assert _runtime_config(ns, report=False).blackbox_dir is None
+
+    def test_every_flag_lands_on_its_field(self, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"seed": 4}')
+        argv = (
+            "run p.swift --workers 3 --servers 2 --engines 2 --arg a=1 --arg b=2"
+            " --trace --monitor --monitor-interval 0.5 --interp-mode reinit"
+            " --on-error continue --max-retries 5 --deadline 9 --no-replicate"
+            " --journal --task-timeout 7 --checkpoint c --checkpoint-interval 3"
+            " --restore r --audit --no-flightrec --blackbox-dir d --fault-plan "
+        )
+        ns = build_parser().parse_args(argv.split() + [str(plan)])
+        cfg = _runtime_config(ns, report=False)
+        assert (cfg.workers, cfg.n_servers, cfg.n_engines) == (3, 2, 2)
+        assert cfg.args == {"a": "1", "b": "2"} and cfg.faults.seed == 4
+        assert cfg.trace and cfg.echo and callable(cfg.monitor) and cfg.audit
+        assert (cfg.monitor_interval, cfg.interp_mode) == (0.5, "reinit")
+        assert (cfg.on_error, cfg.max_retries, cfg.deadline) == ("continue", 5, 9.0)
+        assert (cfg.replicate, cfg.journal, cfg.task_timeout) == (False, True, 7.0)
+        assert (cfg.checkpoint_path, cfg.checkpoint_interval) == ("c", 3.0)
+        assert (cfg.restore, cfg.flightrec, cfg.blackbox_dir) == ("r", False, None)
+        # a report-style command owns stdout and is traced without --trace
+        report = _runtime_config(build_parser().parse_args(["trace", "p"]), True)
+        assert report.trace and not report.echo and report.monitor is False
+
+    def test_flags_are_declared_on_the_dataclass_only(self):
+        # No field gained or lost a flag, and each flag is spelled once.
+        spelled = sorted(f.metadata["flag"] for f in flagged_fields())
+        negations = {"--no-replicate", "--no-journal"}  # BooleanOptionalAction
+        assert set(spelled) == RUNTIME_FLAGS - negations
+        assert len(spelled) == len(set(spelled)) == 21
+        assert len(fields(RuntimeConfig)) == 28
+
+
+class TestRunFailures:
+    FANOUT = (
+        "foreach i in [0:19] {\n"
+        '    string s = python(strcat("x=", fromint(i)), "x");\n'
+        "    trace(s);\n"
+        "}\n"
+    )
+
+    def test_server_lost_is_a_reported_failure_not_a_traceback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Every exception that ends a run shares one base, and the one
+        # `except` of _run_program catches it: ServerLost used to
+        # escape the hand-written tuples as a raw traceback.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fan.swift").write_text(self.FANOUT)
+        kill = {"rank": 5, "after_tasks": 3, "silent": False}
+        (tmp_path / "plan.json").write_text(json.dumps({"seed": 0, "kills": [kill]}))
+        argv = "run fan.swift --workers 2 --servers 2 --engines 2 --no-replicate"
+        assert main(argv.split() + ["--fault-plan", "plan.json"]) == 3
+        err = capsys.readouterr().err
+        assert "run failed: ADLB server rank 5 lost" in err
+        assert "repro postmortem" in err and "Traceback" not in err
+
+    def test_every_run_failure_class_has_the_one_base(self):
+        for cls in (TaskError, DeadlineExceeded, ServerLost, EngineLost, RankFailure):
+            assert issubclass(cls, BlackboxCarrier), cls
+        assert RankFailure([]).blackbox is None  # the base's attribute, not a copy
+        assert "blackbox" not in vars(RankFailure)
+
+
+# ------------------------------------------------------------------- README
+
+
+def readme() -> str:
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        return f.read()
+
+
+def option_table() -> str:
+    """README's option table, generated from the field declarations."""
+    rows = ["| option | CLI flag | default | what it does |", "|---|---|---|---|"]
+    for f in fields(RuntimeConfig):
+        m = f.metadata
+        name = m.get("dest", f.name)
+        flag = m.get("flag") or ""
+        if f.type == "bool | None":
+            flag += " / --no-" + flag[2:]
+        if flag and (m.get("metavar") or m.get("choices")):
+            flag += " " + (m.get("metavar") or "{%s}" % ",".join(m["choices"]))
+        default = getattr(RuntimeConfig(), name)
+        rows.append(
+            "| `%s` | %s | `%r` | %s |"
+            % (name, flag and "`%s`" % flag, default, m["help"].replace("|", "\\|"))
+        )
+    return "\n".join(rows)
+
+
+class TestReadme:
+    def test_option_table_is_the_generated_one(self):
+        text = readme()
+        begin, end = "<!-- options:begin -->\n", "\n<!-- options:end -->"
+        table = text[text.index(begin) + len(begin) : text.index(end)]
+        assert table == option_table(), (
+            "README's option table is stale; paste this between the "
+            "options:begin / options:end markers:\n" + option_table()
+        )
+
+    def test_every_command_line_shown_parses(self):
+        # Each `python -m repro ...` / `$ repro ...` line of README's
+        # code blocks is accepted by the derived parser.
+        lines = readme().replace("\\\n", " ").splitlines()
+        shown = [
+            line.split(" # ")[0].split("repro ", 1)[1]
+            for line in lines
+            if line.startswith(("python -m repro ", "$ repro "))
+        ]
+        assert len(shown) >= 15
+        for argv in shown:
+            try:
+                build_parser().parse_args(argv.split())
+            except SystemExit:
+                pytest.fail("README shows a command the CLI rejects: repro " + argv)

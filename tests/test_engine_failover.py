@@ -18,6 +18,7 @@ import pytest
 from repro import (
     DeadlineExceeded,
     EngineLost,
+    ServerLost,
     FaultPlan,
     QuarantinedTask,
     swift_run,
@@ -227,6 +228,19 @@ class TestEngineLostDiagnostic:
     def test_journal_on_needs_two_engines(self):
         with pytest.raises(ValueError, match="n_engines >= 2"):
             swift_run(FANOUT, workers=2, servers=1, engines=1, journal=True)
+
+    def test_remedy_is_offered_only_when_the_feature_was_off(self):
+        # The texts say what the resolved config said, not a fixed guess.
+        off = str(EngineLost(1, "killed", rules_pending=2))
+        assert "journaling is disabled" in off and "journal=True" in off
+        on = str(EngineLost(1, "killed; no adopter", rules_pending=2, journaled=True))
+        assert "lost (killed; no adopter)" in on and "2 pending rule(s)" in on
+        assert "disabled" not in on and "journal=True" not in on
+        off = str(ServerLost(5, "killed"))
+        assert "replication is disabled" in off and "replicate=True" in off
+        on = str(ServerLost(5, "killed", replicated=True))
+        assert "server rank 5 lost (killed)" in on
+        assert "disabled" not in on and "replicate=True" not in on
 
 
 class TestQuarantine:
