@@ -104,9 +104,16 @@ foreach i in [0:%(last)d] {
 }
 
 
+def workload():
+    """(program text, per-rank ``setup``): what :func:`main` runs, and
+    what ``repro chaos`` registers under this example's name."""
+    return PROGRAM, None
+
+
 def main() -> None:
-    rt = SwiftRuntime(workers=4, engines=2, servers=2, trace=True)
-    result = rt.run(PROGRAM)
+    program, setup = workload()
+    rt = SwiftRuntime(workers=4, engines=2, servers=2, trace=True, setup=setup)
+    result = rt.run(program)
     lines = sorted(result.stdout_lines)
     for line in lines:
         print(line)

@@ -76,12 +76,16 @@ printf("force on atom 0 at spacing 1.12: %s", first_force(1.12, n_atoms));
 """
 
 
+def workload():
+    """(program text, per-rank ``setup``): what :func:`main` runs, and
+    what ``repro chaos`` registers under this example's name."""
+    return PROGRAM, lambda interp, ctx, client: install_package(interp, matlib)
+
+
 def main() -> None:
-    rt = SwiftRuntime(
-        workers=4,
-        setup=lambda interp, ctx, client: install_package(interp, matlib),
-    )
-    result = rt.run(PROGRAM)
+    program, setup = workload()
+    rt = SwiftRuntime(workers=4, setup=setup)
+    result = rt.run(program)
     for line in result.stdout_lines:
         print(line)
     print()

@@ -110,7 +110,9 @@ printf("contingency sweep: %s", assess_when_ready(worst));
 """
 
 
-def main() -> None:
+def workload():
+    """(program text, per-rank ``setup``): what :func:`main` runs, and
+    what ``repro chaos`` registers under this example's name."""
     injections = np.random.RandomState(7).uniform(-1, 1, N_BUSES)
     injections -= injections.mean()  # balanced grid
 
@@ -118,9 +120,14 @@ def main() -> None:
         install_package(interp, gridlib)
         interp.set_var("::injections", " ".join(repr(float(x)) for x in injections))
 
-    rt = SwiftRuntime(workers=4, setup=setup)
     src = PROGRAM.replace("@N@", str(N_BUSES)).replace("@LAST@", str(N_BUSES - 1))
-    result = rt.run(src)
+    return src, setup
+
+
+def main() -> None:
+    program, setup = workload()
+    rt = SwiftRuntime(workers=4, setup=setup)
+    result = rt.run(program)
     for line in result.stdout_lines:
         print(line)
     print()

@@ -63,9 +63,16 @@ foreach b, bi in bases {
 """ % {"reps": N_PEPTIDES // 4}
 
 
+def workload():
+    """(program text, per-rank ``setup``): what :func:`main` runs, and
+    what ``repro chaos`` registers under this example's name."""
+    return PROGRAM, None
+
+
 def main() -> None:
-    rt = SwiftRuntime(workers=4, trace=True)
-    result = rt.run(PROGRAM)
+    program, setup = workload()
+    rt = SwiftRuntime(workers=4, trace=True, setup=setup)
+    result = rt.run(program)
     hits = sorted(line for line in result.stdout_lines if "HIT" in line)
     print("\n".join(sorted(result.stdout_lines)))
     print()

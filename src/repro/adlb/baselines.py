@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..mpi import Comm, run_world
+from ..mpi import Comm, barrier, run_world
 from .client import AdlbClient
 from .constants import WORK
 from .layout import Layout
@@ -46,12 +46,12 @@ def run_static_round_robin(
 
     def main(comm: Comm) -> None:
         rank = comm.rank
-        comm.barrier()
+        barrier(comm)
         t0 = time.perf_counter()
         for i in range(rank, n_tasks, comm.size):
             task_fn(i)
         busy[rank] = time.perf_counter() - t0
-        comm.barrier()
+        barrier(comm)
 
     t0 = time.perf_counter()
     run_world(n_workers, main)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -136,7 +135,7 @@ class Checkpointer:
         self.core = core
         self.path = path
         self.interval = interval or 0.5
-        self.stats = core.comm.world.metrics.register(
+        self.stats = core.comm.metrics.register(
             "adlb.ckpt", CkptStats(), core.rank
         )
         self._gen = 0
@@ -144,7 +143,7 @@ class Checkpointer:
         self._started = 0.0
         self._parts: dict[tuple[str, int], dict] = {}
         self._waiting: set[int] = set()
-        self._last = time.monotonic()
+        self._last = core.comm.now()
         core.ops[C.SOP_CKPT_REQ] = self.op_req
         core.ops[C.SOP_CKPT_PART] = self.op_part
 
@@ -157,7 +156,7 @@ class Checkpointer:
             or core.work_count <= 0
         ):
             return
-        now = time.monotonic()
+        now = core.comm.now()
         if self._phase is not None:
             if now - self._started > 10.0:
                 self.stats.abandoned += 1
@@ -183,7 +182,8 @@ class Checkpointer:
         # land in the snapshot (the master's request was sent after
         # every engine contributed, so anything an engine counted is
         # already in our mailbox).
-        self._drain_mailbox()
+        while self.core.pump(timeout=0):
+            pass
         part = dict(self._server_part(), op=C.SOP_CKPT_PART, gen=msg["gen"])
         self.core.comm.send(part, source, C.TAG_SERVER)
 
@@ -211,7 +211,8 @@ class Checkpointer:
     def _engines_done(self) -> None:
         core = self.core
         self._phase = "servers"
-        self._drain_mailbox()
+        while core.pump(timeout=0):  # as in op_req: in-flight puts land first
+            pass
         self._parts[("server", core.rank)] = self._server_part()
         others = core.other_servers
         self._waiting = set(others)
@@ -222,16 +223,6 @@ class Checkpointer:
             core.comm.send(
                 {"op": C.SOP_CKPT_REQ, "gen": self._gen}, s, C.TAG_SERVER
             )
-
-    def _drain_mailbox(self) -> None:
-        """Process every message already deposited for this rank."""
-        core = self.core
-        while True:
-            got = core.comm.recv_poll(timeout=0)
-            if got is None:
-                return
-            msg, status = got
-            core.dispatch(msg, status.source, status.tag)
 
     def _server_part(self) -> dict:
         core = self.core
@@ -272,7 +263,7 @@ class Checkpointer:
         write_checkpoint(self.path, image)
         self.stats.written += 1
         self.stats.units_captured = units
-        self._last = time.monotonic()
+        self._last = core.comm.now()
         self._phase = None
         if core.tracer is not None:
             core.tracer.emit("checkpoint", self._gen, units)

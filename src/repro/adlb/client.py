@@ -8,7 +8,6 @@ one RPC (or one per home server), applied when it returns.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -81,7 +80,7 @@ class AdlbClient:
         self.resend_interval = resend_interval
         self.rpc_stats = ClientRpcStats()
         if reliable:
-            comm.world.metrics.register("adlb.rpc", self.rpc_stats, self.rank)
+            comm.metrics.register("adlb.rpc", self.rpc_stats, self.rank)
         self._seq = 0
         # outstanding async park (park_async .. its grant in recv_async)
         self._park: _Pending | None = None
@@ -119,7 +118,7 @@ class AdlbClient:
         self._seq += 1
         msg = dict(msg, seq=self._seq)
         self.rpc_stats.sent += 1
-        pending = _Pending(msg, anchor, self._seq, self._epoch(), time.monotonic())
+        pending = _Pending(msg, anchor, self._seq, self._epoch(), self.comm.now())
         self.comm.send(msg, self._resolve(anchor), C.TAG_REQUEST)
         return pending
 
@@ -140,7 +139,7 @@ class AdlbClient:
                     return reply[:-1]
                 self.rpc_stats.stale_replies += 1
                 continue
-            now = time.monotonic()
+            now = self.comm.now()
             cur = self._epoch()
             if cur != p.epoch:
                 p.epoch = cur

@@ -9,7 +9,6 @@ are unreachable and the master shuts the run down so it terminates.
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 from . import constants as C
@@ -42,7 +41,7 @@ class Drain:
         core = self.core
         if not (core.is_master and core.work_started and core.work_count > 0):
             return
-        now = time.monotonic()
+        now = core.comm.now()
         if not self.quiescent():
             self._since = None
             self._probing = False

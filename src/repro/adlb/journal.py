@@ -11,7 +11,6 @@ engine still held and ships them — with the termination-counter repair
 from __future__ import annotations
 
 import copy
-import time
 from typing import Any
 
 from ..faults import EngineLost
@@ -30,13 +29,12 @@ class RuleJournal:
     been returned yet (its lease must not requeue).
     """
 
-    __slots__ = ("rules", "guard", "ctask_done", "last_heard")
+    __slots__ = ("rules", "guard", "ctask_done")
 
     def __init__(self) -> None:
         self.rules: dict[int, dict] = {}  # rule id -> {inputs: set, ...}
         self.guard = 0
         self.ctask_done = False
-        self.last_heard = time.monotonic()
 
     def apply(self, entries: list) -> None:
         for entry in entries:
@@ -86,18 +84,16 @@ class Journals:
         # A silent engine is presumed dead after this long — the same
         # budget a slow worker's lease gets.
         self.stale_after = stale_after
+        # engine rank -> when it last flushed or beat, by comm.now()
+        self.last_heard: dict[int, float] = {}
+        self._settle_by: float | None = None  # see settled()
         core.ops[C.OP_JOURNAL] = self.op_journal
-
-    def _mirror(self, msg: dict, source: int) -> int:
-        rank = msg.get("rank", source)
-        jr = self.table.setdefault(rank, RuleJournal())
-        jr.apply(msg["entries"])
-        jr.last_heard = time.monotonic()
-        return rank
 
     def op_journal(self, msg: dict, source: int) -> None:
         """Engine rule-lifecycle journal (empty = pure heartbeat)."""
-        rank = self._mirror(msg, source)
+        rank = msg.get("rank", source)
+        self.table.setdefault(rank, RuleJournal()).apply(msg["entries"])
+        self.last_heard[rank] = self.core.comm.now()
         if msg["entries"]:
             core = self.core
             if core.ring is not None:
@@ -166,17 +162,20 @@ class Journals:
 
         A kill-notified engine death arrives as SOP_RANK_DEAD; a
         *silent* kill models an abrupt crash, so the only signal is
-        that the engine's journal flushes/heartbeats stop.
+        that the engine's journal flushes/heartbeats stop.  Engines
+        beat only on runs with a fault plan, and only a lease sweep can
+        act on a loss: without either there is nothing to watch.
         """
         core = self.core
-        now = time.monotonic()
-        for rank, jr in list(self.table.items()):
+        if core.faults is None or core.leases is None:
+            return
+        now = core.comm.now()
+        for rank in list(self.table):
             if rank in core.dead_ranks:
                 continue
-            if now - jr.last_heard > self.stale_after:
-                reason = "journal heartbeat lost for %.1fs" % (
-                    now - jr.last_heard
-                )
+            silent = now - self.last_heard[rank]
+            if silent > self.stale_after:
+                reason = "journal heartbeat lost for %.1fs" % silent
                 for s in core.other_servers:
                     core.comm.send(
                         {"op": C.SOP_RANK_DEAD, "rank": rank, "reason": reason},
@@ -185,36 +184,32 @@ class Journals:
                     )
                 core.leases.rank_dead(rank, reason)
 
-    def sweep(self) -> None:
-        """Drain in-flight journal flushes after a clean shutdown.
+    def settled(self) -> bool:
+        """No in-flight journal flush is left to wait for (a clause of
+        ``Server._done``, asked once every client has been released).
 
         An engine's final ``done`` entry is flushed *after* the
         ``decr_work`` that zeroes the termination counter (the jot is
         buffered in ``drain()``; the flush lands at the next loop
         boundary), and parked clients are acked without a round trip —
-        so the server can finish its loop while that last
+        so the server could finish its loop while that last
         ``OP_JOURNAL`` oneway is still in its mailbox or on the wire.
         The engine is guaranteed to send it before blocking, so a
-        short bounded drain makes the mirrors exact for the terminal
-        audit; a live engine's mirror that *stays* pending past the
-        deadline is a real leak and is left for the audit to flag.
+        short bounded stay in the loop makes the mirrors exact for the
+        terminal audit; a live engine's mirror that *stays* pending past
+        the bound is a real leak and is left for the audit to flag.
         """
         core = self.core
-        live_pending = lambda: any(  # noqa: E731
+        if not any(
             journal.rules
             for engine, journal in self.table.items()
             if engine not in core.dead_ranks
-        )
-        deadline = time.monotonic() + 1.0
-        while live_pending() and time.monotonic() < deadline:
-            got = core.comm.recv_poll(timeout=0.02)
-            if got is None:
-                continue
-            msg, status = got
-            if isinstance(msg, dict) and msg.get("op") == C.OP_JOURNAL:
-                self._mirror(msg, status.source)
-            # Anything else (heartbeats, reliable-RPC resends) would
-            # have been dropped by exiting anyway; discard it.
+        ):
+            return True
+        now = core.comm.now()
+        if self._settle_by is None:
+            self._settle_by = now + 1.0
+        return now >= self._settle_by
 
     # -- replica slice, audit, diagnostic ------------------------------------
 
@@ -227,8 +222,11 @@ class Journals:
         dead server's mailbox are re-applied by the scavenge, and the
         engine only re-aims new flushes at this heir after it learns of
         the failover — so entry order holds."""
+        now = self.core.comm.now()
         for rank, journal in journals.items():
             self.table.setdefault(rank, journal)
+            # The engine's budget of silence restarts at its new anchor.
+            self.last_heard.setdefault(rank, now)
 
     def audit_fields(self) -> dict:
         # engine rank -> rules still pending in its journal mirror

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -57,7 +56,7 @@ class Leases:
         self.table: dict[int, _Lease] = {}  # client -> its outstanding unit
         self.timeout = timeout
         self.max_retries = max_retries
-        register = core.comm.world.metrics.register
+        register = core.comm.metrics.register
         self.stats = register("adlb.lease", LeaseStats(), core.rank)
         # Units withdrawn as poisonous (their attempts kept killing
         # their host ranks); collected onto RunResult.quarantined.
@@ -74,7 +73,7 @@ class Leases:
         """Record a handed-out unit; completion is implied by the
         client's next GET (one outstanding task per client)."""
         self.stats.granted += 1
-        self.table[client] = _Lease(task, client, time.monotonic() + self.timeout)
+        self.table[client] = _Lease(task, client, self.core.comm.now() + self.timeout)
 
     def take(self, client: int) -> _Lease | None:
         """Close the client's lease, if it holds one (asking for the
@@ -93,7 +92,7 @@ class Leases:
         nxt = core.stamp(dataclasses.replace(task, attempts=attempts))
         core.log(("task+", nxt))
         self._delay_seq += 1
-        release_at = time.monotonic() + RETRY_BACKOFF * 2 ** max(0, attempts - 1)
+        release_at = core.comm.now() + RETRY_BACKOFF * 2 ** max(0, attempts - 1)
         heapq.heappush(self.delayed, (release_at, self._delay_seq, nxt))
 
     def op_task_fail(self, msg: dict, source: int) -> None:
@@ -103,7 +102,7 @@ class Leases:
         transfers to this server: either it is requeued for another
         attempt, or given up permanently.
         """
-        lease = self.table.pop(source, None)
+        lease = self.take(source)
         if lease is None and source in self.core.dead_ranks:
             # The rank was already declared dead and its lease swept
             # (requeued or quarantined); a straggling failure report —
@@ -213,7 +212,7 @@ class Leases:
 
     def tick(self) -> None:
         """Release due backoff requeues; expire overdue leases."""
-        now = time.monotonic()
+        now = self.core.comm.now()
         while self.delayed and self.delayed[0][0] <= now:
             _, _, task = heapq.heappop(self.delayed)
             self.core.accept_task(task)
@@ -252,7 +251,7 @@ class Leases:
                     task = dataclasses.replace(task, target=-1)
                 self.requeue(task, task.attempts + 1)
             else:
-                deadline = time.monotonic() + self.timeout
+                deadline = self.core.comm.now() + self.timeout
                 self.table[client] = _Lease(task, client, deadline)
 
     def audit_fields(self) -> dict:
@@ -266,7 +265,7 @@ class Leases:
     def diagnostic(self) -> str:
         if not self.table:
             return "leases=none"
-        now = time.monotonic()
+        now = self.core.comm.now()
         return "leases={%s}" % ", ".join(
             "%d: %s (%.1fs left)"
             % (c, snippet(lease.task.payload, 40), lease.deadline - now)

@@ -13,7 +13,6 @@ and attached clients, and scavenges its undelivered mailbox.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -70,7 +69,6 @@ class Replica:
         # termination counter: (work_count, work_started, poisoned)
         self.work: tuple = image.get("work", (0, False, False))
         self.next_id: int = image.get("next_id", 1)
-        self.last_heard = time.monotonic()
 
     def apply(self, entry: tuple) -> None:
         kind = entry[0]
@@ -87,6 +85,8 @@ class Replica:
         elif kind == "task+":
             task = entry[1]
             self.tasks[task.uid] = task
+        elif kind == "task-":
+            self.tasks.pop(entry[1], None)
         elif kind == "grant":
             _, task, client, seq, reply = entry
             self.tasks.pop(task.uid, None)
@@ -122,13 +122,15 @@ class Replication:
         self.stats: ReplStats = core.repl_stats
         self.buddy = core.map.buddy(core.rank)
         self.replicas: dict[int, Replica] = {}
+        # ward -> when its last batch arrived, by comm.now()
+        self.last_heard: dict[int, float] = {}
         self.dead_servers: set[int] = set()
         # wards whose own shutdown has begun (their last entry, "bye")
         self.departed: set[int] = set()
         self.buf: list[tuple] = []
         self.seq = 0  # entries sent
         self.acked = 0  # entries the buddy confirmed applied
-        self._last_flush = time.monotonic()
+        self._last_flush = core.comm.now()
         self._ward_timeout = min(lease_timeout, 5.0)
         self._hb_interval = max(0.02, min(self._ward_timeout / 4, 0.25))
         core.ops[C.SOP_REPLICATE] = self.op_replicate
@@ -160,7 +162,15 @@ class Replication:
             self.buddy,
             C.TAG_SERVER,
         )
-        self._last_flush = time.monotonic()
+        self._last_flush = self.core.comm.now()
+
+    def last_gasp(self) -> None:
+        """Push the unflushed op-log tail to the buddy before dying (not
+        on a silent kill: an abrupt crash gets no such courtesy)."""
+        try:
+            self.flush()
+        except Exception:
+            pass
 
     def resilver(self) -> None:
         """Replace the buddy's shadow with a full image of this server.
@@ -201,7 +211,7 @@ class Replication:
                 self.departed.add(source)
             else:
                 rep.apply(entry)
-        rep.last_heard = time.monotonic()
+        self.last_heard[source] = self.core.comm.now()
         self.stats.entries_applied += len(msg["entries"])
         self.core.comm.send(
             {"op": C.SOP_REPL_ACK, "seq": msg["seq"]}, source, C.TAG_SERVER
@@ -308,7 +318,7 @@ class Replication:
     def tick(self) -> None:
         """Heartbeat the buddy; detect a silently-dead ward."""
         core = self.core
-        now = time.monotonic()
+        now = core.comm.now()
         if now - self._last_flush >= self._hb_interval:
             self.flush(heartbeat=True)
         # Wards: live servers whose buddy is this server.  A ward that
@@ -320,12 +330,11 @@ class Replication:
                 continue
             if ward in self.departed:
                 continue
-            rep = self.replicas.setdefault(ward, Replica())
-            if now - rep.last_heard > self._ward_timeout:
+            heard = self.last_heard.setdefault(ward, now)
+            if now - heard > self._ward_timeout:
                 self.server_dead(
                     ward,
-                    reason="replication heartbeat lost for %.1fs"
-                    % (now - rep.last_heard),
+                    reason="replication heartbeat lost for %.1fs" % (now - heard),
                     broadcast=True,
                 )
         # Messages sent to a dead server after its mailbox was first

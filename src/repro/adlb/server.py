@@ -96,7 +96,7 @@ class Server:
         self.store = DataStore(replay_ok=reliable or restore_shard is not None)
         self.queue = WorkQueue()
         self.parked: list[ParkedGet] = []
-        metrics = comm.world.metrics
+        metrics = comm.metrics
         self.stats = metrics.register("adlb", ServerStats(), self.rank)
         # Op-log and dedup counters share one struct: duplicates of
         # seq-stamped requests are reliable-RPC traffic, replicated or not.
@@ -186,48 +186,45 @@ class Server:
             self.repl.flush(heartbeat=True)
         # Live gauges for --monitor, for as long as this rank is alive
         # (a clean exit leaves them: the run's last sample reads them).
-        sources = self.comm.world.metrics.sources
+        sources = self.comm.metrics.sources
         sources[self.rank] = self.gauges
         try:
             while not self._done():
-                got = self.comm.recv_poll(timeout=0.02)
-                if self.leases is not None:
-                    self.leases.tick()
-                if got is None:
+                if not self.pump(timeout=0.02):
                     self.stats.idle_polls += 1
                     self._idle_tick()
-                    continue
-                msg, status = got
-                self.dispatch(msg, status.source, status.tag)
         except RankKilled as e:
             del sources[self.rank]
             if self.repl is not None and not e.silent:
-                # Final gasp: push any unflushed op-log tail to the
-                # buddy before dying (a silent kill models an abrupt
-                # crash, so it gets no such courtesy).
-                try:
-                    self.repl.flush()
-                except Exception:
-                    pass
+                self.repl.last_gasp()
             raise
-        if self.journals is not None:
-            self.journals.sweep()
         return self.stats
+
+    def pump(self, timeout: float) -> bool:
+        """Take one message off the mailbox, waiting up to ``timeout``
+        for it, and dispatch it; False if none came.  The one place a
+        server receives: ``run`` loops over it, a checkpoint drains
+        what is already deposited with ``timeout=0``."""
+        got = self.comm.recv_poll(timeout=timeout)
+        if self.leases is not None:
+            self.leases.tick()
+        if got is None:
+            return False
+        msg, status = got
+        self.dispatch(msg, status.source, status.tag)
+        return True
 
     def _done(self) -> bool:
         if self.repl is not None and not self.repl.wards_settled():
             return False
-        return self.shutting_down and self._shutdown_acked >= self.attached_clients
+        released = self.shutting_down and self._shutdown_acked >= self.attached_clients
+        return released and (self.journals is None or self.journals.settled())
 
     def _idle_tick(self) -> None:
         self._maybe_steal()
         if self.repl is not None:
             self.repl.tick()
-        if (
-            self.journals is not None
-            and self.faults is not None
-            and self.leases is not None
-        ):
+        if self.journals is not None:
             self.journals.tick()
         if self.ckpt is not None:
             self.ckpt.tick()
@@ -440,6 +437,8 @@ class Server:
     def _op_steal_req(self, msg: dict, source: int) -> None:
         n = max(1, self.queue.size // 2)
         tasks = self.queue.steal(n) if self.queue.size else []
+        for task in tasks:  # gone from here: the buddy's image must drop it too
+            self.log(("task-", task.uid))
         self.stats.tasks_stolen_out += len(tasks)
         if self.tracer is not None:
             self.tracer.emit("steal_out", source, len(tasks))

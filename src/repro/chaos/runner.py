@@ -129,76 +129,38 @@ def _load_example(name: str):
     return mod
 
 
+#: The examples registered as chaos workloads.  Each exposes
+#: ``workload() -> (program, setup)``: what its own ``main`` runs.
+WORKLOADS = (
+    "fixpoint_labels",
+    "protein_pipeline",
+    "materials_sweep",
+    "powergrid_contingency",
+)
+
+
 def load_workloads(names: list[str] | None = None) -> list[Workload]:
     """Build the workload registry from the real ``examples/``.
 
     Workloads whose example cannot load (e.g. NumPy-backed kernels on a
     box without NumPy) are skipped unless explicitly requested by name.
     """
-    builders: dict[str, Callable[[], Workload]] = {
-        "fixpoint_labels": _wl_fixpoint,
-        "protein_pipeline": _wl_protein,
-        "materials_sweep": _wl_materials,
-        "powergrid_contingency": _wl_powergrid,
-    }
-    if names:
-        unknown = sorted(set(names) - set(builders))
-        if unknown:
-            raise ValueError(
-                "unknown workload(s) %s; registered: %s"
-                % (", ".join(unknown), ", ".join(sorted(builders)))
-            )
-        return [builders[name]() for name in names]
+    unknown = sorted(set(names or ()) - set(WORKLOADS))
+    if unknown:
+        raise ValueError(
+            "unknown workload(s) %s; registered: %s"
+            % (", ".join(unknown), ", ".join(sorted(WORKLOADS)))
+        )
     out: list[Workload] = []
-    for name, build in builders.items():
+    for name in names or WORKLOADS:
         try:
-            out.append(build())
+            program, setup = _load_example(name).workload()
         except ImportError:
+            if names:
+                raise
             continue
+        out.append(Workload(name=name, program=program, setup=setup))
     return out
-
-
-def _wl_fixpoint() -> Workload:
-    mod = _load_example("fixpoint_labels")
-    return Workload(name="fixpoint_labels", program=mod.PROGRAM)
-
-
-def _wl_protein() -> Workload:
-    mod = _load_example("protein_pipeline")
-    return Workload(name="protein_pipeline", program=mod.PROGRAM)
-
-
-def _wl_materials() -> Workload:
-    mod = _load_example("materials_sweep")
-    from ..swig import install_package
-
-    return Workload(
-        name="materials_sweep",
-        program=mod.PROGRAM,
-        setup=lambda interp, ctx, client: install_package(interp, mod.matlib),
-    )
-
-
-def _wl_powergrid() -> Workload:
-    mod = _load_example("powergrid_contingency")
-    import numpy as np
-
-    from ..swig import install_package
-
-    injections = np.random.RandomState(7).uniform(-1, 1, mod.N_BUSES)
-    injections -= injections.mean()
-    inj_text = " ".join(repr(float(x)) for x in injections)
-
-    def setup(interp, ctx, client):
-        install_package(interp, mod.gridlib)
-        interp.set_var("::injections", inj_text)
-
-    program = mod.PROGRAM.replace("@N@", str(mod.N_BUSES)).replace(
-        "@LAST@", str(mod.N_BUSES - 1)
-    )
-    return Workload(
-        name="powergrid_contingency", program=program, setup=setup
-    )
 
 
 # ------------------------------------------------------------------- trials

@@ -1,11 +1,12 @@
-"""Communicators, point-to-point messaging, and collectives."""
+"""Communicators and point-to-point messaging: what a rank may ask of
+the world (collectives are a library over it, :mod:`.collectives`)."""
 
 from __future__ import annotations
 
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ..obs.metrics import Metrics
 
@@ -13,10 +14,6 @@ _pc = time.perf_counter
 
 ANY_SOURCE = -1
 ANY_TAG = -1
-
-# Reserved internal tag space for collectives (user tags must be >= 0
-# and < _COLL_BASE).
-_COLL_BASE = 1_000_000_000
 
 
 class AbortError(RuntimeError):
@@ -29,7 +26,7 @@ class DeadlockError(RuntimeError):
 
 @dataclass
 class Status:
-    """Result metadata of a receive or probe."""
+    """Result metadata of a receive."""
 
     source: int
     tag: int
@@ -98,10 +95,12 @@ class _Mailbox:
         tag: int,
         timeout: float | None,
         aborted: threading.Event,
-    ) -> tuple[Any, Status, int]:
-        import time as _time
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
+    ) -> tuple[Any, Status, int] | None:
+        """Take the first matching message, waiting up to ``timeout``
+        for one (None: for ever); None if none came."""
+        # How long a thread sleeps on its condition is real time by
+        # nature: not the world's clock, which a test may hold still.
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self.cond:
             while True:
                 if aborted.is_set():
@@ -113,20 +112,10 @@ class _Mailbox:
                 if deadline is None:
                     wait_t = 0.25
                 else:
-                    wait_t = min(0.25, deadline - _time.monotonic())
+                    wait_t = min(0.25, deadline - time.monotonic())
                     if wait_t <= 0:
-                        raise DeadlockError(
-                            "recv(source=%d, tag=%d) timed out" % (source, tag)
-                        )
+                        return None
                 self.cond.wait(timeout=wait_t)
-
-    def probe(self, source: int, tag: int) -> Status | None:
-        with self.cond:
-            i = self._match(source, tag)
-            if i < 0:
-                return None
-            src, t, _, _ = self.messages[i]
-            return Status(src, t)
 
 
 class World:
@@ -141,6 +130,9 @@ class World:
     single pointer test per call.  ``metrics`` is the run's counter
     table, where every layer of every rank registers its stats structs;
     a world built without one (a probe, a unit test) gets a private one.
+    ``clock`` is the time every protocol timer of every rank reads, as
+    ``Comm.now`` (leases, heartbeats, staleness, back-off, resends): a
+    test — or a deterministic transport — passes one it advances itself.
     """
 
     def __init__(
@@ -150,6 +142,7 @@ class World:
         recorder: Any | None = None,
         faults: Any | None = None,
         metrics: Any | None = None,
+        clock: Callable[[], float] = time.monotonic,
     ):
         if size < 1:
             raise ValueError("world size must be >= 1")
@@ -157,6 +150,7 @@ class World:
         self.recv_timeout = recv_timeout
         self.recorder = recorder
         self.faults = faults
+        self.clock = clock
         if metrics is None:
             metrics = Metrics()
         self.metrics = metrics
@@ -166,7 +160,6 @@ class World:
         ]
         self.aborted = threading.Event()
         self.abort_reason: BaseException | None = None
-        self._barrier = threading.Barrier(size)
         # rank -> callable returning a one-line state summary, appended
         # to recv-timeout hang reports (servers register lease tables,
         # replication lag, queue depths).
@@ -183,20 +176,26 @@ class World:
         for mb in self.mailboxes:
             with mb.cond:
                 mb.cond.notify_all()
-        try:
-            self._barrier.abort()
-        except Exception:
-            pass
 
 
 class Comm:
-    """One rank's view of the world: MPI_COMM_WORLD analog."""
+    """One rank's view of the world: MPI_COMM_WORLD analog.
+
+    Its public names are the whole of what a rank may ask of the world
+    (DESIGN.md, "What a rank may ask of the world"); a second transport
+    implements these and nothing else.
+    """
 
     def __init__(self, world: World, rank: int):
         if not 0 <= rank < world.size:
             raise ValueError("rank %d out of range" % rank)
-        self.world = world
+        self._world = world
         self.rank = rank
+        self.size = world.size
+        #: the time, for every protocol timer on this rank (World.clock)
+        self.now = world.clock
+        #: the run's counter table, where this rank registers its stats
+        self.metrics = world.metrics
         # This rank's event ring (None when the run has no recorder),
         # and the same ring again for level-1-only events (None unless
         # the run is traced).  The layers above share both, so every
@@ -205,30 +204,23 @@ class Comm:
         self.ring = rec.ring(rank) if rec is not None else None
         self.tracer = self.ring if rec is not None and rec.level else None
 
-    @property
-    def size(self) -> int:
-        return self.world.size
-
-    # -- point to point ----------------------------------------------------
-
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if self.world.aborted.is_set():
+        world = self._world
+        if world.aborted.is_set():
             raise AbortError("world aborted during send")
         if not 0 <= dest < self.size:
             raise ValueError("bad destination rank %d" % dest)
-        faults = self.world.faults
+        faults = world.faults
         if faults is not None:
             directive = faults.on_send(self.rank, dest, tag)
             if directive is not None:
                 if directive[0] == "drop":
                     return
-                import time as _time
-
-                _time.sleep(directive[1])
-        size = self.world.stats[self.rank].add_send(obj)
+                time.sleep(directive[1])
+        size = world.stats[self.rank].add_send(obj)
         ring = self.ring
         clock = 0 if ring is None else ring.emit("send", dest, tag, size)
-        self.world.mailboxes[dest].put(self.rank, tag, obj, clock)
+        world.mailboxes[dest].put(self.rank, tag, obj, clock)
 
     def recv(
         self,
@@ -237,23 +229,16 @@ class Comm:
         timeout: float | None = None,
     ) -> tuple[Any, Status]:
         if timeout is None:
-            timeout = self.world.recv_timeout
-        t0 = _pc()
-        try:
-            obj, status, clock = self.world.mailboxes[self.rank].get(
-                source, tag, timeout, self.world.aborted
-            )
-        except DeadlockError:
-            raise DeadlockError(
-                self._hang_report(source, tag, timeout)
-            ) from None
-        self._received(status.source, status.tag, clock, t0)
-        return obj, status
+            timeout = self._world.recv_timeout
+        got = self.recv_poll(source, tag, timeout)
+        if got is None:
+            raise DeadlockError(self._hang_report(source, tag, timeout))
+        return got
 
     def _received(self, source: int, tag: int, clock: int, t0: float) -> None:
         """Account for one message taken out of a mailbox: count it and
         stamp the wait span, merging the sender's piggybacked clock."""
-        self.world.stats[self.rank].recvs += 1
+        self._world.stats[self.rank].recvs += 1
         ring = self.ring
         if ring is not None:
             ring.emit("recv", source, tag, clock, None, t0, clock)
@@ -263,7 +248,7 @@ class Comm:
         pending-queue depth of every rank at the moment of the timeout."""
         depths = " ".join(
             "rank%d=%d" % (r, len(mb.messages))
-            for r, mb in enumerate(self.world.mailboxes)
+            for r, mb in enumerate(self._world.mailboxes)
         )
         src = "ANY_SOURCE" if source == ANY_SOURCE else str(source)
         tg = "ANY_TAG" if tag == ANY_TAG else str(tag)
@@ -275,9 +260,9 @@ class Comm:
         # Registered diagnostics (servers report their lease table,
         # replication lag, and queue state) tell whether the hang is a
         # lost message, a dead server, or a stuck lease.
-        for rank in sorted(self.world.diagnostics):
+        for rank in sorted(self._world.diagnostics):
             try:
-                line = self.world.diagnostics[rank]()
+                line = self._world.diagnostics[rank]()
             except Exception as e:  # a broken callback must not mask the hang
                 line = "<diagnostic failed: %s>" % e
             report += "\n  rank %d: %s" % (rank, line)
@@ -288,7 +273,7 @@ class Comm:
         recv-timeout hang reports.  ``fn`` takes no arguments and
         returns a string; it runs on the *blocked* rank's thread, so it
         must only read state."""
-        self.world.diagnostics[self.rank] = fn
+        self._world.diagnostics[self.rank] = fn
 
     def drain_dead(self, rank: int) -> list[tuple[Any, Status]]:
         """Scavenge every message pending in a dead rank's mailbox.
@@ -300,7 +285,7 @@ class Comm:
         a rank known dead — the mailbox is emptied.
         """
         t0 = _pc()
-        mb = self.world.mailboxes[rank]
+        mb = self._world.mailboxes[rank]
         with mb.cond:
             pending = mb.messages
             mb.messages = []
@@ -314,83 +299,15 @@ class Comm:
         self,
         source: int = ANY_SOURCE,
         tag: int = ANY_TAG,
-        timeout: float = 0.05,
+        timeout: float | None = 0.05,
     ) -> tuple[Any, Status] | None:
-        """Like recv but returns None on timeout instead of raising."""
+        """Like recv but returns None on timeout instead of raising: the
+        one place this rank takes a message off its own mailbox."""
         t0 = _pc()
-        try:
-            obj, status, clock = self.world.mailboxes[self.rank].get(
-                source, tag, timeout, self.world.aborted
-            )
-        except DeadlockError:
+        world = self._world
+        got = world.mailboxes[self.rank].get(source, tag, timeout, world.aborted)
+        if got is None:
             return None
+        obj, status, clock = got
         self._received(status.source, status.tag, clock, t0)
         return obj, status
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
-        if self.world.aborted.is_set():
-            raise AbortError("world aborted during probe")
-        return self.world.mailboxes[self.rank].probe(source, tag)
-
-    # -- collectives ---------------------------------------------------------
-
-    def barrier(self) -> None:
-        try:
-            self.world._barrier.wait()
-        except threading.BrokenBarrierError:
-            raise AbortError("world aborted during barrier") from None
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        tag = _COLL_BASE + 1
-        if self.rank == root:
-            for r in range(self.size):
-                if r != root:
-                    self.send(obj, r, tag)
-            return obj
-        value, _ = self.recv(source=root, tag=tag)
-        return value
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        tag = _COLL_BASE + 2
-        if self.rank == root:
-            out: list[Any] = [None] * self.size
-            out[root] = obj
-            for _ in range(self.size - 1):
-                value, st = self.recv(tag=tag)
-                out[st.source] = value
-            return out
-        self.send(obj, root, tag)
-        return None
-
-    def scatter(self, objs: list[Any] | None, root: int = 0) -> Any:
-        tag = _COLL_BASE + 3
-        if self.rank == root:
-            assert objs is not None and len(objs) == self.size
-            for r in range(self.size):
-                if r != root:
-                    self.send(objs[r], r, tag)
-            return objs[root]
-        value, _ = self.recv(source=root, tag=tag)
-        return value
-
-    def allgather(self, obj: Any) -> list[Any]:
-        gathered = self.gather(obj, root=0)
-        return self.bcast(gathered, root=0)
-
-    def reduce(self, obj: Any, op=None, root: int = 0) -> Any:
-        values = self.gather(obj, root=root)
-        if self.rank != root:
-            return None
-        assert values is not None
-        if op is None:
-            total = values[0]
-            for v in values[1:]:
-                total = total + v
-            return total
-        acc = values[0]
-        for v in values[1:]:
-            acc = op(acc, v)
-        return acc
-
-    def allreduce(self, obj: Any, op=None) -> Any:
-        return self.bcast(self.reduce(obj, op=op, root=0), root=0)

@@ -94,7 +94,7 @@ class Engine:
         # anchor server at dispatch boundaries (always immediately
         # before a fault kill-point, so the journal is exact at death).
         self._jbuf: list[tuple] = []
-        register = client.comm.world.metrics.register
+        register = client.comm.metrics.register
         self.journal_stats = JournalStats()
         if journal:
             register("engine.journal", self.journal_stats, client.rank)
@@ -324,7 +324,7 @@ class Engine:
         last-heard stamp, which is how a silently-dead *idle* engine
         (holding no lease to sweep) is eventually noticed.
         """
-        now = time.monotonic()
+        now = self.client.comm.now()
         last = getattr(self, "_last_beat", 0.0)
         if self._jbuf:
             self.journal_flush()

@@ -76,6 +76,9 @@ class RunResult:
     server_stats: list[ServerStats] = field(default_factory=list)
     engine_stats: list[EngineStats] = field(default_factory=list)
     worker_stats: list[WorkerStats] = field(default_factory=list)
+    # Leaf tasks this run ran to completion, on every worker — killed
+    # ones included, which is why it is not a sum over ``worker_stats``.
+    tasks_run: int = 0
     # Populated when the run was traced (trace=True / a session recorder).
     trace: Any | None = None
     # The recorder's repro.obs.Metrics table; None when the run had
@@ -115,10 +118,6 @@ class RunResult:
     @property
     def stdout_lines(self) -> list[str]:
         return [line for _, line in self.output.lines]
-
-    @property
-    def tasks_run(self) -> int:
-        return sum(w.tasks_run for w in self.worker_stats)
 
     @property
     def metrics(self) -> dict | None:
@@ -195,6 +194,7 @@ def run_turbine_program(
     # The run's counter table: every layer of every rank registers its
     # stats struct here as it is built.
     metrics = recorder.metrics if recorder is not None else Metrics()
+    tasks_before = metrics.counter("worker.tasks_run")  # a session's earlier runs
     faults = None
     if config.faults is not None:
         faults = FaultState(config.faults)
@@ -438,6 +438,7 @@ def run_turbine_program(
         server_stats=[s.stats for s in servers],
         engine_stats=[c.stats for c in clients if isinstance(c, Engine)],
         worker_stats=[c.stats for c in clients if isinstance(c, Worker)],
+        tasks_run=metrics.counter("worker.tasks_run") - tasks_before,
         trace=trace,
         registry=recorder.metrics if recorder is not None else None,
         timeline=monitor.samples if monitor is not None else [],

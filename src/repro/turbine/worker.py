@@ -113,7 +113,7 @@ class Worker:
     ):
         self.unit = UnitRunner(client, interp, on_error, retries_enabled, faults)
         self.client = client
-        register = client.comm.world.metrics.register
+        register = client.comm.metrics.register
         self.stats = register("worker", WorkerStats(), client.rank)
         self.watchdog_stats = WatchdogStats()
         self._watchdog = None

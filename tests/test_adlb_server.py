@@ -8,6 +8,8 @@ canonical fan-out costs exactly the ops it did before the split.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import swift_run
@@ -18,20 +20,20 @@ from repro.adlb.dedup import PARKED, DedupTable
 from repro.adlb.drain import Drain
 from repro.adlb.journal import Journals, RuleJournal
 from repro.adlb.layout import Layout
-from repro.adlb.leases import Leases
+from repro.adlb.leases import RETRY_BACKOFF, Leases
 from repro.adlb.replication import Replica, Replication
 from repro.adlb.server import Server
 from repro.adlb.workqueue import Task
-from repro.faults import EngineLost, TaskError
+from repro.faults import EngineLost, FaultPlan, FaultState, TaskError
 from repro.mpi.comm import World
 
 # engine 0, workers 1-2, then the server rank(s)
 ENGINE, WORKER = 0, 1
 
 
-def make_server(n_servers: int = 1, **kwargs):
+def make_server(n_servers: int = 1, clock=time.monotonic, **kwargs):
     layout = Layout(size=3 + n_servers, n_servers=n_servers, n_engines=1)
-    world = World(layout.size, recv_timeout=None)
+    world = World(layout.size, recv_timeout=None, clock=clock)
     return Server(world.comm(layout.master_server), layout, **kwargs), world
 
 
@@ -43,6 +45,11 @@ def replies(world: World, rank: int, tag: int) -> list:
 
 
 TASK_FAIL = {"op": C.OP_TASK_FAIL, "kind": "task", "error": "boom"}
+PUT = {"op": C.OP_PUT, "type": C.WORK, "payload": "leaf"}
+GET = {"op": C.OP_GET, "types": [C.WORK]}
+RULE = {"id": 1, "inputs": [7], "action": "x", "type": "LOCAL"}
+RULE.update(target=-1, priority=0, name="r")
+JOURNAL = {"op": C.OP_JOURNAL, "rank": ENGINE, "entries": [("create", RULE)]}
 
 
 class TestRecoveryOffBuildsNothing:
@@ -88,11 +95,7 @@ class TestRecoveryOffBuildsNothing:
         # The one engine dies holding a journaled rule: adoption fails
         # for want of a survivor, not because journaling was off.
         server, _ = make_server(journal=True, leases=True)
-        rule = {"id": 1, "inputs": [7], "action": "x", "type": "LOCAL"}
-        rule.update(target=-1, priority=0, name="r")
-        entries = [("create", rule)]
-        journal = {"op": C.OP_JOURNAL, "rank": ENGINE, "entries": entries}
-        server.dispatch(journal, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(JOURNAL, ENGINE, C.TAG_ONEWAY)
         with pytest.raises(EngineLost, match="no surviving engine") as info:
             server.leases.rank_dead(ENGINE, "lease expired")
         assert "disabled" not in str(info.value)
@@ -129,13 +132,152 @@ class TestRecoveryOffBuildsNothing:
 
     def test_task_fail_with_leases_requeues_with_backoff(self):
         server, world = make_server(leases=True, max_retries=1)
-        put = {"op": C.OP_PUT, "type": C.WORK, "payload": "leaf"}
-        server.dispatch(put, ENGINE, C.TAG_ONEWAY)
-        server.dispatch({"op": C.OP_GET, "types": [C.WORK]}, WORKER, C.TAG_REQUEST)
+        server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(GET, WORKER, C.TAG_REQUEST)
         assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
         server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
         assert server.leases.stats.requeued == 1 and not server.failures
         assert server.audit_row()["delayed_tasks"] == 1
+
+
+class TestOneClock:
+    """Every protocol timer of a server reads its ``Comm``'s clock and
+    nothing else.  Each test moves a :class:`~tests.conftest.ManualClock`
+    by hand — no thread, no sleep — and checks the timer on both sides
+    of its bound, so it fails if the timer reads the wall clock."""
+
+    def test_lease_expiry_requeues_the_unit(self, clock):
+        server, world = make_server(leases=True, lease_timeout=5.0, clock=clock)
+        server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(GET, WORKER, C.TAG_REQUEST)
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
+        clock.advance(4.9)
+        server.leases.tick()
+        assert server.leases.stats.expired == 0 and WORKER in server.leases.table
+        clock.advance(0.2)
+        server.leases.tick()
+        assert server.leases.stats.expired == 1 and server.dead_ranks == {WORKER}
+        assert server.leases.stats.requeued == 1 and not server.leases.table
+        assert [t.payload for _, _, t in server.leases.delayed] == ["leaf"]
+
+    def test_backoff_releases_not_before_and_then_after_retry_backoff(self, clock):
+        server, world = make_server(leases=True, clock=clock)
+        server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(GET, WORKER, C.TAG_REQUEST)
+        server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
+        server.dispatch(GET, WORKER, C.TAG_REQUEST)  # parks: the unit is delayed
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
+        clock.advance(RETRY_BACKOFF - 0.001)
+        server.leases.tick()
+        assert replies(world, WORKER, C.TAG_RESPONSE) == []
+        clock.advance(0.002)
+        server.leases.tick()
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
+        assert server.leases.table[WORKER].task.attempts == 1
+
+    def test_journal_staleness_has_the_rules_adopted(self, clock):
+        layout = Layout(size=5, n_servers=1, n_engines=2)  # engines 0 and 1
+        world = World(layout.size, recv_timeout=None, clock=clock)
+        server = Server(
+            world.comm(layout.master_server),
+            layout,
+            leases=True,
+            lease_timeout=2.0,
+            journal=True,
+            faults=FaultState(FaultPlan()),  # engines beat only under a plan
+        )
+        server.dispatch(JOURNAL, ENGINE, C.TAG_ONEWAY)
+        clock.advance(1.9)
+        server.journals.tick()
+        assert replies(world, 1, C.TAG_ASYNC) == [] and not server.dead_ranks
+        beat = {"op": C.OP_JOURNAL, "rank": ENGINE, "entries": []}
+        server.dispatch(beat, ENGINE, C.TAG_ONEWAY)  # heard: the budget restarts
+        clock.advance(1.9)
+        server.journals.tick()
+        assert replies(world, 1, C.TAG_ASYNC) == [] and not server.dead_ranks
+        clock.advance(0.2)
+        server.journals.tick()
+        assert server.dead_ranks == {ENGINE}
+        (adopt,) = replies(world, 1, C.TAG_ASYNC)
+        assert adopt[:2] == ("adopt", ENGINE) and adopt[3] == 1
+        assert [r["action"] for r in adopt[2]] == ["x"]
+
+    def test_checkpoint_interval_starts_phase_one_and_ten_seconds_abandon_it(
+        self, clock, tmp_path
+    ):
+        path = str(tmp_path / "c.ckpt")
+        server, world = make_server(
+            checkpoint_path=path, checkpoint_interval=2.0, clock=clock
+        )
+        server.dispatch({"op": C.OP_INCR_WORK, "amount": 1}, ENGINE, C.TAG_ONEWAY)
+        clock.advance(1.9)
+        server.ckpt.tick()
+        assert replies(world, ENGINE, C.TAG_ASYNC) == []
+        clock.advance(0.2)
+        server.ckpt.tick()
+        assert replies(world, ENGINE, C.TAG_ASYNC) == [("ckpt", 1)]
+        clock.advance(9.9)  # the engine never answers
+        server.ckpt.tick()
+        assert server.ckpt.stats.abandoned == 0
+        clock.advance(0.2)
+        server.ckpt.tick()
+        assert server.ckpt.stats.abandoned == 1
+        server.ckpt.tick()  # the interval has long passed: the next round
+        assert replies(world, ENGINE, C.TAG_ASYNC) == [("ckpt", 2)]
+
+    def test_poisoned_drain_waits_out_its_quiescence_window(self, clock):
+        server, world = make_server(on_error="continue", clock=clock)
+        server.dispatch({"op": C.OP_INCR_WORK, "amount": 2}, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)  # poisons; 1 unit stranded
+        park = {"op": C.OP_GET_ASYNC, "types": [C.CONTROL]}
+        server.dispatch(park, ENGINE, C.TAG_ONEWAY)
+        for worker in (WORKER, WORKER + 1):
+            server.dispatch(GET, worker, C.TAG_REQUEST)
+        assert server.poisoned and server.drain.quiescent()
+        server.drain.tick()  # quiescence first observed: the window opens
+        clock.advance(0.09)
+        server.drain.tick()
+        assert not server.shutting_down
+        clock.advance(0.02)
+        server.drain.tick()
+        assert server.shutting_down
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [("shutdown",)]
+
+    def test_done_waits_a_bounded_second_for_the_last_journal_flush(self, clock):
+        # What Journals.sweep's receive loop was for: the engine's last
+        # "done" may still be in flight when every client is released.
+        def released(**kwargs):
+            server, _ = make_server(journal=True, clock=clock, **kwargs)
+            server.dispatch(JOURNAL, ENGINE, C.TAG_ONEWAY)
+            server.shutting_down = True
+            server._shutdown_acked = set(server.attached_clients)
+            return server
+
+        server = released()
+        assert not server._done()  # a live engine's mirror holds a rule
+        flush = dict(JOURNAL, entries=[("done", RULE["id"])])
+        server.dispatch(flush, ENGINE, C.TAG_ONEWAY)
+        assert server._done() and server.audit_row()["journal_pending"] == {ENGINE: 0}
+        # ...and if it never comes, the leak is left for the audit to flag
+        server = released()
+        assert not server._done()
+        clock.advance(0.9)
+        assert not server._done()
+        clock.advance(0.2)
+        assert server._done() and server.audit_row()["journal_pending"] == {ENGINE: 1}
+        # a dead engine's mirror is nobody's flush to wait for
+        server = released(leases=True)
+        server.dead_ranks.add(ENGINE)
+        assert server._done()
+
+    def test_pump_is_the_one_door(self):
+        server, world = make_server()
+        assert not server.pump(timeout=0)
+        world.comm(ENGINE).send(PUT, server.rank, C.TAG_ONEWAY)
+        world.comm(WORKER).send(GET, server.rank, C.TAG_REQUEST)
+        assert server.pump(timeout=0) and server.queue.size == 1
+        assert server.pump(timeout=0) and not server.pump(timeout=0)
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
 
 
 class TestDedupTable:

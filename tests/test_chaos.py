@@ -303,10 +303,11 @@ class TestAuditEndToEnd:
         # entry is flushed *after* the decr_work that zeroes the
         # termination counter, and parked clients are acked without a
         # round trip — so servers could exit with the final OP_JOURNAL
-        # still in their mailbox, leaving the dead rule mirrored
-        # (server.py _journal_sweep is the fix).  The fault plan's kill
-        # never fires (rank 3 is a worker that sees no 2nd task after
-        # the fanout drains); its presence just arms journaling+leases.
+        # still in their mailbox, leaving the dead rule mirrored (the
+        # Journals.settled clause of Server._done is the fix).  The
+        # fault plan's kill never fires (rank 3 is a worker that sees
+        # no 2nd task after the fanout drains); its presence just arms
+        # journaling+leases.
         plan = FaultPlan(seed=11).kill_rank(3, after_tasks=1)
         for _ in range(3):
             res = swift_run(

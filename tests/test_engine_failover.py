@@ -23,6 +23,11 @@ from repro import (
     QuarantinedTask,
     swift_run,
 )
+from repro.adlb import constants as C
+from repro.adlb.client import AdlbClient
+from repro.adlb.layout import Layout
+from repro.mpi import World
+from repro.turbine.engine import Engine
 
 SEED = int(os.environ.get("FAULT_SEED", "0"))
 
@@ -163,6 +168,37 @@ class TestEngineDeath:
             assert sorted(res.stdout_lines) == FANOUT_EXPECTED, vm
             assert res.ok, vm
             assert counters(res)["fault.kills"] == 1, vm
+
+
+class TestJournalHeartbeat:
+    def test_an_idle_engine_beats_every_fifth_of_a_second_of_its_comms_clock(
+        self, clock
+    ):
+        # Thread-free: the poll hook is called by hand, the clock moved
+        # by hand; a beat that read the wall clock would not see 0.2 s.
+        layout = Layout(size=4, n_servers=1, n_engines=1)
+        world = World(layout.size, recv_timeout=None, clock=clock)
+        engine = Engine(AdlbClient(world.comm(0), layout), None, journal=True)
+        server = world.comm(layout.master_server)
+
+        def beats() -> list:
+            got = server.drain_dead(server.rank)
+            return [m["entries"] for m, _ in got if m["op"] == C.OP_JOURNAL]
+
+        engine.journal_heartbeat()
+        assert beats() == [[]]  # the first call beats
+        clock.advance(0.19)
+        engine.journal_heartbeat()
+        assert beats() == []
+        clock.advance(0.02)
+        engine.journal_heartbeat()
+        assert beats() == [[]]
+        engine._jot(("guard", 1))  # something to say: flushed at once
+        engine.journal_heartbeat()
+        assert beats() == [[("guard", 1)]]
+        clock.advance(0.19)
+        engine.journal_heartbeat()
+        assert beats() == []  # a flush counts as a beat
 
 
 class TestByValueFanout:

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro import DeadlineExceeded, FaultPlan, TaskError, swift_run
+from repro import DeadlineExceeded, FaultPlan, SwiftRuntime, TaskError, swift_run
 from repro.faults import FaultState, InjectedFault, TaskFailure
 from repro.mpi import DeadlockError, run_world
 from repro.mpi.launcher import RankFailure
@@ -118,6 +118,25 @@ class TestWorkerDeath:
         assert len(res.server_stats) == 1
         matched = [res.metrics["gauges"]["adlb.tasks_matched[%d]" % r] for r in (4, 5)]
         assert sum(matched) == res.metrics["counters"]["adlb.tasks_matched"] >= 80
+
+    def test_tasks_run_counts_what_a_killed_worker_ran(self):
+        # RunResult.tasks_run is this run's count from the counter table,
+        # not a sum over the workers that lived to hand their struct in:
+        # it must not under-count exactly when a worker died.  Layout:
+        # engine 0, workers 1-2, server 3.
+        fanout = FANOUT.replace("[0:9]", "[0:39]")
+        plan = FaultPlan(seed=0).kill_rank(2, after_tasks=5)
+        res = swift_run(fanout, workers=2, servers=1, engines=1, faults=plan)
+        assert res.ok and len(res.stdout_lines) == 40
+        assert sum(w.tasks_run for w in res.worker_stats) == 35
+        assert res.tasks_run == res.metrics["counters"]["worker.tasks_run"] == 40
+        # no recorder, no difference; and in a session (one table for
+        # all its runs) each run reports its own share
+        off = swift_run(FANOUT, workers=2, flightrec=False)
+        assert off.metrics is None and off.tasks_run == 10
+        with SwiftRuntime(workers=2, trace=True) as rt:
+            assert [rt.run(FANOUT).tasks_run for _ in range(2)] == [10, 10]
+        assert rt.trace.metrics["counters"]["worker.tasks_run"] == 20
 
     def test_targeted_unit_outstanding_on_killed_rank(self):
         # A WORK task targeted at the doomed rank is queued while that

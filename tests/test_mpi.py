@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
+from repro import mpi
 from repro.mpi import (
     ANY_SOURCE,
     ANY_TAG,
@@ -69,20 +69,6 @@ class TestPointToPoint:
 
         run_world(4, main)
 
-    def test_iprobe(self):
-        def main(comm):
-            if comm.rank == 0:
-                comm.send("x", 1, tag=9)
-            else:
-                while comm.iprobe(tag=9) is None:
-                    time.sleep(0.001)
-                st = comm.iprobe(tag=9)
-                assert st.source == 0
-                comm.recv(source=0, tag=9)
-                assert comm.iprobe(tag=9) is None
-
-        run_world(2, main)
-
     def test_recv_poll_timeout_returns_none(self):
         def main(comm):
             assert comm.recv_poll(timeout=0.05) is None
@@ -105,7 +91,7 @@ class TestCollectives:
         def main(comm):
             with lock:
                 order.append(("pre", comm.rank))
-            comm.barrier()
+            mpi.barrier(comm)
             with lock:
                 order.append(("post", comm.rank))
 
@@ -116,29 +102,29 @@ class TestCollectives:
 
     def test_bcast(self):
         def main(comm):
-            value = comm.bcast("payload" if comm.rank == 0 else None, root=0)
+            value = mpi.bcast(comm, "payload" if comm.rank == 0 else None, root=0)
             assert value == "payload"
 
         run_world(4, main)
 
     def test_gather_scatter(self):
         def main(comm):
-            got = comm.gather(comm.rank * 2, root=0)
+            got = mpi.gather(comm, comm.rank * 2, root=0)
             if comm.rank == 0:
                 assert got == [0, 2, 4, 6]
-                out = comm.scatter([i * 10 for i in range(4)], root=0)
+                out = mpi.scatter(comm, [i * 10 for i in range(4)], root=0)
             else:
                 assert got is None
-                out = comm.scatter(None, root=0)
+                out = mpi.scatter(comm, None, root=0)
             assert out == comm.rank * 10
 
         run_world(4, main)
 
     def test_allgather_allreduce(self):
         def main(comm):
-            assert comm.allgather(comm.rank) == list(range(comm.size))
-            assert comm.allreduce(1) == comm.size
-            assert comm.allreduce(comm.rank, op=max) == comm.size - 1
+            assert mpi.allgather(comm, comm.rank) == list(range(comm.size))
+            assert mpi.allreduce(comm, 1) == comm.size
+            assert mpi.allreduce(comm, comm.rank, op=max) == comm.size - 1
 
         run_world(5, main)
 
@@ -166,10 +152,30 @@ class TestFailures:
         def main(comm):
             if comm.rank == 0:
                 raise ValueError("fail fast")
-            comm.barrier()
+            mpi.barrier(comm)
 
         with pytest.raises(RankFailure, match="fail fast"):
             run_world(3, main)
+
+
+class TestSurface:
+    """What a rank may ask of the world is ``Comm``'s public names and
+    nothing else (DESIGN.md): a second transport implements these."""
+
+    def test_comm_public_names_are_pinned(self):
+        comm = World(2).comm(0)
+        public = {name for name in dir(comm) if not name.startswith("_")}
+        assert public == set(
+            "rank size send recv recv_poll drain_dead register_diagnostic "
+            "now metrics ring tracer".split()
+        )
+        assert not hasattr(World(2), "_barrier")
+
+    def test_now_is_the_worlds_clock(self):
+        ticks = iter([5.0, 7.5])
+        world = World(2, clock=lambda: next(ticks))
+        assert (world.comm(0).now(), world.comm(1).now()) == (5.0, 7.5)
+        assert world.comm(0).metrics is world.metrics
 
 
 class TestStats:

@@ -19,7 +19,6 @@ from repro.adlb import constants as C
 from repro.adlb.checkpoint import CheckpointError, read_checkpoint
 from repro.adlb.layout import Layout, ServerMap
 from repro.adlb.leases import _Lease
-from repro.adlb.replication import Replica
 from repro.adlb.server import Server
 from repro.adlb.workqueue import Task
 from repro.mpi.comm import World
@@ -374,60 +373,152 @@ class TestHangDiagnostics:
         assert world.diagnostics[MASTER]() == line
 
 
+def replicated_servers(n=3, clock=time.monotonic):
+    """``n`` replicated, leasing servers on one world, driven by hand
+    (ranks: engine 0, workers 1-2, then the servers; each server's
+    buddy is the next in ring order)."""
+    layout = Layout(size=n + 3, n_servers=n, n_engines=1)
+    world = World(layout.size, recv_timeout=None, clock=clock)
+    smap = ServerMap(layout)
+    made = [
+        Server(world.comm(r), layout, leases=True, server_map=smap, replicate=True)
+        for r in layout.servers
+    ]
+    return world, made
+
+
+def deliver(world, server):
+    """Dispatch what sits in ``server``'s mailbox."""
+    for payload, status in world.comm(server.rank).drain_dead(server.rank):
+        server.dispatch(payload, status.source, status.tag)
+
+
 class TestShutdownHandshake:
     """A server's last op-log entry is "bye"; its buddy does not leave
     (and does not promote it) while that is unsettled."""
 
-    def servers(self, n=3):
-        layout = Layout(size=n + 3, n_servers=n, n_engines=1)
-        world = World(layout.size, recv_timeout=None)
-        smap = ServerMap(layout)
-        made = [
-            Server(world.comm(r), layout, leases=True, server_map=smap, replicate=True)
-            for r in layout.servers
-        ]
-        return world, made
-
-    def deliver(self, world, server):
-        """Dispatch what sits in ``server``'s mailbox."""
-        for payload, status in world.comm(server.rank).drain_dead(server.rank):
-            server.dispatch(payload, status.source, status.tag)
-
     def test_bye_settles_the_ward(self):
-        world, (ward, buddy, _other) = self.servers()
+        world, (ward, buddy, _other) = replicated_servers()
         assert ward.repl.buddy == buddy.rank
         assert not buddy.repl.wards_settled()
         buddy.shutting_down = True
         buddy._shutdown_acked = set(buddy.attached_clients)
         assert not buddy._done()  # its ward has not spoken yet
         ward._op_shutdown()
-        self.deliver(world, buddy)
+        deliver(world, buddy)
         assert buddy.repl.departed == {ward.rank}
         assert buddy.repl.wards_settled() and buddy._done()
 
-    def test_departed_ward_is_never_promoted(self):
-        world, (ward, buddy, _other) = self.servers()
+    def test_departed_ward_is_never_promoted(self, clock):
+        world, (ward, buddy, _other) = replicated_servers(clock=clock)
         ward._op_shutdown()
-        self.deliver(world, buddy)
-        buddy.repl.replicas[ward.rank].last_heard -= 3600.0
+        deliver(world, buddy)
+        clock.advance(3600.0)
         buddy.repl.tick()
         assert buddy.repl.stats.promotions == 0
         assert ward.rank in buddy.map.alive
 
-    def test_silent_ward_is_promoted_then_settled(self):
-        world, (ward, buddy) = self.servers(2)
+    def test_silent_ward_is_promoted_then_settled(self, clock):
+        world, (ward, buddy) = replicated_servers(2, clock=clock)
         assert not buddy.repl.wards_settled()
-        buddy.repl.replicas.setdefault(ward.rank, Replica()).last_heard -= 3600.0
+        buddy.repl.tick()  # never heard from: its 5 s of silence start now
+        for beats in (1, 2):  # its own beat: 0.25 s after the last flush
+            clock.advance(0.24)
+            buddy.repl.tick()
+            assert buddy.repl.stats.heartbeats == beats - 1
+            clock.advance(0.02)
+            buddy.repl.tick()
+            assert buddy.repl.stats.heartbeats == beats
+        clock.advance(4.4)
+        ward.repl.flush(heartbeat=True)  # heard after 4.92 s: the budget restarts
+        deliver(world, buddy)
+        clock.advance(4.9)
+        buddy.repl.tick()
+        assert buddy.repl.stats.promotions == 0 and not buddy.repl.wards_settled()
+        clock.advance(0.2)
         buddy.repl.tick()
         assert buddy.repl.stats.promotions == 1
         assert buddy.repl.wards_settled()  # a dead ward is not waited for
 
     def test_bye_is_repeated_to_a_new_buddy(self):
-        world, (ward, buddy, heir) = self.servers()
+        world, (ward, buddy, heir) = replicated_servers()
         ward._op_shutdown()  # this bye goes to a buddy that then dies
         ward.repl.server_dead(buddy.rank, "killed")
         assert ward.repl.buddy == heir.rank
         heir.repl.server_dead(buddy.rank, "killed")
         assert not heir.repl.wards_settled()
-        self.deliver(world, heir)
+        deliver(world, heir)
         assert ward.rank in heir.repl.departed and heir.repl.wards_settled()
+
+
+ENGINE, WORKER = 0, 1
+PUT = {"op": C.OP_PUT, "type": C.WORK, "payload": "leaf"}
+GET = {"op": C.OP_GET, "types": [C.WORK]}
+TASK_FAIL = {"op": C.OP_TASK_FAIL, "kind": "task", "error": "boom"}
+
+
+class TestReplicaFollowsOwner:
+    """After every dispatch the buddy's shadow holds the units the owner
+    holds — queued or backing off, and leased to whom — so whenever the
+    owner dies its heir runs each unit once.  (The schedule-search
+    target of ROADMAP item 3: reverting the op-log line a test names
+    makes that test, and no other, fail.)"""
+
+    def pair(self):
+        world, (owner, buddy) = replicated_servers(2)
+        self.world, self.owner, self.buddy = world, owner, buddy
+        return owner, buddy
+
+    def step(self, msg, source, tag):
+        """One dispatch at the owner, its op-log delivered to the buddy;
+        then the shadow must be the owner's image."""
+        owner, buddy = self.owner, self.buddy
+        owner.dispatch(msg, source, tag)
+        deliver(self.world, buddy)
+        held = owner.queue.all_tasks() + [t for _, _, t in owner.leases.delayed]
+        leased = {c: lease.task.uid for c, lease in owner.leases.table.items()}
+        shadow = buddy.repl.replicas[owner.rank]
+        assert sorted(shadow.tasks) == sorted(t.uid for t in held)
+        assert {c: t.uid for c, t in shadow.leases.items()} == leased
+        return held, leased
+
+    def promoted(self):
+        """The owner dies; what its heir then holds, as payloads."""
+        buddy = self.buddy
+        buddy.repl.server_dead(self.owner.rank, "killed")
+        held = buddy.queue.all_tasks() + [t for _, _, t in buddy.leases.delayed]
+        leased = {c: lease.task.payload for c, lease in buddy.leases.table.items()}
+        return sorted(t.payload for t in held), leased
+
+    def test_put_get_and_dead_rank_sweep(self):
+        owner, _ = self.pair()
+        held, leased = self.step(PUT, ENGINE, C.TAG_ONEWAY)
+        assert len(held) == 1 and not leased
+        held, leased = self.step(GET, WORKER, C.TAG_REQUEST)
+        assert not held and list(leased) == [WORKER]
+        dead = {"op": C.SOP_RANK_DEAD, "rank": WORKER, "reason": "killed"}
+        held, leased = self.step(dead, WORKER, C.TAG_SERVER)
+        assert len(held) == 1 and not leased and owner.leases.delayed
+        assert self.promoted() == (["leaf"], {})
+
+    def test_failed_attempt_with_a_retry_left_closes_the_lease(self):
+        # Leases.op_task_fail goes through take(): ("done", client) is
+        # logged, or the heir would hold the lease *and* the requeued copy.
+        self.pair()
+        self.step(PUT, ENGINE, C.TAG_ONEWAY)
+        self.step(GET, WORKER, C.TAG_REQUEST)
+        held, leased = self.step(TASK_FAIL, WORKER, C.TAG_ONEWAY)
+        assert len(held) == 1 and held[0].attempts == 1 and not leased
+        assert self.promoted() == (["leaf"], {})
+
+    def test_stolen_tasks_leave_the_victims_replica(self):
+        # Server._op_steal_req logs ("task-", uid) per stolen task, or a
+        # victim that dies after the steal has them run twice.
+        owner, buddy = self.pair()
+        for i in range(4):
+            self.step(dict(PUT, payload="leaf-%d" % i), ENGINE, C.TAG_ONEWAY)
+        # (the thief is the buddy: delivery also lands its SOP_STEAL_RESP)
+        held, _ = self.step({"op": C.SOP_STEAL_REQ}, buddy.rank, C.TAG_SERVER)
+        assert len(held) == 2 and owner.stats.tasks_stolen_out == 2
+        assert buddy.stats.tasks_stolen_in == 2
+        assert self.promoted() == (["leaf-%d" % i for i in range(4)], {})
