@@ -68,6 +68,6 @@ class DedupTable:
     def counts(self) -> dict[str, int]:
         """Slots per channel (each bounded by the client count)."""
         out = dict.fromkeys(CHANNELS, 0)
-        for _, channel in self.slots:
+        for _, channel in list(self.slots):  # a copy: another thread may ask
             out[channel] += 1
         return out

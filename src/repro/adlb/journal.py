@@ -211,7 +211,7 @@ class Journals:
             self._settle_by = now + 1.0
         return now >= self._settle_by
 
-    # -- replica slice, audit, diagnostic ------------------------------------
+    # -- replica slice, state --------------------------------------------------
 
     def image(self) -> dict[int, RuleJournal]:
         return copy.deepcopy(self.table)
@@ -228,19 +228,12 @@ class Journals:
             # The engine's budget of silence restarts at its new anchor.
             self.last_heard.setdefault(rank, now)
 
-    def audit_fields(self) -> dict:
-        # engine rank -> rules still pending in its journal mirror
-        pending = {engine: len(j.rules) for engine, j in self.table.items()}
-        return {"journal_pending": pending}
-
-    def diagnostic(self) -> str:
-        return "journals={%s}" % ", ".join(
-            "%d: %d rule(s)%s%s"
-            % (
-                r,
-                len(j.rules),
-                " +guard" if j.guard else "",
-                " +ctask_done" if j.ctask_done else "",
-            )
-            for r, j in sorted(self.table.items())
-        )
+    def state(self) -> dict:
+        """This server's slice of ``Server.state``: rules pending per
+        mirror; the mirrors holding a guard / an unreturned done ctask."""
+        table = sorted(self.table.copy().items())
+        return {
+            "journal_pending": {engine: len(j.rules) for engine, j in table},
+            "journal_guard": [engine for engine, j in table if j.guard],
+            "journal_ctask_done": [engine for engine, j in table if j.ctask_done],
+        }

@@ -236,7 +236,7 @@ class Leases:
         tasks = [t for _, _, t in self.delayed]
         return tasks + [lease.task for lease in self.table.values()]
 
-    # -- replica slice, audit, diagnostic -----------------------------------
+    # -- replica slice, state -------------------------------------------------
 
     def image(self, state: dict) -> None:
         state["tasks"] += [t for _, _, t in self.delayed]
@@ -254,20 +254,18 @@ class Leases:
                 deadline = self.core.comm.now() + self.timeout
                 self.table[client] = _Lease(task, client, deadline)
 
-    def audit_fields(self) -> dict:
+    def state(self) -> dict:
+        """This server's slice of ``Server.state``."""
+        now = self.core.comm.now()
+        leases = {}  # client rank -> the unit it holds, and for how long
+        for client, lease in sorted(self.table.copy().items()):
+            leases[client] = "%s: %s (%.1fs left)" % (
+                lease.task.uid,
+                snippet(lease.task.payload, 40),
+                lease.deadline - now,
+            )
         return {
             "delayed_tasks": len(self.delayed),
-            # client rank -> uid of the task it still holds a lease on
-            "leases": {c: str(lease.task.uid) for c, lease in self.table.items()},
+            "leases": leases,
             "quarantined": len(self.quarantined),
         }
-
-    def diagnostic(self) -> str:
-        if not self.table:
-            return "leases=none"
-        now = self.core.comm.now()
-        return "leases={%s}" % ", ".join(
-            "%d: %s (%.1fs left)"
-            % (c, snippet(lease.task.payload, 40), lease.deadline - now)
-            for c, lease in sorted(self.table.items())
-        )

@@ -46,8 +46,7 @@ class ReplStats:
 class Replica:
     """Shadow of one ward server's replicable state, held by its buddy.
 
-    Starts from a resilver ``image`` (``Replication.resilver``: the
-    core's slice plus the ``Leases`` and ``Journals`` slices) or empty,
+    Starts from a resilver image (``Replication.image``) or empty,
     then follows the ward's op-log entries; promoted into the buddy's
     own state when the ward dies (``Replication.promote``).
     ``replay_ok`` on the shadow store keeps a resilver/incremental
@@ -131,7 +130,11 @@ class Replication:
         self.seq = 0  # entries sent
         self.acked = 0  # entries the buddy confirmed applied
         self._last_flush = core.comm.now()
-        self._ward_timeout = min(lease_timeout, 5.0)
+        # Strictly inside the lease: a client blocked on a dead server
+        # took its lease before that server's last beat, so at an equal
+        # bound the live client is swept first (and `pump` ticks leases
+        # before `_idle_tick` ticks this, so a tie goes the wrong way).
+        self._ward_timeout = min(lease_timeout / 2, 5.0)
         self._hb_interval = max(0.02, min(self._ward_timeout / 4, 0.25))
         core.ops[C.SOP_REPLICATE] = self.op_replicate
         core.ops[C.SOP_REPL_ACK] = self.op_ack
@@ -172,16 +175,9 @@ class Replication:
         except Exception:
             pass
 
-    def resilver(self) -> None:
-        """Replace the buddy's shadow with a full image of this server.
-
-        Needed whenever incremental history is insufficient: at a buddy
-        change (the old buddy — and the op-log it held — is gone) and
-        after a promotion (this server's state just changed wholesale).
-        """
-        if self.buddy is None:
-            return
-        self.stats.resilvers += 1
+    def image(self) -> dict:
+        """This server's whole replicable state: what a :class:`Replica`
+        fed every op-log entry must equal."""
         core = self.core
         state = {
             "store": core.store.snapshot(),
@@ -195,8 +191,20 @@ class Replication:
             core.leases.image(state)
         if core.journals is not None:
             state["journals"] = core.journals.image()
-        self.buf = [("reset", state)]
-        if core.shutting_down:
+        return state
+
+    def resilver(self) -> None:
+        """Replace the buddy's shadow with a full image of this server.
+
+        Needed whenever incremental history is insufficient: at a buddy
+        change (the old buddy — and the op-log it held — is gone) and
+        after a promotion (this server's state just changed wholesale).
+        """
+        if self.buddy is None:
+            return
+        self.stats.resilvers += 1
+        self.buf = [("reset", self.image())]
+        if self.core.shutting_down:
             self.buf.append(("bye",))  # the old buddy's copy of it is gone
         self.flush()
 
@@ -363,16 +371,12 @@ class Replication:
             if ward != core.rank and core.map.buddy(ward) == core.rank
         )
 
-    # ------------------------------------------------------ status, diagnostic
-
-    def lag(self) -> int:
-        return self.seq - self.acked
-
-    def diagnostic(self) -> str:
-        return "repl lag=%d (sent=%d acked=%d) buddy=%s dead_servers=%s" % (
-            self.lag(),
-            self.seq,
-            self.acked,
-            self.buddy,
-            sorted(self.dead_servers) or "{}",
-        )
+    def state(self) -> dict:
+        """This server's slice of ``Server.state``."""
+        return {
+            "repl_lag": self.seq - self.acked,
+            "repl_sent": self.seq,
+            "repl_acked": self.acked,
+            "buddy": self.buddy,
+            "dead_servers": sorted(self.dead_servers),
+        }

@@ -172,9 +172,7 @@ class Server:
             self.drain = Drain(self)
         if restore_shard is not None:
             load_shard(self, restore_shard)
-        # Hang reports dump this server's lease table and replication
-        # lag, so a stuck run is diagnosable from the exception alone.
-        comm.register_diagnostic(self._diagnostic)
+        metrics.sources[self.rank] = self.state
 
     # ------------------------------------------------------------------ loop
 
@@ -184,17 +182,12 @@ class Server:
             # Establish the ward heartbeat immediately so buddies can
             # tell "never started" from "died silently".
             self.repl.flush(heartbeat=True)
-        # Live gauges for --monitor, for as long as this rank is alive
-        # (a clean exit leaves them: the run's last sample reads them).
-        sources = self.comm.metrics.sources
-        sources[self.rank] = self.gauges
         try:
             while not self._done():
                 if not self.pump(timeout=0.02):
                     self.stats.idle_polls += 1
                     self._idle_tick()
         except RankKilled as e:
-            del sources[self.rank]
             if self.repl is not None and not e.silent:
                 self.repl.last_gasp()
             raise
@@ -236,32 +229,12 @@ class Server:
         """Units withdrawn as poisonous (``RunResult.quarantined``)."""
         return self.leases.quarantined if self.leases is not None else []
 
-    def gauges(self) -> dict:
-        """What this server holds right now.  The driver's sampler
-        thread reads it while the loop runs: plain reads and ``len()``."""
-        gauges = {
-            "queued": self.queue.size,
-            "parked": len(self.parked),
-            "clients": len(self.attached_clients),
-        }
-        if self.leases is not None:
-            gauges["leases"] = len(self.leases.table)
-        if self.repl is not None:
-            gauges["repl_lag"] = self.repl.lag()
-        if self.is_master:
-            gauges["outstanding"] = max(0, self.work_count)
-        return gauges
-
-    def audit_row(self) -> dict:
-        """Terminal bookkeeping snapshot for run-invariant auditing.
-
-        Called once, after :meth:`run` returns on a clean shutdown
-        (never on a killed rank), by the runtime's collection path when
-        ``RuntimeConfig.audit`` is set.  Pure reads — the server loop
-        has already exited, so no lock is needed.  The conservation
-        laws over these rows live in :mod:`repro.chaos.invariants`.
-        """
-        row = {
+    def state(self) -> dict:
+        """What this server holds right now (DESIGN.md, "Live state"):
+        ``--monitor``, a hang report and the black box ask while the loop
+        runs — from another thread, so plain reads, ``len()`` and
+        C-level copies only — and the audit after it ended."""
+        state = {
             "role": "server",
             "rank": self.rank,
             "is_master": self.is_master,
@@ -269,43 +242,16 @@ class Server:
             "work_count": self.work_count,
             "poisoned": self.poisoned,
             "queued_tasks": self.queue.size,
-            "delayed_tasks": 0,
             "parked_gets": len(self.parked),
-            "leases": {},
-            "journal_pending": {},
-            # per-channel dedup-slot counts (bounded by client count)
             "dedup_slots": self.dedup.counts(),
             "dead_ranks": sorted(self.dead_ranks),
             "attached_clients": len(self.attached_clients),
             "failures": len(self.failures),
-            "quarantined": 0,
         }
-        for part in (self.leases, self.journals):
+        for part in (self.leases, self.journals, self.repl):
             if part is not None:
-                row.update(part.audit_fields())
-        return row
-
-    def _diagnostic(self) -> str:
-        """One-line state summary for recv-timeout hang reports."""
-        leases = self.leases
-        delayed = len(leases.delayed) if leases is not None else 0
-        parts = [
-            "server q=%d parked=%d delayed=%d"
-            % (self.queue.size, len(self.parked), delayed),
-            leases.diagnostic() if leases is not None else "leases=none",
-        ]
-        if self.repl is not None:
-            parts.append(self.repl.diagnostic())
-        if self.journals is not None and self.journals.table:
-            parts.append(self.journals.diagnostic())
-        if self.quarantined:
-            parts.append("quarantined=%d" % len(self.quarantined))
-        if self.is_master:
-            parts.append(
-                "work_count=%d%s"
-                % (self.work_count, " poisoned" if self.poisoned else "")
-            )
-        return "; ".join(parts)
+                state.update(part.state())
+        return state
 
     # ---------------------------------------------------------------- dispatch
 

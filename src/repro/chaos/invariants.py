@@ -1,7 +1,7 @@
 """Run-invariant auditing: conservation laws over terminal rank state.
 
 When ``RuntimeConfig.audit`` is set, every rank that shuts down cleanly
-snapshots its terminal bookkeeping state once (``audit_row()`` on
+is asked for its terminal state once (``state()`` on
 :class:`repro.adlb.server.Server`, :class:`repro.turbine.engine.Engine`,
 and :class:`repro.turbine.worker.Worker`) and the driver checks the
 rows against the laws below.  Killed ranks contribute no row — their

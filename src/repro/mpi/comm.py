@@ -160,10 +160,6 @@ class World:
         ]
         self.aborted = threading.Event()
         self.abort_reason: BaseException | None = None
-        # rank -> callable returning a one-line state summary, appended
-        # to recv-timeout hang reports (servers register lease tables,
-        # replication lag, queue depths).
-        self.diagnostics: dict[int, Any] = {}
 
     def comm(self, rank: int) -> "Comm":
         return Comm(self, rank)
@@ -194,7 +190,7 @@ class Comm:
         self.size = world.size
         #: the time, for every protocol timer on this rank (World.clock)
         self.now = world.clock
-        #: the run's counter table, where this rank registers its stats
+        #: the run's counter table: this rank's stats structs, its ``state``
         self.metrics = world.metrics
         # This rank's event ring (None when the run has no recorder),
         # and the same ring again for level-1-only events (None unless
@@ -257,23 +253,11 @@ class Comm:
             "%.1fs with no matching message; per-rank pending-queue "
             "depths: %s" % (self.rank, src, tg, timeout, depths)
         )
-        # Registered diagnostics (servers report their lease table,
-        # replication lag, and queue state) tell whether the hang is a
-        # lost message, a dead server, or a stuck lease.
-        for rank in sorted(self._world.diagnostics):
-            try:
-                line = self._world.diagnostics[rank]()
-            except Exception as e:  # a broken callback must not mask the hang
-                line = "<diagnostic failed: %s>" % e
+        # What every live rank holds tells a lost message from a dead
+        # server, a stuck lease or a variable nobody writes.
+        for rank, line in self.metrics.state_lines().items():
             report += "\n  rank %d: %s" % (rank, line)
         return report
-
-    def register_diagnostic(self, fn: Any) -> None:
-        """Attach a state-summary callback for this rank, shown in
-        recv-timeout hang reports.  ``fn`` takes no arguments and
-        returns a string; it runs on the *blocked* rank's thread, so it
-        must only read state."""
-        self._world.diagnostics[self.rank] = fn
 
     def drain_dead(self, rank: int) -> list[tuple[Any, Status]]:
         """Scavenge every message pending in a dead rank's mailbox.

@@ -69,27 +69,21 @@ def _capture_blackbox(
     detail: str,
     failed_ranks: Sequence[int],
 ) -> dict | None:
-    """Snapshot the recorder's rings plus live-rank stacks and
-    registered server diagnostics at the moment of failure."""
+    """Snapshot the recorder's rings plus live-rank stacks and every
+    registered rank's state line at the moment of failure."""
     recorder = world.recorder
     if recorder is None:
         return None
     stacks = {
         r: _thread_stack(t) for r, t in enumerate(threads) if t.is_alive()
     }
-    diagnostics = {}
-    for rank in sorted(world.diagnostics):
-        try:
-            diagnostics[rank] = world.diagnostics[rank]()
-        except Exception as e:  # a broken callback must not mask the failure
-            diagnostics[rank] = "<diagnostic failed: %s>" % e
     return recorder.blackbox(
         world.size,
         reason=reason,
         detail=detail,
         roles=list(rank_labels) if rank_labels is not None else None,
         stacks=stacks,
-        diagnostics=diagnostics,
+        diagnostics=world.metrics.state_lines(),
         failed_ranks=list(failed_ranks),
     )
 
@@ -114,7 +108,7 @@ def run_world(
 
     ``recorder`` (a :class:`repro.obs.Recorder`) keeps the per-rank
     event rings: on any failure raised here the rings, stuck-rank
-    stacks, and registered diagnostics are snapshotted onto the
+    stacks, and the ranks' state lines are snapshotted onto the
     exception as its ``blackbox`` attribute.  ``metrics`` is the run's
     counter table (see :class:`World`).  ``faults`` (a
     :class:`repro.faults.FaultState`) enables message-level fault

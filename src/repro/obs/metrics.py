@@ -87,7 +87,7 @@ class HistogramSummary:
 
 
 class Metrics:
-    """Registered counter structs, gauge sources and histograms."""
+    """Registered counter structs, rank state sources and histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -96,9 +96,9 @@ class Metrics:
         self._structs: list[tuple[str, Any, int | None]] = []
         self._settled: dict = {"counters": {}, "gauges": {}}
         self._hists: dict[str, HistogramSummary] = {}
-        #: rank -> callable returning that rank's live gauges (a server's
-        #: queue depth, parked clients, ...): set by the rank when it
-        #: starts serving, deleted by it when it is killed.
+        #: rank -> its server's / engine's / worker's ``state()``: what it
+        #: holds right now, as a dict any thread may ask for.  Set when
+        #: the rank is built, deleted when it is killed.
         self.sources: dict[int, Callable[[], dict]] = {}
 
     def register(self, prefix: str, struct: Any, rank: int | None = None) -> Any:
@@ -116,8 +116,8 @@ class Metrics:
 
     def settle(self) -> None:
         """The run is over (no rank thread is left to count): keep the
-        sums, let go of its structs and gauge sources — the latter pin
-        the servers' whole state, and a session's table must not grow
+        sums, let go of its structs and state sources — the latter pin
+        the ranks' whole state, and a session's table must not grow
         with every run."""
         done = self.snapshot()
         with self._lock:
@@ -143,6 +143,25 @@ class Metrics:
                 for p, struct, _ in self._structs
                 if p == prefix
             )
+
+    def state_lines(self) -> dict[int, str]:
+        """One line per registered rank for a hang report or a black
+        box: its role, then ``key=value`` of its ``state()`` with empty,
+        zero and false values elided (inside a map too)."""
+        lines = {}
+        for rank, read in sorted(self.sources.copy().items()):
+            try:
+                state = read()
+                parts = [state["role"]]
+                for key, value in state.items():
+                    if isinstance(value, dict):
+                        value = {k: v for k, v in value.items() if v}
+                    if value and key not in ("role", "rank"):
+                        parts.append("%s=%s" % (key, value))
+                lines[rank] = " ".join(parts)
+            except Exception as e:  # a broken state() must not mask the failure
+                lines[rank] = "<diagnostic failed: %s>" % e
+        return lines
 
     def snapshot(self) -> dict:
         with self._lock:

@@ -3,8 +3,8 @@
 Nothing is pushed.  A driver-side sampler thread calls
 :meth:`RunMonitor.sample` at a fixed cadence; each call composes one
 :class:`MonitorSample` from the run's :class:`~repro.obs.Metrics` — the
-live ``adlb.tasks_matched`` counters plus the gauges of every server
-still alive (``Server.gauges``: plain reads, safe from another thread).
+live ``adlb.tasks_matched`` counters plus the ``state()`` of every server
+still alive (``Metrics.sources``: safe to ask from another thread).
 ``repro run --monitor`` renders each sample as a one-line progress
 readout and the full timeline lands on ``RunResult.timeline``.
 """
@@ -29,7 +29,7 @@ class MonitorSample:
     leases: int = 0  # tasks handed out, completion pending
     repl_lag: int = 0  # op-log entries sent but unacked (max over servers)
     outstanding: int = -1  # termination-counter units (-1: no live master)
-    ranks: dict[int, dict] = field(default_factory=dict)
+    ranks: dict[int, dict] = field(default_factory=dict)  # server -> its state()
 
     @property
     def busy(self) -> int:
@@ -68,19 +68,20 @@ class RunMonitor:
         self.out = out
 
     def sample(self, t: float) -> MonitorSample:
-        # A dead server's gauges are gone but its matches still count,
+        # A dead server's state is gone but its matches still count,
         # so ``tasks`` never steps back across a failover.
         tasks = self.metrics.counter("adlb.tasks_matched") - self._tasks_before
-        ranks = {r: read() for r, read in list(self.metrics.sources.items())}
+        states = [read() for read in list(self.metrics.sources.values())]
+        ranks = {st["rank"]: st for st in states if st["role"] == "server"}
         s = MonitorSample(t=t, tasks=int(tasks), ranks=ranks)
-        for gauges in ranks.values():
-            s.queued += gauges["queued"]
-            s.parked += gauges["parked"]
-            s.clients += gauges["clients"]
-            s.leases += gauges.get("leases", 0)
-            s.repl_lag = max(s.repl_lag, gauges.get("repl_lag", 0))
-            if "outstanding" in gauges:
-                s.outstanding = gauges["outstanding"]
+        for state in ranks.values():
+            s.queued += state["queued_tasks"]
+            s.parked += state["parked_gets"]
+            s.clients += state["attached_clients"]
+            s.leases += len(state.get("leases", ()))
+            s.repl_lag = max(s.repl_lag, state.get("repl_lag", 0))
+            if state["is_master"]:
+                s.outstanding = max(0, state["work_count"])
         self.samples.append(s)
         if self.out is not None:
             self.out(s.render())

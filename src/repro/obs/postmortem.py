@@ -20,7 +20,7 @@ The report has four parts:
   ``delivered`` (a matching recv exists in the dead rank's ring) or
   ``in flight`` (sent but never received — the smoking gun for a rank
   that died mid-conversation);
-* the captured server diagnostics and live-rank stacks.
+* the captured state line of every rank and the live-rank stacks.
 
 The event vocabulary — what each ``kind`` means and what its ``a`` /
 ``b`` / ``c`` columns hold — is :data:`repro.obs.spine.KINDS`.
@@ -34,7 +34,7 @@ from typing import Any
 
 from .spine import ABC, BLACKBOX_FORMAT, KINDS
 
-#: MPI tag numbers -> short names (mirrors repro.adlb.protocol).
+#: MPI tag numbers -> short names (the TAG_* of repro/adlb/constants.py).
 TAG_NAMES = {10: "req", 11: "resp", 12: "oneway", 13: "async", 14: "server"}
 
 #: Default per-rank tail length in the rendered timeline.
@@ -245,7 +245,7 @@ def render_postmortem(box: dict, last: int = DEFAULT_LAST) -> str:
     diags = box.get("diagnostics") or {}
     if diags:
         lines.append("")
-        lines.append("server diagnostics at capture:")
+        lines.append("rank state at capture:")
         for r in sorted(diags, key=int):
             lines.append("  rank %s: %s" % (r, diags[r]))
 

@@ -283,9 +283,9 @@ class Recorder:
 
         ``size`` is the world size, ``reason`` names the failure class
         (exception type or ``"quarantine"``), ``stacks`` holds the
-        Python stacks of ranks still alive at capture time, ``diagnostics`` the one-line state
-        summaries of registered servers, ``failed_ranks`` the ranks the
-        launcher blamed.  The dict is JSON-serializable as-is.
+        Python stacks of ranks still alive at capture time, ``diagnostics``
+        the ranks' state lines (``Metrics.state_lines``), ``failed_ranks``
+        the ranks the launcher blamed.  The dict is JSON-serializable as-is.
         """
         return {
             "format": BLACKBOX_FORMAT,

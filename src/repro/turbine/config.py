@@ -83,7 +83,7 @@ class RuntimeConfig:
     monitor: bool | Callable[[str], None] = _opt(
         False,
         "live monitoring: a driver-side sampler reads the run's counter table (and "
-        "the live servers' gauges) every monitor_interval seconds into MonitorSample "
+        "the live servers' state) every monitor_interval seconds into MonitorSample "
         "rows on RunResult.timeline.  True keeps it silent; a callable is also fed "
         "one rendered line per sample (the CLI passes a printer to stderr)",
         "--monitor",

@@ -107,6 +107,7 @@ class Engine:
         # TDs with an outstanding subscription
         self.subscribed: set[int] = set()
         self.stats = register("engine", EngineStats(), client.rank)
+        client.comm.metrics.sources[client.rank] = self.state
 
     # ------------------------------------------------------------------ rules
 
@@ -248,23 +249,21 @@ class Engine:
                 self.ready.append(rule)
 
     def pending_rule_count(self) -> int:
-        """Rules registered but not yet fired/released (diagnostics)."""
-        blocked = {r.id for rules in self.blocked.values() for r in rules}
+        """Rules registered but not yet fired/released."""
+        waiting = list(self.blocked.values())  # a copy: state() may be asking
+        blocked = {r.id for rules in waiting for r in rules}
         return len(blocked) + len(self.ready)
 
-    def audit_row(self) -> dict:
-        """Terminal bookkeeping snapshot for run-invariant auditing.
-
-        Called once, after :meth:`serve` returns on a clean shutdown
-        (never on a killed rank).  At quiescence an engine may hold no
-        pending rules, no unflushed journal entries, and no deferred
-        refcount decrements — the conservation checks live in
-        :mod:`repro.chaos.invariants`.
-        """
+    def state(self) -> dict:
+        """What this engine holds right now (DESIGN.md, "Live state"):
+        its unfired rules and the TDs they wait on, for a hang report;
+        what must be zero at quiescence, for the audit.  Another thread
+        may call it: plain reads, ``len()`` and C-level copies only."""
         return {
             "role": "engine",
             "rank": self.client.rank,
             "pending_rules": self.pending_rule_count(),
+            "blocked_on": sorted(self.blocked)[:8],  # a line, not a dump
             "unflushed_journal": len(self._jbuf),
             "pending_refcounts": len(self.unit.deferred),
             "rules_created": self.stats.rules_created,

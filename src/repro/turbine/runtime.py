@@ -219,109 +219,94 @@ def run_turbine_program(
         monitor = RunMonitor(metrics, out)
     output = Output(echo=config.echo)
 
-    def announce_death(comm: Comm, e: RankKilled) -> None:
-        """Tell every server the rank is gone so its lease is swept.
-
-        ``silent`` kills skip this: recovery must then come from the
-        server-side lease-expiry sweep."""
-        if e.silent:
-            return
-        for s in layout.servers:
-            comm.send(
-                {"op": C.SOP_RANK_DEAD, "rank": e.rank, "reason": str(e)},
-                s,
-                C.TAG_SERVER,
-            )
-
     def main(comm: Comm) -> Server | Engine | Worker | None:
         """One rank's life.  Returns the rank's server / engine /
         worker if it exited cleanly, None if it was killed."""
         rank = comm.rank
         role = layout.role(rank)
         ctx = RankContext(layout=layout, role=role, output=output, config=config)
-        if role == "server":
-            server = Server(
-                comm,
-                layout,
-                steal=config.steal,
-                leases=leases_enabled,
-                lease_timeout=config.lease_timeout,
-                max_retries=config.max_retries,
-                on_error=config.on_error,
-                server_map=server_map,
-                replicate=replicate,
-                journal=journal,
-                faults=faults,
-                reliable=reliable,
-                checkpoint_path=config.checkpoint_path,
-                checkpoint_interval=config.checkpoint_interval,
-                restore_shard=restore_shards.get(rank),
-            )
-            try:
+        try:
+            if role == "server":
+                server = Server(
+                    comm,
+                    layout,
+                    steal=config.steal,
+                    leases=leases_enabled,
+                    lease_timeout=config.lease_timeout,
+                    max_retries=config.max_retries,
+                    on_error=config.on_error,
+                    server_map=server_map,
+                    replicate=replicate,
+                    journal=journal,
+                    faults=faults,
+                    reliable=reliable,
+                    checkpoint_path=config.checkpoint_path,
+                    checkpoint_interval=config.checkpoint_interval,
+                    restore_shard=restore_shards.get(rank),
+                )
                 server.run()
-            except RankKilled as e:
-                if not replicate:
-                    # The shard and queued work died with this rank and
-                    # nothing holds a replica: the run cannot complete.
-                    # Raise the diagnostic instead of letting every
-                    # client hang on a server that will never answer.
-                    raise ServerLost(e.rank, str(e)) from e
-                announce_death(comm, e)
-                return None
-            return server
-        client = AdlbClient(comm, layout, server_map=server_map, reliable=reliable)
-        interp = Interp(compile_enabled=config.tcl_compile)
-        metrics.register("tcl.vm", interp.vm_stats, rank)
-        if role == "engine":
-            engine = Engine(
+                return server
+            client = AdlbClient(comm, layout, server_map=server_map, reliable=reliable)
+            interp = Interp(compile_enabled=config.tcl_compile)
+            metrics.register("tcl.vm", interp.vm_stats, rank)
+            if role == "engine":
+                engine = Engine(
+                    client,
+                    interp,
+                    on_error=config.on_error,
+                    retries_enabled=leases_enabled,
+                    faults=faults,
+                    journal=journal,
+                )
+                load_rank(interp, client, ctx, engine.unit.deferred, engine, setup)
+                interp.eval(program)
+                # On restore the dataflow state comes from the checkpoint's
+                # rule tables; re-running the entry point would duplicate it.
+                initial = None
+                if rank == layout.engines[0] and not restoring:
+                    initial = entry
+                restore = list(restore_rules.get(rank, [])) if restoring else None
+                engine.serve(initial_script=initial, restore=restore)
+                return engine
+            worker = Worker(
                 client,
                 interp,
                 on_error=config.on_error,
                 retries_enabled=leases_enabled,
                 faults=faults,
-                journal=journal,
+                task_timeout=config.task_timeout,
             )
-            load_rank(interp, client, ctx, engine.unit.deferred, engine, setup)
+            load_rank(interp, client, ctx, worker.unit.deferred, None, setup)
             interp.eval(program)
-            # On restore the dataflow state comes from the checkpoint's
-            # rule tables; re-running the entry point would duplicate it.
-            initial = None
-            if rank == layout.engines[0] and not restoring:
-                initial = entry
-            restore = list(restore_rules.get(rank, [])) if restoring else None
-            try:
-                engine.serve(initial_script=initial, restore=restore)
-            except RankKilled as e:
-                if not journal:
-                    # The dead engine's pending rules are unrecoverable:
-                    # raise the diagnostic promptly (even for silent
-                    # kills — nothing watches an idle engine, so the
-                    # alternative is a hang until the recv timeout).
-                    raise EngineLost(
-                        e.rank,
-                        str(e),
-                        rules_pending=engine.pending_rule_count(),
-                        units_registered=engine.stats.rules_created,
-                    ) from e
-                announce_death(comm, e)
-                return None
-            return engine
-        worker = Worker(
-            client,
-            interp,
-            on_error=config.on_error,
-            retries_enabled=leases_enabled,
-            faults=faults,
-            task_timeout=config.task_timeout,
-        )
-        load_rank(interp, client, ctx, worker.unit.deferred, None, setup)
-        interp.eval(program)
-        try:
             worker.serve()
+            return worker
         except RankKilled as e:
-            announce_death(comm, e)
+            # A dead rank holds nothing: its line leaves the state view.
+            del metrics.sources[rank]
+            if role == "server" and not replicate:
+                # The shard and queued work died with this rank and nothing
+                # holds a replica: the run cannot complete.  Raise the
+                # diagnostic instead of letting every client hang on a
+                # server that will never answer.
+                raise ServerLost(e.rank, str(e)) from e
+            if role == "engine" and not journal:
+                # The dead engine's pending rules are unrecoverable: raise
+                # the diagnostic promptly (even for silent kills — nothing
+                # watches an idle engine, so the alternative is a hang
+                # until the recv timeout).
+                raise EngineLost(
+                    e.rank,
+                    str(e),
+                    rules_pending=engine.pending_rule_count(),
+                    units_registered=engine.stats.rules_created,
+                ) from e
+            # Tell every server the rank is gone so its lease is swept;
+            # after a silent kill only the lease-expiry sweep recovers.
+            if not e.silent:
+                dead = {"op": C.SOP_RANK_DEAD, "rank": e.rank, "reason": str(e)}
+                for s in layout.servers:
+                    comm.send(dead, s, C.TAG_SERVER)
             return None
-        return worker
 
     rank_labels = [layout.role(r) for r in range(config.size)]
     t0 = time.perf_counter()
@@ -382,7 +367,7 @@ def run_turbine_program(
             # One final sample so short runs still land a timeline row.
             monitor.sample(time.perf_counter() - t0)
         # The table outlives the run (RunResult.metrics, a session's
-        # next run); the run's structs and gauge sources need not.
+        # next run); the run's structs and state sources need not.
         metrics.settle()
     elapsed = time.perf_counter() - t0
     # What the ranks that exited cleanly hand back, in rank order.
@@ -427,7 +412,7 @@ def run_turbine_program(
         from ..chaos.invariants import audit_run
 
         audit = audit_run(
-            [r.audit_row() for r in servers + clients],
+            [r.state() for r in servers + clients],
             layout=layout,
             failures=failures,
             quarantined=quarantined,

@@ -120,6 +120,7 @@ class Worker:
         if task_timeout is not None:
             register("worker.watchdog", self.watchdog_stats, client.rank)
             self._watchdog = _Watchdog(task_timeout, self._watchdog_fire)
+        client.comm.metrics.sources[client.rank] = self.state
 
     def _watchdog_fire(self) -> None:
         """Expiry callback (watchdog thread): hand the overdue unit
@@ -142,14 +143,10 @@ class Worker:
             C.TAG_ONEWAY,
         )
 
-    def audit_row(self) -> dict:
-        """Terminal bookkeeping snapshot for run-invariant auditing.
-
-        Called once, after :meth:`serve` returns on a clean shutdown
-        (never on a killed rank).  A quiescent worker holds no deferred
-        refcount decrements: every task ends in a commit or a
-        roll-back.
-        """
+    def state(self) -> dict:
+        """What this worker holds right now (DESIGN.md, "Live state"):
+        at quiescence no deferred refcount decrement — every task ends
+        in a commit or a roll-back.  Plain reads and ``len()`` only."""
         return {
             "role": "worker",
             "rank": self.client.rank,

@@ -19,7 +19,7 @@ from repro.adlb.datastore import DataStoreError
 from repro.adlb.dedup import PARKED, DedupTable
 from repro.adlb.drain import Drain
 from repro.adlb.journal import Journals, RuleJournal
-from repro.adlb.layout import Layout
+from repro.adlb.layout import Layout, ServerMap
 from repro.adlb.leases import RETRY_BACKOFF, Leases
 from repro.adlb.replication import Replica, Replication
 from repro.adlb.server import Server
@@ -54,7 +54,7 @@ JOURNAL = {"op": C.OP_JOURNAL, "rank": ENGINE, "entries": [("create", RULE)]}
 
 class TestRecoveryOffBuildsNothing:
     def test_plain_server_has_no_collaborators_and_no_recovery_state(self):
-        server, _ = make_server()
+        server, world = make_server()
         for name in ("leases", "repl", "journals", "ckpt", "drain"):
             assert getattr(server, name) is None, name
         recovery_types = (
@@ -69,15 +69,18 @@ class TestRecoveryOffBuildsNothing:
         for name, value in vars(server).items():
             held = value.values() if isinstance(value, dict) else [value]
             assert not any(isinstance(v, recovery_types) for v in held), name
-        # ...and it can say so: the audit row and the hang diagnostic
-        # keep their shape without any of it.
-        row = server.audit_row()
-        assert row["leases"] == {} and row["journal_pending"] == {}
-        assert row["delayed_tasks"] == 0 and row["quarantined"] == 0
-        assert row["dedup_slots"] == {"rpc": 0, "get": 0, "async": 0}
-        assert server._diagnostic() == (
-            "server q=0 parked=0 delayed=0; leases=none; work_count=0"
-        )
+        # ...and it can say so: state() carries the core's fields and no
+        # collaborator's slice, and its hang-report line elides every
+        # zero (queue depth, parked gets, work_count, dedup slots).
+        state = server.state()
+        assert (state["queued_tasks"], state["parked_gets"]) == (0, 0)
+        assert (state["work_count"], state["poisoned"]) == (0, False)
+        assert state["dedup_slots"] == {"rpc": 0, "get": 0, "async": 0}
+        for key in ("leases", "delayed_tasks", "quarantined", "journal_pending"):
+            assert key not in state, key
+        assert not any(key.startswith("repl") for key in state)
+        lines = world.metrics.state_lines()
+        assert lines == {server.rank: "server is_master=True attached_clients=3"}
 
     def test_each_feature_builds_only_its_own_collaborator(self, tmp_path):
         assert make_server(leases=True)[0].leases is not None
@@ -137,7 +140,7 @@ class TestRecoveryOffBuildsNothing:
         assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
         server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
         assert server.leases.stats.requeued == 1 and not server.failures
-        assert server.audit_row()["delayed_tasks"] == 1
+        assert server.state()["delayed_tasks"] == 1
 
 
 class TestOneClock:
@@ -257,18 +260,62 @@ class TestOneClock:
         assert not server._done()  # a live engine's mirror holds a rule
         flush = dict(JOURNAL, entries=[("done", RULE["id"])])
         server.dispatch(flush, ENGINE, C.TAG_ONEWAY)
-        assert server._done() and server.audit_row()["journal_pending"] == {ENGINE: 0}
+        assert server._done() and server.state()["journal_pending"] == {ENGINE: 0}
         # ...and if it never comes, the leak is left for the audit to flag
         server = released()
         assert not server._done()
         clock.advance(0.9)
         assert not server._done()
         clock.advance(0.2)
-        assert server._done() and server.audit_row()["journal_pending"] == {ENGINE: 1}
+        assert server._done() and server.state()["journal_pending"] == {ENGINE: 1}
         # a dead engine's mirror is nobody's flush to wait for
         server = released(leases=True)
         server.dead_ranks.add(ENGINE)
         assert server._done()
+
+    @pytest.mark.parametrize("lease_timeout", [0.5, 1.0, 5.0])
+    def test_silent_ward_is_declared_dead_well_inside_its_clients_leases(
+        self, clock, lease_timeout
+    ):
+        # A client blocked on a dead server took its lease *before* that
+        # server's last beat, so the ward bound must sit strictly inside
+        # the lease: at min(lease_timeout, 5.0) the live worker was
+        # swept first (0.46 s against 0.51 s after the last beat, at 0.5).
+        layout = Layout(size=5, n_servers=2, n_engines=1)
+        world = World(layout.size, recv_timeout=None, clock=clock)
+        smap = ServerMap(layout)
+        mine, ward = (
+            Server(
+                world.comm(r),
+                layout,
+                leases=True,
+                lease_timeout=lease_timeout,
+                server_map=smap,
+                replicate=True,
+            )
+            for r in layout.servers
+        )
+        worker = layout.workers[-1]  # 2: attached to `mine`, blocked on `ward`
+        mine.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
+        mine.dispatch(GET, worker, C.TAG_REQUEST)
+        assert worker in mine.leases.table
+
+        def turn():  # one loop turn of `mine`, 10 ms later, as Server.run orders it
+            clock.advance(0.01)
+            while mine.pump(timeout=0):
+                pass
+            mine._idle_tick()
+
+        for _ in range(5):  # the ward beats five more times, then goes silent
+            ward.repl.flush(heartbeat=True)
+            turn()
+        for _ in range(int(2 * lease_timeout / 0.01)):
+            if ward.rank in mine.repl.dead_servers:
+                break
+            turn()
+        assert ward.rank in mine.repl.dead_servers
+        assert worker not in mine.dead_ranks and mine.leases.stats.expired == 0
+        assert mine.leases.table[worker].deadline - clock() >= lease_timeout / 4
 
     def test_pump_is_the_one_door(self):
         server, world = make_server()
@@ -339,7 +386,7 @@ class TestDedupTable:
         get = {"op": C.OP_GET, "types": [C.WORK], "seq": 1}
         server.dispatch(get, WORKER, C.TAG_REQUEST)
         # what chaos/invariants.py bounds by the client count
-        assert server.audit_row()["dedup_slots"] == {"rpc": 1, "get": 1, "async": 1}
+        assert server.state()["dedup_slots"] == {"rpc": 1, "get": 1, "async": 1}
 
     def test_promotion_merges_the_wards_slots_replicate_on(self):
         server, _ = make_server(n_servers=2, replicate=True, reliable=True)

@@ -4,12 +4,14 @@ live monitoring (repro.obs.analyze / repro.obs.monitor)."""
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.api import swift_run
 from repro.faults import FaultPlan
-from repro.obs import Analysis, Trace
+from repro.obs import Analysis, Recorder, Trace
 
 DIAMOND = """
 import io;
@@ -229,6 +231,52 @@ class TestMonitor:
             monitor_interval=0.01,
         )
         assert lines and all(line.startswith("[monitor]") for line in lines)
+
+    def test_every_rank_state_may_be_asked_from_another_thread(self):
+        # The cross-thread rule of state() (plain reads, len() and
+        # C-level copies only), checked: the sampler reads every 1 ms
+        # and a second thread asks every registered rank in a loop while
+        # rules block and fire, leases turn over and the op-log streams.
+        rec = Recorder()
+        errors: list[BaseException] = []
+        roles: set[str] = set()
+        stop = threading.Event()
+
+        def reader() -> None:
+            while not stop.wait(0.0005):
+                for read in list(rec.metrics.sources.values()):
+                    try:
+                        roles.add(read()["role"])
+                    except Exception as e:  # noqa: BLE001 - the test's subject
+                        errors.append(e)
+
+        thread = threading.Thread(target=reader, daemon=True)
+        thread.start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # preempt mid-state(), not every 5 ms
+        try:
+            r = swift_run(
+                "foreach i in [0:199] {\n"
+                '    string s = python(strcat("x=", fromint(i)), "x");\n'
+                "    trace(s);\n"
+                "}\n",
+                opt=0,  # the all-TD shape: the engines hold rules in flight
+                workers=2,
+                servers=2,
+                engines=2,
+                monitor=True,
+                monitor_interval=0.001,
+                tracer=rec,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            thread.join()
+        assert not errors, errors[:3]
+        assert roles == {"server", "engine", "worker"}
+        assert sorted(r.stdout_lines) == sorted("trace: %d" % i for i in range(200))
+        assert r.timeline[-1].clients == 4 and r.timeline[-1].outstanding == 0
+        assert rec.metrics.sources == {}  # settle() let go of every rank
 
     def test_no_timeline_without_monitor(self):
         r = swift_run('import io; main { printf("hi"); }', workers=2)

@@ -9,6 +9,7 @@ each test's invariants must hold for *any* seed.
 from __future__ import annotations
 
 import os
+import re
 import time
 
 import pytest
@@ -315,6 +316,37 @@ class TestDiagnostics:
         assert "rank 1 blocked in recv(source=0, tag=42)" in msg
         assert "pending-queue depths" in msg
         assert "rank1=1" in msg  # the unmatched tag-9 message
+
+    def test_hang_report_names_the_engine_and_the_td_it_waits_on(self):
+        # The most common Swift mistake — reading a variable nobody
+        # writes — ends in a hang report with a line for every live
+        # rank: the engine holding the two unfired rules says which TDs
+        # they wait on (what Swift/T prints as its unfired-rule report).
+        with pytest.raises(RankFailure) as exc_info:
+            swift_run(
+                "int a[];\n"
+                'string y = python("x=1", strcat("x+", fromint(a[3])));\n'
+                "a[0] = 1;\n"
+                "trace(y);\n",
+                workers=2,
+                servers=1,
+                engines=1,
+                recv_timeout=1,
+            )
+        err = exc_info.value.failures[0][1]
+        assert isinstance(err, DeadlockError)
+        lines = dict(
+            re.findall(r"^  rank (\d): (.*)$", str(err), flags=re.MULTILINE)
+        )
+        assert sorted(lines) == ["0", "1", "2", "3"]
+        engine = re.fullmatch(
+            r"engine pending_rules=2 blocked_on=\[(\d+), (\d+)\] rules_created=2",
+            lines["0"],
+        )
+        assert engine and int(engine[1]) < int(engine[2])  # TD ids, ascending
+        assert lines["1"] == lines["2"] == "worker"  # no deferred refcounts
+        assert lines["3"].startswith("server is_master=True work_started=True")
+        assert "work_count=2 parked_gets=3" in lines["3"]
 
     def test_rank_failure_reports_roles_and_tracebacks(self):
         with pytest.raises(TaskError):

@@ -235,8 +235,24 @@ class TestPostmortem:
         # Last message edges into the dead rank, each with a verdict.
         assert "-> 0 send lam=" in report
         assert ("delivered" in report) or ("NOT received" in report)
-        # Server diagnostics were captured at the moment of failure.
-        assert "server diagnostics at capture:" in report
+        # Every rank alive at capture has a state line (the dead engine
+        # has none): the other engine, both workers, the server.
+        assert "rank state at capture:" in report
+        assert sorted(box["diagnostics"]) == ["1", "2", "3", "4"]
+        assert box["diagnostics"]["1"].startswith("engine")
+        assert "  rank 4: server is_master=True" in report
+
+    def test_tag_names_are_the_adlb_tag_numbers(self):
+        from repro.adlb import constants as C
+        from repro.obs.postmortem import TAG_NAMES
+
+        assert TAG_NAMES == {
+            C.TAG_REQUEST: "req",
+            C.TAG_RESPONSE: "resp",
+            C.TAG_ONEWAY: "oneway",
+            C.TAG_ASYNC: "async",
+            C.TAG_SERVER: "server",
+        }
 
     def test_frontier_marks_in_flight_sends(self):
         box = {

@@ -166,10 +166,10 @@ class TestSurface:
         comm = World(2).comm(0)
         public = {name for name in dir(comm) if not name.startswith("_")}
         assert public == set(
-            "rank size send recv recv_poll drain_dead register_diagnostic "
-            "now metrics ring tracer".split()
+            "rank size send recv recv_poll drain_dead now metrics ring tracer".split()
         )
         assert not hasattr(World(2), "_barrier")
+        assert not hasattr(World(2), "diagnostics")
 
     def test_now_is_the_worlds_clock(self):
         ticks = iter([5.0, 7.5])

@@ -10,6 +10,7 @@ substrings appear in the test names.
 from __future__ import annotations
 
 import os
+import random
 import time
 
 import pytest
@@ -18,10 +19,12 @@ from repro import DeadlineExceeded, FaultPlan, ServerLost, swift_run
 from repro.adlb import constants as C
 from repro.adlb.checkpoint import CheckpointError, read_checkpoint
 from repro.adlb.layout import Layout, ServerMap
+from repro.adlb.dedup import PARKED
 from repro.adlb.leases import _Lease
+from repro.adlb.replication import Replica
 from repro.adlb.server import Server
 from repro.adlb.workqueue import Task
-from repro.mpi.comm import World
+from repro.mpi.comm import DeadlockError, World
 
 SEED = int(os.environ.get("FAULT_SEED", "0"))
 
@@ -345,46 +348,92 @@ class TestCheckpointRestart:
 
 
 class TestHangDiagnostics:
-    def test_server_diagnostic_reports_leases_and_repl_lag(self):
-        # Satellite: recv-timeout hang reports must include the owning
-        # server's lease table and replication lag, not just queue
-        # depths.  Exercise the registered diagnostic directly.
+    def test_server_diagnostic_reports_leases_and_repl_lag(self, clock):
+        # A hang report must say what the owning server holds, not just
+        # queue depths: every fact below is in state(), and in the line
+        # the hang report and the black box render from it.
         layout = Layout(size=5, n_servers=2, n_engines=1)
-        world = World(5, recv_timeout=None)
+        world = World(5, recv_timeout=None, clock=clock)
         server = Server(
             world.comm(MASTER),
             layout,
             leases=True,
+            journal=True,
             server_map=ServerMap(layout),
             replicate=True,
         )
+        server.dispatch({"op": C.OP_INCR_WORK, "amount": 4}, 0, C.TAG_ONEWAY)
+        for payload in ("queued-a", "queued-b"):
+            put = {"op": C.OP_PUT, "type": C.WORK, "payload": payload}
+            server.dispatch(put, 0, C.TAG_ONEWAY)
+        park = {"op": C.OP_GET_ASYNC, "types": [C.CONTROL]}
+        server.dispatch(park, 0, C.TAG_ONEWAY)
         server.leases.table[1] = _Lease(
-            task=Task(payload="leaf-task-payload", type=C.WORK),
+            task=Task(payload="leaf-task-payload", type=C.WORK, uid=77),
             client=1,
-            deadline=time.monotonic() + 30.0,
+            deadline=clock() + 30.0,
         )
+        server.leases.requeue(Task(payload="backing-off", type=C.WORK), 1)
+        server.leases.quarantine(Task(payload="poison", type=C.WORK), 2, "died", 3)
+        rule = {"id": 1, "inputs": [7], "action": "x", "type": "LOCAL"}
+        rule.update(target=-1, priority=0, name="r")
+        entries = [("create", rule), ("guard", 1), ("ctask_done",)]
+        journal = {"op": C.OP_JOURNAL, "rank": 0, "entries": entries}
+        server.dispatch(journal, 0, C.TAG_ONEWAY)
         server.repl.seq, server.repl.acked = 7, 4
-        line = server._diagnostic()
-        assert "leaf-task-payload" in line
-        assert "repl lag=3" in line
-        assert "buddy=%d" % OTHER in line
-        # The diagnostic is registered with the comm layer, so hang
-        # reports (DeadlockError) pick it up automatically.
-        assert world.diagnostics[MASTER]() == line
+        server.repl.dead_servers.add(9)
+        clock.advance(1.5)
+
+        state = server.state()
+        assert (state["queued_tasks"], state["parked_gets"]) == (2, 1)
+        assert state["delayed_tasks"] == 1 and state["quarantined"] == 1
+        assert state["leases"] == {1: "77: leaf-task-payload (28.5s left)"}
+        assert (state["repl_lag"], state["repl_sent"], state["repl_acked"]) == (3, 7, 4)
+        assert (state["buddy"], state["dead_servers"]) == (OTHER, [9])
+        assert state["journal_pending"] == {0: 1}
+        assert (state["journal_guard"], state["journal_ctask_done"]) == ([0], [0])
+        # (the quarantined unit gave its counter unit back, poisoned)
+        assert (state["work_count"], state["poisoned"]) == (3, True)
+        # One registration, one render: hang reports (DeadlockError) and
+        # the black box pick the same line up from the run's table.
+        assert world.metrics.sources[MASTER] == server.state
+        line = world.metrics.state_lines()[MASTER]
+        assert line.startswith("server is_master=True work_started=True work_count=3")
+        for fact in (
+            "poisoned=True",
+            "queued_tasks=2",
+            "parked_gets=1",
+            "delayed_tasks=1",
+            "leases={1: '77: leaf-task-payload (28.5s left)'}",
+            "quarantined=1",
+            "journal_pending={0: 1}",
+            "journal_guard=[0]",
+            "journal_ctask_done=[0]",
+            "repl_lag=3 repl_sent=7 repl_acked=4 buddy=%d dead_servers=[9]" % OTHER,
+        ):
+            assert fact in line, fact
+        with pytest.raises(DeadlockError) as info:
+            world.comm(1).recv(source=MASTER, timeout=0.01)
+        assert "\n  rank %d: %s" % (MASTER, line) in str(info.value)
+
+    def test_a_broken_state_does_not_mask_the_hang(self):
+        world = World(2, recv_timeout=None)
+        world.metrics.sources[0] = lambda: 1 // 0
+        world.metrics.sources[1] = lambda: {"role": "worker", "rank": 1}
+        assert world.metrics.state_lines() == {
+            0: "<diagnostic failed: integer division or modulo by zero>",
+            1: "worker",
+        }
 
 
-def replicated_servers(n=3, clock=time.monotonic):
+def replicated_servers(n=3, clock=time.monotonic, workers=2, **options):
     """``n`` replicated, leasing servers on one world, driven by hand
-    (ranks: engine 0, workers 1-2, then the servers; each server's
-    buddy is the next in ring order)."""
-    layout = Layout(size=n + 3, n_servers=n, n_engines=1)
+    (ranks: engine 0, the workers from 1, then the servers; each
+    server's buddy is the next in ring order)."""
+    layout = Layout(size=n + 1 + workers, n_servers=n, n_engines=1)
     world = World(layout.size, recv_timeout=None, clock=clock)
-    smap = ServerMap(layout)
-    made = [
-        Server(world.comm(r), layout, leases=True, server_map=smap, replicate=True)
-        for r in layout.servers
-    ]
-    return world, made
+    options.update(leases=True, server_map=ServerMap(layout), replicate=True)
+    return world, [Server(world.comm(r), layout, **options) for r in layout.servers]
 
 
 def deliver(world, server):
@@ -458,28 +507,51 @@ TASK_FAIL = {"op": C.OP_TASK_FAIL, "kind": "task", "error": "boom"}
 
 
 class TestReplicaFollowsOwner:
-    """After every dispatch the buddy's shadow holds the units the owner
-    holds — queued or backing off, and leased to whom — so whenever the
-    owner dies its heir runs each unit once.  (The schedule-search
-    target of ROADMAP item 3: reverting the op-log line a test names
-    makes that test, and no other, fail.)"""
+    """After every dispatch the buddy's shadow equals the owner's image
+    (``Replication.image``) — the units queued or backing off, who holds
+    which lease, dedup slots, counter, ids, dead ranks, journal mirrors,
+    the store — so whenever the owner dies its heir runs each unit once.
+    (The oracle of ROADMAP item 3's schedule search: reverting the
+    op-log line a test names fails that test and the random walk.)"""
 
-    def pair(self):
-        world, (owner, buddy) = replicated_servers(2)
+    def pair(self, **options):
+        world, (owner, buddy) = replicated_servers(2, **options)
         self.world, self.owner, self.buddy = world, owner, buddy
         return owner, buddy
 
-    def step(self, msg, source, tag):
-        """One dispatch at the owner, its op-log delivered to the buddy;
-        then the shadow must be the owner's image."""
+    def settle(self):
+        """Deliver the owner's op-log to the buddy (and what comes back:
+        acks, a thief's own op-log); then the shadow the buddy fed entry
+        by entry must equal a shadow built from the owner's whole image."""
         owner, buddy = self.owner, self.buddy
+        if owner.repl.buf:  # logged outside a dispatch (a tick)
+            owner.repl.flush()
+        for _ in range(2):
+            deliver(self.world, buddy)
+            deliver(self.world, owner)
+        shadow, image = buddy.repl.replicas[owner.rank], Replica(owner.repl.image())
+        assert shadow.tasks == image.tasks
+        assert shadow.leases == image.leases
+        # (a parked GET's slot is the owner's alone: the client re-sends it)
+        slots = {k: v for k, v in image.dedup.slots.items() if v[1][1] is not PARKED}
+        assert {k: v for k, v in shadow.dedup.slots.items() if k in slots} == slots
+        assert set(shadow.dedup.slots) <= set(image.dedup.slots)
+        assert (shadow.work, shadow.next_id) == (image.work, image.next_id)
+        assert shadow.dead_ranks == image.dead_ranks
+        mirrors = [
+            {e: (j.rules, j.guard, j.ctask_done) for e, j in r.journals.items()}
+            for r in (shadow, image)
+        ]
+        assert mirrors[0] == mirrors[1]
+        assert shadow.store.snapshot() == image.store.snapshot()
+
+    def step(self, msg, source, tag):
+        """One dispatch at the owner, then :meth:`settle`."""
+        owner = self.owner
         owner.dispatch(msg, source, tag)
-        deliver(self.world, buddy)
+        self.settle()
         held = owner.queue.all_tasks() + [t for _, _, t in owner.leases.delayed]
         leased = {c: lease.task.uid for c, lease in owner.leases.table.items()}
-        shadow = buddy.repl.replicas[owner.rank]
-        assert sorted(shadow.tasks) == sorted(t.uid for t in held)
-        assert {c: t.uid for c, t in shadow.leases.items()} == leased
         return held, leased
 
     def promoted(self):
@@ -522,3 +594,96 @@ class TestReplicaFollowsOwner:
         assert len(held) == 2 and owner.stats.tasks_stolen_out == 2
         assert buddy.stats.tasks_stolen_in == 2
         assert self.promoted() == (["leaf-%d" % i for i in range(4)], {})
+
+    def test_random_walk_keeps_shadow_equal_to_image(self, clock):
+        # Not only the transitions someone thought to check: a seeded
+        # walk over everything that logs.  (Either PR 22 one-liner
+        # reverted — ("task-", uid) in Server._op_steal_req, take() in
+        # Leases.op_task_fail — fails it within 200 steps of seed 0.)
+        rng = random.Random(SEED)
+        owner, buddy = self.pair(
+            clock=clock, workers=6, journal=True, reliable=True, on_error="continue"
+        )
+        workers, seqs = list(owner.layout.workers), dict.fromkeys(range(7), 0)
+        open_tds, closed_tds, rules = [], [], []
+        ids = iter(range(1, 10**6))
+
+        def request(msg, source):
+            seqs[source] += 1
+            self.step(dict(msg, seq=seqs[source]), source, C.TAG_REQUEST)
+
+        def put():
+            kind = rng.choice([C.WORK, C.WORK, C.CONTROL])
+            target = rng.choice([-1, -1, rng.choice(workers)]) if kind == C.WORK else -1
+            msg = dict(PUT, type=kind, payload="unit-%d" % next(ids), target=target)
+            request(msg, ENGINE)
+
+        def get():
+            request(GET, rng.choice(workers))
+
+        def park():
+            request({"op": C.OP_GET_ASYNC, "types": [C.CONTROL]}, ENGINE)
+
+        def fail():
+            holders = [w for w in workers if w in owner.leases.table]
+            if holders:
+                self.step(TASK_FAIL, rng.choice(holders), C.TAG_ONEWAY)
+
+        def steal():
+            self.step({"op": C.SOP_STEAL_REQ}, buddy.rank, C.TAG_SERVER)
+
+        def die():
+            if len(workers) > 2:
+                dead = workers.pop(rng.randrange(len(workers)))
+                msg = {"op": C.SOP_RANK_DEAD, "rank": dead, "reason": "killed"}
+                self.step(msg, dead, C.TAG_SERVER)
+
+        def tick():  # backoff requeues come due
+            clock.advance(rng.choice([0.01, 0.1, 0.5]))
+            owner.leases.tick()
+            self.settle()
+
+        def data():
+            op = rng.choice(["create", "subscribe", "store", "free"])
+            if op == "create" or not open_tds and not closed_tds:
+                open_tds.append(next(ids))
+                msg = {"op": C.OP_CREATE, "id": open_tds[-1], "type": C.T_INTEGER}
+            elif op == "subscribe" and open_tds:
+                msg = {"op": C.OP_SUBSCRIBE, "id": rng.choice(open_tds)}
+            elif op == "store" and open_tds:
+                closed_tds.append(open_tds.pop(rng.randrange(len(open_tds))))
+                msg = {"op": C.OP_STORE, "id": closed_tds[-1], "value": 7}
+            elif closed_tds:
+                td = closed_tds.pop(rng.randrange(len(closed_tds)))
+                msg = {"op": C.OP_REFCOUNT, "id": td, "read_delta": -1}
+            else:
+                return
+            request(msg, ENGINE)
+
+        def journal():
+            kind = rng.choice(["create", "close", "done", "guard", "ctask_done"])
+            if kind == "create" or not rules:
+                rules.append(next(ids))
+                rule = {"id": rules[-1], "inputs": rng.sample(range(50), 2)}
+                rule.update(action="x", type="LOCAL", target=-1, priority=0, name="r")
+                entry = ("create", rule)
+            elif kind == "close":
+                entry = ("close", rng.randrange(50))
+            elif kind == "done":
+                entry = ("done", rules.pop(rng.randrange(len(rules))))
+            elif kind == "guard":
+                entry = ("guard", rng.randrange(2))
+            else:
+                entry = ("ctask_done",)
+            msg = {"op": C.OP_JOURNAL, "rank": ENGINE, "entries": [entry]}
+            self.step(msg, ENGINE, C.TAG_ONEWAY)
+
+        self.step({"op": C.OP_INCR_WORK, "amount": 10**6}, ENGINE, C.TAG_ONEWAY)
+        request({"op": C.OP_ID_BLOCK}, ENGINE)
+        moves = [put] * 4 + [get] * 4 + [park, fail, fail, steal, die, tick, tick]
+        moves += [data] * 3 + [journal] * 2
+        for _ in range(400):
+            rng.choice(moves)()
+        assert owner.stats.tasks_stolen_out and owner.leases.stats.requeued
+        assert owner.leases.stats.dead_ranks and buddy.repl.stats.entries_applied > 400
+
