@@ -353,7 +353,10 @@ STC_RUNS = {  # program -> (source, its sorted output)
         sorted("trace: %d" % i for i in range(40)),
     ),
 }
-TURBINE_OPS = ("turbine::allocate", "turbine::rule", "turbine::op ", "turbine::store", "turbine::spawn")
+TURBINE_OPS = (
+    "turbine::allocate", "turbine::rule", "turbine::op ", "turbine::store",
+    "turbine::spawn", "turbine::hold",  # hold: a spawn made after the chunk's catch
+)
 
 
 def stc() -> dict:

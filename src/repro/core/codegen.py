@@ -20,7 +20,7 @@ from typing import Any
 from ..tcl.expr import to_string
 from ..tcl.listutil import format_element, format_list
 from .errors import SwiftTypeError
-from .ir import Block, Const, Op, Operand, Var, free_vars
+from .ir import Block, Const, Op, Operand, Var, all_ops, free_vars
 from .lower import Lowering
 from .passes import PASSES, annotation_slice, propagate_closed
 from .semantics import FuncSig
@@ -79,9 +79,16 @@ class Proc:
         self.td: dict[Operand, str] = {}  # variable -> word of its TD id
         self._temp = itertools.count(1)
         self._locals: set[str] = set(params)
+        # in the guarded part of a loop of leaves: spawns are held, and
+        # made after the ``catch``
+        self.holding = False
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
+
+    def emit_all(self, lines: list[str]) -> None:
+        for line in lines:
+            self.emit(line)
 
     def temp(self) -> str:
         return "t%d" % next(self._temp)
@@ -325,55 +332,100 @@ class Codegen:
         self.local_rule(proc, deps, [child.name, *args])
 
     def op_foreach(self, op: Op, proc: Proc) -> None:
-        """One CONTROL task per iteration, spawned by a start proc that
-        runs at once, or as a rule if a bound (or the container) is
-        still a future."""
+        """A loop proc that runs at once, or as a rule if a bound (or
+        the container) is still a future, and spawns one CONTROL task
+        per iteration.  A loop of leaves (``op.inline``) gets a chunk
+        proc in front of it, or instead of it (:meth:`chunk`)."""
         ranged = len(op.ins) == 3
-        body, args = self.hoist("body", ["idx"] if ranged else ["idx", "elem"], op.blocks, proc)
-        body.val[op.vars[0]] = "$idx"
-        if not ranged:
-            body.td[op.vars[1]] = "$elem"
-        self.block(op.blocks[0], body)
-        # the start proc hands the body's captures through under the same names
-        passed = body.params[len(body.params) - len(args) :]
-        start = self.new_proc(
-            "swift:__loop%d" % next(self._hoist),
-            (["lo", "hi", "step"] if ranged else ["c"]) + passed,
-        )
-        deps, bounds = [], []
+        (block,) = op.blocks
+        params = ["lo", "hi", "step"] if ranged else ["c"]
+        # Only a value op can raise where the body runs: a loop of leaves
+        # that has one keeps the per-iteration loop to fall back on.
+        guarded = op.inline and any(o.kind == "value" for o in all_ops(block))
+        loop = None
+        if guarded or not op.inline:
+            body, _ = self.hoist("body", ["idx"] if ranged else ["idx", "elem"], op.blocks, proc)
+            body.val[op.vars[0]] = "$idx"
+            if not ranged:
+                body.td[op.vars[1]] = "$elem"
+            self.block(block, body)
+            loop, args = self.hoist("loop", params, op.blocks, proc)
+        entry = loop
+        if op.inline:
+            entry, args = self.hoist("chunk", params, op.blocks, proc)
+        # every proc hands the body's captures through under the same names
+        passed = ["$" + p for p in entry.params[len(params) :]]
+        deps, bounds, prologue = [], [], []  # prologue: of the proc the caller runs
         if ranged:
-            for label, x in zip(("lo", "hi", "step"), op.ins):
+            for label, x in zip(params, op.ins):
                 if x.closed:
                     bounds.append(self.val(x, proc))
                 else:
-                    start.emit("set %s [ turbine::retrieve $%s ]" % (label, label))
+                    prologue.append("set %s [ turbine::retrieve $%s ]" % (label, label))
                     deps.append(self.td(x, proc))
                     bounds.append(deps[-1])
             count = "expr { $hi >= $lo ? ( ( $hi - $lo ) / $step ) + 1 : 0 }"
-            loop, item = "for { set i $lo } { $i <= $hi } { incr i $step } {", "$i"
+            step = op.ins[2]
+            if not (isinstance(step, Const) and step.value > 0):
+                count = "turbine::range_count $lo $hi $step"  # raises if it never ends
+                if not op.written and not op.inline:
+                    prologue.append(count)
+            header, item = "for { set i $lo } { $i <= $hi } { incr i $step } {", "$i"
         else:
             deps.append(self.td(op.ins[0], proc))
             bounds.append(deps[-1])
-            start.emit("set subs [ turbine::enumerate $c ]")
+            prologue.append("set subs [ turbine::enumerate $c ]")
             count = "llength $subs"
-            loop, item = "foreach s $subs {", "$s [ turbine::container_lookup $c $s ]"
+            header, item = "foreach s $subs {", "$s [ turbine::container_lookup $c $s ]"
+        if op.inline:
+            self.chunk(op, entry, header, loop, passed)
+            if deps:
+                # the halves re-enter with values: the futures are retrieved
+                # once, by the proc the rule fires
+                prologue.append(" ".join([entry.name, "$lo", "$hi", "$step", *passed]))
+                entry = self.new_proc("swift:__start%d" % next(self._hoist), entry.params)
+        entry.emit_all(prologue)
         if op.written:
-            start.emit("set n [ %s ]" % count)
+            loop.emit("set n [ %s ]" % count)
         for arr, writers in op.written:
-            start.emit(
-                "turbine::write_refcount_incr %s [ expr { $n * %d } ]" % (body.td[arr], writers)
+            loop.emit(
+                "turbine::write_refcount_incr %s [ expr { $n * %d } ]" % (loop.td[arr], writers)
             )
-            start.emit("turbine::write_refcount_decr %s 1" % body.td[arr])
-        start.emit(loop)
-        start.emit(
-            "    turbine::spawn CONTROL [ list %s ]"
-            % " ".join([body.name, item, *("$" + p for p in passed)])
-        )
-        start.emit("}")
+            loop.emit("turbine::write_refcount_decr %s 1" % loop.td[arr])
+        if loop is not None:
+            spawn = "turbine::spawn CONTROL [ list %s ]" % " ".join([body.name, item, *passed])
+            loop.emit_all([header, "    " + spawn, "}"])
         if deps:
-            self.local_rule(proc, deps, [start.name, *bounds, *args])
+            self.local_rule(proc, deps, [entry.name, *bounds, *args])
         else:
-            proc.emit(" ".join([start.name, *bounds, *args]))
+            proc.emit(" ".join([entry.name, *bounds, *args]))
+
+    def chunk(self, op: Op, chunk: Proc, header: str, loop: Proc | None, passed: list[str]) -> None:
+        """The proc of a loop of leaves: split a long range into CONTROL
+        tasks that re-enter it, run the body of a short one in place.
+        A body that evaluates anything does so for the whole chunk
+        first, holding the spawns, and then makes them: if a payload
+        raises, no leaf is out yet, and ``loop`` runs the iterations —
+        and the one fails — as control tasks, as if there were no
+        chunk proc.  No spawn is ever made under the catch."""
+        bounds = ["$lo", "$hi", "$step", *passed]
+        chunk.emit("if { [ turbine::split_range %s ] } return" % " ".join([chunk.name, *bounds]))
+        chunk.val[op.vars[0]] = "$i"
+        if loop is not None:
+            chunk.emit("if { [ catch {")
+            chunk.depth += 1
+            chunk.holding = True
+        chunk.emit(header)
+        chunk.depth += 1
+        self.block(op.blocks[0], chunk)
+        chunk.depth -= 1
+        chunk.emit("}")
+        if loop is not None:
+            chunk.holding = False
+            chunk.depth -= 1
+            fallback = "    " + " ".join([loop.name, *bounds])
+            made = ["} else {", "    turbine::release 1", "}"]
+            chunk.emit_all(["} ] } {", "    turbine::release 0", fallback, *made])
 
     # -- leaf tasks ----------------------------------------------------------
 
@@ -477,7 +529,8 @@ class Codegen:
             )
         else:
             opts = " %s %s" % (prio, target) if placed else ""
-            proc.emit("turbine::spawn WORK %s%s" % (action, opts))
+            verb = "hold" if proc.holding else "spawn"
+            proc.emit("turbine::%s WORK %s%s" % (verb, action, opts))
 
     def task(self, fn: str, params: list[str], lines: list[str]) -> str:
         """The task proc with this exact signature and body: call sites

@@ -31,7 +31,8 @@ def compile_swift(
     Levels: 0 = no pass — every op is a rule over TDs (the oracle the
     differential test compares against); 1 = the pass list of
     :mod:`repro.core.passes` (closed-value propagation, by-value
-    leaves, single-consumer fusion); 2 is accepted and equals 1.
+    leaves, single-consumer fusion, loops of leaves); 2 is accepted
+    and equals 1.
 
     ``tracer`` (a level-1 :class:`repro.obs.Recorder`) records
     per-phase spans in the ``compile`` category on the driver's ring.

@@ -34,7 +34,8 @@ of :class:`Op` mean something for these kinds only:
 =============  ========================================================
 ``fn``         value, rule (command prefix); leaf (function name)
 ``blocks``     if (2), foreach, wait, block (1)
-``inline``     value, copy, if — set by closed-value propagation
+``inline``     value, copy, if — set by closed-value propagation;
+               foreach — set by the loops-of-leaves pass
 ``fusable``    value — from the intrinsic table (``assert`` is not)
 ``delta``      refcount
 ``vars``       foreach
@@ -87,7 +88,8 @@ class Op:
     blocks: list["Block"] = field(default_factory=list)
     line: int = 0
     # value / copy / if: evaluated in the spawning unit as plain Tcl
-    # (set by closed-value propagation)
+    # (set by closed-value propagation); foreach: the body runs in the
+    # loop proc, not as a control task per iteration
     inline: bool = False
     fusable: bool = True  # value: may run inside a leaf task
     delta: int = 0  # refcount
@@ -127,6 +129,14 @@ def operands(op: Op) -> Iterator[Operand]:
             yield from fused.outs
     for arr, _w in op.written:
         yield arr
+
+
+def all_ops(block: Block) -> Iterator[Op]:
+    """Every op of ``block`` and of the blocks nested in it."""
+    for op in block.ops:
+        yield op
+        for inner in op.blocks:
+            yield from all_ops(inner)
 
 
 def free_vars(*blocks: Block) -> list[Var]:

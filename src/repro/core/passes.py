@@ -1,4 +1,4 @@
-"""The STC optimiser: three rewrites on the IR, run in this order.
+"""The STC optimiser: four rewrites on the IR, run in this order.
 
 ``-O0`` runs none of them and is the oracle: every op is a rule over
 TDs.  Each pass only *marks* ops (or moves a value op into the leaf it
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import SwiftTypeError
-from .ir import Block, Op, Var, free_vars, operands
+from .ir import Block, Op, Var, all_ops, free_vars, operands
 
 _CLOSABLE = ("int", "float", "string", "boolean")
 
@@ -195,5 +195,35 @@ def fuse_into_leaves(block: Block, uses: Counter) -> None:
         schedule(block)  # a leaf now needs its fused ops' closed inputs
 
 
+# ---------------------------------------------------------------- (d)
+
+
+def inline_leaf_loops(block: Block) -> None:
+    """Loops of leaves: a range ``foreach`` whose body does nothing but
+    compute closed values and spawn by-value leaves needs no unit of
+    work per iteration — the loop proc runs the body in place."""
+    for op in block.ops:
+        if op.kind == "foreach" and len(op.ins) == 3 and not op.written:
+            (body,) = op.blocks
+            op.inline = spawns_only(body) and any(o.kind == "leaf" for o in all_ops(body))
+    for inner in nested(block):
+        inline_leaf_loops(inner)
+
+
+def spawns_only(block: Block) -> bool:
+    """Whether running ``block`` touches no TD, registers no rule and
+    runs no sink (which would print again if the unit around it were
+    re-run): closed values, decided ``if``s and by-value leaves only."""
+
+    def ok(op: Op) -> bool:
+        if op.kind == "leaf":
+            return op.by_value and all(x.closed or x in op.elided for x in operands(op))
+        if op.kind == "if":
+            return op.inline and all(spawns_only(b) for b in op.blocks)
+        return op.kind in ("value", "copy") and op.inline and bool(op.outs)
+
+    return not block.arrays and all(ok(op) for op in block.ops)
+
+
 #: ``-O0`` runs none; ``-O1`` (and ``-O2``, which equals it) all.
-PASSES = (propagate_closed, leaves_by_value, fuse_single_consumer)
+PASSES = (propagate_closed, leaves_by_value, fuse_single_consumer, inline_leaf_loops)

@@ -276,6 +276,9 @@ class Checker:
                         raise SwiftTypeError(
                             "range bounds must be int, got %s" % t, stmt.line
                         )
+                step = stmt.iterable.step
+                if isinstance(step, Literal) and step.value == 0:
+                    raise SwiftTypeError("range step must not be zero", stmt.line)
                 body_scope.declare(stmt.var, INT, stmt.line)
                 if stmt.index_var:
                     raise SwiftTypeError(

@@ -198,6 +198,10 @@ class Interp:
     FRAME_LIMIT = 4000
 
     def __init__(self, register_core: bool = True, compile_enabled: bool = True):
+        # Exceptions of the host program that a command may raise and
+        # Tcl must neither wrap as a TclError nor ``catch``; whoever
+        # registers such commands adds theirs.
+        self.passthrough: tuple[type[BaseException], ...] = (RecursionError,)
         # The bytecode VM is the product; compile_enabled=False selects
         # the plain interpreted walk, kept as the differential oracle.
         self.compile_enabled = compile_enabled
@@ -475,7 +479,7 @@ class Interp:
         except TclError as e:
             e.add_info('"%s" (line %d)' % (_abbrev(argv), line))
             raise
-        except RecursionError:
+        except self.passthrough:
             raise
         except Exception as e:
             err = TclError("%s: %s" % (type(e).__name__, e))

@@ -386,7 +386,7 @@ def run(interp, root):
                                     '"%s" (line %d)' % (_abbrev(argv), line)
                                 )
                                 raise
-                            except RecursionError:
+                            except interp.passthrough:
                                 raise
                             except Exception as e:
                                 err = TclError(

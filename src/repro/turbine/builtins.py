@@ -21,6 +21,7 @@ from ..adlb.constants import (
     T_STRING,
     T_VOID,
 )
+from ..mpi import AbortError, DeadlockError
 from ..tcl.errors import TclError
 from ..tcl.expr import to_string
 from ..tcl.interp import Interp
@@ -78,6 +79,20 @@ _CONV = {
 }
 
 
+#: A loop of leaves runs at most this many iterations in one unit: a
+#: longer range is halved into CONTROL tasks until its pieces are not,
+#: so engines share the loop and a server queues a chunk at a time.
+SPLIT_OVER = 64
+
+
+def range_count(lo: int, hi: int, step: int) -> int:
+    """Iterations of ``foreach i in [lo:hi:step]`` — the one place a
+    loop proc's step is checked, whether or not the range is split."""
+    if step == 0 or (step < 0 and lo <= hi):
+        raise TclError("range [%d:%d:%d] never ends" % (lo, hi, step))
+    return (hi - lo) // step + 1 if hi >= lo else 0
+
+
 def register_turbine(
     interp: Interp,
     client: AdlbClient,
@@ -99,6 +114,10 @@ def register_turbine(
 
     def reg(name: str, fn) -> None:
         interp.register("turbine::" + name, fn)
+
+    # These commands talk to other ranks: a transport failure inside one
+    # is the rank's, not a Tcl error a unit could fail with or ``catch``.
+    interp.passthrough += (AbortError, DeadlockError)
 
     # ---- rules and tasks --------------------------------------------------
 
@@ -130,20 +149,72 @@ def register_turbine(
         )
         return ""
 
-    def cmd_spawn(it, args):
-        # spawn type action ?priority? ?target?
+    def spawn_words(args) -> tuple[str, str, int, int]:
+        # type action ?priority? ?target?
         if len(args) < 2:
             raise TclError("usage: turbine::spawn type action ?priority? ?target?")
-        ttype = args[0]
-        action = args[1]
+        if args[0] not in ("WORK", "CONTROL"):
+            # no rank ever asks for another type: the run would hang
+            raise TclError("bad task type %r" % args[0])
         priority = int(args[2]) if len(args) > 2 else 0
         target = int(args[3]) if len(args) > 3 else -1
+        return args[0], args[1], priority, target
+
+    def put(ttype: str, action: str, priority: int, target: int) -> None:
         client.incr_work()
         client.put(action, type=ttype, priority=priority, target=target)
+
+    def cmd_spawn(it, args):
+        put(*spawn_words(args))
         return ""
+
+    # Spawns a loop of leaves has checked but not made: it evaluates a
+    # whole chunk under ``catch`` first, and no put may be caught.
+    held: list[tuple] = []
+
+    def cmd_hold(it, args):
+        # hold type action ?priority? ?target?: a spawn for release to make
+        held.append(spawn_words(args))
+        return ""
+
+    def cmd_release(it, args):
+        # release spawn: make (1) or drop (0) every held spawn
+        if len(args) != 1:
+            raise TclError("usage: turbine::release spawn")
+        noted = held[:]
+        del held[:]
+        if _to_bool(args[0]):
+            for words in noted:
+                put(*words)
+        return ""
+
+    def cmd_range_count(it, args):
+        if len(args) != 3:
+            raise TclError("usage: turbine::range_count lo hi step")
+        return str(range_count(*map(_to_int, args)))
+
+    def cmd_split_range(it, args):
+        # split_range proc lo hi step ?capture ...?: 1 if the range is
+        # longer than SPLIT_OVER and was handed on as two CONTROL tasks
+        # that call proc on a half each, 0 if it is the caller's to run
+        if len(args) < 4:
+            raise TclError("usage: turbine::split_range proc lo hi step ?capture ...?")
+        lo, hi, step = map(_to_int, args[1:4])
+        n = range_count(lo, hi, step)
+        if n <= SPLIT_OVER:
+            return "0"
+        mid = lo + (n + 1) // 2 * step  # where the second half starts
+        for a, b in ((lo, mid - step), (mid, hi)):
+            half = [args[0], str(a), str(b), str(step), *args[4:]]
+            cmd_spawn(it, ["CONTROL", format_list(half)])
+        return "1"
 
     reg("rule", cmd_rule)
     reg("spawn", cmd_spawn)
+    reg("hold", cmd_hold)
+    reg("release", cmd_release)
+    reg("range_count", cmd_range_count)
+    reg("split_range", cmd_split_range)
 
     # ---- allocation ----------------------------------------------------------
 

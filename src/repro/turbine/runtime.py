@@ -50,8 +50,8 @@ class Output:
     def emit(self, rank: int, line: str) -> None:
         with self._lock:
             self.lines.append((rank, line))
-        if self.echo:
-            print(line)
+            if self.echo:  # under the lock: print writes text and newline apart
+                print(line)
 
     def text(self) -> str:
         return "\n".join(line for _, line in self.lines)

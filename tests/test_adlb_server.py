@@ -26,6 +26,7 @@ from repro.adlb.server import Server
 from repro.adlb.workqueue import Task
 from repro.faults import EngineLost, FaultPlan, FaultState, TaskError
 from repro.mpi.comm import World
+from repro.turbine.builtins import SPLIT_OVER
 
 # engine 0, workers 1-2, then the server rank(s)
 ENGINE, WORKER = 0, 1
@@ -435,7 +436,13 @@ COUNTERS = (
 # and `trace(s)` runs as the leaf's continuation — no TD, no rule.  What
 # is left is one CONTROL task (the iteration) and one WORK task (the
 # leaf): two matches, two leases.  No fusion case is left out.
-PER_LEAF = dict(zip(COUNTERS, (0, 2, 2, 0, 0, 1)))
+#
+# Re-pinned on purpose by loops of leaves (ISSUE 24), 0/2/2/0/0/1 ->
+# 0/1/1/0/0/0: the loop proc evaluates the body itself and spawns the
+# WORK task, so an iteration is no unit of work any more.  What a range
+# of more than SPLIT_OVER iterations adds is per *run*, not per leaf:
+# one CONTROL task (a match, a lease) per half it is split into.
+PER_LEAF = dict(zip(COUNTERS, (0, 1, 1, 0, 0, 0)))
 # -O0 runs no pass and is the differential oracle: it must stay the
 # all-TD shape pinned before the IR existed.
 PER_LEAF_O0 = dict(zip(COUNTERS, (24, 2, 2, 4, 3, 1)))
@@ -475,6 +482,15 @@ class TestProtocolShape:
         res = swift_run(FANOUT % (n - 1), workers=2, servers=1, engines=1)
         assert sorted(res.stdout_lines) == sorted("trace: %d" % i for i in range(n))
         assert self.counts(res) == {k: v * n for k, v in PER_LEAF.items()}
+
+    def test_a_long_fanout_adds_one_control_task_per_half(self):
+        # 200 > SPLIT_OVER = 64: 200 -> 2 x 100 -> 4 x 50, which run
+        assert SPLIT_OVER == 64
+        n, halves = 200, 2 + 4
+        res = swift_run(FANOUT % (n - 1), workers=2, servers=1, engines=1)
+        assert sorted(res.stdout_lines) == sorted("trace: %d" % i for i in range(n))
+        split = dict(zip(COUNTERS, (0, halves, halves, 0, 0, halves)))
+        assert self.counts(res) == {k: PER_LEAF[k] * n + split[k] for k in COUNTERS}
 
     @pytest.mark.parametrize("n", [6, 15])
     def test_o0_fanout_keeps_the_all_td_shape(self, n):

@@ -133,8 +133,11 @@ class TestCriticalPath:
 
 class TestZeroTdTrace:
     def test_by_value_fanout_still_tiles(self):
-        """At the default level the fan-out has no TD and no rule: the
-        path runs program -> control task -> leaf on spawn edges alone."""
+        """At the default level the fan-out has no TD and no rule, and
+        — since loops of leaves (ISSUE 24) — no control task per
+        iteration: 12 iterations are one chunk, run by the loop proc
+        inside the program unit, so the path is program -> leaf on one
+        spawn edge (it was program -> ctask -> task)."""
         r = swift_run(
             'foreach i in [0:11] { string s = python(strcat("x=", fromint(i)), "x");'
             " trace(s); }",
@@ -146,11 +149,29 @@ class TestZeroTdTrace:
         a = Analysis.from_trace(r.trace)
         assert not a.incomplete and not a.rules and not a.writes
         assert sum(1 for u in a.units.values() if u.kind == "task") == 12
-        assert [h.kind for h in a.critical_path] == ["program", "ctask", "task"]
+        assert not any(u.kind == "ctask" for u in a.units.values())
+        assert [h.kind for h in a.critical_path] == ["program", "task"]
         assert sum(h.total for h in a.critical_path) == pytest.approx(a.makespan, rel=0.10)
         assert sum(a.stalls.values()) == pytest.approx(
             sum(h.total for h in a.critical_path)
         )
+
+
+    def test_a_split_fanout_tiles_through_its_chunk(self):
+        """A range longer than SPLIT_OVER reaches a leaf through the
+        CONTROL task of the half it is in: 100 -> 2 x 50."""
+        r = swift_run(
+            'foreach i in [0:99] { string s = python(strcat("x=", fromint(i)), "x");'
+            " trace(s); }",
+            workers=2,
+            trace=True,
+        )
+        a = Analysis.from_trace(r.trace)
+        assert not a.incomplete and not a.rules and not a.writes
+        kinds = [u.kind for u in a.units.values()]
+        assert (kinds.count("ctask"), kinds.count("task")) == (2, 100)
+        assert [h.kind for h in a.critical_path] == ["program", "ctask", "task"]
+        assert sum(h.total for h in a.critical_path) == pytest.approx(a.makespan, rel=0.10)
 
 
 class TestTraceRoundTrip:

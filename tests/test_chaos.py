@@ -24,9 +24,11 @@ SEED = int(os.environ.get("FAULT_SEED", "0"))
 # generate_plan(...).to_dict() for seeds 0-9 x light / medium / brutal
 PLANS = "chaos_plans_4w2s2e.json"
 
+# 2 ms leaves: all ten are queued at once (loops of leaves, ISSUE 24), and
+# instant ones can be drained before a plan's victim gets its second.
 FANOUT = """
 foreach i in [0:9] {
-    string s = python(strcat("x=", fromint(i)), "x");
+    string s = python(strcat("import time; time.sleep(0.002); x=", fromint(i)), "x");
     trace(s);
 }
 """

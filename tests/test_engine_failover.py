@@ -27,6 +27,7 @@ from repro.adlb import constants as C
 from repro.adlb.client import AdlbClient
 from repro.adlb.layout import Layout
 from repro.mpi import World
+from repro.turbine.builtins import SPLIT_OVER
 from repro.turbine.engine import Engine
 
 SEED = int(os.environ.get("FAULT_SEED", "0"))
@@ -203,14 +204,19 @@ class TestJournalHeartbeat:
 
 class TestByValueFanout:
     """The default level: no TD, no rule — what an engine can lose is
-    the control task it holds a lease on, payload and all."""
+    the control task it holds a lease on, payload and all.  Since loops
+    of leaves (ISSUE 24) that is not one iteration but a chunk of the
+    range: 100 iterations are split into two CONTROL tasks of 50."""
 
     def test_engine_kill_requeues_the_control_task_journal_on(self):
         # While the program engine is busy running swift:main, the
         # spare is the only engine parked for CONTROL work, so the
-        # first iteration is granted to it: it dies holding that lease.
+        # first chunk is granted to it: it dies holding that lease,
+        # before the chunk spawned anything (kills land at unit starts).
+        n = 100
+        assert SPLIT_OVER < n <= 2 * SPLIT_OVER
         res = swift_run(
-            FANOUT,
+            FANOUT.replace("[0:9]", "[0:%d]" % (n - 1)),
             workers=2,
             servers=1,
             engines=2,
@@ -218,13 +224,17 @@ class TestByValueFanout:
             audit=True,
             faults=FaultPlan(seed=SEED).kill_rank(SPARE_ENGINE, after_tasks=0),
         )
-        # the requeued payload carried its closed inputs with it
-        assert sorted(res.stdout_lines) == FANOUT_EXPECTED
+        # the requeued chunk carried its bounds with it, and ran once:
+        # no leaf is missing and none printed twice
+        assert sorted(res.stdout_lines) == sorted("trace: %d" % i for i in range(n))
         assert res.ok
         c = counters(res)
         assert c["fault.kills"] == 1
         assert c["adlb.lease.requeued"] >= 1
         assert c["engine.rules_created"] == 0
+        # two chunks, one of them received twice (the dead engine's
+        # counters stay in the table)
+        assert c["engine.control_tasks_run"] == 3
         assert res.audit.ok, res.audit.render()
 
 

@@ -1,8 +1,8 @@
 """Differential test of the STC passes, with -O0 as the oracle.
 
 -O0 runs no pass: every op is a rule over TDs.  -O1 runs closed-value
-propagation, by-value leaves and single-consumer fusion; -O2 is accepted
-and equals -O1.  Every program must print the same multiset of lines
+propagation, by-value leaves, single-consumer fusion and loops of
+leaves; -O2 is accepted and equals -O1.  Every program must print the same multiset of lines
 and end in the same verdict (completed / failed) at all three levels.
 
 The corpus is every Swift source the end-to-end and stdlib suites and
@@ -20,8 +20,9 @@ import os
 import pytest
 
 import repro
-from repro import SwiftRuntime, swift_run
+from repro import SwiftRuntime, compile_swift, swift_run
 from repro.core import SwiftError
+from repro.turbine.builtins import SPLIT_OVER
 
 LEVELS = (0, 1, 2)
 HERE = os.path.dirname(__file__)
@@ -276,6 +277,149 @@ FAILING = {
 @pytest.mark.parametrize("name", FAILING)
 def test_failures_fail_at_every_level(name):
     assert agree(FAILING[name], max_retries=1) == ("failed",)
+
+
+# ------------------------------------------------------- loops of leaves
+
+LEAF = 'string s = python("", fromint(%s)); trace(s);'
+K = SPLIT_OVER
+
+
+def traces(values) -> list:
+    return ["trace: %d" % v for v in values]
+
+
+# name -> (program, expected lines, loops the pass inlines at -O1)
+LOOPS = {
+    "a range of k iterations": (
+        "foreach i in [0:%d] { %s }" % (K - 1, LEAF % "i"), traces(range(K)), 1,
+    ),
+    "a range of k + 1 iterations": (
+        "foreach i in [0:%d] { %s }" % (K, LEAF % "i"), traces(range(K + 1)), 1,
+    ),
+    "a range of 1 000 iterations": (
+        "foreach i in [0:999] { %s }" % LEAF % "i", traces(range(1000)), 1,
+    ),
+    "a step over a split range": (
+        "foreach i in [3:%d:7] { %s }" % (7 * 3 * K, LEAF % "i"),
+        traces(range(3, 7 * 3 * K + 1, 7)), 1,
+    ),
+    "an empty range": ("foreach i in [5:4] { %s }\ntrace(7);" % LEAF % "i", traces([7]), 1),
+    "a computed negative step is the empty loop": (
+        "foreach i in [9:0:-3] { %s }\ntrace(7);" % LEAF % "i", traces([7]), 1,
+    ),
+    "a future bound is retrieved once, before the first split": (
+        'int n = parseint(python("", "%d"));\n' % (2 * K)
+        + "foreach i in [0:n] { %s }" % LEAF % "i",
+        traces(range(2 * K + 1)), 1,
+    ),
+    "captured closed variables ride through every split": (
+        'int base = argv_int("b", 1000); string sep = " + ";\n'
+        "foreach i in [0:%d] {\n" % (2 * K)
+        + "  string s = python(\"\", strcat(fromint(base), sep, fromint(i))); trace(s);\n}",
+        traces(range(1000, 1001 + 2 * K)), 1,
+    ),
+    "@prio and @target leaves in a split range": (
+        WHOAMI
+        + "foreach i in [0:%d] { @prio=(i %% 5) @target=(1 + i %% 2) string r = whoami(i);\n" % K
+        + '  printf("%i ran on %s", i, r); }',
+        ["%d ran on %d" % (i, 1 + i % 2) for i in range(K + 1)], 1,
+    ),
+    "a closed if around the leaf": (
+        "foreach i in [0:%d] { if (i %% 3 == 0) { %s } }" % (K, LEAF % "i * 2"),
+        traces(range(0, 2 * K + 1, 6)), 1,
+    ),
+    "a value op that runs in one branch only": (
+        "foreach i in [0:5] { if (i != 3) { %s } }" % LEAF % "60 / (i - 3)",
+        traces([-20, -30, -60, 60, 30]), 1,
+    ),
+    "a sink in the body runs on the engine: not inlined": (
+        "foreach i in [0:5] { if (i != 3) { %s } else { trace(i); } }" % LEAF % "i",
+        traces([0, 1, 2, 3, 4, 5]), 0,
+    ),
+    "a nested loop whose inner body is leaf-only": (
+        "foreach i in [0:2] { foreach j in [0:%d] { %s } }" % (K, LEAF % "i * 1000 + j"),
+        traces(i * 1000 + j for i in range(3) for j in range(K + 1)), 1,
+    ),
+    "an array foreach is not inlined": (
+        "int a[]; foreach i in [0:4] { a[i] = i * i; }\n"
+        "foreach v in a { %s }" % LEAF % "v",
+        traces(i * i for i in range(5)), 0,
+    ),
+    "a loop that writes an array is not inlined": (
+        'string a[]; foreach i in [0:4] { a[i] = python("", fromint(i)); }\ntrace(size(a));',
+        traces([5]), 0,
+    ),
+    "a leaf whose output is read twice keeps its TD and its control task": (
+        'foreach i in [0:2] { string s = python("", fromint(i)); trace(s); trace(s); }',
+        traces([0, 0, 1, 1, 2, 2]), 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LOOPS)
+def test_loops_of_leaves_agree_and_are_right(name):
+    src, expected, inlined = LOOPS[name]
+    assert compile_swift(src, opt=0).tcl_text.count("turbine::split_range") == 0
+    assert compile_swift(src, opt=1).tcl_text.count("turbine::split_range") == inlined
+    assert agree(src) == ("ok", sorted(expected))
+
+
+def test_a_zero_step_never_starts_at_any_level():
+    """It used to spawn control tasks until memory ran out.  A literal
+    is a compile error; a computed one a TclError where the loop proc
+    computes its count, whether the loop is split or per-iteration."""
+    assert agree("foreach i in [0:9:0] { trace(i); }") == ("rejected",)
+    for body, lines in (("trace(i);", traces([0, 4, 8])), (LEAF % "i", traces([0, 4, 8]))):
+        src = 'int z = argv_int("z", 0);\nforeach i in [0:9:z] { %s }' % body
+        for opt in LEVELS:
+            with pytest.raises(repro.TaskError, match=r"range \[0:9:0\] never ends"):
+                swift_run(src, workers=2, opt=opt, deadline=30.0)
+        assert agree(src, args={"z": "4"}) == ("ok", lines)
+
+
+def test_a_split_loop_is_shared_by_the_engines():
+    src = "foreach i in [0:999] { %s }" % LEAF % "i"
+    res = swift_run(src, workers=2, servers=2, engines=2)
+    assert sorted(res.stdout_lines) == sorted(traces(range(1000)))
+    per_engine = [res.metrics["gauges"]["engine.control_tasks_run[%d]" % r] for r in (0, 1)]
+    # 1000 -> 2 x 500 -> 4 x 250 -> 8 x 125 -> 16 x 62 or 63
+    assert sum(per_engine) == 2 + 4 + 8 + 16 and min(per_engine) > 0
+
+
+# ISSUE 24's example: iteration 3 divides by zero where the loop proc
+# evaluates the chunk's payloads.  The iterations then run as control
+# tasks, as they did before loops of leaves: the other five print, the
+# one fails in a unit of its own, and no leaf is out twice.
+RAISING = (
+    'foreach i in [0:5] { string s = python(strcat("i=", fromint(10/(i-3))), "i"); trace(s); }\n'
+    'trace("after");'
+)
+RAISING_LINES = sorted(["trace: %d" % (10 // (i - 3)) for i in (0, 1, 2, 4, 5)] + ["trace: after"])
+
+
+@pytest.mark.parametrize("opt", [1, 2])
+def test_a_raising_iteration_fails_alone_under_every_policy(opt):
+    assert "catch" in compile_swift(RAISING, opt=opt).tcl_text
+    res = swift_run(RAISING, workers=2, opt=opt, on_error="continue")
+    assert not res.ok and sorted(res.stdout_lines) == RAISING_LINES
+    assert [(f.kind, f.attempts) for f in res.failures] == [("ctask", 1)]
+    assert "divide by zero" in res.failures[0].error
+    for policy, attempts in (("retry", 3), ("fail_fast", 1)):
+        with pytest.raises(repro.TaskError, match="divide by zero") as info:
+            swift_run(RAISING, workers=2, opt=opt, on_error=policy)
+        assert (info.value.failure.kind, info.value.failure.attempts) == ("ctask", attempts)
+
+
+def test_a_retried_chunk_spawns_its_leaves_once():
+    """A chunk is a leased CONTROL task: failed at its start (where
+    injected faults land), it is requeued whole and runs once."""
+    src = "foreach i in [0:%d] { %s }" % (2 * K - 1, LEAF % "i")
+    plan = repro.FaultPlan(seed=0).fail_task("swift:__chunk", times=2)
+    res = swift_run(src, workers=2, faults=plan, trace=True)
+    assert res.ok and sorted(res.stdout_lines) == sorted(traces(range(2 * K)))
+    counters = res.trace.metrics["counters"]
+    assert counters["fault.task_errors"] == 2 and counters["adlb.lease.requeued"] == 2
 
 
 def test_future_annotation_is_rejected_at_every_level():

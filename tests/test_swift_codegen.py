@@ -206,7 +206,20 @@ class TestOptimization:
         assert "task:r" not in text and "task:system" not in text
         assert "swift:f:" not in text
         assert "set n " not in text and "set lo " not in text
-        assert text.count("\nproc ") == 4  # main, loop, body, task:python
+        # main, body, loop, chunk, task:python — it was four, without the
+        # chunk (re-pinned by ISSUE 24, loops of leaves).  The chunk proc
+        # spawns the leaves; body and loop, printed as they always were,
+        # are only what it falls back on when a value op of the chunk
+        # (here fromint) raises ...
+        assert text.count("\nproc ") == 5
+        chunk = proc_text(text, "swift:__chunk3")
+        assert "turbine::hold WORK [ list task:python x=1 $t1 ]" in chunk
+        assert chunk.index("} ] } {") < chunk.index("swift:__loop2 $lo $hi $step")
+        assert "spawn CONTROL [ list swift:__body1 $i ]" in proc_text(text, "swift:__loop2")
+        # ... so a body that evaluates nothing has neither: main, chunk, task
+        text = gen('foreach i in [0:3] { string s = python("x=1", "x"); trace(s); }')
+        assert text.count("\nproc ") == 3 and "catch" not in text
+        assert "turbine::spawn WORK [ list task:python x=1 x ]" in proc_text(text, "swift:__chunk1")
 
     def test_opt_levels_preserve_structure(self):
         src = "(int o) f(int x) { o = x * 2; } trace(f(4));"

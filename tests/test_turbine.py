@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import TaskError
+from repro.mpi import AbortError, DeadlockError
 from repro.mpi.launcher import RankFailure
+from repro.tcl import Interp
 from repro.turbine import RuntimeConfig, run_turbine_program
+from repro.turbine.builtins import SPLIT_OVER, range_count, register_turbine
 
 
 def run(program: str, size: int = 4, **kw) -> list[str]:
@@ -93,6 +96,84 @@ class TestRules:
                 "  turbine::spawn WORK { turbine::rule [ list ] { } LOCAL }\n"
                 "}\n"
             )
+
+
+class TestSpawn:
+    def test_bad_task_type_rejected(self):
+        # no rank ever asks for a WROK task: it used to be queued, counted,
+        # and the run hung on it (the deadline only bounds a regression)
+        with pytest.raises(TaskError, match="bad task type 'WROK'"):
+            run("proc swift:main {} { turbine::spawn WROK [ list puts hi ] }\n", deadline=10.0)
+
+    def test_held_spawns_are_made_or_dropped_on_release(self):
+        out = run(
+            "proc swift:main {} {\n"
+            "  turbine::hold WORK { turbine::log_output dropped }\n"
+            "  turbine::release 0\n"
+            "  turbine::hold WORK { turbine::log_output a }\n"
+            "  turbine::hold CONTROL { turbine::log_output b } 1 -1\n"
+            "  turbine::release 1\n"
+            "  turbine::release 1\n"
+            "}\n"
+        )
+        assert out == ["a", "b"]
+        with pytest.raises(TaskError, match="bad task type"):
+            run(
+                "proc swift:main {} { turbine::hold WROK { } ; turbine::release 1 }\n",
+                deadline=10.0,
+            )
+
+    @pytest.mark.parametrize("n", [SPLIT_OVER, SPLIT_OVER + 1, 4 * SPLIT_OVER + 3])
+    def test_split_range_halves_until_a_chunk_fits(self, n):
+        # chunk re-enters itself through CONTROL tasks, captures and all
+        res = run_turbine_program(
+            "proc swift:main {} { chunk 5 %d 3 tag }\n"
+            "proc chunk { lo hi step c } {\n"
+            "  if { [ turbine::split_range chunk $lo $hi $step $c ] } return\n"
+            "  turbine::log_output \"$c [ turbine::range_count $lo $hi $step ]\"\n"
+            "  for { set i $lo } { $i <= $hi } { incr i $step } { turbine::log_output $i }\n"
+            "}\n" % (5 + 3 * (n - 1)),
+            RuntimeConfig(size=4),
+        )
+        sizes = [int(x.split()[1]) for x in res.stdout_lines if x.startswith("tag")]
+        assert sum(sizes) == n and max(sizes) <= SPLIT_OVER
+        assert min(sizes) >= SPLIT_OVER // 2 or len(sizes) == 1
+        ran = sorted(int(x) for x in res.stdout_lines if not x.startswith("tag"))
+        assert ran == list(range(5, 5 + 3 * n, 3))
+        # every split is one CONTROL task per half, nothing else
+        assert sum(e.control_tasks_run for e in res.engine_stats) == 2 * (len(sizes) - 1)
+
+    def test_range_count_and_the_steps_that_never_end(self):
+        assert range_count(0, 9, 1) == 10 and range_count(0, 9, 4) == 3
+        assert range_count(3, 3, 7) == 1 and range_count(5, 4, 1) == 0
+        assert range_count(9, 0, -3) == 0  # empty, as it always was
+        for lo, hi, step in ((0, 9, 0), (5, 4, 0), (0, 9, -1)):
+            with pytest.raises(Exception, match="never ends"):
+                range_count(lo, hi, step)
+        for cmd in ("turbine::range_count 0 9 0", "turbine::split_range p 0 9 0"):
+            with pytest.raises(TaskError, match=r"range \[0:9:0\] never ends"):
+                run("proc swift:main {} { %s }\n" % cmd)
+
+    @pytest.mark.parametrize("error", [AbortError, DeadlockError])
+    def test_a_transport_failure_is_not_a_tcl_error(self, error):
+        # Raised inside a turbine:: command it must reach UnitRunner.run
+        # as itself (fatal to the rank), not wrapped into a TclError a
+        # unit could fail with, be retried after, or `catch`.
+        def boom(interp, args):
+            raise error("world aborted")
+
+        for compiled in (True, False):
+            interp = Interp(compile_enabled=compiled)
+            register_turbine(interp, None, None, {})
+            interp.register("turbine::boom", boom)
+            interp.eval("proc f {} { turbine::boom }")
+            for script in ("turbine::boom", "f", "catch { f } msg", "if { [ catch { f } ] } { }"):
+                with pytest.raises(error, match="world aborted"):
+                    interp.eval(script)
+            # ... and only those: anything else a command raises still is
+            interp.register("oops", lambda it, a: 1 / 0)
+            assert interp.eval("catch { oops } msg") == "1"
+            assert "ZeroDivisionError" in interp.eval("set msg")
 
 
 class TestDataOps:
