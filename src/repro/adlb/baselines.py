@@ -65,7 +65,6 @@ def run_adlb_dynamic(
     task_fn: Callable[[int], None],
     n_tasks: int,
     n_servers: int = 1,
-    steal: bool = True,
 ) -> DispatchResult:
     """Execute the same tasks through the real ADLB server/worker path."""
     size = n_workers + n_servers + 1  # one "engine" rank submits the bag
@@ -75,7 +74,7 @@ def run_adlb_dynamic(
     def main(comm: Comm) -> None:
         rank = comm.rank
         if layout.is_server(rank):
-            Server(comm, layout, steal=steal).run()
+            Server(comm, layout).run()
             return
         client = AdlbClient(comm, layout)
         if layout.is_engine(rank):

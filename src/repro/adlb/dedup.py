@@ -2,11 +2,12 @@
 
 A reliable client stamps every request with a sequence number; the
 server caches the reply so a re-sent request (resend timer, failover)
-is answered from the cache instead of being executed twice.  One
-client drives three *channels* that interleave — a parked engine keeps
-issuing plain RPCs, and a worker's split GET stays outstanding across
-its ``decr_work`` — so the table is keyed by ``(client, channel)``: a
-reply on one channel never evicts one another channel still awaits.
+is answered from the cache instead of being executed twice.  A client
+has one request outstanding at a time — a worker's GET too, whose grant
+is that request's reply — except an engine, whose async park stays
+outstanding while it keeps issuing plain RPCs.  So the table is keyed
+by ``(client, channel)`` with two channels, ``rpc`` and ``async``: a
+reply on one never evicts the park the other still awaits.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import constants as C
 #: cached-reply marker: the request is parked, there is no reply to resend
 PARKED = "__parked__"
 
-CHANNELS = ("rpc", "get", "async")
+CHANNELS = ("rpc", "async")
 
 #: ops whose replies need no cross-server dedup replication: replaying
 #: them after a failover cannot corrupt state (GETs are dedup'd through
@@ -35,9 +36,7 @@ REPLAY_SAFE_OPS = {
 
 def channel_of(op: str) -> str:
     """The dedup channel a client request travels on."""
-    if op == C.OP_GET_ASYNC:
-        return "async"
-    return "get" if op == C.OP_GET else "rpc"
+    return "async" if op == C.OP_GET_ASYNC else "rpc"
 
 
 class DedupTable:

@@ -2,9 +2,10 @@
 
 The server records every unit it hands out; the client's next GET
 completes the lease (one outstanding task per client).  A unit whose
-client reports it failed (``OP_TASK_FAIL``), dies (``SOP_RANK_DEAD``) or
-goes silent past the lease deadline is requeued with exponential
-backoff — or, out of attempts, surfaced as a failure or quarantined.
+client reports it failed (``OP_TASK_FAIL``), dies (``SOP_RANK_DEAD``)
+or, under a fault plan, goes silent past the lease deadline is requeued
+with exponential backoff — or, out of attempts, surfaced as a failure
+or quarantined.
 """
 
 from __future__ import annotations
@@ -131,9 +132,11 @@ class Leases:
         """Sweep all state tied to a dead client rank.
 
         Called on a launcher-side SOP_RANK_DEAD notification, a lease
-        expiry, or a lost journal heartbeat.  Safe if the rank is merely
-        slow: its unit is re-run elsewhere (at-least-once semantics) and
-        it can no longer be granted work or block shutdown.
+        expiry, or a lost journal heartbeat.  The rank can no longer be
+        granted work or block shutdown and its unit is re-run elsewhere
+        (at-least-once).  A rank that was merely slow is not fenced: its
+        own commit still lands and decrements the termination counter a
+        second time, which is why expiry is armed only under a fault plan.
         """
         core = self.core
         if rank in core.dead_ranks:
@@ -211,12 +214,17 @@ class Leases:
         core.decr_work(poison=True)
 
     def tick(self) -> None:
-        """Release due backoff requeues; expire overdue leases."""
+        """Release due backoff requeues; expire overdue leases — under a
+        fault plan only.  Only an injected kill is silent in this
+        runtime (a rank that dies otherwise is announced), so without a
+        plan an overdue lease is a long leaf, not a dead rank: sweeping
+        it would re-run the leaf and let both commits decrement the
+        termination counter.  A runaway leaf is ``task_timeout``'s job."""
         now = self.core.comm.now()
         while self.delayed and self.delayed[0][0] <= now:
             _, _, task = heapq.heappop(self.delayed)
             self.core.accept_task(task)
-        if now < self._next_check:
+        if self.core.faults is None or now < self._next_check:
             return
         self._next_check = now + 0.05
         expired = [l for l in self.table.values() if l.deadline <= now]

@@ -91,7 +91,7 @@ class Replica:
             self.tasks.pop(task.uid, None)
             self.leases[client] = task
             if seq is not None and seq >= 0:
-                channel = "async" if reply[0] == C.TAG_ASYNC else "get"
+                channel = "async" if reply[0] == C.TAG_ASYNC else "rpc"
                 self.dedup.offer(client, channel, seq, reply, ties=True)
         elif kind == "done":
             self.leases.pop(entry[1], None)
@@ -253,8 +253,6 @@ class Replication:
                     )
         core.other_servers = [s for s in core.map.alive if s != core.rank]
         core.steal_inflight = False  # a pending steal may never answer
-        if not core.other_servers:
-            core.steal_enabled = False
         old_buddy = self.buddy
         self.buddy = core.map.buddy(core.rank)
         if core.map.resolve(dead) == core.rank:

@@ -70,7 +70,6 @@ class Server:
         self,
         comm: Comm,
         layout: Layout,
-        steal: bool = True,
         leases: bool = False,
         lease_timeout: float = 60.0,
         max_retries: int = 2,
@@ -125,8 +124,7 @@ class Server:
         }
         self._shutdown_acked: set[int] = set()
         self.dead_ranks: set[int] = set()  # clients swept by Leases.rank_dead
-        # steal state
-        self.steal_enabled = steal and layout.n_servers > 1
+        # steal state: stealing is on whenever there is another server
         self.steal_inflight = False
         self._steal_ring = 0
         self.other_servers = [s for s in layout.servers if s != self.rank]
@@ -405,7 +403,7 @@ class Server:
 
     def _maybe_steal(self) -> None:
         if (
-            not self.steal_enabled
+            not self.other_servers
             or self.steal_inflight
             or not self.parked
             or self.shutting_down
@@ -469,7 +467,7 @@ class Server:
             tag = C.TAG_RESPONSE
         if seq >= 0:
             payload = payload + (seq,)
-            channel = "async" if is_async else "get"
+            channel = "async" if is_async else "rpc"
             self.dedup.slots[source, channel] = (seq, (tag, payload))
         if self.leases is not None:
             self.leases.grant(task, source)
@@ -497,7 +495,7 @@ class Server:
         self._unpark(rank)
         self.parked.append(ParkedGet(rank, types, is_async=is_async, seq=seq))
         if seq >= 0:
-            channel = "async" if is_async else "get"
+            channel = "async" if is_async else "rpc"
             self.dedup.slots[rank, channel] = (seq, (C.TAG_RESPONSE, PARKED))
 
     def _unpark(self, rank: int) -> None:
@@ -635,6 +633,6 @@ class Server:
             payload: tuple = ("shutdown",)
             if seq >= 0:
                 payload = payload + (seq,)
-                self.dedup.slots[rank, "get"] = (seq, (C.TAG_RESPONSE, payload))
+                self.dedup.slots[rank, "rpc"] = (seq, (C.TAG_RESPONSE, payload))
             self.comm.send(payload, rank, C.TAG_RESPONSE)
         self._shutdown_acked.add(rank)

@@ -30,8 +30,11 @@ what it counted): ``mpi.*``, ``adlb.*``, ``engine.*``, ``worker.*`` and
 ``tcl.vm.*`` always; ``adlb.lease.*``, ``adlb.quarantine.*``,
 ``adlb.repl.*``, ``adlb.rpc.*``, ``adlb.ckpt.*``, ``engine.journal.*``,
 ``worker.watchdog.*`` and ``fault.*`` with the machinery they count.
-The latency histograms (``task.latency_s``, ``adlb.queue_wait_s``,
-``adlb.dispatch_s``) come from level-1 events: traced runs only.
+The table holds counters only.  The latency histograms of a traced run
+(``task.latency_s``, ``adlb.queue_wait_s``, ``adlb.dispatch_s``, in
+``Trace.metrics``) and ``Profile``'s per-worker busy time are readings
+of the trace, made from the one grant-to-unit join
+(:meth:`Analysis.join`) that the critical path is built on too.
 
 Live monitoring (``swift_run(..., monitor=True)`` / ``repro run
 --monitor``, :class:`RunMonitor`) is one more reader of that table: a
@@ -39,7 +42,7 @@ driver thread samples it; the ranks push nothing.
 """
 
 from .analyze import Analysis, Hop, Unit
-from .metrics import HistogramSummary, Metrics
+from .metrics import Metrics
 from .monitor import MonitorSample, RunMonitor
 from .postmortem import load_blackbox, render_postmortem
 from .report import Profile, WorkerUtilization
@@ -52,7 +55,6 @@ __all__ = [
     "TraceEvent",
     "CategoryTotal",
     "Metrics",
-    "HistogramSummary",
     "Profile",
     "WorkerUtilization",
     "Analysis",

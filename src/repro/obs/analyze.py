@@ -27,7 +27,10 @@ The join between server-side grants and client-side execution spans
 needs no extra wire traffic: each client has exactly one outstanding
 task, so the k-th ``prov/grant`` aimed at a client rank (time-ordered
 across servers) pairs with the k-th executed unit span on that rank.
-Failed attempts emit spans too, keeping the zip aligned.
+Failed attempts emit spans too, keeping the zip aligned.  This module
+is the only place a trace is joined: the latency distributions a frozen
+trace carries (:meth:`Analysis.histograms`) and the per-worker busy
+time of ``Profile`` read :meth:`Analysis.join` too.
 """
 
 from __future__ import annotations
@@ -46,6 +49,18 @@ _UNIT_SPANS = {
     ("task", "task"): "task",
     ("rule", "fire"): "rule",
 }
+
+
+def summarize(samples: list[float]) -> dict:
+    """``count``, ``total``, ``min``, ``max``, ``mean`` and the exact
+    nearest-rank ``p50`` / ``p95`` / ``p99`` of a non-empty sample."""
+    ordered = sorted(samples)
+    n, total = len(ordered), sum(samples)
+    out = {"count": n, "total": total, "min": ordered[0], "max": ordered[-1]}
+    out["mean"] = total / n
+    for p in (50, 95, 99):
+        out["p%d" % p] = ordered[-(-p * n // 100) - 1]  # the ceil(p% n)-th
+    return out
 
 
 @dataclass
@@ -101,6 +116,12 @@ class Analysis:
     """The reconstructed run DAG + derived measurements."""
 
     units: dict[str, Unit] = field(default_factory=dict)
+    # A session's runs reuse unit ids; the latest run owns the name (as
+    # it owns the rule ids and the writes that refer to it) and the
+    # units it displaced are kept here, so the join still sees them.
+    earlier: list[Unit] = field(default_factory=list)
+    # accept-to-grant wait of each queued unit, at its first grant
+    queue_waits: list[float] = field(default_factory=list)
     rules: dict[str, RuleNode] = field(default_factory=dict)
     writes: dict[int, list[tuple[float, str]]] = field(default_factory=dict)
     critical_path: list[Hop] = field(default_factory=list)
@@ -122,18 +143,48 @@ class Analysis:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "Analysis":
-        a = cls(dropped=trace.dropped, ring_counts=trace.ring_counts())
-        a._collect(trace)
+        a = cls.join(trace)
         if a.units:
-            a._link(trace)
             a._timelines()
             a._walk()
         return a
 
+    @classmethod
+    def join(cls, trace: Trace) -> "Analysis":
+        """Only the join: executed units with their grants attached,
+        task acceptance by uid, the queue waits — no critical path."""
+        a = cls(dropped=trace.dropped, ring_counts=trace.ring_counts())
+        a._collect(trace)
+        a._link()
+        return a
+
+    def executed(self) -> list[Unit]:
+        """Every executed unit, a session's earlier runs' included."""
+        return self.earlier + list(self.units.values())
+
+    def histograms(self) -> dict[str, dict]:
+        """The run's latency distributions (seconds, :func:`summarize`
+        form; an empty one is left out): each leaf task's span
+        (``task.latency_s``), each queued unit's accept-to-grant wait
+        (``adlb.queue_wait_s``) and each leaf task's grant-to-start
+        delay (``adlb.dispatch_s``, a hop's ``comm`` segment)."""
+        tasks = [u for u in self.executed() if u.kind == "task"]
+        samples = {
+            "task.latency_s": [u.dur for u in tasks],
+            "adlb.queue_wait_s": self.queue_waits,
+            "adlb.dispatch_s": [
+                u.start - u.t_grant
+                for u in tasks
+                if u.t_grant is not None and u.start >= u.t_grant
+            ],
+        }
+        return {name: summarize(s) for name, s in samples.items() if s}
+
     def _collect(self, trace: Trace) -> None:
         """First pass: units, rules, writes, grants, task provenance."""
         self._grants: dict[int, list[TraceEvent]] = {}
-        self._tasks: dict[int, dict] = {}  # uid -> prov/task payload
+        # uid -> the prov/task payload; "t" (accepted at) until its first grant
+        self._tasks: dict[int, dict] = {}
         for e in trace.events:
             kind = _UNIT_SPANS.get((e.category, e.name))
             if kind is not None and e.dur > 0.0:
@@ -146,6 +197,8 @@ class Analysis:
                         e.rank,
                         len(self.units),
                     )
+                if uid in self.units:
+                    self.earlier.append(self.units[uid])
                 self.units[uid] = Unit(
                     id=uid,
                     kind=kind,
@@ -186,16 +239,19 @@ class Analysis:
                     self._tasks[p["uid"]] = {"by": p.get("by"), "t": e.t}
             elif e.category == "prov" and e.name == "grant":
                 p = e.payload or {}
+                info = self._tasks.get(p.get("uid"))
+                if info is not None and "t" in info:
+                    self.queue_waits.append(e.t - info.pop("t"))
                 if "client" in p:
                     self._grants.setdefault(p["client"], []).append(e)
             elif e.category == "repl" and e.name == "flush":
                 lag = (e.payload or {}).get("lag", 0)
                 self.repl_max_lag = max(self.repl_max_lag, lag)
 
-    def _link(self, trace: Trace) -> None:
+    def _link(self) -> None:
         """Zip grants to executed units; attach uid/rule/attempts."""
         granted: dict[int, list[Unit]] = {}
-        for u in self.units.values():
+        for u in self.executed():
             if u.kind in ("ctask", "task"):
                 granted.setdefault(u.rank, []).append(u)
         for rank, units in granted.items():

@@ -10,59 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .analyze import Analysis
 from .postmortem import TAG_NAMES
 from .trace import CategoryTotal, Trace, truncation_banner
-
-#: span category emitted by workers around each leaf task
-TASK = "task"
-
-#: histogram names fed by :func:`feed_latency_histograms`
-HIST_TASK_LATENCY = "task.latency_s"
-HIST_QUEUE_WAIT = "adlb.queue_wait_s"
-HIST_DISPATCH = "adlb.dispatch_s"
-
-
-def feed_latency_histograms(metrics, events) -> None:
-    """Derive latency histograms from one run's (time-ordered) events.
-
-    Observes three distributions into ``metrics`` so
-    :meth:`Profile.render` can show percentiles:
-
-    * ``task.latency_s`` — duration of each leaf-task span;
-    * ``adlb.queue_wait_s`` — accept-to-grant time of each queued unit
-      (prov ``task``/``grant`` instants matched by uid);
-    * ``adlb.dispatch_s`` — grant-to-start delay, pairing the k-th
-      grant to a client with its k-th task span (one outstanding task
-      per client, the same alignment invariant ``repro analyze`` uses).
-
-    A session recorder spans several runs; the caller passes only the
-    events of the run being folded.  Pairing degrades gracefully when
-    a ring dropped early events.
-    """
-    accepted_at: dict[int, float] = {}
-    grants_by_client: dict[int, list[float]] = {}
-    spans_by_rank: dict[int, list[float]] = {}
-    for e in events:
-        payload = e.payload
-        if e.category == "prov" and payload is not None:
-            if e.name == "task":
-                uid = payload.get("uid")
-                if uid is not None:
-                    accepted_at[uid] = e.t
-            elif e.name == "grant":
-                t_in = accepted_at.pop(payload.get("uid"), None)
-                if t_in is not None:
-                    metrics.observe(HIST_QUEUE_WAIT, e.t - t_in)
-                client = payload.get("client")
-                if client is not None:
-                    grants_by_client.setdefault(client, []).append(e.t)
-        elif e.category == TASK and e.dur > 0.0:
-            metrics.observe(HIST_TASK_LATENCY, e.dur)
-            spans_by_rank.setdefault(e.rank, []).append(e.t)
-    for rank, starts in spans_by_rank.items():
-        for granted, started in zip(grants_by_client.get(rank, ()), starts):
-            if started >= granted:
-                metrics.observe(HIST_DISPATCH, started - granted)
 
 
 @dataclass
@@ -91,26 +41,14 @@ class Profile:
                 e.t for e in trace.events
             )
         prof = cls(trace=trace, wall=wall, categories=trace.by_category())
-        busy_by_rank: dict[int, float] = {}
-        tasks_by_rank: dict[int, int] = {}
-        for e in trace.spans(TASK):
-            busy_by_rank[e.rank] = busy_by_rank.get(e.rank, 0.0) + e.dur
-            tasks_by_rank[e.rank] = tasks_by_rank.get(e.rank, 0) + 1
+        tasks = [u for u in Analysis.join(trace).executed() if u.kind == "task"]
         roles: dict = trace.meta.get("roles", {})
-        worker_ranks = sorted(
-            set(busy_by_rank)
-            | {r for r, role in roles.items() if role == "worker"}
-        )
-        for rank in worker_ranks:
-            busy = busy_by_rank.get(rank, 0.0)
-            prof.workers.append(
-                WorkerUtilization(
-                    rank=rank,
-                    tasks=tasks_by_rank.get(rank, 0),
-                    busy=busy,
-                    utilization=(busy / wall) if wall else 0.0,
-                )
-            )
+        ranks = {u.rank for u in tasks} | {r for r, x in roles.items() if x == "worker"}
+        for rank in sorted(ranks):
+            spans = [u.dur for u in tasks if u.rank == rank]
+            busy = sum(spans, 0.0)
+            utilization = busy / wall if wall else 0.0
+            prof.workers.append(WorkerUtilization(rank, len(spans), busy, utilization))
         if prof.workers:
             prof.efficiency = sum(w.utilization for w in prof.workers) / len(
                 prof.workers
@@ -210,8 +148,6 @@ class Profile:
         events (see :mod:`repro.obs.analyze` for the full report)."""
         if not any(e.category == "prov" for e in self.trace.events):
             return None
-        from .analyze import Analysis
-
         a = Analysis.from_trace(self.trace)
         if not a.critical_path:
             return None

@@ -46,6 +46,7 @@ import os
 import time
 from typing import Any
 
+from .analyze import Analysis
 from .metrics import Metrics
 from .trace import Trace, TraceEvent
 
@@ -209,13 +210,11 @@ class Recorder:
 
     # ------------------------------------------------------------- the trace
 
-    def freeze(self, meta: dict | None = None, since: float | None = None) -> Trace:
-        """Decode every ring into an immutable, time-ordered Trace.
-
-        With ``since`` (a recorder-relative timestamp) the latency
-        histograms of the events from then on — one run of a session —
-        are observed into the metrics before they are snapshotted.
-        """
+    def freeze(self, meta: dict | None = None) -> Trace:
+        """Decode every ring into an immutable, time-ordered Trace, whose
+        metrics are the counter table's snapshot plus the latency
+        distributions of the events (:meth:`Analysis.histograms`) — of a
+        session's every run so far, as its counters are."""
         events: list[TraceEvent] = []
         for rank, ring in sorted(self._rings.items()):
             for lam, t, dur, kind, a, b, c, extra in ring.ordered():
@@ -227,19 +226,15 @@ class Recorder:
                     TraceEvent(t, dur, rank, category, name, payload or None, lam)
                 )
         events.sort(key=lambda e: e.t)
-        if since is not None:
-            from .report import feed_latency_histograms
-
-            feed_latency_histograms(
-                self.metrics, (e for e in events if e.t >= since)
-            )
-        return Trace(
+        trace = Trace(
             events=events,
             metrics=self.metrics.snapshot(),
             meta=dict(meta or {}),
             dropped=sum(r.dropped for r in self._rings.values()),
             emitted={rank: r.emitted for rank, r in self._rings.items()},
         )
+        trace.metrics["histograms"] = Analysis.join(trace).histograms()
+        return trace
 
     # ---------------------------------------------------------- the black box
 

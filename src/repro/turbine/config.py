@@ -59,7 +59,6 @@ class RuntimeConfig:
         "--engines",
         metavar="N",
     )
-    steal: bool = _opt(True, "servers whose clients idle steal queued work")
     trace: bool = _opt(
         False,
         "record level 1 of the event spine (repro.obs.spine): spans, provenance and "
@@ -124,8 +123,10 @@ class RuntimeConfig:
     )
     lease_timeout: float = _opt(
         60.0,
-        "seconds a handed-out task may stay unacknowledged before its rank is "
-        "presumed dead and the task is requeued",
+        "under a fault plan, seconds a handed-out task may stay unacknowledged "
+        "before its rank is presumed dead and the task is requeued (without one "
+        "only an announced death requeues: a long leaf is not a dead rank; bound "
+        "a runaway leaf with task_timeout)",
     )
     deadline: float | None = _opt(
         None,

@@ -121,10 +121,11 @@ class RunResult:
 
     @property
     def metrics(self) -> dict | None:
-        """Counters/gauges/histograms of the run — ``mpi.sends``,
+        """Counters and gauges of the run — ``mpi.sends``,
         ``adlb.data_ops``, ``engine.rules_created``, ... — as plain
         dicts, summed over every rank that counted, dead ones included.
-        Available on untraced runs too; None without a recorder."""
+        Available on untraced runs too; None without a recorder.  A
+        traced run adds its latency ``histograms`` (read off the trace)."""
         if self.trace is not None:
             return self.trace.metrics
         return self.registry.snapshot() if self.registry is not None else None
@@ -230,7 +231,6 @@ def run_turbine_program(
                 server = Server(
                     comm,
                     layout,
-                    steal=config.steal,
                     leases=leases_enabled,
                     lease_timeout=config.lease_timeout,
                     max_retries=config.max_retries,
@@ -396,16 +396,12 @@ def run_turbine_program(
         from ..obs import RANK_DRIVER
 
         recorder.ring(RANK_DRIVER).emit("run", config.size, entry, t0=t0)
-        # ``since`` also derives this run's latency histograms (task
-        # latency, queue wait, dispatch delay) from its spans, so
-        # Profile.render() has percentiles to show.
         trace = recorder.freeze(
             meta={
                 "roles": {r: layout.role(r) for r in range(config.size)},
                 "elapsed": elapsed,
                 "size": config.size,
-            },
-            since=t0 - recorder.epoch,
+            }
         )
     audit = None
     if config.audit:

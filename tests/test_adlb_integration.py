@@ -11,7 +11,7 @@ from repro.adlb.constants import CONTROL, WORK
 from repro.mpi import run_world
 
 
-def run_adlb(size, n_servers, n_engines, engine_fn, worker_fn, steal=True):
+def run_adlb(size, n_servers, n_engines, engine_fn, worker_fn):
     """Run an ADLB world; engine_fn/worker_fn receive an AdlbClient."""
     layout = Layout(size, n_servers, n_engines)
     results = {}
@@ -19,7 +19,7 @@ def run_adlb(size, n_servers, n_engines, engine_fn, worker_fn, steal=True):
 
     def main(comm):
         if layout.is_server(comm.rank):
-            stats = Server(comm, layout, steal=steal).run()
+            stats = Server(comm, layout).run()
             with lock:
                 results[comm.rank] = stats
             return
@@ -102,19 +102,6 @@ class TestTaskDistribution:
         worker_counts = [results[r] for r in layout.workers]
         # every worker should have gotten something (steal works)
         assert all(c > 0 for c in worker_counts), worker_counts
-
-    def test_no_steal_still_terminates(self):
-        collected = []
-        lock = threading.Lock()
-        _, _ = run_adlb(
-            8, 2, 1,
-            standard_engine(list(range(30))),
-            collecting_worker(collected, lock),
-            steal=False,
-        )
-        # tasks all go to the engine's attached server; workers attached
-        # to the other server stay idle, but termination must still fire
-        assert sorted(collected) == list(range(30))
 
     def test_zero_tasks_terminates(self):
         collected = []

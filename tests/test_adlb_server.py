@@ -76,7 +76,7 @@ class TestRecoveryOffBuildsNothing:
         state = server.state()
         assert (state["queued_tasks"], state["parked_gets"]) == (0, 0)
         assert (state["work_count"], state["poisoned"]) == (0, False)
-        assert state["dedup_slots"] == {"rpc": 0, "get": 0, "async": 0}
+        assert state["dedup_slots"] == {"rpc": 0, "async": 0}
         for key in ("leases", "delayed_tasks", "quarantined", "journal_pending"):
             assert key not in state, key
         assert not any(key.startswith("repl") for key in state)
@@ -151,7 +151,12 @@ class TestOneClock:
     of its bound, so it fails if the timer reads the wall clock."""
 
     def test_lease_expiry_requeues_the_unit(self, clock):
-        server, world = make_server(leases=True, lease_timeout=5.0, clock=clock)
+        server, world = make_server(
+            leases=True,
+            lease_timeout=5.0,
+            clock=clock,
+            faults=FaultState(FaultPlan()),  # only an injected kill is silent
+        )
         server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
         server.dispatch(GET, WORKER, C.TAG_REQUEST)
         assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
@@ -163,6 +168,22 @@ class TestOneClock:
         assert server.leases.stats.expired == 1 and server.dead_ranks == {WORKER}
         assert server.leases.stats.requeued == 1 and not server.leases.table
         assert [t.payload for _, _, t in server.leases.delayed] == ["leaf"]
+
+    def test_an_overdue_lease_is_swept_under_a_fault_plan_only(self, clock):
+        # Without a plan no rank dies silently: a lease past its deadline
+        # is a long leaf, and sweeping it ran the leaf twice and let both
+        # commits decrement the termination counter.
+        for faults, swept in ((None, False), (FaultState(FaultPlan()), True)):
+            server, _ = make_server(
+                leases=True, lease_timeout=0.3, clock=clock, faults=faults
+            )
+            server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
+            server.dispatch(GET, WORKER, C.TAG_REQUEST)
+            clock.advance(60.0)
+            server.leases.tick()
+            assert (WORKER in server.leases.table) is not swept
+            assert server.leases.stats.expired == int(swept)
+            assert server.dead_ranks == ({WORKER} if swept else set())
 
     def test_backoff_releases_not_before_and_then_after_retry_backoff(self, clock):
         server, world = make_server(leases=True, clock=clock)
@@ -333,43 +354,50 @@ class TestDedupTable:
         ours, theirs = DedupTable(), DedupTable()
         ours.slots[1, "rpc"] = (9, "ours-9")
         ours.slots[1, "async"] = (4, "ours-4")
-        ours.slots[2, "get"] = (2, "ours-2")
+        ours.slots[2, "rpc"] = (2, "ours-2")
         theirs.slots[1, "rpc"] = (7, "theirs-7")  # older: dropped
         theirs.slots[1, "async"] = (4, "theirs-4")  # tie: the heir's is newer
-        theirs.slots[2, "get"] = (3, "theirs-3")  # newer: adopted
-        theirs.slots[2, "rpc"] = (1, "theirs-1")  # unseen: adopted
+        theirs.slots[2, "rpc"] = (3, "theirs-3")  # newer: adopted
+        theirs.slots[2, "async"] = (1, "theirs-1")  # unseen: adopted
         ours.merge(theirs)
         assert ours.slots == {
             (1, "rpc"): (9, "ours-9"),
             (1, "async"): (4, "ours-4"),
-            (2, "get"): (3, "theirs-3"),
-            (2, "rpc"): (1, "theirs-1"),
+            (2, "rpc"): (3, "theirs-3"),
+            (2, "async"): (1, "theirs-1"),
         }
         # op-log replay: a later entry with the same seq wins
         ours.offer(1, "async", 4, "replayed", ties=True)
         assert ours.slots[1, "async"] == (4, "replayed")
-        assert ours.counts() == {"rpc": 2, "get": 1, "async": 1}
+        assert ours.counts() == {"rpc": 2, "async": 2}
 
-    def test_rpc_reply_does_not_evict_outstanding_split_get(self):
+    def test_a_workers_get_and_its_commit_share_the_rpc_slot(self):
+        # A worker has one request outstanding: its GET, whose reply is
+        # the grant, and then the RPCs of the unit's commit.
         server, world = make_server(reliable=True)
         get = {"op": C.OP_GET, "types": [C.WORK], "seq": 1}
         server.dispatch(get, WORKER, C.TAG_REQUEST)  # nothing queued: parks
-        incr = {"op": C.OP_INCR_WORK, "amount": 1, "seq": 2}
-        server.dispatch(incr, WORKER, C.TAG_REQUEST)
-        assert replies(world, WORKER, C.TAG_RESPONSE) == [("ok", None, 2)]
-        assert server.dedup.slots[WORKER, "get"] == (1, (C.TAG_RESPONSE, PARKED))
-        assert server.dedup.slots[WORKER, "rpc"][0] == 2
+        assert server.dedup.slots == {(WORKER, "rpc"): (1, (C.TAG_RESPONSE, PARKED))}
         # a re-sent park re-parks (once), it is not answered or dropped
         server.dispatch(get, WORKER, C.TAG_REQUEST)
         assert [p.rank for p in server.parked] == [WORKER]
         assert server.repl_stats.dedup_hits == 1
-        # work arrives: granted once; a duplicate GET resends the grant
-        put = {"op": C.OP_PUT, "type": C.WORK, "payload": "leaf", "seq": 3}
-        server.dispatch(put, WORKER, C.TAG_REQUEST)
-        server.dispatch(get, WORKER, C.TAG_REQUEST)
+        # work arrives: the grant is cached as the GET's reply, and a
+        # duplicate GET is answered with it
+        server.dispatch({"op": C.OP_INCR_WORK, "amount": 2}, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
         grant = ("task", C.WORK, "leaf", 1)
-        assert replies(world, WORKER, C.TAG_RESPONSE) == [grant, ("ok", None, 3), grant]
+        assert server.dedup.slots[WORKER, "rpc"] == (1, (C.TAG_RESPONSE, grant))
+        server.dispatch(get, WORKER, C.TAG_REQUEST)
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [grant, grant]
         assert server.stats.tasks_matched == 1 and not server.parked
+        # the commit's RPC supersedes it: a late copy of the GET is dropped
+        decr = {"op": C.OP_DECR_WORK, "amount": 1, "seq": 2}
+        server.dispatch(decr, WORKER, C.TAG_REQUEST)
+        server.dispatch(get, WORKER, C.TAG_REQUEST)
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [("ok", None, 2)]
+        assert server.dedup.slots[WORKER, "rpc"][0] == 2 and server.work_count == 1
+        assert server.state()["dedup_slots"] == {"rpc": 1, "async": 0}
 
     def test_rpc_reply_does_not_evict_outstanding_async_park(self):
         server, world = make_server(reliable=True)
@@ -387,7 +415,7 @@ class TestDedupTable:
         get = {"op": C.OP_GET, "types": [C.WORK], "seq": 1}
         server.dispatch(get, WORKER, C.TAG_REQUEST)
         # what chaos/invariants.py bounds by the client count
-        assert server.state()["dedup_slots"] == {"rpc": 1, "get": 1, "async": 1}
+        assert server.state()["dedup_slots"] == {"rpc": 2, "async": 1}
 
     def test_promotion_merges_the_wards_slots_replicate_on(self):
         server, _ = make_server(n_servers=2, replicate=True, reliable=True)
@@ -396,19 +424,19 @@ class TestDedupTable:
         grant = (C.TAG_RESPONSE, ("task", C.WORK, "leaf", 3))
         entries = [
             ("task+", task),
-            ("grant", task, WORKER, 3, grant),
+            ("grant", task, WORKER + 1, 3, grant),
             ("dedup", WORKER, 7, (C.TAG_RESPONSE, ("ok", None, 7))),
         ]
         batch = {"op": C.SOP_REPLICATE, "entries": entries, "seq": 3}
         server.dispatch(batch, ward, C.TAG_SERVER)
         mine = (C.TAG_RESPONSE, ("ok", None, 9))
-        server.dedup.slots[WORKER, "rpc"] = (9, mine)
-        server.dedup.slots[WORKER, "get"] = (2, (C.TAG_RESPONSE, PARKED))
+        server.dedup.slots[WORKER, "rpc"] = (9, mine)  # newer than the ward's 7
+        server.dedup.slots[WORKER + 1, "rpc"] = (2, (C.TAG_RESPONSE, PARKED))
         server.repl.server_dead(ward, "test")
         assert server.repl.stats.promotions == 1
         assert server.dedup.slots == {
             (WORKER, "rpc"): (9, mine),
-            (WORKER, "get"): (3, grant),
+            (WORKER + 1, "rpc"): (3, grant),
         }
 
 

@@ -245,7 +245,7 @@ class TestDerivedFlags:
         negations = {"--no-replicate", "--no-journal"}  # BooleanOptionalAction
         assert set(spelled) == RUNTIME_FLAGS - negations
         assert len(spelled) == len(set(spelled)) == 21
-        assert len(fields(RuntimeConfig)) == 28
+        assert len(fields(RuntimeConfig)) == 27
 
 
 class TestRunFailures:

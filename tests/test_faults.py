@@ -540,3 +540,14 @@ class TestFaultsOffPath:
         res = swift_run(FANOUT, workers=2)
         assert sorted(res.stdout_lines) == FANOUT_EXPECTED
         assert res.ok
+
+    def test_a_leaf_longer_than_the_lease_is_not_a_dead_rank(self):
+        # Without a fault plan no rank dies silently.  The lease sweep
+        # used to presume both workers dead, re-run their leaves, and let
+        # the "dead" workers' commits decrement the counter too: the
+        # master shut down with work left, the workers hung in recv.
+        slow = FANOUT.replace("0.002", "0.4").replace("[0:9]", "[0:3]")
+        res = swift_run(slow, workers=2, lease_timeout=0.1, recv_timeout=5)
+        assert sorted(res.stdout_lines) == FANOUT_EXPECTED[:4]
+        assert res.ok and res.tasks_run == 4
+        assert res.metrics["counters"]["adlb.lease.expired"] == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
@@ -163,23 +164,15 @@ class TestMetrics:
         # the table refers to the struct: what its owner counts after
         # registering is what the next reader sees
         stats.tasks_run += 2
-        m.observe("h", 1.0)
-        m.observe("h", 3.0)
         snap = m.snapshot()
         assert snap["counters"]["worker.tasks_run"] == 3
         assert snap["gauges"]["worker.tasks_run[1]"] == 3
         assert m.counter("worker.tasks_run") == 3
         assert m.counter("worker.no_such_field") == 0
-        assert snap["histograms"]["h"] == {
-            "count": 2,
-            "total": 4.0,
-            "min": 1.0,
-            "max": 3.0,
-            "mean": 2.0,
-            "p50": 1.0,
-            "p95": 3.0,
-            "p99": 3.0,
-        }
+        # ...and nothing else: latency histograms are a reading of a
+        # trace (Analysis.histograms), not something the table counts
+        assert set(snap) == {"counters", "gauges"}
+        assert not hasattr(m, "observe")
         # reading changes nothing
         assert m.snapshot() == snap
         stats.tasks_run += 1
@@ -256,9 +249,8 @@ class TestTracedRuns:
         for name in ("engine.rules_created", "adlb.data_ops", "adlb.tasks_matched"):
             assert off[name] == on[name] > 0, name
         assert off["mpi.sends"] == off["mpi.recvs"] > 0
-        assert "task.latency_s" not in swift_run(PROGRAM, workers=2).metrics[
-            "histograms"
-        ]  # derived from level-1 spans
+        # the latency histograms are read off a trace: traced runs only
+        assert "histograms" not in swift_run(PROGRAM, workers=2).metrics
 
     def test_messages_are_recorded_once(self):
         res = swift_run(PROGRAM, workers=2, trace=True)
@@ -377,6 +369,49 @@ class TestTracedRuns:
         assert 0 <= targeted <= total
 
 
+class TestOneReading:
+    """A trace is joined in one place, ``Analysis.join``: the latency
+    histograms a frozen trace carries and Profile's busy time read it."""
+
+    @pytest.mark.parametrize("servers, engines", [(1, 1), (2, 2)])
+    def test_histogram_counts_are_what_the_join_holds(self, servers, engines):
+        res = swift_run(
+            FANOUT_200, workers=2, servers=servers, engines=engines, trace=True
+        )
+        trace = res.trace
+        assert trace.dropped == 0 and len(res.stdout_lines) == 200
+        joined = Analysis.join(trace)
+        tasks = [u for u in joined.executed() if u.kind == "task"]
+        prov = [e for e in trace.events if e.category == "prov"]
+        accepted = {e.payload["uid"] for e in prov if e.name == "task"}
+        grants = [e for e in prov if e.name == "grant" and e.payload["uid"] in accepted]
+        h = trace.metrics["histograms"]
+        assert h["task.latency_s"]["count"] == len(tasks) == 200
+        assert h["adlb.dispatch_s"]["count"] == 200
+        assert sum(u.t_grant is not None for u in tasks) == 200
+        # one grant per accepted unit: the leaves and the range's halves
+        assert h["adlb.queue_wait_s"]["count"] == len(grants) == len(accepted) > 200
+        assert h == joined.histograms()
+        by_rank = {w.rank: w.tasks for w in res.profile.workers}
+        assert by_rank == {r: sum(u.rank == r for u in tasks) for r in by_rank}
+
+    def test_exact_percentiles_over_every_sample(self, monkeypatch):
+        # 1 000 leaf-task spans of 1..1 000 ms in shuffled order: a
+        # reservoir of 512 read 0.505 / 0.949 / 0.988 here
+        from repro.obs import spine
+
+        now = [0.0]
+        monkeypatch.setattr(spine, "_clock", lambda: now[0])
+        rec = Recorder(level=1)
+        for i, ms in enumerate(random.Random(7).sample(range(1, 1001), 1000)):
+            now[0] = ms / 1000
+            rec.ring(1 + i % 2).emit("task_done", 0, "T%d.%d" % (1 + i % 2, i), t0=0.0)
+        h = rec.freeze().metrics["histograms"]["task.latency_s"]
+        assert (h["count"], h["min"], h["max"]) == (1000, 0.001, 1.0)
+        assert (h["p50"], h["p95"], h["p99"]) == (0.5, 0.95, 0.99)
+        assert h["mean"] == pytest.approx(0.5005)
+
+
 class TestSessionTracing:
     def test_session_shares_trace_sink(self):
         cfg = RuntimeConfig.of(workers=2, trace=True)
@@ -397,6 +432,16 @@ class TestSessionTracing:
         # a finished run leaves its sums behind, not its structs: the
         # table does not grow with the session
         assert r2.registry._structs == [] and r2.registry.sources == {}
+
+    def test_session_histograms_cover_every_run(self):
+        # runs reuse unit ids ("T1.1" again): the join keeps the units a
+        # later run displaced, so each grant still pairs with its unit
+        with SwiftRuntime(workers=2, trace=True) as rt:
+            runs = [rt.run(PROGRAM) for _ in range(2)]
+        for res, n in zip(runs + [rt], (6, 12, 12)):
+            h = res.trace.metrics["histograms"]
+            assert h["task.latency_s"]["count"] == h["adlb.dispatch_s"]["count"] == n
+        assert sum(w.tasks for w in Profile.from_trace(rt.trace).workers) == 12
 
     def test_session_compile_cache(self):
         calls = []

@@ -414,11 +414,10 @@ class TestRuntimeConfigurations:
         assert res.tasks_run == 10
         assert len(res.worker_stats) == 3
 
-    def test_steal_disabled_still_completes(self):
+    def test_two_servers_complete_a_loop(self):
         res = swift_run(
             "foreach i in [0:9] { trace(i); }",
             workers=3,
             servers=2,
-            steal=False,
         )
-        assert len(res.stdout_lines) == 10
+        assert sorted(res.stdout_lines) == sorted("trace: %d" % i for i in range(10))
