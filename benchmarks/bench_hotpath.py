@@ -7,7 +7,7 @@ differential-test oracle):
 * **Tcl layer** — the same proc-dispatch and expr-loop workloads on
   both.
 * **Runtime layer** — a Tcl-compute Turbine program run end-to-end
-  with ``tcl_compile`` on versus off.
+  on the VM versus with every rank's ``Interp`` the interpreted walk.
 
 The floors are asserted here and nowhere snapshotted; what a *feature*
 costs on or off is ``benchmarks/overhead.py``'s question, not this
@@ -22,7 +22,9 @@ which drowns the effect being measured.
 
 from __future__ import annotations
 
+import functools
 import time
+from unittest import mock
 
 from repro import swift_run
 from repro.tcl.interp import Interp
@@ -119,11 +121,12 @@ def measure_tcl(prelude: str, call: str, iters: int = 60, rounds: int = 3) -> di
 
 def measure_end_to_end(rounds: int = 3, workers: int = 2) -> dict:
     """Full-stack run of the task-compute Turbine program on the VM
-    (default) and on the interpreted walk (``tcl_compile=False``)."""
-    from repro.turbine import RuntimeConfig, run_turbine_program
+    (default) and on the interpreted walk (the runtime's ``Interp``
+    patched to ``compile_enabled=False``)."""
+    from repro.turbine import RuntimeConfig, run_turbine_program, runtime
 
-    def run(**flags) -> float:
-        cfg = RuntimeConfig.of(workers=workers, **flags)
+    def run() -> float:
+        cfg = RuntimeConfig.of(workers=workers)
         t0 = time.perf_counter()
         res = run_turbine_program(TASK_COMPUTE_PROGRAM, cfg)
         elapsed = time.perf_counter() - t0
@@ -131,7 +134,8 @@ def measure_end_to_end(rounds: int = 3, workers: int = 2) -> dict:
         return elapsed
 
     vm = min(run() for _ in range(rounds))
-    off = min(run(tcl_compile=False) for _ in range(rounds))
+    with mock.patch.object(runtime, "Interp", functools.partial(Interp, compile_enabled=False)):
+        off = min(run() for _ in range(rounds))
     return {"vm_s": vm, "interpreted_s": off, "speedup": off / vm}
 
 

@@ -15,10 +15,9 @@ Quickstart::
 Every runtime knob lives on :class:`RuntimeConfig`; ``swift_run`` and
 :class:`SwiftRuntime` accept a ``config=`` plus keyword overrides that
 are validated by :meth:`RuntimeConfig.with_options` (unknown names
-raise ``TypeError``).  The one Tcl-layer knob is ``tcl_compile``: on
-(the default) scripts run on the bytecode VM; ``swift_run(src,
-tcl_compile=False)`` selects the plain interpreted walk that the
-differential tests use as their oracle.  For repeated runs, use the
+raise ``TypeError``).  Tcl always runs on the bytecode VM; the plain
+interpreted walk, ``Interp(compile_enabled=False)``, is the oracle the
+differential tests compare it with.  For repeated runs, use the
 session form — one compiled-program cache and one trace sink across
 runs::
 

@@ -311,7 +311,8 @@ class FaultPlan:
 
         What counts as a unit depends on the rank's role, and each is a
         fail-stop boundary so the kill is deterministic per seed across
-        both Tcl execution paths (``tcl_compile=True|False``):
+        both Tcl execution paths (the VM and the interpreted oracle,
+        ``Interp(compile_enabled=False)``):
 
         * **workers** — leased work units received; the rank dies
           holding the lease, exercising requeue.

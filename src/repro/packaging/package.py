@@ -5,8 +5,8 @@ solutions can be addressed with our static packages."  A
 :class:`StaticPackage` collects every Tcl/Python/R module an
 application needs into a single archive; at startup each rank performs
 *one* filesystem access instead of one per module, and
-``package require`` / ``source`` / Python ``import``-ish loading
-resolve from memory.
+``package require`` and the embedded interpreters' ``require`` resolve
+from memory.
 """
 
 from __future__ import annotations
@@ -102,10 +102,9 @@ class StaticPackage:
     def install_into(self, interp: Interp) -> None:
         """Wire the package into a Tcl interpreter.
 
-        Tcl modules become lazily-required packages; ``source`` resolves
-        package-relative paths from memory; Python and R modules become
-        available to the embedded interpreters via ``python::require``
-        and ``r::require``.
+        Tcl modules become lazily-required packages; Python and R
+        modules become available to the embedded interpreters via
+        ``python::require`` and ``r::require``.
         """
         for (lang, name), mod in self.modules.items():
             if lang == "tcl":
@@ -113,16 +112,6 @@ class StaticPackage:
                     mod.version,
                     lambda it, src=mod.source: it.eval(src),
                 )
-
-        def resolver(path: str, _pkg=self) -> str:
-            for lang in _LANGS:
-                try:
-                    return _pkg.get(path, lang).source
-                except PackageError:
-                    continue
-            raise PackageError("source: no module %r in static package" % path)
-
-        interp.source_resolver = resolver  # type: ignore[attr-defined]
 
         def require(lang: str):
             def cmd_require(it, args):

@@ -1,31 +1,22 @@
 """Builtin functions for the mini-R interpreter.
 
 Each builtin takes ``(interp, args)`` where ``args`` is a list of
-``(name|None, value)`` pairs.  The subset mirrors what scientific R
-fragments in Swift/T leaf tasks actually use: vector construction and
-math, sequences, string paste, apply-style mapping, RNG, and output.
+``(name|None, value)`` pairs.  The table holds what some workload,
+example or experiment calls (``benchmarks/census.py``) and what the
+paper names for the embedded R: vector construction, reductions and
+element-wise math, ``paste``/``sprintf``, ``return``/``stop``, and
+``cat`` output.  Map over a vector with ``for``; RNG belongs in a
+Python leaf.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable
 
 import numpy as np
 
 from .errors import RError, ReturnSignal
-from .values import (
-    RList,
-    RNull,
-    as_character,
-    as_logical,
-    as_numeric,
-    fmt_scalar,
-    is_character,
-    is_numeric,
-    r_length,
-    r_repr,
-)
+from .values import RList, RNull, as_character, as_logical, as_numeric, is_character, r_length
 
 
 def _pos(args: list, n: int | None = None) -> list[Any]:
@@ -81,100 +72,16 @@ def b_c(interp, args):
     return np.concatenate([p.astype(np.float64) for p in parts])
 
 
-def b_vector(interp, args):
-    mode = as_character(_kw(args, "mode", _pos(args)[0] if args else ["numeric"]))[0]
-    length = _int1(_kw(args, "length", _pos(args)[1] if len(_pos(args)) > 1 else [0]))
-    if mode in ("numeric", "double", "integer"):
-        return np.zeros(length, dtype=np.float64)
-    if mode == "logical":
-        return np.zeros(length, dtype=bool)
-    if mode == "character":
-        return [""] * length
-    if mode == "list":
-        return RList(items=[RNull] * length)
-    raise RError("vector: unsupported mode %r" % mode)
-
-
-def b_numeric(interp, args):
-    n = _int1(_pos(args)[0]) if _pos(args) else 0
-    return np.zeros(n, dtype=np.float64)
-
-
 def b_list(interp, args):
     return RList(items=[v for _, v in args], names=[k for k, _ in args])
-
-
-def b_seq(interp, args):
-    pos = _pos(args)
-    frm = _kw(args, "from", pos[0] if len(pos) > 0 else [1])
-    to = _kw(args, "to", pos[1] if len(pos) > 1 else [1])
-    by = _kw(args, "by", pos[2] if len(pos) > 2 else None)
-    length_out = _kw(args, "length.out")
-    a, b = _num1(frm), _num1(to)
-    if length_out is not None:
-        n = _int1(length_out)
-        return np.linspace(a, b, n)
-    step = _num1(by) if by is not None else (1.0 if b >= a else -1.0)
-    return np.arange(a, b + step / 2, step, dtype=np.float64)
 
 
 def b_seq_len(interp, args):
     return np.arange(1, _int1(_pos(args, 1)[0]) + 1, dtype=np.float64)
 
 
-def b_seq_along(interp, args):
-    return np.arange(1, r_length(_pos(args, 1)[0]) + 1, dtype=np.float64)
-
-
-def b_rep(interp, args):
-    pos = _pos(args, 1)
-    x = pos[0]
-    times = _int1(_kw(args, "times", pos[1] if len(pos) > 1 else [1]))
-    each = _int1(_kw(args, "each", [1]))
-    if is_character(x):
-        base = [item for item in x for _ in range(each)]
-        return base * times
-    arr = as_numeric(x)
-    return np.tile(np.repeat(arr, each), times)
-
-
 def b_length(interp, args):
     return np.array([r_length(_pos(args, 1)[0])], dtype=np.float64)
-
-
-def b_rev(interp, args):
-    x = _pos(args, 1)[0]
-    if is_character(x):
-        return list(reversed(x))
-    return as_numeric(x)[::-1].copy()
-
-
-def b_sort(interp, args):
-    x = _pos(args, 1)[0]
-    dec = _kw(args, "decreasing")
-    rev = dec is not None and bool(as_logical(dec)[0])
-    if is_character(x):
-        return sorted(x, reverse=rev)
-    out = np.sort(as_numeric(x))
-    return out[::-1].copy() if rev else out
-
-
-def b_which(interp, args):
-    mask = as_logical(_pos(args, 1)[0])
-    return (np.nonzero(mask)[0] + 1).astype(np.float64)
-
-
-def b_unique(interp, args):
-    x = _pos(args, 1)[0]
-    if is_character(x):
-        seen: list[str] = []
-        for item in x:
-            if item not in seen:
-                seen.append(item)
-        return seen
-    arr = as_numeric(x)
-    _, idx = np.unique(arr, return_index=True)
-    return arr[np.sort(idx)]
 
 
 # --- reductions & math ------------------------------------------------------
@@ -204,23 +111,6 @@ def b_round(interp, args):
     return np.round(as_numeric(pos[0]), digits)
 
 
-def b_cumsum(interp, args):
-    return np.cumsum(as_numeric(_pos(args, 1)[0]))
-
-
-def b_prod(interp, args):
-    parts = [as_numeric(v) for _, v in args]
-    return np.array([float(np.prod(np.concatenate(parts)))])
-
-
-def b_any(interp, args):
-    return np.array([bool(np.any(as_logical(_pos(args, 1)[0])))])
-
-
-def b_all(interp, args):
-    return np.array([bool(np.all(as_logical(_pos(args, 1)[0])))])
-
-
 # --- strings -------------------------------------------------------------------
 
 
@@ -244,38 +134,6 @@ def b_paste(interp, args):
     return _paste(args, " ")
 
 
-def b_paste0(interp, args):
-    return _paste(args, "")
-
-
-def b_nchar(interp, args):
-    return np.array(
-        [len(s) for s in as_character(_pos(args, 1)[0])], dtype=np.float64
-    )
-
-
-def b_substr(interp, args):
-    pos = _pos(args, 3)
-    strings = as_character(pos[0])
-    start, stop = _int1(pos[1]), _int1(pos[2])
-    return [s[start - 1 : stop] for s in strings]
-
-
-def b_toupper(interp, args):
-    return [s.upper() for s in as_character(_pos(args, 1)[0])]
-
-
-def b_tolower(interp, args):
-    return [s.lower() for s in as_character(_pos(args, 1)[0])]
-
-
-def b_strsplit(interp, args):
-    pos = _pos(args, 2)
-    strings = as_character(pos[0])
-    sep = as_character(pos[1])[0]
-    return RList(items=[s.split(sep) if sep else list(s) for s in strings])
-
-
 def b_sprintf(interp, args):
     pos = _pos(args, 1)
     fmt = as_character(pos[0])[0]
@@ -293,55 +151,11 @@ def b_sprintf(interp, args):
     return [fmt % tuple(values)]
 
 
-# --- coercion / predicates ---------------------------------------------------------
+# --- coercion and selection ---------------------------------------------------------
 
 
 def b_as_numeric(interp, args):
     return as_numeric(_pos(args, 1)[0]).astype(np.float64)
-
-
-def b_as_integer(interp, args):
-    return np.trunc(as_numeric(_pos(args, 1)[0]))
-
-
-def b_as_character(interp, args):
-    return as_character(_pos(args, 1)[0])
-
-
-def b_as_logical(interp, args):
-    return as_logical(_pos(args, 1)[0])
-
-
-def b_is_null(interp, args):
-    return np.array([_pos(args, 1)[0] is RNull])
-
-
-def b_is_numeric(interp, args):
-    return np.array([is_numeric(_pos(args, 1)[0])])
-
-
-def b_is_character(interp, args):
-    return np.array([is_character(_pos(args, 1)[0])])
-
-
-def b_is_function(interp, args):
-    from .interp import RClosure
-
-    v = _pos(args, 1)[0]
-    return np.array([isinstance(v, RClosure) or callable(v)])
-
-
-def b_is_na(interp, args):
-    return np.isnan(as_numeric(_pos(args, 1)[0]))
-
-
-def b_identical(interp, args):
-    a, b = _pos(args, 2)[:2]
-    if type(a) is not type(b):
-        return np.array([False])
-    if isinstance(a, np.ndarray):
-        return np.array([a.shape == b.shape and bool(np.array_equal(a, b))])
-    return np.array([a == b])
 
 
 def b_ifelse(interp, args):
@@ -361,88 +175,7 @@ def b_ifelse(interp, args):
     return out
 
 
-# --- functional --------------------------------------------------------------------
-
-
-def b_sapply(interp, args):
-    pos = _pos(args, 2)
-    x, fn = pos[0], pos[1]
-    results = []
-    if isinstance(x, np.ndarray):
-        items = [np.array([v]) for v in x.tolist()]
-    elif isinstance(x, RList):
-        items = list(x.items)
-    elif isinstance(x, list):
-        items = [[v] for v in x]
-    else:
-        items = []
-    for item in items:
-        results.append(interp.apply(fn, [(None, item)]))
-    if results and all(is_numeric(r) and r.size == 1 for r in results):
-        return np.array([float(r[0]) for r in results])
-    if results and all(is_character(r) and len(r) == 1 for r in results):
-        return [r[0] for r in results]
-    return RList(items=results)
-
-
-def b_lapply(interp, args):
-    result = b_sapply(interp, args)
-    if isinstance(result, RList):
-        return result
-    if isinstance(result, np.ndarray):
-        return RList(items=[np.array([v]) for v in result.tolist()])
-    return RList(items=[[v] for v in result])
-
-
-def b_do_call(interp, args):
-    pos = _pos(args, 2)
-    fn, arglist = pos[0], pos[1]
-    if not isinstance(arglist, RList):
-        raise RError("do.call: second argument must be a list")
-    call_args = [
-        (name, value) for name, value in zip(arglist.names, arglist.items)
-    ]
-    return interp.apply(fn, call_args)
-
-
-def b_Reduce(interp, args):
-    pos = _pos(args, 2)
-    fn, x = pos[0], pos[1]
-    if isinstance(x, np.ndarray):
-        items = [np.array([v]) for v in x.tolist()]
-    elif isinstance(x, RList):
-        items = list(x.items)
-    else:
-        items = [[v] for v in x]
-    if not items:
-        return RNull
-    acc = items[0]
-    for item in items[1:]:
-        acc = interp.apply(fn, [(None, acc), (None, item)])
-    return acc
-
-
-def b_Map(interp, args):
-    pos = _pos(args, 2)
-    fn = pos[0]
-    vectors = pos[1:]
-    lists = []
-    for v in vectors:
-        if isinstance(v, np.ndarray):
-            lists.append([np.array([x]) for x in v.tolist()])
-        elif isinstance(v, RList):
-            lists.append(list(v.items))
-        else:
-            lists.append([[x] for x in v])
-    n = max(len(lst) for lst in lists) if lists else 0
-    out = []
-    for i in range(n):
-        call = [(None, lst[i % len(lst)]) for lst in lists]
-        out.append(interp.apply(fn, call))
-    return RList(items=out)
-
-
-# --- control / environment -------------------------------------------------------------
+# --- control and output ---------------------------------------------------------------
 
 
 def b_return(interp, args):
@@ -452,18 +185,6 @@ def b_return(interp, args):
 
 def b_stop(interp, args):
     raise RError("".join(as_character(v)[0] for _, v in args) or "error")
-
-
-def b_stopifnot(interp, args):
-    for _, v in args:
-        if not bool(np.all(as_logical(v))):
-            raise RError("stopifnot: condition is not TRUE")
-    return RNull
-
-
-def b_exists(interp, args):
-    name = as_character(_pos(args, 1)[0])[0]
-    return np.array([interp.global_env.has(name)])
 
 
 def b_cat(interp, args):
@@ -478,75 +199,11 @@ def b_cat(interp, args):
     return RNull
 
 
-def b_print(interp, args):
-    from .values import r_print_repr
-
-    v = _pos(args, 1)[0]
-    interp.output.append(r_print_repr(v))
-    return v
-
-
-# --- RNG (deterministic, numpy-backed) -----------------------------------------------------
-
-_RNG_KEY = "__rng__"
-
-
-def _rng(interp) -> np.random.RandomState:
-    rng = interp.global_env.vars.get(_RNG_KEY)
-    if rng is None:
-        rng = np.random.RandomState(0)
-        interp.global_env.vars[_RNG_KEY] = rng
-    return rng
-
-
-def b_set_seed(interp, args):
-    interp.global_env.vars[_RNG_KEY] = np.random.RandomState(
-        _int1(_pos(args, 1)[0])
-    )
-    return RNull
-
-
-def b_runif(interp, args):
-    pos = _pos(args, 1)
-    n = _int1(pos[0])
-    lo = _num1(_kw(args, "min", pos[1] if len(pos) > 1 else [0]))
-    hi = _num1(_kw(args, "max", pos[2] if len(pos) > 2 else [1]))
-    return _rng(interp).uniform(lo, hi, n)
-
-
-def b_rnorm(interp, args):
-    pos = _pos(args, 1)
-    n = _int1(pos[0])
-    mean = _num1(_kw(args, "mean", pos[1] if len(pos) > 1 else [0]))
-    sd = _num1(_kw(args, "sd", pos[2] if len(pos) > 2 else [1]))
-    return _rng(interp).normal(mean, sd, n)
-
-
-def b_sample(interp, args):
-    pos = _pos(args, 1)
-    x = as_numeric(pos[0])
-    if x.size == 1 and x[0] >= 1:
-        x = np.arange(1, int(x[0]) + 1, dtype=np.float64)
-    size = _int1(_kw(args, "size", pos[1] if len(pos) > 1 else [x.size]))
-    replace_v = _kw(args, "replace")
-    replace = bool(as_logical(replace_v)[0]) if replace_v is not None else False
-    return _rng(interp).choice(x, size=size, replace=replace)
-
-
 BUILTINS: dict[str, Callable] = {
     "c": b_c,
-    "vector": b_vector,
-    "numeric": b_numeric,
     "list": b_list,
-    "seq": b_seq,
     "seq_len": b_seq_len,
-    "seq_along": b_seq_along,
-    "rep": b_rep,
     "length": b_length,
-    "rev": b_rev,
-    "sort": b_sort,
-    "which": b_which,
-    "unique": b_unique,
     "sum": _reduction(lambda a: float(np.sum(a))),
     "mean": _reduction(lambda a: float(np.mean(a)) if a.size else float("nan")),
     "min": _reduction(lambda a: float(np.min(a))),
@@ -554,8 +211,6 @@ BUILTINS: dict[str, Callable] = {
     "median": _reduction(lambda a: float(np.median(a))),
     "sd": _reduction(lambda a: float(np.std(a, ddof=1)) if a.size > 1 else float("nan")),
     "var": _reduction(lambda a: float(np.var(a, ddof=1)) if a.size > 1 else float("nan")),
-    "prod": b_prod,
-    "cumsum": b_cumsum,
     "abs": _elementwise(np.abs),
     "sqrt": _elementwise(np.sqrt),
     "exp": _elementwise(np.exp),
@@ -570,49 +225,14 @@ BUILTINS: dict[str, Callable] = {
     "trunc": _elementwise(np.trunc),
     "sign": _elementwise(np.sign),
     "round": b_round,
-    "any": b_any,
-    "all": b_all,
     "paste": b_paste,
-    "paste0": b_paste0,
-    "nchar": b_nchar,
-    "substr": b_substr,
-    "toupper": b_toupper,
-    "tolower": b_tolower,
-    "strsplit": b_strsplit,
     "sprintf": b_sprintf,
     "as.numeric": b_as_numeric,
     "as.double": b_as_numeric,
-    "as.integer": b_as_integer,
-    "as.character": b_as_character,
-    "as.logical": b_as_logical,
-    "is.null": b_is_null,
-    "is.numeric": b_is_numeric,
-    "is.character": b_is_character,
-    "is.function": b_is_function,
-    "is.na": b_is_na,
-    "identical": b_identical,
     "ifelse": b_ifelse,
-    "sapply": b_sapply,
-    "lapply": b_lapply,
-    "vapply": b_sapply,
-    "Map": b_Map,
-    "Reduce": b_Reduce,
-    "do.call": b_do_call,
     "return": b_return,
     "stop": b_stop,
-    "stopifnot": b_stopifnot,
-    "exists": b_exists,
     "cat": b_cat,
-    "print": b_print,
-    "set.seed": b_set_seed,
-    "runif": b_runif,
-    "rnorm": b_rnorm,
-    "sample": b_sample,
 }
 
 
-def r_eval(src: str) -> Any:
-    """One-shot convenience: evaluate R source in a fresh interpreter."""
-    from .interp import RInterp
-
-    return RInterp().eval_code(src)

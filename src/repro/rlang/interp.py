@@ -2,24 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from .errors import BreakSignal, NextSignal, RError, ReturnSignal
 from .parser import parse
-from .values import (
-    RList,
-    RNull,
-    as_character,
-    as_logical,
-    as_numeric,
-    fmt_scalar,
-    is_character,
-    is_numeric,
-    r_length,
-    scalar_bool,
-)
+from .values import RList, RNull, as_character, as_logical, as_numeric, is_character, scalar_bool
 
 
 class Env:
@@ -52,14 +41,6 @@ class Env:
         while root.parent is not None:
             root = root.parent
         root.vars[name] = value
-
-    def has(self, name: str) -> bool:
-        env: Env | None = self
-        while env is not None:
-            if name in env.vars:
-                return True
-            env = env.parent
-        return False
 
 
 class RClosure:
@@ -459,8 +440,3 @@ class RInterp:
 
         for name, fn in BUILTINS.items():
             self.global_env.set_local(name, fn)
-
-
-def r_eval(src: str) -> Any:
-    """One-shot convenience: evaluate R source in a fresh interpreter."""
-    return RInterp().eval_code(src)

@@ -51,21 +51,6 @@ class RList:
         return RNull
 
 
-# --- constructors ----------------------------------------------------------
-
-
-def mk_num(*values: float) -> np.ndarray:
-    return np.array(values, dtype=np.float64)
-
-
-def mk_bool(*values: bool) -> np.ndarray:
-    return np.array(values, dtype=bool)
-
-
-def mk_chr(*values: str) -> list[str]:
-    return list(values)
-
-
 # --- classification ----------------------------------------------------------
 
 
@@ -168,14 +153,3 @@ def r_repr(v: Any) -> str:
         return "list(%s)" % ", ".join(parts)
     return str(v)
 
-
-def r_print_repr(v: Any) -> str:
-    """Like R's ``print`` for vectors: ``[1] ...`` prefix."""
-    if v is RNull:
-        return "NULL"
-    if isinstance(v, (np.ndarray, list)):
-        body = r_repr(v)
-        return "[1] " + (
-            " ".join('"%s"' % x for x in v) if is_character(v) else body
-        )
-    return r_repr(v)

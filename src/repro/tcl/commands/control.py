@@ -3,12 +3,10 @@ catch, error, expr, return/break/continue, rename."""
 
 from __future__ import annotations
 
-import time as _time
-
 from ..errors import TclBreak, TclContinue, TclError, TclReturn
 from ..expr import eval_expr, to_string, truthy
 from ..interp import TclProc
-from ..listutil import format_list, parse_list
+from ..listutil import parse_list
 
 
 def _wrong_args(usage: str) -> TclError:
@@ -291,55 +289,6 @@ def cmd_continue(interp, args):
 cmd_continue.vm_builtin = "continue"  # type: ignore[attr-defined]
 
 
-def cmd_time(interp, args):
-    if len(args) not in (1, 2):
-        raise _wrong_args("time command ?count?")
-    count = int(args[1]) if len(args) == 2 else 1
-    t0 = _time.perf_counter()
-    for _ in range(count):
-        interp.eval(args[0])
-    dt = (_time.perf_counter() - t0) / max(count, 1)
-    return "%d microseconds per iteration" % round(dt * 1e6)
-
-
-def cmd_apply(interp, args):
-    if not args:
-        raise _wrong_args("apply lambdaExpr ?arg ...?")
-    spec = parse_list(args[0])
-    if len(spec) not in (2, 3):
-        raise TclError('can\'t interpret "%s" as a lambda expression' % args[0])
-    params_text, body = spec[0], spec[1]
-    params: list[tuple[str, str | None]] = []
-    for p in parse_list(params_text):
-        parts = parse_list(p)
-        params.append((parts[0], parts[1] if len(parts) > 1 else None))
-    proc = TclProc("apply", params, body, interp.current_ns)
-    return proc(interp, list(args[1:]))
-
-
-def cmd_subst(interp, args):
-    """subst ?-nobackslashes? ?-nocommands? ?-novariables? string.
-
-    Implemented by re-parsing the string as a quoted word.
-    """
-    if not args:
-        raise _wrong_args("subst ?options? string")
-    text = args[-1]
-    # Leverage the parser: wrap in quotes is unsafe; do manual substitution.
-    from ..parser import _parse_segments
-
-    segs, _ = _parse_segments(text, 0, "", False)
-    out = []
-    for kind, val in segs:
-        if kind == "lit":
-            out.append(val)
-        elif kind == "var":
-            out.append(interp.get_var(val))
-        else:
-            out.append(interp.eval(val))
-    return "".join(out)
-
-
 def register(interp) -> None:
     interp.register("expr", cmd_expr)
     interp.register("if", cmd_if)
@@ -355,6 +304,3 @@ def register(interp) -> None:
     interp.register("return", cmd_return)
     interp.register("break", cmd_break)
     interp.register("continue", cmd_continue)
-    interp.register("time", cmd_time)
-    interp.register("apply", cmd_apply)
-    interp.register("subst", cmd_subst)

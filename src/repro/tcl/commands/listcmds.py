@@ -1,9 +1,8 @@
-"""List commands: list, lindex, llength, lappend, lrange, linsert,
-lreplace, lsearch, lsort, lassign, lreverse, lrepeat, concat, lmap."""
+"""List commands: list, lindex, llength, lappend, lsort, concat."""
 
 from __future__ import annotations
 
-from ..errors import TclBreak, TclContinue, TclError
+from ..errors import TclError
 from ..expr import parse_number
 from ..listutil import format_element, format_list, parse_list
 
@@ -73,76 +72,6 @@ def cmd_lappend(interp, args):
     return interp.set_var(name, " ".join(parts))
 
 
-def cmd_lrange(interp, args):
-    if len(args) != 3:
-        raise _wrong_args("lrange list first last")
-    elements = parse_list(args[0])
-    first = max(_index(args[1], len(elements)), 0)
-    last = min(_index(args[2], len(elements)), len(elements) - 1)
-    if first > last:
-        return ""
-    return format_list(elements[first : last + 1])
-
-
-def cmd_linsert(interp, args):
-    if len(args) < 2:
-        raise _wrong_args("linsert list index ?element ...?")
-    elements = parse_list(args[0])
-    idx = _index(args[1], len(elements) + 1)
-    idx = max(0, min(idx, len(elements)))
-    new = elements[:idx] + list(args[2:]) + elements[idx:]
-    return format_list(new)
-
-
-def cmd_lreplace(interp, args):
-    if len(args) < 3:
-        raise _wrong_args("lreplace list first last ?element ...?")
-    elements = parse_list(args[0])
-    first = max(_index(args[1], len(elements)), 0)
-    last = _index(args[2], len(elements))
-    if last < first - 1:
-        last = first - 1
-    new = elements[:first] + list(args[3:]) + elements[last + 1 :]
-    return format_list(new)
-
-
-def cmd_lsearch(interp, args):
-    exact = False
-    use_glob = True
-    all_matches = False
-    i = 0
-    while i < len(args) and args[i].startswith("-"):
-        opt = args[i]
-        if opt == "-exact":
-            exact, use_glob = True, False
-        elif opt == "-glob":
-            exact, use_glob = False, True
-        elif opt == "-all":
-            all_matches = True
-        elif opt == "--":
-            i += 1
-            break
-        else:
-            raise TclError('bad option "%s" to lsearch' % opt)
-        i += 1
-    if len(args) - i != 2:
-        raise _wrong_args("lsearch ?options? list pattern")
-    elements = parse_list(args[i])
-    pattern = args[i + 1]
-    import fnmatch
-
-    hits = []
-    for k, el in enumerate(elements):
-        ok = (el == pattern) if exact else fnmatch.fnmatchcase(el, pattern)
-        if ok:
-            if not all_matches:
-                return str(k)
-            hits.append(str(k))
-    if all_matches:
-        return format_list(hits)
-    return "-1"
-
-
 def cmd_lsort(interp, args):
     numeric = False
     decreasing = False
@@ -184,57 +113,9 @@ def cmd_lsort(interp, args):
     return format_list(out)
 
 
-def cmd_lassign(interp, args):
-    if not args:
-        raise _wrong_args("lassign list ?varName ...?")
-    elements = parse_list(args[0])
-    names = args[1:]
-    for k, name in enumerate(names):
-        interp.set_var(name, elements[k] if k < len(elements) else "")
-    return format_list(elements[len(names) :])
-
-
-def cmd_lreverse(interp, args):
-    if len(args) != 1:
-        raise _wrong_args("lreverse list")
-    return format_list(list(reversed(parse_list(args[0]))))
-
-
-def cmd_lrepeat(interp, args):
-    if len(args) < 1:
-        raise _wrong_args("lrepeat count ?value ...?")
-    count = int(args[0])
-    if count < 0:
-        raise TclError("bad count %d: must be >= 0" % count)
-    return format_list(list(args[1:]) * count)
-
-
 def cmd_concat(interp, args):
     parts = [a.strip() for a in args if a.strip()]
     return " ".join(parts)
-
-
-def cmd_lmap(interp, args):
-    if len(args) != 3:
-        raise _wrong_args("lmap varList list command")
-    var_names = parse_list(args[0])
-    values = parse_list(args[1])
-    body = args[2]
-    out = []
-    step = len(var_names)
-    if step == 0:
-        raise TclError("lmap varlist is empty")
-    for base in range(0, len(values), step):
-        for k, vn in enumerate(var_names):
-            idx = base + k
-            interp.set_var(vn, values[idx] if idx < len(values) else "")
-        try:
-            out.append(interp.eval(body))
-        except TclBreak:
-            break
-        except TclContinue:
-            continue
-    return format_list(out)
 
 
 def register(interp) -> None:
@@ -242,13 +123,5 @@ def register(interp) -> None:
     interp.register("lindex", cmd_lindex)
     interp.register("llength", cmd_llength)
     interp.register("lappend", cmd_lappend)
-    interp.register("lrange", cmd_lrange)
-    interp.register("linsert", cmd_linsert)
-    interp.register("lreplace", cmd_lreplace)
-    interp.register("lsearch", cmd_lsearch)
     interp.register("lsort", cmd_lsort)
-    interp.register("lassign", cmd_lassign)
-    interp.register("lreverse", cmd_lreverse)
-    interp.register("lrepeat", cmd_lrepeat)
     interp.register("concat", cmd_concat)
-    interp.register("lmap", cmd_lmap)

@@ -1,8 +1,6 @@
-"""Miscellaneous commands: puts, namespace, info, package, clock, source."""
+"""Miscellaneous commands: puts, namespace, info, package."""
 
 from __future__ import annotations
-
-import time as _time
 
 from ..errors import TclError
 from ..listutil import format_list
@@ -155,41 +153,8 @@ def cmd_package(interp, args):
     raise TclError('unknown or unsupported package subcommand "%s"' % sub)
 
 
-def cmd_clock(interp, args):
-    if not args:
-        raise _wrong_args("clock subcommand")
-    sub = args[0]
-    if sub == "seconds":
-        return str(int(_time.time()))
-    if sub == "milliseconds":
-        return str(int(_time.time() * 1000))
-    if sub == "microseconds":
-        return str(int(_time.time() * 1_000_000))
-    if sub == "clicks":
-        return str(_time.perf_counter_ns())
-    raise TclError('unknown or unsupported clock subcommand "%s"' % sub)
-
-
-def cmd_source(interp, args):
-    """Load a script through the interp's source resolver (packaging)."""
-    if len(args) != 1:
-        raise _wrong_args("source fileName")
-    resolver = getattr(interp, "source_resolver", None)
-    if resolver is None:
-        try:
-            with open(args[0], "r", encoding="utf-8") as f:
-                text = f.read()
-        except OSError as e:
-            raise TclError('couldn\'t read file "%s": %s' % (args[0], e)) from None
-    else:
-        text = resolver(args[0])
-    return interp.eval(text)
-
-
 def register(interp) -> None:
     interp.register("puts", cmd_puts)
     interp.register("namespace", cmd_namespace)
     interp.register("info", cmd_info)
     interp.register("package", cmd_package)
-    interp.register("clock", cmd_clock)
-    interp.register("source", cmd_source)

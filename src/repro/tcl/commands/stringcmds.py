@@ -1,4 +1,4 @@
-"""String commands: string, format, split, join, regexp, regsub."""
+"""String commands: string, format, split, join."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import fnmatch
 import re
 
 from ..errors import TclError
-from ..expr import parse_number, to_string
+from ..expr import parse_number
 from ..listutil import format_list, parse_list
 
 
@@ -218,94 +218,8 @@ def cmd_join(interp, args):
     return sep.join(parse_list(args[0]))
 
 
-def cmd_regexp(interp, args):
-    nocase = False
-    want_all = False
-    inline = False
-    i = 0
-    while i < len(args) and args[i].startswith("-"):
-        if args[i] == "-nocase":
-            nocase = True
-        elif args[i] == "-all":
-            want_all = True
-        elif args[i] == "-inline":
-            inline = True
-        elif args[i] == "--":
-            i += 1
-            break
-        else:
-            raise TclError('bad option "%s" to regexp' % args[i])
-        i += 1
-    if len(args) - i < 2:
-        raise _wrong_args("regexp ?options? exp string ?matchVar ...?")
-    pattern, subject = args[i], args[i + 1]
-    var_names = args[i + 2 :]
-    flags = re.IGNORECASE if nocase else 0
-    try:
-        rx = re.compile(pattern, flags)
-    except re.error as e:
-        raise TclError("couldn't compile regular expression: %s" % e) from None
-    if want_all and inline:
-        out = []
-        for m in rx.finditer(subject):
-            out.append(m.group(0))
-            out.extend(g if g is not None else "" for g in m.groups())
-        return format_list(out)
-    m = rx.search(subject)
-    if m is None:
-        return "0" if not inline else ""
-    if inline:
-        vals = [m.group(0)] + [g if g is not None else "" for g in m.groups()]
-        return format_list(vals)
-    groups = [m.group(0)] + [g if g is not None else "" for g in m.groups()]
-    for k, name in enumerate(var_names):
-        interp.set_var(name, groups[k] if k < len(groups) else "")
-    return "1"
-
-
-def cmd_regsub(interp, args):
-    nocase = False
-    want_all = False
-    i = 0
-    while i < len(args) and args[i].startswith("-"):
-        if args[i] == "-nocase":
-            nocase = True
-        elif args[i] == "-all":
-            want_all = True
-        elif args[i] == "--":
-            i += 1
-            break
-        else:
-            raise TclError('bad option "%s" to regsub' % args[i])
-        i += 1
-    rest = args[i:]
-    if len(rest) not in (3, 4):
-        raise _wrong_args("regsub ?options? exp string subSpec ?varName?")
-    pattern, subject, subspec = rest[0], rest[1], rest[2]
-    flags = re.IGNORECASE if nocase else 0
-    try:
-        rx = re.compile(pattern, flags)
-    except re.error as e:
-        raise TclError("couldn't compile regular expression: %s" % e) from None
-    # Tcl uses & and \N in subSpec; translate to Python \g<N>.
-    py_spec = (
-        subspec.replace("\\", "\\\\")
-        .replace("\\\\0", "\\g<0>")
-        .replace("&", "\\g<0>")
-    )
-    for d in "123456789":
-        py_spec = py_spec.replace("\\\\" + d, "\\g<%s>" % d)
-    result, count = rx.subn(py_spec, subject, count=0 if want_all else 1)
-    if len(rest) == 4:
-        interp.set_var(rest[3], result)
-        return str(count)
-    return result
-
-
 def register(interp) -> None:
     interp.register("string", cmd_string)
     interp.register("format", cmd_format)
     interp.register("split", cmd_split)
     interp.register("join", cmd_join)
-    interp.register("regexp", cmd_regexp)
-    interp.register("regsub", cmd_regsub)

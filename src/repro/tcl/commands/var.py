@@ -1,5 +1,4 @@
-"""Variable commands: set, unset, incr, append, global, variable, upvar,
-uplevel, lassign-style linking helpers."""
+"""Variable commands: set, unset, incr, append, global."""
 
 from __future__ import annotations
 
@@ -78,81 +77,9 @@ def cmd_global(interp, args):
     return ""
 
 
-def cmd_variable(interp, args):
-    """Declare namespace variables in the current namespace."""
-    ns = interp.current_ns
-    i = 0
-    while i < len(args):
-        name = args[i]
-        interp.link_ns_var(name, ns, name)
-        if i + 1 < len(args):
-            interp.set_var(name, args[i + 1])
-            i += 2
-        else:
-            i += 1
-    return ""
-
-
-def _parse_level(interp, spec: str, default_up: int = 1):
-    """Resolve an uplevel/upvar level spec to a frame."""
-    frames = interp.frames
-    if spec.startswith("#"):
-        idx = int(spec[1:])
-        if idx < 0 or idx >= len(frames):
-            raise TclError('bad level "%s"' % spec)
-        return frames[idx]
-    n = parse_number(spec) if spec else default_up
-    if not isinstance(n, int) or n < 0:
-        raise TclError('bad level "%s"' % spec)
-    idx = len(frames) - 1 - n
-    if idx < 0:
-        raise TclError('bad level "%s"' % spec)
-    return frames[idx]
-
-
-def cmd_upvar(interp, args):
-    if not args:
-        raise _wrong_args("upvar ?level? otherVar localVar ?otherVar localVar ...?")
-    rest = args
-    if len(args) % 2 == 1:
-        frame = _parse_level(interp, args[0])
-        rest = args[1:]
-    else:
-        frame = _parse_level(interp, "1")
-    for i in range(0, len(rest), 2):
-        interp.link_var(rest[i + 1], frame, rest[i])
-    return ""
-
-
-def cmd_uplevel(interp, args):
-    if not args:
-        raise _wrong_args("uplevel ?level? command ?arg ...?")
-    rest = args
-    first = args[0]
-    if first.startswith("#") or isinstance(parse_number(first), int):
-        frame = _parse_level(interp, first)
-        rest = args[1:]
-    else:
-        frame = _parse_level(interp, "1")
-    if not rest:
-        raise _wrong_args("uplevel ?level? command ?arg ...?")
-    script = rest[0] if len(rest) == 1 else " ".join(rest)
-    # Temporarily run with the target frame on top.
-    saved = interp.frames
-    idx = saved.index(frame)
-    interp.frames = saved[: idx + 1]
-    try:
-        return interp.eval(script)
-    finally:
-        interp.frames = saved
-
-
 def register(interp) -> None:
     interp.register("set", cmd_set)
     interp.register("unset", cmd_unset)
     interp.register("incr", cmd_incr)
     interp.register("append", cmd_append)
     interp.register("global", cmd_global)
-    interp.register("variable", cmd_variable)
-    interp.register("upvar", cmd_upvar)
-    interp.register("uplevel", cmd_uplevel)

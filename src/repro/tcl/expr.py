@@ -375,7 +375,8 @@ _MATH_FN: dict[str, Callable] = {
     "abs": abs,
     "ceil": lambda x: float(math.ceil(x)),
     "floor": lambda x: float(math.floor(x)),
-    "round": lambda x: int(round(x)),
+    # Tcl rounds half away from zero (Python's round() goes to even)
+    "round": lambda x: x if isinstance(x, int) else int(math.copysign(math.floor(abs(x) + 0.5), x)),
     "sqrt": math.sqrt,
     "pow": lambda a, b: float(a) ** float(b),
     "exp": math.exp,

@@ -55,16 +55,12 @@ class CompiledCommand:
 # Name-based on purpose: if a user rebinds one of these names the
 # script just takes the (semantically identical) full bytecode path.
 _SCRIPT_BUILTINS = frozenset(
-    (
-        "if", "while", "for", "foreach", "switch", "eval", "catch",
-        "time", "subst", "dict", "lmap", "namespace", "source",
-        "uplevel", "apply", "try",
-    )
+    ("if", "while", "for", "foreach", "switch", "eval", "catch", "dict", "namespace")
 )
 
 
 class Var:
-    """A variable cell, shared between frames by upvar/global links."""
+    """A variable cell, shared between frames by ``global`` links."""
 
     __slots__ = ("value",)
 
@@ -88,7 +84,7 @@ class Frame:
         self.ns = ns
         self.label = label
         # Bumped whenever a var *cell* is replaced or removed (unset,
-        # upvar/global/variable links) so the VM's local-slot cell cache
+        # global links) so the VM's local-slot cell cache
         # can invalidate.  Plain creation never bumps: the VM caches
         # cells lazily and re-probes the dict on a miss.
         self.version = 0
@@ -189,7 +185,7 @@ class Interp:
 
     MAX_DEPTH = 900
     # VM mode: Tcl proc calls stay inside one dispatch loop, so only
-    # nested *evaluations* (eval/catch/uplevel and EXEC fallbacks)
+    # nested *evaluations* (eval/catch and EXEC fallbacks)
     # consume Python stack — a much lower eval-depth budget fits under
     # CPython's default recursion limit with no setrecursionlimit bump.
     VM_MAX_DEPTH = 128
@@ -331,7 +327,7 @@ class Interp:
         return self._var_cell(name, create=False) is not None
 
     def link_var(self, local_name: str, target_frame: Frame, target_name: str) -> None:
-        """Implement upvar/global: alias local_name to a cell elsewhere."""
+        """Implement global: alias local_name to a cell elsewhere."""
         cell = target_frame.vars.get(target_name)
         if cell is None:
             cell = Var()
@@ -339,15 +335,6 @@ class Interp:
         frame = self.frames[-1]
         frame.vars[local_name] = cell
         frame.version += 1  # the local name now aliases a foreign cell
-
-    def link_ns_var(self, local_name: str, ns: Namespace, target_name: str) -> None:
-        cell = ns.vars.get(target_name)
-        if cell is None:
-            cell = Var()
-            ns.vars[target_name] = cell
-        frame = self.frames[-1]
-        frame.vars[local_name] = cell
-        frame.version += 1
 
     # -- namespaces ---------------------------------------------------------
 
@@ -519,17 +506,6 @@ class Interp:
         return self._finish_command(fn, argv, cmd.line)
 
     # -- host conveniences ------------------------------------------------------
-
-    def call(self, name: str, *args: Any) -> str:
-        """Call a Tcl command from Python with automatic stringification."""
-        fn = self.lookup_command(name)
-        if fn is None:
-            raise TclError('invalid command name "%s"' % name)
-        argv = [a if isinstance(a, str) else to_string(a) for a in args]
-        result = fn(self, argv)
-        if result is None:
-            return ""
-        return result if isinstance(result, str) else to_string(result)
 
     def puts(self, line: str) -> None:
         self.stdout.append(line)

@@ -49,8 +49,8 @@ class VMFrame(Frame):
     """One VM activation: a Tcl frame fused with its VM state.
 
     Subclassing :class:`Frame` lets proc activations go straight onto
-    ``interp.frames`` (upvar/uplevel and EXEC fallbacks see a normal
-    frame) without a second allocation.
+    ``interp.frames`` (``global``, ``info level`` and EXEC fallbacks
+    see a normal frame) without a second allocation.
 
     ``kind`` 0 = script root (entered via ``Interp.eval``; runs against
     the *caller's* Tcl frame — ``tclframe`` points elsewhere), 1 = proc

@@ -100,11 +100,6 @@ class RuntimeConfig:
         "--interp-mode",
         choices=("retain", "reinit"),
     )
-    tcl_compile: bool = _opt(
-        True,
-        "run Tcl on the bytecode VM (explicit frame stack, inline command caches); "
-        "False selects the plain interpreted walk, the differential-test oracle",
-    )
     # --- fault tolerance --------------------------------------------
     on_error: str = _opt(
         "retry",

@@ -247,7 +247,7 @@ def run_turbine_program(
                 server.run()
                 return server
             client = AdlbClient(comm, layout, server_map=server_map, reliable=reliable)
-            interp = Interp(compile_enabled=config.tcl_compile)
+            interp = Interp()
             metrics.register("tcl.vm", interp.vm_stats, rank)
             if role == "engine":
                 engine = Engine(

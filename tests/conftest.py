@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+
 import pytest
 
 from repro.tcl import Interp
@@ -12,6 +15,23 @@ def tcl() -> Interp:
     it = Interp()
     it.echo = False
     return it
+
+
+@pytest.fixture()
+def tcl_oracle(monkeypatch):
+    """``with tcl_oracle():`` — every rank of a run started inside the
+    block evaluates its Tcl on the interpreted walk
+    (``Interp(compile_enabled=False)``), the oracle the VM is checked
+    against; outside it, runs are back on the VM."""
+    from repro.turbine import runtime
+
+    @contextlib.contextmanager
+    def oracle():
+        with monkeypatch.context() as m:
+            m.setattr(runtime, "Interp", functools.partial(Interp, compile_enabled=False))
+            yield
+
+    return oracle
 
 
 def run_swift(src: str, workers: int = 3, **kw) -> list[str]:

@@ -198,7 +198,7 @@ class TestResolve:
         once = cfg.resolve()
         assert once.resolve() == once
         assert (cfg.replicate, cfg.journal) == (None, None)
-        assert len(RuntimeConfig.__dataclass_fields__) == 27
+        assert len(RuntimeConfig.__dataclass_fields__) == 26
 
     def test_the_run_is_what_resolve_said(self):
         res = swift_run('printf("x");', workers=2, servers=2, engines=2)

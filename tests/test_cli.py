@@ -245,7 +245,7 @@ class TestDerivedFlags:
         negations = {"--no-replicate", "--no-journal"}  # BooleanOptionalAction
         assert set(spelled) == RUNTIME_FLAGS - negations
         assert len(spelled) == len(set(spelled)) == 21
-        assert len(fields(RuntimeConfig)) == 27
+        assert len(fields(RuntimeConfig)) == 26
 
 
 class TestRunFailures:
@@ -306,14 +306,35 @@ def option_table() -> str:
     return "\n".join(rows)
 
 
+def language_lists() -> str:
+    """README's list of what the mini-Tcl and mini-R accept, generated
+    from a fresh interpreter's command table and the R builtin table."""
+    from repro.rlang.builtins import BUILTINS
+    from repro.tcl import Interp
+
+    tcl, r = sorted(Interp().commands), sorted(BUILTINS)
+    return "Tcl commands (%d): %s\n\nR builtins (%d): %s" % (
+        len(tcl), " ".join("`%s`" % n for n in tcl), len(r), " ".join("`%s`" % n for n in r)
+    )
+
+
+def between(text: str, marker: str) -> str:
+    begin, end = "<!-- %s:begin -->\n" % marker, "\n<!-- %s:end -->" % marker
+    return text[text.index(begin) + len(begin) : text.index(end)]
+
+
 class TestReadme:
     def test_option_table_is_the_generated_one(self):
-        text = readme()
-        begin, end = "<!-- options:begin -->\n", "\n<!-- options:end -->"
-        table = text[text.index(begin) + len(begin) : text.index(end)]
-        assert table == option_table(), (
+        assert between(readme(), "options") == option_table(), (
             "README's option table is stale; paste this between the "
             "options:begin / options:end markers:\n" + option_table()
+        )
+
+    def test_language_lists_are_the_registered_ones(self):
+        # Adding or deleting a Tcl command or an R builtin updates README.
+        assert between(readme(), "languages") == language_lists(), (
+            "README's Tcl/R lists are stale; paste this between the "
+            "languages:begin / languages:end markers:\n" + language_lists()
         )
 
     def test_every_command_line_shown_parses(self):

@@ -11,6 +11,7 @@ appear in the test names.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
@@ -149,26 +150,26 @@ class TestEngineDeath:
         assert res.ok
         assert counters(res)["engine.journal.adoptions"] == 1
 
-    def test_kill_boundary_deterministic_across_backends(self):
+    def test_kill_boundary_deterministic_across_backends(self, tcl_oracle):
         # Engine kills count rule fires, a dataflow property: the same
         # plan must pick the same boundary (and still recover) under
         # the bytecode VM and the interpreted walk alike.
-        for vm in (True, False):
-            res = swift_run(
-                FANOUT,
-                opt=RULES_IN_FLIGHT,
-                workers=2,
-                servers=1,
-                engines=2,
-                trace=True,
-                tcl_compile=vm,
-                faults=FaultPlan(seed=SEED).kill_rank(
-                    PROGRAM_ENGINE, after_tasks=3
-                ),
-            )
-            assert sorted(res.stdout_lines) == FANOUT_EXPECTED, vm
-            assert res.ok, vm
-            assert counters(res)["fault.kills"] == 1, vm
+        for backend in ("vm", "interpreted"):
+            with tcl_oracle() if backend == "interpreted" else contextlib.nullcontext():
+                res = swift_run(
+                    FANOUT,
+                    opt=RULES_IN_FLIGHT,
+                    workers=2,
+                    servers=1,
+                    engines=2,
+                    trace=True,
+                    faults=FaultPlan(seed=SEED).kill_rank(
+                        PROGRAM_ENGINE, after_tasks=3
+                    ),
+                )
+            assert sorted(res.stdout_lines) == FANOUT_EXPECTED, backend
+            assert res.ok, backend
+            assert counters(res)["fault.kills"] == 1, backend
 
 
 class TestJournalHeartbeat:

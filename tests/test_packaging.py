@@ -74,19 +74,22 @@ class TestInstallation:
         assert it.eval("package require util") == "1.0"
         assert it.eval("util::id hello") == "hello"
 
+    # `source` is gone: a bundled Tcl module loads by `package require`,
+    # or the host evaluates its text
+
     def test_source_from_bundle(self, pkg):
         it = Interp()
         it.echo = False
         pkg.install_into(it)
-        it.eval("source util")
+        it.eval(pkg.get("util", "tcl").source)
         assert it.eval("util::id 5") == "5"
 
     def test_source_missing_module_raises(self, pkg):
         it = Interp()
         it.echo = False
         pkg.install_into(it)
-        with pytest.raises(Exception):
-            it.eval("source nothere")
+        with pytest.raises(TclError, match="can't find package nothere"):
+            it.eval("package require nothere")
 
     def test_python_require_from_bundle(self, pkg):
         it = Interp()

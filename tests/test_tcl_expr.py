@@ -129,7 +129,7 @@ class TestMathFunctions:
         assert ev(tcl, "double(3)") == "3.0"
 
     def test_round(self, tcl):
-        assert ev(tcl, "round(2.5)") == "2"
+        assert ev(tcl, "round(2.5)") == "3"  # half away from zero, as Tcl
         assert ev(tcl, "round(3.6)") == "4"
 
     def test_abs(self, tcl):
@@ -145,6 +145,19 @@ class TestMathFunctions:
     def test_domain_error(self, tcl):
         with pytest.raises(TclError):
             ev(tcl, "sqrt(-1)")
+
+
+@pytest.mark.parametrize("vm", [True, False], ids=["vm", "interpreted"])
+def test_round_is_half_away_from_zero(vm):
+    # Tcl's round() takes a .5 away from zero; Python's round() takes it
+    # to the even neighbour (0.5 -> 0, 2.5 -> 2, -2.5 -> -2).  R's round
+    # does go to even, and stays that way.
+    it = Interp(compile_enabled=vm)
+    it.eval("proc r {x} { expr {round($x)} }")
+    cases = {"0.5": "1", "1.5": "2", "2.5": "3", "-2.5": "-3", "3.4999": "3", "7": "7"}
+    for arg, want in cases.items():
+        assert it.eval("expr {round(%s)}" % arg) == want, arg
+        assert it.eval("r %s" % arg) == want, arg
 
 
 class TestErrors:
