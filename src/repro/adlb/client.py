@@ -3,7 +3,8 @@
 Wraps the RPC protocol: work ops go to the rank's attached server, data
 ops are routed to each TD's home server, and termination-counter ops go
 to the master server.  The client holds no data state: every call is
-one RPC (or one per home server), applied when it returns.
+one RPC (or one per home server), applied when it returns — but a
+worker's finished unit may wait for its next GET to carry it.
 """
 
 from __future__ import annotations
@@ -84,6 +85,12 @@ class AdlbClient:
         self._seq = 0
         # outstanding async park (park_async .. its grant in recv_async)
         self._park: _Pending | None = None
+        # counter units a worker owes its next GET (``done``): its only
+        # decrement is a unit's commit, always followed by a GET.  Never
+        # reliably, as a re-sent parked GET is processed again.
+        plain_worker = not (reliable or layout.is_engine(self.rank))
+        self.carries_done = plain_worker and self.my_server == layout.master_server
+        self._done = 0
 
     # ------------------------------------------------------------------- RPC
 
@@ -161,32 +168,40 @@ class AdlbClient:
         target: int = -1,
         prov: str | None = None,
     ) -> None:
-        """Submit a task.  Targeted tasks are routed to the target's server.
+        """Submit one task: :meth:`put_all`'s k = 1 case."""
+        self.put_all([(type, payload, priority, target)], prov)
 
-        ``prov`` names the rule or unit that spawned the task (lineage
-        edge source); it rides along only on traced runs."""
-        server = (
-            self.layout.my_server(target) if target >= 0 else self.my_server
-        )
-        msg = {
-            "op": C.OP_PUT,
-            "type": type,
-            "payload": payload,
-            "priority": priority,
-            "target": target,
-        }
+    def put_all(
+        self, tasks: list[tuple], prov: str | None = None, server: int | None = None
+    ) -> None:
+        """Submit ``(type, payload, priority, target)`` tasks, one
+        OP_PUT per destination: a targeted task goes to its target's
+        server, the rest to ``server`` (default: this rank's).
+
+        ``prov`` names the rule or unit that spawned them (lineage edge
+        source); it rides along only on traced runs."""
         if prov is None and self.tracer is not None:
             prov = self.prov_unit
-        if prov is not None:
-            msg["prov"] = prov
-        self._oneway(server, msg)
+        home = self.my_server if server is None else server
+        by_server: dict[int, list[tuple]] = {}
+        for task in tasks:
+            dest = self.layout.my_server(task[3]) if task[3] >= 0 else home
+            by_server.setdefault(dest, []).append(task)
+        for dest, group in by_server.items():
+            msg: dict = {"op": C.OP_PUT, "tasks": group}
+            if prov is not None:
+                msg["prov"] = prov
+            self._oneway(dest, msg)
 
     def get(self, types: tuple[str, ...] = (C.WORK,)) -> tuple[str, Any] | None:
         """Blocking get; returns (type, payload) or None on shutdown.
 
         Asking for the next task also completes the lease on the
-        previous one."""
+        previous one, and gives back what a carried :meth:`decr_work`
+        owes."""
         msg: dict = {"op": C.OP_GET, "types": list(types)}
+        if self._done:
+            msg["done"], self._done = self._done, 0
         if self.reliable:
             reply = self._await(self._post(self.my_server, msg))
         else:
@@ -401,7 +416,12 @@ class AdlbClient:
         ``poison=True`` marks the decrement as coming from a unit that
         failed permanently under ``on_error="continue"``: dataflow
         blocked on its outputs will never resolve, so the master arms
-        quiescence-based drain shutdown for the rest of the run."""
+        quiescence-based drain shutdown for the rest of the run.
+        Where :attr:`carries_done`, a plain decrement rides on the next
+        :meth:`get` instead of being a message of its own."""
+        if self.carries_done and not poison:
+            self._done += amount
+            return
         msg: dict = {"op": C.OP_DECR_WORK, "amount": amount}
         if poison:
             msg["poison"] = True

@@ -5,10 +5,16 @@ matching its index), a work queue, and the parked GET requests of its
 attached clients.  The first server additionally runs the distributed
 termination counter: clients increment it for every unit of pending
 work (rules, tasks, the initial program) and decrement on completion;
-when it returns to zero the master fans out shutdown.
+when it returns to zero the master fans out shutdown.  A chunk's k
+spawns arrive as one ``incr_work(k)`` and one k-task OP_PUT.  A worker
+attached to the master returns its finished unit on its next GET
+(``done``), and if that was the last one the GET is answered
+"shutdown"; a reliable client never does, since a re-sent parked GET
+is processed again and would count its ``done`` twice.
 
 Work stealing: a server whose parked GETs cannot be satisfied locally
-probes the other servers round-robin for untargeted tasks, as in ADLB.
+probes the other servers round-robin for untargeted tasks of the types
+those GETs ask for, as in ADLB.
 
 That is all :class:`Server` itself does.  Each fault-tolerance feature
 is a collaborator object in its own module (``leases``, ``replication``,
@@ -330,16 +336,14 @@ class Server:
     # ---------------------------------------------------------------- work ops
 
     def _op_put(self, msg: dict, source: int) -> None:
-        task = Task(
-            type=msg["type"],
-            payload=msg["payload"],
-            priority=msg.get("priority", 0),
-            target=msg.get("target", -1),
-            prov=msg.get("prov"),
-        )
-        if self.tracer is not None:
-            self.tracer.emit("put", task.type, task.target >= 0)
-        self.accept_task(task)
+        """OP_PUT: ``tasks`` is a list of (type, payload, priority,
+        target), accepted in order — parked GETs match in list order."""
+        prov = msg.get("prov")
+        for ttype, payload, priority, target in msg["tasks"]:
+            task = Task(ttype, payload, priority, target, prov=prov)
+            if self.tracer is not None:
+                self.tracer.emit("put", task.type, task.target >= 0)
+            self.accept_task(task)
 
     def _op_get(self, msg: dict, source: int) -> Any:
         """OP_GET (worker: the task comes back as the RPC reply) and
@@ -352,10 +356,14 @@ class Server:
             # goes out in every branch (the grant/shutdown travels
             # separately on the async channel).
             self.comm.send(("parked", seq), source, C.TAG_RESPONSE)
-        # Asking for the next task completes the previous lease.
+        # Asking for the next task completes the previous lease, and a
+        # carried ``done`` gives back its counter unit: the last one
+        # has this very GET answered "shutdown".
         if self.leases is not None and self.leases.take(source) is not None:
             if self.journals is not None:
                 self.journals.lease_returned(source)
+        if "done" in msg:
+            self._op_decr_work({"amount": msg["done"]}, source)
         if self.shutting_down:
             self._tell_shutdown(source, is_async, seq)
             return _NO_REPLY
@@ -379,8 +387,7 @@ class Server:
         return (start, C.ID_BLOCK_SIZE)
 
     def _op_steal_req(self, msg: dict, source: int) -> None:
-        n = max(1, self.queue.size // 2)
-        tasks = self.queue.steal(n) if self.queue.size else []
+        tasks = self.queue.steal(msg["types"])
         for task in tasks:  # gone from here: the buddy's image must drop it too
             self.log(("task-", task.uid))
         self.stats.tasks_stolen_out += len(tasks)
@@ -415,7 +422,10 @@ class Server:
         self.stats.steal_requests += 1
         if self.tracer is not None:
             self.tracer.emit("steal_req", victim)
-        self.comm.send({"op": C.SOP_STEAL_REQ}, victim, C.TAG_SERVER)
+        # only what a parked GET here can take: the thief's own queue
+        # may be full of the other types
+        types = sorted({t for parked in self.parked for t in parked.types})
+        self.comm.send({"op": C.SOP_STEAL_REQ, "types": types}, victim, C.TAG_SERVER)
 
     # ---------------------------------------------------------------- matching
 

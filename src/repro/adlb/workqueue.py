@@ -71,14 +71,17 @@ class WorkQueue:
         self.size -= 1
         return task
 
-    def steal(self, max_count: int) -> list[Task]:
-        """Remove up to max_count *untargeted* tasks for another server.
+    def steal(self, types: list[str]) -> list[Task]:
+        """Remove half (at least one) of the *untargeted* tasks of
+        ``types`` for another server, whose parked GETs ask for them.
 
         Targeted tasks must stay on the server that owns the target's
         attachment, so only untargeted work migrates.
         """
+        heaps = [self._untargeted[t] for t in types if self._untargeted.get(t)]
+        max_count = max(1, sum(map(len, heaps)) // 2)
         out: list[Task] = []
-        for heap in self._untargeted.values():
+        for heap in heaps:
             while heap and len(out) < max_count:
                 _, _, task = heapq.heappop(heap)
                 out.append(task)

@@ -79,8 +79,7 @@ class Proc:
         self.td: dict[Operand, str] = {}  # variable -> word of its TD id
         self._temp = itertools.count(1)
         self._locals: set[str] = set(params)
-        # in the guarded part of a loop of leaves: spawns are held, and
-        # made after the ``catch``
+        # a chunk proc: spawns are held, and made by one release
         self.holding = False
 
     def emit(self, line: str) -> None:
@@ -403,25 +402,27 @@ class Codegen:
     def chunk(self, op: Op, chunk: Proc, header: str, loop: Proc | None, passed: list[str]) -> None:
         """The proc of a loop of leaves: split a long range into CONTROL
         tasks that re-enter it, run the body of a short one in place.
-        A body that evaluates anything does so for the whole chunk
-        first, holding the spawns, and then makes them: if a payload
-        raises, no leaf is out yet, and ``loop`` runs the iterations —
-        and the one fails — as control tasks, as if there were no
-        chunk proc.  No spawn is ever made under the catch."""
+        The body holds its spawns, and one release makes them all (one
+        put for the chunk).  A body that evaluates anything does so for
+        the whole chunk under a catch first: if a payload raises, no
+        leaf is out yet, and ``loop`` runs the iterations — and the one
+        fails — as control tasks, as if there were no chunk proc.  No
+        spawn is ever made under the catch."""
         bounds = ["$lo", "$hi", "$step", *passed]
         chunk.emit("if { [ turbine::split_range %s ] } return" % " ".join([chunk.name, *bounds]))
         chunk.val[op.vars[0]] = "$i"
+        chunk.holding = True
         if loop is not None:
             chunk.emit("if { [ catch {")
             chunk.depth += 1
-            chunk.holding = True
         chunk.emit(header)
         chunk.depth += 1
         self.block(op.blocks[0], chunk)
         chunk.depth -= 1
         chunk.emit("}")
-        if loop is not None:
-            chunk.holding = False
+        if loop is None:
+            chunk.emit("turbine::release 1")
+        else:
             chunk.depth -= 1
             fallback = "    " + " ".join([loop.name, *bounds])
             made = ["} else {", "    turbine::release 1", "}"]

@@ -8,6 +8,7 @@ engine ranks, the rule engine).  The derived procs in
 
 from __future__ import annotations
 
+import itertools
 from typing import Any
 
 from ..adlb.client import AdlbClient
@@ -98,17 +99,19 @@ def register_turbine(
     client: AdlbClient,
     runtime,
     deferred: dict[int, list[int]],
+    held: list[tuple],
     engine=None,
 ) -> None:
     """Register primitive turbine:: commands.
 
     ``runtime`` is the per-rank RankContext (output sink, config).
-    ``deferred`` is the table of the rank's
-    :class:`~repro.turbine.unit.UnitRunner` that holds refcount
-    decrements until the running unit commits — the table, not the
-    runner: commands that reached the runner would tie the interpreter
-    into a reference cycle, and a finished worker's interpreter would
-    wait for the cycle collector instead of being freed at thread exit.
+    ``deferred`` and ``held`` are the tables of the rank's
+    :class:`~repro.turbine.unit.UnitRunner` that hold refcount
+    decrements until the running unit commits and spawns until it
+    releases them — the tables, not the runner: commands that reached
+    the runner would tie the interpreter into a reference cycle, and a
+    finished worker's interpreter would wait for the cycle collector
+    instead of being freed at thread exit.
     ``engine`` is the rule engine on engine ranks, None on workers.
     """
 
@@ -160,18 +163,16 @@ def register_turbine(
         target = int(args[3]) if len(args) > 3 else -1
         return args[0], args[1], priority, target
 
-    def put(ttype: str, action: str, priority: int, target: int) -> None:
-        client.incr_work()
-        client.put(action, type=ttype, priority=priority, target=target)
-
     def cmd_spawn(it, args):
-        put(*spawn_words(args))
+        client.incr_work()
+        client.put_all([spawn_words(args)])
         return ""
 
-    # Spawns a loop of leaves has checked but not made: it evaluates a
-    # whole chunk under ``catch`` first, and no put may be caught.
-    held: list[tuple] = []
-
+    # A chunk proc holds its spawns: one release makes them all, as one
+    # incr_work(k) and one k-task put — safe because the running unit's
+    # own count keeps the counter above zero until it commits.  A
+    # guarded chunk evaluates under ``catch`` first, and no put may be
+    # caught.
     def cmd_hold(it, args):
         # hold type action ?priority? ?target?: a spawn for release to make
         held.append(spawn_words(args))
@@ -181,12 +182,14 @@ def register_turbine(
         # release spawn: make (1) or drop (0) every held spawn
         if len(args) != 1:
             raise TclError("usage: turbine::release spawn")
-        noted = held[:]
+        bundle = held[:]
         del held[:]
-        if _to_bool(args[0]):
-            for words in noted:
-                put(*words)
+        if _to_bool(args[0]) and bundle:
+            client.incr_work(len(bundle))
+            client.put_all(bundle)
         return ""
+
+    splits = itertools.count(1)  # this rank's splits, for the round-robin
 
     def cmd_range_count(it, args):
         if len(args) != 3:
@@ -196,7 +199,9 @@ def register_turbine(
     def cmd_split_range(it, args):
         # split_range proc lo hi step ?capture ...?: 1 if the range is
         # longer than SPLIT_OVER and was handed on as two CONTROL tasks
-        # that call proc on a half each, 0 if it is the caller's to run
+        # that call proc on a half each, 0 if it is the caller's to run.
+        # The second half goes to the next server round-robin, so the
+        # engines of every server share the loop.
         if len(args) < 4:
             raise TclError("usage: turbine::split_range proc lo hi step ?capture ...?")
         lo, hi, step = map(_to_int, args[1:4])
@@ -204,9 +209,18 @@ def register_turbine(
         if n <= SPLIT_OVER:
             return "0"
         mid = lo + (n + 1) // 2 * step  # where the second half starts
-        for a, b in ((lo, mid - step), (mid, hi)):
-            half = [args[0], str(a), str(b), str(step), *args[4:]]
-            cmd_spawn(it, ["CONTROL", format_list(half)])
+        first, second = (
+            ("CONTROL", format_list([args[0], str(a), str(b), str(step), *args[4:]]), 0, -1)
+            for a, b in ((lo, mid - step), (mid, hi))
+        )
+        servers = client.layout.servers
+        there = servers[(servers.index(client.my_server) + next(splits)) % len(servers)]
+        client.incr_work(2)
+        if there == client.my_server:
+            client.put_all([first, second])
+        else:
+            client.put_all([first])
+            client.put_all([second], server=there)
         return "1"
 
     reg("rule", cmd_rule)

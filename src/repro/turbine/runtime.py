@@ -36,6 +36,7 @@ from .builtins import register_turbine
 from .config import RuntimeConfig
 from .engine import Engine, EngineStats
 from .tcllib import TURBINE_TCL
+from .unit import UnitRunner
 from .worker import Worker, WorkerStats
 
 
@@ -150,14 +151,14 @@ def load_rank(
     interp: Interp,
     client: AdlbClient,
     ctx: RankContext,
-    deferred: dict[int, list[int]],
+    unit: UnitRunner,
     engine: Engine | None,
     setup: SetupFn | None,
 ) -> None:
     """Load the Turbine library and the standard leaf-language
     packages into an engine or worker rank's Tcl interpreter."""
     interp.echo = False
-    register_turbine(interp, client, ctx, deferred, engine=engine)
+    register_turbine(interp, client, ctx, unit.deferred, unit.held, engine=engine)
     interp.eval(TURBINE_TCL)
     if ctx.config.args:
         from ..tcl.listutil import format_list
@@ -258,7 +259,7 @@ def run_turbine_program(
                     faults=faults,
                     journal=journal,
                 )
-                load_rank(interp, client, ctx, engine.unit.deferred, engine, setup)
+                load_rank(interp, client, ctx, engine.unit, engine, setup)
                 interp.eval(program)
                 # On restore the dataflow state comes from the checkpoint's
                 # rule tables; re-running the entry point would duplicate it.
@@ -276,7 +277,7 @@ def run_turbine_program(
                 faults=faults,
                 task_timeout=config.task_timeout,
             )
-            load_rank(interp, client, ctx, worker.unit.deferred, None, setup)
+            load_rank(interp, client, ctx, worker.unit, None, setup)
             interp.eval(program)
             worker.serve()
             return worker

@@ -67,6 +67,9 @@ class UnitRunner:
         # never rebound: the ``turbine::*_refcount_decr`` builtins
         # write into this very dict
         self.deferred: dict[int, list[int]] = {}
+        # (type, action, priority, target) spawns the running unit holds
+        # for one ``turbine::release``; the same kind of shared table
+        self.held: list[tuple] = []
         # numbers task / control-task unit ids; counts retries too
         self._seq = 0
 
@@ -167,6 +170,9 @@ class UnitRunner:
         or abort deterministically."""
         error = "%s: %s" % (type(e).__name__, e)
         tb = "".join(traceback.format_exception(type(e), e, e.__traceback__))
+        # An exception ``catch`` passes through can leave spawns held:
+        # they are this unit's, and it made none of them.
+        self.held.clear()
         if retryable and self.on_error == "retry" and self.retries_enabled:
             self.roll_back()
             self.client.task_fail(kind, error, tb)
@@ -213,6 +219,7 @@ class UnitRunner:
 
     def roll_back(self) -> None:
         """The unit will run again (or already is, elsewhere): drop its
-        deferred decrements — the re-execution performs them again, so
-        landing these too would double-apply them."""
+        deferred decrements and held spawns — the re-execution performs
+        them again, so landing these too would double-apply them."""
         self.deferred.clear()
+        self.held.clear()

@@ -15,6 +15,7 @@ import pytest
 from repro import swift_run
 from repro.adlb import constants as C
 from repro.adlb.checkpoint import Checkpointer
+from repro.adlb.client import AdlbClient
 from repro.adlb.datastore import DataStoreError
 from repro.adlb.dedup import PARKED, DedupTable
 from repro.adlb.drain import Drain
@@ -46,7 +47,7 @@ def replies(world: World, rank: int, tag: int) -> list:
 
 
 TASK_FAIL = {"op": C.OP_TASK_FAIL, "kind": "task", "error": "boom"}
-PUT = {"op": C.OP_PUT, "type": C.WORK, "payload": "leaf"}
+PUT = {"op": C.OP_PUT, "tasks": [(C.WORK, "leaf", 0, -1)]}
 GET = {"op": C.OP_GET, "types": [C.WORK]}
 RULE = {"id": 1, "inputs": [7], "action": "x", "type": "LOCAL"}
 RULE.update(target=-1, priority=0, name="r")
@@ -349,6 +350,85 @@ class TestOneClock:
         assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
 
 
+class TestTwoMessagesALeaf:
+    """A chunk's spawns are one k-task OP_PUT, and a worker's finished
+    unit rides on its next GET as ``done`` — driven by hand, no thread."""
+
+    def test_a_k_task_put_matches_parked_gets_in_list_order(self):
+        server, world = make_server(n_servers=2, replicate=True)
+        for worker in (WORKER + 1, WORKER):
+            server.dispatch(GET, worker, C.TAG_REQUEST)  # both park
+        tasks = [(C.WORK, "leaf-%d" % i, 0, -1) for i in range(4)]
+        server.dispatch({"op": C.OP_PUT, "tasks": tasks}, ENGINE, C.TAG_ONEWAY)
+        assert replies(world, WORKER + 1, C.TAG_RESPONSE) == [("task", C.WORK, "leaf-0")]
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf-1")]
+        assert sorted(t.payload for t in server.queue.all_tasks()) == ["leaf-2", "leaf-3"]
+
+        def logged():  # the op-log batches the buddy got since last asked
+            sent = replies(world, server.repl.buddy, C.TAG_SERVER)
+            batches = [m for m in sent if m["op"] == C.SOP_REPLICATE]
+            return [[(e[0], e[1].payload) for e in b["entries"]] for b in batches]
+
+        # the op-log holds each task exactly as k puts of one would, in
+        # one batch: the bundle was one dispatch
+        assert logged() == [
+            [("grant", "leaf-0"), ("grant", "leaf-1"), ("task+", "leaf-2"), ("task+", "leaf-3")]
+        ]
+        # with nothing parked, k tasks are k task+ entries
+        more = [(C.WORK, "leaf-%d" % i, 0, -1) for i in range(4, 7)]
+        server.dispatch({"op": C.OP_PUT, "tasks": more}, ENGINE, C.TAG_ONEWAY)
+        assert logged() == [[("task+", "leaf-%d" % i) for i in range(4, 7)]]
+
+    def test_the_done_that_zeroes_the_counter_is_answered_shutdown(self):
+        server, world = make_server(leases=True)
+        server.dispatch({"op": C.OP_INCR_WORK, "amount": 1}, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(GET, WORKER + 1, C.TAG_REQUEST)  # parks
+        server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
+        assert replies(world, WORKER + 1, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
+        # the unit's lease closes, then its count goes back: the last one
+        server.dispatch(dict(GET, done=1), WORKER + 1, C.TAG_REQUEST)
+        assert not server.leases.table and server.work_count == 0
+        assert server.shutting_down
+        assert replies(world, WORKER + 1, C.TAG_RESPONSE) == [("shutdown",)]
+
+    def test_only_a_plain_workers_get_carries_done(self):
+        server, world = make_server()
+        layout, anchor = server.layout, server.rank
+
+        def answer(rank, *payloads):  # what the server would reply
+            for payload in payloads:
+                world.comm(anchor).send(payload, rank, C.TAG_RESPONSE)
+
+        plain = AdlbClient(world.comm(WORKER + 1), layout)
+        assert plain.carries_done
+        plain.decr_work()  # owed, not sent
+        answer(WORKER + 1, ("task", C.WORK, "leaf"))
+        assert plain.get() == (C.WORK, "leaf")
+        assert replies(world, anchor, C.TAG_ONEWAY) == []
+        assert replies(world, anchor, C.TAG_REQUEST) == [dict(GET, done=1)]
+        # a poisoned decrement arms the drain: it always travels alone
+        plain.decr_work(poison=True)
+        assert replies(world, anchor, C.TAG_ONEWAY) == [
+            {"op": C.OP_DECR_WORK, "amount": 1, "poison": True}
+        ]
+        # an engine's next request is not a GET
+        engine = AdlbClient(world.comm(ENGINE), layout)
+        assert not engine.carries_done
+        engine.decr_work()
+        assert replies(world, anchor, C.TAG_ONEWAY) == [{"op": C.OP_DECR_WORK, "amount": 1}]
+        # a re-sent parked GET is processed again: a done on it would
+        # count twice, so a reliable client sends its decrement itself
+        reliable = AdlbClient(world.comm(WORKER), layout, reliable=True)
+        assert not reliable.carries_done
+        answer(WORKER, ("ok", None, 1), ("task", C.WORK, "leaf", 2))
+        reliable.decr_work()
+        assert reliable.get() == (C.WORK, "leaf")
+        assert replies(world, anchor, C.TAG_REQUEST) == [
+            {"op": C.OP_DECR_WORK, "amount": 1, "seq": 1},
+            dict(GET, seq=2),
+        ]
+
+
 class TestDedupTable:
     def test_offer_and_merge_keep_the_higher_seq_per_client_and_channel(self):
         ours, theirs = DedupTable(), DedupTable()
@@ -474,6 +554,16 @@ PER_LEAF = dict(zip(COUNTERS, (0, 1, 1, 0, 0, 0)))
 # -O0 runs no pass and is the differential oracle: it must stay the
 # all-TD shape pinned before the IR existed.
 PER_LEAF_O0 = dict(zip(COUNTERS, (24, 2, 2, 4, 3, 1)))
+# Messages (``mpi.sends``) of the unsplit fan-out at 2w/1s/1e.  Per leaf
+# the worker's GET and its grant, nothing else: the chunk's spawns are
+# one incr_work(n) and one n-task put, and each leaf's counter unit
+# rides on its worker's next GET.  Per run: the engine's park, the
+# program's incr_work and decr_work, the chunk's incr_work and put, the
+# engine's shutdown, and each worker's last GET and its shutdown.
+# Re-pinned on purpose by "two messages a leaf", 5n + 8 -> 2n + 10: the
+# engine's incr_work and put and the worker's decr_work were three
+# one-ways per leaf.
+SENDS_PER_LEAF, SENDS_PER_RUN = 2, 10
 
 # One hop of the benchmark's dependent chain.  Per hop at the default
 # level: 3 allocates (member, ref, the copy of a[i]), the insert, the
@@ -510,6 +600,14 @@ class TestProtocolShape:
         res = swift_run(FANOUT % (n - 1), workers=2, servers=1, engines=1)
         assert sorted(res.stdout_lines) == sorted("trace: %d" % i for i in range(n))
         assert self.counts(res) == {k: v * n for k, v in PER_LEAF.items()}
+
+    @pytest.mark.parametrize("n", [6, 15, 64])
+    def test_fanout_sends_exactly_the_pinned_messages(self, n):
+        assert n <= SPLIT_OVER  # one chunk, no split
+        res = swift_run(FANOUT % (n - 1), workers=2, servers=1, engines=1)
+        assert sorted(res.stdout_lines) == sorted("trace: %d" % i for i in range(n))
+        sends = res.metrics["counters"]["mpi.sends"]
+        assert sends == SENDS_PER_LEAF * n + SENDS_PER_RUN
 
     def test_a_long_fanout_adds_one_control_task_per_half(self):
         # 200 > SPLIT_OVER = 64: 200 -> 2 x 100 -> 4 x 50, which run

@@ -72,17 +72,31 @@ class TestTargeting:
         q.push(Task("WORK", "pinned", target=1))
         q.push(Task("WORK", "free1"))
         q.push(Task("WORK", "free2"))
-        stolen = q.steal(10)
-        assert sorted(t.payload for t in stolen) == ["free1", "free2"]
+        stolen = q.steal(["WORK"])  # half of the two it may give
+        assert [t.payload for t in stolen] == ["free1"]
         assert q.pop(("WORK",), 1).payload == "pinned"
 
     def test_steal_respects_max(self):
+        # half, and at least one
         q = WorkQueue()
         for i in range(10):
             q.push(Task("WORK", i))
-        stolen = q.steal(4)
-        assert len(stolen) == 4
-        assert q.size == 6
+        assert len(q.steal(["WORK"])) == 5 and q.size == 5
+        q = WorkQueue()
+        q.push(Task("WORK", 0))
+        assert len(q.steal(["WORK"])) == 1 and q.size == 0
+
+    def test_steal_takes_half_of_the_asked_types_only(self):
+        # a thief whose parked GETs want WORK gets no CONTROL task
+        q = WorkQueue()
+        for i in range(6):
+            q.push(Task("CONTROL", "c%d" % i))
+        assert q.steal(["WORK"]) == [] and q.size == 6
+        for i in range(5):
+            q.push(Task("WORK", "w%d" % i))
+        stolen = q.steal(["WORK"])
+        assert [t.payload for t in stolen] == ["w0", "w1"]
+        assert q.counts_by_type() == {"WORK": 3, "CONTROL": 6}
 
     def test_counts_by_type(self):
         q = WorkQueue()
@@ -121,18 +135,21 @@ def test_property_pop_order_is_priority_then_fifo(tasks):
     assert [t.payload for t in popped] == expected
 
 
-@given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=40))
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
 @settings(max_examples=100, deadline=None)
-def test_property_no_tasks_lost_or_duplicated_by_steal(n_tasks, max_steal):
+def test_property_no_tasks_lost_or_duplicated_by_steal(n_tasks, n_control):
     q = WorkQueue()
     for i in range(n_tasks):
         q.push(Task("WORK", i))
-    stolen = q.steal(max_steal)
+    for i in range(n_control):
+        q.push(Task("CONTROL", -1 - i))
+    stolen = q.steal(["WORK"])
+    assert len(stolen) == (max(1, n_tasks // 2) if n_tasks else 0)
     rest = []
     while True:
-        t = q.pop(("WORK",), 0)
+        t = q.pop(("WORK", "CONTROL"), 0)
         if t is None:
             break
         rest.append(t)
     all_payloads = sorted([t.payload for t in stolen] + [t.payload for t in rest])
-    assert all_payloads == list(range(n_tasks))
+    assert all_payloads == list(range(-n_control, n_tasks))

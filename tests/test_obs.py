@@ -315,9 +315,11 @@ class TestTracedRuns:
         )
 
     def test_trace_capacity_is_per_rank(self):
-        res = swift_run(PROGRAM, workers=2, trace=True, trace_capacity=64)
+        # the server's ring (~49 events) overflows, the others (< 20) do
+        # not: a capacity is what each rank keeps, not a shared budget
+        res = swift_run(PROGRAM, workers=2, trace=True, trace_capacity=32)
         counts = res.trace.ring_counts()
-        assert all(kept == min(emitted, 64) for emitted, kept in counts.values())
+        assert all(kept == min(emitted, 32) for emitted, kept in counts.values())
         assert res.trace.dropped == sum(e - k for e, k in counts.values()) > 0
 
     def test_truncated_trace_is_loud(self, tmp_path, capsys):

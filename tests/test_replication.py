@@ -371,7 +371,7 @@ class TestHangDiagnostics:
         )
         server.dispatch({"op": C.OP_INCR_WORK, "amount": 4}, 0, C.TAG_ONEWAY)
         for payload in ("queued-a", "queued-b"):
-            put = {"op": C.OP_PUT, "type": C.WORK, "payload": payload}
+            put = {"op": C.OP_PUT, "tasks": [(C.WORK, payload, 0, -1)]}
             server.dispatch(put, 0, C.TAG_ONEWAY)
         park = {"op": C.OP_GET_ASYNC, "types": [C.CONTROL]}
         server.dispatch(park, 0, C.TAG_ONEWAY)
@@ -508,9 +508,14 @@ class TestShutdownHandshake:
 
 
 ENGINE, WORKER = 0, 1
-PUT = {"op": C.OP_PUT, "type": C.WORK, "payload": "leaf"}
+PUT = {"op": C.OP_PUT, "tasks": [(C.WORK, "leaf", 0, -1)]}
 GET = {"op": C.OP_GET, "types": [C.WORK]}
 TASK_FAIL = {"op": C.OP_TASK_FAIL, "kind": "task", "error": "boom"}
+STEAL_REQ = {"op": C.SOP_STEAL_REQ, "types": [C.CONTROL, C.WORK]}
+
+
+def put_msg(payload, type=C.WORK, target=-1):
+    return {"op": C.OP_PUT, "tasks": [(type, payload, 0, target)]}
 
 
 class TestReplicaFollowsOwner:
@@ -595,9 +600,9 @@ class TestReplicaFollowsOwner:
         # victim that dies after the steal has them run twice.
         owner, buddy = self.pair()
         for i in range(4):
-            self.step(dict(PUT, payload="leaf-%d" % i), ENGINE, C.TAG_ONEWAY)
+            self.step(put_msg("leaf-%d" % i), ENGINE, C.TAG_ONEWAY)
         # (the thief is the buddy: delivery also lands its SOP_STEAL_RESP)
-        held, _ = self.step({"op": C.SOP_STEAL_REQ}, buddy.rank, C.TAG_SERVER)
+        held, _ = self.step(STEAL_REQ, buddy.rank, C.TAG_SERVER)
         assert len(held) == 2 and owner.stats.tasks_stolen_out == 2
         assert buddy.stats.tasks_stolen_in == 2
         assert self.promoted() == (["leaf-%d" % i for i in range(4)], {})
@@ -622,7 +627,7 @@ class TestReplicaFollowsOwner:
         def put():
             kind = rng.choice([C.WORK, C.WORK, C.CONTROL])
             target = rng.choice([-1, -1, rng.choice(workers)]) if kind == C.WORK else -1
-            msg = dict(PUT, type=kind, payload="unit-%d" % next(ids), target=target)
+            msg = put_msg("unit-%d" % next(ids), kind, target)
             request(msg, ENGINE)
 
         def get():
@@ -637,7 +642,7 @@ class TestReplicaFollowsOwner:
                 self.step(TASK_FAIL, rng.choice(holders), C.TAG_ONEWAY)
 
         def steal():
-            self.step({"op": C.SOP_STEAL_REQ}, buddy.rank, C.TAG_SERVER)
+            self.step(STEAL_REQ, buddy.rank, C.TAG_SERVER)
 
         def die():
             if len(workers) > 2:

@@ -123,6 +123,29 @@ class TestSpawn:
                 deadline=10.0,
             )
 
+    def test_a_failed_units_held_spawns_die_with_it(self):
+        # RecursionError passes through `catch`: the program fails with
+        # leafA held, and the rule's release must make leafB alone
+        def setup(interp, ctx, client):
+            def deep(it, args):
+                raise RecursionError("deep")
+
+            interp.register("deep", deep)
+
+        res = run_turbine_program(
+            "proc swift:main {} {\n"
+            "  turbine::rule [ list ] {\n"
+            "    turbine::hold WORK { turbine::log_output leafB }\n"
+            "    turbine::release 1\n"
+            "  } LOCAL\n"
+            "  catch { turbine::hold WORK { turbine::log_output leafA } ; deep }\n"
+            "}\n",
+            RuntimeConfig(size=4, on_error="continue"),
+            setup=setup,
+        )
+        assert res.stdout_lines == ["leafB"]
+        assert [f.kind for f in res.failures] == ["program"]
+
     @pytest.mark.parametrize("n", [SPLIT_OVER, SPLIT_OVER + 1, 4 * SPLIT_OVER + 3])
     def test_split_range_halves_until_a_chunk_fits(self, n):
         # chunk re-enters itself through CONTROL tasks, captures and all
@@ -164,7 +187,7 @@ class TestSpawn:
 
         for compiled in (True, False):
             interp = Interp(compile_enabled=compiled)
-            register_turbine(interp, None, None, {})
+            register_turbine(interp, None, None, {}, [])
             interp.register("turbine::boom", boom)
             interp.eval("proc f {} { turbine::boom }")
             for script in ("turbine::boom", "f", "catch { f } msg", "if { [ catch { f } ] } { }"):

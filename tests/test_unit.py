@@ -82,6 +82,21 @@ class TestOneTableEveryKind:
         assert client.calls == [LANDED, "decr_work"]
         assert not unit.deferred and not unit.failures
 
+    @pytest.mark.parametrize("on_error", POLICIES)
+    def test_a_failed_unit_drops_the_spawns_it_held(self, on_error):
+        # held for a release the unit never reached: the next unit's
+        # release must not make them
+        unit, _ = make(on_error, RecursionError("deep"))
+        unit.held.append(("WORK", "leafA", 0, -1))
+        try:
+            run(unit, "ctask")
+        except TaskError:
+            pass
+        assert unit.held == []
+        unit.held.append(("WORK", "leafA", 0, -1))
+        unit.roll_back()
+        assert unit.held == []
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_retry_hands_a_leased_unit_back_and_drops_its_decrements(self, kind):
         unit, client = make("retry", ValueError("boom"))
