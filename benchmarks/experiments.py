@@ -354,8 +354,7 @@ STC_RUNS = {  # program -> (source, its sorted output)
     ),
 }
 TURBINE_OPS = (
-    "turbine::allocate", "turbine::rule", "turbine::op ", "turbine::store",
-    "turbine::spawn", "turbine::hold",  # hold: a spawn made after the chunk's catch
+    "turbine::allocate", "turbine::rule", "turbine::op ", "turbine::store", "turbine::spawn",
 )
 
 

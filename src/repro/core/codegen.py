@@ -79,8 +79,6 @@ class Proc:
         self.td: dict[Operand, str] = {}  # variable -> word of its TD id
         self._temp = itertools.count(1)
         self._locals: set[str] = set(params)
-        # a chunk proc: spawns are held, and made by one release
-        self.holding = False
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
@@ -402,16 +400,15 @@ class Codegen:
     def chunk(self, op: Op, chunk: Proc, header: str, loop: Proc | None, passed: list[str]) -> None:
         """The proc of a loop of leaves: split a long range into CONTROL
         tasks that re-enter it, run the body of a short one in place.
-        The body holds its spawns, and one release makes them all (one
-        put for the chunk).  A body that evaluates anything does so for
-        the whole chunk under a catch first: if a payload raises, no
-        leaf is out yet, and ``loop`` runs the iterations — and the one
-        fails — as control tasks, as if there were no chunk proc.  No
-        spawn is ever made under the catch."""
+        Its spawns, like every unit's, leave when it returns (one put
+        for the chunk).  A body that evaluates anything does so for the
+        whole chunk under a catch: if a payload raises, the branch drops
+        the spawns made so far, and ``loop`` runs the iterations — and
+        the one fails — as control tasks, as if there were no chunk
+        proc."""
         bounds = ["$lo", "$hi", "$step", *passed]
         chunk.emit("if { [ turbine::split_range %s ] } return" % " ".join([chunk.name, *bounds]))
         chunk.val[op.vars[0]] = "$i"
-        chunk.holding = True
         if loop is not None:
             chunk.emit("if { [ catch {")
             chunk.depth += 1
@@ -420,13 +417,10 @@ class Codegen:
         self.block(op.blocks[0], chunk)
         chunk.depth -= 1
         chunk.emit("}")
-        if loop is None:
-            chunk.emit("turbine::release 1")
-        else:
+        if loop is not None:
             chunk.depth -= 1
             fallback = "    " + " ".join([loop.name, *bounds])
-            made = ["} else {", "    turbine::release 1", "}"]
-            chunk.emit_all(["} ] } {", "    turbine::release 0", fallback, *made])
+            chunk.emit_all(["} ] } {", "    turbine::drop", fallback, "}"])
 
     # -- leaf tasks ----------------------------------------------------------
 
@@ -530,8 +524,7 @@ class Codegen:
             )
         else:
             opts = " %s %s" % (prio, target) if placed else ""
-            verb = "hold" if proc.holding else "spawn"
-            proc.emit("turbine::%s WORK %s%s" % (verb, action, opts))
+            proc.emit("turbine::spawn WORK %s%s" % (action, opts))
 
     def task(self, fn: str, params: list[str], lines: list[str]) -> str:
         """The task proc with this exact signature and body: call sites

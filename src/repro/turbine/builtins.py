@@ -107,8 +107,8 @@ def register_turbine(
     ``runtime`` is the per-rank RankContext (output sink, config).
     ``deferred`` and ``held`` are the tables of the rank's
     :class:`~repro.turbine.unit.UnitRunner` that hold refcount
-    decrements until the running unit commits and spawns until it
-    releases them — the tables, not the runner: commands that reached
+    decrements until the running unit commits and spawns until its Tcl
+    returns — the tables, not the runner: commands that reached
     the runner would tie the interpreter into a reference cycle, and a
     finished worker's interpreter would wait for the cycle collector
     instead of being freed at thread exit.
@@ -152,8 +152,11 @@ def register_turbine(
         )
         return ""
 
-    def spawn_words(args) -> tuple[str, str, int, int]:
-        # type action ?priority? ?target?
+    # A spawn is held by the running unit, and its runner sends them all
+    # when the unit's Tcl returns, as one incr_work(k) and one k-task
+    # put: a unit that raises, or is abandoned, has spawned nothing.
+    def cmd_spawn(it, args):
+        # spawn type action ?priority? ?target?
         if len(args) < 2:
             raise TclError("usage: turbine::spawn type action ?priority? ?target?")
         if args[0] not in ("WORK", "CONTROL"):
@@ -161,32 +164,15 @@ def register_turbine(
             raise TclError("bad task type %r" % args[0])
         priority = int(args[2]) if len(args) > 2 else 0
         target = int(args[3]) if len(args) > 3 else -1
-        return args[0], args[1], priority, target
-
-    def cmd_spawn(it, args):
-        client.incr_work()
-        client.put_all([spawn_words(args)])
+        held.append((args[0], args[1], priority, target))
         return ""
 
-    # A chunk proc holds its spawns: one release makes them all, as one
-    # incr_work(k) and one k-task put — safe because the running unit's
-    # own count keeps the counter above zero until it commits.  A
-    # guarded chunk evaluates under ``catch`` first, and no put may be
-    # caught.
-    def cmd_hold(it, args):
-        # hold type action ?priority? ?target?: a spawn for release to make
-        held.append(spawn_words(args))
-        return ""
-
-    def cmd_release(it, args):
-        # release spawn: make (1) or drop (0) every held spawn
-        if len(args) != 1:
-            raise TclError("usage: turbine::release spawn")
-        bundle = held[:]
-        del held[:]
-        if _to_bool(args[0]) and bundle:
-            client.incr_work(len(bundle))
-            client.put_all(bundle)
+    def cmd_drop(it, args):
+        # drop: forget the running unit's spawns so far (a guarded
+        # chunk's catch branch, before it falls back)
+        if args:
+            raise TclError("usage: turbine::drop")
+        held.clear()
         return ""
 
     splits = itertools.count(1)  # this rank's splits, for the round-robin
@@ -201,7 +187,9 @@ def register_turbine(
         # longer than SPLIT_OVER and was handed on as two CONTROL tasks
         # that call proc on a half each, 0 if it is the caller's to run.
         # The second half goes to the next server round-robin, so the
-        # engines of every server share the loop.
+        # engines of every server share the loop; that placement is why
+        # the halves are put here, not held — the chunk proc calls this
+        # first and returns right after a split.
         if len(args) < 4:
             raise TclError("usage: turbine::split_range proc lo hi step ?capture ...?")
         lo, hi, step = map(_to_int, args[1:4])
@@ -225,8 +213,7 @@ def register_turbine(
 
     reg("rule", cmd_rule)
     reg("spawn", cmd_spawn)
-    reg("hold", cmd_hold)
-    reg("release", cmd_release)
+    reg("drop", cmd_drop)
     reg("range_count", cmd_range_count)
     reg("split_range", cmd_split_range)
 

@@ -8,9 +8,11 @@ once, for the four kinds of unit Turbine runs (``task`` on a worker;
 the worker each hold one and keep only their own loops.
 
 Refcount *decrements* a unit performs are deferred here until it
-commits.  That is not an optimisation: an attempt that will be retried
-(or, abandoned by the watchdog, already is being) re-executes them, so
-its own must be dropped for them to apply exactly once.
+commits, and the tasks it *spawns* are held until its Tcl returns.
+That is not an optimisation: an attempt that will be retried (or,
+abandoned by the watchdog, already is being) re-executes both, so its
+own must be dropped for them to happen exactly once.  That the held
+spawns leave together, as one ``incr_work(k)`` and one k-task put, is.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class UnitRunner:
         # write into this very dict
         self.deferred: dict[int, list[int]] = {}
         # (type, action, priority, target) spawns the running unit holds
-        # for one ``turbine::release``; the same kind of shared table
+        # until its Tcl returns; the same kind of shared table
         self.held: list[tuple] = []
         # numbers task / control-task unit ids; counts retries too
         self._seq = 0
@@ -83,13 +85,14 @@ class UnitRunner:
         label: str = "",
         guard: Any | None = None,
     ) -> bool:
-        """Run one unit.  True: it ran to completion and still holds
-        its counter unit and its deferred decrements — the caller does
-        whatever must come first (drain, journal, re-park), then calls
-        :meth:`commit`.  False: it raised, or was abandoned, and is
-        settled.  ``ident`` / ``label`` are a rule's id and name;
-        ``guard`` is the worker's task watchdog, armed around the eval
-        and asked at the end whether the unit is still ours."""
+        """Run one unit.  True: it ran to completion, its spawns are
+        sent, and it still holds its counter unit and its deferred
+        decrements — the caller does whatever must come first (drain,
+        journal, re-park), then calls :meth:`commit`.  False: it
+        raised, or was abandoned, and is settled.  ``ident`` /
+        ``label`` are a rule's id and name; ``guard`` is the worker's
+        task watchdog, armed around the eval and asked at the end
+        whether the unit is still ours."""
         prefix, start, span, fail_span, retryable = KINDS[kind]
         client = self.client
         rank = client.rank
@@ -150,6 +153,13 @@ class UnitRunner:
                 sink.emit("task_abandon", *head, "TaskTimeout", t0=t0)
             return False
         if error is None:
+            held = self.held
+            if held:
+                # Safe before the commit: this unit's own count keeps the
+                # termination counter above zero until then.
+                client.incr_work(len(held))
+                client.put_all(held)
+                held.clear()
             if sink is not None:
                 sink.emit(span, *head, t0=t0)
             return True
@@ -170,8 +180,7 @@ class UnitRunner:
         or abort deterministically."""
         error = "%s: %s" % (type(e).__name__, e)
         tb = "".join(traceback.format_exception(type(e), e, e.__traceback__))
-        # An exception ``catch`` passes through can leave spawns held:
-        # they are this unit's, and it made none of them.
+        # A unit that raised has spawned nothing, under every policy.
         self.held.clear()
         if retryable and self.on_error == "retry" and self.retries_enabled:
             self.roll_back()

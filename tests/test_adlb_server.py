@@ -588,6 +588,14 @@ CHAIN = (
 NOTIFICATIONS = "engine.notifications"
 PER_HOP = dict(zip(COUNTERS, (13, 2, 2, 3, 1, 1)))
 PER_CHAIN_RUN = dict(zip(COUNTERS, (16, 0, 0, 3, 3, 0)))
+# Messages (``mpi.sends``) of the chain at 2w/1s/1e, less its
+# notifications (one message each, and the scheduler's to move).  The
+# chain is no loop of leaves: its loop proc spawns one body control task
+# per hop, and those n spawns leave with the loop proc's return as one
+# incr_work(n) and one n-task put.  Re-pinned on purpose when every
+# unit's spawns began leaving that way, 39n + 48 -> 37n + 50: they were
+# an incr_work and a put each.
+CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 37, 50
 
 
 class TestProtocolShape:
@@ -638,3 +646,10 @@ class TestProtocolShape:
         }
         floor = PER_HOP[NOTIFICATIONS] * n + PER_CHAIN_RUN[NOTIFICATIONS]
         assert floor <= notified <= floor + 2 * n
+
+    @pytest.mark.parametrize("n", [6, 15])
+    def test_chain_sends_exactly_the_pinned_messages(self, n):
+        res = swift_run(CHAIN % (n - 1, n), workers=2, servers=1, engines=1)
+        counters = res.metrics["counters"]
+        sends = counters["mpi.sends"] - counters[NOTIFICATIONS]
+        assert sends == CHAIN_SENDS_PER_HOP * n + CHAIN_SENDS_PER_RUN

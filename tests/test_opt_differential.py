@@ -411,6 +411,32 @@ def test_a_raising_iteration_fails_alone_under_every_policy(opt):
         assert (info.value.failure.kind, info.value.failure.attempts) == ("ctask", attempts)
 
 
+# Not a loop of leaves (trace(k) is no leaf): every iteration is a body
+# control task that spawns its leaf, then raises in parseint.
+LEAF_THEN_RAISE = (
+    "foreach i in [0:2] {\n"
+    '  trace(python(strcat("x=", fromint(i)), "x"));\n'
+    '  int k = parseint(strcat("z", fromint(i)));\n'
+    "  trace(k);\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("opt", [1, 2])
+def test_a_failed_body_spawns_no_leaf_under_every_policy(opt, capsys):
+    """A unit's spawns leave when its Tcl returns: a body that raised
+    spawned nothing, so no attempt of it, retried or not, runs its leaf
+    (each used to, up to three times a body under ``retry``)."""
+    for policy, attempts in (("retry", 3), ("fail_fast", 1)):
+        with pytest.raises(repro.TaskError, match="non-numeric") as info:
+            swift_run(LEAF_THEN_RAISE, workers=2, opt=opt, on_error=policy, echo=True)
+        assert (info.value.failure.kind, info.value.failure.attempts) == ("ctask", attempts)
+        assert capsys.readouterr().out == ""
+    res = swift_run(LEAF_THEN_RAISE, workers=2, opt=opt, on_error="continue")
+    assert [(f.kind, f.attempts) for f in res.failures] == [("ctask", 1)] * 3
+    assert not res.ok and res.stdout_lines == []
+
+
 def test_a_retried_chunk_spawns_its_leaves_once():
     """A chunk is a leased CONTROL task: failed at its start (where
     injected faults land), it is requeued whole and runs once."""

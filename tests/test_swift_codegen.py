@@ -213,18 +213,20 @@ class TestOptimization:
         # (here fromint) raises ...
         assert text.count("\nproc ") == 5
         chunk = proc_text(text, "swift:__chunk3")
-        assert "turbine::hold WORK [ list task:python x=1 $t1 ]" in chunk
-        assert chunk.index("} ] } {") < chunk.index("swift:__loop2 $lo $hi $step")
+        assert "turbine::spawn WORK [ list task:python x=1 $t1 ]" in chunk
+        # ... after dropping the spawns the chunk made before it raised
+        fallback = chunk[chunk.index("} ] } {") :].split()
+        assert fallback == ["}", "]", "}", "{", "turbine::drop", *"swift:__loop2 $lo $hi $step }".split()]
         assert "spawn CONTROL [ list swift:__body1 $i ]" in proc_text(text, "swift:__loop2")
         # ... so a body that evaluates nothing has neither: main, chunk,
-        # task.  Its spawns are held too, and made by one release (one
-        # put for the chunk).
+        # task.  Its spawns leave together when it returns (one put for
+        # the chunk), with nothing to drop.
         text = gen('foreach i in [0:3] { string s = python("x=1", "x"); trace(s); }')
         assert text.count("\nproc ") == 3 and "catch" not in text
         chunk = proc_text(text, "swift:__chunk1")
-        assert "turbine::hold WORK [ list task:python x=1 x ]" in chunk
-        assert chunk.rstrip("}\n ").endswith("turbine::release 1")
-        assert "turbine::spawn" not in text
+        assert "turbine::spawn WORK [ list task:python x=1 x ]" in chunk
+        assert chunk.rstrip("}\n ").endswith("turbine::spawn WORK [ list task:python x=1 x ]")
+        assert "turbine::drop" not in text
 
     def test_opt_levels_preserve_structure(self):
         src = "(int o) f(int x) { o = x * 2; } trace(f(4));"

@@ -105,27 +105,28 @@ class TestSpawn:
         with pytest.raises(TaskError, match="bad task type 'WROK'"):
             run("proc swift:main {} { turbine::spawn WROK [ list puts hi ] }\n", deadline=10.0)
 
-    def test_held_spawns_are_made_or_dropped_on_release(self):
-        out = run(
+    def test_spawns_leave_when_the_unit_returns_unless_dropped(self):
+        res = run_turbine_program(
             "proc swift:main {} {\n"
-            "  turbine::hold WORK { turbine::log_output dropped }\n"
-            "  turbine::release 0\n"
-            "  turbine::hold WORK { turbine::log_output a }\n"
-            "  turbine::hold CONTROL { turbine::log_output b } 1 -1\n"
-            "  turbine::release 1\n"
-            "  turbine::release 1\n"
-            "}\n"
+            "  turbine::spawn WORK { turbine::log_output dropped }\n"
+            "  turbine::drop\n"
+            "  turbine::spawn WORK { turbine::log_output a }\n"
+            "  turbine::spawn CONTROL { turbine::log_output b } 1 -1\n"
+            "  turbine::log_output main\n"
+            "}\n",
+            RuntimeConfig(size=4),
         )
-        assert out == ["a", "b"]
+        # the program's line comes first: its spawns leave when it returns
+        out = res.stdout_lines
+        assert out[0] == "main" and sorted(out[1:]) == ["a", "b"]
         with pytest.raises(TaskError, match="bad task type"):
-            run(
-                "proc swift:main {} { turbine::hold WROK { } ; turbine::release 1 }\n",
-                deadline=10.0,
-            )
+            run("proc swift:main {} { turbine::spawn WROK { } }\n", deadline=10.0)
+        with pytest.raises(TaskError, match="usage: turbine::drop"):
+            run("proc swift:main {} { turbine::drop all }\n", deadline=10.0)
 
     def test_a_failed_units_held_spawns_die_with_it(self):
         # RecursionError passes through `catch`: the program fails with
-        # leafA held, and the rule's release must make leafB alone
+        # leafA held, and only the rule's leafB is made
         def setup(interp, ctx, client):
             def deep(it, args):
                 raise RecursionError("deep")
@@ -135,10 +136,9 @@ class TestSpawn:
         res = run_turbine_program(
             "proc swift:main {} {\n"
             "  turbine::rule [ list ] {\n"
-            "    turbine::hold WORK { turbine::log_output leafB }\n"
-            "    turbine::release 1\n"
+            "    turbine::spawn WORK { turbine::log_output leafB }\n"
             "  } LOCAL\n"
-            "  catch { turbine::hold WORK { turbine::log_output leafA } ; deep }\n"
+            "  catch { turbine::spawn WORK { turbine::log_output leafA } ; deep }\n"
             "}\n",
             RuntimeConfig(size=4, on_error="continue"),
             setup=setup,

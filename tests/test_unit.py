@@ -40,6 +40,12 @@ class FakeClient:
     def refcount_batch(self, deltas):
         self.calls.append(("refcount_batch", deltas))
 
+    def incr_work(self, amount=1):
+        self.calls.append(("incr_work", amount))
+
+    def put_all(self, tasks):
+        self.calls.append(("put_all", list(tasks)))
+
 
 class FakeInterp:
     def __init__(self, raises=None):
@@ -82,10 +88,19 @@ class TestOneTableEveryKind:
         assert client.calls == [LANDED, "decr_work"]
         assert not unit.deferred and not unit.failures
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_finished_unit_sends_its_spawns_as_one_put(self, kind):
+        unit, client = make("retry")
+        spawns = [("WORK", "leafA", 0, -1), ("CONTROL", "ctaskB", 1, -1)]
+        unit.held.extend(spawns)
+        assert run(unit, kind) is True
+        # before the commit, which the caller makes
+        assert client.calls == [("incr_work", 2), ("put_all", spawns)]
+        assert unit.held == []
+
     @pytest.mark.parametrize("on_error", POLICIES)
     def test_a_failed_unit_drops_the_spawns_it_held(self, on_error):
-        # held for a release the unit never reached: the next unit's
-        # release must not make them
+        # the next unit that finishes must not send them
         unit, _ = make(on_error, RecursionError("deep"))
         unit.held.append(("WORK", "leafA", 0, -1))
         try:
@@ -158,8 +173,10 @@ class TestOneTableEveryKind:
 
         for raises in (None, ValueError("late")):
             unit, client = make("retry", raises)
+            unit.held.append(("WORK", "leafA", 0, -1))
             assert unit.run("task", "leaf", guard=Expired()) is False
             assert client.calls == [] and not unit.deferred and not unit.failures
+            assert unit.held == []
 
     @pytest.mark.parametrize(
         "kind, ok, failed",
