@@ -46,8 +46,6 @@ TRACED = {"trace": True, "trace_capacity": harness.TRACE_CAPACITY}
 # leaves=None: the workload's peak size (1200 / 600 leaves).
 FEATURES: dict[str, tuple[str, int | None, dict, dict]] = {
     "flightrec": ("fanout_py", RECORDER_LEAVES, {"flightrec": False}, {}),
-    # leases are on whenever a failed task may be retried
-    "leases": ("fanout_py", None, {"max_retries": 0}, {}),
     "trace": ("fanout_py", None, {}, TRACED),
     "replicate": ("fanout_recovery", None, {"replicate": False}, {}),
     "journal": ("fanout_recovery", None, {"journal": False}, {}),

@@ -226,9 +226,7 @@ class Checkpointer:
 
     def _server_part(self) -> dict:
         core = self.core
-        tasks = core.queue.all_tasks()
-        if core.leases is not None:
-            tasks += core.leases.unfinished()
+        tasks = core.queue.all_tasks() + core.leases.unfinished()
         return {
             "kind": "server",
             "rank": core.rank,

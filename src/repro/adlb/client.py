@@ -16,6 +16,9 @@ from ..mpi import Comm
 from . import constants as C
 from .layout import Layout, ServerMap
 
+#: seconds a reliable request waits for its reply before it is re-sent
+RESEND_INTERVAL = 0.25
+
 
 class AdlbError(RuntimeError):
     pass
@@ -50,7 +53,6 @@ class AdlbClient:
         layout: Layout,
         server_map: ServerMap | None = None,
         reliable: bool = False,
-        resend_interval: float = 0.25,
     ):
         self.comm = comm
         self.layout = layout
@@ -69,16 +71,15 @@ class AdlbClient:
         # engine installs its journal heartbeat here so the anchor can
         # tell a quiet engine from a silently-dead one.
         self.tick: Any | None = None
-        # Static layout anchor; reliable mode re-resolves it through the
-        # shared ServerMap at every send, so a failover re-routes every
-        # later request to the shard's heir transparently.
+        # Static layout anchor, resolved through the world's ServerMap
+        # at send time, so a failover re-routes every later request to
+        # the shard's heir transparently.
         self.my_server = layout.my_server(self.rank)
+        self.map = server_map or ServerMap(layout)
         self._id_next = 0
         self._id_limit = 0
         # ---- reliable RPC state ---------------------------------------
-        self.map = server_map
         self.reliable = reliable
-        self.resend_interval = resend_interval
         self.rpc_stats = ClientRpcStats()
         if reliable:
             comm.metrics.register("adlb.rpc", self.rpc_stats, self.rank)
@@ -93,12 +94,6 @@ class AdlbClient:
         self._done = 0
 
     # ------------------------------------------------------------------- RPC
-
-    def _resolve(self, anchor: int) -> int:
-        return self.map.resolve(anchor) if self.map is not None else anchor
-
-    def _epoch(self) -> int:
-        return self.map.epoch if self.map is not None else 0
 
     def _rpc(self, server: int, msg: dict) -> Any:
         if self.reliable:
@@ -125,8 +120,8 @@ class AdlbClient:
         self._seq += 1
         msg = dict(msg, seq=self._seq)
         self.rpc_stats.sent += 1
-        pending = _Pending(msg, anchor, self._seq, self._epoch(), self.comm.now())
-        self.comm.send(msg, self._resolve(anchor), C.TAG_REQUEST)
+        pending = _Pending(msg, anchor, self._seq, self.map.epoch, self.comm.now())
+        self.comm.send(msg, self.map.resolve(anchor), C.TAG_REQUEST)
         return pending
 
     def _await(self, p: _Pending) -> tuple:
@@ -147,15 +142,15 @@ class AdlbClient:
                 self.rpc_stats.stale_replies += 1
                 continue
             now = self.comm.now()
-            cur = self._epoch()
+            cur = self.map.epoch
             if cur != p.epoch:
                 p.epoch = cur
                 self.rpc_stats.failovers += 1
-            elif now - p.last_send < self.resend_interval:
+            elif now - p.last_send < RESEND_INTERVAL:
                 continue
             else:
                 self.rpc_stats.resends += 1
-            self.comm.send(p.msg, self._resolve(p.anchor), C.TAG_REQUEST)
+            self.comm.send(p.msg, self.map.resolve(p.anchor), C.TAG_REQUEST)
             p.last_send = now
 
     # ------------------------------------------------------------------ work
@@ -205,7 +200,7 @@ class AdlbClient:
         if self.reliable:
             reply = self._await(self._post(self.my_server, msg))
         else:
-            self.comm.send(msg, self._resolve(self.my_server), C.TAG_REQUEST)
+            self.comm.send(msg, self.map.resolve(self.my_server), C.TAG_REQUEST)
             reply, _ = self.comm.recv(source=self.my_server, tag=C.TAG_RESPONSE)
         if reply[0] == "shutdown":
             return None
@@ -249,16 +244,14 @@ class AdlbClient:
                 return msg
             if self.tick is not None:
                 self.tick()
-            park, cur = self._park, self._epoch()
+            park, cur = self._park, self.map.epoch
             if park is not None and cur != park.epoch:
                 # Our server died while we were parked: re-park at
                 # the heir (same seq — its dedup table knows whether
                 # the dead server already granted us something).
                 park.epoch = cur
                 self.rpc_stats.failovers += 1
-                self.comm.send(
-                    park.msg, self._resolve(park.anchor), C.TAG_REQUEST
-                )
+                self.comm.send(park.msg, self.map.resolve(park.anchor), C.TAG_REQUEST)
 
     def journal(self, entries: list) -> None:
         """Stream rule-lifecycle journal entries to the anchor server.
@@ -272,7 +265,7 @@ class AdlbClient:
         (the message carries ``rank`` so provenance survives)."""
         self.comm.send(
             {"op": C.OP_JOURNAL, "rank": self.rank, "entries": entries},
-            self._resolve(self.my_server) if self.reliable else self.my_server,
+            self.map.resolve(self.my_server),
             C.TAG_ONEWAY,
         )
 

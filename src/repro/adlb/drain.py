@@ -5,6 +5,7 @@ outputs can never resolve, so the termination counter will never reach
 zero.  Once the system is quiescent — every client parked, nothing
 queued/delayed/leased anywhere, counter stable — the remaining units
 are unreachable and the master shuts the run down so it terminates.
+Every server has one; it ticks only once the run is poisoned.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Drain:
         return (
             len(core.parked) >= len(core.attached_clients)
             and core.queue.size == 0
-            and not (core.leases and (core.leases.delayed or core.leases.table))
+            and not (core.leases.delayed or core.leases.table)
         )
 
     def tick(self) -> None:

@@ -119,7 +119,7 @@ class Journals:
         engine on the async channel.
         """
         core = self.core
-        if core.route.my_server(rank) != core.rank:
+        if core.map.my_server(rank) != core.rank:
             return False
         jr = self.table.pop(rank, None)
         if jr is None:
@@ -163,11 +163,11 @@ class Journals:
         A kill-notified engine death arrives as SOP_RANK_DEAD; a
         *silent* kill models an abrupt crash, so the only signal is
         that the engine's journal flushes/heartbeats stop.  Engines
-        beat only on runs with a fault plan, and only a lease sweep can
-        act on a loss: without either there is nothing to watch.
+        beat only on runs with a fault plan: without one there is
+        nothing to watch.
         """
         core = self.core
-        if core.faults is None or core.leases is None:
+        if core.faults is None:
             return
         now = core.comm.now()
         for rank in list(self.table):

@@ -1,4 +1,4 @@
-"""Task leases (``leases=True``): at-least-once execution.
+"""Task leases: at-least-once execution, on every server.
 
 The server records every unit it hands out; the client's next GET
 completes the lease (one outstanding task per client).  A unit whose

@@ -187,8 +187,7 @@ class Replication:
             "work": (core.work_count, core.work_started, core.poisoned),
             "next_id": core.next_id,
         }
-        if core.leases is not None:
-            core.leases.image(state)
+        core.leases.image(state)
         if core.journals is not None:
             state["journals"] = core.journals.image()
         return state
@@ -292,8 +291,7 @@ class Replication:
                 core.attached_clients.add(r)
         if core.journals is not None:
             core.journals.absorb(rep.journals)
-        if core.leases is not None:
-            core.leases.absorb(rep.leases)
+        core.leases.absorb(rep.leases)
         for task in list(rep.tasks.values()):
             core.accept_task(task)
         self.scavenge(dead)

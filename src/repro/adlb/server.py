@@ -16,11 +16,13 @@ Work stealing: a server whose parked GETs cannot be satisfied locally
 probes the other servers round-robin for untargeted tasks of the types
 those GETs ask for, as in ADLB.
 
-That is all :class:`Server` itself does.  Each fault-tolerance feature
-is a collaborator object in its own module (``leases``, ``replication``,
-``journal``, ``checkpoint``, ``drain``), constructed only
-when the feature is on — the attribute is ``None`` otherwise — and
-adding its ops to the server's op table (DESIGN.md has the map).
+Every server also leases what it hands out (``leases``), drains a
+poisoned run (``drain``) and routes through a :class:`ServerMap`
+(``map``: the world's shared one, or its own).  Each opt-in
+fault-tolerance feature is a collaborator object in its own module
+(``replication``, ``journal``, ``checkpoint``), constructed only when
+the feature is on — the attribute is ``None`` otherwise — and adding
+its ops to the server's op table (DESIGN.md has the map).
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ class Server:
         self,
         comm: Comm,
         layout: Layout,
-        leases: bool = False,
         lease_timeout: float = 60.0,
         max_retries: int = 2,
         on_error: str = "retry",
@@ -144,36 +145,26 @@ class Server:
             C.OP_ID_BLOCK: self._op_id_block,
             C.OP_INCR_WORK: self._op_incr_work,
             C.OP_DECR_WORK: self._op_decr_work,
-            C.OP_TASK_FAIL: self.fail_unit,
             C.SOP_STEAL_REQ: self._op_steal_req,
             C.SOP_STEAL_RESP: self._op_steal_resp,
             C.SOP_SHUTDOWN: self._op_shutdown,
         }
         self.ops.update(dict.fromkeys(DATA_OPS, self._op_data))
-        # ---- fault tolerance: one collaborator per feature, or None ----
-        self.map = server_map
+        # shard owners: the world's shared map, which failover re-points
+        self.map = server_map or ServerMap(layout)
         self.faults = faults
+        self.leases = Leases(self, lease_timeout, max_retries)
+        self.drain = Drain(self)
+        # ---- opt-in fault tolerance: one collaborator per feature, or None
         self.repl: Replication | None = None
-        self.leases: Leases | None = None
         self.journals: Journals | None = None
         self.ckpt: Checkpointer | None = None
-        self.drain: Drain | None = None
         if replicate:
-            # Replication routes through a shared epoch-stamped map.
-            if self.map is None:
-                self.map = ServerMap(layout)
             self.repl = Replication(self, lease_timeout)
-        self.route = self.map if self.map is not None else layout  # shard owners
-        if leases:
-            self.leases = Leases(self, lease_timeout, max_retries)
         if journal:
             self.journals = Journals(self, lease_timeout)
         if checkpoint_path is not None:
             self.ckpt = Checkpointer(self, checkpoint_path, checkpoint_interval)
-        if leases or on_error == "continue":
-            # Only a unit that failed for good poisons a run: a client's
-            # under on_error="continue", or a quarantined one (leases).
-            self.drain = Drain(self)
         if restore_shard is not None:
             load_shard(self, restore_shard)
         metrics.sources[self.rank] = self.state
@@ -203,8 +194,7 @@ class Server:
         server receives: ``run`` loops over it, a checkpoint drains
         what is already deposited with ``timeout=0``."""
         got = self.comm.recv_poll(timeout=timeout)
-        if self.leases is not None:
-            self.leases.tick()
+        self.leases.tick()
         if got is None:
             return False
         msg, status = got
@@ -225,13 +215,8 @@ class Server:
             self.journals.tick()
         if self.ckpt is not None:
             self.ckpt.tick()
-        if self.drain is not None and self.poisoned and not self.shutting_down:
+        if self.poisoned and not self.shutting_down:
             self.drain.tick()
-
-    @property
-    def quarantined(self) -> list:
-        """Units withdrawn as poisonous (``RunResult.quarantined``)."""
-        return self.leases.quarantined if self.leases is not None else []
 
     def state(self) -> dict:
         """What this server holds right now (DESIGN.md, "Live state"):
@@ -251,8 +236,9 @@ class Server:
             "dead_ranks": sorted(self.dead_ranks),
             "attached_clients": len(self.attached_clients),
             "failures": len(self.failures),
+            **self.leases.state(),
         }
-        for part in (self.leases, self.journals, self.repl):
+        for part in (self.journals, self.repl):
             if part is not None:
                 state.update(part.state())
         return state
@@ -359,9 +345,8 @@ class Server:
         # Asking for the next task completes the previous lease, and a
         # carried ``done`` gives back its counter unit: the last one
         # has this very GET answered "shutdown".
-        if self.leases is not None and self.leases.take(source) is not None:
-            if self.journals is not None:
-                self.journals.lease_returned(source)
+        if self.leases.take(source) is not None and self.journals is not None:
+            self.journals.lease_returned(source)
         if "done" in msg:
             self._op_decr_work({"amount": msg["done"]}, source)
         if self.shutting_down:
@@ -479,8 +464,7 @@ class Server:
             payload = payload + (seq,)
             channel = "async" if is_async else "rpc"
             self.dedup.slots[source, channel] = (seq, (tag, payload))
-        if self.leases is not None:
-            self.leases.grant(task, source)
+        self.leases.grant(task, source)
         if self.ring is not None:
             # Lineage edge: the queued unit was handed to this client;
             # the k-th grant to a rank pairs with its k-th executed unit
@@ -548,7 +532,7 @@ class Server:
         for note in notes:
             self.comm.send(("notify", note.id), note.rank, C.TAG_ASYNC)
         for ref in refs:
-            home = self.route.home_server(ref.ref_id)
+            home = self.map.home_server(ref.ref_id)
             store_msg = {
                 "op": C.OP_STORE,
                 "id": ref.ref_id,
@@ -561,9 +545,6 @@ class Server:
                 self.comm.send(store_msg, home, C.TAG_ONEWAY)
 
     # ------------------------------------------------------------- termination
-
-    def master_rank(self) -> int:
-        return self.map.master if self.map is not None else self.layout.master_server
 
     def _op_incr_work(self, msg: dict, source: int) -> None:
         assert self.is_master
@@ -589,7 +570,7 @@ class Server:
     def decr_work(self, amount: int = 1, poison: bool = False) -> None:
         """Repair the termination counter for a unit the client will
         never account for (failed permanently, or its rank died)."""
-        master = self.master_rank()
+        master = self.map.master
         msg: dict = {"op": C.OP_DECR_WORK, "amount": amount}
         if poison:
             msg["poison"] = True
@@ -598,16 +579,16 @@ class Server:
         else:
             self.comm.send(msg, master, C.TAG_ONEWAY)
 
-    def fail_unit(self, msg: dict, source: int, task: Task | None = None) -> None:
-        """OP_TASK_FAIL with no attempt left (``task`` is the unit's
-        lease; without leases there never is one): in ``continue`` mode
-        record the failure and repair the counter; otherwise surface a
-        TaskError."""
+    def fail_unit(self, msg: dict, source: int, task: Task | None) -> None:
+        """An OP_TASK_FAIL with no attempt left (``task`` is the unit's
+        lease — None for a report this server holds no lease for): in
+        ``continue`` mode record the failure and repair the counter;
+        otherwise surface a TaskError."""
         failure = TaskFailure(
             rank=source,
             kind=msg.get("kind", "task"),
-            payload=snippet(task.payload) if task else msg.get("payload", ""),
-            attempts=task.attempts + 1 if task else msg.get("attempts", 1),
+            payload=snippet(task.payload) if task else "",
+            attempts=task.attempts + 1 if task else 1,
             error=msg["error"],
             traceback=msg.get("traceback", ""),
         )

@@ -337,7 +337,7 @@ class FaultPlan:
 
         Unlike :meth:`kill_rank` this follows the *task*: every rank
         that picks the unit up dies, modelling a poisonous input that
-        crashes its host.  With leases enabled the unit is re-queued
+        crashes its host.  The unit's lease has it re-queued
         until its attempts are exhausted by rank deaths, at which point
         the server quarantines it (``RunResult.quarantined``) instead
         of respawn-looping.  ``times`` bounds how many executions kill

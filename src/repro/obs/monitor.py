@@ -48,10 +48,9 @@ class MonitorSample:
             "busy=%d/%d" % (self.busy, self.clients),
             "util=%3.0f%%" % (100.0 * self.utilization),
         ]
-        if self.leases:
-            parts.append("leases=%d" % self.leases)
-        if self.repl_lag:
-            parts.append("repl_lag=%d" % self.repl_lag)
+        for name in ("leases", "repl_lag"):  # shown only when nonzero
+            if getattr(self, name):
+                parts.append("%s=%d" % (name, getattr(self, name)))
         if self.outstanding >= 0:
             parts.append("outstanding=%d" % self.outstanding)
         return "[monitor] " + " ".join(parts)
@@ -78,7 +77,7 @@ class RunMonitor:
             s.queued += state["queued_tasks"]
             s.parked += state["parked_gets"]
             s.clients += state["attached_clients"]
-            s.leases += len(state.get("leases", ()))
+            s.leases += len(state["leases"])
             s.repl_lag = max(s.repl_lag, state.get("repl_lag", 0))
             if state["is_master"]:
                 s.outstanding = max(0, state["work_count"])

@@ -134,7 +134,9 @@ def register_turbine(
         rtype = args[2] if len(args) > 2 else "LOCAL"
         opts = {"target": -1, "priority": 0, "name": ""}
         rest = args[3:]
-        for i in range(0, len(rest) - 1, 2):
+        if len(rest) % 2:
+            raise TclError("turbine::rule option %r has no value" % rest[-1])
+        for i in range(0, len(rest), 2):
             key = rest[i].lstrip("-")
             if key in ("target", "priority"):
                 opts[key] = int(rest[i + 1])

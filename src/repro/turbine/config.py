@@ -221,12 +221,19 @@ class RuntimeConfig:
         (idempotent).  The one home of the auto-rules — the runtime, the
         chaos generator's survivability envelope and the ``ServerLost`` /
         ``EngineLost`` remedy texts read the resolved values.  Raises
-        ``ValueError`` for a policy or a feature the layout cannot honour."""
+        ``ValueError`` for a policy, a number or a feature the run cannot
+        honour."""
         if self.on_error not in _ON_ERROR:
             raise ValueError(
                 "on_error must be 'retry', 'fail_fast', or 'continue', not %r"
                 % (self.on_error,)
             )
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0, not %r" % (self.max_retries,))
+        for name in ("lease_timeout", "task_timeout", "monitor_interval"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError("%s must be > 0, not %r" % (name, value))
         if self.replicate and self.n_servers < 2:
             raise ValueError(
                 "replicate=True needs n_servers >= 2: a lone server has "
@@ -245,21 +252,6 @@ class RuntimeConfig:
         if journal is None:
             journal = retry and self.n_engines >= 2
         return replace(self, replicate=replicate, journal=journal)
-
-    @property
-    def leases(self) -> bool:
-        """Whether servers lease the tasks they hand out.  A lease costs
-        a dict insert/pop per handout, so they are armed only when
-        something can use them: retries, a fault plan that may kill
-        ranks, the task watchdog, or checkpoint/restore (the snapshot
-        must capture leased units to re-run them)."""
-        return (
-            (self.on_error == "retry" and self.max_retries > 0)
-            or self.faults is not None
-            or self.checkpoint_path is not None
-            or self.restore is not None
-            or self.task_timeout is not None
-        )
 
     @property
     def reliable(self) -> bool:

@@ -79,11 +79,10 @@ class Engine:
         client: AdlbClient,
         interp,
         on_error: str = "retry",
-        retries_enabled: bool = False,
         faults: Any | None = None,
         journal: bool = False,
     ):
-        self.unit = UnitRunner(client, interp, on_error, retries_enabled, faults)
+        self.unit = UnitRunner(client, interp, on_error, faults)
         self.client = client
         # This rank's event ring; ``tracer`` is the ring on traced runs.
         self.ring = client.ring
@@ -219,11 +218,6 @@ class Engine:
 
     def _ckpt_reply(self, gen: int) -> None:
         client = self.client
-        master = (
-            client.map.master
-            if client.map is not None
-            else client.layout.master_server
-        )
         client.comm.send(
             {
                 "op": SOP_CKPT_PART,
@@ -231,7 +225,7 @@ class Engine:
                 "gen": gen,
                 "rules": self.checkpoint_rules(),
             },
-            master,
+            client.map.master,
             TAG_SERVER,
         )
 

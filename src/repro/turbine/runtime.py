@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from ..adlb import constants as C
 from ..adlb.client import AdlbClient
-from ..adlb.layout import Layout
+from ..adlb.layout import Layout, ServerMap
 from ..adlb.server import Server, ServerStats
 from ..faults import (
     DeadlineExceeded,
@@ -189,8 +189,7 @@ def run_turbine_program(
     invoked on the first engine rank only.
     """
     config = (config or RuntimeConfig()).resolve()
-    replicate, journal = config.replicate, config.journal
-    leases_enabled, reliable = config.leases, config.reliable
+    replicate, journal, reliable = config.replicate, config.journal, config.reliable
     layout = config.layout()
     recorder = config.recorder()
     # The run's counter table: every layer of every rank registers its
@@ -201,11 +200,7 @@ def run_turbine_program(
     if config.faults is not None:
         faults = FaultState(config.faults)
         metrics.register("fault", faults.stats)
-    server_map = None
-    if replicate:
-        from ..adlb.layout import ServerMap
-
-        server_map = ServerMap(layout)
+    server_map = ServerMap(layout)  # one per world: failover re-points it
     restore_shards: dict[int, dict] = {}
     restore_rules: dict[int, list] = {}
     restoring = config.restore is not None
@@ -232,7 +227,6 @@ def run_turbine_program(
                 server = Server(
                     comm,
                     layout,
-                    leases=leases_enabled,
                     lease_timeout=config.lease_timeout,
                     max_retries=config.max_retries,
                     on_error=config.on_error,
@@ -252,12 +246,7 @@ def run_turbine_program(
             metrics.register("tcl.vm", interp.vm_stats, rank)
             if role == "engine":
                 engine = Engine(
-                    client,
-                    interp,
-                    on_error=config.on_error,
-                    retries_enabled=leases_enabled,
-                    faults=faults,
-                    journal=journal,
+                    client, interp, on_error=config.on_error, faults=faults, journal=journal
                 )
                 load_rank(interp, client, ctx, engine.unit, engine, setup)
                 interp.eval(program)
@@ -273,7 +262,6 @@ def run_turbine_program(
                 client,
                 interp,
                 on_error=config.on_error,
-                retries_enabled=leases_enabled,
                 faults=faults,
                 task_timeout=config.task_timeout,
             )
@@ -376,7 +364,7 @@ def run_turbine_program(
     clients = [r for r in exited if isinstance(r, (Engine, Worker))]
     failures = [f for s in servers for f in s.failures]
     failures += [f for c in clients for f in c.unit.failures]
-    quarantined = [q for s in servers for q in s.quarantined]
+    quarantined = [q for s in servers for q in s.leases.quarantined]
     blackbox = None
     blackbox_path = None
     if recorder is not None and (failures or quarantined):

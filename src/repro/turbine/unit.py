@@ -53,13 +53,11 @@ class UnitRunner:
         client: AdlbClient,
         interp,
         on_error: str = "retry",
-        retries_enabled: bool = False,
         faults: Any | None = None,
     ):
         self.client = client
         self.interp = interp
         self.on_error = on_error
-        self.retries_enabled = retries_enabled
         self.faults = faults
         # the rank's event ring / the same ring on traced runs, else None
         self.ring = client.ring
@@ -172,17 +170,17 @@ class UnitRunner:
 
     def _fail(self, kind: str, script: str, e: BaseException, retryable: bool) -> None:
         """The one error policy, per ``on_error``: ``retry`` hands a
-        leased unit back via OP_TASK_FAIL so the server can requeue it;
-        ``continue`` records a :class:`TaskFailure`, gives the counter
-        unit back poisoned and keeps serving; ``fail_fast`` (and a
-        ``retry`` nothing can re-run) gives it back, then raises a
-        :class:`TaskError`.  The unit is never leaked, so runs finish
-        or abort deterministically."""
+        leased unit back via OP_TASK_FAIL, and the server requeues it or,
+        out of ``max_retries``, surfaces it; ``continue`` records a
+        :class:`TaskFailure`, gives the counter unit back poisoned and
+        keeps serving; ``fail_fast`` (and a ``retry`` nothing can re-run)
+        gives it back, then raises a :class:`TaskError`.  The unit is
+        never leaked, so runs finish or abort deterministically."""
         error = "%s: %s" % (type(e).__name__, e)
         tb = "".join(traceback.format_exception(type(e), e, e.__traceback__))
         # A unit that raised has spawned nothing, under every policy.
         self.held.clear()
-        if retryable and self.on_error == "retry" and self.retries_enabled:
+        if retryable and self.on_error == "retry":
             self.roll_back()
             self.client.task_fail(kind, error, tb)
             return

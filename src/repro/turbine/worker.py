@@ -107,11 +107,10 @@ class Worker:
         client: AdlbClient,
         interp,
         on_error: str = "retry",
-        retries_enabled: bool = False,
         faults: Any | None = None,
         task_timeout: float | None = None,
     ):
-        self.unit = UnitRunner(client, interp, on_error, retries_enabled, faults)
+        self.unit = UnitRunner(client, interp, on_error, faults)
         self.client = client
         register = client.comm.metrics.register
         self.stats = register("worker", WorkerStats(), client.rank)

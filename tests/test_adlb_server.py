@@ -55,51 +55,49 @@ JOURNAL = {"op": C.OP_JOURNAL, "rank": ENGINE, "entries": [("create", RULE)]}
 
 
 class TestRecoveryOffBuildsNothing:
-    def test_plain_server_has_no_collaborators_and_no_recovery_state(self):
+    """Every server leases, drains and routes through a shard map; the
+    opt-in features (replication, journaling, checkpoints) build
+    nothing while they are off."""
+
+    def test_plain_server_leases_drains_and_has_a_map(self):
         server, world = make_server()
-        for name in ("leases", "repl", "journals", "ckpt", "drain"):
+        assert isinstance(server.leases, Leases) and isinstance(server.drain, Drain)
+        assert isinstance(server.map, ServerMap) and server.map.master == server.rank
+        for name in ("repl", "journals", "ckpt"):
             assert getattr(server, name) is None, name
-        recovery_types = (
-            Leases,
-            Replication,
-            Replica,
-            Journals,
-            RuleJournal,
-            Checkpointer,
-            Drain,
-        )
+        opt_in_types = (Replication, Replica, Journals, RuleJournal, Checkpointer)
         for name, value in vars(server).items():
             held = value.values() if isinstance(value, dict) else [value]
-            assert not any(isinstance(v, recovery_types) for v in held), name
-        # ...and it can say so: state() carries the core's fields and no
-        # collaborator's slice, and its hang-report line elides every
-        # zero (queue depth, parked gets, work_count, dedup slots).
+            assert not any(isinstance(v, opt_in_types) for v in held), name
+        # ...and it can say so: state() carries the core's fields and the
+        # lease slice, no opt-in collaborator's, and its hang-report line
+        # elides every zero (queue depth, parked gets, work_count, dedup
+        # slots, leases).
         state = server.state()
         assert (state["queued_tasks"], state["parked_gets"]) == (0, 0)
         assert (state["work_count"], state["poisoned"]) == (0, False)
         assert state["dedup_slots"] == {"rpc": 0, "async": 0}
-        for key in ("leases", "delayed_tasks", "quarantined", "journal_pending"):
-            assert key not in state, key
+        assert (state["leases"], state["delayed_tasks"], state["quarantined"]) == ({}, 0, 0)
+        assert "journal_pending" not in state
         assert not any(key.startswith("repl") for key in state)
         lines = world.metrics.state_lines()
         assert lines == {server.rank: "server is_master=True attached_clients=3"}
 
     def test_each_feature_builds_only_its_own_collaborator(self, tmp_path):
-        assert make_server(leases=True)[0].leases is not None
         assert make_server(journal=True)[0].journals is not None
-        assert make_server(on_error="continue")[0].drain is not None
         ckpt = make_server(checkpoint_path=str(tmp_path / "c.ckpt"))[0]
-        assert ckpt.ckpt is not None and ckpt.leases is None
+        assert ckpt.ckpt is not None and ckpt.journals is None
         # (whether a layout can replicate is RuntimeConfig.resolve()'s
         # rule; the server builds what it is told to)
-        two = make_server(n_servers=2, replicate=True)[0]
-        assert two.repl is not None and two.map is not None
-        assert two.journals is None and two.leases is None
+        smap = ServerMap(Layout(size=5, n_servers=2, n_engines=1))
+        two = make_server(n_servers=2, replicate=True, server_map=smap)[0]
+        assert two.repl is not None and two.map is smap
+        assert two.journals is None and two.ckpt is None
 
     def test_engine_lost_with_journaling_on_does_not_blame_journaling(self):
         # The one engine dies holding a journaled rule: adoption fails
         # for want of a survivor, not because journaling was off.
-        server, _ = make_server(journal=True, leases=True)
+        server, _ = make_server(journal=True)
         server.dispatch(JOURNAL, ENGINE, C.TAG_ONEWAY)
         with pytest.raises(EngineLost, match="no surviving engine") as info:
             server.leases.rank_dead(ENGINE, "lease expired")
@@ -111,7 +109,6 @@ class TestRecoveryOffBuildsNothing:
         for msg in (
             {"op": C.SOP_REPLICATE, "entries": [], "seq": 0},
             {"op": C.SOP_CKPT_REQ, "gen": 1},
-            {"op": C.SOP_DRAIN_PROBE},
         ):
             with pytest.raises(RuntimeError, match="unknown server op"):
                 server.dispatch(msg, ENGINE, C.TAG_SERVER)
@@ -125,7 +122,7 @@ class TestRecoveryOffBuildsNothing:
         assert server.journals is None and server.repl is None
 
     def test_task_fail_without_leases_gives_up_at_once(self):
-        # The off path still serves OP_TASK_FAIL: no lease, so no retry.
+        # A report the server holds no lease for has nothing to retry.
         server, _ = make_server(on_error="continue")
         server.dispatch({"op": C.OP_INCR_WORK, "amount": 2}, ENGINE, C.TAG_ONEWAY)
         server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
@@ -136,13 +133,23 @@ class TestRecoveryOffBuildsNothing:
             make_server()[0].dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
 
     def test_task_fail_with_leases_requeues_with_backoff(self):
-        server, world = make_server(leases=True, max_retries=1)
+        server, world = make_server(max_retries=1)
         server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
         server.dispatch(GET, WORKER, C.TAG_REQUEST)
         assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
         server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
         assert server.leases.stats.requeued == 1 and not server.failures
         assert server.state()["delayed_tasks"] == 1
+
+    def test_zero_retries_gives_a_leased_unit_up_on_its_first_failure(self):
+        server, world = make_server(max_retries=0)
+        server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(GET, WORKER, C.TAG_REQUEST)
+        with pytest.raises(TaskError, match="boom") as info:
+            server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
+        failure = info.value.failure
+        assert (failure.rank, failure.attempts, failure.payload) == (WORKER, 1, "leaf")
+        assert server.leases.stats.requeued == 0 and not server.leases.table
 
 
 class TestOneClock:
@@ -153,7 +160,6 @@ class TestOneClock:
 
     def test_lease_expiry_requeues_the_unit(self, clock):
         server, world = make_server(
-            leases=True,
             lease_timeout=5.0,
             clock=clock,
             faults=FaultState(FaultPlan()),  # only an injected kill is silent
@@ -175,9 +181,7 @@ class TestOneClock:
         # is a long leaf, and sweeping it ran the leaf twice and let both
         # commits decrement the termination counter.
         for faults, swept in ((None, False), (FaultState(FaultPlan()), True)):
-            server, _ = make_server(
-                leases=True, lease_timeout=0.3, clock=clock, faults=faults
-            )
+            server, _ = make_server(lease_timeout=0.3, clock=clock, faults=faults)
             server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
             server.dispatch(GET, WORKER, C.TAG_REQUEST)
             clock.advance(60.0)
@@ -187,7 +191,7 @@ class TestOneClock:
             assert server.dead_ranks == ({WORKER} if swept else set())
 
     def test_backoff_releases_not_before_and_then_after_retry_backoff(self, clock):
-        server, world = make_server(leases=True, clock=clock)
+        server, world = make_server(clock=clock)
         server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
         server.dispatch(GET, WORKER, C.TAG_REQUEST)
         server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
@@ -207,7 +211,6 @@ class TestOneClock:
         server = Server(
             world.comm(layout.master_server),
             layout,
-            leases=True,
             lease_timeout=2.0,
             journal=True,
             faults=FaultState(FaultPlan()),  # engines beat only under a plan
@@ -292,7 +295,7 @@ class TestOneClock:
         clock.advance(0.2)
         assert server._done() and server.state()["journal_pending"] == {ENGINE: 1}
         # a dead engine's mirror is nobody's flush to wait for
-        server = released(leases=True)
+        server = released()
         server.dead_ranks.add(ENGINE)
         assert server._done()
 
@@ -311,7 +314,6 @@ class TestOneClock:
             Server(
                 world.comm(r),
                 layout,
-                leases=True,
                 lease_timeout=lease_timeout,
                 server_map=smap,
                 replicate=True,
@@ -380,7 +382,7 @@ class TestTwoMessagesALeaf:
         assert logged() == [[("task+", "leaf-%d" % i) for i in range(4, 7)]]
 
     def test_the_done_that_zeroes_the_counter_is_answered_shutdown(self):
-        server, world = make_server(leases=True)
+        server, world = make_server()
         server.dispatch({"op": C.OP_INCR_WORK, "amount": 1}, ENGINE, C.TAG_ONEWAY)
         server.dispatch(GET, WORKER + 1, C.TAG_REQUEST)  # parks
         server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)

@@ -142,35 +142,41 @@ KILLS = FaultPlan(seed=1).kill_rank(2, after_tasks=1)
 DROPS = FaultPlan(seed=1).drop_messages(tag=10, times=1)
 
 # options -> what RuntimeConfig.resolve() turns on:
-# (replicate, journal, leases, reliable), or the ValueError it raises
+# (replicate, journal, reliable), or the ValueError it raises
 RESOLVED = [
     # the auto-rule: under retry, whatever the layout can recover
-    (dict(), (False, False, True, False)),
-    (dict(servers=2), (True, False, True, True)),
-    (dict(engines=2), (False, True, True, False)),
-    (dict(servers=2, engines=2), (True, True, True, True)),
-    (dict(servers=3, engines=3, max_retries=0), (True, True, False, True)),
+    (dict(), (False, False, False)),
+    (dict(servers=2), (True, False, True)),
+    (dict(engines=2), (False, True, False)),
+    (dict(servers=2, engines=2), (True, True, True)),
+    (dict(servers=3, engines=3, max_retries=0), (True, True, True)),
     # no recovery is wanted under the other two policies
-    (dict(servers=2, engines=2, on_error="fail_fast"), (False, False, False, False)),
-    (dict(servers=2, engines=2, on_error="continue"), (False, False, False, False)),
+    (dict(servers=2, engines=2, on_error="fail_fast"), (False, False, False)),
+    (dict(servers=2, engines=2, on_error="continue"), (False, False, False)),
     # an explicit choice wins over the auto-rule, either way
-    (dict(servers=2, engines=2, replicate=False), (False, True, True, False)),
-    (dict(servers=2, engines=2, journal=False), (True, False, True, True)),
-    (dict(servers=2, on_error="continue", replicate=True), (True, False, False, True)),
-    (dict(engines=2, on_error="fail_fast", journal=True), (False, True, False, False)),
-    # leases: anything that can use them arms them
-    (dict(on_error="continue", faults=KILLS), (False, False, True, False)),
-    (dict(on_error="continue", checkpoint_path="c"), (False, False, True, False)),
-    (dict(on_error="continue", restore="c"), (False, False, True, False)),
-    (dict(on_error="fail_fast", task_timeout=1.0), (False, False, True, False)),
+    (dict(servers=2, engines=2, replicate=False), (False, True, False)),
+    (dict(servers=2, engines=2, journal=False), (True, False, True)),
+    (dict(servers=2, on_error="continue", replicate=True), (True, False, True)),
+    (dict(engines=2, on_error="fail_fast", journal=True), (False, True, False)),
+    # no fault plan, checkpoint or watchdog turns anything on by itself
+    (dict(on_error="continue", faults=KILLS), (False, False, False)),
+    (dict(on_error="continue", checkpoint_path="c"), (False, False, False)),
+    (dict(on_error="continue", restore="c"), (False, False, False)),
+    (dict(on_error="fail_fast", task_timeout=1.0), (False, False, False)),
     # reliable RPC: replication, or a plan that can lose a message
-    (dict(faults=DROPS), (False, False, True, True)),
-    (dict(faults=KILLS), (False, False, True, False)),
-    (dict(servers=2, replicate=False, faults=DROPS), (False, False, True, True)),
+    (dict(faults=DROPS), (False, False, True)),
+    (dict(faults=KILLS), (False, False, False)),
+    (dict(servers=2, replicate=False, faults=DROPS), (False, False, True)),
     # the three configuration errors
     (dict(on_error="ignore"), "on_error must be"),
     (dict(servers=1, replicate=True), "n_servers >= 2"),
     (dict(engines=1, journal=True), "n_engines >= 2"),
+    # ...and the numbers no run can honour
+    (dict(max_retries=-1), "max_retries must be >= 0"),
+    (dict(lease_timeout=0), "lease_timeout must be > 0"),
+    (dict(task_timeout=0), "task_timeout must be > 0"),
+    (dict(monitor_interval=0), "monitor_interval must be > 0"),
+    (dict(monitor_interval=-0.5), "monitor_interval must be > 0"),
 ]
 
 
@@ -185,13 +191,15 @@ class TestResolve:
                 cfg.resolve()
             return
         done = cfg.resolve()
-        got = (done.replicate, done.journal, done.leases, done.reliable)
+        got = (done.replicate, done.journal, done.reliable)
         assert got == expected
         assert all(isinstance(flag, bool) for flag in got)
-        # read-only derived values, the same before and after resolving
-        assert (cfg.leases, cfg.reliable) == expected[2:]
+        # a read-only derived value, the same before and after resolving;
+        # every server leases, so there is no switch for it
+        assert cfg.reliable == expected[2]
         with pytest.raises(AttributeError):
-            done.leases = False
+            done.reliable = False
+        assert not hasattr(done, "leases")
 
     def test_resolve_is_idempotent_and_leaves_the_original_unset(self):
         cfg = RuntimeConfig.of(servers=2, engines=2)

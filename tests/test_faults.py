@@ -66,12 +66,23 @@ class TestRetry:
         # Attempt accounting: the original try plus max_retries.
         assert "after 2 attempt(s)" in str(exc_info.value)
 
-    def test_zero_retries_disables_leases(self):
-        # max_retries=0 under on_error="retry" degenerates to fail_fast
-        # semantics: the first failure surfaces, nothing is leased.
+    def test_zero_retries_leases_all_and_requeues_nothing(self):
+        # Every server leases what it hands out, whatever max_retries is.
         res = swift_run(FANOUT, workers=2, trace=True, max_retries=0)
         assert sorted(res.stdout_lines) == FANOUT_EXPECTED
-        assert "adlb.lease.granted" not in counters(res)
+        c = counters(res)
+        assert c["adlb.lease.granted"] == c["adlb.tasks_matched"] >= 10
+        assert c["adlb.lease.requeued"] == 0
+
+    def test_zero_retries_surfaces_the_first_failure_as_the_workers(self):
+        # Handed back, then given up by the server at once: the same
+        # TaskError a run that has used up its retries raises.
+        leaf = 'string s = python("1/0", "x"); trace(s);'
+        with pytest.raises(TaskError, match="ZeroDivisionError") as info:
+            swift_run(leaf, workers=2, max_retries=0)
+        failure = info.value.failure
+        assert (failure.kind, failure.attempts) == ("task", 1)
+        assert failure.rank in (1, 2)  # a worker: engine 0, workers 1-2, server 3
 
 
 class TestWorkerDeath:
@@ -530,11 +541,11 @@ class TestFaultPlanSerialization:
 
 
 class TestFaultsOffPath:
-    def test_no_faults_no_lease_counters_without_retry_need(self):
+    def test_no_fault_counters_without_a_plan(self):
         res = swift_run(FANOUT, workers=2, trace=True, max_retries=0)
         c = counters(res)
         assert not any(k.startswith("fault.") for k in c)
-        assert not any(k.startswith("adlb.lease") for k in c)
+        assert res.fault_stats is None
 
     def test_default_run_unaffected(self):
         res = swift_run(FANOUT, workers=2)

@@ -364,7 +364,6 @@ class TestHangDiagnostics:
         server = Server(
             world.comm(MASTER),
             layout,
-            leases=True,
             journal=True,
             server_map=ServerMap(layout),
             replicate=True,
@@ -434,12 +433,12 @@ class TestHangDiagnostics:
 
 
 def replicated_servers(n=3, clock=time.monotonic, workers=2, **options):
-    """``n`` replicated, leasing servers on one world, driven by hand
-    (ranks: engine 0, the workers from 1, then the servers; each
-    server's buddy is the next in ring order)."""
+    """``n`` replicated servers on one world, driven by hand (ranks:
+    engine 0, the workers from 1, then the servers; each server's buddy
+    is the next in ring order)."""
     layout = Layout(size=n + 1 + workers, n_servers=n, n_engines=1)
     world = World(layout.size, recv_timeout=None, clock=clock)
-    options.update(leases=True, server_map=ServerMap(layout), replicate=True)
+    options.update(server_map=ServerMap(layout), replicate=True)
     return world, [Server(world.comm(r), layout, **options) for r in layout.servers]
 
 

@@ -89,6 +89,15 @@ class TestRules:
                 "proc swift:main {} { turbine::rule [ list ] { } BOGUS }\n"
             )
 
+    def test_an_option_with_no_value_is_rejected(self):
+        # it used to be skipped: the rule ran at priority 0, no error
+        with pytest.raises(TaskError, match="option 'priority' has no value"):
+            run(
+                "proc swift:main {} {\n"
+                "  turbine::rule [ list ] { turbine::log_output x } WORK target 1 priority\n"
+                "}\n"
+            )
+
     def test_rule_unavailable_on_worker(self):
         with pytest.raises(TaskError, match="only available on engine"):
             run(

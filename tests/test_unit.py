@@ -56,9 +56,9 @@ class FakeInterp:
             raise self.raises
 
 
-def make(on_error, raises=None, retries_enabled=True, ring=None):
+def make(on_error, raises=None, ring=None):
     client = FakeClient(ring)
-    unit = UnitRunner(client, FakeInterp(raises), on_error, retries_enabled)
+    unit = UnitRunner(client, FakeInterp(raises), on_error)
     # A decrement the unit performed before it ended.
     unit.deferred[11] = [0, -1]
     return unit, client
@@ -116,6 +116,7 @@ class TestOneTableEveryKind:
     def test_retry_hands_a_leased_unit_back_and_drops_its_decrements(self, kind):
         unit, client = make("retry", ValueError("boom"))
         if KINDS[kind][4]:
+            # Always: the server's max_retries decides, even when it is 0.
             assert run(unit, kind) is False
             assert client.calls == ["task_fail"]
         else:
@@ -126,9 +127,11 @@ class TestOneTableEveryKind:
             assert (info.value.failure.kind, info.value.failure.rank) == (kind, RANK)
         assert not unit.deferred and not unit.failures
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", [k for k in KINDS if not KINDS[k][4]])
     def test_retry_without_leases_gives_up_at_once(self, kind):
-        unit, client = make("retry", ValueError("boom"), retries_enabled=False)
+        # a rule or the program: no server holds a lease to re-run it by
+        assert kind in ("rule", "program")
+        unit, client = make("retry", ValueError("boom"))
         with pytest.raises(TaskError, match="boom"):
             run(unit, kind)
         assert client.calls == [LANDED, "decr_work"]
