@@ -36,6 +36,7 @@ class FakeClient:
 
     def task_fail(self, kind, error, traceback_text=""):
         self.calls.append("task_fail")
+        self.handed_back = (kind, error)
 
     def refcount_batch(self, deltas):
         self.calls.append(("refcount_batch", deltas))
@@ -127,14 +128,21 @@ class TestOneTableEveryKind:
             assert (info.value.failure.kind, info.value.failure.rank) == (kind, RANK)
         assert not unit.deferred and not unit.failures
 
-    @pytest.mark.parametrize("kind", [k for k in KINDS if not KINDS[k][4]])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_retry_without_leases_gives_up_at_once(self, kind):
-        # a rule or the program: no server holds a lease to re-run it by
-        assert kind in ("rule", "program")
         unit, client = make("retry", ValueError("boom"))
-        with pytest.raises(TaskError, match="boom"):
-            run(unit, kind)
-        assert client.calls == [LANDED, "decr_work"]
+        if KINDS[kind][4]:
+            # Every task and control task is leased: the runner never
+            # gives up on its own, it hands the unit back with the error
+            # the server surfaces when max_retries (even 0) is used up.
+            assert run(unit, kind) is False
+            assert client.calls == ["task_fail"]
+            assert client.handed_back == (kind, "ValueError: boom")
+        else:
+            # a rule or the program: no server holds a lease to re-run it by
+            with pytest.raises(TaskError, match="boom"):
+                run(unit, kind)
+            assert client.calls == [LANDED, "decr_work"]
         assert not unit.failures
 
     @pytest.mark.parametrize("kind", KINDS)
