@@ -100,19 +100,19 @@ def register_turbine(
     runtime,
     deferred: dict[int, list[int]],
     held: list[tuple],
-    engine=None,
+    rules: list[dict] | None,
 ) -> None:
     """Register primitive turbine:: commands.
 
     ``runtime`` is the per-rank RankContext (output sink, config).
-    ``deferred`` and ``held`` are the tables of the rank's
+    ``deferred``, ``held`` and ``rules`` are the tables of the rank's
     :class:`~repro.turbine.unit.UnitRunner` that hold refcount
-    decrements until the running unit commits and spawns until its Tcl
-    returns — the tables, not the runner: commands that reached
-    the runner would tie the interpreter into a reference cycle, and a
-    finished worker's interpreter would wait for the cycle collector
-    instead of being freed at thread exit.
-    ``engine`` is the rule engine on engine ranks, None on workers.
+    decrements until the running unit commits, and spawns and rule
+    registrations until its Tcl returns — the tables, not the runner:
+    commands that reached the runner would tie the interpreter into a
+    reference cycle, and a finished worker's interpreter would wait for
+    the cycle collector instead of being freed at thread exit.
+    ``rules`` is None on a worker, which registers no rule.
     """
 
     def reg(name: str, fn) -> None:
@@ -124,34 +124,30 @@ def register_turbine(
 
     # ---- rules and tasks --------------------------------------------------
 
+    # A rule is held like a spawn, as a Rule.spec dict, and registered
+    # when the unit's Tcl returns; everything about it is checked here.
     def cmd_rule(it, args):
-        if engine is None:
+        if rules is None:
             raise TclError("turbine::rule is only available on engine ranks")
         if len(args) < 2:
             raise TclError("usage: turbine::rule inputs action ?type? ?opts?")
-        inputs = [int(x) for x in parse_list(args[0])]
-        action = args[1]
         rtype = args[2] if len(args) > 2 else "LOCAL"
-        opts = {"target": -1, "priority": 0, "name": ""}
+        if rtype not in ("LOCAL", "WORK", "CONTROL"):
+            raise TclError("bad rule type %r" % rtype)
+        inputs = [int(x) for x in parse_list(args[0])]
+        spec = dict(inputs=inputs, action=args[1], type=rtype, target=-1, priority=0, name="")
         rest = args[3:]
         if len(rest) % 2:
             raise TclError("turbine::rule option %r has no value" % rest[-1])
         for i in range(0, len(rest), 2):
             key = rest[i].lstrip("-")
             if key in ("target", "priority"):
-                opts[key] = int(rest[i + 1])
+                spec[key] = int(rest[i + 1])
             elif key == "name":
-                opts[key] = rest[i + 1]
+                spec[key] = rest[i + 1]
             else:
                 raise TclError("bad rule option %r" % rest[i])
-        engine.add_rule(
-            inputs,
-            action,
-            rtype,
-            target=opts["target"],
-            priority=opts["priority"],
-            name=opts["name"],
-        )
+        rules.append(spec)
         return ""
 
     # A spawn is held by the running unit, and its runner sends them all
@@ -342,6 +338,8 @@ def register_turbine(
     reg("exists", cmd_exists)
 
     def cmd_typeof(it, args):
+        if len(args) != 1:
+            raise TclError("usage: turbine::typeof id")
         return client.typeof(int(args[0]))
 
     reg("typeof", cmd_typeof)
@@ -383,25 +381,30 @@ def register_turbine(
 
     # ---- refcounts ----------------------------------------------------------------
 
+    def _td_and_n(name: str, args) -> tuple[int, int]:
+        if len(args) not in (1, 2):
+            raise TclError("usage: turbine::%s id ?n?" % name)
+        return int(args[0]), int(args[1]) if len(args) > 1 else 1
+
     def cmd_wrc_incr(it, args):
         # Applies at once: generated code adds writer slots *before*
         # handing them out, and a deferred increment could let the TD
         # close under an in-flight slot.
-        n = int(args[1]) if len(args) > 1 else 1
+        td, n = _td_and_n("write_refcount_incr", args)
         if n:
-            client.refcount(int(args[0]), write_delta=n)
+            client.refcount(td, write_delta=n)
         return ""
 
     def cmd_wrc_decr(it, args):
-        n = int(args[1]) if len(args) > 1 else 1
+        td, n = _td_and_n("write_refcount_decr", args)
         if n:
-            deferred.setdefault(int(args[0]), [0, 0])[1] -= n
+            deferred.setdefault(td, [0, 0])[1] -= n
         return ""
 
     def cmd_rrc_decr(it, args):
-        n = int(args[1]) if len(args) > 1 else 1
+        td, n = _td_and_n("read_refcount_decr", args)
         if n:
-            deferred.setdefault(int(args[0]), [0, 0])[0] -= n
+            deferred.setdefault(td, [0, 0])[0] -= n
         return ""
 
     reg("write_refcount_incr", cmd_wrc_incr)

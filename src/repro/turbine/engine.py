@@ -19,7 +19,6 @@ from typing import Any
 from ..adlb.client import AdlbClient
 from ..adlb.constants import CONTROL, SOP_CKPT_PART, TAG_SERVER
 from ..faults import RankKilled
-from ..tcl.errors import TclError
 from .unit import UnitRunner
 
 
@@ -82,7 +81,7 @@ class Engine:
         faults: Any | None = None,
         journal: bool = False,
     ):
-        self.unit = UnitRunner(client, interp, on_error, faults)
+        self.unit = UnitRunner(client, interp, on_error, faults, self.add_rules)
         self.client = client
         # This rank's event ring; ``tracer`` is the ring on traced runs.
         self.ring = client.ring
@@ -110,74 +109,49 @@ class Engine:
 
     # ------------------------------------------------------------------ rules
 
-    def add_rule(
-        self,
-        inputs: list[int],
-        action: str,
-        rtype: str = "LOCAL",
-        target: int = -1,
-        priority: int = 0,
-        name: str = "",
-    ) -> None:
-        if rtype not in ("LOCAL", "WORK", "CONTROL"):
-            raise TclError("bad rule type %r" % rtype)
-        self.client.incr_work()
-        rule = Rule(
-            id=next(self._seq),
-            action=action,
-            type=rtype,
-            target=target,
-            priority=priority,
-            name=name,
-        )
-        self.stats.rules_created += 1
-        if self.ring is not None:
-            lineage = None
-            if self.tracer is not None:
-                # Lineage: which TDs this rule waits on, and which unit
-                # of work registered it (the spawn edge of the run DAG).
-                lineage = {
-                    "type": rtype,
-                    "name": name,
-                    "inputs": sorted(set(inputs)),
-                    "by": self.client.prov_unit,
-                }
-            self.ring.emit(
-                "rule_create", rule.id, len(set(inputs)), payload=lineage
+    def add_rules(self, specs: list[dict]) -> None:
+        """Register :meth:`Rule.spec` dicts: a finished unit's held
+        rules, a restored checkpoint, an adopted journal.  The caller
+        has counted them on the termination counter already."""
+        for spec in specs:
+            rule = Rule(
+                next(self._seq),
+                spec["action"],
+                spec["type"],
+                spec["target"],
+                spec["priority"],
+                spec["name"],
             )
-        pending: list[int] = []
-        for td in set(inputs):
-            if td in self.closed:
-                continue
-            if td in self.subscribed:
+            inputs = set(spec["inputs"])
+            self.stats.rules_created += 1
+            if self.ring is not None:
+                lineage = None
+                if self.tracer is not None:
+                    # Lineage: which TDs this rule waits on, and which unit
+                    # of work registered it (the spawn edge of the run DAG).
+                    lineage = {
+                        "type": rule.type,
+                        "name": rule.name,
+                        "inputs": sorted(inputs),
+                        "by": self.client.prov_unit,
+                    }
+                self.ring.emit("rule_create", rule.id, len(inputs), payload=lineage)
+            pending: list[int] = []
+            for td in inputs:
+                if td in self.closed:
+                    continue
+                if td not in self.subscribed:
+                    if self.client.subscribe(td):
+                        self.closed.add(td)
+                        continue
+                    self.subscribed.add(td)
                 self.blocked.setdefault(td, []).append(rule)
                 rule.remaining += 1
                 pending.append(td)
-                continue
-            if self.client.subscribe(td):
-                self.closed.add(td)
-                continue
-            self.subscribed.add(td)
-            self.blocked.setdefault(td, []).append(rule)
-            rule.remaining += 1
-            pending.append(td)
-        if rule.remaining == 0:
-            self.ready.append(rule)
-        if self.journal:
-            self._jot(("create", dict(rule.spec(pending), id=rule.id)))
-
-    def add_rules(self, specs: list[dict]) -> None:
-        """Re-register :meth:`Rule.spec` dicts (a restored checkpoint,
-        an adopted journal); each counts as a new rule."""
-        for r in specs:
-            self.add_rule(
-                list(r["inputs"]),
-                r["action"],
-                rtype=r["type"],
-                target=r["target"],
-                priority=r["priority"],
-                name=r["name"],
-            )
+            if rule.remaining == 0:
+                self.ready.append(rule)
+            if self.journal:
+                self._jot(("create", dict(rule.spec(pending), id=rule.id)))
 
     # ---------------------------------------------------------------- journal
 
@@ -207,7 +181,7 @@ class Engine:
         """Snapshot the rule table for a checkpoint.
 
         Blocked rules record only their still-unresolved inputs; on
-        restore, ``add_rule`` re-subscribes and anything closed in the
+        restore, ``add_rules`` re-subscribes and anything closed in the
         restored store resolves immediately."""
         by_id: dict[int, tuple[Rule, list[int]]] = {}
         for td, rules in self.blocked.items():
@@ -329,19 +303,21 @@ class Engine:
     def _adopt(self, dead: int, rules: list[dict], repair: int) -> None:
         """Adopt a dead engine's journaled rule table.
 
-        Each ``add_rule`` re-subscribes (re-pointing the TD close
-        subscriptions at this rank) and re-increments the termination
-        counter; ``repair`` then cancels the units the dead engine
-        held (its pending rules, plus its program/restore guard and a
-        completed-but-unaccounted control task, if any).  The incrs
-        land first, so the counter never touches zero mid-adoption —
-        the dead engine's stale units keep it positive until the
-        repair decrement restores the truth.
+        The table is counted on the termination counter with one
+        increment, and ``add_rules`` re-subscribes (re-pointing the TD
+        close subscriptions at this rank); ``repair`` then cancels the
+        units the dead engine held (its pending rules, plus its
+        program/restore guard and a completed-but-unaccounted control
+        task, if any).  The increment lands first, so the counter never
+        touches zero mid-adoption — the dead engine's stale units keep
+        it positive until the repair decrement restores the truth.
         """
         self.journal_stats.adoptions += 1
         self.journal_stats.adopted_rules += len(rules)
         if self.ring is not None:
             self.ring.emit("adopt", dead, len(rules), repair)
+        if rules:
+            self.client.incr_work(len(rules))
         self.add_rules(rules)
         if repair:
             self.client.decr_work(amount=repair)
@@ -362,10 +338,10 @@ class Engine:
         ``initial_script`` is the program entry point (only the first
         engine rank receives one); other engines only execute CONTROL
         tasks shipped to them.  ``restore`` is this engine's rule table
-        from a checkpoint: the rules are re-registered (each
-        ``add_rule`` increments the termination counter itself) while
-        the engine holds the one guard unit the restored counter
-        reserved for it, released once re-registration is done.
+        from a checkpoint: the rules are counted with one increment and
+        re-registered while the engine holds the one guard unit the
+        restored counter reserved for it, released once re-registration
+        is done.
         """
         tracer = self.tracer
         unit = self.unit
@@ -380,6 +356,8 @@ class Engine:
             # before releasing it.
             if self.journal:
                 self._jot(("guard", 1))
+            if restore:
+                self.client.incr_work(len(restore))
             self.add_rules(restore)
             self.drain()
             self.client.decr_work()  # the restore guard

@@ -152,13 +152,13 @@ def load_rank(
     client: AdlbClient,
     ctx: RankContext,
     unit: UnitRunner,
-    engine: Engine | None,
     setup: SetupFn | None,
 ) -> None:
     """Load the Turbine library and the standard leaf-language
     packages into an engine or worker rank's Tcl interpreter."""
     interp.echo = False
-    register_turbine(interp, client, ctx, unit.deferred, unit.held, engine=engine)
+    rules = unit.rules if unit.add_rules is not None else None
+    register_turbine(interp, client, ctx, unit.deferred, unit.held, rules)
     interp.eval(TURBINE_TCL)
     if ctx.config.args:
         from ..tcl.listutil import format_list
@@ -248,7 +248,7 @@ def run_turbine_program(
                 engine = Engine(
                     client, interp, on_error=config.on_error, faults=faults, journal=journal
                 )
-                load_rank(interp, client, ctx, engine.unit, engine, setup)
+                load_rank(interp, client, ctx, engine.unit, setup)
                 interp.eval(program)
                 # On restore the dataflow state comes from the checkpoint's
                 # rule tables; re-running the entry point would duplicate it.
@@ -265,7 +265,7 @@ def run_turbine_program(
                 faults=faults,
                 task_timeout=config.task_timeout,
             )
-            load_rank(interp, client, ctx, worker.unit, None, setup)
+            load_rank(interp, client, ctx, worker.unit, setup)
             interp.eval(program)
             worker.serve()
             return worker

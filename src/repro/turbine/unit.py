@@ -8,11 +8,12 @@ once, for the four kinds of unit Turbine runs (``task`` on a worker;
 the worker each hold one and keep only their own loops.
 
 Refcount *decrements* a unit performs are deferred here until it
-commits, and the tasks it *spawns* are held until its Tcl returns.
-That is not an optimisation: an attempt that will be retried (or,
-abandoned by the watchdog, already is being) re-executes both, so its
-own must be dropped for them to happen exactly once.  That the held
-spawns leave together, as one ``incr_work(k)`` and one k-task put, is.
+commits, and the tasks it *spawns* and the rules it *registers* are
+held until its Tcl returns.  That is not an optimisation: an attempt
+that will be retried (or, abandoned by the watchdog, already is being)
+re-executes all three, so its own must be dropped for them to happen
+exactly once.  That the held work leaves together, as one
+``incr_work(k + r)``, r rule registrations and one k-task put, is.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class UnitRunner:
     ``on_error`` is the policy for a unit that raises (:meth:`_fail`).
     ``faults`` is an optional :class:`repro.faults.FaultState`
     consulted before each dispatched unit; when ``None`` the check is
-    one pointer test.
+    one pointer test.  ``add_rules`` is the engine's
+    :meth:`~repro.turbine.engine.Engine.add_rules`, None on a worker.
     """
 
     def __init__(
@@ -54,11 +56,13 @@ class UnitRunner:
         interp,
         on_error: str = "retry",
         faults: Any | None = None,
+        add_rules=None,
     ):
         self.client = client
         self.interp = interp
         self.on_error = on_error
         self.faults = faults
+        self.add_rules = add_rules
         # the rank's event ring / the same ring on traced runs, else None
         self.ring = client.ring
         self.tracer = client.tracer
@@ -70,6 +74,8 @@ class UnitRunner:
         # (type, action, priority, target) spawns the running unit holds
         # until its Tcl returns; the same kind of shared table
         self.held: list[tuple] = []
+        # Rule.spec dicts of the rules it registered, held the same way
+        self.rules: list[dict] = []
         # numbers task / control-task unit ids; counts retries too
         self._seq = 0
 
@@ -83,11 +89,12 @@ class UnitRunner:
         label: str = "",
         guard: Any | None = None,
     ) -> bool:
-        """Run one unit.  True: it ran to completion, its spawns are
-        sent, and it still holds its counter unit and its deferred
-        decrements — the caller does whatever must come first (drain,
-        journal, re-park), then calls :meth:`commit`.  False: it
-        raised, or was abandoned, and is settled.  ``ident`` /
+        """Run one unit.  True: it ran to completion, its rules are
+        registered, its spawns are sent, and it still holds its counter
+        unit and its deferred decrements — the caller does whatever must
+        come first (drain, journal, re-park), then calls
+        :meth:`commit`.  False: it raised (its held work failing too),
+        or was abandoned, and is settled.  ``ident`` /
         ``label`` are a rule's id and name; ``guard`` is the worker's
         task watchdog, armed around the eval and asked at the end
         whether the unit is still ours."""
@@ -128,21 +135,36 @@ class UnitRunner:
             guard.arm()
         error = None
         try:
-            if directive is not None:
-                if directive[0] == "raise":
-                    raise InjectedFault(directive[1])
-                time.sleep(directive[1])
-            if guard is None or not guard.expired():
-                # An expiry during the injected delay already handed the
-                # unit back; running it now would double-apply its stores.
-                self.interp.eval(script)
+            try:
+                if directive is not None:
+                    if directive[0] == "raise":
+                        raise InjectedFault(directive[1])
+                    time.sleep(directive[1])
+                if guard is None or not guard.expired():
+                    # An expiry during the injected delay already handed the
+                    # unit back; running it now would double-apply its stores.
+                    self.interp.eval(script)
+            finally:
+                abandoned = guard is not None and guard.disarm()
+            held, rules = self.held, self.rules
+            if (held or rules) and not abandoned:
+                # Safe before the commit: this unit's own count keeps the
+                # termination counter above zero until then.  A rule on a
+                # TD that does not exist fails the unit here.
+                client.incr_work(len(held) + len(rules))
+                if rules:
+                    self.add_rules(rules)
+                    rules.clear()
+                if held:
+                    client.put_all(held)
+                    held.clear()
         except (AbortError, DeadlockError):
             # Transport-level failures are rank problems, not unit
             # failures: never retried or recorded, always fatal.
             raise
         except Exception as e:  # unit failure — the rank stays up
             error = e
-        if guard is not None and guard.disarm():
+        if abandoned:
             # Expired while the unit ran: it was already failed back to
             # the server (and is being retried elsewhere), so this
             # attempt's results are discarded — no counter decrement.
@@ -151,13 +173,6 @@ class UnitRunner:
                 sink.emit("task_abandon", *head, "TaskTimeout", t0=t0)
             return False
         if error is None:
-            held = self.held
-            if held:
-                # Safe before the commit: this unit's own count keeps the
-                # termination counter above zero until then.
-                client.incr_work(len(held))
-                client.put_all(held)
-                held.clear()
             if sink is not None:
                 sink.emit(span, *head, t0=t0)
             return True
@@ -178,8 +193,10 @@ class UnitRunner:
         never leaked, so runs finish or abort deterministically."""
         error = "%s: %s" % (type(e).__name__, e)
         tb = "".join(traceback.format_exception(type(e), e, e.__traceback__))
-        # A unit that raised has spawned nothing, under every policy.
+        # A unit that raised has spawned and registered nothing, under
+        # every policy.
         self.held.clear()
+        self.rules.clear()
         if retryable and self.on_error == "retry":
             self.roll_back()
             self.client.task_fail(kind, error, tb)
@@ -226,7 +243,9 @@ class UnitRunner:
 
     def roll_back(self) -> None:
         """The unit will run again (or already is, elsewhere): drop its
-        deferred decrements and held spawns — the re-execution performs
-        them again, so landing these too would double-apply them."""
+        deferred decrements, held spawns and held rules — the
+        re-execution performs them again, so landing these too would
+        double-apply them."""
         self.deferred.clear()
         self.held.clear()
+        self.rules.clear()

@@ -259,7 +259,7 @@ class TestDataOps:
             closed_now = client.subscribe(td)
             assert closed_now is False
             # the pending continuation (a "rule") holds a work unit, as
-            # Engine.add_rule does — otherwise shutdown could race the
+            # a registered rule does — otherwise shutdown could race the
             # notification handler's RPCs
             client.incr_work()
             # ship a task that stores the td

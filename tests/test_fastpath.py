@@ -133,7 +133,7 @@ def run_unit(body):
             return
         interp = Interp()
         unit = UnitRunner(client, interp)
-        register_turbine(interp, client, None, unit.deferred, unit.held)
+        register_turbine(interp, client, None, unit.deferred, unit.held, None)
         client.incr_work()  # the unit of work ``body`` stands for
         try:
             out["result"] = body(unit, interp.eval)

@@ -98,6 +98,12 @@ class TestRules:
                 "}\n"
             )
 
+    def test_a_rule_on_a_td_that_does_not_exist_fails_its_unit(self):
+        # registered when the unit returns, so the error is the unit's
+        # there, not the engine rank's
+        with pytest.raises(TaskError, match=r"program failed .*TD <987654> not found"):
+            run("proc swift:main {} { turbine::rule [ list 987654 ] { } LOCAL }\n")
+
     def test_rule_unavailable_on_worker(self):
         with pytest.raises(TaskError, match="only available on engine"):
             run(
@@ -134,8 +140,8 @@ class TestSpawn:
             run("proc swift:main {} { turbine::drop all }\n", deadline=10.0)
 
     def test_a_failed_units_held_spawns_die_with_it(self):
-        # RecursionError passes through `catch`: the program fails with
-        # leafA held, and only the rule's leafB is made
+        # RecursionError passes through `catch`: the first rule fails
+        # with leafA held, and only the second rule's leafB is made
         def setup(interp, ctx, client):
             def deep(it, args):
                 raise RecursionError("deep")
@@ -145,15 +151,17 @@ class TestSpawn:
         res = run_turbine_program(
             "proc swift:main {} {\n"
             "  turbine::rule [ list ] {\n"
+            "    catch { turbine::spawn WORK { turbine::log_output leafA } ; deep }\n"
+            "  } LOCAL\n"
+            "  turbine::rule [ list ] {\n"
             "    turbine::spawn WORK { turbine::log_output leafB }\n"
             "  } LOCAL\n"
-            "  catch { turbine::spawn WORK { turbine::log_output leafA } ; deep }\n"
             "}\n",
             RuntimeConfig(size=4, on_error="continue"),
             setup=setup,
         )
         assert res.stdout_lines == ["leafB"]
-        assert [f.kind for f in res.failures] == ["program"]
+        assert [f.kind for f in res.failures] == ["rule"]
 
     @pytest.mark.parametrize("n", [SPLIT_OVER, SPLIT_OVER + 1, 4 * SPLIT_OVER + 3])
     def test_split_range_halves_until_a_chunk_fits(self, n):
@@ -196,7 +204,7 @@ class TestSpawn:
 
         for compiled in (True, False):
             interp = Interp(compile_enabled=compiled)
-            register_turbine(interp, None, None, {}, [])
+            register_turbine(interp, None, None, {}, [], None)
             interp.register("turbine::boom", boom)
             interp.eval("proc f {} { turbine::boom }")
             for script in ("turbine::boom", "f", "catch { f } msg", "if { [ catch { f } ] } { }"):
@@ -277,6 +285,14 @@ class TestDataOps:
         )
         assert out == ["2.5"]
 
+    @pytest.mark.parametrize(
+        "cmd", ["typeof", "write_refcount_incr", "write_refcount_decr", "read_refcount_decr"]
+    )
+    def test_a_missing_id_is_a_usage_error(self, cmd):
+        # it used to be "IndexError: list index out of range"
+        with pytest.raises(TaskError, match=r"usage: turbine::%s id" % cmd):
+            run("proc swift:main {} { turbine::%s }\n" % cmd)
+
     def test_retrieve_unset_is_error(self):
         with pytest.raises(TaskError, match="before set"):
             run(
@@ -303,11 +319,13 @@ class TestRuntimeBehavior:
         assert sum(e.control_tasks_run for e in res.engine_stats) == 20
 
     def test_engine_stats(self):
+        # The store is a later unit's: a rule registered by the unit
+        # that closes its input finds it closed and is never notified.
         res = run_turbine_program(
             "proc swift:main {} {\n"
             "  set td [ turbine::allocate integer ]\n"
             "  turbine::rule [ list $td ] { turbine::noop } LOCAL\n"
-            "  turbine::store_integer $td 1\n"
+            "  turbine::spawn WORK [ list turbine::store_integer $td 1 ]\n"
             "}\n",
             RuntimeConfig(size=4),
         )

@@ -59,7 +59,13 @@ class FakeInterp:
 
 def make(on_error, raises=None, ring=None):
     client = FakeClient(ring)
-    unit = UnitRunner(client, FakeInterp(raises), on_error)
+    # the engine's add_rules, recorded in the same call list
+    unit = UnitRunner(
+        client,
+        FakeInterp(raises),
+        on_error,
+        add_rules=lambda specs: client.calls.append(("add_rules", list(specs))),
+    )
     # A decrement the unit performed before it ended.
     unit.deferred[11] = [0, -1]
     return unit, client
@@ -73,6 +79,8 @@ def run(unit, kind):
 
 
 LANDED = ("refcount_batch", {11: [0, -1]})
+# a held input-free rule, as turbine::rule records it
+RULE = dict(inputs=[], action="leaf", type="LOCAL", target=-1, priority=0, name="")
 POLICIES = ("retry", "continue", "fail_fast")
 
 
@@ -99,19 +107,35 @@ class TestOneTableEveryKind:
         assert client.calls == [("incr_work", 2), ("put_all", spawns)]
         assert unit.held == []
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_held_rules_are_registered_before_the_put(self, kind):
+        unit, client = make("retry")
+        spawns = [("WORK", "leafA", 0, -1)]
+        rules = [RULE, dict(RULE, type="WORK")]
+        unit.held.extend(spawns)
+        unit.rules.extend(rules)
+        assert run(unit, kind) is True
+        # one increment covers both: the rules' units and the spawns'
+        assert client.calls == [("incr_work", 3), ("add_rules", rules), ("put_all", spawns)]
+        assert unit.held == [] and unit.rules == []
+
     @pytest.mark.parametrize("on_error", POLICIES)
     def test_a_failed_unit_drops_the_spawns_it_held(self, on_error):
-        # the next unit that finishes must not send them
-        unit, _ = make(on_error, RecursionError("deep"))
+        # ... and the rules: the next unit that finishes must not send or
+        # register them
+        unit, client = make(on_error, RecursionError("deep"))
         unit.held.append(("WORK", "leafA", 0, -1))
+        unit.rules.append(RULE)
         try:
             run(unit, "ctask")
         except TaskError:
             pass
-        assert unit.held == []
+        assert unit.held == [] and unit.rules == []
+        assert not any(call[0] in ("incr_work", "add_rules") for call in client.calls)
         unit.held.append(("WORK", "leafA", 0, -1))
+        unit.rules.append(RULE)
         unit.roll_back()
-        assert unit.held == []
+        assert unit.held == [] and unit.rules == []
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_retry_hands_a_leased_unit_back_and_drops_its_decrements(self, kind):
@@ -185,9 +209,10 @@ class TestOneTableEveryKind:
         for raises in (None, ValueError("late")):
             unit, client = make("retry", raises)
             unit.held.append(("WORK", "leafA", 0, -1))
+            unit.rules.append(RULE)
             assert unit.run("task", "leaf", guard=Expired()) is False
             assert client.calls == [] and not unit.deferred and not unit.failures
-            assert unit.held == []
+            assert unit.held == [] and unit.rules == []
 
     @pytest.mark.parametrize(
         "kind, ok, failed",
@@ -245,6 +270,20 @@ proc flaky { c } {
 }
 """
 
+RULE_RETRY = """
+proc swift:main {} {
+    turbine::rule [ list ] flaky CONTROL
+}
+proc flaky {} {
+    turbine::rule [ list ] { turbine::log_output "rule fired" } LOCAL
+    if { ! [ info exists ::tried ] } {
+        set ::tried 1
+        error "first attempt fails after its rule"
+    }
+    turbine::log_output "attempt 2"
+}
+"""
+
 SLOW_TASK = """
 proc swift:main {} {
     set c [ turbine::allocate_container 1 ]
@@ -292,3 +331,19 @@ class TestWhyDeferralStays:
         counters = res.metrics["counters"]
         assert counters["worker.watchdog.abandoned"] == 1
         assert counters["adlb.lease.requeued"] == 1
+
+
+class TestRulesAreHeldLikeSpawns:
+    """A rule registered by an attempt that raises is dropped with it:
+    made at once, it fired for the failed attempt and again for the
+    retry, and under ``continue`` for a unit that never returned."""
+
+    def test_a_retried_control_tasks_rule_fires_once(self):
+        res = run_turbine_program(RULE_RETRY, RuntimeConfig(size=3, on_error="retry"))
+        assert res.stdout_lines == ["attempt 2", "rule fired"]
+        assert res.ok
+
+    def test_a_failed_control_tasks_rule_never_fires(self):
+        res = run_turbine_program(RULE_RETRY, RuntimeConfig(size=3, on_error="continue"))
+        assert "rule fired" not in res.stdout_lines
+        assert [f.kind for f in res.failures] == ["ctask"]
