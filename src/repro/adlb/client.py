@@ -2,9 +2,11 @@
 
 Wraps the RPC protocol: work ops go to the rank's attached server, data
 ops are routed to each TD's home server, and termination-counter ops go
-to the master server.  The client holds no data state: every call is
-one RPC (or one per home server), applied when it returns — but a
-worker's finished unit may wait for its next GET to carry it.
+to the master server.  Every mutation is an OP_COMMIT: a unit's writes
+leave together through :meth:`AdlbClient.commit`, and ``create`` /
+``store`` are one-op commits.  The client holds no data state: every
+call is one RPC (or one per home server), applied when it returns — but
+a worker's finished unit may wait for its next GET to carry it.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class AdlbClient:
         # Provenance context: the id of the unit of work (task / fired
         # rule / control task / program) currently executing on this
         # rank.  Set by the rank's UnitRunner when tracing; every
-        # store issued while it is set emits a ``prov.write`` lineage
+        # store committed while it is set emits a ``prov.write`` lineage
         # edge (unit -> td) into the trace.
         self.prov_unit: str | None = None
         # Optional poll hook invoked while blocked in recv_async; the
@@ -296,105 +298,66 @@ class AdlbClient:
         return td_id
 
     def create(
-        self,
-        type: str,
-        write_refcount: int = 1,
-        read_refcount: int = 1,
-        id: int | None = None,
+        self, type: str, write_refcount: int = 1, read_refcount: int = 1, id: int | None = None
     ) -> int:
+        """Create a TD at once: a one-op :meth:`commit`."""
         td_id = self.allocate_id() if id is None else id
-        self._rpc(
-            self.layout.home_server(td_id),
-            {
-                "op": C.OP_CREATE,
-                "id": td_id,
-                "type": type,
-                "write_refcount": write_refcount,
-                "read_refcount": read_refcount,
-            },
-        )
+        op = {"op": C.OP_CREATE, "id": td_id, "type": type, "write_refcount": write_refcount}
+        self.commit([dict(op, read_refcount=read_refcount)])
         return td_id
 
-    def store(
-        self,
-        id: int,
-        value: Any,
-        subscript: str | None = None,
-        decr_write: int = 1,
-    ) -> None:
+    def store(self, id: int, value: Any, subscript: str | None = None, decr_write: int = 1) -> None:
+        """Store at once: a one-op :meth:`commit`."""
+        op = {"op": C.OP_STORE, "id": id, "value": value, "subscript": subscript}
+        self.commit([dict(op, decr_write=decr_write)])
+
+    def commit(self, ops: list[dict]) -> None:
+        """Apply data-op dicts, in order, as one OP_COMMIT per home
+        server.  A container reference may make its server store into
+        the reference TD at once, so a reference TD these ops create on
+        another server is created first, in a commit of its own."""
+        home = self.layout.home_server
         if self.tracer is not None:
-            # Lineage edge: the current unit wrote this TD.
-            self.tracer.emit("write", id, self.prov_unit, subscript)
-        self._rpc(
-            self.layout.home_server(id),
-            {
-                "op": C.OP_STORE,
-                "id": id,
-                "value": value,
-                "subscript": subscript,
-                "decr_write": decr_write,
-            },
-        )
+            for op in ops:
+                if op["op"] == C.OP_STORE:
+                    # Lineage edge: the current unit wrote this TD; it is
+                    # readable from now on.
+                    self.tracer.emit("write", op["id"], self.prov_unit, op.get("subscript"))
+        created = {op["id"]: op for op in ops if op["op"] == C.OP_CREATE}
+        first = [
+            created.pop(op["ref_id"])
+            for op in ops
+            if op["op"] == C.OP_CONTAINER_REF
+            and op["ref_id"] in created
+            and home(op["ref_id"]) != home(op["id"])
+        ]
+        rest = [op for op in ops if op["op"] != C.OP_CREATE or op["id"] in created]
+        for group in (first, rest):
+            by_server: dict[int, list[dict]] = {}
+            for op in group:
+                by_server.setdefault(home(op["id"]), []).append(op)
+            for server, server_ops in by_server.items():
+                self._rpc(server, {"op": C.OP_COMMIT, "ops": server_ops})
+
+    def read(self, msg: dict) -> Any:
+        """An op on ``msg["id"]`` outside a commit: a read or SUBSCRIBE."""
+        return self._rpc(self.layout.home_server(msg["id"]), msg)
 
     def retrieve(self, id: int, subscript: str | None = None) -> Any:
-        return self._rpc(
-            self.layout.home_server(id),
-            {"op": C.OP_RETRIEVE, "id": id, "subscript": subscript},
-        )
+        return self.read({"op": C.OP_RETRIEVE, "id": id, "subscript": subscript})
 
     def exists(self, id: int, subscript: str | None = None) -> bool:
-        return self._rpc(
-            self.layout.home_server(id),
-            {"op": C.OP_EXISTS, "id": id, "subscript": subscript},
-        )
+        return self.read({"op": C.OP_EXISTS, "id": id, "subscript": subscript})
 
     def typeof(self, id: int) -> str:
-        return self._rpc(self.layout.home_server(id), {"op": C.OP_TYPEOF, "id": id})
+        return self.read({"op": C.OP_TYPEOF, "id": id})
 
     def subscribe(self, id: int) -> bool:
         """Subscribe to a TD's close; True if already closed."""
-        return self._rpc(
-            self.layout.home_server(id),
-            {"op": C.OP_SUBSCRIBE, "id": id, "rank": self.rank},
-        )
-
-    def container_reference(self, id: int, subscript: str, ref_id: int) -> None:
-        self._rpc(
-            self.layout.home_server(id),
-            {
-                "op": C.OP_CONTAINER_REF,
-                "id": id,
-                "subscript": subscript,
-                "ref_id": ref_id,
-            },
-        )
+        return self.read({"op": C.OP_SUBSCRIBE, "id": id, "rank": self.rank})
 
     def enumerate(self, id: int) -> list[str]:
-        return self._rpc(
-            self.layout.home_server(id), {"op": C.OP_ENUMERATE, "id": id}
-        )
-
-    def refcount(self, id: int, read_delta: int = 0, write_delta: int = 0) -> None:
-        self._rpc(
-            self.layout.home_server(id),
-            {
-                "op": C.OP_REFCOUNT,
-                "id": id,
-                "read_delta": read_delta,
-                "write_delta": write_delta,
-            },
-        )
-
-    def refcount_batch(self, deltas: dict[int, list[int]]) -> None:
-        """Apply ``{id: [read_delta, write_delta]}``, one RPC per home
-        server (the decrements a unit of work deferred to its commit)."""
-        by_server: dict[int, list[dict]] = {}
-        for id, (read_delta, write_delta) in deltas.items():
-            by_server.setdefault(self.layout.home_server(id), []).append(
-                {"id": id, "read_delta": read_delta, "write_delta": write_delta}
-            )
-        for server, ops in by_server.items():
-            self._rpc(server, {"op": C.OP_REFCOUNT_BATCH, "ops": ops})
+        return self.read({"op": C.OP_ENUMERATE, "id": id})
 
     # ----------------------------------------------------------- termination
 

@@ -30,16 +30,17 @@ OP_PUT = "PUT"
 OP_GET = "GET"  # blocking get (worker)
 OP_GET_ASYNC = "GET_ASYNC"  # parked get with async delivery (engine)
 OP_ID_BLOCK = "ID_BLOCK"
-OP_CREATE = "CREATE"
-OP_STORE = "STORE"
+OP_COMMIT = "COMMIT"  # a unit's writes to one server, applied in order
 OP_RETRIEVE = "RETRIEVE"
 OP_EXISTS = "EXISTS"
 OP_SUBSCRIBE = "SUBSCRIBE"
-OP_CONTAINER_REF = "CONTAINER_REF"
 OP_ENUMERATE = "ENUMERATE"
-OP_REFCOUNT = "REFCOUNT"
-OP_REFCOUNT_BATCH = "REFCOUNT_BATCH"  # the decrements a unit deferred to its commit
 OP_TYPEOF = "TYPEOF"
+# the ops inside a commit (and the replication op-log's data entries)
+OP_CREATE = "CREATE"
+OP_STORE = "STORE"
+OP_CONTAINER_REF = "CONTAINER_REF"
+OP_REFCOUNT = "REFCOUNT"
 OP_INCR_WORK = "INCR_WORK"
 OP_DECR_WORK = "DECR_WORK"
 OP_TASK_FAIL = "TASK_FAIL"  # client reports a failed leased work unit

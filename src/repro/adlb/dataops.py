@@ -3,7 +3,10 @@
 Both the owning server (answering the client, emitting notifications,
 logging the mutation to its buddy) and the buddy's shadow replica
 (replaying that log) go through :func:`apply_data_op`, so the wire
-format of a data op is decoded in exactly one place.
+format of a data op is decoded in exactly one place.  A client mutates
+only inside an ``OP_COMMIT``, whose ops the server applies (and logs)
+here one at a time; a running unit's scratch store applies the ops on
+the TDs it created here too.
 """
 
 from __future__ import annotations
@@ -13,19 +16,8 @@ from typing import Any
 from . import constants as C
 from .datastore import DataStore, Notification, RefStore
 
-#: the client ops :func:`apply_data_op` serves
-DATA_OPS = {
-    C.OP_CREATE,
-    C.OP_STORE,
-    C.OP_RETRIEVE,
-    C.OP_EXISTS,
-    C.OP_SUBSCRIBE,
-    C.OP_CONTAINER_REF,
-    C.OP_ENUMERATE,
-    C.OP_REFCOUNT,
-    C.OP_REFCOUNT_BATCH,
-    C.OP_TYPEOF,
-}
+#: the ops a server takes outside a commit: reads and subscriptions
+READ_OPS = {C.OP_RETRIEVE, C.OP_EXISTS, C.OP_SUBSCRIBE, C.OP_ENUMERATE, C.OP_TYPEOF}
 
 
 def apply_data_op(
@@ -63,18 +55,12 @@ def apply_data_op(
         notes += closed
         refs += through
         return None, msg
-    # Refcounts.  A batch carries the decrements one unit of work
-    # deferred to its commit (one entry per id), applied in order; if
-    # one fails, the preceding ops stay applied (their notifications
-    # are already in ``notes``) and the error is reported for the
-    # whole batch.
-    if op == C.OP_REFCOUNT or op == C.OP_REFCOUNT_BATCH:
-        for item in msg["ops"] if op == C.OP_REFCOUNT_BATCH else [msg]:
-            notes += s.refcount(
-                item["id"],
-                read_delta=item.get("read_delta", 0),
-                write_delta=item.get("write_delta", 0),
-            )
+    if op == C.OP_REFCOUNT:
+        notes += s.refcount(
+            msg["id"],
+            read_delta=msg.get("read_delta", 0),
+            write_delta=msg.get("write_delta", 0),
+        )
         return None, msg
     if op == C.OP_RETRIEVE:
         return s.retrieve(msg["id"], subscript=msg.get("subscript")), None

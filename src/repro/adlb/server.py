@@ -35,7 +35,7 @@ from ..faults import RankKilled, TaskError, TaskFailure, snippet
 from ..mpi import Comm
 from . import constants as C
 from .checkpoint import Checkpointer, load_shard
-from .dataops import DATA_OPS, apply_data_op
+from .dataops import READ_OPS, apply_data_op
 from .datastore import DataStore, DataStoreError, Notification, RefStore
 from .dedup import PARKED, REPLAY_SAFE_OPS, DedupTable, channel_of
 from .drain import Drain
@@ -143,13 +143,14 @@ class Server:
             C.OP_GET: self._op_get,
             C.OP_GET_ASYNC: self._op_get,
             C.OP_ID_BLOCK: self._op_id_block,
+            C.OP_COMMIT: self._op_commit,
             C.OP_INCR_WORK: self._op_incr_work,
             C.OP_DECR_WORK: self._op_decr_work,
             C.SOP_STEAL_REQ: self._op_steal_req,
             C.SOP_STEAL_RESP: self._op_steal_resp,
             C.SOP_SHUTDOWN: self._op_shutdown,
         }
-        self.ops.update(dict.fromkeys(DATA_OPS, self._op_data))
+        self.ops.update(dict.fromkeys(READ_OPS, self._op_data))
         # shard owners: the world's shared map, which failover re-points
         self.map = server_map or ServerMap(layout)
         self.faults = faults
@@ -506,6 +507,13 @@ class Server:
 
     # ---------------------------------------------------------------- data ops
 
+    def _op_commit(self, msg: dict, source: int) -> None:
+        """OP_COMMIT: a unit's writes to this shard, applied and logged
+        one at a time in list order.  The first op rejected fails the
+        commit; the ones before it stay applied, on the buddy too."""
+        for op in msg["ops"]:
+            self._op_data(op, source)
+
     def _op_data(self, msg: dict, source: int) -> Any:
         op = msg["op"]
         if self.tracer is not None:
@@ -533,16 +541,11 @@ class Server:
             self.comm.send(("notify", note.id), note.rank, C.TAG_ASYNC)
         for ref in refs:
             home = self.map.home_server(ref.ref_id)
-            store_msg = {
-                "op": C.OP_STORE,
-                "id": ref.ref_id,
-                "value": ref.value,
-                "decr_write": 1,
-            }
+            store = {"op": C.OP_STORE, "id": ref.ref_id, "value": ref.value}
             if home == self.rank:
-                self._apply(store_msg, self.rank)
+                self._apply(store, self.rank)
             else:
-                self.comm.send(store_msg, home, C.TAG_ONEWAY)
+                self.comm.send({"op": C.OP_COMMIT, "ops": [store]}, home, C.TAG_ONEWAY)
 
     # ------------------------------------------------------------- termination
 

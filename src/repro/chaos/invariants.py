@@ -20,10 +20,10 @@ The laws, each cheap enough to hold on every run:
   buffer before blocking, so server-side journal mirrors are empty at
   quiescence (pending mirrors are legal only for a poisoned drain);
   a dead engine's mirror must have been popped by adoption.
-* **No unflushed refcount deltas** — every unit of work ends in a
-  commit (its deferred refcount decrements land) or a roll-back (they
-  are dropped), so the deferred map is empty whenever a rank exits
-  cleanly.
+* **No unflushed refcount deltas or writes** — every unit of work
+  ends in a commit (its held writes and deferred refcount decrements
+  land) or a roll-back (they are dropped), so both tables are empty
+  whenever a rank exits cleanly.
 * **Bounded dedup slots** — reliable-RPC reply caches hold at most one
   entry per attached client per channel.
 * **Consistent failure/quarantine accounting** — the run-level
@@ -172,11 +172,12 @@ def audit_run(
                 )
 
     for row in audit.by_role("engine") + audit.by_role("worker"):
-        if row.get("pending_refcounts"):
-            bad(
-                "%s rank %d exited with %d unflushed refcount delta(s)"
-                % (row["role"], row["rank"], row["pending_refcounts"])
-            )
+        for key, what in (("pending_refcounts", "refcount delta"), ("pending_writes", "write")):
+            if row.get(key):
+                bad(
+                    "%s rank %d exited with %d unflushed %s(s)"
+                    % (row["role"], row["rank"], row[key], what)
+                )
     for row in audit.by_role("engine"):
         if row.get("unflushed_journal"):
             bad(

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import Any
 
-from ..adlb.client import AdlbClient
+from ..adlb import constants as C
+from ..adlb.client import AdlbClient, AdlbError
 from ..adlb.constants import (
     T_BLOB,
     T_BOOLEAN,
@@ -22,23 +23,13 @@ from ..adlb.constants import (
     T_STRING,
     T_VOID,
 )
+from ..adlb.dataops import apply_data_op
+from ..adlb.datastore import DataStore, DataStoreError
 from ..mpi import AbortError, DeadlockError
 from ..tcl.errors import TclError
 from ..tcl.expr import to_string
 from ..tcl.interp import Interp
 from ..tcl.listutil import format_list, parse_list
-
-_TYPES = {
-    T_INTEGER,
-    T_FLOAT,
-    T_STRING,
-    T_BLOB,
-    T_BOOLEAN,
-    T_VOID,
-    T_REF,
-    T_CONTAINER,
-}
-
 
 def _to_int(s: str) -> int:
     try:
@@ -101,14 +92,17 @@ def register_turbine(
     deferred: dict[int, list[int]],
     held: list[tuple],
     rules: list[dict] | None,
+    writes: list[dict],
+    scratch: DataStore,
 ) -> None:
     """Register primitive turbine:: commands.
 
     ``runtime`` is the per-rank RankContext (output sink, config).
-    ``deferred``, ``held`` and ``rules`` are the tables of the rank's
-    :class:`~repro.turbine.unit.UnitRunner` that hold refcount
-    decrements until the running unit commits, and spawns and rule
-    registrations until its Tcl returns — the tables, not the runner:
+    ``deferred``, ``held``, ``rules``, ``writes`` and ``scratch`` are
+    the tables of the rank's :class:`~repro.turbine.unit.UnitRunner`
+    that hold refcount decrements until the running unit commits, and
+    spawns, rule registrations and writes until its Tcl returns, plus
+    the unit's own TDs — the tables, not the runner:
     commands that reached the runner would tie the interpreter into a
     reference cycle, and a finished worker's interpreter would wait for
     the cycle collector instead of being freed at thread exit.
@@ -166,11 +160,12 @@ def register_turbine(
         return ""
 
     def cmd_drop(it, args):
-        # drop: forget the running unit's spawns so far (a guarded
-        # chunk's catch branch, before it falls back)
+        # drop: forget what the running unit did so far (a guarded
+        # chunk's catch branch, before its fallback does it again)
         if args:
             raise TclError("usage: turbine::drop")
-        held.clear()
+        for table in (deferred, held, rules or [], writes, scratch.tds):
+            table.clear()
         return ""
 
     splits = itertools.count(1)  # this rank's splits, for the round-robin
@@ -199,6 +194,11 @@ def register_turbine(
             ("CONTROL", format_list([args[0], str(a), str(b), str(step), *args[4:]]), 0, -1)
             for a, b in ((lo, mid - step), (mid, hi))
         )
+        if writes:
+            # The halves may use what this unit created: it must exist.
+            client.commit(writes)
+            writes.clear()
+            scratch.tds.clear()
         servers = client.layout.servers
         there = servers[(servers.index(client.my_server) + next(splits)) % len(servers)]
         client.incr_work(2)
@@ -215,29 +215,46 @@ def register_turbine(
     reg("range_count", cmd_range_count)
     reg("split_range", cmd_split_range)
 
-    # ---- allocation ----------------------------------------------------------
+    # ---- data ----------------------------------------------------------------
+
+    # A write is held with the unit's spawns and leaves first, as one
+    # commit per server.  One on a TD the unit created is also applied
+    # to ``scratch`` at once, and reads of such a TD are answered from
+    # it: the TD does not exist on its server until the unit commits.
+    def local(msg: dict) -> Any:
+        try:
+            return apply_data_op(scratch, msg, client.rank, [], [])[0]
+        except DataStoreError as e:
+            raise AdlbError(str(e)) from None
+
+    def write(op: dict) -> str:
+        if op["op"] == C.OP_CREATE or op["id"] in scratch.tds:
+            local(op)
+        writes.append(op)
+        return ""
+
+    def read(op: str, td: str, subscript: str | None = None) -> Any:
+        msg = {"op": op, "id": int(td), "subscript": subscript}
+        return local(msg) if msg["id"] in scratch.tds else client.read(msg)
 
     def cmd_allocate(it, args):
         if not args:
             raise TclError("usage: turbine::allocate type ?write_refcount?")
-        dtype = args[0]
-        if dtype not in _TYPES:
-            raise TclError("unknown TD type %r" % dtype)
+        # the scratch create checks the type and the refcount
+        td = client.allocate_id()
         wrc = int(args[1]) if len(args) > 1 else 1
-        return str(client.create(dtype, write_refcount=wrc))
+        write({"op": C.OP_CREATE, "id": td, "type": args[0], "write_refcount": wrc})
+        return str(td)
 
     def cmd_allocate_container(it, args):
-        wrc = int(args[0]) if args else 1
-        return str(client.create(T_CONTAINER, write_refcount=wrc))
+        return cmd_allocate(it, [T_CONTAINER, *args])
 
     reg("allocate", cmd_allocate)
     reg("allocate_container", cmd_allocate_container)
 
-    # ---- stores -------------------------------------------------------------
-
-    def _store(td: str, value: Any, decr: str | None) -> str:
-        client.store(int(td), value, decr_write=int(decr) if decr else 1)
-        return ""
+    def _store(td: str, value: Any, decr: str | None, subscript: str | None = None) -> str:
+        op = {"op": C.OP_STORE, "id": int(td), "value": value, "subscript": subscript}
+        return write(dict(op, decr_write=int(decr) if decr else 1))
 
     def _mk_store(conv):
         def cmd(it, args):
@@ -286,7 +303,7 @@ def register_turbine(
         # store with a value already in Tcl string form (type-agnostic)
         if len(args) not in (2, 3):
             raise TclError("usage: turbine::store_any id value ?decr?")
-        dtype = client.typeof(int(args[0]))
+        dtype = read(C.OP_TYPEOF, args[0])
         if dtype == T_BLOB:
             return cmd_store_blob(it, args)
         conv = (lambda s: "") if dtype == T_VOID else _CONV.get(dtype, str)
@@ -298,9 +315,7 @@ def register_turbine(
         # copy the raw stored value (preserves blobs exactly)
         if len(args) != 2:
             raise TclError("usage: turbine::copy_value dst src")
-        value = client.retrieve(int(args[1]))
-        client.store(int(args[0]), value)
-        return ""
+        return _store(args[0], read(C.OP_RETRIEVE, args[1]), None)
 
     reg("copy_value", cmd_copy_value)
 
@@ -320,8 +335,7 @@ def register_turbine(
     def cmd_retrieve(it, args):
         if len(args) not in (1, 2):
             raise TclError("usage: turbine::retrieve id ?subscript?")
-        value = client.retrieve(int(args[0]), subscript=args[1] if len(args) > 1 else None)
-        return _value_to_tcl(it, value)
+        return _value_to_tcl(it, read(C.OP_RETRIEVE, *args))
 
     reg("retrieve", cmd_retrieve)
     reg("retrieve_integer", cmd_retrieve)
@@ -332,15 +346,14 @@ def register_turbine(
     def cmd_exists(it, args):
         if len(args) not in (1, 2):
             raise TclError("usage: turbine::exists id ?subscript?")
-        ok = client.exists(int(args[0]), subscript=args[1] if len(args) > 1 else None)
-        return "1" if ok else "0"
+        return "1" if read(C.OP_EXISTS, *args) else "0"
 
     reg("exists", cmd_exists)
 
     def cmd_typeof(it, args):
         if len(args) != 1:
             raise TclError("usage: turbine::typeof id")
-        return client.typeof(int(args[0]))
+        return read(C.OP_TYPEOF, args[0])
 
     reg("typeof", cmd_typeof)
 
@@ -351,31 +364,29 @@ def register_turbine(
             raise TclError(
                 "usage: turbine::container_insert c subscript member ?decr?"
             )
-        decr = int(args[3]) if len(args) > 3 else 1
-        client.store(int(args[0]), int(args[1 + 1]), subscript=args[1], decr_write=decr)
-        return ""
+        return _store(args[0], int(args[2]), args[3] if len(args) > 3 else None, args[1])
 
     reg("container_insert", cmd_container_insert)
 
     def cmd_container_lookup(it, args):
         if len(args) != 2:
             raise TclError("usage: turbine::container_lookup c subscript")
-        return to_string(client.retrieve(int(args[0]), subscript=args[1]))
+        return to_string(read(C.OP_RETRIEVE, *args))
 
     reg("container_lookup", cmd_container_lookup)
 
     def cmd_container_reference(it, args):
         if len(args) != 3:
             raise TclError("usage: turbine::container_reference c subscript ref")
-        client.container_reference(int(args[0]), args[1], int(args[2]))
-        return ""
+        op = {"op": C.OP_CONTAINER_REF, "id": int(args[0]), "subscript": args[1]}
+        return write(dict(op, ref_id=int(args[2])))
 
     reg("container_reference", cmd_container_reference)
 
     def cmd_enumerate(it, args):
         if len(args) != 1:
             raise TclError("usage: turbine::enumerate c")
-        return format_list(client.enumerate(int(args[0])))
+        return format_list(read(C.OP_ENUMERATE, args[0]))
 
     reg("enumerate", cmd_enumerate)
 
@@ -387,13 +398,10 @@ def register_turbine(
         return int(args[0]), int(args[1]) if len(args) > 1 else 1
 
     def cmd_wrc_incr(it, args):
-        # Applies at once: generated code adds writer slots *before*
-        # handing them out, and a deferred increment could let the TD
-        # close under an in-flight slot.
+        # A write like any other: the slots it adds are handed out only
+        # by spawns and rules, which leave after the writes.
         td, n = _td_and_n("write_refcount_incr", args)
-        if n:
-            client.refcount(td, write_delta=n)
-        return ""
+        return write({"op": C.OP_REFCOUNT, "id": td, "write_delta": n}) if n else ""
 
     def cmd_wrc_decr(it, args):
         td, n = _td_and_n("write_refcount_decr", args)

@@ -234,6 +234,7 @@ class Engine:
             "blocked_on": sorted(self.blocked)[:8],  # a line, not a dump
             "unflushed_journal": len(self._jbuf),
             "pending_refcounts": len(self.unit.deferred),
+            "pending_writes": len(self.unit.writes),
             "rules_created": self.stats.rules_created,
             "adoptions": self.journal_stats.adoptions,
             "failures": len(self.unit.failures),

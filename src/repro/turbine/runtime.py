@@ -158,7 +158,7 @@ def load_rank(
     packages into an engine or worker rank's Tcl interpreter."""
     interp.echo = False
     rules = unit.rules if unit.add_rules is not None else None
-    register_turbine(interp, client, ctx, unit.deferred, unit.held, rules)
+    register_turbine(interp, client, ctx, unit.deferred, unit.held, rules, unit.writes, unit.scratch)
     interp.eval(TURBINE_TCL)
     if ctx.config.args:
         from ..tcl.listutil import format_list

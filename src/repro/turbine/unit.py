@@ -7,13 +7,16 @@ once, for the four kinds of unit Turbine runs (``task`` on a worker;
 ``rule``, ``ctask`` and the ``program`` on an engine); the engine and
 the worker each hold one and keep only their own loops.
 
-Refcount *decrements* a unit performs are deferred here until it
-commits, and the tasks it *spawns* and the rules it *registers* are
-held until its Tcl returns.  That is not an optimisation: an attempt
-that will be retried (or, abandoned by the watchdog, already is being)
-re-executes all three, so its own must be dropped for them to happen
-exactly once.  That the held work leaves together, as one
-``incr_work(k + r)``, r rule registrations and one k-task put, is.
+Everything a unit does to the rest of the run waits here.  Its
+*writes* (creates, stores, inserts, container references, writer-slot
+increments), the tasks it *spawns* and the rules it *registers* are
+held until its Tcl returns; its refcount *decrements* until it commits.
+That is not an optimisation: an attempt that will be retried (or,
+abandoned by the watchdog, already is being) re-executes all of them,
+so a unit that raises or is abandoned must leave nothing behind for
+them to happen exactly once.  That the held work leaves together — one
+OP_COMMIT per server, then one ``incr_work(k + r)``, r rule
+registrations and one k-task put — is.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import time
 import traceback
 from typing import Any
 
+from ..adlb import constants as C
 from ..adlb.client import AdlbClient
+from ..adlb.datastore import DataStore
 from ..faults import InjectedFault, RankKilled, TaskError, TaskFailure, snippet
 from ..mpi import AbortError, DeadlockError
 
@@ -76,6 +81,11 @@ class UnitRunner:
         self.held: list[tuple] = []
         # Rule.spec dicts of the rules it registered, held the same way
         self.rules: list[dict] = []
+        # data-op dicts of its writes, in program order, held the same
+        # way; ``scratch`` has them applied to the TDs the unit created,
+        # so it can read those before they exist on their servers
+        self.writes: list[dict] = []
+        self.scratch = DataStore()
         # numbers task / control-task unit ids; counts retries too
         self._seq = 0
 
@@ -89,8 +99,9 @@ class UnitRunner:
         label: str = "",
         guard: Any | None = None,
     ) -> bool:
-        """Run one unit.  True: it ran to completion, its rules are
-        registered, its spawns are sent, and it still holds its counter
+        """Run one unit.  True: it ran to completion, its writes are
+        committed, its rules are registered, its spawns are sent, and it
+        still holds its counter
         unit and its deferred decrements — the caller does whatever must
         come first (drain, journal, re-park), then calls
         :meth:`commit`.  False: it raised (its held work failing too),
@@ -142,11 +153,18 @@ class UnitRunner:
                     time.sleep(directive[1])
                 if guard is None or not guard.expired():
                     # An expiry during the injected delay already handed the
-                    # unit back; running it now would double-apply its stores.
+                    # unit back; running it now would run it twice.
                     self.interp.eval(script)
             finally:
                 abandoned = guard is not None and guard.disarm()
-            held, rules = self.held, self.rules
+            held, rules, writes = self.held, self.rules, self.writes
+            if writes and not abandoned:
+                # First: a held rule's subscribe must find the TDs the unit
+                # created, and a commit a server rejects must fail the
+                # unit before it spawns anything.
+                client.commit(writes)
+                writes.clear()
+                self.scratch.tds.clear()
             if (held or rules) and not abandoned:
                 # Safe before the commit: this unit's own count keeps the
                 # termination counter above zero until then.  A rule on a
@@ -193,12 +211,9 @@ class UnitRunner:
         never leaked, so runs finish or abort deterministically."""
         error = "%s: %s" % (type(e).__name__, e)
         tb = "".join(traceback.format_exception(type(e), e, e.__traceback__))
-        # A unit that raised has spawned and registered nothing, under
-        # every policy.
-        self.held.clear()
-        self.rules.clear()
+        # A unit that raised leaves nothing behind, under every policy.
+        self.roll_back()
         if retryable and self.on_error == "retry":
-            self.roll_back()
             self.client.task_fail(kind, error, tb)
             return
         failure = TaskFailure(
@@ -209,24 +224,23 @@ class UnitRunner:
             error=error,
             traceback=tb,
         )
-        # The unit completes (as a failure): land the decrements it
-        # already performed, then account for it.
         if self.on_error == "continue":
             self.failures.append(failure)
             # Poisoned: dataflow blocked on this unit's outputs will
             # never resolve; the master drains the run at quiescence.
-            self.commit(poison=True)
+            self.client.decr_work(poison=True)
             return
-        self.commit()
+        self.client.decr_work()
         raise TaskError(failure) from e
 
     # -------------------------------------------------- commit / roll back
 
-    def commit(self, poison: bool = False) -> None:
+    def commit(self) -> None:
         """The unit is finished: land its deferred decrements, then
         give back its termination-counter unit — in that order, since a
         write decrement can close TDs and fire rules the counter must
-        still see."""
+        still see.  After :meth:`run`, so its rules have subscribed and
+        a read decrement cannot free a TD under them."""
         if self.deferred:
             deltas = dict(self.deferred)
             self.deferred.clear()
@@ -238,14 +252,17 @@ class UnitRunner:
                 self.ring.emit(
                     "refcount_flush", len(deltas), self.client.prov_unit, payload=tds
                 )
-            self.client.refcount_batch(deltas)
-        self.client.decr_work(poison=poison)
+            op = {"op": C.OP_REFCOUNT}
+            ops = [dict(op, id=id, read_delta=r, write_delta=w) for id, (r, w) in deltas.items()]
+            self.client.commit(ops)
+        self.client.decr_work()
 
     def roll_back(self) -> None:
-        """The unit will run again (or already is, elsewhere): drop its
-        deferred decrements, held spawns and held rules — the
-        re-execution performs them again, so landing these too would
-        double-apply them."""
+        """The unit raised, or will run again (or already is,
+        elsewhere): drop everything it holds — its writes, spawns,
+        rules and deferred decrements."""
         self.deferred.clear()
         self.held.clear()
         self.rules.clear()
+        self.writes.clear()
+        self.scratch.tds.clear()

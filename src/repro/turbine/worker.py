@@ -144,12 +144,14 @@ class Worker:
 
     def state(self) -> dict:
         """What this worker holds right now (DESIGN.md, "Live state"):
-        at quiescence no deferred refcount decrement — every task ends
-        in a commit or a roll-back.  Plain reads and ``len()`` only."""
+        at quiescence no deferred refcount decrement and no unsent write
+        — every task ends in a commit or a roll-back.  Plain reads and
+        ``len()`` only."""
         return {
             "role": "worker",
             "rank": self.client.rank,
             "pending_refcounts": len(self.unit.deferred),
+            "pending_writes": len(self.unit.writes),
             "tasks_run": self.stats.tasks_run,
             "abandoned": self.watchdog_stats.abandoned,
             "failures": len(self.unit.failures),

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.adlb import AdlbClient, AdlbError, Layout, Server
+from repro.adlb import constants as C
 from repro.adlb.constants import CONTROL, WORK
 from repro.mpi import run_world
 
@@ -245,7 +246,7 @@ class TestDataOps:
             client.store(c, 22, subscript="b")
             seen["subs"] = sorted(client.enumerate(c))
             seen["a"] = client.retrieve(c, subscript="a")
-            client.refcount(c, write_delta=-1)
+            client.commit([{"op": C.OP_REFCOUNT, "id": c, "write_delta": -1}])
 
         run_adlb(3, 1, 1, self._data_engine(work), self._idle_worker)
         assert seen == {"subs": ["a", "b"], "a": 11}
@@ -294,11 +295,34 @@ class TestDataOps:
         def work(client):
             c = client.create("container", write_refcount=2)
             ref = client.create("integer")
-            client.container_reference(c, "k", ref)
+            client.commit([{"op": C.OP_CONTAINER_REF, "id": c, "subscript": "k", "ref_id": ref}])
             client.store(c, 55, subscript="k")
             seen["ref_value"] = client.retrieve(ref)
 
         run_adlb(3, 1, 1, self._data_engine(work), self._idle_worker)
+        assert seen["ref_value"] == 55
+
+    def test_a_commit_creates_a_reference_td_before_its_container_reference(self):
+        # The member is there, so the container's server stores into the
+        # reference TD at once; that TD, created in the same write set,
+        # lives on the other server and must exist by then.
+        seen = {}
+
+        def work(client):
+            c, ref = client.allocate_id(), client.allocate_id()
+            assert client.layout.home_server(c) != client.layout.home_server(ref)
+            insert = {"op": C.OP_STORE, "id": c, "value": 55, "subscript": "k", "decr_write": 0}
+            client.commit(
+                [
+                    {"op": C.OP_CREATE, "id": c, "type": "container"},
+                    insert,
+                    {"op": C.OP_CREATE, "id": ref, "type": "integer"},
+                    {"op": C.OP_CONTAINER_REF, "id": c, "subscript": "k", "ref_id": ref},
+                ]
+            )
+            seen["ref_value"] = client.retrieve(ref)
+
+        run_adlb(4, 2, 1, self._data_engine(work), self._idle_worker)
         assert seen["ref_value"] == 55
 
 

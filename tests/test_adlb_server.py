@@ -485,12 +485,13 @@ class TestDedupTable:
         server, world = make_server(reliable=True)
         park = {"op": C.OP_GET_ASYNC, "types": [C.CONTROL], "seq": 5}
         server.dispatch(park, ENGINE, C.TAG_REQUEST)
-        create = {"op": C.OP_CREATE, "id": 1, "type": C.T_INTEGER, "seq": 6}
+        create = {"op": C.OP_CREATE, "id": 1, "type": C.T_INTEGER}
+        create = {"op": C.OP_COMMIT, "ops": [create], "seq": 6}
         server.dispatch(create, ENGINE, C.TAG_REQUEST)
         server.dispatch(park, ENGINE, C.TAG_REQUEST)  # resend timer fired
         assert replies(world, ENGINE, C.TAG_RESPONSE) == [
             ("parked", 5),
-            ("ok", 1, 6),
+            ("ok", None, 6),
             ("parked", 5),
         ]
         assert [p.rank for p in server.parked] == [ENGINE]
@@ -600,8 +601,13 @@ PER_CHAIN_RUN = dict(zip(COUNTERS, (16, 0, 0, 3, 3, 0)))
 # began to be held like its spawns, 37n + 50 -> 36n + 48: the rules and
 # spawns of a unit share its one incr_work, so a body control task's
 # two rules send one increment, not two, and swift:main's two rules and
-# the n spawns one, not three.
-CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 36, 48
+# the n spawns one, not three.  Re-pinned again when a unit's writes
+# began to leave as one commit per server, 36n + 48 -> 28n + 34: a body
+# control task's five writes (3 creates, the insert, the container
+# reference) were five RPCs, ten messages, and are one commit; so are
+# swift:main's eight (4 creates, a store, an insert, the loop proc's
+# write_refcount_incr, a container reference), which were sixteen.
+CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 28, 34
 
 
 class TestProtocolShape:

@@ -157,6 +157,7 @@ def client_row(role, rank, **kw) -> dict:
         "role": role,
         "rank": rank,
         "pending_refcounts": 0,
+        "pending_writes": 0,
         "failures": 0,
     }
     if role == "engine":
@@ -228,9 +229,11 @@ class TestInvariants:
         rows = self.rows()
         rows[0]["pending_refcounts"] = 2
         rows[0]["unflushed_journal"] = 1
+        rows[1]["pending_writes"] = 3
         audit = audit_run(rows, layout=self.lay())
         assert any("unflushed refcount" in v for v in audit.violations)
         assert any("unflushed journal" in v for v in audit.violations)
+        assert "worker rank 1 exited with 3 unflushed write(s)" in audit.violations
 
     def test_dedup_slots_bounded_by_clients(self):
         audit = audit_run(

@@ -133,7 +133,9 @@ def run_unit(body):
             return
         interp = Interp()
         unit = UnitRunner(client, interp)
-        register_turbine(interp, client, None, unit.deferred, unit.held, None)
+        register_turbine(
+            interp, client, None, unit.deferred, unit.held, None, unit.writes, unit.scratch
+        )
         client.incr_work()  # the unit of work ``body`` stands for
         try:
             out["result"] = body(unit, interp.eval)
@@ -171,19 +173,21 @@ class TestRetrieveCacheInvalidation:
         assert run_unit(body) == (False, False)
 
     def test_write_increments_bypass_batching(self):
-        # Positive write deltas must reach the server immediately:
-        # generated code adds writer slots before handing them out.
+        # A writer-slot increment is a write, not a decrement to batch:
+        # held in program order with the unit's other writes, it lands
+        # before the inserts that use the slots.
         def body(unit, tcl):
             client = unit.client
             c = client.create("container", write_refcount=1)
-            tcl("turbine::write_refcount_incr %d 2" % c)  # must apply now
-            assert not unit.deferred
-            client.store(c, "x", subscript="0", decr_write=1)
-            client.store(c, "y", subscript="1", decr_write=1)
-            client.store(c, "z", subscript="2", decr_write=1)  # closes
+            tcl("turbine::write_refcount_incr %d 2" % c)
+            assert not unit.deferred and unit.writes[0]["write_delta"] == 2
+            for i in range(3):  # the third closes it
+                tcl("turbine::container_insert %d %d %d" % (c, i, 10 * i))
+            client.commit(unit.writes)
+            unit.writes.clear()
             return client.retrieve(c)
 
-        assert run_unit(body) == {"0": "x", "1": "y", "2": "z"}
+        assert run_unit(body) == {"0": 0, "1": 10, "2": 20}
 
     def test_deferred_decrements_dropped_on_roll_back(self):
         def body(unit, tcl):

@@ -437,6 +437,54 @@ def test_a_failed_body_spawns_no_leaf_under_every_policy(opt, capsys):
     assert not res.ok and res.stdout_lines == []
 
 
+# Every iteration inserts into the array, then raises in parseint.
+INSERT_THEN_RAISE = (
+    "int a[];\n"
+    "foreach i in [0:2] {\n"
+    "  a[i] = i * 10;\n"
+    '  int k = parseint(strcat("z", fromint(i)));\n'
+    "  trace(k);\n"
+    "}\n"
+)
+# A leaf whose second output's store raises after its first one.
+TWO_OUTPUTS_THEN_RAISE = (
+    '(string a, int b) two(int i) "" "1.0" [ "set <<a>> x<<i>>; set <<b>> y<<i>>" ];\n'
+    "string p; int q; p, q = two(1); trace(p); trace(q);\n"
+)
+
+
+@pytest.mark.parametrize("opt", LEVELS)
+def test_a_failed_body_inserts_nothing_under_every_policy(opt):
+    """A unit's writes leave when its Tcl returns: a body that raised
+    inserted nothing, so its retry meets the parse error again, not
+    ``inserted twice``."""
+    with pytest.raises(repro.TaskError, match="non-numeric") as info:
+        swift_run(INSERT_THEN_RAISE, workers=2, opt=opt, on_error="retry")
+    assert "twice" not in info.value.failure.error
+    res = swift_run(INSERT_THEN_RAISE, workers=2, opt=opt, on_error="continue")
+    assert not res.ok and res.stdout_lines == []
+    assert len(res.failures) == 3
+    assert all("non-numeric" in f.error for f in res.failures)
+
+
+@pytest.mark.parametrize("policy", ["retry", "continue"])
+def test_a_two_output_leaf_that_raises_is_seen_alike_at_every_level(policy):
+    """-O0 stores the leaf's first output and -O1 fuses its trace into
+    the leaf: they agree because the failed leaf stores neither."""
+    seen = set()
+    for opt in LEVELS:
+        try:
+            res = swift_run(TWO_OUTPUTS_THEN_RAISE, workers=2, opt=opt, on_error=policy)
+            seen.add((res.ok, tuple(res.stdout_lines), tuple(f.error for f in res.failures)))
+        except repro.TaskError as e:
+            seen.add(("raised", e.failure.error))
+    assert seen == {
+        ("raised", "TclError: expected integer, got 'y1'")
+        if policy == "retry"
+        else (False, (), ("TclError: expected integer, got 'y1'",))
+    }
+
+
 def test_a_retried_chunk_spawns_its_leaves_once():
     """A chunk is a leased CONTROL task: failed at its start (where
     injected faults land), it is requeued whole and runs once."""

@@ -669,6 +669,8 @@ class TestReplicaFollowsOwner:
                 msg = {"op": C.OP_REFCOUNT, "id": td, "read_delta": -1}
             else:
                 return
+            if msg["op"] != C.OP_SUBSCRIBE:
+                msg = {"op": C.OP_COMMIT, "ops": [msg]}
             request(msg, ENGINE)
 
         def journal():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adlb.datastore import DataStore
 from repro.faults import TaskError
 from repro.mpi import AbortError, DeadlockError
 from repro.mpi.launcher import RankFailure
@@ -204,7 +205,7 @@ class TestSpawn:
 
         for compiled in (True, False):
             interp = Interp(compile_enabled=compiled)
-            register_turbine(interp, None, None, {}, [], None)
+            register_turbine(interp, None, None, {}, [], None, [], DataStore())
             interp.register("turbine::boom", boom)
             interp.eval("proc f {} { turbine::boom }")
             for script in ("turbine::boom", "f", "catch { f } msg", "if { [ catch { f } ] } { }"):

@@ -1,9 +1,10 @@
 """The unit-of-work boundary (``repro.turbine.unit``).
 
 One table for every kind of unit — worker task, fired rule, control
-task, program — pins the accounting each ending owes, and two
-whole-stack runs show why a unit's refcount decrements are deferred to
-its commit rather than applied where the Tcl calls them.
+task, program — pins the accounting each ending owes, and whole-stack
+runs show why a unit's writes, rules and refcount decrements wait for
+it to end rather than take effect where the Tcl calls them: a unit
+that raises leaves nothing behind, at one server or two.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class FakeClient:
         self.calls.append("task_fail")
         self.handed_back = (kind, error)
 
-    def refcount_batch(self, deltas):
-        self.calls.append(("refcount_batch", deltas))
+    def commit(self, ops):
+        self.calls.append(("commit", list(ops)))
 
     def incr_work(self, amount=1):
         self.calls.append(("incr_work", amount))
@@ -66,7 +67,8 @@ def make(on_error, raises=None, ring=None):
         on_error,
         add_rules=lambda specs: client.calls.append(("add_rules", list(specs))),
     )
-    # A decrement the unit performed before it ended.
+    # A write and a decrement the unit performed before it ended.
+    unit.writes.append(WRITE)
     unit.deferred[11] = [0, -1]
     return unit, client
 
@@ -78,7 +80,9 @@ def run(unit, kind):
     return unit.run(kind, "leaf")
 
 
-LANDED = ("refcount_batch", {11: [0, -1]})
+WRITE = {"op": "STORE", "id": 12, "value": 1, "subscript": None, "decr_write": 1}
+WROTE = ("commit", [WRITE])
+LANDED = ("commit", [{"op": "REFCOUNT", "id": 11, "read_delta": 0, "write_delta": -1}])
 # a held input-free rule, as turbine::rule records it
 RULE = dict(inputs=[], action="leaf", type="LOCAL", target=-1, priority=0, name="")
 POLICIES = ("retry", "continue", "fail_fast")
@@ -90,11 +94,12 @@ class TestOneTableEveryKind:
     def test_success_owes_exactly_one_commit(self, kind, on_error):
         unit, client = make(on_error)
         assert run(unit, kind) is True
-        # Nothing is accounted until the caller commits (the engine
-        # drains and re-parks in between).
-        assert client.calls == [] and unit.deferred
+        # The writes leave when the Tcl returns; nothing is accounted
+        # until the caller commits (the engine drains and re-parks in
+        # between).
+        assert client.calls == [WROTE] and unit.deferred and not unit.writes
         unit.commit()
-        assert client.calls == [LANDED, "decr_work"]
+        assert client.calls == [WROTE, LANDED, "decr_work"]
         assert not unit.deferred and not unit.failures
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -103,8 +108,8 @@ class TestOneTableEveryKind:
         spawns = [("WORK", "leafA", 0, -1), ("CONTROL", "ctaskB", 1, -1)]
         unit.held.extend(spawns)
         assert run(unit, kind) is True
-        # before the commit, which the caller makes
-        assert client.calls == [("incr_work", 2), ("put_all", spawns)]
+        # after the writes, before the commit, which the caller makes
+        assert client.calls == [WROTE, ("incr_work", 2), ("put_all", spawns)]
         assert unit.held == []
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -115,14 +120,20 @@ class TestOneTableEveryKind:
         unit.held.extend(spawns)
         unit.rules.extend(rules)
         assert run(unit, kind) is True
-        # one increment covers both: the rules' units and the spawns'
-        assert client.calls == [("incr_work", 3), ("add_rules", rules), ("put_all", spawns)]
+        # the writes first, so the rules' subscribes find what the unit
+        # created; one increment covers the rules' units and the spawns'
+        assert client.calls == [
+            WROTE,
+            ("incr_work", 3),
+            ("add_rules", rules),
+            ("put_all", spawns),
+        ]
         assert unit.held == [] and unit.rules == []
 
     @pytest.mark.parametrize("on_error", POLICIES)
     def test_a_failed_unit_drops_the_spawns_it_held(self, on_error):
-        # ... and the rules: the next unit that finishes must not send or
-        # register them
+        # ... and the rules and writes: the next unit that finishes must
+        # not send, register or commit them
         unit, client = make(on_error, RecursionError("deep"))
         unit.held.append(("WORK", "leafA", 0, -1))
         unit.rules.append(RULE)
@@ -130,8 +141,8 @@ class TestOneTableEveryKind:
             run(unit, "ctask")
         except TaskError:
             pass
-        assert unit.held == [] and unit.rules == []
-        assert not any(call[0] in ("incr_work", "add_rules") for call in client.calls)
+        assert unit.held == [] and unit.rules == [] and unit.writes == []
+        assert not any(call[0] in ("commit", "incr_work", "add_rules") for call in client.calls)
         unit.held.append(("WORK", "leafA", 0, -1))
         unit.rules.append(RULE)
         unit.roll_back()
@@ -148,7 +159,7 @@ class TestOneTableEveryKind:
             # Not handed out under a lease: nothing can re-run it.
             with pytest.raises(TaskError, match="boom") as info:
                 run(unit, kind)
-            assert client.calls == [LANDED, "decr_work"]
+            assert client.calls == ["decr_work"]
             assert (info.value.failure.kind, info.value.failure.rank) == (kind, RANK)
         assert not unit.deferred and not unit.failures
 
@@ -166,14 +177,16 @@ class TestOneTableEveryKind:
             # a rule or the program: no server holds a lease to re-run it by
             with pytest.raises(TaskError, match="boom"):
                 run(unit, kind)
-            assert client.calls == [LANDED, "decr_work"]
+            assert client.calls == ["decr_work"]
         assert not unit.failures
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_continue_records_and_poisons(self, kind):
         unit, client = make("continue", ValueError("boom"))
         assert run(unit, kind) is False
-        assert client.calls == [LANDED, "decr_work(poison)"]
+        # a failed unit lands nothing: not its writes, not its decrements
+        assert client.calls == ["decr_work(poison)"]
+        assert not unit.writes and not unit.deferred
         (failure,) = unit.failures
         assert (failure.kind, failure.rank, failure.payload) == (kind, RANK, "leaf")
         assert failure.error == "ValueError: boom" and "boom" in failure.traceback
@@ -183,8 +196,8 @@ class TestOneTableEveryKind:
         unit, client = make("fail_fast", ValueError("boom"))
         with pytest.raises(TaskError, match="boom"):
             run(unit, kind)
-        assert client.calls == [LANDED, "decr_work"]
-        assert not unit.failures
+        assert client.calls == ["decr_work"]
+        assert not unit.failures and not unit.writes and not unit.deferred
 
     @pytest.mark.parametrize("exc", [AbortError, DeadlockError])
     @pytest.mark.parametrize("on_error", POLICIES)
@@ -212,7 +225,7 @@ class TestOneTableEveryKind:
             unit.rules.append(RULE)
             assert unit.run("task", "leaf", guard=Expired()) is False
             assert client.calls == [] and not unit.deferred and not unit.failures
-            assert unit.held == [] and unit.rules == []
+            assert unit.held == [] and unit.rules == [] and unit.writes == []
 
     @pytest.mark.parametrize(
         "kind, ok, failed",
@@ -240,18 +253,17 @@ class TestOneTableEveryKind:
             "program": (unit_id, 0, 0),
         }[kind]
         events = stream(ValueError("boom"))
-        # ... then the failed unit's commit: refcount_flush is its last event
-        assert [e[0] for e in events] == failed + ["refcount_flush"]
-        assert events[-1][1:] == (1, unit_id, 0)
+        # a failed unit lands no decrement: no refcount_flush follows
+        assert [e[0] for e in events] == failed
         if kind != "rule":
-            assert events[-2][1:] == {
+            assert events[-1][1:] == {
                 "task": (4, unit_id, "ValueError"),
                 "ctask": (unit_id, "ValueError", 0),
                 "program": (unit_id, "ValueError", 0),
             }[kind]
 
 
-# ------------------------------------------------------ why deferral stays
+# ---------------------------------------------------- why a unit's effects wait
 
 CTASK_RETRY = """
 proc swift:main {} {
@@ -287,25 +299,58 @@ proc flaky {} {
 SLOW_TASK = """
 proc swift:main {} {
     set c [ turbine::allocate_container 1 ]
-    set flag [ turbine::allocate integer ]
     turbine::rule [ list $c ] { turbine::log_output closed } LOCAL
-    turbine::rule [ list ] [ list slow $c $flag ] WORK
+    turbine::rule [ list ] [ list slow $c ] WORK
 }
-proc slow { c flag } {
+proc slow { c } {
     turbine::write_refcount_decr $c 1
-    if { ! [ turbine::exists $flag ] } {
-        turbine::store_integer $flag 1
+    if { [ first_attempt ] } {
         nap 0.6
     }
     turbine::log_output "slow done"
 }
 """
 
+STORE_RETRY = """
+proc swift:main {} {
+    set x [ turbine::allocate integer ]
+    turbine::rule [ list $x ] [ list shown $x ] LOCAL
+    turbine::rule [ list ] [ list flaky $x ] CONTROL
+}
+proc shown { x } {
+    turbine::log_output "x=[ turbine::retrieve $x ]"
+}
+proc flaky { x } {
+    if { ! [ info exists ::tried ] } {
+        set ::tried 1
+        turbine::store_integer $x 1
+        error "first attempt fails after its store"
+    }
+    turbine::store_integer $x 2
+}
+"""
 
-class TestWhyDeferralStays:
-    """Applied where the Tcl calls them, the first attempt's decrement
-    would close the container early and the retry's would drive its
-    write refcount negative."""
+
+SPLIT_AFTER_STORE = """
+proc swift:main {} {
+    set x [ turbine::allocate integer ]
+    turbine::store_integer $x 7
+    half 0 199 1 $x
+    nap 0.3
+}
+proc half { lo hi step x } {
+    if { [ turbine::split_range half $lo $hi $step $x ] } return
+    turbine::log_output "[ turbine::retrieve $x ] $lo"
+}
+"""
+
+
+class TestWhyWritesWait:
+    """Applied where the Tcl calls them, a failed attempt's writes and
+    decrements would outlive it: its decrement would close the container
+    early and the retry's drive its write refcount negative, and its
+    store would fire the rules on the TD and make the retry's store
+    ``stored twice``."""
 
     def test_retried_control_task_closes_its_container_once(self):
         res = run_turbine_program(
@@ -317,8 +362,15 @@ class TestWhyDeferralStays:
         assert res.metrics["counters"]["adlb.lease.requeued"] == 1
 
     def test_abandoned_task_whose_late_attempt_finishes_closes_it_once(self):
+        tried = []  # shared by the workers: the first attempt naps
+
+        def first_attempt(it, args):
+            tried.append(1)
+            return "1" if len(tried) == 1 else "0"
+
         def setup(interp, ctx, client):
             interp.register("nap", lambda it, args: time.sleep(float(args[0])) or "")
+            interp.register("first_attempt", first_attempt)
 
         res = run_turbine_program(
             SLOW_TASK,
@@ -331,6 +383,41 @@ class TestWhyDeferralStays:
         counters = res.metrics["counters"]
         assert counters["worker.watchdog.abandoned"] == 1
         assert counters["adlb.lease.requeued"] == 1
+
+    # size 3: engine, worker, server; size 4 with two servers: the same
+    # one engine (the ::tried flag is its interpreter's) and a server more
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_a_retried_store_lands_once(self, servers):
+        config = RuntimeConfig(size=2 + servers, n_servers=servers, on_error="retry", audit=True)
+        res = run_turbine_program(STORE_RETRY, config)
+        assert res.stdout_lines == ["x=2"]
+        assert res.ok and res.audit.ok, res.audit.render()
+
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_a_failed_store_never_fires_its_rule(self, servers):
+        config = RuntimeConfig(size=2 + servers, n_servers=servers, on_error="continue")
+        res = run_turbine_program(STORE_RETRY, config)
+        assert res.stdout_lines == [] and not res.ok
+        assert [f.kind for f in res.failures] == ["ctask"]
+        assert "first attempt fails after its store" in res.failures[0].error
+
+    def test_split_halves_find_what_their_unit_created(self):
+        # split_range puts its halves at once, while the unit still runs:
+        # the writes it holds so far must land first.
+        def setup(interp, ctx, client):
+            interp.register("nap", lambda it, args: time.sleep(float(args[0])) or "")
+
+        config = RuntimeConfig(size=5, n_engines=2)
+        res = run_turbine_program(SPLIT_AFTER_STORE, config, setup=setup)
+        assert sorted(res.stdout_lines) == ["7 0", "7 100", "7 150", "7 50"]
+        assert res.ok
+
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_fail_fast_surfaces_the_original_error(self, servers):
+        config = RuntimeConfig(size=2 + servers, n_servers=servers, on_error="fail_fast")
+        with pytest.raises(TaskError, match="first attempt fails after its store") as info:
+            run_turbine_program(STORE_RETRY, config)
+        assert "twice" not in info.value.failure.error
 
 
 class TestRulesAreHeldLikeSpawns:
