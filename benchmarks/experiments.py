@@ -354,7 +354,7 @@ STC_RUNS = {  # program -> (source, its sorted output)
     ),
 }
 TURBINE_OPS = (
-    "turbine::allocate", "turbine::rule", "turbine::op ", "turbine::store", "turbine::spawn",
+    "turbine::allocate", "turbine::rule", "turbine::op ", "turbine::store", "turbine::spawn ",
 )
 
 

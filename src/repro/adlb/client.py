@@ -313,9 +313,12 @@ class AdlbClient:
 
     def commit(self, ops: list[dict]) -> None:
         """Apply data-op dicts, in order, as one OP_COMMIT per home
-        server.  A container reference may make its server store into
-        the reference TD at once, so a reference TD these ops create on
-        another server is created first, in a commit of its own."""
+        server.  An op on one server can publish the id of a TD created
+        on another (an insert of it that closes its container, a store
+        into a reference TD, a container reference the server stores
+        into at once), and a reader may then subscribe to that TD before
+        its create lands; so such a create goes first, in a commit of
+        its own per server."""
         home = self.layout.home_server
         if self.tracer is not None:
             for op in ops:
@@ -323,15 +326,19 @@ class AdlbClient:
                     # Lineage edge: the current unit wrote this TD; it is
                     # readable from now on.
                     self.tracer.emit("write", op["id"], self.prov_unit, op.get("subscript"))
-        created = {op["id"]: op for op in ops if op["op"] == C.OP_CREATE}
-        first = [
-            created.pop(op["ref_id"])
-            for op in ops
-            if op["op"] == C.OP_CONTAINER_REF
-            and op["ref_id"] in created
-            and home(op["ref_id"]) != home(op["id"])
-        ]
-        rest = [op for op in ops if op["op"] != C.OP_CREATE or op["id"] in created]
+        # TD id an op may publish (a member, a reference) -> its servers
+        publishers: dict[int, set[int]] = {}
+        for op in ops:
+            published = op.get("ref_id", op.get("value"))
+            if op["op"] != C.OP_CREATE and isinstance(published, int):
+                publishers.setdefault(published, set()).add(home(op["id"]))
+
+        def early(op: dict) -> bool:
+            servers = publishers.get(op["id"], set()) if op["op"] == C.OP_CREATE else set()
+            return bool(servers - {home(op["id"])})
+
+        first = [op for op in ops if early(op)]
+        rest = [op for op in ops if not early(op)]
         for group in (first, rest):
             by_server: dict[int, list[dict]] = {}
             for op in group:
@@ -346,18 +353,9 @@ class AdlbClient:
     def retrieve(self, id: int, subscript: str | None = None) -> Any:
         return self.read({"op": C.OP_RETRIEVE, "id": id, "subscript": subscript})
 
-    def exists(self, id: int, subscript: str | None = None) -> bool:
-        return self.read({"op": C.OP_EXISTS, "id": id, "subscript": subscript})
-
-    def typeof(self, id: int) -> str:
-        return self.read({"op": C.OP_TYPEOF, "id": id})
-
     def subscribe(self, id: int) -> bool:
         """Subscribe to a TD's close; True if already closed."""
         return self.read({"op": C.OP_SUBSCRIBE, "id": id, "rank": self.rank})
-
-    def enumerate(self, id: int) -> list[str]:
-        return self.read({"op": C.OP_ENUMERATE, "id": id})
 
     # ----------------------------------------------------------- termination
 

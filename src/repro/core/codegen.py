@@ -403,14 +403,15 @@ class Codegen:
         Its spawns, like every unit's, leave when it returns (one put
         for the chunk).  A body that evaluates anything does so for the
         whole chunk under a catch: if a payload raises, the branch drops
-        the spawns made so far, and ``loop`` runs the iterations — and
+        the spawns the chunk made, not those of the unit that called it
+        in place, and ``loop`` runs the iterations — and
         the one fails — as control tasks, as if there were no chunk
         proc."""
         bounds = ["$lo", "$hi", "$step", *passed]
         chunk.emit("if { [ turbine::split_range %s ] } return" % " ".join([chunk.name, *bounds]))
         chunk.val[op.vars[0]] = "$i"
         if loop is not None:
-            chunk.emit("if { [ catch {")
+            chunk.emit_all(["set spawned [ turbine::spawned ]", "if { [ catch {"])
             chunk.depth += 1
         chunk.emit(header)
         chunk.depth += 1
@@ -420,7 +421,7 @@ class Codegen:
         if loop is not None:
             chunk.depth -= 1
             fallback = "    " + " ".join([loop.name, *bounds])
-            chunk.emit_all(["} ] } {", "    turbine::drop", fallback, "}"])
+            chunk.emit_all(["} ] } {", "    turbine::drop $spawned", fallback, "}"])
 
     # -- leaf tasks ----------------------------------------------------------
 

@@ -159,13 +159,20 @@ def register_turbine(
         held.append((args[0], args[1], priority, target))
         return ""
 
-    def cmd_drop(it, args):
-        # drop: forget what the running unit did so far (a guarded
-        # chunk's catch branch, before its fallback does it again)
+    # A guarded chunk's catch branch forgets the spawns it made before it
+    # raised, and its fallback makes them again: ``spawned`` before the
+    # catch, ``drop`` with that count in its branch.  Only spawns: a
+    # chunk body makes nothing else, and the chunk may run inline in a
+    # unit whose earlier effects must stay.
+    def cmd_spawned(it, args):
         if args:
-            raise TclError("usage: turbine::drop")
-        for table in (deferred, held, rules or [], writes, scratch.tds):
-            table.clear()
+            raise TclError("usage: turbine::spawned")
+        return str(len(held))
+
+    def cmd_drop(it, args):
+        if len(args) != 1 or not args[0].isdigit():
+            raise TclError("usage: turbine::drop spawned")
+        del held[int(args[0]) :]
         return ""
 
     splits = itertools.count(1)  # this rank's splits, for the round-robin
@@ -211,6 +218,7 @@ def register_turbine(
 
     reg("rule", cmd_rule)
     reg("spawn", cmd_spawn)
+    reg("spawned", cmd_spawned)
     reg("drop", cmd_drop)
     reg("range_count", cmd_range_count)
     reg("split_range", cmd_split_range)

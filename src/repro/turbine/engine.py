@@ -405,16 +405,17 @@ class Engine:
                 if done and self.journal:
                     # The ctask's effects (rule creates) are journaled;
                     # flag it done so the anchor will not requeue the
-                    # lease if we die in the drain below — requeueing
-                    # would re-create every rule.  The flag must land
-                    # before the park's lease pop clears it.
+                    # lease — requeueing would re-create every rule.
+                    # The flag must land before the park's lease pop
+                    # clears it.
                     self._jot(("ctask_done",))
                     self.journal_flush()
-                self.drain()
-                if self.journal:
-                    self.journal_flush()
                 # Parked before the counter unit goes back: the next
-                # GET is what completes this unit's lease.
+                # GET is what completes this unit's lease.  And before
+                # the rules the unit readied fire (at the loop's top):
+                # the next control task is then asked for first, so
+                # whether those rules find their inputs closed does not
+                # depend on how fast the workers run the leaves.
                 self.client.park_async((CONTROL,))
                 if done:
                     unit.commit()

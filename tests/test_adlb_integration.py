@@ -188,8 +188,8 @@ class TestDataOps:
             td = client.create("integer")
             client.store(td, 123)
             seen["value"] = client.retrieve(td)
-            seen["type"] = client.typeof(td)
-            seen["exists"] = client.exists(td)
+            seen["type"] = client.read({"op": C.OP_TYPEOF, "id": td})
+            seen["exists"] = client.read({"op": C.OP_EXISTS, "id": td})
 
         run_adlb(3, 1, 1, self._data_engine(work), self._idle_worker)
         assert seen == {"value": 123, "type": "integer", "exists": True}
@@ -244,7 +244,7 @@ class TestDataOps:
             c = client.create("container", write_refcount=3)
             client.store(c, 11, subscript="a")
             client.store(c, 22, subscript="b")
-            seen["subs"] = sorted(client.enumerate(c))
+            seen["subs"] = sorted(client.read({"op": C.OP_ENUMERATE, "id": c}))
             seen["a"] = client.retrieve(c, subscript="a")
             client.commit([{"op": C.OP_REFCOUNT, "id": c, "write_delta": -1}])
 
@@ -324,6 +324,38 @@ class TestDataOps:
 
         run_adlb(4, 2, 1, self._data_engine(work), self._idle_worker)
         assert seen["ref_value"] == 55
+
+    def test_a_commit_creates_a_member_before_the_insert_that_publishes_it(self):
+        # The insert closes c, and whoever waits on c may look m up and
+        # subscribe to it at once: m, on the other server, must exist
+        # before c's commit is sent.
+        seen = {}
+
+        def work(client):
+            c, m = client.allocate_id(), client.allocate_id()
+            home = client.layout.home_server
+            assert home(c) != home(m)
+            sent = []
+            rpc = client._rpc
+
+            def spy(server, msg):
+                sent.append((server, [op["op"] for op in msg["ops"]]))
+                return rpc(server, msg)
+
+            client._rpc = spy
+            client.commit(
+                [
+                    {"op": C.OP_CREATE, "id": c, "type": "container"},
+                    {"op": C.OP_CREATE, "id": m, "type": "integer"},
+                    {"op": C.OP_STORE, "id": c, "value": m, "subscript": "k", "decr_write": 1},
+                ]
+            )
+            client._rpc = rpc
+            seen["sent"] = sent == [(home(m), [C.OP_CREATE]), (home(c), [C.OP_CREATE, C.OP_STORE])]
+            seen["member"] = client.read({"op": C.OP_TYPEOF, "id": client.retrieve(c, "k")})
+
+        run_adlb(4, 2, 1, self._data_engine(work), self._idle_worker)
+        assert seen == {"sent": True, "member": "integer"}
 
 
 class TestLayout:

@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.adlb import AdlbClient, Layout, Server
+from repro.adlb import constants as C
 from repro.adlb.constants import CONTROL, WORK
 from repro.mpi import run_world
 from repro.tcl.errors import TclError
@@ -164,11 +165,12 @@ class TestRetrieveCacheInvalidation:
             # Deferred: the server has applied neither decrement, so
             # both TDs are still live and readable.
             assert unit.deferred == {a: [-1, 0], b: [-1, 0]}
-            assert client.exists(b) and client.retrieve(a) == 1
+            exists = lambda td: client.read({"op": C.OP_EXISTS, "id": td})
+            assert exists(b) and client.retrieve(a) == 1
             client.incr_work()
             unit.commit()  # one batch, then the counter unit
             assert not unit.deferred
-            return client.exists(a), client.exists(b)
+            return exists(a), exists(b)
 
         assert run_unit(body) == (False, False)
 

@@ -411,6 +411,30 @@ def test_a_raising_iteration_fails_alone_under_every_policy(opt):
         assert (info.value.failure.kind, info.value.failure.attempts) == ("ctask", attempts)
 
 
+# The same loop, called in place by swift:main after main wrote a[0]
+# and spawned x's leaf: the catch branch forgets only the chunk's
+# spawns, so main's insert, leaf, rules and decrements all stay.
+AROUND_RAISING = (
+    'int a[];\na[0] = 1;\nstring x = python("x=7", "x");\ntrace(x);\n'
+    'foreach i in [0:5] { string s = python(strcat("i=", fromint(10/(i-3))), "i"); trace(s); }\n'
+    "trace(a[0]);\n"
+)
+
+
+@pytest.mark.parametrize("opt", [1, 2])
+def test_a_raising_chunk_keeps_what_its_caller_did(opt):
+    assert "turbine::drop $spawned" in compile_swift(AROUND_RAISING, opt=opt).tcl_text
+    res = swift_run(AROUND_RAISING, workers=2, opt=opt, on_error="continue")
+    assert not res.ok and [(f.kind, f.attempts) for f in res.failures] == [("ctask", 1)]
+    lines = [line for line in RAISING_LINES if line != "trace: after"] + ["trace: 1", "trace: 7"]
+    assert sorted(res.stdout_lines) == sorted(lines)
+    # (main losing a's create would fail the program with "TD <1> not
+    # found" long before the body's three attempts are used up)
+    with pytest.raises(repro.TaskError, match="divide by zero") as info:
+        swift_run(AROUND_RAISING, workers=2, opt=opt, on_error="retry")
+    assert (info.value.failure.kind, info.value.failure.attempts) == ("ctask", 3)
+
+
 # Not a loop of leaves (trace(k) is no leaf): every iteration is a body
 # control task that spawns its leaf, then raises in parseint.
 LEAF_THEN_RAISE = (

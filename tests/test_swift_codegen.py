@@ -216,7 +216,8 @@ class TestOptimization:
         assert "turbine::spawn WORK [ list task:python x=1 $t1 ]" in chunk
         # ... after dropping the spawns the chunk made before it raised
         fallback = chunk[chunk.index("} ] } {") :].split()
-        assert fallback == ["}", "]", "}", "{", "turbine::drop", *"swift:__loop2 $lo $hi $step }".split()]
+        assert fallback == ["}", "]", "}", "{", "turbine::drop", "$spawned", *"swift:__loop2 $lo $hi $step }".split()]
+        assert "set spawned [ turbine::spawned ]\n    if { [ catch {" in chunk
         assert "spawn CONTROL [ list swift:__body1 $i ]" in proc_text(text, "swift:__loop2")
         # ... so a body that evaluates nothing has neither: main, chunk,
         # task.  Its spawns leave together when it returns (one put for

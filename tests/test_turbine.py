@@ -124,8 +124,10 @@ class TestSpawn:
     def test_spawns_leave_when_the_unit_returns_unless_dropped(self):
         res = run_turbine_program(
             "proc swift:main {} {\n"
+            "  turbine::spawn WORK { turbine::log_output kept }\n"
+            "  set spawned [ turbine::spawned ]\n"
             "  turbine::spawn WORK { turbine::log_output dropped }\n"
-            "  turbine::drop\n"
+            "  turbine::drop $spawned\n"
             "  turbine::spawn WORK { turbine::log_output a }\n"
             "  turbine::spawn CONTROL { turbine::log_output b } 1 -1\n"
             "  turbine::log_output main\n"
@@ -134,11 +136,36 @@ class TestSpawn:
         )
         # the program's line comes first: its spawns leave when it returns
         out = res.stdout_lines
-        assert out[0] == "main" and sorted(out[1:]) == ["a", "b"]
+        assert out[0] == "main" and sorted(out[1:]) == ["a", "b", "kept"]
         with pytest.raises(TaskError, match="bad task type"):
             run("proc swift:main {} { turbine::spawn WROK { } }\n", deadline=10.0)
-        with pytest.raises(TaskError, match="usage: turbine::drop"):
-            run("proc swift:main {} { turbine::drop all }\n", deadline=10.0)
+        for bad in ("turbine::drop", "turbine::drop all", "turbine::spawned 1"):
+            with pytest.raises(TaskError, match="usage: turbine::"):
+                run("proc swift:main {} { %s }\n" % bad, deadline=10.0)
+
+    def test_drop_keeps_the_units_writes_rules_and_decrements(self):
+        # a guarded chunk runs in place inside the unit that calls it:
+        # its catch branch must forget the chunk's spawns, nothing else
+        res = run_turbine_program(
+            "proc swift:main {} {\n"
+            "  set c [ turbine::allocate_container 2 ]\n"
+            "  set x [ turbine::allocate integer ]\n"
+            "  turbine::store_integer $x 5\n"
+            "  turbine::rule [ list $c ] { turbine::log_output closed } LOCAL\n"
+            "  turbine::write_refcount_decr $c 1\n"
+            "  set spawned [ turbine::spawned ]\n"
+            "  if { [ catch {\n"
+            "    turbine::spawn WORK { turbine::log_output dropped }\n"
+            "    error boom\n"
+            "  } ] } {\n"
+            "    turbine::drop $spawned\n"
+            "  }\n"
+            "  turbine::spawn WORK [ list turbine::write_refcount_decr $c 1 ]\n"
+            "  turbine::log_output x=[ turbine::retrieve $x ]\n"
+            "}\n",
+            RuntimeConfig(size=4),
+        )
+        assert res.stdout_lines == ["x=5", "closed"]
 
     def test_a_failed_units_held_spawns_die_with_it(self):
         # RecursionError passes through `catch`: the first rule fails
