@@ -9,9 +9,9 @@ same shape.
 Restore semantics are at-least-once: units that were in flight at the
 snapshot re-run, and the restored termination counter is reconstructed
 as ``total captured tasks + one guard per engine`` — each engine holds
-its guard while re-registering rules (one increment for its whole
-table, then ``add_rules``) and releases it when done, so the counter
-balances regardless of how many rules re-fire immediately.
+its guard while re-registering rules (one commit for its whole table:
+their subscribes and one increment) and releases it when done, so the
+counter balances regardless of how many rules re-fire immediately.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Client-side ADLB API used by engines and workers.
 
-Wraps the RPC protocol: work ops go to the rank's attached server, data
-ops are routed to each TD's home server, and termination-counter ops go
-to the master server.  Every mutation is an OP_COMMIT: a unit's writes
-leave together through :meth:`AdlbClient.commit`, and ``create`` /
-``store`` are one-op commits.  The client holds no data state: every
-call is one RPC (or one per home server), applied when it returns — but
-a worker's finished unit may wait for its next GET to carry it.
+Wraps the RPC protocol.  A client changes server state only through
+OP_COMMIT: :meth:`AdlbClient.commit` takes a unit's whole op list —
+writes and subscribes, each routed to its TD's home server, tasks to
+the server they are bound for, the termination-counter move to the
+master — and sends it as one commit per server.  ``create``, ``store``,
+``subscribe``, ``put``, ``incr_work`` and ``decr_work`` are one-op
+commits.  The client holds no data state: every call is applied when
+it returns — but a worker's finished unit may wait for its next GET to
+carry it.
 """
 
 from __future__ import annotations
@@ -157,6 +159,22 @@ class AdlbClient:
 
     # ------------------------------------------------------------------ work
 
+    def bound_for(self, target: int) -> int:
+        """The server a task for ``target`` (-1: any rank) is queued on."""
+        return self.my_server if target < 0 else self.layout.my_server(target)
+
+    def tasks(self, spawns: list[tuple], prov: str | None = None) -> list[dict]:
+        """TASKS ops for ``(type, payload, priority, target, server)``
+        spawns, one per server, in order; ``prov``, the rule or unit that
+        spawned them (a lineage edge source), rides on traced runs only."""
+        if prov is None and self.tracer is not None:
+            prov = self.prov_unit
+        by_server: dict[int, list[tuple]] = {}
+        for spawn in spawns:
+            by_server.setdefault(spawn[4], []).append(spawn[:4])
+        tail = {} if prov is None else {"prov": prov}
+        return [{"op": C.OP_TASKS, "server": s, "tasks": t, **tail} for s, t in by_server.items()]
+
     def put(
         self,
         payload: Any,
@@ -165,30 +183,9 @@ class AdlbClient:
         target: int = -1,
         prov: str | None = None,
     ) -> None:
-        """Submit one task: :meth:`put_all`'s k = 1 case."""
-        self.put_all([(type, payload, priority, target)], prov)
-
-    def put_all(
-        self, tasks: list[tuple], prov: str | None = None, server: int | None = None
-    ) -> None:
-        """Submit ``(type, payload, priority, target)`` tasks, one
-        OP_PUT per destination: a targeted task goes to its target's
-        server, the rest to ``server`` (default: this rank's).
-
-        ``prov`` names the rule or unit that spawned them (lineage edge
-        source); it rides along only on traced runs."""
-        if prov is None and self.tracer is not None:
-            prov = self.prov_unit
-        home = self.my_server if server is None else server
-        by_server: dict[int, list[tuple]] = {}
-        for task in tasks:
-            dest = self.layout.my_server(task[3]) if task[3] >= 0 else home
-            by_server.setdefault(dest, []).append(task)
-        for dest, group in by_server.items():
-            msg: dict = {"op": C.OP_PUT, "tasks": group}
-            if prov is not None:
-                msg["prov"] = prov
-            self._oneway(dest, msg)
+        """Submit one task: a one-op :meth:`commit`."""
+        spawn = (type, payload, priority, target, self.bound_for(target))
+        self.commit(self.tasks([spawn], prov))
 
     def get(self, types: tuple[str, ...] = (C.WORK,)) -> tuple[str, Any] | None:
         """Blocking get; returns (type, payload) or None on shutdown.
@@ -311,15 +308,24 @@ class AdlbClient:
         op = {"op": C.OP_STORE, "id": id, "value": value, "subscript": subscript}
         self.commit([dict(op, decr_write=decr_write)])
 
-    def commit(self, ops: list[dict]) -> None:
-        """Apply data-op dicts, in order, as one OP_COMMIT per home
-        server.  An op on one server can publish the id of a TD created
-        on another (an insert of it that closes its container, a store
-        into a reference TD, a container reference the server stores
-        into at once), and a reader may then subscribe to that TD before
-        its create lands; so such a create goes first, in a commit of
-        its own per server."""
-        home = self.layout.home_server
+    def commit(self, ops: list[dict]) -> list[int]:
+        """Apply a unit's ops, in order, as one OP_COMMIT per server (a
+        oneway if it carries no data op); returns the ids its SUBSCRIBE
+        ops found already closed.  A data op goes to its TD's home
+        server, a TASKS op to its ``server``, WORK to the master.
+
+        An op on one server can publish the id of a TD created on
+        another (an insert of it that closes its container, a store into
+        a reference TD, a container reference the server stores into at
+        once), and a reader may then subscribe to that TD before its
+        create lands; so such a create goes first, in a commit of its
+        own per server.  Every op a server can reject lands before the
+        increment: the master's commit, which carries WORK, goes last.
+        A TASKS op for another server follows it, so its tasks are
+        counted before anything can run them."""
+        if not ops:
+            return []
+        home, master = self.layout.home_server, self.layout.master_server
         if self.tracer is not None:
             for op in ops:
                 if op["op"] == C.OP_STORE:
@@ -332,51 +338,62 @@ class AdlbClient:
             published = op.get("ref_id", op.get("value"))
             if op["op"] != C.OP_CREATE and isinstance(published, int):
                 publishers.setdefault(published, set()).add(home(op["id"]))
-
-        def early(op: dict) -> bool:
-            servers = publishers.get(op["id"], set()) if op["op"] == C.OP_CREATE else set()
-            return bool(servers - {home(op["id"])})
-
-        first = [op for op in ops if early(op)]
-        rest = [op for op in ops if not early(op)]
-        for group in (first, rest):
-            by_server: dict[int, list[dict]] = {}
-            for op in group:
-                by_server.setdefault(home(op["id"]), []).append(op)
-            for server, server_ops in by_server.items():
-                self._rpc(server, {"op": C.OP_COMMIT, "ops": server_ops})
+        # (phase, is the master, server) -> its ops, sent in key order:
+        # early creates, the rest (the master's last), the other TASKS
+        groups: dict[tuple, list[dict]] = {}
+        rpcs = set()  # the keys whose ops include a data op
+        for op in ops:
+            kind = op["op"]
+            if kind == C.OP_WORK:
+                key = (1, True, master)
+            elif kind == C.OP_TASKS:
+                server = op["server"]
+                key = (1, True, server) if server == master else (2, False, server)
+            else:
+                server = home(op["id"])
+                early = kind == C.OP_CREATE and publishers.get(op["id"], set()) - {server}
+                key = (0 if early else 1, server == master, server)
+                rpcs.add(key)
+            groups.setdefault(key, []).append(op)
+        closed: list[int] = []
+        for key in sorted(groups):
+            msg = {"op": C.OP_COMMIT, "ops": groups[key]}
+            if key in rpcs:
+                closed += self._rpc(key[2], msg)
+            else:
+                self._oneway(key[2], msg)
+        return closed
 
     def read(self, msg: dict) -> Any:
-        """An op on ``msg["id"]`` outside a commit: a read or SUBSCRIBE."""
+        """A read of ``msg["id"]``: the one data op outside a commit."""
         return self._rpc(self.layout.home_server(msg["id"]), msg)
 
     def retrieve(self, id: int, subscript: str | None = None) -> Any:
         return self.read({"op": C.OP_RETRIEVE, "id": id, "subscript": subscript})
 
     def subscribe(self, id: int) -> bool:
-        """Subscribe to a TD's close; True if already closed."""
-        return self.read({"op": C.OP_SUBSCRIBE, "id": id, "rank": self.rank})
+        """Subscribe to a TD's close (a one-op :meth:`commit`); True if closed."""
+        return bool(self.commit([{"op": C.OP_SUBSCRIBE, "id": id, "rank": self.rank}]))
 
     # ----------------------------------------------------------- termination
 
+    def work(self, amount: int, poison: bool = False) -> list[dict]:
+        """The WORK ops that move the termination counter by ``amount``:
+        none for 0, and none where a plain decrement rides on the next
+        :meth:`get` (:attr:`carries_done`).  ``poison=True`` marks a
+        decrement from a unit that failed for good under ``continue``:
+        dataflow blocked on its outputs never resolves, so the master
+        arms quiescence-based drain shutdown."""
+        if amount < 0 and self.carries_done and not poison:
+            self._done -= amount
+            return []
+        op: dict = {"op": C.OP_WORK, "amount": amount}
+        if poison:
+            op["poison"] = True
+        return [op] if amount else []
+
     def incr_work(self, amount: int = 1) -> None:
-        self._oneway(
-            self.layout.master_server, {"op": C.OP_INCR_WORK, "amount": amount}
-        )
+        self.commit(self.work(amount))
 
     def decr_work(self, amount: int = 1, poison: bool = False) -> None:
-        """Decrement the termination counter.
-
-        ``poison=True`` marks the decrement as coming from a unit that
-        failed permanently under ``on_error="continue"``: dataflow
-        blocked on its outputs will never resolve, so the master arms
-        quiescence-based drain shutdown for the rest of the run.
-        Where :attr:`carries_done`, a plain decrement rides on the next
-        :meth:`get` instead of being a message of its own."""
-        if self.carries_done and not poison:
-            self._done += amount
-            return
-        msg: dict = {"op": C.OP_DECR_WORK, "amount": amount}
-        if poison:
-            msg["poison"] = True
-        self._oneway(self.layout.master_server, msg)
+        self.commit(self.work(-amount, poison))

@@ -26,23 +26,22 @@ T_REF = "ref"
 SCALAR_TYPES = {T_INTEGER, T_FLOAT, T_STRING, T_BLOB, T_BOOLEAN, T_VOID, T_REF}
 
 # --- opcodes (request ops carry a dict payload) -----------------------------
-OP_PUT = "PUT"
 OP_GET = "GET"  # blocking get (worker)
 OP_GET_ASYNC = "GET_ASYNC"  # parked get with async delivery (engine)
 OP_ID_BLOCK = "ID_BLOCK"
-OP_COMMIT = "COMMIT"  # a unit's writes to one server, applied in order
+OP_COMMIT = "COMMIT"  # a unit's effects on one server, applied in order
 OP_RETRIEVE = "RETRIEVE"
 OP_EXISTS = "EXISTS"
-OP_SUBSCRIBE = "SUBSCRIBE"
 OP_ENUMERATE = "ENUMERATE"
 OP_TYPEOF = "TYPEOF"
-# the ops inside a commit (and the replication op-log's data entries)
+# the ops inside a commit (the data ops also in the replication op-log)
 OP_CREATE = "CREATE"
 OP_STORE = "STORE"
 OP_CONTAINER_REF = "CONTAINER_REF"
 OP_REFCOUNT = "REFCOUNT"
-OP_INCR_WORK = "INCR_WORK"
-OP_DECR_WORK = "DECR_WORK"
+OP_SUBSCRIBE = "SUBSCRIBE"
+OP_TASKS = "TASKS"  # queue tasks: {"server", "tasks", "prov"?}
+OP_WORK = "WORK"  # move the termination counter: {"amount", "poison"?}
 OP_TASK_FAIL = "TASK_FAIL"  # client reports a failed leased work unit
 OP_JOURNAL = "JOURNAL"  # engine streams rule-lifecycle journal entries
 

@@ -4,9 +4,9 @@ Both the owning server (answering the client, emitting notifications,
 logging the mutation to its buddy) and the buddy's shadow replica
 (replaying that log) go through :func:`apply_data_op`, so the wire
 format of a data op is decoded in exactly one place.  A client mutates
-only inside an ``OP_COMMIT``, whose ops the server applies (and logs)
-here one at a time; a running unit's scratch store applies the ops on
-the TDs it created here too.
+(and subscribes) only inside an ``OP_COMMIT``, whose data ops the
+server applies (and logs) here one at a time; a running unit's scratch
+store applies the ops on the TDs it created here too.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Any
 from . import constants as C
 from .datastore import DataStore, Notification, RefStore
 
-#: the ops a server takes outside a commit: reads and subscriptions
-READ_OPS = {C.OP_RETRIEVE, C.OP_EXISTS, C.OP_SUBSCRIBE, C.OP_ENUMERATE, C.OP_TYPEOF}
+#: the data ops a server takes outside a commit: the reads
+READ_OPS = {C.OP_RETRIEVE, C.OP_EXISTS, C.OP_ENUMERATE, C.OP_TYPEOF}
 
 
 def apply_data_op(

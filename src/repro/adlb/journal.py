@@ -23,7 +23,7 @@ class RuleJournal:
     Built from the engine's streamed rule-lifecycle entries; at engine
     death :meth:`pending` yields exactly the rules the dead engine had
     registered but not yet fired/released (checkpoint-rule format, so
-    an adopter replays them through ``add_rules``).  ``guard`` is the
+    an adopter replays them through ``take_rules``).  ``guard`` is the
     program/restore guard unit the engine holds, ``ctask_done`` marks a
     control task whose effects are journaled but whose lease has not
     been returned yet (its lease must not requeue).

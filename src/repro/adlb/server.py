@@ -5,9 +5,9 @@ matching its index), a work queue, and the parked GET requests of its
 attached clients.  The first server additionally runs the distributed
 termination counter: clients increment it for every unit of pending
 work (rules, tasks, the initial program) and decrement on completion;
-when it returns to zero the master fans out shutdown.  A chunk's k
-spawns arrive as one ``incr_work(k)`` and one k-task OP_PUT.  A worker
-attached to the master returns its finished unit on its next GET
+when it returns to zero the master fans out shutdown.  A client changes
+state only through OP_COMMIT, a unit's op list for this server.  A
+worker attached to the master returns its finished unit on its next GET
 (``done``), and if that was the last one the GET is answered
 "shutdown"; a reliable client never does, since a re-sent parked GET
 is processed again and would count its ``done`` twice.
@@ -139,13 +139,10 @@ class Server:
         # own ops when constructed, so an op whose feature is off is
         # simply absent and gets the unknown-op error.
         self.ops: dict[str, Any] = {
-            C.OP_PUT: self._op_put,
             C.OP_GET: self._op_get,
             C.OP_GET_ASYNC: self._op_get,
             C.OP_ID_BLOCK: self._op_id_block,
             C.OP_COMMIT: self._op_commit,
-            C.OP_INCR_WORK: self._op_incr_work,
-            C.OP_DECR_WORK: self._op_decr_work,
             C.SOP_STEAL_REQ: self._op_steal_req,
             C.SOP_STEAL_RESP: self._op_steal_resp,
             C.SOP_SHUTDOWN: self._op_shutdown,
@@ -322,8 +319,8 @@ class Server:
 
     # ---------------------------------------------------------------- work ops
 
-    def _op_put(self, msg: dict, source: int) -> None:
-        """OP_PUT: ``tasks`` is a list of (type, payload, priority,
+    def _op_tasks(self, msg: dict) -> None:
+        """A TASKS op: ``tasks`` is a list of (type, payload, priority,
         target), accepted in order — parked GETs match in list order."""
         prov = msg.get("prov")
         for ttype, payload, priority, target in msg["tasks"]:
@@ -349,7 +346,7 @@ class Server:
         if self.leases.take(source) is not None and self.journals is not None:
             self.journals.lease_returned(source)
         if "done" in msg:
-            self._op_decr_work({"amount": msg["done"]}, source)
+            self._op_work({"amount": -msg["done"]})
         if self.shutting_down:
             self._tell_shutdown(source, is_async, seq)
             return _NO_REPLY
@@ -507,12 +504,21 @@ class Server:
 
     # ---------------------------------------------------------------- data ops
 
-    def _op_commit(self, msg: dict, source: int) -> None:
-        """OP_COMMIT: a unit's writes to this shard, applied and logged
-        one at a time in list order.  The first op rejected fails the
-        commit; the ones before it stay applied, on the buddy too."""
+    def _op_commit(self, msg: dict, source: int) -> list[int]:
+        """OP_COMMIT: a unit's data ops, TASKS and WORK, applied and
+        logged one at a time in list order.  The first op rejected fails
+        the commit; the ones before it stay applied, on the buddy too.
+        Returns the ids its SUBSCRIBE ops found already closed."""
+        closed = []
         for op in msg["ops"]:
-            self._op_data(op, source)
+            kind = op["op"]
+            if kind == C.OP_TASKS:
+                self._op_tasks(op)
+            elif kind == C.OP_WORK:
+                self._op_work(op)
+            elif self._op_data(op, source) and kind == C.OP_SUBSCRIBE:
+                closed.append(op["id"])
+        return closed
 
     def _op_data(self, msg: dict, source: int) -> Any:
         op = msg["op"]
@@ -549,19 +555,16 @@ class Server:
 
     # ------------------------------------------------------------- termination
 
-    def _op_incr_work(self, msg: dict, source: int) -> None:
-        assert self.is_master
-        self.work_count += msg.get("amount", 1)
-        self.work_started = True
-        self._log_work()
-
-    def _op_decr_work(self, msg: dict, source: int) -> None:
+    def _op_work(self, msg: dict) -> None:
+        """A WORK op: move the counter by ``amount``.  A ``poison``ed
+        decrement arms the drain; back at zero, the run shuts down."""
         assert self.is_master
         if msg.get("poison"):
             self.poisoned = True
-        self.work_count -= msg.get("amount", 1)
+        self.work_count += msg["amount"]
         if self.work_count < 0:
             raise DataStoreError("termination counter went negative")
+        self.work_started = self.work_started or msg["amount"] > 0
         self._log_work()
         if self.work_count == 0 and self.work_started:
             self.initiate_shutdown()
@@ -574,13 +577,13 @@ class Server:
         """Repair the termination counter for a unit the client will
         never account for (failed permanently, or its rank died)."""
         master = self.map.master
-        msg: dict = {"op": C.OP_DECR_WORK, "amount": amount}
+        op: dict = {"op": C.OP_WORK, "amount": -amount}
         if poison:
-            msg["poison"] = True
+            op["poison"] = True
         if self.rank == master:
-            self._op_decr_work(msg, self.rank)
+            self._op_work(op)
         else:
-            self.comm.send(msg, master, C.TAG_ONEWAY)
+            self.comm.send({"op": C.OP_COMMIT, "ops": [op]}, master, C.TAG_ONEWAY)
 
     def fail_unit(self, msg: dict, source: int, task: Task | None) -> None:
         """An OP_TASK_FAIL with no attempt left (``task`` is the unit's

@@ -144,9 +144,10 @@ def register_turbine(
         rules.append(spec)
         return ""
 
-    # A spawn is held by the running unit, and its runner sends them all
-    # when the unit's Tcl returns, as one incr_work(k) and one k-task
-    # put: a unit that raises, or is abandoned, has spawned nothing.
+    # A spawn is held by the running unit, with the server it is bound
+    # for, and its runner sends them all in the unit's commit when its
+    # Tcl returns: a unit that raises, or is abandoned, has spawned
+    # nothing.
     def cmd_spawn(it, args):
         # spawn type action ?priority? ?target?
         if len(args) < 2:
@@ -156,7 +157,7 @@ def register_turbine(
             raise TclError("bad task type %r" % args[0])
         priority = int(args[2]) if len(args) > 2 else 0
         target = int(args[3]) if len(args) > 3 else -1
-        held.append((args[0], args[1], priority, target))
+        held.append((args[0], args[1], priority, target, client.bound_for(target)))
         return ""
 
     # A guarded chunk's catch branch forgets the spawns it made before it
@@ -184,12 +185,10 @@ def register_turbine(
 
     def cmd_split_range(it, args):
         # split_range proc lo hi step ?capture ...?: 1 if the range is
-        # longer than SPLIT_OVER and was handed on as two CONTROL tasks
+        # longer than SPLIT_OVER and was handed on as two CONTROL spawns
         # that call proc on a half each, 0 if it is the caller's to run.
-        # The second half goes to the next server round-robin, so the
-        # engines of every server share the loop; that placement is why
-        # the halves are put here, not held — the chunk proc calls this
-        # first and returns right after a split.
+        # The second half is bound for the next server round-robin, so
+        # the engines of every server share the loop.
         if len(args) < 4:
             raise TclError("usage: turbine::split_range proc lo hi step ?capture ...?")
         lo, hi, step = map(_to_int, args[1:4])
@@ -197,23 +196,11 @@ def register_turbine(
         if n <= SPLIT_OVER:
             return "0"
         mid = lo + (n + 1) // 2 * step  # where the second half starts
-        first, second = (
-            ("CONTROL", format_list([args[0], str(a), str(b), str(step), *args[4:]]), 0, -1)
-            for a, b in ((lo, mid - step), (mid, hi))
-        )
-        if writes:
-            # The halves may use what this unit created: it must exist.
-            client.commit(writes)
-            writes.clear()
-            scratch.tds.clear()
         servers = client.layout.servers
         there = servers[(servers.index(client.my_server) + next(splits)) % len(servers)]
-        client.incr_work(2)
-        if there == client.my_server:
-            client.put_all([first, second])
-        else:
-            client.put_all([first])
-            client.put_all([second], server=there)
+        for a, b, server in ((lo, mid - step, client.my_server), (mid, hi, there)):
+            half = format_list([args[0], str(a), str(b), str(step), *args[4:]])
+            held.append(("CONTROL", half, 0, -1, server))
         return "1"
 
     reg("rule", cmd_rule)

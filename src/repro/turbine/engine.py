@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..adlb.client import AdlbClient
-from ..adlb.constants import CONTROL, SOP_CKPT_PART, TAG_SERVER
+from ..adlb.constants import CONTROL, OP_SUBSCRIBE, SOP_CKPT_PART, TAG_SERVER
 from ..faults import RankKilled
 from .unit import UnitRunner
 
@@ -81,7 +81,7 @@ class Engine:
         faults: Any | None = None,
         journal: bool = False,
     ):
-        self.unit = UnitRunner(client, interp, on_error, faults, self.add_rules)
+        self.unit = UnitRunner(client, interp, on_error, faults, self.subscriptions, self.add_rules)
         self.client = client
         # This rank's event ring; ``tracer`` is the ring on traced runs.
         self.ring = client.ring
@@ -109,10 +109,18 @@ class Engine:
 
     # ------------------------------------------------------------------ rules
 
-    def add_rules(self, specs: list[dict]) -> None:
-        """Register :meth:`Rule.spec` dicts: a finished unit's held
-        rules, a restored checkpoint, an adopted journal.  The caller
-        has counted them on the termination counter already."""
+    def subscriptions(self, specs: list[dict]) -> list[dict]:
+        """A SUBSCRIBE op per distinct input of :meth:`Rule.spec` dicts
+        ``specs`` that this engine has neither seen closed nor subscribed."""
+        tds = dict.fromkeys(td for spec in specs for td in spec["inputs"])
+        new = [td for td in tds if td not in self.closed and td not in self.subscribed]
+        return [{"op": OP_SUBSCRIBE, "id": td, "rank": self.client.rank} for td in new]
+
+    def add_rules(self, specs: list[dict], closed: list[int]) -> None:
+        """Register ``specs`` once the commit that carried their
+        :meth:`subscriptions` and counted them has landed; ``closed`` is
+        what those subscribes found closed."""
+        self.closed.update(closed)
         for spec in specs:
             rule = Rule(
                 next(self._seq),
@@ -140,11 +148,7 @@ class Engine:
             for td in inputs:
                 if td in self.closed:
                     continue
-                if td not in self.subscribed:
-                    if self.client.subscribe(td):
-                        self.closed.add(td)
-                        continue
-                    self.subscribed.add(td)
+                self.subscribed.add(td)
                 self.blocked.setdefault(td, []).append(rule)
                 rule.remaining += 1
                 pending.append(td)
@@ -152,6 +156,12 @@ class Engine:
                 self.ready.append(rule)
             if self.journal:
                 self._jot(("create", dict(rule.spec(pending), id=rule.id)))
+
+    def take_rules(self, specs: list[dict], ops: list[dict] | tuple = ()) -> None:
+        """Take on a restored or adopted rule table: one commit of its
+        subscriptions, its increment and then ``ops``."""
+        ops = [*self.subscriptions(specs), *self.client.work(len(specs)), *ops]
+        self.add_rules(specs, self.client.commit(ops))
 
     # ---------------------------------------------------------------- journal
 
@@ -181,7 +191,7 @@ class Engine:
         """Snapshot the rule table for a checkpoint.
 
         Blocked rules record only their still-unresolved inputs; on
-        restore, ``add_rules`` re-subscribes and anything closed in the
+        restore, ``take_rules`` re-subscribes and anything closed in the
         restored store resolves immediately."""
         by_id: dict[int, tuple[Rule, list[int]]] = {}
         for td, rules in self.blocked.items():
@@ -272,15 +282,8 @@ class Engine:
                 self.stats.tasks_released += 1
                 if self.ring is not None:
                     self.ring.emit("rule_release", rule.id, rule.type, rule.name)
-                self.client.put(
-                    rule.action,
-                    type=rule.type,
-                    priority=rule.priority,
-                    target=rule.target,
-                    prov="R%d.%d" % (self.client.rank, rule.id)
-                    if self.tracer is not None
-                    else None,
-                )
+                prov = "R%d.%d" % (self.client.rank, rule.id) if self.tracer is not None else None
+                self.client.put(rule.action, rule.type, rule.priority, rule.target, prov)
             if self.journal:
                 self._jot(("done", rule.id))
 
@@ -304,24 +307,20 @@ class Engine:
     def _adopt(self, dead: int, rules: list[dict], repair: int) -> None:
         """Adopt a dead engine's journaled rule table.
 
-        The table is counted on the termination counter with one
-        increment, and ``add_rules`` re-subscribes (re-pointing the TD
-        close subscriptions at this rank); ``repair`` then cancels the
-        units the dead engine held (its pending rules, plus its
-        program/restore guard and a completed-but-unaccounted control
-        task, if any).  The increment lands first, so the counter never
-        touches zero mid-adoption — the dead engine's stale units keep
-        it positive until the repair decrement restores the truth.
+        One commit re-subscribes to the table's inputs (re-pointing the
+        TD close subscriptions at this rank), counts its rules with one
+        increment, and then ``repair``s: cancels the units the dead
+        engine held (its pending rules, plus its program/restore guard
+        and a completed-but-unaccounted control task, if any).  The
+        increment lands first, so the counter never touches zero
+        mid-adoption — the dead engine's stale units keep it positive
+        until the repair decrement restores the truth.
         """
         self.journal_stats.adoptions += 1
         self.journal_stats.adopted_rules += len(rules)
         if self.ring is not None:
             self.ring.emit("adopt", dead, len(rules), repair)
-        if rules:
-            self.client.incr_work(len(rules))
-        self.add_rules(rules)
-        if repair:
-            self.client.decr_work(amount=repair)
+        self.take_rules(rules, self.client.work(-repair))
         # The adopted rules are journaled as our own creates, so a
         # chained death of this engine is recoverable too.
         self.journal_flush()
@@ -339,10 +338,9 @@ class Engine:
         ``initial_script`` is the program entry point (only the first
         engine rank receives one); other engines only execute CONTROL
         tasks shipped to them.  ``restore`` is this engine's rule table
-        from a checkpoint: the rules are counted with one increment and
-        re-registered while the engine holds the one guard unit the
-        restored counter reserved for it, released once re-registration
-        is done.
+        from a checkpoint, taken with :meth:`take_rules` while the engine
+        holds the one guard unit the restored counter reserved for it,
+        released once re-registration is done.
         """
         tracer = self.tracer
         unit = self.unit
@@ -357,9 +355,7 @@ class Engine:
             # before releasing it.
             if self.journal:
                 self._jot(("guard", 1))
-            if restore:
-                self.client.incr_work(len(restore))
-            self.add_rules(restore)
+            self.take_rules(restore)
             self.drain()
             self.client.decr_work()  # the restore guard
             if self.journal:

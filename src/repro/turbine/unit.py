@@ -14,9 +14,11 @@ held until its Tcl returns; its refcount *decrements* until it commits.
 That is not an optimisation: an attempt that will be retried (or,
 abandoned by the watchdog, already is being) re-executes all of them,
 so a unit that raises or is abandoned must leave nothing behind for
-them to happen exactly once.  That the held work leaves together — one
-OP_COMMIT per server, then one ``incr_work(k + r)``, r rule
-registrations and one k-task put — is.
+them to happen exactly once.  That the held work leaves together is:
+one op list — the writes, a SUBSCRIBE per new rule input, one
+``WORK +(k + r)``, the k spawns — sent as one OP_COMMIT per server, so
+a unit whose write or subscribe a server rejects has counted nothing
+and spawned nothing, and its rules are registered only once it landed.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class UnitRunner:
     ``on_error`` is the policy for a unit that raises (:meth:`_fail`).
     ``faults`` is an optional :class:`repro.faults.FaultState`
     consulted before each dispatched unit; when ``None`` the check is
-    one pointer test.  ``add_rules`` is the engine's
+    one pointer test.  ``subscriptions`` and ``add_rules`` are the
+    engine's :meth:`~repro.turbine.engine.Engine.subscriptions` and
     :meth:`~repro.turbine.engine.Engine.add_rules`, None on a worker.
     """
 
@@ -61,12 +64,14 @@ class UnitRunner:
         interp,
         on_error: str = "retry",
         faults: Any | None = None,
+        subscriptions=None,
         add_rules=None,
     ):
         self.client = client
         self.interp = interp
         self.on_error = on_error
         self.faults = faults
+        self.subscriptions = subscriptions
         self.add_rules = add_rules
         # the rank's event ring / the same ring on traced runs, else None
         self.ring = client.ring
@@ -76,8 +81,8 @@ class UnitRunner:
         # never rebound: the ``turbine::*_refcount_decr`` builtins
         # write into this very dict
         self.deferred: dict[int, list[int]] = {}
-        # (type, action, priority, target) spawns the running unit holds
-        # until its Tcl returns; the same kind of shared table
+        # (type, action, priority, target, server) spawns the running
+        # unit holds until its Tcl returns; the same kind of shared table
         self.held: list[tuple] = []
         # Rule.spec dicts of the rules it registered, held the same way
         self.rules: list[dict] = []
@@ -99,9 +104,8 @@ class UnitRunner:
         label: str = "",
         guard: Any | None = None,
     ) -> bool:
-        """Run one unit.  True: it ran to completion, its writes are
-        committed, its rules are registered, its spawns are sent, and it
-        still holds its counter
+        """Run one unit.  True: it ran to completion, its held work is
+        committed, its rules are registered, and it still holds its counter
         unit and its deferred decrements — the caller does whatever must
         come first (drain, journal, re-park), then calls
         :meth:`commit`.  False: it raised (its held work failing too),
@@ -158,24 +162,18 @@ class UnitRunner:
             finally:
                 abandoned = guard is not None and guard.disarm()
             held, rules, writes = self.held, self.rules, self.writes
-            if writes and not abandoned:
-                # First: a held rule's subscribe must find the TDs the unit
-                # created, and a commit a server rejects must fail the
-                # unit before it spawns anything.
-                client.commit(writes)
-                writes.clear()
-                self.scratch.tds.clear()
-            if (held or rules) and not abandoned:
-                # Safe before the commit: this unit's own count keeps the
-                # termination counter above zero until then.  A rule on a
-                # TD that does not exist fails the unit here.
-                client.incr_work(len(held) + len(rules))
+            if (writes or held or rules) and not abandoned:
+                # The writes first, so the subscribes find the TDs the
+                # unit created; a write or subscribe a server rejects
+                # then fails the unit before the increment (which the
+                # unit's own count keeps safe until its commit).
+                subs = self.subscriptions(rules) if rules else []
+                work = client.work(len(held) + len(rules))
+                closed = client.commit(writes + subs + work + client.tasks(held))
                 if rules:
-                    self.add_rules(rules)
-                    rules.clear()
-                if held:
-                    client.put_all(held)
-                    held.clear()
+                    self.add_rules(rules, closed)
+                del writes[:], held[:], rules[:]
+                self.scratch.tds.clear()
         except (AbortError, DeadlockError):
             # Transport-level failures are rank problems, not unit
             # failures: never retried or recorded, always fatal.
@@ -236,11 +234,12 @@ class UnitRunner:
     # -------------------------------------------------- commit / roll back
 
     def commit(self) -> None:
-        """The unit is finished: land its deferred decrements, then
-        give back its termination-counter unit — in that order, since a
-        write decrement can close TDs and fire rules the counter must
-        still see.  After :meth:`run`, so its rules have subscribed and
-        a read decrement cannot free a TD under them."""
+        """The unit is finished: land its deferred decrements, then give
+        back its termination-counter unit — the master's commit last,
+        since a write decrement can close TDs and fire rules the counter
+        must still see.  After :meth:`run`, so its rules have subscribed
+        and a read decrement cannot free a TD under them."""
+        ops = []
         if self.deferred:
             deltas = dict(self.deferred)
             self.deferred.clear()
@@ -254,8 +253,7 @@ class UnitRunner:
                 )
             op = {"op": C.OP_REFCOUNT}
             ops = [dict(op, id=id, read_delta=r, write_delta=w) for id, (r, w) in deltas.items()]
-            self.client.commit(ops)
-        self.client.decr_work()
+        self.client.commit(ops + self.client.work(-1))
 
     def roll_back(self) -> None:
         """The unit raised, or will run again (or already is,

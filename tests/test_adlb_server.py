@@ -15,7 +15,7 @@ import pytest
 from repro import swift_run
 from repro.adlb import constants as C
 from repro.adlb.checkpoint import Checkpointer
-from repro.adlb.client import AdlbClient
+from repro.adlb.client import AdlbClient, AdlbError
 from repro.adlb.datastore import DataStoreError
 from repro.adlb.dedup import PARKED, DedupTable
 from repro.adlb.drain import Drain
@@ -46,8 +46,21 @@ def replies(world: World, rank: int, tag: int) -> list:
     return out
 
 
+def commit(*ops) -> dict:
+    return {"op": C.OP_COMMIT, "ops": list(ops)}
+
+
+def work(amount: int, **poison) -> dict:
+    return {"op": C.OP_WORK, "amount": amount, **poison}
+
+
+def put(tasks: list) -> dict:
+    # (a client routes a TASKS op by its ``server``; the server ignores it)
+    return commit({"op": C.OP_TASKS, "tasks": tasks})
+
+
 TASK_FAIL = {"op": C.OP_TASK_FAIL, "kind": "task", "error": "boom"}
-PUT = {"op": C.OP_PUT, "tasks": [(C.WORK, "leaf", 0, -1)]}
+PUT = put([(C.WORK, "leaf", 0, -1)])
 GET = {"op": C.OP_GET, "types": [C.WORK]}
 RULE = {"id": 1, "inputs": [7], "action": "x", "type": "LOCAL"}
 RULE.update(target=-1, priority=0, name="r")
@@ -124,7 +137,7 @@ class TestRecoveryOffBuildsNothing:
     def test_task_fail_without_leases_gives_up_at_once(self):
         # A report the server holds no lease for has nothing to retry.
         server, _ = make_server(on_error="continue")
-        server.dispatch({"op": C.OP_INCR_WORK, "amount": 2}, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(commit(work(2)), ENGINE, C.TAG_ONEWAY)
         server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
         (failure,) = server.failures
         assert (failure.rank, failure.error, failure.attempts) == (WORKER, "boom", 1)
@@ -238,7 +251,7 @@ class TestOneClock:
         server, world = make_server(
             checkpoint_path=path, checkpoint_interval=2.0, clock=clock
         )
-        server.dispatch({"op": C.OP_INCR_WORK, "amount": 1}, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(commit(work(1)), ENGINE, C.TAG_ONEWAY)
         clock.advance(1.9)
         server.ckpt.tick()
         assert replies(world, ENGINE, C.TAG_ASYNC) == []
@@ -256,7 +269,7 @@ class TestOneClock:
 
     def test_poisoned_drain_waits_out_its_quiescence_window(self, clock):
         server, world = make_server(on_error="continue", clock=clock)
-        server.dispatch({"op": C.OP_INCR_WORK, "amount": 2}, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(commit(work(2)), ENGINE, C.TAG_ONEWAY)
         server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)  # poisons; 1 unit stranded
         park = {"op": C.OP_GET_ASYNC, "types": [C.CONTROL]}
         server.dispatch(park, ENGINE, C.TAG_ONEWAY)
@@ -353,7 +366,7 @@ class TestOneClock:
 
 
 class TestTwoMessagesALeaf:
-    """A chunk's spawns are one k-task OP_PUT, and a worker's finished
+    """A chunk's spawns are one k-task TASKS op, and a worker's finished
     unit rides on its next GET as ``done`` — driven by hand, no thread."""
 
     def test_a_k_task_put_matches_parked_gets_in_list_order(self):
@@ -361,7 +374,7 @@ class TestTwoMessagesALeaf:
         for worker in (WORKER + 1, WORKER):
             server.dispatch(GET, worker, C.TAG_REQUEST)  # both park
         tasks = [(C.WORK, "leaf-%d" % i, 0, -1) for i in range(4)]
-        server.dispatch({"op": C.OP_PUT, "tasks": tasks}, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(put(tasks), ENGINE, C.TAG_ONEWAY)
         assert replies(world, WORKER + 1, C.TAG_RESPONSE) == [("task", C.WORK, "leaf-0")]
         assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf-1")]
         assert sorted(t.payload for t in server.queue.all_tasks()) == ["leaf-2", "leaf-3"]
@@ -378,12 +391,12 @@ class TestTwoMessagesALeaf:
         ]
         # with nothing parked, k tasks are k task+ entries
         more = [(C.WORK, "leaf-%d" % i, 0, -1) for i in range(4, 7)]
-        server.dispatch({"op": C.OP_PUT, "tasks": more}, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(put(more), ENGINE, C.TAG_ONEWAY)
         assert logged() == [[("task+", "leaf-%d" % i) for i in range(4, 7)]]
 
     def test_the_done_that_zeroes_the_counter_is_answered_shutdown(self):
         server, world = make_server()
-        server.dispatch({"op": C.OP_INCR_WORK, "amount": 1}, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(commit(work(1)), ENGINE, C.TAG_ONEWAY)
         server.dispatch(GET, WORKER + 1, C.TAG_REQUEST)  # parks
         server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
         assert replies(world, WORKER + 1, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
@@ -410,24 +423,80 @@ class TestTwoMessagesALeaf:
         assert replies(world, anchor, C.TAG_REQUEST) == [dict(GET, done=1)]
         # a poisoned decrement arms the drain: it always travels alone
         plain.decr_work(poison=True)
-        assert replies(world, anchor, C.TAG_ONEWAY) == [
-            {"op": C.OP_DECR_WORK, "amount": 1, "poison": True}
-        ]
+        assert replies(world, anchor, C.TAG_ONEWAY) == [commit(work(-1, poison=True))]
         # an engine's next request is not a GET
         engine = AdlbClient(world.comm(ENGINE), layout)
         assert not engine.carries_done
         engine.decr_work()
-        assert replies(world, anchor, C.TAG_ONEWAY) == [{"op": C.OP_DECR_WORK, "amount": 1}]
+        assert replies(world, anchor, C.TAG_ONEWAY) == [commit(work(-1))]
         # a re-sent parked GET is processed again: a done on it would
         # count twice, so a reliable client sends its decrement itself
         reliable = AdlbClient(world.comm(WORKER), layout, reliable=True)
         assert not reliable.carries_done
-        answer(WORKER, ("ok", None, 1), ("task", C.WORK, "leaf", 2))
+        answer(WORKER, ("ok", [], 1), ("task", C.WORK, "leaf", 2))
         reliable.decr_work()
         assert reliable.get() == (C.WORK, "leaf")
         assert replies(world, anchor, C.TAG_REQUEST) == [
-            {"op": C.OP_DECR_WORK, "amount": 1, "seq": 1},
+            dict(commit(work(-1)), seq=1),
             dict(GET, seq=2),
+        ]
+
+
+class TestOneCommitPerServer:
+    """A unit's op list leaves a real client as one OP_COMMIT per
+    server, in the order that keeps its increment behind everything a
+    server can reject and ahead of every task it counts."""
+
+    @staticmethod
+    def client(monkeypatch):
+        layout = Layout(size=5, n_servers=2, n_engines=1)  # servers 3 (master), 4
+        world = World(layout.size, recv_timeout=None)
+        client = AdlbClient(world.comm(ENGINE), layout)
+        sent: list = []
+        monkeypatch.setattr(client.comm, "send", lambda *msg: sent.append(msg))
+
+        def answer(server, *payloads):  # what the servers would reply
+            for payload in payloads:
+                world.comm(server).send(payload, ENGINE, C.TAG_RESPONSE)
+
+        return client, layout.servers, sent, answer
+
+    def test_the_masters_commit_goes_last_and_other_servers_tasks_after_it(
+        self, monkeypatch
+    ):
+        client, (master, other), sent, answer = self.client(monkeypatch)
+        store = {"op": C.OP_STORE, "id": 6, "value": 1}  # TD 6 lives on the master
+        ref = {"op": C.OP_STORE, "id": 7, "value": "x"}  # TD 7 on the other server
+        subs = [{"op": C.OP_SUBSCRIBE, "id": td, "rank": ENGINE} for td in (7, 8)]
+        here, there = (
+            {"op": C.OP_TASKS, "server": s, "tasks": [(C.CONTROL, "half", 0, -1)]}
+            for s in (master, other)
+        )
+        answer(other, ("ok", [7]))
+        answer(master, ("ok", []))
+        assert client.commit([store, ref, *subs, work(3), here, there]) == [7]
+        assert sent == [
+            (commit(ref, subs[0]), other, C.TAG_REQUEST),
+            (commit(store, subs[1], work(3), here), master, C.TAG_REQUEST),
+            (commit(there), other, C.TAG_ONEWAY),
+        ]
+
+    def test_a_rejected_commit_stops_the_increment(self, monkeypatch):
+        client, (master, other), sent, answer = self.client(monkeypatch)
+        missing = {"op": C.OP_SUBSCRIBE, "id": 999999, "rank": ENGINE}
+        answer(other, ("error", "no such TD <999999>"))
+        with pytest.raises(AdlbError, match="999999"):
+            client.commit([missing, work(1)])
+        assert sent == [(commit(missing), other, C.TAG_REQUEST)]
+
+    def test_a_commit_with_no_data_op_is_a_oneway(self, monkeypatch):
+        client, (master, _), sent, _ = self.client(monkeypatch)
+        client.put("leaf")  # engine 0's own server is the master
+        client.incr_work(2)
+        tasks = {"op": C.OP_TASKS, "server": master, "tasks": [(C.WORK, "leaf", 0, -1)]}
+        assert sent == [
+            (commit(tasks), master, C.TAG_ONEWAY),
+            (commit(work(2)), master, C.TAG_ONEWAY),
         ]
 
 
@@ -466,7 +535,7 @@ class TestDedupTable:
         assert server.repl_stats.dedup_hits == 1
         # work arrives: the grant is cached as the GET's reply, and a
         # duplicate GET is answered with it
-        server.dispatch({"op": C.OP_INCR_WORK, "amount": 2}, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(commit(work(2)), ENGINE, C.TAG_ONEWAY)
         server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
         grant = ("task", C.WORK, "leaf", 1)
         assert server.dedup.slots[WORKER, "rpc"] == (1, (C.TAG_RESPONSE, grant))
@@ -474,10 +543,10 @@ class TestDedupTable:
         assert replies(world, WORKER, C.TAG_RESPONSE) == [grant, grant]
         assert server.stats.tasks_matched == 1 and not server.parked
         # the commit's RPC supersedes it: a late copy of the GET is dropped
-        decr = {"op": C.OP_DECR_WORK, "amount": 1, "seq": 2}
+        decr = dict(commit(work(-1)), seq=2)
         server.dispatch(decr, WORKER, C.TAG_REQUEST)
         server.dispatch(get, WORKER, C.TAG_REQUEST)
-        assert replies(world, WORKER, C.TAG_RESPONSE) == [("ok", None, 2)]
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [("ok", [], 2)]
         assert server.dedup.slots[WORKER, "rpc"][0] == 2 and server.work_count == 1
         assert server.state()["dedup_slots"] == {"rpc": 1, "async": 0}
 
@@ -491,7 +560,7 @@ class TestDedupTable:
         server.dispatch(park, ENGINE, C.TAG_REQUEST)  # resend timer fired
         assert replies(world, ENGINE, C.TAG_RESPONSE) == [
             ("parked", 5),
-            ("ok", None, 6),
+            ("ok", [], 6),
             ("parked", 5),
         ]
         assert [p.rank for p in server.parked] == [ENGINE]
@@ -559,14 +628,17 @@ PER_LEAF = dict(zip(COUNTERS, (0, 1, 1, 0, 0, 0)))
 PER_LEAF_O0 = dict(zip(COUNTERS, (24, 2, 2, 4, 3, 1)))
 # Messages (``mpi.sends``) of the unsplit fan-out at 2w/1s/1e.  Per leaf
 # the worker's GET and its grant, nothing else: the chunk's spawns are
-# one incr_work(n) and one n-task put, and each leaf's counter unit
-# rides on its worker's next GET.  Per run: the engine's park, the
-# program's incr_work and decr_work, the chunk's incr_work and put, the
-# engine's shutdown, and each worker's last GET and its shutdown.
+# one n-task TASKS op in its unit's one commit, and each leaf's counter
+# unit rides on its worker's next GET.  Per run: the engine's park, the
+# program's increment and its closing decrement, that one commit (WORK
+# +n and the n tasks), the engine's shutdown, and each worker's last
+# GET and its shutdown.
 # Re-pinned on purpose by "two messages a leaf", 5n + 8 -> 2n + 10: the
 # engine's incr_work and put and the worker's decr_work were three
-# one-ways per leaf.
-SENDS_PER_LEAF, SENDS_PER_RUN = 2, 10
+# one-ways per leaf.  Re-pinned again when a unit's increment and spawns
+# began to ride its commit, 2n + 10 -> 2n + 9: the chunk's incr_work
+# and put are one message.
+SENDS_PER_LEAF, SENDS_PER_RUN = 2, 9
 
 # One hop of the benchmark's dependent chain.  Per hop at the default
 # level: 3 allocates (member, ref, the copy of a[i]), the insert, the
@@ -607,7 +679,15 @@ PER_CHAIN_RUN = dict(zip(COUNTERS, (16, 0, 0, 3, 3, 0)))
 # reference) were five RPCs, ten messages, and are one commit; so are
 # swift:main's eight (4 creates, a store, an insert, the loop proc's
 # write_refcount_incr, a container reference), which were sixteen.
-CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 28, 34
+# Re-pinned again when a unit's subscribes, increment and spawns began
+# to ride its commit, 28n + 34 -> 22n + 26: per hop, the body control
+# task's commit RPC, its incr_work and its two subscribe RPCs (seven
+# messages) are one commit RPC, and deref_store's incr_work and
+# subscribe RPC (three) another; per run, swift:main's commit, its
+# incr_work, its put and its two subscribe RPCs (eight) are one commit
+# RPC, one more rule's incr_work and subscribe RPC are one RPC, and a
+# unit's closing decrement rides its refcount commit.
+CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 22, 26
 
 
 class TestProtocolShape:

@@ -368,10 +368,9 @@ class TestHangDiagnostics:
             server_map=ServerMap(layout),
             replicate=True,
         )
-        server.dispatch({"op": C.OP_INCR_WORK, "amount": 4}, 0, C.TAG_ONEWAY)
+        server.dispatch(commit(work(4)), 0, C.TAG_ONEWAY)
         for payload in ("queued-a", "queued-b"):
-            put = {"op": C.OP_PUT, "tasks": [(C.WORK, payload, 0, -1)]}
-            server.dispatch(put, 0, C.TAG_ONEWAY)
+            server.dispatch(put_msg(payload), 0, C.TAG_ONEWAY)
         park = {"op": C.OP_GET_ASYNC, "types": [C.CONTROL]}
         server.dispatch(park, 0, C.TAG_ONEWAY)
         server.leases.table[1] = _Lease(
@@ -507,14 +506,29 @@ class TestShutdownHandshake:
 
 
 ENGINE, WORKER = 0, 1
-PUT = {"op": C.OP_PUT, "tasks": [(C.WORK, "leaf", 0, -1)]}
 GET = {"op": C.OP_GET, "types": [C.WORK]}
 TASK_FAIL = {"op": C.OP_TASK_FAIL, "kind": "task", "error": "boom"}
 STEAL_REQ = {"op": C.SOP_STEAL_REQ, "types": [C.CONTROL, C.WORK]}
 
 
+def commit(*ops):
+    return {"op": C.OP_COMMIT, "ops": list(ops)}
+
+
+def work(amount):
+    return {"op": C.OP_WORK, "amount": amount}
+
+
+def tasks_op(payload, type=C.WORK, target=-1):
+    # (a client routes a TASKS op by its ``server``; the server ignores it)
+    return {"op": C.OP_TASKS, "tasks": [(type, payload, 0, target)]}
+
+
 def put_msg(payload, type=C.WORK, target=-1):
-    return {"op": C.OP_PUT, "tasks": [(type, payload, 0, target)]}
+    return commit(tasks_op(payload, type, target))
+
+
+PUT = put_msg("leaf")
 
 
 class TestReplicaFollowsOwner:
@@ -623,11 +637,13 @@ class TestReplicaFollowsOwner:
             seqs[source] += 1
             self.step(dict(msg, seq=seqs[source]), source, C.TAG_REQUEST)
 
-        def put():
+        def spawn():
             kind = rng.choice([C.WORK, C.WORK, C.CONTROL])
             target = rng.choice([-1, -1, rng.choice(workers)]) if kind == C.WORK else -1
-            msg = put_msg("unit-%d" % next(ids), kind, target)
-            request(msg, ENGINE)
+            return tasks_op("unit-%d" % next(ids), kind, target)
+
+        def put():  # alone, or after the increment that counts it
+            request(commit(*rng.choice([[], [work(1)]]), spawn()), ENGINE)
 
         def get():
             request(GET, rng.choice(workers))
@@ -669,9 +685,9 @@ class TestReplicaFollowsOwner:
                 msg = {"op": C.OP_REFCOUNT, "id": td, "read_delta": -1}
             else:
                 return
-            if msg["op"] != C.OP_SUBSCRIBE:
-                msg = {"op": C.OP_COMMIT, "ops": [msg]}
-            request(msg, ENGINE)
+            # alone, or as a unit's whole commit: its counter move and spawn
+            tail = rng.choice([[], [], [work(rng.choice([1, -1])), spawn()]])
+            request(commit(msg, *tail), ENGINE)
 
         def journal():
             kind = rng.choice(["create", "close", "done", "guard", "ctask_done"])
@@ -691,7 +707,7 @@ class TestReplicaFollowsOwner:
             msg = {"op": C.OP_JOURNAL, "rank": ENGINE, "entries": [entry]}
             self.step(msg, ENGINE, C.TAG_ONEWAY)
 
-        self.step({"op": C.OP_INCR_WORK, "amount": 10**6}, ENGINE, C.TAG_ONEWAY)
+        self.step(commit(work(10**6)), ENGINE, C.TAG_ONEWAY)
         request({"op": C.OP_ID_BLOCK}, ENGINE)
         moves = [put] * 4 + [get] * 4 + [park, fail, fail, steal, die, tick, tick]
         moves += [data] * 3 + [journal] * 2

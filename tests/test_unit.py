@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.adlb.client import AdlbClient
 from repro.faults import TaskError
 from repro.mpi import AbortError, DeadlockError
 from repro.obs.spine import Ring
@@ -23,10 +24,14 @@ RANK = 3
 
 
 class FakeClient:
-    """Records the accounting calls a runner makes, in order."""
+    """Records the messages a runner sends, in order.  Its op lists are
+    built by the real client's ``work`` and ``tasks``."""
 
     rank = RANK
     prov_unit = None
+    carries_done = False
+    work = AdlbClient.work
+    tasks = AdlbClient.tasks
 
     def __init__(self, ring=None):
         self.ring = self.tracer = ring
@@ -41,12 +46,22 @@ class FakeClient:
 
     def commit(self, ops):
         self.calls.append(("commit", list(ops)))
+        return [5]  # what its subscribes found closed
 
-    def incr_work(self, amount=1):
-        self.calls.append(("incr_work", amount))
 
-    def put_all(self, tasks):
-        self.calls.append(("put_all", list(tasks)))
+class FakeEngine:
+    """The engine's rule side: a SUBSCRIBE per distinct input, and
+    registration recorded in the client's call list."""
+
+    def __init__(self, client):
+        self.client = client
+
+    def subscriptions(self, specs):
+        tds = dict.fromkeys(td for spec in specs for td in spec["inputs"])
+        return [{"op": "SUBSCRIBE", "id": td, "rank": RANK} for td in tds]
+
+    def add_rules(self, specs, closed):
+        self.client.calls.append(("add_rules", list(specs), closed))
 
 
 class FakeInterp:
@@ -60,12 +75,13 @@ class FakeInterp:
 
 def make(on_error, raises=None, ring=None):
     client = FakeClient(ring)
-    # the engine's add_rules, recorded in the same call list
+    engine = FakeEngine(client)
     unit = UnitRunner(
         client,
         FakeInterp(raises),
         on_error,
-        add_rules=lambda specs: client.calls.append(("add_rules", list(specs))),
+        subscriptions=engine.subscriptions,
+        add_rules=engine.add_rules,
     )
     # A write and a decrement the unit performed before it ended.
     unit.writes.append(WRITE)
@@ -82,9 +98,12 @@ def run(unit, kind):
 
 WRITE = {"op": "STORE", "id": 12, "value": 1, "subscript": None, "decr_write": 1}
 WROTE = ("commit", [WRITE])
-LANDED = ("commit", [{"op": "REFCOUNT", "id": 11, "read_delta": 0, "write_delta": -1}])
+# the deferred decrement, then the unit's counter unit back
+DECREMENT = {"op": "REFCOUNT", "id": 11, "read_delta": 0, "write_delta": -1}
+LANDED = ("commit", [DECREMENT, {"op": "WORK", "amount": -1}])
 # a held input-free rule, as turbine::rule records it
 RULE = dict(inputs=[], action="leaf", type="LOCAL", target=-1, priority=0, name="")
+SERVER = 9  # the server the held spawns are bound for
 POLICIES = ("retry", "continue", "fail_fast")
 
 
@@ -96,37 +115,44 @@ class TestOneTableEveryKind:
         assert run(unit, kind) is True
         # The writes leave when the Tcl returns; nothing is accounted
         # until the caller commits (the engine drains and re-parks in
-        # between).
+        # between), and then the decrements and the counter unit leave
+        # together.
         assert client.calls == [WROTE] and unit.deferred and not unit.writes
         unit.commit()
-        assert client.calls == [WROTE, LANDED, "decr_work"]
+        assert client.calls == [WROTE, LANDED]
         assert not unit.deferred and not unit.failures
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_finished_unit_sends_its_spawns_as_one_put(self, kind):
         unit, client = make("retry")
-        spawns = [("WORK", "leafA", 0, -1), ("CONTROL", "ctaskB", 1, -1)]
+        spawns = [("WORK", "leafA", 0, -1, SERVER), ("CONTROL", "ctaskB", 1, -1, SERVER)]
         unit.held.extend(spawns)
         assert run(unit, kind) is True
-        # after the writes, before the commit, which the caller makes
-        assert client.calls == [WROTE, ("incr_work", 2), ("put_all", spawns)]
+        # in the one commit the unit sends, after the writes and the
+        # increment that counts them
+        put = {"op": "TASKS", "server": SERVER, "tasks": [s[:4] for s in spawns]}
+        assert client.calls == [("commit", [WRITE, {"op": "WORK", "amount": 2}, put])]
         assert unit.held == []
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_held_rules_are_registered_before_the_put(self, kind):
         unit, client = make("retry")
-        spawns = [("WORK", "leafA", 0, -1)]
-        rules = [RULE, dict(RULE, type="WORK")]
+        spawns = [("WORK", "leafA", 0, -1, SERVER)]
+        rules = [RULE, dict(RULE, type="WORK", inputs=[5, 6]), dict(RULE, inputs=[6])]
         unit.held.extend(spawns)
         unit.rules.extend(rules)
         assert run(unit, kind) is True
-        # the writes first, so the rules' subscribes find what the unit
-        # created; one increment covers the rules' units and the spawns'
+        # One commit: the writes first, so the rules' subscribes (one
+        # per input) find what the unit created, and a rejected one
+        # fails the unit before the increment, which covers the rules'
+        # units and the spawns'; then the put.  The engine registers the
+        # rules once it landed, with the inputs it found closed.
+        sub = {"op": "SUBSCRIBE", "rank": RANK}
+        put = {"op": "TASKS", "server": SERVER, "tasks": [("WORK", "leafA", 0, -1)]}
+        work = {"op": "WORK", "amount": 4}
         assert client.calls == [
-            WROTE,
-            ("incr_work", 3),
-            ("add_rules", rules),
-            ("put_all", spawns),
+            ("commit", [WRITE, dict(sub, id=5), dict(sub, id=6), work, put]),
+            ("add_rules", rules, [5]),
         ]
         assert unit.held == [] and unit.rules == []
 
@@ -135,15 +161,15 @@ class TestOneTableEveryKind:
         # ... and the rules and writes: the next unit that finishes must
         # not send, register or commit them
         unit, client = make(on_error, RecursionError("deep"))
-        unit.held.append(("WORK", "leafA", 0, -1))
+        unit.held.append(("WORK", "leafA", 0, -1, SERVER))
         unit.rules.append(RULE)
         try:
             run(unit, "ctask")
         except TaskError:
             pass
         assert unit.held == [] and unit.rules == [] and unit.writes == []
-        assert not any(call[0] in ("commit", "incr_work", "add_rules") for call in client.calls)
-        unit.held.append(("WORK", "leafA", 0, -1))
+        assert not any(call[0] in ("commit", "add_rules") for call in client.calls)
+        unit.held.append(("WORK", "leafA", 0, -1, SERVER))
         unit.rules.append(RULE)
         unit.roll_back()
         assert unit.held == [] and unit.rules == []
@@ -221,7 +247,7 @@ class TestOneTableEveryKind:
 
         for raises in (None, ValueError("late")):
             unit, client = make("retry", raises)
-            unit.held.append(("WORK", "leafA", 0, -1))
+            unit.held.append(("WORK", "leafA", 0, -1, SERVER))
             unit.rules.append(RULE)
             assert unit.run("task", "leaf", guard=Expired()) is False
             assert client.calls == [] and not unit.deferred and not unit.failures
@@ -331,6 +357,33 @@ proc flaky { x } {
 """
 
 
+# A rule on a TD that does not exist, on the first attempt only.
+MISSING_RULE_RETRY = """
+proc swift:main {} {
+    turbine::rule [ list ] flaky CONTROL
+}
+proc flaky {} {
+    if { ! [ info exists ::tried ] } {
+        set ::tried 1
+        turbine::rule [ list 999999 ] { turbine::log_output "never" } LOCAL
+    }
+    turbine::log_output "attempt"
+}
+"""
+
+# A rule on a TD the unit stored, then one on a TD that does not exist.
+HALF_RULES = """
+proc swift:main {} {
+    turbine::rule [ list ] half CONTROL
+}
+proc half {} {
+    set t [ turbine::allocate integer ]
+    turbine::store_integer $t 1
+    turbine::rule [ list $t ] { turbine::log_output "first rule fired" } LOCAL
+    turbine::rule [ list 999999 ] { turbine::log_output "second rule fired" } LOCAL
+}
+"""
+
 SPLIT_AFTER_STORE = """
 proc swift:main {} {
     set x [ turbine::allocate integer ]
@@ -402,8 +455,8 @@ class TestWhyWritesWait:
         assert "first attempt fails after its store" in res.failures[0].error
 
     def test_split_halves_find_what_their_unit_created(self):
-        # split_range puts its halves at once, while the unit still runs:
-        # the writes it holds so far must land first.
+        # split_range's halves are held like any spawn: they leave in the
+        # unit's commit, after its writes.
         def setup(interp, ctx, client):
             interp.register("nap", lambda it, args: time.sleep(float(args[0])) or "")
 
@@ -434,3 +487,33 @@ class TestRulesAreHeldLikeSpawns:
         res = run_turbine_program(RULE_RETRY, RuntimeConfig(size=3, on_error="continue"))
         assert "rule fired" not in res.stdout_lines
         assert [f.kind for f in res.failures] == ["ctask"]
+
+
+class TestAUnitsCommitIsAllOrNothing:
+    """A unit's subscribes travel in its commit, ahead of the increment
+    that counts its rules and spawns, and its rules are registered only
+    once that commit landed: a rule on a TD that does not exist fails
+    the unit before it has counted anything or fired any rule, at one
+    server or two (999999 lives on the second server)."""
+
+    @staticmethod
+    def config(servers, on_error):
+        size = 2 + servers  # one engine (the ::tried flag is its own), one worker
+        return RuntimeConfig(
+            size=size, n_servers=servers, on_error=on_error, recv_timeout=3.0, deadline=6.0
+        )
+
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_a_retried_unit_whose_rule_failed_leaks_no_count(self, servers):
+        # The first attempt's increment was sent before its subscribe
+        # failed, and the run never ended.
+        res = run_turbine_program(MISSING_RULE_RETRY, self.config(servers, "retry"))
+        assert res.stdout_lines == ["attempt", "attempt"]
+        assert res.ok and res.metrics["counters"]["adlb.lease.requeued"] == 1
+
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_a_failed_units_first_rule_never_fires(self, servers):
+        res = run_turbine_program(HALF_RULES, self.config(servers, "continue"))
+        assert "first rule fired" not in res.stdout_lines
+        assert [f.kind for f in res.failures] == ["ctask"]
+        assert "999999" in res.failures[0].error
