@@ -63,6 +63,7 @@ OP_UNARY = 35       # consts[arg] is the operator string (!, ~, -, +)
 OP_EVAL_NODE = 36   # push expr.eval_node(interp, consts[arg])
 OP_COERCE = 37      # pop v; push expr.coerce(v)  (inline [cmd] in expr)
 OP_TO_STR = 38      # pop v; push expr.to_string(v)
+OP_LOOP = 39        # caches[arg]; back-edge of a loop the tier can lower
 
 NAMES = {
     OP_CONST: "CONST",
@@ -103,6 +104,7 @@ NAMES = {
     OP_EVAL_NODE: "EVAL_NODE",
     OP_COERCE: "COERCE",
     OP_TO_STR: "TO_STR",
+    OP_LOOP: "LOOP",
 }
 
 _JUMPS = {OP_JUMP, OP_JUMP_IF_FALSE, OP_JUMP_IF_TRUE}
@@ -120,6 +122,9 @@ class VMStats:
     expr_hits: int = 0       # expr AST cache hits
     expr_misses: int = 0     # expr ASTs parsed
     peephole_ops: int = 0    # ops removed / constants folded by peephole
+    loops_lowered: int = 0   # loops the tier turned into Python functions
+    lowered_iterations: int = 0  # loop iterations run by those functions
+    loop_deopts: int = 0     # times a lowered loop handed back to the VM
 
 
 class Code:
@@ -205,6 +210,17 @@ class Code:
             out.append("%s %5d  %-14s %s" % (mark, pc, NAMES.get(op, "?%d" % op), detail))
         for s, t, text, line in self.regions:
             out.append("  region [%d, %d) line %d: %r" % (s, t, line, text))
+        from .tier import blocker
+
+        for pc in range(0, len(ops), 2):
+            op, arg = ops[pc], ops[pc + 1]
+            if op == OP_LOOP:
+                out.append("  LOOP [%d, %d] lowerable" % (self.caches[arg][0], pc))
+            elif op == OP_JUMP and arg < pc:
+                b = blocker(self, arg, pc)
+                why = "not a proc body" if b is None else "%s %s" % (
+                    NAMES[ops[b]], self._detail(ops[b], ops[b + 1]))
+                out.append("  LOOP [%d, %d] on VM: %s" % (arg, pc, why))
         return "\n".join(out)
 
     def _detail(self, op: int, arg: Any) -> str:
@@ -213,6 +229,8 @@ class Code:
         if op == OP_GUARD:
             c = self.caches[arg]
             return "%d (%s, fallback -> %d)" % (arg, c[0], c[5])
+        if op == OP_LOOP:
+            return "%d (-> %d)" % (arg, self.caches[arg][0])
         if op == OP_CALL:
             c = self.caches[arg]
             return "%d (argc=%d, line %d)" % (arg, c[0], c[1])

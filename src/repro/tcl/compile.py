@@ -20,6 +20,8 @@ flat bytecode:
 * **Peephole pass** — jump threading, jump-to-next removal, and
   dead-code elision after unconditional exits (ops after a ``RETURN``
   are deleted outright).
+* **Hot loops** — a proc body's loop that runs no command ends in
+  ``OP_LOOP``, where the VM tiers it up (:mod:`repro.tcl.tier`).
 
 Command substitutions, ``if``/loop bodies, and multi-command words are
 all inlined into the *same* code object — the VM never recurses into
@@ -47,6 +49,7 @@ from .errors import TclError
 from .expr import compile_expr, _eval_bin, eval_unary, parse_number
 from .interp import _abbrev
 from .parser import Command, TclParseError, Word, parse_cached
+from .tier import mark_loops
 
 # Ops after which control never falls through to the next instruction.
 _TERMINATORS = {OP_JUMP, OP_BREAK, OP_CONTINUE, OP_RETURN, OP_END}
@@ -735,5 +738,6 @@ def compile_proc_code(interp, proc) -> Code | None:
     c.script_push(cmds)
     proto = (proc.name, proc.params, len(proc.params), proc._simple)
     code = c.finish("<proc %s>" % proc.name, proc.body, proto=proto)
+    mark_loops(code)
     interp.vm_stats.peephole_ops += c.asm.removed
     return code

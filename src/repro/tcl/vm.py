@@ -33,7 +33,7 @@ from .bytecode import (
     OP_CONST, OP_CONTINUE, OP_ELOAD_NAME, OP_ELOAD_SLOT, OP_END, OP_EQ,
     OP_EVAL_NODE, OP_EXEC, OP_GE, OP_GT, OP_GUARD, OP_INCR_NAME,
     OP_INCR_SLOT, OP_JUMP, OP_JUMP_IF_FALSE, OP_JUMP_IF_TRUE, OP_LE,
-    OP_LOAD_NAME, OP_LOAD_SLOT, OP_LT, OP_MUL, OP_NE, OP_POP,
+    OP_LOAD_NAME, OP_LOAD_SLOT, OP_LOOP, OP_LT, OP_MUL, OP_NE, OP_POP,
     OP_POP_BLOCK, OP_PUSH_BLOCK, OP_RETURN, OP_SET_NAME, OP_SET_SLOT,
     OP_SUB, OP_TO_STR, OP_UNARY,
 )
@@ -43,6 +43,7 @@ from .expr import (
     truthy,
 )
 from .interp import Frame, TclProc, Var, _abbrev
+from .tier import TIER_UP, lower
 
 
 class VMFrame(Frame):
@@ -169,6 +170,34 @@ def _resolve_lit(interp, c):
     c[5] = mode
     c[6] = payload
     return mode
+
+
+def _guard_ok(interp, c):
+    """Is GUARD cache ``c``'s command still the inlined builtin?"""
+    if c[2] != interp.cmd_epoch or c[3] is not interp.current_ns:
+        fn = interp.lookup_command(c[0])
+        c[4] = getattr(fn, "vm_builtin", None) == c[1]
+        c[2] = interp.cmd_epoch
+        c[3] = interp.current_ns
+    return c[4]
+
+
+def _tier(interp, f, tclframe, c, end):
+    """Run the loop ending at ``end`` lowered; returns the pc to go on at.
+    Its guards and cells are checked once: the loop cannot change them."""
+    st = interp.vm_stats
+    if c[2] is None:
+        c[2] = lower(f.code, c[0], end)
+        st.loops_lowered += 1
+    fn, guards = c[2]
+    pc, n = c[0], 0
+    if tclframe.version == f.cellsv and all(_guard_ok(interp, g) for g in guards):
+        pc, n = fn(f.cells)
+    st.lowered_iterations += n
+    if pc == c[0]:  # handed back: the VM runs this iteration
+        st.loop_deopts += 1
+        c[1] = 0
+    return pc
 
 
 def _bind_slow(proc, frame, args, cells):
@@ -413,15 +442,8 @@ def run(interp, root):
                         ):
                             if not c[4]:
                                 pc = c[5]
-                        else:
-                            fn = interp.lookup_command(c[0])
-                            c[4] = ok = (
-                                getattr(fn, "vm_builtin", None) == c[1]
-                            )
-                            c[2] = interp.cmd_epoch
-                            c[3] = interp.current_ns
-                            if not ok:
-                                pc = c[5]
+                        elif not _guard_ok(interp, c):
+                            pc = c[5]
                     elif op == OP_RETURN or op == OP_END:
                         value = stack.pop()
                         kind = f.kind
@@ -639,6 +661,13 @@ def run(interp, root):
                         raise TclBreak()
                     elif op == OP_CONTINUE:
                         raise TclContinue()
+                    elif op == OP_LOOP:
+                        c = caches[arg]
+                        c[1] += 1
+                        if c[1] < TIER_UP:
+                            pc = c[0]
+                        else:
+                            pc = _tier(interp, f, tclframe, c, pc - 2)
                     else:
                         raise TclError("bad opcode %d" % op)
             except TclError as e:
@@ -686,6 +715,15 @@ def run(interp, root):
                 tclframe = f.tclframe or f
                 del stack[depth:]
                 pc = bpc if is_break else cpc
+            except Exception as exc:
+                # A Python error in an inlined builtin (`1 << -1`), as
+                # _finish_command reports one raised by a command
+                if isinstance(exc, interp.passthrough):
+                    raise
+                e = TclError("%s: %s" % (type(exc).__name__, exc))
+                e.__cause__ = exc
+                f.pc = pc
+                _raise_unwound(interp, frames, f, pc - 2, e)
     except BaseException:
         # Error unwinding pops frames itself; this covers the re-raise
         # path plus RecursionError/KeyboardInterrupt, restoring the

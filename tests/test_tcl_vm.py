@@ -14,14 +14,18 @@ invalidation mid-run, and the ``tcl.vm.*`` counters.
 
 from __future__ import annotations
 
+import re
 import sys
+import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from repro import swift_run
 from repro.tcl.errors import TclBreak, TclContinue, TclError, TclReturn
 from repro.tcl.interp import Interp
+from repro.tcl.tier import TIER_UP
 
 from .test_swift_fuzz import Undefined, evaluate, exprs, to_swift
 
@@ -137,11 +141,163 @@ DIFFERENTIAL_SCRIPTS = [
     " if {$i == 2} break }; return $i }\nf",
 ]
 
+# The tier behind the bytecode: each proc's loop runs 300 iterations, past
+# TIER_UP, and hits its edge at i = 200, on lowered code.  The flag says
+# whether the loop is lowered at all (False: a command call or the NAME
+# ops of script-root code keep it on the VM).
+TIER_SCRIPTS = [
+    # a float appears mid-loop: that iteration hands back, later entries
+    # find a non-int slot and stay on the VM
+    ("proc f {} { set s 0; for {set i 0} {$i < 300} {incr i} {"
+     " if {$i == 200} { set s [expr {$s / 2.0}] }; set s [expr {$s + $i}] };"
+     " return $s }\nf", True),
+    # a slot holds a non-numeric string, then an operand is one
+    ("proc f {} { set t 0; for {set i 0} {$i < 300} {incr i} {"
+     " if {$i == 200} { set t abc }; set u $t };"
+     " return $t-$u-$i }\nf", True),
+    ("proc f {} { set t 0; for {set i 0} {$i < 300} {incr i} {"
+     " if {$i == 200} { set t abc } else { set t [expr {$t + 1}] } };"
+     " return $t }\nf", True),
+    # a zero divisor past the threshold: the VM's message and errorInfo
+    ("proc f {} { set a 1; for {set i 0} {$i < 300} {incr i} {"
+     " set z [expr {200 - $i}]; set a [expr {($a + 7) % $z}] };"
+     " return $a }\nf", True),
+    ("proc f {} { set a 1; set i 0; while {$i < 300} {"
+     " set a [expr {$a + 1000 / (200 - $i)}]; incr i }; return $a }\nf", True),
+    # ints past 2**64
+    ("proc f {} { set x 1; for {set i 0} {$i < 300} {incr i} {"
+     " set x [expr {$x * 3 + $i}] }; return $x }\nf", True),
+    # negative % and / floor
+    ("proc f {} { set s 0; for {set i 0} {$i < 300} {incr i} {"
+     " set s [expr {$s + (-$i - 7) / 3 + (-$i) % 5 + $i % -7 + -$i / -4}] };"
+     " return $s }\nf", True),
+    # incr of " 7": a non-canonical int string is handed back
+    ("proc f {} { set x 0; for {set i 0} {$i < 300} {incr i} {"
+     " if {$i == 200} { set x \" 7\" }; incr x }; return $x }\nf", True),
+    # ** with a negative exponent turns float
+    ("proc f {} { set p 0; for {set i 0} {$i < 300} {incr i} {"
+     " set e [expr {200 - $i}]; set p [expr {2 ** $e / 4}] }; return $p }\nf", True),
+    # an int slot in a non-canonical form at entry keeps its text
+    ("proc f {} { set x 007; set y 0; for {set i 0} {$i < 300} {incr i} {"
+     " incr y; set y $x }; return $x-$y }\nf", True),
+    # an int too long for str() is the VM's error, even when no slot holds it
+    ("proc f {} { set s 0; for {set i 0} {$i < 300} {incr i} {"
+     " if {$i == 200} { set b 10 } else { set b 2 };"
+     " if {[expr {$b ** 5000}] > 0} { incr s } }; return $s }\nf", True),
+    # a negative shift is the VM's error
+    ("proc f {} { set q 0; for {set i 0} {$i < 300} {incr i} {"
+     " set q [expr {1 << (200 - $i)}] }; return $q }\nf", True),
+    # nested loops: the inner one tiers up first, then the outer one
+    ("proc f {} { set s 0; for {set i 0} {$i < 100} {incr i} {"
+     " for {set j 0} {$j < 30} {incr j} { set s [expr {($s * 7 + $i - $j) % 1009}] } };"
+     " return $s-$i-$j }\nf", True),
+    # if, break and continue in the body; && and ! in the condition
+    ("proc f {} { set s 0; for {set i 0} {$i < 300} {incr i} {"
+     " if {$i % 3 == 0} continue; if {$i == 250} break;"
+     " if {$s > 1000} { set s [expr {$s - 999}] } elseif {!($i & 1)} { incr s 5 }"
+     " else { set s [expr {~$s + $i * 2}] } }; return $s-$i }\nf", True),
+    ("proc f {} { set i 0; set s 0; while {$i < 300 && $s != -1} {"
+     " incr i; set s [expr {$s ^ ($i << 3) | 1}] }; return $s-$i }\nf", True),
+    # 120 nested `?:` outgrow Python's nesting: the loop stays on the VM
+    ("proc f {} { set s 0; for {set i 0} {$i < 300} {incr i} { set s [expr {$s + (%s : -1)}] };"
+     " return $s }\nf" % " : ".join("$i == %d ? %d" % (j, j) for j in range(120)), True),
+    # a body with a command call is declined
+    ("proc f {} { set s 0; for {set i 0} {$i < 300} {incr i} {"
+     " set s [string length $i] }; return $s }\nf", False),
+    # a loop at script root is declined: the NAME ops
+    ("set s 0; for {set i 0} {$i < 300} {incr i} { set s [expr {$s + $i}] }; set s",
+     False),
+]
+DIFFERENTIAL_SCRIPTS += [script for script, _ in TIER_SCRIPTS]
+
 
 @pytest.mark.parametrize(
     "script", DIFFERENTIAL_SCRIPTS, ids=range(len(DIFFERENTIAL_SCRIPTS))
 )
 def test_vm_matches_interpreted(script):
+    assert_same(script)
+
+
+@pytest.mark.parametrize(
+    "script,lowered", TIER_SCRIPTS, ids=range(len(TIER_SCRIPTS))
+)
+def test_tier_corpus_runs_on_the_tier(script, lowered):
+    it = Interp()
+    it.echo = False
+    try:
+        it.eval(script)
+    except TclError:
+        pass
+    assert TIER_UP < 200
+    assert (it.vm_stats.loops_lowered >= 1) == lowered
+
+
+def test_lowered_loops_shared_across_threads():
+    # Each rank thread has its own Interp; the loop functions and the
+    # OP_LOOP verdicts are shared process-wide through lock-free LRUs.
+    body = (
+        "proc hot {n a} { for {set k 0} {$k < $n} {incr k}"
+        " { set a [expr {($a * 31 + $k) % 1009}] }; return $a }"
+    )
+    results = []
+
+    def work(first):
+        it = Interp()
+        it.echo = False
+        it.eval(body)
+        for a in range(first, first + 5):
+            results.append((a, it.eval("hot 200 %d" % a)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(10 * k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == sorted((a, str(_acc(200, a))) for k in range(6)
+                                     for a in range(10 * k, 10 * k + 5))
+
+
+# --- property-based: random int loops, tier vs oracle ----------------------
+
+_VARS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def _loops(draw):
+    names = _VARS[: draw(st.integers(2, 4))]
+    small = st.integers(-9, 9).map(str)
+
+    def expr(depth):
+        leaf = st.one_of(small, st.sampled_from(names).map(lambda n: "$" + n))
+        if depth == 0:
+            return leaf
+        op = st.sampled_from(["+", "-", "*", "/", "%", "<", ">=", "==", "!="])
+        return st.one_of(leaf, st.tuples(expr(depth - 1), op, expr(depth - 1)).map(
+            lambda t: "(%s %s %s)" % t))
+
+    def assign():
+        return st.tuples(st.sampled_from(names), expr(2)).map(
+            lambda t: "set %s [expr {%s %% 1009}]" % t)
+
+    body = draw(st.lists(assign(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        body.append(draw(st.tuples(expr(1), assign(), assign()).map(
+            lambda t: "if {%s} { %s } else { %s }" % t)))
+    inits = " ".join("set %s %s;" % (n, draw(small)) for n in names)
+    return "proc f {} { %s for {set i 0} {$i < 150} {incr i} { %s }; return %s }\nf" % (
+        inits, "; ".join(body), "-".join("$" + n for n in names))
+
+
+@seed(34)
+@given(script=_loops())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_property_int_loops_agree_tier_vs_oracle(script):
     assert_same(script)
 
 
@@ -248,6 +404,48 @@ class TestVMCacheInvalidation:
         assert ei.value.message == 'wrong # args: should be "id x"'
 
 
+HOT = (
+    "proc hot {n} { set a 0; for {set i 0} {$i < $n} {incr i}"
+    " { set a [expr {$a + $i}] }; return $a }\n"
+)
+
+
+class TestTierInvalidation:
+    """A lowered loop's guards are re-checked at every loop entry, so a
+    redefinition between two calls is taken by the second."""
+
+    @pytest.mark.parametrize("body,redefine", [
+        ("if {$i == 150} { set a [expr {$a + 1000}] }; incr i",
+         "rename expr orig_expr; proc expr {args} { return 1 }"),
+        ("if {$i == 150} { set a [expr {$a + 1000}] }; incr i",
+         "proc set {args} { error {set is off} }"),
+        ("if {$i == 150} { incr a 1000 }; set i [expr {$i + 1}]",
+         "proc incr {args} { error {incr is off} }"),
+    ])
+    def test_redefinition_between_calls_is_taken(self, vm_interp, body, redefine):
+        # The redefined command sits in a branch the second call's first
+        # iteration (on the VM) does not take: only the entry check sees it.
+        hot = "proc hot {n a i} { while {$i < $n} { %s }; return $a }\n" % body
+        call = "list [catch {hot 300 0 0} m] $m"
+        assert_same(hot + "set r [hot 300 0 0]\n" + redefine + "\nlappend r [%s]" % call)
+        vm_interp.eval(hot + "hot 300 0 0")
+        stats = vm_interp.vm_stats
+        assert (stats.loops_lowered, stats.loop_deopts) == (1, 0)
+        vm_interp.eval(redefine)
+        vm_interp.eval(call)
+        assert stats.loop_deopts >= 1
+
+    def test_a_loop_that_redefines_a_command_is_never_lowered(self, vm_interp):
+        vm_interp.eval(
+            "proc f {} { set a 0; for {set i 0} {$i < 300} {incr i}"
+            " { proc g {} { return 1 }; set a [expr {$a + $i}] }; return $a }"
+        )
+        assert vm_interp.eval("f") == str(sum(range(300)))
+        assert vm_interp.vm_stats.loops_lowered == 0
+        pcode = vm_interp._vm_proc_code(vm_interp, vm_interp.lookup_command("f"))
+        assert "on VM: CALL_LIT" in pcode.dis()
+
+
 # --- frame-depth limiting (VM replaces the recursion-limit bump) ---------
 
 
@@ -345,6 +543,33 @@ class TestVMStats:
             )
         ) is Code
 
+    def test_tier_counters(self, vm_interp):
+        vm_interp.eval(HOT)
+        vm_interp.eval("hot 300")
+        vm_interp.eval("hot 300")
+        s = vm_interp.vm_stats
+        # the first call tiers up after TIER_UP iterations on the VM; the
+        # second runs its first iteration on the VM, the rest lowered
+        assert (s.loops_lowered, s.loop_deopts) == (1, 0)
+        assert s.lowered_iterations == (300 - TIER_UP) + 299
+        vm_interp.eval("proc half {} { set a 0; for {set i 0} {$i < 300} {incr i}"
+                       " { set a [expr {$i == 200 ? 0.5 : $a + 1}] }; return $a }")
+        assert vm_interp.eval("half") == "99.5"
+        assert s.loops_lowered == 2
+        assert s.loop_deopts >= 1
+
+    def test_tier_counters_in_a_run(self):
+        res = swift_run(
+            '(int o) acc(int n) "" "1.0" [ "set a 0; for {set k 0} {$k < <<n>>}'
+            ' {incr k} { set a [expr {($a * 31 + $k) % 1009}] }; set <<o>> $a" ];\n'
+            "trace(acc(300));",
+            workers=2,
+        )
+        assert res.stdout_lines == ["trace: %d" % _acc(300)]
+        counters = res.metrics["counters"]
+        assert counters["tcl.vm.loops_lowered"] == 1
+        assert counters["tcl.vm.lowered_iterations"] == 300 - TIER_UP
+
     def test_stats_folded_into_traced_run(self):
         out = swift_run(
             'printf("n=%i", 1 + 2);', workers=2, trace=True
@@ -373,6 +598,26 @@ class TestDisassembler:
         assert "slots: 0=a, 1=b" in text
         assert code.dis()  # script-level dis renders too
 
+    def test_dis_marks_each_inlined_loop(self, vm_interp):
+        vm_interp.eval(HOT)
+        vm_interp.eval(
+            "proc cold {n} { set a {}; for {set i 0} {$i < $n} {incr i}"
+            " { lappend a $i }; return $a }"
+        )
+        text = {
+            name: vm_interp._vm_proc_code(
+                vm_interp, vm_interp.lookup_command(name)
+            ).dis()
+            for name in ("hot", "cold")
+        }
+        assert re.search(r"\d+  LOOP +\d+ \(-> \d+\)", text["hot"])
+        assert re.search(r"LOOP \[\d+, \d+\] lowerable", text["hot"])
+        assert re.search(r"LOOP \[\d+, \d+\] on VM: CALL \d+ \(argc=3", text["cold"])
+        root = vm_interp.vm_compiled(
+            "set a 0; for {set i 0} {$i < 3} {incr i} { set a $i }"
+        ).dis()
+        assert re.search(r"LOOP \[\d+, \d+\] on VM: ELOAD_NAME", root)
+
     def test_cli_disasm(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -384,3 +629,9 @@ class TestDisassembler:
         out = capsys.readouterr().out
         assert "CALL_LIT" in out or "CALL" in out
         assert "proto: id {x}" in out
+
+
+def _acc(n, a=0):
+    for k in range(n):
+        a = (a * 31 + k) % 1009
+    return a
