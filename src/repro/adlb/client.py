@@ -320,9 +320,16 @@ class AdlbClient:
         once), and a reader may then subscribe to that TD before its
         create lands; so such a create goes first, in a commit of its
         own per server.  Every op a server can reject lands before the
-        increment: the master's commit, which carries WORK, goes last.
+        counter move: the master's commit, which carries WORK, goes last.
         A TASKS op for another server follows it, so its tasks are
-        counted before anything can run them."""
+        counted before anything can run them.  A plain decrement last in
+        ``ops`` rides the next :meth:`get` where the client
+        :attr:`carries_done`, owed only once the rest has landed."""
+        last = ops[-1] if ops else {}
+        if self.carries_done and last.get("amount", 0) < 0 and "poison" not in last:
+            closed = self.commit(ops[:-1])
+            self._done -= last["amount"]
+            return closed
         if not ops:
             return []
         home, master = self.layout.home_server, self.layout.master_server
@@ -379,14 +386,10 @@ class AdlbClient:
 
     def work(self, amount: int, poison: bool = False) -> list[dict]:
         """The WORK ops that move the termination counter by ``amount``:
-        none for 0, and none where a plain decrement rides on the next
-        :meth:`get` (:attr:`carries_done`).  ``poison=True`` marks a
-        decrement from a unit that failed for good under ``continue``:
-        dataflow blocked on its outputs never resolves, so the master
-        arms quiescence-based drain shutdown."""
-        if amount < 0 and self.carries_done and not poison:
-            self._done -= amount
-            return []
+        none for 0.  ``poison=True`` marks a decrement from a unit that
+        failed for good under ``continue``: dataflow blocked on its
+        outputs never resolves, so the master arms quiescence-based
+        drain shutdown."""
         op: dict = {"op": C.OP_WORK, "amount": amount}
         if poison:
             op["poison"] = True

@@ -26,7 +26,8 @@ class RuleJournal:
     an adopter replays them through ``take_rules``).  ``guard`` is the
     program/restore guard unit the engine holds, ``ctask_done`` marks a
     control task whose effects are journaled but whose lease has not
-    been returned yet (its lease must not requeue).
+    been returned yet: its lease must not requeue, and its counter unit
+    is not owed (it went back in the task's commit).
     """
 
     __slots__ = ("rules", "guard", "ctask_done")
@@ -102,7 +103,8 @@ class Journals:
 
     def lease_returned(self, client: int) -> None:
         """The client's leased control task is fully accounted by the
-        engine now; a later engine death must not repair it again."""
+        engine now; a later engine death must not take its flag for the
+        next lease's and skip requeueing that one."""
         jr = self.table.get(client)
         if jr is not None and jr.ctask_done:
             jr.ctask_done = False
@@ -128,7 +130,7 @@ class Journals:
             return False
         core.log(("journal_clear", rank))
         rules = jr.pending()
-        repair = len(rules) + jr.guard + (1 if jr.ctask_done else 0)
+        repair = len(rules) + jr.guard
         adopter = next(
             (
                 e

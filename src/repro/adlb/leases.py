@@ -163,7 +163,7 @@ class Leases:
         if lease is None or ctask_done:
             # ctask_done: the journal shows the leased control task
             # completed (its rule creates are journaled and adopted, its
-            # counter unit rides the adoption repair): requeueing would
+            # counter unit went back in its commit): requeueing would
             # re-run it and double every one of its effects.
             return
         task = lease.task

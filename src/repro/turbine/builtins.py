@@ -100,9 +100,9 @@ def register_turbine(
     ``runtime`` is the per-rank RankContext (output sink, config).
     ``deferred``, ``held``, ``rules``, ``writes`` and ``scratch`` are
     the tables of the rank's :class:`~repro.turbine.unit.UnitRunner`
-    that hold refcount decrements until the running unit commits, and
-    spawns, rule registrations and writes until its Tcl returns, plus
-    the unit's own TDs — the tables, not the runner:
+    that hold refcount decrements, spawns, rule registrations and
+    writes until the running unit's Tcl returns, plus the unit's own
+    TDs — the tables, not the runner:
     commands that reached the runner would tie the interpreter into a
     reference cycle, and a finished worker's interpreter would wait for
     the cycle collector instead of being freed at thread exit.

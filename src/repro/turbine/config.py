@@ -228,9 +228,14 @@ class RuntimeConfig:
                 "on_error must be 'retry', 'fail_fast', or 'continue', not %r"
                 % (self.on_error,)
             )
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0, not %r" % (self.max_retries,))
-        for name in ("lease_timeout", "task_timeout", "monitor_interval"):
+        for name, least in (("max_retries", 0), ("trace_capacity", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError("%s must be >= %d, not %r" % (name, least, value))
+        for name in (
+            "lease_timeout", "task_timeout", "monitor_interval",
+            "deadline", "recv_timeout", "checkpoint_interval",
+        ):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError("%s must be > 0, not %r" % (name, value))

@@ -264,8 +264,7 @@ class Engine:
                 self.stats.rules_fired_local += 1
                 # (a failed fire is settled by the runner: the rule is
                 # done either way, and the engine stays up)
-                if self.unit.run("rule", rule.action, rule.id, rule.name):
-                    self.unit.commit()
+                self.unit.run("rule", rule.action, rule.id, rule.name)
             else:
                 # A release is a rule fire for kill accounting (so
                 # seeded engine kills land at deterministic dataflow
@@ -310,11 +309,11 @@ class Engine:
         One commit re-subscribes to the table's inputs (re-pointing the
         TD close subscriptions at this rank), counts its rules with one
         increment, and then ``repair``s: cancels the units the dead
-        engine held (its pending rules, plus its program/restore guard
-        and a completed-but-unaccounted control task, if any).  The
-        increment lands first, so the counter never touches zero
-        mid-adoption — the dead engine's stale units keep it positive
-        until the repair decrement restores the truth.
+        engine held (its pending rules, plus its program/restore guard,
+        if any; a finished control task gave its own back in its
+        commit).  The increment lands first, so the counter never
+        touches zero mid-adoption — the dead engine's stale units keep
+        it positive until the repair decrement restores the truth.
         """
         self.journal_stats.adoptions += 1
         self.journal_stats.adopted_rules += len(rules)
@@ -364,16 +363,13 @@ class Engine:
             self.client.incr_work()
             if self.journal:
                 self._jot(("guard", 1))
-            done = unit.run("program", initial_script)
-            if not done and self.journal:
-                # The error policy accounted the guard; what dataflow
-                # the program did set up still drains.
+            # The guard goes back in the program's commit (or, if it
+            # raised, per the error policy): jotted before the first
+            # rule fire's kill-point, so an adopter does not repair it
+            # again.  What dataflow the program set up drains below.
+            unit.run("program", initial_script)
+            if self.journal:
                 self._jot(("guard", 0))
-            self.drain()
-            if done:
-                unit.commit()
-                if self.journal:
-                    self._jot(("guard", 0))
         while True:
             self.drain()
             if self.journal:
@@ -397,24 +393,20 @@ class Engine:
                 # Leased like worker tasks, so a failed one may have
                 # been handed back for retry; either way the engine
                 # re-parks and keeps serving its registered rules.
-                done = unit.run("ctask", msg[2])
-                if done and self.journal:
-                    # The ctask's effects (rule creates) are journaled;
-                    # flag it done so the anchor will not requeue the
-                    # lease — requeueing would re-create every rule.
-                    # The flag must land before the park's lease pop
-                    # clears it.
+                if unit.run("ctask", msg[2]) and self.journal:
+                    # The ctask's effects (rule creates, its counter
+                    # unit) are committed and journaled; flag it done so
+                    # the anchor will not requeue the lease — requeueing
+                    # would re-create every rule.  The flag must land
+                    # before the park's lease pop clears it.
                     self._jot(("ctask_done",))
                     self.journal_flush()
-                # Parked before the counter unit goes back: the next
-                # GET is what completes this unit's lease.  And before
-                # the rules the unit readied fire (at the loop's top):
-                # the next control task is then asked for first, so
-                # whether those rules find their inputs closed does not
-                # depend on how fast the workers run the leaves.
+                # The next GET is what completes this unit's lease.
+                # Parked before the rules the unit readied fire (at the
+                # loop's top): the next control task is then asked for
+                # first, so whether those rules find their inputs closed
+                # does not depend on how fast the workers run the leaves.
                 self.client.park_async((CONTROL,))
-                if done:
-                    unit.commit()
             elif kind == "ckpt":
                 self._ckpt_reply(msg[1])
             elif kind == "adopt":

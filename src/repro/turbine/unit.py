@@ -9,16 +9,17 @@ the worker each hold one and keep only their own loops.
 
 Everything a unit does to the rest of the run waits here.  Its
 *writes* (creates, stores, inserts, container references, writer-slot
-increments), the tasks it *spawns* and the rules it *registers* are
-held until its Tcl returns; its refcount *decrements* until it commits.
-That is not an optimisation: an attempt that will be retried (or,
-abandoned by the watchdog, already is being) re-executes all of them,
-so a unit that raises or is abandoned must leave nothing behind for
-them to happen exactly once.  That the held work leaves together is:
-one op list — the writes, a SUBSCRIBE per new rule input, one
-``WORK +(k + r)``, the k spawns — sent as one OP_COMMIT per server, so
-a unit whose write or subscribe a server rejects has counted nothing
-and spawned nothing, and its rules are registered only once it landed.
+increments), the tasks it *spawns*, the rules it *registers* and its
+refcount *decrements* are held until its Tcl returns.  That is not an
+optimisation: an attempt that will be retried (or, abandoned by the
+watchdog, already is being) re-executes all of them, so a unit that
+raises or is abandoned must leave nothing behind for them to happen
+exactly once.  A finished unit is one step: one op list — the writes,
+a SUBSCRIBE per new rule input, the k spawns, the decrements and one
+``WORK`` of ``k + r - 1`` (its r rules and k spawns counted, its own
+counter unit back) — sent as one OP_COMMIT per server, so a unit whose
+write or subscribe a server rejects has counted nothing and spawned
+nothing, and its rules are registered only once it landed.
 """
 
 from __future__ import annotations
@@ -104,12 +105,9 @@ class UnitRunner:
         label: str = "",
         guard: Any | None = None,
     ) -> bool:
-        """Run one unit.  True: it ran to completion, its held work is
-        committed, its rules are registered, and it still holds its counter
-        unit and its deferred decrements — the caller does whatever must
-        come first (drain, journal, re-park), then calls
-        :meth:`commit`.  False: it raised (its held work failing too),
-        or was abandoned, and is settled.  ``ident`` /
+        """Run one unit.  True: it ran to completion and its commit
+        landed (its rules registered).  False: it raised (its commit
+        failing too), or was abandoned, and is settled.  ``ident`` /
         ``label`` are a rule's id and name; ``guard`` is the worker's
         task watchdog, armed around the eval and asked at the end
         whether the unit is still ours."""
@@ -161,18 +159,31 @@ class UnitRunner:
                     self.interp.eval(script)
             finally:
                 abandoned = guard is not None and guard.disarm()
-            held, rules, writes = self.held, self.rules, self.writes
-            if (writes or held or rules) and not abandoned:
-                # The writes first, so the subscribes find the TDs the
-                # unit created; a write or subscribe a server rejects
-                # then fails the unit before the increment (which the
-                # unit's own count keeps safe until its commit).
-                subs = self.subscriptions(rules) if rules else []
-                work = client.work(len(held) + len(rules))
-                closed = client.commit(writes + subs + work + client.tasks(held))
+            if not abandoned:
+                # One op list, in order: the writes, so the subscribes
+                # find the TDs the unit created; the subscribes, so a
+                # read decrement cannot free a TD under a new rule; the
+                # spawns; the decrements; the counter move, k + r - 1.
+                # The master's commit goes last, so a write or subscribe
+                # a server rejects fails the unit before it counts.
+                held, rules, writes, deferred = self.held, self.rules, self.writes, self.deferred
+                ops = (writes + self.subscriptions(rules)) if rules else writes[:]
+                if held:
+                    ops += client.tasks(held)
+                for id, (r, w) in deferred.items():
+                    ops.append({"op": C.OP_REFCOUNT, "id": id, "read_delta": r, "write_delta": w})
+                ops += client.work(len(held) + len(rules) - 1)
+                closed = client.commit(ops)
                 if rules:
                     self.add_rules(rules, closed)
+                if deferred and self.ring is not None:
+                    # Lineage: the batch belongs to the unit whose commit
+                    # landed it (decrements can close TDs and fire
+                    # downstream rules, so the edge matters causally).
+                    tds = {"tds": sorted(deferred)} if self.tracer is not None else None
+                    self.ring.emit("refcount_flush", len(deferred), unit, payload=tds)
                 del writes[:], held[:], rules[:]
+                deferred.clear()
                 self.scratch.tds.clear()
         except (AbortError, DeadlockError):
             # Transport-level failures are rank problems, not unit
@@ -231,29 +242,7 @@ class UnitRunner:
         self.client.decr_work()
         raise TaskError(failure) from e
 
-    # -------------------------------------------------- commit / roll back
-
-    def commit(self) -> None:
-        """The unit is finished: land its deferred decrements, then give
-        back its termination-counter unit — the master's commit last,
-        since a write decrement can close TDs and fire rules the counter
-        must still see.  After :meth:`run`, so its rules have subscribed
-        and a read decrement cannot free a TD under them."""
-        ops = []
-        if self.deferred:
-            deltas = dict(self.deferred)
-            self.deferred.clear()
-            if self.ring is not None:
-                # Lineage: the batch belongs to the unit whose commit
-                # landed it (decrements can close TDs and fire
-                # downstream rules, so the edge matters causally).
-                tds = {"tds": sorted(deltas)} if self.tracer is not None else None
-                self.ring.emit(
-                    "refcount_flush", len(deltas), self.client.prov_unit, payload=tds
-                )
-            op = {"op": C.OP_REFCOUNT}
-            ops = [dict(op, id=id, read_delta=r, write_delta=w) for id, (r, w) in deltas.items()]
-        self.client.commit(ops + self.client.work(-1))
+    # ------------------------------------------------------------ roll back
 
     def roll_back(self) -> None:
         """The unit raised, or will run again (or already is,

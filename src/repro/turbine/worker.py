@@ -169,7 +169,6 @@ class Worker:
                 if unit.run("task", got[1], guard=wd):
                     self.stats.tasks_run += 1
                     self.stats.busy_time += time.perf_counter() - t0
-                    unit.commit()
                 elif wd is not None and wd.expired():
                     # Abandoned, not failed: the embedded interpreters
                     # are recycled in case the runaway task wedged them.

@@ -117,6 +117,24 @@ class TestRecoveryOffBuildsNothing:
         assert "disabled" not in str(info.value)
         assert "journal=True" not in str(info.value)
 
+    def test_a_done_control_tasks_unit_is_not_repaired_again(self):
+        # A finished control task's -1 leaves in its commit, before its
+        # ctask_done is journaled: when the engine dies, its adopter
+        # repairs the one pending rule only, and the lease is not
+        # requeued (that would re-run the task's effects).
+        layout = Layout(size=4, n_servers=1, n_engines=2)  # engines 0, 1
+        world = World(layout.size, recv_timeout=None)
+        server = Server(world.comm(layout.master_server), layout, journal=True)
+        server.dispatch({"op": C.OP_GET_ASYNC, "types": [C.CONTROL]}, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(put([(C.CONTROL, "ctask", 0, -1)]), ENGINE, C.TAG_ONEWAY)
+        assert replies(world, ENGINE, C.TAG_ASYNC) == [("ctask", C.CONTROL, "ctask")]
+        entries = [("create", RULE), ("guard", 0), ("ctask_done",)]
+        server.dispatch(dict(JOURNAL, entries=entries), ENGINE, C.TAG_ONEWAY)
+        server.leases.rank_dead(ENGINE, "killed")
+        ((kind, dead, rules, repair),) = replies(world, ENGINE + 1, C.TAG_ASYNC)
+        assert (kind, dead, len(rules), repair) == ("adopt", ENGINE, 1, 1)
+        assert server.leases.stats.requeued == 0 and server.queue.size == 0
+
     def test_ops_of_features_that_are_off_are_unknown_ops(self):
         server, world = make_server()
         for msg in (
@@ -442,6 +460,24 @@ class TestTwoMessagesALeaf:
         ]
 
 
+    def test_a_plain_workers_minus_one_is_owed_only_once_its_commit_landed(self):
+        server, world = make_server()
+        anchor, rank = server.rank, WORKER + 1
+        plain = AdlbClient(world.comm(rank), server.layout)
+        store = {"op": C.OP_STORE, "id": 6, "value": 1}
+        for reply, done in ((("error", "TD <6> does not exist"), {}), (("ok", []), {"done": 1})):
+            world.comm(anchor).send(reply, rank, C.TAG_RESPONSE)
+            try:
+                plain.commit([store, work(-1)])
+            except AdlbError:
+                assert reply[0] == "error"
+            world.comm(anchor).send(("task", C.WORK, "leaf"), rank, C.TAG_RESPONSE)
+            assert plain.get() == (C.WORK, "leaf")
+            # the store goes alone; its -1 rides the GET, unless the
+            # store was rejected (the unit failed: its policy accounts it)
+            assert replies(world, anchor, C.TAG_REQUEST) == [commit(store), dict(GET, **done)]
+
+
 class TestOneCommitPerServer:
     """A unit's op list leaves a real client as one OP_COMMIT per
     server, in the order that keeps its increment behind everything a
@@ -630,15 +666,17 @@ PER_LEAF_O0 = dict(zip(COUNTERS, (24, 2, 2, 4, 3, 1)))
 # the worker's GET and its grant, nothing else: the chunk's spawns are
 # one n-task TASKS op in its unit's one commit, and each leaf's counter
 # unit rides on its worker's next GET.  Per run: the engine's park, the
-# program's increment and its closing decrement, that one commit (WORK
-# +n and the n tasks), the engine's shutdown, and each worker's last
-# GET and its shutdown.
+# program's increment, that one commit (the n tasks and WORK n - 1: the
+# leaves counted, the program's unit back), the engine's shutdown, and
+# each worker's last GET and its shutdown.
 # Re-pinned on purpose by "two messages a leaf", 5n + 8 -> 2n + 10: the
 # engine's incr_work and put and the worker's decr_work were three
 # one-ways per leaf.  Re-pinned again when a unit's increment and spawns
 # began to ride its commit, 2n + 10 -> 2n + 9: the chunk's incr_work
-# and put are one message.
-SENDS_PER_LEAF, SENDS_PER_RUN = 2, 9
+# and put are one message.  Re-pinned again when a unit became one
+# commit, 2n + 9 -> 2n + 8: the chunk's WORK +n and the closing -1 of
+# the program it runs in are one op.
+SENDS_PER_LEAF, SENDS_PER_RUN = 2, 8
 
 # One hop of the benchmark's dependent chain.  Per hop at the default
 # level: 3 allocates (member, ref, the copy of a[i]), the insert, the
@@ -686,8 +724,14 @@ PER_CHAIN_RUN = dict(zip(COUNTERS, (16, 0, 0, 3, 3, 0)))
 # subscribe RPC (three) another; per run, swift:main's commit, its
 # incr_work, its put and its two subscribe RPCs (eight) are one commit
 # RPC, one more rule's incr_work and subscribe RPC are one RPC, and a
-# unit's closing decrement rides its refcount commit.
-CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 22, 26
+# unit's closing decrement rides its refcount commit.  Re-pinned again
+# when a unit became one commit, 22n + 26 -> 19n + 22: a finished
+# unit's decrements and its -1 no longer follow its held work as a
+# second commit.  Per hop, the body control task's, deref_store's and
+# copy_td's closing -1 (a one-way each); per run, swift:main's
+# decrement commit (an RPC, two messages) and the closing -1s of the
+# deref_store and copy_td rules that read a[N] for trace.
+CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 19, 22
 
 
 class TestProtocolShape:

@@ -177,6 +177,12 @@ RESOLVED = [
     (dict(task_timeout=0), "task_timeout must be > 0"),
     (dict(monitor_interval=0), "monitor_interval must be > 0"),
     (dict(monitor_interval=-0.5), "monitor_interval must be > 0"),
+    # (these four started the run and failed in it, or never did)
+    (dict(deadline=0), "deadline must be > 0"),
+    (dict(deadline=-1), "deadline must be > 0"),
+    (dict(recv_timeout=0), "recv_timeout must be > 0"),
+    (dict(checkpoint_interval=-1), "checkpoint_interval must be > 0"),
+    (dict(trace_capacity=0), "trace_capacity must be >= 1"),
 ]
 
 

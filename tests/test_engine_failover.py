@@ -150,6 +150,30 @@ class TestEngineDeath:
         assert res.ok
         assert counters(res)["engine.journal.adoptions"] == 1
 
+    def test_kill_at_the_first_rule_fire_repairs_the_guard_once_journal_on(self):
+        # The program's guard unit goes back in its own commit, so its
+        # ("guard", 0) must be journaled before the first rule fire (the
+        # first kill-point): journaled after it, an engine killed there
+        # still shows guard=1, the adopter repairs the counter a second
+        # time, and the run shuts down before `trace: 8` is printed.
+        src = (
+            "int a = 3; int b = a + 1; int c = b * 2; trace(c);\n"
+            "foreach i in [0:5] { trace(i + c); }\n"
+        )
+        expected = sorted(["trace: 8"] + ["trace: %d" % (i + 8) for i in range(6)])
+        res = swift_run(
+            src,
+            opt=0,
+            workers=2,
+            servers=1,
+            engines=2,
+            trace=True,
+            faults=FaultPlan(seed=SEED).kill_rank(PROGRAM_ENGINE, after_tasks=0),
+        )
+        assert sorted(res.stdout_lines) == expected
+        assert res.ok
+        assert counters(res)["engine.journal.adoptions"] == 1
+
     def test_kill_boundary_deterministic_across_backends(self, tcl_oracle):
         # Engine kills count rule fires, a dataflow property: the same
         # plan must pick the same boundary (and still recover) under

@@ -116,10 +116,12 @@ class TestCompiledCallSiteInvalidation:
 
 
 def run_unit(body):
-    """Minimal world (server/engine/worker); runs ``body(unit, tcl)`` on
-    the engine rank, where ``unit`` is a :class:`UnitRunner` over a
-    bare :class:`AdlbClient` and ``tcl`` evaluates ``turbine::``
-    commands bound to both."""
+    """Minimal world (server/engine/worker); on the engine rank, runs
+    ``body(unit, tcl)`` as the Tcl of one unit, where ``unit`` is a
+    :class:`UnitRunner` over a bare :class:`AdlbClient` and ``tcl``
+    evaluates ``turbine::`` commands bound to both.  ``body`` returns a
+    function; its result, called once the unit has committed, is
+    returned."""
     layout = Layout(3, 1, 1)
     out: dict = {}
 
@@ -137,11 +139,13 @@ def run_unit(body):
         register_turbine(
             interp, client, None, unit.deferred, unit.held, None, unit.writes, unit.scratch
         )
+        after = []
+        interp.register("body", lambda it, args: after.append(body(unit, interp.eval)) or "")
         client.incr_work()  # the unit of work ``body`` stands for
         try:
-            out["result"] = body(unit, interp.eval)
+            assert unit.run("rule", "body")  # a failed body raises TaskError
+            out["result"] = after[0]()
         finally:
-            unit.commit()
             client.park_async((CONTROL,))
             while client.recv_async()[0] != "shutdown":
                 pass
@@ -167,10 +171,12 @@ class TestRetrieveCacheInvalidation:
             assert unit.deferred == {a: [-1, 0], b: [-1, 0]}
             exists = lambda td: client.read({"op": C.OP_EXISTS, "id": td})
             assert exists(b) and client.retrieve(a) == 1
-            client.incr_work()
-            unit.commit()  # one batch, then the counter unit
-            assert not unit.deferred
-            return exists(a), exists(b)
+
+            def after():  # the unit committed: one batch, then the counter unit
+                assert not unit.deferred
+                return exists(a), exists(b)
+
+            return after
 
         assert run_unit(body) == (False, False)
 
@@ -185,9 +191,7 @@ class TestRetrieveCacheInvalidation:
             assert not unit.deferred and unit.writes[0]["write_delta"] == 2
             for i in range(3):  # the third closes it
                 tcl("turbine::container_insert %d %d %d" % (c, i, 10 * i))
-            client.commit(unit.writes)
-            unit.writes.clear()
-            return client.retrieve(c)
+            return lambda: client.retrieve(c)  # the unit's commit closed it
 
         assert run_unit(body) == {"0": 0, "1": 10, "2": 20}
 
@@ -198,8 +202,7 @@ class TestRetrieveCacheInvalidation:
             tcl("turbine::write_refcount_decr %d" % c)
             unit.roll_back()  # the unit will run again
             assert not unit.deferred
-            client.incr_work()
-            unit.commit()  # nothing to land
-            return client.subscribe(c)  # True once closed
+            # the unit's commit lands nothing; subscribe is True once closed
+            return lambda: client.subscribe(c)
 
         assert run_unit(body) is False

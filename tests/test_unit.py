@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.adlb import constants as C
 from repro.adlb.client import AdlbClient
 from repro.faults import TaskError
 from repro.mpi import AbortError, DeadlockError
@@ -97,10 +98,17 @@ def run(unit, kind):
 
 
 WRITE = {"op": "STORE", "id": 12, "value": 1, "subscript": None, "decr_write": 1}
-WROTE = ("commit", [WRITE])
-# the deferred decrement, then the unit's counter unit back
+# the deferred decrement, after the unit's writes, subscribes and spawns
 DECREMENT = {"op": "REFCOUNT", "id": 11, "read_delta": 0, "write_delta": -1}
-LANDED = ("commit", [DECREMENT, {"op": "WORK", "amount": -1}])
+
+
+def counter_move(counted):
+    """The op a finished unit ends with: the ``counted`` spawns and
+    rules it holds counted, its own counter unit back."""
+    return {"op": "WORK", "amount": counted - 1}
+
+
+LANDED = ("commit", [WRITE, DECREMENT, counter_move(0)])
 # a held input-free rule, as turbine::rule records it
 RULE = dict(inputs=[], action="leaf", type="LOCAL", target=-1, priority=0, name="")
 SERVER = 9  # the server the held spawns are bound for
@@ -113,14 +121,11 @@ class TestOneTableEveryKind:
     def test_success_owes_exactly_one_commit(self, kind, on_error):
         unit, client = make(on_error)
         assert run(unit, kind) is True
-        # The writes leave when the Tcl returns; nothing is accounted
-        # until the caller commits (the engine drains and re-parks in
-        # between), and then the decrements and the counter unit leave
-        # together.
-        assert client.calls == [WROTE] and unit.deferred and not unit.writes
-        unit.commit()
-        assert client.calls == [WROTE, LANDED]
-        assert not unit.deferred and not unit.failures
+        # When the Tcl returns, everything leaves in one step: the
+        # writes, the decrements and the counter unit, in one commit;
+        # nothing is left for the caller to send.
+        assert client.calls == [LANDED]
+        assert not unit.deferred and not unit.writes and not unit.failures
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_finished_unit_sends_its_spawns_as_one_put(self, kind):
@@ -128,10 +133,10 @@ class TestOneTableEveryKind:
         spawns = [("WORK", "leafA", 0, -1, SERVER), ("CONTROL", "ctaskB", 1, -1, SERVER)]
         unit.held.extend(spawns)
         assert run(unit, kind) is True
-        # in the one commit the unit sends, after the writes and the
-        # increment that counts them
+        # in the one commit the unit sends, after the writes and before
+        # the decrements and the counter move that counts them
         put = {"op": "TASKS", "server": SERVER, "tasks": [s[:4] for s in spawns]}
-        assert client.calls == [("commit", [WRITE, {"op": "WORK", "amount": 2}, put])]
+        assert client.calls == [("commit", [WRITE, put, DECREMENT, counter_move(2)])]
         assert unit.held == []
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -143,15 +148,16 @@ class TestOneTableEveryKind:
         unit.rules.extend(rules)
         assert run(unit, kind) is True
         # One commit: the writes first, so the rules' subscribes (one
-        # per input) find what the unit created, and a rejected one
-        # fails the unit before the increment, which covers the rules'
-        # units and the spawns'; then the put.  The engine registers the
-        # rules once it landed, with the inputs it found closed.
+        # per input) find what the unit created; the put; the
+        # decrements after the subscribes, so none frees a TD under a
+        # rule; and the counter move last, which covers the rules' units
+        # and the spawns' — a rejected subscribe fails the unit before
+        # it.  The engine registers the rules once it landed, with the
+        # inputs it found closed.
         sub = {"op": "SUBSCRIBE", "rank": RANK}
         put = {"op": "TASKS", "server": SERVER, "tasks": [("WORK", "leafA", 0, -1)]}
-        work = {"op": "WORK", "amount": 4}
         assert client.calls == [
-            ("commit", [WRITE, dict(sub, id=5), dict(sub, id=6), work, put]),
+            ("commit", [WRITE, dict(sub, id=5), dict(sub, id=6), put, DECREMENT, counter_move(4)]),
             ("add_rules", rules, [5]),
         ]
         assert unit.held == [] and unit.rules == []
@@ -256,10 +262,10 @@ class TestOneTableEveryKind:
     @pytest.mark.parametrize(
         "kind, ok, failed",
         [
-            ("task", ["task_start", "task_done"], ["task_start", "task_fail"]),
-            ("rule", ["rule_fire", "rule_fired"], ["rule_fire"]),
-            ("ctask", ["ctask", "ctask_done"], ["ctask", "ctask_done"]),
-            ("program", ["program"], ["program"]),
+            ("task", ["task_start", "refcount_flush", "task_done"], ["task_start", "task_fail"]),
+            ("rule", ["rule_fire", "refcount_flush", "rule_fired"], ["rule_fire"]),
+            ("ctask", ["ctask", "refcount_flush", "ctask_done"], ["ctask", "ctask_done"]),
+            ("program", ["refcount_flush", "program"], ["program"]),
         ],
     )
     def test_event_stream_per_kind(self, kind, ok, failed):
@@ -271,7 +277,10 @@ class TestOneTableEveryKind:
 
         unit_id = {"task": "T3.1", "rule": "R3.7", "ctask": "C3.1", "program": "P3"}[kind]
         events = stream(None)
+        # the decrements land in the unit's commit, so their flush comes
+        # before the unit's span, and is attributed to the unit
         assert [e[0] for e in events] == ok
+        assert events[-2][1:3] == (1, unit_id)
         assert events[-1][1:] == {
             "task": (4, unit_id, 0),
             "rule": (7, "name", 0),
@@ -517,3 +526,80 @@ class TestAUnitsCommitIsAllOrNothing:
         assert "first rule fired" not in res.stdout_lines
         assert [f.kind for f in res.failures] == ["ctask"]
         assert "999999" in res.failures[0].error
+
+
+# A LOCAL rule that stores one TD and decrements another's write count.
+STORE_AND_DECREMENT = """
+proc swift:main {} {
+    set c [ turbine::allocate_container 1 ]
+    set x [ turbine::allocate integer ]
+    turbine::rule [ list ] [ list fire $x $c ] LOCAL
+}
+proc fire { x c } {
+    mark
+    turbine::store_integer $x 1
+    turbine::write_refcount_decr $c 1
+}
+"""
+
+# A leaf task whose store the server rejects, beside one that naps.
+WORKER_STORES_TWICE = """
+proc swift:main {} {
+    set x [ turbine::allocate integer ]
+    turbine::store_integer $x 1
+    turbine::rule [ list ] [ list twice $x ] WORK
+    turbine::rule [ list ] slow WORK
+}
+proc twice { x } {
+    turbine::store_integer $x 2
+}
+proc slow {} {
+    nap 0.3
+    turbine::log_output "slow done"
+}
+"""
+
+
+class TestAFinishedUnitIsOneCommit:
+    """A finished unit's writes, decrements and counter unit leave in
+    one step, as one OP_COMMIT per server; the decrements and the -1
+    were a second commit."""
+
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_a_local_rule_that_stores_and_decrements_sends_one_commit(self, servers):
+        sent: list = []  # the engine's messages since the rule began
+
+        def setup(interp, ctx, client):
+            if client.rank != 0:  # rank 0 is the engine
+                return
+            send = client.comm.send
+
+            def recording(msg, dest, tag=0):
+                sent.append((msg, dest))
+                send(msg, dest, tag)
+
+            client.comm.send = recording
+            interp.register("mark", lambda it, args: sent.clear() or "")
+
+        config = RuntimeConfig(size=2 + servers, n_servers=servers, audit=True)
+        res = run_turbine_program(STORE_AND_DECREMENT, config, setup=setup)
+        assert res.ok and res.audit.ok, res.audit.render()
+        commits = [(msg, dest) for msg, dest in sent if isinstance(msg, dict) and msg["op"] == C.OP_COMMIT]
+        # x and c each on their home server, the counter move on the master
+        homes = {dest for _, dest in commits}
+        assert len(commits) == len(homes) <= servers
+        ops = [op["op"] for msg, _ in commits for op in msg["ops"]]
+        assert sorted(ops) == sorted([C.OP_STORE, C.OP_REFCOUNT, C.OP_WORK])
+
+    def test_a_workers_rejected_commit_gives_its_unit_back_once(self):
+        # The leaf's -1 ends its commit and would ride its worker's next
+        # GET; owed before the commit landed, it rode the GET on top of
+        # the failed unit's poisoned -1 and drove the counter negative.
+        def setup(interp, ctx, client):
+            interp.register("nap", lambda it, args: time.sleep(float(args[0])) or "")
+
+        config = RuntimeConfig(size=4, on_error="continue", audit=True)
+        res = run_turbine_program(WORKER_STORES_TWICE, config, setup=setup)
+        assert res.stdout_lines == ["slow done"] and res.audit.ok, res.audit.render()
+        (failure,) = res.failures
+        assert failure.kind == "task" and "stored twice" in failure.error
