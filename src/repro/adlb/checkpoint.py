@@ -36,8 +36,8 @@ def write_checkpoint(path: str, image: dict) -> None:
     leave a truncated checkpoint behind."""
     # Subscribers are rank-level rule subscriptions; the rules re-create
     # them at restore, and stale ones would double-notify.  Pending
-    # container store-throughs (member_refs) stay: nothing re-creates
-    # those.
+    # copies (a container's member_refs, a TD's copies) stay: nothing
+    # re-creates those.
     for shard in image.get("servers", {}).values():
         for td in shard["store"].values():
             td["subscribers"] = []
@@ -52,8 +52,9 @@ def read_checkpoint(path: str) -> dict:
         raise CheckpointError("checkpoint %r does not exist" % path)
     with open(path, "rb") as f:
         image = pickle.load(f)
-    if not isinstance(image, dict) or image.get("version") != 1:
-        raise CheckpointError("%r is not a v1 repro checkpoint" % path)
+    # version 2: a TD carries its pending copies
+    if not isinstance(image, dict) or image.get("version") != 2:
+        raise CheckpointError("%r is not a v2 repro checkpoint" % path)
     return image
 
 
@@ -249,7 +250,7 @@ class Checkpointer:
             if kind == "engine"
         }
         image = {
-            "version": 1,
+            "version": 2,
             "gen": self._gen,
             "size": core.layout.size,
             "n_servers": core.layout.n_servers,

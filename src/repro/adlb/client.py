@@ -315,11 +315,11 @@ class AdlbClient:
         server, a TASKS op to its ``server``, WORK to the master.
 
         An op on one server can publish the id of a TD created on
-        another (an insert of it that closes its container, a store into
-        a reference TD, a container reference the server stores into at
-        once), and a reader may then subscribe to that TD before its
-        create lands; so such a create goes first, in a commit of its
-        own per server.  Every op a server can reject lands before the
+        another (an insert of it that closes its container, a container
+        reference or COPY whose server stores into ``dst`` at once), and
+        a reader may then subscribe to that TD, or that store reach it,
+        before its create lands; so such a create goes first, in a commit
+        of its own per server.  Every op a server can reject lands before the
         counter move: the master's commit, which carries WORK, goes last.
         A TASKS op for another server follows it, so its tasks are
         counted before anything can run them.  A plain decrement last in
@@ -339,10 +339,10 @@ class AdlbClient:
                     # Lineage edge: the current unit wrote this TD; it is
                     # readable from now on.
                     self.tracer.emit("write", op["id"], self.prov_unit, op.get("subscript"))
-        # TD id an op may publish (a member, a reference) -> its servers
+        # TD id an op may publish (a member, a copy's dst) -> its servers
         publishers: dict[int, set[int]] = {}
         for op in ops:
-            published = op.get("ref_id", op.get("value"))
+            published = op.get("dst", op.get("value"))
             if op["op"] != C.OP_CREATE and isinstance(published, int):
                 publishers.setdefault(published, set()).add(home(op["id"]))
         # (phase, is the master, server) -> its ops, sent in key order:

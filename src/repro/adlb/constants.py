@@ -21,9 +21,8 @@ T_BLOB = "blob"
 T_BOOLEAN = "boolean"
 T_VOID = "void"
 T_CONTAINER = "container"
-T_REF = "ref"
 
-SCALAR_TYPES = {T_INTEGER, T_FLOAT, T_STRING, T_BLOB, T_BOOLEAN, T_VOID, T_REF}
+SCALAR_TYPES = {T_INTEGER, T_FLOAT, T_STRING, T_BLOB, T_BOOLEAN, T_VOID}
 
 # --- opcodes (request ops carry a dict payload) -----------------------------
 OP_GET = "GET"  # blocking get (worker)
@@ -37,7 +36,8 @@ OP_TYPEOF = "TYPEOF"
 # the ops inside a commit (the data ops also in the replication op-log)
 OP_CREATE = "CREATE"
 OP_STORE = "STORE"
-OP_CONTAINER_REF = "CONTAINER_REF"
+OP_CONTAINER_REF = "CONTAINER_REF"  # copy member subscript of id into dst
+OP_COPY = "COPY"  # copy TD id into TD dst once id closes
 OP_REFCOUNT = "REFCOUNT"
 OP_SUBSCRIBE = "SUBSCRIBE"
 OP_TASKS = "TASKS"  # queue tasks: {"server", "tasks", "prov"?}

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any
 
 from . import constants as C
-from .datastore import DataStore, Notification, RefStore
+from .datastore import DataStore, Notification
 
 #: the data ops a server takes outside a commit: the reads
 READ_OPS = {C.OP_RETRIEVE, C.OP_EXISTS, C.OP_ENUMERATE, C.OP_TYPEOF}
@@ -25,13 +25,14 @@ def apply_data_op(
     msg: dict,
     source: int,
     notes: list[Notification],
-    refs: list[RefStore],
+    issued: list[dict],
 ) -> tuple[Any, dict | None]:
     """Apply one data op; returns ``(reply value, op-log form)``.
 
-    Close notifications and container-reference store-throughs the op
-    triggers are appended to ``notes`` / ``refs`` (also when the op
-    raises part-way) for the owner to emit; a replica discards them.
+    Close notifications and the ops the op issues (a copy's store, an
+    inserted member's ``COPY``) are appended to ``notes`` / ``issued``
+    (also when the op raises part-way) for the owner to emit at their
+    TDs' homes; a replica discards them.
     The op-log form is the message a shadow must replay to reach the
     same state, ``None`` when the op mutated nothing.  ``source``
     stands in for a SUBSCRIBE that names no rank.
@@ -45,22 +46,15 @@ def apply_data_op(
             read_refcount=msg.get("read_refcount", 1),
         )
         return msg["id"], msg
-    if op == C.OP_STORE:
-        closed, through = s.store(
-            msg["id"],
-            msg["value"],
-            subscript=msg.get("subscript"),
-            decr_write=msg.get("decr_write", 1),
-        )
+    if op in (C.OP_STORE, C.OP_REFCOUNT):
+        if op == C.OP_STORE:
+            args = msg["value"], msg.get("subscript"), msg.get("decr_write", 1)
+            closed, through = s.store(msg["id"], *args)
+        else:
+            deltas = msg.get("read_delta", 0), msg.get("write_delta", 0)
+            closed, through = s.refcount(msg["id"], *deltas)
         notes += closed
-        refs += through
-        return None, msg
-    if op == C.OP_REFCOUNT:
-        notes += s.refcount(
-            msg["id"],
-            read_delta=msg.get("read_delta", 0),
-            write_delta=msg.get("write_delta", 0),
-        )
+        issued += through
         return None, msg
     if op == C.OP_RETRIEVE:
         return s.retrieve(msg["id"], subscript=msg.get("subscript")), None
@@ -75,11 +69,14 @@ def apply_data_op(
         closed = s.subscribe(msg["id"], rank)
         # Already closed: nothing was registered, nothing to replicate.
         return closed, None if closed else dict(msg, rank=rank)
-    assert op == C.OP_CONTAINER_REF, op
-    ref = s.container_reference(msg["id"], msg["subscript"], msg["ref_id"])
-    if ref is None:
-        return None, msg
-    # Member already present: only the store-through happens (and is
-    # logged by whichever server owns the reference TD).
-    refs.append(ref)
+    if op == C.OP_COPY:
+        then = s.copy(msg["id"], msg["dst"])
+    else:
+        assert op == C.OP_CONTAINER_REF, op
+        then = s.container_reference(msg["id"], msg["subscript"], msg["dst"])
+    if then is None:
+        return None, msg  # registered, on the shadow too
+    # The source is already there: only the op it issues happens (and
+    # is logged by the server that applies it).
+    issued.append(then)
     return None, None

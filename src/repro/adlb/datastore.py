@@ -4,7 +4,7 @@ Turbine data (TDs) live on servers.  A TD has a type, a value (or, for
 containers, a subscript -> value mapping), a *write refcount* (the
 number of outstanding writers/"slots"; the TD closes when it reaches
 zero) and a *read refcount* (garbage collection).  Subscribers are
-notified when the TD — or a particular container subscript — closes.
+notified, and pending copies of it stored, when the TD closes.
 
 This module is deliberately communication-free so its invariants can be
 unit- and property-tested directly; :mod:`repro.adlb.server` drives it.
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .constants import SCALAR_TYPES, T_CONTAINER
+from .constants import OP_COPY, OP_STORE, SCALAR_TYPES, T_CONTAINER
 
 
 class DataStoreError(RuntimeError):
@@ -47,8 +47,10 @@ class TD:
     read_refcount: int = 1
     # rank -> opaque info returned with the notification
     subscribers: list[int] = field(default_factory=list)
-    # container subscript subscriptions: subscript -> list of ref TD ids
+    # subscript -> TD ids its member is to be copied into once inserted
     member_refs: dict[str, list[int]] = field(default_factory=dict)
+    # TD ids this TD's value is to be stored into once it closes
+    copies: list[int] = field(default_factory=list)
 
     @property
     def closed(self) -> bool:
@@ -63,14 +65,6 @@ class Notification:
     id: int
 
 
-@dataclass
-class RefStore:
-    """A store-through: write ``value`` to TD ``ref_id`` (possibly remote)."""
-
-    ref_id: int
-    value: Any
-
-
 class DataStore:
     """Data store for one server; ids are owned by exactly one server.
 
@@ -81,11 +75,16 @@ class DataStore:
     re-sends after a failover and checkpoint-restore races can replay a
     mutation that already landed; genuinely conflicting writes still
     raise.  Default off — single-assignment stays strict.
+
+    An op may issue ops to apply at their TD's home (a copy's store, an
+    inserted member's ``COPY``), returned next to its notifications;
+    ``pending_copies`` counts the copies registered and not yet issued.
     """
 
     def __init__(self, replay_ok: bool = False) -> None:
         self.tds: dict[int, TD] = {}
         self.replay_ok = replay_ok
+        self.pending_copies = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -127,10 +126,10 @@ class DataStore:
         value: Any,
         subscript: str | None = None,
         decr_write: int = 1,
-    ) -> tuple[list[Notification], list[RefStore]]:
-        """Store a value; returns (close notifications, ref store-throughs)."""
+    ) -> tuple[list[Notification], list[dict]]:
+        """Store a value; returns (close notifications, ops it issues)."""
         td = self.lookup(id)
-        refs: list[RefStore] = []
+        issued: list[dict] = []
         if subscript is None:
             if td.type == T_CONTAINER:
                 raise DataStoreError(
@@ -154,14 +153,15 @@ class DataStore:
                     "TD <%d>[%s] inserted twice" % (id, subscript)
                 )
             td.members[subscript] = value
-            for ref_id in td.member_refs.pop(subscript, []):
-                refs.append(RefStore(ref_id=ref_id, value=value))
-        notes = self._decr_write(td, decr_write)
-        return notes, refs
+            for dst in td.member_refs.pop(subscript, []):
+                self.pending_copies -= 1
+                issued.append({"op": OP_COPY, "id": value, "dst": dst})
+        notes, copies = self._decr_write(td, decr_write)
+        return notes, issued + copies
 
-    def _decr_write(self, td: TD, amount: int) -> list[Notification]:
+    def _decr_write(self, td: TD, amount: int) -> tuple[list[Notification], list[dict]]:
         if amount == 0:
-            return []
+            return [], []
         already_closed = td.closed
         td.write_refcount -= amount
         if td.write_refcount < 0:
@@ -170,9 +170,11 @@ class DataStore:
             )
         if td.closed and not already_closed:
             notes = [Notification(rank=r, id=td.id) for r in td.subscribers]
-            td.subscribers = []
-            return notes
-        return []
+            stores = [{"op": OP_STORE, "id": dst, "value": td.value} for dst in td.copies]
+            self.pending_copies -= len(td.copies)
+            td.subscribers, td.copies = [], []
+            return notes, stores
+        return [], []
 
     def retrieve(self, id: int, subscript: str | None = None) -> Any:
         td = self.lookup(id)
@@ -228,28 +230,39 @@ class DataStore:
             if not td.closed and rank in td.subscribers:
                 td.subscribers = [r for r in td.subscribers if r != rank]
 
-    def container_reference(
-        self, id: int, subscript: str, ref_id: int
-    ) -> RefStore | None:
-        """Arrange for members[subscript] to be copied into TD ref_id.
-
-        If the member is already present, return the store-through now;
-        otherwise it is emitted by the eventual insert.
-        """
+    def container_reference(self, id: int, subscript: str, dst: int) -> dict | None:
+        """Arrange for member ``subscript`` of container ``id`` to be
+        copied into TD ``dst``: the ``COPY`` of the member if it is
+        present, else None and its insert issues the copy."""
         td = self.lookup(id)
         if td.type != T_CONTAINER:
             raise DataStoreError("TD <%d> is not a container" % id)
         if subscript in td.members:
-            return RefStore(ref_id=ref_id, value=td.members[subscript])
-        td.member_refs.setdefault(subscript, []).append(ref_id)
+            return {"op": OP_COPY, "id": td.members[subscript], "dst": dst}
+        self._register(td.member_refs.setdefault(subscript, []), dst)
         return None
+
+    def copy(self, id: int, dst: int) -> dict | None:
+        """Arrange for TD ``id``'s value to be stored into TD ``dst``:
+        the store if ``id`` is closed, else None and its close issues it."""
+        td = self.lookup(id)
+        if td.closed:
+            return {"op": OP_STORE, "id": dst, "value": td.value}
+        self._register(td.copies, dst)
+        return None
+
+    def _register(self, dsts: list[int], dst: int) -> None:
+        # a replayed registration is already there
+        if not (self.replay_ok and dst in dsts):
+            dsts.append(dst)
+            self.pending_copies += 1
 
     def refcount(
         self, id: int, read_delta: int = 0, write_delta: int = 0
-    ) -> list[Notification]:
+    ) -> tuple[list[Notification], list[dict]]:
         """Adjust refcounts; may close (write) or free (read) the TD."""
         td = self.lookup(id)
-        notes: list[Notification] = []
+        closed: tuple[list[Notification], list[dict]] = [], []
         if write_delta > 0:
             if td.closed:
                 raise DataStoreError(
@@ -257,18 +270,20 @@ class DataStore:
                 )
             td.write_refcount += write_delta
         elif write_delta < 0:
-            notes = self._decr_write(td, -write_delta)
+            closed = self._decr_write(td, -write_delta)
         td.read_refcount += read_delta
         if td.read_refcount <= 0:
             del self.tds[id]
-        return notes
+            self.pending_copies -= _pending(td)
+        return closed
 
     # -- replication / checkpoint --------------------------------------------
 
     def snapshot(self) -> dict[int, dict[str, Any]]:
         """A plain-data image of every TD, for checkpointing or
-        resilvering a replica.  Subscribers/member-refs travel too so a
-        promoted replica keeps pending notifications alive."""
+        resilvering a replica.  Subscribers, member refs and copies
+        travel too so a promoted replica keeps pending notifications
+        and copies alive."""
         out: dict[int, dict[str, Any]] = {}
         for id, td in self.tds.items():
             out[id] = {
@@ -280,6 +295,7 @@ class DataStore:
                 "read_refcount": td.read_refcount,
                 "subscribers": list(td.subscribers),
                 "member_refs": {k: list(v) for k, v in td.member_refs.items()},
+                "copies": list(td.copies),
             }
         return out
 
@@ -297,11 +313,18 @@ class DataStore:
                 read_refcount=d["read_refcount"],
                 subscribers=list(d["subscribers"]),
                 member_refs={k: list(v) for k, v in d["member_refs"].items()},
+                copies=list(d["copies"]),
             )
             self.tds[id] = td
+        self.pending_copies = sum(map(_pending, self.tds.values()))
 
     def absorb(self, other: "DataStore") -> None:
         """Merge another store's TDs into this one (promotion: the ids
         of distinct shards are disjoint by construction)."""
         for id, td in other.tds.items():
             self.tds.setdefault(id, td)
+        self.pending_copies += other.pending_copies
+
+
+def _pending(td: TD) -> int:
+    return len(td.copies) + sum(map(len, td.member_refs.values()))

@@ -73,7 +73,7 @@ class Replica:
         kind = entry[0]
         if kind == "data":
             try:
-                # Notifications and ref store-throughs are discarded —
+                # Notifications and the ops it issues are discarded —
                 # the owner already emitted them; the shadow only
                 # tracks resulting state.
                 apply_data_op(self.store, entry[1], -1, [], [])

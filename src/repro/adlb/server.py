@@ -36,7 +36,7 @@ from ..mpi import Comm
 from . import constants as C
 from .checkpoint import Checkpointer, load_shard
 from .dataops import READ_OPS, apply_data_op
-from .datastore import DataStore, DataStoreError, Notification, RefStore
+from .datastore import DataStore, DataStoreError, Notification
 from .dedup import PARKED, REPLAY_SAFE_OPS, DedupTable, channel_of
 from .drain import Drain
 from .journal import Journals
@@ -230,6 +230,7 @@ class Server:
             "poisoned": self.poisoned,
             "queued_tasks": self.queue.size,
             "parked_gets": len(self.parked),
+            "pending_copies": self.store.pending_copies,
             "dedup_slots": self.dedup.counts(),
             "dead_ranks": sorted(self.dead_ranks),
             "attached_clients": len(self.attached_clients),
@@ -532,26 +533,29 @@ class Server:
         """Apply a data op to this server's shard: log the mutation to
         the buddy, then emit the notifications it triggered."""
         notes: list[Notification] = []
-        refs: list[RefStore] = []
+        issued: list[dict] = []
         try:
-            result, logged = apply_data_op(self.store, msg, source, notes, refs)
+            result, logged = apply_data_op(self.store, msg, source, notes, issued)
             if logged is not None:
                 self.log(("data", logged))
         finally:
-            if notes or refs:
-                self._emit(notes, refs)
+            if notes or issued:
+                self._emit(notes, issued, msg["id"])
         return result
 
-    def _emit(self, notes: list[Notification], refs: list[RefStore]) -> None:
+    def _emit(self, notes: list[Notification], issued: list[dict], src: int) -> None:
+        """Notify; apply each issued op here or as a one-way commit at its
+        TD's home.  An issued STORE is a copy of TD ``src`` (the op's TD)."""
         for note in notes:
             self.comm.send(("notify", note.id), note.rank, C.TAG_ASYNC)
-        for ref in refs:
-            home = self.map.home_server(ref.ref_id)
-            store = {"op": C.OP_STORE, "id": ref.ref_id, "value": ref.value}
+        for op in issued:
+            if op["op"] == C.OP_STORE and self.tracer is not None:
+                self.tracer.emit("copy", op["id"], src)  # lineage
+            home = self.map.home_server(op["id"])
             if home == self.rank:
-                self._apply(store, self.rank)
+                self._apply(op, self.rank)
             else:
-                self.comm.send({"op": C.OP_COMMIT, "ops": [store]}, home, C.TAG_ONEWAY)
+                self.comm.send({"op": C.OP_COMMIT, "ops": [op]}, home, C.TAG_ONEWAY)
 
     # ------------------------------------------------------------- termination
 

@@ -251,20 +251,12 @@ class Codegen:
         proc.emit(" ".join([format_list(op.fn), *tds]))
 
     def op_subscript(self, op: Op, proc: Proc) -> None:
+        """The container's server copies the member into the reader's TD."""
         arr, idx = op.ins
-        ref = proc.temp()
-        proc.emit("set %s [ turbine::allocate ref ]" % ref)
-        if idx.closed:
-            proc.emit(
-                "turbine::container_reference %s %s $%s"
-                % (self.td(arr, proc), self.val(idx, proc), ref)
-            )
-        else:
-            proc.emit(
-                "turbine::cref_when_ready %s %s $%s"
-                % (self.td(arr, proc), self.td(idx, proc), ref)
-            )
-        proc.emit("turbine::deref_store %s $%s" % (self.td(op.outs[0], proc), ref))
+        cmd = "container_reference" if idx.closed else "cref_when_ready"
+        sub = self.val(idx, proc) if idx.closed else self.td(idx, proc)
+        dst = self.td(op.outs[0], proc)
+        proc.emit("turbine::%s %s %s %s" % (cmd, self.td(arr, proc), sub, dst))
 
     def op_insert(self, op: Op, proc: Proc) -> None:
         arr, idx, member = op.ins

@@ -1,12 +1,12 @@
 """Causal dataflow analysis of a traced run.
 
 Reconstructs the run DAG from the provenance events the runtime emits
-when tracing is on (``prov/write``, ``prov/task``, ``prov/grant``,
-``rule/create``, ``rule/release``, plus the executed-unit spans), then
-answers the questions a Chrome timeline cannot.  A trace whose rings
-dropped events supports none of these answers for the whole run: the
-analysis still runs over the surviving window, but ``render()`` opens
-with the truncation banner and ``repro analyze`` exits non-zero.
+when tracing is on (``prov/write``, ``prov/copy``, ``prov/task``,
+``prov/grant``, ``rule/create``, ``rule/release``, plus the executed-unit
+spans), then answers the questions a Chrome timeline cannot.  A trace
+whose rings dropped events supports none of these answers for the whole
+run: the analysis still runs over the surviving window, but ``render()``
+opens with the truncation banner and ``repro analyze`` exits non-zero.
 
 * **critical path** — the causal chain of units that determined the
   makespan, with a per-hop breakdown of where the time between one
@@ -185,6 +185,7 @@ class Analysis:
         self._grants: dict[int, list[TraceEvent]] = {}
         # uid -> the prov/task payload; "t" (accepted at) until its first grant
         self._tasks: dict[int, dict] = {}
+        copies: list[tuple[float, int, int]] = []  # (t, dst, src) of each server copy
         for e in trace.events:
             kind = _UNIT_SPANS.get((e.category, e.name))
             if kind is not None and e.dur > 0.0:
@@ -233,6 +234,8 @@ class Analysis:
                     self.writes.setdefault(p["td"], []).append(
                         (e.t, p.get("unit"))
                     )
+            elif e.category == "prov" and e.name == "copy":
+                copies.append((e.t, e.payload["td"], e.payload["src"]))
             elif e.category == "prov" and e.name == "task":
                 p = e.payload or {}
                 if "uid" in p:
@@ -247,6 +250,11 @@ class Analysis:
             elif e.category == "repl" and e.name == "flush":
                 lag = (e.payload or {}).get("lag", 0)
                 self.repl_max_lag = max(self.repl_max_lag, lag)
+        # A server copy writes dst for src's writer (in time order: a copy of a copy).
+        for t, dst, src in sorted(copies):
+            if src in self.writes:
+                writer = max(self.writes[src], key=lambda w: w[0])[1]
+                self.writes.setdefault(dst, []).append((t, writer))
 
     def _link(self) -> None:
         """Zip grants to executed units; attach uid/rule/attempts."""

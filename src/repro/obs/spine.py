@@ -91,6 +91,7 @@ KINDS: dict[str, tuple[int, str, str, tuple[str, ...]]] = {
     "steal_in": (1, "adlb", "steal_in", ("from", "n")),
     "drain_shutdown": (1, "adlb", "drain_shutdown", ("abandoned_units",)),
     "checkpoint": (1, "adlb", "checkpoint", ("gen", "units")),
+    "copy": (1, "prov", "copy", ("td", "src")),  # a COPY's store issued
     # -- adlb.client (``refcount_flush``: turbine.unit, at a unit's commit)
     "refcount_flush": (0, "prov", "refcount_flush", ("ops", "unit")),  # + tds
     "write": (1, "prov", "write", ("td", "unit", "sub")),

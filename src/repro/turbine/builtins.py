@@ -14,14 +14,11 @@ from typing import Any
 from ..adlb import constants as C
 from ..adlb.client import AdlbClient, AdlbError
 from ..adlb.constants import (
-    T_BLOB,
     T_BOOLEAN,
     T_CONTAINER,
     T_FLOAT,
     T_INTEGER,
-    T_REF,
     T_STRING,
-    T_VOID,
 )
 from ..adlb.dataops import apply_data_op
 from ..adlb.datastore import DataStore, DataStoreError
@@ -67,7 +64,6 @@ _CONV = {
     T_FLOAT: _to_float,
     T_STRING: str,
     T_BOOLEAN: _to_bool,
-    T_REF: _to_int,
 }
 
 
@@ -294,25 +290,13 @@ def register_turbine(
 
     reg("store_blob", cmd_store_blob)
 
-    def cmd_store_any(it, args):
-        # store with a value already in Tcl string form (type-agnostic)
-        if len(args) not in (2, 3):
-            raise TclError("usage: turbine::store_any id value ?decr?")
-        dtype = read(C.OP_TYPEOF, args[0])
-        if dtype == T_BLOB:
-            return cmd_store_blob(it, args)
-        conv = (lambda s: "") if dtype == T_VOID else _CONV.get(dtype, str)
-        return _store(args[0], conv(args[1]), args[2] if len(args) > 2 else None)
-
-    reg("store_any", cmd_store_any)
-
-    def cmd_copy_value(it, args):
-        # copy the raw stored value (preserves blobs exactly)
+    def cmd_copy_td(it, args):
+        # src's server stores its value into dst once it closes: no rule
         if len(args) != 2:
-            raise TclError("usage: turbine::copy_value dst src")
-        return _store(args[0], read(C.OP_RETRIEVE, args[1]), None)
+            raise TclError("usage: turbine::copy_td dst src")
+        return write({"op": C.OP_COPY, "id": int(args[1]), "dst": int(args[0])})
 
-    reg("copy_value", cmd_copy_value)
+    reg("copy_td", cmd_copy_td)
 
     # ---- retrieves -----------------------------------------------------------
 
@@ -371,10 +355,11 @@ def register_turbine(
     reg("container_lookup", cmd_container_lookup)
 
     def cmd_container_reference(it, args):
+        # copy member subscript of c into dst once it is inserted and closed
         if len(args) != 3:
-            raise TclError("usage: turbine::container_reference c subscript ref")
+            raise TclError("usage: turbine::container_reference c subscript dst")
         op = {"op": C.OP_CONTAINER_REF, "id": int(args[0]), "subscript": args[1]}
-        return write(dict(op, ref_id=int(args[2])))
+        return write(dict(op, dst=int(args[2])))
 
     reg("container_reference", cmd_container_reference)
 

@@ -404,8 +404,7 @@ class Engine:
                 # The next GET is what completes this unit's lease.
                 # Parked before the rules the unit readied fire (at the
                 # loop's top): the next control task is then asked for
-                # first, so whether those rules find their inputs closed
-                # does not depend on how fast the workers run the leaves.
+                # before they release any work.
                 self.client.park_async((CONTROL,))
             elif kind == "ckpt":
                 self._ckpt_reply(msg[1])

@@ -99,27 +99,6 @@ proc turbine::argv { kind key args } {
     return $val
 }
 
-# ---- dereferencing -------------------------------------------------------
-# copy_td: once src is closed, copy its value into dst.
-proc turbine::copy_td { dst src } {
-    turbine::rule [ list $src ] \
-        [ list turbine::copy_td_body $dst $src ] LOCAL
-}
-proc turbine::copy_td_body { dst src } {
-    turbine::copy_value $dst $src
-}
-
-# deref_store: r holds a *reference* (a TD id).  Once r is closed, wait
-# for the referenced TD, then copy its value into dst.
-proc turbine::deref_store { dst r } {
-    turbine::rule [ list $r ] \
-        [ list turbine::deref_store_body $dst $r ] LOCAL
-}
-proc turbine::deref_store_body { dst r } {
-    set m [ turbine::retrieve $r ]
-    turbine::copy_td $dst $m
-}
-
 # ---- container helpers -------------------------------------------------------
 # size(a): store the number of members once the container closes.
 proc turbine::container_size_rule { o c } {
@@ -196,12 +175,12 @@ proc turbine::insert_when_ready_body { c idx member } {
 }
 
 # cref_when_ready: container_reference with a future subscript.
-proc turbine::cref_when_ready { c idx ref } {
+proc turbine::cref_when_ready { c idx dst } {
     turbine::rule [ list $idx ] \
-        [ list turbine::cref_when_ready_body $c $idx $ref ] LOCAL
+        [ list turbine::cref_when_ready_body $c $idx $dst ] LOCAL
 }
-proc turbine::cref_when_ready_body { c idx ref } {
-    turbine::container_reference $c [ turbine::retrieve $idx ] $ref
+proc turbine::cref_when_ready_body { c idx dst } {
+    turbine::container_reference $c [ turbine::retrieve $idx ] $dst
 }
 
 # ---- blob builtins (run on workers, where blobutils lives) ----------------------

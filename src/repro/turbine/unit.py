@@ -163,11 +163,17 @@ class UnitRunner:
                 # One op list, in order: the writes, so the subscribes
                 # find the TDs the unit created; the subscribes, so a
                 # read decrement cannot free a TD under a new rule; the
+                # copies into TDs those read, so a copy's store (not the
+                # reply) wakes its rule however the leaves race; the
                 # spawns; the decrements; the counter move, k + r - 1.
                 # The master's commit goes last, so a write or subscribe
                 # a server rejects fails the unit before it counts.
                 held, rules, writes, deferred = self.held, self.rules, self.writes, self.deferred
-                ops = (writes + self.subscriptions(rules)) if rules else writes[:]
+                ops = writes[:]
+                if rules:
+                    subs = self.subscriptions(rules)
+                    read = {op["id"] for op in subs}
+                    ops = sorted(writes + subs, key=lambda op: op.get("dst") in read)
                 if held:
                     ops += client.tasks(held)
                 for id, (r, w) in deferred.items():

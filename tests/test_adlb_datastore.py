@@ -92,13 +92,13 @@ class TestSubscriptions:
         ds.subscribe(1, rank=3)
         notes, _ = ds.store(1, 9, decr_write=1)
         assert notes == []
-        notes = ds.refcount(1, write_delta=-1)
+        notes, _ = ds.refcount(1, write_delta=-1)
         assert len(notes) == 1
 
     def test_close_via_refcount(self, ds):
         ds.create(1, "container")
         ds.subscribe(1, rank=2)
-        notes = ds.refcount(1, write_delta=-1)
+        notes, _ = ds.refcount(1, write_delta=-1)
         assert [n.rank for n in notes] == [2]
 
 
@@ -137,24 +137,108 @@ class TestContainers:
         ds.store(1, 20, subscript="b")
         assert ds.retrieve(1) == {"a": 10, "b": 20}
 
+    # A reference reads member k of container 1 into TD 50: it issues
+    # the COPY of the member (TD 99) to the member's home.
     def test_container_reference_existing_member(self, ds):
         ds.create(1, "container", write_refcount=2)
         ds.store(1, 99, subscript="k")
-        ref = ds.container_reference(1, "k", ref_id=50)
-        assert ref is not None and ref.ref_id == 50 and ref.value == 99
+        copy = ds.container_reference(1, "k", dst=50)
+        assert copy == {"op": "COPY", "id": 99, "dst": 50}
+        assert ds.pending_copies == 0
 
     def test_container_reference_pending_member(self, ds):
         ds.create(1, "container", write_refcount=2)
-        assert ds.container_reference(1, "k", ref_id=50) is None
-        _, refs = ds.store(1, 99, subscript="k")
-        assert [(r.ref_id, r.value) for r in refs] == [(50, 99)]
+        assert ds.container_reference(1, "k", dst=50) is None
+        assert ds.pending_copies == 1
+        _, issued = ds.store(1, 99, subscript="k")
+        assert issued == [{"op": "COPY", "id": 99, "dst": 50}]
+        assert ds.pending_copies == 0
 
     def test_multiple_pending_refs(self, ds):
         ds.create(1, "container", write_refcount=2)
         ds.container_reference(1, "k", 50)
         ds.container_reference(1, "k", 51)
-        _, refs = ds.store(1, 1, subscript="k")
-        assert sorted(r.ref_id for r in refs) == [50, 51]
+        _, issued = ds.store(1, 1, subscript="k")
+        assert sorted(op["dst"] for op in issued) == [50, 51]
+
+
+class TestCopies:
+    """COPY src -> dst: stored into dst when src closes, at src's home."""
+
+    def test_source_already_closed(self, ds):
+        ds.create(1, "string")
+        ds.store(1, "hop")
+        assert ds.copy(1, dst=7) == {"op": "STORE", "id": 7, "value": "hop"}
+        assert ds.pending_copies == 0 and ds.lookup(1).copies == []
+
+    def test_source_pending(self, ds):
+        ds.create(1, "integer")
+        assert ds.copy(1, dst=7) is None
+        assert ds.lookup(1).copies == [7] and ds.pending_copies == 1
+        ds.subscribe(1, rank=3)
+        notes, issued = ds.store(1, 42)
+        assert [(n.rank, n.id) for n in notes] == [(3, 1)]
+        assert issued == [{"op": "STORE", "id": 7, "value": 42}]
+        assert ds.lookup(1).copies == [] and ds.pending_copies == 0
+
+    def test_two_destinations(self, ds):
+        ds.create(1, "float", write_refcount=2)
+        ds.copy(1, dst=7)
+        ds.copy(1, dst=8)
+        assert ds.store(1, 2.5) == ([], [])  # set, not closed: nothing yet
+        _, issued = ds.refcount(1, write_delta=-1)
+        assert issued == [{"op": "STORE", "id": d, "value": 2.5} for d in (7, 8)]
+        assert ds.pending_copies == 0
+
+    def test_member_inserted_after_the_reference(self, ds):
+        # the container's server issues the COPY at the insert; the
+        # member's server then holds it until the member closes
+        ds.create(1, "container", write_refcount=2)
+        ds.create(5, "integer")
+        ds.container_reference(1, "3", dst=9)
+        _, issued = ds.store(1, 5, subscript="3")
+        assert issued == [{"op": "COPY", "id": 5, "dst": 9}]
+        assert ds.copy(issued[0]["id"], issued[0]["dst"]) is None
+        assert ds.pending_copies == 1
+        assert ds.store(5, 11)[1] == [{"op": "STORE", "id": 9, "value": 11}]
+        assert ds.pending_copies == 0
+
+    def test_a_replayed_copy_registers_once(self):
+        ds = DataStore(replay_ok=True)
+        ds.create(1, "container", write_refcount=2)
+        ds.create(2, "integer")
+        for _ in range(2):
+            ds.copy(2, dst=7)
+            ds.container_reference(1, "k", dst=8)
+        assert ds.lookup(2).copies == [7] and ds.lookup(1).member_refs == {"k": [8]}
+        assert ds.pending_copies == 2
+
+    def test_strict_store_registers_every_copy(self, ds):
+        ds.create(2, "integer")
+        ds.copy(2, dst=7)
+        ds.copy(2, dst=7)  # the second store into 7 fails there, loudly
+        assert ds.lookup(2).copies == [7, 7]
+
+    def test_pending_copies_travel_in_a_snapshot(self, ds):
+        ds.create(1, "container", write_refcount=2)
+        ds.create(2, "integer")
+        ds.copy(2, dst=7)
+        ds.container_reference(1, "k", dst=8)
+        image = ds.snapshot()
+        assert image[2]["copies"] == [7] and image[1]["member_refs"] == {"k": [8]}
+        again = DataStore()
+        again.load_snapshot(image)
+        assert again.pending_copies == 2
+        assert again.store(2, 4)[1] == [{"op": "STORE", "id": 7, "value": 4}]
+        merged = DataStore()
+        merged.absorb(again)
+        assert merged.pending_copies == 1
+
+    def test_a_freed_source_forgets_its_copies(self, ds):
+        ds.create(2, "integer", write_refcount=2)
+        ds.copy(2, dst=7)
+        ds.refcount(2, read_delta=-1)
+        assert ds.pending_copies == 0
 
 
 class TestRefcounts:
@@ -217,7 +301,7 @@ def test_property_close_exactly_at_zero(writers, data):
     remaining = writers
     while remaining > 0:
         dec = data.draw(st.integers(min_value=1, max_value=remaining))
-        notes = ds.refcount(1, write_delta=-dec)
+        notes, _ = ds.refcount(1, write_delta=-dec)
         remaining -= dec
         if remaining == 0:
             assert td.closed and len(notes) == 1

@@ -290,40 +290,72 @@ class TestDataOps:
         assert seen["value"] == 777
 
     def test_container_reference_store_through(self):
+        # The reference reads member k into dst: the member's value, once
+        # the member is inserted and closed, not the member's id.
         seen = {}
 
         def work(client):
             c = client.create("container", write_refcount=2)
-            ref = client.create("integer")
-            client.commit([{"op": C.OP_CONTAINER_REF, "id": c, "subscript": "k", "ref_id": ref}])
-            client.store(c, 55, subscript="k")
-            seen["ref_value"] = client.retrieve(ref)
+            m, dst = client.create("integer"), client.create("integer")
+            client.commit([{"op": C.OP_CONTAINER_REF, "id": c, "subscript": "k", "dst": dst}])
+            client.store(c, m, subscript="k")
+            seen["open"] = client.read({"op": C.OP_EXISTS, "id": dst})
+            client.store(m, 55)
+            seen["dst_value"] = client.retrieve(dst)
 
         run_adlb(3, 1, 1, self._data_engine(work), self._idle_worker)
-        assert seen["ref_value"] == 55
+        assert seen == {"open": False, "dst_value": 55}
 
     def test_a_commit_creates_a_reference_td_before_its_container_reference(self):
-        # The member is there, so the container's server stores into the
-        # reference TD at once; that TD, created in the same write set,
-        # lives on the other server and must exist by then.
+        # The member is there and closed, so the container's server
+        # issues its COPY and the member's server stores into dst at
+        # once; dst, created in the same write set, lives on the other
+        # server and must exist by then.
         seen = {}
 
         def work(client):
-            c, ref = client.allocate_id(), client.allocate_id()
-            assert client.layout.home_server(c) != client.layout.home_server(ref)
-            insert = {"op": C.OP_STORE, "id": c, "value": 55, "subscript": "k", "decr_write": 0}
+            c, dst, m = (client.allocate_id() for _ in range(3))
+            homes = [client.layout.home_server(td) for td in (c, m, dst)]
+            assert homes[0] == homes[1] != homes[2]
+            insert = {"op": C.OP_STORE, "id": c, "value": m, "subscript": "k", "decr_write": 0}
             client.commit(
                 [
                     {"op": C.OP_CREATE, "id": c, "type": "container"},
+                    {"op": C.OP_CREATE, "id": m, "type": "integer"},
+                    {"op": C.OP_STORE, "id": m, "value": 55},
                     insert,
-                    {"op": C.OP_CREATE, "id": ref, "type": "integer"},
-                    {"op": C.OP_CONTAINER_REF, "id": c, "subscript": "k", "ref_id": ref},
+                    {"op": C.OP_CREATE, "id": dst, "type": "integer"},
+                    {"op": C.OP_CONTAINER_REF, "id": c, "subscript": "k", "dst": dst},
                 ]
             )
-            seen["ref_value"] = client.retrieve(ref)
+            seen["dst_value"] = client.retrieve(dst)
 
         run_adlb(4, 2, 1, self._data_engine(work), self._idle_worker)
-        assert seen["ref_value"] == 55
+        assert seen["dst_value"] == 55
+
+    def test_a_read_crosses_three_homes(self):
+        # container, member and reader TD on three servers: the
+        # container's server sends the COPY to the member's, which holds
+        # it until the member closes and then stores into dst's.
+        seen = {}
+
+        def work(client):
+            c, m, dst = (client.allocate_id() for _ in range(3))
+            assert len({client.layout.home_server(td) for td in (c, m, dst)}) == 3
+            client.commit(
+                [
+                    {"op": C.OP_CREATE, "id": c, "type": "container", "write_refcount": 2},
+                    {"op": C.OP_CREATE, "id": m, "type": "string"},
+                    {"op": C.OP_CREATE, "id": dst, "type": "string"},
+                    {"op": C.OP_CONTAINER_REF, "id": c, "subscript": "3", "dst": dst},
+                    {"op": C.OP_STORE, "id": c, "value": m, "subscript": "3"},
+                ]
+            )
+            client.store(m, "late")
+            seen["dst_value"] = client.retrieve(dst)
+
+        run_adlb(5, 3, 1, self._data_engine(work), self._idle_worker)
+        assert seen["dst_value"] == "late"
 
     def test_a_commit_creates_a_member_before_the_insert_that_publishes_it(self):
         # The insert closes c, and whoever waits on c may look m up and

@@ -679,17 +679,22 @@ PER_LEAF_O0 = dict(zip(COUNTERS, (24, 2, 2, 4, 3, 1)))
 SENDS_PER_LEAF, SENDS_PER_RUN = 2, 8
 
 # One hop of the benchmark's dependent chain.  Per hop at the default
-# level: 3 allocates (member, ref, the copy of a[i]), the insert, the
-# container_reference, deref_store's subscribe + retrieve and copy_td's
-# subscribe + retrieve + store, the leaf rule's subscribe, and the
-# task's retrieve + store = 13 data ops; 3 rules (deref_store, copy_td,
-# the leaf); strcat runs at the top of the leaf's task body.  Not yet
-# aliased: reading a[i] still copies the member (ROADMAP follow-up).
-# The remainder is swift:main: the container, a[0], and trace(a[N]).
-# Notifications are the one count the scheduler moves: the leaf's rule
-# always waits on an open TD (1 per hop), the deref_store and copy_td
-# rules only if the engine gets to them before the previous hop's store
-# lands (0 to 2 more), so they are bounded, not pinned.
+# level: 2 allocates (the reader TD of a[i], the member a[i+1]), the
+# container_reference into the reader TD, the leaf rule's subscribe,
+# the insert, and the task's retrieve + store = 7 data ops; 1 rule (the
+# leaf); strcat runs at the top of the leaf's task body.  Reading a[i]
+# is a server copy: the container's server issues a COPY of the member
+# to the member's server, which stores its value into the reader TD
+# when it closes (on one server both are applied in place and count
+# no data op).
+# The remainder is swift:main: the container, a[0], trace(a[N])'s
+# reader TD, reference, subscribe and retrieve, the loop proc's
+# write_refcount_incr and the program's decrement.
+# Notifications: 1 per hop and 1 per run (trace(a[N])'s rule).  A unit
+# subscribes a reader TD before the copy that fills it, so each of these
+# rules is woken by its reader TD's close notice even when the member
+# had already closed (hop 0's a[0]; a later hop whose previous leaf
+# stored before the engine ran the hop's body).
 CHAIN = (
     "string a[];\n"
     'a[0] = "1";\n'
@@ -699,10 +704,10 @@ CHAIN = (
     "trace(a[%d]);\n"
 )
 NOTIFICATIONS = "engine.notifications"
-PER_HOP = dict(zip(COUNTERS, (13, 2, 2, 3, 1, 1)))
-PER_CHAIN_RUN = dict(zip(COUNTERS, (16, 0, 0, 3, 3, 0)))
+PER_HOP = dict(zip(COUNTERS, (7, 2, 2, 1, 1, 1)))
+PER_CHAIN_RUN = dict(zip(COUNTERS, (10, 0, 0, 1, 1, 0)))
 # Messages (``mpi.sends``) of the chain at 2w/1s/1e, less its
-# notifications (one message each, and the scheduler's to move).  The
+# notifications (one message each, pinned above).  The
 # chain is no loop of leaves: its loop proc spawns one body control task
 # per hop, and those n spawns leave with the loop proc's return as one
 # incr_work(n) and one n-task put.  Re-pinned on purpose when every
@@ -730,8 +735,18 @@ PER_CHAIN_RUN = dict(zip(COUNTERS, (16, 0, 0, 3, 3, 0)))
 # second commit.  Per hop, the body control task's, deref_store's and
 # copy_td's closing -1 (a one-way each); per run, swift:main's
 # decrement commit (an RPC, two messages) and the closing -1s of the
-# deref_store and copy_td rules that read a[N] for trace.
-CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 19, 22
+# deref_store and copy_td rules that read a[N] for trace.  Re-pinned
+# again when a subscript read became a server copy, 19n + 22 ->
+# 11n + 14: per hop, the deref_store rule's RETRIEVE and commit RPCs
+# and the copy_td rule's RETRIEVE and store commit RPCs (eight
+# messages) are gone; per run, the same eight of trace(a[N])'s read.
+# What is left per hop: the body control task's grant, its commit RPC
+# and the engine's re-park; the leaf rule's TASKS one-way; the leaf's
+# grant, its RETRIEVE and commit RPCs and its worker's next GET.  Per
+# run: the engine's first park, the program's increment, its id block
+# RPC and commit RPC, trace(a[N])'s RETRIEVE RPC and closing -1, the
+# engine's shutdown, and each worker's first GET and shutdown reply.
+CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 11, 14
 
 
 class TestProtocolShape:
@@ -775,13 +790,7 @@ class TestProtocolShape:
         for i in range(n):
             x = (x * 3 + i) % 1000003
         assert res.stdout_lines == ["trace: %d" % x]
-        counts = self.counts(res)
-        notified = counts.pop(NOTIFICATIONS)
-        assert counts == {
-            k: PER_HOP[k] * n + PER_CHAIN_RUN[k] for k in COUNTERS if k != NOTIFICATIONS
-        }
-        floor = PER_HOP[NOTIFICATIONS] * n + PER_CHAIN_RUN[NOTIFICATIONS]
-        assert floor <= notified <= floor + 2 * n
+        assert self.counts(res) == {k: PER_HOP[k] * n + PER_CHAIN_RUN[k] for k in COUNTERS}
 
     @pytest.mark.parametrize("n", [6, 15])
     def test_chain_sends_exactly_the_pinned_messages(self, n):

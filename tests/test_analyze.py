@@ -174,6 +174,32 @@ class TestZeroTdTrace:
         assert sum(h.total for h in a.critical_path) == pytest.approx(a.makespan, rel=0.10)
 
 
+class TestCopyLineage:
+    def test_a_subscript_chain_runs_leaf_to_leaf(self):
+        """A subscript read is a server copy: the reader's TD is written
+        for the member's writer, so the path hops from leaf to leaf (not
+        back to the control task that registered each leaf's rule)."""
+        r = swift_run(
+            'string a[];\na[0] = "1";\nforeach i in [0:5] {\n'
+            '    a[i+1] = python(strcat("import time; time.sleep(0.02); x=", a[i], "+1"), "x");\n'
+            "}\ntrace(a[6]);\n",
+            workers=2,
+            servers=1,
+            engines=1,
+            trace=True,
+        )
+        assert r.stdout_lines == ["trace: 7"]
+        a = Analysis.from_trace(r.trace)
+        assert not a.incomplete
+        tasks = [h for h in a.critical_path if h.kind == "task"]
+        assert len(tasks) == 6
+        for prev, cur in zip(tasks, tasks[1:]):
+            assert cur.pred == prev.unit and cur.via_td is not None
+        last = a.critical_path[-1]
+        if last.kind == "rule":  # trace(a[6]) can end before the last leaf's span
+            assert last.pred == tasks[-1].unit and last.via_td is not None
+
+
 class TestTraceRoundTrip:
     def test_from_chrome_preserves_analysis(self, diamond_result, tmp_path):
         path = tmp_path / "d.trace.json"

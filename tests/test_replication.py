@@ -17,7 +17,7 @@ import pytest
 
 from repro import DeadlineExceeded, FaultPlan, ServerLost, swift_run
 from repro.adlb import constants as C
-from repro.adlb.checkpoint import CheckpointError, read_checkpoint
+from repro.adlb.checkpoint import CheckpointError, read_checkpoint, restore_plan, write_checkpoint
 from repro.adlb.layout import Layout, ServerMap
 from repro.adlb.dedup import PARKED
 from repro.adlb.leases import _Lease
@@ -326,6 +326,39 @@ class TestCheckpointRestart:
             path = tmp_path / ("out_%d" % i)
             assert path.read_text() == str(i)
 
+    def test_a_pending_copy_survives_a_checkpoint(self, tmp_path):
+        # A restored shard still owes the copies it held: a COPY waiting
+        # on its source and a reference waiting on its member.
+        layout = Layout(size=4, n_servers=1, n_engines=1)
+        server = Server(World(4, recv_timeout=None).comm(3), layout)
+        src, dst, c, member, reader = range(1, 6)
+        ops = [{"op": C.OP_CREATE, "id": td, "type": C.T_INTEGER} for td in (src, dst, member)]
+        ops += [
+            {"op": C.OP_CREATE, "id": reader, "type": C.T_INTEGER},
+            {"op": C.OP_CREATE, "id": c, "type": C.T_CONTAINER, "write_refcount": 2},
+            {"op": C.OP_COPY, "id": src, "dst": dst},
+            {"op": C.OP_CONTAINER_REF, "id": c, "subscript": "3", "dst": reader},
+            {"op": C.OP_SUBSCRIBE, "id": dst, "rank": 0},
+        ]
+        server.dispatch({"op": C.OP_COMMIT, "ops": ops}, 0, C.TAG_ONEWAY)
+        ckpt = str(tmp_path / "copy.ckpt")
+        shard = {"store": server.store.snapshot(), "tasks": [], "next_id": 6}
+        shape = {"version": 2, "size": 4, "n_servers": 1, "n_engines": 1}
+        write_checkpoint(ckpt, dict(shape, servers={3: shard}, engines={}))
+        plan = restore_plan(read_checkpoint(ckpt), layout)
+        comm = World(4, recv_timeout=None).comm(3)
+        restored = Server(comm, layout, restore_shard=plan["server_shards"][3])
+        assert restored.state()["pending_copies"] == 2
+        assert restored.store.lookup(dst).subscribers == []  # rules re-subscribe
+        later = [
+            {"op": C.OP_STORE, "id": src, "value": 5},
+            {"op": C.OP_STORE, "id": c, "value": member, "subscript": "3"},
+            {"op": C.OP_STORE, "id": member, "value": 9},
+        ]
+        restored.dispatch({"op": C.OP_COMMIT, "ops": later}, 0, C.TAG_ONEWAY)
+        assert (restored.store.retrieve(dst), restored.store.retrieve(reader)) == (5, 9)
+        assert restored.state()["pending_copies"] == 0
+
     def test_restore_checkpoint_validated(self, tmp_path):
         ckpt = str(tmp_path / "run.ckpt")
         program = self._program(tmp_path)
@@ -339,10 +372,18 @@ class TestCheckpointRestart:
                 deadline=0.7,
             )
         image = read_checkpoint(ckpt)
-        assert image["version"] == 1
+        assert image["version"] == 2
         # Restoring into a different world shape is refused up front.
         with pytest.raises(CheckpointError, match="identically-shaped"):
             swift_run(program, workers=3, servers=1, restore=ckpt)
+
+    def test_an_image_of_the_old_format_is_refused(self, tmp_path):
+        # v1 images name the deleted deref_store / copy_td rule procs
+        # and carry no pending copies
+        ckpt = str(tmp_path / "old.ckpt")
+        write_checkpoint(ckpt, {"version": 1, "servers": {}, "engines": {}})
+        with pytest.raises(CheckpointError, match="is not a v2 repro checkpoint"):
+            read_checkpoint(ckpt)
 
     def test_restore_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="does not exist"):
@@ -619,6 +660,32 @@ class TestReplicaFollowsOwner:
         assert len(held) == 2 and owner.stats.tasks_stolen_out == 2
         assert buddy.stats.tasks_stolen_in == 2
         assert self.promoted() == (["leaf-%d" % i for i in range(4)], {})
+
+    def test_a_pending_copy_is_in_the_shadow(self):
+        # A COPY and a container reference the owner holds are op-log
+        # entries: the shadow holds them too, drops them as they fire,
+        # and a promoted heir still owes them.
+        owner, buddy = self.pair()
+        src, dst, c, member, reader = 2, 4, 6, 8, 10  # every one the owner's
+        homes = {owner.layout.home_server(td) for td in (src, dst, c, member, reader)}
+        assert homes == {owner.rank}
+        creates = [
+            {"op": C.OP_CREATE, "id": td, "type": C.T_INTEGER} for td in (src, dst, member, reader)
+        ]
+        container = {"op": C.OP_CREATE, "id": c, "type": C.T_CONTAINER, "write_refcount": 2}
+        copy = {"op": C.OP_COPY, "id": src, "dst": dst}
+        ref = {"op": C.OP_CONTAINER_REF, "id": c, "subscript": "3", "dst": reader}
+        self.step(commit(*creates, container, copy, ref), ENGINE, C.TAG_ONEWAY)
+        shadow = buddy.repl.replicas[owner.rank].store
+        assert shadow.lookup(src).copies == [dst] and shadow.pending_copies == 2
+        insert = {"op": C.OP_STORE, "id": c, "value": member, "subscript": "3"}
+        self.step(commit(insert, {"op": C.OP_STORE, "id": src, "value": 5}), ENGINE, C.TAG_ONEWAY)
+        assert shadow.retrieve(dst) == 5 and shadow.lookup(member).copies == [reader]
+        assert shadow.pending_copies == owner.store.pending_copies == 1
+        buddy.repl.server_dead(owner.rank, "killed")
+        assert buddy.store.pending_copies == 1
+        buddy.dispatch(commit({"op": C.OP_STORE, "id": member, "value": 9}), ENGINE, C.TAG_ONEWAY)
+        assert buddy.store.retrieve(reader) == 9 and buddy.store.pending_copies == 0
 
     def test_random_walk_keeps_shadow_equal_to_image(self, clock):
         # Not only the transitions someone thought to check: a seeded

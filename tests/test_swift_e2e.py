@@ -421,3 +421,24 @@ class TestRuntimeConfigurations:
             servers=2,
         )
         assert sorted(res.stdout_lines) == sorted("trace: %d" % i for i in range(10))
+
+    @pytest.mark.parametrize("servers", [2, 3])
+    def test_a_chain_of_subscript_reads_across_servers(self, servers):
+        # Each hop reads a[i] into a TD of its own: the container's
+        # server sends the COPY to the member's, which stores into the
+        # reader TD's when the member closes; the three ids' homes differ
+        # from hop to hop (at three servers, all three differ on some).
+        src = (
+            "string a[];\n"
+            'a[0] = "1";\n'
+            "foreach i in [0:11] {\n"
+            '    a[i+1] = python(strcat("x=", a[i], "*3+", fromint(i)), "x%1000003");\n'
+            "}\n"
+            "trace(a[12]);\n"
+        )
+        x = 1
+        for i in range(12):
+            x = (x * 3 + i) % 1000003
+        res = swift_run(src, workers=2, servers=servers, engines=1)
+        assert res.stdout_lines == ["trace: %d" % x]
+        assert res.metrics["counters"]["engine.rules_created"] == 12 + 1

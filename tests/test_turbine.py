@@ -266,13 +266,12 @@ class TestDataOps:
         assert out == ["subs 0 1"]
 
     def test_container_reference_deref(self):
+        # the reference reads member k straight into v: no ref TD, no rule
         out = run(
             "proc swift:main {} {\n"
             "  set c [ turbine::allocate_container 2 ]\n"
-            "  set r [ turbine::allocate ref ]\n"
             "  set v [ turbine::allocate integer ]\n"
-            "  turbine::container_reference $c k $r\n"
-            "  turbine::deref_store $v $r\n"
+            "  turbine::container_reference $c k $v\n"
             "  turbine::rule [ list $v ] [ list out $v ] LOCAL\n"
             "  set m [ turbine::allocate integer ]\n"
             "  turbine::store_integer $m 99\n"
