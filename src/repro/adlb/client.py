@@ -91,10 +91,8 @@ class AdlbClient:
         # outstanding async park (park_async .. its grant in recv_async)
         self._park: _Pending | None = None
         # counter units a worker owes its next GET (``done``): its only
-        # decrement is a unit's commit, always followed by a GET.  Never
-        # reliably, as a re-sent parked GET is processed again.
-        plain_worker = not (reliable or layout.is_engine(self.rank))
-        self.carries_done = plain_worker and self.my_server == layout.master_server
+        # decrement is a unit's commit, always followed by a GET.
+        self.carries_done = not layout.is_engine(self.rank)
         self._done = 0
 
     # ------------------------------------------------------------------- RPC

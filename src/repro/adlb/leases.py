@@ -134,9 +134,10 @@ class Leases:
         Called on a launcher-side SOP_RANK_DEAD notification, a lease
         expiry, or a lost journal heartbeat.  The rank can no longer be
         granted work or block shutdown and its unit is re-run elsewhere
-        (at-least-once).  A rank that was merely slow is not fenced: its
-        own commit still lands and decrements the termination counter a
-        second time, which is why expiry is armed only under a fault plan.
+        (at-least-once).  A merely slow rank is fenced only for the
+        ``-1`` a worker's GET carries (that GET closes no lease): its
+        writes and a control task's commit still land beside the
+        re-run's, which is why expiry is armed only under a fault plan.
         """
         core = self.core
         if rank in core.dead_ranks:
@@ -218,8 +219,8 @@ class Leases:
         fault plan only.  Only an injected kill is silent in this
         runtime (a rank that dies otherwise is announced), so without a
         plan an overdue lease is a long leaf, not a dead rank: sweeping
-        it would re-run the leaf and let both commits decrement the
-        termination counter.  A runaway leaf is ``task_timeout``'s job."""
+        it would re-run the leaf and land both runs' writes (only its
+        carried ``-1`` is fenced).  A runaway leaf is ``task_timeout``'s job."""
         now = self.core.comm.now()
         while self.delayed and self.delayed[0][0] <= now:
             _, _, task = heapq.heappop(self.delayed)

@@ -7,10 +7,9 @@ termination counter: clients increment it for every unit of pending
 work (rules, tasks, the initial program) and decrement on completion;
 when it returns to zero the master fans out shutdown.  A client changes
 state only through OP_COMMIT, a unit's op list for this server.  A
-worker attached to the master returns its finished unit on its next GET
-(``done``), and if that was the last one the GET is answered
-"shutdown"; a reliable client never does, since a re-sent parked GET
-is processed again and would count its ``done`` twice.
+worker returns its finished unit on its next GET (``done``), counted
+only if that GET closes the unit's lease; if that was the last one the
+GET is answered "shutdown".
 
 Work stealing: a server whose parked GETs cannot be satisfied locally
 probes the other servers round-robin for untargeted tasks of the types
@@ -197,6 +196,12 @@ class Server:
             return False
         msg, status = got
         self.dispatch(msg, status.source, status.tag)
+        if self.faults is not None:
+            directive = self.faults.on_server_op(self.rank)
+            if directive is not None:
+                # Fail-stop between receives: this dispatch is flushed, and
+                # what is not taken stays for the heir's scavenge.
+                raise RankKilled(self.rank, silent=directive[1])
         return True
 
     def _done(self) -> bool:
@@ -245,12 +250,6 @@ class Server:
     # ---------------------------------------------------------------- dispatch
 
     def dispatch(self, msg: dict, source: int, tag: int) -> None:
-        if self.faults is not None:
-            directive = self.faults.on_server_op(self.rank)
-            if directive is not None:
-                # Fail-stop at the message boundary: nothing of this
-                # dispatch has run, so the replicated image is exact.
-                raise RankKilled(self.rank, silent=directive[1])
         op = msg["op"]
         handler = self.ops.get(op)
         seq = msg.get("seq", -1)
@@ -342,12 +341,13 @@ class Server:
             # separately on the async channel).
             self.comm.send(("parked", seq), source, C.TAG_RESPONSE)
         # Asking for the next task completes the previous lease, and a
-        # carried ``done`` gives back its counter unit: the last one
-        # has this very GET answered "shutdown".
-        if self.leases.take(source) is not None and self.journals is not None:
-            self.journals.lease_returned(source)
-        if "done" in msg:
-            self._op_work({"amount": -msg["done"]})
+        # carried ``done`` gives back its counter unit with the lease
+        # only: a re-sent GET, or a swept rank's late one, counts nothing.
+        if self.leases.take(source) is not None:
+            if self.journals is not None:
+                self.journals.lease_returned(source)
+            if "done" in msg:
+                self.decr_work(msg["done"])
         if self.shutting_down:
             self._tell_shutdown(source, is_async, seq)
             return _NO_REPLY

@@ -537,13 +537,13 @@ class FaultState:
         return None
 
     def on_server_op(self, rank: int) -> tuple | None:
-        """Directive for the next dispatched message on server ``rank``.
+        """Directive for server ``rank`` once it dispatched a message.
 
         Server ranks run no tasks, so :meth:`FaultPlan.kill_rank`'s
-        ``after_tasks`` counts *dispatches* for them: the server dies at
-        a message boundary, never mid-mutation — fail-stop, matching a
-        process crash between MPI receives.  Returns ``None`` or
-        ``("kill", silent)``.
+        ``after_tasks`` counts *dispatches* for them: the server dies
+        after ``max(1, after_tasks)``, before it takes another message,
+        never mid-mutation — fail-stop, a process crash between MPI
+        receives.  Returns ``None`` or ``("kill", silent)``.
         """
         plan = self.plan
         if not plan.kills:
@@ -555,7 +555,7 @@ class FaultState:
                 if (
                     kill.rank == rank
                     and not self._kill_done[i]
-                    and n > kill.after_tasks
+                    and n >= kill.after_tasks
                 ):
                     self._kill_done[i] = True
                     self.stats.kills += 1

@@ -424,41 +424,72 @@ class TestTwoMessagesALeaf:
         assert server.shutting_down
         assert replies(world, WORKER + 1, C.TAG_RESPONSE) == [("shutdown",)]
 
-    def test_only_a_plain_workers_get_carries_done(self):
-        server, world = make_server()
-        layout, anchor = server.layout, server.rank
+    def test_every_workers_get_carries_done_and_an_engines_does_not(self):
+        server, world = make_server(n_servers=2)
+        layout = server.layout
+        master, other = layout.servers
 
-        def answer(rank, *payloads):  # what the server would reply
+        def answer(rank, *payloads):  # what the worker's server would reply
             for payload in payloads:
-                world.comm(anchor).send(payload, rank, C.TAG_RESPONSE)
+                world.comm(layout.my_server(rank)).send(payload, rank, C.TAG_RESPONSE)
 
-        plain = AdlbClient(world.comm(WORKER + 1), layout)
-        assert plain.carries_done
-        plain.decr_work()  # owed, not sent
-        answer(WORKER + 1, ("task", C.WORK, "leaf"))
-        assert plain.get() == (C.WORK, "leaf")
-        assert replies(world, anchor, C.TAG_ONEWAY) == []
-        assert replies(world, anchor, C.TAG_REQUEST) == [dict(GET, done=1)]
+        # a plain worker, at the master (WORKER + 1) or at another server
+        for rank, anchor in ((WORKER + 1, master), (WORKER, other)):
+            assert layout.my_server(rank) == anchor
+            plain = AdlbClient(world.comm(rank), layout)
+            assert plain.carries_done
+            plain.decr_work()  # owed, not sent
+            answer(rank, ("task", C.WORK, "leaf"))
+            assert plain.get() == (C.WORK, "leaf")
+            assert replies(world, master, C.TAG_ONEWAY) == []
+            assert replies(world, anchor, C.TAG_REQUEST) == [dict(GET, done=1)]
         # a poisoned decrement arms the drain: it always travels alone
         plain.decr_work(poison=True)
-        assert replies(world, anchor, C.TAG_ONEWAY) == [commit(work(-1, poison=True))]
+        assert replies(world, master, C.TAG_ONEWAY) == [commit(work(-1, poison=True))]
+        # a reliable worker too: its GET's done counts only with the
+        # lease it closes, so a re-sent GET counts nothing twice
+        reliable = AdlbClient(world.comm(WORKER), layout, reliable=True)
+        assert reliable.carries_done
+        reliable.decr_work()
+        answer(WORKER, ("task", C.WORK, "leaf", 1))
+        assert reliable.get() == (C.WORK, "leaf")
+        assert replies(world, master, C.TAG_REQUEST) == []
+        assert replies(world, other, C.TAG_REQUEST) == [dict(GET, done=1, seq=1)]
         # an engine's next request is not a GET
         engine = AdlbClient(world.comm(ENGINE), layout)
         assert not engine.carries_done
         engine.decr_work()
-        assert replies(world, anchor, C.TAG_ONEWAY) == [commit(work(-1))]
-        # a re-sent parked GET is processed again: a done on it would
-        # count twice, so a reliable client sends its decrement itself
-        reliable = AdlbClient(world.comm(WORKER), layout, reliable=True)
-        assert not reliable.carries_done
-        answer(WORKER, ("ok", [], 1), ("task", C.WORK, "leaf", 2))
-        reliable.decr_work()
-        assert reliable.get() == (C.WORK, "leaf")
-        assert replies(world, anchor, C.TAG_REQUEST) == [
-            dict(commit(work(-1)), seq=1),
-            dict(GET, seq=2),
-        ]
+        assert replies(world, master, C.TAG_ONEWAY) == [commit(work(-1))]
 
+    def test_a_done_counts_only_with_the_lease_its_get_closes(self):
+        # At another server the done goes on to the master as a one-way
+        # commit; a GET that closes no lease (the first, a re-sent one)
+        # counts nothing.
+        master, world = make_server(n_servers=2)
+        other = Server(world.comm(master.layout.servers[1]), master.layout)
+        assert master.layout.my_server(WORKER) == other.rank
+        other.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
+        for _ in range(2):  # the first is granted the leaf, the second closes it
+            other.dispatch(dict(GET, done=1), WORKER, C.TAG_REQUEST)
+        assert replies(world, master.rank, C.TAG_ONEWAY) == [commit(work(-1))]
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [("task", C.WORK, "leaf")]
+        other.dispatch(dict(GET, done=1), WORKER, C.TAG_REQUEST)  # re-sent
+        assert replies(world, master.rank, C.TAG_ONEWAY) == []
+
+    def test_a_swept_workers_late_done_counts_nothing(self, clock):
+        # Under a fault plan a lease sweep requeues a slow worker's unit,
+        # and the unit's count goes with it: the worker's late GET closes
+        # no lease, so its done is not a second decrement.
+        plan = FaultState(FaultPlan())
+        server, _ = make_server(lease_timeout=0.3, clock=clock, faults=plan)
+        server.dispatch(commit(work(2)), ENGINE, C.TAG_ONEWAY)
+        server.dispatch(PUT, ENGINE, C.TAG_ONEWAY)
+        server.dispatch(GET, WORKER, C.TAG_REQUEST)
+        clock.advance(60.0)
+        server.leases.tick()
+        assert server.dead_ranks == {WORKER} and server.leases.stats.requeued == 1
+        server.dispatch(dict(GET, done=1), WORKER, C.TAG_REQUEST)
+        assert server.work_count == 2 and not server.shutting_down
 
     def test_a_plain_workers_minus_one_is_owed_only_once_its_commit_landed(self):
         server, world = make_server()

@@ -24,6 +24,7 @@ from repro.adlb.leases import _Lease
 from repro.adlb.replication import Replica
 from repro.adlb.server import Server
 from repro.adlb.workqueue import Task
+from repro.faults import FaultState, RankKilled
 from repro.mpi.comm import DeadlockError, World
 
 SEED = int(os.environ.get("FAULT_SEED", "0"))
@@ -687,6 +688,45 @@ class TestReplicaFollowsOwner:
         buddy.dispatch(commit({"op": C.OP_STORE, "id": member, "value": 9}), ENGINE, C.TAG_ONEWAY)
         assert buddy.store.retrieve(reader) == 9 and buddy.store.pending_copies == 0
 
+    @pytest.mark.parametrize("where", ["owner", "heir"])
+    def test_a_re_sent_parked_get_counts_its_done_once(self, where):
+        # A re-sent parked GET is processed again (its slot is PARKED at
+        # the owner, and no slot at all at the heir); its done counts
+        # only with the lease the first copy closed.
+        owner, buddy = self.pair()
+        self.step(commit(work(2), tasks_op("leaf")), ENGINE, C.TAG_ONEWAY)
+        self.step(dict(GET, seq=1), WORKER, C.TAG_REQUEST)  # granted: a lease
+        done = dict(GET, seq=2, done=1)
+        self.step(done, WORKER, C.TAG_REQUEST)  # closes it, then parks
+        assert owner.work_count == 1 and not owner.leases.table
+        assert owner.dedup.slots[WORKER, "rpc"] == (2, (C.TAG_RESPONSE, PARKED))
+        server = owner
+        if where == "heir":
+            buddy.repl.server_dead(owner.rank, "killed")
+            server = buddy
+        server.dispatch(done, WORKER, C.TAG_REQUEST)
+        assert server.work_count == 1 and [p.rank for p in server.parked] == [WORKER]
+
+    def test_a_forwarded_done_outlives_a_master_killed_before_it(self):
+        # A done at another server reaches the master as that server's
+        # one-way, which nothing re-sends.  A server kill lands between
+        # receives, so the heir's scavenge still finds it.
+        world, (master, other) = replicated_servers(2)
+        assert master.layout.my_server(WORKER) == other.rank
+        other.dispatch(commit(tasks_op("leaf")), ENGINE, C.TAG_ONEWAY)
+        other.dispatch(dict(GET, seq=1), WORKER, C.TAG_REQUEST)  # granted
+        while master.pump(timeout=0):  # the other's op-log
+            pass
+        master.faults = FaultState(FaultPlan().kill_rank(master.rank, after_tasks=1))
+        world.comm(ENGINE).send(commit(work(2)), master.rank, C.TAG_ONEWAY)
+        other.dispatch(dict(GET, seq=2, done=1), WORKER, C.TAG_REQUEST)
+        with pytest.raises(RankKilled):  # after the +2, with the -1 behind it
+            while master.pump(timeout=0):
+                pass
+        deliver(world, other)  # the master's op-log
+        other.repl.server_dead(master.rank, "killed")
+        assert other.is_master and other.work_count == 1
+
     def test_random_walk_keeps_shadow_equal_to_image(self, clock):
         # Not only the transitions someone thought to check: a seeded
         # walk over everything that logs.  (Either PR 22 one-liner
@@ -702,7 +742,9 @@ class TestReplicaFollowsOwner:
 
         def request(msg, source):
             seqs[source] += 1
-            self.step(dict(msg, seq=seqs[source]), source, C.TAG_REQUEST)
+            msg = dict(msg, seq=seqs[source])
+            self.step(msg, source, C.TAG_REQUEST)
+            return msg
 
         def spawn():
             kind = rng.choice([C.WORK, C.WORK, C.CONTROL])
@@ -712,10 +754,25 @@ class TestReplicaFollowsOwner:
         def put():  # alone, or after the increment that counts it
             request(commit(*rng.choice([[], [work(1)]]), spawn()), ENGINE)
 
-        def get():
-            request(GET, rng.choice(workers))
+        sent: dict[int, dict] = {}  # worker -> its last GET, as sent
+        gap = [0]  # the owner's counter less the units the servers hold
+
+        def held():
+            owned = owner.queue.size + len(owner.leases.delayed) + len(owner.leases.table)
+            return owned + buddy.queue.size  # (the thief serves no GET)
+
+        def get():  # a fresh GET, maybe carrying a done, or a re-send
+            worker = rng.choice(workers)
+            if worker in sent and rng.random() < 0.3:
+                self.step(sent[worker], worker, C.TAG_REQUEST)
+                return
+            msg = rng.choice([GET, dict(GET, done=1)])
+            if worker in owner.leases.table and "done" not in msg:
+                gap[0] += 1  # the unit's count is owed elsewhere
+            sent[worker] = request(msg, worker)
 
         def park():
+            gap[0] += ENGINE in owner.leases.table  # its count rides its commit
             request({"op": C.OP_GET_ASYNC, "types": [C.CONTROL]}, ENGINE)
 
         def fail():
@@ -776,10 +833,17 @@ class TestReplicaFollowsOwner:
 
         self.step(commit(work(10**6)), ENGINE, C.TAG_ONEWAY)
         request({"op": C.OP_ID_BLOCK}, ENGINE)
+        gap[0] = owner.work_count
         moves = [put] * 4 + [get] * 4 + [park, fail, fail, steal, die, tick, tick]
         moves += [data] * 3 + [journal] * 2
         for _ in range(400):
-            rng.choice(moves)()
+            move = rng.choice(moves)
+            move()
+            if move in (put, data):  # an engine's commit moves the counter at will
+                gap[0] = owner.work_count - held()
+            # otherwise the counter falls only with a unit the servers
+            # held: a done counts once, and only with its lease
+            assert owner.work_count - held() == gap[0], move.__name__
         assert owner.stats.tasks_stolen_out and owner.leases.stats.requeued
         assert owner.leases.stats.dead_ranks and buddy.repl.stats.entries_applied > 400
 
