@@ -92,15 +92,15 @@ def run_adlb_dynamic(
             return
         t_busy = 0.0
         while True:
-            got = client.get((WORK,))
-            if got is None:
+            bundle = client.get((WORK,))
+            if bundle is None:
                 busy[rank] = t_busy
                 return
-            _, payload = got
-            t0 = time.perf_counter()
-            task_fn(payload)
-            t_busy += time.perf_counter() - t0
-            client.decr_work()
+            for _, payload in bundle:
+                t0 = time.perf_counter()
+                task_fn(payload)
+                t_busy += time.perf_counter() - t0
+                client.decr_work()
 
     t0 = time.perf_counter()
     run_world(size, main)

@@ -7,8 +7,8 @@ the server they are bound for, the termination-counter move to the
 master — and sends it as one commit per server.  ``create``, ``store``,
 ``subscribe``, ``put``, ``incr_work`` and ``decr_work`` are one-op
 commits.  The client holds no data state: every call is applied when
-it returns — but a worker's finished unit may wait for its next GET to
-carry it.
+it returns — but a worker's finished units wait for its next GET to
+carry them.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ class AdlbClient:
         # outstanding async park (park_async .. its grant in recv_async)
         self._park: _Pending | None = None
         # counter units a worker owes its next GET (``done``): its only
-        # decrement is a unit's commit, always followed by a GET.
+        # decrement is a unit's commit, followed, after the rest of the
+        # unit's bundle, by a GET.
         self.carries_done = not layout.is_engine(self.rank)
         self._done = 0
 
@@ -185,12 +186,14 @@ class AdlbClient:
         spawn = (type, payload, priority, target, self.bound_for(target))
         self.commit(self.tasks([spawn], prov))
 
-    def get(self, types: tuple[str, ...] = (C.WORK,)) -> tuple[str, Any] | None:
-        """Blocking get; returns (type, payload) or None on shutdown.
+    def get(self, types: tuple[str, ...] = (C.WORK,)) -> list[tuple[str, Any]] | None:
+        """Blocking get; returns a bundle — a list of up to
+        ``GET_BUNDLE`` (type, payload) pairs, to run in order — or None
+        on shutdown.
 
-        Asking for the next task also completes the lease on the
-        previous one, and gives back what a carried :meth:`decr_work`
-        owes."""
+        Asking for the next bundle also completes the lease on the
+        previous one, and gives back what the carried :meth:`decr_work`
+        calls of its units owe."""
         msg: dict = {"op": C.OP_GET, "types": list(types)}
         if self._done:
             msg["done"], self._done = self._done, 0
@@ -202,7 +205,7 @@ class AdlbClient:
         if reply[0] == "shutdown":
             return None
         if reply[0] == "task":
-            return reply[1], reply[2]
+            return reply[1]
         raise AdlbError("unexpected get reply %r" % (reply,))
 
     def park_async(self, types: tuple[str, ...] = (C.CONTROL,)) -> None:
@@ -266,10 +269,13 @@ class AdlbClient:
             C.TAG_ONEWAY,
         )
 
-    def task_fail(self, kind: str, error: str, traceback_text: str = "") -> None:
-        """Report the leased task as failed; ownership of the unit (and
-        its termination-counter increment) passes back to the server,
-        which will retry it or give up per its retry policy."""
+    def task_fail(
+        self, kind: str, error: str, traceback_text: str = "", place: int = 0
+    ) -> None:
+        """Report the leased task at ``place`` in its bundle as failed;
+        ownership of the unit (and its termination-counter increment)
+        passes back to the server, which will retry it or give up per
+        its retry policy."""
         self._oneway(
             self.my_server,
             {
@@ -277,6 +283,7 @@ class AdlbClient:
                 "kind": kind,
                 "error": error,
                 "traceback": traceback_text,
+                "unit": place,
             },
         )
 

@@ -59,3 +59,11 @@ SOP_CKPT_PART = "CKPT_PART"  # shard/engine contribution back to the master
 
 # id allocation block size handed to clients
 ID_BLOCK_SIZE = 256
+
+#: most tasks one worker GET takes: the reply is a bundle of up to this
+#: many matching tasks, fewer when the queue is short for the server's
+#: clients or the tasks are not short (``BUNDLE_S``)
+GET_BUNDLE = 8
+#: seconds of work a bundle holds at most, at the pace of the worker's
+#: last lease: tasks of ``BUNDLE_S / 2`` or longer go one a GET
+BUNDLE_S = 0.002

@@ -1,11 +1,13 @@
 """Task leases: at-least-once execution, on every server.
 
-The server records every unit it hands out; the client's next GET
-completes the lease (one outstanding task per client).  A unit whose
-client reports it failed (``OP_TASK_FAIL``), dies (``SOP_RANK_DEAD``)
-or, under a fault plan, goes silent past the lease deadline is requeued
-with exponential backoff — or, out of attempts, surfaced as a failure
-or quarantined.
+The server records what it hands out to a client as one lease: a
+worker's bundle of up to ``GET_BUNDLE`` units, an engine's one control
+task.  The client's next GET completes it (one outstanding lease per
+client).  A unit whose client reports it failed (``OP_TASK_FAIL``,
+naming its place in the bundle) is requeued alone; every unit of a
+lease whose client dies (``SOP_RANK_DEAD``) or, under a fault plan,
+goes silent past the lease deadline is requeued, with exponential
+backoff — or, out of attempts, surfaced as a failure or quarantined.
 """
 
 from __future__ import annotations
@@ -25,11 +27,17 @@ RETRY_BACKOFF = 0.05
 
 @dataclass
 class _Lease:
-    """One handed-out work unit awaiting completion by ``client``."""
+    """The units one grant handed to ``client``, awaiting completion; a
+    unit handed back as failed leaves ``None`` in its place, so a later
+    report still names its own."""
 
-    task: Task
+    tasks: list[Task | None]
     client: int
     deadline: float
+
+    @property
+    def live(self) -> list[Task]:
+        return [t for t in self.tasks if t is not None]
 
 
 @dataclass
@@ -54,7 +62,7 @@ class QuarantineStats:
 class Leases:
     def __init__(self, core: Any, timeout: float, max_retries: int) -> None:
         self.core = core
-        self.table: dict[int, _Lease] = {}  # client -> its outstanding unit
+        self.table: dict[int, _Lease] = {}  # client -> its outstanding units
         self.timeout = timeout
         self.max_retries = max_retries
         register = core.comm.metrics.register
@@ -70,11 +78,12 @@ class Leases:
         core.ops[C.OP_TASK_FAIL] = self.op_task_fail
         core.ops[C.SOP_RANK_DEAD] = self.op_rank_dead
 
-    def grant(self, task: Task, client: int) -> None:
-        """Record a handed-out unit; completion is implied by the
-        client's next GET (one outstanding task per client)."""
-        self.stats.granted += 1
-        self.table[client] = _Lease(task, client, self.core.comm.now() + self.timeout)
+    def grant(self, tasks: list[Task], client: int) -> None:
+        """Record handed-out units, ``granted`` counting each; completion
+        is implied by the client's next GET (one lease per client)."""
+        self.stats.granted += len(tasks)
+        deadline = self.core.comm.now() + self.timeout
+        self.table[client] = _Lease(list(tasks), client, deadline)
 
     def take(self, client: int) -> _Lease | None:
         """Close the client's lease, if it holds one (asking for the
@@ -97,24 +106,34 @@ class Leases:
         heapq.heappush(self.delayed, (release_at, self._delay_seq, nxt))
 
     def op_task_fail(self, msg: dict, source: int) -> None:
-        """OP_TASK_FAIL: the client hands its leased unit back as failed.
+        """OP_TASK_FAIL: the client hands one leased unit back as failed,
+        the one at place ``unit`` of its bundle; the rest stay leased
+        (the last one out closes the lease).
 
         Ownership of the unit (and its termination-counter increment)
         transfers to this server: either it is requeued for another
         attempt, or given up permanently.
         """
-        lease = self.take(source)
+        lease = self.table.get(source)
         if lease is None and source in self.core.dead_ranks:
             # The rank was already declared dead and its lease swept
             # (requeued or quarantined); a straggling failure report —
             # e.g. a watchdog TaskTimeout racing the sweep — must not
             # fail the unit a second time.
             return
-        if lease is not None and lease.task.attempts + 1 <= self.max_retries:
-            self.requeue(lease.task, lease.task.attempts + 1)
+        task = None
+        if lease is not None:
+            place = msg.get("unit", 0)
+            task, lease.tasks[place] = lease.tasks[place], None
+            if lease.live:
+                self.core.log(("failed", source, place))
+            else:
+                self.take(source)
+        if task is not None and task.attempts + 1 <= self.max_retries:
+            self.requeue(task, task.attempts + 1)
             return
         self.stats.failed_permanent += 1
-        self.core.fail_unit(msg, source, lease.task if lease else None)
+        self.core.fail_unit(msg, source, task)
 
     def op_rank_dead(self, msg: dict, source: int) -> None:
         rank, reason = msg["rank"], msg.get("reason", "rank died")
@@ -133,8 +152,9 @@ class Leases:
 
         Called on a launcher-side SOP_RANK_DEAD notification, a lease
         expiry, or a lost journal heartbeat.  The rank can no longer be
-        granted work or block shutdown and its unit is re-run elsewhere
-        (at-least-once).  A merely slow rank is fenced only for the
+        granted work or block shutdown and every unit of its lease is
+        re-run elsewhere (at-least-once: a worker's bundle units that
+        already committed too).  A merely slow rank is fenced only for the
         ``-1`` a worker's GET carries (that GET closes no lease): its
         writes and a control task's commit still land beside the
         re-run's, which is why expiry is armed only under a fault plan.
@@ -167,17 +187,17 @@ class Leases:
             # counter unit went back in its commit): requeueing would
             # re-run it and double every one of its effects.
             return
-        task = lease.task
-        if task.target == rank:
-            task = dataclasses.replace(task, target=-1)
-        attempts = task.attempts + 1
-        # A unit lost to a rank death gets at least one more chance,
-        # even when task retries are disabled.
-        if attempts <= max(1, self.max_retries):
-            chain = tuple(task.chain) + ((rank, reason),)
-            self.requeue(dataclasses.replace(task, chain=chain), attempts)
-        else:
-            self.quarantine(task, rank, reason, attempts)
+        for task in lease.live:
+            if task.target == rank:
+                task = dataclasses.replace(task, target=-1)
+            attempts = task.attempts + 1
+            # A unit lost to a rank death gets at least one more chance,
+            # even when task retries are disabled.
+            if attempts <= max(1, self.max_retries):
+                chain = tuple(task.chain) + ((rank, reason),)
+                self.requeue(dataclasses.replace(task, chain=chain), attempts)
+            else:
+                self.quarantine(task, rank, reason, attempts)
 
     def quarantine(self, task: Task, rank: int, reason: str, attempts: int) -> None:
         """Withdraw a unit whose attempts keep killing their host ranks.
@@ -232,7 +252,7 @@ class Leases:
         for lease in expired:
             self.stats.expired += 1
             if self.core.ring is not None:
-                self.core.ring.emit("lease_expired", lease.client, lease.task.type)
+                self.core.ring.emit("lease_expired", lease.client, lease.live[0].type)
             self.rank_dead(
                 lease.client,
                 reason="lease expired after %.1fs (rank presumed dead)"
@@ -243,36 +263,40 @@ class Leases:
         """Backoff-delayed and leased-out units (checkpointed with the
         queue: in-flight units re-run on restore, at-least-once)."""
         tasks = [t for _, _, t in self.delayed]
-        return tasks + [lease.task for lease in self.table.values()]
+        return tasks + [t for lease in self.table.values() for t in lease.live]
 
     # -- replica slice, state -------------------------------------------------
 
     def image(self, state: dict) -> None:
         state["tasks"] += [t for _, _, t in self.delayed]
-        state["leases"] = {c: lease.task for c, lease in self.table.items()}
+        state["leases"] = {c: list(lease.tasks) for c, lease in self.table.items()}
 
-    def absorb(self, leases: dict[int, Task]) -> None:
-        """Promotion: adopt the dead server's outstanding leases; a
-        unit whose holder is dead too goes back on the queue."""
-        for client, task in leases.items():
-            if client in self.core.dead_ranks:
+    def absorb(self, leases: dict[int, list[Task | None]]) -> None:
+        """Promotion: adopt the dead server's outstanding leases; the
+        units of a holder that is dead too go back on the queue."""
+        for client, tasks in leases.items():
+            lease = _Lease(list(tasks), client, self.core.comm.now() + self.timeout)
+            if client not in self.core.dead_ranks:
+                self.table[client] = lease
+                continue
+            for task in lease.live:
                 if task.target == client:
                     task = dataclasses.replace(task, target=-1)
                 self.requeue(task, task.attempts + 1)
-            else:
-                deadline = self.core.comm.now() + self.timeout
-                self.table[client] = _Lease(task, client, deadline)
 
     def state(self) -> dict:
         """This server's slice of ``Server.state``."""
         now = self.core.comm.now()
-        leases = {}  # client rank -> the unit it holds, and for how long
+        leases = {}  # client rank -> the units it holds, and for how long
         for client, lease in sorted(self.table.copy().items()):
-            leases[client] = "%s: %s (%.1fs left)" % (
-                lease.task.uid,
-                snippet(lease.task.payload, 40),
-                lease.deadline - now,
-            )
+            live = lease.live
+            if live:
+                leases[client] = "%s: %s%s (%.1fs left)" % (
+                    live[0].uid,
+                    snippet(live[0].payload, 40),
+                    " +%d more" % (len(live) - 1) if len(live) > 1 else "",
+                    lease.deadline - now,
+                )
         return {
             "delayed_tasks": len(self.delayed),
             "leases": leases,

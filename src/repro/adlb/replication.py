@@ -59,8 +59,8 @@ class Replica:
         self.store.load_snapshot(image.get("store", {}))
         # uid -> queued/delayed task
         self.tasks: dict[int, Task] = {t.uid: t for t in image.get("tasks", ())}
-        # client -> granted task
-        self.leases: dict[int, Task] = dict(image.get("leases", {}))
+        # client -> its granted units (None: handed back as failed)
+        self.leases: dict[int, list[Task | None]] = dict(image.get("leases", {}))
         self.dedup = DedupTable(image.get("dedup"))
         self.dead_ranks: set[int] = set(image.get("dead_ranks", ()))
         # engine rank -> mirrored rule journal (survives anchor death)
@@ -87,14 +87,19 @@ class Replica:
         elif kind == "task-":
             self.tasks.pop(entry[1], None)
         elif kind == "grant":
-            _, task, client, seq, reply = entry
-            self.tasks.pop(task.uid, None)
-            self.leases[client] = task
+            _, tasks, client, seq, reply = entry
+            for task in tasks:
+                self.tasks.pop(task.uid, None)
+            self.leases[client] = list(tasks)
             if seq is not None and seq >= 0:
                 channel = "async" if reply[0] == C.TAG_ASYNC else "rpc"
                 self.dedup.offer(client, channel, seq, reply, ties=True)
         elif kind == "done":
             self.leases.pop(entry[1], None)
+        elif kind == "failed":
+            _, client, place = entry
+            if client in self.leases:
+                self.leases[client][place] = None
         elif kind == "dedup":
             _, client, seq, reply = entry
             self.dedup.offer(client, "rpc", seq, reply, ties=True)

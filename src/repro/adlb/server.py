@@ -7,9 +7,10 @@ termination counter: clients increment it for every unit of pending
 work (rules, tasks, the initial program) and decrement on completion;
 when it returns to zero the master fans out shutdown.  A client changes
 state only through OP_COMMIT, a unit's op list for this server.  A
-worker returns its finished unit on its next GET (``done``), counted
-only if that GET closes the unit's lease; if that was the last one the
-GET is answered "shutdown".
+worker's GET is answered with a bundle of up to ``GET_BUNDLE`` tasks,
+held as one lease; the worker returns the units it finished on its next
+GET (``done``), counted only if that GET closes the lease; if they were
+the last ones the GET is answered "shutdown".
 
 Work stealing: a server whose parked GETs cannot be satisfied locally
 probes the other servers round-robin for untargeted tasks of the types
@@ -330,8 +331,9 @@ class Server:
             self.accept_task(task)
 
     def _op_get(self, msg: dict, source: int) -> Any:
-        """OP_GET (worker: the task comes back as the RPC reply) and
-        OP_GET_ASYNC (engine: parked, delivery on the async channel)."""
+        """OP_GET (worker: a bundle of tasks comes back as the RPC reply)
+        and OP_GET_ASYNC (engine: parked, one task delivered on the async
+        channel)."""
         is_async = msg["op"] == C.OP_GET_ASYNC
         seq = msg.get("seq", -1)
         if is_async and seq >= 0:
@@ -340,10 +342,11 @@ class Server:
             # goes out in every branch (the grant/shutdown travels
             # separately on the async channel).
             self.comm.send(("parked", seq), source, C.TAG_RESPONSE)
-        # Asking for the next task completes the previous lease, and a
-        # carried ``done`` gives back its counter unit with the lease
+        # Asking for more completes the previous lease, and a carried
+        # ``done`` gives back its units' counter units with the lease
         # only: a re-sent GET, or a swept rank's late one, counts nothing.
-        if self.leases.take(source) is not None:
+        lease = self.leases.take(source)
+        if lease is not None:
             if self.journals is not None:
                 self.journals.lease_returned(source)
             if "done" in msg:
@@ -352,16 +355,45 @@ class Server:
             self._tell_shutdown(source, is_async, seq)
             return _NO_REPLY
         types = tuple(msg["types"])
-        task = self.queue.pop(types, source)
-        if task is not None:
+        tasks = []
+        for _ in range(1 if is_async else self._bundle(types, source, lease)):
+            task = self.queue.pop(types, source)
+            if task is None:
+                break
             self._record_match(task)
-            self._send_grant(task, source, is_async, seq)
+            tasks.append(task)
+        if tasks:
+            self._send_grant(tasks, source, is_async, seq)
         else:
             if self.tracer is not None:
                 self.tracer.emit("get_park", source)
             self._park(source, types, is_async, seq)
             self._maybe_steal()
         return _NO_REPLY
+
+    def _bundle(self, types: tuple[str, ...], source: int, closed: Any) -> int:
+        """How many tasks a worker's GET may take: ``GET_BUNDLE``, at
+        most its share of the matching queue among this server's
+        clients, so a short queue and a run's tail go one task a GET, and
+        at most ``BUNDLE_S`` of work at the pace of the lease the GET
+        ``closed``, so tasks that are not short go one a GET and do not
+        wait behind a long one.  Every attached client counts, not only
+        those parked or holding a lease: at start-up the first GET would
+        otherwise take a full bundle before the others have asked.  One
+        for a GET that closed no lease (nothing tells its pace yet), and
+        under a fault plan: a silent kill mid-bundle would re-run the
+        units before it, which already committed."""
+        if self.faults is not None or closed is None:
+            return 1
+        clients = max(1, len(self.attached_clients))
+        share = -(-self.queue.matching(types, source) // clients)
+        if share <= 1:
+            return share
+        # the closed lease's age: it was granted ``timeout`` before its deadline
+        took = self.leases.timeout - (closed.deadline - self.comm.now())
+        if took > 0:
+            share = min(share, max(1, int(C.BUNDLE_S * len(closed.tasks) / took)))
+        return min(C.GET_BUNDLE, share)
 
     def _op_id_block(self, msg: dict, source: int) -> tuple[int, int]:
         assert self.is_master, "id blocks come from the master server"
@@ -440,7 +472,7 @@ class Server:
             if task.type in parked.types and task.target in (-1, parked.rank):
                 del self.parked[i]
                 self._record_match(task)
-                self._send_grant(task, parked.rank, parked.is_async, parked.seq)
+                self._send_grant([task], parked.rank, parked.is_async, parked.seq)
                 return
         self.queue.push(task)
         self.log(("task+", task))
@@ -448,36 +480,38 @@ class Server:
         self.stats.max_queue = max(self.stats.max_queue, self.queue.size)
 
     def _send_grant(
-        self, task: Task, source: int, is_async: bool, seq: int = -1
+        self, tasks: list[Task], source: int, is_async: bool, seq: int = -1
     ) -> None:
-        """Hand a matched task to a client: lease it, send it, and
-        replicate the grant (which doubles as the dedup record a
-        failover heir resends)."""
+        """Hand matched tasks to a client as one lease and one reply —
+        an engine's async grant is one control task, a worker's a bundle
+        of (type, payload) pairs — and replicate the grant (which doubles
+        as the dedup record a failover heir resends)."""
         if is_async:
-            payload: tuple = ("ctask", task.type, task.payload)
+            payload: tuple = ("ctask", tasks[0].type, tasks[0].payload)
             tag = C.TAG_ASYNC
         else:
-            payload = ("task", task.type, task.payload)
+            payload = ("task", [(task.type, task.payload) for task in tasks])
             tag = C.TAG_RESPONSE
         if seq >= 0:
             payload = payload + (seq,)
             channel = "async" if is_async else "rpc"
             self.dedup.slots[source, channel] = (seq, (tag, payload))
-        self.leases.grant(task, source)
+        self.leases.grant(tasks, source)
         if self.ring is not None:
             # Lineage edge: the queued unit was handed to this client;
             # the k-th grant to a rank pairs with its k-th executed unit
-            # (one outstanding task per client).
-            self.ring.emit(
-                "grant",
-                source,
-                task.type,
-                task.attempts,
-                {"uid": task.uid} if self.tracer is not None else None,
-            )
+            # (a client runs its bundle in order, one unit span a task).
+            for task in tasks:
+                self.ring.emit(
+                    "grant",
+                    source,
+                    task.type,
+                    task.attempts,
+                    {"uid": task.uid} if self.tracer is not None else None,
+                )
         self.comm.send(payload, source, tag)
         self.log(
-            ("grant", task, source, seq if seq >= 0 else None, (tag, payload))
+            ("grant", tasks, source, seq if seq >= 0 else None, (tag, payload))
         )
 
     def _park(

@@ -71,6 +71,13 @@ class WorkQueue:
         self.size -= 1
         return task
 
+    def matching(self, types: tuple[str, ...], rank: int) -> int:
+        """How many queued tasks :meth:`pop` could hand this rank."""
+        n = 0
+        for t in types:
+            n += len(self._untargeted.get(t, ())) + len(self._targeted.get((t, rank), ()))
+        return n
+
     def steal(self, types: list[str]) -> list[Task]:
         """Remove half (at least one) of the *untargeted* tasks of
         ``types`` for another server, whose parked GETs ask for them.

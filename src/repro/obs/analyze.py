@@ -24,10 +24,12 @@ opens with the truncation banner and ``repro analyze`` exits non-zero.
   across requeues) are chained attempt-to-attempt.
 
 The join between server-side grants and client-side execution spans
-needs no extra wire traffic: each client has exactly one outstanding
-task, so the k-th ``prov/grant`` aimed at a client rank (time-ordered
-across servers) pairs with the k-th executed unit span on that rank.
-Failed attempts emit spans too, keeping the zip aligned.  This module
+needs no extra wire traffic: each client has one outstanding lease,
+whose grant emits one ``prov/grant`` per task and whose tasks it runs
+in order, so the k-th ``prov/grant`` aimed at a client rank
+(time-ordered across servers) pairs with the k-th executed unit span on
+that rank.  Failed and abandoned attempts emit spans too, keeping the
+zip aligned.  This module
 is the only place a trace is joined: the latency distributions a frozen
 trace carries (:meth:`Analysis.histograms`) and the per-worker busy
 time of ``Profile`` read :meth:`Analysis.join` too.

@@ -26,7 +26,7 @@ class MonitorSample:
     queued: int = 0  # tasks sitting in work queues
     parked: int = 0  # clients parked waiting for work
     clients: int = 0  # clients attached across all servers
-    leases: int = 0  # tasks handed out, completion pending
+    leases: int = 0  # clients holding handed-out tasks, completion pending
     repl_lag: int = 0  # op-log entries sent but unacked (max over servers)
     outstanding: int = -1  # termination-counter units (-1: no live master)
     ranks: dict[int, dict] = field(default_factory=dict)  # server -> its state()

@@ -94,6 +94,9 @@ class UnitRunner:
         self.scratch = DataStore()
         # numbers task / control-task unit ids; counts retries too
         self._seq = 0
+        # the running task's place in its bundle, which a failure report
+        # names (a worker sets it; every other unit is alone)
+        self.place = 0
 
     # -------------------------------------------------------------- the unit
 
@@ -229,7 +232,7 @@ class UnitRunner:
         # A unit that raised leaves nothing behind, under every policy.
         self.roll_back()
         if retryable and self.on_error == "retry":
-            self.client.task_fail(kind, error, tb)
+            self.client.task_fail(kind, error, tb, self.place)
             return
         failure = TaskFailure(
             rank=self.client.rank,

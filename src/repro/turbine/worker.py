@@ -1,4 +1,4 @@
-"""The Turbine worker loop: get a leaf task, run it, repeat."""
+"""The Turbine worker loop: get a bundle of leaf tasks, run each, repeat."""
 
 from __future__ import annotations
 
@@ -137,6 +137,7 @@ class Worker:
                 "kind": "task",
                 "error": "TaskTimeout: task exceeded %.3gs watchdog"
                 % self._watchdog.timeout,
+                "unit": self.unit.place,
             },
             self.client.my_server,
             C.TAG_ONEWAY,
@@ -162,18 +163,22 @@ class Worker:
         wd = self._watchdog
         try:
             while True:
-                got = self.client.get((WORK,))
-                if got is None:
+                bundle = self.client.get((WORK,))
+                if bundle is None:
                     break
-                t0 = time.perf_counter()
-                if unit.run("task", got[1], guard=wd):
-                    self.stats.tasks_run += 1
-                    self.stats.busy_time += time.perf_counter() - t0
-                elif wd is not None and wd.expired():
-                    # Abandoned, not failed: the embedded interpreters
-                    # are recycled in case the runaway task wedged them.
-                    self.watchdog_stats.abandoned += 1
-                    self._recycle_interp()
+                # Each task is its own unit: one that fails or is
+                # abandoned is handed back alone, and the rest still run.
+                for place, (_, payload) in enumerate(bundle):
+                    unit.place = place
+                    t0 = time.perf_counter()
+                    if unit.run("task", payload, guard=wd):
+                        self.stats.tasks_run += 1
+                        self.stats.busy_time += time.perf_counter() - t0
+                    elif wd is not None and wd.expired():
+                        # Abandoned, not failed: the embedded interpreters
+                        # are recycled in case the runaway task wedged them.
+                        self.watchdog_stats.abandoned += 1
+                        self._recycle_interp()
         finally:
             if wd is not None:
                 wd.stop()

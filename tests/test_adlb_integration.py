@@ -57,13 +57,14 @@ def collecting_worker(collected, lock):
     def worker(client):
         mine = []
         while True:
-            got = client.get((WORK,))
-            if got is None:
+            bundle = client.get((WORK,))
+            if bundle is None:
                 with lock:
                     collected.extend(mine)
                 return len(mine)
-            mine.append(got[1])
-            client.decr_work()
+            for _, payload in bundle:
+                mine.append(payload)
+                client.decr_work()
 
     return worker
 
@@ -125,11 +126,12 @@ class TestTaskDistribution:
 
         def worker(client):
             while True:
-                task = client.get((WORK,))
-                if task is None:
+                bundle = client.get((WORK,))
+                if bundle is None:
                     return
-                got.append(task[1])
-                client.decr_work()
+                for _, payload in bundle:
+                    got.append(payload)
+                    client.decr_work()
 
         run_adlb(3, 1, 1, engine, worker)
         assert [g[1] for g in got] == [5, 1, 0]
@@ -152,12 +154,13 @@ class TestTaskDistribution:
         def worker(client):
             n = 0
             while True:
-                task = client.get((WORK,))
-                if task is None:
+                bundle = client.get((WORK,))
+                if bundle is None:
                     who[client.rank] = n
                     return
-                n += 1
-                client.decr_work()
+                for _ in bundle:
+                    n += 1
+                    client.decr_work()
 
         run_adlb(5, 1, 1, engine, worker)
         assert who[target_rank] == 6
@@ -279,12 +282,12 @@ class TestDataOps:
 
         def worker(client):
             while True:
-                got = client.get((WORK,))
-                if got is None:
+                bundle = client.get((WORK,))
+                if bundle is None:
                     return
-                _, (op, td) = got
-                client.store(td, 777)
-                client.decr_work()
+                for _, (op, td) in bundle:
+                    client.store(td, 777)
+                    client.decr_work()
 
         run_adlb(3, 1, 1, engine, worker)
         assert seen["value"] == 777

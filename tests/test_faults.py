@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 import time
+import types
 
 import pytest
 
 from repro import DeadlineExceeded, FaultPlan, SwiftRuntime, TaskError, swift_run
+from repro.adlb import constants as adlb_constants
+from repro.adlb.constants import GET_BUNDLE
 from repro.faults import FaultState, InjectedFault, TaskFailure
 from repro.mpi import DeadlockError, run_world
 from repro.mpi.launcher import RankFailure
+from repro.obs import Analysis
 from repro.turbine import RuntimeConfig, run_turbine_program
 
 SEED = int(os.environ.get("FAULT_SEED", "0"))
@@ -563,3 +568,142 @@ class TestFaultsOffPath:
         assert sorted(res.stdout_lines) == FANOUT_EXPECTED[:4]
         assert res.ok and res.tasks_run == 4
         assert res.metrics["counters"]["adlb.lease.expired"] == 0
+
+
+# No fault plan here: under one every GET takes one task.  One worker
+# runs the 20 leaves in queue order; its first GET takes leaf 0 alone
+# (parked, or closing no lease), and with the pace rule out of the way
+# (the ``unpaced`` fixture) its next takes leaves 1-8, so leaf 4 sits
+# inside a bundle.
+BUNDLED = """
+foreach i in [0:19] {
+    string s = python(strcat("import bundle_probe; x = bundle_probe.leaf(", fromint(i), ")"), "x");
+    trace(s);
+}
+"""
+BUNDLED_EXPECTED = ["trace: %d" % i for i in range(20)]
+# 200 leaves of 2 ms, of which leaf 150 takes the time given
+TAIL = (
+    "foreach i in [0:199] {\n"
+    '    string s = python(strcat("import time; time.sleep(%s if ", fromint(i),'
+    ' " == 150 else 0.002); x=", fromint(i)), "x");\n'
+    "    trace(s);\n"
+    "}\n"
+)
+
+
+@pytest.fixture()
+def unpaced(monkeypatch):
+    """Bundles by the count rule alone: a GET's pace cap (BUNDLE_S of
+    work at the pace of its last lease) reads wall-clock time."""
+    monkeypatch.setattr(adlb_constants, "BUNDLE_S", 3600.0)
+
+
+@pytest.fixture()
+def probe(monkeypatch, unpaced):
+    """The module :data:`BUNDLED`'s leaves call: it records each run and
+    raises (``fails``: leaf -> how many of its runs) or sleeps (``slow``:
+    leaf -> seconds, its first run only) as the test sets."""
+    mod = types.ModuleType("bundle_probe")
+    mod.runs, mod.fails, mod.slow = [], {}, {}
+
+    def leaf(i):
+        mod.runs.append(i)
+        if mod.runs.count(i) <= mod.fails.get(i, 0):
+            raise ValueError("leaf %d fails" % i)
+        if mod.runs.count(i) == 1:
+            time.sleep(mod.slow.get(i, 0))
+        return i
+
+    mod.leaf = leaf
+    monkeypatch.setitem(sys.modules, "bundle_probe", mod)
+    return mod
+
+
+def bundles_of(res) -> list[list]:
+    """Each worker's units grouped by the GET that granted them: a unit
+    is of its predecessor's bundle when its grant came before that one
+    began."""
+    by_rank: dict[int, list] = {}
+    for unit in Analysis.join(res.trace).executed():
+        if unit.kind == "task":
+            by_rank.setdefault(unit.rank, []).append(unit)
+    out = []
+    for units in by_rank.values():
+        units.sort(key=lambda u: u.start)
+        out.append([units[0]])
+        for prev, unit in zip(units, units[1:]):
+            if unit.t_grant < prev.start:
+                out[-1].append(unit)
+            else:
+                out.append([unit])
+    return out
+
+
+def inside_a_bundle(res) -> bool:
+    """The first unit that failed (or was abandoned) had units of its
+    bundle before and after it."""
+    for bundle in bundles_of(res):
+        for place, unit in enumerate(bundle):
+            if not unit.ok:
+                return 0 < place < len(bundle) - 1
+    return False
+
+
+class TestBundleFailures:
+    """A unit inside a bundle fails alone: the server requeues only it
+    (``retry``, a watchdog expiry), the worker runs the rest, and the
+    termination counter ends at zero — the run finishes."""
+
+    def test_retry_requeues_only_the_failing_unit(self, probe):
+        probe.fails = {4: 1}
+        res = swift_run(BUNDLED, workers=1, trace=True)
+        assert res.stdout_lines == BUNDLED_EXPECTED[:4] + BUNDLED_EXPECTED[5:] + ["trace: 4"]
+        assert sorted(probe.runs) == sorted(list(range(20)) + [4])
+        assert inside_a_bundle(res) and res.ok
+        c = res.metrics["counters"]
+        assert c["adlb.lease.requeued"] == 1 and c["adlb.lease.granted"] == 21
+
+    def test_continue_records_the_unit_and_runs_the_rest(self, probe):
+        probe.fails = {4: 99}
+        res = swift_run(BUNDLED, workers=1, trace=True, on_error="continue")
+        assert res.stdout_lines == BUNDLED_EXPECTED[:4] + BUNDLED_EXPECTED[5:]
+        assert probe.runs == list(range(20)) and inside_a_bundle(res)
+        (failure,) = res.failures
+        assert "leaf 4 fails" in failure.error and res.tasks_run == 19
+
+    def test_fail_fast_stops_at_the_failing_unit(self, probe):
+        probe.fails = {4: 99}
+        with pytest.raises(TaskError, match="leaf 4 fails"):
+            swift_run(BUNDLED, workers=1, on_error="fail_fast")
+        assert probe.runs == [0, 1, 2, 3, 4]  # the rest of its bundle never ran
+
+    def test_a_watchdog_abandonment_mid_bundle_hands_back_that_unit(self, probe):
+        probe.slow = {4: 0.6}
+        res = swift_run(BUNDLED, workers=1, trace=True, task_timeout=0.2)
+        # (the abandoned attempt's trace line is printed too: output is
+        # not held with a unit's effects)
+        assert set(res.stdout_lines) == set(BUNDLED_EXPECTED)
+        assert sorted(probe.runs) == sorted(list(range(20)) + [4])
+        assert inside_a_bundle(res)
+        c = res.metrics["counters"]
+        assert c["worker.watchdog.abandoned"] == 1 and c["adlb.lease.requeued"] == 1
+
+    def test_a_long_leaf_does_not_hold_up_the_tail(self, unpaced):
+        # One 200 ms leaf among 200 short ones at 2 workers: a bundle
+        # holds at most GET_BUNDLE tasks and a share of the queue, so
+        # what waits behind the long leaf is a few short leaves, and the
+        # run ends within 1.2x of the long leaf plus the short leaves
+        # run one after another.  (Paced, these 2 ms leaves would go one
+        # a GET: the count rule is what is checked.)
+        t0 = time.perf_counter()
+        assert len(swift_run(TAIL % "0.002", workers=1).stdout_lines) == 200
+        serial = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        res = swift_run(TAIL % "0.2", workers=2, trace=True)
+        assert time.perf_counter() - t0 <= 1.2 * (0.2 + serial)
+        assert len(res.stdout_lines) == 200
+        for bundle in bundles_of(res):
+            spans = [u.dur for u in bundle]
+            if max(spans) >= 0.2:  # the long leaf's bundle
+                assert len(bundle) - spans.index(max(spans)) <= GET_BUNDLE

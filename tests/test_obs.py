@@ -216,9 +216,11 @@ class TestTracedRuns:
         """An untraced run's rings hold only level-0 kinds, at most 512
         slots per rank, and no payload dicts."""
         rec = Recorder()
-        res = swift_run(FANOUT_200, workers=2, tracer=rec)
+        # 600 leaves: a worker's GET takes a bundle, so 200 no longer
+        # emit the 512 events that make a ring wrap
+        res = swift_run(FANOUT_200.replace("199", "599"), workers=2, tracer=rec)
         assert res.trace is None
-        assert len(res.stdout_lines) == 200
+        assert len(res.stdout_lines) == 600
         assert sorted(rec._rings) == [0, 1, 2, 3]  # no driver ring either
         for ring in rec._rings.values():
             assert 0 < len(ring.slots) <= LEVEL0_CAPACITY

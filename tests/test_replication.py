@@ -416,7 +416,7 @@ class TestHangDiagnostics:
         park = {"op": C.OP_GET_ASYNC, "types": [C.CONTROL]}
         server.dispatch(park, 0, C.TAG_ONEWAY)
         server.leases.table[1] = _Lease(
-            task=Task(payload="leaf-task-payload", type=C.WORK, uid=77),
+            tasks=[Task(payload="leaf-task-payload", type=C.WORK, uid=77)],
             client=1,
             deadline=clock() + 30.0,
         )
@@ -618,7 +618,7 @@ class TestReplicaFollowsOwner:
         owner.dispatch(msg, source, tag)
         self.settle()
         held = owner.queue.all_tasks() + [t for _, _, t in owner.leases.delayed]
-        leased = {c: lease.task.uid for c, lease in owner.leases.table.items()}
+        leased = {c: [t.uid for t in lease.live] for c, lease in owner.leases.table.items()}
         return held, leased
 
     def promoted(self):
@@ -626,7 +626,7 @@ class TestReplicaFollowsOwner:
         buddy = self.buddy
         buddy.repl.server_dead(self.owner.rank, "killed")
         held = buddy.queue.all_tasks() + [t for _, _, t in buddy.leases.delayed]
-        leased = {c: lease.task.payload for c, lease in buddy.leases.table.items()}
+        leased = {c: [t.payload for t in lease.live] for c, lease in buddy.leases.table.items()}
         return sorted(t.payload for t in held), leased
 
     def test_put_get_and_dead_rank_sweep(self):
@@ -746,10 +746,13 @@ class TestReplicaFollowsOwner:
             self.step(msg, source, C.TAG_REQUEST)
             return msg
 
-        def spawn():
-            kind = rng.choice([C.WORK, C.WORK, C.CONTROL])
-            target = rng.choice([-1, -1, rng.choice(workers)]) if kind == C.WORK else -1
-            return tasks_op("unit-%d" % next(ids), kind, target)
+        def spawn():  # one task, or several: enough queued for a bundle
+            tasks = []
+            for _ in range(rng.choice([1, 1, rng.randint(2, 12)])):
+                kind = rng.choice([C.WORK, C.WORK, C.CONTROL])
+                target = rng.choice([-1, -1, rng.choice(workers)]) if kind == C.WORK else -1
+                tasks.append((kind, "unit-%d" % next(ids), 0, target))
+            return {"op": C.OP_TASKS, "tasks": tasks}
 
         def put():  # alone, or after the increment that counts it
             request(commit(*rng.choice([[], [work(1)]]), spawn()), ENGINE)
@@ -757,28 +760,40 @@ class TestReplicaFollowsOwner:
         sent: dict[int, dict] = {}  # worker -> its last GET, as sent
         gap = [0]  # the owner's counter less the units the servers hold
 
+        def live(rank):  # the units a rank's lease still holds
+            lease = owner.leases.table.get(rank)
+            return lease.live if lease else []
+
         def held():
-            owned = owner.queue.size + len(owner.leases.delayed) + len(owner.leases.table)
+            leased = sum(len(lease.live) for lease in owner.leases.table.values())
+            owned = owner.queue.size + len(owner.leases.delayed) + leased
             return owned + buddy.queue.size  # (the thief serves no GET)
+
+        bundles = []  # the size of each worker's grant
 
         def get():  # a fresh GET, maybe carrying a done, or a re-send
             worker = rng.choice(workers)
             if worker in sent and rng.random() < 0.3:
                 self.step(sent[worker], worker, C.TAG_REQUEST)
                 return
-            msg = rng.choice([GET, dict(GET, done=1)])
-            if worker in owner.leases.table and "done" not in msg:
-                gap[0] += 1  # the unit's count is owed elsewhere
+            units = len(live(worker))  # what its lease's units commit
+            msg = rng.choice([GET, dict(GET, done=max(1, units))])
+            if "done" not in msg:
+                gap[0] += units  # the units' count is owed elsewhere
             sent[worker] = request(msg, worker)
+            bundles.append(len(live(worker)))
 
         def park():
-            gap[0] += ENGINE in owner.leases.table  # its count rides its commit
+            gap[0] += len(live(ENGINE))  # its count rides its commit
             request({"op": C.OP_GET_ASYNC, "types": [C.CONTROL]}, ENGINE)
 
-        def fail():
+        def fail():  # one unit of a bundle, at its place
             holders = [w for w in workers if w in owner.leases.table]
             if holders:
-                self.step(TASK_FAIL, rng.choice(holders), C.TAG_ONEWAY)
+                worker = rng.choice(holders)
+                tasks = owner.leases.table[worker].tasks
+                place = rng.choice([i for i, t in enumerate(tasks) if t is not None])
+                self.step(dict(TASK_FAIL, unit=place), worker, C.TAG_ONEWAY)
 
         def steal():
             self.step(STEAL_REQ, buddy.rank, C.TAG_SERVER)
@@ -846,4 +861,5 @@ class TestReplicaFollowsOwner:
             assert owner.work_count - held() == gap[0], move.__name__
         assert owner.stats.tasks_stolen_out and owner.leases.stats.requeued
         assert owner.leases.stats.dead_ranks and buddy.repl.stats.entries_applied > 400
+        assert max(bundles) > 1  # the walk saw bundle grants
 

@@ -38,13 +38,14 @@ def test_many_tasks_none_lost(servers):
             return
         mine = []
         while True:
-            got = client.get((WORK,))
-            if got is None:
+            bundle = client.get((WORK,))
+            if bundle is None:
                 with lock:
                     collected.extend(mine)
                 return
-            mine.append(got[1])
-            client.decr_work()
+            for _, payload in bundle:
+                mine.append(payload)
+                client.decr_work()
 
     run_world(size, main)
     assert sorted(collected) == list(range(n_tasks))

@@ -41,7 +41,7 @@ class FakeClient:
     def decr_work(self, amount=1, poison=False):
         self.calls.append("decr_work(poison)" if poison else "decr_work")
 
-    def task_fail(self, kind, error, traceback_text=""):
+    def task_fail(self, kind, error, traceback_text="", place=0):
         self.calls.append("task_fail")
         self.handed_back = (kind, error)
 
