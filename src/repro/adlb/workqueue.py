@@ -119,11 +119,3 @@ class WorkQueue:
         for heap in self._targeted.values():
             out.extend(task for _, _, task in heap)
         return out
-
-    def counts_by_type(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for t, heap in self._untargeted.items():
-            out[t] = out.get(t, 0) + len(heap)
-        for (t, _), heap in self._targeted.items():
-            out[t] = out.get(t, 0) + len(heap)
-        return out

@@ -188,10 +188,6 @@ def fuse_into_leaves(block: Block, uses: Counter) -> None:
                         fused.add(producer)
                         changed = True
     if fused:
-        for op in block.ops:
-            # a sink repeats if the task is retried: run sinks last,
-            # after every fused op that could still raise
-            op.post.sort(key=lambda consumer: not consumer.outs)
         schedule(block)  # a leaf now needs its fused ops' closed inputs
 
 
@@ -212,8 +208,10 @@ def inline_leaf_loops(block: Block) -> None:
 
 def spawns_only(block: Block) -> bool:
     """Whether running ``block`` touches no TD, registers no rule and
-    runs no sink (which would print again if the unit around it were
-    re-run): closed values, decided ``if``s and by-value leaves only."""
+    runs no sink: closed values, decided ``if``s and by-value leaves
+    only.  A chunk's ``catch`` fallback re-runs the iterations in the
+    same unit, and ``turbine::drop`` cuts only the spawns the failed
+    try made: a sink's line would be printed twice."""
 
     def ok(op: Op) -> bool:
         if op.kind == "leaf":

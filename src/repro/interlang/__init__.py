@@ -34,22 +34,11 @@ __all__ = [
 ]
 
 
-def register_standard_packages(interp, ctx=None) -> None:
-    """Register python/r/shell/blobutils into a rank's Tcl interpreter.
-
-    ``ctx`` is the rank's RankContext (for interp-state policy and
-    output collection); None gives standalone defaults.
-    """
-    mode = "retain"
-    output = None
-    if ctx is not None:
-        mode = ctx.config.interp_mode
-
-        def output(line, _ctx=ctx):  # noqa: F811
-            # Leaf-language prints surface as program output, rank-tagged.
-            _ctx.output.emit(-1, line)
-
-    register_python(interp, mode=mode, output=output)
-    register_r(interp, mode=mode, output=output)
+def register_standard_packages(interp, mode: str = "retain", printed=None) -> None:
+    """Register python/r/shell/blobutils into a rank's Tcl interpreter,
+    the embedded interpreters under state policy ``mode``.  What their
+    calls print goes to the list ``printed`` (see :func:`register_embedded`)."""
+    register_python(interp, mode, printed)
+    register_r(interp, mode, printed)
     register_shell(interp)
     register_blobutils(interp)

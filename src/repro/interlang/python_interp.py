@@ -54,12 +54,13 @@ class EmbeddedPython(Embedded):
                     compile(expr, "<swift-python-expr>", "eval"), self._globals
                 )
         except Exception as e:
-            self._take_printed()  # a failed task's output is dropped
             raise PythonTaskError(
                 "python task failed: %s: %s" % (type(e).__name__, e)
             ) from e
-        if self._printed.tell():
-            self.stdout.extend(self._take_printed().rstrip("\n").split("\n"))
+        finally:
+            # A failed call's lines too: the unit around it decides.
+            if self._printed.tell():
+                self.stdout.extend(self._take_printed().rstrip("\n").split("\n"))
         return _to_swift_string(result)
 
     def get(self, name: str) -> Any:

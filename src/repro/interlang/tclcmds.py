@@ -25,23 +25,24 @@ def _usage(msg: str) -> TclError:
 # ------------------------------------------------------- embedded interpreters
 
 
-def register_embedded(interp: Interp, name: str, embedded: Embedded, output=None):
+def register_embedded(interp: Interp, name: str, embedded: Embedded, printed=None):
     """Bind one embedded interpreter as the Tcl package ``name``
     (``NAME::eval``, ``NAME::reset``, ``NAME::stats``) and record it in
-    ``interp.embedded``.  Lines its tasks print go to ``output``.
-    Returns the task runner, for language-specific commands."""
+    ``interp.embedded``.  The lines a call prints, returned or raised,
+    move to the list ``printed`` (on a run's ranks, the running unit's:
+    it decides); None leaves them in ``embedded.stdout``.  Returns the
+    task runner, for language-specific commands."""
     interp.embedded[name] = embedded
 
     def run(code: str, expr: str = "") -> str:
         try:
-            result = embedded.eval(code, expr)
+            return embedded.eval(code, expr)
         except embedded.error as e:
             raise TclError(str(e)) from e
-        if output is not None and embedded.stdout:
-            for line in embedded.stdout:
-                output(line)
-            embedded.stdout.clear()
-        return result
+        finally:
+            if printed is not None and embedded.stdout:
+                printed.extend(embedded.stdout)
+                embedded.stdout.clear()
 
     def cmd_eval(it, args):
         if len(args) not in (1, 2):
@@ -62,9 +63,9 @@ def register_embedded(interp: Interp, name: str, embedded: Embedded, output=None
     return run
 
 
-def register_python(interp: Interp, mode: str = "retain", output=None) -> None:
+def register_python(interp: Interp, mode: str = "retain", printed=None) -> None:
     embedded = EmbeddedPython(mode=mode)
-    run = register_embedded(interp, "python", embedded, output)
+    run = register_embedded(interp, "python", embedded, printed)
 
     def cmd_persist(it, args):
         # Force-retain evaluation regardless of the configured mode.
@@ -80,8 +81,8 @@ def register_python(interp: Interp, mode: str = "retain", output=None) -> None:
     interp.register("python::persist", cmd_persist)
 
 
-def register_r(interp: Interp, mode: str = "retain", output=None) -> None:
-    register_embedded(interp, "r", EmbeddedR(mode=mode), output)
+def register_r(interp: Interp, mode: str = "retain", printed=None) -> None:
+    register_embedded(interp, "r", EmbeddedR(mode=mode), printed)
 
 
 # ---------------------------------------------------------------------- shell

@@ -21,12 +21,13 @@ from ..adlb.constants import (
     T_STRING,
 )
 from ..adlb.dataops import apply_data_op
-from ..adlb.datastore import DataStore, DataStoreError
+from ..adlb.datastore import DataStoreError
 from ..mpi import AbortError, DeadlockError
 from ..tcl.errors import TclError
 from ..tcl.expr import to_string
 from ..tcl.interp import Interp
 from ..tcl.listutil import format_list, parse_list
+from .unit import Held
 
 def _to_int(s: str) -> int:
     try:
@@ -81,29 +82,22 @@ def range_count(lo: int, hi: int, step: int) -> int:
     return (hi - lo) // step + 1 if hi >= lo else 0
 
 
-def register_turbine(
-    interp: Interp,
-    client: AdlbClient,
-    runtime,
-    deferred: dict[int, list[int]],
-    held: list[tuple],
-    rules: list[dict] | None,
-    writes: list[dict],
-    scratch: DataStore,
-) -> None:
+def register_turbine(interp: Interp, client: AdlbClient, runtime, held: Held) -> None:
     """Register primitive turbine:: commands.
 
-    ``runtime`` is the per-rank RankContext (output sink, config).
-    ``deferred``, ``held``, ``rules``, ``writes`` and ``scratch`` are
-    the tables of the rank's :class:`~repro.turbine.unit.UnitRunner`
-    that hold refcount decrements, spawns, rule registrations and
-    writes until the running unit's Tcl returns, plus the unit's own
-    TDs — the tables, not the runner:
-    commands that reached the runner would tie the interpreter into a
-    reference cycle, and a finished worker's interpreter would wait for
-    the cycle collector instead of being freed at thread exit.
-    ``rules`` is None on a worker, which registers no rule.
+    ``runtime`` is the per-rank RankContext (layout, role).  ``held``
+    is the :class:`~repro.turbine.unit.Held` of the rank's
+    :class:`~repro.turbine.unit.UnitRunner`: the tables that hold the
+    running unit's writes, spawns, rule registrations, refcount
+    decrements and printed lines until its Tcl returns — the tables,
+    not the runner: commands that reached the runner would tie the
+    interpreter into a reference cycle, and a finished worker's
+    interpreter would wait for the cycle collector instead of being
+    freed at thread exit.  ``held.rules`` is None on a worker, which
+    registers no rule.
     """
+    writes, scratch, spawns, rules = held.writes, held.scratch, held.spawns, held.rules
+    deferred, printed = held.deferred, held.printed
 
     def reg(name: str, fn) -> None:
         interp.register("turbine::" + name, fn)
@@ -153,7 +147,7 @@ def register_turbine(
             raise TclError("bad task type %r" % args[0])
         priority = int(args[2]) if len(args) > 2 else 0
         target = int(args[3]) if len(args) > 3 else -1
-        held.append((args[0], args[1], priority, target, client.bound_for(target)))
+        spawns.append((args[0], args[1], priority, target, client.bound_for(target)))
         return ""
 
     # A guarded chunk's catch branch forgets the spawns it made before it
@@ -164,12 +158,12 @@ def register_turbine(
     def cmd_spawned(it, args):
         if args:
             raise TclError("usage: turbine::spawned")
-        return str(len(held))
+        return str(len(spawns))
 
     def cmd_drop(it, args):
         if len(args) != 1 or not args[0].isdigit():
             raise TclError("usage: turbine::drop spawned")
-        del held[int(args[0]) :]
+        del spawns[int(args[0]) :]
         return ""
 
     splits = itertools.count(1)  # this rank's splits, for the round-robin
@@ -196,7 +190,7 @@ def register_turbine(
         there = servers[(servers.index(client.my_server) + next(splits)) % len(servers)]
         for a, b, server in ((lo, mid - step, client.my_server), (mid, hi, there)):
             half = format_list([args[0], str(a), str(b), str(step), *args[4:]])
-            held.append(("CONTROL", half, 0, -1, server))
+            spawns.append(("CONTROL", half, 0, -1, server))
         return "1"
 
     reg("rule", cmd_rule)
@@ -408,7 +402,7 @@ def register_turbine(
     reg("nservers", lambda it, args: str(runtime.layout.n_servers))
 
     def cmd_log_output(it, args):
-        runtime.output.emit(client.rank, " ".join(args))
+        printed.append(" ".join(args))
         return ""
 
     reg("log_output", cmd_log_output)

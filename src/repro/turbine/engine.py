@@ -80,8 +80,11 @@ class Engine:
         on_error: str = "retry",
         faults: Any | None = None,
         journal: bool = False,
+        output=None,
     ):
-        self.unit = UnitRunner(client, interp, on_error, faults, self.subscriptions, self.add_rules)
+        self.unit = UnitRunner(
+            client, interp, on_error, faults, self.subscriptions, self.add_rules, output
+        )
         self.client = client
         # This rank's event ring; ``tracer`` is the ring on traced runs.
         self.ring = client.ring
@@ -243,8 +246,8 @@ class Engine:
             "pending_rules": self.pending_rule_count(),
             "blocked_on": sorted(self.blocked)[:8],  # a line, not a dump
             "unflushed_journal": len(self._jbuf),
-            "pending_refcounts": len(self.unit.deferred),
-            "pending_writes": len(self.unit.writes),
+            "pending_refcounts": len(self.unit.held.deferred),
+            "pending_writes": len(self.unit.held.writes),
             "rules_created": self.stats.rules_created,
             "adoptions": self.journal_stats.adoptions,
             "failures": len(self.unit.failures),

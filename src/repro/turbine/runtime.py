@@ -64,7 +64,6 @@ class RankContext:
 
     layout: Layout
     role: str
-    output: Output
     config: RuntimeConfig
 
 
@@ -153,12 +152,15 @@ def load_rank(
     ctx: RankContext,
     unit: UnitRunner,
     setup: SetupFn | None,
+    program: str,
 ) -> None:
-    """Load the Turbine library and the standard leaf-language
-    packages into an engine or worker rank's Tcl interpreter."""
+    """Load the Turbine library, the standard leaf-language packages
+    and ``program`` into an engine or worker rank's Tcl interpreter,
+    whose every print path (``puts`` too) feeds ``unit.held.printed``."""
     interp.echo = False
-    rules = unit.rules if unit.add_rules is not None else None
-    register_turbine(interp, client, ctx, unit.deferred, unit.held, rules, unit.writes, unit.scratch)
+    held = unit.held
+    interp.stdout = held.printed
+    register_turbine(interp, client, ctx, held)
     interp.eval(TURBINE_TCL)
     if ctx.config.args:
         from ..tcl.listutil import format_list
@@ -172,9 +174,11 @@ def load_rank(
     # R interpreters, the shell interface, and blob utilities.
     from ..interlang import register_standard_packages
 
-    register_standard_packages(interp, ctx)
+    register_standard_packages(interp, ctx.config.interp_mode, held.printed)
     if setup is not None:
         setup(interp, ctx, client)
+    interp.eval(program)
+    held.printed.clear()  # loading is no unit: what it printed is no output
 
 
 def run_turbine_program(
@@ -221,7 +225,7 @@ def run_turbine_program(
         worker if it exited cleanly, None if it was killed."""
         rank = comm.rank
         role = layout.role(rank)
-        ctx = RankContext(layout=layout, role=role, output=output, config=config)
+        ctx = RankContext(layout=layout, role=role, config=config)
         try:
             if role == "server":
                 server = Server(
@@ -245,11 +249,8 @@ def run_turbine_program(
             interp = Interp()
             metrics.register("tcl.vm", interp.vm_stats, rank)
             if role == "engine":
-                engine = Engine(
-                    client, interp, on_error=config.on_error, faults=faults, journal=journal
-                )
-                load_rank(interp, client, ctx, engine.unit, setup)
-                interp.eval(program)
+                engine = Engine(client, interp, config.on_error, faults, journal, output)
+                load_rank(interp, client, ctx, engine.unit, setup, program)
                 # On restore the dataflow state comes from the checkpoint's
                 # rule tables; re-running the entry point would duplicate it.
                 initial = None
@@ -264,9 +265,9 @@ def run_turbine_program(
                 on_error=config.on_error,
                 faults=faults,
                 task_timeout=config.task_timeout,
+                output=output,
             )
-            load_rank(interp, client, ctx, worker.unit, setup)
-            interp.eval(program)
+            load_rank(interp, client, ctx, worker.unit, setup, program)
             worker.serve()
             return worker
         except RankKilled as e:

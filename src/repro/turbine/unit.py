@@ -7,19 +7,22 @@ once, for the four kinds of unit Turbine runs (``task`` on a worker;
 ``rule``, ``ctask`` and the ``program`` on an engine); the engine and
 the worker each hold one and keep only their own loops.
 
-Everything a unit does to the rest of the run waits here.  Its
-*writes* (creates, stores, inserts, container references, writer-slot
-increments), the tasks it *spawns*, the rules it *registers* and its
-refcount *decrements* are held until its Tcl returns.  That is not an
-optimisation: an attempt that will be retried (or, abandoned by the
-watchdog, already is being) re-executes all of them, so a unit that
-raises or is abandoned must leave nothing behind for them to happen
-exactly once.  A finished unit is one step: one op list — the writes,
-a SUBSCRIBE per new rule input, the k spawns, the decrements and one
-``WORK`` of ``k + r - 1`` (its r rules and k spawns counted, its own
-counter unit back) — sent as one OP_COMMIT per server, so a unit whose
-write or subscribe a server rejects has counted nothing and spawned
-nothing, and its rules are registered only once it landed.
+Everything a unit does to the rest of the run waits here, in one
+:class:`Held`.  Its *writes* (creates, stores, inserts, container
+references, writer-slot increments), the tasks it *spawns*, the rules
+it *registers*, its refcount *decrements* and the lines it *prints*
+(``printf`` / ``trace``, an embedded language's prints, Tcl ``puts``)
+are held until its Tcl returns.  That is not an optimisation: an
+attempt that will be retried (or, abandoned by the watchdog, already
+is being) re-executes all of them, so a unit that raises or is
+abandoned must leave nothing behind for them to happen exactly once.
+A finished unit is one step: its lines become program output, then
+one op list — the writes, a SUBSCRIBE per new rule input, the k
+spawns, the decrements and one ``WORK`` of ``k + r - 1`` (its r rules
+and k spawns counted, its own counter unit back) — is sent as one
+OP_COMMIT per server, so a unit whose write or subscribe a server
+rejects has counted nothing and spawned nothing, and its rules are
+registered only once it landed.
 """
 
 from __future__ import annotations
@@ -48,6 +51,34 @@ KINDS = {
 }
 
 
+class Held:
+    """What the running unit holds until its Tcl returns.  The
+    ``turbine::*`` builtins write into these very tables, so none is
+    ever rebound: :meth:`clear` empties them in place."""
+
+    __slots__ = ("writes", "scratch", "spawns", "rules", "deferred", "printed")
+
+    def __init__(self, rules: bool = True):
+        # data-op dicts of its writes, in program order; ``scratch`` has
+        # them applied to the TDs the unit created, so it can read those
+        # before they exist on their servers
+        self.writes: list[dict] = []
+        self.scratch = DataStore()
+        self.spawns: list[tuple] = []  # (type, action, priority, target, server)
+        # Rule.spec dicts; None on a worker, which registers no rule
+        self.rules: list[dict] | None = [] if rules else None
+        self.deferred: dict[int, list[int]] = {}  # td id -> [read, write] deltas
+        self.printed: list[str] = []
+
+    def clear(self) -> None:
+        """Forget all of it: the unit committed, or rolled back."""
+        del self.writes[:], self.spawns[:], self.printed[:]
+        if self.rules:
+            del self.rules[:]
+        self.deferred.clear()
+        self.scratch.tds.clear()
+
+
 class UnitRunner:
     """Runs units of work on one rank and owns their accounting.
 
@@ -57,6 +88,8 @@ class UnitRunner:
     one pointer test.  ``subscriptions`` and ``add_rules`` are the
     engine's :meth:`~repro.turbine.engine.Engine.subscriptions` and
     :meth:`~repro.turbine.engine.Engine.add_rules`, None on a worker.
+    ``output`` is the run's :class:`~repro.turbine.runtime.Output`, the
+    one place a printed line becomes program output; None drops them.
     """
 
     def __init__(
@@ -67,6 +100,7 @@ class UnitRunner:
         faults: Any | None = None,
         subscriptions=None,
         add_rules=None,
+        output=None,
     ):
         self.client = client
         self.interp = interp
@@ -74,24 +108,12 @@ class UnitRunner:
         self.faults = faults
         self.subscriptions = subscriptions
         self.add_rules = add_rules
+        self.output = output
         # the rank's event ring / the same ring on traced runs, else None
         self.ring = client.ring
         self.tracer = client.tracer
         self.failures: list[TaskFailure] = []
-        # td id -> [read_delta, write_delta] the running unit deferred;
-        # never rebound: the ``turbine::*_refcount_decr`` builtins
-        # write into this very dict
-        self.deferred: dict[int, list[int]] = {}
-        # (type, action, priority, target, server) spawns the running
-        # unit holds until its Tcl returns; the same kind of shared table
-        self.held: list[tuple] = []
-        # Rule.spec dicts of the rules it registered, held the same way
-        self.rules: list[dict] = []
-        # data-op dicts of its writes, in program order, held the same
-        # way; ``scratch`` has them applied to the TDs the unit created,
-        # so it can read those before they exist on their servers
-        self.writes: list[dict] = []
-        self.scratch = DataStore()
+        self.held = Held(add_rules is not None)
         # numbers task / control-task unit ids; counts retries too
         self._seq = 0
         # the running task's place in its bundle, which a failure report
@@ -171,17 +193,25 @@ class UnitRunner:
                 # spawns; the decrements; the counter move, k + r - 1.
                 # The master's commit goes last, so a write or subscribe
                 # a server rejects fails the unit before it counts.
-                held, rules, writes, deferred = self.held, self.rules, self.writes, self.deferred
+                held = self.held
+                spawns, rules, writes, deferred = held.spawns, held.rules, held.writes, held.deferred
                 ops = writes[:]
                 if rules:
                     subs = self.subscriptions(rules)
                     read = {op["id"] for op in subs}
                     ops = sorted(writes + subs, key=lambda op: op.get("dst") in read)
-                if held:
-                    ops += client.tasks(held)
+                if spawns:
+                    ops += client.tasks(spawns)
                 for id, (r, w) in deferred.items():
                     ops.append({"op": C.OP_REFCOUNT, "id": id, "read_delta": r, "write_delta": w})
-                ops += client.work(len(held) + len(rules) - 1)
+                ops += client.work(len(spawns) + len(rules or ()) - 1)
+                if held.printed and self.output is not None:
+                    # Before the commit, never after: its data parts land
+                    # and wake readers before its master part does, and a
+                    # unit they enable must not print first.  A commit a
+                    # server rejects has printed all the same.
+                    for line in held.printed:
+                        self.output.emit(rank, line)
                 closed = client.commit(ops)
                 if rules:
                     self.add_rules(rules, closed)
@@ -191,9 +221,7 @@ class UnitRunner:
                     # downstream rules, so the edge matters causally).
                     tds = {"tds": sorted(deferred)} if self.tracer is not None else None
                     self.ring.emit("refcount_flush", len(deferred), unit, payload=tds)
-                del writes[:], held[:], rules[:]
-                deferred.clear()
-                self.scratch.tds.clear()
+                held.clear()
         except (AbortError, DeadlockError):
             # Transport-level failures are rank problems, not unit
             # failures: never retried or recorded, always fatal.
@@ -204,7 +232,7 @@ class UnitRunner:
             # Expired while the unit ran: it was already failed back to
             # the server (and is being retried elsewhere), so this
             # attempt's results are discarded — no counter decrement.
-            self.roll_back()
+            self.held.clear()
             if sink is not None:
                 sink.emit("task_abandon", *head, "TaskTimeout", t0=t0)
             return False
@@ -230,7 +258,7 @@ class UnitRunner:
         error = "%s: %s" % (type(e).__name__, e)
         tb = "".join(traceback.format_exception(type(e), e, e.__traceback__))
         # A unit that raised leaves nothing behind, under every policy.
-        self.roll_back()
+        self.held.clear()
         if retryable and self.on_error == "retry":
             self.client.task_fail(kind, error, tb, self.place)
             return
@@ -250,15 +278,3 @@ class UnitRunner:
             return
         self.client.decr_work()
         raise TaskError(failure) from e
-
-    # ------------------------------------------------------------ roll back
-
-    def roll_back(self) -> None:
-        """The unit raised, or will run again (or already is,
-        elsewhere): drop everything it holds — its writes, spawns,
-        rules and deferred decrements."""
-        self.deferred.clear()
-        self.held.clear()
-        self.rules.clear()
-        self.writes.clear()
-        self.scratch.tds.clear()

@@ -109,8 +109,9 @@ class Worker:
         on_error: str = "retry",
         faults: Any | None = None,
         task_timeout: float | None = None,
+        output=None,
     ):
-        self.unit = UnitRunner(client, interp, on_error, faults)
+        self.unit = UnitRunner(client, interp, on_error, faults, output=output)
         self.client = client
         register = client.comm.metrics.register
         self.stats = register("worker", WorkerStats(), client.rank)
@@ -151,8 +152,8 @@ class Worker:
         return {
             "role": "worker",
             "rank": self.client.rank,
-            "pending_refcounts": len(self.unit.deferred),
-            "pending_writes": len(self.unit.writes),
+            "pending_refcounts": len(self.unit.held.deferred),
+            "pending_writes": len(self.unit.held.writes),
             "tasks_run": self.stats.tasks_run,
             "abandoned": self.watchdog_stats.abandoned,
             "failures": len(self.unit.failures),

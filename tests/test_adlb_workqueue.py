@@ -96,14 +96,8 @@ class TestTargeting:
             q.push(Task("WORK", "w%d" % i))
         stolen = q.steal(["WORK"])
         assert [t.payload for t in stolen] == ["w0", "w1"]
-        assert q.counts_by_type() == {"WORK": 3, "CONTROL": 6}
-
-    def test_counts_by_type(self):
-        q = WorkQueue()
-        q.push(Task("WORK", 1))
-        q.push(Task("WORK", 2, target=5))
-        q.push(Task("CONTROL", 3))
-        assert q.counts_by_type() == {"WORK": 2, "CONTROL": 1}
+        # what Server._bundle sizes a bundle by, per asked type
+        assert q.matching(("WORK",), 0) == 3 and q.matching(("CONTROL",), 0) == 6
 
 
 @given(

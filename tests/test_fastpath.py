@@ -136,9 +136,7 @@ def run_unit(body):
             return
         interp = Interp()
         unit = UnitRunner(client, interp)
-        register_turbine(
-            interp, client, None, unit.deferred, unit.held, None, unit.writes, unit.scratch
-        )
+        register_turbine(interp, client, None, unit.held)
         after = []
         interp.register("body", lambda it, args: after.append(body(unit, interp.eval)) or "")
         client.incr_work()  # the unit of work ``body`` stands for
@@ -168,12 +166,12 @@ class TestRetrieveCacheInvalidation:
             tcl("turbine::read_refcount_decr %d" % b)
             # Deferred: the server has applied neither decrement, so
             # both TDs are still live and readable.
-            assert unit.deferred == {a: [-1, 0], b: [-1, 0]}
+            assert unit.held.deferred == {a: [-1, 0], b: [-1, 0]}
             exists = lambda td: client.read({"op": C.OP_EXISTS, "id": td})
             assert exists(b) and client.retrieve(a) == 1
 
             def after():  # the unit committed: one batch, then the counter unit
-                assert not unit.deferred
+                assert not unit.held.deferred
                 return exists(a), exists(b)
 
             return after
@@ -188,7 +186,7 @@ class TestRetrieveCacheInvalidation:
             client = unit.client
             c = client.create("container", write_refcount=1)
             tcl("turbine::write_refcount_incr %d 2" % c)
-            assert not unit.deferred and unit.writes[0]["write_delta"] == 2
+            assert not unit.held.deferred and unit.held.writes[0]["write_delta"] == 2
             for i in range(3):  # the third closes it
                 tcl("turbine::container_insert %d %d %d" % (c, i, 10 * i))
             return lambda: client.retrieve(c)  # the unit's commit closed it
@@ -200,8 +198,8 @@ class TestRetrieveCacheInvalidation:
             client = unit.client
             c = client.create("container", write_refcount=1)
             tcl("turbine::write_refcount_decr %d" % c)
-            unit.roll_back()  # the unit will run again
-            assert not unit.deferred
+            unit.held.clear()  # the unit will run again
+            assert not unit.held.deferred
             # the unit's commit lands nothing; subscribe is True once closed
             return lambda: client.subscribe(c)
 

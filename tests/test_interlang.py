@@ -97,12 +97,14 @@ class TestEmbeddedPython:
             assert emb.stdout == ["rank %d line %d" % (r, i) for i in range(3000)]
         assert capsys.readouterr().out == ""
 
-    def test_failed_task_output_dropped(self):
+    def test_failed_task_output_kept_for_its_unit(self):
+        # A failed call's lines are handed on like a returned call's:
+        # the unit around it decides whether they become output.
         emb = EmbeddedPython()
         with pytest.raises(PythonTaskError):
-            emb.eval("print('lost'); 1 / 0", "")
-        emb.eval("print('kept')", "")
-        assert emb.stdout == ["kept"]
+            emb.eval("print('before'); 1 / 0", "")
+        emb.eval("print('after')", "")
+        assert emb.stdout == ["before", "after"]
 
     def test_print_to_explicit_file_not_captured(self, capsys):
         emb = EmbeddedPython()

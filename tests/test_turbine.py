@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adlb.datastore import DataStore
 from repro.faults import TaskError
 from repro.mpi import AbortError, DeadlockError
 from repro.mpi.launcher import RankFailure
 from repro.tcl import Interp
 from repro.turbine import RuntimeConfig, run_turbine_program
 from repro.turbine.builtins import SPLIT_OVER, range_count, register_turbine
+from repro.turbine.unit import Held
 
 
 def run(program: str, size: int = 4, **kw) -> list[str]:
@@ -232,7 +232,7 @@ class TestSpawn:
 
         for compiled in (True, False):
             interp = Interp(compile_enabled=compiled)
-            register_turbine(interp, None, None, {}, [], None, [], DataStore())
+            register_turbine(interp, None, None, Held(rules=False))
             interp.register("turbine::boom", boom)
             interp.eval("proc f {} { turbine::boom }")
             for script in ("turbine::boom", "f", "catch { f } msg", "if { [ catch { f } ] } { }"):

@@ -2,17 +2,20 @@
 
 One table for every kind of unit — worker task, fired rule, control
 task, program — pins the accounting each ending owes, and whole-stack
-runs show why a unit's writes, rules and refcount decrements wait for
-it to end rather than take effect where the Tcl calls them: a unit
-that raises leaves nothing behind, at one server or two.
+runs show why a unit's writes, rules, refcount decrements and printed
+lines wait for it to end rather than take effect where the Tcl calls
+them: a unit that raises leaves nothing behind, at one server or two.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+import types
 
 import pytest
 
+from repro import swift_run
 from repro.adlb import constants as C
 from repro.adlb.client import AdlbClient
 from repro.faults import TaskError
@@ -65,6 +68,16 @@ class FakeEngine:
         self.client.calls.append(("add_rules", list(specs), closed))
 
 
+class FakeOutput:
+    """The run's output, recorded in the client's call list."""
+
+    def __init__(self, client):
+        self.client = client
+
+    def emit(self, rank, line):
+        self.client.calls.append(("emit", rank, line))
+
+
 class FakeInterp:
     def __init__(self, raises=None):
         self.raises = raises
@@ -83,10 +96,11 @@ def make(on_error, raises=None, ring=None):
         on_error,
         subscriptions=engine.subscriptions,
         add_rules=engine.add_rules,
+        output=FakeOutput(client),
     )
     # A write and a decrement the unit performed before it ended.
-    unit.writes.append(WRITE)
-    unit.deferred[11] = [0, -1]
+    unit.held.writes.append(WRITE)
+    unit.held.deferred[11] = [0, -1]
     return unit, client
 
 
@@ -125,27 +139,27 @@ class TestOneTableEveryKind:
         # writes, the decrements and the counter unit, in one commit;
         # nothing is left for the caller to send.
         assert client.calls == [LANDED]
-        assert not unit.deferred and not unit.writes and not unit.failures
+        assert not unit.held.deferred and not unit.held.writes and not unit.failures
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_finished_unit_sends_its_spawns_as_one_put(self, kind):
         unit, client = make("retry")
         spawns = [("WORK", "leafA", 0, -1, SERVER), ("CONTROL", "ctaskB", 1, -1, SERVER)]
-        unit.held.extend(spawns)
+        unit.held.spawns.extend(spawns)
         assert run(unit, kind) is True
         # in the one commit the unit sends, after the writes and before
         # the decrements and the counter move that counts them
         put = {"op": "TASKS", "server": SERVER, "tasks": [s[:4] for s in spawns]}
         assert client.calls == [("commit", [WRITE, put, DECREMENT, counter_move(2)])]
-        assert unit.held == []
+        assert unit.held.spawns == []
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_held_rules_are_registered_before_the_put(self, kind):
         unit, client = make("retry")
         spawns = [("WORK", "leafA", 0, -1, SERVER)]
         rules = [RULE, dict(RULE, type="WORK", inputs=[5, 6]), dict(RULE, inputs=[6])]
-        unit.held.extend(spawns)
-        unit.rules.extend(rules)
+        unit.held.spawns.extend(spawns)
+        unit.held.rules.extend(rules)
         assert run(unit, kind) is True
         # One commit: the writes first, so the rules' subscribes (one
         # per input) find what the unit created; the put; the
@@ -160,25 +174,44 @@ class TestOneTableEveryKind:
             ("commit", [WRITE, dict(sub, id=5), dict(sub, id=6), put, DECREMENT, counter_move(4)]),
             ("add_rules", rules, [5]),
         ]
-        assert unit.held == [] and unit.rules == []
+        assert unit.held.spawns == [] and unit.held.rules == []
 
     @pytest.mark.parametrize("on_error", POLICIES)
     def test_a_failed_unit_drops_the_spawns_it_held(self, on_error):
         # ... and the rules and writes: the next unit that finishes must
         # not send, register or commit them
         unit, client = make(on_error, RecursionError("deep"))
-        unit.held.append(("WORK", "leafA", 0, -1, SERVER))
-        unit.rules.append(RULE)
+        unit.held.spawns.append(("WORK", "leafA", 0, -1, SERVER))
+        unit.held.rules.append(RULE)
         try:
             run(unit, "ctask")
         except TaskError:
             pass
-        assert unit.held == [] and unit.rules == [] and unit.writes == []
+        assert unit.held.spawns == [] and unit.held.rules == [] and unit.held.writes == []
         assert not any(call[0] in ("commit", "add_rules") for call in client.calls)
-        unit.held.append(("WORK", "leafA", 0, -1, SERVER))
-        unit.rules.append(RULE)
-        unit.roll_back()
-        assert unit.held == [] and unit.rules == []
+        unit.held.spawns.append(("WORK", "leafA", 0, -1, SERVER))
+        unit.held.rules.append(RULE)
+        unit.held.clear()
+        assert unit.held.spawns == [] and unit.held.rules == []
+
+    @pytest.mark.parametrize("on_error", POLICIES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_printed_lines_go_out_just_before_the_commit_or_never(self, kind, on_error):
+        unit, client = make(on_error)
+        unit.held.printed.extend(["one", "two"])
+        assert run(unit, kind) is True
+        # before the commit: its data parts wake readers before its
+        # master part lands, and what they run must print after these
+        assert client.calls == [("emit", RANK, "one"), ("emit", RANK, "two"), LANDED]
+        assert unit.held.printed == []
+        unit, client = make(on_error, ValueError("boom"))
+        unit.held.printed.append("one")
+        try:
+            run(unit, kind)
+        except TaskError:
+            pass
+        # a unit that raised prints nothing, under every policy
+        assert ("emit", RANK, "one") not in client.calls and unit.held.printed == []
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_retry_hands_a_leased_unit_back_and_drops_its_decrements(self, kind):
@@ -193,7 +226,7 @@ class TestOneTableEveryKind:
                 run(unit, kind)
             assert client.calls == ["decr_work"]
             assert (info.value.failure.kind, info.value.failure.rank) == (kind, RANK)
-        assert not unit.deferred and not unit.failures
+        assert not unit.held.deferred and not unit.failures
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_retry_without_leases_gives_up_at_once(self, kind):
@@ -218,7 +251,7 @@ class TestOneTableEveryKind:
         assert run(unit, kind) is False
         # a failed unit lands nothing: not its writes, not its decrements
         assert client.calls == ["decr_work(poison)"]
-        assert not unit.writes and not unit.deferred
+        assert not unit.held.writes and not unit.held.deferred
         (failure,) = unit.failures
         assert (failure.kind, failure.rank, failure.payload) == (kind, RANK, "leaf")
         assert failure.error == "ValueError: boom" and "boom" in failure.traceback
@@ -229,7 +262,7 @@ class TestOneTableEveryKind:
         with pytest.raises(TaskError, match="boom"):
             run(unit, kind)
         assert client.calls == ["decr_work"]
-        assert not unit.failures and not unit.writes and not unit.deferred
+        assert not unit.failures and not unit.held.writes and not unit.held.deferred
 
     @pytest.mark.parametrize("exc", [AbortError, DeadlockError])
     @pytest.mark.parametrize("on_error", POLICIES)
@@ -253,11 +286,13 @@ class TestOneTableEveryKind:
 
         for raises in (None, ValueError("late")):
             unit, client = make("retry", raises)
-            unit.held.append(("WORK", "leafA", 0, -1, SERVER))
-            unit.rules.append(RULE)
+            unit.held.spawns.append(("WORK", "leafA", 0, -1, SERVER))
+            unit.held.rules.append(RULE)
+            unit.held.printed.append("late")
             assert unit.run("task", "leaf", guard=Expired()) is False
-            assert client.calls == [] and not unit.deferred and not unit.failures
-            assert unit.held == [] and unit.rules == [] and unit.writes == []
+            assert client.calls == [] and not unit.held.deferred and not unit.failures
+            assert unit.held.spawns == [] and unit.held.rules == [] and unit.held.writes == []
+            assert unit.held.printed == []
 
     @pytest.mark.parametrize(
         "kind, ok, failed",
@@ -310,9 +345,11 @@ proc flaky { c } {
     turbine::write_refcount_decr $c 1
     if { ! [ info exists ::tried ] } {
         set ::tried 1
+        attempt 1
         turbine::log_output "attempt 1"
         error "first attempt fails after its decrement"
     }
+    attempt 2
     turbine::log_output "attempt 2"
 }
 """
@@ -415,11 +452,18 @@ class TestWhyWritesWait:
     ``stored twice``."""
 
     def test_retried_control_task_closes_its_container_once(self):
+        attempts = []
+
+        def setup(interp, ctx, client):
+            interp.register("attempt", lambda it, args: attempts.append(args[0]) or "")
+
         res = run_turbine_program(
-            CTASK_RETRY, RuntimeConfig(size=3, on_error="retry", audit=True)
+            CTASK_RETRY, RuntimeConfig(size=3, on_error="retry", audit=True), setup=setup
         )
-        # The container closes after the retry, not after the failed attempt.
-        assert res.stdout_lines == ["attempt 1", "attempt 2", "closed"]
+        # The container closes after the retry, not after the failed
+        # attempt, whose line is dropped with the rest of it.
+        assert attempts == ["1", "2"]
+        assert res.stdout_lines == ["attempt 2", "closed"]
         assert res.ok and res.audit.ok, res.audit.render()
         assert res.metrics["counters"]["adlb.lease.requeued"] == 1
 
@@ -439,8 +483,10 @@ class TestWhyWritesWait:
             RuntimeConfig(size=4, on_error="retry", task_timeout=0.2, audit=True),
             setup=setup,
         )
-        # Both attempts ran to their end; only the retry's decrement landed.
-        assert sorted(res.stdout_lines) == ["closed", "slow done", "slow done"]
+        # Both attempts ran to their end; only the retry's decrement and
+        # line landed.
+        assert len(tried) == 2
+        assert sorted(res.stdout_lines) == ["closed", "slow done"]
         assert res.ok and res.audit.ok, res.audit.render()
         counters = res.metrics["counters"]
         assert counters["worker.watchdog.abandoned"] == 1
@@ -603,3 +649,96 @@ class TestAFinishedUnitIsOneCommit:
         assert res.stdout_lines == ["slow done"] and res.audit.ok, res.audit.render()
         (failure,) = res.failures
         assert failure.kind == "task" and "stored twice" in failure.error
+
+
+# ------------------------------------------------ what a unit prints is held
+
+# A python() leaf that prints, then a fused parseint of what it returned.
+PRINT_THEN_RAISE = """
+string s = python("import print_probe; x = print_probe.leaf(); print('printed', print_probe.runs)", "x");
+int n = parseint(s);
+trace(n);
+"""
+
+# An r() leaf that prints and fails; after a python() leaf, one that prints.
+R_PRINT_THEN_STOP = """
+string a = r("cat('hello 1'); stop('boom')", "1");
+string p = python("", "'2'");
+string b = r(strcat("cat('hello', ", p, ")"), "2");
+trace(b);
+"""
+
+# Both engine and worker units that puts.
+PUTS = """
+proc swift:main {} {
+    puts "from puts"
+    turbine::rule [ list ] { puts "from a worker" } WORK
+}
+"""
+
+# A leaf's output feeds two trace rules (used twice, nothing fuses).
+LEAF_THEN_TRACES = """
+string s = python("print('leaf printed')", "'x'");
+trace(s, 1);
+trace(s, 2);
+"""
+
+
+@pytest.fixture()
+def print_probe(monkeypatch):
+    """The module :data:`PRINT_THEN_RAISE`'s leaf calls: it counts its
+    runs and returns ``answers`` in turn (``"oops"``, which parseint
+    rejects, then ``"7"`` by default)."""
+    mod = types.ModuleType("print_probe")
+    mod.runs = 0
+    mod.answers = ["oops", "7"]
+
+    def leaf():
+        mod.runs += 1
+        return mod.answers[min(mod.runs, len(mod.answers)) - 1]
+
+    mod.leaf = leaf
+    monkeypatch.setitem(sys.modules, "print_probe", mod)
+    return mod
+
+
+class TestPrintedLinesAreHeld:
+    """A unit's printed lines — ``printf`` / ``trace``, an embedded
+    language's prints, Tcl ``puts`` — are held with its other effects
+    and become output just before its commit: a unit that raised or was
+    abandoned prints nothing, and a retried one prints once."""
+
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_a_leaf_whose_fused_op_raises_prints_nothing(self, print_probe, servers):
+        print_probe.answers = ["oops"]
+        res = swift_run(PRINT_THEN_RAISE, workers=1, servers=servers, on_error="continue")
+        assert print_probe.runs == 1
+        assert res.stdout_lines == []
+        (failure,) = res.failures
+        assert failure.kind == "task"
+
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_a_retried_leaf_prints_once(self, print_probe, servers):
+        res = swift_run(PRINT_THEN_RAISE, workers=1, servers=servers, on_error="retry")
+        assert print_probe.runs == 2
+        assert res.stdout_lines == ["printed 2", "trace: 7"] and res.ok
+
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_a_failed_r_leafs_line_is_neither_printed_nor_carried_on(self, servers):
+        # One worker: the failing leaf runs before the one that waits on p.
+        res = swift_run(R_PRINT_THEN_STOP, workers=1, servers=servers, on_error="continue")
+        assert res.stdout_lines == ["hello 2", "trace: 2"]
+        (failure,) = res.failures
+        assert "boom" in failure.error
+
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_puts_in_a_unit_is_output(self, servers):
+        config = RuntimeConfig(size=2 + servers, n_servers=servers)
+        res = run_turbine_program(PUTS, config)
+        assert sorted(res.stdout_lines) == ["from a worker", "from puts"]
+
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_a_leafs_line_comes_before_what_its_output_fires(self, servers):
+        res = swift_run(LEAF_THEN_TRACES, workers=2, servers=servers)
+        assert res.stdout_lines[0] == "leaf printed"
+        assert sorted(res.stdout_lines[1:]) == ["trace: x,1", "trace: x,2"]
