@@ -48,7 +48,7 @@ from repro.swig import NativeLibrary, install_package, register_library  # noqa:
 from repro.tcl import Interp  # noqa: E402
 
 # (id, checked number) -> who owns making it hold
-KNOWN_FAILING = {("FIG2", "real_spread"): "ROADMAP item 2"}
+KNOWN_FAILING: dict[tuple[str, str], str] = {}
 
 
 def median_seconds(run: Callable[[], object], rounds: int = 3, clock: str = "busy") -> float:

@@ -88,8 +88,10 @@ class AdlbClient:
         if reliable:
             comm.metrics.register("adlb.rpc", self.rpc_stats, self.rank)
         self._seq = 0
-        # outstanding async park (park_async .. its grant in recv_async)
+        # outstanding async park (park_async .. its grant in recv_async),
+        # and async messages taken while waiting for its acknowledgement
         self._park: _Pending | None = None
+        self._taken: list[tuple] = []
         # counter units a worker owes its next GET (``done``): its only
         # decrement is a unit's commit, followed, after the rest of the
         # unit's bundle, by a GET.
@@ -144,6 +146,8 @@ class AdlbClient:
                     return reply[:-1]
                 self.rpc_stats.stale_replies += 1
                 continue
+            if p is self._park and self._park_answered(p.seq):
+                return ("parked",)
             now = self.comm.now()
             cur = self.map.epoch
             if cur != p.epoch:
@@ -155,6 +159,17 @@ class AdlbClient:
                 self.rpc_stats.resends += 1
             self.comm.send(p.msg, self.map.resolve(p.anchor), C.TAG_REQUEST)
             p.last_send = now
+
+    def _park_answered(self, seq: int) -> bool:
+        """True when the async channel holds the park's grant or a
+        shutdown, after which its acknowledgement may never come; what
+        is taken waits for :meth:`recv_async`, in order."""
+        while (got := self.comm.recv_poll(tag=C.TAG_ASYNC, timeout=0)) is not None:
+            self._taken.append(got[0])
+        return any(
+            msg[0] == "shutdown" or (msg[0] == "ctask" and msg[3:] == (seq,))
+            for msg in self._taken
+        )
 
     # ------------------------------------------------------------------ work
 
@@ -228,7 +243,10 @@ class AdlbClient:
             msg, _ = self.comm.recv(tag=C.TAG_ASYNC)
             return msg
         while True:
-            got = self.comm.recv_poll(tag=C.TAG_ASYNC, timeout=0.05)
+            if self._taken:
+                got = (self._taken.pop(0), None)
+            else:
+                got = self.comm.recv_poll(tag=C.TAG_ASYNC, timeout=0.05)
             if got is not None:
                 msg, _ = got
                 if msg[0] == "ctask":

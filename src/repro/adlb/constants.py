@@ -52,8 +52,8 @@ SOP_SHUTDOWN = "SHUTDOWN"
 SOP_RANK_DEAD = "RANK_DEAD"  # launcher-side notification: a rank died
 SOP_DRAIN_PROBE = "DRAIN_PROBE"  # master asks: are you quiescent?
 SOP_DRAIN_RESP = "DRAIN_RESP"
-SOP_REPLICATE = "REPLICATE"  # batched op-log entries to the buddy server
-SOP_REPL_ACK = "REPL_ACK"  # buddy acknowledges applied entries
+SOP_REPLICATE = "REPLICATE"  # a turn's op-log entries to the buddy (+ its ack)
+SOP_REPL_ACK = "REPL_ACK"  # a lone ack, where no batch goes back (3+ servers)
 SOP_CKPT_REQ = "CKPT_REQ"  # master asks a server for its checkpoint shard
 SOP_CKPT_PART = "CKPT_PART"  # shard/engine contribution back to the master
 
@@ -67,3 +67,7 @@ GET_BUNDLE = 8
 #: seconds of work a bundle holds at most, at the pace of the worker's
 #: last lease: tasks of ``BUNDLE_S / 2`` or longer go one a GET
 BUNDLE_S = 0.002
+
+#: most messages one server turn (``Server.pump``) dispatches before it
+#: ships its op-log batch and looks at its timers again
+TURN_MAX = 16

@@ -2,9 +2,14 @@
 
 Every mutation — data-store ops, work-queue inserts/grants,
 termination-counter changes — is logged to the server's *buddy* (the
-next live server in ring order) as batched ``SOP_REPLICATE`` entries,
-flushed at every dispatch boundary.  Injected kills fire *between*
-dispatches (fail-stop), so a dead server's replicated image is exact.
+next live server in ring order) as ``SOP_REPLICATE`` batches, one per
+server turn (``Server.pump``).  Injected kills fire *between*
+dispatches and ship the turn's batch first (fail-stop), so a dead
+server's replicated image is exact: every message it took is in it, and
+every one it did not is still in its mailbox.  A batch carries the ack
+of the stream its recipient sends back, so a ring of two sends no
+``SOP_REPL_ACK``; a larger ring acks a ward alone, at most once per
+heartbeat interval.
 The buddy detects death by notification or heartbeat loss, promotes the
 replica shard, re-routes clients via the shared epoch-stamped
 :class:`~repro.adlb.layout.ServerMap`, adopts the dead server's leases
@@ -134,7 +139,9 @@ class Replication:
         self.buf: list[tuple] = []
         self.seq = 0  # entries sent
         self.acked = 0  # entries the buddy confirmed applied
-        self._last_flush = core.comm.now()
+        # ward -> the seq of its stream applied here and not yet acked
+        self.owed: dict[int, int] = {}
+        self._last_flush = self._last_ack = core.comm.now()
         # Strictly inside the lease: a client blocked on a dead server
         # took its lease before that server's last beat, so at an equal
         # bound the live client is swept first (and `pump` ticks leases
@@ -147,12 +154,17 @@ class Replication:
     # ---------------------------------------------------------------- op-log
 
     def flush(self, heartbeat: bool = False) -> None:
-        """Ship the op-log tail to the buddy.  Empty batches double as
-        liveness heartbeats."""
+        """Ship the op-log tail to the buddy, with the ack of the stream
+        the buddy sends here, if it does (a ring of two).  Empty batches
+        double as liveness heartbeats."""
         if self.buddy is None:
             return
         buf, self.buf = self.buf, []
         self.seq += len(buf)
+        msg = {"op": C.SOP_REPLICATE, "entries": buf, "seq": self.seq}
+        ack = self.owed.pop(self.buddy, None)
+        if ack is not None:
+            msg["ack"] = ack
         self.stats.batches_sent += 1
         self.stats.entries_sent += len(buf)
         lag = self.seq - self.acked
@@ -165,20 +177,28 @@ class Replication:
             # recover what was flushed, so the analyzer links these to
             # promote/requeue events.
             self.core.ring.emit("repl_flush", len(buf), lag, self.seq)
-        self.core.comm.send(
-            {"op": C.SOP_REPLICATE, "entries": buf, "seq": self.seq},
-            self.buddy,
-            C.TAG_SERVER,
-        )
+        self.core.comm.send(msg, self.buddy, C.TAG_SERVER)
         self._last_flush = self.core.comm.now()
 
-    def last_gasp(self) -> None:
-        """Push the unflushed op-log tail to the buddy before dying (not
-        on a silent kill: an abrupt crash gets no such courtesy)."""
-        try:
+    def end_turn(self) -> None:
+        """A server turn is over: ship its entries as one batch, and ack
+        the wards no batch of this server goes to."""
+        if self.buf:
             self.flush()
-        except Exception:
-            pass
+        if self.owed:
+            self.ack_wards()
+
+    def ack_wards(self) -> None:
+        """Ack, alone, each ward stream that no batch of this server
+        carries back (a ring of three or more), at most once per
+        heartbeat interval."""
+        now = self.core.comm.now()
+        if now - self._last_ack < self._hb_interval:
+            return
+        for ward in [w for w in self.owed if w != self.buddy]:
+            seq = self.owed.pop(ward)
+            self.core.comm.send({"op": C.SOP_REPL_ACK, "seq": seq}, ward, C.TAG_SERVER)
+            self._last_ack = now
 
     def image(self) -> dict:
         """This server's whole replicable state: what a :class:`Replica`
@@ -225,9 +245,10 @@ class Replication:
                 rep.apply(entry)
         self.last_heard[source] = self.core.comm.now()
         self.stats.entries_applied += len(msg["entries"])
-        self.core.comm.send(
-            {"op": C.SOP_REPL_ACK, "seq": msg["seq"]}, source, C.TAG_SERVER
-        )
+        if msg["entries"]:
+            self.owed[source] = msg["seq"]
+        if "ack" in msg:
+            self.acked = max(self.acked, msg["ack"])
 
     def op_ack(self, msg: dict, source: int) -> None:
         self.acked = max(self.acked, msg["seq"])
@@ -241,6 +262,7 @@ class Replication:
         if dead == core.rank or dead in self.dead_servers:
             return
         self.dead_servers.add(dead)
+        self.owed.pop(dead, None)
         self.stats.server_deaths += 1
         if core.ring is not None:
             core.ring.emit("server_dead", dead)
@@ -330,6 +352,7 @@ class Replication:
         now = core.comm.now()
         if now - self._last_flush >= self._hb_interval:
             self.flush(heartbeat=True)
+        self.ack_wards()
         # Wards: live servers whose buddy is this server.  A ward that
         # stops flushing (silent kill — no launcher notification) is
         # declared dead and its replica promoted; one that said "bye"

@@ -175,35 +175,42 @@ class Server:
             # Establish the ward heartbeat immediately so buddies can
             # tell "never started" from "died silently".
             self.repl.flush(heartbeat=True)
-        try:
-            while not self._done():
-                if not self.pump(timeout=0.02):
-                    self.stats.idle_polls += 1
-                    self._idle_tick()
-        except RankKilled as e:
-            if self.repl is not None and not e.silent:
-                self.repl.last_gasp()
-            raise
+        while not self._done():
+            if not self.pump(timeout=0.02):
+                self.stats.idle_polls += 1
+                self._idle_tick()
         return self.stats
 
     def pump(self, timeout: float) -> bool:
-        """Take one message off the mailbox, waiting up to ``timeout``
-        for it, and dispatch it; False if none came.  The one place a
+        """One turn: wait up to ``timeout`` for a message, then dispatch
+        it and whatever else is already in the mailbox, up to
+        ``TURN_MAX`` messages, and ship the turn's op-log entries as one
+        batch (``end_turn``); False if no message came.  The one place a
         server receives: ``run`` loops over it, a checkpoint drains
         what is already deposited with ``timeout=0``."""
         got = self.comm.recv_poll(timeout=timeout)
         self.leases.tick()
         if got is None:
             return False
-        msg, status = got
-        self.dispatch(msg, status.source, status.tag)
-        if self.faults is not None:
-            directive = self.faults.on_server_op(self.rank)
-            if directive is not None:
-                # Fail-stop between receives: this dispatch is flushed, and
-                # what is not taken stays for the heir's scavenge.
-                raise RankKilled(self.rank, silent=directive[1])
+        for taken in range(1, C.TURN_MAX + 1):
+            msg, status = got
+            self.dispatch(msg, status.source, status.tag)
+            if self.faults is not None and (kill := self.faults.on_server_op(self.rank)):
+                # Fail-stop between receives: the dispatches so far are
+                # shipped; what is not taken stays for the heir's scavenge.
+                self.end_turn()
+                raise RankKilled(self.rank, silent=kill[1])
+            # the bound comes before the receive: a message taken is dispatched
+            if taken == C.TURN_MAX or (got := self.comm.recv_poll(timeout=0)) is None:
+                break
+        self.end_turn()
         return True
+
+    def end_turn(self) -> None:
+        """Ship the op-log entries logged since the last batch, with the
+        buddy's ack riding it, as one ``SOP_REPLICATE``."""
+        if self.repl is not None:
+            self.repl.end_turn()
 
     def _done(self) -> bool:
         if self.repl is not None and not self.repl.wards_settled():
@@ -274,10 +281,6 @@ class Server:
                 cached = self.dedup.slots.get((source, "rpc"))
                 if cached is not None and cached[0] == seq:
                     self.log(("dedup", source, seq, cached[1]))
-        # Replication batches flush at every dispatch boundary, so the
-        # buddy's image is at most one in-flight batch behind.
-        if self.repl is not None and self.repl.buf:
-            self.repl.flush()
 
     def _reply(self, payload: tuple, source: int, seq: int) -> None:
         """Send a TAG_RESPONSE reply, seq-stamped and dedup-cached when

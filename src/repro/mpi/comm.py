@@ -34,11 +34,12 @@ class Status:
 
 @dataclass
 class CommStats:
-    """Per-rank traffic counters, used by benchmarks and tests."""
+    """Per-rank traffic counters, used by benchmarks and tests;
+    ``bytes_sent`` is None (not in the table) where no tracer sizes sends."""
 
     sends: int = 0
     recvs: int = 0
-    bytes_sent: int = 0
+    bytes_sent: int | None = 0
 
     def add_send(self, payload: Any) -> int:
         size = _approx_size(payload)
@@ -124,7 +125,8 @@ class World:
     ``recorder`` is an optional :class:`repro.obs.Recorder`; when set,
     every Comm stamps one ``send`` header and one ``recv`` wait span per
     message into its rank's ring, and the sender's Lamport clock rides
-    the message envelope.  ``faults`` is an optional
+    the message envelope; a level-1 one also sizes each payload
+    (``bytes_sent``).  ``faults`` is an optional
     :class:`repro.faults.FaultState` whose message rules can drop or
     delay sends.  When either is ``None`` the instrumentation is a
     single pointer test per call.  ``metrics`` is the run's counter
@@ -155,8 +157,9 @@ class World:
             metrics = Metrics()
         self.metrics = metrics
         self.mailboxes = [_Mailbox() for _ in range(size)]
+        nbytes = 0 if recorder is not None and recorder.level else None
         self.stats = [
-            metrics.register("mpi", CommStats(), rank=r) for r in range(size)
+            metrics.register("mpi", CommStats(bytes_sent=nbytes), rank=r) for r in range(size)
         ]
         self.aborted = threading.Event()
         self.abort_reason: BaseException | None = None
@@ -213,9 +216,12 @@ class Comm:
                 if directive[0] == "drop":
                     return
                 time.sleep(directive[1])
-        size = world.stats[self.rank].add_send(obj)
-        ring = self.ring
-        clock = 0 if ring is None else ring.emit("send", dest, tag, size)
+        stats = world.stats[self.rank]
+        if self.tracer is not None:
+            clock = self.tracer.emit("send", dest, tag, stats.add_send(obj))
+        else:  # untraced: no payload walk, and no size in the header
+            stats.sends += 1
+            clock = 0 if self.ring is None else self.ring.emit("send", dest, tag, None)
         world.mailboxes[dest].put(self.rank, tag, obj, clock)
 
     def recv(

@@ -63,7 +63,7 @@ class Metrics:
         prefix, _, attr = name.rpartition(".")
         with self._lock:
             return self._settled["counters"].get(name, 0) + sum(
-                getattr(struct, attr, 0)
+                getattr(struct, attr, 0) or 0  # (None: not counted on this run)
                 for p, struct, _ in self._structs
                 if p == prefix
             )

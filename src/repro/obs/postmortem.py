@@ -143,9 +143,14 @@ def _role(roles, rank: int) -> str:
     return "?"
 
 
+def _bytes(size) -> str:
+    """A send's size, which only a traced run weighs."""
+    return "" if size is None else " %sB" % size
+
+
 def _fmt_event(e: BoxEvent) -> str:
     if e.kind == "send":
-        return "send -> %d %s %sB" % (e.a, TAG_NAMES.get(e.b, e.b), e.c)
+        return "send -> %d %s%s" % (e.a, TAG_NAMES.get(e.b, e.b), _bytes(e.c))
     if e.kind == "recv":
         return "recv <- %d %s (saw c=%s)" % (
             e.a,
@@ -231,13 +236,13 @@ def render_postmortem(box: dict, last: int = DEFAULT_LAST) -> str:
                     else "NOT received (in flight when the rank went quiet)"
                 )
                 lines.append(
-                    "    %d -> %d send lam=%d tag=%s %sB — %s"
+                    "    %d -> %d send lam=%d tag=%s%s — %s"
                     % (
                         edge["src"],
                         r,
                         edge["lam"],
                         TAG_NAMES.get(edge["tag"], edge["tag"]),
-                        edge["size"],
+                        _bytes(edge["size"]),
                         status,
                     )
                 )

@@ -8,6 +8,7 @@ canonical fan-out costs exactly the ops it did before the split.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -380,13 +381,55 @@ class TestOneClock:
         assert mine.leases.table[worker].deadline - clock() >= lease_timeout / 4
 
     def test_pump_is_the_one_door(self):
+        # one pump is one turn: it takes both deposited messages
         server, world = make_server()
         assert not server.pump(timeout=0)
         world.comm(ENGINE).send(PUT, server.rank, C.TAG_ONEWAY)
         world.comm(WORKER).send(GET, server.rank, C.TAG_REQUEST)
-        assert server.pump(timeout=0) and server.queue.size == 1
-        assert server.pump(timeout=0) and not server.pump(timeout=0)
+        assert server.pump(timeout=0) and server.queue.size == 0
+        assert not server.pump(timeout=0)
         assert replies(world, WORKER, C.TAG_RESPONSE) == [grant("leaf")]
+
+
+class TestAParkOutlivesItsLostAcks:
+    """A reliable engine's park whose acknowledgement is lost twice:
+    the server's shutdown, or the park's own grant, on the async
+    channel ends the wait, and is what ``recv_async`` returns.  (Before,
+    the engine re-sent its park to a server that had left, until the
+    run's deadline.)"""
+
+    @pytest.mark.parametrize("answer", ["shutdown", "grant"])
+    def test_the_async_answer_ends_the_wait(self, clock, answer):
+        layout = Layout(size=4, n_servers=1, n_engines=1)
+        rank = layout.master_server
+        plan = FaultPlan().drop_messages(src=rank, dest=ENGINE, tag=C.TAG_RESPONSE, times=2)
+        world = World(layout.size, recv_timeout=None, clock=clock, faults=FaultState(plan))
+        server = Server(world.comm(rank), layout, reliable=True)
+        engine = AdlbClient(world.comm(ENGINE), layout, reliable=True)
+        got = []
+
+        def run():
+            engine.park_async()
+            got.append(engine.recv_async())
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        try:
+            assert server.pump(timeout=5.0)  # parked; the ack is dropped
+            clock.advance(0.3)  # the engine's resend interval passes
+            assert server.pump(timeout=5.0)  # parked again; dropped again
+            if answer == "shutdown":
+                server.dispatch(commit(work(1)), WORKER, C.TAG_ONEWAY)
+                server.dispatch(commit(work(-1)), WORKER, C.TAG_ONEWAY)
+                assert server.shutting_down
+            else:
+                server.dispatch(put([(C.CONTROL, "ctask", 0, -1)]), WORKER, C.TAG_ONEWAY)
+            thread.join(timeout=2.0)
+            assert not thread.is_alive()
+        finally:
+            world.abort()
+        want = ("shutdown",) if answer == "shutdown" else ("ctask", C.CONTROL, "ctask")
+        assert got == [want]
 
 
 class TestTwoMessagesALeaf:
@@ -404,7 +447,8 @@ class TestTwoMessagesALeaf:
         assert replies(world, WORKER, C.TAG_RESPONSE) == [grant("leaf-1")]
         assert sorted(t.payload for t in server.queue.all_tasks()) == ["leaf-2", "leaf-3"]
 
-        def logged():  # the op-log batches the buddy got since last asked
+        def logged():  # the op-log batches the buddy got by the turn's end
+            server.end_turn()
             sent = replies(world, server.repl.buddy, C.TAG_SERVER)
             batches = [m for m in sent if m["op"] == C.SOP_REPLICATE]
             return [[(e[0], payloads(e[1])) for e in b["entries"]] for b in batches]
@@ -413,8 +457,7 @@ class TestTwoMessagesALeaf:
             return [t.payload for t in logged] if isinstance(logged, list) else logged.payload
 
         # the op-log holds each task exactly as k puts of one would, in
-        # one batch: the TASKS op was one dispatch, and a parked GET
-        # takes one task, a bundle of one
+        # the turn's one batch; a parked GET takes one task, a bundle of one
         assert logged() == [
             [("grant", ["leaf-0"]), ("grant", ["leaf-1"]), ("task+", "leaf-2"), ("task+", "leaf-3")]
         ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -235,6 +236,9 @@ class TestPostmortem:
         # Last message edges into the dead rank, each with a verdict.
         assert "-> 0 send lam=" in report
         assert ("delivered" in report) or ("NOT received" in report)
+        # an untraced run weighs no payload: no send line has a size
+        assert re.search(r"-> 0 send lam=\d+ tag=\w+ — ", report)
+        assert "NoneB" not in report
         # Every rank alive at capture has a state line (the dead engine
         # has none): the other engine, both workers, the server.
         assert "rank state at capture:" in report

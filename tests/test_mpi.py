@@ -15,7 +15,9 @@ from repro.mpi import (
     World,
     run_world,
 )
+from repro.mpi import comm as comm_module
 from repro.mpi.launcher import RankFailure
+from repro.obs import Recorder
 
 
 class TestPointToPoint:
@@ -180,7 +182,8 @@ class TestSurface:
 
 class TestStats:
     def test_message_accounting(self):
-        world = World(2)
+        # (sizes are a level-1 count: this world's recorder traces)
+        world = World(2, recorder=Recorder(level=1))
 
         def sender():
             world.comm(0).send(b"x" * 100, 1)
@@ -193,6 +196,21 @@ class TestStats:
         assert world.stats[0].sends == 1
         assert world.stats[0].bytes_sent >= 100
         assert world.stats[1].recvs == 1
+
+    def test_an_untraced_send_weighs_nothing(self, monkeypatch):
+        def weigh(obj):
+            raise AssertionError("an untraced send walked its payload")
+
+        monkeypatch.setattr(comm_module, "_approx_size", weigh)
+        for recorder in (None, Recorder(level=0)):
+            world = World(2, recorder=recorder)
+            world.comm(0).send({"payload": ["x" * 100]}, 1)
+            assert world.comm(1).recv(source=0)[0] == {"payload": ["x" * 100]}
+            assert (world.stats[0].sends, world.stats[0].bytes_sent) == (1, None)
+            assert "mpi.bytes_sent" not in world.metrics.snapshot()["counters"]
+        # the level-0 header has no size
+        ((_, _, _, kind, dest, tag, size, _),) = recorder.ring(0).ordered()
+        assert (kind, dest, tag, size) == ("send", 1, 0, None)
 
     def test_world_size_validation(self):
         with pytest.raises(ValueError):

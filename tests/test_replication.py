@@ -484,9 +484,11 @@ def replicated_servers(n=3, clock=time.monotonic, workers=2, **options):
 
 
 def deliver(world, server):
-    """Dispatch what sits in ``server``'s mailbox."""
+    """Dispatch what sits in ``server``'s mailbox, then end the turn, as
+    ``Server.pump`` does: its op-log batch leaves."""
     for payload, status in world.comm(server.rank).drain_dead(server.rank):
         server.dispatch(payload, status.source, status.tag)
+    server.end_turn()
 
 
 class TestShutdownHandshake:
@@ -571,6 +573,113 @@ def put_msg(payload, type=C.WORK, target=-1):
 
 
 PUT = put_msg("leaf")
+
+
+def spy(monkeypatch, *servers) -> list:
+    """What the servers send each other, as (sender, message), in order."""
+    sent = []
+    for server in servers:
+
+        def send(obj, dest, tag=0, real=server.comm.send, rank=server.rank):
+            if tag == C.TAG_SERVER:
+                sent.append((rank, obj))
+            real(obj, dest, tag)
+
+        monkeypatch.setattr(server.comm, "send", send)
+    return sent
+
+
+class TestOneTurnOneBatch:
+    """A server turn (``Server.pump``) dispatches what its mailbox holds,
+    up to ``TURN_MAX`` messages, and ships one op-log batch; the buddy's
+    ack rides its own batch back, or goes alone at most once a
+    heartbeat interval where no batch goes back."""
+
+    @staticmethod
+    def deposit(world, server, n, first=0):
+        for i in range(first, first + n):
+            world.comm(ENGINE).send(put_msg("leaf-%d" % i), server.rank, C.TAG_ONEWAY)
+
+    def test_k_deposited_messages_are_one_turn_and_one_batch(self, monkeypatch):
+        world, (owner, buddy) = replicated_servers(2)
+        sent = spy(monkeypatch, owner)
+        self.deposit(world, owner, 5)
+        assert owner.pump(timeout=0) and owner.queue.size == 5
+        assert not owner.pump(timeout=0)
+        ((_, batch),) = sent
+        assert batch["op"] == C.SOP_REPLICATE and len(batch["entries"]) == 5
+
+    def test_turn_max_plus_one_messages_take_two_turns_and_lose_none(self, monkeypatch):
+        world, (owner, buddy) = replicated_servers(2)
+        sent = spy(monkeypatch, owner)
+        self.deposit(world, owner, C.TURN_MAX + 1)
+        assert owner.pump(timeout=0) and owner.queue.size == C.TURN_MAX
+        # the bound is checked before the next receive: the last one waits
+        assert len(world.mailboxes[owner.rank].messages) == 1
+        assert owner.pump(timeout=0) and owner.queue.size == C.TURN_MAX + 1
+        assert not owner.pump(timeout=0)
+        assert [len(m["entries"]) for _, m in sent] == [C.TURN_MAX, 1]
+        deliver(world, buddy)
+        assert len(buddy.repl.replicas[owner.rank].tasks) == C.TURN_MAX + 1
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_a_kill_at_dispatch_j_ships_the_first_j_and_leaves_the_rest(self, j):
+        world, (owner, buddy) = replicated_servers(2)
+        owner.faults = FaultState(FaultPlan().kill_rank(owner.rank, after_tasks=j, silent=True))
+        self.deposit(world, owner, 5)
+        with pytest.raises(RankKilled):
+            owner.pump(timeout=0)
+        deliver(world, buddy)
+        shadow = buddy.repl.replicas[owner.rank]
+        assert sorted(t.payload for t in shadow.tasks.values()) == [
+            "leaf-%d" % i for i in range(j)
+        ]
+        # what the turn did not take is the heir's scavenge
+        buddy.repl.server_dead(owner.rank, "killed")
+        assert sorted(t.payload for t in buddy.queue.all_tasks()) == [
+            "leaf-%d" % i for i in range(5)
+        ]
+
+    def test_a_ring_of_two_sends_no_ack_and_acked_still_advances(self, monkeypatch, clock):
+        world, (a, b) = replicated_servers(2, clock=clock)
+        sent = spy(monkeypatch, a, b)
+        self.deposit(world, a, 2)
+        a.pump(timeout=0)
+        b.pump(timeout=0)  # applied: b owes a its ack
+        assert (a.repl.seq, a.repl.acked) == (2, 0)
+        self.deposit(world, b, 1)
+        b.pump(timeout=0)  # b's own batch carries it
+        a.pump(timeout=0)
+        assert (a.repl.acked, b.repl.acked) == (2, 0)
+        # a buddy with nothing to log acks on its heartbeat
+        self.deposit(world, a, 1, first=2)
+        a.pump(timeout=0)
+        b.pump(timeout=0)
+        clock.advance(b.repl._hb_interval)
+        b.repl.tick()
+        a.pump(timeout=0)
+        assert (a.repl.acked, b.repl.acked) == (3, 1)
+        assert {m["op"] for _, m in sent} == {C.SOP_REPLICATE}
+
+    def test_a_ring_of_three_acks_alone_once_a_heartbeat_interval(self, monkeypatch, clock):
+        world, (a, b, c) = replicated_servers(3, clock=clock)
+        assert (a.repl.buddy, b.repl.buddy) == (b.rank, c.rank)  # b does not send to a
+        sent = spy(monkeypatch, b)
+        hb = b.repl._hb_interval
+        clock.advance(hb)
+        for i in range(3):
+            self.deposit(world, a, 1, first=i)
+            a.pump(timeout=0)
+            b.pump(timeout=0)
+        # the first batch is acked at once, the next two wait the interval out
+        assert sent == [(b.rank, {"op": C.SOP_REPL_ACK, "seq": 1})]
+        clock.advance(hb)
+        self.deposit(world, a, 1, first=3)
+        a.pump(timeout=0)
+        b.pump(timeout=0)
+        assert sent[1:] == [(b.rank, {"op": C.SOP_REPL_ACK, "seq": 4})]
+        a.pump(timeout=0)
+        assert a.repl.acked == 4
 
 
 class TestReplicaFollowsOwner:
