@@ -321,17 +321,34 @@ class Codegen:
         self.local_rule(proc, deps, [child.name, *args])
 
     def op_foreach(self, op: Op, proc: Proc) -> None:
-        """A loop proc that runs at once, or as a rule if a bound (or
-        the container) is still a future, and spawns one CONTROL task
-        per iteration.  A loop of leaves (``op.inline``) gets a chunk
-        proc in front of it, or instead of it (:meth:`chunk`)."""
+        """Call the loop's entry proc (:meth:`loop`) at once, or as a
+        rule if a bound (or the container) is still a future."""
+        entry, args = self.loop(op, proc)
+        deps = [self.td(x, proc) for x in op.ins if not x.closed]
+        bounds = [self.val(x, proc) if x.closed else self.td(x, proc) for x in op.ins]
+        if op.inline and op.written and not deps:  # the chunk's writer slots, before it can split
+            proc.emit("set n [ turbine::range_count %s ]" % " ".join(bounds))
+            for arr, writers in op.written:
+                td = self.td(arr, proc)
+                proc.emit("turbine::write_refcount_incr %s [ expr { $n * %d } ]" % (td, writers))
+                proc.emit("turbine::write_refcount_decr %s 1" % td)
+        if deps:
+            self.local_rule(proc, deps, [entry, *bounds, *args])
+        else:
+            proc.emit(" ".join([entry, *bounds, *args]))
+
+    def loop(self, op: Op, proc: Proc) -> tuple[str, list[str]]:
+        """Print the loop's procs; return the one ``proc`` calls and the
+        words it passes after the bounds.  A loop proc spawns one CONTROL
+        task per iteration; a loop whose body only holds (``op.inline``)
+        gets a chunk proc in front of it, or instead of it (:meth:`chunk`)."""
         ranged = len(op.ins) == 3
         (block,) = op.blocks
         params = ["lo", "hi", "step"] if ranged else ["c"]
-        # Only a value op can raise where the body runs: a loop of leaves
-        # that has one keeps the per-iteration loop to fall back on.
-        guarded = op.inline and any(o.kind == "value" for o in all_ops(block))
-        loop = None
+        # Where the body runs, anything but a leaf's spawn can raise: a
+        # chunk of such a body keeps the per-iteration loop to fall back on.
+        guarded = op.inline and any(o.kind != "leaf" for o in all_ops(block))
+        body = loop = None
         if guarded or not op.inline:
             body, _ = self.hoist("body", ["idx"] if ranged else ["idx", "elem"], op.blocks, proc)
             body.val[op.vars[0]] = "$idx"
@@ -344,15 +361,11 @@ class Codegen:
             entry, args = self.hoist("chunk", params, op.blocks, proc)
         # every proc hands the body's captures through under the same names
         passed = ["$" + p for p in entry.params[len(params) :]]
-        deps, bounds, prologue = [], [], []  # prologue: of the proc the caller runs
+        prologue = []  # of the proc the caller runs
         if ranged:
             for label, x in zip(params, op.ins):
-                if x.closed:
-                    bounds.append(self.val(x, proc))
-                else:
+                if not x.closed:
                     prologue.append("set %s [ turbine::retrieve $%s ]" % (label, label))
-                    deps.append(self.td(x, proc))
-                    bounds.append(deps[-1])
             count = "expr { $hi >= $lo ? ( ( $hi - $lo ) / $step ) + 1 : 0 }"
             step = op.ins[2]
             if not (isinstance(step, Const) and step.value > 0):
@@ -361,44 +374,47 @@ class Codegen:
                     prologue.append(count)
             header, item = "for { set i $lo } { $i <= $hi } { incr i $step } {", "$i"
         else:
-            deps.append(self.td(op.ins[0], proc))
-            bounds.append(deps[-1])
             prologue.append("set subs [ turbine::enumerate $c ]")
             count = "llength $subs"
             header, item = "foreach s $subs {", "$s [ turbine::container_lookup $c $s ]"
+        # A written loop takes its writer slots once, before any split: in
+        # the loop proc, or for a chunk in its caller or the start proc a
+        # future bound fires — never in what halves and fallbacks re-enter.
+        written = op.written if not op.inline or prologue else []
+        if written:
+            prologue.append("set n [ %s ]" % count)
+        for arr, writers in written:
+            td = entry.td[arr]
+            prologue.append("turbine::write_refcount_incr %s [ expr { $n * %d } ]" % (td, writers))
+            prologue.append("turbine::write_refcount_decr %s 1" % td)
         if op.inline:
-            self.chunk(op, entry, header, loop, passed)
-            if deps:
+            # A body of leaves and values, the fan-out's, is printed in
+            # the chunk too (a call per leaf costs a fan-out ~5 % of its
+            # rate); any other is printed once, and the chunk calls it.
+            leafy = all(o.kind in ("leaf", "value", "copy", "if") for o in all_ops(block))
+            self.chunk(op, entry, header, loop, passed, "" if leafy else body.name)
+            if prologue:
                 # the halves re-enter with values: the futures are retrieved
                 # once, by the proc the rule fires
                 prologue.append(" ".join([entry.name, "$lo", "$hi", "$step", *passed]))
                 entry = self.new_proc("swift:__start%d" % next(self._hoist), entry.params)
         entry.emit_all(prologue)
-        if op.written:
-            loop.emit("set n [ %s ]" % count)
-        for arr, writers in op.written:
-            loop.emit(
-                "turbine::write_refcount_incr %s [ expr { $n * %d } ]" % (loop.td[arr], writers)
-            )
-            loop.emit("turbine::write_refcount_decr %s 1" % loop.td[arr])
         if loop is not None:
             spawn = "turbine::spawn CONTROL [ list %s ]" % " ".join([body.name, item, *passed])
             loop.emit_all([header, "    " + spawn, "}"])
-        if deps:
-            self.local_rule(proc, deps, [entry.name, *bounds, *args])
-        else:
-            proc.emit(" ".join([entry.name, *bounds, *args]))
+        return entry.name, args
 
-    def chunk(self, op: Op, chunk: Proc, header: str, loop: Proc | None, passed: list[str]) -> None:
-        """The proc of a loop of leaves: split a long range into CONTROL
-        tasks that re-enter it, run the body of a short one in place.
-        Its spawns, like every unit's, leave when it returns (one put
-        for the chunk).  A body that evaluates anything does so for the
-        whole chunk under a catch: if a payload raises, the branch drops
-        the spawns the chunk made, not those of the unit that called it
-        in place, and ``loop`` runs the iterations — and
-        the one fails — as control tasks, as if there were no chunk
-        proc."""
+    def chunk(
+        self, op: Op, chunk: Proc, header: str, loop: Proc | None, passed: list[str], call: str
+    ) -> None:
+        """The proc of a loop whose body only holds: split a long range
+        into CONTROL tasks that re-enter it, run the body of a short one
+        in place — printed there, or ``call``, the body proc a control
+        task runs — and what it holds leaves with its unit (one commit).
+        A body that does more than spawn leaves runs under a catch: if
+        an iteration raises, the branch drops all the chunk held, not
+        what its caller held before, and ``loop`` runs the iterations —
+        and the one fails — as control tasks, as if there were no chunk."""
         bounds = ["$lo", "$hi", "$step", *passed]
         chunk.emit("if { [ turbine::split_range %s ] } return" % " ".join([chunk.name, *bounds]))
         chunk.val[op.vars[0]] = "$i"
@@ -407,7 +423,10 @@ class Codegen:
             chunk.depth += 1
         chunk.emit(header)
         chunk.depth += 1
-        self.block(op.blocks[0], chunk)
+        if call:
+            chunk.emit(" ".join([call, "$i", *passed]))
+        else:
+            self.block(op.blocks[0], chunk)
         chunk.depth -= 1
         chunk.emit("}")
         if loop is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import SwiftTypeError
-from .ir import Block, Op, Var, all_ops, free_vars, operands
+from .ir import Block, Op, Var, free_vars, operands
 
 _CLOSABLE = ("int", "float", "string", "boolean")
 
@@ -195,32 +195,34 @@ def fuse_into_leaves(block: Block, uses: Counter) -> None:
 
 
 def inline_leaf_loops(block: Block) -> None:
-    """Loops of leaves: a range ``foreach`` whose body does nothing but
-    compute closed values and spawn by-value leaves needs no unit of
-    work per iteration — the loop proc runs the body in place."""
+    """Loops of leaves: a range ``foreach`` whose body only holds
+    effects needs no unit of work per iteration — the loop's chunk proc
+    runs the body in place."""
     for op in block.ops:
-        if op.kind == "foreach" and len(op.ins) == 3 and not op.written:
-            (body,) = op.blocks
-            op.inline = spawns_only(body) and any(o.kind == "leaf" for o in all_ops(body))
+        if op.kind == "foreach" and len(op.ins) == 3:
+            op.inline = holds_only(op.blocks[0])
     for inner in nested(block):
         inline_leaf_loops(inner)
 
 
-def spawns_only(block: Block) -> bool:
-    """Whether running ``block`` touches no TD, registers no rule and
-    runs no sink: closed values, decided ``if``s and by-value leaves
-    only.  A chunk's ``catch`` fallback re-runs the iterations in the
-    same unit, and ``turbine::drop`` cuts only the spawns the failed
-    try made: a sink's line would be printed twice."""
+def holds_only(block: Block) -> bool:
+    """Whether running ``block`` in place only adds to the unit's held
+    effects (writes, spawns, rules, decrements, printed lines) and runs
+    plain Tcl on closed values, all of which ``turbine::drop`` cuts for
+    a chunk's ``catch`` fallback.  What may wait on a TD keeps its
+    control task: a composite call, an array ``foreach`` or one over a
+    future bound."""
 
     def ok(op: Op) -> bool:
-        if op.kind == "leaf":
-            return op.by_value and all(x.closed or x in op.elided for x in operands(op))
-        if op.kind == "if":
-            return op.inline and all(spawns_only(b) for b in op.blocks)
-        return op.kind in ("value", "copy") and op.inline and bool(op.outs)
+        if op.kind == "rule":  # the library's ``*_rule`` procs only hold
+            return not op.fn[0].startswith("swift:f:")
+        if op.kind == "foreach":
+            return len(op.ins) == 3 and all(x.closed for x in op.ins)
+        if op.kind == "block" or (op.kind == "if" and op.inline):
+            return all(holds_only(b) for b in op.blocks)
+        return True
 
-    return not block.arrays and all(ok(op) for op in block.ops)
+    return all(ok(op) for op in block.ops)
 
 
 #: ``-O0`` runs none; ``-O1`` (and ``-O2``, which equals it) all.

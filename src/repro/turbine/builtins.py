@@ -150,20 +150,20 @@ def register_turbine(interp: Interp, client: AdlbClient, runtime, held: Held) ->
         spawns.append((args[0], args[1], priority, target, client.bound_for(target)))
         return ""
 
-    # A guarded chunk's catch branch forgets the spawns it made before it
-    # raised, and its fallback makes them again: ``spawned`` before the
-    # catch, ``drop`` with that count in its branch.  Only spawns: a
-    # chunk body makes nothing else, and the chunk may run inline in a
-    # unit whose earlier effects must stay.
+    # A guarded chunk's catch branch forgets all it held before it raised,
+    # and its fallback makes it again: ``spawned`` marks the unit's Held
+    # before the catch, ``drop`` cuts back to the mark — not further: the
+    # chunk may run in place in a unit whose earlier effects must stay.
     def cmd_spawned(it, args):
         if args:
             raise TclError("usage: turbine::spawned")
-        return str(len(spawns))
+        return " ".join(map(str, held.mark()))
 
     def cmd_drop(it, args):
-        if len(args) != 1 or not args[0].isdigit():
+        mark = parse_list(args[0]) if len(args) == 1 else []
+        if len(mark) < 4 or len(mark) % 3 != 1 or not all(x.lstrip("-").isdigit() for x in mark):
             raise TclError("usage: turbine::drop spawned")
-        del spawns[int(args[0]) :]
+        held.cut([int(x) for x in mark])
         return ""
 
     splits = itertools.count(1)  # this rank's splits, for the round-robin

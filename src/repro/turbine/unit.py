@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import time
 import traceback
-from typing import Any
+from typing import Any, Sequence
 
 from ..adlb import constants as C
 from ..adlb.client import AdlbClient
+from ..adlb.dataops import apply_data_op
 from ..adlb.datastore import DataStore
 from ..faults import InjectedFault, RankKilled, TaskError, TaskFailure, snippet
 from ..mpi import AbortError, DeadlockError
@@ -70,13 +71,29 @@ class Held:
         self.deferred: dict[int, list[int]] = {}  # td id -> [read, write] deltas
         self.printed: list[str] = []
 
-    def clear(self) -> None:
-        """Forget all of it: the unit committed, or rolled back."""
-        del self.writes[:], self.spawns[:], self.printed[:]
+    def mark(self) -> list[int]:
+        """Where the unit is, for :meth:`cut`: the four lists' lengths,
+        then ``deferred`` as ``td, read, write`` triples."""
+        mark = [len(self.writes), len(self.spawns), len(self.rules or ()), len(self.printed)]
+        for td, deltas in self.deferred.items():
+            mark += (td, *deltas)
+        return mark
+
+    def cut(self, mark: Sequence[int] = (0, 0, 0, 0)) -> None:
+        """Forget what was held since ``mark``; what was held before stays.
+        ``scratch`` is rebuilt from the writes that are left.  With no
+        mark, forget all of it: the unit committed, or rolled back."""
+        w, s, r, p = mark[:4]
+        del self.writes[w:], self.spawns[s:], self.printed[p:]
         if self.rules:
-            del self.rules[:]
+            del self.rules[r:]
         self.deferred.clear()
+        for k in range(4, len(mark), 3):
+            self.deferred[mark[k]] = [mark[k + 1], mark[k + 2]]
         self.scratch.tds.clear()
+        for op in self.writes:  # as ``turbine::write`` applied them
+            if op["op"] == C.OP_CREATE or op["id"] in self.scratch.tds:
+                apply_data_op(self.scratch, op, 0, [], [])
 
 
 class UnitRunner:
@@ -221,7 +238,7 @@ class UnitRunner:
                     # downstream rules, so the edge matters causally).
                     tds = {"tds": sorted(deferred)} if self.tracer is not None else None
                     self.ring.emit("refcount_flush", len(deferred), unit, payload=tds)
-                held.clear()
+                held.cut()
         except (AbortError, DeadlockError):
             # Transport-level failures are rank problems, not unit
             # failures: never retried or recorded, always fatal.
@@ -232,7 +249,7 @@ class UnitRunner:
             # Expired while the unit ran: it was already failed back to
             # the server (and is being retried elsewhere), so this
             # attempt's results are discarded — no counter decrement.
-            self.held.clear()
+            self.held.cut()
             if sink is not None:
                 sink.emit("task_abandon", *head, "TaskTimeout", t0=t0)
             return False
@@ -258,7 +275,7 @@ class UnitRunner:
         error = "%s: %s" % (type(e).__name__, e)
         tb = "".join(traceback.format_exception(type(e), e, e.__traceback__))
         # A unit that raised leaves nothing behind, under every policy.
-        self.held.clear()
+        self.held.cut()
         if retryable and self.on_error == "retry":
             self.client.task_fail(kind, error, tb, self.place)
             return

@@ -891,8 +891,9 @@ SENDS_PER_GRANT, SENDS_PER_RUN = 2, 8
 # when it closes (on one server both are applied in place and count
 # no data op).
 # The remainder is swift:main: the container, a[0], trace(a[N])'s
-# reader TD, reference, subscribe and retrieve, the loop proc's
-# write_refcount_incr and the program's decrement.
+# reader TD, reference, subscribe and retrieve, the loop's
+# write_refcount_incr (main's, before it calls the chunk) and the
+# program's decrement.
 # Notifications: 1 per hop and 1 per run (trace(a[N])'s rule).  A unit
 # subscribes a reader TD before the copy that fills it, so each of these
 # rules is woken by its reader TD's close notice even when the member
@@ -906,13 +907,18 @@ CHAIN = (
     "}\n"
     "trace(a[%d]);\n"
 )
+# Re-pinned on purpose when a loop body made only of held effects became
+# a chunk, 7/2/2/1/1/1 -> 7/1/1/1/1/0: the body's allocates, reference,
+# rule and insert are held by the chunk (here swift:main, which runs it
+# in place), so a hop is no control task any more — one match and one
+# lease fewer; its data ops are the same ops, in the chunk's commit.
 NOTIFICATIONS = "engine.notifications"
-PER_HOP = dict(zip(COUNTERS, (7, 2, 2, 1, 1, 1)))
+PER_HOP = dict(zip(COUNTERS, (7, 1, 1, 1, 1, 0)))
 PER_CHAIN_RUN = dict(zip(COUNTERS, (10, 0, 0, 1, 1, 0)))
 # Messages (``mpi.sends``) of the chain at 2w/1s/1e, less its
-# notifications (one message each, pinned above).  The
-# chain is no loop of leaves: its loop proc spawns one body control task
-# per hop, and those n spawns leave with the loop proc's return as one
+# notifications (one message each, pinned above).  Until its body became
+# a chunk the chain's loop proc spawned one body control task per hop,
+# and those n spawns left with the loop proc's return as one
 # incr_work(n) and one n-task put.  Re-pinned on purpose when every
 # unit's spawns began leaving that way, 39n + 48 -> 37n + 50: they were
 # an incr_work and a put each.  Re-pinned again when a unit's rules
@@ -943,13 +949,17 @@ PER_CHAIN_RUN = dict(zip(COUNTERS, (10, 0, 0, 1, 1, 0)))
 # 11n + 14: per hop, the deref_store rule's RETRIEVE and commit RPCs
 # and the copy_td rule's RETRIEVE and store commit RPCs (eight
 # messages) are gone; per run, the same eight of trace(a[N])'s read.
-# What is left per hop: the body control task's grant, its commit RPC
-# and the engine's re-park; the leaf rule's TASKS one-way; the leaf's
+# Re-pinned again when a loop body made only of held effects became a
+# chunk, 11n + 14 -> 7n + 14: the body control task's four messages a
+# hop — its grant, its commit RPC (two) and the engine's re-park — are
+# gone; its writes and its leaf rule ride the commit of the unit that
+# runs the chunk (swift:main here; a split range's halves at n > 64).
+# What is left per hop: the leaf rule's TASKS one-way; the leaf's
 # grant, its RETRIEVE and commit RPCs and its worker's next GET.  Per
 # run: the engine's first park, the program's increment, its id block
 # RPC and commit RPC, trace(a[N])'s RETRIEVE RPC and closing -1, the
 # engine's shutdown, and each worker's first GET and shutdown reply.
-CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 11, 14
+CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 7, 14
 
 
 class TestProtocolShape:

@@ -69,7 +69,8 @@ class TestPublicSurface:
             swift_run("int x = ;", workers=2)
 
     def test_server_stats_surface(self):
-        res = swift_run("foreach i in [0:9] { trace(i); }", workers=2)
+        # (a loop of traces runs in the program's unit: no task to count)
+        res = swift_run('foreach i in [0:9] { trace(python("", fromint(i))); }', workers=2)
         total_queued = sum(
             s.tasks_queued + s.tasks_matched for s in res.server_stats
         )

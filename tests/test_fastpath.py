@@ -198,7 +198,7 @@ class TestRetrieveCacheInvalidation:
             client = unit.client
             c = client.create("container", write_refcount=1)
             tcl("turbine::write_refcount_decr %d" % c)
-            unit.held.clear()  # the unit will run again
+            unit.held.cut()  # the unit will run again
             assert not unit.held.deferred
             # the unit's commit lands nothing; subscribe is True once closed
             return lambda: client.subscribe(c)

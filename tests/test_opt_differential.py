@@ -333,26 +333,43 @@ LOOPS = {
         "foreach i in [0:5] { if (i != 3) { %s } }" % LEAF % "60 / (i - 3)",
         traces([-20, -30, -60, 60, 30]), 1,
     ),
-    "a sink in the body runs on the engine: not inlined": (
+    "a sink in the body runs on the engine, in the chunk": (
         "foreach i in [0:5] { if (i != 3) { %s } else { trace(i); } }" % LEAF % "i",
-        traces([0, 1, 2, 3, 4, 5]), 0,
+        traces([0, 1, 2, 3, 4, 5]), 1,
     ),
+    # (and so is the outer: its body only calls the inner chunk)
     "a nested loop whose inner body is leaf-only": (
         "foreach i in [0:2] { foreach j in [0:%d] { %s } }" % (K, LEAF % "i * 1000 + j"),
-        traces(i * 1000 + j for i in range(3) for j in range(K + 1)), 1,
+        traces(i * 1000 + j for i in range(3) for j in range(K + 1)), 2,
     ),
+    # (the loop that fills ``a`` is: it only inserts)
     "an array foreach is not inlined": (
         "int a[]; foreach i in [0:4] { a[i] = i * i; }\n"
         "foreach v in a { %s }" % LEAF % "v",
-        traces(i * i for i in range(5)), 0,
+        traces(i * i for i in range(5)), 1,
     ),
-    "a loop that writes an array is not inlined": (
+    "a loop that writes an array is a chunk": (
         'string a[]; foreach i in [0:4] { a[i] = python("", fromint(i)); }\ntrace(size(a));',
-        traces([5]), 0,
+        traces([5]), 1,
     ),
-    "a leaf whose output is read twice keeps its TD and its control task": (
+    "a written loop over a computed bound": (
+        'int n = argv_int("n", %d); int a[]; foreach i in [0:n] { a[i] = i; }\n' % (K + 5)
+        + "trace(size(a));",
+        traces([K + 6]), 1,
+    ),
+    "a written loop over a future bound": (
+        'int n = parseint(python("", "%d")); int a[]; foreach i in [0:n] { a[i] = i; }\n' % (K + 5)
+        + "trace(size(a));",
+        traces([K + 6]), 1,
+    ),
+    "a leaf whose output is read twice keeps its TD, in a chunk": (
         'foreach i in [0:2] { string s = python("", fromint(i)); trace(s); trace(s); }',
-        traces([0, 0, 1, 1, 2, 2]), 0,
+        traces([0, 0, 1, 1, 2, 2]), 1,
+    ),
+    "a composite call keeps its control task": (
+        "(int o) twice(int x) { o = x * 2; }\n"
+        "foreach i in [0:2] { trace(twice(i)); }",
+        traces([0, 2, 4]), 0,
     ),
 }
 
@@ -433,6 +450,96 @@ def test_a_raising_chunk_keeps_what_its_caller_did(opt):
     with pytest.raises(repro.TaskError, match="divide by zero") as info:
         swift_run(AROUND_RAISING, workers=2, opt=opt, on_error="retry")
     assert (info.value.failure.kind, info.value.failure.attempts) == ("ctask", 3)
+
+
+# A chunk that holds more than spawns: each iteration inserts a member,
+# registers the rules that trace it and prints, and the last raises after
+# all of that.  The catch branch cuts everything the try held, so the
+# fallback's control tasks make each insert, rule and line once: no
+# "inserted twice", no line twice, and none of the raising iteration's.
+# (-O0 runs the division as a rule of its own, so the raising unit, and
+# what it printed first, differ; the verdict may not.)
+HOLDS_THEN_RAISES = (
+    "int a[];\n"
+    "foreach i in [0:5] {\n"
+    "  a[i] = i * 10;\n"
+    "  trace(a[i] + 1);\n"
+    "  trace(i);\n"
+    "  int k = 60 / (i - 5);\n"
+    "  trace(k);\n"
+    "}\n"
+)
+PRINTED_LINES = sorted(traces(range(5)) + traces(60 // (i - 5) for i in range(5)))
+
+
+@pytest.mark.parametrize("servers", [1, 2])
+@pytest.mark.parametrize("policy", ["retry", "continue", "fail_fast"])
+def test_a_raising_chunk_leaves_nothing_of_its_try(policy, servers):
+    kw = dict(workers=2, servers=servers, on_error=policy)
+    assert agree(HOLDS_THEN_RAISES, **kw) == ("failed",)
+    for opt in (1, 2):
+        if policy == "continue":
+            res = swift_run(HOLDS_THEN_RAISES, opt=opt, **kw)
+            members = traces(10 * i + 1 for i in range(5))
+            assert sorted(res.stdout_lines) == sorted(members + PRINTED_LINES)
+            (failure,) = res.failures
+        else:
+            with pytest.raises(repro.TaskError) as info:
+                swift_run(HOLDS_THEN_RAISES, opt=opt, **kw)
+            failure = info.value.failure
+        assert (failure.kind, failure.attempts) == ("ctask", 3 if policy == "retry" else 1)
+        assert "divide by zero" in failure.error
+
+
+PRINTS_THEN_RAISES = "foreach i in [0:5] { trace(i); int k = 60 / (i - 5); trace(k); }\n"
+
+
+@pytest.mark.parametrize("servers", [1, 2])
+@pytest.mark.parametrize("policy", ["retry", "continue", "fail_fast"])
+def test_a_chunk_that_prints_prints_each_line_once(policy, servers, capsys):
+    """The try printed iterations 0-4 and half of 5 before it raised;
+    the lines the fallback prints are the only ones.  A run that fails
+    may end before some iterations print: no line twice, none but
+    theirs; one that goes on prints each, once."""
+    kw = dict(workers=2, servers=servers, on_error=policy)
+    assert agree(PRINTS_THEN_RAISES, **kw) == ("failed",)
+    capsys.readouterr()
+    for opt in (1, 2):
+        assert "turbine::drop" in compile_swift(PRINTS_THEN_RAISES, opt=opt).tcl_text
+        if policy == "continue":
+            lines = swift_run(PRINTS_THEN_RAISES, opt=opt, **kw).stdout_lines
+        else:
+            with pytest.raises(repro.TaskError, match="divide by zero"):
+                swift_run(PRINTS_THEN_RAISES, opt=opt, echo=True, **kw)
+            lines = capsys.readouterr().out.splitlines()
+        if policy == "continue":
+            assert sorted(lines) == PRINTED_LINES
+        else:
+            assert len(set(lines)) == len(lines) and set(lines) <= set(PRINTED_LINES)
+
+
+# A written loop over more than SPLIT_OVER iterations: its writer slots
+# are taken once, by the proc that calls the chunk, before the split —
+# not by each half, nor by a fallback — so the container closes once,
+# with every member in.
+SPLIT_WRITES = (
+    "int a[];\n"
+    'foreach i in [0:%d] { a[i] = parseint(python("", fromint(i))); }\n'
+    "trace(size(a)); trace(sum_integer(a));\n" % (2 * K + 1)
+)
+
+
+@pytest.mark.parametrize("servers", [1, 2])
+@pytest.mark.parametrize("policy", ["retry", "continue", "fail_fast"])
+def test_a_split_written_loop_closes_its_array_once(policy, servers):
+    text = compile_swift(SPLIT_WRITES, opt=1).tcl_text
+    assert text.count("turbine::write_refcount_incr") == 1
+    main = text[text.index("proc swift:main") :].split("\n}\n")[0]
+    assert "set n [ turbine::range_count 0 %d 1 ]" % (2 * K + 1) in main
+    assert "turbine::write_refcount_incr $v_a [ expr { $n * 1 } ]" in main
+    n = 2 * K + 2
+    expected = ("ok", sorted(traces([n, n * (n - 1) // 2])))
+    assert agree(SPLIT_WRITES, workers=2, servers=servers, on_error=policy) == expected
 
 
 # Not a loop of leaves (trace(k) is no leaf): every iteration is a body

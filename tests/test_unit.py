@@ -9,6 +9,7 @@ them: a unit that raises leaves nothing behind, at one server or two.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 import types
@@ -22,7 +23,10 @@ from repro.faults import TaskError
 from repro.mpi import AbortError, DeadlockError
 from repro.obs.spine import Ring
 from repro.turbine import RuntimeConfig, run_turbine_program
-from repro.turbine.unit import KINDS, UnitRunner
+from repro.tcl.errors import TclError
+from repro.tcl.interp import Interp
+from repro.turbine.builtins import register_turbine
+from repro.turbine.unit import KINDS, Held, UnitRunner
 
 RANK = 3
 
@@ -191,7 +195,7 @@ class TestOneTableEveryKind:
         assert not any(call[0] in ("commit", "add_rules") for call in client.calls)
         unit.held.spawns.append(("WORK", "leafA", 0, -1, SERVER))
         unit.held.rules.append(RULE)
-        unit.held.clear()
+        unit.held.cut()
         assert unit.held.spawns == [] and unit.held.rules == []
 
     @pytest.mark.parametrize("on_error", POLICIES)
@@ -742,3 +746,88 @@ class TestPrintedLinesAreHeld:
         res = swift_run(LEAF_THEN_TRACES, workers=2, servers=servers)
         assert res.stdout_lines[0] == "leaf printed"
         assert sorted(res.stdout_lines[1:]) == ["trace: x,1", "trace: x,2"]
+
+
+class MarkClient:
+    """What the held builtins ask of a client: ids and a server."""
+
+    rank = RANK
+
+    def __init__(self):
+        self.ids = itertools.count(1)
+
+    def allocate_id(self):
+        return next(self.ids)
+
+    def bound_for(self, target):
+        return 0
+
+
+def held_state(held: Held) -> tuple:
+    deferred = {td: list(deltas) for td, deltas in held.deferred.items()}
+    return (
+        list(held.writes),
+        list(held.spawns),
+        list(held.rules),
+        deferred,
+        list(held.printed),
+        held.scratch.snapshot(),
+    )
+
+
+class TestADropCutsAllOfHeld:
+    """A guarded chunk's ``catch`` branch: ``turbine::drop`` takes every
+    table of the unit's Held, and its scratch store, back to where
+    ``turbine::spawned`` marked it, and keeps what the unit held before
+    the mark — the chunk may run in place inside that unit."""
+
+    BEFORE = (
+        "set c [ turbine::allocate_container 3 ]\n"
+        "set x [ turbine::allocate integer ]\n"
+        "turbine::store_integer $x 5\n"
+        "turbine::container_insert $c 0 $x 1\n"
+        "turbine::rule [ list $x ] { turbine::log_output x } LOCAL\n"
+        "turbine::spawn WORK { kept }\n"
+        "turbine::write_refcount_decr $c 1\n"
+        "turbine::log_output before\n"
+    )
+    AFTER = (
+        "set y [ turbine::allocate integer ]\n"
+        "turbine::container_insert $c 1 $y 1\n"
+        "turbine::rule [ list $y ] { turbine::log_output y } LOCAL\n"
+        "turbine::spawn WORK { dropped }\n"
+        "turbine::write_refcount_decr $c 1\n"
+        "turbine::read_refcount_decr $x 1\n"
+        "turbine::log_output after\n"
+    )
+
+    def test_drop_returns_held_and_scratch_to_the_mark(self):
+        held = Held()
+        tables = (held.writes, held.spawns, held.rules, held.deferred, held.printed)
+        interp = Interp()
+        register_turbine(interp, MarkClient(), None, held)
+        interp.eval(self.BEFORE)
+        marked = held_state(held)
+        interp.eval("set spawned [ turbine::spawned ]")
+        interp.eval(self.AFTER)
+        assert held_state(held) != marked
+        assert interp.eval("turbine::exists $c 1") == "1"
+        interp.eval("turbine::drop $spawned")
+        assert held_state(held) == marked
+        # ... in place: the builtins hold these very tables
+        now = (held.writes, held.spawns, held.rules, held.deferred, held.printed)
+        assert all(a is b for a, b in zip(tables, now))
+        # what the fallback re-does is not a second insert
+        assert interp.eval("turbine::exists $c 1") == "0"
+        interp.eval(self.AFTER)
+        assert held.printed == ["before", "after"]
+
+    def test_a_mark_is_a_list_of_ints_and_nothing_else_is(self):
+        held = Held(rules=False)
+        interp = Interp()
+        register_turbine(interp, MarkClient(), None, held)
+        interp.eval(self.BEFORE.replace("turbine::rule", "# turbine::rule"))
+        assert interp.eval("turbine::spawned") == "4 1 0 1 1 0 -1"
+        for bad in ("turbine::drop {1 2 3}", "turbine::drop {1 2 3 4 5}", "turbine::drop {a b c d}"):
+            with pytest.raises(TclError, match="usage: turbine::drop"):
+                interp.eval(bad)
