@@ -21,8 +21,10 @@ from ..faults import EngineLost, QuarantinedTask, ServerLost, snippet
 from . import constants as C
 from .workqueue import Task
 
-#: base requeue delay; attempt ``k`` of a unit waits ``RETRY_BACKOFF * 2**(k-1)``
+#: base requeue delay; attempt ``k`` of a unit waits ``RETRY_BACKOFF * 2**(k-1)``,
+#: at most ``RETRY_BACKOFF_MAX``
 RETRY_BACKOFF = 0.05
+RETRY_BACKOFF_MAX = 0.5
 
 
 @dataclass
@@ -102,7 +104,8 @@ class Leases:
         nxt = core.stamp(dataclasses.replace(task, attempts=attempts))
         core.log(("task+", nxt))
         self._delay_seq += 1
-        release_at = core.comm.now() + RETRY_BACKOFF * 2 ** max(0, attempts - 1)
+        delay = min(RETRY_BACKOFF_MAX, RETRY_BACKOFF * 2 ** max(0, attempts - 1))
+        release_at = core.comm.now() + delay
         heapq.heappush(self.delayed, (release_at, self._delay_seq, nxt))
 
     def op_task_fail(self, msg: dict, source: int) -> None:

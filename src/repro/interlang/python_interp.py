@@ -47,11 +47,11 @@ class EmbeddedPython(Embedded):
     def _eval(self, code: str, expr: str) -> str:
         try:
             if code:
-                exec(compile(code, "<swift-python-task>", "exec"), self._globals)
+                exec(_compile(code, "<swift-python-task>", "exec"), self._globals)
             result: Any = ""
             if expr:
                 result = eval(  # noqa: S307 - embedded eval is the feature
-                    compile(expr, "<swift-python-expr>", "eval"), self._globals
+                    _compile(expr, "<swift-python-expr>", "eval"), self._globals
                 )
         except Exception as e:
             raise PythonTaskError(
@@ -68,6 +68,14 @@ class EmbeddedPython(Embedded):
 
     def set(self, name: str, value: Any) -> None:
         self._globals[name] = value
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(text: str, filename: str, mode: str) -> Any:
+    """``compile``, once per text: a code object is immutable, so every
+    rank's interpreter may run it.  A ``SyntaxError`` is not cached;
+    the bound keeps unique texts (``i=N``) from growing memory."""
+    return compile(text, filename, mode)
 
 
 def _to_swift_string(value: Any) -> str:

@@ -12,6 +12,8 @@ AST nodes are plain tuples: ('num', x) ('str', s) ('id', name)
 
 from __future__ import annotations
 
+import functools
+
 from .errors import RParseError
 
 _KEYWORDS = {
@@ -391,14 +393,8 @@ class Parser:
         return self.statement()
 
 
-_CACHE: dict[str, tuple] = {}
-
-
+@functools.lru_cache(maxsize=2048)
 def parse(src: str) -> tuple:
-    node = _CACHE.get(src)
-    if node is None:
-        node = Parser(tokenize(src)).parse_program()
-        if len(_CACHE) > 2048:
-            _CACHE.clear()
-        _CACHE[src] = node
-    return node
+    """Parse once per text: the tree is shared by every rank, and a
+    parse error is not cached."""
+    return Parser(tokenize(src)).parse_program()

@@ -9,6 +9,7 @@ through Tcl as handle strings, the same trick SWIG uses for pointers.
 from __future__ import annotations
 
 import itertools
+import re
 import sys
 from typing import Any, Callable
 
@@ -23,8 +24,8 @@ CommandFn = Callable[["Interp", list[str]], Any]
 
 
 class CompiledCommand:
-    """A one-command script whose words are all literal — the shape of
-    every dataflow rule action.
+    """A one-command script whose words are all literal; ``Interp.eval``
+    lowers one only if a word is braced or escaped (not plain).
 
     Owned by a single interpreter (it lives in the interp's code cache,
     never shared across interps/threads), which makes the embedded
@@ -57,6 +58,13 @@ class CompiledCommand:
 _SCRIPT_BUILTINS = frozenset(
     ("if", "while", "for", "foreach", "switch", "eval", "catch", "dict", "namespace")
 )
+
+# One command of plain words: printable ASCII without any of
+# ``$ [ ] { } " \ ; #``, separated by single spaces.  Its words are what
+# ``split(" ")`` gives, so ``Interp.eval`` dispatches it without a parse
+# or a cache entry: a worker's task payload and a rule action are
+# unique texts that no cache would ever hit.
+_PLAIN = re.compile(r"[!%-:<-Z^-z|~]+(?: [!%-:<-Z^-z|~]+)*").fullmatch
 
 
 class Var:
@@ -380,6 +388,13 @@ class Interp:
         self._depth += 1
         try:
             if self.compile_enabled:
+                if _PLAIN(script):
+                    argv = script.split(" ")
+                    if argv[0] not in _SCRIPT_BUILTINS:
+                        fn = self.lookup_command(argv[0])
+                        if fn is None:
+                            return self._call_unknown(argv, 1)
+                        return self._finish_command(fn, argv, 1)
                 code = self.vm_compiled(script)
                 if type(code) is CompiledCommand:
                     # Single literal command: dispatch directly — no

@@ -8,9 +8,18 @@ runtime: ``format_list(parse_list(s))`` preserves element boundaries.
 
 from __future__ import annotations
 
+import re
+
 _WHITESPACE = " \t\n\r\f\v"
 # Characters that force quoting when formatting an element.
 _SPECIAL = set(_WHITESPACE) | set('{}"\\[]$;')
+# The fast paths: a list with no grouping or escape character is its
+# runs of Tcl whitespace's complement (``str.split()`` would also split
+# on \x1c-\x1f, \x85 and \xa0), and an element with no special
+# character is its own text.
+_GROUPING = re.compile(r'[{"\\]').search
+_ELEMENTS = re.compile("[^%s]+" % _WHITESPACE).findall
+_QUOTED = re.compile("[%s]" % re.escape("".join(sorted(_SPECIAL)))).search
 
 _BACKSLASH_MAP = {
     "a": "\a",
@@ -35,6 +44,11 @@ def parse_list(s: str) -> list[str]:
     same conditions under which Tcl reports "unmatched open brace in
     list".
     """
+    return _walk_list(s) if _GROUPING(s) else _ELEMENTS(s)
+
+
+def _walk_list(s: str) -> list[str]:
+    """``parse_list`` character by character."""
     out: list[str] = []
     i, n = 0, len(s)
     while i < n:
@@ -126,7 +140,7 @@ def format_element(el: str) -> str:
     """Quote one element so parse_list recovers it exactly."""
     if el == "":
         return "{}"
-    if not any(ch in _SPECIAL for ch in el):
+    if not _QUOTED(el):
         return el
     # Prefer brace quoting when braces balance and no trailing backslash.
     if _braces_balanced(el) and not el.endswith("\\"):

@@ -121,6 +121,31 @@ class TestEmbeddedPython:
         with pytest.raises(ValueError):
             EmbeddedPython(mode="whatever")
 
+    def test_syntax_error_raises_alike_every_time(self):
+        emb = EmbeddedPython()
+        errors = []
+        for _ in range(3):
+            with pytest.raises(PythonTaskError, match="SyntaxError") as info:
+                emb.eval("x = (", "")
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == errors[2]
+        with pytest.raises(PythonTaskError, match="SyntaxError"):
+            emb.eval("", "1 +")
+        assert emb.eval("x = 2", "x") == "2"
+
+    def test_a_shared_code_object_keeps_each_interpreter_apart(self):
+        from repro.interlang import python_interp
+
+        ranks = [EmbeddedPython(), EmbeddedPython()]
+        for tag, emb in zip("ab", ranks):
+            emb.set("tag", tag)
+        code = "seen = tag * 2; print('from', tag)"
+        hits = python_interp._compile.cache_info().hits
+        assert [emb.eval(code, "seen") for emb in ranks] == ["aa", "bb"]
+        assert python_interp._compile.cache_info().hits > hits
+        assert [emb.get("seen") for emb in ranks] == ["aa", "bb"]
+        assert [emb.stdout for emb in ranks] == [["from a"], ["from b"]]
+
     def test_host_get_set(self):
         emb = EmbeddedPython()
         emb.set("injected", 99)

@@ -428,6 +428,14 @@ def test_a_raising_iteration_fails_alone_under_every_policy(opt):
         assert (info.value.failure.kind, info.value.failure.attempts) == ("ctask", attempts)
 
 
+def test_many_retries_back_off_to_a_cap():
+    # ten requeues at an uncapped doubling backoff wait ~51 s in all;
+    # capped at leases.RETRY_BACKOFF_MAX they wait under 4 s
+    with pytest.raises(repro.TaskError, match="divide by zero") as info:
+        swift_run(RAISING, workers=2, on_error="retry", max_retries=10, deadline=10.0)
+    assert (info.value.failure.kind, info.value.failure.attempts) == ("ctask", 11)
+
+
 # The same loop, called in place by swift:main after main wrote a[0]
 # and spawned x's leaf: the catch branch forgets only the chunk's
 # spawns, so main's insert, leaf, rules and decrements all stay.

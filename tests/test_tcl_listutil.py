@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.tcl import listutil
 from repro.tcl.listutil import format_element, format_list, parse_list
 
 
@@ -108,3 +109,45 @@ def test_property_double_format_stable(items):
     once = format_list(items)
     twice = format_list(parse_list(once))
     assert parse_list(twice) == items
+
+
+# The fast paths against the character walk they skip: Tcl whitespace,
+# what Python's str.split() also splits on, and every grouping, escape
+# and substitution character.
+_TRICKY = st.text(
+    alphabet=st.sampled_from(list(' \t\n\r\f\v\x1c\x1f\x85\xa0{}"\\[]$;#ab')),
+    max_size=16,
+)
+
+
+def _walked(s):
+    try:
+        return listutil._walk_list(s)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+@given(_TRICKY)
+@settings(max_examples=400, deadline=None)
+def test_property_parse_list_fast_path_is_the_walk(s):
+    try:
+        got = parse_list(s)
+    except ValueError as e:
+        got = ("ValueError", str(e))
+    assert got == _walked(s)
+
+
+@given(_TRICKY)
+@settings(max_examples=400, deadline=None)
+def test_property_format_element_fast_path_is_the_character_test(el):
+    # the fast path replaced only this test; the quoting after it is unchanged
+    plain = el != "" and not any(ch in listutil._SPECIAL for ch in el)
+    assert (format_element(el) == el) == plain
+    assert parse_list(format_element(el)) == [el]
+
+
+def test_fast_paths_keep_tcl_whitespace():
+    for s in ("", "a\x1cb c\xa0", " \x85 ", "a\x1fb\vc"):
+        assert parse_list(s) == listutil._walk_list(s)
+    assert parse_list("a\x1cb c\xa0") == ["a\x1cb", "c\xa0"]
+    assert format_element("a\xa0b") == "a\xa0b"

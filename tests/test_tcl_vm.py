@@ -513,13 +513,30 @@ class TestVMStats:
         assert s.peephole_ops > 0
 
     def test_code_cache_hits_on_reeval(self, vm_interp):
-        vm_interp.eval("set x 1")
+        # two commands: a script of one plain command never enters the cache
+        vm_interp.eval("set x 1; set y 2")
         before = vm_interp.vm_stats.code_hits
-        vm_interp.eval("set x 1")
+        vm_interp.eval("set x 1; set y 2")
         assert vm_interp.vm_stats.code_hits > before
 
+    def test_plain_payload_is_no_cache_entry(self, vm_interp):
+        from repro.tcl import parser
+
+        vm_interp.eval("proc task:p {a b} { return $a$b }")
+        stats, size = vm_interp.vm_stats, len(vm_interp._vm_code_cache)
+        misses, hits = stats.code_misses, stats.code_hits
+        payload = "task:p i=41 x%1000003"
+        assert vm_interp.eval(payload) == "i=41x%1000003"
+        assert payload not in parser._CACHE
+        assert payload not in vm_interp._vm_code_cache
+        assert len(vm_interp._vm_code_cache) == size
+        assert (stats.code_misses, stats.code_hits) == (misses, hits)
+        # a braced word is literal but not plain: it is lowered and cached
+        assert vm_interp.eval("task:p {i=41} x") == "i=41x"
+        assert "task:p {i=41} x" in vm_interp._vm_code_cache
+
     def test_single_literal_command_dispatches_directly(self, vm_interp):
-        # The rule-action shape skips bytecode: one literal command
+        # A one-command literal script skips bytecode: it
         # lowers to a CompiledCommand, but the proc body it invokes
         # still executes on the VM (frames counter moves).
         from repro.tcl.interp import CompiledCommand
@@ -576,6 +593,52 @@ class TestVMStats:
         )
         counters = out.trace.metrics.get("counters", {})
         assert counters.get("tcl.vm.frames", 0) > 0
+
+
+# --- plain dispatch ------------------------------------------------------
+
+# Each case is a list of scripts run in order on one interpreter; the
+# last ones are plain, or one character away from plain.
+PLAIN_CASES = {
+    "wrong # args": ["proc f {a} { return $a }", "f 1 2", "f"],
+    "unknown, no unknown proc": ["nosuch 1 2"],
+    "unknown proc": ['proc unknown {args} { return "u:$args" }', "nosuch 1 2", "set"],
+    "catch first": ["catch nosuch", "catch set"],
+    "eval first": ["eval set x 5", "set x"],
+    "uplevel first": ["uplevel 1 set y 6"],
+    "leading #": ["#set x 1", "# set x 1"],
+    "tab": ["set\tx 1", "set x"],
+    "double space": ["set x  2", "set x"],
+    "newline": ["set x 3\nset x"],
+    "non-ASCII": ["set x \u00e9", "set x"],
+    "proc redefined": [
+        "proc g {} { return 1 }", "g", "proc g {a} { return $a }", "g", "g 2",
+    ],
+    "error in a proc": ["proc h {a} { expr {$a / 0} }", "h 3"],
+    "host exception": ["string repeat ab x"],
+}
+
+
+def run_steps(scripts: list[str], vm: bool) -> list:
+    it = Interp(compile_enabled=vm)
+    it.echo = False
+    out = []
+    for script in scripts:
+        try:
+            out.append(("ok", it.eval(script)))
+        except TclError as e:
+            out.append(("err", e.message, e.trace()))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_CASES))
+def test_plain_dispatch_agrees_with_the_vm_path(name, monkeypatch):
+    from repro.tcl import interp as interp_mod
+
+    steps = PLAIN_CASES[name]
+    plain = run_steps(steps, True)
+    monkeypatch.setattr(interp_mod, "_PLAIN", lambda script: None)
+    assert plain == run_steps(steps, True) == run_steps(steps, False), name
 
 
 # --- disassembler --------------------------------------------------------
