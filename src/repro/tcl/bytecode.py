@@ -4,9 +4,9 @@ A :class:`Code` object is the unit of execution: a flat ``ops`` array of
 ``(opcode, arg)`` pairs (stored interleaved, so the dispatch loop reads
 ``ops[pc]``/``ops[pc + 1]`` and advances ``pc`` by 2), a constant pool,
 and a list of mutable inline-cache slots.  Code objects are owned by a
-single interpreter — the embedded command caches follow the interp's
-``cmd_epoch`` invalidation protocol, exactly like the
-:class:`~repro.tcl.interp.CompiledCommand` pointer cache.
+single interpreter — it lives in that interp's code cache, and the
+embedded command caches follow the interp's ``cmd_epoch`` invalidation
+protocol.
 
 The compiler (:mod:`repro.tcl.compile`) lowers parsed ``Command`` /
 ``Word`` / expr ASTs into this form; the VM (:mod:`repro.tcl.vm`) runs
@@ -119,8 +119,6 @@ class VMStats:
     cache_misses: int = 0    # inline command-cache (re)resolutions
     code_hits: int = 0       # code-cache hits (scripts served compiled)
     code_misses: int = 0     # scripts lowered (first sight or LRU-evicted)
-    expr_hits: int = 0       # expr AST cache hits
-    expr_misses: int = 0     # expr ASTs parsed
     peephole_ops: int = 0    # ops removed / constants folded by peephole
     loops_lowered: int = 0   # loops the tier turned into Python functions
     lowered_iterations: int = 0  # loop iterations run by those functions

@@ -9,6 +9,7 @@ are evaluated repeatedly.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Callable
 
@@ -349,24 +350,14 @@ class _Parser:
         raise TclError("unexpected token %r in expression" % text)
 
 
-# Bounded LRU (shared helper with the script parse cache); a full
-# clear here used to stall every cached loop/rule condition at once.
-from ..lru import LRUCache
-
-_AST_CACHE: LRUCache[str, tuple] = LRUCache(4096)
-
-
+@functools.lru_cache(maxsize=4096)
 def compile_expr(s: str) -> tuple:
-    """Parse an expression into its cached AST.
+    """Parse an expression into its AST, once per text.
 
     The bytecode compiler lowers the node to stack ops (or embeds it
     for :func:`eval_node`), so compiled code never looks it up again.
     """
-    node = _AST_CACHE.get(s)
-    if node is None:
-        node = _Parser(_tokenize(s)).parse()
-        _AST_CACHE.put(s, node)
-    return node
+    return _Parser(_tokenize(s)).parse()
 
 
 # --- evaluation ----------------------------------------------------------
@@ -493,14 +484,7 @@ def eval_expr(interp, text: str) -> Any:
     Returns an int/float/str value (not yet stringified); ``expr`` the
     command stringifies via :func:`to_string`.
     """
-    node = _AST_CACHE.get(text)
-    if node is None:
-        node = _Parser(_tokenize(text)).parse()
-        _AST_CACHE.put(text, node)
-        interp.vm_stats.expr_misses += 1
-    else:
-        interp.vm_stats.expr_hits += 1
-    return _eval_node(interp, node)
+    return _eval_node(interp, compile_expr(text))
 
 
 def eval_node(interp, node: tuple) -> Any:

@@ -13,7 +13,6 @@ import re
 import sys
 from typing import Any, Callable
 
-from ..lru import LRUCache
 from .bytecode import VMStats
 from .errors import TclBreak, TclContinue, TclError, TclReturn
 from .expr import to_string
@@ -23,34 +22,9 @@ from .parser import Command, TclParseError, Word, parse_cached
 CommandFn = Callable[["Interp", list[str]], Any]
 
 
-class CompiledCommand:
-    """A one-command script whose words are all literal; ``Interp.eval``
-    lowers one only if a word is braced or escaped (not plain).
-
-    Owned by a single interpreter (it lives in the interp's code cache,
-    never shared across interps/threads), which makes the embedded
-    command-pointer cache safe.
-
-    * ``argv`` — the argument vector, fixed at parse time.
-    * ``_fn``/``_epoch``/``_ns`` — the resolved-command cache: valid
-      only while the owning interp's ``cmd_epoch`` and current namespace
-      match, so ``proc`` redefinition, ``rename``, and re-``register``
-      self-invalidate it.
-    """
-
-    __slots__ = ("line", "argv", "_fn", "_epoch", "_ns")
-
-    def __init__(self, argv: list[str], line: int):
-        self.line = line
-        self.argv = argv
-        self._fn: CommandFn | None = None
-        self._epoch = -1
-        self._ns: Namespace | None = None
-
-
 # Builtins that evaluate a script argument by calling ``interp.eval``
 # on it.  A one-command literal script naming one of these is not
-# dispatched as a :class:`CompiledCommand`: it takes the bytecode path,
+# dispatched as a parsed :class:`Command`: it takes the bytecode path,
 # where the compiler inlines ``if``/``for``/``while`` bodies into the
 # same code object instead of re-entering ``eval`` per iteration.
 # Name-based on purpose: if a user rebinds one of these names the
@@ -237,8 +211,8 @@ class Interp:
         self.echo = True  # also print to real stdout
         # cmd_epoch is bumped by register/unregister (and therefore by
         # proc redefinition and rename); every cached command pointer
-        # (CompiledCommand, the VM's inline call caches) is tagged with
-        # the epoch it was looked up under and re-resolves on mismatch.
+        # (the VM's inline call caches) is tagged with the epoch it was
+        # looked up under and re-resolves on mismatch.
         self.cmd_epoch = 0
         self.vm_stats = VMStats()
         if compile_enabled:
@@ -249,7 +223,9 @@ class Interp:
             self._vm_call_proc = _vm.call_proc
             self._vm_proc_code = _vm.proc_code
             self._vm_compile_script = _vm_compile
-            self._vm_code_cache: LRUCache[str, Any] = LRUCache(2048)
+            # Script text -> what _vm_lower made of it, least recently
+            # used first.  This interp's rank thread alone touches it.
+            self._vm_code_cache: dict[str, Any] = {}
         if register_core:
             from .commands import register_all
 
@@ -391,16 +367,10 @@ class Interp:
                 if _PLAIN(script):
                     argv = script.split(" ")
                     if argv[0] not in _SCRIPT_BUILTINS:
-                        fn = self.lookup_command(argv[0])
-                        if fn is None:
-                            return self._call_unknown(argv, 1)
-                        return self._finish_command(fn, argv, 1)
+                        return self._dispatch(argv, 1)
                 code = self.vm_compiled(script)
-                if type(code) is CompiledCommand:
-                    # Single literal command: dispatch directly — no
-                    # script Code object, no root VM frame.  Proc bodies
-                    # still run on the VM via TclProc.__call__.
-                    return self._run_compiled(code)
+                if type(code) is Command:
+                    return self._run_command(code)
                 return self._vm_run_script(self, code)
             # Oracle: walk the parsed representation directly,
             # substituting per word per call.
@@ -417,52 +387,44 @@ class Interp:
 
     def vm_compiled(self, script: str):
         """Fetch (or lower) the VM form of a script, LRU-cached."""
-        code = self._vm_code_cache.get(script)
+        cache = self._vm_code_cache
+        code = cache.pop(script, None)
         if code is None:
             code = self._vm_lower(script)
-            self._vm_code_cache.put(script, code)
+            if len(cache) >= 2048:
+                del cache[next(iter(cache))]
             self.vm_stats.code_misses += 1
         else:
             self.vm_stats.code_hits += 1
+        cache[script] = code
         return code
 
     def _vm_lower(self, script: str):
         """Lower one script for the VM.
 
-        One-command scripts whose words are all literal skip bytecode
-        entirely: lowering them to a :class:`CompiledCommand` avoids
-        the per-script Code build and root frame, which dominates for
-        the unique single-command strings the dataflow engine emits.
-        Everything else gets the full bytecode treatment.
+        A one-command script whose words are all literal (a braced or
+        escaped word keeps it off the plain road) stays its parsed
+        :class:`Command`, which ``eval`` runs as the oracle does: no
+        Code build, no root frame.  Everything else gets bytecode.
         """
         try:
             cmds = parse_cached(script)
         except TclParseError as e:
             raise TclError(str(e)) from None
         if len(cmds) == 1:
-            words = cmds[0].words
-            if words and all(
-                w.literal is not None and not w.expand for w in words
+            cmd = cmds[0]
+            if cmd.words[0].literal not in _SCRIPT_BUILTINS and all(
+                w.literal is not None and not w.expand for w in cmd.words
             ):
-                argv = [w.literal for w in words]
-                if argv[0] not in _SCRIPT_BUILTINS:
-                    return CompiledCommand(argv, cmds[0].line)  # type: ignore[arg-type]
+                return cmd
         return self._vm_compile_script(self, script)
 
-    def _run_compiled(self, cc: CompiledCommand) -> str:
-        fn = cc._fn
-        if (
-            fn is None
-            or cc._epoch != self.cmd_epoch
-            or cc._ns is not self.current_ns
-        ):
-            fn = self.lookup_command(cc.argv[0])
-            if fn is None:  # never cached
-                return self._call_unknown(cc.argv, cc.line)
-            cc._fn = fn
-            cc._epoch = self.cmd_epoch
-            cc._ns = self.current_ns
-        return self._finish_command(fn, cc.argv, cc.line)
+    def _dispatch(self, argv: list[str], line: int) -> str:
+        """Run a substituted command: its function, else ``unknown``."""
+        fn = self.lookup_command(argv[0])
+        if fn is None:
+            return self._call_unknown(argv, line)
+        return self._finish_command(fn, argv, line)
 
     def _call_unknown(self, argv: list[str], line: int) -> str:
         """Hand an unresolvable command to ``unknown``, if one is defined."""
@@ -515,10 +477,7 @@ class Interp:
                 argv.append(val)
         if not argv:
             return ""
-        fn = self.lookup_command(argv[0])
-        if fn is None:
-            return self._call_unknown(argv, cmd.line)
-        return self._finish_command(fn, argv, cmd.line)
+        return self._dispatch(argv, cmd.line)
 
     # -- host conveniences ------------------------------------------------------
 

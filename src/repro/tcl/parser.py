@@ -9,6 +9,7 @@ loop bodies are re-evaluated many times.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 _WORD_TERM = " \t;\n\r"
@@ -303,18 +304,10 @@ def parse_script(script: str) -> list[Command]:
 
 
 # --- parse cache ---------------------------------------------------------
-# Bounded LRU: a full clear at capacity would cause a thundering
-# re-parse of every live proc body the next time each one runs.
-
-from ..lru import LRUCache
-
-_CACHE: LRUCache[str, list[Command]] = LRUCache(4096)
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_cached(script: str) -> list[Command]:
-    """Parse with memoization; loop/rule bodies re-parse for free."""
-    cached = _CACHE.get(script)
-    if cached is None:
-        cached = parse_script(script)
-        _CACHE.put(script, cached)
-    return cached
+    """Parse once per text: loop and rule bodies re-parse for free, the
+    commands are shared by every rank, and a parse error is not cached."""
+    return parse_script(script)

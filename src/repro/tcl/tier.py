@@ -14,9 +14,9 @@ so results, messages and ``errorInfo`` are the VM's.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
-from ..lru import LRUCache
 from .bytecode import (
     OP_ADD, OP_BIN, OP_BREAK, OP_COERCE, OP_CONST, OP_CONTINUE,
     OP_ELOAD_SLOT, OP_EQ, OP_GE, OP_GT, OP_GUARD, OP_INCR_SLOT, OP_JUMP,
@@ -42,11 +42,6 @@ _CMP = {
     OP_NE: "!=", "eq": "==", "ne": "!=",
 }
 _UNARY = {"-": "-%s", "+": "+%s", "~": "~%s", "!": "0 if %s else 1"}
-
-# Generated source -> function, shared by every interp in the process
-# (each rep builds fresh interps; the source is all a function depends on).
-_FUNCS: LRUCache = LRUCache(256)
-_MARKS: LRUCache = LRUCache(1024)  # (proc body, slots) -> back-edges to mark
 
 
 class _NotInt:
@@ -161,20 +156,30 @@ def blocker(code, head, end):
     return _walk(code, head, end)[1]
 
 
+class _Body(tuple):
+    """``(proc body, slots)``: they fix a body's ops, so every interp in
+    the process shares its marks.  ``code`` rides along, unhashed."""
+
+
+@functools.lru_cache(maxsize=1024)
+def _marks(body):
+    """The ``(back-edge pc, loop head)`` of each lowerable loop."""
+    code = body.code
+    del body.code  # the cache keeps body; its code would pin its interp
+    ops = code.ops
+    return [
+        (pc, ops[pc + 1]) for pc in range(0, len(ops), 2)
+        if ops[pc] == OP_JUMP and ops[pc + 1] < pc
+        and blocker(code, ops[pc + 1], pc) is None
+    ]
+
+
 def mark_loops(code):
     """End each lowerable loop of a proc body in OP_LOOP, whose cache
-    entry is ``[head, back-edges run, (function, guard caches) | None]``.
-    A body and its slots fix its ops, so the verdicts are shared too."""
-    ops, key = code.ops, (code.script, tuple(code.slot_names))
-    marks = _MARKS.get(key)
-    if marks is None:
-        marks = [
-            (pc, ops[pc + 1]) for pc in range(0, len(ops), 2)
-            if ops[pc] == OP_JUMP and ops[pc + 1] < pc
-            and blocker(code, ops[pc + 1], pc) is None
-        ]
-        _MARKS.put(key, marks)
-    for pc, head in marks:
+    entry is ``[head, back-edges run, (function, guard caches) | None]``."""
+    ops, body = code.ops, _Body((code.script, tuple(code.slot_names)))
+    body.code = code
+    for pc, head in _marks(body):
         ops[pc], ops[pc + 1] = OP_LOOP, len(code.caches)
         code.caches.append([head, 0, None])
 
@@ -227,13 +232,18 @@ def lower(code, head, end):
         for i, pc in enumerate(leaders):
             out.append("            %s pc == %d:" % ("elif" if i else "if", pc))
             chain(pc, " " * 16)
-        src = "\n".join(out + ["    except Exception:", "        return %d, n" % head])
-        fn = _FUNCS.get(src)
-        if fn is None:
-            ns: dict = {"BIG": 1 << 14000, "X": _NotInt()}  # BIG: str() can't fail
-            exec(compile(src, "<tcl loop>", "exec"), ns)
-            fn = ns["loop"]
-            _FUNCS.put(src, fn)
+        out += ["    except Exception:", "        return %d, n" % head]
+        fn = _function("\n".join(out))
     except (SyntaxError, RecursionError, MemoryError):
         return (lambda cells: (head, 0)), []
     return fn, [code.caches[g] for g in guards]
+
+
+@functools.lru_cache(maxsize=256)
+def _function(src):
+    """The loop function ``src`` defines, once per text: every interp in
+    the process shares it (each rep builds fresh interps; the source is
+    all a function depends on), and a failed compile is not cached."""
+    ns: dict = {"BIG": 1 << 14000, "X": _NotInt()}  # BIG: str() can't fail
+    exec(compile(src, "<tcl loop>", "exec"), ns)
+    return ns["loop"]

@@ -7,9 +7,8 @@ bounded by ``Interp.FRAME_LIMIT`` (a catchable :class:`TclError`), not
 by CPython's recursion limit.
 
 Command resolution goes through per-site inline caches validated
-against the interp's ``cmd_epoch``/current-namespace (the same
-invalidation protocol as the ``CompiledCommand`` pointer cache), so
-``proc`` redefinition and ``rename`` take effect at every call site
+against the interp's ``cmd_epoch``/current-namespace, so ``proc``
+redefinition and ``rename`` take effect at every call site
 immediately.  Caches resolve to one of four modes:
 
 * 1 — plain command function (builtins, procs whose body the

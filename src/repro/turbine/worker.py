@@ -189,7 +189,9 @@ class Worker:
         the persistent embedded Python/R sessions (``python_persist``
         globals survive tasks by design — a hung task's partial state
         must not leak into retries) and the interp's code cache (absent
-        in oracle mode)."""
+        in oracle mode), whose bytecode carries inline caches.  The
+        process-wide ``lru_cache``s stay: each maps a text to what it
+        parses or compiles to, which no task can wedge."""
         self.watchdog_stats.recycled += 1
         interp = self.unit.interp
         for embedded in interp.embedded.values():

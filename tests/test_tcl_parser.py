@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.interlang.python_interp import _compile
+from repro.rlang.parser import parse as parse_r
+from repro.tcl import tier
 from repro.tcl.expr import compile_expr
 from repro.tcl.parser import TclParseError, parse_cached, parse_script
 
@@ -125,20 +128,28 @@ class TestCache:
         assert parse_cached("set x 1") is not parse_cached("set x 2")
 
     @pytest.mark.parametrize(
-        "fn,fmt",
-        [(parse_cached, "set x%d_%d 1"), (compile_expr, "%d + %d")],
-        ids=["parse_cached", "compile_expr"],
+        "fn,fmt,n",
+        [
+            (parse_cached, "set x%d_%d 1", 60_000),
+            (compile_expr, "%d + %d", 60_000),
+            (parse_r, "x%d_%d <- 1", 5_000),
+            (lambda s: _compile(s, "<py>", "exec"), "x%d_%d = 1", 5_000),
+            (tier._function, "def loop(cells):\n    return %d, %d", 2_000),
+        ],
+        ids=["parse_cached", "compile_expr", "r_parse", "python_compile",
+             "tier_function"],
     )
-    def test_concurrent_eviction_does_not_raise(self, fn, fmt):
-        # The parse and expr-AST caches are process-wide and lock-free;
-        # every rank thread inserts unique strings (rule actions), so at
-        # capacity several threads evict at once and may pick the same
-        # victim.  That used to escape as a KeyError.
+    def test_concurrent_eviction_does_not_raise(self, fn, fmt, n):
+        # Every process-wide text cache is shared by all rank threads,
+        # which insert unique strings (rule actions, task payloads), so
+        # at capacity several threads evict at once.  A hand-rolled
+        # eviction that picked the same victim twice once escaped as a
+        # KeyError.
         errors = []
 
         def insert_unique(k):
             try:
-                for i in range(60_000):
+                for i in range(n):
                     fn(fmt % (k, i))
             except BaseException as e:
                 errors.append(e)

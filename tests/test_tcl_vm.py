@@ -520,14 +520,16 @@ class TestVMStats:
         assert vm_interp.vm_stats.code_hits > before
 
     def test_plain_payload_is_no_cache_entry(self, vm_interp):
-        from repro.tcl import parser
+        from repro.tcl.parser import parse_cached
 
         vm_interp.eval("proc task:p {a b} { return $a$b }")
+        assert vm_interp.eval("task:p a b") == "ab"  # parses the body
         stats, size = vm_interp.vm_stats, len(vm_interp._vm_code_cache)
         misses, hits = stats.code_misses, stats.code_hits
+        parses = parse_cached.cache_info()
         payload = "task:p i=41 x%1000003"
         assert vm_interp.eval(payload) == "i=41x%1000003"
-        assert payload not in parser._CACHE
+        assert parse_cached.cache_info() == parses
         assert payload not in vm_interp._vm_code_cache
         assert len(vm_interp._vm_code_cache) == size
         assert (stats.code_misses, stats.code_hits) == (misses, hits)
@@ -537,12 +539,12 @@ class TestVMStats:
 
     def test_single_literal_command_dispatches_directly(self, vm_interp):
         # A one-command literal script skips bytecode: it
-        # lowers to a CompiledCommand, but the proc body it invokes
+        # lowers to its parsed Command, but the proc body it invokes
         # still executes on the VM (frames counter moves).
-        from repro.tcl.interp import CompiledCommand
+        from repro.tcl.parser import Command
 
         vm_interp.eval("proc g {x} { return $x }")
-        assert type(vm_interp.vm_compiled("g 5")) is CompiledCommand
+        assert type(vm_interp.vm_compiled("g 5")) is Command
         before = vm_interp.vm_stats.frames
         assert vm_interp.eval("g 5") == "5"
         assert vm_interp.vm_stats.frames > before
@@ -616,6 +618,31 @@ PLAIN_CASES = {
     ],
     "error in a proc": ["proc h {a} { expr {$a / 0} }", "h 3"],
     "host exception": ["string repeat ab x"],
+    # A braced word is literal but not plain: the script is looked up
+    # in the code cache as its parsed Command and must still re-resolve
+    # its command on every evaluation.
+    "braced, proc redefined": [
+        "proc g {a} { return 1:$a }", "g {b c}",
+        "proc g {a} { return 2:$a }", "g {b c}",
+    ],
+    "braced, rename": [
+        "proc g {a} { return g:$a }", "g {b c}", "rename g h", "g {b c}",
+        "h {b c}", "proc g {a} { return new:$a }", "g {b c}",
+    ],
+    "braced, two namespaces": [
+        "proc f {a} { return ::f:$a }",
+        "namespace eval n1 { proc f {a} { return n1:$a } }",
+        "namespace eval n2 { proc f {a} { return n2:$a } }",
+        "namespace eval n1 {f {b c}}", "namespace eval n2 {f {b c}}",
+        "f {b c}", "namespace eval n3 {f {b c}}",
+    ],
+    "braced, wrong # args": [
+        "proc f {a} { return $a }", "f {1} {2}", "{f}", "f \\1",
+    ],
+    "braced, unknown": [
+        "{nosuch} {1 2}", 'proc unknown {args} { return "u:$args" }',
+        "{nosuch} {1 2}", "rename unknown {}", "{nosuch} {1 2}",
+    ],
 }
 
 
