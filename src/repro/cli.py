@@ -448,12 +448,12 @@ def _disasm(script: str, name: str) -> int:
     from .tcl.vm import proc_code
 
     interp = Interp()
-    code = compile_script_code(interp, script, name=name)
-    print(code.dis())
+    cmds = parse_script(script)
+    print(compile_script_code(cmds, script, name=name).dis())
     # Disassemble bodies of top-level literal `proc` definitions: run
     # just those commands so TclProc objects exist, then compile each.
     define = interp.lookup_command("proc")
-    for cmd in parse_script(script):
+    for cmd in cmds:
         words = [w.literal for w in cmd.words]
         if (
             len(words) == 4

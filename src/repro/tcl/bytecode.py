@@ -3,10 +3,11 @@
 A :class:`Code` object is the unit of execution: a flat ``ops`` array of
 ``(opcode, arg)`` pairs (stored interleaved, so the dispatch loop reads
 ``ops[pc]``/``ops[pc + 1]`` and advances ``pc`` by 2), a constant pool,
-and a list of mutable inline-cache slots.  Code objects are owned by a
-single interpreter — it lives in that interp's code cache, and the
-embedded command caches follow the interp's ``cmd_epoch`` invalidation
-protocol.
+and a list of mutable inline-cache slots.  A text compiles once per
+process to a template that is never run; each interpreter runs its
+:meth:`Code.bind` copy, which shares the template's ops and pools and
+owns its inline caches, so they follow that interp's ``cmd_epoch``
+invalidation protocol.
 
 The compiler (:mod:`repro.tcl.compile`) lowers parsed ``Command`` /
 ``Word`` / expr ASTs into this form; the VM (:mod:`repro.tcl.vm`) runs
@@ -118,8 +119,8 @@ class VMStats:
     cache_hits: int = 0      # inline command-cache hits
     cache_misses: int = 0    # inline command-cache (re)resolutions
     code_hits: int = 0       # code-cache hits (scripts served compiled)
-    code_misses: int = 0     # scripts lowered (first sight or LRU-evicted)
-    peephole_ops: int = 0    # ops removed / constants folded by peephole
+    code_misses: int = 0     # code-cache misses (first sight or LRU-evicted)
+    peephole_ops: int = 0    # peephole-removed ops of the templates bound
     loops_lowered: int = 0   # loops the tier turned into Python functions
     lowered_iterations: int = 0  # loop iterations run by those functions
     loop_deopts: int = 0     # times a lowered loop handed back to the VM
@@ -131,7 +132,8 @@ class Code:
     * ``ops`` — interleaved (opcode, arg) pairs.
     * ``consts`` — constant pool (strings, tuples, expr nodes,
       parsed-Command fallbacks, proc prototypes).
-    * ``caches`` — mutable inline-cache entries for CALL/CALL_LIT/GUARD.
+    * ``caches`` — mutable inline-cache entries for CALL/CALL_LIT/GUARD/
+      LOOP; a template's hold their compile-time values.
     * ``slot_names`` — local-variable slot table (proc bodies; empty for
       script-context code, which uses the NAME ops against the current
       frame's dict).
@@ -141,11 +143,12 @@ class Code:
     * ``proto`` — for proc bodies, the arg-count-checked prototype
       ``(name, params, n_params, simple)`` used by the VM's binding
       fast path.
+    * ``removed`` — ops the peephole pass removed or folded.
     """
 
     __slots__ = (
         "ops", "consts", "caches", "slot_names", "regions", "lines",
-        "proto", "name", "script",
+        "proto", "name", "script", "removed",
     )
 
     def __init__(
@@ -159,6 +162,7 @@ class Code:
         proto: tuple | None = None,
         name: str = "<script>",
         script: str = "",
+        removed: int = 0,
     ):
         self.ops = ops
         self.consts = consts
@@ -169,6 +173,17 @@ class Code:
         self.proto = proto
         self.name = name
         self.script = script
+        self.removed = removed
+
+    def bind(self, stats: VMStats) -> "Code":
+        """This template's copy for one interp: the ops and pools are
+        shared, each inline cache is its own."""
+        stats.peephole_ops += self.removed
+        return Code(
+            self.ops, self.consts, [c[:] for c in self.caches],
+            self.slot_names, self.regions, self.lines, self.proto,
+            self.name, self.script, self.removed,
+        )
 
     # -- debugging --------------------------------------------------------
 

@@ -3,6 +3,8 @@ catch, error, expr, return/break/continue, rename."""
 
 from __future__ import annotations
 
+import functools
+
 from ..errors import TclBreak, TclContinue, TclError, TclReturn
 from ..expr import eval_expr, to_string, truthy
 from ..interp import TclProc
@@ -175,21 +177,23 @@ def cmd_switch(interp, args):
     return interp.eval(matched_body)
 
 
+@functools.lru_cache(maxsize=4096)
+def _arg_spec(text):
+    """A proc's ``(name, default | None)`` parameters, parsed once per
+    text; a bad spec raises, uncached, on every definition."""
+    params = []
+    for p in parse_list(text):
+        parts = parse_list(p)
+        if len(parts) not in (1, 2):
+            raise TclError('too many fields in argument specifier "%s"' % p)
+        params.append((parts[0], parts[1] if len(parts) == 2 else None))
+    return tuple(params)
+
+
 def cmd_proc(interp, args):
     if len(args) != 3:
         raise _wrong_args("proc name args body")
     name, params_text, body = args
-    params: list[tuple[str, str | None]] = []
-    for p in parse_list(params_text):
-        parts = parse_list(p)
-        if len(parts) == 1:
-            params.append((parts[0], None))
-        elif len(parts) == 2:
-            params.append((parts[0], parts[1]))
-        else:
-            raise TclError(
-                'too many fields in argument specifier "%s"' % p
-            )
     if name.startswith("::"):
         qname = name.lstrip(":")
     elif interp.current_ns.name:
@@ -199,7 +203,7 @@ def cmd_proc(interp, args):
     ns = interp.current_ns
     if "::" in qname:
         ns = interp.namespace(qname.rsplit("::", 1)[0], create=True)
-    proc = TclProc(qname, params, body, ns)
+    proc = TclProc(qname, _arg_spec(params_text), body, ns)
     interp.register(qname, proc)
     return ""
 

@@ -33,6 +33,7 @@ interpreted walk's.
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 from .bytecode import (
@@ -245,7 +246,7 @@ class _Asm:
         ]
         return Code(
             ops, self.consts, self.caches, slot_names, regions, lines,
-            proto=proto, name=name, script=script,
+            proto=proto, name=name, script=script, removed=self.removed,
         )
 
 
@@ -709,35 +710,29 @@ _INLINE = {
 }
 
 
-def compile_script_code(interp, script: str, name: str = "<script>") -> Code:
-    """Compile a script-context (frame-agnostic) :class:`Code` object."""
-    try:
-        cmds = parse_cached(script)
-    except TclParseError as e:
-        raise TclError(str(e)) from None
+def compile_script_code(cmds, script: str, name: str = "<script>") -> Code:
+    """Compile a script-context (frame-agnostic) :class:`Code` template."""
     c = Compiler(proc_mode=False)
     c.script_push(cmds)
-    code = c.finish(name, script)
-    interp.vm_stats.peephole_ops += c.asm.removed
-    return code
+    return c.finish(name, script)
 
 
-def compile_proc_code(interp, proc) -> Code | None:
-    """Compile a proc body with local slots; None if the body won't parse
+@functools.lru_cache(maxsize=4096)
+def compile_proc_code(body: str, params: tuple, name: str, simple: bool) -> Code | None:
+    """A proc body's template, with local slots, once per process: the
+    compile reads nothing else.  None if the body won't parse
     (``interp.eval(body)`` then reports the parse error at call time)."""
     try:
-        cmds = parse_cached(proc.body)
+        cmds = parse_cached(body)
     except TclParseError:
         return None
     c = Compiler(proc_mode=True)
-    for pname, _default in proc.params:
+    for pname, _default in params:
         if c._slot(pname) is None:
             return None  # qualified/empty param name: generic binding
-    if len(c.slots or {}) != len(proc.params):
+    if len(c.slots or {}) != len(params):
         return None  # duplicate param names: generic binding semantics
     c.script_push(cmds)
-    proto = (proc.name, proc.params, len(proc.params), proc._simple)
-    code = c.finish("<proc %s>" % proc.name, proc.body, proto=proto)
+    code = c.finish("<proc %s>" % name, body, proto=(name, params, len(params), simple))
     mark_loops(code)
-    interp.vm_stats.peephole_ops += c.asm.removed
     return code

@@ -8,6 +8,7 @@ through Tcl as handle strings, the same trick SWIG uses for pointers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import sys
@@ -77,13 +78,13 @@ class TclProc:
 
     __slots__ = (
         "name", "params", "body", "ns",
-        "_names", "_simple", "_vm_code", "_vm_code_interp",
+        "_names", "_simple", "_vm_code",
     )
 
     def __init__(
         self,
         name: str,
-        params: list[tuple[str, str | None]],
+        params: tuple[tuple[str, str | None], ...],
         body: str,
         ns: Namespace,
     ):
@@ -96,11 +97,10 @@ class TclProc:
         self._simple = all(d is None for _, d in params) and (
             not params or params[-1][0] != "args"
         )
-        # Bytecode slot: the body lowered for one interp's VM (procs are
-        # created per-interp, but guard on identity anyway); False marks
-        # a body the compiler declined, which runs via ``interp.eval``.
+        # Bytecode slot: the body's template bound for the one interp
+        # that defined this proc; False marks a body the compiler
+        # declined, which runs via ``interp.eval``.
         self._vm_code: Any = None
-        self._vm_code_interp: "Interp" | None = None
 
     def bind(self, fv: dict[str, "Var"], argv: list[str]) -> None:
         """Bind ``argv`` to the parameters in ``fv``: positionals, then
@@ -130,12 +130,8 @@ class TclProc:
 
     def __call__(self, interp: "Interp", argv: list[str]) -> str:
         if interp.compile_enabled:
-            vcode = self._vm_code
-            if vcode is None or self._vm_code_interp is not interp:
-                vcode = interp._vm_proc_code(interp, self)
-            elif vcode is False:
-                vcode = None
-            if vcode is not None:
+            vcode = self._vm_code or interp._vm_proc_code(interp, self)
+            if vcode:
                 return interp._vm_call_proc(interp, self, vcode, argv)
         frame = Frame(self.ns, label=self.name)
         if self._simple and len(argv) == len(self.params):
@@ -217,14 +213,12 @@ class Interp:
         self.vm_stats = VMStats()
         if compile_enabled:
             from . import vm as _vm
-            from .compile import compile_script_code as _vm_compile
 
             self._vm_run_script = _vm.run_script
             self._vm_call_proc = _vm.call_proc
             self._vm_proc_code = _vm.proc_code
-            self._vm_compile_script = _vm_compile
-            # Script text -> what _vm_lower made of it, least recently
-            # used first.  This interp's rank thread alone touches it.
+            # Script text -> its _vm_lower, a Code bound for this interp,
+            # LRU first.  This interp's rank thread alone touches it.
             self._vm_code_cache: dict[str, Any] = {}
         if register_core:
             from .commands import register_all
@@ -390,7 +384,9 @@ class Interp:
         cache = self._vm_code_cache
         code = cache.pop(script, None)
         if code is None:
-            code = self._vm_lower(script)
+            code = _vm_lower(script)
+            if type(code) is not Command:
+                code = code.bind(self.vm_stats)
             if len(cache) >= 2048:
                 del cache[next(iter(cache))]
             self.vm_stats.code_misses += 1
@@ -398,26 +394,6 @@ class Interp:
             self.vm_stats.code_hits += 1
         cache[script] = code
         return code
-
-    def _vm_lower(self, script: str):
-        """Lower one script for the VM.
-
-        A one-command script whose words are all literal (a braced or
-        escaped word keeps it off the plain road) stays its parsed
-        :class:`Command`, which ``eval`` runs as the oracle does: no
-        Code build, no root frame.  Everything else gets bytecode.
-        """
-        try:
-            cmds = parse_cached(script)
-        except TclParseError as e:
-            raise TclError(str(e)) from None
-        if len(cmds) == 1:
-            cmd = cmds[0]
-            if cmd.words[0].literal not in _SCRIPT_BUILTINS and all(
-                w.literal is not None and not w.expand for w in cmd.words
-            ):
-                return cmd
-        return self._vm_compile_script(self, script)
 
     def _dispatch(self, argv: list[str], line: int) -> str:
         """Run a substituted command: its function, else ``unknown``."""
@@ -485,6 +461,31 @@ class Interp:
         self.stdout.append(line)
         if self.echo:
             print(line)
+
+
+@functools.lru_cache(maxsize=4096)
+def _vm_lower(script: str):
+    """Lower one script for the VM, once per process.
+
+    A one-command script whose words are all literal (a braced or
+    escaped word keeps it off the plain road) stays its parsed
+    :class:`Command`, which ``eval`` runs as the oracle does: no
+    Code build, no root frame.  Everything else gets a bytecode
+    template, which each interp binds before it runs.
+    """
+    try:
+        cmds = parse_cached(script)
+    except TclParseError as e:
+        raise TclError(str(e)) from None
+    if len(cmds) == 1:
+        cmd = cmds[0]
+        if cmd.words[0].literal not in _SCRIPT_BUILTINS and all(
+            w.literal is not None and not w.expand for w in cmd.words
+        ):
+            return cmd
+    from .compile import compile_script_code
+
+    return compile_script_code(cmds, script)
 
 
 def _abbrev(argv: list[str]) -> str:

@@ -156,30 +156,15 @@ def blocker(code, head, end):
     return _walk(code, head, end)[1]
 
 
-class _Body(tuple):
-    """``(proc body, slots)``: they fix a body's ops, so every interp in
-    the process shares its marks.  ``code`` rides along, unhashed."""
-
-
-@functools.lru_cache(maxsize=1024)
-def _marks(body):
-    """The ``(back-edge pc, loop head)`` of each lowerable loop."""
-    code = body.code
-    del body.code  # the cache keeps body; its code would pin its interp
-    ops = code.ops
-    return [
-        (pc, ops[pc + 1]) for pc in range(0, len(ops), 2)
-        if ops[pc] == OP_JUMP and ops[pc + 1] < pc
-        and blocker(code, ops[pc + 1], pc) is None
-    ]
-
-
 def mark_loops(code):
     """End each lowerable loop of a proc body in OP_LOOP, whose cache
     entry is ``[head, back-edges run, (function, guard caches) | None]``."""
-    ops, body = code.ops, _Body((code.script, tuple(code.slot_names)))
-    body.code = code
-    for pc, head in _marks(body):
+    ops = code.ops
+    for pc, head in [
+        (pc, ops[pc + 1]) for pc in range(0, len(ops), 2)
+        if ops[pc] == OP_JUMP and ops[pc + 1] < pc
+        and blocker(code, ops[pc + 1], pc) is None
+    ]:
         ops[pc], ops[pc + 1] = OP_LOOP, len(code.caches)
         code.caches.append([head, 0, None])
 

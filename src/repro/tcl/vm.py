@@ -36,6 +36,7 @@ from .bytecode import (
     OP_POP_BLOCK, OP_PUSH_BLOCK, OP_RETURN, OP_SET_NAME, OP_SET_SLOT,
     OP_SUB, OP_TO_STR, OP_UNARY,
 )
+from .compile import compile_proc_code
 from .errors import TclBreak, TclContinue, TclError, TclReturn
 from .expr import (
     _eval_bin, coerce, eval_node, eval_unary, parse_number, to_string,
@@ -87,16 +88,12 @@ class VMFrame(Frame):
 
 
 def proc_code(interp, proc):
-    """The proc's VM code for this interp; None if the body won't parse."""
-    code = proc._vm_code
-    if code is not None and proc._vm_code_interp is interp:
-        return code or None  # False marks an unparseable body
-    from .compile import compile_proc_code
-
-    code = compile_proc_code(interp, proc)
-    proc._vm_code = code if code is not None else False
-    proc._vm_code_interp = interp
-    return code
+    """The proc's VM code, its body's template bound for this interp;
+    None if the body won't parse."""
+    if proc._vm_code is None:
+        code = compile_proc_code(proc.body, proc.params, proc.name, proc._simple)
+        proc._vm_code = False if code is None else code.bind(interp.vm_stats)
+    return proc._vm_code or None  # False marks an unparseable body
 
 
 def _trivial(interp, proc, code):

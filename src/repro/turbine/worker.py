@@ -189,9 +189,9 @@ class Worker:
         the persistent embedded Python/R sessions (``python_persist``
         globals survive tasks by design — a hung task's partial state
         must not leak into retries) and the interp's code cache (absent
-        in oracle mode), whose bytecode carries inline caches.  The
-        process-wide ``lru_cache``s stay: each maps a text to what it
-        parses or compiles to, which no task can wedge."""
+        in oracle mode), whose bound copies carry its inline caches.
+        The process-wide ``lru_cache``s stay: each maps a text to what
+        it parses or compiles to (templates no interp writes to)."""
         self.watchdog_stats.recycled += 1
         interp = self.unit.interp
         for embedded in interp.embedded.values():

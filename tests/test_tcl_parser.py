@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from repro.interlang.python_interp import _compile
 from repro.rlang.parser import parse as parse_r
 from repro.tcl import tier
+from repro.tcl.commands.control import _arg_spec
+from repro.tcl.compile import compile_proc_code
 from repro.tcl.expr import compile_expr
+from repro.tcl.interp import _vm_lower
 from repro.tcl.parser import TclParseError, parse_cached, parse_script
 
 
@@ -135,9 +138,13 @@ class TestCache:
             (parse_r, "x%d_%d <- 1", 5_000),
             (lambda s: _compile(s, "<py>", "exec"), "x%d_%d = 1", 5_000),
             (tier._function, "def loop(cells):\n    return %d, %d", 2_000),
+            (_vm_lower, "set x %d; set y %d", 2_000),
+            (lambda s: compile_proc_code(s, (("a", None),), "p", True),
+             "set x %d; return $a%d", 2_000),
+            (_arg_spec, "a%d {b %d}", 2_000),
         ],
         ids=["parse_cached", "compile_expr", "r_parse", "python_compile",
-             "tier_function"],
+             "tier_function", "vm_lower", "proc_template", "arg_spec"],
     )
     def test_concurrent_eviction_does_not_raise(self, fn, fmt, n):
         # Every process-wide text cache is shared by all rank threads,

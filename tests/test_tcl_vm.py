@@ -23,8 +23,10 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from repro import swift_run
+from repro.tcl.bytecode import OP_CALL, OP_CALL_LIT, OP_GUARD, OP_LOOP
+from repro.tcl.compile import compile_proc_code
 from repro.tcl.errors import TclBreak, TclContinue, TclError, TclReturn
-from repro.tcl.interp import Interp
+from repro.tcl.interp import Interp, _vm_lower
 from repro.tcl.tier import TIER_UP
 
 from .test_swift_fuzz import Undefined, evaluate, exprs, to_swift
@@ -446,6 +448,144 @@ class TestTierInvalidation:
         assert "on VM: CALL_LIT" in pcode.dis()
 
 
+# --- shared templates, per-interp inline caches ---------------------------
+
+# The body holds all four cache kinds: CALL ([g $n]), CALL_LIT ([g]),
+# GUARD (set/for/expr/return) and LOOP (a loop of no command, lowered
+# after TIER_UP back-edges).
+SHARED_F = (
+    "proc f {n} { set s 0; for {set k 0} {$k < 100} {incr k}"
+    " { set s [expr {$s + $k}] }; return [g]:[g $n]:$s }"
+)
+
+
+# Each cache kind's run-time fields, from their first index, as compiled:
+# epoch -1 and nothing resolved; a loop that has run no back-edge.
+PRISTINE = {
+    OP_CALL: (2, [-1, None, None, 0, None]),
+    OP_CALL_LIT: (3, [-1, None, 0, None]),
+    OP_GUARD: (2, [-1, None, False]),
+    OP_LOOP: (1, [0, None]),
+}
+
+
+def _assert_pristine(template):
+    """Every inline cache of a template holds its compile-time values."""
+    ops, seen = template.ops, set()
+    for pc in range(0, len(ops), 2):
+        if ops[pc] in PRISTINE:
+            first, values = PRISTINE[ops[pc]]
+            assert template.caches[ops[pc + 1]][first:first + len(values)] == values
+            seen.add(ops[pc])
+    assert seen == set(PRISTINE)
+
+
+def _template_misses():
+    return _vm_lower.cache_info().misses, compile_proc_code.cache_info().misses
+
+
+class TestSharedTemplates:
+    """A text compiles once per process to a template; each interp runs
+    its own bound copy, so a redefinition in one interp is never seen by
+    another running the same text at the same time."""
+
+    @pytest.mark.parametrize("setup,f,redefine,mid", [
+        ("", "f", "proc g {args} { return A2 }", "A2:A2:4950"),
+        ("", "f", 'rename g old_g; proc g {args} { return "r[old_g]" }',
+         "rA:rA:4950"),
+        ("namespace eval ns { %s }", "ns::f",
+         "proc ::ns::g {args} { return N }", "N:N:4950"),
+    ], ids=["proc", "rename", "namespace"])
+    def test_interps_see_only_their_own_commands(self, setup, f, redefine, mid):
+        # More interps than CPUs, one thread each; only A redefines `g`.
+        n, half, names = 200, 100, "ABCD"
+        steps = {
+            who: [(setup or "%s") % SHARED_F, "proc g {args} { return %s }" % who]
+            for who in names
+        }
+        interps, results = {}, {who: [] for who in names}
+        # Two threads that miss on one text at once may each compile
+        # it; compile it first, so that every interp binds one template.
+        warm = Interp()
+        warm.echo = False
+        for step in steps["A"] + ["%s 3" % f]:
+            warm.eval(step)
+
+        def work(who):
+            it = interps[who] = Interp()
+            it.echo = False
+            for step in steps[who]:
+                it.eval(step)
+            for i in range(n):
+                if who == "A" and i == half:
+                    it.eval(redefine)
+                results[who].append(it.eval("%s 3" % f))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in names]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        # the oracle, one interp at a time, gives the same sequences
+        for who in names:
+            oracle = Interp(compile_enabled=False)
+            oracle.echo = False
+            for step in steps[who]:
+                oracle.eval(step)
+            want = [oracle.eval("%s 3" % f) for _ in range(half)]
+            if who == "A":
+                oracle.eval(redefine)
+            want += [oracle.eval("%s 3" % f) for _ in range(n - half)]
+            assert results[who] == want
+            assert want[0] == "%s:%s:4950" % (who, who)
+            assert want[-1] == (mid if who == "A" else want[0])
+            assert interps[who].vm_stats.loops_lowered == 1
+        procs = [interps[w].lookup_command(f) for w in names]
+        p = procs[0]
+        template = compile_proc_code(p.body, p.params, p.name, p._simple)
+        codes = [template] + [p._vm_code for p in procs]
+        assert all(c.ops is template.ops and c.consts is template.consts for c in codes)
+        for entries in zip(*(c.caches for c in codes)):
+            assert len({id(e) for e in entries}) == len(codes)
+        _assert_pristine(template)
+
+    def test_a_second_run_compiles_nothing(self):
+        # A 1-hop chain: its chunk runs its loop inside a `catch` script,
+        # which a second run of the program finds compiled.
+        src = ('string a[];\na[0] = "1";\nforeach i in [0:0] {\n'
+               '    a[i+1] = python(strcat("x=", a[i], "*3+1*", fromint(i)),'
+               ' "x%1000003");\n}\ntrace(a[1]);\n')
+        runs = []
+        for _ in range(2):
+            before = _template_misses()
+            res = swift_run(src, workers=2)
+            runs.append((res.stdout_lines, res.metrics["counters"]["tcl.vm.code_misses"],
+                         _template_misses() != before))
+        assert runs[0][0] == ["trace: 3"]
+        assert not runs[1][2]
+        assert runs[1][:2] == runs[0][:2]  # same output, same code_misses
+
+    def test_a_second_interp_compiles_nothing(self):
+        def run():
+            it = Interp()
+            it.echo = False
+            it.eval(SHARED_F + "\nproc g {args} { return x }")
+            return it.eval("f 3; f 3"), it.vm_stats
+
+        first, stats = run()
+        before = _template_misses()
+        second, again = run()
+        assert second == first == "x:x:4950"
+        assert _template_misses() == before
+        assert again == stats  # every counter reads per interp, as before
+
+
 # --- frame-depth limiting (VM replaces the recursion-limit bump) ---------
 
 
@@ -511,6 +651,23 @@ class TestVMStats:
         assert s.cache_misses > 0
         assert s.code_misses > 0
         assert s.peephole_ops > 0
+
+    def test_counters_populated_after_another_interp(self, vm_interp):
+        # The texts compile once per process; code_misses and
+        # peephole_ops still read what a first interp reads.
+        first = Interp()
+        first.echo = False
+        self.test_counters_populated(first)
+        self.test_counters_populated(vm_interp)
+        for name in ("code_misses", "code_hits", "peephole_ops", "frames"):
+            assert getattr(vm_interp.vm_stats, name) == getattr(first.vm_stats, name)
+
+    def test_bad_arg_spec_raises_on_every_definition(self, vm_interp):
+        for _ in range(3):
+            with pytest.raises(TclError, match='too many fields in argument'
+                               ' specifier "a b c"'):
+                vm_interp.eval("proc bad {{a b c}} { return 1 }")
+        assert vm_interp.lookup_command("bad") is None
 
     def test_code_cache_hits_on_reeval(self, vm_interp):
         # two commands: a script of one plain command never enters the cache
