@@ -66,47 +66,7 @@ OP_COERCE = 37      # pop v; push expr.coerce(v)  (inline [cmd] in expr)
 OP_TO_STR = 38      # pop v; push expr.to_string(v)
 OP_LOOP = 39        # caches[arg]; back-edge of a loop the tier can lower
 
-NAMES = {
-    OP_CONST: "CONST",
-    OP_POP: "POP",
-    OP_LOAD_NAME: "LOAD_NAME",
-    OP_LOAD_SLOT: "LOAD_SLOT",
-    OP_ELOAD_NAME: "ELOAD_NAME",
-    OP_ELOAD_SLOT: "ELOAD_SLOT",
-    OP_SET_NAME: "SET_NAME",
-    OP_SET_SLOT: "SET_SLOT",
-    OP_INCR_NAME: "INCR_NAME",
-    OP_INCR_SLOT: "INCR_SLOT",
-    OP_CONCAT: "CONCAT",
-    OP_CALL: "CALL",
-    OP_CALL_LIT: "CALL_LIT",
-    OP_EXEC: "EXEC",
-    OP_GUARD: "GUARD",
-    OP_JUMP: "JUMP",
-    OP_JUMP_IF_FALSE: "JUMP_IF_FALSE",
-    OP_JUMP_IF_TRUE: "JUMP_IF_TRUE",
-    OP_PUSH_BLOCK: "PUSH_BLOCK",
-    OP_POP_BLOCK: "POP_BLOCK",
-    OP_BREAK: "BREAK",
-    OP_CONTINUE: "CONTINUE",
-    OP_RETURN: "RETURN",
-    OP_END: "END",
-    OP_ADD: "ADD",
-    OP_SUB: "SUB",
-    OP_MUL: "MUL",
-    OP_LT: "LT",
-    OP_LE: "LE",
-    OP_GT: "GT",
-    OP_GE: "GE",
-    OP_EQ: "EQ",
-    OP_NE: "NE",
-    OP_BIN: "BIN",
-    OP_UNARY: "UNARY",
-    OP_EVAL_NODE: "EVAL_NODE",
-    OP_COERCE: "COERCE",
-    OP_TO_STR: "TO_STR",
-    OP_LOOP: "LOOP",
-}
+NAMES = {v: k[3:] for k, v in list(globals().items()) if k.startswith("OP_")}
 
 _JUMPS = {OP_JUMP, OP_JUMP_IF_FALSE, OP_JUMP_IF_TRUE}
 
@@ -124,6 +84,8 @@ class VMStats:
     loops_lowered: int = 0   # loops the tier turned into Python functions
     lowered_iterations: int = 0  # loop iterations run by those functions
     loop_deopts: int = 0     # times a lowered loop handed back to the VM
+    lowered_calls: int = 0   # proc activations run by a lowered body
+    proc_handbacks: int = 0  # times a lowered body handed its frame back
 
 
 class Code:
@@ -144,11 +106,13 @@ class Code:
       ``(name, params, n_params, simple)`` used by the VM's binding
       fast path.
     * ``removed`` — ops the peephole pass removed or folded.
+    * ``low`` — the template's ``[lowered body]`` (:func:`tier.lower_proc`),
+      shared by its bound copies; ``calls`` counts one copy's calls.
     """
 
     __slots__ = (
         "ops", "consts", "caches", "slot_names", "regions", "lines",
-        "proto", "name", "script", "removed",
+        "proto", "name", "script", "removed", "low", "calls",
     )
 
     def __init__(
@@ -163,17 +127,12 @@ class Code:
         name: str = "<script>",
         script: str = "",
         removed: int = 0,
+        low: list | None = None,
     ):
-        self.ops = ops
-        self.consts = consts
-        self.caches = caches
-        self.slot_names = slot_names
-        self.regions = regions
-        self.lines = lines
-        self.proto = proto
-        self.name = name
-        self.script = script
-        self.removed = removed
+        self.ops, self.consts, self.caches = ops, consts, caches
+        self.slot_names, self.regions, self.lines = slot_names, regions, lines
+        self.proto, self.name, self.script, self.removed = proto, name, script, removed
+        self.low, self.calls = [None] if low is None else low, 0
 
     def bind(self, stats: VMStats) -> "Code":
         """This template's copy for one interp: the ops and pools are
@@ -182,7 +141,7 @@ class Code:
         return Code(
             self.ops, self.consts, [c[:] for c in self.caches],
             self.slot_names, self.regions, self.lines, self.proto,
-            self.name, self.script, self.removed,
+            self.name, self.script, self.removed, self.low,
         )
 
     # -- debugging --------------------------------------------------------
@@ -206,7 +165,7 @@ class Code:
             out.append("  proto: %s {%s}%s" % (
                 pname,
                 " ".join(p for p, _ in params),
-                " [simple]" if simple else "",
+                " [simple]" if simple == 1 else "",
             ))
         if self.slot_names:
             out.append("  slots: %s" % ", ".join(
@@ -223,8 +182,12 @@ class Code:
             out.append("%s %5d  %-14s %s" % (mark, pc, NAMES.get(op, "?%d" % op), detail))
         for s, t, text, line in self.regions:
             out.append("  region [%d, %d) line %d: %r" % (s, t, line, text))
-        from .tier import blocker
+        from .tier import blocker, proc_blocker
 
+        if self.proto is not None:
+            b = proc_blocker(self)
+            out.append("  PROC %s" % ("lowerable" if b is None else "on VM: %s %s" % (
+                NAMES[ops[b]], self._detail(ops[b], ops[b + 1]))))
         for pc in range(0, len(ops), 2):
             op, arg = ops[pc], ops[pc + 1]
             if op == OP_LOOP:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 
-from ..errors import TclBreak, TclContinue, TclError, TclReturn
+from ..errors import TclBreak, TclContinue, TclError, TclReturn, caught
 from ..expr import eval_expr, to_string, truthy
 from ..interp import TclProc
 from ..listutil import parse_list
@@ -179,15 +179,17 @@ def cmd_switch(interp, args):
 
 @functools.lru_cache(maxsize=4096)
 def _arg_spec(text):
-    """A proc's ``(name, default | None)`` parameters, parsed once per
-    text; a bad spec raises, uncached, on every definition."""
+    """A proc's ``(params, names, simple)`` (see ``TclProc``), parsed once
+    per text; a bad spec raises, uncached, on every definition."""
     params = []
     for p in parse_list(text):
         parts = parse_list(p)
         if len(parts) not in (1, 2):
             raise TclError('too many fields in argument specifier "%s"' % p)
         params.append((parts[0], parts[1] if len(parts) == 2 else None))
-    return tuple(params)
+    names = tuple(p for p, _ in params)
+    simple = 0 if any(d is not None for _, d in params) else 2 if "args" in names[-1:] else 1
+    return tuple(params), names, simple
 
 
 def cmd_proc(interp, args):
@@ -233,21 +235,16 @@ def cmd_eval(interp, args):
 def cmd_catch(interp, args):
     if len(args) not in (1, 2):
         raise _wrong_args("catch script ?varName?")
-    code = 0
-    result = ""
     try:
-        result = interp.eval(args[0])
-    except TclError as e:
-        code, result = 1, e.message
-    except TclReturn as r:
-        code, result = 2, r.value
-    except TclBreak:
-        code = 3
-    except TclContinue:
-        code = 4
+        code, result = "0", interp.eval(args[0])
+    except (TclError, TclReturn, TclBreak, TclContinue) as e:
+        code, result = caught(e)
     if len(args) == 2:
         interp.set_var(args[1], result)
-    return str(code)
+    return code
+
+
+cmd_catch.vm_builtin = "catch"  # type: ignore[attr-defined]
 
 
 def cmd_error(interp, args):

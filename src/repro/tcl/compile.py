@@ -10,7 +10,8 @@ flat bytecode:
   (top-level ``eval`` bodies) stays frame-agnostic and uses the
   ``*_NAME`` ops.
 * **Inlined builtins** — ``set``/``incr``/``expr``/``if``/``while``/
-  ``for``/``return``/``break``/``continue`` with literal shapes lower
+  ``for``/``return``/``break``/``continue`` (and, in a proc body,
+  ``catch``) with literal shapes lower
   to dedicated opcodes behind an epoch-checked ``GUARD``; if any of
   them is renamed or shadowed the guard diverts to an ``EXEC``
   fallback that runs the parsed :class:`Command` through the oracle's
@@ -236,9 +237,9 @@ class _Asm:
         for c in self.caches:
             if len(c) == 6 and isinstance(c[5], Label):
                 c[5] = c[5].pos
-        for idx in self._blocks:
+        for idx in self._blocks:  # a catch's block has no continue target
             brk, cont = self.consts[idx]
-            self.consts[idx] = (brk.pos, cont.pos)
+            self.consts[idx] = (brk.pos, cont.pos if cont else -1)
         regions = [
             (s.pos, e.pos, text, line)
             for s, e, text, line in self.regions
@@ -258,6 +259,7 @@ class Compiler:
         # Local slot table: proc bodies only.  Script-context code runs
         # against whatever frame is current, so names stay dynamic.
         self.slots: dict[str, int] | None = {} if proc_mode else None
+        self.catches = 0  # inlined catch scripts being compiled
 
     # -- variables --------------------------------------------------------
 
@@ -407,21 +409,23 @@ class Compiler:
 
     def _in_incr(self, cmd: Command) -> bool:
         words = cmd.words
-        if (
-            len(words) not in (2, 3)
-            or words[1].literal is None
-            or (len(words) == 3 and words[2].literal is None)
-        ):
+        if len(words) not in (2, 3) or words[1].literal is None:
             return False
         name = words[1].literal
-        delta = 1
-        if len(words) == 3:
-            d = parse_number(words[2].literal)  # type: ignore[arg-type]
-            if not isinstance(d, int):
+        delta, text = 1, None  # delta None: popped, checked, at run time
+        if len(words) == 3 and words[2].literal is None:
+            if self._slot(name) is None:
+                return False
+            delta = None
+        elif len(words) == 3:
+            delta = parse_number(words[2].literal)
+            if not isinstance(delta, int):
                 return False  # runtime "expected integer" via generic CALL
-            delta = d
-        text = _abbrev([w.literal for w in words])  # type: ignore[misc]
+        if delta is not None:
+            text = _abbrev([w.literal for w in words])  # type: ignore[misc]
         labels = self._guard(cmd, "incr")
+        if delta is None:
+            self.word(words[2])
         si = self._slot(name)
         if si is not None:
             self.asm.emit(
@@ -564,10 +568,47 @@ class Compiler:
         self._close_guard(cmd, labels, region_text=text)
         return True
 
+    def _in_catch(self, cmd: Command) -> bool:
+        """``catch script ?var?`` in a proc body: a block whose handler
+        the VM enters with the code and result on the stack."""
+        words = cmd.words
+        if (
+            self.slots is None or len(words) not in (2, 3)
+            or any(w.literal is None for w in words)
+            or len(words) == 3 and self._slot(words[2].literal) is None
+        ):
+            return False
+        try:
+            cmds = parse_cached(words[1].literal)  # type: ignore[arg-type]
+        except TclParseError:
+            return False
+        asm = self.asm
+        labels = self._guard(cmd, "catch")
+        handler, end = Label(), Label()
+        asm.emit(OP_PUSH_BLOCK, asm.block_const(handler, None))
+        self.catches += 1
+        self.script_push(cmds)
+        self.catches -= 1
+        asm.emit(OP_POP_BLOCK, 0)
+        for path in (0, 1):  # result or (code, result) on the stack
+            if len(words) == 3:
+                name = words[2].literal
+                asm.emit(OP_SET_SLOT, asm.const((self._slot(name), name, cmd.line)))
+            asm.emit(OP_POP, 0)
+            if not path:
+                asm.emit(OP_CONST, asm.const("0"))
+                asm.emit(OP_JUMP, end)
+                asm.mark(handler)
+        asm.mark(end)
+        self._close_guard(cmd, labels)
+        return True
+
     def _in_return(self, cmd: Command) -> bool:
         words = cmd.words
-        if len(words) > 2:
-            return False  # -code forms raise TclReturn via the fn path
+        if len(words) > 2 or self.catches:
+            # -code forms raise TclReturn via the fn path, and so does
+            # a return that an inlined catch must see
+            return False
         labels = self._guard(cmd, "return")
         if len(words) == 2:
             self.word(words[1])
@@ -704,6 +745,7 @@ _INLINE = {
     "if": Compiler._in_if,
     "while": Compiler._in_while,
     "for": Compiler._in_for,
+    "catch": Compiler._in_catch,
     "return": Compiler._in_return,
     "break": Compiler._in_break,
     "continue": Compiler._in_continue,

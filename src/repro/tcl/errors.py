@@ -47,3 +47,11 @@ class TclBreak(Exception):
 
 class TclContinue(Exception):
     """``continue`` was invoked (return code TCL_CONTINUE)."""
+
+
+def caught(e: Exception) -> tuple[str, str] | None:
+    """``catch``'s (code, result) for a Tcl exception; None for any other."""
+    for code, kind in enumerate((TclError, TclReturn, TclBreak, TclContinue), 1):
+        if isinstance(e, kind):
+            return str(code), e.message if code == 1 else e.value if code == 2 else ""
+    return None

@@ -81,22 +81,15 @@ class TclProc:
         "_names", "_simple", "_vm_code",
     )
 
-    def __init__(
-        self,
-        name: str,
-        params: tuple[tuple[str, str | None], ...],
-        body: str,
-        ns: Namespace,
-    ):
+    def __init__(self, name: str, spec: tuple, body: str, ns: Namespace):
         self.name = name
-        self.params = params  # (name, default|None); last may be "args"
+        # spec: (params, names, simple), cached per text by ``_arg_spec``.
+        # params are (name, default|None), the last may be "args"; simple
+        # is 1 for plain positionals, 2 for those then ``args``, else 0:
+        # the argument-binding fast paths.
+        self.params, self._names, self._simple = spec
         self.body = body
         self.ns = ns
-        # Argument-binding fast path: plain positional params only.
-        self._names = [p for p, _ in params]
-        self._simple = all(d is None for _, d in params) and (
-            not params or params[-1][0] != "args"
-        )
         # Bytecode slot: the body's template bound for the one interp
         # that defined this proc; False marks a body the compiler
         # declined, which runs via ``interp.eval``.
@@ -134,7 +127,7 @@ class TclProc:
             if vcode:
                 return interp._vm_call_proc(interp, self, vcode, argv)
         frame = Frame(self.ns, label=self.name)
-        if self._simple and len(argv) == len(self.params):
+        if self._simple == 1 and len(argv) == len(self.params):
             fv = frame.vars
             for pname, val in zip(self._names, argv):
                 fv[pname] = Var(val)
@@ -217,6 +210,7 @@ class Interp:
             self._vm_run_script = _vm.run_script
             self._vm_call_proc = _vm.call_proc
             self._vm_proc_code = _vm.proc_code
+            self.vm_nest = 0  # lowered proc bodies running, nested
             # Script text -> its _vm_lower, a Code bound for this interp,
             # LRU first.  This interp's rank thread alone touches it.
             self._vm_code_cache: dict[str, Any] = {}
@@ -414,21 +408,23 @@ class Interp:
         errors with the command text and stringifying the result."""
         try:
             result = fn(self, argv[1:])
-        except (TclReturn, TclBreak, TclContinue):
-            raise
-        except TclError as e:
-            e.add_info('"%s" (line %d)' % (_abbrev(argv), line))
-            raise
-        except self.passthrough:
-            raise
         except Exception as e:
-            err = TclError("%s: %s" % (type(e).__name__, e))
-            err.add_info('"%s" (line %d)' % (_abbrev(argv), line))
-            err.__cause__ = e
-            raise err from e
+            raise self.failed(e, argv, line)
         if result is None:
             return ""
         return result if isinstance(result, str) else to_string(result)
+
+    def failed(self, e: Exception, argv: list[str], line: int) -> Exception:
+        """What command ``argv``'s exception raises at its call site: a
+        TclError gains the site, a host error becomes one, and return
+        codes and ``passthrough`` exceptions go on as they are."""
+        if isinstance(e, (TclReturn, TclBreak, TclContinue) + self.passthrough):
+            return e
+        if not isinstance(e, TclError):
+            err = TclError("%s: %s" % (type(e).__name__, e))
+            err.__cause__, e = e, err
+        e.add_info('"%s" (line %d)' % (_abbrev(argv), line))
+        return e
 
     def _subst_word(self, word: Word) -> str:
         if word.literal is not None:

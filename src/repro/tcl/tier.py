@@ -1,4 +1,13 @@
-"""The tier behind the bytecode: a hot inlined loop as one Python function.
+"""The tiers behind the bytecode: a hot proc body, and a hot inlined
+loop, as one Python function.
+
+A proc body called PROC_TIER_UP times in an interp runs as the
+:func:`lower_proc`-ed function of its template: stack slots are locals,
+each call site makes the VM's inline-cache check and calls the resolved
+command itself, and anything else (a failed check, an op outside the
+subset, the frame's ``version`` moving under a call) hands the frame
+back to the VM at that op's pc, with its stack and blocks; an exception
+goes back with its op's pc, and the VM raises it there.
 
 A ``for``/``while`` loop of a proc body that runs no command ends in
 ``OP_LOOP`` (:func:`mark_loops`); after :data:`TIER_UP` back-edges the VM
@@ -17,12 +26,15 @@ from __future__ import annotations
 import functools
 from collections import Counter
 
+from .errors import caught
+from .expr import _eval_bin, coerce, eval_unary, to_string, truthy
+
 from .bytecode import (
-    OP_ADD, OP_BIN, OP_BREAK, OP_COERCE, OP_CONST, OP_CONTINUE,
-    OP_ELOAD_SLOT, OP_EQ, OP_GE, OP_GT, OP_GUARD, OP_INCR_SLOT, OP_JUMP,
-    OP_JUMP_IF_FALSE, OP_JUMP_IF_TRUE, OP_LE, OP_LOAD_SLOT, OP_LOOP, OP_LT,
-    OP_MUL, OP_NE, OP_POP, OP_POP_BLOCK, OP_PUSH_BLOCK, OP_SET_SLOT, OP_SUB,
-    OP_TO_STR, OP_UNARY,
+    OP_ADD, OP_BIN, OP_BREAK, OP_CALL, OP_CALL_LIT, OP_COERCE, OP_CONCAT,
+    OP_CONST, OP_CONTINUE, OP_ELOAD_SLOT, OP_END, OP_EQ, OP_GE, OP_GT,
+    OP_GUARD, OP_INCR_SLOT, OP_JUMP, OP_JUMP_IF_FALSE, OP_JUMP_IF_TRUE,
+    OP_LE, OP_LOAD_SLOT, OP_LOOP, OP_LT, OP_MUL, OP_NE, OP_POP, OP_POP_BLOCK,
+    OP_PUSH_BLOCK, OP_RETURN, OP_SET_SLOT, OP_SUB, OP_TO_STR, OP_UNARY,
 )
 
 # Back-edges a loop runs on the VM before it is lowered: about as many
@@ -31,6 +43,12 @@ from .bytecode import (
 # VM.  A hand-back restarts the count, so a loop that keeps handing back
 # pays one failed entry per TIER_UP iterations.
 TIER_UP = 80
+# Calls of a proc body in one interp before it runs lowered: a body run
+# once (a 1-leaf program, a rank's set-up) never pays for its compile().
+PROC_TIER_UP = 2
+# Lowered bodies running at once, nested, past which a call runs on the
+# VM: a lowered call is two Python frames, a VM frame none.
+NEST = 16
 
 # Typed ops by opcode, OP_BIN ones by operator: ints in, an int out.
 _ARITH = {
@@ -98,7 +116,9 @@ def _walk(code, head, end):
             slots.add(si)
             written.add(si)
             lines = ["v%d = %s" % (si, top)]
-            if op == OP_INCR_SLOT:
+            if op == OP_INCR_SLOT and consts[arg][2] is None:  # the delta popped
+                lines = ["v%d += %s" % (si, top), "%s = v%d" % (top, si)]
+            elif op == OP_INCR_SLOT:
                 lines = ["v%d += %d" % (si, consts[arg][2]), "s%d = v%d" % (d, si)]
                 nxt = [(pc + 2, d + 1, blocks)]
         elif op == OP_POP:
@@ -117,7 +137,7 @@ def _walk(code, head, end):
             lines = ["if not -BIG < %s < BIG: %s" % (top, back)]
         elif op == OP_GUARD:
             guards.append(arg)
-        elif op == OP_PUSH_BLOCK:
+        elif op == OP_PUSH_BLOCK and consts[arg][1] >= 0:  # not a catch
             nxt = [(pc + 2, d, blocks + (consts[arg] + (d,),))]
         elif op == OP_POP_BLOCK and blocks:
             nxt = [(pc + 2, d, blocks[:-1])]
@@ -169,6 +189,38 @@ def mark_loops(code):
         code.caches.append([head, 0, None])
 
 
+def _machine(out, nodes, leaders, ind, special=None):
+    """Emit ``nodes`` as a state machine on ``pc`` into ``out``: one
+    ``if pc == leader:`` arm per leader, the other nodes inlined in the
+    chain that reaches them; ``special(t, ind)`` emits a jump to ``t``
+    itself, or returns False."""
+
+    def goto(t, ind):
+        if special and special(t, ind):
+            return
+        if t in leaders:
+            out.extend([ind + "pc = %d" % t, ind + "continue"])
+        else:
+            chain(t, ind)
+
+    def chain(pc, ind):
+        while True:
+            lines, cond, targets = nodes[pc]
+            out.extend(ind + line for line in lines)
+            if not targets:
+                return
+            if cond is not None:
+                out.append(ind + "if %s:" % cond)
+                goto(targets[0], ind + "    ")
+            pc = targets[-1]
+            if pc in leaders or pc not in nodes:
+                return goto(pc, ind)
+
+    for i, pc in enumerate(leaders):
+        out.append(ind + "%s pc == %d:" % ("elif" if i else "if", pc))
+        chain(pc, ind + "    ")
+
+
 def lower(code, head, end):
     """``(function, guard caches)`` for the loop ``[head, end]``.  The
     function takes the frame's cells and returns ``(pc, iterations)``;
@@ -192,31 +244,15 @@ def lower(code, head, end):
         ]
     out.append("        while True:")
 
-    def goto(t, ind):
+    def special(t, ind):
         if not head <= t <= end:
             out.extend(ind + line for line in (store, "return %d, n" % t))
         elif t == head:
             out.extend(ind + line for line in (store, "n += 1", "pc = %d" % t, "continue"))
-        elif t in leaders:
-            out.extend([ind + "pc = %d" % t, ind + "continue"])
-        else:
-            chain(t, ind)
-
-    def chain(pc, ind):
-        while True:
-            lines, cond, targets = nodes[pc]
-            out.extend(ind + line for line in lines)
-            if cond is not None:
-                out.append(ind + "if %s:" % cond)
-                goto(targets[0], ind + "    ")
-            pc = targets[-1]
-            if not head <= pc <= end or pc in leaders:
-                return goto(pc, ind)
+        return not head < t <= end
 
     try:  # a chain of ~100 nested `?:` outgrows Python's nesting limits
-        for i, pc in enumerate(leaders):
-            out.append("            %s pc == %d:" % ("elif" if i else "if", pc))
-            chain(pc, " " * 16)
+        _machine(out, nodes, leaders, " " * 12, special)
         out += ["    except Exception:", "        return %d, n" % head]
         fn = _function("\n".join(out))
     except (SyntaxError, RecursionError, MemoryError):
@@ -224,11 +260,192 @@ def lower(code, head, end):
     return fn, [code.caches[g] for g in guards]
 
 
+# Ops whose lowered form can raise: each records its pc first.
+_RAISES = {
+    OP_ELOAD_SLOT, OP_CALL, OP_CALL_LIT, OP_JUMP_IF_FALSE, OP_JUMP_IF_TRUE,
+    OP_BIN, OP_UNARY, OP_COERCE, OP_TO_STR,
+} | set(range(OP_ADD, OP_NE + 1))
+
+
+def _stack(d):
+    return "[%s]" % ", ".join("s%d" % i for i in range(d))
+
+
+def _proc_walk(code):
+    """Translate each op of a proc body reachable from pc 0, as _walk does
+    a loop's, keeping the VM's values (str; int or float inside an expr).
+    Returns ``(nodes, sites, landings, blocker)``: ``sites[pc] = (depth,
+    blocks)`` for each op that can raise, the catch handlers, and the
+    first op that hands the body back (EXEC, a NAME op, ...), or None."""
+    ops, consts, caches = code.ops, code.consts, code.caches
+    nodes, seen, todo = {}, {0: (0, ())}, [0]
+    sites, landings, blockers = {}, [], []
+    while todo:
+        pc = todo.pop()
+        d, blocks = seen[pc]
+        op, arg = ops[pc], ops[pc + 1]
+        top, under, s = "s%d" % (d - 1), "s%d" % (d - 2), "s%d" % d
+        back = "return %d, %s, %r, None" % (pc, _stack(d), list(blocks))
+        lines, cond, nxt = [], None, [(pc + 2, d, blocks)]
+        if op == OP_CONST:
+            v = consts[arg]
+            lines = ["%s = %s" % (s, repr(v) if type(v) is str else "C[%d]" % arg)]
+            nxt = [(pc + 2, d + 1, blocks)]
+        elif op == OP_POP:
+            nxt = [(pc + 2, d - 1, blocks)]
+        elif op == OP_LOAD_SLOT or op == OP_ELOAD_SLOT:
+            value = "v.value" if op == OP_LOAD_SLOT else "CO(v.value)"
+            lines = ["v = cells[%d]" % arg, "if v is None: " + back, "%s = %s" % (s, value)]
+            nxt = [(pc + 2, d + 1, blocks)]
+        elif op == OP_SET_SLOT:
+            si, name, _ = consts[arg]
+            lines = ["v = cells[%d]" % si, "if v is None: NEW(f, cells, %d, %r, %s)" % (
+                si, name, top), "else: v.value = %s" % top]
+        elif op == OP_INCR_SLOT:
+            si, _, delta, _, _ = consts[arg]
+            dst = top if delta is None else s
+            lines = ["v = INC(cells[%d], %s)" % (si, top if delta is None else repr(str(delta))),
+                     "if v is None: " + back, "%s = v" % dst]
+            nxt = [(pc + 2, d + (delta is not None), blocks)]
+        elif op == OP_CONCAT:
+            lines = ["s%d = %s" % (d - arg, " + ".join("s%d" % i for i in range(d - arg, d)))]
+            nxt = [(pc + 2, d - arg + 1, blocks)]
+        elif op == OP_CALL or op == OP_CALL_LIT:
+            c = caches[arg]
+            if op == OP_CALL_LIT:  # [argv, tail, line, epoch, ns, mode, payload]
+                b, argv, tail, line, argc, nth = d, "c[0]", "c[1]", "c[2]", len(c[0]), "c[1][t[1]]"
+                check, resolve = "c[3] == I.cmd_epoch and c[4] is I.current_ns", "RL(I, c)"
+            else:  # [argc, line, epoch, ns, name, mode, payload]
+                b, argv, tail, line, argc, nth = d - c[0], "a", "a[1:]", "c[1]", c[0], "a[t[1] + 1]"
+                check = "c[2] == I.cmd_epoch and c[3] is I.current_ns and c[4] == s%d" % b
+                resolve = "RS(I, c, s%d)" % b
+                lines = ["a = [%s]" % ", ".join("s%d" % i for i in range(b, d))]
+            lines += [
+                "c = K[%d]" % arg,
+                "if %s: h += 1" % check,
+                "elif not %s: %s" % (resolve, back),
+                "m, t = c[5], c[6]",
+                "if m == 3 and t[2] == %d: s%d = %s if t[0] == 0 else t[1]" % (argc - 1, b, nth),
+                "elif m == 1 or m == 2:",
+                "    try: r = t(I, %s) if m == 1 else CP(I, t[0], t[1], %s)" % (tail, tail),
+                "    except Exception as e: raise I.failed(e, %s, %s)" % (argv, line),
+                "    s%d = r if type(r) is str else TS(r)" % b,
+                "    if f.version: return %d, %s, %r, None" % (pc + 2, _stack(b + 1), list(blocks)),
+                "else: " + back,
+            ]
+            nxt = [(pc + 2, b + 1, blocks)]
+        elif op == OP_GUARD:
+            lines = ["c = K[%d]" % arg, "if not (c[2] == I.cmd_epoch and c[3] is "
+                     "I.current_ns and c[4] or GOK(I, c)): " + back]
+        elif op == OP_JUMP:
+            nxt = [(arg, d, blocks)]
+        elif op == OP_JUMP_IF_FALSE or op == OP_JUMP_IF_TRUE:
+            cond = "%s(%s if type(%s) is int else TR(%s))" % (
+                "not " if op == OP_JUMP_IF_FALSE else "", top, top, top)
+            nxt = [(arg, d - 1, blocks), (pc + 2, d - 1, blocks)]
+        elif OP_ADD <= op <= OP_NE or op == OP_BIN:  # typed: the VM's int fast path
+            sym = consts[arg] if op == OP_BIN else _ARITH.get(op) or _CMP[op]
+            fast = ("%s %s %s" if op in _ARITH else "(1 if %s %s %s else 0)") % (under, sym, top)
+            lines = ["%s = %sEB(%r, %s, %s)" % (under, "" if op == OP_BIN else "%s if type(%s) is int is type(%s) else " % (
+                fast, under, top), sym, under, top)]
+            nxt = [(pc + 2, d - 1, blocks)]
+        elif op == OP_UNARY or op == OP_COERCE or op == OP_TO_STR:
+            lines = ["%s = %s" % (top, "EU(%r, %s)" % (consts[arg], top) if op == OP_UNARY
+                                  else "CO(%s)" % top if op == OP_COERCE
+                                  else "%s if type(%s) is str else TS(%s)" % (top, top, top))]
+        elif op == OP_PUSH_BLOCK:
+            brk, cont = consts[arg]
+            nxt = [(pc + 2, d, blocks + ((brk, cont, d),))]
+            if cont < 0:  # a catch: its handler is entered from the except
+                landings.append((brk, d))
+                if brk not in seen:
+                    seen[brk] = (d + 2, blocks)
+                    todo.append(brk)
+        elif op == OP_POP_BLOCK:
+            nxt = [(pc + 2, d, blocks[:-1])]
+        elif (op == OP_BREAK or op == OP_CONTINUE) and blocks:
+            brk, cont, bd = blocks[-1]
+            if cont < 0:  # caught: code 3 or 4
+                lines = ["s%d, s%d = %r, ''" % (bd, bd + 1, "3" if op == OP_BREAK else "4")]
+                nxt = [(brk, bd + 2, blocks[:-1])]
+            else:
+                nxt = [(brk if op == OP_BREAK else cont, bd, blocks)]
+        elif op == OP_RETURN or op == OP_END:
+            lines, nxt = ["return " + top], []
+        else:
+            blockers.append(pc)
+            lines, nxt = [back], []
+        if op in _RAISES:
+            sites[pc] = (d, blocks)
+            lines.insert(0, "pc = %d" % pc)
+        for t, td, tb in nxt:
+            if t not in seen:
+                seen[t] = (td, tb)
+                todo.append(t)
+        nodes[pc] = (lines, cond, [t for t, _, _ in nxt])
+    return nodes, sites, landings, min(blockers) if blockers else None
+
+
+def proc_blocker(code):
+    """The first op of a proc body that hands it back to the VM, or None."""
+    return _proc_walk(code)[3]
+
+
+def lower_proc(code):
+    """A proc body as one Python function ``(interp, frame, cells, caches,
+    consts)``, shared process-wide through ``_function``; False if its
+    first op is out of the subset.  The function returns the body's
+    result, or hands the frame back as ``(pc, stack, blocks, exception)``.
+    A catch in the body is the except clause: it enters the handler of
+    the innermost catch around the raising op, unless a loop inside that
+    catch takes a break or continue (the VM jumps there)."""
+    nodes, sites, landings, blocker = _proc_walk(code)
+    if blocker == 0:
+        return False
+    preds = Counter(t for _, _, targets in nodes.values() for t in targets)
+    handlers = {h for h, _ in landings}
+    leaders = [pc for pc in sorted(nodes) if pc == 0 or preds[pc] > 1 or pc in handlers]
+    deep = max([d for d, _ in sites.values()] + [bd + 2 for _, bd in landings] + [1])
+    catches = {}
+    for pc, (d, blocks) in sites.items():
+        inner = [b for b in blocks if b[1] < 0]
+        if inner:
+            catches[pc] = (inner[-1][0], blocks[-1][1] >= 0)
+    out = ["def proc(I, f, cells, K, C):", "    pc = h = 0", "    %sNone" % "".join(
+        "s%d = " % i for i in range(deep)), "    try:", "        while True:",
+        "            try:", "                while True:"]
+    _machine(out, nodes, leaders, " " * 20)
+    out += [
+        "            except Exception as e:",
+        "                k = CAUGHT(e)",
+        "                t = %r.get(pc) if k else None" % catches,
+        "                if t is None or t[1] and k[0] > '2':",
+        "                    return pc + 2, %s[:%r[pc]], %r[pc], e" % (
+            _stack(deep), {pc: d for pc, (d, _) in sites.items()},
+            {pc: list(b) for pc, (_, b) in sites.items()}),
+        "                pc = t[0]",
+    ] + ["                %sif pc == %d: s%d, s%d = k" % ("el" if i else "", h, bd, bd + 1)
+         for i, (h, bd) in enumerate(landings)] + [
+        "    finally:", "        I.vm_stats.cache_hits += h"]
+    try:
+        return _function("\n".join(out))
+    except (SyntaxError, RecursionError, MemoryError):
+        return False
+
+
 @functools.lru_cache(maxsize=256)
 def _function(src):
-    """The loop function ``src`` defines, once per text: every interp in
-    the process shares it (each rep builds fresh interps; the source is
-    all a function depends on), and a failed compile is not cached."""
-    ns: dict = {"BIG": 1 << 14000, "X": _NotInt()}  # BIG: str() can't fail
-    exec(compile(src, "<tcl loop>", "exec"), ns)
-    return ns["loop"]
+    """The function ``src`` defines, once per text: every interp in the
+    process shares it (each rep builds fresh interps; the source is all
+    a function depends on), and a failed compile is not cached."""
+    ns = dict(GLOBALS)
+    exec(compile(src, "<tcl %s>" % src[4:8], "exec"), ns)
+    return ns[src[4:src.index("(")]]
+
+
+# The names a lowered function reads; the VM adds its own (vm.py).
+GLOBALS = {
+    "BIG": 1 << 14000, "X": _NotInt(), "CO": coerce, "TR": truthy,
+    "TS": lambda v: "" if v is None else to_string(v), "EB": _eval_bin,
+    "EU": eval_unary, "CAUGHT": caught,
+}

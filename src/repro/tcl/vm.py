@@ -37,13 +37,14 @@ from .bytecode import (
     OP_SUB, OP_TO_STR, OP_UNARY,
 )
 from .compile import compile_proc_code
-from .errors import TclBreak, TclContinue, TclError, TclReturn
+from .errors import TclBreak, TclContinue, TclError, TclReturn, caught
 from .expr import (
     _eval_bin, coerce, eval_node, eval_unary, parse_number, to_string,
     truthy,
 )
 from .interp import Frame, TclProc, Var, _abbrev
-from .tier import TIER_UP, lower
+from .listutil import format_list
+from .tier import GLOBALS, NEST, PROC_TIER_UP, TIER_UP, lower, lower_proc
 
 
 class VMFrame(Frame):
@@ -66,25 +67,18 @@ class VMFrame(Frame):
     )
 
     def __init__(self, code, ns, label, kind, prev_ns, dec):
-        self.vars = {}
-        self.ns = ns
-        self.label = label
-        self.version = 0
-        self.code = code
-        self.stack = []
-        self.pc = 0
+        self.vars, self.ns, self.label, self.version = {}, ns, label, 0
+        self.code, self.stack, self.pc = code, [], 0
         # None means "this frame is its own Tcl frame" (kinds 1 and 2).
         # Storing `self` here would make every activation a reference
         # cycle, turning each proc call into cycle-collector garbage —
         # the GC churn costs more than the whole dispatch loop.  Read
         # sites resolve with `f.tclframe or f`.
         self.tclframe = None
-        self.prev_ns = prev_ns
-        self.kind = kind
+        self.prev_ns, self.kind = prev_ns, kind
         self.dec = dec  # (argv, line) of the call site, for unwinding
-        self.blocks = []  # (break_pc, continue_pc, stack_depth)
-        self.cells = []
-        self.cellsv = 0
+        self.blocks = []  # (break_pc, continue_pc or -1 for a catch, stack_depth)
+        self.cells, self.cellsv = [], 0
 
 
 def proc_code(interp, proc):
@@ -105,7 +99,7 @@ def _trivial(interp, proc, code):
     ``return``-guard depends only on ``cmd_epoch`` and the proc's
     namespace, both fixed while the cache entry is fresh.
     """
-    if not proc._simple:
+    if proc._simple != 1:
         return None
     ops = code.ops
     if len(ops) < 6 or ops[0] != OP_GUARD or ops[4] != OP_RETURN:
@@ -121,12 +115,8 @@ def _trivial(interp, proc, code):
     else:
         return None
     # `return` must still be the builtin as seen from the proc's ns.
-    fn_r = None
-    if proc.ns.name:
-        fn_r = interp.commands.get(proc.ns.name + "::return")
-    if fn_r is None:
-        fn_r = interp.commands.get("return")
-    if getattr(fn_r, "vm_builtin", None) != "return":
+    fn_r = proc.ns.name and interp.commands.get(proc.ns.name + "::return")
+    if getattr(fn_r or interp.commands.get("return"), "vm_builtin", None) != "return":
         return None
     return triv
 
@@ -143,28 +133,23 @@ def _classify(interp, fn):
 
 
 def _resolve(interp, c, name):
-    """(Re)fill a CALL inline cache; returns the dispatch mode."""
+    """(Re)fill a CALL inline cache, a miss; returns the dispatch mode."""
+    interp.vm_stats.cache_misses += 1
     fn = interp.lookup_command(name)
     if fn is None:
         return 0  # unknown command: never cached
     mode, payload = _classify(interp, fn)
-    c[2] = interp.cmd_epoch
-    c[3] = interp.current_ns
-    c[4] = name
-    c[5] = mode
-    c[6] = payload
+    c[2:7] = interp.cmd_epoch, interp.current_ns, name, mode, payload
     return mode
 
 
 def _resolve_lit(interp, c):
+    interp.vm_stats.cache_misses += 1
     fn = interp.lookup_command(c[0][0])
     if fn is None:
         return 0
     mode, payload = _classify(interp, fn)
-    c[3] = interp.cmd_epoch
-    c[4] = interp.current_ns
-    c[5] = mode
-    c[6] = payload
+    c[3:7] = interp.cmd_epoch, interp.current_ns, mode, payload
     return mode
 
 
@@ -172,9 +157,7 @@ def _guard_ok(interp, c):
     """Is GUARD cache ``c``'s command still the inlined builtin?"""
     if c[2] != interp.cmd_epoch or c[3] is not interp.current_ns:
         fn = interp.lookup_command(c[0])
-        c[4] = getattr(fn, "vm_builtin", None) == c[1]
-        c[2] = interp.cmd_epoch
-        c[3] = interp.current_ns
+        c[2:5] = interp.cmd_epoch, interp.current_ns, getattr(fn, "vm_builtin", None) == c[1]
     return c[4]
 
 
@@ -196,37 +179,61 @@ def _tier(interp, f, tclframe, c, end):
     return pc
 
 
-def _bind_slow(proc, frame, args, cells):
-    """Default/varargs binding: the oracle's, plus the slot cells."""
-    fv = frame.vars
-    proc.bind(fv, args)
-    for i, pname in enumerate(proc._names):
-        cells[i] = fv[pname]
+def _bind(proc, f, args, n_slots):
+    """Bind ``args`` in ``f``; returns its slot cells, parameters first.
+    Plain positionals, and those then ``args``, take the fast path;
+    defaults take ``TclProc.bind``, which raises the arity errors."""
+    n = len(proc.params)
+    if proc._simple == 1 and len(args) == n:
+        cells = [Var(a) for a in args]
+    elif proc._simple == 2 and len(args) >= n - 1:
+        cells = [Var(a) for a in args[:n - 1]]
+        cells.append(Var(format_list(args[n - 1:])))
+    else:
+        proc.bind(f.vars, args)
+        cells = [f.vars[p] for p in proc._names]
+    f.vars = dict(zip(proc._names, cells))
+    cells.extend([None] * (n_slots - n))
+    return cells
 
 
 def call_proc(interp, proc, code, args):
-    """Run a proc body on the VM, entered from Python (mirrors
-    ``TclProc.__call__``: binding errors surface before the frame push,
-    ``return -code error`` converts at the proc boundary)."""
+    """Run a proc body, entered from Python (mirrors ``TclProc.__call__``:
+    binding errors surface before the frame push, ``return -code error``
+    converts at the proc boundary).  From its PROC_TIER_UP-th call in
+    this interp the body runs lowered (:func:`tier.lower_proc`) while
+    fewer than NEST lowered bodies are running; a hand-back resumes the
+    frame on the VM at the pc, stack and blocks it names, raising the
+    exception it carries there."""
     f = VMFrame(code, proc.ns, proc.name, 1, interp.current_ns, None)
-    n_slots = len(code.slot_names)
-    if proc._simple and len(args) == len(proc.params):
-        cells = [Var(a) for a in args]
-        f.vars = dict(zip(proc._names, cells))
-        if len(cells) < n_slots:
-            cells.extend([None] * (n_slots - len(cells)))
-    else:
-        cells = [None] * n_slots
-        _bind_slow(proc, f, args, cells)
-    f.cells = cells
+    f.cells = _bind(proc, f, args, len(code.slot_names))
     if len(interp.frames) >= interp.FRAME_LIMIT:
         raise TclError("too many nested evaluations (infinite loop?)")
     interp.frames.append(f)
     saved_ns = interp.current_ns
     interp.current_ns = proc.ns
-    interp.vm_stats.frames += 1
+    st = interp.vm_stats
+    st.frames += 1
     try:
-        return run(interp, f)
+        exc = None
+        if code.calls < PROC_TIER_UP:
+            code.calls += 1
+        elif interp.vm_nest < NEST:
+            low = code.low[0]
+            if low is None:  # threads racing here store the same function
+                low = code.low[0] = lower_proc(code)
+            if low:
+                interp.vm_nest += 1
+                try:
+                    r = low(interp, f, f.cells, code.caches, code.consts)
+                finally:
+                    interp.vm_nest -= 1
+                st.lowered_calls += 1
+                if type(r) is str:
+                    return r
+                st.proc_handbacks += 1
+                f.pc, f.stack, f.blocks, exc = r
+        return run(interp, f, exc)
     except TclReturn as r:
         if r.code == 1:
             raise TclError(r.value) from None
@@ -244,10 +251,30 @@ def run_script(interp, code):
     return run(interp, f)
 
 
-def _raise_unwound(interp, frames, f, epc, e):
-    """Decorate a TclError like the interpreted call chain would, popping any
-    inline proc frames, then raise it."""
+def _catcher(f):
+    """The index of ``f``'s innermost catch block, or None."""
+    return next((i for i in range(len(f.blocks) - 1, -1, -1) if f.blocks[i][1] < 0), None)
+
+
+def _land(f, i, caught):
+    """Enter the handler of ``f``'s catch block ``i`` with ``caught``,
+    the (code, result) pair, on the stack."""
+    handler, _, depth = f.blocks[i]
+    del f.blocks[i:]
+    del f.stack[depth:]
+    f.stack.extend(caught)
+    f.pc = handler
+
+
+def _unwind(interp, frames, f, epc, e):
+    """Decorate a TclError like the interpreted call chain would, popping
+    inline proc frames, up to the frame whose catch takes it (returned
+    with the handler entered); raise it if none does."""
     while True:
+        i = _catcher(f)
+        if i is not None:
+            _land(f, i, ("1", e.message))
+            return f
         for s, t, text, line in f.code.regions:
             if s <= epc < t:
                 e.add_info('"%s" (line %d)' % (text, line))
@@ -262,29 +289,34 @@ def _raise_unwound(interp, frames, f, epc, e):
         epc = f.pc - 2
 
 
-def run(interp, root):
+def _not_int(v, text, line):
+    e = TclError('expected integer but got "%s"' % v)
+    e.add_info('"%s" (line %d)' % (text, line))
+    return e
+
+
+def run(interp, root, exc=None):
+    """Run ``root`` from its pc; ``exc``, if given, is raised there first."""
     frames = [root]
     f = root
-    code = f.code
-    ops = code.ops
-    consts = code.consts
-    caches = code.caches
-    stack = f.stack
-    cells = f.cells
-    cellsv = f.cellsv
-    tclframe = f.tclframe or f
-    pc = 0
     ic_hits = 0
     frames_pushed = 0
     vmstats = interp.vm_stats
     try:
         while True:
+            # (Re)load the running frame: at entry, after a call or a
+            # return between VM frames, and after an exception is handled.
+            code, stack, cells, cellsv, pc = f.code, f.stack, f.cells, f.cellsv, f.pc
+            ops, consts, caches = code.ops, code.consts, code.caches
+            tclframe = f.tclframe or f
             try:
+                if exc is not None:
+                    e, exc = exc, None
+                    raise e
                 while True:
-                    op = ops[pc]
-                    arg = ops[pc + 1]
+                    op, arg = ops[pc], ops[pc + 1]
                     pc += 2
-                    if op == OP_LOAD_SLOT:
+                    if op == OP_LOAD_SLOT or op == OP_ELOAD_SLOT:
                         v = tclframe.version
                         if v != cellsv:
                             cells = f.cells = [None] * len(cells)
@@ -294,37 +326,34 @@ def run(interp, root):
                             name = code.slot_names[arg]
                             cell = tclframe.vars.get(name)
                             if cell is None:
-                                raise TclError(
-                                    'can\'t read "%s": no such variable'
-                                    % name
-                                )
+                                raise TclError('can\'t read "%s": no such variable' % name)
                             cells[arg] = cell
-                        stack.append(cell.value)
+                        if op == OP_LOAD_SLOT:
+                            stack.append(cell.value)
+                        else:
+                            sv = cell.value
+                            try:
+                                stack.append(int(sv, 10) if "_" not in sv else coerce(sv))
+                            except ValueError:
+                                stack.append(coerce(sv))
                     elif op == OP_CONST:
                         stack.append(consts[arg])
                     elif op == OP_CALL_LIT or op == OP_CALL:
                         c = caches[arg]
                         if op == OP_CALL_LIT:
                             # [argv, tail, line, epoch, ns, mode, payload]
-                            argv = c[0]
-                            tail = c[1]
-                            line = c[2]
-                            if (
-                                c[3] == interp.cmd_epoch
-                                and c[4] is interp.current_ns
-                            ):
+                            argv, tail, line = c[0], c[1], c[2]
+                            if c[3] == interp.cmd_epoch and c[4] is interp.current_ns:
                                 mode = c[5]
                                 ic_hits += 1
                             else:
                                 mode = _resolve_lit(interp, c)
-                                vmstats.cache_misses += 1
                         else:
                             # [argc, line, epoch, ns, name, mode, payload]
                             argc = c[0]
                             argv = stack[-argc:]
                             del stack[-argc:]
-                            tail = None
-                            line = c[1]
+                            tail, line = argv[1:], c[1]
                             if (
                                 c[2] == interp.cmd_epoch
                                 and c[3] is interp.current_ns
@@ -334,108 +363,49 @@ def run(interp, root):
                                 ic_hits += 1
                             else:
                                 mode = _resolve(interp, c, argv[0])
-                                vmstats.cache_misses += 1
                         if mode == 3:
                             t3 = c[6]
                             if len(argv) - 1 == t3[2]:
-                                stack.append(
-                                    argv[t3[1] + 1] if t3[0] == 0 else t3[1]
-                                )
+                                stack.append(tail[t3[1]] if t3[0] == 0 else t3[1])
                                 continue
-                            proc = t3[3]  # wrong arity: bind for the error
-                            pcode = t3[4]
+                            proc, pcode = t3[3], t3[4]  # wrong arity: bind for the error
                             mode = 2
                         elif mode == 2:
                             proc, pcode = c[6]
-                        if mode == 2:
-                            args = tail if tail is not None else argv[1:]
+                        if mode == 2 and pcode.calls >= PROC_TIER_UP and interp.vm_nest < NEST \
+                                and pcode.low[0] is not False:  # it runs lowered
+                            try:
+                                stack.append(call_proc(interp, proc, pcode, tail))
+                            except Exception as e:
+                                raise interp.failed(e, argv, line)
+                        elif mode == 2:
+                            pcode.calls += 1
                             try:
                                 if len(interp.frames) >= interp.FRAME_LIMIT:
-                                    raise TclError(
-                                        "too many nested evaluations "
-                                        "(infinite loop?)"
-                                    )
-                                nf = VMFrame(
-                                    pcode, proc.ns, proc.name, 2,
-                                    interp.current_ns, (argv, line),
-                                )
-                                n_slots = len(pcode.slot_names)
-                                if (
-                                    proc._simple
-                                    and len(args) == len(proc.params)
-                                ):
-                                    newcells = [Var(a) for a in args]
-                                    nf.vars = dict(
-                                        zip(proc._names, newcells)
-                                    )
-                                    if len(newcells) < n_slots:
-                                        newcells.extend(
-                                            [None]
-                                            * (n_slots - len(newcells))
-                                        )
-                                else:
-                                    newcells = [None] * n_slots
-                                    _bind_slow(proc, nf, args, newcells)
-                                nf.cells = newcells
+                                    raise TclError("too many nested evaluations (infinite loop?)")
+                                nf = VMFrame(pcode, proc.ns, proc.name, 2, interp.current_ns, (argv, line))
+                                nf.cells = _bind(proc, nf, tail, len(pcode.slot_names))
                             except TclError as e:
-                                e.add_info(
-                                    '"%s" (line %d)' % (_abbrev(argv), line)
-                                )
-                                raise
+                                raise interp.failed(e, argv, line)
                             interp.frames.append(nf)
                             f.pc = pc
                             f = nf
                             interp.current_ns = proc.ns
                             frames.append(nf)
                             frames_pushed += 1
-                            code = pcode
-                            ops = code.ops
-                            consts = code.consts
-                            caches = code.caches
-                            stack = nf.stack
-                            cells = newcells
-                            cellsv = 0
-                            tclframe = nf
-                            pc = 0
+                            break
                         elif mode == 1:
-                            fn = c[6]
                             try:
-                                result = fn(
-                                    interp,
-                                    tail if tail is not None else argv[1:],
-                                )
-                            except (TclReturn, TclBreak, TclContinue):
-                                raise
-                            except TclError as e:
-                                e.add_info(
-                                    '"%s" (line %d)' % (_abbrev(argv), line)
-                                )
-                                raise
-                            except interp.passthrough:
-                                raise
+                                result = c[6](interp, tail)
                             except Exception as e:
-                                err = TclError(
-                                    "%s: %s" % (type(e).__name__, e)
-                                )
-                                err.add_info(
-                                    '"%s" (line %d)' % (_abbrev(argv), line)
-                                )
-                                err.__cause__ = e
-                                raise err from e
-                            if result is None:
-                                stack.append("")
-                            elif isinstance(result, str):
-                                stack.append(result)
-                            else:
-                                stack.append(to_string(result))
+                                raise interp.failed(e, argv, line)
+                            stack.append(result if isinstance(result, str) else
+                                         "" if result is None else to_string(result))
                         else:
                             stack.append(interp._call_unknown(argv, line))
                     elif op == OP_GUARD:
                         c = caches[arg]
-                        if (
-                            c[2] == interp.cmd_epoch
-                            and c[3] is interp.current_ns
-                        ):
+                        if c[2] == interp.cmd_epoch and c[3] is interp.current_ns:
                             if not c[4]:
                                 pc = c[5]
                         elif not _guard_ok(interp, c):
@@ -448,16 +418,8 @@ def run(interp, root):
                             interp.current_ns = f.prev_ns
                             frames.pop()
                             f = frames[-1]
-                            code = f.code
-                            ops = code.ops
-                            consts = code.consts
-                            caches = code.caches
-                            stack = f.stack
-                            cells = f.cells
-                            cellsv = f.cellsv
-                            tclframe = f.tclframe or f
-                            pc = f.pc
-                            stack.append(value)
+                            f.stack.append(value)
+                            break
                         elif op == OP_END or kind == 1:
                             return value
                         else:  # RETURN at script root: propagate
@@ -484,65 +446,28 @@ def run(interp, root):
                             cell.value = value
                     elif op == OP_INCR_SLOT:
                         si, name, delta, line, text = consts[arg]
+                        if delta is None:  # `incr name $word`
+                            delta = stack.pop()
+                            text = _abbrev(["incr", name, delta])
+                            pn = parse_number(delta)
+                            if not isinstance(pn, int):
+                                raise _not_int(delta, text, line)
+                            delta = pn
                         v = tclframe.version
                         if v != cellsv:
                             cells = f.cells = [None] * len(cells)
                             cellsv = f.cellsv = v
-                        cell = cells[si]
-                        if cell is None:
-                            cell = tclframe.vars.get(name)
-                            if cell is not None:
-                                cells[si] = cell
+                        cell = cells[si] or tclframe.vars.get(name)
                         if cell is None:
                             value = str(delta)
-                            cell = Var(value)
-                            tclframe.vars[name] = cell
-                            cells[si] = cell
+                            cell = tclframe.vars[name] = Var(value)
                         else:
-                            cur = cell.value
-                            try:
-                                iv = int(cur, 10) if "_" not in cur else None
-                            except ValueError:
-                                iv = None
-                            if iv is None:
-                                pn = parse_number(cur)
-                                if isinstance(pn, int):
-                                    iv = pn
-                                else:
-                                    e = TclError(
-                                        'expected integer but got "%s"'
-                                        % cur
-                                    )
-                                    e.add_info(
-                                        '"%s" (line %d)' % (text, line)
-                                    )
-                                    raise e
-                            value = str(iv + delta)
-                            cell.value = value
+                            iv = parse_number(cell.value)
+                            if not isinstance(iv, int):
+                                raise _not_int(cell.value, text, line)
+                            cell.value = value = str(iv + delta)
+                        cells[si] = cell
                         stack.append(value)
-                    elif op == OP_ELOAD_SLOT:
-                        v = tclframe.version
-                        if v != cellsv:
-                            cells = f.cells = [None] * len(cells)
-                            cellsv = f.cellsv = v
-                        cell = cells[arg]
-                        if cell is None:
-                            name = code.slot_names[arg]
-                            cell = tclframe.vars.get(name)
-                            if cell is None:
-                                raise TclError(
-                                    'can\'t read "%s": no such variable'
-                                    % name
-                                )
-                            cells[arg] = cell
-                        sv = cell.value
-                        try:
-                            if "_" not in sv:
-                                stack.append(int(sv, 10))
-                            else:
-                                stack.append(coerce(sv))
-                        except ValueError:
-                            stack.append(coerce(sv))
                     elif OP_ADD <= op <= OP_NE:
                         b = stack.pop()
                         a = stack[-1]
@@ -567,12 +492,9 @@ def run(interp, root):
                                 stack[-1] = 1 if a != b else 0
                         else:
                             stack[-1] = _eval_bin(_BIN_NAME[op], a, b)
-                    elif op == OP_JUMP_IF_FALSE:
+                    elif op == OP_JUMP_IF_FALSE or op == OP_JUMP_IF_TRUE:
                         v = stack.pop()
-                        if type(v) is int:
-                            if not v:
-                                pc = arg
-                        elif not truthy(v):
+                        if (v != 0 if type(v) is int else truthy(v)) is (op == OP_JUMP_IF_TRUE):
                             pc = arg
                     elif op == OP_JUMP:
                         pc = arg
@@ -596,10 +518,7 @@ def run(interp, root):
                         try:
                             interp.set_var(name, value)
                         except TclError as e:
-                            e.add_info(
-                                '"%s" (line %d)'
-                                % (_abbrev(["set", name, value]), line)
-                            )
+                            e.add_info('"%s" (line %d)' % (_abbrev(["set", name, value]), line))
                             raise
                     elif op == OP_INCR_NAME:
                         name, delta, line, text = consts[arg]
@@ -608,10 +527,7 @@ def run(interp, root):
                                 cur = interp.get_var(name)
                                 cur_n = parse_number(cur)
                                 if not isinstance(cur_n, int):
-                                    raise TclError(
-                                        'expected integer but got "%s"'
-                                        % cur
-                                    )
+                                    raise TclError('expected integer but got "%s"' % cur)
                             else:
                                 cur_n = 0
                             value = interp.set_var(name, str(cur_n + delta))
@@ -637,13 +553,6 @@ def run(interp, root):
                         f.blocks.append((b[0], b[1], len(stack)))
                     elif op == OP_POP_BLOCK:
                         f.blocks.pop()
-                    elif op == OP_JUMP_IF_TRUE:
-                        v = stack.pop()
-                        if type(v) is int:
-                            if v:
-                                pc = arg
-                        elif truthy(v):
-                            pc = arg
                     elif op == OP_BIN:
                         b = stack.pop()
                         stack[-1] = _eval_bin(consts[arg], stack[-1], b)
@@ -653,23 +562,22 @@ def run(interp, root):
                         stack.append(eval_node(interp, consts[arg]))
                     elif op == OP_COERCE:
                         stack[-1] = coerce(stack[-1])
-                    elif op == OP_BREAK:
-                        raise TclBreak()
-                    elif op == OP_CONTINUE:
-                        raise TclContinue()
+                    elif op == OP_BREAK or op == OP_CONTINUE:
+                        raise TclBreak() if op == OP_BREAK else TclContinue()
                     elif op == OP_LOOP:
                         c = caches[arg]
                         c[1] += 1
-                        if c[1] < TIER_UP:
-                            pc = c[0]
-                        else:
-                            pc = _tier(interp, f, tclframe, c, pc - 2)
+                        pc = c[0] if c[1] < TIER_UP else _tier(interp, f, tclframe, c, pc - 2)
                     else:
                         raise TclError("bad opcode %d" % op)
             except TclError as e:
                 f.pc = pc
-                _raise_unwound(interp, frames, f, pc - 2, e)
+                f = _unwind(interp, frames, f, pc - 2, e)
             except TclReturn as r:
+                i = _catcher(f)
+                if i is not None:
+                    _land(f, i, ("2", r.value))
+                    continue
                 if f.kind != 2:
                     raise
                 interp.frames.pop()
@@ -680,19 +588,10 @@ def run(interp, root):
                 if r.code == 1:
                     e = TclError(r.value)
                     e.add_info('"%s" (line %d)' % (_abbrev(argv), line))
-                    _raise_unwound(interp, frames, f, f.pc - 2, e)
-                code = f.code
-                ops = code.ops
-                consts = code.consts
-                caches = code.caches
-                stack = f.stack
-                cells = f.cells
-                cellsv = f.cellsv
-                tclframe = f.tclframe or f
-                pc = f.pc
-                stack.append(r.value)
-            except (TclBreak, TclContinue) as exc:
-                is_break = isinstance(exc, TclBreak)
+                    f = _unwind(interp, frames, f, f.pc - 2, e)
+                else:
+                    f.stack.append(r.value)
+            except (TclBreak, TclContinue) as e:
                 while not f.blocks:
                     if f.kind != 2:
                         raise
@@ -701,25 +600,20 @@ def run(interp, root):
                     frames.pop()
                     f = frames[-1]
                 bpc, cpc, depth = f.blocks[-1]
-                code = f.code
-                ops = code.ops
-                consts = code.consts
-                caches = code.caches
-                stack = f.stack
-                cells = f.cells
-                cellsv = f.cellsv
-                tclframe = f.tclframe or f
-                del stack[depth:]
-                pc = bpc if is_break else cpc
-            except Exception as exc:
+                if cpc < 0:  # a catch
+                    _land(f, len(f.blocks) - 1, caught(e))
+                else:
+                    del f.stack[depth:]
+                    f.pc = bpc if isinstance(e, TclBreak) else cpc
+            except Exception as e:
                 # A Python error in an inlined builtin (`1 << -1`), as
                 # _finish_command reports one raised by a command
-                if isinstance(exc, interp.passthrough):
+                if isinstance(e, interp.passthrough):
                     raise
-                e = TclError("%s: %s" % (type(exc).__name__, exc))
-                e.__cause__ = exc
+                err = TclError("%s: %s" % (type(e).__name__, e))
+                err.__cause__ = e
                 f.pc = pc
-                _raise_unwound(interp, frames, f, pc - 2, e)
+                f = _unwind(interp, frames, f, pc - 2, err)
     except BaseException:
         # Error unwinding pops frames itself; this covers the re-raise
         # path plus RecursionError/KeyboardInterrupt, restoring the
@@ -736,6 +630,32 @@ def run(interp, root):
         if frames_pushed:
             vmstats.frames += frames_pushed
 
+
+def _new(f, cells, si, name, value):
+    """A lowered ``set`` of a slot with no cell yet."""
+    cell = f.vars.get(name)
+    if cell is None:
+        cell = f.vars[name] = Var(value)
+    cells[si] = cell
+    cell.value = value
+
+
+def _incr(cell, delta):
+    """A lowered ``incr``'s new value; None where the VM must run it (no
+    cell yet, an operand that is no plain decimal integer)."""
+    try:
+        if cell is not None and "_" not in cell.value + delta:
+            cell.value = v = str(int(cell.value, 10) + int(delta, 10))
+            return v
+    except ValueError:
+        pass
+    return None
+
+
+GLOBALS.update(
+    RL=_resolve_lit, RS=_resolve, GOK=_guard_ok, CP=call_proc, NEW=_new,
+    INC=_incr,
+)
 
 _BIN_NAME = {
     OP_ADD: "+", OP_SUB: "-", OP_MUL: "*",

@@ -265,6 +265,231 @@ def test_lowered_loops_shared_across_threads():
                                      for a in range(10 * k, 10 * k + 5))
 
 
+# --- the proc tier: proc bodies lowered to Python functions ---------------
+
+# Each script calls its entry proc enough times for the body to run
+# lowered, and reaches a hand-back site (or an inlined catch) there.
+PROC_TIER_SCRIPTS = [
+    # a proc redefined, and renamed, mid-body: every call site re-checks
+    "proc g {} { return a }\n"
+    "proc f {} { set r [g]; proc g {} { return b }; append r [g];"
+    " proc g {} { return a }; return $r }\nlist [f] [f] [f] [f]",
+    "proc g {} { return old }\n"
+    "proc f {} { set r [g]; rename g h; proc g {} { return new }; append r [g] [h];"
+    " rename g {}; rename h g; return $r }\nlist [f] [f] [f] [f]",
+    "proc f {n} { if {$n == 3} { proc f {n} { return redefined } }; return $n }\n"
+    "list [f 1] [f 2] [f 3] [f 4]",
+    # ... where a stale cache would answer with an older definition
+    "proc f {n} { proc g {} [list return $n]; return [g] }\nlist [f 1] [f 2] [f 3] [f 4]",
+    "proc g {} { return 0 }\n"
+    "proc f {n} { rename g {}; proc h {} [list return $n]; rename h g; return [g] }\n"
+    "list [f 1] [f 2] [f 3] [f 4]",
+    "proc g {} { return global }\nnamespace eval ns { proc f {n} {"
+    " if {$n == 3} { proc ::ns::g {} { return local } }; return [g] } }\n"
+    "list [ns::f 1] [ns::f 2] [ns::f 3] [ns::f 4]",
+    # a namespace's own command defined mid-body shadows the global one
+    "proc g {} { return global }\n"
+    "namespace eval ns { proc f {} { set a [g]; proc ::ns::g {} { return local };"
+    " set b [g]; rename ::ns::g {}; return $a/$b/[g] } }\n"
+    "list [ns::f] [ns::f] [ns::f] [namespace eval ns { f }]",
+    # wrong # args: a trivial callee, a plain one, one with args
+    "proc one {a} { return $a }\nproc f {n} { if {$n == 3} { one }; return [one $n] }\n"
+    "f 1; f 2; f 3",
+    "proc two {a b} { return $a$b }\n"
+    "proc f {n} { if {$n == 3} { return [two $n] }; return $n }\nf 1; f 2; f 3",
+    "proc va {a b args} { return $a$b$args }\n"
+    "proc f {n} { list [va $n x] [va $n x y z] [expr {$n == 3 ? [va $n] : 0}] }\n"
+    "f 1; f 2; f 3",
+    # an unknown command, with an unknown handler and then without one
+    "proc unknown {args} { return \"u:$args\" }\n"
+    "proc f {n} { return [nosuch $n 2] }\nlist [f 1] [f 2] [f 3]",
+    "proc unknown {args} { return \"u:$args\" }\n"
+    "proc f {n} { return [nosuch $n 2] }\nf 1; f 2; rename unknown {}; f 3",
+    # the frame's cells change under a call: global, unset, eval
+    "set x 10\nproc f {} { set x 1; global x; incr x; return $x }\nlist [f] [f] [f]",
+    "proc f {} { set y 1; unset y; set y 2; incr y; return $y }\nlist [f] [f] [f]",
+    "proc f {n} { eval {set z $n}; return [expr {$z * 2}] }\nlist [f 1] [f 2] [f 3]",
+    "proc f {n} { set a 1; if {$n == 3} { eval {unset a} }; return $a }\nf 1; f 2; f 3",
+    # `incr name $word`: a slot increment, and its errors
+    "proc f {s} { set i 5; incr i $s; incr i; return $i }\nlist [f 1] [f -3] [f 0x10]",
+    "proc f {s} { set i 5; incr i $s }\nf 1; f 2; f 1.5",
+    "proc f {s} { incr i $s }\nlist [f 4] [f 4] [f 4]",
+    "proc f {s} { set i [expr {$s == 3 ? \"abc\" : 1}]; incr i $s }\nf 1; f 2; f 3",
+    "proc f {n} { if {$n == 3} { for {set i 0} {$i < 9} {incr i $s} {} }; return $n }\n"
+    "f 1; f 2; f 3",
+    # catch: error, return, break and continue, with and without a var
+    "proc f {n} { set c [catch {error boom$n} m]; return $c:$m }\nlist [f 1] [f 2] [f 3]",
+    "proc f {n} { set c [catch {return x$n} m]; return $c:$m }\nlist [f 1] [f 2] [f 3]",
+    "proc f {n} { list [catch {error e$n}] [catch {return -code error r$n} m] $m }\n"
+    "list [f 1] [f 2] [f 3]",
+    "proc f {n} { set o {}; for {set i 0} {$i < 5} {incr i} {"
+    " lappend o [catch { if {$i == 1} break; if {$i == 3} continue; set i } m]$m };"
+    " return $o }\nlist [f 1] [f 2] [f 3]",
+    "proc f {n} { set o {}; set c [catch { for {set i 0} {$i < 5} {incr i} {"
+    " if {$i == $n} break; if {$i == 1} continue; lappend o $i } } m];"
+    " return $c:$m:$o }\nlist [f 2] [f 3] [f 4]",
+    "proc f {n} { set o {}; catch { foreach i {1 2 3} { if {$i == $n} break;"
+    " lappend o $i } }; return $o }\nlist [f 2] [f 3] [f 9]",
+    "proc f {n} { catch { catch {error in$n} m; error out$m } m2; return $m/$m2 }\n"
+    "list [f 1] [f 2] [f 3]",
+    "proc f {n} { list [catch {expr {1 << -$n}} m] $m }\nlist [f 1] [f 2] [f 3]",
+    "proc f {n} { list [catch {expr {$n / 0}} m] $m [catch {nosuch} m] $m }\n"
+    "list [f 1] [f 2] [f 3]",
+    # ... across a proc frame: the callee's error, break and return
+    "proc g {n} { error deep$n }\nproc h {} { break }\nproc r {} { return -code return rr }\n"
+    "proc f {n} { list [catch {g $n} m] $m [catch {h} m] $m [catch {r} m] $m }\n"
+    "list [f 1] [f 2] [f 3]",
+    "proc h {} { break }\nproc f {} { set o {}; foreach i {1 2 3} { lappend o $i; h };"
+    " return $o }\nlist [f] [f] [f]",
+    "proc g {n} { if {$n > 2} { error deep$n }; return $n }\n"
+    "proc f {n} { set r [g $n]; return $r }\nf 1; f 2; f 3",
+    # a catch whose body the compiler leaves to cmd_catch, and a caught
+    # error whose message the var receives
+    "proc f {n} { set s {error dyn$n}; list [catch $s m] $m [catch {set x \"un}] }\n"
+    "list [f 1] [f 2] [f 3]",
+    "proc f {} { catch {error x} ::gv; return $::gv }\nlist [f] [f] [f]",
+]
+
+
+@pytest.fixture
+def lower_at_once(monkeypatch):
+    """Every proc body entered from Python runs lowered from its first call."""
+    from repro.tcl import vm
+
+    monkeypatch.setattr(vm, "PROC_TIER_UP", 0)
+
+
+def _lowered(script):
+    it = Interp()
+    it.echo = False
+    try:
+        it.eval(script)
+    except (TclError, TclReturn, TclBreak, TclContinue):
+        pass
+    return it.vm_stats
+
+
+@pytest.mark.parametrize("script", PROC_TIER_SCRIPTS, ids=range(len(PROC_TIER_SCRIPTS)))
+def test_proc_tier_matches_interpreted(script):
+    assert_same(script)
+    assert _lowered(script).lowered_calls >= 1
+
+
+@pytest.mark.parametrize(
+    "script", DIFFERENTIAL_SCRIPTS + PROC_TIER_SCRIPTS,
+    ids=range(len(DIFFERENTIAL_SCRIPTS) + len(PROC_TIER_SCRIPTS)),
+)
+def test_vm_matches_interpreted_lowered_at_once(script, lower_at_once):
+    assert_same(script)
+
+
+class TestProcTier:
+    def test_hand_back_sites_count(self, vm_interp):
+        vm_interp.eval("proc f {n} { set a [string length $n]; global g;"
+                       " return $a }\nproc k {} { return [f 1][f 22] }")
+        assert vm_interp.eval("k; k; k") == "12"
+        s = vm_interp.vm_stats
+        # k's third call runs lowered; f's from its third call, each
+        # handing its frame back after `global` moved its cells
+        assert s.lowered_calls == 5 and s.proc_handbacks == 4
+
+    def test_catch_is_inlined_in_a_proc_body(self, vm_interp):
+        vm_interp.eval("proc f {} { catch { for {set i 0} {$i < 3} {incr i $n} { lappend l $i } } m;"
+                       " return $m }")
+        dis = vm_interp._vm_proc_code(vm_interp, vm_interp.lookup_command("f")).dis()
+        assert "(catch, fallback" in dis and not re.search(r"CALL_LIT .*\(catch", dis)
+        assert "PROC lowerable" in dis
+        assert vm_interp.eval("set n 1; f") == 'can\'t read "n": no such variable'
+        root = vm_interp.vm_compiled("catch {error x} m; set m")
+        assert "CALL_LIT" in root.dis()  # script-root code keeps cmd_catch
+
+    def test_dis_names_the_first_op_on_the_vm(self, vm_interp):
+        vm_interp.eval("proc f {} { set l {1 2}; return [list {*}$l] }")
+        dis = vm_interp._vm_proc_code(vm_interp, vm_interp.lookup_command("f")).dis()
+        assert re.search(r"PROC on VM: EXEC \d+ \(<dynamic>\)", dis)
+
+    def test_deep_recursion_through_lowered_procs(self, vm_interp):
+        vm_interp.eval(
+            "proc count {n} { if {$n == 0} {return done};"
+            " return [count [expr {$n - 1}]] }"
+        )
+        assert vm_interp.eval("count 3; count 3; count 3") == "done"
+        before = vm_interp.vm_stats.lowered_calls
+        assert vm_interp.eval("count 2500") == "done"
+        # the first NEST levels run lowered, the rest as VM frames
+        from repro.tcl.tier import NEST
+
+        assert vm_interp.vm_stats.lowered_calls - before == NEST
+
+    def test_infinite_recursion_through_lowered_procs_is_catchable(self, vm_interp):
+        vm_interp.eval("proc loop {n} { if {$n} { return [loop $n] }; return 0 }")
+        assert vm_interp.eval("loop 0; loop 0; loop 0") == "0"
+        with pytest.raises(TclError, match="too many nested evaluations"):
+            vm_interp.eval("loop 1")
+        assert vm_interp.eval("catch {loop 1}") == "1"
+        assert len(vm_interp.frames) == 1 and vm_interp.vm_nest == 0
+        assert vm_interp.eval("loop 0") == "0"
+
+    def test_a_lowered_function_is_shared_across_threads(self):
+        # One template, one function; each interp's bound copy passes its
+        # own caches, so a redefinition in one is never seen by another.
+        steps = {
+            who: ["proc g {x} { return %s$x }" % who,
+                  "proc f {n} { set s {}; for {set i 0} {$i < $n} {incr i} {"
+                  " append s [g $i] }; return $s }"]
+            for who in "ABCD"
+        }
+        results = {who: [] for who in steps}
+        interps = {}
+        warm = Interp()  # one template: threads missing at once each compile
+        warm.echo = False
+        for step in steps["A"] + ["f 3"]:
+            warm.eval(step)
+
+        def work(who):
+            it = interps[who] = Interp()
+            it.echo = False
+            for step in steps[who]:
+                it.eval(step)
+            for i in range(60):
+                if who == "A" and i == 30:
+                    it.eval("proc g {x} { return a$x }")
+                results[who].append(it.eval("f 3"))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in steps]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for who in steps:
+            first = "%s0%s1%s2" % (who, who, who)
+            want = [first] * 60 if who != "A" else [first] * 30 + ["a0a1a2"] * 30
+            assert results[who] == want
+            assert interps[who].vm_stats.lowered_calls >= 55
+        codes = [interps[w].lookup_command("f")._vm_code for w in steps]
+        assert len({id(c.low) for c in codes}) == 1 and codes[0].low[0]
+        assert len({id(c.caches) for c in codes}) == 4
+
+    def test_trailing_args_bind_on_the_fast_path(self, vm_interp, monkeypatch):
+        from repro.tcl.interp import TclProc
+
+        def no_bind(*a):
+            raise AssertionError("slow binding")
+
+        vm_interp.eval("proc cat {args} { join $args {} }\nproc fmt {f args} { format $f {*}$args }")
+        monkeypatch.setattr(TclProc, "bind", no_bind)
+        assert vm_interp.eval("cat a {b c} d; cat; cat x") == "x"
+        assert vm_interp.eval("proc k {} { return [cat 1 2][cat][fmt %s-%s a b] }\nk; k; k") == "12a-b"
+        with pytest.raises(TclError, match="slow binding"):
+            vm_interp.eval("fmt")
+
+
 # --- property-based: random int loops, tier vs oracle ----------------------
 
 _VARS = ["a", "b", "c", "d"]
