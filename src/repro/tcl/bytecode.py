@@ -66,7 +66,47 @@ OP_COERCE = 37      # pop v; push expr.coerce(v)  (inline [cmd] in expr)
 OP_TO_STR = 38      # pop v; push expr.to_string(v)
 OP_LOOP = 39        # caches[arg]; back-edge of a loop the tier can lower
 
-NAMES = {v: k[3:] for k, v in list(globals().items()) if k.startswith("OP_")}
+NAMES = {
+    OP_CONST: "CONST",
+    OP_POP: "POP",
+    OP_LOAD_NAME: "LOAD_NAME",
+    OP_LOAD_SLOT: "LOAD_SLOT",
+    OP_ELOAD_NAME: "ELOAD_NAME",
+    OP_ELOAD_SLOT: "ELOAD_SLOT",
+    OP_SET_NAME: "SET_NAME",
+    OP_SET_SLOT: "SET_SLOT",
+    OP_INCR_NAME: "INCR_NAME",
+    OP_INCR_SLOT: "INCR_SLOT",
+    OP_CONCAT: "CONCAT",
+    OP_CALL: "CALL",
+    OP_CALL_LIT: "CALL_LIT",
+    OP_EXEC: "EXEC",
+    OP_GUARD: "GUARD",
+    OP_JUMP: "JUMP",
+    OP_JUMP_IF_FALSE: "JUMP_IF_FALSE",
+    OP_JUMP_IF_TRUE: "JUMP_IF_TRUE",
+    OP_PUSH_BLOCK: "PUSH_BLOCK",
+    OP_POP_BLOCK: "POP_BLOCK",
+    OP_BREAK: "BREAK",
+    OP_CONTINUE: "CONTINUE",
+    OP_RETURN: "RETURN",
+    OP_END: "END",
+    OP_ADD: "ADD",
+    OP_SUB: "SUB",
+    OP_MUL: "MUL",
+    OP_LT: "LT",
+    OP_LE: "LE",
+    OP_GT: "GT",
+    OP_GE: "GE",
+    OP_EQ: "EQ",
+    OP_NE: "NE",
+    OP_BIN: "BIN",
+    OP_UNARY: "UNARY",
+    OP_EVAL_NODE: "EVAL_NODE",
+    OP_COERCE: "COERCE",
+    OP_TO_STR: "TO_STR",
+    OP_LOOP: "LOOP",
+}
 
 _JUMPS = {OP_JUMP, OP_JUMP_IF_FALSE, OP_JUMP_IF_TRUE}
 
@@ -129,10 +169,18 @@ class Code:
         removed: int = 0,
         low: list | None = None,
     ):
-        self.ops, self.consts, self.caches = ops, consts, caches
-        self.slot_names, self.regions, self.lines = slot_names, regions, lines
-        self.proto, self.name, self.script, self.removed = proto, name, script, removed
-        self.low, self.calls = [None] if low is None else low, 0
+        self.ops = ops
+        self.consts = consts
+        self.caches = caches
+        self.slot_names = slot_names
+        self.regions = regions
+        self.lines = lines
+        self.proto = proto
+        self.name = name
+        self.script = script
+        self.removed = removed
+        self.low = [None] if low is None else low
+        self.calls = 0
 
     def bind(self, stats: VMStats) -> "Code":
         """This template's copy for one interp: the ops and pools are

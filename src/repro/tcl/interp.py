@@ -210,7 +210,7 @@ class Interp:
             self._vm_run_script = _vm.run_script
             self._vm_call_proc = _vm.call_proc
             self._vm_proc_code = _vm.proc_code
-            self.vm_nest = 0  # lowered proc bodies running, nested
+            self.vm_nest = 0  # vm.call_proc activations running, nested
             # Script text -> its _vm_lower, a Code bound for this interp,
             # LRU first.  This interp's rank thread alone touches it.
             self._vm_code_cache: dict[str, Any] = {}

@@ -1,7 +1,7 @@
 """The tiers behind the bytecode: a hot proc body, and a hot inlined
 loop, as one Python function.
 
-A proc body called PROC_TIER_UP times in an interp runs as the
+A proc body called ``vm.PROC_TIER_UP`` times in an interp runs as the
 :func:`lower_proc`-ed function of its template: stack slots are locals,
 each call site makes the VM's inline-cache check and calls the resolved
 command itself, and anything else (a failed check, an op outside the
@@ -10,8 +10,9 @@ back to the VM at that op's pc, with its stack and blocks; an exception
 goes back with its op's pc, and the VM raises it there.
 
 A ``for``/``while`` loop of a proc body that runs no command ends in
-``OP_LOOP`` (:func:`mark_loops`); after :data:`TIER_UP` back-edges the VM
-jumps into its :func:`lower`-ed function, so the running call gains too.
+``OP_LOOP`` (:func:`mark_loops`); after :data:`TIER_UP` back-edges the VM,
+or a lowered proc body at the same op, jumps into its :func:`lower`-ed
+function, so the running call gains too.
 The function holds each slot as a Python ``int`` standing for its
 canonical decimal string and writes the cells at iteration boundaries
 and on exit only.  Anything outside ``int`` — a float or non-canonical
@@ -43,12 +44,6 @@ from .bytecode import (
 # VM.  A hand-back restarts the count, so a loop that keeps handing back
 # pays one failed entry per TIER_UP iterations.
 TIER_UP = 80
-# Calls of a proc body in one interp before it runs lowered: a body run
-# once (a 1-leaf program, a rank's set-up) never pays for its compile().
-PROC_TIER_UP = 2
-# Lowered bodies running at once, nested, past which a call runs on the
-# VM: a lowered call is two Python frames, a VM frame none.
-NEST = 16
 
 # Typed ops by opcode, OP_BIN ones by operator: ints in, an int out.
 _ARITH = {
@@ -263,7 +258,7 @@ def lower(code, head, end):
 # Ops whose lowered form can raise: each records its pc first.
 _RAISES = {
     OP_ELOAD_SLOT, OP_CALL, OP_CALL_LIT, OP_JUMP_IF_FALSE, OP_JUMP_IF_TRUE,
-    OP_BIN, OP_UNARY, OP_COERCE, OP_TO_STR,
+    OP_BIN, OP_UNARY, OP_COERCE, OP_TO_STR, OP_LOOP,
 } | set(range(OP_ADD, OP_NE + 1))
 
 
@@ -274,12 +269,13 @@ def _stack(d):
 def _proc_walk(code):
     """Translate each op of a proc body reachable from pc 0, as _walk does
     a loop's, keeping the VM's values (str; int or float inside an expr).
-    Returns ``(nodes, sites, landings, blocker)``: ``sites[pc] = (depth,
-    blocks)`` for each op that can raise, the catch handlers, and the
-    first op that hands the body back (EXEC, a NAME op, ...), or None."""
+    Returns ``(nodes, sites, landings, blocker, entries)``: ``sites[pc] =
+    (depth, blocks)`` for each op that can raise, the catch handlers, the
+    first op that hands the body back (EXEC, a NAME op, ...) or None, and
+    the pcs an OP_LOOP's lowered loop may go on at."""
     ops, consts, caches = code.ops, code.consts, code.caches
     nodes, seen, todo = {}, {0: (0, ())}, [0]
-    sites, landings, blockers = {}, [], []
+    sites, landings, blockers, entries = {}, [], [], set()
     while todo:
         pc = todo.pop()
         d, blocks = seen[pc]
@@ -372,6 +368,14 @@ def _proc_walk(code):
                 nxt = [(brk if op == OP_BREAK else cont, bd, blocks)]
         elif op == OP_RETURN or op == OP_END:
             lines, nxt = ["return " + top], []
+        elif op == OP_LOOP:  # the VM's back-edge: the loop tier past TIER_UP
+            head = caches[arg][0]
+            targets = {head} | {t for _, _, ts in _walk(code, head, pc)[0].values()
+                                for t in ts if not head <= t <= pc}
+            entries |= targets
+            lines = ["c = K[%d]" % arg, "c[1] += 1",
+                     "pc = c[0] if c[1] < %d else TIER(I, f, f, c, %d)" % (TIER_UP, pc), "continue"]
+            nxt = [(t, d, blocks) for t in sorted(targets)]
         else:
             blockers.append(pc)
             lines, nxt = [back], []
@@ -382,8 +386,8 @@ def _proc_walk(code):
             if t not in seen:
                 seen[t] = (td, tb)
                 todo.append(t)
-        nodes[pc] = (lines, cond, [t for t, _, _ in nxt])
-    return nodes, sites, landings, min(blockers) if blockers else None
+        nodes[pc] = (lines, cond, [] if op == OP_LOOP else [t for t, _, _ in nxt])
+    return nodes, sites, landings, min(blockers) if blockers else None, entries
 
 
 def proc_blocker(code):
@@ -398,13 +402,16 @@ def lower_proc(code):
     result, or hands the frame back as ``(pc, stack, blocks, exception)``.
     A catch in the body is the except clause: it enters the handler of
     the innermost catch around the raising op, unless a loop inside that
-    catch takes a break or continue (the VM jumps there)."""
-    nodes, sites, landings, blocker = _proc_walk(code)
+    catch takes a break or continue (the VM jumps there).  An OP_LOOP
+    counts the back-edge and, past TIER_UP, runs the loop's own lowered
+    function (:func:`lower`, through the VM's ``_tier``), which keeps its
+    slots as ints, and goes on at the pc that returns."""
+    nodes, sites, landings, blocker, entries = _proc_walk(code)
     if blocker == 0:
         return False
     preds = Counter(t for _, _, targets in nodes.values() for t in targets)
-    handlers = {h for h, _ in landings}
-    leaders = [pc for pc in sorted(nodes) if pc == 0 or preds[pc] > 1 or pc in handlers]
+    entries |= {h for h, _ in landings}
+    leaders = [pc for pc in sorted(nodes) if pc == 0 or preds[pc] > 1 or pc in entries]
     deep = max([d for d, _ in sites.values()] + [bd + 2 for _, bd in landings] + [1])
     catches = {}
     for pc, (d, blocks) in sites.items():

@@ -44,7 +44,16 @@ from .expr import (
 )
 from .interp import Frame, TclProc, Var, _abbrev
 from .listutil import format_list
-from .tier import GLOBALS, NEST, PROC_TIER_UP, TIER_UP, lower, lower_proc
+from .tier import GLOBALS, TIER_UP, lower, lower_proc
+
+# Calls of a proc body in one interp before it runs lowered: a body run
+# once (a 1-leaf program, a rank's set-up) never pays for its compile().
+# Tests set it to 0 to lower every body at its first call.
+PROC_TIER_UP = 2
+# call_proc activations running at once, nested, past which a call runs
+# as a VM frame: each is Python recursion (a lowered body, or the VM run
+# resuming a handed-back frame), a VM frame none.
+NEST = 16
 
 
 class VMFrame(Frame):
@@ -67,18 +76,25 @@ class VMFrame(Frame):
     )
 
     def __init__(self, code, ns, label, kind, prev_ns, dec):
-        self.vars, self.ns, self.label, self.version = {}, ns, label, 0
-        self.code, self.stack, self.pc = code, [], 0
+        self.vars = {}
+        self.ns = ns
+        self.label = label
+        self.version = 0
+        self.code = code
+        self.stack = []
+        self.pc = 0
         # None means "this frame is its own Tcl frame" (kinds 1 and 2).
         # Storing `self` here would make every activation a reference
         # cycle, turning each proc call into cycle-collector garbage —
         # the GC churn costs more than the whole dispatch loop.  Read
         # sites resolve with `f.tclframe or f`.
         self.tclframe = None
-        self.prev_ns, self.kind = prev_ns, kind
+        self.prev_ns = prev_ns
+        self.kind = kind
         self.dec = dec  # (argv, line) of the call site, for unwinding
         self.blocks = []  # (break_pc, continue_pc or -1 for a catch, stack_depth)
-        self.cells, self.cellsv = [], 0
+        self.cells = []
+        self.cellsv = 0
 
 
 def proc_code(interp, proc):
@@ -115,8 +131,12 @@ def _trivial(interp, proc, code):
     else:
         return None
     # `return` must still be the builtin as seen from the proc's ns.
-    fn_r = proc.ns.name and interp.commands.get(proc.ns.name + "::return")
-    if getattr(fn_r or interp.commands.get("return"), "vm_builtin", None) != "return":
+    fn_r = None
+    if proc.ns.name:
+        fn_r = interp.commands.get(proc.ns.name + "::return")
+    if fn_r is None:
+        fn_r = interp.commands.get("return")
+    if getattr(fn_r, "vm_builtin", None) != "return":
         return None
     return triv
 
@@ -139,7 +159,11 @@ def _resolve(interp, c, name):
     if fn is None:
         return 0  # unknown command: never cached
     mode, payload = _classify(interp, fn)
-    c[2:7] = interp.cmd_epoch, interp.current_ns, name, mode, payload
+    c[2] = interp.cmd_epoch
+    c[3] = interp.current_ns
+    c[4] = name
+    c[5] = mode
+    c[6] = payload
     return mode
 
 
@@ -149,7 +173,10 @@ def _resolve_lit(interp, c):
     if fn is None:
         return 0
     mode, payload = _classify(interp, fn)
-    c[3:7] = interp.cmd_epoch, interp.current_ns, mode, payload
+    c[3] = interp.cmd_epoch
+    c[4] = interp.current_ns
+    c[5] = mode
+    c[6] = payload
     return mode
 
 
@@ -157,7 +184,9 @@ def _guard_ok(interp, c):
     """Is GUARD cache ``c``'s command still the inlined builtin?"""
     if c[2] != interp.cmd_epoch or c[3] is not interp.current_ns:
         fn = interp.lookup_command(c[0])
-        c[2:5] = interp.cmd_epoch, interp.current_ns, getattr(fn, "vm_builtin", None) == c[1]
+        c[4] = getattr(fn, "vm_builtin", None) == c[1]
+        c[2] = interp.cmd_epoch
+        c[3] = interp.current_ns
     return c[4]
 
 
@@ -201,10 +230,10 @@ def call_proc(interp, proc, code, args):
     """Run a proc body, entered from Python (mirrors ``TclProc.__call__``:
     binding errors surface before the frame push, ``return -code error``
     converts at the proc boundary).  From its PROC_TIER_UP-th call in
-    this interp the body runs lowered (:func:`tier.lower_proc`) while
-    fewer than NEST lowered bodies are running; a hand-back resumes the
-    frame on the VM at the pc, stack and blocks it names, raising the
-    exception it carries there."""
+    this interp the body runs lowered (:func:`tier.lower_proc`) while at
+    most NEST activations of this function are running; a hand-back
+    resumes the frame on the VM at the pc, stack and blocks it names,
+    raising the exception it carries there."""
     f = VMFrame(code, proc.ns, proc.name, 1, interp.current_ns, None)
     f.cells = _bind(proc, f, args, len(code.slot_names))
     if len(interp.frames) >= interp.FRAME_LIMIT:
@@ -214,20 +243,19 @@ def call_proc(interp, proc, code, args):
     interp.current_ns = proc.ns
     st = interp.vm_stats
     st.frames += 1
+    # Raised until the frame returns, its resumed run too: a VM call
+    # site nested in that run comes back here only below NEST.
+    interp.vm_nest += 1
     try:
         exc = None
         if code.calls < PROC_TIER_UP:
             code.calls += 1
-        elif interp.vm_nest < NEST:
+        elif interp.vm_nest <= NEST:
             low = code.low[0]
             if low is None:  # threads racing here store the same function
                 low = code.low[0] = lower_proc(code)
             if low:
-                interp.vm_nest += 1
-                try:
-                    r = low(interp, f, f.cells, code.caches, code.consts)
-                finally:
-                    interp.vm_nest -= 1
+                r = low(interp, f, f.cells, code.caches, code.consts)
                 st.lowered_calls += 1
                 if type(r) is str:
                     return r
@@ -239,6 +267,7 @@ def call_proc(interp, proc, code, args):
             raise TclError(r.value) from None
         return r.value
     finally:
+        interp.vm_nest -= 1
         interp.frames.pop()
         interp.current_ns = saved_ns
 
@@ -314,9 +343,10 @@ def run(interp, root, exc=None):
                     e, exc = exc, None
                     raise e
                 while True:
-                    op, arg = ops[pc], ops[pc + 1]
+                    op = ops[pc]
+                    arg = ops[pc + 1]
                     pc += 2
-                    if op == OP_LOAD_SLOT or op == OP_ELOAD_SLOT:
+                    if op == OP_LOAD_SLOT:
                         v = tclframe.version
                         if v != cellsv:
                             cells = f.cells = [None] * len(cells)
@@ -326,24 +356,25 @@ def run(interp, root, exc=None):
                             name = code.slot_names[arg]
                             cell = tclframe.vars.get(name)
                             if cell is None:
-                                raise TclError('can\'t read "%s": no such variable' % name)
+                                raise TclError(
+                                    'can\'t read "%s": no such variable'
+                                    % name
+                                )
                             cells[arg] = cell
-                        if op == OP_LOAD_SLOT:
-                            stack.append(cell.value)
-                        else:
-                            sv = cell.value
-                            try:
-                                stack.append(int(sv, 10) if "_" not in sv else coerce(sv))
-                            except ValueError:
-                                stack.append(coerce(sv))
+                        stack.append(cell.value)
                     elif op == OP_CONST:
                         stack.append(consts[arg])
                     elif op == OP_CALL_LIT or op == OP_CALL:
                         c = caches[arg]
                         if op == OP_CALL_LIT:
                             # [argv, tail, line, epoch, ns, mode, payload]
-                            argv, tail, line = c[0], c[1], c[2]
-                            if c[3] == interp.cmd_epoch and c[4] is interp.current_ns:
+                            argv = c[0]
+                            tail = c[1]
+                            line = c[2]
+                            if (
+                                c[3] == interp.cmd_epoch
+                                and c[4] is interp.current_ns
+                            ):
                                 mode = c[5]
                                 ic_hits += 1
                             else:
@@ -353,7 +384,8 @@ def run(interp, root, exc=None):
                             argc = c[0]
                             argv = stack[-argc:]
                             del stack[-argc:]
-                            tail, line = argv[1:], c[1]
+                            tail = argv[1:]
+                            line = c[1]
                             if (
                                 c[2] == interp.cmd_epoch
                                 and c[3] is interp.current_ns
@@ -366,9 +398,12 @@ def run(interp, root, exc=None):
                         if mode == 3:
                             t3 = c[6]
                             if len(argv) - 1 == t3[2]:
-                                stack.append(tail[t3[1]] if t3[0] == 0 else t3[1])
+                                stack.append(
+                                    argv[t3[1] + 1] if t3[0] == 0 else t3[1]
+                                )
                                 continue
-                            proc, pcode = t3[3], t3[4]  # wrong arity: bind for the error
+                            proc = t3[3]  # wrong arity: bind for the error
+                            pcode = t3[4]
                             mode = 2
                         elif mode == 2:
                             proc, pcode = c[6]
@@ -382,8 +417,14 @@ def run(interp, root, exc=None):
                             pcode.calls += 1
                             try:
                                 if len(interp.frames) >= interp.FRAME_LIMIT:
-                                    raise TclError("too many nested evaluations (infinite loop?)")
-                                nf = VMFrame(pcode, proc.ns, proc.name, 2, interp.current_ns, (argv, line))
+                                    raise TclError(
+                                        "too many nested evaluations "
+                                        "(infinite loop?)"
+                                    )
+                                nf = VMFrame(
+                                    pcode, proc.ns, proc.name, 2,
+                                    interp.current_ns, (argv, line),
+                                )
                                 nf.cells = _bind(proc, nf, tail, len(pcode.slot_names))
                             except TclError as e:
                                 raise interp.failed(e, argv, line)
@@ -395,17 +436,25 @@ def run(interp, root, exc=None):
                             frames_pushed += 1
                             break
                         elif mode == 1:
+                            fn = c[6]
                             try:
-                                result = c[6](interp, tail)
+                                result = fn(interp, tail)
                             except Exception as e:
                                 raise interp.failed(e, argv, line)
-                            stack.append(result if isinstance(result, str) else
-                                         "" if result is None else to_string(result))
+                            if result is None:
+                                stack.append("")
+                            elif isinstance(result, str):
+                                stack.append(result)
+                            else:
+                                stack.append(to_string(result))
                         else:
                             stack.append(interp._call_unknown(argv, line))
                     elif op == OP_GUARD:
                         c = caches[arg]
-                        if c[2] == interp.cmd_epoch and c[3] is interp.current_ns:
+                        if (
+                            c[2] == interp.cmd_epoch
+                            and c[3] is interp.current_ns
+                        ):
                             if not c[4]:
                                 pc = c[5]
                         elif not _guard_ok(interp, c):
@@ -457,17 +506,54 @@ def run(interp, root, exc=None):
                         if v != cellsv:
                             cells = f.cells = [None] * len(cells)
                             cellsv = f.cellsv = v
-                        cell = cells[si] or tclframe.vars.get(name)
+                        cell = cells[si]
+                        if cell is None:
+                            cell = tclframe.vars.get(name)
+                            if cell is not None:
+                                cells[si] = cell
                         if cell is None:
                             value = str(delta)
-                            cell = tclframe.vars[name] = Var(value)
+                            cell = Var(value)
+                            tclframe.vars[name] = cell
+                            cells[si] = cell
                         else:
-                            iv = parse_number(cell.value)
-                            if not isinstance(iv, int):
-                                raise _not_int(cell.value, text, line)
-                            cell.value = value = str(iv + delta)
-                        cells[si] = cell
+                            cur = cell.value
+                            try:
+                                iv = int(cur, 10) if "_" not in cur else None
+                            except ValueError:
+                                iv = None
+                            if iv is None:
+                                pn = parse_number(cur)
+                                if isinstance(pn, int):
+                                    iv = pn
+                                else:
+                                    raise _not_int(cur, text, line)
+                            value = str(iv + delta)
+                            cell.value = value
                         stack.append(value)
+                    elif op == OP_ELOAD_SLOT:
+                        v = tclframe.version
+                        if v != cellsv:
+                            cells = f.cells = [None] * len(cells)
+                            cellsv = f.cellsv = v
+                        cell = cells[arg]
+                        if cell is None:
+                            name = code.slot_names[arg]
+                            cell = tclframe.vars.get(name)
+                            if cell is None:
+                                raise TclError(
+                                    'can\'t read "%s": no such variable'
+                                    % name
+                                )
+                            cells[arg] = cell
+                        sv = cell.value
+                        try:
+                            if "_" not in sv:
+                                stack.append(int(sv, 10))
+                            else:
+                                stack.append(coerce(sv))
+                        except ValueError:
+                            stack.append(coerce(sv))
                     elif OP_ADD <= op <= OP_NE:
                         b = stack.pop()
                         a = stack[-1]
@@ -492,9 +578,12 @@ def run(interp, root, exc=None):
                                 stack[-1] = 1 if a != b else 0
                         else:
                             stack[-1] = _eval_bin(_BIN_NAME[op], a, b)
-                    elif op == OP_JUMP_IF_FALSE or op == OP_JUMP_IF_TRUE:
+                    elif op == OP_JUMP_IF_FALSE:
                         v = stack.pop()
-                        if (v != 0 if type(v) is int else truthy(v)) is (op == OP_JUMP_IF_TRUE):
+                        if type(v) is int:
+                            if not v:
+                                pc = arg
+                        elif not truthy(v):
                             pc = arg
                     elif op == OP_JUMP:
                         pc = arg
@@ -518,7 +607,10 @@ def run(interp, root, exc=None):
                         try:
                             interp.set_var(name, value)
                         except TclError as e:
-                            e.add_info('"%s" (line %d)' % (_abbrev(["set", name, value]), line))
+                            e.add_info(
+                                '"%s" (line %d)'
+                                % (_abbrev(["set", name, value]), line)
+                            )
                             raise
                     elif op == OP_INCR_NAME:
                         name, delta, line, text = consts[arg]
@@ -527,7 +619,10 @@ def run(interp, root, exc=None):
                                 cur = interp.get_var(name)
                                 cur_n = parse_number(cur)
                                 if not isinstance(cur_n, int):
-                                    raise TclError('expected integer but got "%s"' % cur)
+                                    raise TclError(
+                                        'expected integer but got "%s"'
+                                        % cur
+                                    )
                             else:
                                 cur_n = 0
                             value = interp.set_var(name, str(cur_n + delta))
@@ -553,6 +648,13 @@ def run(interp, root, exc=None):
                         f.blocks.append((b[0], b[1], len(stack)))
                     elif op == OP_POP_BLOCK:
                         f.blocks.pop()
+                    elif op == OP_JUMP_IF_TRUE:
+                        v = stack.pop()
+                        if type(v) is int:
+                            if v:
+                                pc = arg
+                        elif truthy(v):
+                            pc = arg
                     elif op == OP_BIN:
                         b = stack.pop()
                         stack[-1] = _eval_bin(consts[arg], stack[-1], b)
@@ -562,12 +664,17 @@ def run(interp, root, exc=None):
                         stack.append(eval_node(interp, consts[arg]))
                     elif op == OP_COERCE:
                         stack[-1] = coerce(stack[-1])
-                    elif op == OP_BREAK or op == OP_CONTINUE:
-                        raise TclBreak() if op == OP_BREAK else TclContinue()
+                    elif op == OP_BREAK:
+                        raise TclBreak()
+                    elif op == OP_CONTINUE:
+                        raise TclContinue()
                     elif op == OP_LOOP:
                         c = caches[arg]
                         c[1] += 1
-                        pc = c[0] if c[1] < TIER_UP else _tier(interp, f, tclframe, c, pc - 2)
+                        if c[1] < TIER_UP:
+                            pc = c[0]
+                        else:
+                            pc = _tier(interp, f, tclframe, c, pc - 2)
                     else:
                         raise TclError("bad opcode %d" % op)
             except TclError as e:
@@ -654,7 +761,7 @@ def _incr(cell, delta):
 
 GLOBALS.update(
     RL=_resolve_lit, RS=_resolve, GOK=_guard_ok, CP=call_proc, NEW=_new,
-    INC=_incr,
+    INC=_incr, TIER=_tier,
 )
 
 _BIN_NAME = {

@@ -352,6 +352,15 @@ PROC_TIER_SCRIPTS = [
 
 
 @pytest.fixture
+def default_recursion_limit():
+    """CPython's default recursion limit, which only the oracle raises."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(before)
+
+
+@pytest.fixture
 def lower_at_once(monkeypatch):
     """Every proc body entered from Python runs lowered from its first call."""
     from repro.tcl import vm
@@ -403,6 +412,25 @@ class TestProcTier:
         root = vm_interp.vm_compiled("catch {error x} m; set m")
         assert "CALL_LIT" in root.dis()  # script-root code keeps cmd_catch
 
+    def test_a_lowered_body_runs_its_loop_on_the_loop_tier(self, monkeypatch):
+        # OP_LOOP in a lowered body counts the back-edge and enters the
+        # loop's function past TIER_UP, as the VM does: no hand-back,
+        # and the loop tier's counters read as on the VM.
+        from repro.tcl import vm
+
+        script = ("proc f {n} { set s 0; for {set i 0} {$i < $n} {incr i} {"
+                  " set s [expr {($s * 3 + $i) % 1009}] }; return $s-$i }\n"
+                  "list [f 200] [f 200] [f 200]")
+        stats = []
+        for tier_up in (10 ** 9, 0):
+            monkeypatch.setattr(vm, "PROC_TIER_UP", tier_up)
+            stats.append(_lowered(script))
+        on_vm, lowered = stats
+        assert (on_vm.lowered_calls, lowered.lowered_calls, lowered.proc_handbacks) == (0, 3, 0)
+        assert lowered.lowered_iterations == on_vm.lowered_iterations == 3 * 199 - (TIER_UP - 1)
+        assert lowered.loops_lowered == on_vm.loops_lowered == 1
+        assert_same(script)
+
     def test_dis_names_the_first_op_on_the_vm(self, vm_interp):
         vm_interp.eval("proc f {} { set l {1 2}; return [list {*}$l] }")
         dis = vm_interp._vm_proc_code(vm_interp, vm_interp.lookup_command("f")).dis()
@@ -417,7 +445,7 @@ class TestProcTier:
         before = vm_interp.vm_stats.lowered_calls
         assert vm_interp.eval("count 2500") == "done"
         # the first NEST levels run lowered, the rest as VM frames
-        from repro.tcl.tier import NEST
+        from repro.tcl.vm import NEST
 
         assert vm_interp.vm_stats.lowered_calls - before == NEST
 
@@ -854,6 +882,33 @@ class TestVMDepth:
         vm_interp.eval("proc loop {} { loop }")
         assert vm_interp.eval("catch {loop}") == "1"
         assert vm_interp.eval("expr {2 + 2}") == "4"
+
+    # Bodies whose lowered function hands the frame back at every call
+    # (`global` moves its cells; `{*}` is an EXEC), so each level resumes
+    # on the VM from Python.  Under CPython's default recursion limit
+    # the depth must still come from FRAME_LIMIT, not a RecursionError.
+    HANDING_BACK = [
+        "proc count {n} { global g; if {$n == 0} {return done};"
+        " return [count [expr {$n - 1}]] }",
+        "proc count {n} { if {$n == 0} {return done}; set a [list {*}[list $n]];"
+        " return [count [expr {$a - 1}]] }",
+    ]
+
+    @pytest.mark.parametrize("proc", HANDING_BACK, ids=["global", "exec"])
+    def test_deep_recursion_of_a_handing_back_body(self, vm_interp, default_recursion_limit, proc):
+        vm_interp.eval(proc)
+        assert vm_interp.eval("count 3; count 3; count 2500") == "done"
+        assert vm_interp.vm_stats.proc_handbacks > 0
+        assert len(vm_interp.frames) == 1 and vm_interp.vm_nest == 0
+
+    def test_infinite_recursion_of_a_handing_back_body_is_catchable(
+        self, vm_interp, default_recursion_limit
+    ):
+        vm_interp.eval("proc loop {} { global g; loop }")
+        assert vm_interp.eval("catch {loop} m; set m") == "too many nested evaluations (infinite loop?)"
+        assert vm_interp.eval("catch {loop}") == "1"
+        assert vm_interp.vm_stats.proc_handbacks > 0
+        assert len(vm_interp.frames) == 1 and vm_interp.vm_nest == 0
 
 
 # --- vm_stats counters ---------------------------------------------------
