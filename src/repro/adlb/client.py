@@ -8,7 +8,11 @@ master — and sends it as one commit per server.  ``create``, ``store``,
 ``subscribe``, ``put``, ``incr_work`` and ``decr_work`` are one-op
 commits.  The client holds no data state: every call is applied when
 it returns — but a worker's finished units wait for its next GET to
-carry them.
+carry them: their counter units (``done``), and the op lists of those
+whose ops all go to the worker's own server (DESIGN.md, "A leaf's
+commit rides its GET; its closed input rides its grant").  A grant may
+carry the values of its tasks' closed inputs, which answer the
+bundle's retrieves of them.
 """
 
 from __future__ import annotations
@@ -97,6 +101,12 @@ class AdlbClient:
         # unit's bundle, by a GET.
         self.carries_done = not layout.is_engine(self.rank)
         self._done = 0
+        # (place, ops) of the finished units whose op lists ride the next
+        # GET, and the running unit's place in its bundle (a worker sets it)
+        self.riding: list[tuple[int, list[dict]]] = []
+        self.place = 0
+        # {td: value} the current bundle's grant carried
+        self._carried: dict | None = None
 
     # ------------------------------------------------------------------- RPC
 
@@ -196,10 +206,15 @@ class AdlbClient:
         priority: int = 0,
         target: int = -1,
         prov: str | None = None,
+        inputs: list | tuple = (),
     ) -> None:
-        """Submit one task: a one-op :meth:`commit`."""
+        """Submit one task, which names the TDs ``inputs`` its grant
+        carries the closed values of: a one-op :meth:`commit`."""
         spawn = (type, payload, priority, target, self.bound_for(target))
-        self.commit(self.tasks([spawn], prov))
+        ops = self.tasks([spawn], prov)
+        if inputs:
+            ops[0]["tasks"][0] += (tuple(inputs),)
+        self.commit(ops)
 
     def get(self, types: tuple[str, ...] = (C.WORK,)) -> list[tuple[str, Any]] | None:
         """Blocking get; returns a bundle — a list of up to
@@ -208,10 +223,13 @@ class AdlbClient:
 
         Asking for the next bundle also completes the lease on the
         previous one, and gives back what the carried :meth:`decr_work`
-        calls of its units owe."""
+        calls of its units owe, with the op lists that ride."""
         msg: dict = {"op": C.OP_GET, "types": list(types)}
         if self._done:
             msg["done"], self._done = self._done, 0
+        if self.riding:
+            msg["units"], self.riding = self.riding, []
+        self._carried = None
         if self.reliable:
             reply = self._await(self._post(self.my_server, msg))
         else:
@@ -220,6 +238,8 @@ class AdlbClient:
         if reply[0] == "shutdown":
             return None
         if reply[0] == "task":
+            if len(reply) > 2:
+                self._carried = reply[2]
             return reply[1]
         raise AdlbError("unexpected get reply %r" % (reply,))
 
@@ -287,10 +307,8 @@ class AdlbClient:
             C.TAG_ONEWAY,
         )
 
-    def task_fail(
-        self, kind: str, error: str, traceback_text: str = "", place: int = 0
-    ) -> None:
-        """Report the leased task at ``place`` in its bundle as failed;
+    def task_fail(self, kind: str, error: str, traceback_text: str = "") -> None:
+        """Report the running leased task (at :attr:`place`) as failed;
         ownership of the unit (and its termination-counter increment)
         passes back to the server, which will retry it or give up per
         its retry policy."""
@@ -301,7 +319,7 @@ class AdlbClient:
                 "kind": kind,
                 "error": error,
                 "traceback": traceback_text,
-                "unit": place,
+                "unit": self.place,
             },
         )
 
@@ -347,21 +365,30 @@ class AdlbClient:
         A TASKS op for another server follows it, so its tasks are
         counted before anything can run them.  A plain decrement last in
         ``ops`` rides the next :meth:`get` where the client
-        :attr:`carries_done`, owed only once the rest has landed."""
+        :attr:`carries_done`, owed only once the rest has landed; the
+        rest rides that GET too if all of it goes to this client's
+        server and subscribes to nothing (the server applies it only
+        while the lease the GET closes is still this client's)."""
         last = ops[-1] if ops else {}
         if self.carries_done and last.get("amount", 0) < 0 and "poison" not in last:
-            closed = self.commit(ops[:-1])
+            ops, closed = ops[:-1], []
+            if ops:
+                mine, home = self.my_server, self.layout.home_server
+                if last["amount"] == -1 and all(
+                    op["server"] == mine if op["op"] == C.OP_TASKS
+                    else op["op"] not in (C.OP_SUBSCRIBE, C.OP_WORK) and home(op["id"]) == mine
+                    for op in ops
+                ):
+                    self._trace_writes(ops)
+                    self.riding.append((self.place, ops))
+                else:
+                    closed = self.commit(ops)
             self._done -= last["amount"]
             return closed
         if not ops:
             return []
         home, master = self.layout.home_server, self.layout.master_server
-        if self.tracer is not None:
-            for op in ops:
-                if op["op"] == C.OP_STORE:
-                    # Lineage edge: the current unit wrote this TD; it is
-                    # readable from now on.
-                    self.tracer.emit("write", op["id"], self.prov_unit, op.get("subscript"))
+        self._trace_writes(ops)
         # TD id an op may publish (a member, a copy's dst) -> its servers
         publishers: dict[int, set[int]] = {}
         for op in ops:
@@ -394,8 +421,22 @@ class AdlbClient:
                 self._oneway(key[2], msg)
         return closed
 
+    def _trace_writes(self, ops: list[dict]) -> None:
+        if self.tracer is not None:
+            for op in ops:
+                if op["op"] == C.OP_STORE:
+                    # Lineage edge: the current unit wrote this TD; it is
+                    # readable from now on.
+                    self.tracer.emit("write", op["id"], self.prov_unit, op.get("subscript"))
+
     def read(self, msg: dict) -> Any:
-        """A read of ``msg["id"]``: the one data op outside a commit."""
+        """A read of ``msg["id"]``: the one data op outside a commit.  A
+        whole-TD retrieve of a value the bundle's grant carried is
+        answered here."""
+        carried = self._carried
+        if carried and msg["id"] in carried and msg["op"] == C.OP_RETRIEVE:
+            if msg.get("subscript") is None:
+                return carried[msg["id"]]
         return self._rpc(self.layout.home_server(msg["id"]), msg)
 
     def retrieve(self, id: int, subscript: str | None = None) -> Any:

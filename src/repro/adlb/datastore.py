@@ -191,6 +191,21 @@ class DataStore:
             raise UnsetError("TD <%d>[%s] retrieved before insert" % (id, subscript))
         return td.members[subscript]
 
+    def carried(self, tasks: list) -> dict[int, Any] | None:
+        """What a grant of ``tasks`` carries: ``{id: value}`` for each of
+        their inputs that is here and set (so not a container) and not a
+        blob, which ships as an id; None if there is none."""
+        out = None
+        for task in tasks:
+            if task.inputs:
+                for id in task.inputs:
+                    td = self.tds.get(id)
+                    if td is not None and td.is_set and not isinstance(td.value, bytes):
+                        if out is None:
+                            out = {}
+                        out[id] = td.value
+        return out
+
     def exists(self, id: int, subscript: str | None = None) -> bool:
         td = self.tds.get(id)
         if td is None:

@@ -3,7 +3,8 @@
 The server records what it hands out to a client as one lease: a
 worker's bundle of up to ``GET_BUNDLE`` units, an engine's one control
 task.  The client's next GET completes it (one outstanding lease per
-client).  A unit whose client reports it failed (``OP_TASK_FAIL``,
+client), and lands the units that ride it only while the lease is
+open.  A unit whose client reports it failed (``OP_TASK_FAIL``,
 naming its place in the bundle) is requeued alone; every unit of a
 lease whose client dies (``SOP_RANK_DEAD``) or, under a fault plan,
 goes silent past the lease deadline is requeued, with exponential
@@ -19,6 +20,7 @@ from typing import Any
 
 from ..faults import EngineLost, QuarantinedTask, ServerLost, snippet
 from . import constants as C
+from .datastore import DataStoreError
 from .workqueue import Task
 
 #: base requeue delay; attempt ``k`` of a unit waits ``RETRY_BACKOFF * 2**(k-1)``,
@@ -95,6 +97,32 @@ class Leases:
             self.core.log(("done", client))
         return lease
 
+    def close(self, client: int, get: dict) -> _Lease | None:
+        """A worker's GET closes its lease: first apply the op lists of
+        the units that ride it (``units``: ``(place, ops)`` in bundle
+        order), logged before the close, then count its ``done``.  A
+        unit whose list is rejected fails at its place like an
+        OP_TASK_FAIL, and its -1 is not counted; ops before the rejected
+        one stand.  A GET that closes no lease (a swept rank's late one,
+        a re-send) applies and counts nothing: the fence."""
+        lease = self.table.get(client)
+        if lease is None:
+            return None
+        core, done = self.core, get.get("done", 0)
+        for place, ops in get.get("units", ()):
+            try:
+                core.op_commit({"ops": ops}, client)
+            except DataStoreError as e:
+                done -= 1
+                task, lease.tasks[place] = lease.tasks[place], None
+                core.log(("failed", client, place))
+                fail = {"kind": "task", "error": "AdlbError: %s" % e}
+                self.settle(task, fail, client, core.on_error == "retry")
+        self.take(client)
+        if done:
+            core.decr_work(done)
+        return lease
+
     def requeue(self, task: Task, attempts: int) -> None:
         """Put a failed/orphaned unit back with exponential backoff."""
         core = self.core
@@ -132,7 +160,12 @@ class Leases:
                 self.core.log(("failed", source, place))
             else:
                 self.take(source)
-        if task is not None and task.attempts + 1 <= self.max_retries:
+        self.settle(task, msg, source, retry=True)
+
+    def settle(self, task: Task | None, msg: dict, source: int, retry: bool) -> None:
+        """A failed unit: requeued while ``retry`` and attempts are left,
+        else given up (``Server.fail_unit``)."""
+        if retry and task is not None and task.attempts + 1 <= self.max_retries:
             self.requeue(task, task.attempts + 1)
             return
         self.stats.failed_permanent += 1
@@ -157,10 +190,12 @@ class Leases:
         expiry, or a lost journal heartbeat.  The rank can no longer be
         granted work or block shutdown and every unit of its lease is
         re-run elsewhere (at-least-once: a worker's bundle units that
-        already committed too).  A merely slow rank is fenced only for the
-        ``-1`` a worker's GET carries (that GET closes no lease): its
-        writes and a control task's commit still land beside the
-        re-run's, which is why expiry is armed only under a fault plan.
+        already committed too).  A merely slow worker is fenced for what
+        its late GET carries, which closes no lease (:meth:`close`): its
+        ``-1``s and the units that ride it.  A unit whose ops span
+        servers (or subscribe, or spawn) commits on its own and still
+        lands beside the re-run's, and so does a control task's commit,
+        which is why expiry is armed only under a fault plan.
         """
         core = self.core
         if rank in core.dead_ranks:
@@ -242,8 +277,9 @@ class Leases:
         fault plan only.  Only an injected kill is silent in this
         runtime (a rank that dies otherwise is announced), so without a
         plan an overdue lease is a long leaf, not a dead rank: sweeping
-        it would re-run the leaf and land both runs' writes (only its
-        carried ``-1`` is fenced).  A runaway leaf is ``task_timeout``'s job."""
+        it would re-run the leaf, and a leaf that commits on its own would
+        land both runs' writes (what rides its GET is fenced).  A runaway
+        leaf is ``task_timeout``'s job."""
         now = self.core.comm.now()
         while self.delayed and self.delayed[0][0] <= now:
             _, _, task = heapq.heappop(self.delayed)

@@ -8,8 +8,10 @@ work (rules, tasks, the initial program) and decrement on completion;
 when it returns to zero the master fans out shutdown.  A client changes
 state only through OP_COMMIT, a unit's op list for this server.  A
 worker's GET is answered with a bundle of up to ``GET_BUNDLE`` tasks,
-held as one lease; the worker returns the units it finished on its next
-GET (``done``), counted only if that GET closes the lease; if they were
+held as one lease, and carries the values of its tasks' closed inputs.
+The worker returns the units it finished on its next GET (``done``),
+with the op lists of those whose writes all go to this server; both
+land only if that GET closes the lease (``Leases.close``); if they were
 the last ones the GET is answered "shutdown".
 
 Work stealing: a server whose parked GETs cannot be satisfied locally
@@ -142,7 +144,7 @@ class Server:
             C.OP_GET: self._op_get,
             C.OP_GET_ASYNC: self._op_get,
             C.OP_ID_BLOCK: self._op_id_block,
-            C.OP_COMMIT: self._op_commit,
+            C.OP_COMMIT: self.op_commit,
             C.SOP_STEAL_REQ: self._op_steal_req,
             C.SOP_STEAL_RESP: self._op_steal_resp,
             C.SOP_SHUTDOWN: self._op_shutdown,
@@ -325,10 +327,10 @@ class Server:
 
     def _op_tasks(self, msg: dict) -> None:
         """A TASKS op: ``tasks`` is a list of (type, payload, priority,
-        target), accepted in order — parked GETs match in list order."""
+        target, ?inputs), accepted in order — parked GETs match in list order."""
         prov = msg.get("prov")
-        for ttype, payload, priority, target in msg["tasks"]:
-            task = Task(ttype, payload, priority, target, prov=prov)
+        for spec in msg["tasks"]:
+            task = Task(*spec, prov=prov)
             if self.tracer is not None:
                 self.tracer.emit("put", task.type, task.target >= 0)
             self.accept_task(task)
@@ -345,15 +347,11 @@ class Server:
             # goes out in every branch (the grant/shutdown travels
             # separately on the async channel).
             self.comm.send(("parked", seq), source, C.TAG_RESPONSE)
-        # Asking for more completes the previous lease, and a carried
-        # ``done`` gives back its units' counter units with the lease
-        # only: a re-sent GET, or a swept rank's late one, counts nothing.
-        lease = self.leases.take(source)
-        if lease is not None:
-            if self.journals is not None:
-                self.journals.lease_returned(source)
-            if "done" in msg:
-                self.decr_work(msg["done"])
+        # Asking for more completes the previous lease: its riding units
+        # and ``done`` land with the lease only (``Leases.close``).
+        lease = self.leases.close(source, msg)
+        if lease is not None and self.journals is not None:
+            self.journals.lease_returned(source)
         if self.shutting_down:
             self._tell_shutdown(source, is_async, seq)
             return _NO_REPLY
@@ -487,13 +485,17 @@ class Server:
     ) -> None:
         """Hand matched tasks to a client as one lease and one reply —
         an engine's async grant is one control task, a worker's a bundle
-        of (type, payload) pairs — and replicate the grant (which doubles
-        as the dedup record a failover heir resends)."""
+        of (type, payload) pairs, then the values of their closed inputs
+        if there are any — and replicate the grant (which doubles as the
+        dedup record a failover heir resends)."""
         if is_async:
             payload: tuple = ("ctask", tasks[0].type, tasks[0].payload)
             tag = C.TAG_ASYNC
         else:
             payload = ("task", [(task.type, task.payload) for task in tasks])
+            carried = self.store.carried(tasks)
+            if carried:
+                payload += (carried,)
             tag = C.TAG_RESPONSE
         if seq >= 0:
             payload = payload + (seq,)
@@ -542,7 +544,7 @@ class Server:
 
     # ---------------------------------------------------------------- data ops
 
-    def _op_commit(self, msg: dict, source: int) -> list[int]:
+    def op_commit(self, msg: dict, source: int) -> list[int]:
         """OP_COMMIT: a unit's data ops, TASKS and WORK, applied and
         logged one at a time in list order.  The first op rejected fails
         the commit; the ones before it stay applied, on the buddy too.

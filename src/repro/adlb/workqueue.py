@@ -19,6 +19,8 @@ class Task:
     payload: Any
     priority: int = 0
     target: int = -1  # -1 means any rank
+    # the TDs its WORK rule waited on: a grant carries the closed ones
+    inputs: tuple = ()
     attempts: int = 0  # executions so far (>0 only for lease requeues)
     uid: int = -1  # stable identity across requeues/replication (-1: none)
     prov: str | None = None  # spawning rule/unit id (traced runs only)

@@ -157,8 +157,8 @@ class Interp:
     MAX_DEPTH = 900
     # VM mode: Tcl proc calls stay inside one dispatch loop, so only
     # nested *evaluations* (eval/catch and EXEC fallbacks)
-    # consume Python stack — a much lower eval-depth budget fits under
-    # CPython's default recursion limit with no setrecursionlimit bump.
+    # consume Python stack — a much lower eval-depth budget, capped by
+    # the recursion limit (``__init__``), with no setrecursionlimit bump.
     VM_MAX_DEPTH = 128
     # VM frame-depth limit: Tcl proc recursion depth before the VM
     # raises a catchable TclError (replaces RecursionError entirely).
@@ -173,7 +173,14 @@ class Interp:
         # the plain interpreted walk, kept as the differential oracle.
         self.compile_enabled = compile_enabled
         if compile_enabled:
-            self.MAX_DEPTH = self.VM_MAX_DEPTH
+            # An evaluation level that calls a proc which evaluates again
+            # costs 8 units of CPython's recursion count (`eval`,
+            # `_dispatch`, `_finish_command`, the `TclProc` call and its C
+            # slot, `call_proc`, `run` or the lowered body, `cmd_eval`):
+            # the guard fires while 150 are left for the caller's stack
+            # and the unwinding (106 levels at the default limit of 1000).
+            fits = (sys.getrecursionlimit() - 150) // 8
+            self.MAX_DEPTH = min(self.VM_MAX_DEPTH, fits)
         else:
             # A Tcl evaluation level costs ~12 Python frames; make room
             # for the MAX_DEPTH guard to fire before CPython's.

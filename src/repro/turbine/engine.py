@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..adlb.client import AdlbClient
-from ..adlb.constants import CONTROL, OP_SUBSCRIBE, SOP_CKPT_PART, TAG_SERVER
+from ..adlb.constants import CONTROL, OP_SUBSCRIBE, SOP_CKPT_PART, TAG_SERVER, WORK
 from ..faults import RankKilled
 from .unit import UnitRunner
 
@@ -31,6 +31,7 @@ class Rule:
     priority: int
     name: str
     remaining: int = 0
+    inputs: list = field(default_factory=list)
 
     def spec(self, inputs: list[int]) -> dict:
         """The rule as plain data, waiting on ``inputs`` (journal
@@ -132,6 +133,7 @@ class Engine:
                 spec["target"],
                 spec["priority"],
                 spec["name"],
+                inputs=spec["inputs"],
             )
             inputs = set(spec["inputs"])
             self.stats.rules_created += 1
@@ -280,12 +282,14 @@ class Engine:
                     if directive is not None and directive[0] == "kill":
                         raise RankKilled(self.client.rank, directive[1])
                 # The rule's accounting unit transfers to the task; the
-                # executing rank decrements after running it.
+                # executing rank decrements after running it.  A WORK
+                # task names its inputs: its grant carries the closed ones.
                 self.stats.tasks_released += 1
                 if self.ring is not None:
                     self.ring.emit("rule_release", rule.id, rule.type, rule.name)
                 prov = "R%d.%d" % (self.client.rank, rule.id) if self.tracer is not None else None
-                self.client.put(rule.action, rule.type, rule.priority, rule.target, prov)
+                inputs = rule.inputs if rule.type == WORK else ()
+                self.client.put(rule.action, rule.type, rule.priority, rule.target, prov, inputs)
             if self.journal:
                 self._jot(("done", rule.id))
 

@@ -20,9 +20,10 @@ A finished unit is one step: its lines become program output, then
 one op list — the writes, a SUBSCRIBE per new rule input, the k
 spawns, the decrements and one ``WORK`` of ``k + r - 1`` (its r rules
 and k spawns counted, its own counter unit back) — is sent as one
-OP_COMMIT per server, so a unit whose write or subscribe a server
-rejects has counted nothing and spawned nothing, and its rules are
-registered only once it landed.
+OP_COMMIT per server (a worker leaf's, all for its own server, rides
+its next GET instead: ``AdlbClient.commit``), so a unit whose write or
+subscribe a server rejects has counted nothing and spawned nothing, and
+its rules are registered only once it landed.
 """
 
 from __future__ import annotations
@@ -133,9 +134,6 @@ class UnitRunner:
         self.held = Held(add_rules is not None)
         # numbers task / control-task unit ids; counts retries too
         self._seq = 0
-        # the running task's place in its bundle, which a failure report
-        # names (a worker sets it; every other unit is alone)
-        self.place = 0
 
     # -------------------------------------------------------------- the unit
 
@@ -148,8 +146,9 @@ class UnitRunner:
         guard: Any | None = None,
     ) -> bool:
         """Run one unit.  True: it ran to completion and its commit
-        landed (its rules registered).  False: it raised (its commit
-        failing too), or was abandoned, and is settled.  ``ident`` /
+        landed (its rules registered), or rides the worker's next GET.
+        False: it raised (its commit failing too), or was abandoned, and
+        is settled.  ``ident`` /
         ``label`` are a rule's id and name; ``guard`` is the worker's
         task watchdog, armed around the eval and asked at the end
         whether the unit is still ours."""
@@ -277,7 +276,7 @@ class UnitRunner:
         # A unit that raised leaves nothing behind, under every policy.
         self.held.cut()
         if retryable and self.on_error == "retry":
-            self.client.task_fail(kind, error, tb, self.place)
+            self.client.task_fail(kind, error, tb)
             return
         failure = TaskFailure(
             rank=self.client.rank,

@@ -138,7 +138,7 @@ class Worker:
                 "kind": "task",
                 "error": "TaskTimeout: task exceeded %.3gs watchdog"
                 % self._watchdog.timeout,
-                "unit": self.unit.place,
+                "unit": self.client.place,
             },
             self.client.my_server,
             C.TAG_ONEWAY,
@@ -147,13 +147,14 @@ class Worker:
     def state(self) -> dict:
         """What this worker holds right now (DESIGN.md, "Live state"):
         at quiescence no deferred refcount decrement and no unsent write
-        — every task ends in a commit or a roll-back.  Plain reads and
-        ``len()`` only."""
+        — every task ends in a commit or a roll-back, and the units whose
+        commit rides the next GET (counted in ``pending_writes``) left
+        with it.  Plain reads and ``len()`` only."""
         return {
             "role": "worker",
             "rank": self.client.rank,
             "pending_refcounts": len(self.unit.held.deferred),
-            "pending_writes": len(self.unit.held.writes),
+            "pending_writes": len(self.unit.held.writes) + len(self.client.riding),
             "tasks_run": self.stats.tasks_run,
             "abandoned": self.watchdog_stats.abandoned,
             "failures": len(self.unit.failures),
@@ -170,7 +171,7 @@ class Worker:
                 # Each task is its own unit: one that fails or is
                 # abandoned is handed back alone, and the rest still run.
                 for place, (_, payload) in enumerate(bundle):
-                    unit.place = place
+                    self.client.place = place
                     t0 = time.perf_counter()
                     if unit.run("task", payload, guard=wd):
                         self.stats.tasks_run += 1

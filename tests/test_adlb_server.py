@@ -546,21 +546,33 @@ class TestTwoMessagesALeaf:
         assert server.work_count == 2 and not server.shutting_down
 
     def test_a_plain_workers_minus_one_is_owed_only_once_its_commit_landed(self):
-        server, world = make_server()
-        anchor, rank = server.rank, WORKER + 1
-        plain = AdlbClient(world.comm(rank), server.layout)
-        store = {"op": C.OP_STORE, "id": 6, "value": 1}
-        for reply, done in ((("error", "TD <6> does not exist"), {}), (("ok", []), {"done": 1})):
-            world.comm(anchor).send(reply, rank, C.TAG_RESPONSE)
+        # Rewritten when a worker's commit began to ride its GET: a store
+        # at the worker's own server goes in the GET, with the unit's
+        # place, and its -1 in ``done``; only a store homed at another
+        # server goes alone, its -1 owed once it landed (the old shape).
+        server, world = make_server(n_servers=2)
+        layout, rank = server.layout, WORKER + 1
+        anchor, other = layout.my_server(rank), layout.home_server(7)
+        assert (layout.home_server(6), anchor) == (anchor, server.rank) and other != anchor
+        plain = AdlbClient(world.comm(rank), layout)
+        here, there = ({"op": C.OP_STORE, "id": td, "value": 1} for td in (6, 7))
+        assert plain.commit([here, work(-1)]) == []
+        assert replies(world, anchor, C.TAG_REQUEST) == []
+        world.comm(anchor).send(grant("leaf"), rank, C.TAG_RESPONSE)
+        assert plain.get() == [(C.WORK, "leaf")]
+        assert replies(world, anchor, C.TAG_REQUEST) == [dict(GET, done=1, units=[(0, [here])])]
+        for reply, done in ((("error", "TD <7> does not exist"), {}), (("ok", []), {"done": 1})):
+            world.comm(other).send(reply, rank, C.TAG_RESPONSE)
             try:
-                plain.commit([store, work(-1)])
+                plain.commit([there, work(-1)])
             except AdlbError:
                 assert reply[0] == "error"
             world.comm(anchor).send(grant("leaf"), rank, C.TAG_RESPONSE)
             assert plain.get() == [(C.WORK, "leaf")]
             # the store goes alone; its -1 rides the GET, unless the
             # store was rejected (the unit failed: its policy accounts it)
-            assert replies(world, anchor, C.TAG_REQUEST) == [commit(store), dict(GET, **done)]
+            assert replies(world, other, C.TAG_REQUEST) == [commit(there)]
+            assert replies(world, anchor, C.TAG_REQUEST) == [dict(GET, **done)]
 
 
 def leaves(n: int) -> list:
@@ -668,6 +680,179 @@ class TestBundles:
         assert requeued == {
             "leaf-%d" % i: (1, () if i == 3 else ((WORKER, "killed"),)) for i in range(1, 9)
         }
+
+
+def create(td: int, type: str = C.T_INTEGER, **refcounts) -> dict:
+    return {"op": C.OP_CREATE, "id": td, "type": type, **refcounts}
+
+
+def store(td: int, value) -> dict:
+    return {"op": C.OP_STORE, "id": td, "value": value}
+
+
+def leaf(payload: str = "leaf", inputs: tuple = ()) -> tuple:
+    # a TASKS op's task; a WORK rule's names its inputs
+    return (C.WORK, payload, 0, -1, inputs) if inputs else (C.WORK, payload, 0, -1)
+
+
+class TestRidingUnits:
+    """A worker unit whose ops all go to its own server rides the GET
+    that closes its lease: applied while that lease is still the
+    worker's, before the close; a rejected one fails at its place as an
+    OP_TASK_FAIL would; a GET that closes no lease applies nothing."""
+
+    SLOW, FAST = WORKER + 1, WORKER  # both GET from the master here
+
+    def start(self, n_servers=1, td=2, **kwargs):
+        """A leaf queued with the counter at 2 (the leaf, one held back),
+        and the integer TD ``td`` created open; the SLOW worker holds the
+        leaf's lease."""
+        server, world = make_server(n_servers, **kwargs)
+        assert server.layout.home_server(td) == server.layout.my_server(self.SLOW) == server.rank
+        server.dispatch(commit(create(td), work(2), {"op": C.OP_TASKS, "tasks": [leaf()]}), ENGINE, C.TAG_ONEWAY)
+        server.dispatch(GET, self.SLOW, C.TAG_REQUEST)
+        assert replies(world, self.SLOW, C.TAG_RESPONSE) == [grant("leaf")]
+        return server, world
+
+    def test_a_units_ops_land_before_its_lease_closes(self):
+        server, world = self.start()
+        logged = []
+        server.log = logged.append
+        server.dispatch(dict(GET, done=1, units=[(0, [store(2, 5)])]), self.SLOW, C.TAG_REQUEST)
+        assert server.store.retrieve(2) == 5 and server.work_count == 1
+        assert [e[0] for e in logged] == ["data", "done", "work"]
+        assert not server.leases.table and not server.failures
+
+    @pytest.mark.parametrize("n_servers", [1, 2])
+    def test_a_swept_workers_late_riding_store_is_refused(self, clock, n_servers):
+        # The slow worker's lease is swept and its leaf re-run; its late
+        # GET closes no lease, so its store is refused, not absorbed
+        # beside the re-run's (replay_ok would take an equal value).
+        plan = FaultState(FaultPlan())
+        server, world = self.start(
+            n_servers, clock=clock, lease_timeout=0.3, faults=plan, reliable=True
+        )
+        clock.advance(60.0)
+        server.leases.tick()
+        assert server.dead_ranks == {self.SLOW}
+        clock.advance(1.0)
+        server.leases.tick()  # the requeued leaf is back
+        server.dispatch(GET, self.FAST, C.TAG_REQUEST)
+        server.dispatch(dict(GET, done=1, units=[(0, [store(2, 5)])]), self.FAST, C.TAG_REQUEST)
+        ops = server.stats.data_ops
+        for value in (5, 7):
+            server.dispatch(dict(GET, done=1, units=[(0, [store(2, value)])]), self.SLOW, C.TAG_REQUEST)
+        assert server.store.retrieve(2) == 5 and server.stats.data_ops == ops
+        assert server.work_count == 1 and not server.failures
+
+    def test_a_rejected_unit_is_requeued_then_surfaced_under_retry(self, clock):
+        server, world = self.start(clock=clock, max_retries=1)
+        server.dispatch(commit(store(2, 1)), ENGINE, C.TAG_ONEWAY)  # closed
+        twice = dict(GET, done=1, units=[(0, [store(2, 2)])])
+        server.dispatch(twice, self.SLOW, C.TAG_REQUEST)  # rejected: parks
+        ((_, _, task),) = server.leases.delayed
+        assert task.attempts == 1 and server.work_count == 2
+        clock.advance(1.0)
+        server.leases.tick()  # the retry goes to the parked GET
+        assert replies(world, self.SLOW, C.TAG_RESPONSE) == [grant("leaf")]
+        with pytest.raises(TaskError) as info:
+            server.dispatch(twice, self.SLOW, C.TAG_REQUEST)
+        failure = info.value.failure
+        assert (failure.kind, failure.attempts, failure.rank) == ("task", 2, self.SLOW)
+        assert failure.error.startswith("AdlbError: ") and "stored twice" in failure.error
+
+    def test_a_rejected_unit_raises_under_fail_fast(self):
+        server, _ = self.start(on_error="fail_fast")
+        with pytest.raises(TaskError, match="AdlbError: TD <9> not found"):
+            server.dispatch(dict(GET, done=1, units=[(0, [store(9, 1)])]), self.SLOW, C.TAG_REQUEST)
+
+    def test_a_rejected_unit_is_recorded_and_poisoned_under_continue(self):
+        # Two units of a bundle ride; the first is rejected: its -1 goes
+        # back poisoned, the second's with the done, and the op before
+        # the rejected one stands.
+        server, _ = make_server(on_error="continue")
+        server.dispatch(commit(create(2), create(4), work(2)), ENGINE, C.TAG_ONEWAY)
+        server.leases.grant([Task(C.WORK, "one"), Task(C.WORK, "two")], self.SLOW)
+        units = [(0, [store(2, 5), store(9, 1)]), (1, [store(4, 6)])]
+        server.dispatch(dict(GET, done=2, units=units), self.SLOW, C.TAG_REQUEST)
+        assert (server.store.retrieve(2), server.store.retrieve(4)) == (5, 6)
+        (failure,) = server.failures
+        assert (failure.kind, failure.payload) == ("task", "one")
+        assert failure.error == "AdlbError: TD <9> not found"
+        assert server.poisoned and server.work_count == 0 and server.shutting_down
+
+
+class TestCarriedInputs:
+    """A WORK task names its rule's inputs; a worker's grant carries
+    the values of those set here, as one dict for the bundle, and a
+    task that names none costs the grant nothing."""
+
+    def test_a_grant_carries_set_scalars_only(self):
+        server, world = make_server()
+        blob, box, unset, value = 2, 4, 6, 8
+        server.dispatch(
+            commit(
+                create(blob, C.T_BLOB), store(blob, b"\x00\x01"),
+                create(box, C.T_CONTAINER), create(unset), create(value), store(value, 42),
+            ),
+            ENGINE,
+            C.TAG_ONEWAY,
+        )
+        inputs = (blob, box, unset, value, 99)
+        server.dispatch(put([leaf("a", inputs), leaf("b")]), ENGINE, C.TAG_ONEWAY)
+        server.dispatch(GET, WORKER, C.TAG_REQUEST)
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [grant("a") + ({value: 42},)]
+        server.dispatch(GET, WORKER, C.TAG_REQUEST)  # nothing to carry: the old shape
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [grant("b")]
+
+    def test_a_retried_tasks_second_grant_carries_again(self, clock):
+        server, world = make_server(clock=clock)
+        server.dispatch(commit(create(2), store(2, 7), work(1)), ENGINE, C.TAG_ONEWAY)
+        server.dispatch(put([leaf("a", (2,))]), ENGINE, C.TAG_ONEWAY)
+        server.dispatch(GET, WORKER, C.TAG_REQUEST)
+        server.dispatch(TASK_FAIL, WORKER, C.TAG_ONEWAY)
+        clock.advance(1.0)
+        server.leases.tick()
+        server.dispatch(GET, WORKER + 1, C.TAG_REQUEST)
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [grant("a") + ({2: 7},)]
+        assert replies(world, WORKER + 1, C.TAG_RESPONSE) == [grant("a") + ({2: 7},)]
+
+    def test_a_stolen_task_carries_what_its_thief_holds(self):
+        # Each server carries the inputs in its own store: the thief's
+        # grant names the TD homed there, and the worker reads the other
+        # from its home, as any read.
+        master, world = make_server(n_servers=2)
+        thief = Server(world.comm(master.layout.servers[1]), master.layout)
+        mine, theirs = 2, 3  # homed at the master, at the thief
+        assert [master.layout.home_server(td) for td in (mine, theirs)] == master.layout.servers
+        master.dispatch(commit(create(mine), store(mine, 1)), ENGINE, C.TAG_ONEWAY)
+        thief.dispatch(commit(create(theirs), store(theirs, 2)), ENGINE, C.TAG_ONEWAY)
+        master.dispatch(put([leaf("a", (mine, theirs))]), ENGINE, C.TAG_ONEWAY)
+        thief.dispatch(GET, WORKER, C.TAG_REQUEST)  # parks, and asks the master
+        for server in (master, thief):
+            for payload, status in world.comm(server.rank).drain_dead(server.rank):
+                server.dispatch(payload, status.source, status.tag)
+        assert thief.stats.tasks_stolen_in == 1
+        assert replies(world, WORKER, C.TAG_RESPONSE) == [grant("a") + ({theirs: 2},)]
+        plain = AdlbClient(world.comm(WORKER), master.layout)
+        world.comm(thief.rank).send(grant("a") + ({theirs: 2},), WORKER, C.TAG_RESPONSE)
+        assert plain.get() == [(C.WORK, "a")]
+        assert plain.retrieve(theirs) == 2  # from the grant: no request
+        assert replies(world, thief.rank, C.TAG_REQUEST) == [GET]
+        world.comm(master.rank).send(("ok", 1), WORKER, C.TAG_RESPONSE)
+        assert plain.retrieve(mine) == 1
+        assert replies(world, master.rank, C.TAG_REQUEST) == [
+            {"op": C.OP_RETRIEVE, "id": mine, "subscript": None}
+        ]
+        # a subscript read is not the carried value's, and the next
+        # bundle forgets what this one carried
+        world.comm(thief.rank).send(("ok", "x"), WORKER, C.TAG_RESPONSE)
+        assert plain.retrieve(theirs, "0") == "x"
+        world.comm(thief.rank).send(grant("b"), WORKER, C.TAG_RESPONSE)
+        plain.get()
+        world.comm(thief.rank).send(("ok", 2), WORKER, C.TAG_RESPONSE)
+        assert plain.retrieve(theirs) == 2
+        assert len(replies(world, thief.rank, C.TAG_REQUEST)) == 3
 
 
 class TestOneCommitPerServer:
@@ -852,8 +1037,11 @@ COUNTERS = (
 # one CONTROL task (a match, a lease) per half it is split into.
 PER_LEAF = dict(zip(COUNTERS, (0, 1, 1, 0, 0, 0)))
 # -O0 runs no pass and is the differential oracle: it must stay the
-# all-TD shape pinned before the IR existed.
-PER_LEAF_O0 = dict(zip(COUNTERS, (24, 2, 2, 4, 3, 1)))
+# all-TD shape pinned before the IR existed.  Re-pinned on purpose when
+# a grant began to carry the closed inputs its WORK rule waited on,
+# 24/2/2/4/3/1 -> 22/2/2/4/3/1: the leaf's two retrieves are answered
+# from its grant, so they reach no server.
+PER_LEAF_O0 = dict(zip(COUNTERS, (22, 2, 2, 4, 3, 1)))
 # Messages (``mpi.sends``) of the unsplit fan-out at 2w/1s/1e.  Per
 # grant the worker's GET and its reply, nothing else: the chunk's spawns
 # are one n-task TASKS op in its unit's one commit, and each leaf's
@@ -884,8 +1072,8 @@ SENDS_PER_GRANT, SENDS_PER_RUN = 2, 8
 # One hop of the benchmark's dependent chain.  Per hop at the default
 # level: 2 allocates (the reader TD of a[i], the member a[i+1]), the
 # container_reference into the reader TD, the leaf rule's subscribe,
-# the insert, and the task's retrieve + store = 7 data ops; 1 rule (the
-# leaf); strcat runs at the top of the leaf's task body.  Reading a[i]
+# the insert, and the task's store = 6 data ops (its retrieve is
+# answered from its grant); 1 rule (the leaf); strcat runs at the top of the leaf's task body.  Reading a[i]
 # is a server copy: the container's server issues a COPY of the member
 # to the member's server, which stores its value into the reader TD
 # when it closes (on one server both are applied in place and count
@@ -913,7 +1101,11 @@ CHAIN = (
 # in place), so a hop is no control task any more — one match and one
 # lease fewer; its data ops are the same ops, in the chunk's commit.
 NOTIFICATIONS = "engine.notifications"
-PER_HOP = dict(zip(COUNTERS, (7, 1, 1, 1, 1, 0)))
+# Re-pinned on purpose when a grant began to carry the closed inputs its
+# WORK rule waited on, 7/1/1/1/1/0 -> 6/1/1/1/1/0 (7n + 10 -> 6n + 10
+# data ops): the leaf's retrieve of a[i]'s reader TD is answered from
+# its grant.
+PER_HOP = dict(zip(COUNTERS, (6, 1, 1, 1, 1, 0)))
 PER_CHAIN_RUN = dict(zip(COUNTERS, (10, 0, 0, 1, 1, 0)))
 # Messages (``mpi.sends``) of the chain at 2w/1s/1e, less its
 # notifications (one message each, pinned above).  Until its body became
@@ -959,7 +1151,12 @@ PER_CHAIN_RUN = dict(zip(COUNTERS, (10, 0, 0, 1, 1, 0)))
 # run: the engine's first park, the program's increment, its id block
 # RPC and commit RPC, trace(a[N])'s RETRIEVE RPC and closing -1, the
 # engine's shutdown, and each worker's first GET and shutdown reply.
-CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 7, 14
+# Re-pinned again when a leaf's commit began to ride its worker's next
+# GET and its closed input its grant, 7n + 14 -> 3n + 14: the leaf's
+# RETRIEVE and commit RPCs (four messages) are gone.  What is left per
+# hop: the leaf rule's TASKS one-way, the leaf's grant, and its
+# worker's next GET, which carries the leaf's store.
+CHAIN_SENDS_PER_HOP, CHAIN_SENDS_PER_RUN = 3, 14
 
 
 class TestProtocolShape:

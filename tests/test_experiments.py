@@ -67,7 +67,9 @@ def test_stc_counts_hold(ex):
     m = ex.stc()
     assert ex.render("STC", m)[1:] == ("holds", [])
     fan = m["40-leaf python fan-out by level"]
-    assert (fan["-O0"]["rules"], fan["-O0"]["data_ops"]) == (160, 960)
+    # Re-pinned on purpose, 960 -> 880 data ops: each -O0 leaf's two
+    # retrieves of its closed inputs are answered from its grant.
+    assert (fan["-O0"]["rules"], fan["-O0"]["data_ops"]) == (160, 880)
     assert (fan["-O1"]["rules"], fan["-O1"]["data_ops"]) == (0, 0)
 
 

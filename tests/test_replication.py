@@ -816,6 +816,30 @@ class TestReplicaFollowsOwner:
         server.dispatch(done, WORKER, C.TAG_REQUEST)
         assert server.work_count == 1 and [p.rank for p in server.parked] == [WORKER]
 
+    @pytest.mark.parametrize("where", ["owner", "heir"])
+    def test_a_get_with_units_lands_them_once_on_both(self, where):
+        # A leaf's store rides the GET that closes its lease: the buddy
+        # holds the data with the close (settle compares the stores),
+        # and a re-sent copy of that GET lands nothing twice.
+        owner, buddy = self.pair(reliable=True)
+        td = 2  # homed at the owner
+        create = {"op": C.OP_CREATE, "id": td, "type": C.T_INTEGER}
+        self.step(commit(create, work(2), tasks_op("leaf")), ENGINE, C.TAG_ONEWAY)
+        self.step(dict(GET, seq=1), WORKER, C.TAG_REQUEST)  # granted
+        units = [(0, [{"op": C.OP_STORE, "id": td, "value": 5}])]
+        get = dict(GET, seq=2, done=1, units=units)
+        self.step(get, WORKER, C.TAG_REQUEST)  # lands, closes, parks
+        assert owner.store.retrieve(td) == 5 and owner.work_count == 1
+        assert buddy.repl.replicas[owner.rank].store.retrieve(td) == 5
+        server = owner
+        if where == "heir":
+            buddy.repl.server_dead(owner.rank, "killed")
+            server = buddy
+        ops = server.stats.data_ops
+        server.dispatch(get, WORKER, C.TAG_REQUEST)
+        assert server.stats.data_ops == ops and server.work_count == 1
+        assert server.store.retrieve(td) == 5
+
     def test_a_forwarded_done_outlives_a_master_killed_before_it(self):
         # A done at another server reaches the master as that server's
         # one-way, which nothing re-sends.  A server kill lands between
@@ -889,6 +913,12 @@ class TestReplicaFollowsOwner:
             msg = rng.choice([GET, dict(GET, done=max(1, units))])
             if "done" not in msg:
                 gap[0] += units  # the units' count is owed elsewhere
+            elif units and rng.random() < 0.5:  # a unit's store rides it, or is rejected
+                tasks = owner.leases.table[worker].tasks
+                td = next(ids)
+                ops = [{"op": C.OP_CREATE, "id": td, "type": C.T_INTEGER}]
+                ops += [{"op": C.OP_STORE, "id": td, "value": v} for v in rng.choice([[7], [7, 8]])]
+                msg = dict(msg, units=[(rng.choice([i for i, t in enumerate(tasks) if t]), ops)])
             sent[worker] = request(msg, worker)
             bundles.append(len(live(worker)))
 
@@ -971,4 +1001,6 @@ class TestReplicaFollowsOwner:
         assert owner.stats.tasks_stolen_out and owner.leases.stats.requeued
         assert owner.leases.stats.dead_ranks and buddy.repl.stats.entries_applied > 400
         assert max(bundles) > 1  # the walk saw bundle grants
+        # and riding units the owner rejected, failed at their place
+        assert any(f.error.startswith("AdlbError: ") for f in owner.failures)
 

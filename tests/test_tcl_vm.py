@@ -878,6 +878,30 @@ class TestVMDepth:
             vm_interp.eval("loop 1")
         assert vm_interp.eval("catch {loop 1}") == "1"
 
+    # Recursion through `eval`: every level is an evaluation, about 8 of
+    # CPython's recursion units, so under its default limit the eval
+    # guard must fire before a RecursionError, which `catch` cannot take.
+    EVAL_RECURSION = (
+        "proc r {n} { if {$n == 0} {return done}; return [eval [list r [expr {$n-1}]]] }"
+    )
+
+    @pytest.mark.parametrize("n, ok", [(3, True), (100, True), (300, False), (2500, False)])
+    @pytest.mark.parametrize("caught", [False, True], ids=["bare", "catch"])
+    def test_recursion_through_eval_stops_at_the_guard(self, default_recursion_limit, n, ok, caught):
+        it = Interp()
+        it.echo = False
+        it.eval(self.EVAL_RECURSION)
+        script = "r %d" % n
+        if caught:
+            want = "0 done" if ok else "1 {too many nested evaluations (infinite loop?)}"
+            assert it.eval("list [catch {%s} m] $m" % script) == want
+        elif ok:
+            assert it.eval(script) == "done"
+        else:
+            with pytest.raises(TclError, match="too many nested evaluations"):
+                it.eval(script)
+        assert it._depth == 0 and len(it.frames) == 1 and it.eval("r 3") == "done"
+
     def test_infinite_recursion_caught_by_tcl_catch(self, vm_interp):
         vm_interp.eval("proc loop {} { loop }")
         assert vm_interp.eval("catch {loop}") == "1"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import swift_run
+from repro.adlb.client import AdlbClient
 from repro.faults import TaskError
 from repro.mpi import AbortError, DeadlockError
 from repro.mpi.launcher import RankFailure
@@ -409,3 +411,78 @@ class TestRuntimeBehavior:
                 "}\n",  # td never stored -> deadlock -> timeout
                 RuntimeConfig(size=3, recv_timeout=1.0),
             )
+
+
+# ------------------------------- a leaf waits on no RPC inside its unit
+
+CHAIN = (
+    'string a[];\na[0] = "1";\nforeach i in [0:%d] {\n'
+    '    a[i+1] = python(strcat("x=", a[i], "*3+1*", fromint(i)), "x%%1000003");\n'
+    "}\ntrace(a[%d]);\n"
+)
+
+# A WORK rule on an integer, a container and a blob; the leaf reads all three.
+THREE_INPUTS = """
+proc swift:main {} {
+    set i [ turbine::allocate integer ]
+    turbine::store_integer $i 7
+    set c [ turbine::allocate_container ]
+    turbine::container_insert $c 0 $i
+    set b [ turbine::allocate blob ]
+    turbine::store_blob $b [ blobutils::from_string abc ]
+    turbine::rule [ list $i $c $b ] [ list leaf $i $c $b ] WORK
+}
+proc leaf { i c b } {
+    set h [ turbine::retrieve $b ]
+    turbine::log_output "[ turbine::retrieve $i ] [ turbine::container_lookup $c 0 ] [ blobutils::to_string $h ]"
+}
+"""
+
+
+@pytest.fixture
+def worker_rpcs(monkeypatch):
+    """The (op, id, subscript) of every RPC a worker's units send."""
+    sent, real = [], AdlbClient._rpc
+
+    def rpc(self, server, msg):
+        if self.carries_done:
+            sent.append((msg["op"], msg.get("id"), msg.get("subscript")))
+        return real(self, server, msg)
+
+    monkeypatch.setattr(AdlbClient, "_rpc", rpc)
+    return sent
+
+
+class TestALeafWaitsOnNoRpc:
+    """A chain hop's leaf reads its input from its grant and its store
+    rides its worker's next GET: no RPC inside the unit (ROADMAP item
+    26's chain row).  A blob or a container is still read from its
+    server."""
+
+    @staticmethod
+    def expected(n: int) -> list[str]:
+        x = 1
+        for i in range(n):
+            x = (x * 3 + i) % 1000003
+        return ["trace: %d" % x]
+
+    def test_a_chain_hop_sends_no_rpc_from_its_leaf(self, worker_rpcs):
+        n = 30
+        res = swift_run(CHAIN % (n - 1, n), workers=2, servers=1, engines=1)
+        assert res.stdout_lines == self.expected(n) and worker_rpcs == []
+
+    def test_a_chain_across_two_servers_reads_the_right_values(self):
+        # Two servers steal each other's leaves; a thief carries only
+        # what its own store holds, and the worker reads the rest.
+        n = 40
+        res = swift_run(CHAIN % (n - 1, n), workers=2, servers=2, engines=2)
+        assert res.stdout_lines == self.expected(n)
+
+    def test_a_blob_and_a_container_are_read_from_their_server(self, worker_rpcs):
+        res = run_turbine_program(THREE_INPUTS, RuntimeConfig(size=4))
+        assert res.stdout_lines == ["7 1 abc"]  # c[0] is the integer's id, 1
+        # the integer came with the grant; the blob (an id) and the
+        # container's member are two reads of two other TDs
+        (blob, member) = sorted(worker_rpcs, key=lambda rpc: rpc[2] or "")
+        assert (blob[0], blob[2], member[0], member[2]) == ("RETRIEVE", None, "RETRIEVE", "0")
+        assert blob[1] != member[1]
