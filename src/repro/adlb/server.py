@@ -215,10 +215,12 @@ class Server:
             self.repl.end_turn()
 
     def _done(self) -> bool:
+        # asked every turn: the one-line test first, the ring walk after
+        if not (self.shutting_down and self._shutdown_acked >= self.attached_clients):
+            return False
         if self.repl is not None and not self.repl.wards_settled():
             return False
-        released = self.shutting_down and self._shutdown_acked >= self.attached_clients
-        return released and (self.journals is None or self.journals.settled())
+        return self.journals is None or self.journals.settled()
 
     def _idle_tick(self) -> None:
         self._maybe_steal()
@@ -330,10 +332,10 @@ class Server:
         target, ?inputs), accepted in order — parked GETs match in list order."""
         prov = msg.get("prov")
         for spec in msg["tasks"]:
-            task = Task(*spec, prov=prov)
             if self.tracer is not None:
-                self.tracer.emit("put", task.type, task.target >= 0)
-            self.accept_task(task)
+                self.tracer.emit("put", spec[0], spec[3] >= 0)
+            # stamped as it is built: ``stamp`` would copy it again
+            self.accept_task(Task(*spec, uid=self.new_uid(spec[0], prov), prov=prov))
 
     def _op_get(self, msg: dict, source: int) -> Any:
         """OP_GET (worker: a bundle of tasks comes back as the RPC reply)
@@ -453,19 +455,27 @@ class Server:
         if self.tracer is not None:
             self.tracer.emit("match", task.type, task.target >= 0)
 
-    def stamp(self, task: Task) -> Task:
-        """Give a unit a stable identity, so op-log inserts/removals
+    def new_uid(self, type: str, prov: str | None) -> int:
+        """A new unit's stable identity, so op-log inserts/removals
         correlate and provenance can chain retried attempts to their
-        original (only replicated or traced runs need one)."""
-        if task.uid >= 0 or (self.repl is None and self.tracer is None):
-            return task
+        original; -1 (none) where neither replication nor a tracer
+        needs one."""
+        if self.repl is None and self.tracer is None:
+            return -1
         self._uid_counter += 1
-        task = dataclasses.replace(task, uid=(self.rank << 20) | self._uid_counter)
+        uid = (self.rank << 20) | self._uid_counter
         if self.tracer is not None:
             # Lineage node: a unit of queued work, linked back to
             # the rule/unit that spawned it.
-            self.tracer.emit("task", task.uid, task.prov, task.type)
-        return task
+            self.tracer.emit("task", uid, prov, type)
+        return uid
+
+    def stamp(self, task: Task) -> Task:
+        """``task`` with a ``new_uid`` if it has none and needs one."""
+        if task.uid >= 0:
+            return task
+        uid = self.new_uid(task.type, task.prov)
+        return task if uid < 0 else dataclasses.replace(task, uid=uid)
 
     def accept_task(self, task: Task) -> None:
         task = self.stamp(task)

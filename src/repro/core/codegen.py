@@ -1,29 +1,34 @@
 """IR -> Tcl (the second half of the STC back end) and its driver.
 
-One printer serves every optimisation level; the level only picks the
-pass list run on the IR first.  What the printer decides by itself is
-the *escape rule*: a closed value (a Tcl value of the unit being
-printed) is used as such wherever the position takes a value — an
-inline value-proc call, a task payload, a subscript, a loop bound — and
-is materialised as a TD (``allocate`` + ``store``, once per proc) only
-where the position needs a TD id: an input of an op that still runs as
-a rule, a composite-function argument, an array member, a ``wait``.
+One printer serves every optimisation level; the level picks the pass
+list run on the IR first, and whether a thin value proc (``stdlib.THIN``)
+prints as its own body, the operand words substituted, where its op runs
+closed or fused (:meth:`Codegen.value_tcl`): above -O0 a fan-out leaf
+calls no proc.  What the printer decides by itself is the *escape rule*:
+a closed value (a Tcl value of the unit being printed) is used as such
+wherever the position takes a value — an inline value op, a task payload,
+a subscript, a loop bound — and is materialised as a TD (``allocate`` +
+``store``, once per proc) only where the position needs a TD id: an input
+of an op that still runs as a rule, a composite-function argument, an
+array member, a ``wait``.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..tcl.expr import to_string
-from ..tcl.listutil import format_element, format_list
+from ..tcl.listutil import format_element, format_list, parse_list
 from .errors import SwiftTypeError
 from .ir import Block, Const, Op, Operand, Var, all_ops, free_vars
 from .lower import Lowering
 from .passes import PASSES, annotation_slice, propagate_closed
 from .semantics import FuncSig
+from .stdlib import THIN
 from .swift_ast import AppDef, ExtFuncDef, Literal, Program, VarRef
 from .types import BOOLEAN, FLOAT, INT, STORE_CMD, STRING, TD_TYPE, VOID, SwiftType
 
@@ -38,6 +43,18 @@ def quote_const(value: Any, t: SwiftType) -> str:
     if t == INT:
         return str(int(value))
     return format_element(str(value))
+
+
+# a literal that expr reads as the number a variable holding it gives
+_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?(e[-+][0-9]+)?").fullmatch
+_QUOTED = str.maketrans({**{c: "\\" + c for c in '\\$[]"{}'}, "\n": "\\n", "\r": "\\r"})
+
+
+def quoted(word: str) -> str:
+    """``word`` inside a double-quoted word of a braced proc body."""
+    if word[0] == "$":
+        return word if word[1] == "{" else "${%s}" % word[1:]
+    return parse_list(word)[0].translate(_QUOTED)  # a literal's text
 
 
 def leaf_body(defn: ExtFuncDef | AppDef) -> str:
@@ -120,8 +137,9 @@ class Codegen:
     def __init__(self, program: Program, funcs: dict[str, FuncSig], opt: int = 1):
         self.program = program
         self.funcs = funcs
-        self.level = opt  # recorded in the output; decides nothing below
+        self.level = opt  # recorded in the output
         self.passes = PASSES if opt else ()
+        self.thin = THIN if opt else {}  # -O0, the oracle, calls every proc
         self.procs: list[Proc] = []
         self._hoist = itertools.count(1)
         self._tasks: dict[tuple, str] = {}  # (params, body) -> task proc name
@@ -223,12 +241,14 @@ class Codegen:
     def op_value(self, op: Op, proc: Proc) -> None:
         out = op.outs[0] if op.outs else None
         if op.inline:
-            call = " ".join([format_list(op.fn), *(self.val(x, proc) for x in op.ins)])
+            tcl, word = self.value_tcl(op.fn, [self.val(x, proc) for x in op.ins], out is None)
             if out is None:
-                proc.emit(call)
+                proc.emit(tcl)
+            elif word:
+                proc.val[out] = tcl
             else:
                 tmp = proc.temp()
-                proc.emit("set %s [ %s ]" % (tmp, call))
+                proc.emit("set %s %s" % (tmp, tcl))
                 proc.val[out] = "$" + tmp
             return
         head = "none {}"
@@ -236,6 +256,21 @@ class Codegen:
             head = "%s %s" % (TD_TYPE[out.type.base], self.td(out, proc))
         ins = [self.td(x, proc) for x in op.ins]
         proc.emit(" ".join(["turbine::op", head, format_element(format_list(op.fn)), *ins]))
+
+    def value_tcl(self, fn: tuple[str, ...], words: list[str], sink: bool) -> tuple[str, bool]:
+        """A closed or fused value op over its operands' words (a thin proc as
+        its body): a sink's command, else its value's Tcl and whether that is a
+        plain word, read as it is, not one a ``set`` binds first."""
+        thin = self.thin.get(fn[0])
+        if isinstance(thin, tuple):
+            form, sep, bare = thin
+            tcl = form % sep.join(map(quoted, words)) if words else bare
+        elif thin is not None and all(w[0] == "$" or _NUMBER(w) for w in words):
+            tcl = thin % dict(zip(["oper"] * (len(fn) - 1) + ["x", "y"], [*fn[1:], *words]))
+        else:
+            call = " ".join([format_list(fn), *words])
+            tcl = call if sink else "[ %s ]" % call
+        return tcl, tcl[0] not in '["'
 
     def op_copy(self, op: Op, proc: Proc) -> None:
         (dst,), (src,) = op.outs, op.ins
@@ -490,17 +525,17 @@ class Codegen:
             name = next(
                 (p.name + "_val" for p, x in zip(defn.inputs, op.ins) if x is out), "q%d" % k
             )
-            call = " ".join([format_list(fused.fn), *(take(x) for x in fused.ins)])
-            head.append("set %s [ %s ]" % (name, call))
+            head.append("set %s %s" % (name, self.value_tcl(fused.fn, [take(x) for x in fused.ins], False)[0]))
             inside[out] = "${%s}" % name
         continued = {x for fused in op.post for x in fused.ins}
         for p, out in zip(defn.outputs, op.outs):
-            if out in continued:
+            if out in continued and out.type != STRING:
                 # a fused consumer reads what a store + retrieve would give
                 tail.append(
                     "set %s_val [ turbine::norm %s ${%s_val} ]"
                     % (p.name, TD_TYPE[out.type.base], p.name)
                 )
+            if out in continued:
                 inside[out] = "${%s_val}" % p.name
             if out not in op.elided:
                 out_params.append("o_" + p.name)
@@ -508,17 +543,19 @@ class Codegen:
                 value = "" if out.type == VOID else " ${%s_val}" % p.name
                 tail.append("%s $o_%s%s" % (STORE_CMD[out.type.base], p.name, value))
         for k, fused in enumerate(op.post):
-            call = " ".join([format_list(fused.fn), *(take(x) for x in fused.ins)])
+            tcl, word = self.value_tcl(fused.fn, [take(x) for x in fused.ins], not fused.outs)
             if not fused.outs:
-                tail.append(call)
+                tail.append(tcl)
                 continue
             (out,) = fused.outs
-            tail.append("set p%d [ %s ]" % (k, call))
-            inside[out] = "${p%d}" % k
+            if not word:
+                tail.append("set p%d %s" % (k, tcl))
+                tcl = "${p%d}" % k
+            inside[out] = tcl
             if out not in op.elided:
                 out_params.append("o%d" % k)
                 out_args.append(self.td(out, proc))
-                tail.append("%s $o%d ${p%d}" % (STORE_CMD[out.type.base], k, k))
+                tail.append("%s $o%d %s" % (STORE_CMD[out.type.base], k, tcl))
         task = self.task(
             op.fn,
             out_params + params,

@@ -89,6 +89,29 @@ _add("string_from_blob", (BLOB,), (STRING,), "turbine::string_from_blob_rule", k
 _add("blob_size", (BLOB,), (INT,), "turbine::blob_size_rule", kind="rule")
 
 
+# Thin value procs: a library proc (turbine/tcllib.py) whose body is one
+# expression over its parameters, as STC prints it in the call's place
+# above -O0: ``oper`` is the prefix's operator, ``x`` and ``y`` the
+# operand words.  A variadic proc's ``%s`` is its operands joined by the
+# separator inside the form's one quoted word; last, its form with none.
+_NORM = "[ turbine::norm %s [ expr { %s } ] ]"
+THIN: dict[str, str | tuple[str, str, str]] = {
+    "turbine::fromint": "%(x)s",
+    "turbine::fromfloat": "%(x)s",
+    "turbine::tofloat": "[ turbine::norm float %(x)s ]",
+    "turbine::toint": _NORM % ("integer", "int(%(x)s)"),
+    "turbine::parseint": _NORM % ("integer", "int(%(x)s)"),
+    "turbine::neg_integer": _NORM % ("integer", "- %(x)s"),
+    "turbine::neg_float": _NORM % ("float", "- double(%(x)s)"),
+    "turbine::not": _NORM % ("boolean", "! %(x)s"),
+    "turbine::binop_integer": _NORM % ("integer", "%(x)s %(oper)s %(y)s"),
+    "turbine::binop_float": _NORM % ("float", "double(%(x)s) %(oper)s double(%(y)s)"),
+    "turbine::binop_logic": _NORM % ("boolean", "%(x)s %(oper)s %(y)s"),
+    "turbine::strcat": ('"%s"', "", '""'),
+    "turbine::trace": ('turbine::log_output "trace: %s"', ",", "turbine::log_output trace:"),
+}
+
+
 def predefined_extensions() -> list[ExtFuncDef]:
     """The interlanguage builtins, expressed as extension functions."""
 

@@ -13,9 +13,16 @@ trace (:meth:`repro.obs.Analysis.histograms`).
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import fields
 from typing import Any, Callable
+
+
+@functools.cache
+def field_names(cls: type) -> tuple[str, ...]:
+    """A stats dataclass's field names, read from its class once."""
+    return tuple(f.name for f in fields(cls))
 
 
 class Metrics:
@@ -92,11 +99,12 @@ class Metrics:
             counters: dict[str, float] = dict(self._settled["counters"])
             gauges: dict[str, float] = dict(self._settled["gauges"])
             for prefix, struct, rank in self._structs:
-                for f in fields(struct):
-                    value = getattr(struct, f.name)
+                for attr in field_names(type(struct)):
+                    value = getattr(struct, attr)
+                    # (None: not counted on this run; a bool is no count)
                     if isinstance(value, bool) or not isinstance(value, (int, float)):
                         continue
-                    name = "%s.%s" % (prefix, f.name)
+                    name = "%s.%s" % (prefix, attr)
                     counters[name] = counters.get(name, 0) + value
                     if rank is not None:
                         gauges["%s[%d]" % (name, rank)] = value

@@ -197,6 +197,36 @@ class TestMetrics:
         assert m.snapshot()["gauges"]["worker.tasks_run[1]"] == 4
         assert m.snapshot()["gauges"]["worker.tasks_run[2]"] == 2
 
+    def test_snapshot_reads_what_a_plain_fields_walk_reads(self):
+        """The field names are read once per class; the value check
+        decides what counts, so a None or bool value is no counter."""
+        from dataclasses import dataclass, fields
+
+        @dataclass
+        class Mixed:
+            n: int = 3
+            t: float = 0.5
+            unset: int | None = None
+            flag: bool = True
+            label: str = "x"
+
+        m = Metrics()
+        structs = [m.register("mixed", Mixed(), rank=4), m.register("mixed", Mixed(n=2))]
+        structs[1].unset = 7
+        for _ in range(2):  # the second read takes the names from the cache
+            counters, gauges = {}, {}
+            for struct, rank in zip(structs, (4, None)):
+                for f in fields(struct):
+                    value = getattr(struct, f.name)
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        continue
+                    counters["mixed." + f.name] = counters.get("mixed." + f.name, 0) + value
+                    if rank is not None:
+                        gauges["mixed.%s[%d]" % (f.name, rank)] = value
+            assert m.snapshot() == {"counters": counters, "gauges": gauges}
+        assert counters == {"mixed.n": 5, "mixed.t": 1.0, "mixed.unset": 7}
+        assert gauges == {"mixed.n[4]": 3, "mixed.t[4]": 0.5}
+
 
 class TestTracedRuns:
     def test_untraced_run_has_no_trace(self):

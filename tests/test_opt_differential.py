@@ -153,6 +153,9 @@ WHOAMI = '(string o) whoami(int i) "" "1.0" [ "set <<o>> [ turbine::rank ]" ];\n
 # ; newline $x [cmd] # unbalanced braces, and a trailing backslash
 NASTY = 'a;b\nc $x [exit] # {{ } \\{ "q" \\'
 NASTY_SWIFT = NASTY.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+# what a quoted word in a braced proc body must escape, and ;
+QUOTING = '{"} $x [y] \\ ;z\n{'
+QUOTING_SWIFT = QUOTING.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 CASES = {
     "closed value used before its textual assignment": (
@@ -254,6 +257,64 @@ CASES = {
         'int n = argv_int("n", 2); foreach i in [1:n] { trace(python("", argv("s"))); }',
         ["trace: 42", "trace: 42"],
     ),
+    # A thin value proc prints in place as its own body at -O1 (a word,
+    # a quoted word or a norm of an expr); -O0 calls it through turbine::op.
+    "string + of closed values and of a leaf's output": (
+        'foreach i in [0:2] { string s = "<" + fromint(i) + ">";\n'
+        "  string t = python(\"\", \"'\" + s + \"'\"); trace(s + t); }",
+        ["trace: <%d><%d>" % (i, i) for i in range(3)],
+    ),
+    "strcat of constants holding every quoting character, closed and fused": (
+        ECHO
+        + "foreach i in [0:1] {\n"
+        + '  trace(strcat("%s", fromint(i), "%s"));\n' % (QUOTING_SWIFT, QUOTING_SWIFT)
+        + '  string e = echo(fromint(i)); trace(strcat("%s", e, "}"));\n}' % QUOTING_SWIFT,
+        ["trace: %s%d%s" % (QUOTING, i, QUOTING) for i in range(2)]
+        + ["trace: %s%d}" % (QUOTING, i) for i in range(2)],
+    ),
+    "trace of 0, 1 and 3 arguments, closed and fused": (
+        ECHO
+        + 'foreach i in [0:1] { trace(); trace(i); trace(i, "{a b}", fromfloat(-0.5));\n'
+        + '  trace(echo("{a b}"), i, "c"); trace(echo("{a b}")); }',
+        ["trace:", "trace: {a b}"] * 2
+        + ["trace: %d" % i for i in range(2)]
+        + ["trace: %d,{a b},-0.5" % i for i in range(2)]
+        + ["trace: {a b},%d,c" % i for i in range(2)],
+    ),
+    "fromint and fromfloat of negative values inside a payload": (
+        ECHO
+        + "foreach i in [0:2] { trace(echo(strcat(fromint(-i - 1), \",\",\n"
+        + '  fromfloat(-1.5 * tofloat(i)), ",", fromint(i - 1), ",", fromint(-5)))); }',
+        ["trace: -1,-0.0,-1,-5", "trace: -2,-1.5,0,-5", "trace: -3,-3.0,1,-5"],
+    ),
+    "a fused strcat with a future input (the chain's leaf)": (
+        'string a[];\na[0] = "1";\nforeach i in [0:4] {\n'
+        '  a[i+1] = python(strcat("x=", a[i], "*3+1*", fromint(i)), "x%1000003");\n}\n'
+        "trace(a[5]);",
+        ["trace: 301"],
+    ),
+    "negative % and /, and ** of a negative exponent, closed and fused": (
+        "foreach i in [0:3] { int a = -7 + i;\n"
+        "  trace(a / 2, a % 3, 7 % (i - 5), -7 / (i + 1), 2 ** (i - 2), (i - 5) ** -1);\n"
+        '  trace(parseint(python("", fromint(i - 3))) % -2); }',
+        [
+            "trace: -4,2,-3,-7,0,0",
+            "trace: -3,0,-1,-4,0,0",
+            "trace: -3,1,-2,-3,1,0",
+            "trace: -2,2,-1,-2,2,0",
+        ]
+        + ["trace: -1", "trace: 0", "trace: -1", "trace: 0"],
+    ),
+    # what expr would read as an expression, not a number, keeps the call
+    "a constant string operand of an arithmetic proc": (
+        'foreach i in [0:1] { trace(parseint("010") + i, parseint(" 7"), parseint("-0") - i); }',
+        ["trace: 10,7,0", "trace: 11,7,-1"],
+    ),
+    "unary, logic and conversion ops": (
+        "foreach i in [0:2] { boolean b = i > 0 && !(i == 2);\n"
+        '  trace(b, -tofloat(i), toint(-1.5 * tofloat(i)), parseint("-0") + i, -i); }',
+        ["trace: 0,-0.0,0,0,0", "trace: 1,-1.0,-1,1,-1", "trace: 0,-2.0,-3,2,-2"],
+    ),
 }
 CASE_KW = {"argv in a closed position": {"args": {"s": "6 * 7"}}}
 
@@ -267,6 +328,7 @@ def test_new_cases_agree_and_are_right(name):
 FAILING = {
     "closed division by zero": "int z = 0; trace(1 / z);",
     "closed parseint of a non-number": 'trace(parseint("x"));',
+    "closed parseint of an expression": 'foreach i in [0:1] { trace(parseint("1+2") + i); }',
     "closed assertion": 'int x = 3; assert(x > 4, "too small");',
     "error raised by an op fused into a leaf": (
         'string s = python("", "\'x\'"); trace(parseint(s));'
@@ -277,6 +339,21 @@ FAILING = {
 @pytest.mark.parametrize("name", FAILING)
 def test_failures_fail_at_every_level(name):
     assert agree(FAILING[name], max_retries=1) == ("failed",)
+
+
+def test_division_by_zero_under_continue_is_one_verdict():
+    """Closed in a chunk and fused into a leaf: the other iterations
+    print at every level, and what fails fails on the division (which
+    unit fails, and so how many, may differ: -O0 runs both as rules)."""
+    src = (
+        "foreach i in [0:2] { trace(10 / (i - 1));\n"
+        '  trace(10 / parseint(python("", fromint(i - 1)))); }\ntrace("after");'
+    )
+    assert agree(src, on_error="continue") == ("failed",)
+    for opt in LEVELS:
+        res = swift_run(src, workers=2, opt=opt, on_error="continue")
+        assert sorted(res.stdout_lines) == sorted(traces([-10, -10, 10, 10]) + ["trace: after"])
+        assert res.failures and all("divide by zero" in f.error for f in res.failures)
 
 
 # ------------------------------------------------------- loops of leaves

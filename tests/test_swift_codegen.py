@@ -5,9 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core import compile_swift
+from repro.core.codegen import Codegen
 from repro.core.lower import block_writes, writer_count, writes_arrays
 from repro.core.parser import parse
 from repro.core.semantics import analyze
+from repro.core.stdlib import THIN
+from repro.tcl import Interp, TclError
+from repro.tcl.listutil import format_element, format_list
+from repro.turbine.builtins import register_turbine
+from repro.turbine.tcllib import TURBINE_TCL
+from repro.turbine.unit import Held
 
 
 def gen(src: str, opt: int = 1) -> str:
@@ -132,12 +139,14 @@ class TestOptimization:
 
     def test_o1_folds_constants(self):
         # closed-value propagation: the sum is a plain Tcl value of
-        # swift:main, computed by the same value proc -O0 runs in a rule
+        # swift:main, computed by the body of the value proc -O0 runs in
+        # a rule: the expression binop_integer builds, printed in place
         src = "int x = 1 + 2; trace(x);"
         o0, o1 = gen(src, opt=0), gen(src, opt=1)
         assert "turbine::op" in o0 and "turbine::allocate" in o0
         assert "turbine::op" not in o1 and "turbine::allocate" not in o1
-        assert "[ turbine::binop_integer + 1 2 ]" in o1
+        assert "set t1 [ turbine::norm integer [ expr { 1 + 2 } ] ]" in o1
+        assert 'turbine::log_output "trace: ${t1}"' in o1
 
     def test_o1_eliminates_constant_branch(self):
         # closed-value propagation: a closed condition is a Tcl if in place
@@ -155,7 +164,7 @@ class TestOptimization:
         src = "int x = 5; int y = x + 1; trace(y);"
         assert "turbine::op integer" in gen(src, opt=0)
         assert "turbine::op" not in gen(src, opt=1)
-        assert "[ turbine::binop_integer + 5 1 ]" in gen(src, opt=1)
+        assert "[ turbine::norm integer [ expr { 5 + 1 } ] ]" in gen(src, opt=1)
         assert body(src, opt=2) == body(src, opt=1)
 
     def test_o2_spawn_time_arithmetic_in_loops(self):
@@ -175,9 +184,25 @@ class TestOptimization:
     def test_by_value_leaf_fuses_its_single_consumer(self):
         text = gen('foreach i in [0:3] { string s = python("x=1", fromint(i)); trace(s); }')
         task = proc_text(text, "task:python")
-        assert "turbine::trace ${out_val}" in task
+        # the fused trace is printed in place: the string it reads is
+        # the leaf's own, so no norm comes before it
+        assert 'turbine::log_output "trace: ${out_val}"' in task
+        assert "turbine::trace" not in task and "turbine::norm" not in task
         assert "turbine::store_string" not in task
         assert "turbine::allocate" not in text and "turbine::rule" not in text
+
+    def test_thin_value_procs_are_called_at_o0(self):
+        # -O0 marks nothing closed or fused: every op is a rule, and the
+        # rule calls the library proc
+        src = 'foreach i in [0:3] { string s = python(strcat("x=", fromint(i)), "x"); trace(s); }'
+        o0 = gen(src, opt=0)
+        assert "turbine::op string $t2 turbine::strcat $t3 $t1" in o0
+        assert "turbine::op string $t1 turbine::fromint $v_i" in o0
+        assert "turbine::op none {} turbine::trace $v_s" in o0
+        assert "turbine::log_output" not in o0 and "turbine::norm" not in o0
+        o1 = gen(src, opt=1)
+        assert 'set t1 "x=${i}"' in o1 and "turbine::strcat" not in o1
+        assert 'turbine::log_output "trace: ${out_val}"' in o1
 
     def test_two_consumers_keep_the_td(self):
         text = gen('string s = python("x=1", "x"); trace(s); trace(s);')
@@ -198,7 +223,7 @@ class TestOptimization:
             'foreach i in [0:3] { a[i+1] = python(strcat("x=", a[i], "*2"), "x"); }'
         )
         task = proc_text(text, "task:python")
-        assert "set code_val [ turbine::strcat x= ${a1} *2 ]" in task
+        assert 'set code_val "x=${a1}*2"' in task
         assert "turbine::op" not in text
 
     def test_only_reachable_procs_and_live_locals(self):
@@ -206,14 +231,15 @@ class TestOptimization:
         assert "task:r" not in text and "task:system" not in text
         assert "swift:f:" not in text
         assert "set n " not in text and "set lo " not in text
-        # main, body, loop, chunk, task:python — it was four, without the
-        # chunk (re-pinned by ISSUE 24, loops of leaves).  The chunk proc
-        # spawns the leaves; body and loop, printed as they always were,
-        # are only what it falls back on when a value op of the chunk
-        # (here fromint) raises ...
+        # main, body, loop, chunk, task:python.  The chunk proc spawns the
+        # leaves; body and loop, printed as they always were, are what it
+        # falls back on when a value op of the chunk raises.  fromint,
+        # printed in place as the word $i, cannot raise; the catch and
+        # the fallback stay because Codegen.loop's ``guarded`` counts the
+        # body's IR value ops, not what they print as ...
         assert text.count("\nproc ") == 5
         chunk = proc_text(text, "swift:__chunk3")
-        assert "turbine::spawn WORK [ list task:python x=1 $t1 ]" in chunk
+        assert "turbine::spawn WORK [ list task:python x=1 $i ]" in chunk
         # ... after dropping the spawns the chunk made before it raised
         fallback = chunk[chunk.index("} ] } {") :].split()
         assert fallback == ["}", "]", "}", "{", "turbine::drop", "$spawned", *"swift:__loop2 $lo $hi $step }".split()]
@@ -244,6 +270,58 @@ class TestOptimization:
         )
         sizes = {opt: len(gen(src, opt=opt)) for opt in (0, 1, 2)}
         assert sizes[2] == sizes[1] < sizes[0]
+
+
+_NUMBERS = ("-7", "0", "2", "-2.5", "010", "x")
+_STRINGS = ("{a b}", '} $x [y] \\ "q"', "a\nb;c", "")
+_PAIRS = [(x, y) for x in ("-7", "2", "0", "-2") for y in ("3", "-2", "0")]
+# the operator prefixes and the operands each thin proc is checked on
+_THIN_CASES = {
+    "turbine::fromint": [((), (n,)) for n in _NUMBERS],
+    "turbine::fromfloat": [((), (n,)) for n in _NUMBERS],
+    "turbine::tofloat": [((), (n,)) for n in _NUMBERS],
+    "turbine::toint": [((), (n,)) for n in _NUMBERS],
+    "turbine::parseint": [((), (n,)) for n in _NUMBERS],
+    "turbine::neg_integer": [((), (n,)) for n in _NUMBERS],
+    "turbine::neg_float": [((), (n,)) for n in _NUMBERS],
+    "turbine::not": [((), (n,)) for n in ("0", "1", "-2.5", "x")],
+    "turbine::binop_integer": [((o,), xy) for o in ("+", "-", "*", "/", "%", "**") for xy in _PAIRS],
+    "turbine::binop_float": [((o,), xy) for o in ("+", "-", "*", "/") for xy in _PAIRS + [("1.5", "x")]],
+    "turbine::binop_logic": [((o,), xy) for o in ("&&", "||") for xy in [("0", "1"), ("1", "-2"), ("x", "1")]],
+    "turbine::strcat": [((), args) for args in [(), _STRINGS[:1], _STRINGS[1:]]],
+    "turbine::trace": [((), args) for args in [(), _STRINGS[:1], _STRINGS[1:]]],
+}
+
+
+def _outcome(it: Interp, held: Held, script: str) -> tuple:
+    held.printed.clear()
+    try:
+        value = it.eval(script)
+    except TclError as e:
+        return ("error", str(e))
+    return ("ok", value, list(held.printed))
+
+
+def test_every_thin_form_is_its_procs_own_expression():
+    """The form STC prints for a thin value proc, on variable and on
+    literal operands inside a braced proc body, gives what the library
+    proc gives, value or error."""
+    assert set(_THIN_CASES) == set(THIN)
+    it, held = Interp(), Held()
+    register_turbine(it, None, None, held)
+    it.eval(TURBINE_TCL)
+    printer = Codegen(None, {}, opt=1)
+    for name, cases in _THIN_CASES.items():
+        for prefix, values in cases:
+            fn = (name, *prefix)
+            expected = _outcome(it, held, format_list([*fn, *values]))
+            params = ["p%d" % k for k in range(len(values))]
+            for words in (["$" + p for p in params], [format_element(v) for v in values]):
+                tcl, _ = printer.value_tcl(fn, words, name == "turbine::trace")
+                body = tcl if name == "turbine::trace" else "return " + tcl
+                it.eval("proc inline { %s } { %s }" % (" ".join(params), body))
+                got = _outcome(it, held, format_list(["inline", *values]))
+                assert got == expected, (fn, values, words, tcl)
 
 
 class TestCompileStats:
