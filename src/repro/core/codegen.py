@@ -380,9 +380,9 @@ class Codegen:
         ranged = len(op.ins) == 3
         (block,) = op.blocks
         params = ["lo", "hi", "step"] if ranged else ["c"]
-        # Where the body runs, anything but a leaf's spawn can raise: a
-        # chunk of such a body keeps the per-iteration loop to fall back on.
-        guarded = op.inline and any(o.kind != "leaf" for o in all_ops(block))
+        # A chunk of a body that can raise keeps the per-iteration loop to
+        # fall back on.
+        guarded = op.inline and any(self.raises(o) for o in all_ops(block))
         body = loop = None
         if guarded or not op.inline:
             body, _ = self.hoist("body", ["idx"] if ranged else ["idx", "elem"], op.blocks, proc)
@@ -438,6 +438,15 @@ class Codegen:
             spawn = "turbine::spawn CONTROL [ list %s ]" % " ".join([body.name, item, *passed])
             loop.emit_all([header, "    " + spawn, "}"])
         return entry.name, args
+
+    def raises(self, op: Op) -> bool:
+        """Whether ``op`` can raise where it runs: a leaf's spawn, an inline
+        copy and an inline value op that prints as a word or a quoted word
+        cannot."""
+        if op.kind == "value" and op.inline and op.outs:
+            words = [quote_const(x.value, x.type) if isinstance(x, Const) else "$x" for x in op.ins]
+            return self.value_tcl(op.fn, words, False)[0][0] == "["
+        return op.kind != "leaf" and not (op.kind == "copy" and op.inline)
 
     def chunk(
         self, op: Op, chunk: Proc, header: str, loop: Proc | None, passed: list[str], call: str

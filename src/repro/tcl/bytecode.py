@@ -121,8 +121,7 @@ class VMStats:
     code_hits: int = 0       # code-cache hits (scripts served compiled)
     code_misses: int = 0     # code-cache misses (first sight or LRU-evicted)
     peephole_ops: int = 0    # peephole-removed ops of the templates bound
-    loops_lowered: int = 0   # loops the tier turned into Python functions
-    lowered_iterations: int = 0  # loop iterations run by those functions
+    lowered_iterations: int = 0  # loop iterations run by lowered loops
     loop_deopts: int = 0     # times a lowered loop handed back to the VM
     lowered_calls: int = 0   # proc activations run by a lowered body
     proc_handbacks: int = 0  # times a lowered body handed its frame back
@@ -147,12 +146,12 @@ class Code:
       fast path.
     * ``removed`` — ops the peephole pass removed or folded.
     * ``low`` — the template's ``[lowered body]`` (:func:`tier.lower_proc`),
-      shared by its bound copies; ``calls`` counts one copy's calls.
+      shared by its bound copies.
     """
 
     __slots__ = (
         "ops", "consts", "caches", "slot_names", "regions", "lines",
-        "proto", "name", "script", "removed", "low", "calls",
+        "proto", "name", "script", "removed", "low",
     )
 
     def __init__(
@@ -180,7 +179,6 @@ class Code:
         self.script = script
         self.removed = removed
         self.low = [None] if low is None else low
-        self.calls = 0
 
     def bind(self, stats: VMStats) -> "Code":
         """This template's copy for one interp: the ops and pools are
@@ -230,7 +228,7 @@ class Code:
             out.append("%s %5d  %-14s %s" % (mark, pc, NAMES.get(op, "?%d" % op), detail))
         for s, t, text, line in self.regions:
             out.append("  region [%d, %d) line %d: %r" % (s, t, line, text))
-        from .tier import blocker, proc_blocker
+        from .tier import _walk, proc_blocker
 
         if self.proto is not None:
             b = proc_blocker(self)
@@ -241,9 +239,10 @@ class Code:
             if op == OP_LOOP:
                 out.append("  LOOP [%d, %d] lowerable" % (self.caches[arg][0], pc))
             elif op == OP_JUMP and arg < pc:
-                b = blocker(self, arg, pc)
-                why = "not a proc body" if b is None else "%s %s" % (
-                    NAMES[ops[b]], self._detail(ops[b], ops[b + 1]))
+                b = _walk(self, arg, pc)[1]
+                why = "not a proc body" if self.proto is None else "too deep for Python"
+                if b is not None:
+                    why = "%s %s" % (NAMES[ops[b]], self._detail(ops[b], ops[b + 1]))
                 out.append("  LOOP [%d, %d] on VM: %s" % (arg, pc, why))
         return "\n".join(out)
 

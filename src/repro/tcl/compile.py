@@ -21,8 +21,9 @@ flat bytecode:
 * **Peephole pass** — jump threading, jump-to-next removal, and
   dead-code elision after unconditional exits (ops after a ``RETURN``
   are deleted outright).
-* **Hot loops** — a proc body's loop that runs no command ends in
-  ``OP_LOOP``, where the VM tiers it up (:mod:`repro.tcl.tier`).
+* **Lowered loops** — a proc body's loop that runs no command is
+  lowered to a Python function with its template, and ends in
+  ``OP_LOOP``, where the VM enters it (:mod:`repro.tcl.tier`).
 
 Command substitutions, ``if``/loop bodies, and multi-command words are
 all inlined into the *same* code object — the VM never recurses into
@@ -761,9 +762,10 @@ def compile_script_code(cmds, script: str, name: str = "<script>") -> Code:
 
 @functools.lru_cache(maxsize=4096)
 def compile_proc_code(body: str, params: tuple, name: str, simple: bool) -> Code | None:
-    """A proc body's template, with local slots, once per process: the
-    compile reads nothing else.  None if the body won't parse
-    (``interp.eval(body)`` then reports the parse error at call time)."""
+    """A proc body's template, with local slots and its loops' lowered
+    functions, once per process: the compile reads nothing else.  None if
+    the body won't parse (``interp.eval(body)`` then reports the parse
+    error at call time)."""
     try:
         cmds = parse_cached(body)
     except TclParseError:

@@ -1,25 +1,27 @@
-"""The tiers behind the bytecode: a hot proc body, and a hot inlined
-loop, as one Python function.
+"""The tiers behind the bytecode: a proc body, and an inlined loop, as
+one Python function.
 
-A proc body called ``vm.PROC_TIER_UP`` times in an interp runs as the
-:func:`lower_proc`-ed function of its template: stack slots are locals,
+A proc body runs as the :func:`lower_proc`-ed function of its template
+from its first call: stack slots are locals,
 each call site makes the VM's inline-cache check and calls the resolved
 command itself, and anything else (a failed check, an op outside the
 subset, the frame's ``version`` moving under a call) hands the frame
 back to the VM at that op's pc, with its stack and blocks; an exception
 goes back with its op's pc, and the VM raises it there.
 
-A ``for``/``while`` loop of a proc body that runs no command ends in
-``OP_LOOP`` (:func:`mark_loops`); after :data:`TIER_UP` back-edges the VM,
-or a lowered proc body at the same op, jumps into its :func:`lower`-ed
-function, so the running call gains too.
+A ``for``/``while`` loop of a proc body that runs no command is lowered
+when its template is compiled (:func:`mark_loops`), and ends in
+``OP_LOOP``; at its first back-edge the VM, or a lowered proc body at
+the same op, jumps into its :func:`lower`-ed function, so the running
+call gains too.
 The function holds each slot as a Python ``int`` standing for its
 canonical decimal string and writes the cells at iteration boundaries
 and on exit only.  Anything outside ``int`` — a float or non-canonical
 string, a zero divisor, a negative shift or exponent, any exception —
 hands the loop back: it returns the loop head with the cells as they
 were when the iteration began, and the VM runs that iteration itself,
-so results, messages and ``errorInfo`` are the VM's.
+so results, messages and ``errorInfo`` are the VM's.  A hand-back
+sticks: that interp's copy of the loop stays on the VM.
 """
 
 from __future__ import annotations
@@ -37,13 +39,6 @@ from .bytecode import (
     OP_LE, OP_LOAD_SLOT, OP_LOOP, OP_LT, OP_MUL, OP_NE, OP_POP, OP_POP_BLOCK,
     OP_PUSH_BLOCK, OP_RETURN, OP_SET_SLOT, OP_SUB, OP_TO_STR, OP_UNARY,
 )
-
-# Back-edges a loop runs on the VM before it is lowered: about as many
-# iterations as lowering costs.  Translating `crunch`'s loop and
-# compile()-ing it take 0.45-0.7 ms, 55-90 iterations of its body on the
-# VM.  A hand-back restarts the count, so a loop that keeps handing back
-# pays one failed entry per TIER_UP iterations.
-TIER_UP = 80
 
 # Typed ops by opcode, OP_BIN ones by operator: ints in, an int out.
 _ARITH = {
@@ -166,22 +161,18 @@ def _walk(code, head, end):
     return nodes, blocker, guards, sorted(slots), sorted(written)
 
 
-def blocker(code, head, end):
-    """The first op keeping the loop ``[head, end]`` on the VM, or None."""
-    return _walk(code, head, end)[1]
-
-
 def mark_loops(code):
-    """End each lowerable loop of a proc body in OP_LOOP, whose cache
-    entry is ``[head, back-edges run, (function, guard caches) | None]``."""
+    """Lower each loop of a proc body that runs no command, and end it in
+    OP_LOOP, whose cache entry is ``[head, function, guard cache indices,
+    live]``: the template's function serves every bound copy, and a
+    copy's ``live`` goes False at its first hand-back."""
     ops = code.ops
-    for pc, head in [
-        (pc, ops[pc + 1]) for pc in range(0, len(ops), 2)
-        if ops[pc] == OP_JUMP and ops[pc + 1] < pc
-        and blocker(code, ops[pc + 1], pc) is None
-    ]:
-        ops[pc], ops[pc + 1] = OP_LOOP, len(code.caches)
-        code.caches.append([head, 0, None])
+    for pc in range(0, len(ops), 2):
+        head = ops[pc + 1]
+        low = ops[pc] == OP_JUMP and head < pc and lower(code, head, pc)
+        if low:
+            ops[pc], ops[pc + 1] = OP_LOOP, len(code.caches)
+            code.caches.append([head, *low, True])
 
 
 def _machine(out, nodes, leaders, ind, special=None):
@@ -217,10 +208,13 @@ def _machine(out, nodes, leaders, ind, special=None):
 
 
 def lower(code, head, end):
-    """``(function, guard caches)`` for the loop ``[head, end]``.  The
-    function takes the frame's cells and returns ``(pc, iterations)``;
-    ``pc == head`` hands the loop back to the VM."""
-    nodes, _, guards, slots, written = _walk(code, head, end)
+    """``(function, guard cache indices)`` for the loop ``[head, end]``, or
+    None if an op keeps it on the VM or it outgrows Python's nesting.
+    The function takes the frame's cells and returns ``(pc,
+    iterations)``; ``pc == head`` hands the loop back to the VM."""
+    nodes, blocker, guards, slots, written = _walk(code, head, end)
+    if blocker is not None:
+        return None
     preds = Counter(t for _, _, targets in nodes.values() for t in targets)
     leaders = [pc for pc in sorted(nodes) if pc == head or preds[pc] > 1]
 
@@ -249,10 +243,9 @@ def lower(code, head, end):
     try:  # a chain of ~100 nested `?:` outgrows Python's nesting limits
         _machine(out, nodes, leaders, " " * 12, special)
         out += ["    except Exception:", "        return %d, n" % head]
-        fn = _function("\n".join(out))
+        return _function("\n".join(out)), guards
     except (SyntaxError, RecursionError, MemoryError):
-        return (lambda cells: (head, 0)), []
-    return fn, [code.caches[g] for g in guards]
+        return None
 
 
 # Ops whose lowered form can raise: each records its pc first.
@@ -368,13 +361,12 @@ def _proc_walk(code):
                 nxt = [(brk if op == OP_BREAK else cont, bd, blocks)]
         elif op == OP_RETURN or op == OP_END:
             lines, nxt = ["return " + top], []
-        elif op == OP_LOOP:  # the VM's back-edge: the loop tier past TIER_UP
+        elif op == OP_LOOP:  # the VM's back-edge: the loop's function, while live
             head = caches[arg][0]
             targets = {head} | {t for _, _, ts in _walk(code, head, pc)[0].values()
                                 for t in ts if not head <= t <= pc}
             entries |= targets
-            lines = ["c = K[%d]" % arg, "c[1] += 1",
-                     "pc = c[0] if c[1] < %d else TIER(I, f, f, c, %d)" % (TIER_UP, pc), "continue"]
+            lines = ["c = K[%d]" % arg, "pc = TIER(I, f, c) if c[3] else c[0]", "continue"]
             nxt = [(t, d, blocks) for t in sorted(targets)]
         else:
             blockers.append(pc)
@@ -403,9 +395,9 @@ def lower_proc(code):
     A catch in the body is the except clause: it enters the handler of
     the innermost catch around the raising op, unless a loop inside that
     catch takes a break or continue (the VM jumps there).  An OP_LOOP
-    counts the back-edge and, past TIER_UP, runs the loop's own lowered
-    function (:func:`lower`, through the VM's ``_tier``), which keeps its
-    slots as ints, and goes on at the pc that returns."""
+    runs the loop's own lowered function (:func:`lower`, through the VM's
+    ``_tier``), which keeps its slots as ints, and goes on at the pc that
+    returns."""
     nodes, sites, landings, blocker, entries = _proc_walk(code)
     if blocker == 0:
         return False

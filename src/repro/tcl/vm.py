@@ -44,15 +44,12 @@ from .expr import (
 )
 from .interp import Frame, TclProc, Var, _abbrev
 from .listutil import format_list
-from .tier import GLOBALS, TIER_UP, lower, lower_proc
+from .tier import GLOBALS, lower_proc
 
-# Calls of a proc body in one interp before it runs lowered: a body run
-# once (a 1-leaf program, a rank's set-up) never pays for its compile().
-# Tests set it to 0 to lower every body at its first call.
-PROC_TIER_UP = 2
 # call_proc activations running at once, nested, past which a call runs
 # as a VM frame: each is Python recursion (a lowered body, or the VM run
-# resuming a handed-back frame), a VM frame none.
+# resuming a handed-back frame), a VM frame none.  At 0 every body runs
+# on the VM.
 NEST = 16
 
 
@@ -190,21 +187,21 @@ def _guard_ok(interp, c):
     return c[4]
 
 
-def _tier(interp, f, tclframe, c, end):
-    """Run the loop ending at ``end`` lowered; returns the pc to go on at.
-    Its guards and cells are checked once: the loop cannot change them."""
-    st = interp.vm_stats
-    if c[2] is None:
-        c[2] = lower(f.code, c[0], end)
-        st.loops_lowered += 1
-    fn, guards = c[2]
-    pc, n = c[0], 0
-    if tclframe.version == f.cellsv and all(_guard_ok(interp, g) for g in guards):
+def _tier(interp, f, c):
+    """Run the loop of proc frame ``f``'s OP_LOOP cache ``c`` lowered;
+    returns the pc to go on at.  Its guards, in this copy's caches, and
+    its cells are checked once: the loop cannot change them.  A hand-back
+    sticks: this copy's loop runs on the VM from then on."""
+    head, fn, guards, _ = c
+    caches = f.code.caches
+    pc, n = head, 0
+    if f.version == f.cellsv and all(_guard_ok(interp, caches[g]) for g in guards):
         pc, n = fn(f.cells)
+    st = interp.vm_stats
     st.lowered_iterations += n
-    if pc == c[0]:  # handed back: the VM runs this iteration
+    if pc == head:  # handed back: the VM runs this iteration
         st.loop_deopts += 1
-        c[1] = 0
+        c[3] = False
     return pc
 
 
@@ -229,11 +226,10 @@ def _bind(proc, f, args, n_slots):
 def call_proc(interp, proc, code, args):
     """Run a proc body, entered from Python (mirrors ``TclProc.__call__``:
     binding errors surface before the frame push, ``return -code error``
-    converts at the proc boundary).  From its PROC_TIER_UP-th call in
-    this interp the body runs lowered (:func:`tier.lower_proc`) while at
-    most NEST activations of this function are running; a hand-back
-    resumes the frame on the VM at the pc, stack and blocks it names,
-    raising the exception it carries there."""
+    converts at the proc boundary).  The body runs lowered
+    (:func:`tier.lower_proc`) while at most NEST activations of this
+    function are running; a hand-back resumes the frame on the VM at the
+    pc, stack and blocks it names, raising the exception it carries there."""
     f = VMFrame(code, proc.ns, proc.name, 1, interp.current_ns, None)
     f.cells = _bind(proc, f, args, len(code.slot_names))
     if len(interp.frames) >= interp.FRAME_LIMIT:
@@ -248,9 +244,7 @@ def call_proc(interp, proc, code, args):
     interp.vm_nest += 1
     try:
         exc = None
-        if code.calls < PROC_TIER_UP:
-            code.calls += 1
-        elif interp.vm_nest <= NEST:
+        if interp.vm_nest <= NEST:
             low = code.low[0]
             if low is None:  # threads racing here store the same function
                 low = code.low[0] = lower_proc(code)
@@ -407,14 +401,13 @@ def run(interp, root, exc=None):
                             mode = 2
                         elif mode == 2:
                             proc, pcode = c[6]
-                        if mode == 2 and pcode.calls >= PROC_TIER_UP and interp.vm_nest < NEST \
+                        if mode == 2 and interp.vm_nest < NEST \
                                 and pcode.low[0] is not False:  # it runs lowered
                             try:
                                 stack.append(call_proc(interp, proc, pcode, tail))
                             except Exception as e:
                                 raise interp.failed(e, argv, line)
                         elif mode == 2:
-                            pcode.calls += 1
                             try:
                                 if len(interp.frames) >= interp.FRAME_LIMIT:
                                     raise TclError(
@@ -670,11 +663,7 @@ def run(interp, root, exc=None):
                         raise TclContinue()
                     elif op == OP_LOOP:
                         c = caches[arg]
-                        c[1] += 1
-                        if c[1] < TIER_UP:
-                            pc = c[0]
-                        else:
-                            pc = _tier(interp, f, tclframe, c, pc - 2)
+                        pc = _tier(interp, f, c) if c[3] else c[0]
                     else:
                         raise TclError("bad opcode %d" % op)
             except TclError as e:

@@ -231,23 +231,27 @@ class TestOptimization:
         assert "task:r" not in text and "task:system" not in text
         assert "swift:f:" not in text
         assert "set n " not in text and "set lo " not in text
-        # main, body, loop, chunk, task:python.  The chunk proc spawns the
-        # leaves; body and loop, printed as they always were, are what it
-        # falls back on when a value op of the chunk raises.  fromint,
-        # printed in place as the word $i, cannot raise; the catch and
-        # the fallback stay because Codegen.loop's ``guarded`` counts the
-        # body's IR value ops, not what they print as ...
+        # main, chunk, task:python.  The chunk proc spawns the leaves;
+        # fromint, printed in place as the word $i, cannot raise, so the
+        # chunk has no catch and nothing to fall back on
+        assert text.count("\nproc ") == 3 and "catch" not in text
+        chunk = proc_text(text, "swift:__chunk1")
+        assert "turbine::spawn WORK [ list task:python x=1 $i ]" in chunk
+        assert "turbine::drop" not in text and "swift:__body" not in text
+        # A value op that can raise (an integer product, normalised by a
+        # command) keeps body and loop, printed as they always were: the
+        # chunk falls back on them when it raises ...
+        text = gen('foreach i in [0:3] { string s = python("x=1", fromint(i * 2)); trace(s); }')
         assert text.count("\nproc ") == 5
         chunk = proc_text(text, "swift:__chunk3")
-        assert "turbine::spawn WORK [ list task:python x=1 $i ]" in chunk
+        assert "turbine::spawn WORK [ list task:python x=1 $t1 ]" in chunk
         # ... after dropping the spawns the chunk made before it raised
         fallback = chunk[chunk.index("} ] } {") :].split()
         assert fallback == ["}", "]", "}", "{", "turbine::drop", "$spawned", *"swift:__loop2 $lo $hi $step }".split()]
         assert "set spawned [ turbine::spawned ]\n    if { [ catch {" in chunk
         assert "spawn CONTROL [ list swift:__body1 $i ]" in proc_text(text, "swift:__loop2")
-        # ... so a body that evaluates nothing has neither: main, chunk,
-        # task.  Its spawns leave together when it returns (one put for
-        # the chunk), with nothing to drop.
+        # ... and a body that evaluates nothing has neither: its spawns
+        # leave together when it returns (one put for the chunk)
         text = gen('foreach i in [0:3] { string s = python("x=1", "x"); trace(s); }')
         assert text.count("\nproc ") == 3 and "catch" not in text
         chunk = proc_text(text, "swift:__chunk1")

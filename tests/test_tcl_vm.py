@@ -27,7 +27,6 @@ from repro.tcl.bytecode import OP_CALL, OP_CALL_LIT, OP_GUARD, OP_LOOP
 from repro.tcl.compile import compile_proc_code
 from repro.tcl.errors import TclBreak, TclContinue, TclError, TclReturn
 from repro.tcl.interp import Interp, _vm_lower
-from repro.tcl.tier import TIER_UP
 
 from .test_swift_fuzz import Undefined, evaluate, exprs, to_swift
 
@@ -143,10 +142,11 @@ DIFFERENTIAL_SCRIPTS = [
     " if {$i == 2} break }; return $i }\nf",
 ]
 
-# The tier behind the bytecode: each proc's loop runs 300 iterations, past
-# TIER_UP, and hits its edge at i = 200, on lowered code.  The flag says
-# whether the loop is lowered at all (False: a command call or the NAME
-# ops of script-root code keep it on the VM).
+# The tier behind the bytecode: each proc's loop runs 300 iterations,
+# lowered from its first back-edge, and hits its edge at i = 200, on
+# lowered code.  The flag says whether the loop is lowered at all (False:
+# a command call, the NAME ops of script-root code, or Python's nesting
+# keep it on the VM).
 TIER_SCRIPTS = [
     # a float appears mid-loop: that iteration hands back, later entries
     # find a non-int slot and stay on the VM
@@ -202,7 +202,7 @@ TIER_SCRIPTS = [
      " incr i; set s [expr {$s ^ ($i << 3) | 1}] }; return $s-$i }\nf", True),
     # 120 nested `?:` outgrow Python's nesting: the loop stays on the VM
     ("proc f {} { set s 0; for {set i 0} {$i < 300} {incr i} { set s [expr {$s + (%s : -1)}] };"
-     " return $s }\nf" % " : ".join("$i == %d ? %d" % (j, j) for j in range(120)), True),
+     " return $s }\nf" % " : ".join("$i == %d ? %d" % (j, j) for j in range(120)), False),
     # a body with a command call is declined
     ("proc f {} { set s 0; for {set i 0} {$i < 300} {incr i} {"
      " set s [string length $i] }; return $s }\nf", False),
@@ -230,8 +230,8 @@ def test_tier_corpus_runs_on_the_tier(script, lowered):
         it.eval(script)
     except TclError:
         pass
-    assert TIER_UP < 200
-    assert (it.vm_stats.loops_lowered >= 1) == lowered
+    s = it.vm_stats  # entered the loop's function, or tried to
+    assert (s.lowered_iterations + s.loop_deopts >= 1) == lowered
 
 
 def test_lowered_loops_shared_across_threads():
@@ -267,8 +267,8 @@ def test_lowered_loops_shared_across_threads():
 
 # --- the proc tier: proc bodies lowered to Python functions ---------------
 
-# Each script calls its entry proc enough times for the body to run
-# lowered, and reaches a hand-back site (or an inlined catch) there.
+# Each script's entry proc runs lowered from its first call, and reaches
+# a hand-back site (or an inlined catch) there.
 PROC_TIER_SCRIPTS = [
     # a proc redefined, and renamed, mid-body: every call site re-checks
     "proc g {} { return a }\n"
@@ -360,14 +360,6 @@ def default_recursion_limit():
     sys.setrecursionlimit(before)
 
 
-@pytest.fixture
-def lower_at_once(monkeypatch):
-    """Every proc body entered from Python runs lowered from its first call."""
-    from repro.tcl import vm
-
-    monkeypatch.setattr(vm, "PROC_TIER_UP", 0)
-
-
 def _lowered(script):
     it = Interp()
     it.echo = False
@@ -388,8 +380,22 @@ def test_proc_tier_matches_interpreted(script):
     "script", DIFFERENTIAL_SCRIPTS + PROC_TIER_SCRIPTS,
     ids=range(len(DIFFERENTIAL_SCRIPTS) + len(PROC_TIER_SCRIPTS)),
 )
-def test_vm_matches_interpreted_lowered_at_once(script, lower_at_once):
+def test_vm_matches_interpreted_lowered_at_once(script):
+    # every proc body runs lowered from its first call
     assert_same(script)
+
+
+@pytest.mark.parametrize(
+    "script", DIFFERENTIAL_SCRIPTS + PROC_TIER_SCRIPTS,
+    ids=range(len(DIFFERENTIAL_SCRIPTS) + len(PROC_TIER_SCRIPTS)),
+)
+def test_vm_matches_interpreted_on_the_vm(script, monkeypatch):
+    # NEST 0: every proc activation is a VM frame; loops still run lowered
+    from repro.tcl import vm
+
+    monkeypatch.setattr(vm, "NEST", 0)
+    assert_same(script)
+    assert _lowered(script).lowered_calls == 0
 
 
 class TestProcTier:
@@ -398,9 +404,9 @@ class TestProcTier:
                        " return $a }\nproc k {} { return [f 1][f 22] }")
         assert vm_interp.eval("k; k; k") == "12"
         s = vm_interp.vm_stats
-        # k's third call runs lowered; f's from its third call, each
-        # handing its frame back after `global` moved its cells
-        assert s.lowered_calls == 5 and s.proc_handbacks == 4
+        # every call runs lowered: k's 3 and f's 6, each of f's handing
+        # its frame back after `global` moved its cells
+        assert s.lowered_calls == 9 and s.proc_handbacks == 6
 
     def test_catch_is_inlined_in_a_proc_body(self, vm_interp):
         vm_interp.eval("proc f {} { catch { for {set i 0} {$i < 3} {incr i $n} { lappend l $i } } m;"
@@ -413,22 +419,22 @@ class TestProcTier:
         assert "CALL_LIT" in root.dis()  # script-root code keeps cmd_catch
 
     def test_a_lowered_body_runs_its_loop_on_the_loop_tier(self, monkeypatch):
-        # OP_LOOP in a lowered body counts the back-edge and enters the
-        # loop's function past TIER_UP, as the VM does: no hand-back,
-        # and the loop tier's counters read as on the VM.
+        # OP_LOOP in a lowered body enters the loop's function at its
+        # first back-edge, as the VM does: no hand-back, and the loop
+        # tier's counters read as on the VM.
         from repro.tcl import vm
 
         script = ("proc f {n} { set s 0; for {set i 0} {$i < $n} {incr i} {"
                   " set s [expr {($s * 3 + $i) % 1009}] }; return $s-$i }\n"
                   "list [f 200] [f 200] [f 200]")
         stats = []
-        for tier_up in (10 ** 9, 0):
-            monkeypatch.setattr(vm, "PROC_TIER_UP", tier_up)
+        for nest in (0, vm.NEST):
+            monkeypatch.setattr(vm, "NEST", nest)
             stats.append(_lowered(script))
         on_vm, lowered = stats
         assert (on_vm.lowered_calls, lowered.lowered_calls, lowered.proc_handbacks) == (0, 3, 0)
-        assert lowered.lowered_iterations == on_vm.lowered_iterations == 3 * 199 - (TIER_UP - 1)
-        assert lowered.loops_lowered == on_vm.loops_lowered == 1
+        assert lowered.lowered_iterations == on_vm.lowered_iterations == 3 * 199
+        assert lowered.loop_deopts == on_vm.loop_deopts == 0
         assert_same(script)
 
     def test_dis_names_the_first_op_on_the_vm(self, vm_interp):
@@ -685,10 +691,10 @@ class TestTierInvalidation:
         assert_same(hot + "set r [hot 300 0 0]\n" + redefine + "\nlappend r [%s]" % call)
         vm_interp.eval(hot + "hot 300 0 0")
         stats = vm_interp.vm_stats
-        assert (stats.loops_lowered, stats.loop_deopts) == (1, 0)
+        assert (stats.lowered_iterations, stats.loop_deopts) == (299, 0)
         vm_interp.eval(redefine)
         vm_interp.eval(call)
-        assert stats.loop_deopts >= 1
+        assert stats.loop_deopts == 1
 
     def test_a_loop_that_redefines_a_command_is_never_lowered(self, vm_interp):
         vm_interp.eval(
@@ -696,7 +702,7 @@ class TestTierInvalidation:
             " { proc g {} { return 1 }; set a [expr {$a + $i}] }; return $a }"
         )
         assert vm_interp.eval("f") == str(sum(range(300)))
-        assert vm_interp.vm_stats.loops_lowered == 0
+        assert (vm_interp.vm_stats.lowered_iterations, vm_interp.vm_stats.loop_deopts) == (0, 0)
         pcode = vm_interp._vm_proc_code(vm_interp, vm_interp.lookup_command("f"))
         assert "on VM: CALL_LIT" in pcode.dis()
 
@@ -705,7 +711,7 @@ class TestTierInvalidation:
 
 # The body holds all four cache kinds: CALL ([g $n]), CALL_LIT ([g]),
 # GUARD (set/for/expr/return) and LOOP (a loop of no command, lowered
-# after TIER_UP back-edges).
+# with its template).
 SHARED_F = (
     "proc f {n} { set s 0; for {set k 0} {$k < 100} {incr k}"
     " { set s [expr {$s + $k}] }; return [g]:[g $n]:$s }"
@@ -713,12 +719,12 @@ SHARED_F = (
 
 
 # Each cache kind's run-time fields, from their first index, as compiled:
-# epoch -1 and nothing resolved; a loop that has run no back-edge.
+# epoch -1 and nothing resolved; a loop that has not handed back.
 PRISTINE = {
     OP_CALL: (2, [-1, None, None, 0, None]),
     OP_CALL_LIT: (3, [-1, None, 0, None]),
     OP_GUARD: (2, [-1, None, False]),
-    OP_LOOP: (1, [0, None]),
+    OP_LOOP: (3, [True]),
 }
 
 
@@ -798,7 +804,8 @@ class TestSharedTemplates:
             assert results[who] == want
             assert want[0] == "%s:%s:4950" % (who, who)
             assert want[-1] == (mid if who == "A" else want[0])
-            assert interps[who].vm_stats.loops_lowered == 1
+            stats = interps[who].vm_stats
+            assert (stats.lowered_iterations, stats.loop_deopts) == (n * 99, 0)
         procs = [interps[w].lookup_command(f) for w in names]
         p = procs[0]
         template = compile_proc_code(p.body, p.params, p.name, p._simple)
@@ -1028,15 +1035,36 @@ class TestVMStats:
         vm_interp.eval("hot 300")
         vm_interp.eval("hot 300")
         s = vm_interp.vm_stats
-        # the first call tiers up after TIER_UP iterations on the VM; the
-        # second runs its first iteration on the VM, the rest lowered
-        assert (s.loops_lowered, s.loop_deopts) == (1, 0)
-        assert s.lowered_iterations == (300 - TIER_UP) + 299
+        # each call runs its first iteration, the rest lowered
+        assert (s.lowered_iterations, s.loop_deopts) == (2 * 299, 0)
         vm_interp.eval("proc half {} { set a 0; for {set i 0} {$i < 300} {incr i}"
                        " { set a [expr {$i == 200 ? 0.5 : $a + 1}] }; return $a }")
         assert vm_interp.eval("half") == "99.5"
-        assert s.loops_lowered == 2
-        assert s.loop_deopts >= 1
+        assert (s.lowered_iterations, s.loop_deopts) == (2 * 299 + 199, 1)
+
+    def test_a_first_call_runs_lowered(self):
+        # no warm-up: in a fresh interp the body runs lowered from its
+        # first call, and its loop from its first back-edge
+        it = Interp()
+        it.echo = False
+        it.eval("proc crunch {x n} { set acc [expr {($x * 5807 + 816) % 12}];"
+                " for {set k 0} {$k < $n} {incr k} { set acc [expr {($acc * 3723 + $k) % 1000003}] };"
+                " return $acc }")
+        it.eval("crunch 7 3000")
+        s = it.vm_stats
+        assert (s.lowered_calls, s.lowered_iterations, s.loop_deopts) == (1, 2999, 0)
+
+    def test_a_hand_back_sticks(self, vm_interp):
+        # a float slot hands the loop back at its first entry; the copy's
+        # later calls run the loop on the VM without trying again
+        vm_interp.eval("proc f {n} { set x 1; for {set i 0} {$i < $n} {incr i}"
+                       " { set x [expr {$x * 1.0001}] }; return $x }")
+        for _ in range(10):
+            vm_interp.eval("f 3000")
+        s = vm_interp.vm_stats
+        assert (s.lowered_iterations, s.loop_deopts) == (0, 1)
+        assert_same("proc f {n} { set x 1; for {set i 0} {$i < $n} {incr i}"
+                    " { set x [expr {$x * 1.0001}] }; return $x }\nf 300")
 
     def test_tier_counters_in_a_run(self):
         res = swift_run(
@@ -1047,8 +1075,8 @@ class TestVMStats:
         )
         assert res.stdout_lines == ["trace: %d" % _acc(300)]
         counters = res.metrics["counters"]
-        assert counters["tcl.vm.loops_lowered"] == 1
-        assert counters["tcl.vm.lowered_iterations"] == 300 - TIER_UP
+        assert counters["tcl.vm.lowered_iterations"] == 299
+        assert counters["tcl.vm.loop_deopts"] == 0
 
     def test_stats_folded_into_traced_run(self):
         out = swift_run(
